@@ -9,7 +9,8 @@
 //! 2. `GeoBlockEngine::from_snapshot` answers bit-identically to the
 //!    engine it was saved from, warm from the first query,
 //! 3. corrupt / truncated / wrong-magic / wrong-version snapshots return
-//!    typed errors — never panics,
+//!    typed errors — never panics; the file written carries no derived
+//!    state, and the checked-in version-2 fixture still loads,
 //! 4. the hardened request path: an unknown filter column is a clean
 //!    `DataError`, not a process kill.
 //!
@@ -17,7 +18,7 @@
 
 use gb_data::{datasets, extract, AggSpec, CmpOp, Filter, Rows};
 use gb_geom::Polygon;
-use geoblocks::{build, GeoBlock, GeoBlockEngine, Snapshot, SnapshotError, SnapshotRef};
+use geoblocks::{build, GeoBlock, GeoBlockEngine, Snapshot, SnapshotError};
 
 struct Gate {
     failed: bool,
@@ -32,6 +33,21 @@ impl Gate {
             self.failed = true;
         }
     }
+}
+
+/// Section tags in file order, by walking the container framing: a
+/// 16-byte header (magic 8, version 2, flags 2, count 4), then per section
+/// tag 4, length 8, checksum 8 and the payload. A raw byte scan for a tag
+/// could match float payload data instead.
+fn section_tags(bytes: &[u8]) -> Vec<[u8; 4]> {
+    let mut tags = Vec::new();
+    let mut off = 16usize;
+    while off + 20 <= bytes.len() {
+        tags.push(bytes[off..off + 4].try_into().expect("4-byte tag"));
+        let len = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().expect("8-byte len"));
+        off += 20 + len as usize;
+    }
+    tags
 }
 
 fn main() {
@@ -134,59 +150,27 @@ fn main() {
         "expected Io error",
     );
 
-    // 3b. The PYRA section: corruption inside the pyramid payload must be
-    // a typed rejection, and a pre-PYRA (version 1) snapshot must load
-    // via rebuild-on-load and answer bit-identically.
-    //
-    // Locate the section by walking the container framing (magic 8 +
-    // version 2 + flags 2 + count 4, then per section tag 4 + len 8 +
-    // checksum 8 + payload) — a raw byte scan for "PYRA" could match
-    // float payload data in an earlier section and corrupt that instead,
-    // making this probe vacuous.
-    let pyra_payload_at = {
-        let mut off = 16usize;
-        loop {
-            assert!(off + 20 <= bytes.len(), "walked off the container");
-            let tag = &bytes[off..off + 4];
-            let len = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
-            if tag == b"PYRA" {
-                break off + 20;
-            }
-            off += 20 + len;
-        }
-    };
-    let mut m = bytes.clone();
-    m[pyra_payload_at + 64] ^= 0x20; // a byte well inside the payload
+    // 3b. Derived state is never stored: a freshly written (version 3)
+    // file has no `PYRA` section, and a version-2 file that has one — the
+    // checked-in fixture, written by the last v2 writer — still loads,
+    // answering from the pyramid rebuilt out of its `CELL` section.
     gate.check(
-        "corrupted PYRA section rejected",
-        Snapshot::from_bytes(&m).is_err(),
-        "a flipped pyramid byte slipped through",
+        "v3 file contains no PYRA tag",
+        !section_tags(&bytes).contains(b"PYRA"),
+        "the writer stored the pyramid",
     );
-    let v1_bytes = SnapshotRef {
-        block: &block,
-        trie: None,
-        hits: None,
-        hot_queries: None,
-    }
-    .to_bytes_v1();
-    match Snapshot::from_bytes(&v1_bytes) {
-        Err(e) => gate.check("pre-PYRA snapshot loads", false, &format!("{e}")),
+    let v2: &[u8] = include_bytes!("../../../core/tests/fixtures/v2_pyra.gbsnap");
+    let v2_hash = include_str!("../../../core/tests/fixtures/v2_pyra.content_hash").trim();
+    match Snapshot::from_bytes(v2) {
+        Err(e) => gate.check("v2 fixture loads", false, &format!("{e}")),
         Ok(old) => {
+            let everything = Polygon::rectangle(old.block.grid().domain());
             gate.check(
-                "pre-PYRA snapshot loads with rebuilt pyramid",
-                old.block.has_pyramid() && old.block.content_hash() == block.content_hash(),
-                "pyramid missing or content drifted after rebuild-on-load",
-            );
-            let mut identical = true;
-            for p in polys.iter().take(8) {
-                let (a, _) = old.block.select(p, &spec);
-                let (b, _) = block.select(p, &spec);
-                identical &= a.approx_eq(&b, 0.0);
-            }
-            gate.check(
-                "rebuilt pyramid answers bit-identically",
-                identical,
-                "SELECT diverged after rebuild-on-load",
+                "v2 fixture loads",
+                section_tags(v2).contains(b"PYRA")
+                    && format!("{:#018x}", old.block.content_hash()) == v2_hash
+                    && old.block.count(&everything).0 == old.block.num_rows(),
+                "fixture lost its PYRA section, or content drifted after rebuild-on-load",
             );
         }
     }

@@ -176,7 +176,7 @@ pub fn fig11b(ctx: &Ctx) -> Report {
 
     for (name, bytes) in [
         // The paper's "Block" is the cell-aggregate storage; the pyramid
-        // and prefix arrays are our query accelerators, reported as their
+        // and count prefix are our query accelerators, reported as their
         // own row so the Figure-11b comparison stays apples-to-apples.
         ("Block (aggregates)", bl.block().aggregate_bytes()),
         ("Block (+pyramid)", bl.index_bytes()),
@@ -976,7 +976,7 @@ pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
     rep.note(
         "Expected shape: the load/rebuild gap widens with scale — load is O(cells) and the \
          distinct-cell count saturates (Figure 13), while rebuild stays O(rows log rows). \
-         Crossover lands in the 100k-row range; ≈6× at 640k rows, growing from there.",
+         Crossover lands in the few-100k-row range; ≈2× at 640k rows, growing from there.",
     );
     Ok((rep, records))
 }

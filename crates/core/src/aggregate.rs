@@ -45,14 +45,6 @@ impl AggPlan {
         plan
     }
 
-    /// True when no `Min`/`Max` aggregate is requested: every answer is
-    /// derivable from tuple counts and column sums alone, which is what
-    /// makes the O(1) prefix-sum range fold a complete answer.
-    #[inline]
-    pub fn sums_only(&self) -> bool {
-        self.min_slots.is_empty() && self.max_slots.is_empty()
-    }
-
     /// Number of result slots (== `spec.requests.len()`).
     #[inline]
     pub fn n_slots(&self) -> usize {
@@ -162,22 +154,6 @@ impl AggResult {
         for &(slot, col) in &plan.max_slots {
             let s = &mut self.values[slot as usize];
             *s = s.max(maxs[col as usize]);
-        }
-    }
-
-    /// Fold an O(1) prefix-sum range difference: `count` tuples whose
-    /// per-column sums are `hi[col] − lo[col]` (exclusive prefix rows of
-    /// the block's prefix arrays). Only valid for [`AggPlan::sums_only`]
-    /// plans — min/max cannot be derived from prefixes.
-    #[inline]
-    pub fn combine_prefix(&mut self, plan: &AggPlan, count: u64, lo: &[f64], hi: &[f64]) {
-        debug_assert!(plan.sums_only());
-        if count == 0 {
-            return;
-        }
-        self.count += count;
-        for &(slot, col) in &plan.sum_slots {
-            self.values[slot as usize] += hi[col as usize] - lo[col as usize];
         }
     }
 
@@ -411,7 +387,6 @@ mod tests {
     fn plan_record_combine_matches_closure_combine() {
         let s = spec();
         let plan = AggPlan::compile(&s);
-        assert!(!plan.sums_only());
         assert_eq!(plan.n_slots(), 5);
         let mins = [1.0, -2.0];
         let maxs = [7.0, 9.5];
@@ -467,27 +442,6 @@ mod tests {
         result_b.combine_record_plan(&plan, 5, &pre_mins, &pre_maxs, &pre_sums);
 
         assert!(result_a.finalize(&s).approx_eq(&result_b.finalize(&s), 0.0));
-    }
-
-    #[test]
-    fn prefix_combine_is_sums_only_and_counts_exactly() {
-        let s = AggSpec::new(vec![
-            AggRequest::new(AggFunc::Count, 0),
-            AggRequest::new(AggFunc::Sum, 1),
-            AggRequest::new(AggFunc::Avg, 0),
-        ]);
-        let plan = AggPlan::compile(&s);
-        assert!(plan.sums_only());
-        let lo = [1.0, 10.0];
-        let hi = [4.0, 25.0];
-        let mut r = AggResult::new(&s);
-        r.combine_prefix(&plan, 7, &lo, &hi);
-        r.combine_prefix(&plan, 0, &hi, &hi); // empty range: no-op
-        let r = r.finalize(&s);
-        assert_eq!(r.count, 7);
-        assert_eq!(r.value(0), Some(7.0));
-        assert_eq!(r.value(1), Some(15.0));
-        assert_eq!(r.value(2), Some(3.0 / 7.0));
     }
 
     #[test]

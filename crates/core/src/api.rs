@@ -403,22 +403,26 @@ fn read_batch(r: &mut ByteReader<'_>) -> Result<UpdateBatch, GbError> {
     let mut batch = UpdateBatch::new();
     batch.rows.reserve(n);
     for _ in 0..n {
-        let x = map_trunc(r.f64())?;
-        let y = map_trunc(r.f64())?;
-        if !x.is_finite() || !y.is_finite() {
-            return Err(GbError::bad_request(
-                "update row location must be finite".to_string(),
-            ));
-        }
+        let location = Point::new(map_trunc(r.f64())?, map_trunc(r.f64())?);
         let values = map_trunc(r.f64_vec())?;
-        if values.iter().any(|v| !v.is_finite()) {
-            return Err(GbError::bad_request(
-                "update row values must be finite".to_string(),
-            ));
-        }
-        batch.push(Point::new(x, y), values);
+        check_update_row(location, &values)?;
+        batch.push(location, values);
     }
     Ok(batch)
+}
+
+/// The admission rule for one update row, shared by the wire decoder and
+/// the engine's in-process entry point: a NaN or ±inf location or value
+/// would permanently poison the cell's sums, every pyramid ancestor and
+/// the global header.
+pub(crate) fn check_update_row(location: Point, values: &[f64]) -> Result<(), GbError> {
+    if !location.x.is_finite() || !location.y.is_finite() {
+        return Err(GbError::bad_request("update row location must be finite"));
+    }
+    if values.iter().any(|v| !v.is_finite()) {
+        return Err(GbError::bad_request("update row values must be finite"));
+    }
+    Ok(())
 }
 
 fn read_stats(r: &mut ByteReader<'_>) -> Result<QueryStats, GbError> {

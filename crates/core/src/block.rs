@@ -57,21 +57,16 @@ pub struct GeoBlock {
     /// COUNT must sum per-cell counts instead of the offset range trick.
     pub(crate) dirty_offsets: bool,
 
-    // --- derived acceleration structures (never serialized as truth:
-    // --- rebuilt from the arrays above by the canonical folds) ---
+    // --- derived acceleration structures (never serialized: every
+    // --- producer rebuilds them from the arrays above through
+    // --- `refresh_derived`, the one place the canonical folds run) ---
     /// Exclusive prefix over `counts` (`n + 1` entries): the tuple count
     /// of any aggregate run `[a, b)` is `prefix_counts[b] −
     /// prefix_counts[a]` — Listing 2's offset trick, kept valid across
     /// updates (unlike `offsets`, which are pinned to the base data).
     pub(crate) prefix_counts: Vec<u64>,
-    /// Exclusive per-column prefix over `sums`, flattened `(n + 1) ×
-    /// column`: O(1) SUM/AVG range folds for sums-only specs.
-    pub(crate) prefix_sums: Vec<f64>,
-    /// Aggregates at every level coarser than the block level. `None`
-    /// only for blocks that explicitly dropped it
-    /// ([`GeoBlock::clear_pyramid`]); queries then fall back to prefix
-    /// folds and range scans.
-    pub(crate) pyramid: Option<AggPyramid>,
+    /// Aggregates at every level coarser than the block level.
+    pub(crate) pyramid: AggPyramid,
 }
 
 impl GeoBlock {
@@ -184,85 +179,44 @@ impl GeoBlock {
         self.num_cells() * self.record_bytes() + 3 * 8 * self.n_cols() + 32
     }
 
-    /// Heap bytes of the derived acceleration structures: the per-column
-    /// prefix arrays plus the aggregate pyramid (if kept).
+    /// Heap bytes of the derived acceleration structures: the count
+    /// prefix plus the aggregate pyramid.
     pub fn derived_bytes(&self) -> usize {
-        self.prefix_counts.len() * 8
-            + self.prefix_sums.len() * 8
-            + self.pyramid.as_ref().map_or(0, AggPyramid::memory_bytes)
+        self.prefix_counts.len() * 8 + self.pyramid.memory_bytes()
     }
 
-    /// Total heap bytes — cell aggregates, header, prefix arrays, and
+    /// Total heap bytes — cell aggregates, header, count prefix, and
     /// pyramid (the honest Figure-11b numerator for this implementation).
     pub fn memory_bytes(&self) -> usize {
         self.aggregate_bytes() + self.derived_bytes()
     }
 
-    /// The aggregate pyramid, if this block keeps one.
+    /// The aggregate pyramid.
     #[inline]
-    pub fn pyramid(&self) -> Option<&AggPyramid> {
-        self.pyramid.as_ref()
+    pub fn pyramid(&self) -> &AggPyramid {
+        &self.pyramid
     }
 
-    /// True when coarse covering cells are answered by pyramid lookups.
-    #[inline]
-    pub fn has_pyramid(&self) -> bool {
-        self.pyramid.is_some()
-    }
-
-    /// Drop the pyramid (ablation / memory-constrained deployments).
-    /// Queries stay correct via the prefix-fold and range-scan tiers;
-    /// [`GeoBlock::rebuild_pyramid`] restores it.
-    pub fn clear_pyramid(&mut self) {
-        self.pyramid = None;
-    }
-
-    /// (Re)build the pyramid from the current cell aggregates with the
-    /// canonical serial fold.
-    pub fn rebuild_pyramid(&mut self) {
-        self.pyramid = None; // release before building the replacement
-        self.pyramid = Some(AggPyramid::build(self, None));
-    }
-
-    /// [`GeoBlock::rebuild_pyramid`], layers fanned over `pool` —
-    /// bit-identical to the serial build (layers are independent folds).
-    pub(crate) fn rebuild_pyramid_with(&mut self, pool: &gb_common::Pool) {
-        self.pyramid = None;
-        self.pyramid = Some(AggPyramid::build(self, Some(pool)));
-    }
-
-    /// Rebuild the prefix arrays from the current `counts`/`sums`.
-    pub(crate) fn rebuild_prefix(&mut self) {
-        let n = self.keys.len();
-        let c = self.n_cols();
+    /// Rebuild every derived structure (count prefix and pyramid) from
+    /// the current cell aggregates — the single funnel every producer
+    /// (build, coarsen, updates, snapshot load) ends in. With a pool the
+    /// pyramid layers are fanned out; they are independent folds, so the
+    /// result is bit-identical at any thread count. Updates call this
+    /// instead of patching derived state in place: in-place propagation
+    /// of sums would drift from the canonical fold by ULPs and break the
+    /// pyramid-vs-scan bit-identity invariant.
+    pub(crate) fn refresh_derived(&mut self, pool: Option<&gb_common::Pool>) {
         self.prefix_counts.clear();
-        self.prefix_counts.reserve(n + 1);
+        self.prefix_counts.reserve(self.keys.len() + 1);
         self.prefix_counts.push(0);
         let mut run = 0u64;
         for &cnt in &self.counts {
             run += u64::from(cnt);
             self.prefix_counts.push(run);
         }
-        self.prefix_sums.clear();
-        self.prefix_sums.resize((n + 1) * c, 0.0);
-        for i in 0..n {
-            for col in 0..c {
-                self.prefix_sums[(i + 1) * c + col] =
-                    self.prefix_sums[i * c + col] + self.sums[i * c + col];
-            }
-        }
-    }
-
-    /// Rebuild every derived structure (prefix arrays, and the pyramid if
-    /// this block keeps one) from the current cell aggregates. Updates
-    /// call this instead of patching derived state in place: in-place
-    /// propagation of sums would drift from the canonical fold by ULPs
-    /// and break the pyramid-vs-scan bit-identity invariant.
-    pub(crate) fn refresh_derived(&mut self) {
-        self.rebuild_prefix();
-        if self.pyramid.is_some() {
-            self.rebuild_pyramid();
-        }
+        // Release the stale layers before folding their replacement.
+        self.pyramid = AggPyramid::default();
+        self.pyramid = AggPyramid::build(self, pool);
     }
 
     /// A digest over every stored array (floats by bit pattern, so NaN
@@ -297,41 +251,31 @@ impl GeoBlock {
 
     /// Build a coarser GeoBlock at `level` from this one **without**
     /// rescanning the base data (§3.4 "aggregate granularity"): the
-    /// aggregate arrays come from the canonical in-order fold
-    /// (`pyramid::fold_level` — the same fold that defines every
-    /// pyramid layer), plus one grouping pass for the base-data linkage
-    /// (offsets, leaf-key bounds) the fold does not carry.
+    /// aggregate arrays *are* this block's pyramid layer for `level` (the
+    /// canonical in-order fold), plus one grouping pass for the base-data
+    /// linkage (offsets, leaf-key bounds) the pyramid does not carry.
     pub fn coarsen(&self, level: u8) -> GeoBlock {
         assert!(level <= self.level, "coarsen can only reduce the level");
         if level == self.level {
             return self.clone();
         }
-        let c = self.n_cols();
-        let folded = crate::pyramid::fold_level(
-            level,
-            &self.keys,
-            &self.counts,
-            &self.mins,
-            &self.maxs,
-            &self.sums,
-            c,
-        );
+        let layer = &self.pyramid.levels[level as usize];
         let mut out = GeoBlock {
             grid: self.grid,
             level,
             schema: self.schema.clone(),
-            keys: folded.keys,
+            keys: layer.keys.clone(),
             offsets: Vec::new(),
-            counts: folded
+            counts: layer
                 .counts
                 .iter()
                 .map(|&n| u32::try_from(n).expect("cell count fits u32"))
                 .collect(),
             key_mins: Vec::new(),
             key_maxs: Vec::new(),
-            mins: folded.mins,
-            maxs: folded.maxs,
-            sums: folded.sums,
+            mins: layer.mins.clone(),
+            maxs: layer.maxs.clone(),
+            sums: layer.sums.clone(),
             n_rows: self.n_rows,
             min_cell: 0,
             max_cell: 0,
@@ -340,8 +284,7 @@ impl GeoBlock {
             global_sums: self.global_sums.clone(),
             dirty_offsets: self.dirty_offsets,
             prefix_counts: Vec::new(),
-            prefix_sums: Vec::new(),
-            pyramid: None,
+            pyramid: AggPyramid::default(),
         };
 
         // Base-data linkage per coarse group: first offset, leaf-key span.
@@ -365,17 +308,16 @@ impl GeoBlock {
             out.keys.windows(2).all(|w| w[0] < w[1]),
             "coarse keys unique+sorted"
         );
-        out.rebuild_prefix();
-        if self.pyramid.is_some() {
-            out.rebuild_pyramid();
-        }
+        out.refresh_derived(None);
         out
     }
 
-    /// Check every internal invariant without panicking — the validation
-    /// gate for untrusted inputs (snapshot loads): a corrupt file that
-    /// passes the container checksums must still describe a structurally
-    /// possible block before any query code touches it.
+    /// Check every invariant of the *stored* arrays without panicking —
+    /// the validation gate for untrusted inputs (snapshot loads): a
+    /// corrupt file that passes the container checksums must still
+    /// describe a structurally possible block before any fold or query
+    /// code touches it. Derived state is never read from outside, so it
+    /// is not checked here (see [`GeoBlock::check_invariants`]).
     pub fn validate(&self) -> Result<(), String> {
         let c = self.n_cols();
         let n = self.keys.len();
@@ -443,40 +385,24 @@ impl GeoBlock {
                 expect += u64::from(self.counts[i]);
             }
         }
-        // Derived structures must match their defining folds exactly
-        // (they are deterministic functions of the arrays above).
-        if self.prefix_counts.len() != n + 1 || self.prefix_sums.len() != (n + 1) * c {
-            return Err("prefix arrays do not match the cell count".into());
-        }
-        if self.prefix_counts[0] != 0 {
-            return Err("prefix counts must start at 0".into());
-        }
-        if self.prefix_sums[..c].iter().any(|&x| x.to_bits() != 0) {
-            return Err("prefix sums must start at +0.0".into());
-        }
-        for i in 0..n {
-            if self.prefix_counts[i + 1] != self.prefix_counts[i] + u64::from(self.counts[i]) {
-                return Err(format!("count prefix broken at index {i}"));
-            }
-            for col in 0..c {
-                let expect = self.prefix_sums[i * c + col] + self.sums[i * c + col];
-                if self.prefix_sums[(i + 1) * c + col].to_bits() != expect.to_bits() {
-                    return Err(format!("sum prefix broken at index {i}, column {col}"));
-                }
-            }
-        }
-        if let Some(pyramid) = &self.pyramid {
-            pyramid.validate(self)?;
-        }
         Ok(())
     }
 
-    /// Sanity-check internal invariants (used by tests and debug builds).
-    /// Panicking wrapper around [`GeoBlock::validate`].
+    /// Sanity-check internal invariants (used by tests and debug builds):
+    /// [`GeoBlock::validate`], plus the derived structures are what
+    /// `refresh_derived` makes of the current records, bit for bit.
     #[track_caller]
     pub fn check_invariants(&self) {
         if let Err(e) = self.validate() {
             panic!("GeoBlock invariant violated: {e}");
         }
+        let mut fresh = self.clone();
+        fresh.refresh_derived(None);
+        assert_eq!(self.prefix_counts, fresh.prefix_counts, "stale prefix");
+        let (have, want) = (self.pyramid.content_hash(), fresh.pyramid.content_hash());
+        assert_eq!(
+            have, want,
+            "pyramid is not the canonical fold of the records"
+        );
     }
 }

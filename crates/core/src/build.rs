@@ -149,8 +149,7 @@ fn assemble(grid: gb_cell::Grid, level: u8, schema: Schema, partials: Vec<Partia
         global_sums: vec![0.0; c],
         dirty_offsets: false,
         prefix_counts: Vec::new(),
-        prefix_sums: Vec::new(),
-        pyramid: None,
+        pyramid: Default::default(),
     };
 
     let mut row_base = 0u64;
@@ -207,8 +206,7 @@ pub fn build(base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, BuildSt
     let partial = sweep_range(base, level, filter, 0..n);
     let rows_kept = partial.rows_kept as usize;
     let mut block = assemble(*base.grid(), level, base.schema().clone(), vec![partial]);
-    block.rebuild_prefix();
-    block.rebuild_pyramid();
+    block.refresh_derived(None);
     let stats = BuildStats {
         build_time: timer.elapsed(),
         rows_scanned: n,
@@ -271,11 +269,10 @@ pub fn build_parallel(
     });
     let rows_kept: u64 = partials.iter().map(|p| p.rows_kept).sum();
     let mut block = assemble(*base.grid(), level, base.schema().clone(), partials);
-    block.rebuild_prefix();
     // Pyramid layers are independent in-order folds over the assembled
     // cells: fanning them over the pool is bit-identical to the serial
     // build at any thread count.
-    block.rebuild_pyramid_with(&pool);
+    block.refresh_derived(Some(&pool));
     let stats = BuildStats {
         build_time: timer.elapsed(),
         rows_scanned: n,
@@ -336,9 +333,8 @@ mod tests {
         assert_eq!(bits(&a.global_mins), bits(&b.global_mins));
         assert_eq!(bits(&a.global_maxs), bits(&b.global_maxs));
         assert_eq!(bits(&a.global_sums), bits(&b.global_sums));
-        // Derived structures too: prefix arrays and every pyramid layer.
+        // Derived structures too: count prefix and every pyramid layer.
         assert_eq!(a.prefix_counts, b.prefix_counts);
-        assert_eq!(bits(&a.prefix_sums), bits(&b.prefix_sums));
         assert_eq!(a.pyramid, b.pyramid, "pyramids diverged");
     }
 
@@ -388,6 +384,10 @@ mod tests {
         assert_eq!(block.num_rows(), 0);
         assert_eq!(block.num_cells(), 0);
         assert!(!block.may_overlap(CellId::ROOT));
+        // The pyramid is still there, one (empty) layer per level.
+        assert_eq!(block.pyramid().num_levels(), 8);
+        assert_eq!(block.pyramid().num_records(), 0);
+        assert_eq!(block.pyramid().memory_bytes(), 0);
     }
 
     #[test]

@@ -580,13 +580,14 @@ impl GeoBlockEngine {
     ) -> Result<QueryResponse<UpdateReport>, GbError> {
         let _req = self.tracer.begin_request("update");
         let n_cols = self.block_snapshot().schema().len();
-        for (i, (_, values)) in batch.rows.iter().enumerate() {
+        for (i, (location, values)) in batch.rows.iter().enumerate() {
             if values.len() != n_cols {
                 return Err(GbError::bad_request(format!(
                     "update row {i} has {} values, schema has {n_cols} columns",
                     values.len()
                 )));
             }
+            crate::api::check_update_row(*location, values)?;
         }
         // One kernel transaction: serialized with rebuilds and other
         // updates by the publisher mutex; queries proceed throughout.
@@ -748,7 +749,6 @@ impl std::fmt::Debug for GeoBlockEngine {
         let state = self.state_snapshot();
         f.debug_struct("GeoBlockEngine")
             .field("cells", &state.block.num_cells())
-            .field("pyramid", &state.block.has_pyramid())
             .field("threshold", &self.threshold)
             .field("data_epoch", &state.data_epoch)
             .field("cache_epoch", &self.cache_epoch())
@@ -1032,6 +1032,33 @@ mod tests {
         let mut qc = GeoBlockQC::new((*engine.block_snapshot()).clone(), 0.5);
         let fresh = qc.select(&hot, &s);
         assert!(after.result.approx_eq(&fresh.result, 0.0), "bit-identical");
+    }
+
+    #[test]
+    fn non_finite_update_rows_are_rejected_before_they_poison_the_block() {
+        let base = base_data(1500);
+        let (block, _) = build(&base, 7, &Filter::all());
+        let engine = GeoBlockEngine::new(block, 0.3);
+        let hash = engine.block_snapshot().content_hash();
+        for (location, value) in [
+            (Point::new(20.0, 20.0), f64::NAN),
+            (Point::new(20.0, 20.0), f64::INFINITY),
+            (Point::new(20.0, 20.0), f64::NEG_INFINITY),
+            (Point::new(f64::NAN, 20.0), 1.0),
+            (Point::new(20.0, f64::INFINITY), 1.0),
+        ] {
+            // A good row first: the batch is rejected whole, not partly applied.
+            let mut batch = UpdateBatch::new();
+            batch.push(Point::new(30.0, 30.0), vec![2.0]);
+            batch.push(location, vec![value]);
+            let direct = engine.apply_updates(&batch).unwrap_err();
+            let bad = |e: &GbError| matches!(e, GbError::Serve(crate::ServeError::BadRequest(_)));
+            assert!(bad(&direct), "{direct}");
+            let via_query = engine.query(&QueryRequest::Update { batch }).unwrap_err();
+            assert!(bad(&via_query), "{via_query}");
+        }
+        assert_eq!(engine.data_epoch(), 0);
+        assert_eq!(engine.block_snapshot().content_hash(), hash);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! |---|---|
 //! | [`api`] — typed query requests/replies, unified errors, wire codec | — |
 //! | [`block`] — storage layout, header, coarsening | §3.4 |
-//! | [`pyramid`] — multi-resolution aggregate pyramid + prefix folds | §3.4 "granularity", §3.5 |
+//! | [`pyramid`] — multi-resolution aggregate pyramid, a mandatory part of every block | §3.4 "granularity", §3.5 |
 //! | [`build`](mod@build) — single- or multi-threaded builds from sorted base data | §3.3 |
 //! | [`query`] — SELECT (Listing 1) and COUNT (Listing 2) | §3.5 |
 //! | [`trie`] — the AggregateTrie cache | §3.6, Fig. 7 |

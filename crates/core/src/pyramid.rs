@@ -10,9 +10,10 @@
 //! cell is answered by **one** binary search and **one** record combine.
 //!
 //! Every layer is defined as the *in-order fold* of the block-level
-//! records it covers — the same fold [`GeoBlock::coarsen`] uses — so a
-//! pyramid lookup is bit-identical to scanning the underlying records
-//! into a fresh accumulator (floating-point association included). That
+//! records it covers — [`GeoBlock::coarsen`] hands out the same layer as
+//! a block of its own — so a pyramid lookup is bit-identical to scanning
+//! the underlying records into a fresh accumulator (floating-point
+//! association included). That
 //! definition is what lets the query tests assert exact (`approx_eq` at
 //! `0.0`) agreement between the pyramid path and the range-scan path.
 //!
@@ -59,19 +60,13 @@ impl PyramidLevel {
     }
 }
 
-/// In-order fold of a block's records into their ancestors at `level` —
-/// the canonical aggregation shared (statement for statement) with
-/// [`GeoBlock::coarsen`]: the first record of each group seeds the
-/// accumulator, later records fold in ascending key order.
-pub(crate) fn fold_level(
-    level: u8,
-    keys: &[u64],
-    counts: &[u32],
-    mins: &[f64],
-    maxs: &[f64],
-    sums: &[f64],
-    c: usize,
-) -> PyramidLevel {
+/// In-order fold of `block`'s records into their ancestors at `level` —
+/// the canonical aggregation ([`GeoBlock::coarsen`] copies its result):
+/// the first record of each group seeds the accumulator, later records
+/// fold in ascending key order.
+fn fold_level(block: &GeoBlock, level: u8) -> PyramidLevel {
+    let (keys, counts, c) = (&block.keys, &block.counts, block.schema().len());
+    let (mins, maxs, sums) = (&block.mins, &block.maxs, &block.sums);
     // At most one cell per distinct level-`level` ancestor: the layer can
     // never exceed `4^level` cells nor the block's own cell count.
     // Reserving the bound up front keeps the grouping loop reallocation-
@@ -129,8 +124,9 @@ pub(crate) fn fold_level(
 /// Precomputed cell aggregates at every level strictly coarser than the
 /// block level. `levels[l]` is the layer for cell level `l`, for
 /// `l ∈ 0..block_level` (the block's own records *are* the block-level
-/// layer and are not duplicated).
-#[derive(Debug, Clone, PartialEq)]
+/// layer and are not duplicated). The `Default` (no layers) is what a
+/// block under construction carries until `GeoBlock::refresh_derived`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggPyramid {
     pub(crate) n_cols: usize,
     pub(crate) levels: Vec<PyramidLevel>,
@@ -141,31 +137,16 @@ impl AggPyramid {
     /// a pool, layers are fanned out as parallel tasks; results are
     /// bit-identical either way because no layer depends on another.
     pub(crate) fn build(block: &GeoBlock, pool: Option<&Pool>) -> AggPyramid {
-        let c = block.schema().len();
         let n_levels = block.level() as usize;
-        let make = |l: usize| {
-            fold_level(
-                l as u8,
-                &block.keys,
-                &block.counts,
-                &block.mins,
-                &block.maxs,
-                &block.sums,
-                c,
-            )
-        };
+        let make = |l: usize| fold_level(block, l as u8);
         let levels = match pool {
             Some(pool) => pool.run(n_levels, make),
             None => (0..n_levels).map(make).collect(),
         };
-        AggPyramid { n_cols: c, levels }
-    }
-
-    /// The layer for cells at `level`, if the pyramid reaches it (it never
-    /// holds the block level itself — the block's records serve that).
-    #[inline]
-    pub(crate) fn layer(&self, level: u8) -> Option<&PyramidLevel> {
-        self.levels.get(level as usize)
+        AggPyramid {
+            n_cols: block.schema().len(),
+            levels,
+        }
     }
 
     /// Number of layers (== the block level).
@@ -188,9 +169,10 @@ impl AggPyramid {
             .sum()
     }
 
-    /// Digest over every layer (floats by bit pattern) — the pyramid's
-    /// contribution to the snapshot state hash, so a PYRA section grafted
-    /// from another (individually valid) snapshot is a typed load error.
+    /// Digest over every layer (floats by bit pattern): equal hashes mean
+    /// bit-identical pyramids. Every producer's pyramid hashes like
+    /// `AggPyramid::build` of its block; version-2 snapshot files fold
+    /// this digest into their stored state hash.
     pub fn content_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = gb_common::FxHasher::default();
@@ -205,164 +187,5 @@ impl AggPyramid {
             }
         }
         h.finish()
-    }
-
-    /// Structural validation for untrusted (snapshot-decoded) pyramids:
-    /// layer count and levels, array lengths, sorted unique keys of the
-    /// right level, per-layer counts summing to the block's row count.
-    /// (Aggregate *values* are covered by the container checksums and the
-    /// snapshot state hash, not re-derived here.)
-    pub(crate) fn validate(&self, block: &GeoBlock) -> Result<(), String> {
-        if self.n_cols != block.schema().len() {
-            return Err(format!(
-                "pyramid has {} columns, block has {}",
-                self.n_cols,
-                block.schema().len()
-            ));
-        }
-        if self.levels.len() != block.level() as usize {
-            return Err(format!(
-                "pyramid has {} layers, block level is {}",
-                self.levels.len(),
-                block.level()
-            ));
-        }
-        let c = self.n_cols;
-        for (l, layer) in self.levels.iter().enumerate() {
-            if layer.level as usize != l {
-                return Err(format!("layer {l} labeled level {}", layer.level));
-            }
-            let n = layer.keys.len();
-            if layer.counts.len() != n {
-                return Err(format!(
-                    "layer {l}: {} counts for {n} keys",
-                    layer.counts.len()
-                ));
-            }
-            if layer.mins.len() != n * c || layer.maxs.len() != n * c || layer.sums.len() != n * c {
-                return Err(format!(
-                    "layer {l}: aggregate arrays must hold {} values",
-                    n * c
-                ));
-            }
-            if !layer.keys.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("layer {l}: keys not strictly ascending"));
-            }
-            for &k in &layer.keys {
-                let Some(cell) = CellId::try_from_raw(k) else {
-                    return Err(format!("layer {l}: malformed cell id {k:#x}"));
-                };
-                if cell.level() as usize != l {
-                    return Err(format!("layer {l}: cell {k:#x} at level {}", cell.level()));
-                }
-            }
-            // Checked sum: counts are untrusted u64s from a snapshot
-            // file — a crafted pair like [u64::MAX, 2] must be a typed
-            // error, not a debug-build overflow panic.
-            let mut total: u64 = 0;
-            for &x in &layer.counts {
-                total = total
-                    .checked_add(x)
-                    .ok_or_else(|| format!("layer {l}: cell counts overflow u64"))?;
-            }
-            if total != block.num_rows() {
-                return Err(format!(
-                    "layer {l}: counts sum to {total}, block has {} rows",
-                    block.num_rows()
-                ));
-            }
-            if layer.counts.contains(&0) {
-                return Err(format!("layer {l}: empty cell stored"));
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::build::build;
-    use gb_cell::Grid;
-    use gb_data::{extract, CleaningRules, ColumnDef, Filter, RawTable, Schema};
-    use gb_geom::{Point, Rect};
-
-    fn base_data(n: usize) -> gb_data::BaseTable {
-        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("w")]));
-        let mut state = 11u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 16) % 10_000) as f64 / 100.0
-        };
-        for i in 0..n {
-            raw.push_row(
-                Point::new(next(), next()),
-                &[i as f64 * 0.25, (i % 13) as f64],
-            );
-        }
-        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
-        extract(&raw, grid, &CleaningRules::none(), None).base
-    }
-
-    #[test]
-    fn layers_match_coarsened_blocks_bitwise() {
-        let base = base_data(3000);
-        let (block, _) = build(&base, 9, &Filter::all());
-        let pyramid = block.pyramid().expect("built blocks carry a pyramid");
-        assert_eq!(pyramid.num_levels(), 9);
-        for l in 0..9u8 {
-            let coarse = block.coarsen(l);
-            let layer = pyramid.layer(l).unwrap();
-            assert_eq!(layer.keys, coarse.keys, "level {l}");
-            let coarse_counts: Vec<u64> = coarse.counts.iter().map(|&x| u64::from(x)).collect();
-            assert_eq!(layer.counts, coarse_counts, "level {l}");
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&layer.mins), bits(&coarse.mins), "level {l}");
-            assert_eq!(bits(&layer.maxs), bits(&coarse.maxs), "level {l}");
-            assert_eq!(bits(&layer.sums), bits(&coarse.sums), "level {l}");
-        }
-    }
-
-    #[test]
-    fn parallel_layer_build_is_bit_identical() {
-        let base = base_data(2500);
-        let (block, _) = build(&base, 8, &Filter::all());
-        let serial = AggPyramid::build(&block, None);
-        for threads in [2usize, 4, 8] {
-            let pool = Pool::new(threads);
-            let par = AggPyramid::build(&block, Some(&pool));
-            assert_eq!(serial, par, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn validate_accepts_built_and_rejects_mangled() {
-        let base = base_data(1000);
-        let (block, _) = build(&base, 6, &Filter::all());
-        let mut pyramid = block.pyramid().unwrap().clone();
-        assert!(pyramid.validate(&block).is_ok());
-        pyramid.levels[3].counts[0] += 1;
-        assert!(pyramid.validate(&block).is_err());
-
-        // Adversarial counts whose sum overflows u64: a typed error, not
-        // a debug-build arithmetic panic.
-        let mut pyramid = block.pyramid().unwrap().clone();
-        assert!(pyramid.levels[3].counts.len() >= 2, "need two cells");
-        pyramid.levels[3].counts[0] = u64::MAX;
-        pyramid.levels[3].counts[1] = 2;
-        assert!(pyramid.validate(&block).is_err());
-    }
-
-    #[test]
-    fn empty_block_has_empty_pyramid() {
-        let base = base_data(50);
-        let f = Filter::on(&base, "v", gb_data::CmpOp::Lt, -1.0).unwrap();
-        let (block, _) = build(&base, 7, &f);
-        let pyramid = block.pyramid().unwrap();
-        assert_eq!(pyramid.num_records(), 0);
-        assert_eq!(pyramid.memory_bytes(), 0);
-        assert!(pyramid.validate(&block).is_ok());
     }
 }

@@ -104,6 +104,29 @@ pub(crate) fn select_adapted(
     // Covering cells arrive sorted by raw id, so the flat-index cursor
     // resolves almost every probe from a forward scan.
     let mut probe = trie.flat_cursor();
+    // What the trie cannot answer goes to the block, timed under the
+    // stage the cell's level selects — the tier selection of
+    // `GeoBlock::combine_covering_cell`: cells coarser than the block
+    // level are pyramid lookups, block-level cells scan their record.
+    let mut residual =
+        |cell: CellId, acc: &mut StageAcc, result: &mut AggResult, stats: &mut QueryStats| {
+            let stage = if cell.level() < block.level {
+                Stage::PyramidCombine
+            } else {
+                Stage::ScanFallback
+            };
+            acc.time(stage, || {
+                block.combine_covering_cell(
+                    cell,
+                    spec,
+                    &plan,
+                    &mut scratch,
+                    result,
+                    stats,
+                    &mut cursors,
+                )
+            })
+        };
 
     for qcell in covering.iter() {
         if !block.may_overlap(qcell) {
@@ -135,17 +158,7 @@ pub(crate) fn select_adapted(
                                 agg.combine_into(&plan, &mut result);
                                 used_child = true;
                             } else {
-                                acc.time(fallback_stage(block, &plan, child_cell), || {
-                                    block.combine_covering_cell(
-                                        child_cell,
-                                        spec,
-                                        &plan,
-                                        &mut scratch,
-                                        &mut result,
-                                        &mut stats,
-                                        &mut cursors,
-                                    )
-                                });
+                                residual(child_cell, acc, &mut result, &mut stats);
                             }
                         }
                         if used_child {
@@ -155,47 +168,12 @@ pub(crate) fn select_adapted(
                     }
                 }
                 // Node exists but nothing usable: base tiered path.
-                acc.time(fallback_stage(block, &plan, qcell), || {
-                    block.combine_covering_cell(
-                        qcell,
-                        spec,
-                        &plan,
-                        &mut scratch,
-                        &mut result,
-                        &mut stats,
-                        &mut cursors,
-                    )
-                });
+                residual(qcell, acc, &mut result, &mut stats);
             }
-            FlatHit::Miss => {
-                acc.time(fallback_stage(block, &plan, qcell), || {
-                    block.combine_covering_cell(
-                        qcell,
-                        spec,
-                        &plan,
-                        &mut scratch,
-                        &mut result,
-                        &mut stats,
-                        &mut cursors,
-                    )
-                });
-            }
+            FlatHit::Miss => residual(qcell, acc, &mut result, &mut stats),
         }
     }
     (result.finalize(spec), stats)
-}
-
-/// The tracing stage a tiered residual combine will execute under:
-/// cells below the block level are answered by the pyramid (tier 1) or,
-/// for sums-only plans, the O(1) prefix fold (tier 2) — both land in
-/// `PyramidCombine`; everything else scans block-level records. Mirrors
-/// the tier selection in `GeoBlock::combine_covering_cell`.
-fn fallback_stage(block: &GeoBlock, plan: &AggPlan, qcell: CellId) -> Stage {
-    if qcell.level() < block.level && (block.has_pyramid() || plan.sums_only()) {
-        Stage::PyramidCombine
-    } else {
-        Stage::ScanFallback
-    }
 }
 
 /// Score of a query cell: own hits plus parent hits (§3.6 "the score of a

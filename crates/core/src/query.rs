@@ -4,27 +4,24 @@
 //! Both queries start identically: the polygon is approximated by an
 //! error-bounded cell covering (boundary cells at the block level, interior
 //! cells possibly coarser), the covering is pruned against the global
-//! header, and each covering cell is answered by the cheapest applicable
-//! tier:
+//! header, and each covering cell is answered by one of two tiers, chosen
+//! by its level alone:
 //!
 //! 1. **Pyramid lookup** — every covering cell is grid-aligned, so a cell
 //!    coarser than the block level is answered by one cursor-resumed
 //!    binary search in its pyramid layer and **one** record combine
 //!    (`cells_combined` ≤ covering size). Pyramid records are in-order
 //!    folds of the block records they cover, so this tier is bit-identical
-//!    to the range scan it replaces.
-//! 2. **Prefix-sum fold** — without a pyramid, sums-only specs
-//!    (SUM/AVG/COUNT) are answered in O(1) per cell from the per-column
-//!    prefix arrays, Listing 2's offset trick generalised to every column.
-//!    Exact reassociation of the same sum, so results agree with the scan
-//!    to FP tolerance (documented in `DESIGN.md`).
-//! 3. **Range scan** — the seed algorithm of Listing 1 (one forward scan
-//!    per covering cell, cursor-resumed): the only tier that can answer
-//!    MIN/MAX over runs no pyramid record covers, and the reference the
-//!    other tiers are tested against ([`GeoBlock::select_scan`]).
+//!    to the range scan it replaces. Every block carries a pyramid, so
+//!    this tier is always available.
+//! 2. **Range scan** — the seed algorithm of Listing 1 (one forward scan
+//!    per covering cell, cursor-resumed). In production it serves the
+//!    block-level covering cells, whose run is at most one record; run
+//!    over *every* covering cell it is the reference the pyramid tier is
+//!    tested against ([`GeoBlock::select_scan`]).
 //!
 //! * [`GeoBlock::select`] — the production tiered variant.
-//! * [`GeoBlock::select_scan`] — tier 3 only; the `select_ablation` /
+//! * [`GeoBlock::select_scan`] — tier 2 only; the `select_ablation` /
 //!   `select_pyramid` bench reference.
 //! * [`GeoBlock::select_listing1`] — the paper's pseudocode, literally:
 //!   every covering cell is first expanded to block-level child cells, each
@@ -154,9 +151,10 @@ impl GeoBlock {
         (result, stats)
     }
 
-    /// Fold one covering cell into `result` via the cheapest applicable
-    /// tier (pyramid lookup → prefix fold → range scan). Shared by the
-    /// plain SELECT path and the cache-adapted path in [`crate::qc`].
+    /// Fold one covering cell into `result`: a pyramid lookup for cells
+    /// coarser than the block level, a scan of the (≤ 1) record otherwise.
+    /// Shared by the plain SELECT path and the cache-adapted path in
+    /// [`crate::qc`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn combine_covering_cell(
         &self,
@@ -169,60 +167,32 @@ impl GeoBlock {
         cursors: &mut Cursors,
     ) {
         let level = qcell.level();
-        if level < self.level {
-            // Tier 1: exact pyramid lookup at the cell's own level.
-            if let Some(pyramid) = &self.pyramid {
-                let layer = pyramid
-                    .layer(level)
-                    .expect("pyramid holds every level below the block level");
-                let c = self.n_cols();
-                let from = cursors.levels[level as usize];
-                stats.searches += 1;
-                let i = from + layer.keys[from..].partition_point(|&k| k < qcell.raw());
-                if i < layer.keys.len() && layer.keys[i] == qcell.raw() {
-                    let base = i * c;
-                    result.combine_record_plan(
-                        plan,
-                        layer.counts[i],
-                        &layer.mins[base..base + c],
-                        &layer.maxs[base..base + c],
-                        &layer.sums[base..base + c],
-                    );
-                    stats.cells_combined += 1;
-                    cursors.levels[level as usize] = i + 1;
-                } else {
-                    // No record ⇒ no data under this covering cell.
-                    cursors.levels[level as usize] = i;
-                }
-                return;
-            }
-            // Tier 2: O(1) prefix fold, complete for sums-only specs.
-            if plan.sums_only() {
-                let lo_key = qcell.range_min().raw();
-                let hi_key = qcell.range_max().raw();
-                stats.searches += 2;
-                let first = self.lower_bound_from(lo_key, cursors.block);
-                if first == self.keys.len() || self.keys[first] > hi_key {
-                    cursors.block = first;
-                    return;
-                }
-                let end = self.upper_bound_from(hi_key, first);
-                cursors.block = end;
-                let c = self.n_cols();
-                let count = self.prefix_counts[end] - self.prefix_counts[first];
-                result.combine_prefix(
-                    plan,
-                    count,
-                    &self.prefix_sums[first * c..first * c + c],
-                    &self.prefix_sums[end * c..end * c + c],
-                );
-                stats.cells_combined += 1;
-                return;
-            }
+        if level >= self.level {
+            // Block-level covering cell: the run is at most one record.
+            self.scan_covering_cell(qcell, spec, plan, scratch, result, stats, cursors);
+            return;
         }
-        // Tier 3: scan block-level records (MIN/MAX over uncovered runs,
-        // and block-level covering cells, where the run is ≤ 1 record).
-        self.scan_covering_cell(qcell, spec, plan, scratch, result, stats, cursors);
+        // Exact pyramid lookup at the cell's own level.
+        let layer = &self.pyramid.levels[level as usize];
+        let c = self.n_cols();
+        let from = cursors.levels[level as usize];
+        stats.searches += 1;
+        let i = from + layer.keys[from..].partition_point(|&k| k < qcell.raw());
+        if i < layer.keys.len() && layer.keys[i] == qcell.raw() {
+            let base = i * c;
+            result.combine_record_plan(
+                plan,
+                layer.counts[i],
+                &layer.mins[base..base + c],
+                &layer.maxs[base..base + c],
+                &layer.sums[base..base + c],
+            );
+            stats.cells_combined += 1;
+            cursors.levels[level as usize] = i + 1;
+        } else {
+            // No record ⇒ no data under this covering cell.
+            cursors.levels[level as usize] = i;
+        }
     }
 
     /// The range-scan tier: fold `qcell`'s record run into a fresh scratch
@@ -471,7 +441,6 @@ mod tests {
         let base = base_data(6000);
         for level in [6u8, 9, 11] {
             let (block, _) = build(&base, level, &Filter::all());
-            assert!(block.has_pyramid());
             let s = spec();
             for (cx, cy, r) in [(50.0, 50.0, 35.0), (30.0, 60.0, 12.0), (85.0, 15.0, 8.0)] {
                 let poly = diamond(cx, cy, r);
@@ -509,36 +478,6 @@ mod tests {
             scan.cells_combined,
             fast.cells_combined
         );
-    }
-
-    #[test]
-    fn prefix_fold_matches_scan_for_sums_only_specs() {
-        let base = base_data(5000);
-        let (mut block, _) = build(&base, 9, &Filter::all());
-        block.clear_pyramid();
-        let sums_spec = AggSpec::new(vec![
-            AggRequest::new(AggFunc::Count, 0),
-            AggRequest::new(AggFunc::Sum, 0),
-            AggRequest::new(AggFunc::Avg, 1),
-        ]);
-        for (cx, cy, r) in [(50.0, 50.0, 30.0), (20.0, 70.0, 11.0)] {
-            let poly = diamond(cx, cy, r);
-            let (fast, fast_stats) = block.select(&poly, &sums_spec);
-            let (scan, scan_stats) = block.select_scan(&poly, &sums_spec);
-            // Counts are exact; sums agree to FP tolerance (the prefix
-            // fold is an exact reassociation of the same additions).
-            assert_eq!(fast.count, scan.count);
-            assert!(fast.approx_eq(&scan, 1e-9), "{fast:?} vs {scan:?}");
-            assert!(
-                fast_stats.cells_combined <= fast_stats.query_cells,
-                "prefix fold should combine once per cell"
-            );
-            assert!(scan_stats.cells_combined >= fast_stats.cells_combined);
-        }
-        // Mixed specs must take the scan tier (min/max need records).
-        let (a, _) = block.select(&diamond(50.0, 50.0, 25.0), &spec());
-        let (b, _) = block.select_scan(&diamond(50.0, 50.0, 25.0), &spec());
-        assert!(a.approx_eq(&b, 0.0), "{a:?} vs {b:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * optionally the §3.6 hit statistics, so post-restart rebuilds keep
 //!   adapting from everything learned before the restart.
 //!
-//! ## Sections (format version 2)
+//! ## Sections (format version 3)
 //!
 //! | tag    | content |
 //! |--------|---------|
@@ -22,17 +22,24 @@
 //! | `GRID` | domain rectangle (4 × f64 bits), curve tag |
 //! | `HDRS` | level, `dirty_offsets`, `n_rows`, min/max cell, global min/max/sum, **block content hash**, **state hash** |
 //! | `CELL` | keys, offsets, counts, leaf-key min/max, per-cell min/max/sum |
-//! | `PYRA` | (optional, v2) section format byte, then per layer: level, keys, counts, min/max/sum |
 //! | `TRIE` | (optional) root cell, node arrays, cached records |
 //! | `HITS` | (optional) hit-statistic key/count pairs |
 //! | `HOTQ` | (optional) hot-query shapes: count + encoded request bytes |
 //!
-//! Version-1 files (and any file without a `PYRA` section) still load:
-//! the aggregate pyramid is a deterministic fold of the `CELL` arrays, so
-//! the loader rebuilds it in memory — older snapshots pay a one-time
-//! rebuild instead of being rejected. The per-column prefix arrays are
-//! *never* serialized; they are always rebuilt (they cost O(n) to derive
-//! and as much as the `CELL` section to store).
+//! Derived state — the count prefix and the aggregate pyramid — is
+//! **never** serialized: both are deterministic folds of the `CELL`
+//! arrays, so every load rebuilds them through the same
+//! `GeoBlock::refresh_derived` every other producer of a block ends in
+//! (see `DESIGN.md` "Persistence" for the measurements behind this).
+//!
+//! Older files still load. A version-1 file has exactly the version-3
+//! layout. A version-2 file may carry a `PYRA` section holding the
+//! pyramid as stored: its payload is skipped undecoded (the container has
+//! already checked its checksum), and because version 2 folded the
+//! pyramid's digest into the state hash, the loader verifies that hash
+//! against the *rebuilt* pyramid — the canonical fold makes the two
+//! bit-equal, so a version-2 file whose `CELL` and `PYRA` sections
+//! disagree is still a typed error.
 //!
 //! Every load re-derives two digests and compares them with the values
 //! stored at save time: [`GeoBlock::content_hash`] (cell arrays +
@@ -57,17 +64,18 @@ pub use gb_store::SnapshotError;
 
 /// Current snapshot format version. Bump on any change to an existing
 /// section's encoding **or** to what the stored state hash spans; adding
-/// new optional sections a v1 reader could safely ignore does not require
-/// a bump. Version 2 added the `PYRA` section (covered by the state hash,
-/// hence the bump); v1 files load via pyramid rebuild-on-load. See
-/// `DESIGN.md` "Persistence".
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// new optional sections an older reader could safely ignore does not
+/// require a bump. Version 2 stored the pyramid in a `PYRA` section
+/// covered by the state hash; version 3 stores no derived state, so its
+/// state hash spans what version 1's did. See `DESIGN.md` "Persistence".
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 const TAG_SCHEMA: SectionTag = SectionTag(*b"SCHM");
 const TAG_GRID: SectionTag = SectionTag(*b"GRID");
 const TAG_HEADER: SectionTag = SectionTag(*b"HDRS");
 const TAG_CELLS: SectionTag = SectionTag(*b"CELL");
-const TAG_PYRAMID: SectionTag = SectionTag(*b"PYRA");
+/// Written by version 2 only; never decoded (see the module docs).
+const TAG_PYRAMID_V2: SectionTag = SectionTag(*b"PYRA");
 const TAG_TRIE: SectionTag = SectionTag(*b"TRIE");
 const TAG_HITS: SectionTag = SectionTag(*b"HITS");
 const TAG_HOT_QUERIES: SectionTag = SectionTag(*b"HOTQ");
@@ -77,27 +85,21 @@ const TAG_HOT_QUERIES: SectionTag = SectionTag(*b"HOTQ");
 /// engine persists its top-K with K ≪ this).
 const MAX_HOT_QUERIES: usize = 4096;
 
-/// Internal format byte of the `PYRA` section, independent of the
-/// container version: bump when the layer encoding changes, so a newer
-/// layer format in an otherwise-readable container is a typed error
-/// rather than garbage.
-const PYRA_FORMAT: u8 = 1;
-
 /// Digest over the *whole* snapshot state — block content plus the
 /// pieces [`GeoBlock::content_hash`] deliberately excludes (grid domain
 /// and curve, schema, trie, hit statistics). Stored in `HDRS` and
 /// re-derived at load: it is what makes a graft of one valid snapshot's
 /// `GRID`/`SCHM`/`TRIE`/`HITS` section onto another a typed error
 /// instead of silently wrong answers.
-/// `pyramid` is the pyramid **as serialized** (`None` for files without a
-/// `PYRA` section): a `None` contributes nothing to the hash stream, which
-/// keeps the digest of v1 files byte-for-byte what the v1 writer stored.
+/// `v2_pyramid` is set only when verifying a version-2 file that carried
+/// a `PYRA` section: that writer appended the pyramid's digest, which the
+/// block's rebuilt pyramid reproduces bit for bit.
 fn state_hash(
     block: &GeoBlock,
     trie: Option<&AggregateTrie>,
     hits: Option<&FxHashMap<u64, u64>>,
-    pyramid: Option<&crate::AggPyramid>,
     hot_queries: Option<&[(u64, Vec<u8>)]>,
+    v2_pyramid: bool,
 ) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = gb_common::FxHasher::default();
@@ -129,9 +131,8 @@ fn state_hash(
             pairs.hash(&mut h);
         }
     }
-    // Absent pyramid: nothing appended — v1 digests stay reproducible.
-    if let Some(p) = pyramid {
-        p.content_hash().hash(&mut h);
+    if v2_pyramid {
+        block.pyramid().content_hash().hash(&mut h);
     }
     // Same append-only pattern: files without a HOTQ section keep the
     // digest older writers stored.
@@ -197,23 +198,9 @@ pub struct SnapshotRef<'a> {
 }
 
 impl SnapshotRef<'_> {
-    /// Serialize to the current container format (the block's pyramid, if
-    /// kept, travels in the `PYRA` section).
+    /// Serialize to the current container format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode(true, SNAPSHOT_VERSION)
-    }
-
-    /// Serialize to the version-1 layout: no `PYRA` section, v1 state
-    /// hash. Kept so the rebuild-on-load path for pre-pyramid snapshots
-    /// stays testable end-to-end (`persist_check`, persistence tests)
-    /// without fixture files.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        self.encode(false, 1)
-    }
-
-    fn encode(self, include_pyramid: bool, version: u16) -> Vec<u8> {
         let b = self.block;
-        let pyramid = if include_pyramid { b.pyramid() } else { None };
         let mut out = SnapshotWriter::new();
 
         let mut w = ByteWriter::new();
@@ -249,13 +236,7 @@ impl SnapshotRef<'_> {
         w.f64_slice(&b.global_maxs);
         w.f64_slice(&b.global_sums);
         w.u64(b.content_hash());
-        w.u64(state_hash(
-            b,
-            self.trie,
-            self.hits,
-            pyramid,
-            self.hot_queries,
-        ));
+        w.u64(state_hash(b, self.trie, self.hits, self.hot_queries, false));
         out.section(TAG_HEADER, w.into_inner());
 
         let mut w = ByteWriter::with_capacity(b.num_cells() * b.record_bytes());
@@ -268,22 +249,6 @@ impl SnapshotRef<'_> {
         w.f64_slice(&b.maxs);
         w.f64_slice(&b.sums);
         out.section(TAG_CELLS, w.into_inner());
-
-        if let Some(pyramid) = pyramid {
-            let mut w = ByteWriter::new();
-            w.u8(PYRA_FORMAT);
-            w.len_u32(pyramid.n_cols);
-            w.len_u32(pyramid.levels.len());
-            for layer in &pyramid.levels {
-                w.u8(layer.level);
-                w.u64_slice(&layer.keys);
-                w.u64_slice(&layer.counts);
-                w.f64_slice(&layer.mins);
-                w.f64_slice(&layer.maxs);
-                w.f64_slice(&layer.sums);
-            }
-            out.section(TAG_PYRAMID, w.into_inner());
-        }
 
         if let Some(trie) = self.trie {
             let parts = trie.to_raw_parts();
@@ -321,7 +286,7 @@ impl SnapshotRef<'_> {
             out.section(TAG_HOT_QUERIES, w.into_inner());
         }
 
-        out.into_bytes(version)
+        out.into_bytes(SNAPSHOT_VERSION)
     }
 
     /// Serialize and write to `path` (atomic temp-file + rename).
@@ -425,12 +390,8 @@ impl Snapshot {
             global_sums,
             dirty_offsets,
             prefix_counts: Vec::new(),
-            prefix_sums: Vec::new(),
-            pyramid: None,
+            pyramid: Default::default(),
         };
-        // Prefix arrays are never serialized: derive them before
-        // validation (validate checks them against their defining folds).
-        block.rebuild_prefix();
         block
             .validate()
             .map_err(|e| SnapshotError::corrupt(format!("block: {e}")))?;
@@ -441,45 +402,9 @@ impl Snapshot {
             )));
         }
 
-        // The aggregate pyramid: decode + validate when present; absent
-        // (v1 files, compat writers) means rebuild-on-load below.
-        let stored_pyramid = match reader.section(TAG_PYRAMID) {
-            None => None,
-            Some(payload) => {
-                let mut r = ByteReader::new(payload, "section `PYRA`");
-                let format = r.u8()?;
-                if format != PYRA_FORMAT {
-                    return Err(SnapshotError::corrupt(format!(
-                        "unknown PYRA section format {format} (this build reads {PYRA_FORMAT})"
-                    )));
-                }
-                let n_cols = r.u32()? as usize;
-                let n_levels = r.u32()? as usize;
-                if n_levels > usize::from(gb_cell::MAX_LEVEL) {
-                    return Err(SnapshotError::corrupt(format!(
-                        "pyramid claims {n_levels} layers, grid has {} levels",
-                        gb_cell::MAX_LEVEL
-                    )));
-                }
-                let mut levels = Vec::with_capacity(n_levels);
-                for _ in 0..n_levels {
-                    levels.push(crate::pyramid::PyramidLevel {
-                        level: r.u8()?,
-                        keys: r.u64_vec()?,
-                        counts: r.u64_vec()?,
-                        mins: r.f64_vec()?,
-                        maxs: r.f64_vec()?,
-                        sums: r.f64_vec()?,
-                    });
-                }
-                r.finish()?;
-                let pyramid = crate::AggPyramid { n_cols, levels };
-                pyramid
-                    .validate(&block)
-                    .map_err(|e| SnapshotError::corrupt(format!("pyramid: {e}")))?;
-                Some(pyramid)
-            }
-        };
+        // The stored arrays are now known to describe a possible block:
+        // derive the count prefix and the pyramid from them.
+        block.refresh_derived(None);
 
         let trie = match reader.section(TAG_TRIE) {
             None => None,
@@ -567,34 +492,21 @@ impl Snapshot {
         // Per-section checksums cannot catch sections *swapped* between
         // two individually-valid snapshots, and the block content hash
         // only covers HDRS + CELL. The state hash spans grid, schema,
-        // pyramid, trie, and hit statistics too, so any cross-file graft
-        // fails here with a typed error instead of serving wrong answers.
-        // (Computed over the pyramid *as stored* — before any rebuild —
-        // so v1 digests verify unchanged.)
+        // trie, and hit statistics too, so any cross-file graft fails
+        // here with a typed error instead of serving wrong answers.
+        let v2_pyramid = reader.version() == 2 && reader.section(TAG_PYRAMID_V2).is_some();
         let actual_state = state_hash(
             &block,
             trie.as_ref(),
             hits.as_ref(),
-            stored_pyramid.as_ref(),
             hot_queries.as_deref(),
+            v2_pyramid,
         );
         if actual_state != stored_state_hash {
             return Err(SnapshotError::corrupt(format!(
                 "state hash mismatch: stored {stored_state_hash:#x}, decoded {actual_state:#x} \
-                 (grid/schema/pyramid/trie/hits section does not belong to this snapshot)"
+                 (grid/schema/trie/hits section does not belong to this snapshot)"
             )));
-        }
-        match stored_pyramid {
-            Some(p) => block.pyramid = Some(p),
-            // Rebuild-on-load for *pre-PYRA* files only: a v1 file cannot
-            // say whether its block had a pyramid, so the loader derives
-            // one from the decoded records (the fold is deterministic —
-            // exactly what a v2 save of the same block would store). A v2
-            // file without `PYRA` is a deliberately pyramid-less block
-            // (`GeoBlock::clear_pyramid`, memory-constrained deployments):
-            // honor it, don't resurrect the memory cost behind its back.
-            None if reader.version() < 2 => block.rebuild_pyramid(),
-            None => {}
         }
         Ok(Snapshot {
             block,
@@ -780,132 +692,115 @@ mod tests {
         assert!(err.to_string().contains("state hash"), "{err}");
     }
 
-    #[test]
-    fn v1_snapshot_loads_via_pyramid_rebuild() {
-        // The version-1 layout has no PYRA section and a v1 state hash:
-        // loading must succeed and rebuild the pyramid in memory, ending
-        // up bit-identical to a v2 round-trip of the same block.
-        let b = block(1500, 8);
-        let v1 = SnapshotRef {
-            block: &b,
-            trie: None,
-            hits: None,
-            hot_queries: None,
+    /// Re-frame `snap` the way the version-2 writer did: a `PYRA` section
+    /// (never decoded, so a stub payload will do) and — `with_digest` —
+    /// the pyramid's digest folded into the stored state hash, the last
+    /// field of `HDRS`. The real version-2 bytes are pinned by
+    /// `tests/fixtures/v2_pyra.gbsnap`.
+    fn as_v2(snap: &Snapshot, with_digest: bool) -> Vec<u8> {
+        let reader = SnapshotReader::from_bytes(&snap.to_bytes(), SNAPSHOT_VERSION).unwrap();
+        let mut w = SnapshotWriter::new();
+        for tag in reader.tags() {
+            let mut payload = reader.require(tag).unwrap().to_vec();
+            if tag == TAG_HEADER {
+                let hash = state_hash(
+                    &snap.block,
+                    snap.trie.as_ref(),
+                    snap.hits.as_ref(),
+                    snap.hot_queries.as_deref(),
+                    with_digest,
+                );
+                let at = payload.len() - 8;
+                payload[at..].copy_from_slice(&hash.to_le_bytes());
+            }
+            w.section(tag, payload);
         }
-        .to_bytes_v1();
-        assert_eq!(v1[8], 1, "compat writer must stamp version 1");
-        let back = Snapshot::from_bytes(&v1).expect("v1 file loads");
-        assert!(back.block.has_pyramid(), "pyramid rebuilt on load");
-        assert_eq!(back.block.content_hash(), b.content_hash());
-        assert_eq!(
-            back.block.pyramid().unwrap().content_hash(),
-            b.pyramid().unwrap().content_hash(),
-            "rebuilt pyramid must equal the built one"
-        );
+        w.section(TAG_PYRAMID_V2, vec![1]);
+        w.into_bytes(2)
     }
 
     #[test]
-    fn v2_roundtrip_preserves_pyramid_without_rebuild() {
-        let b = block(1200, 7);
-        let bytes = Snapshot::new(b.clone()).to_bytes();
-        let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
-        assert!(reader.section(TAG_PYRAMID).is_some(), "v2 writes PYRA");
-        let back = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(
-            back.block.pyramid().unwrap().content_hash(),
-            b.pyramid().unwrap().content_hash()
-        );
+    fn v2_state_hash_is_checked_against_the_rebuilt_pyramid() {
+        let snap = Snapshot::new(block(900, 7));
+        let back = Snapshot::from_bytes(&as_v2(&snap, true)).expect("v2 framing loads");
+        assert_eq!(back.block.content_hash(), snap.block.content_hash());
+        // With a `PYRA` section but a state hash lacking the digest, the
+        // file is not what a version-2 writer produced.
+        let err = Snapshot::from_bytes(&as_v2(&snap, false)).unwrap_err();
+        assert!(err.to_string().contains("state hash"), "{err}");
     }
 
-    #[test]
-    fn cleared_pyramid_stays_cleared_across_v2_roundtrip() {
-        // clear_pyramid() is the documented memory-constrained mode: a v2
-        // save of such a block must NOT resurrect the pyramid on load
-        // (only pre-v2 files take the rebuild-on-load path).
-        let mut b = block(800, 7);
-        b.clear_pyramid();
-        let back = Snapshot::from_bytes(&Snapshot::new(b.clone()).to_bytes()).unwrap();
-        assert!(!back.block.has_pyramid(), "pyramid resurrected on load");
-        assert_eq!(back.block.content_hash(), b.content_hash());
-        // And it still answers queries through the fallback tiers.
-        back.block.check_invariants();
-    }
+    mod producers {
+        use super::*;
+        use crate::{build_parallel, AggPyramid, UpdateBatch};
+        use proptest::prelude::*;
 
-    #[test]
-    fn pyramid_graft_is_rejected() {
-        // Two blocks with the same row count and level but different
-        // values: the grafted PYRA passes structural validation, so the
-        // state hash is the guard that must catch it.
-        let a = block(900, 7);
-        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
-        let mut state = 1234u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 16) % 10_000) as f64 / 100.0
-        };
-        for i in 0..900 {
-            raw.push_row(
-                Point::new(next(), next()),
-                &[i as f64 * 2.0, (i % 3) as f64],
+        fn assert_canonical(what: &str, b: &GeoBlock) {
+            assert_eq!(
+                b.pyramid().content_hash(),
+                AggPyramid::build(b, None).content_hash(),
+                "{what}: pyramid is not the canonical fold of its block"
             );
         }
-        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
-        let base = extract(&raw, grid, &CleaningRules::none(), None).base;
-        let b = build(&base, 7, &Filter::all()).0;
 
-        let ra =
-            SnapshotReader::from_bytes(&Snapshot::new(a).to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let rb =
-            SnapshotReader::from_bytes(&Snapshot::new(b).to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in ra.tags() {
-            let payload = if tag == TAG_PYRAMID {
-                rb.require(tag).unwrap()
-            } else {
-                ra.require(tag).unwrap()
-            };
-            w.section(tag, payload.to_vec());
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-    }
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
 
-    #[test]
-    fn truncated_or_mangled_pyramid_section_is_a_typed_error() {
-        let b = block(800, 6);
-        let bytes = Snapshot::new(b).to_bytes();
-        let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
-        let payload = reader.require(TAG_PYRAMID).unwrap().to_vec();
+            /// The one derived-state property: whichever way a block came
+            /// to be, its pyramid is bit-equal to `AggPyramid::build` of
+            /// its records.
+            #[test]
+            fn every_producer_yields_the_canonical_pyramid(
+                points in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..250),
+                batches in prop::collection::vec(
+                    prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..16),
+                    0..3,
+                ),
+                level in 1u8..11,
+                coarser_by in 0u8..11,
+            ) {
+                let mut raw =
+                    RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+                for (i, &(x, y)) in points.iter().enumerate() {
+                    raw.push_row(Point::new(x, y), &[x * 0.37 - y, (i % 9) as f64]);
+                }
+                let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
+                let base = extract(&raw, grid, &CleaningRules::none(), None).base;
 
-        let rebuild = |pyra: Vec<u8>| {
-            let mut w = SnapshotWriter::new();
-            for tag in reader.tags() {
-                let p = if tag == TAG_PYRAMID {
-                    pyra.clone()
-                } else {
-                    reader.require(tag).unwrap().to_vec()
-                };
-                w.section(tag, p);
+                let (mut b, _) = build(&base, level, &Filter::all());
+                assert_canonical("build", &b);
+                for threads in 1..=4 {
+                    let (par, _) = build_parallel(&base, level, &Filter::all(), threads);
+                    assert_canonical("build_parallel", &par);
+                    prop_assert_eq!(par.pyramid().content_hash(), b.pyramid().content_hash());
+                }
+                for batch_pts in &batches {
+                    let mut batch = UpdateBatch::new();
+                    for &(x, y) in batch_pts {
+                        batch.push(Point::new(x, y), vec![x - y, (x * 0.1).floor()]);
+                    }
+                    b.apply_updates(&batch);
+                    assert_canonical("apply_updates", &b);
+                }
+                assert_canonical("coarsen", &b.coarsen(level.saturating_sub(coarser_by)));
+
+                let snap = Snapshot::new(b);
+                let want = snap.block.pyramid().content_hash();
+                // A version-1 file is a version-3 file but for the version
+                // field (bytes 8..10, outside every checksum).
+                let mut v1 = snap.to_bytes();
+                v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+                for (what, bytes) in [
+                    ("v3 load", snap.to_bytes()),
+                    ("v1 load", v1),
+                    ("v2 load", as_v2(&snap, true)),
+                ] {
+                    let back = Snapshot::from_bytes(&bytes).expect(what).block;
+                    assert_canonical(what, &back);
+                    prop_assert_eq!(back.pyramid().content_hash(), want, "{}", what);
+                }
             }
-            w.into_bytes(SNAPSHOT_VERSION)
-        };
-
-        // Unknown internal format byte.
-        let mut m = payload.clone();
-        m[0] = 0xEE;
-        let err = Snapshot::from_bytes(&rebuild(m)).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-        // Truncated payload (valid container checksum over fewer bytes):
-        // any typed error is acceptable, a panic is not.
-        assert!(Snapshot::from_bytes(&rebuild(payload[..payload.len() / 2].to_vec())).is_err());
-        // A value flip inside the stored layers: structure may survive,
-        // the state hash must not.
-        let mut m = payload.clone();
-        let mid = payload.len() / 2;
-        m[mid] ^= 0x40;
-        assert!(Snapshot::from_bytes(&rebuild(m)).is_err());
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! tuple offsets (the base data has not grown with the updates), flagged
 //! via `dirty_offsets`; COUNT stays O(1) per covering cell regardless,
 //! because it runs over the maintained count prefix, which — like the
-//! aggregate pyramid and the per-column sum prefixes — is rebuilt at the
-//! end of every batch.
+//! aggregate pyramid — is rebuilt from the updated records at the end of
+//! every batch (`GeoBlock::refresh_derived`, the same funnel every other
+//! producer of a block ends in).
 //!
 //! [`GeoBlockQC::apply_updates`] additionally refreshes every cached
 //! ancestor in the AggregateTrie with a single root-to-leaf walk per tuple.
@@ -115,12 +116,12 @@ impl GeoBlock {
         }
         self.min_cell = self.keys.first().copied().unwrap_or(0);
         self.max_cell = self.keys.last().copied().unwrap_or(0);
-        // The batch invalidated the derived structures (count/sum prefixes
-        // and every pyramid layer): rebuild them from the updated records
+        // The batch invalidated the derived structures (count prefix and
+        // every pyramid layer): rebuild them from the updated records
         // with the canonical folds. Rebuilding — rather than propagating
         // deltas — is what keeps pyramid lookups bit-identical to range
         // scans after updates; see `DESIGN.md` "Aggregate pyramid".
-        self.refresh_derived();
+        self.refresh_derived(None);
         report
     }
 

@@ -8,14 +8,18 @@
 //!    restored trie hitting from the first query.
 //! 3. **No panics on bad input**: corrupt, truncated, wrong-magic, and
 //!    wrong-version snapshots all come back as typed `SnapshotError`s.
+//! 4. **Old files keep loading**: a checked-in version-2 file (with its
+//!    `PYRA` section) and a version-1 file answer like a fresh build.
 
 use gb_cell::Grid;
 use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema,
 };
 use gb_geom::{Point, Polygon, Rect};
+use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
 use geoblocks::{
     build, GeoBlock, GeoBlockEngine, GeoBlockQC, Snapshot, SnapshotError, UpdateBatch,
+    SNAPSHOT_VERSION,
 };
 use std::path::PathBuf;
 
@@ -229,4 +233,109 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
         GeoBlock::read_snapshot(&temp_path("does-not-exist.gbsnap")).unwrap_err(),
         SnapshotError::Io(_)
     ));
+}
+
+/// A format-version-2 snapshot **with** a `PYRA` section, written by
+/// `GeoBlockEngine::write_snapshot` at commit 9e5fc01 (the last whose
+/// writer emitted version 2; this tree cannot regenerate it). The engine
+/// held `build(&base_data(40), 5, &Filter::all())` at threshold 0.5 after
+/// three `QueryRequest::Select`s of the rectangle (10,10)–(70,70) with
+/// `spec()` and a `rebuild_cache`, so the file carries `TRIE`, `HITS` and
+/// `HOTQ` too and its state hash spans the pyramid between them.
+/// `v2_pyra.content_hash` is that block's `content_hash`.
+const V2_FIXTURE: &[u8] = include_bytes!("fixtures/v2_pyra.gbsnap");
+
+/// Re-frame a snapshot section by section (checksums recomputed, version
+/// kept), letting `edit` change each payload on the way.
+fn reframe(bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<u8>)) -> Vec<u8> {
+    let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).expect("well-framed");
+    let mut w = SnapshotWriter::new();
+    for tag in reader.tags() {
+        let mut payload = reader.require(tag).unwrap().to_vec();
+        edit(tag, &mut payload);
+        w.section(tag, payload);
+    }
+    w.into_bytes(reader.version())
+}
+
+fn has_pyra(bytes: &[u8]) -> bool {
+    let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).expect("well-framed");
+    reader.section(SectionTag(*b"PYRA")).is_some()
+}
+
+fn assert_answers_bit_identical(loaded: &GeoBlock, fresh: &GeoBlock) {
+    assert_eq!(loaded.content_hash(), fresh.content_hash());
+    assert_eq!(
+        loaded.pyramid().content_hash(),
+        fresh.pyramid().content_hash()
+    );
+    let whole = Polygon::rectangle(Rect::from_bounds(-1.0, -1.0, 101.0, 101.0));
+    for p in polys().iter().chain([&whole]) {
+        let (a, _) = loaded.select(p, &spec());
+        let (b, _) = fresh.select(p, &spec());
+        assert!(a.approx_eq(&b, 0.0), "{a:?} vs {b:?}");
+        assert_eq!(loaded.count(p).0, fresh.count(p).0);
+    }
+}
+
+#[test]
+fn v2_fixture_with_pyra_loads_to_bit_identical_answers() {
+    assert!(V2_FIXTURE.len() <= 16 * 1024);
+    assert_eq!(V2_FIXTURE[8..10], 2u16.to_le_bytes());
+    assert!(has_pyra(V2_FIXTURE));
+
+    let snap = Snapshot::from_bytes(V2_FIXTURE).expect("v2 file loads");
+    let want = include_str!("fixtures/v2_pyra.content_hash").trim();
+    assert_eq!(format!("{:#018x}", snap.block.content_hash()), want);
+    assert!(snap.trie.is_some() && snap.hits.is_some());
+    assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
+    let (fresh, _) = build(&base_data(40), 5, &Filter::all());
+    assert_answers_bit_identical(&snap.block, &fresh);
+
+    // Saving it again writes the current format: no PYRA, same content.
+    let rewritten = snap.to_bytes();
+    assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
+    assert!(!has_pyra(&rewritten));
+    let again = Snapshot::from_bytes(&rewritten).expect("v3 file loads");
+    assert_answers_bit_identical(&again.block, &fresh);
+
+    // A flipped CELL byte under a *valid* section checksum (an adversarial
+    // edit; a plain flip already fails the checksum) is still caught.
+    let flip = |which: &'static [u8; 4]| {
+        reframe(V2_FIXTURE, move |tag, payload| {
+            if tag == SectionTag(*which) {
+                payload[40] ^= 0x20;
+            }
+        })
+    };
+    let err = Snapshot::from_bytes(&flip(b"CELL")).unwrap_err();
+    assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+    // So is a structurally impossible CELL — `sums`, its last array, one
+    // value short — before any fold indexes it.
+    let n_sums = (fresh.num_cells() * fresh.schema().len()) as u64;
+    let short = reframe(V2_FIXTURE, |tag, payload| {
+        if tag == SectionTag(*b"CELL") {
+            let count_at = payload.len() - 8 * (n_sums as usize + 1);
+            payload[count_at..count_at + 8].copy_from_slice(&(n_sums - 1).to_le_bytes());
+            payload.truncate(payload.len() - 8);
+        }
+    });
+    let err = Snapshot::from_bytes(&short).unwrap_err();
+    assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+    // The PYRA payload, by contrast, is never decoded: the answers come
+    // from the pyramid rebuilt out of CELL.
+    let odd = Snapshot::from_bytes(&flip(b"PYRA")).expect("PYRA payload is not read");
+    assert_answers_bit_identical(&odd.block, &fresh);
+}
+
+#[test]
+fn v1_file_loads_to_bit_identical_answers() {
+    // A version-1 file has exactly the version-3 layout (no derived
+    // state, same state hash), so stamping the version field — which no
+    // checksum covers — yields one.
+    let (block, _) = build(&base_data(3000), 8, &Filter::all());
+    let mut bytes = Snapshot::new(block.clone()).to_bytes();
+    bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+    let back = Snapshot::from_bytes(&bytes).expect("v1 file loads");
+    assert_answers_bit_identical(&back.block, &block);
 }

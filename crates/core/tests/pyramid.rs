@@ -29,14 +29,6 @@ fn spec() -> AggSpec {
     ])
 }
 
-fn sums_only_spec() -> AggSpec {
-    AggSpec::new(vec![
-        AggRequest::new(AggFunc::Count, 0),
-        AggRequest::new(AggFunc::Sum, 0),
-        AggRequest::new(AggFunc::Avg, 1),
-    ])
-}
-
 fn make_base(points: &[(f64, f64)]) -> gb_data::BaseTable {
     let mut raw = RawTable::new(schema());
     for (i, &(x, y)) in points.iter().enumerate() {
@@ -86,7 +78,6 @@ proptest! {
         let poly = make_polygon(&seeds).unwrap();
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        prop_assert!(block.has_pyramid());
         block.check_invariants();
         assert_paths_identical(&block, &poly, &spec());
 
@@ -146,34 +137,6 @@ proptest! {
             assert_paths_identical(&block, &poly, &spec());
         }
         prop_assert!(saw_in_place || saw_new_cell);
-    }
-
-    /// The prefix-fold tier (pyramid dropped, sums-only spec): COUNT is
-    /// exact; SUM/AVG are exact reassociations, so they agree with the
-    /// scan to FP tolerance and with ground truth like any other path.
-    #[test]
-    fn prefix_fold_tier_agrees_with_scan(
-        points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..300),
-        seeds in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 3..8),
-        level in 5u8..12,
-    ) {
-        prop_assume!(make_polygon(&seeds).is_some());
-        let poly = make_polygon(&seeds).unwrap();
-        let base = make_base(&points);
-        let (mut block, _) = build(&base, level, &Filter::all());
-        block.clear_pyramid();
-        block.check_invariants();
-        let s = sums_only_spec();
-        let (fast, stats) = block.select(&poly, &s);
-        let (scan, _) = block.select_scan(&poly, &s);
-        prop_assert_eq!(fast.count, scan.count);
-        prop_assert!(fast.approx_eq(&scan, 1e-9), "{:?} vs {:?}", fast, scan);
-        prop_assert!(stats.cells_combined <= stats.query_cells);
-
-        // Specs with min/max fall back to the scan tier: exact agreement.
-        let (a, _) = block.select(&poly, &spec());
-        let (b, _) = block.select_scan(&poly, &spec());
-        prop_assert!(a.approx_eq(&b, 0.0));
     }
 }
 

@@ -62,10 +62,10 @@ fn main() {
         qstats.query_cells, qstats.cells_combined
     );
 
-    // 4. COUNT uses the Listing-2 range-sum: two prefix probes per
-    // covering cell, independent of how many records the cell spans.
-    // (SELECT is just as frugal since the aggregate pyramid: one combined
-    // record per covering cell.)
+    // 4. COUNT uses the Listing-2 range-sum: two probes of the count
+    // prefix per covering cell, independent of how many records the cell
+    // spans. SELECT is just as frugal: every block carries the aggregate
+    // pyramid, so it combines one record per covering cell.
     let (count, cstats) = block.count(neighborhood);
     println!(
         "\nCOUNT = {count} touching {} aggregates ({} for SELECT)",
