@@ -3,6 +3,9 @@
 //! This crate deliberately has almost no dependencies; it provides the small
 //! utilities every other crate needs:
 //!
+//! * [`fifo_map`] — [`FifoMap`], the capacity-bounded map with amortised
+//!   O(1) oldest-insertion eviction behind the serve-layer result cache
+//!   and the covering-memo shards.
 //! * [`fxhash`] — a fast, non-cryptographic hasher (the FxHash algorithm used
 //!   by rustc), hand-written here so the workspace does not need an extra
 //!   dependency. Hashing of small integer keys (cell ids) is hot in the
@@ -32,6 +35,7 @@
 //!   serve-layer request-latency metric and the per-stage tracer
 //!   (`gb_trace`).
 
+pub mod fifo_map;
 pub mod fmt;
 pub mod fxhash;
 pub mod hist;
@@ -41,6 +45,7 @@ pub mod stats;
 pub mod sync;
 pub mod timer;
 
+pub use fifo_map::FifoMap;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hist::LatencyHistogram;
 pub use pool::{default_threads, spawn_join, Pool};

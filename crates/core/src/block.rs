@@ -12,6 +12,7 @@
 //! record layout.
 
 use crate::aggregate::AggResult;
+use crate::gallop;
 use crate::pyramid::AggPyramid;
 use gb_cell::{CellId, Grid};
 use gb_data::{AggSpec, Schema};
@@ -118,16 +119,18 @@ impl GeoBlock {
         CellId::from_raw(self.keys[idx])
     }
 
-    /// First aggregate index with key ≥ `key`, searching from `from`.
+    /// First aggregate index with key ≥ `key`, galloping forward from the
+    /// cursor `from` (O(log gap), see [`crate::gallop`]).
     #[inline]
     pub(crate) fn lower_bound_from(&self, key: u64, from: usize) -> usize {
-        from + self.keys[from..].partition_point(|&k| k < key)
+        gallop::lower_bound_from(&self.keys, key, from)
     }
 
-    /// First aggregate index with key > `key`, searching from `from`.
+    /// First aggregate index with key > `key`, galloping forward from the
+    /// cursor `from`.
     #[inline]
     pub(crate) fn upper_bound_from(&self, key: u64, from: usize) -> usize {
-        from + self.keys[from..].partition_point(|&k| k <= key)
+        gallop::upper_bound_from(&self.keys, key, from)
     }
 
     /// The block-wide aggregate from the global header (100 % selectivity

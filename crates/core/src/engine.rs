@@ -408,23 +408,56 @@ impl GeoBlockEngine {
         // The accumulator is a pure observer: when the thread is not
         // sampled it is disarmed and `select_adapted` runs untouched.
         let mut acc = self.tracer.stage_acc();
+        // The query's hit statistics are gathered lock-free and flushed
+        // once it has its answer.
+        let mut hits = Vec::with_capacity(covering.len());
         let (result, stats) = qc::select_adapted(
             &state.block,
             &state.trie,
             covering,
             spec,
-            &mut |raw| {
-                let mut shard = self.shards[shard_of(raw)].lock();
-                *shard.entry(raw).or_insert(0) += 1;
-            },
+            &mut |raw| hits.push(raw),
             &mut metrics,
             &mut acc,
         );
+        self.record_hits(&hits);
         self.tracer.absorb(acc);
         self.probes.add(metrics.probes);
         self.direct_hits.add(metrics.direct_hits);
         self.child_hits.add(metrics.child_hits);
         QueryResponse::new(result, stats, state.data_epoch)
+    }
+
+    /// Count one hit per cell of `hits` (one query's covering cells) in
+    /// the sharded statistics, locking each touched shard once: a
+    /// counting sort groups the cells by shard first, so a query costs at
+    /// most [`N_SHARDS`] acquisitions however many cells it covers.
+    fn record_hits(&self, hits: &[u64]) {
+        // Shard `s` owns `grouped[starts[s]..starts[s + 1]]`.
+        let mut starts = [0usize; N_SHARDS + 1];
+        for &raw in hits {
+            starts[shard_of(raw) + 1] += 1;
+        }
+        for s in 0..N_SHARDS {
+            starts[s + 1] += starts[s];
+        }
+        let mut next = starts;
+        let mut grouped = vec![0u64; hits.len()];
+        for &raw in hits {
+            let at = &mut next[shard_of(raw)];
+            grouped[*at] = raw;
+            *at += 1;
+        }
+        for (s, shard) in self.shards.iter().enumerate() {
+            let cells = &grouped[starts[s]..starts[s + 1]];
+            if cells.is_empty() {
+                continue;
+            }
+            let mut shard = shard.lock();
+            for &raw in cells {
+                *shard.entry(raw).or_insert(0) += 1;
+            }
+        }
     }
 
     /// Advance the query counter by `n_selects` and run the `EveryN`
@@ -701,6 +734,7 @@ impl GeoBlockEngine {
         let mut merged = FxHashMap::default();
         for shard in &self.shards {
             let shard = shard.lock();
+            merged.reserve(shard.len());
             for (&k, &v) in shard.iter() {
                 *merged.entry(k).or_insert(0) += v;
             }

@@ -56,6 +56,7 @@ pub mod api;
 pub mod block;
 pub mod build;
 pub mod engine;
+mod gallop;
 pub mod indexed;
 pub mod kernel;
 pub mod memo;

@@ -18,7 +18,7 @@
 
 use gb_cell::CellUnion;
 use gb_common::sync::OrderedMutex;
-use gb_common::{Counter, FxHashMap};
+use gb_common::{Counter, FifoMap, FxHashMap};
 use std::sync::Arc;
 
 /// Rank of the memo shards and the hot-query table in the declared lock
@@ -36,14 +36,6 @@ struct MemoEntry {
     /// exact verification on hit.
     verify: Vec<u64>,
     covering: Arc<CellUnion>,
-    /// Insertion sequence for oldest-first eviction.
-    seq: u64,
-}
-
-#[derive(Debug, Default)]
-struct MemoShard {
-    entries: FxHashMap<u64, MemoEntry>,
-    seq: u64,
 }
 
 /// Hit/miss/churn counts, surfaced through `CacheMetrics` and `/metrics`.
@@ -61,7 +53,8 @@ pub struct MemoStats {
 /// A sharded, capacity-bounded, never-invalidating covering memo.
 #[derive(Debug)]
 pub struct CoveringMemo {
-    memo: Vec<OrderedMutex<MemoShard>>,
+    /// Each shard evicts its own oldest insertion (amortised O(1)).
+    memo: Vec<OrderedMutex<FifoMap<MemoEntry>>>,
     shard_capacity: usize,
     hits: Counter,
     misses: Counter,
@@ -74,11 +67,12 @@ impl CoveringMemo {
     /// shards. Capacity 0 disables memoization (every lookup computes —
     /// the ablation configuration).
     pub fn new(capacity: usize) -> CoveringMemo {
+        let shard_capacity = capacity.div_ceil(MEMO_SHARDS);
         CoveringMemo {
             memo: (0..MEMO_SHARDS)
-                .map(|_| OrderedMutex::new("memo", RANK_MEMO, MemoShard::default()))
+                .map(|_| OrderedMutex::new("memo", RANK_MEMO, FifoMap::new(shard_capacity)))
                 .collect(),
-            shard_capacity: capacity.div_ceil(MEMO_SHARDS),
+            shard_capacity,
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
@@ -120,7 +114,7 @@ impl CoveringMemo {
         if let Some(slot) = self.memo.get(Self::shard_index(key)) {
             {
                 let shard = slot.lock();
-                if let Some(entry) = shard.entries.get(&key) {
+                if let Some(entry) = shard.get(key) {
                     if entry.verify == verify {
                         self.hits.incr();
                         return (Arc::clone(&entry.covering), true);
@@ -130,28 +124,13 @@ impl CoveringMemo {
             self.misses.incr();
             let covering = Arc::new(cover());
             if self.shard_capacity > 0 {
-                let mut shard = slot.lock();
-                if shard.entries.len() >= self.shard_capacity && !shard.entries.contains_key(&key) {
-                    if let Some(oldest) = shard
-                        .entries
-                        .iter()
-                        .min_by_key(|(_, e)| e.seq)
-                        .map(|(&k, _)| k)
-                    {
-                        shard.entries.remove(&oldest);
-                        self.evictions.incr();
-                    }
+                let entry = MemoEntry {
+                    verify: verify.to_vec(),
+                    covering: Arc::clone(&covering),
+                };
+                if slot.lock().insert(key, entry).is_some() {
+                    self.evictions.incr();
                 }
-                let seq = shard.seq;
-                shard.seq += 1;
-                shard.entries.insert(
-                    key,
-                    MemoEntry {
-                        verify: verify.to_vec(),
-                        covering: Arc::clone(&covering),
-                        seq,
-                    },
-                );
             }
             (covering, false)
         } else {
@@ -172,8 +151,8 @@ impl CoveringMemo {
         let mut dropped = 0usize;
         for slot in &self.memo {
             let mut shard = slot.lock();
-            dropped += shard.entries.len();
-            shard.entries.clear();
+            dropped += shard.len();
+            shard.clear();
         }
         self.invalidations.add(dropped as u64);
         dropped
@@ -181,7 +160,7 @@ impl CoveringMemo {
 
     /// Number of memoized coverings.
     pub fn len(&self) -> usize {
-        self.memo.iter().map(|s| s.lock().entries.len()).sum()
+        self.memo.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether the memo is empty.
@@ -225,14 +204,24 @@ struct HotQuery {
 pub struct HotQueryTable {
     entries: FxHashMap<u64, HotQuery>,
     capacity: usize,
+    /// A lower bound on every resident count (counts only grow, and the
+    /// bound is lowered with each insertion), exact after each scan for
+    /// the coldest. A newcomer must beat the coldest resident, so one
+    /// that does not beat this bound is dropped without that scan —
+    /// every never-seen shape of weight 1 on a full table.
+    floor: u64,
+    /// Scans for the coldest resident.
+    #[cfg(test)]
+    scans: usize,
 }
 
 impl HotQueryTable {
     /// A table remembering at most `capacity` query shapes.
     pub fn new(capacity: usize) -> HotQueryTable {
         HotQueryTable {
-            entries: FxHashMap::default(),
             capacity,
+            floor: u64::MAX,
+            ..HotQueryTable::default()
         }
     }
 
@@ -248,18 +237,28 @@ impl HotQueryTable {
             return;
         }
         if self.entries.len() >= self.capacity {
+            if weight <= self.floor {
+                return;
+            }
+            #[cfg(test)]
+            {
+                self.scans += 1;
+            }
             let coldest = self
                 .entries
                 .iter()
                 .min_by_key(|(&k, e)| (e.count, k))
                 .map(|(&k, e)| (k, e.count));
-            match coldest {
-                Some((k, c)) if weight > c => {
-                    self.entries.remove(&k);
-                }
-                _ => return,
+            let Some((coldest_key, coldest_count)) = coldest else {
+                return;
+            };
+            self.floor = coldest_count;
+            if weight <= coldest_count {
+                return;
             }
+            self.entries.remove(&coldest_key);
         }
+        self.floor = self.floor.min(weight);
         self.entries.insert(
             key,
             HotQuery {
@@ -389,6 +388,27 @@ mod tests {
     }
 
     #[test]
+    fn full_shard_evicts_exactly_its_oldest_entry() {
+        let memo = CoveringMemo::new(2 * MEMO_SHARDS); // two entries per shard
+        let keys: Vec<u64> = (0..1000u64)
+            .filter(|&k| CoveringMemo::shard_index(k) == 3)
+            .take(3)
+            .collect();
+        for &k in &keys {
+            memo.get_or_insert_with(k, &[k], || union(&[]));
+        }
+        assert_eq!(memo.stats().evictions, 1, "one insert past capacity");
+        assert_eq!(memo.len(), 2);
+        // The two younger entries are resident, the oldest is gone (probed
+        // last: its miss re-inserts it and evicts the next-oldest).
+        for (i, resident) in [(1, true), (2, true), (0, false)] {
+            let (_, hit) = memo.get_or_insert_with_hit(keys[i], &[keys[i]], || union(&[]));
+            assert_eq!(hit, resident, "key #{i}");
+        }
+        assert_eq!(memo.stats().evictions, 2);
+    }
+
+    #[test]
     fn invalidate_all_clears_and_counts() {
         let memo = CoveringMemo::new(16);
         for k in 0..5u64 {
@@ -422,6 +442,40 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0], (5, b"a".to_vec()));
         assert_eq!(top[1], (3, b"c".to_vec()));
+    }
+
+    #[test]
+    fn full_hot_table_drops_weight_one_strangers_without_scanning() {
+        let mut t = HotQueryTable::new(3);
+        t.record(1, b"a", 1);
+        t.record(2, b"b", 1);
+        t.record(3, b"c", 1);
+        t.record(1, b"a", 1); // counts 2, 1, 1
+        let before = t.top(3);
+        for stranger in 10..200u64 {
+            t.record(stranger, b"s", 1);
+        }
+        assert_eq!(t.top(3), before, "the table is untouched");
+        assert_eq!(t.scans, 0, "a weight-1 newcomer cannot win: no scan");
+        // A heavier merged shape (snapshot warm-up) still evicts the
+        // coldest, ties broken towards the lowest key.
+        t.record(7, b"w", 2);
+        assert_eq!(t.scans, 1);
+        let top = t.top(3);
+        assert_eq!(top[0], (2, b"a".to_vec()));
+        assert_eq!(top[1], (2, b"w".to_vec()));
+        assert_eq!(top[2], (1, b"c".to_vec()), "key 2 went, key 3 stayed");
+        // The bound follows the table up: with every count at 2 or more
+        // a weight-2 newcomer is now dropped early as well.
+        t.record(3, b"c", 1);
+        t.record(8, b"x", 2);
+        t.record(9, b"y", 2);
+        assert_eq!(
+            t.scans, 2,
+            "one scan refreshed the bound, the next was skipped"
+        );
+        let names: Vec<Vec<u8>> = t.top(3).into_iter().map(|(_, b)| b).collect();
+        assert_eq!(names, [b"a".to_vec(), b"c".to_vec(), b"w".to_vec()]);
     }
 
     #[test]

@@ -78,8 +78,9 @@ pub(crate) fn root_cell_of(block: &GeoBlock) -> CellId {
 ///
 /// `record_hit` is called once per query cell that may overlap the block
 /// (§3.6 hit statistics); the single-threaded [`GeoBlockQC`] feeds a plain
-/// hash map, the concurrent engine feeds sharded maps. Factoring the
-/// algorithm out guarantees both paths answer queries identically.
+/// hash map, the concurrent engine a per-query vector it flushes into its
+/// sharded maps afterwards. Factoring the algorithm out guarantees both
+/// paths answer queries identically.
 ///
 /// `acc` attributes per-cell time to tracing stages (`TrieLookup` for
 /// cache probes, `PyramidCombine`/`ScanFallback` for residual combines).
@@ -204,7 +205,8 @@ pub(crate) fn aggregate_cell_range(
     let mut count = 0u64;
     let lo = cell.range_min().raw();
     let hi = cell.range_max().raw();
-    let mut i = block.lower_bound_from(lo, 0);
+    // No cursor to resume from (candidates arrive in score order): bisect.
+    let mut i = block.keys.partition_point(|&k| k < lo);
     while i < block.keys.len() && block.keys[i] <= hi {
         count += u64::from(block.counts[i]);
         let base = i * c;
@@ -218,11 +220,15 @@ pub(crate) fn aggregate_cell_range(
     count
 }
 
-/// Build a fresh AggregateTrie from hit statistics: sort candidate cells
-/// by (score desc, level asc, key asc) and insert until `budget` bytes are
-/// filled (§3.6 "Determining Relevant Aggregates"). Deterministic for a
-/// given hit map, so every caller — serial QC or concurrent engine —
-/// rebuilds the same cache from the same statistics.
+/// Build a fresh AggregateTrie from hit statistics: take candidate cells
+/// in (score desc, level asc, key asc) order and insert until `budget`
+/// bytes are filled (§3.6 "Determining Relevant Aggregates").
+/// Deterministic for a given hit map, so every caller — serial QC or
+/// concurrent engine — rebuilds the same cache from the same statistics.
+///
+/// The budget admits a small prefix of that order (every insertion costs
+/// at least one record), so only that prefix is selected and sorted; the
+/// remainder is sorted only if the prefix runs out first.
 pub(crate) fn rebuild_trie(
     block: &GeoBlock,
     root_cell: CellId,
@@ -239,28 +245,43 @@ pub(crate) fn rebuild_trie(
             (score_of(hits, cell), cell.level(), raw)
         })
         .collect();
-    // Score desc, then level asc (coarser first), then key asc.
-    candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    // Score desc, then level asc (coarser first), then key asc — a total
+    // order (keys are unique), so a partial sort picks the same prefix.
+    let order = |a: &(u64, u8, u64), b: &(u64, u8, u64)| {
+        b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+    };
+    // The loop below ends at the first candidate that does not fit, so it
+    // consumes at most `budget / record_bytes` insertions plus that one —
+    // more only when cells outside the root (skipped, costing nothing)
+    // sit among them.
+    let cut = (budget / trie.record_bytes() + 1).min(candidates.len());
+    if cut < candidates.len() {
+        candidates.select_nth_unstable_by(cut, order);
+    }
+    let (head, rest) = candidates.split_at_mut(cut);
 
     let mut mins = vec![0.0f64; n_cols];
     let mut maxs = vec![0.0f64; n_cols];
     let mut sums = vec![0.0f64; n_cols];
-    for (_, _, raw) in candidates {
-        let cell = CellId::from_raw(raw);
-        let Some(cost) = trie.insertion_cost(cell) else {
-            continue;
-        };
-        if trie.size_bytes() + cost > budget {
-            // Reserved area full (the paper inserts by descending
-            // relevance until the space is exhausted).
-            break;
+    'fill: for part in [head, rest] {
+        part.sort_unstable_by(order);
+        for &(_, _, raw) in part.iter() {
+            let cell = CellId::from_raw(raw);
+            let Some(cost) = trie.insertion_cost(cell) else {
+                continue;
+            };
+            if trie.size_bytes() + cost > budget {
+                // Reserved area full (the paper inserts by descending
+                // relevance until the space is exhausted).
+                break 'fill;
+            }
+            let count = aggregate_cell_range(block, cell, &mut mins, &mut maxs, &mut sums);
+            // Empty cells are cached too: a count-0 record answers "no data
+            // here" without touching the aggregates, and Figure 18's cache hit
+            // rate reaching 100 % requires every queried cell to become
+            // cacheable.
+            trie.insert(cell, count, &mins, &maxs, &sums);
         }
-        let count = aggregate_cell_range(block, cell, &mut mins, &mut maxs, &mut sums);
-        // Empty cells are cached too: a count-0 record answers "no data
-        // here" without touching the aggregates, and Figure 18's cache hit
-        // rate reaching 100 % requires every queried cell to become
-        // cacheable.
-        trie.insert(cell, count, &mins, &maxs, &sums);
     }
     // Rebuilds are publish points: hand readers the flat lookup path.
     trie.build_flat_index();
@@ -648,6 +669,83 @@ mod tests {
         let (b, _) = block.count(&hot);
         assert_eq!(a.result, b);
         assert_eq!(a.epoch, 0, "no updates yet");
+    }
+
+    /// The rebuild as it was before the partial sort: order every
+    /// candidate, insert until the first that does not fit.
+    fn rebuild_full_sort(
+        block: &GeoBlock,
+        root_cell: CellId,
+        budget: usize,
+        hits: &FxHashMap<u64, u64>,
+    ) -> AggregateTrie {
+        let n_cols = block.schema().len();
+        let mut trie = AggregateTrie::new(root_cell, n_cols);
+        let mut candidates: Vec<(u64, u8, u64)> = hits
+            .keys()
+            .map(|&raw| {
+                (
+                    score_of(hits, CellId::from_raw(raw)),
+                    CellId::from_raw(raw).level(),
+                    raw,
+                )
+            })
+            .collect();
+        candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let (mut mins, mut maxs, mut sums) =
+            (vec![0.0; n_cols], vec![0.0; n_cols], vec![0.0; n_cols]);
+        for (_, _, raw) in candidates {
+            let cell = CellId::from_raw(raw);
+            let Some(cost) = trie.insertion_cost(cell) else {
+                continue;
+            };
+            if trie.size_bytes() + cost > budget {
+                break;
+            }
+            let count = aggregate_cell_range(block, cell, &mut mins, &mut maxs, &mut sums);
+            trie.insert(cell, count, &mins, &maxs, &sums);
+        }
+        trie
+    }
+
+    #[test]
+    fn partial_sort_rebuild_matches_full_sort_rebuild() {
+        let base = base_data(3000);
+        let (block, _) = build(&base, 8, &Filter::all());
+        // Every block cell and its parent, with scattered hit counts and
+        // plenty of equal scores for the tie-breaks to decide.
+        let mut hits: FxHashMap<u64, u64> = FxHashMap::default();
+        for (i, &raw) in block.keys.iter().enumerate() {
+            hits.insert(raw, (i as u64).wrapping_mul(2_654_435_761) % 7);
+            let parent = CellId::from_raw(raw).parent().raw();
+            *hits.entry(parent).or_insert(0) += (i % 3) as u64;
+        }
+        let whole = root_cell_of(&block);
+        // A trie rooted at one quadrant: the other three quadrants' cells
+        // are candidates outside the root. Raising their counts puts them
+        // all ahead of the cut, so the selected prefix inserts nothing and
+        // the remainder has to be sorted.
+        let quadrant = whole.child(0);
+        let mut skewed = hits.clone();
+        for (&raw, count) in skewed.iter_mut() {
+            if !quadrant.contains(CellId::from_raw(raw)) {
+                *count += 1_000;
+            }
+        }
+        let record = AggregateTrie::new(whole, 1).record_bytes();
+        for (root, hits) in [(whole, &hits), (quadrant, &hits), (quadrant, &skewed)] {
+            for budget in [0, 8 + record, 10 * record, 200 * record, usize::MAX / 2] {
+                let fast = rebuild_trie(&block, root, budget, hits);
+                let full = rebuild_full_sort(&block, root, budget, hits);
+                assert_eq!(
+                    fast.content_hash(),
+                    full.content_hash(),
+                    "root level {} budget {budget}",
+                    root.level()
+                );
+                assert!(budget < 200 * record || fast.num_cached() > 0);
+            }
+        }
     }
 
     #[test]

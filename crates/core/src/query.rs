@@ -34,6 +34,7 @@
 
 use crate::aggregate::{AggPlan, AggResult};
 use crate::block::GeoBlock;
+use crate::gallop;
 use gb_cell::{cover_polygon, CellId, CellUnion, CovererOptions, MAX_LEVEL};
 use gb_data::AggSpec;
 use gb_geom::Polygon;
@@ -177,7 +178,7 @@ impl GeoBlock {
         let c = self.n_cols();
         let from = cursors.levels[level as usize];
         stats.searches += 1;
-        let i = from + layer.keys[from..].partition_point(|&k| k < qcell.raw());
+        let i = gallop::lower_bound_from(&layer.keys, qcell.raw(), from);
         if i < layer.keys.len() && layer.keys[i] == qcell.raw() {
             let base = i * c;
             result.combine_record_plan(
@@ -296,7 +297,7 @@ impl GeoBlock {
                         // Lines 19–24: upper-bound binary search, then the
                         // predecessor is the candidate aggregate.
                         stats.searches += 1;
-                        let ub = self.upper_bound_from(key, 0);
+                        let ub = self.keys.partition_point(|&k| k <= key);
                         if ub > 0 && self.keys[ub - 1] == key {
                             combine(ub - 1, &mut result);
                             stats.cells_combined += 1;

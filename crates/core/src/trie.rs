@@ -22,7 +22,7 @@
 //! -curve order, so a covering's probe stream sweeps it monotonically),
 //! plus a "hot lane" restricted to the nodes that carry a cached
 //! aggregate, storing the record offset directly. A [`FlatCursor`]
-//! resolves each probe with a short forward scan from the previous
+//! resolves each probe by galloping forward from the previous
 //! match — cached hits (the overwhelming case after §3.6 adaptation)
 //! cost ~one compare and skip the node array entirely. The index is
 //! pure acceleration state: cleared by structural mutation
@@ -35,6 +35,7 @@
 //! whenever the index is absent, so the two paths are interchangeable —
 //! and a proptest holds them bit-identical.
 
+use crate::gallop;
 use gb_cell::{CellId, MAX_LEVEL};
 
 /// Sentinel: no child block. Index 0 is always the root, so 0 is free.
@@ -58,12 +59,6 @@ pub(crate) struct TrieRawParts<'a> {
     pub agg_counts: &'a [u64],
     pub agg_values: &'a [f64],
 }
-
-/// How far a [`FlatCursor`] scans forward from its last position before
-/// giving up and binary-searching. Covering probes arrive in ascending
-/// raw order with small gaps, so a one-cache-line window catches nearly
-/// every probe.
-const FLAT_WINDOW: usize = 8;
 
 /// The trie-shaped aggregate cache.
 #[derive(Debug, Clone)]
@@ -97,10 +92,11 @@ pub struct AggregateTrie {
 }
 
 /// A stateful probe over the flat index for ascending probe streams
-/// (covering cells arrive sorted by raw id): each lookup scans one small
-/// window forward from the previous match and only falls back to a full
-/// binary search when the stream jumps. Any probe order is correct —
-/// out-of-order probes just pay the binary search — and every answer is
+/// (covering cells arrive sorted by raw id): each lookup gallops forward
+/// from the previous match (O(log gap)) and only falls back to a full
+/// binary search when the stream jumps backward. Any probe order is
+/// correct — out-of-order probes just pay the binary search — and every
+/// answer is
 /// bit-identical to [`AggregateTrie::node_for`].
 #[derive(Debug)]
 pub struct FlatCursor<'a> {
@@ -129,40 +125,25 @@ pub enum FlatHit<'a> {
     Miss,
 }
 
-/// First index `i ≥ pos` (clamped) with `keys[i] >= raw`, assuming the
-/// probe stream is usually ascending: scan a short window forward from
-/// the previous match, binary-search the tail on a long forward jump,
-/// and restart with a full binary search if the stream moved backward.
+/// First index `i` with `keys[i] >= raw`, assuming the probe stream is
+/// usually ascending: gallop forward from the previous match (the next
+/// probe is rarely more than a few slots ahead), and restart with a full
+/// binary search if the stream moved backward.
 #[inline]
 fn lower_bound_from(keys: &[u64], pos: usize, raw: u64) -> usize {
     // Resume forward only when the stream is still ascending past the
     // previous position; a backward jump (new covering, out-of-order
     // probe) or a position past the end restarts with a binary search.
-    let resumable = matches!(keys.get(pos), Some(&k) if k <= raw);
-    if !resumable {
-        return keys.partition_point(|&key| key < raw);
-    }
-    let mut i = pos;
-    let limit = keys.len().min(pos + FLAT_WINDOW);
-    loop {
-        match keys.get(i) {
-            Some(&k) if k < raw => {
-                i += 1;
-                if i >= limit {
-                    // Forward jump past the window: finish in the tail.
-                    let tail = keys.get(i..).unwrap_or_default();
-                    return i + tail.partition_point(|&key| key < raw);
-                }
-            }
-            _ => return i,
-        }
+    match keys.get(pos) {
+        Some(&k) if k <= raw => gallop::lower_bound_from(keys, raw, pos),
+        _ => keys.partition_point(|&key| key < raw),
     }
 }
 
 impl<'a> FlatCursor<'a> {
     /// Index of the trie node for `cell`, if the path exists.
     /// Bit-identical to [`AggregateTrie::node_for_walk`] for any probe
-    /// order; ascending streams resolve from the forward window.
+    /// order; ascending streams resolve from the forward gallop.
     pub fn node_for(&mut self, cell: CellId) -> Option<u32> {
         if self.keys.is_empty() {
             return self.trie.node_for_walk(cell);

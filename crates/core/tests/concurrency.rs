@@ -10,11 +10,15 @@
 //!   one `GeoBlockEngine` while another thread rebuilds the cache in a
 //!   loop; every answer must equal the plain block's ground truth for
 //!   that polygon, regardless of which cache epoch served it.
+//! * `concurrent_hit_flushes_lose_and_invent_nothing` — the engine
+//!   flushes a query's hit statistics shard by shard after the query;
+//!   N threads × M selects must leave exactly the per-cell counts a
+//!   serial `GeoBlockQC` run of the same queries records.
 
 use gb_cell::Grid;
 use gb_data::{extract, AggSpec, CleaningRules, CmpOp, ColumnDef, Filter, RawTable, Rows, Schema};
 use gb_geom::{Point, Polygon, Rect};
-use geoblocks::{build, build_parallel, GeoBlock, GeoBlockEngine};
+use geoblocks::{build, build_parallel, GeoBlock, GeoBlockEngine, GeoBlockQC, Snapshot};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn base_data(n: usize, seed: u64) -> gb_data::BaseTable {
@@ -194,6 +198,68 @@ fn concurrent_queries_during_rebuilds_stay_exact() {
         assert_eq!(engine.count(p).result, *want_cnt);
     }
     assert!(engine.metrics().probes > 0);
+}
+
+#[test]
+fn concurrent_hit_flushes_lose_and_invent_nothing() {
+    const N_THREADS: usize = 4;
+    const SELECTS_PER_THREAD: usize = 40;
+
+    let base = base_data(5000, 11);
+    let (block, _) = build(&base, 9, &Filter::all());
+    let spec = AggSpec::paper_default(base.schema());
+    // Overlapping polygons, so threads keep bumping the same cells of
+    // the same shards.
+    let polys: Vec<Polygon> = (0..10)
+        .map(|i| diamond(40.0 + 2.5 * i as f64, 45.0 + 1.5 * i as f64, 9.0))
+        .collect();
+    let poly_of = |t: usize, q: usize| &polys[(3 * t + q) % polys.len()];
+
+    let engine = GeoBlockEngine::new(block.clone(), 0.2);
+    let start = std::sync::Barrier::new(N_THREADS);
+    let query_cells = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for t in 0..N_THREADS {
+            let (engine, spec, start, query_cells) = (&engine, &spec, &start, &query_cells);
+            scope.spawn(move || {
+                start.wait();
+                for q in 0..SELECTS_PER_THREAD {
+                    let stats = engine.select(poly_of(t, q), spec).stats;
+                    query_cells.fetch_add(stats.query_cells, Ordering::Relaxed);
+                }
+            });
+        }
+    });
+
+    let mut serial = GeoBlockQC::new(block, 0.2);
+    for t in 0..N_THREADS {
+        for q in 0..SELECTS_PER_THREAD {
+            serial.select(poly_of(t, q), &spec);
+        }
+    }
+
+    // Both front-ends persist their hit statistics; read them back.
+    let dir = std::env::temp_dir().join(format!("gb_hit_flush_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let hits_of = |name: &str, save: &dyn Fn(&std::path::Path)| {
+        let path = dir.join(name);
+        save(&path);
+        Snapshot::load(&path).unwrap().hits.unwrap()
+    };
+    let concurrent = hits_of("engine.gbsnap", &|p| engine.write_snapshot(p).unwrap());
+    let reference = hits_of("qc.gbsnap", &|p| serial.write_snapshot(p).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(
+        concurrent.values().sum::<u64>(),
+        query_cells.load(Ordering::Relaxed) as u64,
+        "one hit per query cell"
+    );
+    assert_eq!(engine.tracked_cells(), reference.len());
+    assert_eq!(
+        concurrent, reference,
+        "per-cell hits differ from the serial run"
+    );
 }
 
 #[test]

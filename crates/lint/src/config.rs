@@ -47,6 +47,9 @@ impl Config {
                 "crates/core/src/engine.rs",
                 "crates/core/src/trie.rs",
                 "crates/core/src/memo.rs",
+                // Runs under the result-cache and memo-shard locks on
+                // the request path.
+                "crates/common/src/fifo_map.rs",
             ]),
             float_blessed: s(&["crates/core/src/pyramid.rs", "crates/core/src/aggregate.rs"]),
             // `gb_check` wraps every model thread in a real OS thread it
@@ -130,6 +133,8 @@ mod tests {
         assert!(cfg.is_panic_free("crates/store/src/lib.rs"));
         assert!(cfg.is_panic_free("crates/core/src/snapshot.rs"));
         assert!(cfg.is_panic_free("crates/trace/src/lib.rs"));
+        assert!(cfg.is_panic_free("crates/common/src/fifo_map.rs"));
+        assert!(!cfg.is_panic_free("crates/common/src/pool.rs"));
         assert!(!cfg.is_panic_free("crates/core/src/block.rs"));
         assert!(cfg.is_float_blessed("crates/core/src/pyramid.rs"));
         assert!(cfg.is_spawn_blessed("crates/common/src/pool.rs"));

@@ -15,8 +15,10 @@
 //! instant an update commits, every cached reply is unservable — there
 //! is no window where a stale answer and the new epoch coexist. The TTL
 //! is a second, time-based bound so an idle server eventually drops
-//! entries even with no updates; capacity is bounded by oldest-insertion
-//! eviction to keep the implementation std-only.
+//! entries even with no updates; capacity is bounded by evicting the
+//! oldest insertion, which [`FifoMap`] finds in amortised O(1) — an
+//! insert at capacity costs what any other insert does, never a scan of
+//! the cache under its lock.
 //!
 //! The cache is generic over the sync [`Backend`] and takes time as an
 //! explicit microsecond tick (`*_at` methods), so `gb_check` can explore
@@ -28,7 +30,7 @@
 //! friends), which derive the tick from a monotonic anchor.
 
 use gb_common::sync::backend::{Backend, MutexApi, StdBackend};
-use gb_common::{Counter, FxHashMap};
+use gb_common::{Counter, FifoMap};
 use std::time::{Duration, Instant};
 
 /// Rank of the cache map in the declared lock order: a serve-layer leaf
@@ -36,22 +38,14 @@ use std::time::{Duration, Instant};
 const RANK_ENTRIES: u8 = 4;
 
 /// One cached reply: the encoded wire bytes, the data epoch they answer
-/// for, the tick they were inserted at (for the TTL bound), and a
-/// monotonic sequence number (for oldest-first eviction — deterministic
-/// even when two inserts share a tick).
+/// for, and the tick they were inserted at (for the TTL bound). Eviction
+/// order is the map's own insertion sequence — deterministic even when
+/// two inserts share a tick.
 #[derive(Debug, Clone)]
 struct Entry {
     reply: Vec<u8>,
     epoch: u64,
     inserted_us: u64,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct CacheState {
-    entries: FxHashMap<u64, Entry>,
-    /// Next insertion sequence number.
-    seq: u64,
 }
 
 /// Hit/miss counters, readable without the map lock.
@@ -80,7 +74,7 @@ impl CacheStats {
 /// critical section is tiny), the counters are relaxed [`Counter`]s.
 #[derive(Debug)]
 pub struct ResultCache<B: Backend = StdBackend> {
-    entries: B::Mutex<CacheState>,
+    entries: B::Mutex<FifoMap<Entry>>,
     capacity: usize,
     ttl_us: u64,
     /// Monotonic anchor for the tick-free production wrappers.
@@ -96,14 +90,7 @@ impl<B: Backend> ResultCache<B> {
     /// (and only while the engine stays on the entry's data epoch).
     pub fn new(capacity: usize, ttl: Duration) -> ResultCache<B> {
         ResultCache {
-            entries: B::Mutex::new(
-                "entries",
-                RANK_ENTRIES,
-                CacheState {
-                    entries: FxHashMap::default(),
-                    seq: 0,
-                },
-            ),
+            entries: B::Mutex::new("entries", RANK_ENTRIES, FifoMap::new(capacity)),
             capacity,
             ttl_us: ttl.as_micros().min(u64::MAX as u128) as u64,
             anchor: Instant::now(),
@@ -124,8 +111,8 @@ impl<B: Backend> ResultCache<B> {
     /// `now_us`. Counts a hit or miss; expired/stale entries are removed
     /// on the way.
     pub fn get_at(&self, key: u64, current_epoch: u64, now_us: u64) -> Option<Vec<u8>> {
-        let mut state = self.entries.lock();
-        let valid = match state.entries.get(&key) {
+        let mut entries = self.entries.lock();
+        let valid = match entries.get(key) {
             Some(e) => {
                 e.epoch == current_epoch && now_us.saturating_sub(e.inserted_us) <= self.ttl_us
             }
@@ -133,10 +120,10 @@ impl<B: Backend> ResultCache<B> {
         };
         if valid {
             self.hits.incr();
-            state.entries.get(&key).map(|e| e.reply.clone())
+            entries.get(key).map(|e| e.reply.clone())
         } else {
             // Drop the dead entry (wrong epoch or expired) eagerly.
-            state.entries.remove(&key);
+            entries.remove(key);
             self.misses.incr();
             None
         }
@@ -149,29 +136,14 @@ impl<B: Backend> ResultCache<B> {
         if self.capacity == 0 {
             return;
         }
-        let mut state = self.entries.lock();
-        if state.entries.len() >= self.capacity && !state.entries.contains_key(&key) {
-            if let Some(oldest) = state
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(&k, _)| k)
-            {
-                state.entries.remove(&oldest);
-                self.evictions.incr();
-            }
+        let entry = Entry {
+            reply,
+            epoch,
+            inserted_us: now_us,
+        };
+        if self.entries.lock().insert(key, entry).is_some() {
+            self.evictions.incr();
         }
-        let seq = state.seq;
-        state.seq += 1;
-        state.entries.insert(
-            key,
-            Entry {
-                reply,
-                epoch,
-                inserted_us: now_us,
-                seq,
-            },
-        );
         self.insertions.incr();
     }
 
@@ -180,13 +152,13 @@ impl<B: Backend> ResultCache<B> {
     /// invalidation (correctness never depends on it;
     /// [`ResultCache::get_at`] checks the epoch on every lookup).
     pub fn purge_stale_at(&self, current_epoch: u64, now_us: u64) {
-        let mut state = self.entries.lock();
-        let before = state.entries.len();
+        let mut entries = self.entries.lock();
+        let before = entries.len();
         let ttl_us = self.ttl_us;
-        state.entries.retain(|_, e| {
+        entries.retain(|_, e| {
             e.epoch == current_epoch && now_us.saturating_sub(e.inserted_us) <= ttl_us
         });
-        let dropped = before.saturating_sub(state.entries.len());
+        let dropped = before.saturating_sub(entries.len());
         self.evictions.add(dropped as u64);
     }
 
@@ -207,7 +179,7 @@ impl<B: Backend> ResultCache<B> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.lock().entries.len()
+        self.entries.lock().len()
     }
 
     /// Whether the cache is empty.
