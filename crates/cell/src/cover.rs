@@ -16,13 +16,40 @@
 //!
 //! The covering is always a **superset** of the polygon (false positives
 //! only, §4.3), which the property tests assert.
+//!
+//! # The rule and the descent
+//!
+//! A `max_level` cell belongs to the covering iff an outline edge touches
+//! its closed rectangle or its centre is inside the polygon (even-odd);
+//! the result is the canonical union of those cells (complete sibling
+//! quartets merged, never above `min_level`). The descent spends exact
+//! geometry only where the outline is complicated:
+//!
+//! * a cell several edges touch — or one edge that ends inside it — keeps
+//!   a list of its local edges, filtered from its parent's, and classifies
+//!   an untouched child with a ray cast;
+//! * a cell touched by **one** edge that passes right through it (both
+//!   endpoints outside — all but the few vertex-bearing cells per level)
+//!   is cut by a line: its whole subtree is a half-plane rasterisation.
+//!   The edge's cross product on the 3×3 corner lattice of a cell (one
+//!   subtraction per corner, from per-axis terms carried down the
+//!   descent) classifies each child as untouched (four corners strictly
+//!   on one side), or touched and recursed with the same line. Which side is the
+//!   interior is settled by **one** ray cast per such subtree, at the
+//!   first untouched child — ring orientation would be cheaper still but
+//!   is wrong for self-intersecting rings and overlapping holes, which the
+//!   even-odd rule answers.
+//!
+//! Cells are emitted in curve order and a quartet is merged when the
+//! descent returns from its parent, so the output needs no sort and no
+//! normalisation pass. Cost: O(boundary cells + local edge tests).
 
+use crate::curve::CurveCursor;
 use crate::grid::Grid;
 use crate::id::{CellId, MAX_LEVEL};
 use crate::union::CellUnion;
-#[cfg(test)]
-use gb_geom::{classify_rect, RectRelation};
-use gb_geom::{Polygon, Rect};
+use gb_geom::{Point, Polygon, Rect};
+use std::ops::Range;
 
 /// Options controlling [`cover_polygon`].
 #[derive(Debug, Clone, Copy)]
@@ -57,8 +84,8 @@ impl Default for CovererOptions {
 
 /// A polygon edge with its bounding box, for hierarchical clipping.
 struct ClipEdge {
-    a: gb_geom::Point,
-    b: gb_geom::Point,
+    a: Point,
+    b: Point,
     bbox: Rect,
 }
 
@@ -68,15 +95,68 @@ fn edge_touches_rect(e: &ClipEdge, rect: &Rect) -> bool {
     e.bbox.intersects(rect) && gb_geom::segment_intersects_rect(e.a, e.b, rect)
 }
 
+/// The line through the one edge that cuts a cell, for the half-plane
+/// descent below that cell.
+struct CutLine<'e> {
+    edge: &'e ClipEdge,
+    dx: f64,
+    dy: f64,
+    /// Whether the polygon's interior is where the cross product is
+    /// positive; unknown until the subtree's first untouched cell.
+    interior_is_positive: Option<bool>,
+}
+
+/// One axis of a cell under a [`CutLine`]: its bounds, and at each bound
+/// that axis' term of the cross product `segment_intersects_rect` takes at
+/// a rectangle corner, `dx·(y − a.y) − dy·(x − a.x)`. The terms are the
+/// same operations on the same values, so the corner products — one
+/// subtraction each — agree with that predicate to the last bit on which
+/// cells the edge touches.
+#[derive(Clone, Copy)]
+struct Axis {
+    lo: f64,
+    hi: f64,
+    term_lo: f64,
+    term_hi: f64,
+}
+
+impl Axis {
+    /// The axis `lo..hi` under a line with direction component `d` (the
+    /// other axis' one) through `origin`.
+    fn new(lo: f64, hi: f64, d: f64, origin: f64) -> Axis {
+        Axis {
+            lo,
+            hi,
+            term_lo: d * (lo - origin),
+            term_hi: d * (hi - origin),
+        }
+    }
+
+    /// The lower and upper half, split where [`quadrant_rect`] splits.
+    fn halves(self, d: f64, origin: f64) -> [Axis; 2] {
+        let mid = (self.lo + self.hi) * 0.5;
+        let term_mid = d * (mid - origin);
+        [
+            Axis {
+                hi: mid,
+                term_hi: term_mid,
+                ..self
+            },
+            Axis {
+                lo: mid,
+                term_lo: term_mid,
+                ..self
+            },
+        ]
+    }
+}
+
 /// Compute a cell covering of `poly` on `grid`.
 ///
 /// Returns a normalized [`CellUnion`]; empty if the polygon lies outside
-/// the grid domain.
-///
-/// The recursion keeps, per cell, only the polygon edges that touch the
-/// cell's rectangle (hierarchical clipping): classification cost shrinks
-/// with depth, so query-time coverings stay in the microsecond range —
-/// the covering is computed on the fly for every query (§3.1).
+/// the grid domain. The covering is computed on the fly for every query
+/// (§3.1), so it has to stay in the microsecond range: see the module
+/// documentation for how the descent gets there.
 pub fn cover_polygon(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellUnion {
     assert!(opts.max_level <= MAX_LEVEL);
     assert!(opts.min_level <= opts.max_level);
@@ -98,22 +178,17 @@ pub fn cover_polygon(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellU
         }
         lvl += 1;
     }
-    let mut starts: Vec<CellId> = bbox
-        .corners()
-        .iter()
-        .map(|&c| grid.leaf_for_point(c).parent_at(lvl))
-        .collect();
+    let mut starts = [CellId::ROOT; 4];
+    let mut n_starts = 0;
+    for corner in bbox.corners() {
+        let start = grid.leaf_for_point(corner).parent_at(lvl);
+        if !starts[..n_starts].contains(&start) {
+            starts[n_starts] = start;
+            n_starts += 1;
+        }
+    }
+    let starts = &mut starts[..n_starts];
     starts.sort_unstable();
-    starts.dedup();
-    let start_cursors: Vec<crate::curve::CurveCursor> = starts
-        .iter()
-        .map(|s| {
-            crate::curve::CurveCursor::at(
-                grid.curve(),
-                (1..=s.level()).map(|l| s.child_position(l)),
-            )
-        })
-        .collect();
 
     let edges: Vec<ClipEdge> = poly
         .edges()
@@ -123,118 +198,206 @@ pub fn cover_polygon(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellU
             bbox: Rect::bounding(&[a, b]),
         })
         .collect();
-    let all: Vec<u32> = (0..edges.len() as u32).collect();
-
     let mut cov = Coverer {
         poly,
-        edges,
+        edges: &edges,
         opts,
-        out: Vec::new(),
+        out: Vec::with_capacity(256),
         budget_used: 0,
-        // One reusable candidate buffer per recursion depth: siblings at
-        // depth d consume their parent's buffer (d−1) and write their own
-        // into slot d, so no per-cell allocation happens.
-        scratch: vec![Vec::new(); usize::from(MAX_LEVEL) + 2],
+        stack: (0..edges.len() as u32).collect(),
     };
-    for (start, cursor) in starts.into_iter().zip(start_cursors) {
-        let rect = grid.cell_rect(start);
-        cov.visit(start, rect, cursor, &all, 0);
+    for &start in starts.iter() {
+        let cursor = CurveCursor::at(
+            grid.curve(),
+            (1..=start.level()).map(|l| start.child_position(l)),
+        );
+        cov.visit(start, grid.cell_rect(start), cursor, 0..edges.len());
     }
-    CellUnion::from_cells_with_floor(cov.out, opts.min_level)
+    // The start cells are disjoint and in curve order, so the output is
+    // already normalized — unless the four of them are one cell's children
+    // and each came back whole.
+    if let ([first, _, _, _], true) = (&*starts, lvl > 0) {
+        cov.merge_quartet(first.parent(), 0);
+    }
+    CellUnion::from_normalized(cov.out)
 }
 
 struct Coverer<'a> {
     poly: &'a Polygon,
-    edges: Vec<ClipEdge>,
+    edges: &'a [ClipEdge],
     opts: CovererOptions,
+    /// The covering so far: disjoint cells in curve order, quartets merged.
     out: Vec<CellId>,
     /// Cells emitted or queued under the budgeted mode.
     budget_used: usize,
-    /// Per-depth candidate-edge buffers (see `cover_polygon`).
-    scratch: Vec<Vec<u32>>,
+    /// The local-edge lists of the cells on the descent path, end to end:
+    /// a cell filters its parent's list onto the end and truncates its own
+    /// away when it returns, so no cell allocates.
+    stack: Vec<u32>,
 }
 
-impl Coverer<'_> {
-    /// Recurse into the four children of `cell`, deriving each child's rect
-    /// from the parent rect via the curve cursor (no per-cell decode).
-    fn recurse_children(
-        &mut self,
-        cell: CellId,
-        rect: Rect,
-        cursor: crate::curve::CurveCursor,
-        candidates: &[u32],
-        depth: usize,
-    ) {
-        let cx = (rect.min.x + rect.max.x) * 0.5;
-        let cy = (rect.min.y + rect.max.y) * 0.5;
-        for k in 0..4u8 {
-            let (dx, dy) = cursor.child_quadrant(k);
-            let child_rect = Rect::from_bounds(
-                if dx == 0 { rect.min.x } else { cx },
-                if dy == 0 { rect.min.y } else { cy },
-                if dx == 0 { cx } else { rect.max.x },
-                if dy == 0 { cy } else { rect.max.y },
-            );
-            self.visit(
-                cell.child(k),
-                child_rect,
-                cursor.child(k),
-                candidates,
-                depth + 1,
-            );
-        }
-    }
+/// The rectangle of `rect`'s quadrant `(qx, qy)` (each 0 or 1), with the
+/// parent's own bounds reused so siblings share their borders bit for bit.
+#[inline]
+fn quadrant_rect(rect: &Rect, cx: f64, cy: f64, (qx, qy): (u8, u8)) -> Rect {
+    Rect::from_bounds(
+        if qx == 0 { rect.min.x } else { cx },
+        if qy == 0 { rect.min.y } else { cy },
+        if qx == 0 { cx } else { rect.max.x },
+        if qy == 0 { cy } else { rect.max.y },
+    )
+}
 
-    fn visit(
-        &mut self,
-        cell: CellId,
-        rect: Rect,
-        cursor: crate::curve::CurveCursor,
-        candidates: &[u32],
-        depth: usize,
-    ) {
-        // Edges still relevant for this cell, filtered into this depth's
-        // scratch buffer.
-        let mut local = std::mem::take(&mut self.scratch[depth]);
-        local.clear();
-        for &ei in candidates {
+impl<'a> Coverer<'a> {
+    /// Classify `cell` against the edges `stack[candidates]` (those that
+    /// touch its parent) and descend where the outline touches it.
+    fn visit(&mut self, cell: CellId, rect: Rect, cursor: CurveCursor, candidates: Range<usize>) {
+        let base = self.stack.len();
+        for i in candidates {
+            let ei = self.stack[i];
             if edge_touches_rect(&self.edges[ei as usize], &rect) {
-                local.push(ei);
+                self.stack.push(ei);
             }
         }
+        let local = base..self.stack.len();
 
         if local.is_empty() {
             // No outline in this cell: uniformly inside or outside. The
             // center cannot lie on the outline (that would require an edge
             // inside the rect), so the fast ray cast suffices.
             if self.poly.contains_point_fast(rect.center()) {
-                if cell.level() < self.opts.min_level {
-                    self.recurse_children(cell, rect, cursor, &local, depth);
-                } else {
-                    self.out.push(cell);
-                }
+                self.emit_interior(cell);
             }
-            self.scratch[depth] = local;
-            return;
-        }
-
-        // Boundary cell.
-        if cell.level() >= self.opts.max_level {
+        } else if self.boundary_stops(cell) {
             self.out.push(cell);
-            self.scratch[depth] = local;
-            return;
+        } else {
+            let edges = self.edges;
+            let sole = &edges[self.stack[base] as usize];
+            if local.len() == 1 && !rect.contains_point(sole.a) && !rect.contains_point(sole.b) {
+                let mut line = CutLine {
+                    edge: sole,
+                    dx: sole.b.x - sole.a.x,
+                    dy: sole.b.y - sole.a.y,
+                    interior_is_positive: None,
+                };
+                let x = Axis::new(rect.min.x, rect.max.x, line.dy, sole.a.x);
+                let y = Axis::new(rect.min.y, rect.max.y, line.dx, sole.a.y);
+                self.split_by_line(cell, x, y, cursor, &mut line);
+            } else {
+                self.split(cell, rect, cursor, local);
+            }
+        }
+        self.stack.truncate(base);
+    }
+
+    /// Visit the four children of a touched `cell` in curve order, each
+    /// child's rect derived from the parent's via the curve cursor (no
+    /// per-cell decode).
+    fn split(&mut self, cell: CellId, rect: Rect, cursor: CurveCursor, local: Range<usize>) {
+        let cx = (rect.min.x + rect.max.x) * 0.5;
+        let cy = (rect.min.y + rect.max.y) * 0.5;
+        let mark = self.out.len();
+        for k in 0..4u8 {
+            let (quadrant, child_cursor) = cursor.descend(k);
+            let child_rect = quadrant_rect(&rect, cx, cy, quadrant);
+            self.visit(cell.child(k), child_rect, child_cursor, local.clone());
+        }
+        self.merge_quartet(cell, mark);
+    }
+
+    /// [`Coverer::split`] for a `cell` (spanning `x` × `y`) that `line`'s
+    /// edge, and no other, passes right through: inside `cell` the edge is
+    /// its line and the polygon a half-plane, so the line's side decides
+    /// every descendant.
+    fn split_by_line(
+        &mut self,
+        cell: CellId,
+        x: Axis,
+        y: Axis,
+        cursor: CurveCursor,
+        line: &mut CutLine<'_>,
+    ) {
+        let xs = x.halves(line.dy, line.edge.a.x);
+        let ys = y.halves(line.dx, line.edge.a.y);
+        let mark = self.out.len();
+        for k in 0..4u8 {
+            let ((qx, qy), child_cursor) = cursor.descend(k);
+            let (x, y) = (xs[usize::from(qx & 1)], ys[usize::from(qy & 1)]);
+            // The cross product at the child's four corners.
+            let c = [
+                y.term_lo - x.term_lo,
+                y.term_hi - x.term_lo,
+                y.term_lo - x.term_hi,
+                y.term_hi - x.term_hi,
+            ];
+            let child = cell.child(k);
+            let centre = || Point::new((x.lo + x.hi) * 0.5, (y.lo + y.hi) * 0.5);
+            let positive = c.iter().all(|&v| v > 0.0);
+            if positive || c.iter().all(|&v| v < 0.0) {
+                // Strictly on one side of the line: all of the child is
+                // what the subtree's first such cell was found to be.
+                let poly = self.poly;
+                let interior_is_positive = *line
+                    .interior_is_positive
+                    .get_or_insert_with(|| poly.contains_point_fast(centre()) == positive);
+                if interior_is_positive == positive {
+                    self.emit_interior(child);
+                }
+            } else if !line
+                .edge
+                .bbox
+                .intersects(&Rect::from_bounds(x.lo, y.lo, x.hi, y.hi))
+            {
+                // The line reaches the child but the segment does not — it
+                // cannot when the arithmetic is exact; ask the polygon.
+                if self.poly.contains_point_fast(centre()) {
+                    self.emit_interior(child);
+                }
+            } else if self.boundary_stops(child) {
+                self.out.push(child);
+            } else {
+                self.split_by_line(child, x, y, child_cursor, line);
+            }
+        }
+        self.merge_quartet(cell, mark);
+    }
+
+    /// Whether the descent ends at `cell`, which the outline touches: at
+    /// `max_level`, or when the budget cannot pay for four children.
+    fn boundary_stops(&mut self, cell: CellId) -> bool {
+        if cell.level() >= self.opts.max_level {
+            return true;
         }
         if let Some(budget) = self.opts.max_cells {
             if self.budget_used + 4 > budget {
-                self.out.push(cell);
-                self.scratch[depth] = local;
-                return;
+                return true;
             }
             self.budget_used += 3; // one cell replaced by up to four
         }
-        let local_owned = local;
-        self.recurse_children(cell, rect, cursor, &local_owned, depth);
-        self.scratch[depth] = local_owned;
+        false
+    }
+
+    /// Emit `cell`, which no edge touches and which lies inside the
+    /// polygon — as its `min_level` descendants if it is coarser than that.
+    fn emit_interior(&mut self, cell: CellId) {
+        if cell.level() >= self.opts.min_level {
+            self.out.push(cell);
+        } else {
+            self.out.extend(cell.children_at(self.opts.min_level));
+        }
+    }
+
+    /// Replace the output since `mark` by `cell` if it is exactly `cell`'s
+    /// four children (and they are finer than `min_level`, below which
+    /// nothing merges).
+    fn merge_quartet(&mut self, cell: CellId, mark: usize) {
+        if self.out.len() == mark + 4
+            && cell.level() >= self.opts.min_level
+            && (0..4u8).all(|k| self.out[mark + usize::from(k)] == cell.child(k))
+        {
+            self.out.truncate(mark);
+            self.out.push(cell);
+        }
     }
 }
 
@@ -275,7 +438,7 @@ pub fn covering_stats(union: &CellUnion, max_level: u8) -> CoveringStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gb_geom::Point;
+    use gb_geom::{classify_rect, RectRelation};
 
     fn grid() -> Grid {
         Grid::hilbert(Rect::from_bounds(0.0, 0.0, 1024.0, 1024.0))

@@ -139,6 +139,19 @@ impl SignedPerm {
         cy: true,
     };
 
+    /// The permutation numbered `index` (0..8), and back.
+    const fn from_index(index: u8) -> SignedPerm {
+        SignedPerm {
+            swap: index & 1 != 0,
+            cx: index & 2 != 0,
+            cy: index & 4 != 0,
+        }
+    }
+
+    const fn index(self) -> u8 {
+        self.swap as u8 | (self.cx as u8) << 1 | (self.cy as u8) << 2
+    }
+
     /// Map raw quadrant bits to curve-frame bits (inverse of
     /// [`SignedPerm::apply_inv`]; exercised by the roundtrip tests).
     #[cfg_attr(not(test), allow(dead_code))]
@@ -149,8 +162,7 @@ impl SignedPerm {
     }
 
     /// Map curve-frame bits back to raw quadrant bits.
-    #[inline]
-    fn apply_inv(self, rx: u8, ry: u8) -> (u8, u8) {
+    const fn apply_inv(self, rx: u8, ry: u8) -> (u8, u8) {
         let u = rx ^ self.cx as u8;
         let v = ry ^ self.cy as u8;
         if self.swap {
@@ -161,8 +173,7 @@ impl SignedPerm {
     }
 
     /// `self ∘ other` (apply `other` first).
-    #[inline]
-    fn compose(self, other: SignedPerm) -> SignedPerm {
+    const fn compose(self, other: SignedPerm) -> SignedPerm {
         // Derive by tracing one basis evaluation; verified by tests against
         // the bitwise Hilbert decode.
         if self.swap {
@@ -181,62 +192,89 @@ impl SignedPerm {
     }
 }
 
+/// One step down from a cursor state: the quadrant of child `k` and the
+/// state to continue with below it.
+#[derive(Clone, Copy)]
+struct Step {
+    quadrant: (u8, u8),
+    next: u8,
+}
+
+/// The cursor state of a Morton traversal (the curve has one
+/// orientation); states below it are [`SignedPerm::index`] values.
+const MORTON: u8 = 8;
+
+/// `STEPS[state][k]`, tabulated from [`SignedPerm`] at compile time so a
+/// traversal pays two table reads per child (S2 uses the same
+/// lookup-table approach).
+const STEPS: [[Step; 4]; 9] = {
+    let mut steps = [[Step {
+        quadrant: (0, 0),
+        next: MORTON,
+    }; 4]; 9];
+    let mut k = 0;
+    while k < 4 {
+        steps[MORTON as usize][k].quadrant = (k as u8 & 1, k as u8 >> 1);
+        let (rx, ry) = HILBERT_INV[k];
+        let rot = match (rx, ry) {
+            (0, 0) => SignedPerm::SWAP,
+            (1, 0) => SignedPerm::NEG_SWAP,
+            _ => SignedPerm::IDENTITY,
+        };
+        let mut state = 0;
+        while state < MORTON {
+            let perm = SignedPerm::from_index(state);
+            steps[state as usize][k] = Step {
+                quadrant: perm.apply_inv(rx, ry),
+                next: rot.compose(perm).index(),
+            };
+            state += 1;
+        }
+        k += 1;
+    }
+    steps
+};
+
 /// Incremental curve-orientation state for top-down traversals.
 ///
 /// Recursing a quadtree while calling [`CurveKind::d_to_xy`] per cell costs
 /// O(level) each; carrying a `CurveCursor` instead makes each child's
 /// quadrant an O(1) table lookup — the trick behind the region coverer's
-/// speed (S2 uses the same lookup-table approach).
+/// speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CurveCursor {
-    kind: CurveKind,
-    perm: SignedPerm,
+    state: u8,
 }
 
 impl CurveCursor {
     /// Cursor at the root cell.
     pub fn root(kind: CurveKind) -> CurveCursor {
         CurveCursor {
-            kind,
-            perm: SignedPerm::IDENTITY,
+            state: match kind {
+                CurveKind::Hilbert => SignedPerm::IDENTITY.index(),
+                CurveKind::Morton => MORTON,
+            },
         }
+    }
+
+    /// Quadrant `(dx, dy)` (each 0/1) of the child at curve index `k`, and
+    /// the cursor for that child.
+    #[inline]
+    pub fn descend(self, k: u8) -> ((u8, u8), CurveCursor) {
+        let step = STEPS[usize::from(self.state)][usize::from(k)];
+        (step.quadrant, CurveCursor { state: step.next })
     }
 
     /// Quadrant `(dx, dy)` (each 0/1) of the child at curve index `k`.
     #[inline]
     pub fn child_quadrant(self, k: u8) -> (u8, u8) {
-        debug_assert!(k < 4);
-        match self.kind {
-            CurveKind::Morton => (k & 1, (k >> 1) & 1),
-            CurveKind::Hilbert => {
-                let (rx, ry) = HILBERT_INV[k as usize];
-                self.perm.apply_inv(rx, ry)
-            }
-        }
+        self.descend(k).0
     }
 
     /// Cursor for the child at curve index `k`.
     #[inline]
     pub fn child(self, k: u8) -> CurveCursor {
-        match self.kind {
-            CurveKind::Morton => self,
-            CurveKind::Hilbert => {
-                let (rx, ry) = HILBERT_INV[k as usize];
-                let rot = if ry == 0 {
-                    if rx == 1 {
-                        SignedPerm::NEG_SWAP
-                    } else {
-                        SignedPerm::SWAP
-                    }
-                } else {
-                    SignedPerm::IDENTITY
-                };
-                CurveCursor {
-                    kind: self.kind,
-                    perm: rot.compose(self.perm),
-                }
-            }
-        }
+        self.descend(k).1
     }
 
     /// Cursor positioned at an arbitrary cell, by walking the child

@@ -19,6 +19,8 @@
 //!   possibly coarse), plus a budgeted approximate mode.
 
 pub mod cover;
+#[cfg(test)]
+mod cover_reference;
 pub mod curve;
 pub mod grid;
 pub mod id;

@@ -32,6 +32,16 @@ impl CellUnion {
         u
     }
 
+    /// Wrap cells that are already what [`CellUnion::normalize_with_floor`]
+    /// leaves: disjoint, in curve order, complete quartets merged (the
+    /// coverer emits them that way).
+    pub(crate) fn from_normalized(cells: Vec<CellId>) -> Self {
+        debug_assert!(cells
+            .windows(2)
+            .all(|w| w[0].range_max() < w[1].range_min()));
+        CellUnion { cells }
+    }
+
     /// The cells, sorted ascending by raw id.
     #[inline]
     pub fn cells(&self) -> &[CellId] {

@@ -292,7 +292,62 @@ fn func_from_code(c: u8) -> Option<AggFunc> {
     }
 }
 
-fn write_ring(w: &mut ByteWriter, ring: &[Point]) {
+/// Where a request's wire bytes go: into a buffer ([`encode_request`]) or
+/// straight into their FNV-1a hash ([`request_key`]).
+trait RequestSink {
+    fn u8(&mut self, v: u8);
+    fn len_u32(&mut self, len: usize);
+    fn f64(&mut self, v: f64);
+    fn f64_slice(&mut self, v: &[f64]);
+}
+
+impl RequestSink for ByteWriter {
+    fn u8(&mut self, v: u8) {
+        ByteWriter::u8(self, v);
+    }
+    fn len_u32(&mut self, len: usize) {
+        ByteWriter::len_u32(self, len);
+    }
+    fn f64(&mut self, v: f64) {
+        ByteWriter::f64(self, v);
+    }
+    fn f64_slice(&mut self, v: &[f64]) {
+        ByteWriter::f64_slice(self, v);
+    }
+}
+
+/// [`gb_store::fnv1a64`] of the bytes [`ByteWriter`] would have buffered.
+struct FnvSink(u64);
+
+impl FnvSink {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl RequestSink for FnvSink {
+    fn u8(&mut self, v: u8) {
+        self.bytes(&[v]);
+    }
+    fn len_u32(&mut self, len: usize) {
+        // A length beyond u32 is one the buffering encoder refuses to
+        // write: no request it produces hashes to this key.
+        self.bytes(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
+    }
+    fn f64(&mut self, v: f64) {
+        self.bytes(&v.to_bits().to_le_bytes());
+    }
+    fn f64_slice(&mut self, v: &[f64]) {
+        self.bytes(&(v.len() as u64).to_le_bytes());
+        for &x in v {
+            self.f64(x);
+        }
+    }
+}
+
+fn write_ring(w: &mut impl RequestSink, ring: &[Point]) {
     w.len_u32(ring.len());
     for p in ring {
         w.f64(p.x);
@@ -300,7 +355,7 @@ fn write_ring(w: &mut ByteWriter, ring: &[Point]) {
     }
 }
 
-fn write_polygon(w: &mut ByteWriter, polygon: &Polygon) {
+fn write_polygon(w: &mut impl RequestSink, polygon: &Polygon) {
     write_ring(w, polygon.exterior());
     w.len_u32(polygon.holes().len());
     for hole in polygon.holes() {
@@ -308,7 +363,7 @@ fn write_polygon(w: &mut ByteWriter, polygon: &Polygon) {
     }
 }
 
-fn write_spec(w: &mut ByteWriter, spec: &AggSpec) {
+fn write_spec(w: &mut impl RequestSink, spec: &AggSpec) {
     w.len_u32(spec.requests.len());
     for req in &spec.requests {
         w.u8(func_code(req.func));
@@ -316,7 +371,7 @@ fn write_spec(w: &mut ByteWriter, spec: &AggSpec) {
     }
 }
 
-fn write_batch(w: &mut ByteWriter, batch: &UpdateBatch) {
+fn write_batch(w: &mut impl RequestSink, batch: &UpdateBatch) {
     w.len_u32(batch.rows.len());
     for (loc, values) in &batch.rows {
         w.f64(loc.x);
@@ -447,7 +502,7 @@ fn check_version(r: &mut ByteReader<'_>) -> Result<(), GbError> {
 }
 
 /// Write one request's kind byte + body (recursing for batches).
-fn write_request_body(w: &mut ByteWriter, req: &QueryRequest) {
+fn write_request_body(w: &mut impl RequestSink, req: &QueryRequest) {
     match req {
         QueryRequest::Select { polygon, spec } => {
             w.u8(KIND_SELECT);
@@ -479,6 +534,15 @@ pub fn encode_request(req: &QueryRequest) -> Vec<u8> {
     w.u8(WIRE_VERSION);
     write_request_body(&mut w, req);
     w.into_inner()
+}
+
+/// `fnv1a64(&encode_request(req))` without encoding: the key the engine's
+/// hot-query table files a request under, one per query.
+pub(crate) fn request_key(req: &QueryRequest) -> u64 {
+    let mut w = FnvSink(0xcbf2_9ce4_8422_2325);
+    w.u8(WIRE_VERSION);
+    write_request_body(&mut w, req);
+    w.0
 }
 
 /// Read one request given its already-consumed kind byte. `top_level`
@@ -760,6 +824,32 @@ mod tests {
         match decode_request(&bytes).unwrap() {
             QueryRequest::Update { batch: b } => assert_eq!(b.rows, batch.rows),
             other => panic!("wrong kind: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn request_key_is_the_hash_of_the_encoded_request() {
+        let mut batch = UpdateBatch::new();
+        batch.push(Point::new(1.5, -2.5), vec![3.0, f64::NAN, -0.0]);
+        let select = QueryRequest::Select {
+            polygon: poly(),
+            spec: spec(),
+        };
+        let count = QueryRequest::Count { polygon: poly() };
+        for req in [
+            select.clone(),
+            count.clone(),
+            QueryRequest::Update { batch },
+            QueryRequest::Batch {
+                requests: vec![count, select],
+            },
+            QueryRequest::Batch { requests: vec![] },
+        ] {
+            assert_eq!(
+                request_key(&req),
+                gb_store::fnv1a64(&encode_request(&req)),
+                "{req:?}"
+            );
         }
     }
 

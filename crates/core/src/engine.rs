@@ -17,11 +17,10 @@
 //!   lock, then write-lock only to swap the pointer. The kernel is
 //!   extracted into [`crate::kernel`] so `gb_check` model-checks these
 //!   exact interleavings over bounded schedules.
-//! * **Sharded hit statistics** — the §3.6 per-cell hit counters are
-//!   split across [`N_SHARDS`] small mutex-guarded maps keyed by a hash
-//!   of the cell id, so concurrent queries rarely contend on the same
-//!   lock, and a rebuild snapshots each shard in turn without stopping
-//!   the world.
+//! * **Log-structured hit statistics** — a query appends its §3.6 hit
+//!   cells to a log with one lock acquisition and one copy; the log is
+//!   folded into per-cell counts only when a rebuild, a snapshot or a
+//!   gauge reads them (see [`crate::hits`]).
 //! * **Two epochs, two jobs** — the *data epoch* (in the state, bumped
 //!   by [`GeoBlockEngine::apply_updates`]) decides answer validity and
 //!   is what [`crate::api::QueryResponse::epoch`] reports: a cached
@@ -39,6 +38,7 @@
 use crate::aggregate::AggResult;
 use crate::api::{GbError, QueryReply, QueryRequest, QueryResponse};
 use crate::block::GeoBlock;
+use crate::hits::HitLog;
 use crate::kernel::PublishKernel;
 use crate::memo::{CoveringMemo, HotQueryTable, MemoStats};
 use crate::qc::{self, CacheMetrics, RebuildPolicy};
@@ -49,7 +49,7 @@ use crate::update::{UpdateBatch, UpdateReport};
 use gb_cell::CellUnion;
 use gb_common::sync::OrderedMutex;
 use gb_common::{Counter, FxHashMap, Pool};
-use gb_data::{AggSpec, DataError, Filter};
+use gb_data::{AggSpec, Filter};
 use gb_geom::Polygon;
 use gb_store::fnv1a64;
 use gb_trace::{Stage, TraceStats, Tracer};
@@ -57,25 +57,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Number of hit-statistic shards. A small power of two: enough to make
-/// same-lock collisions rare at typical thread counts, small enough that
-/// snapshotting all shards during a rebuild stays cheap.
-pub const N_SHARDS: usize = 16;
-
-/// Rank of each hit-statistic shard in the declared engine lock order
-/// (see `DESIGN.md` "Static analysis & invariants"): between the
-/// kernel's publisher mutex (0) and state slot (2), so a publisher may
-/// snapshot shards mid-transition. `gb_lint`'s `lock-order` rule checks
-/// the order statically; the [`OrderedMutex`] wrapper checks it on
-/// every acquisition under `debug_assertions`.
-const RANK_SHARD: u8 = 1;
-
-/// Pick the shard for a raw cell id (Fibonacci multiplicative hash — cell
-/// ids are structured bit patterns, so raw modulo would cluster).
-#[inline]
-fn shard_of(raw: u64) -> usize {
-    (raw.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize % N_SHARDS
-}
+/// Rank of the hot-query table in the declared engine lock order (see
+/// `DESIGN.md` "Static analysis & invariants"): a leaf lock between the
+/// kernel's publisher mutex (0) and state slot (2), like the hit log and
+/// the memo shards.
+const RANK_HOT_QUERIES: u8 = 1;
 
 /// Default covering-memo capacity (total across shards). Coverings are a
 /// few KB each; dashboards cycle through at most a few hundred shapes.
@@ -108,7 +94,8 @@ pub struct GeoBlockEngine {
     /// transitions (update commits and cache rebuilds), wait-free-ish
     /// snapshots for queries. Model-checked in `gb_check`.
     state: PublishKernel<EngineState>,
-    shards: Vec<OrderedMutex<FxHashMap<u64, u64>>>,
+    /// The §3.6 hit statistics: appended to by queries, folded by readers.
+    hits: HitLog,
     threshold: f64,
     policy: RebuildPolicy,
     cache_epoch: AtomicU64,
@@ -167,9 +154,7 @@ impl GeoBlockEngine {
                 trie,
                 data_epoch: 0,
             }),
-            shards: (0..N_SHARDS)
-                .map(|_| OrderedMutex::new("shard", RANK_SHARD, FxHashMap::default()))
-                .collect(),
+            hits: HitLog::new(),
             threshold,
             policy: RebuildPolicy::Manual,
             cache_epoch: AtomicU64::new(0),
@@ -180,7 +165,7 @@ impl GeoBlockEngine {
             memo: CoveringMemo::new(DEFAULT_MEMO_CAPACITY),
             hot_queries: OrderedMutex::new(
                 "hot_queries",
-                RANK_SHARD,
+                RANK_HOT_QUERIES,
                 HotQueryTable::new(HOT_TABLE_CAPACITY),
             ),
             tracer: Arc::new(Tracer::from_env()),
@@ -298,9 +283,12 @@ impl GeoBlockEngine {
     pub fn query(&self, req: &QueryRequest) -> Result<QueryReply, GbError> {
         match req {
             QueryRequest::Select { polygon, spec } => {
-                self.validate_spec(spec)?;
+                // One pin: the spec is checked against the schema of the
+                // state the query then runs on.
+                let state = self.state_snapshot();
+                qc::validate_spec(&state.block, spec)?;
                 self.record_hot(req);
-                Ok(QueryReply::Select(self.select(polygon, spec)))
+                Ok(QueryReply::Select(self.select_at(&state, polygon, spec)))
             }
             QueryRequest::Count { polygon } => {
                 self.record_hot(req);
@@ -312,11 +300,14 @@ impl GeoBlockEngine {
     }
 
     /// Track `req` in the hot-query table (the statistics behind
-    /// snapshot-warmed restarts).
+    /// snapshot-warmed restarts). The table is keyed by the FNV-1a hash of
+    /// the request's wire bytes, which is computed without encoding them:
+    /// the bytes are only materialised when the table admits a new shape.
     fn record_hot(&self, req: &QueryRequest) {
-        let bytes = crate::api::encode_request(req);
-        let key = fnv1a64(&bytes);
-        self.hot_queries.lock().record(key, &bytes, 1);
+        let key = crate::api::request_key(req);
+        self.hot_queries
+            .lock()
+            .record(key, 1, || crate::api::encode_request(req));
     }
 
     /// The hottest persisted-shape requests (encoded wire bytes, hottest
@@ -329,20 +320,6 @@ impl GeoBlockEngine {
             .into_iter()
             .map(|(_, bytes)| bytes)
             .collect()
-    }
-
-    /// Reject specs referencing columns outside the block schema before
-    /// they reach the (panicking, index-based) accumulator hot path.
-    fn validate_spec(&self, spec: &AggSpec) -> Result<(), GbError> {
-        let n_cols = self.block_snapshot().schema().len();
-        if let Some(max) = spec.max_column() {
-            if max >= n_cols {
-                return Err(GbError::Data(DataError::UnknownColumn {
-                    column: format!("#{max} (schema has {n_cols} columns)"),
-                }));
-            }
-        }
-        Ok(())
     }
 
     /// The covering of `polygon` over `block`, served from the covering
@@ -383,12 +360,21 @@ impl GeoBlockEngine {
     /// number of threads concurrently (including during rebuilds and
     /// update commits — the query runs entirely on its pinned epoch).
     pub fn select(&self, polygon: &Polygon, spec: &AggSpec) -> QueryResponse<AggResult> {
-        let _req = self.tracer.begin_request("select");
         // Pin this query to the current epoch's (block, trie) pair; the
         // read lock is released before any work happens.
-        let state = self.state_snapshot();
+        self.select_at(&self.state_snapshot(), polygon, spec)
+    }
+
+    /// [`GeoBlockEngine::select`] on an already pinned state.
+    fn select_at(
+        &self,
+        state: &EngineState,
+        polygon: &Polygon,
+        spec: &AggSpec,
+    ) -> QueryResponse<AggResult> {
+        let _req = self.tracer.begin_request("select");
         let covering = self.covering_for(&state.block, polygon);
-        let response = self.select_on(&state, &covering, spec);
+        let response = self.select_on(state, &covering, spec);
         self.tracer.note_stats(trace_stats(&response.stats));
         self.tracer.note_epoch(state.data_epoch);
         self.after_selects(1);
@@ -408,8 +394,8 @@ impl GeoBlockEngine {
         // The accumulator is a pure observer: when the thread is not
         // sampled it is disarmed and `select_adapted` runs untouched.
         let mut acc = self.tracer.stage_acc();
-        // The query's hit statistics are gathered lock-free and flushed
-        // once it has its answer.
+        // The query's hit cells are gathered lock-free and appended to
+        // the hit log once it has its answer.
         let mut hits = Vec::with_capacity(covering.len());
         let (result, stats) = qc::select_adapted(
             &state.block,
@@ -420,44 +406,12 @@ impl GeoBlockEngine {
             &mut metrics,
             &mut acc,
         );
-        self.record_hits(&hits);
+        self.hits.append(&hits);
         self.tracer.absorb(acc);
         self.probes.add(metrics.probes);
         self.direct_hits.add(metrics.direct_hits);
         self.child_hits.add(metrics.child_hits);
         QueryResponse::new(result, stats, state.data_epoch)
-    }
-
-    /// Count one hit per cell of `hits` (one query's covering cells) in
-    /// the sharded statistics, locking each touched shard once: a
-    /// counting sort groups the cells by shard first, so a query costs at
-    /// most [`N_SHARDS`] acquisitions however many cells it covers.
-    fn record_hits(&self, hits: &[u64]) {
-        // Shard `s` owns `grouped[starts[s]..starts[s + 1]]`.
-        let mut starts = [0usize; N_SHARDS + 1];
-        for &raw in hits {
-            starts[shard_of(raw) + 1] += 1;
-        }
-        for s in 0..N_SHARDS {
-            starts[s + 1] += starts[s];
-        }
-        let mut next = starts;
-        let mut grouped = vec![0u64; hits.len()];
-        for &raw in hits {
-            let at = &mut next[shard_of(raw)];
-            grouped[*at] = raw;
-            *at += 1;
-        }
-        for (s, shard) in self.shards.iter().enumerate() {
-            let cells = &grouped[starts[s]..starts[s + 1]];
-            if cells.is_empty() {
-                continue;
-            }
-            let mut shard = shard.lock();
-            for &raw in cells {
-                *shard.entry(raw).or_insert(0) += 1;
-            }
-        }
     }
 
     /// Advance the query counter by `n_selects` and run the `EveryN`
@@ -496,12 +450,12 @@ impl GeoBlockEngine {
         threads: usize,
     ) -> Result<QueryReply, GbError> {
         let _req = self.tracer.begin_request("batch");
+        let state = self.state_snapshot();
         // Validate everything up front: a batch fails whole, with the
         // offending item named, before any work happens.
         for (i, req) in requests.iter().enumerate() {
             match req {
-                QueryRequest::Select { spec, .. } => self
-                    .validate_spec(spec)
+                QueryRequest::Select { spec, .. } => qc::validate_spec(&state.block, spec)
                     .map_err(|e| GbError::bad_request(format!("batch item {i}: {e}")))?,
                 QueryRequest::Count { .. } => {}
                 QueryRequest::Update { .. } => {
@@ -518,7 +472,6 @@ impl GeoBlockEngine {
             self.record_hot(req);
         }
 
-        let state = self.state_snapshot();
         // One covering per distinct polygon content: group by canonical
         // vertex stream (not just the 64-bit key, so a key collision
         // cannot alias two polygons), covering through the memo.
@@ -653,7 +606,7 @@ impl GeoBlockEngine {
         // One pinned state: block and trie are guaranteed consistent
         // even while updates commit concurrently.
         let state = self.state_snapshot();
-        let hits = self.snapshot_hits();
+        let hits = self.hits.counts();
         let hot = self.hot_queries.lock().top(HOT_PERSIST_K);
         crate::snapshot::SnapshotRef {
             block: &state.block,
@@ -693,10 +646,7 @@ impl GeoBlockEngine {
             });
         }
         if let Some(hits) = snap.hits {
-            for (k, v) in hits {
-                let mut shard = engine.shards[shard_of(k)].lock();
-                *shard.entry(k).or_insert(0) += v;
-            }
+            engine.hits.absorb(&hits);
         }
         if let Some(hot) = snap.hot_queries {
             engine.warm_from_hot_queries(&hot);
@@ -717,7 +667,7 @@ impl GeoBlockEngine {
             };
             {
                 let mut table = self.hot_queries.lock();
-                table.record(fnv1a64(bytes), bytes, (*count).max(1));
+                table.record(fnv1a64(bytes), (*count).max(1), || bytes.clone());
             }
             match &req {
                 QueryRequest::Select { polygon, .. } | QueryRequest::Count { polygon } => {
@@ -728,23 +678,10 @@ impl GeoBlockEngine {
         }
     }
 
-    /// Merge every shard's hit counters into one map (each shard locked
-    /// briefly in turn — queries on other shards proceed meanwhile).
-    fn snapshot_hits(&self) -> FxHashMap<u64, u64> {
-        let mut merged = FxHashMap::default();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            merged.reserve(shard.len());
-            for (&k, &v) in shard.iter() {
-                *merged.entry(k).or_insert(0) += v;
-            }
-        }
-        merged
-    }
-
-    /// Total distinct query cells tracked in the hit statistics.
+    /// Total distinct query cells tracked in the hit statistics (folds the
+    /// hit log to count them).
     pub fn tracked_cells(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.hits.counts().len()
     }
 
     /// Rebuild the cache from the current hit statistics — the epoch-style
@@ -753,12 +690,12 @@ impl GeoBlockEngine {
     /// the construction, only (at worst) on the nanosecond-scale swap.
     pub fn rebuild_cache(&self) {
         // Lock order inside the kernel transaction: the publisher mutex
-        // (0) is held across the shard (1) and state (2) acquisitions
+        // (0) is held across the hit-log (1) and state (2) acquisitions
         // below. Holding it also pins the data epoch: updates serialize
         // on the same mutex, so the state the builder sees cannot go
         // stale before the swap.
         self.state.publish(|cur| {
-            let hits = self.snapshot_hits();
+            let hits = self.hits.counts();
             let budget = (self.threshold
                 * (cur.block.num_cells() * cur.block.record_bytes()) as f64)
                 as usize;
@@ -918,7 +855,7 @@ mod tests {
     use crate::build::build;
     use crate::GeoBlockQC;
     use gb_cell::Grid;
-    use gb_data::{extract, CleaningRules, ColumnDef, Filter, RawTable, Schema};
+    use gb_data::{extract, CleaningRules, ColumnDef, DataError, Filter, RawTable, Schema};
     use gb_geom::{Point, Rect};
 
     fn base_data(n: usize) -> gb_data::BaseTable {
@@ -1135,6 +1072,10 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.http_status(), 400);
+        assert!(
+            matches!(err, GbError::Data(DataError::UnknownColumn { .. })),
+            "{err}"
+        );
 
         // Arity-mismatched update row is a 400, not a panic.
         let mut batch = UpdateBatch::new();
@@ -1194,7 +1135,7 @@ mod tests {
     #[test]
     fn engine_survives_poisoned_locks() {
         // One panicking query thread must not wedge every subsequent
-        // reader: poison every shard mutex, the rebuild guard, and the
+        // reader: poison the hit-log mutex, the rebuild guard, and the
         // state RwLock, then verify the engine still answers correctly
         // and can still rebuild its cache.
         let base = base_data(3000);
@@ -1204,12 +1145,9 @@ mod tests {
         let hot = diamond(40.0, 40.0, 12.0);
         engine.select(&hot, &s);
 
-        for i in 0..N_SHARDS {
+        {
             let e = Arc::clone(&engine);
-            let _ = gb_common::spawn_join(move || {
-                let _guard = e.shards[i].lock();
-                panic!("deliberate shard poison");
-            });
+            let _ = gb_common::spawn_join(move || e.hits.poison());
         }
         {
             let e = Arc::clone(&engine);
@@ -1225,7 +1163,7 @@ mod tests {
                 panic!("deliberate state poison");
             });
         }
-        assert!(engine.shards.iter().all(|s| s.is_poisoned()));
+        assert!(engine.hits.is_poisoned());
 
         // Queries, statistics, rebuilds, and updates all keep working.
         let a = engine.select(&hot, &s);
@@ -1293,19 +1231,31 @@ mod tests {
     }
 
     #[test]
-    fn shards_spread_cells() {
+    fn manual_policy_keeps_the_hit_log_under_its_bound() {
+        // Nobody reads the statistics under `Manual`: the log must fold
+        // itself. 10× a (shrunk) bound of hits, checked after every query.
+        const BOUND: usize = 512;
         let base = base_data(5000);
         let (block, _) = build(&base, 9, &Filter::all());
-        let engine = GeoBlockEngine::new(block, 0.5);
-        for i in 0..30 {
-            engine.select(&diamond(10.0 + 2.5 * i as f64, 55.0, 7.0), &spec());
+        let mut engine = GeoBlockEngine::new(block.clone(), 0.5);
+        engine.hits = HitLog::with_bound(BOUND);
+        let mut qc = GeoBlockQC::new(block, 0.5);
+        let (mut appended, mut i) = (0, 0);
+        while appended < 10 * BOUND {
+            let p = diamond(10.0 + 2.5 * (i % 30) as f64, 55.0, 7.0);
+            appended += engine.select(&p, &spec()).stats.query_cells;
+            qc.select(&p, &spec());
+            assert!(engine.hits.log_len() < BOUND, "query {i}");
+            i += 1;
         }
-        let non_empty = engine
-            .shards
-            .iter()
-            .filter(|s| !s.lock().is_empty())
-            .count();
-        assert!(non_empty > N_SHARDS / 2, "only {non_empty} shards used");
+        assert_eq!(engine.cache_epoch(), 0, "no rebuild ran");
+        // Nothing was lost on the way: the counts are the serial QC's.
+        engine.rebuild_cache();
+        qc.rebuild_cache();
+        assert_eq!(
+            engine.trie_snapshot().content_hash(),
+            qc.trie().content_hash()
+        );
         assert!(engine.tracked_cells() > 0);
     }
 }

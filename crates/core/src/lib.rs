@@ -57,6 +57,7 @@ pub mod block;
 pub mod build;
 pub mod engine;
 mod gallop;
+pub mod hits;
 pub mod indexed;
 pub mod kernel;
 pub mod memo;
@@ -72,6 +73,7 @@ pub use api::{GbError, QueryReply, QueryRequest, QueryResponse, ServeError};
 pub use block::GeoBlock;
 pub use build::{build, build_parallel, build_with_rows, BuildStats};
 pub use engine::GeoBlockEngine;
+pub use hits::HitCounts;
 pub use indexed::IndexedBlock;
 pub use kernel::PublishKernel;
 pub use memo::{CoveringMemo, HotQueryTable, MemoStats};

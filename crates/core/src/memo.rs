@@ -225,10 +225,11 @@ impl HotQueryTable {
         }
     }
 
-    /// Record one occurrence of the request encoded as `bytes` under
-    /// `key`, with an optional prior count (used when merging a snapshot's
-    /// persisted statistics).
-    pub fn record(&mut self, key: u64, bytes: &[u8], weight: u64) {
+    /// Record `weight` occurrences (more than one when merging a
+    /// snapshot's persisted statistics) of the request whose wire bytes
+    /// hash to `key`. `encode` produces those bytes and runs only if the
+    /// table admits the request as a new shape.
+    pub fn record(&mut self, key: u64, weight: u64, encode: impl FnOnce() -> Vec<u8>) {
         if self.capacity == 0 {
             return;
         }
@@ -262,7 +263,7 @@ impl HotQueryTable {
         self.entries.insert(
             key,
             HotQuery {
-                bytes: bytes.to_vec(),
+                bytes: encode(),
                 count: weight,
             },
         );
@@ -434,10 +435,10 @@ mod tests {
     fn hot_table_tracks_counts_and_orders_top() {
         let mut t = HotQueryTable::new(4);
         for _ in 0..5 {
-            t.record(1, b"a", 1);
+            t.record(1, 1, || b"a".to_vec());
         }
-        t.record(2, b"b", 1);
-        t.record(3, b"c", 3);
+        t.record(2, 1, || b"b".to_vec());
+        t.record(3, 3, || b"c".to_vec());
         let top = t.top(2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0], (5, b"a".to_vec()));
@@ -447,19 +448,19 @@ mod tests {
     #[test]
     fn full_hot_table_drops_weight_one_strangers_without_scanning() {
         let mut t = HotQueryTable::new(3);
-        t.record(1, b"a", 1);
-        t.record(2, b"b", 1);
-        t.record(3, b"c", 1);
-        t.record(1, b"a", 1); // counts 2, 1, 1
+        t.record(1, 1, || b"a".to_vec());
+        t.record(2, 1, || b"b".to_vec());
+        t.record(3, 1, || b"c".to_vec());
+        t.record(1, 1, || panic!("a resident shape is not encoded again")); // counts 2, 1, 1
         let before = t.top(3);
         for stranger in 10..200u64 {
-            t.record(stranger, b"s", 1);
+            t.record(stranger, 1, || panic!("a dropped shape is never encoded"));
         }
         assert_eq!(t.top(3), before, "the table is untouched");
         assert_eq!(t.scans, 0, "a weight-1 newcomer cannot win: no scan");
         // A heavier merged shape (snapshot warm-up) still evicts the
         // coldest, ties broken towards the lowest key.
-        t.record(7, b"w", 2);
+        t.record(7, 2, || b"w".to_vec());
         assert_eq!(t.scans, 1);
         let top = t.top(3);
         assert_eq!(top[0], (2, b"a".to_vec()));
@@ -467,9 +468,9 @@ mod tests {
         assert_eq!(top[2], (1, b"c".to_vec()), "key 2 went, key 3 stayed");
         // The bound follows the table up: with every count at 2 or more
         // a weight-2 newcomer is now dropped early as well.
-        t.record(3, b"c", 1);
-        t.record(8, b"x", 2);
-        t.record(9, b"y", 2);
+        t.record(3, 1, || b"c".to_vec());
+        t.record(8, 2, || b"x".to_vec());
+        t.record(9, 2, || b"y".to_vec());
         assert_eq!(
             t.scans, 2,
             "one scan refreshed the bound, the next was skipped"
@@ -481,12 +482,12 @@ mod tests {
     #[test]
     fn hot_table_eviction_needs_a_hotter_newcomer() {
         let mut t = HotQueryTable::new(2);
-        t.record(1, b"a", 5);
-        t.record(2, b"b", 4);
-        t.record(3, b"c", 1); // colder than both residents: dropped
+        t.record(1, 5, || b"a".to_vec());
+        t.record(2, 4, || b"b".to_vec());
+        t.record(3, 1, || b"c".to_vec()); // colder than both residents: dropped
         assert_eq!(t.len(), 2);
         assert!(t.top(4).iter().all(|(_, b)| b != b"c"));
-        t.record(4, b"d", 10); // hotter than the coldest: evicts key 2
+        t.record(4, 10, || b"d".to_vec()); // hotter than the coldest: evicts key 2
         let top = t.top(4);
         assert_eq!(top.len(), 2);
         assert!(top.iter().any(|(_, b)| b == b"d"));

@@ -14,6 +14,7 @@
 use crate::aggregate::{AggPlan, AggResult};
 use crate::api::{GbError, QueryReply, QueryRequest, QueryResponse};
 use crate::block::GeoBlock;
+use crate::hits::HitCounts;
 use crate::query::{Cursors, QueryStats};
 use crate::trie::{AggregateTrie, FlatHit};
 use gb_cell::CellId;
@@ -58,6 +59,20 @@ impl CacheMetrics {
     }
 }
 
+/// Reject specs referencing columns outside `block`'s schema before they
+/// reach the (panicking, index-based) accumulator hot path.
+pub(crate) fn validate_spec(block: &GeoBlock, spec: &AggSpec) -> Result<(), GbError> {
+    let n_cols = block.schema().len();
+    if let Some(max) = spec.max_column() {
+        if max >= n_cols {
+            return Err(GbError::Data(DataError::UnknownColumn {
+                column: format!("#{max} (schema has {n_cols} columns)"),
+            }));
+        }
+    }
+    Ok(())
+}
+
 /// The smallest cell enclosing every key of `block` — the natural trie
 /// root (shared by [`GeoBlockQC`] and [`crate::engine::GeoBlockEngine`]).
 pub(crate) fn root_cell_of(block: &GeoBlock) -> CellId {
@@ -78,8 +93,8 @@ pub(crate) fn root_cell_of(block: &GeoBlock) -> CellId {
 ///
 /// `record_hit` is called once per query cell that may overlap the block
 /// (§3.6 hit statistics); the single-threaded [`GeoBlockQC`] feeds a plain
-/// hash map, the concurrent engine a per-query vector it flushes into its
-/// sharded maps afterwards. Factoring the algorithm out guarantees both
+/// hash map, the concurrent engine a per-query vector it appends to its
+/// hit log afterwards. Factoring the algorithm out guarantees both
 /// paths answer queries identically.
 ///
 /// `acc` attributes per-cell time to tracing stages (`TrieLookup` for
@@ -177,16 +192,32 @@ pub(crate) fn select_adapted(
     (result.finalize(spec), stats)
 }
 
-/// Score of a query cell: own hits plus parent hits (§3.6 "the score of a
-/// cell is the sum of the cell's hits and the hits of its parent").
-fn score_of(hits: &FxHashMap<u64, u64>, cell: CellId) -> u64 {
-    let own = hits.get(&cell.raw()).copied().unwrap_or(0);
-    let parent = if cell.level() > 0 {
-        hits.get(&cell.parent().raw()).copied().unwrap_or(0)
-    } else {
-        0
-    };
-    own + parent
+/// Candidate cells of a rebuild as `(score, level, raw id)`. The score of
+/// a cell is "the sum of the cell's hits and the hits of its parent"
+/// (§3.6). `hits` is in cell order, and so are the parents of the cells of
+/// one level: each level keeps a cursor into the column and gallops it
+/// forward to the next parent, so scoring is one sequential pass.
+fn score_candidates(hits: &HitCounts) -> Vec<(u64, u8, u64)> {
+    let cells = hits.cells();
+    let mut parent_cursor = [0usize; gb_cell::MAX_LEVEL as usize + 1];
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, &raw)| {
+            let cell = CellId::from_raw(raw);
+            let level = cell.level();
+            let mut score = hits.hits_at(i);
+            if level > 0 {
+                let parent = cell.parent().raw();
+                let cursor = &mut parent_cursor[usize::from(level)];
+                *cursor = crate::gallop::lower_bound_from(cells, parent, *cursor);
+                if cells.get(*cursor) == Some(&parent) {
+                    score += hits.hits_at(*cursor);
+                }
+            }
+            (score, level, raw)
+        })
+        .collect()
 }
 
 /// Aggregate all cell aggregates inside `cell` into the scratch buffers;
@@ -223,7 +254,7 @@ pub(crate) fn aggregate_cell_range(
 /// Build a fresh AggregateTrie from hit statistics: take candidate cells
 /// in (score desc, level asc, key asc) order and insert until `budget`
 /// bytes are filled (§3.6 "Determining Relevant Aggregates").
-/// Deterministic for a given hit map, so every caller — serial QC or
+/// Deterministic for given hit counts, so every caller — serial QC or
 /// concurrent engine — rebuilds the same cache from the same statistics.
 ///
 /// The budget admits a small prefix of that order (every insertion costs
@@ -233,18 +264,12 @@ pub(crate) fn rebuild_trie(
     block: &GeoBlock,
     root_cell: CellId,
     budget: usize,
-    hits: &FxHashMap<u64, u64>,
+    hits: &HitCounts,
 ) -> AggregateTrie {
     let n_cols = block.schema().len();
     let mut trie = AggregateTrie::new(root_cell, n_cols);
 
-    let mut candidates: Vec<(u64, u8, u64)> = hits
-        .keys()
-        .map(|&raw| {
-            let cell = CellId::from_raw(raw);
-            (score_of(hits, cell), cell.level(), raw)
-        })
-        .collect();
+    let mut candidates = score_candidates(hits);
     // Score desc, then level asc (coarser first), then key asc — a total
     // order (keys are unique), so a partial sort picks the same prefix.
     let order = |a: &(u64, u8, u64), b: &(u64, u8, u64)| {
@@ -385,14 +410,7 @@ impl GeoBlockQC {
     pub fn query(&mut self, req: &QueryRequest) -> Result<QueryReply, GbError> {
         match req {
             QueryRequest::Select { polygon, spec } => {
-                let n_cols = self.block.schema().len();
-                if let Some(max) = spec.max_column() {
-                    if max >= n_cols {
-                        return Err(GbError::Data(DataError::UnknownColumn {
-                            column: format!("#{max} (schema has {n_cols} columns)"),
-                        }));
-                    }
-                }
+                validate_spec(&self.block, spec)?;
                 Ok(QueryReply::Select(self.select(polygon, spec)))
             }
             QueryRequest::Count { polygon } => Ok(QueryReply::Count(self.count(polygon))),
@@ -489,7 +507,7 @@ impl GeoBlockQC {
         crate::snapshot::SnapshotRef {
             block: &self.block,
             trie: Some(&self.trie),
-            hits: Some(&self.hits),
+            hits: Some(&HitCounts::from_map(&self.hits)),
             hot_queries: None,
         }
         .save(path)
@@ -508,7 +526,7 @@ impl GeoBlockQC {
             qc.trie = trie;
         }
         if let Some(hits) = snap.hits {
-            qc.hits = hits;
+            qc.hits = hits.iter().collect();
         }
         Ok(qc)
     }
@@ -522,7 +540,7 @@ impl GeoBlockQC {
             &self.block,
             self.trie.root_cell(),
             self.budget_bytes(),
-            &self.hits,
+            &HitCounts::from_map(&self.hits),
         );
     }
 }
@@ -673,6 +691,7 @@ mod tests {
 
     /// The rebuild as it was before the partial sort: order every
     /// candidate, insert until the first that does not fit.
+    /// Scores are looked up, not merged: own hits plus the parent's.
     fn rebuild_full_sort(
         block: &GeoBlock,
         root_cell: CellId,
@@ -681,14 +700,17 @@ mod tests {
     ) -> AggregateTrie {
         let n_cols = block.schema().len();
         let mut trie = AggregateTrie::new(root_cell, n_cols);
+        let of = |cell: CellId| hits.get(&cell.raw()).copied().unwrap_or(0);
         let mut candidates: Vec<(u64, u8, u64)> = hits
             .keys()
             .map(|&raw| {
-                (
-                    score_of(hits, CellId::from_raw(raw)),
-                    CellId::from_raw(raw).level(),
-                    raw,
-                )
+                let cell = CellId::from_raw(raw);
+                let parent = if cell.level() > 0 {
+                    of(cell.parent())
+                } else {
+                    0
+                };
+                (of(cell) + parent, cell.level(), raw)
             })
             .collect();
         candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
@@ -735,7 +757,7 @@ mod tests {
         let record = AggregateTrie::new(whole, 1).record_bytes();
         for (root, hits) in [(whole, &hits), (quadrant, &hits), (quadrant, &skewed)] {
             for budget in [0, 8 + record, 10 * record, 200 * record, usize::MAX / 2] {
-                let fast = rebuild_trie(&block, root, budget, hits);
+                let fast = rebuild_trie(&block, root, budget, &HitCounts::from_map(hits));
                 let full = rebuild_full_sort(&block, root, budget, hits);
                 assert_eq!(
                     fast.content_hash(),

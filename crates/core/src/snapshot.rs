@@ -52,9 +52,9 @@
 //! surface as [`SnapshotError`].
 
 use crate::block::GeoBlock;
+use crate::hits::HitCounts;
 use crate::trie::AggregateTrie;
 use gb_cell::{CellId, CurveKind, Grid};
-use gb_common::FxHashMap;
 use gb_data::{ColumnDef, ColumnType, Schema};
 use gb_geom::Rect;
 use gb_store::{ByteReader, ByteWriter, SectionTag, SnapshotReader, SnapshotWriter};
@@ -97,7 +97,7 @@ const MAX_HOT_QUERIES: usize = 4096;
 fn state_hash(
     block: &GeoBlock,
     trie: Option<&AggregateTrie>,
-    hits: Option<&FxHashMap<u64, u64>>,
+    hits: Option<&HitCounts>,
     hot_queries: Option<&[(u64, Vec<u8>)]>,
     v2_pyramid: bool,
 ) -> u64 {
@@ -125,10 +125,12 @@ fn state_hash(
         None => false.hash(&mut h),
         Some(hits) => {
             true.hash(&mut h);
-            // Map order is nondeterministic: hash sorted pairs.
-            let mut pairs: Vec<(u64, u64)> = hits.iter().map(|(&k, &v)| (k, v)).collect();
-            pairs.sort_unstable();
-            pairs.hash(&mut h);
+            // What `Vec<(u64, u64)>` of the pairs in cell order hashes to:
+            // the digest older writers stored.
+            hits.len().hash(&mut h);
+            for pair in hits.iter() {
+                pair.hash(&mut h);
+            }
         }
     }
     if v2_pyramid {
@@ -151,7 +153,7 @@ pub struct Snapshot {
     pub trie: Option<AggregateTrie>,
     /// The §3.6 hit statistics at save time; restoring them preserves
     /// everything the cache sizing has learned.
-    pub hits: Option<FxHashMap<u64, u64>>,
+    pub hits: Option<HitCounts>,
     /// The hottest query shapes at save time (`(count, encoded request)`,
     /// hottest first); restoring them lets the engine warm its covering
     /// memo — and the serve layer its result cache — before the first
@@ -193,7 +195,7 @@ impl Snapshot {
 pub struct SnapshotRef<'a> {
     pub block: &'a GeoBlock,
     pub trie: Option<&'a AggregateTrie>,
-    pub hits: Option<&'a FxHashMap<u64, u64>>,
+    pub hits: Option<&'a HitCounts>,
     pub hot_queries: Option<&'a [(u64, Vec<u8>)]>,
 }
 
@@ -263,13 +265,11 @@ impl SnapshotRef<'_> {
         }
 
         if let Some(hits) = self.hits {
-            // Sorted for deterministic bytes: the same state always
-            // serializes identically, regardless of hash-map order.
-            let mut pairs: Vec<(u64, u64)> = hits.iter().map(|(&k, &v)| (k, v)).collect();
-            pairs.sort_unstable();
-            let mut w = ByteWriter::new();
-            w.u64_slice(&pairs.iter().map(|p| p.0).collect::<Vec<_>>());
-            w.u64_slice(&pairs.iter().map(|p| p.1).collect::<Vec<_>>());
+            // The column is in cell order: the same state always
+            // serializes identically.
+            let mut w = ByteWriter::with_capacity(16 * (hits.len() + 1));
+            w.u64_slice(hits.cells());
+            w.u64_slice(hits.values().as_slice());
             out.section(TAG_HITS, w.into_inner());
         }
 
@@ -451,20 +451,14 @@ impl Snapshot {
                         "hit-statistic key/count arrays disagree in length",
                     ));
                 }
-                let mut map = FxHashMap::default();
-                for (&k, &v) in keys.iter().zip(&counts) {
-                    if CellId::try_from_raw(k).is_none() {
-                        return Err(SnapshotError::corrupt(format!(
-                            "malformed hit-statistic cell id {k:#x}"
-                        )));
-                    }
-                    if map.insert(k, v).is_some() {
-                        return Err(SnapshotError::corrupt(format!(
-                            "duplicate hit-statistic cell id {k:#x}"
-                        )));
-                    }
+                if let Some(k) = keys.iter().find(|&&k| CellId::try_from_raw(k).is_none()) {
+                    return Err(SnapshotError::corrupt(format!(
+                        "malformed hit-statistic cell id {k:#x}"
+                    )));
                 }
-                Some(map)
+                Some(HitCounts::from_columns(keys, counts).map_err(|k| {
+                    SnapshotError::corrupt(format!("duplicate hit-statistic cell id {k:#x}"))
+                })?)
             }
         };
 

@@ -9,6 +9,8 @@
 //!    tries, for hits and misses alike.
 //! 3. Batched execution is bit-identical to per-request execution — on
 //!    one thread and many — across an update epoch bump.
+//! 4. The engine's hit log, folded, counts what `GeoBlockQC`'s plain hash
+//!    map counts, across cache rebuilds, snapshots and restarts.
 
 use gb_cell::{CellId, Grid};
 use gb_data::{
@@ -17,7 +19,7 @@ use gb_data::{
 use gb_geom::{convex_hull, Point, Polygon, Rect};
 use geoblocks::api::{self, QueryReply, QueryRequest};
 use geoblocks::trie::{AggregateTrie, FlatHit};
-use geoblocks::{build, GeoBlockEngine, UpdateBatch};
+use geoblocks::{build, GeoBlockEngine, GeoBlockQC, Snapshot, UpdateBatch};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -291,5 +293,78 @@ proptest! {
         engine.apply_updates(&batch).expect("update");
         prop_assert_eq!(engine.data_epoch(), epoch0 + 1);
         check_epoch(&engine, epoch0 + 1)?;
+    }
+
+    /// Log + fold ≡ a hash-map counter: the same queries, rebuilds,
+    /// snapshots and restarts on the engine and on the single-threaded QC
+    /// leave the same `HITS` section and rebuild the same trie.
+    #[test]
+    fn hit_log_counts_what_a_hash_map_counts(
+        points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..300),
+        rings in prop::collection::vec(prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 3..8), 2..6),
+        ops in prop::collection::vec((0u8..10, 0usize..64), 5..60),
+        level in 4u8..10,
+    ) {
+        let polys: Vec<Polygon> = rings.iter().map(|r| make_raw_polygon(r)).collect();
+        let base = make_base(&points);
+        let (block, _) = build(&base, level, &Filter::all());
+        let mut engine = GeoBlockEngine::new(block.clone(), 0.3);
+        let mut qc = GeoBlockQC::new(block, 0.3);
+        let s = spec();
+
+        let dir = std::env::temp_dir().join(format!(
+            "gb_hit_log_{}_{:x}",
+            std::process::id(),
+            points.len() * 1_000_003 + ops.len() * 131 + rings.len()
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let (engine_file, qc_file) = (dir.join("engine.gbsnap"), dir.join("qc.gbsnap"));
+        // Save both front-ends and compare what the files hold.
+        let save_both = |engine: &GeoBlockEngine, qc: &GeoBlockQC| -> Result<(), TestCaseError> {
+            engine.write_snapshot(&engine_file).expect("engine save");
+            qc.write_snapshot(&qc_file).expect("qc save");
+            let (e, q) = (
+                Snapshot::load(&engine_file).expect("engine load"),
+                Snapshot::load(&qc_file).expect("qc load"),
+            );
+            prop_assert_eq!(&e.hits, &q.hits, "HITS sections differ");
+            prop_assert_eq!(
+                e.trie.map(|t| t.content_hash()),
+                q.trie.map(|t| t.content_hash())
+            );
+            Ok(())
+        };
+
+        for &(op, i) in &ops {
+            match op {
+                7 => {
+                    engine.rebuild_cache();
+                    qc.rebuild_cache();
+                    prop_assert_eq!(
+                        engine.trie_snapshot().content_hash(),
+                        qc.trie().content_hash(),
+                        "rebuilt tries differ"
+                    );
+                }
+                8 => save_both(&engine, &qc)?,
+                9 => {
+                    // Restart both from their own files.
+                    save_both(&engine, &qc)?;
+                    engine = GeoBlockEngine::from_snapshot(&engine_file, 0.3).expect("restart");
+                    qc = GeoBlockQC::from_snapshot(&qc_file, 0.3).expect("restart");
+                }
+                _ => {
+                    let p = &polys[i % polys.len()];
+                    let got = engine.select(p, &s).result;
+                    let want = qc.select(p, &s).result;
+                    prop_assert!(got.approx_eq(&want, 0.0));
+                }
+            }
+        }
+        save_both(&engine, &qc)?;
+        engine.rebuild_cache();
+        qc.rebuild_cache();
+        prop_assert_eq!(engine.trie_snapshot().content_hash(), qc.trie().content_hash());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -50,6 +50,10 @@ impl Config {
                 // Runs under the result-cache and memo-shard locks on
                 // the request path.
                 "crates/common/src/fifo_map.rs",
+                // Every query runs the coverer, on a polygon from the
+                // network, and appends to the hit log.
+                "crates/cell/src/cover.rs",
+                "crates/core/src/hits.rs",
             ]),
             float_blessed: s(&["crates/core/src/pyramid.rs", "crates/core/src/aggregate.rs"]),
             // `gb_check` wraps every model thread in a real OS thread it
@@ -57,20 +61,18 @@ impl Config {
             spawn_blessed: s(&["crates/common/src/pool.rs", "crates/check/src/"]),
             cast_checked: s(&["crates/store/src/lib.rs", "crates/core/src/snapshot.rs"]),
             relaxed_blessed: s(&["crates/common/src/stats.rs"]),
-            // The workspace lock order: publisher guards first, then
-            // hit-statistic shards and their rank-1 peers (the covering
-            // -memo shards and the hot-query table — leaf caches that
-            // never nest), then the state pointer (block + trie + data
-            // epoch), then the pool queue, then the serve-layer leaf
-            // locks (result-cache entries, quota buckets). `shard` is
-            // the conventional loop-variable name for one element of
-            // `shards`. The same table is enforced at runtime by
-            // `gb_common::sync` and at model time by `gb_check`.
+            // The workspace lock order: publisher guards first, then the
+            // hit log and its rank-1 peers (the covering-memo shards and
+            // the hot-query table — leaf locks that never nest), then
+            // the state pointer (block + trie + data epoch), then the
+            // pool queue, then the serve-layer leaf locks (result-cache
+            // entries, quota buckets). The same table is enforced at
+            // runtime by `gb_common::sync` and at model time by
+            // `gb_check`.
             lock_ranks: vec![
                 ("rebuild_guard".to_string(), 0),
                 ("publish_guard".to_string(), 0),
-                ("shards".to_string(), 1),
-                ("shard".to_string(), 1),
+                ("hit_log".to_string(), 1),
                 ("memo".to_string(), 1),
                 ("hot_queries".to_string(), 1),
                 ("state".to_string(), 2),
@@ -134,6 +136,8 @@ mod tests {
         assert!(cfg.is_panic_free("crates/core/src/snapshot.rs"));
         assert!(cfg.is_panic_free("crates/trace/src/lib.rs"));
         assert!(cfg.is_panic_free("crates/common/src/fifo_map.rs"));
+        assert!(cfg.is_panic_free("crates/cell/src/cover.rs"));
+        assert!(cfg.is_panic_free("crates/core/src/hits.rs"));
         assert!(!cfg.is_panic_free("crates/common/src/pool.rs"));
         assert!(!cfg.is_panic_free("crates/core/src/block.rs"));
         assert!(cfg.is_float_blessed("crates/core/src/pyramid.rs"));
@@ -144,19 +148,18 @@ mod tests {
     #[test]
     fn lock_ranks_are_ordered() {
         let cfg = Config::workspace();
-        assert!(cfg.lock_rank("rebuild_guard") < cfg.lock_rank("shards"));
-        assert!(cfg.lock_rank("shards") < cfg.lock_rank("state"));
+        assert!(cfg.lock_rank("rebuild_guard") < cfg.lock_rank("hit_log"));
+        assert!(cfg.lock_rank("hit_log") < cfg.lock_rank("state"));
         assert!(cfg.lock_rank("state") < cfg.lock_rank("queue"));
         assert!(cfg.lock_rank("queue") < cfg.lock_rank("entries"));
-        assert_eq!(cfg.lock_rank("shard"), cfg.lock_rank("shards"));
         assert_eq!(
             cfg.lock_rank("publish_guard"),
             cfg.lock_rank("rebuild_guard")
         );
         assert_eq!(cfg.lock_rank("entries"), cfg.lock_rank("buckets"));
         assert_eq!(cfg.lock_rank("traces"), cfg.lock_rank("entries"));
-        assert_eq!(cfg.lock_rank("memo"), cfg.lock_rank("shards"));
-        assert_eq!(cfg.lock_rank("hot_queries"), cfg.lock_rank("shards"));
+        assert_eq!(cfg.lock_rank("memo"), cfg.lock_rank("hit_log"));
+        assert_eq!(cfg.lock_rank("hot_queries"), cfg.lock_rank("hit_log"));
         assert!(cfg.lock_rank("memo") < cfg.lock_rank("state"));
         assert_eq!(cfg.lock_rank("trie"), None);
     }

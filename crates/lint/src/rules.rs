@@ -53,7 +53,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "lock-order",
         description: "nested engine lock acquisitions must follow the declared order \
-                      (rebuild_guard < shards < trie); test code exempt (covered by the \
+                      (rebuild_guard < hit_log < state); test code exempt (covered by the \
                       runtime checker)",
         check: lock_order,
     },
@@ -317,7 +317,7 @@ fn lock_order(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
                                 format!(
                                     "lock `{name}` (rank {rank}) acquired while holding \
                                      `{held_name}` (rank {held_rank}); declared order is \
-                                     rebuild_guard/publish_guard < shards/memo/hot_queries < state \
+                                     rebuild_guard/publish_guard < hit_log/memo/hot_queries < state \
                                      < queue < entries/buckets"
                                 ),
                             ));
@@ -335,7 +335,7 @@ fn lock_order(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
 
 /// Walk left from the `.` of `.lock()` at `at`, skipping balanced
 /// `[..]`/`(..)` groups, and return the receiver's final identifier
-/// (`self.shards[i].lock()` → `shards`).
+/// (`self.memo[i].lock()` → `memo`).
 fn receiver_name(masked: &str, at: usize) -> Option<String> {
     let chars: Vec<char> = masked[..at].chars().collect();
     let mut i = chars.len();
@@ -571,12 +571,12 @@ mod tests {
     fn lock_order_flags_inversion() {
         let src = "fn bad(&self) {\n\
                      let t = self.state.write();\n\
-                     let s = self.shards[i].lock();\n\
+                     let s = self.memo[i].lock();\n\
                    }";
         let f = rules_on("crates/core/src/engine.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "lock-order");
-        assert!(f[0].message.contains("`shards`"));
+        assert!(f[0].message.contains("`memo`"));
         assert!(f[0].message.contains("`state`"));
     }
 
@@ -584,7 +584,7 @@ mod tests {
     fn lock_order_accepts_declared_order() {
         let src = "fn good(&self) {\n\
                      let g = self.rebuild_guard.lock();\n\
-                     let s = self.shards[i].lock();\n\
+                     let s = self.memo[i].lock();\n\
                      let t = self.state.read();\n\
                    }";
         assert!(rules_on("crates/core/src/engine.rs", src).is_empty());
@@ -595,7 +595,7 @@ mod tests {
         // A temporary dropped at end of statement does not pin an order.
         let src = "fn ok(&self) {\n\
                      *self.trie.write() = x;\n\
-                     let s = self.shards[i].lock();\n\
+                     let s = self.memo[i].lock();\n\
                    }";
         assert!(rules_on("crates/core/src/engine.rs", src).is_empty());
     }
@@ -606,7 +606,7 @@ mod tests {
         // a temporary dropped at the end of the statement.
         let src = "fn ok(&self) {\n\
                      let root = self.trie.read().root_cell();\n\
-                     let s = self.shards[i].lock();\n\
+                     let s = self.memo[i].lock();\n\
                    }";
         assert!(rules_on("crates/core/src/engine.rs", src).is_empty());
     }
@@ -615,7 +615,7 @@ mod tests {
     fn lock_order_release_at_block_close() {
         let src = "fn ok(&self) {\n\
                      { let t = self.trie.write(); }\n\
-                     let s = self.shards[i].lock();\n\
+                     let s = self.memo[i].lock();\n\
                    }";
         assert!(rules_on("crates/core/src/engine.rs", src).is_empty());
     }
@@ -623,8 +623,8 @@ mod tests {
     #[test]
     fn lock_order_equal_rank_reentry_flagged() {
         let src = "fn bad(&self) {\n\
-                     let a = self.shards[i].lock();\n\
-                     let b = self.shards[j].lock();\n\
+                     let a = self.memo[i].lock();\n\
+                     let b = self.memo[j].lock();\n\
                    }";
         let f = rules_on("crates/core/src/engine.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
