@@ -2,10 +2,15 @@
 //! perf gate, equally usable locally:
 //!
 //! ```text
-//! bench_diff <baseline.json> <current.json> [--tolerance F]
+//! bench_diff <baseline.json> <current.json> [--tolerance F] [--ratio NUM DEN MAX]...
 //!
 //!   --tolerance F   fail when current median > F × baseline median
 //!                   (default: $BENCH_TOLERANCE, else 2.0)
+//!   --ratio NUM DEN MAX
+//!                   fail when, within <current.json>, median(NUM) >
+//!                   MAX × median(DEN): a gate between two arms of one
+//!                   run, which needs no baseline row and holds on any
+//!                   host. A missing arm is an error (exit 2).
 //! ```
 //!
 //! Exit codes: 0 = no regressions, 1 = at least one benchmark regressed,
@@ -13,11 +18,13 @@
 //! but never fail the gate (benches come and go across PRs; hard-failing
 //! on renames would make the gate brittle instead of protective).
 
-use gb_bench::json::{diff_records, read_jsonl, render_diff};
+use gb_bench::json::{arm_ratio, diff_records, read_jsonl, render_diff};
 use std::path::Path;
 
 fn usage() -> ! {
-    eprintln!("usage: bench_diff <baseline.json> <current.json> [--tolerance F]");
+    eprintln!(
+        "usage: bench_diff <baseline.json> <current.json> [--tolerance F] [--ratio NUM DEN MAX]..."
+    );
     std::process::exit(2);
 }
 
@@ -25,6 +32,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&str> = Vec::new();
     let mut tolerance: Option<f64> = None;
+    let mut ratios: Vec<(&str, &str, f64)> = Vec::new();
 
     let mut i = 0;
     while i < args.len() {
@@ -36,6 +44,17 @@ fn main() {
                         .and_then(|s| s.parse().ok())
                         .unwrap_or_else(|| usage()),
                 );
+            }
+            "--ratio" => {
+                let (Some(num), Some(den), Some(max)) = (
+                    args.get(i + 1),
+                    args.get(i + 2),
+                    args.get(i + 3).and_then(|s| s.parse().ok()),
+                ) else {
+                    usage();
+                };
+                ratios.push((num, den, max));
+                i += 3;
             }
             p => paths.push(p),
         }
@@ -92,6 +111,17 @@ fn main() {
     );
     print!("{}", render_diff(&diff, tolerance));
 
+    let mut over = false;
+    for (num, den, max) in ratios {
+        let Some(ratio) = arm_ratio(&current, num, den) else {
+            eprintln!("bench_diff: --ratio needs both {num} and {den} in {current_path}");
+            std::process::exit(2);
+        };
+        let status = if ratio > max { "FAIL" } else { "OK" };
+        println!("# {status}: ratio {num} / {den} = {ratio:.2} (max {max})");
+        over |= ratio > max;
+    }
+
     let regressed: Vec<_> = diff.regressions().collect();
     if regressed.is_empty() {
         println!("# OK: no benchmark regressed beyond {tolerance}x");
@@ -103,6 +133,8 @@ fn main() {
         for r in &regressed {
             println!("#   {} — {:.2}x slower", r.id, r.ratio);
         }
+    }
+    if over || !regressed.is_empty() {
         std::process::exit(1);
     }
 }

@@ -1328,7 +1328,7 @@ pub fn serve_bench(ctx: &Ctx, clients: usize) -> Result<(Report, Vec<BenchRecord
         .ok_or_else(|| "serve-bench: missing p99 metric".to_string())?;
     let hit_rate = serve_metrics::scrape(&text, "gb_result_cache_hit_rate")
         .ok_or_else(|| "serve-bench: missing hit-rate metric".to_string())?;
-    running.stop();
+    running.stop().map_err(|e| format!("serve-bench: {e}"))?;
     if hit_rate <= 0.0 {
         return Err(format!(
             "serve-bench: repeated polygons produced no cache hits (hit rate {hit_rate})"

@@ -218,6 +218,15 @@ pub fn diff_records(
     out
 }
 
+/// `median(numerator) / median(denominator)` between two arms of one
+/// run, `None` if either id is absent. A ratio of arms measured side by
+/// side holds on any host, unlike absolute nanoseconds against a
+/// checked-in baseline.
+pub fn arm_ratio(records: &[BenchRecord], numerator: &str, denominator: &str) -> Option<f64> {
+    let median = |id: &str| records.iter().find(|r| r.id == id).map(|r| r.median_ns);
+    Some(median(numerator)? / median(denominator)?.max(f64::MIN_POSITIVE))
+}
+
 /// Render a diff as an aligned text table (used by `bench_diff` and handy
 /// in CI logs).
 pub fn render_diff(diff: &BenchDiff, tolerance: f64) -> String {
@@ -346,6 +355,16 @@ mod tests {
         let table = render_diff(&d, 2.0);
         assert!(table.contains("REGRESSED"));
         assert!(table.contains("missing-in-current"));
+    }
+
+    #[test]
+    fn arm_ratio_compares_medians_of_one_run() {
+        let run = vec![
+            BenchRecord::new("f/raw", 9.0, 5.0, 1),
+            BenchRecord::new("f/served", 9.0, 8.0, 1),
+        ];
+        assert_eq!(arm_ratio(&run, "f/served", "f/raw"), Some(1.6));
+        assert_eq!(arm_ratio(&run, "f/served", "f/absent"), None);
     }
 
     #[test]

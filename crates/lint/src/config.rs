@@ -79,6 +79,9 @@ impl Config {
                 ("queue".to_string(), 3),
                 ("entries".to_string(), 4),
                 ("buckets".to_string(), 4),
+                // gb_serve's per-worker handle on the stream being
+                // served: one store, or one `shutdown(2)` on stop.
+                ("serving".to_string(), 4),
                 // Flight-recorder rings (gb_trace): leaf locks, never
                 // held across any other acquisition.
                 ("traces".to_string(), 4),

@@ -1,13 +1,13 @@
 //! A std-only HTTP client for the GeoBlocks endpoints, blocking I/O.
-//! Two modes: the one-shot helpers ([`request`]/[`get`]/[`post_query`])
-//! open one TCP connection per request (`Connection: close`), and
-//! [`Connection`] keeps one TCP connection open across many requests
-//! (`Connection: keep-alive`) — the mode the load generator uses, since
-//! per-request TCP setup otherwise dominates sub-100µs queries. Used by
-//! the load generator, the CI smoke, and the e2e tests — it is not a
-//! general HTTP client.
+//! Two modes over one [`Connection`] type: the one-shot helpers
+//! ([`request`]/[`get`]/[`post_query`]) open one per request
+//! (`Connection: close`), and [`Connection::connect`] keeps one open
+//! across many (`Connection: keep-alive`) — the mode the load generator
+//! uses, since per-request TCP setup otherwise dominates sub-100µs
+//! queries. Used by the load generator, the CI smoke, and the e2e tests —
+//! it is not a general HTTP client.
 
-use crate::http::HttpError;
+use crate::http::{self, HttpError};
 use geoblocks::api::{self, QueryReply, QueryRequest};
 use geoblocks::GbError;
 use std::io::{Read, Write};
@@ -21,7 +21,10 @@ pub struct ClientResponse {
     pub body: Vec<u8>,
 }
 
-/// Issue one request and read the full response.
+/// Issue one request on a connection of its own (`connection: close`).
+/// As on a [`Connection`], the reply is framed by its `content-length`
+/// (required; any size) under a head of at most [`http::MAX_HEAD_BYTES`]:
+/// the call returns once that body is in, not when the server hangs up.
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -29,33 +32,7 @@ pub fn request(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> Result<ClientResponse, HttpError> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
-        .map_err(|e| HttpError::Io(format!("connect {addr}: {e}")))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n",
-        body.len()
-    );
-    for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-
-    let mut raw = Vec::with_capacity(1024);
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    parse_response(&raw)
+    Connection::open(addr, addr.to_string(), "close")?.request(method, path, headers, body)
 }
 
 /// `GET path` with no body or extra headers.
@@ -72,44 +49,59 @@ pub fn post_query(
     tenant: Option<&str>,
     req: &QueryRequest,
 ) -> Result<QueryReply, GbError> {
-    let body = api::encode_request(req);
-    let headers: Vec<(&str, &str)> = match tenant {
-        Some(t) => vec![("x-gb-tenant", t)],
-        None => Vec::new(),
-    };
-    let resp = request(addr, "POST", path, &headers, &body)
-        .map_err(|e| GbError::Serve(geoblocks::ServeError::Internal(e.to_string())))?;
-    api::decode_reply(&resp.body)
+    let mut conn = Connection::open(addr, addr.to_string(), "close").map_err(transport_error)?;
+    conn.post_query(path, tenant, req)
+}
+
+/// A transport failure as the typed error the query helpers return.
+fn transport_error(e: HttpError) -> GbError {
+    GbError::Serve(geoblocks::ServeError::Internal(e.to_string()))
 }
 
 /// A persistent connection to a GeoBlocks server: many requests, one TCP
-/// stream. Every request announces `connection: keep-alive`; if the
-/// server closes anyway (idle timeout, request cap), the next call
-/// surfaces `HttpError::Io` and the caller reconnects.
+/// stream, one `write` and (for a reply that arrives in one segment) one
+/// `read` per request. Every request announces `connection: keep-alive`;
+/// if the server closes anyway (idle timeout, request cap), the next call
+/// surfaces `HttpError::Io` and the caller reconnects. Generic over the
+/// stream so tests can count the reads and writes on an in-memory one.
 #[derive(Debug)]
-pub struct Connection {
-    stream: TcpStream,
+pub struct Connection<S = TcpStream> {
+    stream: S,
+    /// The `host:` and `connection:` values every request announces.
+    host: String,
+    mode: &'static str,
+    /// Read buffer: responses are parsed out of it in place; between
+    /// requests it holds bytes past the last response (normally none).
     carry: Vec<u8>,
+    /// Write buffer: each request is framed here and sent whole.
+    wire: Vec<u8>,
 }
 
 impl Connection {
     /// Open a connection to `addr`.
     pub fn connect(addr: SocketAddr) -> Result<Connection, HttpError> {
+        Connection::open(addr, "geoblocks".to_string(), "keep-alive")
+    }
+
+    fn open(addr: SocketAddr, host: String, mode: &'static str) -> Result<Connection, HttpError> {
         let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
             .map_err(|e| HttpError::Io(format!("connect {addr}: {e}")))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .map_err(|e| HttpError::Io(e.to_string()))?;
+        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         let _ = stream.set_nodelay(true);
         Ok(Connection {
             stream,
+            host,
+            mode,
             carry: Vec::new(),
+            wire: Vec::new(),
         })
     }
+}
 
-    /// Issue one request on the persistent connection and read exactly
-    /// its response (framed by `content-length`, so the stream stays
-    /// aligned for the next request).
+impl<S: Read + Write> Connection<S> {
+    /// Issue one request — head and body framed into one buffer, sent
+    /// with one `write` — and read exactly its response (framed by
+    /// `content-length`, so the stream stays aligned for the next one).
     pub fn request(
         &mut self,
         method: &str,
@@ -117,21 +109,21 @@ impl Connection {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> Result<ClientResponse, HttpError> {
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: geoblocks\r\ncontent-length: {}\r\nconnection: keep-alive\r\n",
-            body.len()
+        self.wire.clear();
+        // `write!` into a `Vec` cannot fail.
+        let _ = write!(
+            self.wire,
+            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+            self.host,
+            body.len(),
+            self.mode
         );
         for (name, value) in headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            let _ = write!(self.wire, "{name}: {value}\r\n");
         }
-        head.push_str("\r\n");
-        self.stream
-            .write_all(head.as_bytes())
-            .and_then(|()| self.stream.write_all(body))
-            .map_err(|e| HttpError::Io(e.to_string()))?;
+        self.wire.extend_from_slice(b"\r\n");
+        self.wire.extend_from_slice(body);
+        self.stream.write_all(&self.wire)?;
         self.read_response()
     }
 
@@ -150,7 +142,7 @@ impl Connection {
         };
         let resp = self
             .request("POST", path, &headers, &body)
-            .map_err(|e| GbError::Serve(geoblocks::ServeError::Internal(e.to_string())))?;
+            .map_err(transport_error)?;
         api::decode_reply(&resp.body)
     }
 
@@ -158,26 +150,13 @@ impl Connection {
     /// it (there should be none — responses are not pipelined) in the
     /// carry buffer.
     fn read_response(&mut self) -> Result<ClientResponse, HttpError> {
-        let mut buf = std::mem::take(&mut self.carry);
-        let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            let n = self
-                .stream
-                .read(&mut chunk)
-                .map_err(|e| HttpError::Io(e.to_string()))?;
-            if n == 0 {
-                return Err(HttpError::Io(
-                    "server closed the connection mid-response".to_string(),
-                ));
-            }
-            buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
+        let Some(head_end) = http::read_head(&mut self.stream, &mut self.carry, "response")? else {
+            return Err(HttpError::Io(
+                "server closed the connection before responding".to_string(),
+            ));
         };
-        let head = std::str::from_utf8(buf.get(..head_end).unwrap_or_default())
-            .map_err(|_| HttpError::Malformed("response head is not UTF-8".to_string()))?
-            .to_string();
+        let head = std::str::from_utf8(self.carry.get(..head_end).unwrap_or_default())
+            .map_err(|_| HttpError::Malformed("response head is not UTF-8".to_string()))?;
         let status = head
             .split("\r\n")
             .next()
@@ -193,66 +172,184 @@ impl Connection {
                     .then(|| value.trim().parse::<usize>().ok())?
             })
             .ok_or_else(|| HttpError::Malformed("response without content-length".to_string()))?;
-        let mut body: Vec<u8> = buf.get(head_end + 4..).unwrap_or_default().to_vec();
-        while body.len() < declared {
-            let n = self
-                .stream
-                .read(&mut chunk)
-                .map_err(|e| HttpError::Io(e.to_string()))?;
-            if n == 0 {
-                return Err(HttpError::Io(format!(
-                    "server closed with {} of {declared} response body bytes read",
-                    body.len()
-                )));
-            }
-            body.extend_from_slice(chunk.get(..n).unwrap_or_default());
-        }
-        self.carry = body.split_off(declared.min(body.len()));
+        // No body cap of its own: the client takes what its server declares.
+        let (stream, carry) = (&mut self.stream, &mut self.carry);
+        let body = http::take_body(stream, carry, head_end, declared, usize::MAX)?;
         Ok(ClientResponse { status, body })
     }
-}
-
-/// Split a raw HTTP/1.1 response into status + body.
-fn parse_response(raw: &[u8]) -> Result<ClientResponse, HttpError> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| HttpError::Malformed("response head never completed".to_string()))?;
-    let head = std::str::from_utf8(raw.get(..head_end).unwrap_or_default())
-        .map_err(|_| HttpError::Malformed("response head is not UTF-8".to_string()))?;
-    let status_line = head
-        .split("\r\n")
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty response head".to_string()))?;
-    let status = status_line
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| HttpError::Malformed(format!("bad status line: {status_line}")))?;
-    Ok(ClientResponse {
-        status,
-        body: raw.get(head_end + 4..).unwrap_or_default().to_vec(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// An in-memory stream: hands out canned reply bytes in the given
+    /// pieces, one per `read`, and records every `write`.
+    #[derive(Debug, Default)]
+    struct Duplex {
+        replies: std::collections::VecDeque<Vec<u8>>,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(mut piece) = self.replies.pop_front() else {
+                return Ok(0);
+            };
+            let n = piece.len().min(buf.len());
+            buf[..n].copy_from_slice(&piece[..n]);
+            if n < piece.len() {
+                self.replies.push_front(piece.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A connection over a [`Duplex`] that will read `pieces`.
+    fn over(pieces: &[&[u8]], host: &str, mode: &'static str) -> Connection<Duplex> {
+        Connection {
+            stream: Duplex {
+                replies: pieces.iter().map(|p| p.to_vec()).collect(),
+                writes: Vec::new(),
+            },
+            host: host.to_string(),
+            mode,
+            carry: Vec::new(),
+            wire: Vec::new(),
+        }
+    }
+
+    const REPLY: &[u8] =
+        b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 1\r\ncontent-length: 9\r\n\r\nslow down";
+
     #[test]
-    fn parses_status_and_body() {
-        let resp =
-            parse_response(b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 1\r\n\r\nslow down")
-                .expect("parse");
-        assert_eq!(resp.status, 429);
-        assert_eq!(resp.body, b"slow down");
+    fn a_request_is_one_write_of_the_same_bytes() {
+        // Extra headers and a binary body; no headers and an empty body.
+        one_write_each_way(
+            "POST",
+            &[("x-gb-tenant", "alice"), ("x-extra", "y")],
+            &[0, 255, 13, 10],
+        );
+        one_write_each_way("GET", &[], &[]);
+    }
+
+    fn one_write_each_way(method: &str, headers: &[(&str, &str)], body: &[u8]) {
+        // The wire form before single-write framing: a `format!`ted head,
+        // then the body, as two writes.
+        let head_then_body = |host: &str, mode: &str| {
+            let mut head = format!(
+                "{method} /v1/count HTTP/1.1\r\nhost: {host}\r\ncontent-length: {}\r\nconnection: {mode}\r\n",
+                body.len()
+            );
+            for (name, value) in headers {
+                head.push_str(&format!("{name}: {value}\r\n"));
+            }
+            head.push_str("\r\n");
+            [head.as_bytes(), body].concat()
+        };
+        // Keep-alive twice on one connection, then the one-shot mode.
+        for (host, mode, requests) in [
+            ("geoblocks", "keep-alive", 2),
+            ("127.0.0.1:7171", "close", 1),
+        ] {
+            let mut conn = over(&[REPLY, REPLY], host, mode);
+            for _ in 0..requests {
+                let resp = conn
+                    .request(method, "/v1/count", headers, body)
+                    .expect("reply");
+                assert_eq!(
+                    (resp.status, resp.body.as_slice()),
+                    (429, &b"slow down"[..])
+                );
+            }
+            let want = vec![head_then_body(host, mode); requests];
+            assert_eq!(conn.stream.writes, want, "{mode} {method}");
+        }
+    }
+
+    #[test]
+    fn a_response_split_at_any_byte_parses_the_same() {
+        for cut in 1..REPLY.len() {
+            let mut conn = over(&[&REPLY[..cut], &REPLY[cut..]], "geoblocks", "keep-alive");
+            let resp = conn.request("GET", "/healthz", &[], &[]).expect("reply");
+            assert_eq!(resp.status, 429, "cut {cut}");
+            assert_eq!(resp.body, b"slow down", "cut {cut}");
+            assert!(conn.carry.is_empty(), "cut {cut}: nothing past the body");
+        }
+    }
+
+    #[test]
+    fn a_reply_may_be_larger_than_a_request_may() {
+        // The body cap is the server's guard against its peers, not the
+        // client's against its server.
+        let body = vec![7u8; http::MAX_BODY_BYTES + 1];
+        let head = format!("HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n", body.len());
+        let mut conn = over(&[head.as_bytes(), &body, REPLY], "geoblocks", "keep-alive");
+        let big = conn.request("GET", "/metrics", &[], &[]).expect("reply");
+        assert_eq!((big.status, big.body.len()), (200, body.len()));
+        assert!(big.body == body);
+        // The stream is still aligned.
+        let next = conn.request("GET", "/healthz", &[], &[]).expect("next");
+        assert_eq!(next.status, 429);
     }
 
     #[test]
     fn garbage_is_an_error_not_a_panic() {
-        assert!(parse_response(b"").is_err());
-        assert!(parse_response(b"HTTP/1.1\r\n\r\n").is_err());
-        assert!(parse_response(b"\xff\xfe\r\n\r\nx").is_err());
-        assert!(parse_response(b"no head end here").is_err());
+        let garbage: [&[u8]; 5] = [
+            b"",
+            b"HTTP/1.1\r\ncontent-length: 0\r\n\r\n",
+            b"\xff\xfe\r\n\r\nx",
+            b"no head end here",
+            b"HTTP/1.1 200 OK\r\n\r\nno content-length",
+        ];
+        for raw in garbage {
+            let mut conn = over(&[raw], "geoblocks", "keep-alive");
+            assert!(
+                conn.request("GET", "/healthz", &[], &[]).is_err(),
+                "{raw:?}"
+            );
+        }
+        // A server that hangs up instead of answering is an I/O error: the
+        // caller's cue to reconnect.
+        assert!(matches!(
+            over(&[], "geoblocks", "keep-alive").request("GET", "/healthz", &[], &[]),
+            Err(HttpError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_over_a_socket() {
+        let running =
+            crate::RunningServer::start(crate::tests::test_server(0.0, 64), "127.0.0.1:0")
+                .expect("start");
+        let mut conn = Connection::connect(running.addr()).expect("connect");
+        // Two requests in one segment: the server parses the second out of
+        // what its first `read` left behind.
+        conn.stream
+            .write_all(
+                b"GET /healthz HTTP/1.1\r\nconnection: keep-alive\r\n\r\n\
+                  GET /nope HTTP/1.1\r\nconnection: keep-alive\r\n\r\n",
+            )
+            .expect("write");
+        let first = conn.read_response().expect("first");
+        assert_eq!((first.status, first.body.as_slice()), (200, &b"ok\n"[..]));
+        let second = conn.read_response().expect("second");
+        assert_eq!(second.status, 404);
+        assert!(conn.carry.is_empty(), "both replies consumed exactly");
+        // The connection is still aligned for ordinary use.
+        let third = conn.request("GET", "/healthz", &[], &[]).expect("third");
+        assert_eq!(third.status, 200);
+        running.stop().expect("stop");
     }
 }

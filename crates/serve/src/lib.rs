@@ -30,8 +30,10 @@
 //!   header) reject excess load with 429 + `Retry-After` before any
 //!   engine work happens (see [`quota`]).
 //! * **Concurrency** — a fixed worker fleet on `gb_common::Pool`, each
-//!   worker accepting connections from the shared listener
-//!   (thread-per-connection, pre-forked; no async runtime).
+//!   worker parked in a blocking `accept` on the shared listener
+//!   (thread-per-connection, pre-forked; no async runtime, no polling).
+//!   A steady-state request costs one `read` and one `write` per side;
+//!   [`RunningServer::stop`] wakes the fleet by connecting to it.
 //!
 //! The whole crate is on the `gb_lint` `panic-path` list: every failure
 //! is a typed [`GbError`]/[`http::HttpError`] value, never a panic.
@@ -43,13 +45,15 @@ pub mod metrics;
 pub mod quota;
 
 use cache::ResultCache;
+use gb_common::sync::OrderedMutex;
 use gb_common::Pool;
 use gb_trace::Stage;
 use geoblocks::api::{self, QueryRequest};
 use geoblocks::{GbError, GeoBlockEngine, ServeError};
-use http::{HttpRequest, HttpResponse};
-use metrics::Metrics;
+use http::{HttpError, HttpRequest, HttpResponse};
+use metrics::{CloseReason as Close, Metrics};
 use quota::{Admission, QuotaTable};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -328,29 +332,38 @@ impl GbServer {
         HttpResponse::binary(status, api::encode_reply(&Err(e)))
     }
 
-    /// Serve connections from `listener` until `shutdown` flips. Blocks
+    /// Serve connections from `listener` until [`Shutdown::stop`]. Blocks
     /// the calling thread; workers run on a scoped [`Pool`].
-    pub fn run(&self, listener: TcpListener, shutdown: &AtomicBool) -> Result<(), GbError> {
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| serve_internal(format!("set_nonblocking: {e}")))?;
-        let workers = self.config.threads.max(1);
-        // One accept loop per worker on the shared listener: the kernel
-        // wakes exactly one blocked acceptor per connection, and the
-        // nonblocking poll keeps shutdown latency bounded.
-        Pool::new(workers).run(workers, |_| loop {
-            if shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => self.serve_connection(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
+    fn run(&self, listener: TcpListener, shutdown: &Shutdown) {
+        let workers = shutdown.serving.len();
+        // One accept loop per worker on the shared listener: all park in a
+        // blocking `accept`, and the kernel wakes one per connection.
+        Pool::new(workers).run(workers, |worker| {
+            let Some(serving) = shutdown.serving.get(worker) else {
+                return;
+            };
+            while !shutdown.stopping() {
+                let Ok((mut stream, _)) = listener.accept() else {
+                    // Out of descriptors, or the peer reset while queued.
+                    std::thread::sleep(Duration::from_millis(5));
+                    continue;
+                };
+                // Publish a handle on the stream before looking at the
+                // flag: `stop` raises the flag before it walks the slots,
+                // so either it finds this stream or this worker sees the
+                // flag (the slot's lock orders the two). A connection
+                // `stop` could get no handle on is refused, not served.
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                *serving.lock() = Some(handle);
+                if !shutdown.stopping() {
+                    self.serve_connection(&mut stream, shutdown);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                *serving.lock() = None;
+                let _ = stream.shutdown(std::net::Shutdown::Both);
             }
         });
-        Ok(())
     }
 
     /// Serve requests from one connection until the peer closes, stops
@@ -358,30 +371,116 @@ impl GbServer {
     /// hits the per-connection request cap. Transport errors get a
     /// best-effort 400/413 and never propagate (a broken peer must not
     /// take a worker down).
-    fn serve_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_nonblocking(false);
+    fn serve_connection(&self, stream: &mut TcpStream, shutdown: &Shutdown) {
+        self.metrics.connection_opened();
         let idle = self.config.keep_alive_idle.max(Duration::from_millis(1));
         let _ = stream.set_read_timeout(Some(idle));
         let _ = stream.set_nodelay(true);
-        let max_requests = self.config.keep_alive_max_requests.max(1);
-        let mut carry = Vec::new();
-        for served in 1..=max_requests {
-            let response = match HttpRequest::read_from_buffered(&mut stream, &mut carry) {
+        let max_requests = self.config.keep_alive_max_requests.max(1) as u64;
+        // Requests are parsed out of `inbound` in place; each reply is
+        // framed into `outbound` and sent with one `write`.
+        let (mut inbound, mut outbound) = (Vec::new(), Vec::new());
+        let mut served = 0u64;
+        let reason = loop {
+            // `why` is the reason to record if this reply closes the connection.
+            let (response, why) = match HttpRequest::read_from_buffered(stream, &mut inbound) {
                 Ok(Some(req)) => {
-                    let keep = req.wants_keep_alive() && served < max_requests;
-                    self.handle(&req).with_close(!keep)
+                    served += 1;
+                    let (close, why) = if !req.wants_keep_alive() {
+                        (true, Close::Peer)
+                    } else if served >= max_requests {
+                        (true, Close::Cap)
+                    } else {
+                        (shutdown.stopping(), Close::Shutdown)
+                    };
+                    (self.handle(&req).with_close(close), why)
                 }
-                Ok(None) => break, // peer closed cleanly between requests
-                Err(http::HttpError::TooLarge(m)) => HttpResponse::text(413, m),
-                Err(http::HttpError::Malformed(m)) => HttpResponse::text(400, m),
-                Err(http::HttpError::Io(_)) => break, // peer vanished or idled out
+                // `stop` closed the read half, between requests or under one
+                // still arriving (which is not the peer's mistake: no 400).
+                Ok(None) | Err(HttpError::Malformed(_)) if shutdown.stopping() => {
+                    break Close::Shutdown
+                }
+                Ok(None) => break Close::Peer, // closed cleanly between requests
+                Err(HttpError::TooLarge(m)) => (HttpResponse::text(413, m), Close::Error),
+                Err(HttpError::Malformed(m)) => (HttpResponse::text(400, m), Close::Error),
+                Err(HttpError::TimedOut) => break Close::Idle,
+                Err(HttpError::Io(_)) => break Close::Error, // peer vanished
             };
-            let close = response.close;
-            if response.write_to(&mut stream).is_err() || close {
-                break;
+            outbound.clear();
+            response.frame_into(&mut outbound);
+            if response.close {
+                // Counted before the reply that announces the close leaves,
+                // so a client that has read it finds the count in `/metrics`.
+                self.metrics.connection_closed(why, served);
+                let _ = stream.write_all(&outbound);
+                return;
+            }
+            if stream.write_all(&outbound).is_err() {
+                break Close::Error;
+            }
+            // One large update must not pin its size for the connection's life.
+            inbound.shrink_to(BUFFER_KEEP);
+            outbound.shrink_to(BUFFER_KEEP);
+        };
+        self.metrics.connection_closed(reason, served);
+    }
+}
+
+/// Capacity a connection's buffers keep between requests.
+const BUFFER_KEEP: usize = 64 * 1024;
+
+/// Leaf lock (see DESIGN.md "Static analysis & invariants"): held for one
+/// store or one `shutdown(2)`, never across another acquisition.
+const RANK_SERVING: u8 = 4;
+
+/// What ends [`GbServer::run`]: the flag its workers read around `accept`
+/// and after every request, and per worker a handle on the stream it is
+/// serving, so [`Shutdown::stop`] can end a connection parked in `read`.
+struct Shutdown {
+    flag: AtomicBool,
+    serving: Vec<OrderedMutex<Option<TcpStream>>>,
+}
+
+impl Shutdown {
+    fn new(workers: usize) -> Shutdown {
+        let slot = |_| OrderedMutex::new("serving", RANK_SERVING, None);
+        Shutdown {
+            flag: AtomicBool::new(false),
+            serving: (0..workers).map(slot).collect(),
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+
+    /// End `run` on the listener at `addr`: raise the flag, then per
+    /// worker close the read half of the stream it serves — a worker
+    /// parked in `read` sees end-of-stream at once, while a request
+    /// already received is still answered (with `connection: close`) —
+    /// and connect once: each worker exits on its first `accept` after
+    /// the flag, so one connection per worker wakes them all. A failing
+    /// connect (no descriptor left, say) is retried for 2 s; after the
+    /// error a worker may still be parked.
+    fn stop(&self, addr: SocketAddr) -> Result<(), GbError> {
+        self.flag.store(true, Ordering::Release);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let failed = |e: std::io::Error| serve_internal(format!("stop: connect {addr}: {e}"));
+        for serving in &self.serving {
+            if let Some(stream) = serving.lock().as_ref() {
+                let _ = stream.shutdown(std::net::Shutdown::Read);
+            }
+            loop {
+                match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
+                    Ok(_) => break,
+                    // The listener is gone: every worker has left already.
+                    Err(e) if e.kind() == ErrorKind::ConnectionRefused => return Ok(()),
+                    Err(e) if Instant::now() >= deadline => return Err(failed(e)),
+                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                }
             }
         }
-        let _ = stream.shutdown(std::net::Shutdown::Both);
+        Ok(())
     }
 }
 
@@ -438,7 +537,7 @@ fn trace_kind(method: &str, path: &str) -> Option<&'static str> {
 pub struct RunningServer {
     server: Arc<GbServer>,
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -452,13 +551,11 @@ impl RunningServer {
             .local_addr()
             .map_err(|e| serve_internal(format!("local_addr: {e}")))?;
         let server = Arc::new(server);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Shutdown::new(server.config.threads.max(1)));
         let run_server = Arc::clone(&server);
         let run_shutdown = Arc::clone(&shutdown);
-        // gb-lint: allow(rogue-spawn) -- the serve loop must outlive this call (stopped via the shutdown flag + join in stop()); Pool is fork-join and spawn_join would block here
-        let thread = std::thread::spawn(move || {
-            let _ = run_server.run(listener, &run_shutdown);
-        });
+        // gb-lint: allow(rogue-spawn) -- the serve loop must outlive this call (stopped via Shutdown::stop + join in stop()); Pool is fork-join and spawn_join would block here
+        let thread = std::thread::spawn(move || run_server.run(listener, &run_shutdown));
         Ok(RunningServer {
             server,
             addr,
@@ -477,27 +574,31 @@ impl RunningServer {
         &self.server
     }
 
-    /// Signal shutdown and join the serve thread.
-    pub fn stop(mut self) {
-        self.stop_inner();
+    /// Stop serving and join the serve thread. Returns once every worker
+    /// has left its connection: open keep-alive connections are closed,
+    /// not waited out. On an error a worker could not be woken, and the
+    /// serve thread is left to end at its next connection, not joined.
+    pub fn stop(mut self) -> Result<(), GbError> {
+        self.stop_inner()
     }
 
-    fn stop_inner(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
+    fn stop_inner(&mut self) -> Result<(), GbError> {
         if let Some(thread) = self.thread.take() {
+            self.shutdown.stop(self.addr)?;
             let _ = thread.join();
         }
+        Ok(())
     }
 }
 
 impl Drop for RunningServer {
     fn drop(&mut self) {
-        self.stop_inner();
+        let _ = self.stop_inner();
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gb_cell::Grid;
     use gb_data::{extract, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema};
@@ -505,7 +606,7 @@ mod tests {
     use geoblocks::api::QueryReply;
     use geoblocks::{build, UpdateBatch};
 
-    fn test_server(quota_per_sec: f64, cache_capacity: usize) -> GbServer {
+    pub(crate) fn test_server(quota_per_sec: f64, cache_capacity: usize) -> GbServer {
         let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
         let mut state = 11u64;
         let mut next = move || {
@@ -686,6 +787,67 @@ mod tests {
         )
         .expect("select over HTTP");
         assert!(matches!(reply, QueryReply::Select(_)));
-        running.stop();
+        running.stop().expect("stop");
+    }
+
+    #[test]
+    fn stop_does_not_wait_for_idle_connections_or_parked_workers() {
+        let prompt = Duration::from_millis(250);
+        // Every worker parked in `accept`, on a wildcard bind.
+        let running = RunningServer::start(test_server(0.0, 64), "0.0.0.0:0").expect("start");
+        let asked = Instant::now();
+        running.stop().expect("stop");
+        assert!(asked.elapsed() < prompt, "parked: {:?}", asked.elapsed());
+
+        // One worker parked in `read` on an idle keep-alive connection
+        // (idle timeout 5 s), the others in `accept`.
+        let running = RunningServer::start(test_server(0.0, 64), "127.0.0.1:0").expect("start");
+        let mut conn = client::Connection::connect(running.addr()).expect("connect");
+        assert_eq!(
+            conn.request("GET", "/healthz", &[], &[])
+                .expect("healthz")
+                .status,
+            200
+        );
+        let server = Arc::clone(running.server());
+        let asked = Instant::now();
+        running.stop().expect("stop");
+        assert!(asked.elapsed() < prompt, "idle: {:?}", asked.elapsed());
+        assert!(conn.request("GET", "/healthz", &[], &[]).is_err());
+        let text = String::from_utf8(server.handle(&HttpRequest::new("GET", "/metrics")).body)
+            .expect("utf8");
+        let closes = |reason: &str| {
+            metrics::scrape(
+                &text,
+                &format!("gb_connection_closes_total{{reason=\"{reason}\"}}"),
+            )
+        };
+        assert_eq!(closes("shutdown"), Some(1.0), "{text}");
+        assert_eq!(closes("idle"), Some(0.0));
+        assert_eq!(metrics::scrape(&text, "gb_connections_total"), Some(1.0));
+    }
+
+    #[test]
+    fn stop_hangs_up_on_a_half_received_request_and_survives_a_gone_listener() {
+        let running = RunningServer::start(test_server(0.0, 64), "127.0.0.1:0").expect("start");
+        let mut half = TcpStream::connect(running.addr()).expect("connect");
+        half.write_all(b"GET /healthz HTTP/1.1\r\nconnection: keep")
+            .expect("half a head");
+        std::thread::sleep(Duration::from_millis(50)); // the worker reads it
+        let (addr, server) = (running.addr(), Arc::clone(running.server()));
+        running.stop().expect("stop");
+        // Hung up on, not told its request was malformed.
+        let mut answer = Vec::new();
+        let _ = std::io::Read::read_to_end(&mut half, &mut answer);
+        assert!(answer.is_empty(), "{}", String::from_utf8_lossy(&answer));
+        let text = String::from_utf8(server.handle(&HttpRequest::new("GET", "/metrics")).body)
+            .expect("utf8");
+        let shutdowns = "gb_connection_closes_total{reason=\"shutdown\"}";
+        assert_eq!(metrics::scrape(&text, shutdowns), Some(1.0), "{text}");
+
+        // With the listener gone there is nobody to wake: stop says so at once.
+        let asked = Instant::now();
+        Shutdown::new(4).stop(addr).expect("nothing left to stop");
+        assert!(asked.elapsed() < Duration::from_millis(250));
     }
 }

@@ -28,6 +28,26 @@ const ROUTES: &[&str] = &[
     "/healthz",
 ];
 
+/// Why the server closed a connection: the `reason` label of
+/// `gb_connection_closes_total`, which answers "why did the client have to
+/// reconnect?" from the running server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloseReason {
+    /// The peer closed, or did not ask for keep-alive.
+    Peer,
+    /// No request arrived within `keep_alive_idle`.
+    Idle,
+    /// The connection reached `keep_alive_max_requests`.
+    Cap,
+    /// A malformed or oversized request, or a socket error.
+    Error,
+    /// The server is stopping.
+    Shutdown,
+}
+
+/// The `reason` labels, in [`CloseReason`]'s declaration order.
+const CLOSE_REASONS: [&str; 5] = ["peer", "idle", "cap", "error", "shutdown"];
+
 /// All server counters.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -37,6 +57,11 @@ pub struct Metrics {
     status_4xx: Counter,
     status_5xx: Counter,
     quota_rejections: Counter,
+    connections: Counter,
+    /// Closed connections, indexed by [`CloseReason`].
+    closes: [Counter; 5],
+    /// Requests served on connections that have closed.
+    closed_requests: Counter,
     pub latency: LatencyHistogram,
 }
 
@@ -63,6 +88,19 @@ impl Metrics {
             self.quota_rejections.incr();
         }
         self.latency.record(elapsed_ns);
+    }
+
+    /// Record one accepted connection.
+    pub fn connection_opened(&self) {
+        self.connections.incr();
+    }
+
+    /// Record one closed connection that served `requests` requests.
+    pub fn connection_closed(&self, reason: CloseReason, requests: u64) {
+        if let Some(c) = self.closes.get(reason as usize) {
+            c.incr();
+        }
+        self.closed_requests.add(requests);
     }
 
     /// Total requests across every route.
@@ -113,6 +151,20 @@ impl Metrics {
             "gb_quota_rejections_total {}\n",
             self.quota_rejections()
         ));
+        let opened = self.connections.get();
+        out.push_str(&format!("gb_connections_total {opened}\n"));
+        let mut closed = 0;
+        for (reason, counter) in CLOSE_REASONS.iter().zip(&self.closes) {
+            let n = counter.get();
+            closed += n;
+            out.push_str(&format!(
+                "gb_connection_closes_total{{reason=\"{reason}\"}} {n}\n"
+            ));
+        }
+        // Requests per connection, over the connections that have closed.
+        let requests = self.closed_requests.get();
+        out.push_str(&format!("gb_connection_requests_sum {requests}\n"));
+        out.push_str(&format!("gb_connection_requests_count {closed}\n"));
         out.push_str(&format!("gb_result_cache_hits_total {}\n", cache.hits));
         out.push_str(&format!("gb_result_cache_misses_total {}\n", cache.misses));
         out.push_str(&format!(
@@ -225,6 +277,11 @@ mod tests {
         m.record("/v1/select", 200, 6_000);
         m.record("/v1/update", 400, 7_000);
         m.record("/nope", 429, 100);
+        for (reason, requests) in [(CloseReason::Cap, 256), (CloseReason::Peer, 1)] {
+            m.connection_opened();
+            m.connection_closed(reason, requests);
+        }
+        m.connection_opened(); // still open
         let cache = crate::cache::CacheStats {
             hits: 3,
             misses: 1,
@@ -265,6 +322,17 @@ mod tests {
             Some(6.0)
         );
         assert_eq!(scrape(&text, "gb_quota_rejections_total"), Some(1.0));
+        assert_eq!(scrape(&text, "gb_connections_total"), Some(3.0));
+        assert_eq!(
+            scrape(&text, "gb_connection_closes_total{reason=\"cap\"}"),
+            Some(1.0)
+        );
+        assert_eq!(
+            scrape(&text, "gb_connection_closes_total{reason=\"shutdown\"}"),
+            Some(0.0)
+        );
+        assert_eq!(scrape(&text, "gb_connection_requests_sum"), Some(257.0));
+        assert_eq!(scrape(&text, "gb_connection_requests_count"), Some(2.0));
         assert_eq!(
             scrape(&text, "gb_stage_latency_count{stage=\"trie_lookup\"}"),
             Some(1.0)

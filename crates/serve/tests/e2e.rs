@@ -183,7 +183,7 @@ fn concurrent_clients_get_engine_identical_replies() {
         total >= (2 * CLIENTS * REQS_PER_CLIENT) as f64,
         "latency histogram undercounts: {total}"
     );
-    running.stop();
+    running.stop().expect("stop");
 }
 
 /// The error surface as a real client sees it.
@@ -216,7 +216,7 @@ fn http_error_mapping_over_sockets() {
             "expected 413 for an oversized declaration, got: {head}"
         );
     }
-    running.stop();
+    running.stop().expect("stop");
 }
 
 /// The batch route over real sockets: one POST to `/v1/batch` answers
@@ -299,7 +299,7 @@ fn batch_over_http_matches_engine() {
         metrics::scrape(&text, "gb_requests_total{route=\"/v1/batch\"}").is_some_and(|v| v >= 1.0),
         "batch route must be counted:\n{text}"
     );
-    running.stop();
+    running.stop().expect("stop");
 }
 
 /// Keep-alive over real sockets: one [`client::Connection`] serves many
@@ -315,6 +315,14 @@ fn keep_alive_reuses_one_connection() {
     });
     let addr = running.addr();
     let engine = Arc::clone(running.server().engine());
+    // Each scrape is itself a one-shot connection, closed as `peer`.
+    let scrape = |metric: &str| {
+        let text =
+            String::from_utf8(client::get(addr, "/metrics").expect("metrics").body).expect("utf8");
+        metrics::scrape(&text, metric).unwrap_or_else(|| panic!("missing {metric}:\n{text}"))
+    };
+    let cap_closes = scrape("gb_connection_closes_total{reason=\"cap\"}");
+    let closed_requests = scrape("gb_connection_requests_sum");
 
     let mut conn = client::Connection::connect(addr).expect("connect");
     for i in 0..8 {
@@ -347,7 +355,14 @@ fn keep_alive_reuses_one_connection() {
         after_cap.is_err(),
         "connection must be closed after keep_alive_max_requests"
     );
-    running.stop();
+    // The server says why the client had to reconnect: one connection hit
+    // the cap, after 8 requests (+ 2 for the two scrapes above).
+    assert_eq!(
+        scrape("gb_connection_closes_total{reason=\"cap\"}"),
+        cap_closes + 1.0
+    );
+    assert_eq!(scrape("gb_connection_requests_sum"), closed_requests + 10.0);
+    running.stop().expect("stop");
 }
 
 /// Admission control over sockets: a bursty tenant gets 429 + Retry-After
@@ -399,7 +414,7 @@ fn quota_rejections_reach_the_wire() {
         metrics::scrape(&text, "gb_quota_rejections_total").is_some_and(|v| v >= 1.0),
         "metrics must count quota rejections:\n{text}"
     );
-    running.stop();
+    running.stop().expect("stop");
 }
 
 /// The observability surface end-to-end: a trace-everything server must
@@ -557,5 +572,5 @@ fn debug_endpoints_and_stage_metrics_over_sockets() {
     // Debug endpoints are GET-only.
     let resp = client::request(addr, "POST", "/v1/debug/traces", &[], &[]).expect("405");
     assert_eq!(resp.status, 405);
-    running.stop();
+    running.stop().expect("stop");
 }
