@@ -3,7 +3,7 @@
 use crate::SpatialAggIndex;
 use gb_data::AggSpec;
 use gb_geom::Polygon;
-use geoblocks::{AggResult, GeoBlock, GeoBlockQC};
+use geoblocks::{AggResult, GeoBlock, GeoBlockEngine};
 
 /// "Block": GeoBlocks without query caching.
 pub struct BlockIndex {
@@ -38,22 +38,25 @@ impl SpatialAggIndex for BlockIndex {
     }
 }
 
-/// "BlockQC": GeoBlocks with the AggregateTrie query cache.
+/// "BlockQC": GeoBlocks with the AggregateTrie query cache — a
+/// [`GeoBlockEngine`] without its covering memo, so that a repeated
+/// polygon still pays its covering, as in the paper.
 pub struct BlockQcIndex {
-    qc: GeoBlockQC,
+    engine: GeoBlockEngine,
 }
 
 impl BlockQcIndex {
-    pub fn new(qc: GeoBlockQC) -> Self {
-        BlockQcIndex { qc }
+    /// Wrap `block` with a cache budget of `threshold` × its
+    /// cell-aggregate bytes.
+    pub fn new(block: GeoBlock, threshold: f64) -> Self {
+        BlockQcIndex {
+            engine: GeoBlockEngine::new(block, threshold).with_memo_capacity(0),
+        }
     }
 
-    pub fn qc(&self) -> &GeoBlockQC {
-        &self.qc
-    }
-
-    pub fn qc_mut(&mut self) -> &mut GeoBlockQC {
-        &mut self.qc
+    /// The engine, for rebuilding the cache and reading its metrics.
+    pub fn engine(&self) -> &GeoBlockEngine {
+        &self.engine
     }
 }
 
@@ -63,14 +66,14 @@ impl SpatialAggIndex for BlockQcIndex {
     }
 
     fn select(&mut self, polygon: &Polygon, spec: &AggSpec) -> AggResult {
-        self.qc.select(polygon, spec).result
+        self.engine.select(polygon, spec).result
     }
 
     fn count(&mut self, polygon: &Polygon) -> u64 {
-        self.qc.count(polygon).result
+        self.engine.count(polygon).result
     }
 
     fn index_bytes(&self) -> usize {
-        self.qc.block().memory_bytes() + self.qc.trie().size_bytes()
+        self.engine.block_snapshot().memory_bytes() + self.engine.trie_snapshot().size_bytes()
     }
 }

@@ -2,21 +2,27 @@
 //!
 //! * **curve**: Hilbert vs Morton enumeration — same prefix machinery,
 //!   different locality; measures covering size effects end-to-end.
-//! * **select algorithm**: the pyramid-tiered production path vs the
-//!   optimised forward range scan vs the paper's literal Listing-1
-//!   per-child successor walk.
+//! * **select algorithm**: the production SELECT (one record lookup per
+//!   covering cell) vs the naive range scan of `geoblocks::reference`, on
+//!   the paper's neighbourhood workload.
 //! * **select pyramid**: the coarse-interior workload (deep block level,
 //!   large polygons) where interior covering cells expand to thousands of
 //!   block records — the regime the aggregate pyramid exists for.
-//! * **cache**: Block vs warm BlockQC on a skewed workload, and the trie
-//!   probe overhead on an unskewed one.
+//! * **cache**: one engine configuration (covering memo off), trie empty
+//!   vs rebuilt, on the hot subset of a skewed workload and on pan/zoom
+//!   views of it that overlap but never repeat — the measurement behind
+//!   the roadmap's "does the trie still pay?".
 //! * **count vs select**: Listing 2's range-sum against a count-only
 //!   SELECT — the reason COUNT skips the cache.
+//!
+//! The arms of one group run side by side, so CI gates their *ratios*
+//! (`bench_diff --ratio`), which hold on any host.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gb_cell::{CurveKind, Grid};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
-use geoblocks::{build, GeoBlockQC};
+use gb_geom::Polygon;
+use geoblocks::{build, reference, GeoBlockEngine};
 use std::hint::black_box;
 
 fn taxi_base(curve: CurveKind) -> gb_data::BaseTable {
@@ -64,15 +70,7 @@ fn ablate_select_algorithm(c: &mut Criterion) {
         b.iter(|| {
             let poly = &polys[i % polys.len()];
             i += 1;
-            black_box(block.select_scan(poly, &spec).0.count)
-        })
-    });
-    g.bench_function("listing1_faithful", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let poly = &polys[i % polys.len()];
-            i += 1;
-            black_box(block.select_listing1(poly, &spec).0.count)
+            black_box(reference::select_covering(&block, &block.cover(poly), &spec).count)
         })
     });
     g.finish();
@@ -120,12 +118,35 @@ fn ablate_select_pyramid(c: &mut Criterion) {
         b.iter(|| {
             let poly = &polys[i % polys.len()];
             i += 1;
-            black_box(block.select_scan(poly, &spec).0.count)
+            black_box(reference::select_covering(&block, &block.cover(poly), &spec).count)
         })
     });
     g.finish();
 }
 
+/// `views` pan/zoom views of `polygon`, numbered from `first`: moved by
+/// 8 % of its extent in a direction that turns with the number, scaled by
+/// 0.9–1.1 about its centroid. Views of different numbers overlap and are
+/// never identical.
+fn pan_zoom(polygon: &Polygon, first: usize, views: usize) -> Vec<Polygon> {
+    let (center, bbox) = (polygon.centroid(), polygon.bbox());
+    let extent = (bbox.max.x - bbox.min.x).max(bbox.max.y - bbox.min.y);
+    (first..first + views)
+        .map(|k| {
+            let turn = k as f64 * 2.399_963; // the golden angle
+            let pan = gb_geom::Point::new(turn.cos(), turn.sin()) * (0.08 * extent);
+            let zoom = 0.9 + 0.2 * (k as f64 * 0.618_034).fract();
+            let ring = polygon.exterior().iter();
+            Polygon::new(ring.map(|&v| center + pan + (v - center) * zoom).collect())
+        })
+        .collect()
+}
+
+/// Does the trie pay? Two engines of one configuration — covering memo
+/// off, so every query pays its covering as the paper's BlockQC does —
+/// one with the trie it is born with (empty), one with a trie rebuilt from
+/// the statistics of a skewed session, on (a) the session's hot polygons
+/// and (b) pan/zoom views of them the session never asked.
 fn ablate_cache(c: &mut Criterion) {
     let base = taxi_base(CurveKind::Hilbert);
     let (block, _) = build(&base, 10, &Filter::all());
@@ -133,32 +154,31 @@ fn ablate_cache(c: &mut Criterion) {
     let spec = AggSpec::k_aggregates(base.schema(), 7);
     // The "hot" 10% subset, as in the skewed workload.
     let hot: Vec<_> = polys.iter().take(5).cloned().collect();
+    let seen: Vec<_> = hot.iter().flat_map(|p| pan_zoom(p, 0, 8)).collect();
+    let unseen: Vec<_> = hot.iter().flat_map(|p| pan_zoom(p, 8, 8)).collect();
 
-    let mut warm = GeoBlockQC::new(block.clone(), 0.1);
+    let engine = || GeoBlockEngine::new(block.clone(), 0.1).with_memo_capacity(0);
+    let (cold, warm) = (engine(), engine());
     for _ in 0..4 {
-        for p in &hot {
+        for p in hot.iter().chain(&seen) {
             warm.select(p, &spec);
         }
     }
     warm.rebuild_cache();
 
     let mut g = c.benchmark_group("cache_ablation");
-    g.bench_function("block_hot_queries", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let poly = &hot[i % hot.len()];
-            i += 1;
-            black_box(block.select(poly, &spec).0.count)
-        })
-    });
-    g.bench_function("blockqc_warm_hot_queries", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let poly = &hot[i % hot.len()];
-            i += 1;
-            black_box(warm.select(poly, &spec).result.count)
-        })
-    });
+    for (workload, polys) in [("hot", &hot), ("panzoom", &unseen)] {
+        for (trie, engine) in [("trie_empty", &cold), ("trie_rebuilt", &warm)] {
+            g.bench_function(format!("{workload}_{trie}"), |b| {
+                let mut i = 0usize;
+                b.iter(|| {
+                    let poly = &polys[i % polys.len()];
+                    i += 1;
+                    black_box(engine.select(poly, &spec).result.count)
+                })
+            });
+        }
+    }
     g.finish();
 }
 
@@ -188,45 +208,9 @@ fn ablate_count_vs_select(c: &mut Criterion) {
     g.finish();
 }
 
-fn ablate_storage_layout(c: &mut Criterion) {
-    // §5: sorted-array cell aggregates vs a B-tree-indexed store. The
-    // paper's preliminary experiments found "similar lookup performance at
-    // the cost of increased size overhead" — this bench quantifies both
-    // claims for our implementation.
-    let base = taxi_base(CurveKind::Hilbert);
-    let (block, _) = build(&base, 10, &Filter::all());
-    let indexed = geoblocks::IndexedBlock::from_block(&block);
-    let polys = polygons::neighborhoods(48, 7);
-    let spec = AggSpec::k_aggregates(base.schema(), 7);
-    println!(
-        "storage bytes: flat {} vs indexed {}",
-        block.memory_bytes(),
-        indexed.memory_bytes()
-    );
-
-    let mut g = c.benchmark_group("storage_ablation");
-    g.bench_function("flat_sorted_array", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let poly = &polys[i % polys.len()];
-            i += 1;
-            black_box(block.select(poly, &spec).0.count)
-        })
-    });
-    g.bench_function("btree_indexed", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let poly = &polys[i % polys.len()];
-            i += 1;
-            black_box(indexed.select(poly, &spec).0.count)
-        })
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = ablate_curve, ablate_select_algorithm, ablate_select_pyramid, ablate_cache, ablate_count_vs_select, ablate_storage_layout
+    targets = ablate_curve, ablate_select_algorithm, ablate_select_pyramid, ablate_cache, ablate_count_vs_select
 }
 criterion_main!(benches);

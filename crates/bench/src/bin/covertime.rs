@@ -1,7 +1,7 @@
 //! Diagnostic: covering vs aggregation vs cache cost on hot polygons.
 use gb_bench::Ctx;
 use gb_data::{polygons, AggSpec, Filter, Rows};
-use geoblocks::{build, GeoBlockQC};
+use geoblocks::{build, GeoBlockEngine};
 
 fn main() {
     let ctx = Ctx::default();
@@ -28,9 +28,9 @@ fn main() {
     let avgc: f64 = worst.iter().map(|w| w.1 as f64).sum::<f64>() / worst.len() as f64;
     println!("avg total {avg:.1} us, avg combined {avgc:.0}");
 
-    // hot-polygon cache comparison
+    // hot-polygon cache comparison (memo off: every query pays its covering)
     let hot = &polys[0..6];
-    let mut qc = GeoBlockQC::new(block.clone(), 0.1);
+    let qc = GeoBlockEngine::new(block.clone(), 0.1).with_memo_capacity(0);
     for _ in 0..4 {
         for p in hot {
             qc.select(p, &spec);

@@ -19,7 +19,7 @@ use gb_data::{
     datasets, extract, extract_filtered, polygons, AggSpec, BaseTable, CmpOp, Filter, Rows,
     Workload,
 };
-use geoblocks::{build, GeoBlockQC};
+use geoblocks::build;
 
 /// Number of neighborhood polygons in the primary workload (the NYC NTA
 /// file the paper uses has ~195).
@@ -267,7 +267,7 @@ pub fn fig12(ctx: &Ctx) -> Report {
     let (mut bt, _) = BTreeIndex::build(&base, level);
     let mut bs = BinarySearchIndex::new(&base, level);
     let mut bl = BlockIndex::new(block.clone());
-    let mut qc = BlockQcIndex::new(GeoBlockQC::new(block.clone(), 0.02));
+    let mut qc = BlockQcIndex::new(block.clone(), 0.02);
 
     let spec = AggSpec::k_aggregates(base.schema(), 7);
     const REPS: usize = 3;
@@ -275,12 +275,12 @@ pub fn fig12(ctx: &Ctx) -> Report {
     for target in [0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let (poly, achieved) = polygons::selectivity_polygon(&base, target);
         let exact = gt.exact_count(&poly);
-        // Warm the QC cache on this polygon, then rebuild (Figure 12 runs
+        // Warm the cache on this polygon, then rebuild (Figure 12 runs
         // BlockQC with just 2% cache over the base workload).
         for _ in 0..2 {
             qc.select(&poly, &spec);
         }
-        qc.qc_mut().rebuild_cache();
+        qc.engine().rebuild_cache();
 
         let row_for = |idx: &mut dyn SpatialAggIndex| -> (String, u64) {
             let t = gb_common::Timer::start();
@@ -681,13 +681,13 @@ pub fn fig17(ctx: &Ctx) -> Report {
 
         // BlockQC: cache rebuilt after each workload phase (the statistics
         // accumulate across the whole run).
-        let mut qc = BlockQcIndex::new(GeoBlockQC::new(block.clone(), 0.05));
+        let mut qc = BlockQcIndex::new(block.clone(), 0.05);
         let q_base = run_select_workload(&mut qc, &base_w);
-        qc.qc_mut().rebuild_cache();
+        qc.engine().rebuild_cache();
         let mut q_skew_total = std::time::Duration::ZERO;
         for _ in 0..runs {
             q_skew_total += run_select_workload(&mut qc, &skew_one).total;
-            qc.qc_mut().rebuild_cache();
+            qc.engine().rebuild_cache();
         }
         rep.row(vec![
             runs.to_string(),
@@ -737,19 +737,19 @@ pub fn fig18(ctx: &Ctx) -> Report {
     ]);
 
     for threshold in [0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0] {
-        let mut qc = BlockQcIndex::new(GeoBlockQC::new(block.clone(), threshold));
+        let mut qc = BlockQcIndex::new(block.clone(), threshold);
         // Warm-up pass to gather statistics, then rebuild the cache.
         run_select_workload(&mut qc, &base_w);
         run_select_workload(&mut qc, &skew_w);
-        qc.qc_mut().rebuild_cache();
+        qc.engine().rebuild_cache();
 
         // Measured pass.
-        qc.qc_mut().reset_metrics();
+        qc.engine().reset_metrics();
         let t_base = run_select_workload(&mut qc, &base_w);
-        let base_rate = qc.qc().metrics().hit_rate();
-        qc.qc_mut().reset_metrics();
+        let base_rate = qc.engine().metrics().hit_rate();
+        qc.engine().reset_metrics();
         let t_skew = run_select_workload(&mut qc, &skew_w);
-        let skew_rate = qc.qc().metrics().hit_rate();
+        let skew_rate = qc.engine().metrics().hit_rate();
 
         rep.row(vec![
             fmt::percent(threshold),

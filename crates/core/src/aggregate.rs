@@ -52,6 +52,44 @@ impl AggPlan {
     }
 }
 
+/// A borrowed cell-aggregate record — tuple count plus per-column
+/// min/max/sum slices — as the block, every pyramid layer and the
+/// [`crate::AggregateTrie`] store it. [`crate::GeoBlock`] hands out the
+/// canonical record of any aligned cell in this form and the trie's
+/// cached copies read back as the same type, so a trie hit and a block
+/// lookup of one cell fold into a result through the same single
+/// combine, bit-identically.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    pub count: u64,
+    pub(crate) mins: &'a [f64],
+    pub(crate) maxs: &'a [f64],
+    pub(crate) sums: &'a [f64],
+}
+
+impl RecordRef<'_> {
+    /// Fold this record into `result` through a compiled plan.
+    #[inline]
+    pub fn combine_into(&self, plan: &AggPlan, result: &mut AggResult) {
+        result.combine_record_plan(plan, self.count, self.mins, self.maxs, self.sums);
+    }
+
+    #[inline]
+    pub fn min(&self, col: usize) -> f64 {
+        self.mins[col]
+    }
+
+    #[inline]
+    pub fn max(&self, col: usize) -> f64 {
+        self.maxs[col]
+    }
+
+    #[inline]
+    pub fn sum(&self, col: usize) -> f64 {
+        self.sums[col]
+    }
+}
+
 /// Accumulator / result of a spatial aggregation query.
 ///
 /// `values[i]` corresponds to `spec.requests[i]`. While accumulating, `Avg`
@@ -111,22 +149,6 @@ impl AggResult {
         }
     }
 
-    /// Reset to the freshly-initialized state for `spec` without
-    /// reallocating — the per-covering-cell scratch accumulator of the
-    /// query path is reused across cells through this.
-    #[inline]
-    pub fn reset(&mut self, spec: &AggSpec) {
-        self.count = 0;
-        self.finalized = false;
-        for (slot, req) in self.values.iter_mut().zip(&spec.requests) {
-            *slot = match req.func {
-                AggFunc::Min => f64::INFINITY,
-                AggFunc::Max => f64::NEG_INFINITY,
-                AggFunc::Sum | AggFunc::Avg | AggFunc::Count => 0.0,
-            };
-        }
-    }
-
     /// [`AggResult::combine_record`] driven by a compiled [`AggPlan`] over
     /// column slices — the hot-loop form: no per-request dispatch, no
     /// closure indirection, accessor arithmetic hoisted to the caller.
@@ -173,31 +195,6 @@ impl AggResult {
         for &(slot, col) in &plan.max_slots {
             let s = &mut self.values[slot as usize];
             *s = s.max(value_of(col as usize));
-        }
-    }
-
-    /// Merge another (non-finalized) accumulator through a compiled plan.
-    /// Unlike [`AggResult::merge`], an empty `other` (count 0) is a no-op —
-    /// exactly like [`AggResult::combine_record_plan`] of an empty record —
-    /// which is what keeps "fold a run into a scratch accumulator, then
-    /// merge" bit-identical to "combine one precomputed pyramid record".
-    #[inline]
-    pub fn merge_plan(&mut self, plan: &AggPlan, other: &AggResult) {
-        debug_assert!(!self.finalized && !other.finalized);
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        for &(slot, _) in &plan.sum_slots {
-            self.values[slot as usize] += other.values[slot as usize];
-        }
-        for &(slot, _) in &plan.min_slots {
-            let s = &mut self.values[slot as usize];
-            *s = s.min(other.values[slot as usize]);
-        }
-        for &(slot, _) in &plan.max_slots {
-            let s = &mut self.values[slot as usize];
-            *s = s.max(other.values[slot as usize]);
         }
     }
 
@@ -269,7 +266,7 @@ impl AggResult {
     }
 
     /// Whether [`AggResult::finalize`] has resolved the `Avg`/`Count`
-    /// slots. Engine/QC replies are always finalized; accumulators in
+    /// slots. Engine replies are always finalized; accumulators in
     /// flight are not.
     pub fn is_finalized(&self) -> bool {
         self.finalized
@@ -414,10 +411,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_merge_equals_direct_record_combine() {
-        // The bit-identity backbone of the query tiers: folding a run into
-        // a reset scratch and merging equals combining the precomputed
-        // record of that run — exactly, not approximately.
+    fn folded_run_merge_equals_direct_record_combine() {
+        // The bit-identity backbone of `crate::reference`: folding a run
+        // of records into a fresh accumulator and merging it equals
+        // combining the precomputed record of that run — exactly, not
+        // approximately.
         let s = spec();
         let plan = AggPlan::compile(&s);
         let records = [
@@ -425,41 +423,27 @@ mod tests {
             ([0.1, 4.0], [0.2, 8.0], [0.30000000000000004, 12.0], 3u64),
         ];
 
-        // Path A: scan each record into a scratch, merge into the result.
+        // Path A: fold each record into a fresh accumulator, merge it.
         let mut result_a = AggResult::new(&s);
-        let mut scratch = AggResult::new(&s);
-        scratch.reset(&s);
+        let mut run = AggResult::new(&s);
         for (mins, maxs, sums, count) in &records {
-            scratch.combine_record_plan(&plan, *count, mins, maxs, sums);
+            run.combine_record(&s, *count, |c| mins[c], |c| maxs[c], |c| sums[c]);
         }
-        result_a.merge_plan(&plan, &scratch);
+        result_a.merge(&s, &run);
+        // An empty run merges to nothing.
+        result_a.merge(&s, &AggResult::new(&s));
 
         // Path B: one precomputed "pyramid" record — the same fold.
         let mut result_b = AggResult::new(&s);
-        let pre_mins = [0.3f64.min(0.1), (-1.0f64).min(4.0)];
-        let pre_maxs = [5.0f64.max(0.2), 2.0f64.max(8.0)];
-        let pre_sums = [9.9 + 0.30000000000000004, 0.5 + 12.0];
-        result_b.combine_record_plan(&plan, 5, &pre_mins, &pre_maxs, &pre_sums);
+        let pre = RecordRef {
+            count: 5,
+            mins: &[0.3f64.min(0.1), (-1.0f64).min(4.0)],
+            maxs: &[5.0f64.max(0.2), 2.0f64.max(8.0)],
+            sums: &[9.9 + 0.30000000000000004, 0.5 + 12.0],
+        };
+        pre.combine_into(&plan, &mut result_b);
 
         assert!(result_a.finalize(&s).approx_eq(&result_b.finalize(&s), 0.0));
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let s = spec();
-        let mut r = AggResult::new(&s);
-        r.combine_tuple(&s, |_| 42.0);
-        r.reset(&s);
-        let fresh = AggResult::new(&s);
-        assert_eq!(r.count, fresh.count);
-        assert_eq!(
-            r.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            fresh
-                .values()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

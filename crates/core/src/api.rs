@@ -1,6 +1,6 @@
 //! The typed query API: the one request/response surface shared by
-//! in-process callers ([`crate::GeoBlockEngine::query`],
-//! [`crate::GeoBlockQC::query`]) and the HTTP layer (`gb_serve`).
+//! in-process callers ([`crate::GeoBlockEngine::query`]) and the HTTP
+//! layer (`gb_serve`).
 //!
 //! Three pieces live here:
 //!

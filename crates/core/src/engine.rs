@@ -1,11 +1,15 @@
-//! A concurrent, shared-nothing-write read path over GeoBlocks.
+//! The query-cached GeoBlock (the paper's "BlockQC", §3.6) as a
+//! concurrent, shared-nothing-write read path — the one front-end over a
+//! block and its cache.
 //!
-//! [`GeoBlockEngine`] is the `Send + Sync` counterpart of
-//! [`crate::GeoBlockQC`]: many threads answer SELECT/COUNT queries while
-//! the query cache adapts — and, since the typed-API redesign, while
-//! update batches commit — underneath them. The paper's single-threaded
-//! mutable state is made concurrent with three mechanisms, each chosen so
-//! *readers never block on a rebuild or an update*:
+//! [`GeoBlockEngine`] wraps a [`GeoBlock`] with (i) hit statistics over
+//! previously seen query cells, (ii) the [`AggregateTrie`] cache sized by
+//! the *aggregate threshold*, and (iii) the adapted SELECT and the rebuild
+//! of [`crate::qc`]. It is `Send + Sync`: many threads answer SELECT/COUNT
+//! queries while the query cache adapts and update batches commit
+//! underneath them. The paper's single-threaded mutable state is made
+//! concurrent with three mechanisms, each chosen so *readers never block
+//! on a rebuild or an update*:
 //!
 //! * **Epoch-swapped engine state** — the block, the [`AggregateTrie`],
 //!   and the **data epoch** live together in one immutable
@@ -42,7 +46,7 @@ use crate::hits::HitLog;
 use crate::kernel::PublishKernel;
 use crate::memo::{CoveringMemo, HotQueryTable, MemoStats};
 use crate::qc::{self, CacheMetrics, RebuildPolicy};
-use crate::query::QueryStats;
+use crate::query::{Cursors, QueryStats};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::trie::AggregateTrie;
 use crate::update::{UpdateBatch, UpdateReport};
@@ -106,7 +110,6 @@ pub struct GeoBlockEngine {
     query_counter: AtomicUsize,
     probes: Counter,
     direct_hits: Counter,
-    child_hits: Counter,
     /// Polygon → covering memo. Keyed by polygon *content* (and the
     /// fixed block level), so entries survive every data epoch and cache
     /// rebuild — a covering depends on neither.
@@ -136,8 +139,8 @@ impl GeoBlockEngine {
         EngineBuilder::new()
     }
 
-    /// Wrap `block` with a cache budget of `threshold` (same meaning as
-    /// [`crate::GeoBlockQC::new`]).
+    /// Wrap `block` with a cache budget of `threshold` (e.g. `0.05` = 5 %
+    /// of the cell-aggregate storage, the paper's skew-experiment setting).
     pub fn new(block: GeoBlock, threshold: f64) -> Self {
         GeoBlockEngine::from_arc(Arc::new(block), threshold)
     }
@@ -161,7 +164,6 @@ impl GeoBlockEngine {
             query_counter: AtomicUsize::new(0),
             probes: Counter::new(),
             direct_hits: Counter::new(),
-            child_hits: Counter::new(),
             memo: CoveringMemo::new(DEFAULT_MEMO_CAPACITY),
             hot_queries: OrderedMutex::new(
                 "hot_queries",
@@ -173,8 +175,9 @@ impl GeoBlockEngine {
     }
 
     /// Replace the covering memo with one of `capacity` entries (0
-    /// disables memoization — the ablation configuration). Builder-time
-    /// only: entries accumulated so far are dropped.
+    /// disables memoization: every query pays its covering, as the paper's
+    /// BlockQC does — the configuration its figures are reproduced with).
+    /// Builder-time only: entries accumulated so far are dropped.
     pub fn with_memo_capacity(mut self, capacity: usize) -> Self {
         self.memo = CoveringMemo::new(capacity);
         self
@@ -219,9 +222,13 @@ impl GeoBlockEngine {
         self.state_snapshot().trie.clone()
     }
 
-    /// Cache budget in bytes (threshold × cell-aggregate bytes).
+    /// Cache budget in bytes (threshold × cell-aggregate bytes — Figure
+    /// 18's "aggregate threshold").
     pub fn budget_bytes(&self) -> usize {
-        let block = self.block_snapshot();
+        self.budget_for(&self.block_snapshot())
+    }
+
+    fn budget_for(&self, block: &GeoBlock) -> usize {
         (self.threshold * (block.num_cells() * block.record_bytes()) as f64) as usize
     }
 
@@ -245,7 +252,7 @@ impl GeoBlockEngine {
         CacheMetrics {
             probes: self.probes.get(),
             direct_hits: self.direct_hits.get(),
-            child_hits: self.child_hits.get(),
+            child_hits: 0,
             covering_memo_hits: memo.hits,
             covering_memo_misses: memo.misses,
         }
@@ -255,7 +262,6 @@ impl GeoBlockEngine {
     pub fn reset_metrics(&self) {
         self.probes.reset();
         self.direct_hits.reset();
-        self.child_hits.reset();
         self.memo.reset_stats();
     }
 
@@ -410,7 +416,6 @@ impl GeoBlockEngine {
         self.tracer.absorb(acc);
         self.probes.add(metrics.probes);
         self.direct_hits.add(metrics.direct_hits);
-        self.child_hits.add(metrics.child_hits);
         QueryResponse::new(result, stats, state.data_epoch)
     }
 
@@ -554,8 +559,11 @@ impl GeoBlockEngine {
     /// Commit a batch of new tuples (§5) and advance the data epoch.
     ///
     /// The next state is built entirely offline — clone the block, apply
-    /// the batch, refresh every cached trie ancestor with the §5
-    /// root-to-leaf walk — and swapped in with a single pointer write.
+    /// the batch, then walk the trie from the root towards each new tuple
+    /// (§5) and overwrite every cached aggregate on the way with the
+    /// updated block's record of its cell, so the cache stays a bit-exact
+    /// copy of what the block would answer — and swapped in with a single
+    /// pointer write.
     /// In-flight queries keep answering from their pinned epoch; queries
     /// starting after the swap see the whole batch. The swap also makes
     /// invalidation transactional for result caches keyed on the epoch:
@@ -581,9 +589,10 @@ impl GeoBlockEngine {
             let mut block = (*cur.block).clone();
             let report = block.apply_updates(batch);
             let mut trie = (*cur.trie).clone();
-            for (loc, values) in &batch.rows {
+            for (loc, _) in &batch.rows {
                 let leaf = block.grid().leaf_for_point(*loc);
-                trie.update_along_path(leaf, values);
+                // Tuples arrive in no cell order: no cursor to resume from.
+                trie.refresh_path(leaf, |cell| block.record_of(cell, &mut Cursors::new()));
             }
             let epoch = cur.data_epoch + 1;
             (
@@ -696,11 +705,11 @@ impl GeoBlockEngine {
         // stale before the swap.
         self.state.publish(|cur| {
             let hits = self.hits.counts();
-            let budget = (self.threshold
-                * (cur.block.num_cells() * cur.block.record_bytes()) as f64)
-                as usize;
+            // Rooted at the block's extent as it is now: updates may have
+            // added cells outside the extent the previous trie was built for.
+            let root = qc::root_cell_of(&cur.block);
             // Expensive part: no slot lock held.
-            let fresh = qc::rebuild_trie(&cur.block, cur.trie.root_cell(), budget, &hits);
+            let fresh = qc::rebuild_trie(&cur.block, root, self.budget_for(&cur.block), &hits);
             // Same block, same data epoch: rebuilds never change answers.
             (
                 EngineState {
@@ -853,7 +862,7 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use crate::build::build;
-    use crate::GeoBlockQC;
+    use crate::hits::HitCounts;
     use gb_cell::Grid;
     use gb_data::{extract, CleaningRules, ColumnDef, DataError, Filter, RawTable, Schema};
     use gb_geom::{Point, Rect};
@@ -920,25 +929,41 @@ mod tests {
         assert!(engine.metrics().direct_hits > 0, "expected cache hits");
     }
 
+    /// What the engine's hit log must amount to: one hit per covering
+    /// cell that may overlap the block, counted in a plain hash map.
+    fn count_hits(hits: &mut FxHashMap<u64, u64>, block: &GeoBlock, polygon: &Polygon) {
+        for cell in block
+            .cover(polygon)
+            .iter()
+            .filter(|&c| block.may_overlap(c))
+        {
+            *hits.entry(cell.raw()).or_insert(0) += 1;
+        }
+    }
+
     #[test]
-    fn engine_rebuild_matches_qc_rebuild() {
+    fn engine_rebuild_matches_a_rebuild_from_hash_map_counts() {
         // Same queries → same statistics → bit-identical caches.
         let base = base_data(3000);
         let (block, _) = build(&base, 8, &Filter::all());
-        let mut qc = GeoBlockQC::new(block.clone(), 0.3);
-        let engine = GeoBlockEngine::new(block, 0.3);
+        let engine = GeoBlockEngine::new(block.clone(), 0.3);
+        let mut hits = FxHashMap::default();
         let s = spec();
         for i in 0..10 {
             let p = diamond(25.0 + 5.0 * i as f64, 40.0, 9.0);
-            qc.select(&p, &s);
+            count_hits(&mut hits, &block, &p);
             engine.select(&p, &s);
         }
-        qc.rebuild_cache();
         engine.rebuild_cache();
+        let want = qc::rebuild_trie(
+            &block,
+            qc::root_cell_of(&block),
+            engine.budget_bytes(),
+            &HitCounts::from_map(&hits),
+        );
         let et = engine.trie_snapshot();
-        assert_eq!(et.num_cached(), qc.trie().num_cached());
-        assert_eq!(et.num_nodes(), qc.trie().num_nodes());
-        assert_eq!(et.size_bytes(), qc.trie().size_bytes());
+        assert!(et.num_cached() > 0);
+        assert_eq!(et.content_hash(), want.content_hash());
     }
 
     #[test]
@@ -985,24 +1010,73 @@ mod tests {
         assert_eq!(before.epoch, 0);
 
         let mut batch = UpdateBatch::new();
-        batch.push(Point::new(20.0, 20.0), vec![9_999_999.0]);
+        batch.push(Point::new(20.0, 20.0), vec![9_999_999.1]);
+        batch.push(Point::new(30.5, 12.25), vec![0.3]);
         let report = engine.apply_updates(&batch).expect("valid batch");
         assert_eq!(report.epoch, 1);
-        assert_eq!(report.result.in_place + report.result.new_cells, 1);
+        assert_eq!(report.result.in_place + report.result.new_cells, 2);
         assert_eq!(engine.data_epoch(), 1);
 
         let after = engine.select(&hot, &s);
         assert_eq!(after.epoch, 1);
-        assert_eq!(after.result.count, before.result.count + 1);
+        assert_eq!(after.result.count, before.result.count + 2);
         assert_eq!(
             after.result.value(1),
-            Some(9_999_999.0),
+            Some(9_999_999.1),
             "cached max must refresh through the swapped trie"
         );
-        // And the engine agrees with a from-scratch QC given the same data.
-        let mut qc = GeoBlockQC::new((*engine.block_snapshot()).clone(), 0.5);
-        let fresh = qc.select(&hot, &s);
-        assert!(after.result.approx_eq(&fresh.result, 0.0), "bit-identical");
+        assert!(engine.metrics().direct_hits > 0, "answered from the trie");
+        // And the warm engine agrees with the naive fold over the same
+        // data — fractional sums included.
+        let block = engine.block_snapshot();
+        let all = AggSpec::k_aggregates(block.schema(), 4);
+        let naive = crate::reference::select_covering(&block, &block.cover(&hot), &all);
+        let warm = engine.select(&hot, &all).result;
+        assert!(
+            warm.approx_eq(&naive, 0.0),
+            "bit-identical: {warm:?} vs {naive:?}"
+        );
+    }
+
+    #[test]
+    fn a_rebuilt_trie_is_rooted_at_the_blocks_current_extent() {
+        // Data in one level-2 quadrant only, then rows inserted elsewhere:
+        // the trie built for the first extent cannot hold the new region,
+        // the one rebuilt after the update must.
+        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
+        for i in 0..400 {
+            let (x, y) = ((i % 20) as f64 * 1.2 + 0.3, (i / 20) as f64 * 1.2 + 0.3);
+            raw.push_row(Point::new(x, y), &[i as f64]);
+        }
+        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
+        let base = extract(&raw, grid, &CleaningRules::none(), None).base;
+        let (block, _) = build(&base, 8, &Filter::all());
+        let engine = GeoBlockEngine::new(block, 1.0);
+        let first_root = engine.trie_snapshot().root_cell();
+        assert!(first_root.level() >= 2, "root {first_root:?}");
+
+        let mut batch = UpdateBatch::new();
+        for i in 0..40 {
+            let (x, y) = (70.0 + (i % 8) as f64 * 2.0, 60.0 + (i / 8) as f64 * 2.0);
+            batch.push(Point::new(x, y), vec![0.5 + i as f64]);
+        }
+        engine.apply_updates(&batch).expect("valid batch");
+        let elsewhere = Polygon::rectangle(Rect::from_bounds(65.0, 55.0, 90.0, 75.0));
+        let want = engine.select(&elsewhere, &spec()).result;
+        assert_eq!(want.count, 40);
+        for _ in 0..9 {
+            engine.select(&elsewhere, &spec());
+        }
+        engine.rebuild_cache();
+        let trie = engine.trie_snapshot();
+        assert!(!first_root.contains(trie.root_cell()), "the root moved");
+        assert!(trie.num_cached() > 0, "the queried region is cacheable");
+        engine.reset_metrics();
+        let warm = engine.select(&elsewhere, &spec());
+        let m = engine.metrics();
+        assert_eq!(m.direct_hits, m.probes, "every query cell is cached");
+        assert!(m.probes > 0);
+        assert!(warm.result.approx_eq(&want, 0.0));
     }
 
     #[test]
@@ -1239,23 +1313,20 @@ mod tests {
         let (block, _) = build(&base, 9, &Filter::all());
         let mut engine = GeoBlockEngine::new(block.clone(), 0.5);
         engine.hits = HitLog::with_bound(BOUND);
-        let mut qc = GeoBlockQC::new(block, 0.5);
+        let mut hits = FxHashMap::default();
         let (mut appended, mut i) = (0, 0);
         while appended < 10 * BOUND {
             let p = diamond(10.0 + 2.5 * (i % 30) as f64, 55.0, 7.0);
             appended += engine.select(&p, &spec()).stats.query_cells;
-            qc.select(&p, &spec());
+            count_hits(&mut hits, &block, &p);
             assert!(engine.hits.log_len() < BOUND, "query {i}");
             i += 1;
         }
         assert_eq!(engine.cache_epoch(), 0, "no rebuild ran");
-        // Nothing was lost on the way: the counts are the serial QC's.
+        // Nothing was lost on the way: the counts are a hash map's.
+        assert_eq!(*engine.hits.counts(), HitCounts::from_map(&hits));
         engine.rebuild_cache();
-        qc.rebuild_cache();
-        assert_eq!(
-            engine.trie_snapshot().content_hash(),
-            qc.trie().content_hash()
-        );
+        assert!(engine.trie_snapshot().num_cached() > 0);
         assert!(engine.tracked_cells() > 0);
     }
 }

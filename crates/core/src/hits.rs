@@ -19,7 +19,6 @@
 //! out (see DESIGN.md "Static analysis & invariants").
 
 use gb_common::sync::OrderedMutex;
-use gb_common::FxHashMap;
 use std::sync::Arc;
 
 /// Log length (hit cells) at which an append folds the log itself: 8 MiB
@@ -101,8 +100,9 @@ impl HitCounts {
         }
     }
 
-    /// A hash-map counter as a column.
-    pub(crate) fn from_map(map: &FxHashMap<u64, u64>) -> HitCounts {
+    /// A hash-map counter — what the tests count hits with — as a column.
+    #[cfg(test)]
+    pub(crate) fn from_map(map: &gb_common::FxHashMap<u64, u64>) -> HitCounts {
         map.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
@@ -142,8 +142,7 @@ impl HitCounts {
 }
 
 /// Counts from `(cell, hits)` pairs in any order; a cell named more than
-/// once gets the sum. A plain hash-map counter (the single-threaded
-/// [`crate::GeoBlockQC`] counts that way) becomes a column through this.
+/// once gets the sum.
 impl FromIterator<(u64, u64)> for HitCounts {
     fn from_iter<T: IntoIterator<Item = (u64, u64)>>(pairs: T) -> Self {
         let mut pairs: Vec<(u64, u64)> = pairs.into_iter().collect();
@@ -249,6 +248,7 @@ impl HitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_common::FxHashMap;
     use proptest::prelude::*;
 
     fn column(pairs: &[(u64, u64)]) -> HitCounts {

@@ -12,7 +12,7 @@
 //!
 //! ```
 //! use gb_data::{datasets, extract, AggSpec, Filter, Rows};
-//! use geoblocks::{build, GeoBlockQC};
+//! use geoblocks::{build, GeoBlockEngine};
 //!
 //! // Synthetic NYC-taxi-like data → extract (clean + sort) → build.
 //! let ds = datasets::nyc_taxi(10_000, 42);
@@ -25,11 +25,11 @@
 //! let (result, _) = block.select(&polys[0], &spec);
 //! assert!(result.count <= 10_000);
 //!
-//! // Query-cache accelerated variant (BlockQC). Typed responses carry
-//! // the result, the per-query stats, and the data epoch they're valid
-//! // for (see the [`api`] module).
-//! let mut qc = GeoBlockQC::new(block, 0.05);
-//! let cached = qc.select(&polys[0], &spec);
+//! // The query-cached front-end (the paper's BlockQC). Typed responses
+//! // carry the result, the per-query stats, and the data epoch they're
+//! // valid for (see the [`api`] module).
+//! let engine = GeoBlockEngine::new(block, 0.05);
+//! let cached = engine.select(&polys[0], &spec);
 //! assert_eq!(cached.result.count, result.count);
 //! assert_eq!(cached.epoch, 0);
 //! ```
@@ -42,13 +42,15 @@
 //! | [`block`] — storage layout, header, coarsening | §3.4 |
 //! | [`pyramid`] — multi-resolution aggregate pyramid, a mandatory part of every block | §3.4 "granularity", §3.5 |
 //! | [`build`](mod@build) — single- or multi-threaded builds from sorted base data | §3.3 |
-//! | [`query`] — SELECT (Listing 1) and COUNT (Listing 2) | §3.5 |
+//! | [`query`] — SELECT (Listing 1) and COUNT (Listing 2): one record lookup per covering cell | §3.5 |
+//! | [`mod@reference`] — the naive SELECT/COUNT every accelerated path is tested against | §3.5 |
 //! | [`trie`] — the AggregateTrie cache | §3.6, Fig. 7 |
-//! | [`qc`] — BlockQC: adapted query + scoring/rebuild | §3.6, Fig. 8 |
-//! | [`engine`] — `Send + Sync` concurrent read path (sharded stats, epoch-swapped cache) | — |
+//! | [`qc`] — the adapted SELECT + scoring/rebuild over a `(block, trie)` pair | §3.6, Fig. 8 |
+//! | [`hits`] — the log-structured hit statistics behind the rebuild | §3.6 |
+//! | [`engine`] — the query-cached front-end ("BlockQC"), `Send + Sync`: epoch-swapped block + cache, updates | §3.6, §5 |
+//! | [`memo`] — covering memo and hot-query table | — |
 //! | [`snapshot`] — versioned persistence of blocks + learned cache state | — |
-//! | [`update`] — batch updates | §5 |
-//! | [`indexed`] — B-tree-indexed aggregate storage (rebuild-free updates) | §5 |
+//! | [`update`] — batch updates of a block | §5 |
 //! | [`aggregate`] — accumulator shared with the baselines | §2, §3.4 |
 
 pub mod aggregate;
@@ -58,12 +60,12 @@ pub mod build;
 pub mod engine;
 mod gallop;
 pub mod hits;
-pub mod indexed;
 pub mod kernel;
 pub mod memo;
 pub mod pyramid;
 pub mod qc;
 pub mod query;
+pub mod reference;
 pub mod snapshot;
 pub mod trie;
 pub mod update;
@@ -74,11 +76,10 @@ pub use block::GeoBlock;
 pub use build::{build, build_parallel, build_with_rows, BuildStats};
 pub use engine::GeoBlockEngine;
 pub use hits::HitCounts;
-pub use indexed::IndexedBlock;
 pub use kernel::PublishKernel;
 pub use memo::{CoveringMemo, HotQueryTable, MemoStats};
 pub use pyramid::AggPyramid;
-pub use qc::{CacheMetrics, GeoBlockQC, RebuildPolicy};
+pub use qc::{CacheMetrics, RebuildPolicy};
 pub use query::QueryStats;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotRef, SNAPSHOT_VERSION};
 pub use trie::AggregateTrie;

@@ -1,32 +1,44 @@
-//! BlockQC: GeoBlocks with query-cache acceleration (§3.6, Figure 8).
+//! The query cache of §3.6 (Figure 8), as free functions over an explicit
+//! `(block, trie)` pair — [`crate::GeoBlockEngine`] is the front-end that
+//! owns the pair, the hit statistics and the rebuild policy.
 //!
-//! Wraps a [`GeoBlock`] with (i) hit statistics over previously seen query
-//! cells, (ii) the [`AggregateTrie`] cache sized by the *aggregate
-//! threshold* (relative to the cell-aggregate storage), and (iii) the
-//! adapted SELECT algorithm: probe the trie per query cell; use the cached
-//! aggregate when present; otherwise combine cached direct children with
-//! the base algorithm for the missing ones; otherwise fall back entirely.
+//! * `select_adapted` — the adapted SELECT: probe the trie per query
+//!   cell; use the cached aggregate when present; otherwise the block
+//!   answers the cell.
+//! * `rebuild_trie` — "Determining Relevant Aggregates": score the hit
+//!   cells, insert by descending relevance until the cache budget (the
+//!   *aggregate threshold*, relative to the cell-aggregate storage) is
+//!   spent. A cached aggregate is a copy of the block's canonical record
+//!   of its cell (`GeoBlock::record_of`), so a trie hit and a block lookup
+//!   answer bit-identically.
+//!
+//! Figure 8 has a step in between: a query cell that is not cached itself
+//! is assembled from its cached direct children. It is not implemented.
+//! The block answers any aligned cell with one lookup and one combine,
+//! where that step spends up to four of each; and four child records
+//! summed into a result associate differently from the canonical in-order
+//! fold of the cell's block records, so on fractional sums it broke the
+//! contract that every path answers bit-identically (it served 0.3–0.6 %
+//! of probes on the serving benchmark's workloads).
 //!
 //! COUNT queries bypass the cache ("as the runtime of COUNT queries is
 //! mostly independent of the cell level […] we do not expect noticeable
 //! speedups for them").
 
-use crate::aggregate::{AggPlan, AggResult};
-use crate::api::{GbError, QueryReply, QueryRequest, QueryResponse};
+use crate::aggregate::{AggPlan, AggResult, RecordRef};
+use crate::api::GbError;
 use crate::block::GeoBlock;
 use crate::hits::HitCounts;
 use crate::query::{Cursors, QueryStats};
-use crate::trie::{AggregateTrie, FlatHit};
+use crate::trie::AggregateTrie;
 use gb_cell::CellId;
-use gb_common::FxHashMap;
 use gb_data::{AggSpec, DataError};
-use gb_geom::Polygon;
 use gb_trace::{Stage, StageAcc};
 
 /// When the cache is (re)built from the hit statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildPolicy {
-    /// Only on explicit [`GeoBlockQC::rebuild_cache`] calls.
+    /// Only on explicit [`crate::GeoBlockEngine::rebuild_cache`] calls.
     Manual,
     /// Automatically after every `n` queries.
     EveryN(usize),
@@ -39,10 +51,11 @@ pub struct CacheMetrics {
     pub probes: u64,
     /// Query cells answered entirely from a cached aggregate.
     pub direct_hits: u64,
-    /// Query cells partially answered via cached direct children.
+    /// Always 0: the step of Figure 8 that assembled a query cell from
+    /// its cached direct children is not implemented (see [`crate::qc`]).
+    /// The field stays because the frozen serving benchmark reads it.
     pub child_hits: u64,
-    /// Coverings served from the engine's covering memo (always 0 for
-    /// the single-threaded [`GeoBlockQC`], which has no memo).
+    /// Coverings served from the engine's covering memo.
     pub covering_memo_hits: u64,
     /// Coverings computed because the memo had no (verified) entry.
     pub covering_memo_misses: u64,
@@ -74,7 +87,7 @@ pub(crate) fn validate_spec(block: &GeoBlock, spec: &AggSpec) -> Result<(), GbEr
 }
 
 /// The smallest cell enclosing every key of `block` — the natural trie
-/// root (shared by [`GeoBlockQC`] and [`crate::engine::GeoBlockEngine`]).
+/// root.
 pub(crate) fn root_cell_of(block: &GeoBlock) -> CellId {
     if block.num_cells() == 0 {
         CellId::ROOT
@@ -88,21 +101,18 @@ pub(crate) fn root_cell_of(block: &GeoBlock) -> CellId {
 /// Takes the polygon's `covering` rather than the polygon itself: the
 /// covering fully determines the answer, which is what lets the engine
 /// memoize coverings by polygon content and lets a batch share one
-/// covering across requests — the caller obtains it from `block.cover` (the
-/// reference path) or the covering memo (bit-identical by construction).
+/// covering across requests — the caller obtains it from `block.cover` or
+/// the covering memo (bit-identical by construction).
 ///
 /// `record_hit` is called once per query cell that may overlap the block
-/// (§3.6 hit statistics); the single-threaded [`GeoBlockQC`] feeds a plain
-/// hash map, the concurrent engine a per-query vector it appends to its
-/// hit log afterwards. Factoring the algorithm out guarantees both
-/// paths answer queries identically.
+/// (§3.6 hit statistics); the engine gathers them in a per-query vector it
+/// appends to its hit log afterwards.
 ///
 /// `acc` attributes per-cell time to tracing stages (`TrieLookup` for
-/// cache probes, `PyramidCombine`/`ScanFallback` for residual combines).
-/// It is a pure observer — a disarmed accumulator (the [`GeoBlockQC`]
-/// reference path, or an unsampled request) runs the identical code with
-/// zero timing overhead, so traced and untraced execution are
-/// bit-identical by construction.
+/// cache probes, `PyramidCombine`/`ScanFallback` for what the block
+/// answers). It is a pure observer — a disarmed accumulator (an unsampled
+/// request) runs the identical code with zero timing overhead, so traced
+/// and untraced execution are bit-identical by construction.
 pub(crate) fn select_adapted(
     block: &GeoBlock,
     trie: &AggregateTrie,
@@ -114,35 +124,11 @@ pub(crate) fn select_adapted(
 ) -> (AggResult, QueryStats) {
     let plan = AggPlan::compile(spec);
     let mut result = AggResult::new(spec);
-    let mut scratch = AggResult::new(spec);
     let mut stats = QueryStats::default();
     let mut cursors = Cursors::new();
     // Covering cells arrive sorted by raw id, so the flat-index cursor
     // resolves almost every probe from a forward scan.
     let mut probe = trie.flat_cursor();
-    // What the trie cannot answer goes to the block, timed under the
-    // stage the cell's level selects — the tier selection of
-    // `GeoBlock::combine_covering_cell`: cells coarser than the block
-    // level are pyramid lookups, block-level cells scan their record.
-    let mut residual =
-        |cell: CellId, acc: &mut StageAcc, result: &mut AggResult, stats: &mut QueryStats| {
-            let stage = if cell.level() < block.level {
-                Stage::PyramidCombine
-            } else {
-                Stage::ScanFallback
-            };
-            acc.time(stage, || {
-                block.combine_covering_cell(
-                    cell,
-                    spec,
-                    &plan,
-                    &mut scratch,
-                    result,
-                    stats,
-                    &mut cursors,
-                )
-            })
-        };
 
     for qcell in covering.iter() {
         if !block.may_overlap(qcell) {
@@ -154,40 +140,24 @@ pub(crate) fn select_adapted(
         record_hit(qcell.raw());
         metrics.probes += 1;
 
-        // Probe the cache — the hot lane resolves a cached cell straight
-        // to its record, so the common case never touches the node array.
-        match acc.time(Stage::TrieLookup, || probe.lookup(qcell)) {
-            FlatHit::Agg(agg) => {
-                // Fully cached: answer from the trie.
-                agg.combine_into(&plan, &mut result);
-                metrics.direct_hits += 1;
-            }
-            FlatHit::Node(node) => {
-                if qcell.level() < gb_cell::MAX_LEVEL {
-                    if let Some(children) = trie.children_of(node) {
-                        // Partially cached: combine cached direct children,
-                        // fall back per missing child (pyramid-tiered too).
-                        let mut used_child = false;
-                        for (k, &child_node) in children.iter().enumerate() {
-                            let child_cell = qcell.child(k as u8);
-                            if let Some(agg) = trie.agg_of(child_node) {
-                                agg.combine_into(&plan, &mut result);
-                                used_child = true;
-                            } else {
-                                residual(child_cell, acc, &mut result, &mut stats);
-                            }
-                        }
-                        if used_child {
-                            metrics.child_hits += 1;
-                        }
-                        continue;
-                    }
-                }
-                // Node exists but nothing usable: base tiered path.
-                residual(qcell, acc, &mut result, &mut stats);
-            }
-            FlatHit::Miss => residual(qcell, acc, &mut result, &mut stats),
+        if let Some(agg) = acc.time(Stage::TrieLookup, || probe.lookup(qcell)) {
+            // Cached: answer from the trie.
+            agg.combine_into(&plan, &mut result);
+            metrics.direct_hits += 1;
+            continue;
         }
+        // What the trie does not hold, the block answers, timed under the
+        // stage the cell's level selects: a cell coarser than the block
+        // level reads a pyramid layer, a block-level cell the block's own
+        // records.
+        let stage = if qcell.level() < block.level {
+            Stage::PyramidCombine
+        } else {
+            Stage::ScanFallback
+        };
+        acc.time(stage, || {
+            block.combine_covering_cell(qcell, &plan, &mut result, &mut stats, &mut cursors)
+        });
     }
     (result.finalize(spec), stats)
 }
@@ -220,42 +190,11 @@ fn score_candidates(hits: &HitCounts) -> Vec<(u64, u8, u64)> {
         .collect()
 }
 
-/// Aggregate all cell aggregates inside `cell` into the scratch buffers;
-/// returns the tuple count.
-pub(crate) fn aggregate_cell_range(
-    block: &GeoBlock,
-    cell: CellId,
-    mins: &mut [f64],
-    maxs: &mut [f64],
-    sums: &mut [f64],
-) -> u64 {
-    let c = mins.len();
-    mins.fill(f64::INFINITY);
-    maxs.fill(f64::NEG_INFINITY);
-    sums.fill(0.0);
-    let mut count = 0u64;
-    let lo = cell.range_min().raw();
-    let hi = cell.range_max().raw();
-    // No cursor to resume from (candidates arrive in score order): bisect.
-    let mut i = block.keys.partition_point(|&k| k < lo);
-    while i < block.keys.len() && block.keys[i] <= hi {
-        count += u64::from(block.counts[i]);
-        let base = i * c;
-        for col in 0..c {
-            mins[col] = mins[col].min(block.mins[base + col]);
-            maxs[col] = maxs[col].max(block.maxs[base + col]);
-            sums[col] += block.sums[base + col];
-        }
-        i += 1;
-    }
-    count
-}
-
 /// Build a fresh AggregateTrie from hit statistics: take candidate cells
 /// in (score desc, level asc, key asc) order and insert until `budget`
 /// bytes are filled (§3.6 "Determining Relevant Aggregates").
-/// Deterministic for given hit counts, so every caller — serial QC or
-/// concurrent engine — rebuilds the same cache from the same statistics.
+/// Deterministic for given hit counts: the same statistics rebuild the
+/// same cache, whichever thread runs the rebuild.
 ///
 /// The budget admits a small prefix of that order (every insertion costs
 /// at least one record), so only that prefix is selected and sorted; the
@@ -285,9 +224,17 @@ pub(crate) fn rebuild_trie(
     }
     let (head, rest) = candidates.split_at_mut(cut);
 
-    let mut mins = vec![0.0f64; n_cols];
-    let mut maxs = vec![0.0f64; n_cols];
-    let mut sums = vec![0.0f64; n_cols];
+    // Empty cells are cached too: a count-0 record answers "no data here"
+    // without asking the block, and Figure 18's cache hit rate reaching
+    // 100 % requires every queried cell to become cacheable.
+    let (inf, neg_inf) = (vec![f64::INFINITY; n_cols], vec![f64::NEG_INFINITY; n_cols]);
+    let zero = vec![0.0f64; n_cols];
+    let empty = RecordRef {
+        count: 0,
+        mins: &inf,
+        maxs: &neg_inf,
+        sums: &zero,
+    };
     'fill: for part in [head, rest] {
         part.sort_unstable_by(order);
         for &(_, _, raw) in part.iter() {
@@ -300,12 +247,10 @@ pub(crate) fn rebuild_trie(
                 // relevance until the space is exhausted).
                 break 'fill;
             }
-            let count = aggregate_cell_range(block, cell, &mut mins, &mut maxs, &mut sums);
-            // Empty cells are cached too: a count-0 record answers "no data
-            // here" without touching the aggregates, and Figure 18's cache hit
-            // rate reaching 100 % requires every queried cell to become
-            // cacheable.
-            trie.insert(cell, count, &mins, &maxs, &sums);
+            // Candidates arrive in score order, not cell order: no cursor
+            // to resume from.
+            let r = block.record_of(cell, &mut Cursors::new()).unwrap_or(empty);
+            trie.insert(cell, r.count, r.mins, r.maxs, r.sums);
         }
     }
     // Rebuilds are publish points: hand readers the flat lookup path.
@@ -313,245 +258,15 @@ pub(crate) fn rebuild_trie(
     trie
 }
 
-/// A GeoBlock with the AggregateTrie query cache.
-#[derive(Debug, Clone)]
-pub struct GeoBlockQC {
-    block: GeoBlock,
-    trie: AggregateTrie,
-    /// Cache budget as a fraction of the cell-aggregate bytes (Figure 18's
-    /// "aggregate threshold").
-    threshold: f64,
-    policy: RebuildPolicy,
-    hits: FxHashMap<u64, u64>,
-    queries_since_rebuild: usize,
-    metrics: CacheMetrics,
-    /// Data epoch: how many update batches have committed — the epoch
-    /// reported in every [`QueryResponse`] (mirrors
-    /// [`crate::GeoBlockEngine::data_epoch`]).
-    epoch: u64,
-}
-
-impl GeoBlockQC {
-    /// Wrap `block` with a cache budget of `threshold` (e.g. `0.05` = 5 %
-    /// of the cell-aggregate storage, the paper's skew-experiment setting).
-    pub fn new(block: GeoBlock, threshold: f64) -> Self {
-        assert!(threshold >= 0.0);
-        let root_cell = root_cell_of(&block);
-        let n_cols = block.schema().len();
-        GeoBlockQC {
-            block,
-            trie: AggregateTrie::new(root_cell, n_cols),
-            threshold,
-            policy: RebuildPolicy::Manual,
-            hits: FxHashMap::default(),
-            queries_since_rebuild: 0,
-            metrics: CacheMetrics::default(),
-            epoch: 0,
-        }
-    }
-
-    /// Set the automatic rebuild policy.
-    pub fn with_policy(mut self, policy: RebuildPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The wrapped block.
-    pub fn block(&self) -> &GeoBlock {
-        &self.block
-    }
-
-    /// The current cache.
-    pub fn trie(&self) -> &AggregateTrie {
-        &self.trie
-    }
-
-    pub(crate) fn block_mut(&mut self) -> &mut GeoBlock {
-        &mut self.block
-    }
-
-    pub(crate) fn trie_mut(&mut self) -> &mut AggregateTrie {
-        &mut self.trie
-    }
-
-    pub(crate) fn block_grid_leaf(&self, p: gb_geom::Point) -> CellId {
-        self.block.grid().leaf_for_point(p)
-    }
-
-    /// Cache budget in bytes (threshold × cell-aggregate bytes).
-    pub fn budget_bytes(&self) -> usize {
-        (self.threshold * (self.block.num_cells() * self.block.record_bytes()) as f64) as usize
-    }
-
-    /// Accumulated cache metrics since the last [`GeoBlockQC::reset_metrics`].
-    pub fn metrics(&self) -> CacheMetrics {
-        self.metrics
-    }
-
-    /// Zero the cache metrics (e.g. between workload phases).
-    pub fn reset_metrics(&mut self) {
-        self.metrics = CacheMetrics::default();
-    }
-
-    /// How many update batches have committed (the epoch reported in
-    /// every [`QueryResponse`]).
-    pub fn data_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Advance the data epoch (called by `apply_updates` after a batch
-    /// commits — see `crate::update`).
-    pub(crate) fn bump_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// The canonical typed entry point: validate `req` against the block
-    /// schema, execute it, and wrap the result with its stats and epoch.
-    pub fn query(&mut self, req: &QueryRequest) -> Result<QueryReply, GbError> {
-        match req {
-            QueryRequest::Select { polygon, spec } => {
-                validate_spec(&self.block, spec)?;
-                Ok(QueryReply::Select(self.select(polygon, spec)))
-            }
-            QueryRequest::Count { polygon } => Ok(QueryReply::Count(self.count(polygon))),
-            QueryRequest::Update { batch } => {
-                let n_cols = self.block.schema().len();
-                for (i, (_, values)) in batch.rows.iter().enumerate() {
-                    if values.len() != n_cols {
-                        return Err(GbError::bad_request(format!(
-                            "update row {i} has {} values, schema has {n_cols} columns",
-                            values.len()
-                        )));
-                    }
-                }
-                let report = self.apply_updates(batch);
-                Ok(QueryReply::Update(QueryResponse::new(
-                    report,
-                    QueryStats::default(),
-                    self.epoch,
-                )))
-            }
-            QueryRequest::Batch { requests } => {
-                // The single-threaded QC executes batch items sequentially —
-                // it is the reference the engine's covering-shared batch path
-                // is property-tested against.
-                for (i, item) in requests.iter().enumerate() {
-                    if !matches!(
-                        item,
-                        QueryRequest::Select { .. } | QueryRequest::Count { .. }
-                    ) {
-                        return Err(GbError::bad_request(format!(
-                            "batch item {i}: only select/count requests may appear in a batch"
-                        )));
-                    }
-                }
-                let mut items = Vec::with_capacity(requests.len());
-                let mut stats = QueryStats::default();
-                for item in requests {
-                    let reply = self.query(item)?;
-                    let s = reply.stats();
-                    stats.query_cells += s.query_cells;
-                    stats.cells_combined += s.cells_combined;
-                    stats.searches += s.searches;
-                    items.push(reply);
-                }
-                let epoch = self.epoch;
-                Ok(QueryReply::Batch(QueryResponse::new(items, stats, epoch)))
-            }
-        }
-    }
-
-    /// COUNT passes straight through to the block (no cache, §3.6).
-    pub fn count(&self, polygon: &Polygon) -> QueryResponse<u64> {
-        let (count, stats) = self.block.count(polygon);
-        QueryResponse::new(count, stats, self.epoch)
-    }
-
-    /// SELECT with the Figure-8 adapted algorithm. Computes a fresh
-    /// covering every time — the QC is the memo-free reference the
-    /// engine's memoized path is property-tested against.
-    pub fn select(&mut self, polygon: &Polygon, spec: &AggSpec) -> QueryResponse<AggResult> {
-        let covering = self.block.cover(polygon);
-        let GeoBlockQC {
-            block,
-            trie,
-            hits,
-            metrics,
-            ..
-        } = self;
-        let (result, stats) = select_adapted(
-            block,
-            trie,
-            &covering,
-            spec,
-            &mut |raw| *hits.entry(raw).or_insert(0) += 1,
-            metrics,
-            // The QC is the untraced reference: a disarmed accumulator
-            // keeps this path bit-identical and bookkeeping-free.
-            &mut StageAcc::inactive(),
-        );
-
-        self.queries_since_rebuild += 1;
-        if let RebuildPolicy::EveryN(n) = self.policy {
-            if self.queries_since_rebuild >= n {
-                self.rebuild_cache();
-            }
-        }
-        QueryResponse::new(result, stats, self.epoch)
-    }
-
-    /// Persist the block and the current cache state (trie + hit
-    /// statistics) — the single-threaded counterpart of
-    /// [`crate::GeoBlockEngine::write_snapshot`].
-    pub fn write_snapshot(&self, path: &std::path::Path) -> Result<(), crate::SnapshotError> {
-        crate::snapshot::SnapshotRef {
-            block: &self.block,
-            trie: Some(&self.trie),
-            hits: Some(&HitCounts::from_map(&self.hits)),
-            hot_queries: None,
-        }
-        .save(path)
-    }
-
-    /// Restore a BlockQC from a snapshot. If the snapshot carries cache
-    /// state the restored QC starts warm (same trie, same learned hit
-    /// scores); otherwise it behaves like [`GeoBlockQC::new`].
-    pub fn from_snapshot(
-        path: &std::path::Path,
-        threshold: f64,
-    ) -> Result<GeoBlockQC, crate::SnapshotError> {
-        let snap = crate::Snapshot::load(path)?;
-        let mut qc = GeoBlockQC::new(snap.block, threshold);
-        if let Some(trie) = snap.trie {
-            qc.trie = trie;
-        }
-        if let Some(hits) = snap.hits {
-            qc.hits = hits.iter().collect();
-        }
-        Ok(qc)
-    }
-
-    /// Rebuild the AggregateTrie from the hit statistics: sort candidate
-    /// cells by (score desc, level asc, key asc) and insert until the
-    /// reserved area is filled (§3.6 "Determining Relevant Aggregates").
-    pub fn rebuild_cache(&mut self) {
-        self.queries_since_rebuild = 0;
-        self.trie = rebuild_trie(
-            &self.block,
-            self.trie.root_cell(),
-            self.budget_bytes(),
-            &HitCounts::from_map(&self.hits),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build;
+    use crate::GeoBlockEngine;
     use gb_cell::Grid;
+    use gb_common::FxHashMap;
     use gb_data::{extract, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema};
-    use gb_geom::{Point, Rect};
+    use gb_geom::{Point, Polygon, Rect};
 
     fn base_data(n: usize) -> gb_data::BaseTable {
         let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
@@ -583,114 +298,56 @@ mod tests {
     }
 
     #[test]
-    fn qc_matches_plain_block_before_and_after_caching() {
-        let base = base_data(4000);
-        let (block, _) = build(&base, 8, &Filter::all());
-        let s = spec();
-        let polys: Vec<Polygon> = (0..6)
-            .map(|i| diamond(20.0 + 10.0 * i as f64, 30.0 + 7.0 * i as f64, 8.0))
-            .collect();
-
-        let mut qc = GeoBlockQC::new(block.clone(), 0.2);
-        // Cold cache: identical results.
-        for p in &polys {
-            let a = qc.select(p, &s).result;
-            let (b, _) = block.select(p, &s);
-            assert!(a.approx_eq(&b, 1e-9), "cold: {a:?} vs {b:?}");
-        }
-        qc.rebuild_cache();
-        assert!(qc.trie().num_cached() > 0, "cache should hold aggregates");
-        // Warm cache: still identical results.
-        for p in &polys {
-            let a = qc.select(p, &s).result;
-            let (b, _) = block.select(p, &s);
-            assert!(a.approx_eq(&b, 1e-9), "warm: {a:?} vs {b:?}");
-        }
-        assert!(qc.metrics().direct_hits > 0, "expected cache hits");
-    }
-
-    #[test]
-    fn cache_respects_budget() {
-        let base = base_data(3000);
-        let (block, _) = build(&base, 9, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 0.05);
-        for i in 0..20 {
-            let p = diamond(30.0 + i as f64, 40.0, 10.0);
-            qc.select(&p, &spec());
-        }
-        qc.rebuild_cache();
-        assert!(
-            qc.trie().size_bytes() <= qc.budget_bytes(),
-            "cache {} over budget {}",
-            qc.trie().size_bytes(),
-            qc.budget_bytes()
-        );
-    }
-
-    #[test]
     fn zero_threshold_caches_nothing() {
         let base = base_data(1000);
         let (block, _) = build(&base, 8, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 0.0);
+        let engine = GeoBlockEngine::new(block, 0.0);
         for _ in 0..3 {
-            qc.select(&diamond(50.0, 50.0, 20.0), &spec());
+            engine.select(&diamond(50.0, 50.0, 20.0), &spec());
         }
-        qc.rebuild_cache();
-        assert_eq!(qc.trie().num_cached(), 0);
-        assert_eq!(qc.metrics().direct_hits, 0);
+        engine.rebuild_cache();
+        assert_eq!(engine.trie_snapshot().num_cached(), 0);
+        engine.select(&diamond(50.0, 50.0, 20.0), &spec());
+        assert_eq!(engine.metrics().direct_hits, 0);
     }
 
     #[test]
     fn repeated_region_gets_cached_and_hit() {
         let base = base_data(3000);
         let (block, _) = build(&base, 8, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 0.5);
+        let engine = GeoBlockEngine::new(block, 0.5);
         let hot = diamond(50.0, 50.0, 12.0);
         for _ in 0..5 {
-            qc.select(&hot, &spec());
+            engine.select(&hot, &spec());
         }
-        qc.rebuild_cache();
-        qc.reset_metrics();
-        qc.select(&hot, &spec());
-        let m = qc.metrics();
-        assert!(
-            m.direct_hits + m.child_hits > 0,
-            "hot region should hit the cache: {m:?}"
-        );
+        engine.rebuild_cache();
+        engine.reset_metrics();
+        engine.select(&hot, &spec());
+        let m = engine.metrics();
+        assert!(m.direct_hits > 0, "hot region should hit the cache: {m:?}");
         assert!(m.hit_rate() > 0.0);
     }
 
-    #[test]
-    fn auto_rebuild_policy_fires() {
-        let base = base_data(2000);
-        let (block, _) = build(&base, 8, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 0.3).with_policy(RebuildPolicy::EveryN(4));
-        let hot = diamond(40.0, 40.0, 10.0);
-        for _ in 0..8 {
-            qc.select(&hot, &spec());
+    /// The record of `cell` by a plain in-order fold of the block records
+    /// under it — what `GeoBlock::record_of` reads from the pyramid.
+    fn folded_record(block: &GeoBlock, cell: CellId) -> (u64, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let c = block.schema().len();
+        let (mut mins, mut maxs) = (vec![f64::INFINITY; c], vec![f64::NEG_INFINITY; c]);
+        let (mut sums, mut count) = (vec![0.0; c], 0u64);
+        for i in (0..block.num_cells()).filter(|&i| cell.contains(block.cell_at(i))) {
+            count += u64::from(block.counts[i]);
+            for col in 0..c {
+                mins[col] = mins[col].min(block.mins[i * c + col]);
+                maxs[col] = maxs[col].max(block.maxs[i * c + col]);
+                sums[col] += block.sums[i * c + col];
+            }
         }
-        // After ≥ 4 queries the policy rebuilt at least once.
-        assert!(qc.trie().num_cached() > 0);
+        (count, mins, maxs, sums)
     }
 
-    #[test]
-    fn count_ignores_cache() {
-        let base = base_data(2000);
-        let (block, _) = build(&base, 8, &Filter::all());
-        let mut qc = GeoBlockQC::new(block.clone(), 0.3);
-        let hot = diamond(40.0, 40.0, 15.0);
-        for _ in 0..5 {
-            qc.select(&hot, &spec());
-        }
-        qc.rebuild_cache();
-        let a = qc.count(&hot);
-        let (b, _) = block.count(&hot);
-        assert_eq!(a.result, b);
-        assert_eq!(a.epoch, 0, "no updates yet");
-    }
-
-    /// The rebuild as it was before the partial sort: order every
-    /// candidate, insert until the first that does not fit.
+    /// The rebuild as it was before the partial sort and the record
+    /// lookup: order every candidate, insert until the first that does
+    /// not fit, fold each inserted cell's records from the block.
     /// Scores are looked up, not merged: own hits plus the parent's.
     fn rebuild_full_sort(
         block: &GeoBlock,
@@ -698,8 +355,7 @@ mod tests {
         budget: usize,
         hits: &FxHashMap<u64, u64>,
     ) -> AggregateTrie {
-        let n_cols = block.schema().len();
-        let mut trie = AggregateTrie::new(root_cell, n_cols);
+        let mut trie = AggregateTrie::new(root_cell, block.schema().len());
         let of = |cell: CellId| hits.get(&cell.raw()).copied().unwrap_or(0);
         let mut candidates: Vec<(u64, u8, u64)> = hits
             .keys()
@@ -714,8 +370,6 @@ mod tests {
             })
             .collect();
         candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let (mut mins, mut maxs, mut sums) =
-            (vec![0.0; n_cols], vec![0.0; n_cols], vec![0.0; n_cols]);
         for (_, _, raw) in candidates {
             let cell = CellId::from_raw(raw);
             let Some(cost) = trie.insertion_cost(cell) else {
@@ -724,7 +378,7 @@ mod tests {
             if trie.size_bytes() + cost > budget {
                 break;
             }
-            let count = aggregate_cell_range(block, cell, &mut mins, &mut maxs, &mut sums);
+            let (count, mins, maxs, sums) = folded_record(block, cell);
             trie.insert(cell, count, &mins, &maxs, &sums);
         }
         trie
@@ -735,7 +389,8 @@ mod tests {
         let base = base_data(3000);
         let (block, _) = build(&base, 8, &Filter::all());
         // Every block cell and its parent, with scattered hit counts and
-        // plenty of equal scores for the tie-breaks to decide.
+        // plenty of equal scores for the tie-breaks to decide — and a
+        // queried cell without data, cached as the empty record.
         let mut hits: FxHashMap<u64, u64> = FxHashMap::default();
         for (i, &raw) in block.keys.iter().enumerate() {
             hits.insert(raw, (i as u64).wrapping_mul(2_654_435_761) % 7);
@@ -743,6 +398,10 @@ mod tests {
             *hits.entry(parent).or_insert(0) += (i % 3) as u64;
         }
         let whole = root_cell_of(&block);
+        let no_data = (0..4u8)
+            .map(|k| block.cell_at(0).parent().child(k))
+            .find(|cell| block.keys.binary_search(&cell.raw()).is_err());
+        hits.extend(no_data.map(|cell| (cell.raw(), 5)));
         // A trie rooted at one quadrant: the other three quadrants' cells
         // are candidates outside the root. Raising their counts puts them
         // all ahead of the cut, so the selected prefix inserts nothing and
@@ -774,18 +433,18 @@ mod tests {
     fn scoring_prefers_hits_then_coarser_cells() {
         let base = base_data(2000);
         let (block, _) = build(&base, 8, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 1.0);
+        let engine = GeoBlockEngine::new(block, 1.0);
         // Query one region often, another once.
         let hot = diamond(30.0, 30.0, 10.0);
         let cold = diamond(70.0, 70.0, 10.0);
         for _ in 0..6 {
-            qc.select(&hot, &spec());
+            engine.select(&hot, &spec());
         }
-        qc.select(&cold, &spec());
-        qc.rebuild_cache();
-        qc.reset_metrics();
-        qc.select(&hot, &spec());
-        let hot_rate = qc.metrics().hit_rate();
+        engine.select(&cold, &spec());
+        engine.rebuild_cache();
+        engine.reset_metrics();
+        engine.select(&hot, &spec());
+        let hot_rate = engine.metrics().hit_rate();
         assert!(hot_rate > 0.5, "hot region rate {hot_rate}");
     }
 }

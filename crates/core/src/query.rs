@@ -1,38 +1,29 @@
-//! SELECT and COUNT query evaluation (§3.5, Listings 1 & 2, Figure 6),
-//! accelerated by the multi-resolution aggregate pyramid.
+//! SELECT and COUNT query evaluation (§3.5, Listings 1 & 2, Figure 6)
+//! over the multi-resolution aggregate pyramid.
 //!
 //! Both queries start identically: the polygon is approximated by an
 //! error-bounded cell covering (boundary cells at the block level, interior
-//! cells possibly coarser), the covering is pruned against the global
-//! header, and each covering cell is answered by one of two tiers, chosen
-//! by its level alone:
+//! cells possibly coarser) and the covering is pruned against the global
+//! header. Every covering cell is grid-aligned and every block holds the
+//! canonical record of every aligned cell — the in-order fold of the block
+//! records under it: its pyramid layer's record for a cell coarser than
+//! the block level, the block's own record at the block level. So:
 //!
-//! 1. **Pyramid lookup** — every covering cell is grid-aligned, so a cell
-//!    coarser than the block level is answered by one cursor-resumed
-//!    binary search in its pyramid layer and **one** record combine
-//!    (`cells_combined` ≤ covering size). Pyramid records are in-order
-//!    folds of the block records they cover, so this tier is bit-identical
-//!    to the range scan it replaces. Every block carries a pyramid, so
-//!    this tier is always available.
-//! 2. **Range scan** — the seed algorithm of Listing 1 (one forward scan
-//!    per covering cell, cursor-resumed). In production it serves the
-//!    block-level covering cells, whose run is at most one record; run
-//!    over *every* covering cell it is the reference the pyramid tier is
-//!    tested against ([`GeoBlock::select_scan`]).
-//!
-//! * [`GeoBlock::select`] — the production tiered variant.
-//! * [`GeoBlock::select_scan`] — tier 2 only; the `select_ablation` /
-//!   `select_pyramid` bench reference.
-//! * [`GeoBlock::select_listing1`] — the paper's pseudocode, literally:
-//!   every covering cell is first expanded to block-level child cells, each
-//!   child is looked up via upper-bound binary search or the successor
-//!   check. Kept as an ablation target (`select_ablation` bench).
+//! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] answer each
+//!   covering cell with **one** cursor-resumed galloping search and **one**
+//!   record combine (`GeoBlock::record_of`; `cells_combined` ≤ covering
+//!   size). The cache-adapted SELECT of [`crate::qc`], the trie rebuild and
+//!   the engine's update path read records through the same function.
 //! * [`GeoBlock::count`] — Listing 2 over the maintained count prefix:
 //!   `prefix[last + 1] − prefix[first]` per covering cell. Unlike the
 //!   stored base-data offsets, the prefix is rebuilt by updates, so COUNT
 //!   stays O(1) per cell even after batches (no scan fallback).
+//!
+//! The naive oracle both are tested against — one bisection and one
+//! in-order fold of the block records per covering cell, Listing 1 without
+//! any acceleration — is [`crate::reference`].
 
-use crate::aggregate::{AggPlan, AggResult};
+use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::block::GeoBlock;
 use crate::gallop;
 use gb_cell::{cover_polygon, CellId, CellUnion, CovererOptions, MAX_LEVEL};
@@ -56,7 +47,7 @@ pub struct QueryStats {
 /// of that level ended.
 pub(crate) struct Cursors {
     /// Resume position in the block-level record arrays.
-    pub(crate) block: usize,
+    block: usize,
     /// Resume position per pyramid layer.
     levels: [usize; MAX_LEVEL as usize + 1],
 }
@@ -87,36 +78,8 @@ impl GeoBlock {
     /// SELECT over a precomputed covering, without finalization (the
     /// query-cache layer composes partial results before finalizing).
     pub fn select_covering(&self, covering: &CellUnion, spec: &AggSpec) -> (AggResult, QueryStats) {
-        self.select_covering_tiered(covering, spec, true)
-    }
-
-    /// SELECT restricted to the range-scan tier — the seed algorithm,
-    /// kept as the ablation reference and the ground truth the pyramid
-    /// path must match bit-for-bit.
-    pub fn select_scan(&self, polygon: &Polygon, spec: &AggSpec) -> (AggResult, QueryStats) {
-        let covering = self.cover(polygon);
-        let (acc, stats) = self.select_covering_scan(&covering, spec);
-        (acc.finalize(spec), stats)
-    }
-
-    /// [`GeoBlock::select_scan`] over a precomputed covering.
-    pub fn select_covering_scan(
-        &self,
-        covering: &CellUnion,
-        spec: &AggSpec,
-    ) -> (AggResult, QueryStats) {
-        self.select_covering_tiered(covering, spec, false)
-    }
-
-    fn select_covering_tiered(
-        &self,
-        covering: &CellUnion,
-        spec: &AggSpec,
-        accelerated: bool,
-    ) -> (AggResult, QueryStats) {
         let plan = AggPlan::compile(spec);
         let mut result = AggResult::new(spec);
-        let mut scratch = AggResult::new(spec);
         let mut stats = QueryStats::default();
         let mut cursors = Cursors::new();
 
@@ -127,187 +90,68 @@ impl GeoBlock {
                 continue;
             }
             stats.query_cells += 1;
-            if accelerated {
-                self.combine_covering_cell(
-                    qcell,
-                    spec,
-                    &plan,
-                    &mut scratch,
-                    &mut result,
-                    &mut stats,
-                    &mut cursors,
-                );
-            } else {
-                self.scan_covering_cell(
-                    qcell,
-                    spec,
-                    &plan,
-                    &mut scratch,
-                    &mut result,
-                    &mut stats,
-                    &mut cursors,
-                );
-            }
+            self.combine_covering_cell(qcell, &plan, &mut result, &mut stats, &mut cursors);
         }
         (result, stats)
     }
 
-    /// Fold one covering cell into `result`: a pyramid lookup for cells
-    /// coarser than the block level, a scan of the (≤ 1) record otherwise.
-    /// Shared by the plain SELECT path and the cache-adapted path in
-    /// [`crate::qc`].
-    #[allow(clippy::too_many_arguments)]
+    /// Fold one covering cell's record into `result`. Shared by the plain
+    /// SELECT path and the cache-adapted path in [`crate::qc`].
+    #[inline]
     pub(crate) fn combine_covering_cell(
         &self,
         qcell: CellId,
-        spec: &AggSpec,
         plan: &AggPlan,
-        scratch: &mut AggResult,
         result: &mut AggResult,
         stats: &mut QueryStats,
         cursors: &mut Cursors,
     ) {
-        let level = qcell.level();
-        if level >= self.level {
-            // Block-level covering cell: the run is at most one record.
-            self.scan_covering_cell(qcell, spec, plan, scratch, result, stats, cursors);
-            return;
-        }
-        // Exact pyramid lookup at the cell's own level.
-        let layer = &self.pyramid.levels[level as usize];
-        let c = self.n_cols();
-        let from = cursors.levels[level as usize];
         stats.searches += 1;
-        let i = gallop::lower_bound_from(&layer.keys, qcell.raw(), from);
-        if i < layer.keys.len() && layer.keys[i] == qcell.raw() {
-            let base = i * c;
-            result.combine_record_plan(
-                plan,
-                layer.counts[i],
-                &layer.mins[base..base + c],
-                &layer.maxs[base..base + c],
-                &layer.sums[base..base + c],
-            );
+        if let Some(record) = self.record_of(qcell, cursors) {
+            record.combine_into(plan, result);
             stats.cells_combined += 1;
-            cursors.levels[level as usize] = i + 1;
-        } else {
-            // No record ⇒ no data under this covering cell.
-            cursors.levels[level as usize] = i;
         }
     }
 
-    /// The range-scan tier: fold `qcell`'s record run into a fresh scratch
-    /// accumulator, then merge it into `result`. The two-step fold is what
-    /// makes the scan bit-identical to a pyramid lookup: the scratch ends
-    /// up bit-equal to the pyramid record (same in-order fold from zero),
-    /// and both paths then perform the same single merge.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_covering_cell(
-        &self,
-        qcell: CellId,
-        spec: &AggSpec,
-        plan: &AggPlan,
-        scratch: &mut AggResult,
-        result: &mut AggResult,
-        stats: &mut QueryStats,
-        cursors: &mut Cursors,
-    ) {
-        scratch.reset(spec);
-        cursors.block = self.scan_cell_range(qcell, plan, scratch, stats, cursors.block);
-        result.merge_plan(plan, scratch);
-    }
-
-    /// Fold all cell aggregates inside `qcell` into `result`, scanning
-    /// forward from `cursor`. Returns the new cursor.
-    #[inline]
-    pub(crate) fn scan_cell_range(
-        &self,
-        qcell: CellId,
-        plan: &AggPlan,
-        result: &mut AggResult,
-        stats: &mut QueryStats,
-        cursor: usize,
-    ) -> usize {
-        let lo_key = qcell.range_min().raw();
-        let hi_key = qcell.range_max().raw();
-        let mut i = self.lower_bound_from(lo_key, cursor);
-        stats.searches += 1;
-        let c = self.n_cols();
-        while i < self.keys.len() && self.keys[i] <= hi_key {
-            let base = i * c;
-            result.combine_record_plan(
-                plan,
-                u64::from(self.counts[i]),
-                &self.mins[base..base + c],
-                &self.maxs[base..base + c],
-                &self.sums[base..base + c],
-            );
-            stats.cells_combined += 1;
-            i += 1;
-        }
-        i
-    }
-
-    /// SELECT following the paper's Listing 1 literally: map each covering
-    /// cell to its block-level children and look each child up, exploiting
-    /// the stored order via a "last aggregate" successor check.
+    /// The canonical record of the aligned `cell`, at or above the block
+    /// level: the in-order fold of the block records under it, read from
+    /// its pyramid layer (from the block's own records at the block
+    /// level). `None` means no data under the cell — also for a cell finer
+    /// than the block level, which has no record of its own.
     ///
-    /// Functionally identical to [`GeoBlock::select_scan`]; kept for the
-    /// ablation benches. Beware: a coarse interior covering cell expands to
-    /// 4^Δ children, so this variant degrades when coverings are coarse —
-    /// exactly the degradation the aggregate pyramid removes.
-    pub fn select_listing1(&self, polygon: &Polygon, spec: &AggSpec) -> (AggResult, QueryStats) {
-        let covering = self.cover(polygon);
-        let plan = AggPlan::compile(spec);
+    /// The search gallops forward from where `cursors` left the cell's
+    /// level, so the cells of one level must be asked for in ascending
+    /// order per `Cursors`; a caller without such an order passes a fresh
+    /// one per lookup.
+    pub(crate) fn record_of(&self, cell: CellId, cursors: &mut Cursors) -> Option<RecordRef<'_>> {
+        let level = cell.level();
         let c = self.n_cols();
-        let mut result = AggResult::new(spec);
-        let mut stats = QueryStats::default();
-        let mut last_agg: Option<usize> = None;
-        let combine = |idx: usize, result: &mut AggResult| {
-            let base = idx * c;
-            result.combine_record_plan(
-                &plan,
-                u64::from(self.counts[idx]),
-                &self.mins[base..base + c],
-                &self.maxs[base..base + c],
-                &self.sums[base..base + c],
-            );
+        let layer = self.pyramid.levels.get(usize::from(level));
+        let (keys, cursor) = match layer {
+            Some(layer) => (&layer.keys, &mut cursors.levels[usize::from(level)]),
+            None => (&self.keys, &mut cursors.block),
         };
-
-        for qcell in covering.iter() {
-            if !self.may_overlap(qcell) {
-                continue;
-            }
-            stats.query_cells += 1;
-            // Line 12: split the query cell into block-level children.
-            for child in qcell.children_at(self.level.max(qcell.level())) {
-                let key = child.raw();
-                match last_agg {
-                    // Lines 25–28: check the successor of the last hit.
-                    Some(last) if last + 1 < self.keys.len() && self.keys[last + 1] == key => {
-                        combine(last + 1, &mut result);
-                        stats.cells_combined += 1;
-                        last_agg = Some(last + 1);
-                    }
-                    Some(last) if last + 1 < self.keys.len() && self.keys[last + 1] > key => {
-                        // Successor is further along the curve: this child
-                        // is empty; keep the cursor.
-                    }
-                    _ => {
-                        // Lines 19–24: upper-bound binary search, then the
-                        // predecessor is the candidate aggregate.
-                        stats.searches += 1;
-                        let ub = self.keys.partition_point(|&k| k <= key);
-                        if ub > 0 && self.keys[ub - 1] == key {
-                            combine(ub - 1, &mut result);
-                            stats.cells_combined += 1;
-                            last_agg = Some(ub - 1);
-                        }
-                    }
-                }
-            }
+        let i = gallop::lower_bound_from(keys, cell.raw(), *cursor);
+        if keys.get(i) != Some(&cell.raw()) {
+            *cursor = i;
+            return None;
         }
-        (result.finalize(spec), stats)
+        *cursor = i + 1;
+        let cols = i * c..(i + 1) * c;
+        Some(match layer {
+            Some(layer) => RecordRef {
+                count: layer.counts[i],
+                mins: &layer.mins[cols.clone()],
+                maxs: &layer.maxs[cols.clone()],
+                sums: &layer.sums[cols],
+            },
+            None => RecordRef {
+                count: u64::from(self.counts[i]),
+                mins: &self.mins[cols.clone()],
+                maxs: &self.maxs[cols.clone()],
+                sums: &self.sums[cols],
+            },
+        })
     }
 
     /// COUNT: number of points inside `polygon` (Listing 2).
@@ -438,59 +282,84 @@ mod tests {
     }
 
     #[test]
-    fn pyramid_select_is_bit_identical_to_scan() {
+    fn select_and_count_are_bit_identical_to_the_reference() {
         let base = base_data(6000);
         for level in [6u8, 9, 11] {
             let (block, _) = build(&base, level, &Filter::all());
             let s = spec();
             for (cx, cy, r) in [(50.0, 50.0, 35.0), (30.0, 60.0, 12.0), (85.0, 15.0, 8.0)] {
                 let poly = diamond(cx, cy, r);
+                let covering = block.cover(&poly);
                 let (fast, _) = block.select(&poly, &s);
-                let (scan, _) = block.select_scan(&poly, &s);
+                let naive = crate::reference::select_covering(&block, &covering, &s);
                 assert!(
-                    fast.approx_eq(&scan, 0.0),
-                    "level {level} poly ({cx},{cy},{r}): {fast:?} vs {scan:?}"
+                    fast.approx_eq(&naive, 0.0),
+                    "level {level} poly ({cx},{cy},{r}): {fast:?} vs {naive:?}"
+                );
+                assert_eq!(
+                    block.count(&poly).0,
+                    crate::reference::count_covering(&block, &covering)
                 );
             }
         }
     }
 
+    /// Block records under `covering` — what a range scan would combine.
+    fn records_under(block: &GeoBlock, covering: &CellUnion) -> usize {
+        (0..block.num_cells())
+            .filter(|&i| covering.contains(block.cell_at(i)))
+            .count()
+    }
+
     #[test]
-    fn pyramid_combines_at_most_one_record_per_covering_cell() {
+    fn select_combines_at_most_one_record_per_covering_cell() {
         // The acceptance bound of the pyramid path: every covering cell is
         // answered by at most one combined record, so `cells_combined`
-        // never exceeds the (pruned) covering size — while the scan path
+        // never exceeds the (pruned) covering size — while a range scan
         // expands coarse interior cells into many records.
         let base = base_data(8000);
         let (block, _) = build(&base, 10, &Filter::all());
         let poly = diamond(50.0, 50.0, 38.0);
-        let s = spec();
-        let (_, fast) = block.select(&poly, &s);
+        let (_, fast) = block.select(&poly, &spec());
         assert!(
             fast.cells_combined <= fast.query_cells,
             "pyramid combined {} records over {} covering cells",
             fast.cells_combined,
             fast.query_cells
         );
-        let (_, scan) = block.select_scan(&poly, &s);
+        let scanned = records_under(&block, &block.cover(&poly));
         assert!(
-            scan.cells_combined > 2 * fast.cells_combined,
-            "scan {} vs pyramid {} — workload not coarse enough to matter",
-            scan.cells_combined,
+            scanned > 2 * fast.cells_combined,
+            "scan {scanned} vs pyramid {} — workload not coarse enough to matter",
             fast.cells_combined
         );
     }
 
     #[test]
-    fn listing1_variant_agrees_with_range_scan() {
-        let base = base_data(3000);
-        let (block, _) = build(&base, 7, &Filter::all());
+    fn record_of_answers_any_probe_order_with_a_fresh_cursor() {
+        // Every aligned cell at or above the block level, coarsest level
+        // last — the opposite of a covering's order — and the cells below
+        // the block level, which have no record.
+        let base = base_data(2000);
+        let (block, _) = build(&base, 6, &Filter::all());
         let s = spec();
-        for (cx, cy, r) in [(50.0, 50.0, 25.0), (25.0, 70.0, 12.0)] {
-            let poly = diamond(cx, cy, r);
-            let (a, _) = block.select(&poly, &s);
-            let (b, _) = block.select_listing1(&poly, &s);
-            assert!(a.approx_eq(&b, 1e-9), "{a:?} vs {b:?}");
+        let plan = AggPlan::compile(&s);
+        for i in (0..block.num_cells()).rev() {
+            let cell = block.cell_at(i);
+            for level in (0..=cell.level()).rev() {
+                let ancestor = cell.parent_at(level);
+                let record = block
+                    .record_of(ancestor, &mut Cursors::new())
+                    .expect("an ancestor of a stored cell has data");
+                let mut got = AggResult::new(&s);
+                record.combine_into(&plan, &mut got);
+                let covering = CellUnion::from_cells(vec![ancestor]);
+                let want = crate::reference::select_covering(&block, &covering, &s);
+                assert!(got.finalize(&s).approx_eq(&want, 0.0), "{ancestor:?}");
+            }
+            assert!(block
+                .record_of(cell.child(0), &mut Cursors::new())
+                .is_none());
         }
     }
 
@@ -508,17 +377,16 @@ mod tests {
     }
 
     #[test]
-    fn count_visits_fewer_aggregates_than_scan_select() {
+    fn count_visits_fewer_aggregates_than_a_range_scan() {
         let base = base_data(8000);
         let (block, _) = build(&base, 9, &Filter::all());
         let poly = diamond(50.0, 50.0, 35.0);
-        let (_, sel_stats) = block.select_scan(&poly, &AggSpec::count_only());
+        let scanned = records_under(&block, &block.cover(&poly));
         let (_, cnt_stats) = block.count(&poly);
         assert!(
-            cnt_stats.cells_combined < sel_stats.cells_combined / 2,
-            "count {} vs scan select {}",
-            cnt_stats.cells_combined,
-            sel_stats.cells_combined
+            cnt_stats.cells_combined < scanned / 2,
+            "count {} vs range scan {scanned}",
+            cnt_stats.cells_combined
         );
     }
 

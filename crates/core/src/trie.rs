@@ -13,28 +13,31 @@
 //! space"). Aggregate records are `count` plus per-column min/max/sum.
 //!
 //! **Read-side flat index.** The node encoding is write-compact but the
-//! per-cell [`AggregateTrie::node_for`] walk chases one pointer per
+//! per-cell [`AggregateTrie::node_for_walk`] chases one pointer per
 //! level — a dependent-load chain that dominates covering-sized probe
 //! loops. Because every allocated node corresponds to exactly one cell
 //! id, the trie also carries a *derived* read-side layout, built once at
-//! publish time ([`AggregateTrie::build_flat_index`]): every node's cell
-//! raw id in one array sorted ascending (raw order *is* space-filling
-//! -curve order, so a covering's probe stream sweeps it monotonically),
-//! plus a "hot lane" restricted to the nodes that carry a cached
-//! aggregate, storing the record offset directly. A [`FlatCursor`]
-//! resolves each probe by galloping forward from the previous
-//! match — cached hits (the overwhelming case after §3.6 adaptation)
-//! cost ~one compare and skip the node array entirely. The index is
-//! pure acceleration state: cleared by structural mutation
-//! ([`AggregateTrie::insert`]), preserved by in-place aggregate updates
-//! ([`AggregateTrie::update_along_path`]), excluded from
+//! publish time ([`AggregateTrie::build_flat_index`]): the raw id of
+//! every cell that carries a cached aggregate in one array sorted
+//! ascending (raw order *is* space-filling-curve order, so a covering's
+//! probe stream sweeps it monotonically), with the record offset beside
+//! it. A [`FlatCursor`] resolves each probe by galloping forward from
+//! the previous match — ~one compare per probe on a sorted covering,
+//! hit or miss, and the node array is never touched. The index is pure
+//! acceleration state: cleared by structural mutation
+//! ([`AggregateTrie::insert`]), preserved when an update overwrites
+//! cached records in place, excluded from
 //! [`AggregateTrie::content_hash`] and the snapshot encoding, and not
 //! counted by [`AggregateTrie::size_bytes`] (the Figure-18 budget
 //! bounds the paper's node + record layout; the index is
-//! reconstructible from it). Lookups fall back to the pointer walk
-//! whenever the index is absent, so the two paths are interchangeable —
-//! and a proptest holds them bit-identical.
+//! reconstructible from it). A trie between a structural mutation and
+//! the next [`AggregateTrie::build_flat_index`] answers every lookup
+//! with a miss — the block then answers the cell, which is still the
+//! right answer — and every publish point (rebuild, snapshot load)
+//! builds the index. A proptest holds the cursor identical to the
+//! pointer walk.
 
+use crate::aggregate::RecordRef;
 use crate::gallop;
 use gb_cell::{CellId, MAX_LEVEL};
 
@@ -71,24 +74,16 @@ pub struct AggregateTrie {
     /// Cached record payload, stride `3 × n_cols`: mins, then maxs, then
     /// sums (column-indexed within each third).
     agg_values: Vec<f64>,
-    /// Derived read-side index: every allocated node's cell raw id,
-    /// sorted ascending, with `flat_nodes` aligned index-for-index
+    /// Derived read-side index: the raw id of every cell whose node
+    /// carries a cached aggregate, sorted ascending, with the record
+    /// offset (`TrieNode::agg`) aligned index-for-index in `flat_aggs`
     /// (struct-of-arrays, so searches touch only the key column). Raw
-    /// order is curve order with ancestors adjacent to descendants, so
-    /// a covering's sorted probe stream advances through this array
-    /// monotonically. Empty ⇒ lookups walk.
+    /// order is curve order, so a covering's sorted probe stream advances
+    /// through this array monotonically. Record offsets stay valid across
+    /// `AggregateTrie::refresh_path`, which overwrites records in place
+    /// and never reassigns them.
     flat_keys: Vec<u64>,
-    flat_nodes: Vec<u32>,
-    /// The hot lane: the subset of `flat_keys` whose node carries a
-    /// cached aggregate, with the record offset (`TrieNode::agg`)
-    /// stored directly in `hot_aggs`. After §3.6 adaptation nearly
-    /// every covering probe lands here, so the cursor answers from a
-    /// ~unit-stride sweep of this smaller array without touching the
-    /// node array at all. Record offsets stay valid across
-    /// [`AggregateTrie::update_along_path`], which edits records in
-    /// place and never reassigns them.
-    hot_keys: Vec<u64>,
-    hot_aggs: Vec<u32>,
+    flat_aggs: Vec<u32>,
 }
 
 /// A stateful probe over the flat index for ascending probe streams
@@ -96,138 +91,42 @@ pub struct AggregateTrie {
 /// from the previous match (O(log gap)) and only falls back to a full
 /// binary search when the stream jumps backward. Any probe order is
 /// correct — out-of-order probes just pay the binary search — and every
-/// answer is
-/// bit-identical to [`AggregateTrie::node_for`].
+/// answer is what [`AggregateTrie::node_for_walk`] +
+/// [`AggregateTrie::agg_of`] find.
 #[derive(Debug)]
 pub struct FlatCursor<'a> {
     trie: &'a AggregateTrie,
     /// Borrowed index columns — one pointer hop shorter than going
     /// through `trie` on every probe.
     keys: &'a [u64],
-    nodes: &'a [u32],
-    hot_keys: &'a [u64],
-    hot_aggs: &'a [u32],
-    /// Position of the previous match in the full / hot arrays.
+    aggs: &'a [u32],
+    /// Position of the previous match in the index.
     pos: usize,
-    hot_pos: usize,
-}
-
-/// What a [`FlatCursor::lookup`] resolved a covering cell to — the three
-/// cases the adapted SELECT (Figure 8) dispatches on.
-#[derive(Debug)]
-pub enum FlatHit<'a> {
-    /// The cell has a cached aggregate record: answer directly.
-    Agg(CachedAgg<'a>),
-    /// The cell's node exists but carries no record (interior or empty
-    /// slot); the caller may still use its children.
-    Node(u32),
-    /// No path to the cell.
-    Miss,
-}
-
-/// First index `i` with `keys[i] >= raw`, assuming the probe stream is
-/// usually ascending: gallop forward from the previous match (the next
-/// probe is rarely more than a few slots ahead), and restart with a full
-/// binary search if the stream moved backward.
-#[inline]
-fn lower_bound_from(keys: &[u64], pos: usize, raw: u64) -> usize {
-    // Resume forward only when the stream is still ascending past the
-    // previous position; a backward jump (new covering, out-of-order
-    // probe) or a position past the end restarts with a binary search.
-    match keys.get(pos) {
-        Some(&k) if k <= raw => gallop::lower_bound_from(keys, raw, pos),
-        _ => keys.partition_point(|&key| key < raw),
-    }
 }
 
 impl<'a> FlatCursor<'a> {
-    /// Index of the trie node for `cell`, if the path exists.
-    /// Bit-identical to [`AggregateTrie::node_for_walk`] for any probe
-    /// order; ascending streams resolve from the forward gallop.
-    pub fn node_for(&mut self, cell: CellId) -> Option<u32> {
-        if self.keys.is_empty() {
-            return self.trie.node_for_walk(cell);
-        }
+    /// The cached aggregate of `cell`, if the trie holds one.
+    pub fn lookup(&mut self, cell: CellId) -> Option<RecordRef<'a>> {
         let raw = cell.raw();
-        let i = lower_bound_from(self.keys, self.pos, raw);
+        // Resume forward only when the stream is still ascending past the
+        // previous position; a backward jump (new covering, out-of-order
+        // probe) or a position past the end restarts with a binary search.
+        let i = match self.keys.get(self.pos) {
+            Some(&k) if k <= raw => gallop::lower_bound_from(self.keys, raw, self.pos),
+            _ => self.keys.partition_point(|&key| key < raw),
+        };
         self.pos = i;
-        match self.keys.get(i) {
-            Some(&key) if key == raw => self.nodes.get(i).copied(),
+        match (self.keys.get(i), self.aggs.get(i)) {
+            (Some(&key), Some(&agg)) if key == raw => Some(self.trie.agg_view(agg)),
             _ => None,
         }
-    }
-
-    /// Resolve `cell` the way the adapted SELECT consumes it: straight
-    /// to the cached aggregate when one exists (the hot lane, ~one
-    /// compare per probe on a sorted covering), otherwise to the node
-    /// index or a miss. Equivalent to
-    /// `node_for(cell)` + [`AggregateTrie::agg_of`], fused.
-    pub fn lookup(&mut self, cell: CellId) -> FlatHit<'a> {
-        if self.keys.is_empty() {
-            // No index published: the walk is the source of truth.
-            return match self.trie.node_for_walk(cell) {
-                Some(node) => match self.trie.agg_of(node) {
-                    Some(agg) => FlatHit::Agg(agg),
-                    None => FlatHit::Node(node),
-                },
-                None => FlatHit::Miss,
-            };
-        }
-        let raw = cell.raw();
-        let i = lower_bound_from(self.hot_keys, self.hot_pos, raw);
-        self.hot_pos = i;
-        if let (Some(&key), Some(&agg)) = (self.hot_keys.get(i), self.hot_aggs.get(i)) {
-            if key == raw {
-                return FlatHit::Agg(self.trie.agg_view(agg));
-            }
-        }
-        // Not a cached record: resolve interior / empty-slot / miss on
-        // the full array.
-        match self.node_for(cell) {
-            Some(node) => FlatHit::Node(node),
-            None => FlatHit::Miss,
-        }
-    }
-}
-
-/// A cached aggregate record view.
-#[derive(Debug, Clone, Copy)]
-pub struct CachedAgg<'a> {
-    pub count: u64,
-    mins: &'a [f64],
-    maxs: &'a [f64],
-    sums: &'a [f64],
-}
-
-impl CachedAgg<'_> {
-    /// Fold this cached record into `result` through a compiled plan —
-    /// the same single-record combine the pyramid path performs, so a
-    /// trie hit and a pyramid lookup of the same cell are bit-identical.
-    #[inline]
-    pub fn combine_into(&self, plan: &crate::aggregate::AggPlan, result: &mut crate::AggResult) {
-        result.combine_record_plan(plan, self.count, self.mins, self.maxs, self.sums);
-    }
-
-    #[inline]
-    pub fn min(&self, col: usize) -> f64 {
-        self.mins[col]
-    }
-
-    #[inline]
-    pub fn max(&self, col: usize) -> f64 {
-        self.maxs[col]
-    }
-
-    #[inline]
-    pub fn sum(&self, col: usize) -> f64 {
-        self.sums[col]
     }
 }
 
 impl AggregateTrie {
     /// An empty trie rooted at `root_cell` for `n_cols` columns.
     pub fn new(root_cell: CellId, n_cols: usize) -> Self {
-        let mut trie = AggregateTrie {
+        AggregateTrie {
             root_cell,
             nodes: vec![TrieNode {
                 first_child: NO_CHILD,
@@ -237,12 +136,8 @@ impl AggregateTrie {
             agg_counts: Vec::new(),
             agg_values: Vec::new(),
             flat_keys: Vec::new(),
-            flat_nodes: Vec::new(),
-            hot_keys: Vec::new(),
-            hot_aggs: Vec::new(),
-        };
-        trie.build_flat_index();
-        trie
+            flat_aggs: Vec::new(),
+        }
     }
 
     /// The cell the root node represents.
@@ -276,43 +171,22 @@ impl AggregateTrie {
         self.nodes.len() * 8 + self.agg_counts.len() * self.record_bytes()
     }
 
-    /// Index of the trie node for `cell`, if the path exists. Probes the
-    /// flat index when one is built; otherwise (or after a structural
-    /// mutation cleared it) falls back to the pointer walk. The two
-    /// paths return identical results: the flat index enumerates exactly
-    /// the nodes the walk can reach, keyed by their unique cell ids.
-    pub fn node_for(&self, cell: CellId) -> Option<u32> {
-        if self.flat_keys.is_empty() {
-            return self.node_for_walk(cell);
-        }
-        let raw = cell.raw();
-        let idx = self.flat_keys.partition_point(|&key| key < raw);
-        match self.flat_keys.get(idx) {
-            Some(&key) if key == raw => self.flat_nodes.get(idx).copied(),
-            _ => None,
-        }
-    }
-
     /// A stateful probe for sorted probe streams — the covering loop's
-    /// lookup path ([`crate::GeoBlockQC::select`] and the engine probe
-    /// covering cells in ascending raw order, so consecutive lookups
-    /// resolve from one forward cache-line scan instead of a full
-    /// search).
+    /// lookup path (the adapted SELECT probes covering cells in
+    /// ascending raw order, so consecutive lookups resolve from one
+    /// forward cache-line scan instead of a full search).
     pub fn flat_cursor(&self) -> FlatCursor<'_> {
         FlatCursor {
             trie: self,
             keys: &self.flat_keys,
-            nodes: &self.flat_nodes,
-            hot_keys: &self.hot_keys,
-            hot_aggs: &self.hot_aggs,
+            aggs: &self.flat_aggs,
             pos: 0,
-            hot_pos: 0,
         }
     }
 
-    /// The original per-level pointer walk — the reference
-    /// implementation [`AggregateTrie::node_for`] is benchmarked and
-    /// property-tested against.
+    /// Index of the trie node for `cell`, if the path exists, by the
+    /// per-level pointer walk — the reference [`FlatCursor::lookup`] is
+    /// benchmarked and property-tested against.
     pub fn node_for_walk(&self, cell: CellId) -> Option<u32> {
         if !self.root_cell.contains(cell) {
             return None;
@@ -328,29 +202,24 @@ impl AggregateTrie {
         Some(cur)
     }
 
-    /// Whether the read-side flat index is currently built.
-    #[inline]
-    pub fn has_flat_index(&self) -> bool {
-        !self.flat_keys.is_empty()
-    }
-
     /// (Re)build the read-side flat index: a DFS from the root assigns
-    /// every allocated node its cell id, then the pairs are sorted by
-    /// raw id into the struct-of-arrays layout. Called at publish time
-    /// (trie rebuild, snapshot load) so queries never pay the pointer
-    /// walk.
+    /// every allocated node its cell id, and the cells that carry a
+    /// record are sorted by raw id into the struct-of-arrays layout.
+    /// Called at publish time (trie rebuild, snapshot load) so queries
+    /// never pay the pointer walk.
     pub fn build_flat_index(&mut self) {
-        let mut pairs = Vec::with_capacity(self.nodes.len());
+        let mut pairs = Vec::with_capacity(self.agg_counts.len());
         let mut stack = vec![(0u32, self.root_cell)];
         while let Some((node, cell)) = stack.pop() {
-            pairs.push((cell.raw(), node));
-            let first = self
-                .nodes
-                .get(node as usize)
-                .map_or(NO_CHILD, |n| n.first_child);
-            if first != NO_CHILD && cell.level() < MAX_LEVEL {
+            let Some(&TrieNode { first_child, agg }) = self.nodes.get(node as usize) else {
+                continue;
+            };
+            if agg != NO_AGG {
+                pairs.push((cell.raw(), agg));
+            }
+            if first_child != NO_CHILD && cell.level() < MAX_LEVEL {
                 for k in 0..4u8 {
-                    stack.push((first + u32::from(k), cell.child(k)));
+                    stack.push((first_child + u32::from(k), cell.child(k)));
                 }
             }
         }
@@ -360,42 +229,24 @@ impl AggregateTrie {
         // a function.
         pairs.dedup_by_key(|&mut (raw, _)| raw);
         self.flat_keys = pairs.iter().map(|&(raw, _)| raw).collect();
-        self.flat_nodes = pairs.iter().map(|&(_, node)| node).collect();
-        // The hot lane: cells whose node carries a record, raw-sorted
-        // (a subsequence of an already-sorted array), with the record
-        // offset inlined.
-        self.hot_keys.clear();
-        self.hot_aggs.clear();
-        for &(raw, node) in &pairs {
-            let agg = self.nodes.get(node as usize).map_or(NO_AGG, |n| n.agg);
-            if agg != NO_AGG {
-                self.hot_keys.push(raw);
-                self.hot_aggs.push(agg);
-            }
-        }
+        self.flat_aggs = pairs.iter().map(|&(_, agg)| agg).collect();
     }
 
     /// The cached aggregate of a node, if present.
-    pub fn agg_of(&self, node: u32) -> Option<CachedAgg<'_>> {
+    pub fn agg_of(&self, node: u32) -> Option<RecordRef<'_>> {
         let idx = self.nodes[node as usize].agg;
         (idx != NO_AGG).then(|| self.agg_view(idx))
     }
 
-    fn agg_view(&self, idx: u32) -> CachedAgg<'_> {
+    fn agg_view(&self, idx: u32) -> RecordRef<'_> {
         let c = self.n_cols;
         let base = idx as usize * 3 * c;
-        CachedAgg {
+        RecordRef {
             count: self.agg_counts[idx as usize],
             mins: &self.agg_values[base..base + c],
             maxs: &self.agg_values[base + c..base + 2 * c],
             sums: &self.agg_values[base + 2 * c..base + 3 * c],
         }
-    }
-
-    /// The four children of a node, if a child block was allocated.
-    pub fn children_of(&self, node: u32) -> Option<[u32; 4]> {
-        let first = self.nodes[node as usize].first_child;
-        (first != NO_CHILD).then(|| [first, first + 1, first + 2, first + 3])
     }
 
     /// How many bytes inserting `cell` would add (missing child blocks plus
@@ -435,9 +286,7 @@ impl AggregateTrie {
         // Structural mutation may allocate nodes; drop the derived index
         // and let the publisher rebuild it once after the batch.
         self.flat_keys.clear();
-        self.flat_nodes.clear();
-        self.hot_keys.clear();
-        self.hot_aggs.clear();
+        self.flat_aggs.clear();
 
         let mut cur = 0u32;
         for level in (self.root_cell.level() + 1)..=cell.level() {
@@ -467,12 +316,54 @@ impl AggregateTrie {
             self.agg_values.extend_from_slice(sums);
         } else {
             let idx = node.agg as usize;
-            self.agg_counts[idx] = count;
-            let c = self.n_cols;
-            let base = idx * 3 * c;
-            self.agg_values[base..base + c].copy_from_slice(mins);
-            self.agg_values[base + c..base + 2 * c].copy_from_slice(maxs);
-            self.agg_values[base + 2 * c..base + 3 * c].copy_from_slice(sums);
+            self.write_record(idx, count, mins, maxs, sums);
+        }
+    }
+
+    /// Overwrite the record at offset `idx` of the aggregate storage.
+    fn write_record(&mut self, idx: usize, count: u64, mins: &[f64], maxs: &[f64], sums: &[f64]) {
+        let c = self.n_cols;
+        self.agg_counts[idx] = count;
+        let record = &mut self.agg_values[idx * 3 * c..(idx + 1) * 3 * c];
+        record[..c].copy_from_slice(mins);
+        record[c..2 * c].copy_from_slice(maxs);
+        record[2 * c..].copy_from_slice(sums);
+    }
+
+    /// The §5 update walk ("a single depth-first traversal"): overwrite
+    /// every cached record on the path from the root towards `leaf` with
+    /// what `record_of` returns for its cell — the block's canonical
+    /// record, so a cached aggregate stays a bit-exact copy of it. (`None`
+    /// leaves the record as it is: the block has a record for every cell
+    /// above a tuple down to the block level, and no covering names a
+    /// finer one.) Records are rewritten in place and no node is
+    /// allocated, so the flat index stays valid.
+    pub(crate) fn refresh_path<'r>(
+        &mut self,
+        leaf: CellId,
+        mut record_of: impl FnMut(CellId) -> Option<RecordRef<'r>>,
+    ) {
+        if !self.root_cell.contains(leaf) {
+            return;
+        }
+        let mut cur = 0u32;
+        let mut level = self.root_cell.level();
+        loop {
+            let agg = self.nodes[cur as usize].agg;
+            if agg != NO_AGG {
+                if let Some(r) = record_of(leaf.parent_at(level)) {
+                    self.write_record(agg as usize, r.count, r.mins, r.maxs, r.sums);
+                }
+            }
+            if level >= leaf.level() {
+                break;
+            }
+            level += 1;
+            let first = self.nodes[cur as usize].first_child;
+            if first == NO_CHILD {
+                break;
+            }
+            cur = first + u32::from(leaf.child_position(level));
         }
     }
 
@@ -563,54 +454,11 @@ impl AggregateTrie {
             agg_counts,
             agg_values,
             flat_keys: Vec::new(),
-            flat_nodes: Vec::new(),
-            hot_keys: Vec::new(),
-            hot_aggs: Vec::new(),
+            flat_aggs: Vec::new(),
         };
         // Snapshot loads are publish points: hand queries the flat path.
         trie.build_flat_index();
         Ok(trie)
-    }
-
-    /// Apply one new tuple to every cached ancestor of `leaf` (the §5
-    /// update path: "we can do this in a single depth-first traversal").
-    pub fn update_along_path(&mut self, leaf: CellId, values: &[f64]) {
-        assert_eq!(values.len(), self.n_cols);
-        if !self.root_cell.contains(leaf) {
-            return;
-        }
-        let c = self.n_cols;
-        let mut cur = 0u32;
-        let mut level = self.root_cell.level();
-        loop {
-            let agg = self.nodes[cur as usize].agg;
-            if agg != NO_AGG {
-                let idx = agg as usize;
-                self.agg_counts[idx] += 1;
-                let base = idx * 3 * c;
-                // `col` addresses three interleaved thirds of one record.
-                #[allow(clippy::needless_range_loop)]
-                for col in 0..c {
-                    let v = values[col];
-                    if v < self.agg_values[base + col] {
-                        self.agg_values[base + col] = v;
-                    }
-                    if v > self.agg_values[base + c + col] {
-                        self.agg_values[base + c + col] = v;
-                    }
-                    self.agg_values[base + 2 * c + col] += v;
-                }
-            }
-            if level >= leaf.level() {
-                break;
-            }
-            level += 1;
-            let first = self.nodes[cur as usize].first_child;
-            if first == NO_CHILD {
-                break;
-            }
-            cur = first + u32::from(leaf.child_position(level));
-        }
     }
 }
 
@@ -632,9 +480,8 @@ mod tests {
         assert_eq!(t.num_cached(), 0);
         assert_eq!(t.num_nodes(), 1);
         assert_eq!(t.size_bytes(), 8);
-        assert!(t.node_for(root()).is_some());
-        assert!(t.agg_of(t.node_for(root()).unwrap()).is_none());
-        assert!(t.children_of(0).is_none());
+        assert!(t.node_for_walk(root()).is_some());
+        assert!(t.agg_of(t.node_for_walk(root()).unwrap()).is_none());
     }
 
     #[test]
@@ -643,17 +490,17 @@ mod tests {
         let cell = root().child(2).child(1);
         let (mins, maxs, sums) = sample_record();
         t.insert(cell, 7, &mins, &maxs, &sums);
-        let node = t.node_for(cell).expect("path exists");
+        let node = t.node_for_walk(cell).expect("path exists");
         let agg = t.agg_of(node).expect("agg cached");
         assert_eq!(agg.count, 7);
         assert_eq!(agg.min(0), 1.0);
         assert_eq!(agg.max(1), 5.0);
         assert_eq!(agg.sum(0), 30.0);
         // Interior path node exists but carries no aggregate.
-        let mid = t.node_for(root().child(2)).unwrap();
+        let mid = t.node_for_walk(root().child(2)).unwrap();
         assert!(t.agg_of(mid).is_none());
         // Sibling exists structurally (block allocation) but is empty.
-        let sib = t.node_for(root().child(2).child(3)).unwrap();
+        let sib = t.node_for_walk(root().child(2).child(3)).unwrap();
         assert!(t.agg_of(sib).is_none());
     }
 
@@ -663,10 +510,10 @@ mod tests {
         let (mins, maxs, sums) = sample_record();
         t.insert(root().child(0), 1, &mins, &maxs, &sums);
         // No path below child(1).
-        assert!(t.node_for(root().child(1).child(0)).is_none());
+        assert!(t.node_for_walk(root().child(1).child(0)).is_none());
         // Outside the root entirely.
         let outside = root().next();
-        assert!(t.node_for(outside).is_none());
+        assert!(t.node_for_walk(outside).is_none());
         assert!(t.insertion_cost(outside).is_none());
     }
 
@@ -704,47 +551,63 @@ mod tests {
         t.insert(cell, 7, &mins, &maxs, &sums);
         t.insert(cell, 9, &[0.0, 0.0], &[1.0, 1.0], &[2.0, 2.0]);
         assert_eq!(t.num_cached(), 1);
-        let agg = t.agg_of(t.node_for(cell).unwrap()).unwrap();
+        let agg = t.agg_of(t.node_for_walk(cell).unwrap()).unwrap();
         assert_eq!(agg.count, 9);
         assert_eq!(agg.sum(1), 2.0);
     }
 
     #[test]
-    fn update_along_path_touches_cached_ancestors_only() {
+    fn refresh_path_overwrites_cached_ancestors_only() {
         let mut t = AggregateTrie::new(root(), 1);
         t.insert(root(), 10, &[0.0], &[5.0], &[20.0]);
         t.insert(root().child(1), 4, &[1.0], &[4.0], &[8.0]);
-        // A leaf below child(1): both cached records update.
+        t.insert(root().child(0).child(2), 1, &[2.0], &[2.0], &[2.0]);
+        t.build_flat_index();
+        fn count_of(t: &AggregateTrie, cell: CellId) -> RecordRef<'_> {
+            t.agg_of(t.node_for_walk(cell).unwrap()).unwrap()
+        }
+        // The "block": the record of a cell is a function of its level.
+        let (mins, maxs, sums) = ([-1.0], [9.0], [0.1 + 0.2]);
+        let mut asked = Vec::new();
+        // A leaf below child(1): the root and child(1) are overwritten.
         let leaf = root().child(1).child_begin(30);
-        t.update_along_path(leaf, &[9.0]);
-        let r = t.agg_of(t.node_for(root()).unwrap()).unwrap();
-        assert_eq!(r.count, 11);
-        assert_eq!(r.max(0), 9.0);
-        assert_eq!(r.sum(0), 29.0);
-        let c = t.agg_of(t.node_for(root().child(1)).unwrap()).unwrap();
-        assert_eq!(c.count, 5);
-        assert_eq!(c.sum(0), 17.0);
-        // A leaf below child(0): only the root updates.
-        let leaf0 = root().child(0).child_begin(30);
-        t.update_along_path(leaf0, &[-3.0]);
-        let r = t.agg_of(t.node_for(root()).unwrap()).unwrap();
-        assert_eq!(r.count, 12);
-        assert_eq!(r.min(0), -3.0);
-        let c = t.agg_of(t.node_for(root().child(1)).unwrap()).unwrap();
-        assert_eq!(c.count, 5, "sibling path untouched");
+        t.refresh_path(leaf, |cell| {
+            asked.push(cell);
+            Some(RecordRef {
+                count: 100 + u64::from(cell.level()),
+                mins: &mins,
+                maxs: &maxs,
+                sums: &sums,
+            })
+        });
+        assert_eq!(asked, [root(), root().child(1)], "cached ancestors only");
+        let r = count_of(&t, root());
+        assert_eq!((r.count, r.min(0), r.max(0)), (104, -1.0, 9.0));
+        assert_eq!(r.sum(0).to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(count_of(&t, root().child(1)).count, 105);
+        assert_eq!(
+            count_of(&t, root().child(0).child(2)).count,
+            1,
+            "off the path"
+        );
+        // No record for a cell, or a leaf outside the root: nothing changes.
+        let before = t.content_hash();
+        t.refresh_path(leaf, |_| None);
+        t.refresh_path(root().next().child_begin(30), |_| {
+            panic!("outside the root")
+        });
+        assert_eq!(t.content_hash(), before);
+        // In-place overwrites keep the index valid.
+        let via_index = t.flat_cursor().lookup(root().child(1));
+        assert_eq!(via_index.map(|agg| agg.count), Some(105));
     }
 
     #[test]
-    fn flat_index_matches_walk_and_survives_updates() {
+    fn flat_index_matches_walk_and_unindexed_tries_miss() {
         let mut t = AggregateTrie::new(root(), 1);
-        assert!(t.has_flat_index(), "a fresh trie is indexed");
         t.insert(root().child(2).child(1), 7, &[1.0], &[2.0], &[3.0]);
-        assert!(!t.has_flat_index(), "insert clears the derived index");
         t.insert(root().child(0), 1, &[0.0], &[0.0], &[0.0]);
-        t.build_flat_index();
-        assert!(t.has_flat_index());
-        // Every allocated node, plus misses inside and outside the root,
-        // agree between the two paths.
+        // Every allocated node, plus misses inside and outside the root.
         let probes = [
             root(),
             root().child(0),
@@ -757,16 +620,22 @@ mod tests {
             root().next(),                     // outside the root
             root().parent_at(2),               // above the root
         ];
+        // Without its index the trie answers nothing (the block would).
         for cell in probes {
-            assert_eq!(t.node_for(cell), t.node_for_walk(cell), "{cell:?}");
+            assert!(t.flat_cursor().lookup(cell).is_none());
         }
-        // In-place aggregate updates keep the index valid.
-        t.update_along_path(root().child(2).child(1).child_begin(30), &[9.0]);
-        assert!(t.has_flat_index());
-        let agg = t
-            .agg_of(t.node_for(root().child(2).child(1)).unwrap())
-            .unwrap();
-        assert_eq!(agg.count, 8);
+        t.build_flat_index();
+        // With it, cursor and walk agree — in this (unsorted) order too.
+        let mut cursor = t.flat_cursor();
+        for cell in probes {
+            let walked = t.node_for_walk(cell).and_then(|n| t.agg_of(n));
+            let found = cursor.lookup(cell);
+            assert_eq!(found.map(|a| a.count), walked.map(|a| a.count), "{cell:?}");
+        }
+        assert_eq!(cursor.lookup(root().child(0)).map(|a| a.count), Some(1));
+        // A structural mutation drops the derived index again.
+        t.insert(root().child(3), 2, &[0.0], &[0.0], &[0.0]);
+        assert!(t.flat_cursor().lookup(root().child(0)).is_none());
     }
 
     #[test]

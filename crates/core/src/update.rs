@@ -17,11 +17,11 @@
 //! every batch (`GeoBlock::refresh_derived`, the same funnel every other
 //! producer of a block ends in).
 //!
-//! [`GeoBlockQC::apply_updates`] additionally refreshes every cached
-//! ancestor in the AggregateTrie with a single root-to-leaf walk per tuple.
+//! [`crate::GeoBlockEngine::apply_updates`] additionally overwrites every
+//! cached ancestor in the AggregateTrie with the updated block's record of
+//! its cell — a single root-to-leaf walk per tuple.
 
 use crate::block::GeoBlock;
-use crate::qc::GeoBlockQC;
 use gb_geom::Point;
 
 /// A batch of new tuples: location plus one value per schema column.
@@ -216,30 +216,10 @@ impl GeoBlock {
     }
 }
 
-impl GeoBlockQC {
-    /// Apply updates to the block **and** refresh cached ancestors in the
-    /// AggregateTrie (§5: "a single depth-first traversal" per tuple).
-    pub fn apply_updates(&mut self, batch: &UpdateBatch) -> UpdateReport {
-        // Collect the trie refresh info before borrowing the block mutably.
-        let leaves: Vec<(gb_cell::CellId, Vec<f64>)> = batch
-            .rows
-            .iter()
-            .map(|(loc, values)| (self.block_grid_leaf(*loc), values.clone()))
-            .collect();
-        let report = self.block_mut().apply_updates(batch);
-        for (leaf, values) in leaves {
-            self.trie_mut().update_along_path(leaf, &values);
-        }
-        self.bump_epoch();
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build;
-    use crate::qc::GeoBlockQC;
     use gb_cell::Grid;
     use gb_data::{extract, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema};
     use gb_geom::{Polygon, Rect};
@@ -391,39 +371,6 @@ mod tests {
             let (cov_cnt, _) = block.count_covering(&covering);
             assert_eq!(cov_cnt, want, "count_covering over {rect:?}");
         }
-    }
-
-    #[test]
-    fn qc_updates_refresh_cached_aggregates() {
-        let base = base_data(2000);
-        let (block, _) = build(&base, 6, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 0.5);
-        let spec = AggSpec::new(vec![
-            gb_data::AggRequest::new(gb_data::AggFunc::Count, 0),
-            gb_data::AggRequest::new(gb_data::AggFunc::Max, 0),
-        ]);
-        let hot = Polygon::rectangle(Rect::from_bounds(5.0, 5.0, 45.0, 45.0));
-        for _ in 0..4 {
-            qc.select(&hot, &spec);
-        }
-        qc.rebuild_cache();
-        assert!(qc.trie().num_cached() > 0);
-        let before = qc.select(&hot, &spec);
-        assert_eq!(before.epoch, 0);
-
-        let mut batch = UpdateBatch::new();
-        batch.push(Point::new(20.0, 20.0), vec![9_999_999.0]);
-        qc.apply_updates(&batch);
-        assert_eq!(qc.data_epoch(), 1, "updates advance the data epoch");
-
-        let after = qc.select(&hot, &spec);
-        assert_eq!(after.epoch, 1);
-        assert_eq!(after.result.count, before.result.count + 1);
-        assert_eq!(
-            after.result.value(1),
-            Some(9_999_999.0),
-            "cached max must refresh"
-        );
     }
 
     #[test]

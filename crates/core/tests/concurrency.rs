@@ -11,14 +11,14 @@
 //!   loop; every answer must equal the plain block's ground truth for
 //!   that polygon, regardless of which cache epoch served it.
 //! * `concurrent_hit_flushes_lose_and_invent_nothing` — the engine
-//!   flushes a query's hit statistics shard by shard after the query;
-//!   N threads × M selects must leave exactly the per-cell counts a
-//!   serial `GeoBlockQC` run of the same queries records.
+//!   appends a query's hit cells to its log after the query; N threads ×
+//!   M selects must leave exactly the per-cell counts a serial run of the
+//!   same queries over `block.cover` counts in a plain map.
 
 use gb_cell::Grid;
 use gb_data::{extract, AggSpec, CleaningRules, CmpOp, ColumnDef, Filter, RawTable, Rows, Schema};
 use gb_geom::{Point, Polygon, Rect};
-use geoblocks::{build, build_parallel, GeoBlock, GeoBlockEngine, GeoBlockQC, Snapshot};
+use geoblocks::{build, build_parallel, GeoBlock, GeoBlockEngine, HitCounts, Snapshot};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn base_data(n: usize, seed: u64) -> gb_data::BaseTable {
@@ -231,23 +231,23 @@ fn concurrent_hit_flushes_lose_and_invent_nothing() {
         }
     });
 
-    let mut serial = GeoBlockQC::new(block, 0.2);
+    let mut serial = std::collections::BTreeMap::new();
     for t in 0..N_THREADS {
         for q in 0..SELECTS_PER_THREAD {
-            serial.select(poly_of(t, q), &spec);
+            let covering = block.cover(poly_of(t, q));
+            for cell in covering.iter().filter(|&c| block.may_overlap(c)) {
+                *serial.entry(cell.raw()).or_insert(0u64) += 1;
+            }
         }
     }
+    let reference: HitCounts = serial.into_iter().collect();
 
-    // Both front-ends persist their hit statistics; read them back.
+    // The engine persists its hit statistics; read them back.
     let dir = std::env::temp_dir().join(format!("gb_hit_flush_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let hits_of = |name: &str, save: &dyn Fn(&std::path::Path)| {
-        let path = dir.join(name);
-        save(&path);
-        Snapshot::load(&path).unwrap().hits.unwrap()
-    };
-    let concurrent = hits_of("engine.gbsnap", &|p| engine.write_snapshot(p).unwrap());
-    let reference = hits_of("qc.gbsnap", &|p| serial.write_snapshot(p).unwrap());
+    let path = dir.join("engine.gbsnap");
+    engine.write_snapshot(&path).unwrap();
+    let concurrent = Snapshot::load(&path).unwrap().hits.unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(

@@ -9,8 +9,11 @@
 //!    tries, for hits and misses alike.
 //! 3. Batched execution is bit-identical to per-request execution — on
 //!    one thread and many — across an update epoch bump.
-//! 4. The engine's hit log, folded, counts what `GeoBlockQC`'s plain hash
-//!    map counts, across cache rebuilds, snapshots and restarts.
+//! 4. The engine's hit log, folded, counts what a plain hash map fed from
+//!    `block.cover` counts, across cache rebuilds, snapshots and restarts.
+//! 5. The differential property: engine ≡ `geoblocks::reference` at
+//!    tolerance `0.0` — trie cold, rebuilt, across update batches of
+//!    fractional values, batched, and restored from a snapshot.
 
 use gb_cell::{CellId, Grid};
 use gb_data::{
@@ -18,8 +21,8 @@ use gb_data::{
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
 use geoblocks::api::{self, QueryReply, QueryRequest};
-use geoblocks::trie::{AggregateTrie, FlatHit};
-use geoblocks::{build, GeoBlockEngine, GeoBlockQC, Snapshot, UpdateBatch};
+use geoblocks::trie::AggregateTrie;
+use geoblocks::{build, reference, GeoBlockEngine, HitCounts, Snapshot, UpdateBatch};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -152,7 +155,6 @@ proptest! {
             inserted.push(cell);
         }
         trie.build_flat_index();
-        prop_assert!(trie.has_flat_index());
 
         let mut all_probes: Vec<CellId> = inserted.clone();
         // Ancestors and children of inserted cells, random paths (hits
@@ -174,47 +176,17 @@ proptest! {
             all_probes.push(root.parent_at(root.level() - 1));
         }
 
-        // The stateless search and the stateful cursor (fed the probes
-        // in this arbitrary — not sorted — order) must both equal the
-        // walk, and the fused `lookup` must agree with walk + `agg_of`.
+        // The cursor (fed the probes in this arbitrary — not sorted —
+        // order) must find exactly the records the walk + `agg_of` find.
         let mut cursor = trie.flat_cursor();
-        let mut fused = trie.flat_cursor();
         for cell in &all_probes {
-            let want_node = trie.node_for_walk(*cell);
-            let want_agg = want_node.and_then(|n| trie.agg_of(n)).map(|a| a.count);
+            let want = trie.node_for_walk(*cell).and_then(|n| trie.agg_of(n));
             prop_assert_eq!(
-                trie.node_for(*cell),
-                want_node,
-                "flat/walk diverged at {:?}",
-                cell
-            );
-            prop_assert_eq!(
-                cursor.node_for(*cell),
-                want_node,
+                cursor.lookup(*cell).map(|a| a.count),
+                want.map(|a| a.count),
                 "cursor/walk diverged at {:?}",
                 cell
             );
-            match fused.lookup(*cell) {
-                FlatHit::Agg(agg) => prop_assert_eq!(
-                    Some(agg.count),
-                    want_agg,
-                    "lookup returned a record the walk does not see at {:?}",
-                    cell
-                ),
-                FlatHit::Node(node) => {
-                    prop_assert_eq!(Some(node), want_node, "lookup node diverged at {:?}", cell);
-                    prop_assert!(want_agg.is_none(), "lookup missed the record at {:?}", cell);
-                }
-                FlatHit::Miss => {
-                    prop_assert!(want_node.is_none(), "lookup missed a node at {:?}", cell)
-                }
-            }
-        }
-        // Cached aggregates resolve identically through the flat path.
-        for cell in &inserted {
-            let via_flat = trie.node_for(*cell).and_then(|n| trie.agg_of(n)).map(|a| a.count);
-            let via_walk = trie.node_for_walk(*cell).and_then(|n| trie.agg_of(n)).map(|a| a.count);
-            prop_assert_eq!(via_flat, via_walk);
         }
     }
 
@@ -295,9 +267,10 @@ proptest! {
         check_epoch(&engine, epoch0 + 1)?;
     }
 
-    /// Log + fold ≡ a hash-map counter: the same queries, rebuilds,
-    /// snapshots and restarts on the engine and on the single-threaded QC
-    /// leave the same `HITS` section and rebuild the same trie.
+    /// Log + fold ≡ a hash-map counter: across queries, rebuilds,
+    /// snapshots and restarts the engine's `HITS` section holds what a
+    /// plain hash map fed from `block.cover` counts, answers stay the
+    /// block's, and the statistics rebuild the same trie wherever they are.
     #[test]
     fn hit_log_counts_what_a_hash_map_counts(
         points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..300),
@@ -309,7 +282,7 @@ proptest! {
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
         let mut engine = GeoBlockEngine::new(block.clone(), 0.3);
-        let mut qc = GeoBlockQC::new(block, 0.3);
+        let mut counter: std::collections::HashMap<u64, u64> = Default::default();
         let s = spec();
 
         let dir = std::env::temp_dir().join(format!(
@@ -318,53 +291,154 @@ proptest! {
             points.len() * 1_000_003 + ops.len() * 131 + rings.len()
         ));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let (engine_file, qc_file) = (dir.join("engine.gbsnap"), dir.join("qc.gbsnap"));
-        // Save both front-ends and compare what the files hold.
-        let save_both = |engine: &GeoBlockEngine, qc: &GeoBlockQC| -> Result<(), TestCaseError> {
-            engine.write_snapshot(&engine_file).expect("engine save");
-            qc.write_snapshot(&qc_file).expect("qc save");
-            let (e, q) = (
-                Snapshot::load(&engine_file).expect("engine load"),
-                Snapshot::load(&qc_file).expect("qc load"),
-            );
-            prop_assert_eq!(&e.hits, &q.hits, "HITS sections differ");
+        let file = dir.join("engine.gbsnap");
+        // Save the engine and compare what the file holds to the counter.
+        let save = |engine: &GeoBlockEngine, counter: &std::collections::HashMap<u64, u64>| {
+            engine.write_snapshot(&file).expect("engine save");
+            let snap = Snapshot::load(&file).expect("engine load");
+            let want: HitCounts = counter.iter().map(|(&cell, &hits)| (cell, hits)).collect();
+            prop_assert_eq!(snap.hits.as_ref(), Some(&want), "HITS section differs");
             prop_assert_eq!(
-                e.trie.map(|t| t.content_hash()),
-                q.trie.map(|t| t.content_hash())
+                snap.trie.map(|t| t.content_hash()),
+                Some(engine.trie_snapshot().content_hash())
             );
             Ok(())
         };
 
         for &(op, i) in &ops {
             match op {
-                7 => {
-                    engine.rebuild_cache();
-                    qc.rebuild_cache();
-                    prop_assert_eq!(
-                        engine.trie_snapshot().content_hash(),
-                        qc.trie().content_hash(),
-                        "rebuilt tries differ"
-                    );
-                }
-                8 => save_both(&engine, &qc)?,
+                7 => engine.rebuild_cache(),
+                8 => save(&engine, &counter)?,
                 9 => {
-                    // Restart both from their own files.
-                    save_both(&engine, &qc)?;
-                    engine = GeoBlockEngine::from_snapshot(&engine_file, 0.3).expect("restart");
-                    qc = GeoBlockQC::from_snapshot(&qc_file, 0.3).expect("restart");
+                    // Restart from the engine's own file.
+                    save(&engine, &counter)?;
+                    engine = GeoBlockEngine::from_snapshot(&file, 0.3).expect("restart");
                 }
                 _ => {
                     let p = &polys[i % polys.len()];
+                    for cell in block.cover(p).iter().filter(|&c| block.may_overlap(c)) {
+                        *counter.entry(cell.raw()).or_insert(0) += 1;
+                    }
                     let got = engine.select(p, &s).result;
-                    let want = qc.select(p, &s).result;
+                    let (want, _) = block.select(p, &s);
                     prop_assert!(got.approx_eq(&want, 0.0));
                 }
             }
         }
-        save_both(&engine, &qc)?;
+        save(&engine, &counter)?;
+        prop_assert_eq!(engine.tracked_cells(), counter.len());
+        let restarted = GeoBlockEngine::from_snapshot(&file, 0.3).expect("restart");
         engine.rebuild_cache();
-        qc.rebuild_cache();
-        prop_assert_eq!(engine.trie_snapshot().content_hash(), qc.trie().content_hash());
+        restarted.rebuild_cache();
+        prop_assert_eq!(
+            engine.trie_snapshot().content_hash(),
+            restarted.trie_snapshot().content_hash(),
+            "rebuilt tries differ"
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The differential property: whatever state the engine is in — trie
+    /// cold, rebuilt, patched by update batches of fractional values of
+    /// mixed magnitude (in place and into new cells), rebuilt again,
+    /// restored from a snapshot — `select`, `count` and `query_batch`
+    /// answer exactly (`0.0`) what the naive reference folds from the
+    /// block records of the same epoch.
+    #[test]
+    fn engine_is_bit_identical_to_the_reference(
+        points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..200),
+        rings in prop::collection::vec(prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 3..8), 2..5),
+        batches in prop::collection::vec(
+            prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN, 0.0..1.0f64, -3i32..9), 1..6),
+            20..24,
+        ),
+        level in 4u8..10,
+        threads in 2usize..4,
+    ) {
+        let polys: Vec<Polygon> = rings.iter().map(|r| make_raw_polygon(r)).collect();
+        let base = make_base(&points);
+        let (block, _) = build(&base, level, &Filter::all());
+        // Threshold 1: every queried cell becomes cacheable, so a rebuilt
+        // trie answers as much as a trie can.
+        let engine = GeoBlockEngine::new(block, 1.0);
+        let s = spec();
+        let requests: Vec<QueryRequest> = polys
+            .iter()
+            .flat_map(|polygon| {
+                let polygon = polygon.clone();
+                [
+                    QueryRequest::Select { polygon: polygon.clone(), spec: s.clone() },
+                    QueryRequest::Count { polygon },
+                ]
+            })
+            .collect();
+
+        let check = |engine: &GeoBlockEngine, state: &str| -> Result<(), TestCaseError> {
+            let block = engine.block_snapshot();
+            let mut want = Vec::new();
+            for p in &polys {
+                let covering = block.cover(p);
+                let sel = reference::select_covering(&block, &covering, &s);
+                let cnt = reference::count_covering(&block, &covering);
+                let got = engine.select(p, &s).result;
+                prop_assert!(got.approx_eq(&sel, 0.0), "{}: select {:?} vs {:?}", state, got, sel);
+                prop_assert_eq!(engine.count(p).result, cnt, "{}: count", state);
+                want.push((sel, cnt));
+            }
+            for threads in [1, threads] {
+                let reply = engine.query_batch(&requests, threads).expect("batch");
+                let QueryReply::Batch(outer) = reply else {
+                    return Err(TestCaseError::fail("batch reply has wrong variant".to_string()));
+                };
+                for (pair, (sel, cnt)) in outer.result.chunks(2).zip(&want) {
+                    match pair {
+                        [QueryReply::Select(a), QueryReply::Count(b)] => {
+                            prop_assert!(a.result.approx_eq(sel, 0.0), "{}: batched select", state);
+                            prop_assert_eq!(b.result, *cnt, "{}: batched count", state);
+                        }
+                        _ => return Err(TestCaseError::fail("batch item variant mismatch".to_string())),
+                    }
+                }
+            }
+            Ok(())
+        };
+
+        check(&engine, "cold")?;
+        engine.rebuild_cache();
+        check(&engine, "rebuilt")?;
+
+        let (mut in_place, mut new_cells) = (0, 0);
+        for (i, rows) in batches.iter().enumerate() {
+            let mut batch = UpdateBatch::new();
+            for &(x, y, frac, magnitude) in rows {
+                let v = (frac - 0.3) * 10f64.powi(magnitude);
+                batch.push(Point::new(x, y), vec![v, (frac * 7.0).floor()]);
+            }
+            let report = engine.apply_updates(&batch).expect("finite rows").result;
+            in_place += report.in_place;
+            new_cells += report.new_cells;
+            check(&engine, "updated")?;
+            if i == batches.len() / 2 {
+                // The statistics now name cells the updates created.
+                engine.rebuild_cache();
+                check(&engine, "rebuilt between updates")?;
+            }
+        }
+        prop_assert_eq!(in_place + new_cells, batches.iter().map(Vec::len).sum::<usize>());
+        prop_assert!(engine.metrics().direct_hits > 0, "the trie never answered");
+
+        let file = std::env::temp_dir().join(format!(
+            "gb_differential_{}_{:x}.gbsnap",
+            std::process::id(),
+            points.len() * 1_000_003 + batches.len() * 131 + rings.len()
+        ));
+        engine.write_snapshot(&file).expect("save");
+        let restored = GeoBlockEngine::from_snapshot(&file, 1.0).expect("load");
+        let _ = std::fs::remove_file(&file);
+        prop_assert_eq!(
+            restored.trie_snapshot().content_hash(),
+            engine.trie_snapshot().content_hash()
+        );
+        check(&restored, "restored")?;
     }
 }

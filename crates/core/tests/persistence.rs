@@ -18,8 +18,7 @@ use gb_data::{
 use gb_geom::{Point, Polygon, Rect};
 use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
 use geoblocks::{
-    build, GeoBlock, GeoBlockEngine, GeoBlockQC, Snapshot, SnapshotError, UpdateBatch,
-    SNAPSHOT_VERSION,
+    build, GeoBlock, GeoBlockEngine, Snapshot, SnapshotError, UpdateBatch, SNAPSHOT_VERSION,
 };
 use std::path::PathBuf;
 
@@ -164,29 +163,6 @@ fn loaded_engine_matches_freshly_built_engine() {
         fresh.trie_snapshot().content_hash(),
         "post-restart rebuild must see the pre-restart statistics"
     );
-}
-
-#[test]
-fn qc_snapshot_roundtrip_preserves_cache() {
-    let base = base_data(4000);
-    let (block, _) = build(&base, 8, &Filter::all());
-    let s = spec();
-    let mut qc = GeoBlockQC::new(block, 0.3);
-    for p in &polys() {
-        qc.select(p, &s);
-    }
-    qc.rebuild_cache();
-    let path = temp_path("qc.gbsnap");
-    qc.write_snapshot(&path).expect("save");
-    let mut back = GeoBlockQC::from_snapshot(&path, 0.3).expect("load");
-    assert_eq!(back.trie().content_hash(), qc.trie().content_hash());
-    back.reset_metrics();
-    for p in &polys() {
-        let a = back.select(p, &s).result;
-        let b = qc.select(p, &s).result;
-        assert!(a.approx_eq(&b, 0.0), "{a:?} vs {b:?}");
-    }
-    assert!(back.metrics().direct_hits > 0);
 }
 
 #[test]

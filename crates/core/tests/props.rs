@@ -8,7 +8,7 @@ use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
-use geoblocks::{build, AggResult, GeoBlockQC};
+use geoblocks::{build, AggResult, GeoBlockEngine};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -83,9 +83,9 @@ proptest! {
         let (cnt, _) = block.count(&poly);
         prop_assert_eq!(cnt, got.count);
 
-        // Listing-1 variant agrees with the optimised scan.
-        let (l1, _) = block.select_listing1(&poly, &s);
-        prop_assert!(l1.approx_eq(&want, 1e-9));
+        // And so does the naive reference, over the same covering.
+        let naive = geoblocks::reference::select_covering(&block, &block.cover(&poly), &s);
+        prop_assert!(naive.approx_eq(&want, 1e-9));
     }
 
     #[test]
@@ -102,7 +102,7 @@ proptest! {
         let s = spec();
         let (want, _) = block.select(&poly, &s);
 
-        let mut qc = GeoBlockQC::new(block, threshold);
+        let qc = GeoBlockEngine::new(block, threshold);
         for _ in 0..repeats {
             let got = qc.select(&poly, &s).result;
             prop_assert!(got.approx_eq(&want, 1e-9));
@@ -110,7 +110,7 @@ proptest! {
         }
         let after = qc.select(&poly, &s).result;
         prop_assert!(after.approx_eq(&want, 1e-9));
-        prop_assert!(qc.trie().size_bytes() <= qc.budget_bytes().max(8));
+        prop_assert!(qc.trie_snapshot().size_bytes() <= qc.budget_bytes().max(8));
     }
 
     #[test]

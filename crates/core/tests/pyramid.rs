@@ -1,16 +1,17 @@
-//! Property tests for the aggregate-pyramid query path: the tiered SELECT
-//! (pyramid lookups) and the prefix-powered COUNT must be **bit-identical**
-//! (`approx_eq` at tolerance `0.0`) to the range-scan reference across
-//! random data, random polygons, filtered blocks, and post-update blocks —
-//! every pyramid record is defined as the same in-order fold the scan
-//! performs, so exact agreement is an invariant, not a tolerance.
+//! Property tests for the aggregate-pyramid query path: SELECT (one record
+//! lookup per covering cell) and the prefix-powered COUNT must be
+//! **bit-identical** (`approx_eq` at tolerance `0.0`) to the range-scan
+//! reference (`geoblocks::reference`) across random data, random polygons,
+//! filtered blocks, and post-update blocks — every pyramid record is
+//! defined as the same in-order fold the scan performs, so exact agreement
+//! is an invariant, not a tolerance.
 
 use gb_cell::{CellId, Grid};
 use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
-use geoblocks::{build, build_parallel, GeoBlock, UpdateBatch};
+use geoblocks::{build, build_parallel, reference, GeoBlock, GeoBlockEngine, UpdateBatch};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -44,12 +45,13 @@ fn make_polygon(seeds: &[(f64, f64)]) -> Option<Polygon> {
     (hull.len() >= 3).then(|| Polygon::new(hull))
 }
 
-/// Assert that the production (pyramid-tiered) SELECT and COUNT agree
-/// bit-for-bit with the range-scan reference for `poly`, and that the
-/// pyramid path combines at most one record per covering cell.
+/// Assert that the production SELECT and COUNT agree bit-for-bit with the
+/// range-scan reference for `poly`, and that the pyramid path combines at
+/// most one record per covering cell.
 fn assert_paths_identical(block: &GeoBlock, poly: &Polygon, s: &AggSpec) {
+    let covering = block.cover(poly);
     let (fast, fast_stats) = block.select(poly, s);
-    let (scan, _) = block.select_scan(poly, s);
+    let scan = reference::select_covering(block, &covering, s);
     assert!(
         fast.approx_eq(&scan, 0.0),
         "pyramid diverged from scan: {fast:?} vs {scan:?}"
@@ -61,8 +63,8 @@ fn assert_paths_identical(block: &GeoBlock, poly: &Polygon, s: &AggSpec) {
         fast_stats.query_cells
     );
     let (cnt, _) = block.count(poly);
-    let (sel_cnt, _) = block.select(poly, &AggSpec::count_only());
-    assert_eq!(cnt, sel_cnt.count, "prefix COUNT diverged from SELECT");
+    assert_eq!(cnt, scan.count, "prefix COUNT diverged from SELECT");
+    assert_eq!(cnt, reference::count_covering(block, &covering));
 }
 
 proptest! {
@@ -162,25 +164,28 @@ fn coarse_interior_covering_is_answered_one_record_per_cell() {
         Point::new(3.0, 50.0),
     ]);
     let s = spec();
+    let covering = block.cover(&poly);
     let (fast, fast_stats) = block.select(&poly, &s);
-    let (scan, scan_stats) = block.select_scan(&poly, &s);
+    let scan = reference::select_covering(&block, &covering, &s);
     assert!(fast.approx_eq(&scan, 0.0));
     assert!(fast_stats.cells_combined <= fast_stats.query_cells);
+    // What a range scan combines: every block record under the covering.
+    let scanned = (0..block.num_cells())
+        .filter(|&i| covering.contains(block.cell_at(i)))
+        .count();
     assert!(
-        scan_stats.cells_combined > 5 * fast_stats.cells_combined,
-        "scan combined {} vs pyramid {} — interior not coarse?",
-        scan_stats.cells_combined,
+        scanned > 5 * fast_stats.cells_combined,
+        "scan combined {scanned} vs pyramid {} — interior not coarse?",
         fast_stats.cells_combined
     );
-    // The pyramid also spends fewer binary searches than Listing 1 would
-    // child-expansions; sanity-check the search counter as well.
-    assert!(fast_stats.searches <= scan_stats.searches + fast_stats.query_cells);
+    // One search per covering cell, never a child expansion.
+    assert_eq!(fast_stats.searches, fast_stats.query_cells);
 }
 
-/// The engine/QC layers sit on the same tiered path: a QC with a cold and
-/// a warm cache answers bit-identically to the plain pyramid block.
+/// The engine sits on the same record lookup: with a cold and with a warm
+/// cache it answers bit-identically to the plain pyramid block.
 #[test]
-fn qc_layers_agree_with_pyramid_block_exactly() {
+fn engine_agrees_with_pyramid_block_exactly() {
     let points: Vec<(f64, f64)> = (0..3000)
         .map(|i| {
             (
@@ -203,18 +208,19 @@ fn qc_layers_agree_with_pyramid_block_exactly() {
             ])
         })
         .collect();
-    let mut qc = geoblocks::GeoBlockQC::new(block.clone(), 0.3);
+    let engine = GeoBlockEngine::new(block.clone(), 0.3);
     for p in &polys {
-        let a = qc.select(p, &s).result;
+        let a = engine.select(p, &s).result;
         let (b, _) = block.select(p, &s);
-        assert!(a.approx_eq(&b, 0.0), "cold QC: {a:?} vs {b:?}");
+        assert!(a.approx_eq(&b, 0.0), "cold cache: {a:?} vs {b:?}");
     }
-    qc.rebuild_cache();
+    engine.rebuild_cache();
     for p in &polys {
-        let a = qc.select(p, &s).result;
+        let a = engine.select(p, &s).result;
         let (b, _) = block.select(p, &s);
-        assert!(a.approx_eq(&b, 0.0), "warm QC: {a:?} vs {b:?}");
+        assert!(a.approx_eq(&b, 0.0), "warm cache: {a:?} vs {b:?}");
     }
+    assert!(engine.metrics().direct_hits > 0);
 }
 
 /// Post-update ground truth: the tiered COUNT (prefix differences, no

@@ -50,11 +50,14 @@ use std::time::Instant;
 pub enum Stage {
     /// Polygon → covering: memo probe plus (on miss) cover computation.
     CoveringResolve,
-    /// Flat-index / trie-walk lookup of a covering cell.
+    /// Flat-index lookup of a covering cell in the trie.
     TrieLookup,
-    /// Residual aggregation answered by the pyramid (or prefix sums).
+    /// A covering cell the trie does not hold, answered from a pyramid
+    /// layer (one lookup, one record) — and COUNT's prefix differences.
     PyramidCombine,
-    /// Residual aggregation that fell back to scanning base rows.
+    /// A block-level covering cell the trie does not hold, answered from
+    /// the block's own records: at most one record, nothing is scanned
+    /// (the name is a metric label and stays).
     ScanFallback,
     /// Serve-layer result-cache probe.
     ResultCache,

@@ -4,6 +4,7 @@
 //! exact skew the AggregateTrie exploits (§3.6).
 //!
 //! The example runs the same session against a plain Block and a BlockQC
+//! (a `GeoBlockEngine` without its covering memo, as in the paper)
 //! and reports the per-phase latency plus the cache behaviour, then streams
 //! a batch of fresh rides into the structure (§5 updates).
 //!
@@ -14,7 +15,7 @@
 use gb_common::Timer;
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::{Point, Polygon};
-use geoblocks::{build, GeoBlock, GeoBlockQC, UpdateBatch};
+use geoblocks::{build, GeoBlock, GeoBlockEngine, UpdateBatch};
 
 /// The analyst's focus area queries: a few hot polygons queried over and
 /// over with changing aggregate sets, plus occasional one-off lookups.
@@ -75,7 +76,7 @@ fn main() {
     }
 
     // BlockQC: statistics accumulate, the cache warms after burst 1.
-    let mut qc = GeoBlockQC::new(block, 0.05);
+    let qc = GeoBlockEngine::new(block, 0.05).with_memo_capacity(0);
     let mut qc_totals = Vec::new();
     for burst in 0..5 {
         let t = Timer::start();
@@ -99,8 +100,8 @@ fn main() {
     }
     println!(
         "\ncache: {} aggregates cached, {}",
-        qc.trie().num_cached(),
-        gb_common::fmt::bytes(qc.trie().size_bytes()),
+        qc.trie_snapshot().num_cached(),
+        gb_common::fmt::bytes(qc.trie_snapshot().size_bytes()),
     );
 
     // Live updates: a batch of fresh rides lands in Manhattan (§5).
@@ -112,7 +113,7 @@ fn main() {
         batch.push(Point::new(x, y), vec![10.0; schema_len]);
     }
     let before = qc.count(&session.hot[0]).result;
-    let report = qc.apply_updates(&batch);
+    let report = qc.apply_updates(&batch).expect("finite rows").result;
     let after = qc.count(&session.hot[0]).result;
     println!(
         "\nupdates: {} in place, {} new cells; hot-area count {before} → {after}",

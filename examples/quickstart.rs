@@ -6,7 +6,7 @@
 //! ```
 
 use gb_data::{datasets, extract, polygons, AggFunc, AggRequest, AggSpec, Filter, Rows};
-use geoblocks::{build, GeoBlockQC};
+use geoblocks::{build, GeoBlockEngine};
 
 fn main() {
     // 1. Generate a synthetic NYC-taxi-like dataset (deterministic seed)
@@ -72,20 +72,21 @@ fn main() {
         cstats.cells_combined, qstats.cells_combined
     );
 
-    // 5. The query cache accelerates repeated regions.
-    let mut qc = GeoBlockQC::new(block, 0.05);
+    // 5. The query cache accelerates repeated regions: the engine wraps
+    //    the block with hit statistics and the AggregateTrie (BlockQC).
+    let engine = GeoBlockEngine::new(block, 0.05);
     for _ in 0..3 {
-        qc.select(neighborhood, &spec);
+        engine.select(neighborhood, &spec);
     }
-    qc.rebuild_cache();
-    qc.reset_metrics();
-    let cached = qc.select(neighborhood, &spec);
+    engine.rebuild_cache();
+    engine.reset_metrics();
+    let cached = engine.select(neighborhood, &spec);
     assert_eq!(
         cached.result.count, result.count,
         "cache must not change results"
     );
     println!(
         "\nBlockQC answered the repeat query with a {:.0}% cache hit rate",
-        qc.metrics().hit_rate() * 100.0
+        engine.metrics().hit_rate() * 100.0
     );
 }

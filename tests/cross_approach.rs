@@ -6,7 +6,7 @@ use gb_baselines::{
     GroundTruth, SpatialAggIndex,
 };
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
-use geoblocks::{build, GeoBlockQC};
+use geoblocks::{build, GeoBlockEngine};
 
 const LEVEL: u8 = 9;
 
@@ -27,7 +27,7 @@ fn covering_based_approaches_agree_exactly() {
     let mut bs = BinarySearchIndex::new(&base, LEVEL);
     let (mut bt, _) = BTreeIndex::build(&base, LEVEL);
     let mut bl = BlockIndex::new(block.clone());
-    let mut qc = BlockQcIndex::new(GeoBlockQC::new(block, 0.1));
+    let mut qc = BlockQcIndex::new(block, 0.1);
 
     for (i, poly) in polys.iter().enumerate() {
         let want = bs.select(poly, &spec);
@@ -55,7 +55,7 @@ fn blockqc_stays_exact_across_cache_lifecycles() {
     let polys = polygons::neighborhoods(30, 5);
     let spec = AggSpec::k_aggregates(base.schema(), 4);
 
-    let mut qc = GeoBlockQC::new(block.clone(), 0.05);
+    let qc = GeoBlockEngine::new(block.clone(), 0.05);
     for round in 0..4 {
         for poly in &polys {
             let got = qc.select(poly, &spec).result;
@@ -64,7 +64,7 @@ fn blockqc_stays_exact_across_cache_lifecycles() {
         }
         qc.rebuild_cache();
     }
-    assert!(qc.trie().num_cached() > 0);
+    assert!(qc.trie_snapshot().num_cached() > 0);
 }
 
 #[test]
@@ -222,7 +222,7 @@ fn coarsening_matches_query_results_of_direct_build() {
 fn updates_keep_all_query_paths_consistent() {
     let base = taxi();
     let (block, _) = build(&base, LEVEL, &Filter::all());
-    let mut qc = GeoBlockQC::new(block, 0.2);
+    let qc = GeoBlockEngine::new(block, 0.2);
     let polys = polygons::neighborhoods(10, 6);
     let spec = AggSpec::k_aggregates(base.schema(), 4);
 
@@ -240,10 +240,10 @@ fn updates_keep_all_query_paths_consistent() {
         let y = 5.0 + (i / 20) as f64 * 5.0;
         batch.push(gb_geom::Point::new(x, y), vec![1.0; cols]);
     }
-    qc.apply_updates(&batch);
+    qc.apply_updates(&batch).expect("finite rows");
 
     // SELECT (cached) == SELECT (uncached block) == COUNT, post-update.
-    let block_after = qc.block().clone();
+    let block_after = qc.block_snapshot();
     for poly in &polys {
         let cached = qc.select(poly, &spec).result;
         let (plain, _) = block_after.select(poly, &spec);

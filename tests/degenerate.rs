@@ -3,7 +3,7 @@
 //!
 //! A serving engine sees query polygons it did not draw — sloppy GeoJSON,
 //! doubled vertices from digitizers, clockwise rings from other
-//! conventions, zero-area slivers. On every such input `GeoBlockQC`
+//! conventions, zero-area slivers. On every such input `GeoBlockEngine`
 //! must neither panic nor diverge from its contract:
 //!
 //! * SELECT equals the brute-force aggregate over the block's own
@@ -18,7 +18,7 @@ use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
-use geoblocks::{build, AggResult, GeoBlockQC};
+use geoblocks::{build, AggResult, GeoBlockEngine};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -63,14 +63,14 @@ fn covering_truth(
 /// COUNT so callers can compare across polygon variants.
 fn assert_contract(
     base: &gb_data::BaseTable,
-    qc: &mut GeoBlockQC,
+    qc: &GeoBlockEngine,
     gt: &GroundTruth,
     poly: &Polygon,
     s: &AggSpec,
     label: &str,
 ) -> Result<(AggResult, u64), TestCaseError> {
     let sel = qc.select(poly, s).result;
-    let want = covering_truth(base, qc.block(), poly, s);
+    let want = covering_truth(base, &qc.block_snapshot(), poly, s);
     prop_assert!(
         sel.approx_eq(&want, 1e-9),
         "{label}: select {sel:?} vs covering truth {want:?}"
@@ -112,13 +112,13 @@ proptest! {
         let poly = Polygon::new(ring);
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 0.4);
+        let qc = GeoBlockEngine::new(block, 0.4);
         let gt = GroundTruth::new(&base);
         let s = spec();
         // Twice: cold, then with a rebuilt (warm) cache.
-        let (cold, _) = assert_contract(&base, &mut qc, &gt, &poly, &s, "zero-area cold")?;
+        let (cold, _) = assert_contract(&base, &qc, &gt, &poly, &s, "zero-area cold")?;
         qc.rebuild_cache();
-        let (warm, _) = assert_contract(&base, &mut qc, &gt, &poly, &s, "zero-area warm")?;
+        let (warm, _) = assert_contract(&base, &qc, &gt, &poly, &s, "zero-area warm")?;
         prop_assert!(cold.approx_eq(&warm, 0.0), "cache changed a degenerate answer");
     }
 
@@ -146,13 +146,13 @@ proptest! {
 
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 0.4);
+        let qc = GeoBlockEngine::new(block, 0.4);
         let gt = GroundTruth::new(&base);
         let s = spec();
         let (sel_clean, cnt_clean) =
-            assert_contract(&base, &mut qc, &gt, &clean, &s, "clean")?;
+            assert_contract(&base, &qc, &gt, &clean, &s, "clean")?;
         let (sel_dup, cnt_dup) =
-            assert_contract(&base, &mut qc, &gt, &dup, &s, "duplicated")?;
+            assert_contract(&base, &qc, &gt, &dup, &s, "duplicated")?;
         prop_assert!(
             sel_clean.approx_eq(&sel_dup, 0.0),
             "duplicate vertices changed SELECT: {sel_clean:?} vs {sel_dup:?}"
@@ -178,13 +178,13 @@ proptest! {
 
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        let mut qc = GeoBlockQC::new(block, 0.4);
+        let qc = GeoBlockEngine::new(block, 0.4);
         let gt = GroundTruth::new(&base);
         let s = spec();
         let (sel_fwd, cnt_fwd) =
-            assert_contract(&base, &mut qc, &gt, &forward, &s, "forward")?;
+            assert_contract(&base, &qc, &gt, &forward, &s, "forward")?;
         let (sel_rev, cnt_rev) =
-            assert_contract(&base, &mut qc, &gt, &reversed, &s, "reversed")?;
+            assert_contract(&base, &qc, &gt, &reversed, &s, "reversed")?;
         prop_assert!(
             sel_fwd.approx_eq(&sel_rev, 0.0),
             "winding changed SELECT: {sel_fwd:?} vs {sel_rev:?}"
@@ -201,7 +201,7 @@ fn all_identical_vertices_do_not_panic() {
         .collect();
     let base = make_base(&pts);
     let (block, _) = build(&base, 8, &Filter::all());
-    let mut qc = GeoBlockQC::new(block, 0.3);
+    let qc = GeoBlockEngine::new(block, 0.3);
     let gt = GroundTruth::new(&base);
     let s = spec();
     for (x, y) in [(37.3, 61.7), (0.0, 0.0), (99.99, 99.99)] {
@@ -212,7 +212,7 @@ fn all_identical_vertices_do_not_panic() {
         assert_eq!(cnt, sel.count);
         assert!(cnt >= gt.exact_count(&poly));
         let want = {
-            let covering = qc.block().cover(&poly);
+            let covering = qc.block_snapshot().cover(&poly);
             let mut acc = AggResult::new(&s);
             for row in 0..base.num_rows() {
                 if covering.contains(CellId::from_raw(base.keys()[row])) {

@@ -17,7 +17,7 @@
 use gb_baselines::{relative_error, BlockQcIndex, GroundTruth, SpatialAggIndex};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::{Polygon, Rect};
-use geoblocks::{build, GeoBlockQC};
+use geoblocks::build;
 
 #[test]
 fn geoblockqc_matches_ground_truth_end_to_end() {
@@ -27,7 +27,7 @@ fn geoblockqc_matches_ground_truth_end_to_end() {
 
     let (block, _) = build(&base, 11, &Filter::all());
     let mut gt = GroundTruth::new(&base);
-    let mut qc = BlockQcIndex::new(GeoBlockQC::new(block, 0.1));
+    let mut qc = BlockQcIndex::new(block, 0.1);
     let spec = AggSpec::k_aggregates(base.schema(), 4);
     let polys = polygons::neighborhoods(24, 4242);
 
@@ -73,7 +73,7 @@ fn geoblockqc_matches_ground_truth_end_to_end() {
                 }
             }
         }
-        qc.qc_mut().rebuild_cache();
+        qc.engine().rebuild_cache();
     }
     assert!(
         populated >= 6,
