@@ -53,7 +53,7 @@ impl AggPlan {
 }
 
 /// A borrowed cell-aggregate record — tuple count plus per-column
-/// min/max/sum slices — as the block, every pyramid layer and the
+/// min/max/sum slices — as every [`crate::Layer`] of a block and the
 /// [`crate::AggregateTrie`] store it. [`crate::GeoBlock`] hands out the
 /// canonical record of any aligned cell in this form and the trie's
 /// cached copies read back as the same type, so a trie hit and a block

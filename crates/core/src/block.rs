@@ -4,18 +4,20 @@
 //! block level, in ascending spatial-key order (the same order as the base
 //! data), plus a **global header** combining everything block-wide.
 //!
-//! Each cell aggregate holds: the cell's spatial key, the base-data offset
-//! of its first tuple, the tuple count, the min/max *leaf* keys of the
-//! contained tuples, and per-column min/max/sum. We lay the records out
-//! struct-of-arrays (columnar), which is both cache-friendlier for the
-//! query scans and a faithful byte-count match for the paper's fixed-size
-//! record layout.
+//! Each cell aggregate holds the cell's spatial key, the tuple count and
+//! per-column min/max/sum — aggregates only: nothing links a record back
+//! to the tuples it came from (the paper's tuple offsets and leaf-key
+//! bounds answered no query here and are gone). The records are laid out
+//! struct-of-arrays in a [`Layer`], the one record layout of this crate:
+//! the block is the finest of its own layers, and the coarser ones are
+//! derived from it.
 
 use crate::aggregate::AggResult;
-use crate::gallop;
-use crate::pyramid::AggPyramid;
+use crate::layer::{hash_bits, Layer};
 use gb_cell::{CellId, Grid};
+use gb_common::Pool;
 use gb_data::{AggSpec, Schema};
+use std::hash::{Hash, Hasher};
 
 /// A pre-aggregating materialized view over geospatial point data.
 #[derive(Debug, Clone)]
@@ -24,28 +26,19 @@ pub struct GeoBlock {
     pub(crate) level: u8,
     pub(crate) schema: Schema,
 
-    // --- cell aggregates, SoA, sorted by `keys` ---
-    /// Block-level cell ids (raw), ascending.
-    pub(crate) keys: Vec<u64>,
-    /// Offset (in the block's base-data row order) of the first tuple.
-    pub(crate) offsets: Vec<u64>,
-    /// Tuples in the cell.
-    pub(crate) counts: Vec<u32>,
-    /// Minimum leaf key among the cell's tuples.
-    pub(crate) key_mins: Vec<u64>,
-    /// Maximum leaf key among the cell's tuples.
-    pub(crate) key_maxs: Vec<u64>,
-    /// Per-column minima, flattened `cell × column`.
-    pub(crate) mins: Vec<f64>,
-    /// Per-column maxima, flattened `cell × column`.
-    pub(crate) maxs: Vec<f64>,
-    /// Per-column sums, flattened `cell × column`.
-    pub(crate) sums: Vec<f64>,
+    /// `layers[l]` holds the record of every non-empty cell of level `l`,
+    /// for `l ∈ 0..=level`. The last one — the block-level cell aggregates
+    /// — is the stored state; a block under construction holds nothing
+    /// else. The coarser ones are derived: never serialized, and rebuilt
+    /// with the count prefix by every producer through `refresh_derived`,
+    /// the one place the canonical folds run.
+    pub(crate) layers: Vec<Layer>,
 
     // --- global header (§3.4) ---
     /// Total tuples in the block.
     pub(crate) n_rows: u64,
-    /// Smallest block-level cell id (raw) present.
+    /// Smallest block-level cell id (raw) present (set, like `max_cell`,
+    /// by `refresh_derived`; 0 in an empty block).
     pub(crate) min_cell: u64,
     /// Largest block-level cell id (raw) present.
     pub(crate) max_cell: u64,
@@ -54,20 +47,11 @@ pub struct GeoBlock {
     pub(crate) global_maxs: Vec<f64>,
     pub(crate) global_sums: Vec<f64>,
 
-    /// Set by updates: tuple offsets no longer match any base data, so
-    /// COUNT must sum per-cell counts instead of the offset range trick.
-    pub(crate) dirty_offsets: bool,
-
-    // --- derived acceleration structures (never serialized: every
-    // --- producer rebuilds them from the arrays above through
-    // --- `refresh_derived`, the one place the canonical folds run) ---
-    /// Exclusive prefix over `counts` (`n + 1` entries): the tuple count
-    /// of any aggregate run `[a, b)` is `prefix_counts[b] −
-    /// prefix_counts[a]` — Listing 2's offset trick, kept valid across
-    /// updates (unlike `offsets`, which are pinned to the base data).
+    /// Derived: the exclusive prefix over the block-level counts (`n + 1`
+    /// entries). The tuple count of any record run `[a, b)` is
+    /// `prefix_counts[b] − prefix_counts[a]` — Listing 2's offset trick
+    /// over a column that updates keep valid.
     pub(crate) prefix_counts: Vec<u64>,
-    /// Aggregates at every level coarser than the block level.
-    pub(crate) pyramid: AggPyramid,
 }
 
 impl GeoBlock {
@@ -89,10 +73,24 @@ impl GeoBlock {
         &self.schema
     }
 
+    /// Every layer, root first; the last is the block-level cell
+    /// aggregates.
+    #[inline]
+    pub fn layers(&self) -> &[Layer] {
+        &self.layers
+    }
+
+    /// The block-level cell aggregates: the last layer, in a finished
+    /// block and in one still under construction alike.
+    #[inline]
+    pub(crate) fn records(&self) -> &Layer {
+        self.layers.last().expect("a block holds its records")
+    }
+
     /// Number of non-empty grid cells (cell aggregates).
     #[inline]
     pub fn num_cells(&self) -> usize {
-        self.keys.len()
+        self.records().num_cells()
     }
 
     /// Total tuples aggregated into the block.
@@ -116,21 +114,7 @@ impl GeoBlock {
     /// The cell id of aggregate `idx`.
     #[inline]
     pub fn cell_at(&self, idx: usize) -> CellId {
-        CellId::from_raw(self.keys[idx])
-    }
-
-    /// First aggregate index with key ≥ `key`, galloping forward from the
-    /// cursor `from` (O(log gap), see [`crate::gallop`]).
-    #[inline]
-    pub(crate) fn lower_bound_from(&self, key: u64, from: usize) -> usize {
-        gallop::lower_bound_from(&self.keys, key, from)
-    }
-
-    /// First aggregate index with key > `key`, galloping forward from the
-    /// cursor `from`.
-    #[inline]
-    pub(crate) fn upper_bound_from(&self, key: u64, from: usize) -> usize {
-        gallop::upper_bound_from(&self.keys, key, from)
+        CellId::from_raw(self.records().keys[idx])
     }
 
     /// The block-wide aggregate from the global header (100 % selectivity
@@ -152,7 +136,7 @@ impl GeoBlock {
     /// containment checks, this is possible in constant time".)
     #[inline]
     pub fn may_overlap(&self, cell: CellId) -> bool {
-        if self.keys.is_empty() {
+        if self.n_rows == 0 {
             return false;
         }
         cell.range_max().raw() >= self.min_cell_leaf_min()
@@ -170,242 +154,175 @@ impl GeoBlock {
     }
 
     /// Bytes of one cell-aggregate record for this schema: key (8) +
-    /// offset (8) + count (4) + key min/max (16) + 3 × 8 per column.
+    /// count (8) + 3 × 8 per column.
     pub fn record_bytes(&self) -> usize {
-        8 + 8 + 4 + 16 + 24 * self.n_cols()
+        self.records().record_bytes()
     }
 
     /// Heap bytes of the block-level cell aggregates + global header —
     /// the paper's original Figure-11b numerator, and the base the cache
     /// budget (aggregate threshold) is computed against.
     pub fn aggregate_bytes(&self) -> usize {
-        self.num_cells() * self.record_bytes() + 3 * 8 * self.n_cols() + 32
+        self.records().memory_bytes() + 3 * 8 * self.n_cols() + 32
     }
 
     /// Heap bytes of the derived acceleration structures: the count
-    /// prefix plus the aggregate pyramid.
+    /// prefix plus every layer coarser than the block level.
     pub fn derived_bytes(&self) -> usize {
-        self.prefix_counts.len() * 8 + self.pyramid.memory_bytes()
+        let coarser = &self.layers[..usize::from(self.level)];
+        self.prefix_counts.len() * 8 + coarser.iter().map(Layer::memory_bytes).sum::<usize>()
     }
 
     /// Total heap bytes — cell aggregates, header, count prefix, and
-    /// pyramid (the honest Figure-11b numerator for this implementation).
+    /// coarser layers (the honest Figure-11b numerator for this
+    /// implementation).
     pub fn memory_bytes(&self) -> usize {
         self.aggregate_bytes() + self.derived_bytes()
     }
 
-    /// The aggregate pyramid.
-    #[inline]
-    pub fn pyramid(&self) -> &AggPyramid {
-        &self.pyramid
-    }
+    /// Rebuild everything derived (the header's key extent, the count
+    /// prefix and the coarser layers) from the stored layer, the last in `layers` whether stale coarser
+    /// ones precede it or not — the single funnel every producer (build,
+    /// coarsen, updates, snapshot load) ends in. With a pool the layers
+    /// are fanned out; they are independent folds, so the result is
+    /// bit-identical at any thread count. Updates call this instead of
+    /// patching derived state in place: in-place propagation of sums would
+    /// drift from the canonical fold by ULPs and break the
+    /// layer-vs-scan bit-identity invariant.
+    pub(crate) fn refresh_derived(&mut self, pool: Option<&Pool>) {
+        let Some(records) = self.layers.pop() else {
+            return;
+        };
+        // Release the stale layers before folding their replacement.
+        self.layers = Vec::new();
 
-    /// Rebuild every derived structure (count prefix and pyramid) from
-    /// the current cell aggregates — the single funnel every producer
-    /// (build, coarsen, updates, snapshot load) ends in. With a pool the
-    /// pyramid layers are fanned out; they are independent folds, so the
-    /// result is bit-identical at any thread count. Updates call this
-    /// instead of patching derived state in place: in-place propagation
-    /// of sums would drift from the canonical fold by ULPs and break the
-    /// pyramid-vs-scan bit-identity invariant.
-    pub(crate) fn refresh_derived(&mut self, pool: Option<&gb_common::Pool>) {
+        self.min_cell = records.keys.first().copied().unwrap_or(0);
+        self.max_cell = records.keys.last().copied().unwrap_or(0);
         self.prefix_counts.clear();
-        self.prefix_counts.reserve(self.keys.len() + 1);
+        self.prefix_counts.reserve(records.num_cells() + 1);
         self.prefix_counts.push(0);
         let mut run = 0u64;
-        for &cnt in &self.counts {
-            run += u64::from(cnt);
+        for &cnt in &records.counts {
+            run += cnt;
             self.prefix_counts.push(run);
         }
-        // Release the stale layers before folding their replacement.
-        self.pyramid = AggPyramid::default();
-        self.pyramid = AggPyramid::build(self, pool);
+
+        let n_coarser = usize::from(self.level);
+        let fold = |l: usize| records.fold_to(l as u8);
+        let mut layers = match pool {
+            Some(pool) => pool.run(n_coarser, fold),
+            None => (0..n_coarser).map(fold).collect(),
+        };
+        layers.push(records);
+        self.layers = layers;
     }
 
-    /// A digest over every stored array (floats by bit pattern, so NaN
-    /// payloads and signed zeros count). Two blocks with equal hashes are
-    /// byte-identical for all practical purposes — the `scale-threads`
-    /// experiment uses this to prove parallel builds match serial ones.
+    /// A digest over the stored state — the block-level records and the
+    /// global header (floats by bit pattern, so NaN payloads and signed
+    /// zeros count). Two blocks with equal hashes are byte-identical for
+    /// all practical purposes — the `scale-threads` experiment uses this
+    /// to prove parallel builds match serial ones.
     pub fn content_hash(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
         let mut h = gb_common::FxHasher::default();
-        self.level.hash(&mut h);
-        self.keys.hash(&mut h);
-        self.offsets.hash(&mut h);
-        self.counts.hash(&mut h);
-        self.key_mins.hash(&mut h);
-        self.key_maxs.hash(&mut h);
-        let bits = |v: &[f64], h: &mut gb_common::FxHasher| {
-            for x in v {
-                x.to_bits().hash(h);
-            }
-        };
-        bits(&self.mins, &mut h);
-        bits(&self.maxs, &mut h);
-        bits(&self.sums, &mut h);
-        self.n_rows.hash(&mut h);
-        self.min_cell.hash(&mut h);
-        self.max_cell.hash(&mut h);
-        bits(&self.global_mins, &mut h);
-        bits(&self.global_maxs, &mut h);
-        bits(&self.global_sums, &mut h);
+        self.records().hash_into(&mut h);
+        self.hash_header_into(&mut h);
         h.finish()
     }
 
+    /// The global header's share of [`GeoBlock::content_hash`].
+    pub(crate) fn hash_header_into(&self, h: &mut gb_common::FxHasher) {
+        self.n_rows.hash(h);
+        self.min_cell.hash(h);
+        self.max_cell.hash(h);
+        hash_bits(&self.global_mins, h);
+        hash_bits(&self.global_maxs, h);
+        hash_bits(&self.global_sums, h);
+    }
+
     /// Build a coarser GeoBlock at `level` from this one **without**
-    /// rescanning the base data (§3.4 "aggregate granularity"): the
-    /// aggregate arrays *are* this block's pyramid layer for `level` (the
-    /// canonical in-order fold), plus one grouping pass for the base-data
-    /// linkage (offsets, leaf-key bounds) the pyramid does not carry.
+    /// rescanning the base data (§3.4 "aggregate granularity"): its
+    /// records *are* this block's layer for `level` (the canonical
+    /// in-order fold), and its own coarser layers are folded from them.
     pub fn coarsen(&self, level: u8) -> GeoBlock {
         assert!(level <= self.level, "coarsen can only reduce the level");
-        if level == self.level {
-            return self.clone();
-        }
-        let layer = &self.pyramid.levels[level as usize];
+        let records = self.layers[usize::from(level)].clone();
         let mut out = GeoBlock {
             grid: self.grid,
             level,
             schema: self.schema.clone(),
-            keys: layer.keys.clone(),
-            offsets: Vec::new(),
-            counts: layer
-                .counts
-                .iter()
-                .map(|&n| u32::try_from(n).expect("cell count fits u32"))
-                .collect(),
-            key_mins: Vec::new(),
-            key_maxs: Vec::new(),
-            mins: layer.mins.clone(),
-            maxs: layer.maxs.clone(),
-            sums: layer.sums.clone(),
             n_rows: self.n_rows,
             min_cell: 0,
             max_cell: 0,
+            layers: vec![records],
             global_mins: self.global_mins.clone(),
             global_maxs: self.global_maxs.clone(),
             global_sums: self.global_sums.clone(),
-            dirty_offsets: self.dirty_offsets,
             prefix_counts: Vec::new(),
-            pyramid: AggPyramid::default(),
         };
-
-        // Base-data linkage per coarse group: first offset, leaf-key span.
-        let mut i = 0usize;
-        while i < self.keys.len() {
-            let parent = self.cell_at(i).parent_at(level);
-            out.offsets.push(self.offsets[i]);
-            out.key_mins.push(self.key_mins[i]);
-            let mut key_max = 0u64;
-            while i < self.keys.len() && parent.contains(self.cell_at(i)) {
-                key_max = key_max.max(self.key_maxs[i]);
-                i += 1;
-            }
-            out.key_maxs.push(key_max);
-        }
-        debug_assert_eq!(out.offsets.len(), out.keys.len());
-
-        out.min_cell = out.keys.first().copied().unwrap_or(0);
-        out.max_cell = out.keys.last().copied().unwrap_or(0);
-        debug_assert!(
-            out.keys.windows(2).all(|w| w[0] < w[1]),
-            "coarse keys unique+sorted"
-        );
         out.refresh_derived(None);
         out
     }
 
-    /// Check every invariant of the *stored* arrays without panicking —
-    /// the validation gate for untrusted inputs (snapshot loads): a
-    /// corrupt file that passes the container checksums must still
-    /// describe a structurally possible block before any fold or query
-    /// code touches it. Derived state is never read from outside, so it
-    /// is not checked here (see [`GeoBlock::check_invariants`]).
+    /// Check every invariant of the *stored* state — the last layer and
+    /// the global header — without panicking: the validation gate for
+    /// untrusted inputs (snapshot loads). A corrupt file that passes the
+    /// container checksums must still describe a structurally possible
+    /// block before any fold or query code touches it. Derived state is
+    /// never read from outside; [`GeoBlock::check_invariants`] covers it.
     pub fn validate(&self) -> Result<(), String> {
         let c = self.n_cols();
-        let n = self.keys.len();
-        if self.offsets.len() != n || self.counts.len() != n {
+        let records = self.layers.last().ok_or("block without records")?;
+        if (records.level, records.n_cols) != (self.level, c) {
             return Err(format!(
-                "array lengths disagree: {n} keys, {} offsets, {} counts",
-                self.offsets.len(),
-                self.counts.len()
+                "records at level {} with {} columns, block at level {} with {c}",
+                records.level, records.n_cols, self.level
             ));
         }
-        if self.key_mins.len() != n || self.key_maxs.len() != n {
-            return Err("key min/max arrays do not match the cell count".into());
-        }
-        if self.mins.len() != n * c || self.maxs.len() != n * c || self.sums.len() != n * c {
-            return Err(format!(
-                "aggregate arrays must hold cells × columns = {} values",
-                n * c
-            ));
-        }
+        records.validate()?;
         if self.global_mins.len() != c || self.global_maxs.len() != c || self.global_sums.len() != c
         {
             return Err("global header arrays do not match the column count".into());
         }
-        if self.level > gb_cell::MAX_LEVEL {
-            return Err(format!("block level {} exceeds MAX_LEVEL", self.level));
-        }
-        if !self.keys.windows(2).all(|w| w[0] < w[1]) {
-            return Err("cell keys not strictly ascending".into());
-        }
-        let total: u64 = self.counts.iter().map(|&x| u64::from(x)).sum();
-        if total != self.n_rows {
+        let total = records
+            .counts
+            .iter()
+            .try_fold(0u64, |sum, &n| sum.checked_add(n));
+        if total != Some(self.n_rows) {
             return Err(format!(
-                "counts sum to {total}, header says {}",
+                "counts sum to {total:?}, header says {}",
                 self.n_rows
             ));
         }
-        for (i, &k) in self.keys.iter().enumerate() {
-            let cell = CellId::try_from_raw(k)
-                .ok_or_else(|| format!("malformed cell id {k:#x} at index {i}"))?;
-            if cell.level() != self.level {
-                return Err(format!(
-                    "cell {i} at level {}, block level is {}",
-                    cell.level(),
-                    self.level
-                ));
-            }
-            if self.counts[i] == 0 {
-                return Err(format!("empty cell stored at index {i}"));
-            }
-            let key_ok = |raw: u64| CellId::try_from_raw(raw).is_some_and(|id| cell.contains(id));
-            if !key_ok(self.key_mins[i]) || !key_ok(self.key_maxs[i]) {
-                return Err(format!("leaf key bounds of cell {i} outside the cell"));
-            }
-        }
-        if n > 0 && (self.min_cell != self.keys[0] || self.max_cell != self.keys[n - 1]) {
+        let extent = (records.keys.first(), records.keys.last());
+        if records.num_cells() > 0 && extent != (Some(&self.min_cell), Some(&self.max_cell)) {
             return Err("header min/max cells disagree with the key array".into());
-        }
-        if !self.dirty_offsets {
-            // Offsets are a running prefix sum of counts.
-            let mut expect = self.offsets.first().copied().unwrap_or(0);
-            for i in 0..n {
-                if self.offsets[i] != expect {
-                    return Err(format!("offset prefix-sum broken at index {i}"));
-                }
-                expect += u64::from(self.counts[i]);
-            }
         }
         Ok(())
     }
 
     /// Sanity-check internal invariants (used by tests and debug builds):
-    /// [`GeoBlock::validate`], plus the derived structures are what
-    /// `refresh_derived` makes of the current records, bit for bit.
+    /// [`GeoBlock::validate`], every layer is a valid [`Layer`] of its
+    /// level, and the derived structures are what `refresh_derived` makes
+    /// of the current records, bit for bit.
     #[track_caller]
     pub fn check_invariants(&self) {
         if let Err(e) = self.validate() {
             panic!("GeoBlock invariant violated: {e}");
         }
+        assert_eq!(self.layers.len(), usize::from(self.level) + 1, "layers");
         let mut fresh = self.clone();
         fresh.refresh_derived(None);
         assert_eq!(self.prefix_counts, fresh.prefix_counts, "stale prefix");
-        let (have, want) = (self.pyramid.content_hash(), fresh.pyramid.content_hash());
-        assert_eq!(
-            have, want,
-            "pyramid is not the canonical fold of the records"
-        );
+        for (l, (have, want)) in self.layers.iter().zip(&fresh.layers).enumerate() {
+            if let Err(e) = have.validate() {
+                panic!("layer {l} invalid: {e}");
+            }
+            assert_eq!((usize::from(have.level), have.n_cols), (l, self.n_cols()));
+            assert_eq!(
+                have.content_hash(),
+                want.content_hash(),
+                "layer {l} is not the canonical fold of the records"
+            );
+        }
     }
 }

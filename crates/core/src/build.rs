@@ -18,6 +18,7 @@
 //! paths, which keeps even its floating-point sums byte-for-byte stable.
 
 use crate::block::GeoBlock;
+use crate::layer::Layer;
 use gb_cell::MAX_LEVEL;
 use gb_common::Pool;
 use gb_data::{BaseTable, Filter, Rows, Schema};
@@ -37,180 +38,87 @@ pub struct BuildStats {
     pub threads: usize,
 }
 
-/// The cell aggregates produced by sweeping one contiguous row range.
-/// Offsets are local to the range's filtered sequence; [`assemble`]
-/// rebases them while concatenating partials in range order.
-struct Partial {
-    keys: Vec<u64>,
-    offsets: Vec<u64>,
-    counts: Vec<u32>,
-    key_mins: Vec<u64>,
-    key_maxs: Vec<u64>,
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-    sums: Vec<f64>,
-    rows_kept: u64,
-}
-
-/// One O(len) filter + aggregate sweep over `rows` of the sorted base.
-fn sweep_range(base: &BaseTable, level: u8, filter: &Filter, rows: Range<usize>) -> Partial {
-    let c = base.schema().len();
+/// One O(len) filter + aggregate sweep over `rows` of the sorted base: the
+/// records of the block-level cells the kept rows fall in.
+fn sweep_range(base: &BaseTable, level: u8, filter: &Filter, rows: Range<usize>) -> Layer {
     let shift = 2 * (MAX_LEVEL - level) as u64;
-    let mut p = Partial {
-        keys: Vec::new(),
-        offsets: Vec::new(),
-        counts: Vec::new(),
-        key_mins: Vec::new(),
-        key_maxs: Vec::new(),
-        mins: Vec::new(),
-        maxs: Vec::new(),
-        sums: Vec::new(),
-        rows_kept: 0,
-    };
+    let mut out = Layer::with_capacity(level, base.schema().len(), 0);
 
     let keys = base.keys();
     let trivial = filter.is_trivial();
-    let mut offset = 0u64; // position within this range's filtered sequence
     let mut cur_cell = u64::MAX;
-    let mut cur_count = 0u32;
 
     for row in rows {
         if !trivial && !filter.matches(base, row) {
             continue;
         }
-        let leaf = keys[row];
         // Block-level cell id of this leaf, by pure bit arithmetic: clear
         // the low bits and set the sentinel.
-        let cell = (leaf & !((1u64 << (shift + 1)) - 1)) | (1u64 << shift);
-
+        let cell = (keys[row] & !((1u64 << (shift + 1)) - 1)) | (1u64 << shift);
         if cell != cur_cell {
-            if cur_count > 0 {
-                p.counts.push(cur_count);
-            }
             cur_cell = cell;
-            cur_count = 0;
-            p.keys.push(cell);
-            p.offsets.push(offset);
-            p.key_mins.push(leaf);
-            p.key_maxs.push(leaf);
-            p.mins.extend(std::iter::repeat_n(f64::INFINITY, c));
-            p.maxs.extend(std::iter::repeat_n(f64::NEG_INFINITY, c));
-            p.sums.extend(std::iter::repeat_n(0.0, c));
+            out.push_empty(cell);
         }
-        cur_count += 1;
-        offset += 1;
-        let last = p.keys.len() - 1;
-        p.key_maxs[last] = leaf; // keys ascend, so the last seen is max
-        let base_idx = last * c;
-        for col in 0..c {
-            let v = base.value_f64(row, col);
-            let m = &mut p.mins[base_idx + col];
-            if v < *m {
-                *m = v;
-            }
-            let m = &mut p.maxs[base_idx + col];
-            if v > *m {
-                *m = v;
-            }
-            p.sums[base_idx + col] += v;
-        }
+        out.add_tuple(out.num_cells() - 1, |col| base.value_f64(row, col));
     }
-    if cur_count > 0 {
-        p.counts.push(cur_count);
-    }
-    p.rows_kept = offset;
-    p
+    out
 }
 
-/// Concatenate partials (in range order) into a block and derive the
-/// global header by folding the cell aggregates in cell order. The fold is
-/// the *definition* of the header, shared by the serial and parallel
+/// Concatenate the sweeps' records (in range order) into a block and derive
+/// the global header by folding the cell aggregates in cell order. The fold
+/// is the *definition* of the header, shared by the serial and parallel
 /// paths, so both produce identical bytes.
-fn assemble(grid: gb_cell::Grid, level: u8, schema: Schema, partials: Vec<Partial>) -> GeoBlock {
+fn assemble(grid: gb_cell::Grid, level: u8, schema: Schema, parts: Vec<Layer>) -> GeoBlock {
     let c = schema.len();
-    let n_cells: usize = partials.iter().map(|p| p.keys.len()).sum();
+    let n_cells: usize = parts.iter().map(Layer::num_cells).sum();
+    let mut records = Layer::with_capacity(level, c, n_cells);
+    for part in &parts {
+        records.extend_from(part, 0..part.num_cells());
+    }
+
     let mut block = GeoBlock {
         grid,
         level,
         schema,
-        keys: Vec::with_capacity(n_cells),
-        offsets: Vec::with_capacity(n_cells),
-        counts: Vec::with_capacity(n_cells),
-        key_mins: Vec::with_capacity(n_cells),
-        key_maxs: Vec::with_capacity(n_cells),
-        mins: Vec::with_capacity(n_cells * c),
-        maxs: Vec::with_capacity(n_cells * c),
-        sums: Vec::with_capacity(n_cells * c),
-        n_rows: 0,
+        n_rows: records.counts.iter().sum(),
         min_cell: 0,
         max_cell: 0,
         global_mins: vec![f64::INFINITY; c],
         global_maxs: vec![f64::NEG_INFINITY; c],
         global_sums: vec![0.0; c],
-        dirty_offsets: false,
+        layers: Vec::new(),
         prefix_counts: Vec::new(),
-        pyramid: Default::default(),
     };
-
-    let mut row_base = 0u64;
-    for p in partials {
-        debug_assert!(
-            block
-                .keys
-                .last()
-                .zip(p.keys.first())
-                .is_none_or(|(a, b)| a < b),
-            "partials must cover disjoint, ascending cell ranges"
-        );
-        block.keys.extend_from_slice(&p.keys);
-        block.offsets.extend(p.offsets.iter().map(|o| o + row_base));
-        block.counts.extend_from_slice(&p.counts);
-        block.key_mins.extend_from_slice(&p.key_mins);
-        block.key_maxs.extend_from_slice(&p.key_maxs);
-        block.mins.extend_from_slice(&p.mins);
-        block.maxs.extend_from_slice(&p.maxs);
-        block.sums.extend_from_slice(&p.sums);
-        row_base += p.rows_kept;
-    }
-    block.n_rows = row_base;
-    block.min_cell = block.keys.first().copied().unwrap_or(0);
-    block.max_cell = block.keys.last().copied().unwrap_or(0);
-
-    for cell in 0..block.keys.len() {
-        let base_idx = cell * c;
+    for cell in 0..records.num_cells() {
+        let record = records.record(cell);
         for col in 0..c {
-            let v = block.mins[base_idx + col];
-            if v < block.global_mins[col] {
-                block.global_mins[col] = v;
+            if record.min(col) < block.global_mins[col] {
+                block.global_mins[col] = record.min(col);
             }
-            let v = block.maxs[base_idx + col];
-            if v > block.global_maxs[col] {
-                block.global_maxs[col] = v;
+            if record.max(col) > block.global_maxs[col] {
+                block.global_maxs[col] = record.max(col);
             }
-            block.global_sums[col] += block.sums[base_idx + col];
+            block.global_sums[col] += record.sum(col);
         }
     }
-
+    block.layers.push(records);
     block
 }
 
 /// Build a GeoBlock at `level` over the rows of `base` matching `filter`.
 ///
-/// Single linear pass. Empty cells are omitted (§3.4); tuple offsets are
-/// positions within the *filtered* row sequence, which keeps the COUNT
-/// range-sum arithmetic of Listing 2 exact per block.
+/// Single linear pass. Empty cells are omitted (§3.4).
 pub fn build(base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, BuildStats) {
     assert!(level <= MAX_LEVEL);
     let timer = gb_common::Timer::start();
     let n = base.keys().len();
-    let partial = sweep_range(base, level, filter, 0..n);
-    let rows_kept = partial.rows_kept as usize;
-    let mut block = assemble(*base.grid(), level, base.schema().clone(), vec![partial]);
+    let records = sweep_range(base, level, filter, 0..n);
+    let mut block = assemble(*base.grid(), level, base.schema().clone(), vec![records]);
     block.refresh_derived(None);
     let stats = BuildStats {
         build_time: timer.elapsed(),
         rows_scanned: n,
-        rows_kept,
+        rows_kept: block.n_rows as usize,
         threads: 1,
     };
     (block, stats)
@@ -246,8 +154,8 @@ fn cell_aligned_boundaries(base: &BaseTable, level: u8, parts: usize) -> Vec<usi
 /// The result is bit-identical to the serial build: chunks are
 /// cell-aligned (`cell_aligned_boundaries`), so each cell aggregate is
 /// produced by one worker in base-row order, and the merge concatenates
-/// partials in ascending key order before deriving the global header with
-/// the same fold the serial path uses.
+/// sweeps' records in ascending key order before deriving the global header
+/// with the same fold the serial path uses.
 pub fn build_parallel(
     base: &BaseTable,
     level: u8,
@@ -264,19 +172,18 @@ pub fn build_parallel(
     let timer = gb_common::Timer::start();
     let cuts = cell_aligned_boundaries(base, level, threads);
     let pool = Pool::new(threads);
-    let partials = pool.run(cuts.len() - 1, |i| {
+    let parts = pool.run(cuts.len() - 1, |i| {
         sweep_range(base, level, filter, cuts[i]..cuts[i + 1])
     });
-    let rows_kept: u64 = partials.iter().map(|p| p.rows_kept).sum();
-    let mut block = assemble(*base.grid(), level, base.schema().clone(), partials);
-    // Pyramid layers are independent in-order folds over the assembled
-    // cells: fanning them over the pool is bit-identical to the serial
-    // build at any thread count.
+    let mut block = assemble(*base.grid(), level, base.schema().clone(), parts);
+    // The coarser layers are independent in-order folds over the
+    // assembled cells: fanning them over the pool is bit-identical to the
+    // serial build at any thread count.
     block.refresh_derived(Some(&pool));
     let stats = BuildStats {
         build_time: timer.elapsed(),
         rows_scanned: n,
-        rows_kept: rows_kept as usize,
+        rows_kept: block.n_rows as usize,
         threads,
     };
     (block, stats)
@@ -318,24 +225,25 @@ mod tests {
 
     /// Byte-level equality: every array identical, floats compared by bits.
     fn assert_blocks_identical(a: &GeoBlock, b: &GeoBlock) {
-        assert_eq!(a.keys, b.keys);
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.counts, b.counts);
-        assert_eq!(a.key_mins, b.key_mins);
-        assert_eq!(a.key_maxs, b.key_maxs);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.mins), bits(&b.mins));
-        assert_eq!(bits(&a.maxs), bits(&b.maxs));
-        assert_eq!(bits(&a.sums), bits(&b.sums));
         assert_eq!(a.n_rows, b.n_rows);
         assert_eq!(a.min_cell, b.min_cell);
         assert_eq!(a.max_cell, b.max_cell);
         assert_eq!(bits(&a.global_mins), bits(&b.global_mins));
         assert_eq!(bits(&a.global_maxs), bits(&b.global_maxs));
         assert_eq!(bits(&a.global_sums), bits(&b.global_sums));
-        // Derived structures too: count prefix and every pyramid layer.
+        // The records and the derived structures: count prefix and every
+        // coarser layer.
         assert_eq!(a.prefix_counts, b.prefix_counts);
-        assert_eq!(a.pyramid, b.pyramid, "pyramids diverged");
+        assert_eq!(a.layers.len(), b.layers.len());
+        for (la, lb) in a.layers.iter().zip(&b.layers) {
+            assert_eq!(la.level, lb.level);
+            assert_eq!(la.keys, lb.keys);
+            assert_eq!(la.counts, lb.counts);
+            assert_eq!(bits(&la.mins), bits(&lb.mins));
+            assert_eq!(bits(&la.maxs), bits(&lb.maxs));
+            assert_eq!(bits(&la.sums), bits(&lb.sums), "level {}", la.level);
+        }
     }
 
     #[test]
@@ -350,14 +258,31 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "layer 3 invalid: empty cell")]
+    fn check_invariants_validates_derived_layers() {
+        let (mut block, _) = build(&base_data(500), 6, &Filter::all());
+        block.layers[3].counts[0] = 0;
+        block.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "layer 3 is not the canonical fold")]
+    fn check_invariants_refolds_derived_layers() {
+        let (mut block, _) = build(&base_data(500), 6, &Filter::all());
+        block.layers[3].sums[0] += 1.0;
+        block.check_invariants();
+    }
+
+    #[test]
     fn every_row_lands_in_its_cell() {
         let base = base_data(1000);
         let (block, _) = build(&base, 6, &Filter::all());
         for row in 0..1000 {
             let leaf = CellId::from_raw(base.keys()[row]);
             let cell = leaf.parent_at(6);
-            let idx = block.keys.binary_search(&cell.raw()).expect("cell present");
-            assert!(block.counts[idx] > 0);
+            let records = block.records();
+            let idx = records.find(cell.raw(), &mut 0).expect("cell present");
+            assert!(records.counts[idx] > 0);
         }
     }
 
@@ -384,10 +309,10 @@ mod tests {
         assert_eq!(block.num_rows(), 0);
         assert_eq!(block.num_cells(), 0);
         assert!(!block.may_overlap(CellId::ROOT));
-        // The pyramid is still there, one (empty) layer per level.
-        assert_eq!(block.pyramid().num_levels(), 8);
-        assert_eq!(block.pyramid().num_records(), 0);
-        assert_eq!(block.pyramid().memory_bytes(), 0);
+        // The layers are still there, one (empty) per level.
+        assert_eq!(block.layers().len(), 9);
+        assert!(block.layers().iter().all(|l| l.num_cells() == 0));
+        assert_eq!(block.derived_bytes(), 8);
     }
 
     #[test]
@@ -457,16 +382,14 @@ mod tests {
         let (coarse_direct, _) = build(&base, 6, &Filter::all());
         let coarse = fine.coarsen(6);
         coarse.check_invariants();
-        assert_eq!(coarse.keys, coarse_direct.keys);
-        assert_eq!(coarse.counts, coarse_direct.counts);
-        assert_eq!(coarse.offsets, coarse_direct.offsets);
-        assert_eq!(coarse.key_mins, coarse_direct.key_mins);
-        assert_eq!(coarse.key_maxs, coarse_direct.key_maxs);
-        for (a, b) in coarse.sums.iter().zip(&coarse_direct.sums) {
+        let (coarse, direct) = (coarse.records(), coarse_direct.records());
+        assert_eq!(coarse.keys, direct.keys);
+        assert_eq!(coarse.counts, direct.counts);
+        for (a, b) in coarse.sums.iter().zip(&direct.sums) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
-        assert_eq!(coarse.mins, coarse_direct.mins);
-        assert_eq!(coarse.maxs, coarse_direct.maxs);
+        assert_eq!(coarse.mins, direct.mins);
+        assert_eq!(coarse.maxs, direct.maxs);
     }
 
     #[test]
@@ -474,8 +397,7 @@ mod tests {
         let base = base_data(500);
         let (block, _) = build(&base, 7, &Filter::all());
         let same = block.coarsen(7);
-        assert_eq!(same.keys, block.keys);
-        assert_eq!(same.counts, block.counts);
+        assert_blocks_identical(&same, &block);
     }
 
     #[test]

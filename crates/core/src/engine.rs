@@ -568,12 +568,32 @@ impl GeoBlockEngine {
     /// starting after the swap see the whole batch. The swap also makes
     /// invalidation transactional for result caches keyed on the epoch:
     /// the epoch bump and the new data become visible atomically.
+    ///
+    /// A batch with a row of the wrong arity, a non-finite location or
+    /// value, or a location outside the grid's domain is rejected whole
+    /// with a typed `BadRequest`; an empty batch commits nothing and
+    /// reports the current epoch.
     pub fn apply_updates(
         &self,
         batch: &UpdateBatch,
     ) -> Result<QueryResponse<UpdateReport>, GbError> {
         let _req = self.tracer.begin_request("update");
-        let n_cols = self.block_snapshot().schema().len();
+        let (n_cols, domain, epoch) = {
+            let state = self.state_snapshot();
+            let block = &state.block;
+            (
+                block.schema().len(),
+                block.grid().domain(),
+                state.data_epoch,
+            )
+        };
+        if batch.is_empty() {
+            // Nothing to commit: no clone, no new epoch, and so no result
+            // cache emptied for it.
+            self.tracer.note_epoch(epoch);
+            let report = UpdateReport::default();
+            return Ok(QueryResponse::new(report, QueryStats::default(), epoch));
+        }
         for (i, (location, values)) in batch.rows.iter().enumerate() {
             if values.len() != n_cols {
                 return Err(GbError::bad_request(format!(
@@ -582,6 +602,14 @@ impl GeoBlockEngine {
                 )));
             }
             crate::api::check_update_row(*location, values)?;
+            // The grid clamps: a tuple outside the domain would be folded
+            // into a border cell, beyond the §3.2 error bound (`extract`
+            // drops such rows at build time).
+            if !domain.contains_point(*location) {
+                return Err(GbError::bad_request(format!(
+                    "update row {i} location is outside the grid domain"
+                )));
+            }
         }
         // One kernel transaction: serialized with rebuilds and other
         // updates by the publisher mutex; queries proceed throughout.
@@ -1080,17 +1108,22 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_update_rows_are_rejected_before_they_poison_the_block() {
+    fn non_finite_and_out_of_domain_update_rows_are_rejected_whole() {
         let base = base_data(1500);
         let (block, _) = build(&base, 7, &Filter::all());
         let engine = GeoBlockEngine::new(block, 0.3);
-        let hash = engine.block_snapshot().content_hash();
+        let before = engine.block_snapshot();
+        let everything = Polygon::rectangle(Rect::from_bounds(-1.0, -1.0, 101.0, 101.0));
         for (location, value) in [
             (Point::new(20.0, 20.0), f64::NAN),
             (Point::new(20.0, 20.0), f64::INFINITY),
             (Point::new(20.0, 20.0), f64::NEG_INFINITY),
             (Point::new(f64::NAN, 20.0), 1.0),
             (Point::new(20.0, f64::INFINITY), 1.0),
+            // The grid would clamp these into a border cell, where any
+            // polygon touching the corner counts them.
+            (Point::new(1e9, 1e9), 1.0),
+            (Point::new(50.0, -0.001), 1.0),
         ] {
             // A good row first: the batch is rejected whole, not partly applied.
             let mut batch = UpdateBatch::new();
@@ -1103,7 +1136,31 @@ mod tests {
             assert!(bad(&via_query), "{via_query}");
         }
         assert_eq!(engine.data_epoch(), 0);
-        assert_eq!(engine.block_snapshot().content_hash(), hash);
+        assert!(Arc::ptr_eq(&engine.block_snapshot(), &before));
+        assert_eq!(engine.count(&everything).result, 1500);
+        // The domain is closed: a tuple on its edge belongs to the border
+        // cell it is clamped into.
+        let mut batch = UpdateBatch::new();
+        batch.push(Point::new(100.0, 0.0), vec![2.0]);
+        engine.apply_updates(&batch).expect("on the edge is inside");
+        assert_eq!(engine.count(&everything).result, 1501);
+    }
+
+    #[test]
+    fn an_empty_batch_commits_nothing() {
+        let base = base_data(500);
+        let (block, _) = build(&base, 6, &Filter::all());
+        let engine = GeoBlockEngine::new(block, 0.3);
+        let mut batch = UpdateBatch::new();
+        batch.push(Point::new(30.0, 30.0), vec![2.0]);
+        engine.apply_updates(&batch).expect("valid batch");
+        let (block, trie) = (engine.block_snapshot(), engine.trie_snapshot());
+
+        let reply = engine.apply_updates(&UpdateBatch::new()).expect("no-op");
+        assert_eq!((reply.result, reply.epoch), (UpdateReport::default(), 1));
+        assert_eq!(engine.data_epoch(), 1);
+        assert!(Arc::ptr_eq(&engine.block_snapshot(), &block), "no clone");
+        assert!(Arc::ptr_eq(&engine.trie_snapshot(), &trie));
     }
 
     #[test]

@@ -1,0 +1,445 @@
+//! One layer of cell-aggregate records — the only spelling of the record
+//! columns in this crate.
+//!
+//! A [`GeoBlock`](crate::GeoBlock) holds one [`Layer`] per cell level from
+//! the root down to its block level (§3.4 "aggregate granularity", turned
+//! from a build-time choice into a query-time structure). The finest layer
+//! is the block's stored state: the records every producer writes and the
+//! snapshot persists. Every coarser layer is derived from it and holds one
+//! precomputed record per non-empty cell of its level, so any grid-aligned
+//! covering cell — block-level boundary cell or coarse interior cell — is
+//! answered by **one** cursor-resumed search (`Layer::find`) and **one**
+//! record combine (`Layer::record`), where a range scan pays up to 4^Δ
+//! block-level records.
+//!
+//! A coarser layer is defined as the *in-order fold* of the finest records
+//! it covers (`Layer::fold_to`, the canonical fold —
+//! [`GeoBlock::coarsen`](crate::GeoBlock::coarsen) hands out the same layer
+//! as a block of its own), so a lookup is bit-identical to scanning the
+//! underlying records into a fresh accumulator, floating-point association
+//! included. That definition is what lets the query tests assert exact
+//! (`approx_eq` at `0.0`) agreement with [`crate::reference`].
+//!
+//! Coarser layers are independent of one another (each folds directly from
+//! the finest, never from the next-finer one), which makes deriving them
+//! embarrassingly parallel: `GeoBlock::refresh_derived` fans one task per
+//! layer over [`gb_common::Pool`] and the result is bit-identical at any
+//! thread count.
+
+use crate::aggregate::RecordRef;
+use crate::gallop;
+use gb_cell::CellId;
+use gb_common::FxHasher;
+use gb_store::{ByteReader, ByteWriter, SnapshotError};
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
+
+/// Cell aggregates at a single level, struct-of-arrays, sorted by key: per
+/// non-empty cell its id, its tuple count and per-column min/max/sum (§3.4)
+/// — aggregates only, no link back to the tuples they came from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Layer {
+    /// The cell level of this layer.
+    pub(crate) level: u8,
+    /// Attribute columns per record.
+    pub(crate) n_cols: usize,
+    /// Cell ids (raw) at `level`, ascending.
+    pub(crate) keys: Vec<u64>,
+    /// Tuples per cell.
+    pub(crate) counts: Vec<u64>,
+    /// Per-column minima, flattened `cell × column`.
+    pub(crate) mins: Vec<f64>,
+    /// Per-column maxima, flattened `cell × column`.
+    pub(crate) maxs: Vec<f64>,
+    /// Per-column sums, flattened `cell × column`.
+    pub(crate) sums: Vec<f64>,
+}
+
+impl Layer {
+    /// An empty layer with room for `cells` records.
+    pub(crate) fn with_capacity(level: u8, n_cols: usize, cells: usize) -> Layer {
+        Layer {
+            level,
+            n_cols,
+            keys: Vec::with_capacity(cells),
+            counts: Vec::with_capacity(cells),
+            mins: Vec::with_capacity(cells * n_cols),
+            maxs: Vec::with_capacity(cells * n_cols),
+            sums: Vec::with_capacity(cells * n_cols),
+        }
+    }
+
+    /// Number of non-empty cells in this layer.
+    #[inline]
+    pub fn num_cells(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Bytes of one record: key (8) + count (8) + 3 × 8 per column.
+    #[inline]
+    pub(crate) fn record_bytes(&self) -> usize {
+        16 + 24 * self.n_cols
+    }
+
+    /// Heap bytes of the records.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.keys.len() * self.record_bytes()
+    }
+
+    /// Record `i`.
+    #[inline]
+    pub(crate) fn record(&self, i: usize) -> RecordRef<'_> {
+        let cols = i * self.n_cols..(i + 1) * self.n_cols;
+        RecordRef {
+            count: self.counts[i],
+            mins: &self.mins[cols.clone()],
+            maxs: &self.maxs[cols.clone()],
+            sums: &self.sums[cols],
+        }
+    }
+
+    /// The index of the record of `key`, galloping forward from `cursor`
+    /// (O(log gap), see [`crate::gallop`]) and leaving it past the answer:
+    /// keys must be asked for in ascending order per cursor, and a caller
+    /// without such an order passes a fresh `0` per lookup.
+    #[inline]
+    pub(crate) fn find(&self, key: u64, cursor: &mut usize) -> Option<usize> {
+        let i = gallop::lower_bound_from(&self.keys, key, *cursor);
+        let found = self.keys.get(i) == Some(&key);
+        *cursor = i + usize::from(found);
+        found.then_some(i)
+    }
+
+    /// Append the record of a cell no tuple has reached yet; `key` must
+    /// exceed every key in the layer, and [`Layer::add_tuple`] must follow
+    /// (a stored record never has a zero count).
+    #[inline]
+    pub(crate) fn push_empty(&mut self, key: u64) {
+        self.keys.push(key);
+        self.counts.push(0);
+        self.mins
+            .extend(std::iter::repeat_n(f64::INFINITY, self.n_cols));
+        self.maxs
+            .extend(std::iter::repeat_n(f64::NEG_INFINITY, self.n_cols));
+        self.sums.extend(std::iter::repeat_n(0.0, self.n_cols));
+    }
+
+    /// Fold one tuple, `value_of(col)` per column, into record `i`.
+    #[inline]
+    pub(crate) fn add_tuple(&mut self, i: usize, value_of: impl Fn(usize) -> f64) {
+        self.counts[i] += 1;
+        let cols = i * self.n_cols..(i + 1) * self.n_cols;
+        let (mins, maxs, sums) = (
+            &mut self.mins[cols.clone()],
+            &mut self.maxs[cols.clone()],
+            &mut self.sums[cols],
+        );
+        for col in 0..sums.len() {
+            let v = value_of(col);
+            if v < mins[col] {
+                mins[col] = v;
+            }
+            if v > maxs[col] {
+                maxs[col] = v;
+            }
+            sums[col] += v;
+        }
+    }
+
+    /// Append records `range` of `other`, whose keys must all exceed every
+    /// key in this layer.
+    pub(crate) fn extend_from(&mut self, other: &Layer, range: Range<usize>) {
+        debug_assert!((self.level, self.n_cols) == (other.level, other.n_cols));
+        debug_assert!(
+            range.is_empty()
+                || self
+                    .keys
+                    .last()
+                    .is_none_or(|&k| k < other.keys[range.start]),
+            "appended records must keep the keys ascending"
+        );
+        let cols = range.start * self.n_cols..range.end * self.n_cols;
+        self.keys.extend_from_slice(&other.keys[range.clone()]);
+        self.counts.extend_from_slice(&other.counts[range]);
+        self.mins.extend_from_slice(&other.mins[cols.clone()]);
+        self.maxs.extend_from_slice(&other.maxs[cols.clone()]);
+        self.sums.extend_from_slice(&other.sums[cols]);
+    }
+
+    /// This layer with the records of `fresh` spliced in at their sorted
+    /// positions; the two must share no key.
+    pub(crate) fn merge(&self, fresh: &Layer) -> Layer {
+        let cells = self.num_cells() + fresh.num_cells();
+        let mut out = Layer::with_capacity(self.level, self.n_cols, cells);
+        let mut from = 0usize;
+        for (j, &key) in fresh.keys.iter().enumerate() {
+            let at = gallop::lower_bound_from(&self.keys, key, from);
+            out.extend_from(self, from..at);
+            out.extend_from(fresh, j..j + 1);
+            from = at;
+        }
+        out.extend_from(self, from..self.num_cells());
+        out
+    }
+
+    /// The canonical fold: the records of this layer's cells folded in key
+    /// order into their ancestors at `level`. The first record of each
+    /// group seeds the accumulator, later records fold in ascending key
+    /// order.
+    pub(crate) fn fold_to(&self, level: u8) -> Layer {
+        debug_assert!(level <= self.level);
+        let (keys, c) = (&self.keys, self.n_cols);
+        // At most one cell per distinct level-`level` ancestor: the layer
+        // can never exceed `4^level` cells nor the source's cell count.
+        // Reserving the bound up front keeps the grouping loop
+        // reallocation-free; `shrink_to_fit` afterwards returns the slack
+        // so the resident layer stays honest.
+        let cap = (1usize << (2 * u32::from(level)).min(62)).min(keys.len());
+        let mut out = Layer::with_capacity(level, c, cap);
+        // Sentinel bit of `level`: `parent + (lsb − 1)` is the raw id of
+        // the group's last descendant leaf (`CellId::range_max`, hoisted
+        // to pure arithmetic for the hot loop).
+        let lsb = 1u64 << (2 * u64::from(gb_cell::MAX_LEVEL - level));
+        let mut i = 0usize;
+        while i < keys.len() {
+            let parent = CellId::raw_parent_at(keys[i], level);
+            let hi = parent + (lsb - 1);
+            let cols = out.mins.len()..out.mins.len() + c;
+            out.keys.push(parent);
+            out.mins.extend_from_slice(&self.mins[i * c..(i + 1) * c]);
+            out.maxs.extend_from_slice(&self.maxs[i * c..(i + 1) * c]);
+            out.sums.extend_from_slice(&self.sums[i * c..(i + 1) * c]);
+            let mut count = self.counts[i];
+            i += 1;
+            let (gmins, gmaxs, gsums) = (
+                &mut out.mins[cols.clone()],
+                &mut out.maxs[cols.clone()],
+                &mut out.sums[cols],
+            );
+            while i < keys.len() && keys[i] <= hi {
+                count += self.counts[i];
+                let base = i * c;
+                for col in 0..c {
+                    gmins[col] = gmins[col].min(self.mins[base + col]);
+                    gmaxs[col] = gmaxs[col].max(self.maxs[base + col]);
+                    gsums[col] += self.sums[base + col];
+                }
+                i += 1;
+            }
+            out.counts.push(count);
+        }
+        out.keys.shrink_to_fit();
+        out.counts.shrink_to_fit();
+        out.mins.shrink_to_fit();
+        out.maxs.shrink_to_fit();
+        out.sums.shrink_to_fit();
+        out
+    }
+
+    /// Feed every array to `h` (floats by bit pattern, so NaN payloads and
+    /// signed zeros count): layers that hash equal are byte-identical for
+    /// all practical purposes.
+    pub(crate) fn hash_into(&self, h: &mut FxHasher) {
+        self.level.hash(h);
+        self.keys.hash(h);
+        self.counts.hash(h);
+        hash_bits(&self.mins, h);
+        hash_bits(&self.maxs, h);
+        hash_bits(&self.sums, h);
+    }
+
+    /// A digest over every array (floats by bit pattern): equal digests
+    /// mean bit-identical layers.
+    pub fn content_hash(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.hash_into(&mut h);
+        h.finish()
+    }
+
+    /// Check every invariant of the arrays without panicking: lengths are
+    /// cells × columns, keys are well-formed cell ids of this layer's level
+    /// in strictly ascending order, and no record is empty. The gate for
+    /// untrusted input (snapshot loads) before any fold or query touches
+    /// the layer.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let (n, c) = (self.keys.len(), self.n_cols);
+        if self.counts.len() != n {
+            return Err(format!("{n} keys but {} counts", self.counts.len()));
+        }
+        if self.mins.len() != n * c || self.maxs.len() != n * c || self.sums.len() != n * c {
+            return Err(format!(
+                "aggregate arrays must hold cells × columns = {} values",
+                n * c
+            ));
+        }
+        if self.level > gb_cell::MAX_LEVEL {
+            return Err(format!("level {} exceeds MAX_LEVEL", self.level));
+        }
+        if !self.keys.is_sorted_by(|a, b| a < b) {
+            return Err("cell keys not strictly ascending".into());
+        }
+        for (i, (&k, &count)) in self.keys.iter().zip(&self.counts).enumerate() {
+            let cell = CellId::try_from_raw(k)
+                .ok_or_else(|| format!("malformed cell id {k:#x} at index {i}"))?;
+            if cell.level() != self.level {
+                return Err(format!(
+                    "cell {i} at level {}, layer level is {}",
+                    cell.level(),
+                    self.level
+                ));
+            }
+            if count == 0 {
+                return Err(format!("empty cell stored at index {i}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Serialize the arrays (the snapshot's `CELL` payload).
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
+        w.u64_slice(&self.keys);
+        w.u64_slice(&self.counts);
+        w.f64_slice(&self.mins);
+        w.f64_slice(&self.maxs);
+        w.f64_slice(&self.sums);
+    }
+
+    /// Decode what [`Layer::encode`] wrote. The result is untrusted until
+    /// [`Layer::validate`] has passed.
+    pub(crate) fn decode(
+        r: &mut ByteReader<'_>,
+        level: u8,
+        n_cols: usize,
+    ) -> Result<Layer, SnapshotError> {
+        Ok(Layer {
+            level,
+            n_cols,
+            keys: r.u64_vec()?,
+            counts: r.u64_vec()?,
+            mins: r.f64_vec()?,
+            maxs: r.f64_vec()?,
+            sums: r.f64_vec()?,
+        })
+    }
+}
+
+/// Feed `values` to `h` by bit pattern.
+pub(crate) fn hash_bits(values: &[f64], h: &mut FxHasher) {
+    for v in values {
+        v.to_bits().hash(h);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Level-2 cells `children` of the level-1 cell `quadrant`, one tuple
+    /// of value `10·quadrant + child` each.
+    fn layer(cells: &[(u8, u8)]) -> Layer {
+        let mut out = Layer::with_capacity(2, 1, cells.len());
+        for &(quadrant, child) in cells {
+            out.push_empty(CellId::ROOT.child(quadrant).child(child).raw());
+            out.add_tuple(out.num_cells() - 1, |_| f64::from(10 * quadrant + child));
+        }
+        out
+    }
+
+    #[test]
+    fn valid_layer_passes() {
+        let l = layer(&[(0, 1), (0, 3), (2, 0)]);
+        assert_eq!(l.validate(), Ok(()));
+        assert_eq!(l.memory_bytes(), 3 * 40);
+    }
+
+    #[test]
+    fn validate_rejects_array_lengths_that_are_not_cells_times_columns() {
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.counts.pop();
+        assert!(l.validate().unwrap_err().contains("counts"));
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.sums.pop();
+        assert!(l.validate().unwrap_err().contains("cells × columns"));
+    }
+
+    #[test]
+    fn validate_rejects_keys_out_of_order_or_repeated() {
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.keys.swap(0, 1);
+        assert!(l.validate().unwrap_err().contains("ascending"));
+        l.keys[1] = l.keys[0];
+        assert!(l.validate().unwrap_err().contains("ascending"));
+    }
+
+    #[test]
+    fn validate_rejects_malformed_keys_and_keys_of_another_level() {
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.keys[0] = 0;
+        assert!(l.validate().unwrap_err().contains("malformed"));
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.keys[1] = CellId::ROOT.child(1).raw();
+        assert!(l.validate().unwrap_err().contains("level 1"));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_count() {
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.counts[1] = 0;
+        assert!(l.validate().unwrap_err().contains("empty cell"));
+    }
+
+    #[test]
+    fn find_resumes_from_the_cursor() {
+        let l = layer(&[(0, 1), (0, 3), (2, 0)]);
+        let mut cursor = 0usize;
+        assert_eq!(l.find(l.keys[0], &mut cursor), Some(0));
+        let absent = CellId::ROOT.child(0).child(2).raw();
+        assert_eq!(l.find(absent, &mut cursor), None);
+        assert_eq!(l.find(l.keys[2], &mut cursor), Some(2));
+        assert_eq!(cursor, 3);
+        assert_eq!(l.find(l.keys[2], &mut 0), Some(2));
+    }
+
+    #[test]
+    fn fold_groups_by_ancestor_in_key_order() {
+        let l = layer(&[(0, 1), (0, 3), (2, 0)]);
+        let up = l.fold_to(1);
+        assert_eq!(up.validate(), Ok(()));
+        assert_eq!(
+            up.keys,
+            [CellId::ROOT.child(0).raw(), CellId::ROOT.child(2).raw()]
+        );
+        assert_eq!(up.counts, [2, 1]);
+        assert_eq!((up.mins[0], up.maxs[0], up.sums[0]), (1.0, 3.0, 4.0));
+        assert_eq!(up.record(1).sum(0), 20.0);
+        let root = l.fold_to(0);
+        assert_eq!(
+            (root.keys.as_slice(), root.counts[0]),
+            (&[CellId::ROOT.raw()][..], 3)
+        );
+        // Folding to the layer's own level is the identity.
+        assert_eq!(l.fold_to(2), l);
+    }
+
+    #[test]
+    fn merge_splices_at_sorted_positions() {
+        let old = layer(&[(0, 3), (2, 0)]);
+        let fresh = layer(&[(0, 1), (1, 2), (3, 3)]);
+        let want = layer(&[(0, 1), (0, 3), (1, 2), (2, 0), (3, 3)]);
+        assert_eq!(old.merge(&fresh), want);
+        assert_eq!(fresh.merge(&old), want);
+        assert_eq!(old.merge(&layer(&[])), old);
+    }
+
+    #[test]
+    fn codec_roundtrips() {
+        let l = layer(&[(0, 1), (0, 3), (2, 0)]);
+        let mut w = ByteWriter::new();
+        l.encode(&mut w);
+        let bytes = w.into_inner();
+        assert_eq!(bytes.len(), 5 * 8 + l.memory_bytes());
+        let mut r = ByteReader::new(&bytes, "test");
+        assert_eq!(Layer::decode(&mut r, 2, 1).unwrap(), l);
+        r.finish().unwrap();
+    }
+}

@@ -5,7 +5,7 @@
 //! A [`GeoBlock`] is a materialized view over geospatial point data: the
 //! domain is decomposed into a hierarchical grid (`gb-cell`), and each
 //! non-empty grid cell at the user-chosen *block level* stores pre-computed
-//! aggregates (count, per-column min/max/sum, tuple offsets). Queries map a
+//! aggregates (count, per-column min/max/sum). Queries map a
 //! polygon to an error-bounded cell covering and combine the covered cell
 //! aggregates — the only error is the covering's spatial error, bounded by
 //! the block-level cell diagonal (§3.2).
@@ -40,7 +40,7 @@
 //! |---|---|
 //! | [`api`] — typed query requests/replies, unified errors, wire codec | — |
 //! | [`block`] — storage layout, header, coarsening | §3.4 |
-//! | [`pyramid`] — multi-resolution aggregate pyramid, a mandatory part of every block | §3.4 "granularity", §3.5 |
+//! | [`layer`] — the one record layout: the block's records and every coarser layer of the aggregate pyramid | §3.4 "granularity", §3.5 |
 //! | [`build`](mod@build) — single- or multi-threaded builds from sorted base data | §3.3 |
 //! | [`query`] — SELECT (Listing 1) and COUNT (Listing 2): one record lookup per covering cell | §3.5 |
 //! | [`mod@reference`] — the naive SELECT/COUNT every accelerated path is tested against | §3.5 |
@@ -61,8 +61,8 @@ pub mod engine;
 mod gallop;
 pub mod hits;
 pub mod kernel;
+pub mod layer;
 pub mod memo;
-pub mod pyramid;
 pub mod qc;
 pub mod query;
 pub mod reference;
@@ -77,8 +77,8 @@ pub use build::{build, build_parallel, build_with_rows, BuildStats};
 pub use engine::GeoBlockEngine;
 pub use hits::HitCounts;
 pub use kernel::PublishKernel;
+pub use layer::Layer;
 pub use memo::{CoveringMemo, HotQueryTable, MemoStats};
-pub use pyramid::AggPyramid;
 pub use qc::{CacheMetrics, RebuildPolicy};
 pub use query::QueryStats;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotRef, SNAPSHOT_VERSION};

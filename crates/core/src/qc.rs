@@ -329,17 +329,18 @@ mod tests {
     }
 
     /// The record of `cell` by a plain in-order fold of the block records
-    /// under it — what `GeoBlock::record_of` reads from the pyramid.
+    /// under it — what `GeoBlock::record_of` reads from the cell's layer.
     fn folded_record(block: &GeoBlock, cell: CellId) -> (u64, Vec<f64>, Vec<f64>, Vec<f64>) {
         let c = block.schema().len();
         let (mut mins, mut maxs) = (vec![f64::INFINITY; c], vec![f64::NEG_INFINITY; c]);
         let (mut sums, mut count) = (vec![0.0; c], 0u64);
         for i in (0..block.num_cells()).filter(|&i| cell.contains(block.cell_at(i))) {
-            count += u64::from(block.counts[i]);
+            let r = block.records().record(i);
+            count += r.count;
             for col in 0..c {
-                mins[col] = mins[col].min(block.mins[i * c + col]);
-                maxs[col] = maxs[col].max(block.maxs[i * c + col]);
-                sums[col] += block.sums[i * c + col];
+                mins[col] = mins[col].min(r.min(col));
+                maxs[col] = maxs[col].max(r.max(col));
+                sums[col] += r.sum(col);
             }
         }
         (count, mins, maxs, sums)
@@ -392,7 +393,7 @@ mod tests {
         // plenty of equal scores for the tie-breaks to decide — and a
         // queried cell without data, cached as the empty record.
         let mut hits: FxHashMap<u64, u64> = FxHashMap::default();
-        for (i, &raw) in block.keys.iter().enumerate() {
+        for (i, &raw) in block.records().keys.iter().enumerate() {
             hits.insert(raw, (i as u64).wrapping_mul(2_654_435_761) % 7);
             let parent = CellId::from_raw(raw).parent().raw();
             *hits.entry(parent).or_insert(0) += (i % 3) as u64;
@@ -400,7 +401,7 @@ mod tests {
         let whole = root_cell_of(&block);
         let no_data = (0..4u8)
             .map(|k| block.cell_at(0).parent().child(k))
-            .find(|cell| block.keys.binary_search(&cell.raw()).is_err());
+            .find(|cell| block.records().find(cell.raw(), &mut 0).is_none());
         hits.extend(no_data.map(|cell| (cell.raw(), 5)));
         // A trie rooted at one quadrant: the other three quadrants' cells
         // are candidates outside the root. Raising their counts puts them

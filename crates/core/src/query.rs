@@ -1,23 +1,25 @@
 //! SELECT and COUNT query evaluation (§3.5, Listings 1 & 2, Figure 6)
-//! over the multi-resolution aggregate pyramid.
+//! over the block's layers.
 //!
 //! Both queries start identically: the polygon is approximated by an
 //! error-bounded cell covering (boundary cells at the block level, interior
 //! cells possibly coarser) and the covering is pruned against the global
 //! header. Every covering cell is grid-aligned and every block holds the
 //! canonical record of every aligned cell — the in-order fold of the block
-//! records under it: its pyramid layer's record for a cell coarser than
-//! the block level, the block's own record at the block level. So:
+//! records under it — in the [`Layer`](crate::Layer) of the cell's level.
+//! So:
 //!
 //! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] answer each
 //!   covering cell with **one** cursor-resumed galloping search and **one**
 //!   record combine (`GeoBlock::record_of`; `cells_combined` ≤ covering
 //!   size). The cache-adapted SELECT of [`crate::qc`], the trie rebuild and
 //!   the engine's update path read records through the same function.
-//! * [`GeoBlock::count`] — Listing 2 over the maintained count prefix:
-//!   `prefix[last + 1] − prefix[first]` per covering cell. Unlike the
-//!   stored base-data offsets, the prefix is rebuilt by updates, so COUNT
-//!   stays O(1) per cell even after batches (no scan fallback).
+//! * [`GeoBlock::count`] — Listing 2 over the count prefix of the
+//!   block-level records: `prefix[last + 1] − prefix[first]` per covering
+//!   cell. The prefix is rebuilt by updates, so COUNT stays O(1) per cell
+//!   even after batches (no scan fallback). It is kept beside the layers
+//!   because it is measurably cheaper than a record lookup per covering
+//!   cell (EXPERIMENTS.md "One record layout").
 //!
 //! The naive oracle both are tested against — one bisection and one
 //! in-order fold of the block records per covering cell, Listing 1 without
@@ -42,13 +44,9 @@ pub struct QueryStats {
 }
 
 /// Per-level resume positions for the cursor-resumed searches: covering
-/// cells ascend in curve order, so within each pyramid layer (and within
-/// the block-level records) every search can start where the previous one
-/// of that level ended.
+/// cells ascend in curve order, so within each layer every search can
+/// start where the previous one of that level ended.
 pub(crate) struct Cursors {
-    /// Resume position in the block-level record arrays.
-    block: usize,
-    /// Resume position per pyramid layer.
     levels: [usize; MAX_LEVEL as usize + 1],
 }
 
@@ -56,7 +54,6 @@ impl Cursors {
     #[inline]
     pub(crate) fn new() -> Cursors {
         Cursors {
-            block: 0,
             levels: [0; MAX_LEVEL as usize + 1],
         }
     }
@@ -115,43 +112,19 @@ impl GeoBlock {
 
     /// The canonical record of the aligned `cell`, at or above the block
     /// level: the in-order fold of the block records under it, read from
-    /// its pyramid layer (from the block's own records at the block
-    /// level). `None` means no data under the cell — also for a cell finer
-    /// than the block level, which has no record of its own.
+    /// the layer of its level. `None` means no data under the cell — also
+    /// for a cell finer than the block level, which has no record of its
+    /// own.
     ///
     /// The search gallops forward from where `cursors` left the cell's
     /// level, so the cells of one level must be asked for in ascending
     /// order per `Cursors`; a caller without such an order passes a fresh
     /// one per lookup.
     pub(crate) fn record_of(&self, cell: CellId, cursors: &mut Cursors) -> Option<RecordRef<'_>> {
-        let level = cell.level();
-        let c = self.n_cols();
-        let layer = self.pyramid.levels.get(usize::from(level));
-        let (keys, cursor) = match layer {
-            Some(layer) => (&layer.keys, &mut cursors.levels[usize::from(level)]),
-            None => (&self.keys, &mut cursors.block),
-        };
-        let i = gallop::lower_bound_from(keys, cell.raw(), *cursor);
-        if keys.get(i) != Some(&cell.raw()) {
-            *cursor = i;
-            return None;
-        }
-        *cursor = i + 1;
-        let cols = i * c..(i + 1) * c;
-        Some(match layer {
-            Some(layer) => RecordRef {
-                count: layer.counts[i],
-                mins: &layer.mins[cols.clone()],
-                maxs: &layer.maxs[cols.clone()],
-                sums: &layer.sums[cols],
-            },
-            None => RecordRef {
-                count: u64::from(self.counts[i]),
-                mins: &self.mins[cols.clone()],
-                maxs: &self.maxs[cols.clone()],
-                sums: &self.sums[cols],
-            },
-        })
+        let level = usize::from(cell.level());
+        let layer = self.layers.get(level)?;
+        let i = layer.find(cell.raw(), &mut cursors.levels[level])?;
+        Some(layer.record(i))
     }
 
     /// COUNT: number of points inside `polygon` (Listing 2).
@@ -163,12 +136,13 @@ impl GeoBlock {
     /// COUNT over a precomputed covering: per cell, locate the first and
     /// last contained aggregate (both searches resuming from the previous
     /// cell's end — coverings and keys are sorted the same way) and take
-    /// the O(1) difference over the maintained count prefix. The prefix is
-    /// rebuilt by updates, so there is no post-update scan fallback.
+    /// the O(1) difference over the count prefix. The prefix is rebuilt by
+    /// updates, so there is no post-update scan fallback.
     pub fn count_covering(&self, covering: &CellUnion) -> (u64, QueryStats) {
         let mut stats = QueryStats::default();
         let mut total = 0u64;
         let mut cursor = 0usize;
+        let keys = self.records().keys.as_slice();
 
         for qcell in covering.iter() {
             if !self.may_overlap(qcell) {
@@ -182,15 +156,15 @@ impl GeoBlock {
             let hi_key = qcell.range_max().raw();
 
             stats.searches += 2;
-            let first = self.lower_bound_from(lo_key, cursor);
-            if first == self.keys.len() || self.keys[first] > hi_key {
+            let first = gallop::lower_bound_from(keys, lo_key, cursor);
+            if keys.get(first).is_none_or(|&k| k > hi_key) {
                 cursor = first;
                 continue; // no aggregates inside this covering cell
             }
-            let end = self.upper_bound_from(hi_key, first);
+            let end = gallop::upper_bound_from(keys, hi_key, first);
             cursor = end;
 
-            // Line 11, over the maintained prefix:
+            // Line 11, over the count prefix:
             // prefix[last + 1] − prefix[first].
             total += self.prefix_counts[end] - self.prefix_counts[first];
             stats.cells_combined += 2;

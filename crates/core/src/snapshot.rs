@@ -6,43 +6,49 @@
 //! traffic (§3.6) — only survive a process restart if both artifacts can
 //! be saved and restored. A [`Snapshot`] captures:
 //!
-//! * the complete [`GeoBlock`] (schema, grid, global header, cell
-//!   aggregates, `dirty_offsets`),
+//! * the complete [`GeoBlock`] (schema, grid, global header, block-level
+//!   cell aggregates),
 //! * optionally the current [`AggregateTrie`] — restoring it means a
 //!   restarted engine starts *warm*: queries hit the cache immediately
 //!   instead of paying the cold-start misses again,
 //! * optionally the §3.6 hit statistics, so post-restart rebuilds keep
 //!   adapting from everything learned before the restart.
 //!
-//! ## Sections (format version 3)
+//! ## Sections (format version 4)
 //!
 //! | tag    | content |
 //! |--------|---------|
 //! | `SCHM` | column count, then per column: type tag, name |
 //! | `GRID` | domain rectangle (4 × f64 bits), curve tag |
-//! | `HDRS` | level, `dirty_offsets`, `n_rows`, min/max cell, global min/max/sum, **block content hash**, **state hash** |
-//! | `CELL` | keys, offsets, counts, leaf-key min/max, per-cell min/max/sum |
+//! | `HDRS` | level, `n_rows`, min/max cell, global min/max/sum, **block content hash**, **state hash** |
+//! | `CELL` | the block-level [`Layer`]: keys, counts (u64), per-cell min/max/sum |
 //! | `TRIE` | (optional) root cell, node arrays, cached records |
 //! | `HITS` | (optional) hit-statistic key/count pairs |
 //! | `HOTQ` | (optional) hot-query shapes: count + encoded request bytes |
 //!
-//! Derived state — the count prefix and the aggregate pyramid — is
-//! **never** serialized: both are deterministic folds of the `CELL`
-//! arrays, so every load rebuilds them through the same
-//! `GeoBlock::refresh_derived` every other producer of a block ends in
-//! (see `DESIGN.md` "Persistence" for the measurements behind this).
+//! Derived state — the count prefix and the coarser layers — is **never**
+//! serialized: both are deterministic folds of the `CELL` layer, so every
+//! load rebuilds them through the same `GeoBlock::refresh_derived` every
+//! other producer of a block ends in (see `DESIGN.md` "Persistence" for
+//! the measurements behind this).
 //!
-//! Older files still load. A version-1 file has exactly the version-3
-//! layout. A version-2 file may carry a `PYRA` section holding the
-//! pyramid as stored: its payload is skipped undecoded (the container has
-//! already checked its checksum), and because version 2 folded the
-//! pyramid's digest into the state hash, the loader verifies that hash
-//! against the *rebuilt* pyramid — the canonical fold makes the two
-//! bit-equal, so a version-2 file whose `CELL` and `PYRA` sections
-//! disagree is still a typed error.
+//! Older files still load, through the one legacy decode arm in this file
+//! (`decode_legacy_cells`) — the only code left that knows the columns versions
+//! 1–3 stored per cell on top of the layer: the paper's §3.4 base-data
+//! linkage (tuple offset, min/max leaf key; counts as `u32`) plus a
+//! `dirty_offsets` flag in `HDRS`. No query read them, so the loader only
+//! checks their lengths, feeds them to the digest those writers stored as
+//! the content hash — so the stored hashes still verify — and drops them.
+//! A version-2 file may also carry a `PYRA` section holding the coarser
+//! layers as stored: its payload is skipped undecoded (the container has
+//! already checked its checksum), and because version 2 folded their
+//! digest into the state hash, the loader verifies that hash against the
+//! *rebuilt* layers — the canonical fold makes the two bit-equal, so a
+//! version-2 file whose `CELL` and `PYRA` sections disagree is still a
+//! typed error.
 //!
 //! Every load re-derives two digests and compares them with the values
-//! stored at save time: [`GeoBlock::content_hash`] (cell arrays +
+//! stored at save time: [`GeoBlock::content_hash`] (cell aggregates +
 //! header) and a *state hash* spanning everything `content_hash`
 //! excludes — grid, schema, trie, hit statistics. Per-section checksums
 //! catch flipped bits; the state hash catches sections *grafted*
@@ -53,11 +59,14 @@
 
 use crate::block::GeoBlock;
 use crate::hits::HitCounts;
+use crate::layer::{hash_bits, Layer};
 use crate::trie::AggregateTrie;
 use gb_cell::{CellId, CurveKind, Grid};
+use gb_common::FxHasher;
 use gb_data::{ColumnDef, ColumnType, Schema};
 use gb_geom::Rect;
 use gb_store::{ByteReader, ByteWriter, SectionTag, SnapshotReader, SnapshotWriter};
+use std::hash::{Hash, Hasher};
 use std::path::Path;
 
 pub use gb_store::SnapshotError;
@@ -65,10 +74,11 @@ pub use gb_store::SnapshotError;
 /// Current snapshot format version. Bump on any change to an existing
 /// section's encoding **or** to what the stored state hash spans; adding
 /// new optional sections an older reader could safely ignore does not
-/// require a bump. Version 2 stored the pyramid in a `PYRA` section
-/// covered by the state hash; version 3 stores no derived state, so its
-/// state hash spans what version 1's did. See `DESIGN.md` "Persistence".
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// require a bump. Version 2 stored the coarser layers in a `PYRA` section
+/// covered by the state hash; version 3 stores no derived state; version
+/// 4 drops the base-data linkage from `CELL` and its flag from `HDRS`.
+/// See `DESIGN.md` "Persistence".
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 const TAG_SCHEMA: SectionTag = SectionTag(*b"SCHM");
 const TAG_GRID: SectionTag = SectionTag(*b"GRID");
@@ -85,25 +95,25 @@ const TAG_HOT_QUERIES: SectionTag = SectionTag(*b"HOTQ");
 /// engine persists its top-K with K ≪ this).
 const MAX_HOT_QUERIES: usize = 4096;
 
-/// Digest over the *whole* snapshot state — block content plus the
-/// pieces [`GeoBlock::content_hash`] deliberately excludes (grid domain
-/// and curve, schema, trie, hit statistics). Stored in `HDRS` and
+/// Digest over the *whole* snapshot state — the block's `content` digest
+/// plus the pieces [`GeoBlock::content_hash`] deliberately excludes (grid
+/// domain and curve, schema, trie, hit statistics). Stored in `HDRS` and
 /// re-derived at load: it is what makes a graft of one valid snapshot's
 /// `GRID`/`SCHM`/`TRIE`/`HITS` section onto another a typed error
 /// instead of silently wrong answers.
 /// `v2_pyramid` is set only when verifying a version-2 file that carried
-/// a `PYRA` section: that writer appended the pyramid's digest, which the
-/// block's rebuilt pyramid reproduces bit for bit.
+/// a `PYRA` section: that writer appended the digest of the coarser
+/// layers, which the block's rebuilt ones reproduce bit for bit.
 fn state_hash(
+    content: u64,
     block: &GeoBlock,
     trie: Option<&AggregateTrie>,
     hits: Option<&HitCounts>,
     hot_queries: Option<&[(u64, Vec<u8>)]>,
     v2_pyramid: bool,
 ) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = gb_common::FxHasher::default();
-    block.content_hash().hash(&mut h);
+    let mut h = FxHasher::default();
+    content.hash(&mut h);
     let d = block.grid().domain();
     d.min.x.to_bits().hash(&mut h);
     d.min.y.to_bits().hash(&mut h);
@@ -134,7 +144,16 @@ fn state_hash(
         }
     }
     if v2_pyramid {
-        block.pyramid().content_hash().hash(&mut h);
+        // The version-2 writer's digest of its `PYRA` section: column and
+        // layer counts, then every layer coarser than the block level.
+        let coarser = &block.layers[..usize::from(block.level)];
+        let mut p = FxHasher::default();
+        block.schema.len().hash(&mut p);
+        coarser.len().hash(&mut p);
+        for layer in coarser {
+            layer.hash_into(&mut p);
+        }
+        p.finish().hash(&mut h);
     }
     // Same append-only pattern: files without a HOTQ section keep the
     // digest older writers stored.
@@ -142,6 +161,51 @@ fn state_hash(
         hot.hash(&mut h);
     }
     h.finish()
+}
+
+/// The legacy decode arm: a version 1–3 `CELL` payload, which stored per
+/// cell, on top of the [`Layer`] columns, the paper's §3.4 base-data
+/// linkage — first-tuple offset, min/max leaf key — and counts as `u32`.
+/// No query reads the linkage, so it is only length-checked and fed, in
+/// the order those writers hashed it, to the content digest they stored.
+/// Returns the layer and that digest's hasher, which the block's header
+/// completes ([`GeoBlock::hash_header_into`]).
+fn decode_legacy_cells(
+    r: &mut ByteReader<'_>,
+    level: u8,
+    n_cols: usize,
+) -> Result<(Layer, FxHasher), SnapshotError> {
+    let keys = r.u64_vec()?;
+    let offsets = r.u64_vec()?;
+    let counts = r.u32_vec()?;
+    let key_mins = r.u64_vec()?;
+    let key_maxs = r.u64_vec()?;
+    let n = keys.len();
+    if [offsets.len(), counts.len(), key_mins.len(), key_maxs.len()] != [n; 4] {
+        return Err(SnapshotError::corrupt(format!(
+            "block: linkage arrays do not match the {n} cell keys"
+        )));
+    }
+    let records = Layer {
+        level,
+        n_cols,
+        keys,
+        counts: counts.iter().map(|&c| u64::from(c)).collect(),
+        mins: r.f64_vec()?,
+        maxs: r.f64_vec()?,
+        sums: r.f64_vec()?,
+    };
+    let mut h = FxHasher::default();
+    level.hash(&mut h);
+    records.keys.hash(&mut h);
+    offsets.hash(&mut h);
+    counts.hash(&mut h);
+    key_mins.hash(&mut h);
+    key_maxs.hash(&mut h);
+    hash_bits(&records.mins, &mut h);
+    hash_bits(&records.maxs, &mut h);
+    hash_bits(&records.sums, &mut h);
+    Ok((records, h))
 }
 
 /// A persistable unit: the block plus the optional learned cache state.
@@ -228,28 +292,28 @@ impl SnapshotRef<'_> {
         });
         out.section(TAG_GRID, w.into_inner());
 
+        let content = b.content_hash();
         let mut w = ByteWriter::new();
         w.u8(b.level);
-        w.u8(u8::from(b.dirty_offsets));
         w.u64(b.n_rows);
         w.u64(b.min_cell);
         w.u64(b.max_cell);
         w.f64_slice(&b.global_mins);
         w.f64_slice(&b.global_maxs);
         w.f64_slice(&b.global_sums);
-        w.u64(b.content_hash());
-        w.u64(state_hash(b, self.trie, self.hits, self.hot_queries, false));
+        w.u64(content);
+        w.u64(state_hash(
+            content,
+            b,
+            self.trie,
+            self.hits,
+            self.hot_queries,
+            false,
+        ));
         out.section(TAG_HEADER, w.into_inner());
 
-        let mut w = ByteWriter::with_capacity(b.num_cells() * b.record_bytes());
-        w.u64_slice(&b.keys);
-        w.u64_slice(&b.offsets);
-        w.u32_slice(&b.counts);
-        w.u64_slice(&b.key_mins);
-        w.u64_slice(&b.key_maxs);
-        w.f64_slice(&b.mins);
-        w.f64_slice(&b.maxs);
-        w.f64_slice(&b.sums);
+        let mut w = ByteWriter::with_capacity(b.num_cells() * b.record_bytes() + 40);
+        b.records().encode(&mut w);
         out.section(TAG_CELLS, w.into_inner());
 
         if let Some(trie) = self.trie {
@@ -338,17 +402,20 @@ impl Snapshot {
         }
         let grid = Grid::new(Rect::from_bounds(x0, y0, x1, y1), curve);
 
+        // Versions 1–3 carried the base-data linkage: a flag here, more
+        // arrays in `CELL` (see `decode_legacy_cells`).
+        let legacy = reader.version() < 4;
+
         let mut r = ByteReader::new(reader.require(TAG_HEADER)?, "section `HDRS`");
         let level = r.u8()?;
-        let dirty_offsets = match r.u8()? {
-            0 => false,
-            1 => true,
-            t => {
+        if legacy {
+            let flag = r.u8()?;
+            if flag > 1 {
                 return Err(SnapshotError::corrupt(format!(
-                    "bad dirty_offsets flag {t}"
-                )))
+                    "bad dirty_offsets flag {flag}"
+                )));
             }
-        };
+        }
         let n_rows = r.u64()?;
         let min_cell = r.u64()?;
         let max_cell = r.u64()?;
@@ -360,50 +427,45 @@ impl Snapshot {
         r.finish()?;
 
         let mut r = ByteReader::new(reader.require(TAG_CELLS)?, "section `CELL`");
-        let keys = r.u64_vec()?;
-        let offsets = r.u64_vec()?;
-        let counts = r.u32_vec()?;
-        let key_mins = r.u64_vec()?;
-        let key_maxs = r.u64_vec()?;
-        let mins = r.f64_vec()?;
-        let maxs = r.f64_vec()?;
-        let sums = r.f64_vec()?;
+        let (records, legacy_digest) = if legacy {
+            let (records, digest) = decode_legacy_cells(&mut r, level, schema.len())?;
+            (records, Some(digest))
+        } else {
+            (Layer::decode(&mut r, level, schema.len())?, None)
+        };
         r.finish()?;
 
         let mut block = GeoBlock {
             grid,
             level,
             schema,
-            keys,
-            offsets,
-            counts,
-            key_mins,
-            key_maxs,
-            mins,
-            maxs,
-            sums,
+            layers: vec![records],
             n_rows,
             min_cell,
             max_cell,
             global_mins,
             global_maxs,
             global_sums,
-            dirty_offsets,
             prefix_counts: Vec::new(),
-            pyramid: Default::default(),
         };
         block
             .validate()
             .map_err(|e| SnapshotError::corrupt(format!("block: {e}")))?;
-        let actual = block.content_hash();
-        if actual != stored_hash {
+        let content = match legacy_digest {
+            Some(mut h) => {
+                block.hash_header_into(&mut h);
+                h.finish()
+            }
+            None => block.content_hash(),
+        };
+        if content != stored_hash {
             return Err(SnapshotError::corrupt(format!(
-                "content hash mismatch: stored {stored_hash:#x}, decoded {actual:#x}"
+                "content hash mismatch: stored {stored_hash:#x}, decoded {content:#x}"
             )));
         }
 
-        // The stored arrays are now known to describe a possible block:
-        // derive the count prefix and the pyramid from them.
+        // The stored layer is now known to describe a possible block:
+        // derive the count prefix and the coarser layers from it.
         block.refresh_derived(None);
 
         let trie = match reader.section(TAG_TRIE) {
@@ -490,6 +552,7 @@ impl Snapshot {
         // here with a typed error instead of serving wrong answers.
         let v2_pyramid = reader.version() == 2 && reader.section(TAG_PYRAMID_V2).is_some();
         let actual_state = state_hash(
+            content,
             &block,
             trie.as_ref(),
             hits.as_ref(),
@@ -587,15 +650,13 @@ mod tests {
     }
 
     #[test]
-    fn dirty_offsets_survive_the_roundtrip() {
+    fn updated_block_roundtrips_bit_identically() {
         let mut b = block(1000, 7);
         let mut batch = crate::update::UpdateBatch::new();
         batch.push(Point::new(50.0, 50.0), vec![1.0, 2.0]);
         batch.push(Point::new(99.0, 99.0), vec![3.0, 4.0]);
         b.apply_updates(&batch);
-        assert!(b.dirty_offsets);
         let back = Snapshot::from_bytes(&Snapshot::new(b.clone()).to_bytes()).unwrap();
-        assert!(back.block.dirty_offsets);
         assert_eq!(back.block.content_hash(), b.content_hash());
     }
 
@@ -686,63 +747,130 @@ mod tests {
         assert!(err.to_string().contains("state hash"), "{err}");
     }
 
-    /// Re-frame `snap` the way the version-2 writer did: a `PYRA` section
-    /// (never decoded, so a stub payload will do) and — `with_digest` —
-    /// the pyramid's digest folded into the stored state hash, the last
-    /// field of `HDRS`. The real version-2 bytes are pinned by
-    /// `tests/fixtures/v2_pyra.gbsnap`.
-    fn as_v2(snap: &Snapshot, with_digest: bool) -> Vec<u8> {
+    /// Re-encode `snap` the way a version 1–3 writer did: the flag byte in
+    /// `HDRS`, the linkage arrays in `CELL` (made up — the block no longer
+    /// has them, and the loader only hashes them) and that era's content
+    /// digest under both stored hashes. `pyra` adds what only version 2
+    /// wrote: a `PYRA` section (never decoded, so a stub payload will do)
+    /// and — `Some(true)` — the coarser layers' digest folded into the
+    /// state hash. Real bytes of both eras are pinned by
+    /// `tests/fixtures/{v2_pyra,v3_linkage}.gbsnap`.
+    fn as_legacy(snap: &Snapshot, version: u16, pyra: Option<bool>) -> Vec<u8> {
+        let b = &snap.block;
+        let records = b.records();
+        let cells = || records.keys.iter().map(|&k| CellId::from_raw(k));
+        let mut c = ByteWriter::new();
+        c.u64_slice(&records.keys);
+        c.u64_slice(&b.prefix_counts[..records.num_cells()]);
+        c.u32_slice(&records.counts.iter().map(|&n| n as u32).collect::<Vec<_>>());
+        c.u64_slice(&cells().map(|c| c.range_min().raw()).collect::<Vec<_>>());
+        c.u64_slice(&cells().map(|c| c.range_max().raw()).collect::<Vec<_>>());
+        c.f64_slice(&records.mins);
+        c.f64_slice(&records.maxs);
+        c.f64_slice(&records.sums);
+        let cell_payload = c.into_inner();
+        // The decode arm is also the one place that knows the old digest.
+        let mut r = ByteReader::new(&cell_payload, "legacy CELL");
+        let (_, mut h) = decode_legacy_cells(&mut r, b.level, b.schema.len()).unwrap();
+        b.hash_header_into(&mut h);
+        let content = h.finish();
+        let state = state_hash(
+            content,
+            b,
+            snap.trie.as_ref(),
+            snap.hits.as_ref(),
+            snap.hot_queries.as_deref(),
+            pyra == Some(true),
+        );
         let reader = SnapshotReader::from_bytes(&snap.to_bytes(), SNAPSHOT_VERSION).unwrap();
         let mut w = SnapshotWriter::new();
         for tag in reader.tags() {
             let mut payload = reader.require(tag).unwrap().to_vec();
             if tag == TAG_HEADER {
-                let hash = state_hash(
-                    &snap.block,
-                    snap.trie.as_ref(),
-                    snap.hits.as_ref(),
-                    snap.hot_queries.as_deref(),
-                    with_digest,
-                );
-                let at = payload.len() - 8;
-                payload[at..].copy_from_slice(&hash.to_le_bytes());
+                payload.insert(1, u8::from(b.n_rows % 2 == 1));
+                let at = payload.len() - 16;
+                payload[at..at + 8].copy_from_slice(&content.to_le_bytes());
+                payload[at + 8..].copy_from_slice(&state.to_le_bytes());
+            } else if tag == TAG_CELLS {
+                payload = cell_payload.clone();
             }
             w.section(tag, payload);
         }
-        w.section(TAG_PYRAMID_V2, vec![1]);
-        w.into_bytes(2)
+        if pyra.is_some() {
+            w.section(TAG_PYRAMID_V2, vec![1]);
+        }
+        w.into_bytes(version)
+    }
+
+    #[test]
+    fn legacy_files_load_and_their_linkage_is_length_checked() {
+        let snap = Snapshot::new(block(900, 7));
+        for version in 1..=3 {
+            let bytes = as_legacy(&snap, version, None);
+            let back = Snapshot::from_bytes(&bytes).expect("legacy layout loads");
+            assert_eq!(back.block.content_hash(), snap.block.content_hash());
+            assert!(bytes.len() > snap.to_bytes().len());
+            // The same payload under the current version is not a layer.
+            let mut stamped = bytes.clone();
+            stamped[8..10].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+            assert!(Snapshot::from_bytes(&stamped).is_err());
+        }
+        // A linkage array one entry short, under a valid section checksum.
+        let reader = SnapshotReader::from_bytes(&as_legacy(&snap, 3, None), 3).unwrap();
+        let n = snap.block.num_cells();
+        let mut w = SnapshotWriter::new();
+        for tag in reader.tags() {
+            let mut payload = reader.require(tag).unwrap().to_vec();
+            if tag == TAG_CELLS {
+                // keys: count + n values; then the offsets' count.
+                let at = 8 * (n + 1);
+                payload[at..at + 8].copy_from_slice(&(n as u64 - 1).to_le_bytes());
+                payload.drain(at + 8..at + 16);
+            }
+            w.section(tag, payload);
+        }
+        let err = Snapshot::from_bytes(&w.into_bytes(3)).unwrap_err();
+        assert!(err.to_string().contains("linkage"), "{err}");
+        // A flag byte that is neither 0 nor 1.
+        let mut w = SnapshotWriter::new();
+        for tag in reader.tags() {
+            let mut payload = reader.require(tag).unwrap().to_vec();
+            if tag == TAG_HEADER {
+                payload[1] = 2;
+            }
+            w.section(tag, payload);
+        }
+        let err = Snapshot::from_bytes(&w.into_bytes(3)).unwrap_err();
+        assert!(err.to_string().contains("flag"), "{err}");
     }
 
     #[test]
     fn v2_state_hash_is_checked_against_the_rebuilt_pyramid() {
         let snap = Snapshot::new(block(900, 7));
-        let back = Snapshot::from_bytes(&as_v2(&snap, true)).expect("v2 framing loads");
+        let back =
+            Snapshot::from_bytes(&as_legacy(&snap, 2, Some(true))).expect("v2 framing loads");
         assert_eq!(back.block.content_hash(), snap.block.content_hash());
         // With a `PYRA` section but a state hash lacking the digest, the
         // file is not what a version-2 writer produced.
-        let err = Snapshot::from_bytes(&as_v2(&snap, false)).unwrap_err();
+        let err = Snapshot::from_bytes(&as_legacy(&snap, 2, Some(false))).unwrap_err();
         assert!(err.to_string().contains("state hash"), "{err}");
     }
 
     mod producers {
         use super::*;
-        use crate::{build_parallel, AggPyramid, UpdateBatch};
+        use crate::{build_parallel, UpdateBatch};
         use proptest::prelude::*;
 
-        fn assert_canonical(what: &str, b: &GeoBlock) {
-            assert_eq!(
-                b.pyramid().content_hash(),
-                AggPyramid::build(b, None).content_hash(),
-                "{what}: pyramid is not the canonical fold of its block"
-            );
+        fn layer_hashes(b: &GeoBlock) -> Vec<u64> {
+            b.layers().iter().map(Layer::content_hash).collect()
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// The one derived-state property: whichever way a block came
-            /// to be, its pyramid is bit-equal to `AggPyramid::build` of
-            /// its records.
+            /// to be, its layers are valid and bit-equal to the canonical
+            /// fold of its records (`check_invariants`).
             #[test]
             fn every_producer_yields_the_canonical_pyramid(
                 points in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..250),
@@ -762,11 +890,11 @@ mod tests {
                 let base = extract(&raw, grid, &CleaningRules::none(), None).base;
 
                 let (mut b, _) = build(&base, level, &Filter::all());
-                assert_canonical("build", &b);
+                b.check_invariants();
                 for threads in 1..=4 {
                     let (par, _) = build_parallel(&base, level, &Filter::all(), threads);
-                    assert_canonical("build_parallel", &par);
-                    prop_assert_eq!(par.pyramid().content_hash(), b.pyramid().content_hash());
+                    par.check_invariants();
+                    prop_assert_eq!(layer_hashes(&par), layer_hashes(&b));
                 }
                 for batch_pts in &batches {
                     let mut batch = UpdateBatch::new();
@@ -774,24 +902,21 @@ mod tests {
                         batch.push(Point::new(x, y), vec![x - y, (x * 0.1).floor()]);
                     }
                     b.apply_updates(&batch);
-                    assert_canonical("apply_updates", &b);
+                    b.check_invariants();
                 }
-                assert_canonical("coarsen", &b.coarsen(level.saturating_sub(coarser_by)));
+                b.coarsen(level.saturating_sub(coarser_by)).check_invariants();
 
                 let snap = Snapshot::new(b);
-                let want = snap.block.pyramid().content_hash();
-                // A version-1 file is a version-3 file but for the version
-                // field (bytes 8..10, outside every checksum).
-                let mut v1 = snap.to_bytes();
-                v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+                let want = layer_hashes(&snap.block);
                 for (what, bytes) in [
-                    ("v3 load", snap.to_bytes()),
-                    ("v1 load", v1),
-                    ("v2 load", as_v2(&snap, true)),
+                    ("v4 load", snap.to_bytes()),
+                    ("v3 load", as_legacy(&snap, 3, None)),
+                    ("v2 load", as_legacy(&snap, 2, Some(true))),
+                    ("v1 load", as_legacy(&snap, 1, None)),
                 ] {
                     let back = Snapshot::from_bytes(&bytes).expect(what).block;
-                    assert_canonical(what, &back);
-                    prop_assert_eq!(back.pyramid().content_hash(), want, "{}", what);
+                    back.check_invariants();
+                    prop_assert_eq!(layer_hashes(&back), want.clone(), "{}", what);
                 }
             }
         }

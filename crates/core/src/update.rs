@@ -7,21 +7,24 @@
 //! aggregates to be sorted."
 //!
 //! [`GeoBlock::apply_updates`] implements both paths in one batch pass:
-//! tuples hitting existing cells update the aggregates in place; tuples in
-//! new regions are aggregated into fresh cell records that are then merged
-//! into the sorted layout (one splice). Both paths invalidate the base-data
-//! tuple offsets (the base data has not grown with the updates), flagged
-//! via `dirty_offsets`; COUNT stays O(1) per covering cell regardless,
-//! because it runs over the maintained count prefix, which — like the
-//! aggregate pyramid — is rebuilt from the updated records at the end of
-//! every batch (`GeoBlock::refresh_derived`, the same funnel every other
-//! producer of a block ends in).
+//! tuples hitting existing cells update the block-level records in place;
+//! tuples in new regions are aggregated into a layer of fresh records that
+//! is then merged into the sorted layout (one splice). COUNT stays O(1)
+//! per covering cell regardless, because it runs over the count prefix,
+//! which — like every coarser layer — is rebuilt from the updated records
+//! at the end of every batch (`GeoBlock::refresh_derived`, the same funnel
+//! every other producer of a block ends in).
 //!
-//! [`crate::GeoBlockEngine::apply_updates`] additionally overwrites every
-//! cached ancestor in the AggregateTrie with the updated block's record of
-//! its cell — a single root-to-leaf walk per tuple.
+//! A tuple's location must lie inside the grid's domain: the grid clamps,
+//! so a tuple outside it would be folded into a border cell and break the
+//! §3.2 error bound. [`crate::GeoBlockEngine::apply_updates`] rejects such
+//! rows; it additionally overwrites every cached ancestor in the
+//! AggregateTrie with the updated block's record of its cell — a single
+//! root-to-leaf walk per tuple.
 
 use crate::block::GeoBlock;
+use crate::layer::Layer;
+use gb_cell::CellId;
 use gb_geom::Point;
 
 /// A batch of new tuples: location plus one value per schema column.
@@ -65,35 +68,22 @@ impl GeoBlock {
             return report;
         }
         let c = self.schema.len();
-        // New-region tuples, keyed by their (new) block cell.
-        let mut pending: Vec<(u64, u64, Vec<f64>)> = Vec::new(); // (cell, leaf, values)
+        let level = usize::from(self.level);
+        // New-region tuples by leaf, to be aggregated per new block cell.
+        let mut pending: Vec<(CellId, &[f64])> = Vec::new();
 
         for (loc, values) in &batch.rows {
             assert_eq!(values.len(), c, "update row arity mismatch");
             let leaf = self.grid.leaf_for_point(*loc);
-            let cell = leaf.parent_at(self.level);
-            match self.keys.binary_search(&cell.raw()) {
-                Ok(idx) => {
+            let records = &mut self.layers[level];
+            match records.find(leaf.parent_at(self.level).raw(), &mut 0) {
+                Some(idx) => {
                     report.in_place += 1;
-                    self.counts[idx] = self.counts[idx]
-                        .checked_add(1)
-                        .expect("cell count overflow");
-                    self.key_mins[idx] = self.key_mins[idx].min(leaf.raw());
-                    self.key_maxs[idx] = self.key_maxs[idx].max(leaf.raw());
-                    let base = idx * c;
-                    for (col, &v) in values.iter().enumerate() {
-                        if v < self.mins[base + col] {
-                            self.mins[base + col] = v;
-                        }
-                        if v > self.maxs[base + col] {
-                            self.maxs[base + col] = v;
-                        }
-                        self.sums[base + col] += v;
-                    }
+                    records.add_tuple(idx, |col| values[col]);
                 }
-                Err(_) => {
+                None => {
                     report.new_cells += 1;
-                    pending.push((cell.raw(), leaf.raw(), values.clone()));
+                    pending.push((leaf, values.as_slice()));
                 }
             }
             // Global header always updates.
@@ -108,111 +98,30 @@ impl GeoBlock {
                 self.global_sums[col] += v;
             }
         }
-        // Offsets no longer match any base data after in-place count bumps.
-        self.dirty_offsets = true;
 
         if !pending.is_empty() {
-            self.splice_new_cells(pending);
+            // Leaf order is cell order, and within a cell the order its
+            // tuples fold in.
+            pending.sort_by_key(|&(leaf, _)| leaf);
+            let mut fresh = Layer::with_capacity(self.level, c, pending.len());
+            for (leaf, values) in pending {
+                let cell = leaf.parent_at(self.level).raw();
+                if fresh.keys.last() != Some(&cell) {
+                    fresh.push_empty(cell);
+                }
+                fresh.add_tuple(fresh.num_cells() - 1, |col| values[col]);
+            }
+            // Rebuild the sorted layout with the new cells merged in.
+            self.layers[level] = self.layers[level].merge(&fresh);
         }
-        self.min_cell = self.keys.first().copied().unwrap_or(0);
-        self.max_cell = self.keys.last().copied().unwrap_or(0);
-        // The batch invalidated the derived structures (count prefix and
-        // every pyramid layer): rebuild them from the updated records
-        // with the canonical folds. Rebuilding — rather than propagating
-        // deltas — is what keeps pyramid lookups bit-identical to range
-        // scans after updates; see `DESIGN.md` "Aggregate pyramid".
+        // The batch invalidated the derived structures (key extent, count
+        // prefix and every coarser layer): rebuild them from the updated
+        // records with the canonical folds. Rebuilding — rather than
+        // propagating deltas — is what keeps layer lookups bit-identical
+        // to range scans after updates; see `DESIGN.md` "Aggregate
+        // pyramid".
         self.refresh_derived(None);
         report
-    }
-
-    /// Rebuild the sorted aggregate layout with new cells merged in.
-    fn splice_new_cells(&mut self, mut pending: Vec<(u64, u64, Vec<f64>)>) {
-        let c = self.schema.len();
-        pending.sort_by_key(|p| (p.0, p.1));
-
-        // Aggregate pending tuples per new cell.
-        struct NewCell {
-            key: u64,
-            count: u32,
-            key_min: u64,
-            key_max: u64,
-            mins: Vec<f64>,
-            maxs: Vec<f64>,
-            sums: Vec<f64>,
-        }
-        let mut new_cells: Vec<NewCell> = Vec::new();
-        for (cell, leaf, values) in pending {
-            match new_cells.last_mut() {
-                Some(last) if last.key == cell => {
-                    last.count += 1;
-                    last.key_min = last.key_min.min(leaf);
-                    last.key_max = last.key_max.max(leaf);
-                    for (col, &v) in values.iter().enumerate() {
-                        last.mins[col] = last.mins[col].min(v);
-                        last.maxs[col] = last.maxs[col].max(v);
-                        last.sums[col] += v;
-                    }
-                }
-                _ => new_cells.push(NewCell {
-                    key: cell,
-                    count: 1,
-                    key_min: leaf,
-                    key_max: leaf,
-                    mins: values.clone(),
-                    maxs: values.clone(),
-                    sums: values,
-                }),
-            }
-        }
-
-        // Merge the two sorted sequences into a fresh layout.
-        let n = self.keys.len() + new_cells.len();
-        let mut keys = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(n);
-        let mut counts = Vec::with_capacity(n);
-        let mut key_mins = Vec::with_capacity(n);
-        let mut key_maxs = Vec::with_capacity(n);
-        let mut mins = Vec::with_capacity(n * c);
-        let mut maxs = Vec::with_capacity(n * c);
-        let mut sums = Vec::with_capacity(n * c);
-
-        let mut i = 0usize;
-        let mut j = 0usize;
-        while i < self.keys.len() || j < new_cells.len() {
-            let take_old =
-                j >= new_cells.len() || (i < self.keys.len() && self.keys[i] < new_cells[j].key);
-            if take_old {
-                keys.push(self.keys[i]);
-                offsets.push(self.offsets[i]);
-                counts.push(self.counts[i]);
-                key_mins.push(self.key_mins[i]);
-                key_maxs.push(self.key_maxs[i]);
-                mins.extend_from_slice(&self.mins[i * c..(i + 1) * c]);
-                maxs.extend_from_slice(&self.maxs[i * c..(i + 1) * c]);
-                sums.extend_from_slice(&self.sums[i * c..(i + 1) * c]);
-                i += 1;
-            } else {
-                let nc = &new_cells[j];
-                debug_assert!(i >= self.keys.len() || self.keys[i] != nc.key);
-                keys.push(nc.key);
-                offsets.push(0); // meaningless: offsets are already dirty
-                counts.push(nc.count);
-                key_mins.push(nc.key_min);
-                key_maxs.push(nc.key_max);
-                mins.extend_from_slice(&nc.mins);
-                maxs.extend_from_slice(&nc.maxs);
-                sums.extend_from_slice(&nc.sums);
-                j += 1;
-            }
-        }
-        self.keys = keys;
-        self.offsets = offsets;
-        self.counts = counts;
-        self.key_mins = key_mins;
-        self.key_maxs = key_maxs;
-        self.mins = mins;
-        self.maxs = maxs;
-        self.sums = sums;
     }
 }
 
@@ -320,9 +229,9 @@ mod tests {
     fn count_covering_fallback_after_mixed_batches() {
         // Two batches mixing both §5 paths: the first adds tuples at
         // existing locations (in-place) and in the empty right half (new
-        // cells); the second does it again, so offsets have been dirty
-        // across a splice. `count` and `count_covering` must both take
-        // the per-cell-count fallback and agree with hand-counted truth.
+        // cells); the second does it again, on a layout that has already
+        // been spliced. `count` and `count_covering` run over the rebuilt
+        // count prefix and must agree with hand-counted truth.
         let base = base_data(2500);
         let (mut block, _) = build(&base, 7, &Filter::all());
         use gb_data::Rows;

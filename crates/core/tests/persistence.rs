@@ -2,23 +2,25 @@
 //! the persistence PR, enforced as tests:
 //!
 //! 1. **Lossless round-trip**: the loaded block's `content_hash` equals
-//!    the saved one, for clean and updated (`dirty_offsets`) blocks.
+//!    the saved one, for clean and updated blocks.
 //! 2. **Warm start ≡ fresh build**: `GeoBlockEngine::from_snapshot`
 //!    answers bit-identically to a freshly built engine, with the
 //!    restored trie hitting from the first query.
 //! 3. **No panics on bad input**: corrupt, truncated, wrong-magic, and
 //!    wrong-version snapshots all come back as typed `SnapshotError`s.
 //! 4. **Old files keep loading**: a checked-in version-2 file (with its
-//!    `PYRA` section) and a version-1 file answer like a fresh build.
+//!    `PYRA` section), a checked-in version-3 file (with the base-data
+//!    linkage versions 1–3 stored) and a version-1 file answer like a
+//!    fresh build.
 
 use gb_cell::Grid;
 use gb_data::{
-    extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema,
+    extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{Point, Polygon, Rect};
 use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
 use geoblocks::{
-    build, GeoBlock, GeoBlockEngine, Snapshot, SnapshotError, UpdateBatch, SNAPSHOT_VERSION,
+    build, GeoBlock, GeoBlockEngine, Layer, Snapshot, SnapshotError, UpdateBatch, SNAPSHOT_VERSION,
 };
 use std::path::PathBuf;
 
@@ -80,7 +82,7 @@ fn roundtrip_is_lossless_clean_and_dirty() {
     let loaded = GeoBlock::read_snapshot(&path).expect("load clean");
     assert_eq!(loaded.content_hash(), block.content_hash());
 
-    // Mixed updates → dirty offsets → still lossless.
+    // Mixed updates (in place and spliced) → still lossless.
     let mut dirty = block.clone();
     let mut batch = UpdateBatch::new();
     for i in 0..30 {
@@ -217,8 +219,10 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
 /// held `build(&base_data(40), 5, &Filter::all())` at threshold 0.5 after
 /// three `QueryRequest::Select`s of the rectangle (10,10)–(70,70) with
 /// `spec()` and a `rebuild_cache`, so the file carries `TRIE`, `HITS` and
-/// `HOTQ` too and its state hash spans the pyramid between them.
-/// `v2_pyra.content_hash` is that block's `content_hash`.
+/// `HOTQ` too and its state hash spans the pyramid between them. Its
+/// `CELL` and `HDRS` sections have the version 1–3 layout.
+/// `v2_pyra.content_hash` is the loaded block's `content_hash` as this
+/// tree defines it (`persist_check` compares the two).
 const V2_FIXTURE: &[u8] = include_bytes!("fixtures/v2_pyra.gbsnap");
 
 /// Re-frame a snapshot section by section (checksums recomputed, version
@@ -241,10 +245,14 @@ fn has_pyra(bytes: &[u8]) -> bool {
 
 fn assert_answers_bit_identical(loaded: &GeoBlock, fresh: &GeoBlock) {
     assert_eq!(loaded.content_hash(), fresh.content_hash());
-    assert_eq!(
-        loaded.pyramid().content_hash(),
-        fresh.pyramid().content_hash()
-    );
+    let layer_hashes = |b: &GeoBlock| {
+        b.layers()
+            .iter()
+            .map(Layer::content_hash)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(layer_hashes(loaded), layer_hashes(fresh));
+    loaded.check_invariants();
     let whole = Polygon::rectangle(Rect::from_bounds(-1.0, -1.0, 101.0, 101.0));
     for p in polys().iter().chain([&whole]) {
         let (a, _) = loaded.select(p, &spec());
@@ -261,18 +269,18 @@ fn v2_fixture_with_pyra_loads_to_bit_identical_answers() {
     assert!(has_pyra(V2_FIXTURE));
 
     let snap = Snapshot::from_bytes(V2_FIXTURE).expect("v2 file loads");
-    let want = include_str!("fixtures/v2_pyra.content_hash").trim();
-    assert_eq!(format!("{:#018x}", snap.block.content_hash()), want);
     assert!(snap.trie.is_some() && snap.hits.is_some());
     assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
     let (fresh, _) = build(&base_data(40), 5, &Filter::all());
     assert_answers_bit_identical(&snap.block, &fresh);
+    let recorded = include_str!("fixtures/v2_pyra.content_hash").trim();
+    assert_eq!(format!("{:#018x}", fresh.content_hash()), recorded);
 
     // Saving it again writes the current format: no PYRA, same content.
     let rewritten = snap.to_bytes();
     assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
     assert!(!has_pyra(&rewritten));
-    let again = Snapshot::from_bytes(&rewritten).expect("v3 file loads");
+    let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
     assert_answers_bit_identical(&again.block, &fresh);
 
     // A flipped CELL byte under a *valid* section checksum (an adversarial
@@ -304,14 +312,80 @@ fn v2_fixture_with_pyra_loads_to_bit_identical_answers() {
     assert_answers_bit_identical(&odd.block, &fresh);
 }
 
+/// A format-version-3 snapshot, written by `GeoBlockEngine::write_snapshot`
+/// at commit 8f86848 (the last whose writer emitted version 3; this tree
+/// cannot regenerate it). The engine held `build(&base_data(40), 5,
+/// &Filter::all())` at threshold 0.5 after three `QueryRequest::Select`s of
+/// the rectangle (10,10)–(70,70) with `spec()`, a `rebuild_cache` and then
+/// the batch of [`v3_fixture_batch`], which bumps a cell in place *and*
+/// splices a new one: `CELL` carries the base-data linkage (tuple offsets
+/// — a `0` for the spliced cell — leaf-key bounds, `u32` counts), the
+/// `HDRS` flag that marked those offsets stale is set, and `TRIE`, `HITS`
+/// and `HOTQ` are all present.
+const V3_FIXTURE: &[u8] = include_bytes!("fixtures/v3_linkage.gbsnap");
+
+/// The fresh block the version-3 fixture must answer like: the same build
+/// plus the same batch (one tuple in place, one in a new cell).
+fn v3_fixture_block() -> GeoBlock {
+    let base = base_data(40);
+    let (mut fresh, _) = build(&base, 5, &Filter::all());
+    let mut batch = UpdateBatch::new();
+    batch.push(base.location(0), vec![12.5, 3.0]);
+    batch.push(Point::new(99.5, 0.5), vec![7.25, 2.0]);
+    let report = fresh.apply_updates(&batch);
+    assert_eq!((report.in_place, report.new_cells), (1, 1));
+    fresh
+}
+
+#[test]
+fn v3_fixture_with_linkage_loads_to_bit_identical_answers() {
+    assert!(V3_FIXTURE.len() <= 16 * 1024);
+    assert_eq!(V3_FIXTURE[8..10], 3u16.to_le_bytes());
+    let reader = SnapshotReader::from_bytes(V3_FIXTURE, SNAPSHOT_VERSION).expect("well-framed");
+    let header = reader.require(SectionTag(*b"HDRS")).unwrap();
+    assert_eq!(header[1], 1, "the stale-offsets flag");
+
+    let snap = Snapshot::from_bytes(V3_FIXTURE).expect("v3 file loads");
+    assert!(snap.trie.is_some() && snap.hits.is_some());
+    assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
+    let fresh = v3_fixture_block();
+    assert_answers_bit_identical(&snap.block, &fresh);
+
+    // Saving it again writes the current format: the linkage (20 bytes a
+    // cell, three array length prefixes and the flag) is gone, the content
+    // is the same.
+    let rewritten = snap.to_bytes();
+    assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
+    assert_eq!(
+        rewritten.len(),
+        V3_FIXTURE.len() - 20 * fresh.num_cells() - 3 * 8 - 1
+    );
+    let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
+    assert_answers_bit_identical(&again.block, &fresh);
+    assert_eq!(again.to_bytes(), rewritten);
+
+    // A flipped CELL byte under a *valid* section checksum — in the keys,
+    // in the linkage no query reads, in the aggregates — is still caught.
+    let n = fresh.num_cells();
+    for at in [40, 8 * (n + 2) + 3, V3_FIXTURE.len()] {
+        let flipped = reframe(V3_FIXTURE, |tag, payload| {
+            if tag == SectionTag(*b"CELL") {
+                let at = at.min(payload.len() - 1);
+                payload[at] ^= 0x20;
+            }
+        });
+        let err = Snapshot::from_bytes(&flipped).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{at}: {err}");
+    }
+}
+
 #[test]
 fn v1_file_loads_to_bit_identical_answers() {
     // A version-1 file has exactly the version-3 layout (no derived
     // state, same state hash), so stamping the version field — which no
-    // checksum covers — yields one.
-    let (block, _) = build(&base_data(3000), 8, &Filter::all());
-    let mut bytes = Snapshot::new(block.clone()).to_bytes();
+    // checksum covers — of the version-3 fixture yields one.
+    let mut bytes = V3_FIXTURE.to_vec();
     bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
     let back = Snapshot::from_bytes(&bytes).expect("v1 file loads");
-    assert_answers_bit_identical(&back.block, &block);
+    assert_answers_bit_identical(&back.block, &v3_fixture_block());
 }

@@ -142,11 +142,10 @@ proptest! {
         block.check_invariants();
     }
 
-    /// §5 COUNT fallback: after mixed in-place/new-cell batches set
-    /// `dirty_offsets`, the offset-arithmetic shortcut is invalid and
-    /// COUNT must sum per-cell counts — and still equal ground truth
-    /// (base rows + update rows inside the covering), via both `count`
-    /// and `count_covering`.
+    /// §5 COUNT after updates: mixed in-place/new-cell batches rebuild the
+    /// count prefix, so COUNT must still equal ground truth (base rows +
+    /// update rows inside the covering), via both `count` and
+    /// `count_covering`.
     #[test]
     fn mixed_update_batches_count_matches_ground_truth(
         points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 40..250),
@@ -194,9 +193,9 @@ proptest! {
         let want = from_base + from_updates;
 
         let (via_count, _) = block.count(&poly);
-        prop_assert_eq!(via_count, want, "count fallback diverged from ground truth");
+        prop_assert_eq!(via_count, want, "count diverged from ground truth");
         let (via_covering, _) = block.count_covering(&covering);
-        prop_assert_eq!(via_covering, want, "count_covering fallback diverged");
+        prop_assert_eq!(via_covering, want, "count_covering diverged");
         let (sel, _) = block.select(&poly, &AggSpec::count_only());
         prop_assert_eq!(sel.count, want, "select count diverged after updates");
     }

@@ -47,6 +47,12 @@ impl Config {
                 "crates/core/src/engine.rs",
                 "crates/core/src/trie.rs",
                 "crates/core/src/memo.rs",
+                // The record lookup, the batch commit and the record
+                // layout under both: every `/v1/select` and `/v1/update`
+                // runs through them.
+                "crates/core/src/query.rs",
+                "crates/core/src/update.rs",
+                "crates/core/src/layer.rs",
                 // Runs under the result-cache and memo-shard locks on
                 // the request path.
                 "crates/common/src/fifo_map.rs",
@@ -55,7 +61,7 @@ impl Config {
                 "crates/cell/src/cover.rs",
                 "crates/core/src/hits.rs",
             ]),
-            float_blessed: s(&["crates/core/src/pyramid.rs", "crates/core/src/aggregate.rs"]),
+            float_blessed: s(&["crates/core/src/layer.rs", "crates/core/src/aggregate.rs"]),
             // `gb_check` wraps every model thread in a real OS thread it
             // fully schedules; it is the second sanctioned thread source.
             spawn_blessed: s(&["crates/common/src/pool.rs", "crates/check/src/"]),
@@ -141,9 +147,12 @@ mod tests {
         assert!(cfg.is_panic_free("crates/common/src/fifo_map.rs"));
         assert!(cfg.is_panic_free("crates/cell/src/cover.rs"));
         assert!(cfg.is_panic_free("crates/core/src/hits.rs"));
+        assert!(cfg.is_panic_free("crates/core/src/query.rs"));
+        assert!(cfg.is_panic_free("crates/core/src/update.rs"));
+        assert!(cfg.is_panic_free("crates/core/src/layer.rs"));
         assert!(!cfg.is_panic_free("crates/common/src/pool.rs"));
         assert!(!cfg.is_panic_free("crates/core/src/block.rs"));
-        assert!(cfg.is_float_blessed("crates/core/src/pyramid.rs"));
+        assert!(cfg.is_float_blessed("crates/core/src/layer.rs"));
         assert!(cfg.is_spawn_blessed("crates/common/src/pool.rs"));
         assert!(!cfg.is_spawn_blessed("crates/core/src/engine.rs"));
     }

@@ -41,7 +41,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "float-fold",
         description: "no ad-hoc f64 accumulation (.sum::<f64>(), .fold(0.0, ..)) outside \
-                      the canonical kernels in pyramid.rs/aggregate.rs; test code exempt",
+                      the canonical kernels in layer.rs/aggregate.rs; test code exempt",
         check: float_fold,
     },
     RuleInfo {
@@ -199,7 +199,7 @@ fn float_fold(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
                     idx,
                     format!(
                         "ad-hoc f64 accumulation (`{pat}`): route through the canonical fold \
-                         kernels in pyramid.rs/aggregate.rs to preserve bit-identity"
+                         kernels in layer.rs/aggregate.rs to preserve bit-identity"
                     ),
                 ));
             }
@@ -530,7 +530,7 @@ mod tests {
     #[test]
     fn float_fold_blessed_files_and_tests_pass() {
         let src = "fn k(v: &[f64]) -> f64 { v.iter().sum::<f64>() }";
-        assert!(rules_on("crates/core/src/pyramid.rs", src).is_empty());
+        assert!(rules_on("crates/core/src/layer.rs", src).is_empty());
         assert!(rules_on("crates/core/src/aggregate.rs", src).is_empty());
         assert!(rules_on("crates/core/tests/x.rs", src).is_empty());
     }

@@ -679,6 +679,17 @@ pub(crate) mod tests {
     fn update_invalidates_cached_replies() {
         let server = test_server(0.0, 64);
         let r1 = server.handle(&post("/v1/select", select_req(40.0)));
+        // An empty batch commits nothing: same epoch, and the cached reply
+        // is still a hit.
+        let empty = api::encode_request(&QueryRequest::Update {
+            batch: UpdateBatch::new(),
+        });
+        assert_eq!(server.handle(&post("/v1/update", empty)).status, 200);
+        assert_eq!(server.engine().data_epoch(), 0);
+        let again = server.handle(&post("/v1/select", select_req(40.0)));
+        assert_eq!(again.body, r1.body);
+        assert_eq!(server.cache().stats().hits, 1);
+
         let mut batch = UpdateBatch::new();
         batch.push(Point::new(40.0, 50.0), vec![7.0]);
         let ru = server.handle(&post(

@@ -200,6 +200,15 @@ fn http_error_mapping_over_sockets() {
     assert_eq!(client::get(addr, "/v1/select").expect("405").status, 405);
     let garbage = client::request(addr, "POST", "/v1/query", &[], &[1, 2, 3]).expect("400");
     assert_eq!(garbage.status, 400);
+    // A well-formed update with a row outside the grid's domain: rejected
+    // whole, like a non-finite one, and nothing is committed.
+    let mut batch = UpdateBatch::new();
+    batch.push(Point::new(50.0, 50.0), vec![1.0]);
+    batch.push(Point::new(1e9, 1e9), vec![1.0]);
+    let body = geoblocks::api::encode_request(&QueryRequest::Update { batch });
+    let outside = client::request(addr, "POST", "/v1/update", &[], &body).expect("400");
+    assert_eq!(outside.status, 400);
+    assert_eq!(running.server().engine().data_epoch(), 0);
     // An oversized declared body trips the cap before any read. Sent raw
     // because the convenience client always sets its own content-length.
     {
