@@ -41,12 +41,41 @@ impl CurveKind {
     }
 }
 
-/// Hilbert index of grid point `(x, y)` at the given order.
+/// Hilbert index of grid point `(x, y)` at the given order: a walk over
+/// [`KEYS`], four levels per lookup.
+///
+/// The coordinates are read as whole nibbles, i.e. padded with leading
+/// zero bits up to a multiple of four levels. A padded level is quadrant
+/// `(0, 0)` of the canonical frame: index digit 0, orientation swapped —
+/// so the padded digits vanish from the index, and the walk starts at the
+/// swap when the pad is odd (when the order is) and at the identity
+/// otherwise.
+#[inline]
+fn hilbert_xy_to_d(order: u8, x: u32, y: u32) -> u64 {
+    let start = if order % 2 == 1 {
+        SignedPerm::SWAP
+    } else {
+        SignedPerm::IDENTITY
+    };
+    let mut state = usize::from(start.index());
+    let mut d: u64 = 0;
+    for nibble in (0..order.div_ceil(4)).rev() {
+        let shift = 4 * u32::from(nibble);
+        let xy = ((x >> shift) & 15) << 4 | ((y >> shift) & 15);
+        let entry = KEYS[state << 8 | xy as usize];
+        d = d << 8 | u64::from(entry >> 8);
+        state = usize::from(entry & 7);
+    }
+    d
+}
+
+/// The bit-at-a-time conversion the key table is checked against.
 ///
 /// Classic iterative algorithm; the quadrant flip is a full-width XOR with
 /// `2^order - 1`, which flips every lower bit and therefore keeps all
 /// subsequent (lower) bit reads consistent.
-fn hilbert_xy_to_d(order: u8, mut x: u32, mut y: u32) -> u64 {
+#[cfg(test)]
+fn hilbert_xy_to_d_bitwise(order: u8, mut x: u32, mut y: u32) -> u64 {
     let n_mask: u32 = if order == 32 {
         u32::MAX
     } else {
@@ -235,6 +264,37 @@ const STEPS: [[Step; 4]; 9] = {
     steps
 };
 
+/// `KEYS[state << 8 | x_nibble << 4 | y_nibble]`: four levels of the
+/// Hilbert descent in one read — the eight index bits of the 16 × 16
+/// sub-grid position in the high byte, the state below it in the low one.
+/// Built by walking [`STEPS`] backwards (quadrant → child), so the keys
+/// and the coverer's cursor cannot disagree about the curve; S2 converts
+/// points to cell ids with the same 4 + 4-bit table.
+static KEYS: [u16; 8 << 8] = {
+    let mut keys = [0u16; 8 << 8];
+    let mut entry = 0;
+    while entry < keys.len() {
+        let mut state = entry >> 8;
+        let mut index = 0u16;
+        let mut level = 4;
+        while level > 0 {
+            level -= 1;
+            let quadrant = ((entry >> (4 + level)) as u8 & 1, (entry >> level) as u8 & 1);
+            let mut k = 0;
+            while STEPS[state][k].quadrant.0 != quadrant.0
+                || STEPS[state][k].quadrant.1 != quadrant.1
+            {
+                k += 1;
+            }
+            index = index << 2 | k as u16;
+            state = STEPS[state][k].next as usize;
+        }
+        keys[entry] = index << 8 | state as u16;
+        entry += 1;
+    }
+    keys
+};
+
 /// Incremental curve-orientation state for top-down traversals.
 ///
 /// Recursing a quadtree while calling [`CurveKind::d_to_xy`] per cell costs
@@ -323,6 +383,44 @@ mod tests {
         assert_eq!(hilbert_xy_to_d(1, 0, 1), 1);
         assert_eq!(hilbert_xy_to_d(1, 1, 1), 2);
         assert_eq!(hilbert_xy_to_d(1, 1, 0), 3);
+    }
+
+    #[test]
+    fn key_table_matches_the_bitwise_oracle() {
+        let check = |order: u8, x: u32, y: u32| {
+            let want = hilbert_xy_to_d_bitwise(order, x, y);
+            assert_eq!(
+                hilbert_xy_to_d(order, x, y),
+                want,
+                "order {order} ({x},{y})"
+            );
+        };
+        // Every point of the small orders (both pad parities, one nibble
+        // and two), then seeded points and the four corners of every
+        // order the API takes.
+        for order in 1..=6u8 {
+            for x in 0..1u32 << order {
+                for y in 0..1u32 << order {
+                    check(order, x, y);
+                }
+            }
+        }
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 32) as u32
+        };
+        for order in 7..=31u8 {
+            let max = (1u32 << order) - 1;
+            for (x, y) in [(0, 0), (max, 0), (0, max), (max, max)] {
+                check(order, x, y);
+            }
+            for _ in 0..100_000 {
+                check(order, next() & max, next() & max);
+            }
+        }
     }
 
     #[test]

@@ -180,6 +180,13 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Fewest rows of a table pass (clean, gather, sweep) worth a thread of
+/// their own. A fork-join of two scoped threads costs 40–80 µs and the
+/// set-up passes a few milliseconds per 32 768 rows, so a split always
+/// carries some fifty times more work than overhead — and every
+/// unit-test table stays inline.
+pub const MIN_ROWS_PER_THREAD: usize = 32_768;
+
 /// A fork-join executor with a fixed thread count.
 ///
 /// The pool itself holds no threads; each call spawns scoped workers that
@@ -222,6 +229,18 @@ impl Pool {
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The pool for a pass over `rows` rows: [`Pool::auto`], shrunk until
+    /// each thread has at least [`MIN_ROWS_PER_THREAD`] rows to itself.
+    /// Below twice that it is the one-thread pool, which runs inline —
+    /// and the machine is not even asked (~15 µs, more than a small
+    /// table's whole pass).
+    pub fn auto_for(rows: usize) -> Pool {
+        match rows / MIN_ROWS_PER_THREAD {
+            0 | 1 => Pool::new(1),
+            most => Pool::new(default_threads().min(most)),
+        }
     }
 
     /// Run `n_tasks` independent tasks, returning `f(i)` for each `i` in
@@ -370,6 +389,22 @@ mod tests {
         });
         assert_eq!(touched.load(Ordering::Relaxed), 50);
         assert_eq!(out[7], 70);
+    }
+
+    #[test]
+    fn auto_for_keeps_small_inputs_inline() {
+        assert_eq!(Pool::auto_for(0).threads(), 1);
+        assert_eq!(Pool::auto_for(2 * MIN_ROWS_PER_THREAD - 1).threads(), 1);
+        let machine = default_threads();
+        assert_eq!(
+            Pool::auto_for(2 * MIN_ROWS_PER_THREAD).threads(),
+            machine.min(2)
+        );
+        assert_eq!(
+            Pool::auto_for(3 * MIN_ROWS_PER_THREAD).threads(),
+            machine.min(3)
+        );
+        assert_eq!(Pool::auto_for(usize::MAX).threads(), machine);
     }
 
     #[test]

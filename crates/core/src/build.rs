@@ -9,13 +9,15 @@
 //! cheap" (Figure 11a) and what the §4.4 payoff analysis measures against
 //! the isolated path (filter before sort, `gb_data::extract_filtered`).
 //!
-//! [`build_parallel`] fans the sweep out across threads. Chunk boundaries
-//! are aligned to block-level cell boundaries, so no cell is ever split
-//! across workers: every cell aggregate is accumulated by exactly one
-//! thread in base-row order, and the merged block is **bit-identical** to
-//! the serial one (see `parallel_build_is_bit_identical`). The global
-//! header is defined as an in-order fold over the cell aggregates in both
-//! paths, which keeps even its floating-point sums byte-for-byte stable.
+//! There is one build path, fanned out over a [`Pool`]: [`build`] sizes
+//! the pool from the machine and the input, [`build_parallel`] takes the
+//! thread count from its caller. Chunk boundaries are aligned to
+//! block-level cell boundaries, so no cell is ever split across workers:
+//! every cell aggregate is accumulated by exactly one thread in base-row
+//! order, and the block is **bit-identical** at every thread count (see
+//! `parallel_build_is_bit_identical`). The global header is an in-order
+//! fold over the cell aggregates, which keeps even its floating-point sums
+//! byte-for-byte stable.
 
 use crate::block::GeoBlock;
 use crate::layer::Layer;
@@ -66,8 +68,8 @@ fn sweep_range(base: &BaseTable, level: u8, filter: &Filter, rows: Range<usize>)
 
 /// Concatenate the sweeps' records (in range order) into a block and derive
 /// the global header by folding the cell aggregates in cell order. The fold
-/// is the *definition* of the header, shared by the serial and parallel
-/// paths, so both produce identical bytes.
+/// is the *definition* of the header, so it does not depend on how the
+/// sweep was cut.
 fn assemble(grid: gb_cell::Grid, level: u8, schema: Schema, parts: Vec<Layer>) -> GeoBlock {
     let c = schema.len();
     let n_cells: usize = parts.iter().map(Layer::num_cells).sum();
@@ -107,21 +109,11 @@ fn assemble(grid: gb_cell::Grid, level: u8, schema: Schema, parts: Vec<Layer>) -
 
 /// Build a GeoBlock at `level` over the rows of `base` matching `filter`.
 ///
-/// Single linear pass. Empty cells are omitted (§3.4).
+/// Single linear pass, shared among the machine's threads when the base
+/// is large enough to occupy them. Empty cells are omitted (§3.4).
 pub fn build(base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, BuildStats) {
-    assert!(level <= MAX_LEVEL);
-    let timer = gb_common::Timer::start();
-    let n = base.keys().len();
-    let records = sweep_range(base, level, filter, 0..n);
-    let mut block = assemble(*base.grid(), level, base.schema().clone(), vec![records]);
-    block.refresh_derived(None);
-    let stats = BuildStats {
-        build_time: timer.elapsed(),
-        rows_scanned: n,
-        rows_kept: block.n_rows as usize,
-        threads: 1,
-    };
-    (block, stats)
+    let pool = Pool::auto_for(base.num_rows());
+    build_on(&pool, base, level, filter)
 }
 
 /// Row indices that cut `base` into at most `parts` contiguous ranges
@@ -149,42 +141,36 @@ fn cell_aligned_boundaries(base: &BaseTable, level: u8, parts: usize) -> Vec<usi
     cuts
 }
 
-/// [`build`], fanned out over `threads` workers.
-///
-/// The result is bit-identical to the serial build: chunks are
-/// cell-aligned (`cell_aligned_boundaries`), so each cell aggregate is
-/// produced by one worker in base-row order, and the merge concatenates
-/// sweeps' records in ascending key order before deriving the global header
-/// with the same fold the serial path uses.
+/// [`build`] on exactly `threads` workers, whatever the input size.
 pub fn build_parallel(
     base: &BaseTable,
     level: u8,
     filter: &Filter,
     threads: usize,
 ) -> (GeoBlock, BuildStats) {
+    build_on(&Pool::new(threads), base, level, filter)
+}
+
+/// The build on `pool`. The block does not depend on the pool's size:
+/// chunks are cell-aligned (`cell_aligned_boundaries`), so each cell
+/// aggregate is produced by one worker in base-row order, the sweeps'
+/// records are concatenated in ascending key order before the global
+/// header is folded from them, and the coarser layers are independent
+/// in-order folds over the assembled cells.
+fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, BuildStats) {
     assert!(level <= MAX_LEVEL);
-    let n = base.keys().len();
-    if threads <= 1 || n < 2 {
-        let (block, mut stats) = build(base, level, filter);
-        stats.threads = 1;
-        return (block, stats);
-    }
     let timer = gb_common::Timer::start();
-    let cuts = cell_aligned_boundaries(base, level, threads);
-    let pool = Pool::new(threads);
+    let cuts = cell_aligned_boundaries(base, level, pool.threads());
     let parts = pool.run(cuts.len() - 1, |i| {
         sweep_range(base, level, filter, cuts[i]..cuts[i + 1])
     });
     let mut block = assemble(*base.grid(), level, base.schema().clone(), parts);
-    // The coarser layers are independent in-order folds over the
-    // assembled cells: fanning them over the pool is bit-identical to the
-    // serial build at any thread count.
-    block.refresh_derived(Some(&pool));
+    block.refresh_derived(Some(pool));
     let stats = BuildStats {
         build_time: timer.elapsed(),
-        rows_scanned: n,
+        rows_scanned: base.num_rows(),
         rows_kept: block.n_rows as usize,
-        threads,
+        threads: pool.threads(),
     };
     (block, stats)
 }
@@ -317,14 +303,24 @@ mod tests {
 
     #[test]
     fn parallel_build_is_bit_identical() {
-        let base = base_data(6000);
-        for level in [4u8, 8, 11] {
-            let (serial, _) = build(&base, level, &Filter::all());
-            for threads in [2usize, 3, 4, 8] {
-                let (par, stats) = build_parallel(&base, level, &Filter::all(), threads);
-                par.check_invariants();
-                assert_eq!(stats.rows_kept, 6000);
-                assert_blocks_identical(&serial, &par);
+        // A small base, then one row short of and exactly at the size from
+        // which `build` itself fans out (where the machine has the cores).
+        let cutoff = 2 * gb_common::pool::MIN_ROWS_PER_THREAD;
+        for (n, levels) in [
+            (6000, &[4u8, 8, 11][..]),
+            (cutoff - 1, &[9]),
+            (cutoff, &[9]),
+        ] {
+            let base = base_data(n);
+            for &level in levels {
+                let (pooled, _) = build(&base, level, &Filter::all());
+                for threads in [1usize, 2, 3, 4, 8] {
+                    let (par, stats) = build_parallel(&base, level, &Filter::all(), threads);
+                    par.check_invariants();
+                    assert_eq!(stats.rows_kept, n);
+                    assert_eq!(stats.threads, threads);
+                    assert_blocks_identical(&pooled, &par);
+                }
             }
         }
     }
@@ -336,15 +332,6 @@ mod tests {
         let (serial, sstats) = build(&base, 9, &f);
         let (par, pstats) = build_parallel(&base, 9, &f, 4);
         assert_eq!(sstats.rows_kept, pstats.rows_kept);
-        assert_blocks_identical(&serial, &par);
-    }
-
-    #[test]
-    fn parallel_build_one_thread_delegates_to_serial() {
-        let base = base_data(1500);
-        let (serial, _) = build(&base, 7, &Filter::all());
-        let (par, stats) = build_parallel(&base, 7, &Filter::all(), 1);
-        assert_eq!(stats.threads, 1);
         assert_blocks_identical(&serial, &par);
     }
 

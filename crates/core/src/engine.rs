@@ -792,7 +792,6 @@ pub struct EngineBuilder {
     source: EngineSource,
     threshold: f64,
     policy: RebuildPolicy,
-    threads: usize,
 }
 
 impl EngineBuilder {
@@ -801,7 +800,6 @@ impl EngineBuilder {
             source: EngineSource::None,
             threshold: 0.1,
             policy: RebuildPolicy::Manual,
-            threads: 1,
         }
     }
 
@@ -814,13 +812,6 @@ impl EngineBuilder {
     /// Automatic rebuild policy (default [`RebuildPolicy::Manual`]).
     pub fn policy(mut self, policy: RebuildPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Build threads for [`EngineBuilder::base`] sources (default 1 —
-    /// the serial sweep; parallel builds are bit-identical to it).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -849,9 +840,9 @@ impl EngineBuilder {
     }
 
     /// Source: build a fresh block from base data at `level` under
-    /// `filter`, using [`EngineBuilder::threads`] build threads.
+    /// `filter` ([`crate::build()`]).
     pub fn base(self, base: &gb_data::BaseTable, level: u8, filter: &Filter) -> Self {
-        let (block, _) = crate::build::build_parallel(base, level, filter, self.threads);
+        let (block, _) = crate::build::build(base, level, filter);
         self.block(block)
     }
 
@@ -1233,15 +1224,15 @@ mod tests {
         }
         assert!(engine.cache_epoch() >= 2, "policy wired through");
 
-        // From base data with a thread count: bit-identical to serial.
+        // From base data: the same block at whatever thread count.
         let from_base = GeoBlockEngine::builder()
-            .threads(3)
             .base(&base, 7, &Filter::all())
             .build()
             .expect("base source");
+        let (threaded, _) = crate::build::build_parallel(&base, 7, &Filter::all(), 3);
         assert_eq!(
             from_base.block_snapshot().content_hash(),
-            block.content_hash()
+            threaded.content_hash()
         );
 
         // Misconfiguration is a typed error, not a panic.

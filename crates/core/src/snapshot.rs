@@ -891,7 +891,7 @@ mod tests {
 
                 let (mut b, _) = build(&base, level, &Filter::all());
                 b.check_invariants();
-                for threads in 1..=4 {
+                for threads in [1, 2, 3, 4, 8] {
                     let (par, _) = build_parallel(&base, level, &Filter::all(), threads);
                     par.check_invariants();
                     prop_assert_eq!(layer_hashes(&par), layer_hashes(&b));

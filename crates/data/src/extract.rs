@@ -21,6 +21,7 @@
 use crate::filter::Filter;
 use crate::table::{apply_permutation, sort_permutation, BaseTable, RawTable, Rows};
 use gb_cell::Grid;
+use gb_common::Pool;
 use std::time::Duration;
 
 /// Validity rules applied during cleaning.
@@ -72,8 +73,17 @@ pub struct ExtractStats {
     pub clean_time: Duration,
     /// Wall time of the sort (including the piggybacked cell collection).
     pub sort_time: Duration,
+    /// Wall time of gathering coordinates and columns into key order.
+    pub gather_time: Duration,
     /// Distinct block-level cells seen, if requested.
     pub distinct_block_cells: Option<usize>,
+}
+
+impl ExtractStats {
+    /// Clean + sort + gather: the paper's "sorting" phase (Figure 11a).
+    pub fn total_time(&self) -> Duration {
+        self.clean_time + self.sort_time + self.gather_time
+    }
 }
 
 /// Result of an extract run: the sorted base data plus statistics.
@@ -90,7 +100,7 @@ pub fn extract(
     rules: &CleaningRules,
     block_level: Option<u8>,
 ) -> Extract {
-    extract_inner(raw, grid, rules, &Filter::all(), block_level)
+    extract_filtered(raw, grid, rules, &Filter::all(), block_level)
 }
 
 /// Clean + **filter** + key + sort (isolated-build path, §4.4 Eq. 1).
@@ -101,37 +111,64 @@ pub fn extract_filtered(
     filter: &Filter,
     block_level: Option<u8>,
 ) -> Extract {
-    extract_inner(raw, grid, rules, filter, block_level)
+    let pool = Pool::auto_for(raw.num_rows());
+    extract_on(&pool, raw, grid, rules, filter, block_level)
 }
 
-fn extract_inner(
+/// Row indices are stored as `u32`.
+fn row_index(row: usize) -> u32 {
+    u32::try_from(row).expect("row indices are stored as u32")
+}
+
+/// The extract pipeline on `pool`. The base table does not depend on the
+/// pool's size: cleaning runs over contiguous row ranges whose survivors
+/// are concatenated in range order, the sort's order is total, and the
+/// gathers are independent per column.
+fn extract_on(
+    pool: &Pool,
     raw: &RawTable,
     grid: Grid,
     rules: &CleaningRules,
     filter: &Filter,
     block_level: Option<u8>,
 ) -> Extract {
+    let n = raw.num_rows();
     let mut stats = ExtractStats {
-        rows_in: raw.num_rows(),
+        rows_in: n,
         ..Default::default()
     };
 
-    // Clean + generate spatial keys.
+    // Clean + generate spatial keys, one even share of the rows per
+    // thread. The last cut is the raw row count: converting it checks the
+    // width of every row index below, before any is stored — and against
+    // the rows that exist, not the rows that survive.
     let t = gb_common::Timer::start();
-    let mut kept: Vec<u32> = Vec::with_capacity(raw.num_rows());
-    let mut keys: Vec<u64> = Vec::with_capacity(raw.num_rows());
-    for row in 0..raw.num_rows() {
-        if rules.row_ok(raw, row, &grid) && filter.matches(raw, row) {
-            kept.push(row as u32);
-            keys.push(grid.leaf_for_point(raw.location(row)).raw());
+    let chunks = pool.threads();
+    let cuts: Vec<u32> = (0..=chunks)
+        .map(|i| row_index(n / chunks * i + (n % chunks).min(i)))
+        .collect();
+    let mut parts = pool.run(chunks, |i| {
+        let rows = cuts[i]..cuts[i + 1];
+        let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(rows.len());
+        for row in rows {
+            let at = row as usize;
+            if rules.row_ok(raw, at, &grid) && filter.matches(raw, at) {
+                pairs.push((grid.leaf_for_point(raw.location(at)).raw(), row));
+            }
         }
-    }
-    stats.rows_dropped = raw.num_rows() - kept.len();
+        pairs
+    });
+    let pairs = if parts.len() == 1 {
+        parts.swap_remove(0)
+    } else {
+        parts.concat()
+    };
+    stats.rows_dropped = n - pairs.len();
     stats.clean_time = t.elapsed();
 
     // Sort by key; piggyback distinct block-cell collection if requested.
     let t = gb_common::Timer::start();
-    let (sorted_keys, perm) = sort_permutation(&keys);
+    let (sorted_keys, perm) = sort_permutation(pairs);
     if let Some(level) = block_level {
         // Leaf ids are `(pos << 1) | 1`; the level-`level` cell is the top
         // `2·level` bits of `pos`, i.e. the id shifted by one extra bit for
@@ -148,19 +185,13 @@ fn extract_inner(
         }
         stats.distinct_block_cells = Some(distinct);
     }
-    // The permutation indexes into the *kept* rows; remap to raw rows so a
-    // single gather pass pulls coordinates and columns from the raw table.
-    let raw_perm: Vec<u32> = perm.iter().map(|&i| kept[i as usize]).collect();
-    let base = apply_permutation(
-        grid,
-        raw.schema().clone(),
-        sorted_keys,
-        &raw_perm,
-        raw.xs(),
-        raw.ys(),
-        raw.columns(),
-    );
     stats.sort_time = t.elapsed();
+
+    // The permutation holds raw row indices, so one gather per column
+    // pulls coordinates and attributes straight from the raw table.
+    let t = gb_common::Timer::start();
+    let base = apply_permutation(pool, grid, raw, sorted_keys, &perm);
+    stats.gather_time = t.elapsed();
 
     Extract { base, stats }
 }
@@ -230,6 +261,100 @@ mod tests {
         // At level 30 every point is its own cell here.
         let ex_fine = extract(&raw(), grid(), &CleaningRules::none(), Some(30));
         assert_eq!(ex_fine.stats.distinct_block_cells, Some(4));
+    }
+
+    /// Everything a base table stores, floats by bit pattern.
+    fn bits(base: &BaseTable) -> Vec<Vec<u64>> {
+        let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cols = (0..base.schema().len()).map(|c| {
+            f(&(0..base.num_rows())
+                .map(|r| base.value_f64(r, c))
+                .collect::<Vec<_>>())
+        });
+        [base.keys().to_vec(), f(base.xs()), f(base.ys())]
+            .into_iter()
+            .chain(cols)
+            .collect()
+    }
+
+    mod any_thread_count {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The base table is a function of the raw table alone —
+            /// not of how many threads cleaned and gathered it, nor of
+            /// how the sort breaks ties.
+            #[test]
+            fn extract_yields_the_same_table(
+                // Locations on a lattice, so many rows share a leaf key;
+                // lattice steps past 33 lie outside the domain, negative
+                // values stand for dirty ones.
+                rows in prop::collection::vec((0u8..40, 0u8..40, -2i8..10), 0..400),
+                at_least in 0.0f64..10.0,
+            ) {
+                let mut raw =
+                    RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("row")]));
+                for (i, &(x, y, v)) in rows.iter().enumerate() {
+                    let v = if v < 0 { f64::NAN } else { f64::from(v) };
+                    raw.push_row(Point::new(f64::from(x) * 3.0, f64::from(y) * 3.0), &[v, i as f64]);
+                }
+                let rules = CleaningRules::none();
+                let some = Filter::on(&raw, "v", CmpOp::Ge, at_least).unwrap();
+                for filter in [Filter::all(), some] {
+                    let on = |threads| {
+                        extract_on(&Pool::new(threads), &raw, grid(), &rules, &filter, Some(6))
+                    };
+                    let one = on(1);
+                    let base = &one.base;
+                    for row in 1..base.num_rows() {
+                        let (a, b) = (row - 1, row);
+                        prop_assert!(base.keys()[a] <= base.keys()[b], "keys ascend");
+                        prop_assert!(
+                            base.keys()[a] < base.keys()[b]
+                                || base.value_f64(a, 1) < base.value_f64(b, 1),
+                            "rows {} and {} share a key out of raw order", a, b
+                        );
+                    }
+                    for threads in [2, 3, 8] {
+                        let many = on(threads);
+                        prop_assert_eq!(bits(&many.base), bits(base), "{} threads", threads);
+                        prop_assert_eq!(many.stats.rows_dropped, one.stats.rows_dropped);
+                        prop_assert_eq!(
+                            many.stats.distinct_block_cells,
+                            one.stats.distinct_block_cells
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extract_is_the_same_table_either_side_of_the_inline_cutoff() {
+        // `extract` picks its own pool: one row short of the cutoff the
+        // inline one, at the cutoff whatever the machine offers.
+        let cutoff = 2 * gb_common::pool::MIN_ROWS_PER_THREAD;
+        let rules = CleaningRules::none();
+        let mut t = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
+        for i in 0..cutoff - 1 {
+            let (x, y) = ((i * 37 % 1013) as f64 / 10.0, (i * 91 % 1009) as f64 / 10.0);
+            t.push_row(Point::new(x, y), &[i as f64]);
+        }
+        for _ in 0..2 {
+            let pooled = extract(&t, grid(), &rules, None);
+            let inline = extract_on(&Pool::new(1), &t, grid(), &rules, &Filter::all(), None);
+            assert_eq!(
+                bits(&pooled.base),
+                bits(&inline.base),
+                "{} rows",
+                t.num_rows()
+            );
+            assert_eq!(pooled.stats.rows_dropped, inline.stats.rows_dropped);
+            t.push_row(Point::new(50.0, 50.0), &[-1.0]);
+        }
     }
 
     #[test]

@@ -8,7 +8,13 @@
 
 use crate::schema::{ColumnType, Schema};
 use gb_cell::Grid;
+use gb_common::Pool;
 use gb_geom::Point;
+
+/// `out[i] = values[perm[i]]`.
+fn permuted<T: Copy>(values: &[T], perm: &[u32]) -> Vec<T> {
+    perm.iter().map(|&i| values[i as usize]).collect()
+}
 
 /// A typed attribute column.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,8 +67,8 @@ impl Column {
     /// Apply a permutation: `out[i] = self[perm[i]]`.
     fn permuted(&self, perm: &[u32]) -> Column {
         match self {
-            Column::F64(v) => Column::F64(perm.iter().map(|&i| v[i as usize]).collect()),
-            Column::I64(v) => Column::I64(perm.iter().map(|&i| v[i as usize]).collect()),
+            Column::F64(v) => Column::F64(permuted(v, perm)),
+            Column::I64(v) => Column::I64(permuted(v, perm)),
         }
     }
 
@@ -318,34 +324,37 @@ impl Rows for BaseTable {
     }
 }
 
-/// Sort `(key, row)` pairs and produce the permutation plus sorted keys.
-pub(crate) fn sort_permutation(keys: &[u64]) -> (Vec<u64>, Vec<u32>) {
-    assert!(keys.len() <= u32::MAX as usize, "row indices stored as u32");
-    let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
-    perm.sort_unstable_by_key(|&i| keys[i as usize]);
-    let sorted = perm.iter().map(|&i| keys[i as usize]).collect();
-    (sorted, perm)
+/// Sort `(key, row)` pairs and split them into the sorted keys and the
+/// permutation. Rows are distinct, so the order is total: rows that share
+/// a key stay in table order, whatever the sort algorithm — and with them
+/// every float sum folded over the base data in row order.
+pub(crate) fn sort_permutation(mut pairs: Vec<(u64, u32)>) -> (Vec<u64>, Vec<u32>) {
+    pairs.sort_unstable();
+    pairs.into_iter().unzip()
 }
 
-/// Apply the permutation produced by [`sort_permutation`] to build a
-/// [`BaseTable`] out of raw parts.
+/// Apply the permutation produced by [`sort_permutation`] to the rows of
+/// `raw`: one gather per coordinate and per attribute column, each a task
+/// of its own on `pool`.
 pub(crate) fn apply_permutation(
+    pool: &Pool,
     grid: Grid,
-    schema: Schema,
+    raw: &RawTable,
     sorted_keys: Vec<u64>,
     perm: &[u32],
-    xs: &[f64],
-    ys: &[f64],
-    columns: &[Column],
 ) -> BaseTable {
-    BaseTable::from_parts(
-        grid,
-        schema,
-        sorted_keys,
-        perm.iter().map(|&i| xs[i as usize]).collect(),
-        perm.iter().map(|&i| ys[i as usize]).collect(),
-        columns.iter().map(|c| c.permuted(perm)).collect(),
-    )
+    let mut gathered = pool
+        .run(2 + raw.columns.len(), |task| match task {
+            0 => Column::F64(permuted(&raw.xs, perm)),
+            1 => Column::F64(permuted(&raw.ys, perm)),
+            _ => raw.columns[task - 2].permuted(perm),
+        })
+        .into_iter();
+    let (Some(Column::F64(xs)), Some(Column::F64(ys))) = (gathered.next(), gathered.next()) else {
+        unreachable!("tasks 0 and 1 gather the coordinates");
+    };
+    let columns = gathered.collect();
+    BaseTable::from_parts(grid, raw.schema.clone(), sorted_keys, xs, ys, columns)
 }
 
 #[cfg(test)]
@@ -389,15 +398,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_permutation_orders_keys() {
-        let keys = vec![5u64, 1, 9, 1, 3];
-        let (sorted, perm) = sort_permutation(&keys);
-        assert_eq!(sorted, vec![1, 1, 3, 5, 9]);
-        assert_eq!(perm.len(), 5);
-        // Permutation actually maps to the sorted order.
-        for (i, &p) in perm.iter().enumerate() {
-            assert_eq!(keys[p as usize], sorted[i]);
-        }
+    fn sort_permutation_orders_keys_and_keeps_ties_in_row_order() {
+        let keys = [5u64, 1, 9, 1, 3, 1];
+        let pairs = keys.iter().copied().zip(0u32..).collect();
+        let (sorted, perm) = sort_permutation(pairs);
+        assert_eq!(sorted, vec![1, 1, 1, 3, 5, 9]);
+        assert_eq!(perm, vec![1, 3, 5, 4, 0, 2]);
     }
 
     #[test]

@@ -65,7 +65,14 @@ impl Config {
             // `gb_check` wraps every model thread in a real OS thread it
             // fully schedules; it is the second sanctioned thread source.
             spawn_blessed: s(&["crates/common/src/pool.rs", "crates/check/src/"]),
-            cast_checked: s(&["crates/store/src/lib.rs", "crates/core/src/snapshot.rs"]),
+            cast_checked: s(&[
+                "crates/store/src/lib.rs",
+                "crates/core/src/snapshot.rs",
+                // Row indices are stored as `u32`: the one narrowing is
+                // checked where a raw table enters the extract.
+                "crates/data/src/extract.rs",
+                "crates/data/src/table.rs",
+            ]),
             relaxed_blessed: s(&["crates/common/src/stats.rs"]),
             // The workspace lock order: publisher guards first, then the
             // hit log and its rank-1 peers (the covering-memo shards and
@@ -155,6 +162,9 @@ mod tests {
         assert!(cfg.is_float_blessed("crates/core/src/layer.rs"));
         assert!(cfg.is_spawn_blessed("crates/common/src/pool.rs"));
         assert!(!cfg.is_spawn_blessed("crates/core/src/engine.rs"));
+        assert!(cfg.is_cast_checked("crates/data/src/extract.rs"));
+        assert!(cfg.is_cast_checked("crates/data/src/table.rs"));
+        assert!(!cfg.is_cast_checked("crates/data/src/datasets.rs"));
     }
 
     #[test]

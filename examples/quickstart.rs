@@ -18,7 +18,7 @@ fn main() {
         "extracted {} rows ({} dirty rows dropped) in {:.0} ms",
         base.num_rows(),
         extract.stats.rows_dropped,
-        (extract.stats.clean_time + extract.stats.sort_time).as_secs_f64() * 1e3,
+        extract.stats.total_time().as_secs_f64() * 1e3,
     );
 
     // 2. Build a GeoBlock. The block level bounds the spatial error: level
