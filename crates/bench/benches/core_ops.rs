@@ -3,13 +3,14 @@
 //! These complement the `repro` harness (which regenerates the paper's
 //! figures): each bench isolates one primitive — point→cell mapping,
 //! polygon covering, aggregate-range scans, Listing-2 counts, trie lookups,
-//! and the substrate index probes.
+//! the substrate index probes, and a snapshot save/load against the
+//! rebuild it stands in for.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gb_cell::{cover_polygon, CovererOptions, CurveKind, Grid};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::Point;
-use geoblocks::{build, GeoBlockEngine};
+use geoblocks::{build, GeoBlockEngine, Snapshot, SnapshotRef};
 use std::hint::black_box;
 
 /// Small but realistic setup shared by the benches (kept modest so
@@ -300,9 +301,41 @@ fn bench_build(c: &mut Criterion) {
     g.finish();
 }
 
+/// Restart vs rebuild, in memory (no file-system noise): what a process
+/// pays to come back from a snapshot against what it pays to start from
+/// the raw rows. `perf-smoke` gates `load ÷ rebuild` as a ratio between
+/// these arms — a "warm start" has to beat the build it replaces.
+fn bench_persist(c: &mut Criterion) {
+    let ds = datasets::nyc_taxi(100_000, 9);
+    let rules = datasets::nyc_cleaning_rules();
+    let rebuild = || {
+        let base = extract(&ds.raw, ds.grid, &rules, None).base;
+        build(&base, 10, &Filter::all()).0
+    };
+    let block = rebuild();
+    let snapshot = SnapshotRef {
+        block: &block,
+        trie: None,
+        hits: None,
+        hot_queries: None,
+    };
+    let bytes = snapshot.to_bytes();
+    let mut g = c.benchmark_group("persist");
+    g.sample_size(10);
+    g.bench_function("rebuild", |b| b.iter(|| black_box(rebuild().num_cells())));
+    g.bench_function("save", |b| b.iter(|| black_box(snapshot.to_bytes().len())));
+    g.bench_function("load", |b| {
+        b.iter(|| {
+            let loaded = Snapshot::from_bytes(black_box(&bytes)).expect("own bytes load");
+            black_box(loaded.block.num_cells())
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_point_to_cell, bench_covering, bench_queries, bench_trie_lookup, bench_covering_memo, bench_serve_batch, bench_substrates, bench_build
+    targets = bench_point_to_cell, bench_covering, bench_queries, bench_trie_lookup, bench_covering_memo, bench_serve_batch, bench_substrates, bench_build, bench_persist
 }
 criterion_main!(benches);

@@ -10,7 +10,8 @@
 //!    engine it was saved from, warm from the first query,
 //! 3. corrupt / truncated / wrong-magic / wrong-version snapshots return
 //!    typed errors — never panics; the file written carries no derived
-//!    state, and the checked-in version-2 fixture still loads,
+//!    state, its section checksums are the ones its version prescribes,
+//!    and the checked-in version-2 fixture still loads,
 //! 4. the hardened request path: an unknown filter column is a clean
 //!    `DataError`, not a process kill.
 //!
@@ -18,7 +19,8 @@
 
 use gb_data::{datasets, extract, AggSpec, CmpOp, Filter, Rows};
 use gb_geom::Polygon;
-use geoblocks::{build, GeoBlock, GeoBlockEngine, Snapshot, SnapshotError};
+use gb_store::{SectionTag, SnapshotReader};
+use geoblocks::{build, GeoBlock, GeoBlockEngine, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 
 struct Gate {
     failed: bool,
@@ -35,19 +37,13 @@ impl Gate {
     }
 }
 
-/// Section tags in file order, by walking the container framing: a
-/// 16-byte header (magic 8, version 2, flags 2, count 4), then per section
-/// tag 4, length 8, checksum 8 and the payload. A raw byte scan for a tag
-/// could match float payload data instead.
-fn section_tags(bytes: &[u8]) -> Vec<[u8; 4]> {
-    let mut tags = Vec::new();
-    let mut off = 16usize;
-    while off + 20 <= bytes.len() {
-        tags.push(bytes[off..off + 4].try_into().expect("4-byte tag"));
-        let len = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().expect("8-byte len"));
-        off += 20 + len as usize;
-    }
-    tags
+/// Whether the container `bytes` — verified under the checksum rule its
+/// own version names, which is what `SnapshotReader` does — has a `PYRA`
+/// section; `None` when it does not verify. Walking the framing, not
+/// scanning for the tag: float payload data could contain its bytes.
+fn has_pyra(bytes: &[u8]) -> Option<bool> {
+    let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).ok()?;
+    Some(reader.section(SectionTag(*b"PYRA")).is_some())
 }
 
 fn main() {
@@ -150,14 +146,28 @@ fn main() {
         "expected Io error",
     );
 
-    // 3b. Derived state is never stored: a freshly written (version 3)
-    // file has no `PYRA` section, and a version-2 file that has one — the
-    // checked-in fixture, written by the last v2 writer — still loads,
-    // answering from the pyramid rebuilt out of its `CELL` section.
+    // 3b. Derived state is never stored: a freshly written file (the
+    // current version) has no `PYRA` section, and a version-2 file that
+    // has one — the checked-in fixture, written by the last v2 writer —
+    // still loads, answering from the pyramid rebuilt out of its `CELL`
+    // section. Each file is verified under the rule its own version
+    // names: word-wise for the fresh one, byte-wise for the fixture.
     gate.check(
-        "v3 file contains no PYRA tag",
-        !section_tags(&bytes).contains(b"PYRA"),
-        "the writer stored the pyramid",
+        &format!("v{SNAPSHOT_VERSION} file contains no PYRA tag"),
+        bytes[8..10] == SNAPSHOT_VERSION.to_le_bytes() && has_pyra(&bytes) == Some(false),
+        "the writer stored the pyramid, or stamped another version",
+    );
+    // The version field is outside every checksum: stamped as the previous
+    // version the same sections must fail that version's byte-wise rule.
+    let mut stamped = bytes.clone();
+    stamped[8..10].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
+    gate.check(
+        "the file's version selects the checksum rule",
+        matches!(
+            Snapshot::from_bytes(&stamped),
+            Err(SnapshotError::ChecksumMismatch { .. })
+        ),
+        "a version-5 file verified under the version-4 rule",
     );
     let v2: &[u8] = include_bytes!("../../../core/tests/fixtures/v2_pyra.gbsnap");
     let v2_hash = include_str!("../../../core/tests/fixtures/v2_pyra.content_hash").trim();
@@ -167,7 +177,7 @@ fn main() {
             let everything = Polygon::rectangle(old.block.grid().domain());
             gate.check(
                 "v2 fixture loads",
-                section_tags(v2).contains(b"PYRA")
+                has_pyra(v2) == Some(true)
                     && format!("{:#018x}", old.block.content_hash()) == v2_hash
                     && old.block.count(&everything).0 == old.block.num_rows(),
                 "fixture lost its PYRA section, or content drifted after rebuild-on-load",

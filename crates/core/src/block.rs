@@ -87,6 +87,38 @@ impl GeoBlock {
         self.layers.last().expect("a block holds its records")
     }
 
+    /// The stored layer, for the producers that write it.
+    #[inline]
+    pub(crate) fn records_mut(&mut self) -> &mut Layer {
+        self.layers.last_mut().expect("a block holds its records")
+    }
+
+    /// A block of `records` under this block's grid, schema and global
+    /// header, with nothing derived yet: `refresh_derived` completes it.
+    fn with_records(&self, level: u8, records: Layer) -> GeoBlock {
+        GeoBlock {
+            grid: self.grid,
+            level,
+            schema: self.schema.clone(),
+            layers: vec![records],
+            n_rows: self.n_rows,
+            min_cell: self.min_cell,
+            max_cell: self.max_cell,
+            global_mins: self.global_mins.clone(),
+            global_maxs: self.global_maxs.clone(),
+            global_sums: self.global_sums.clone(),
+            prefix_counts: Vec::new(),
+        }
+    }
+
+    /// A copy of the stored state only — header and block-level records —
+    /// for an update to work on: the coarser layers and the count prefix
+    /// (about half the block's bytes) are what `refresh_derived` replaces
+    /// anyway, so copying them would be copying garbage.
+    pub(crate) fn clone_stored(&self) -> GeoBlock {
+        self.with_records(self.level, self.records().clone())
+    }
+
     /// Number of non-empty grid cells (cell aggregates).
     #[inline]
     pub fn num_cells(&self) -> usize {
@@ -181,15 +213,17 @@ impl GeoBlock {
     }
 
     /// Rebuild everything derived (the header's key extent, the count
-    /// prefix and the coarser layers) from the stored layer, the last in `layers` whether stale coarser
-    /// ones precede it or not — the single funnel every producer (build,
-    /// coarsen, updates, snapshot load) ends in. With a pool the layers
-    /// are fanned out; they are independent folds, so the result is
-    /// bit-identical at any thread count. Updates call this instead of
-    /// patching derived state in place: in-place propagation of sums would
-    /// drift from the canonical fold by ULPs and break the
-    /// layer-vs-scan bit-identity invariant.
-    pub(crate) fn refresh_derived(&mut self, pool: Option<&Pool>) {
+    /// prefix and the coarser layers) from the stored layer, the last in
+    /// `layers` whether stale coarser ones precede it or not — the single
+    /// funnel every producer (build, coarsen, updates, snapshot load) ends
+    /// in. The layers are fanned out over `pool`; they are independent
+    /// folds, so the result is bit-identical at any thread count. Build
+    /// and load, which have no readers to disturb, bring the machine's
+    /// pool; an update and `coarsen` the inline one-thread pool. Updates
+    /// call this instead of patching derived state in place: in-place
+    /// propagation of sums would drift from the canonical fold by ULPs and
+    /// break the layer-vs-scan bit-identity invariant.
+    pub(crate) fn refresh_derived(&mut self, pool: &Pool) {
         let Some(records) = self.layers.pop() else {
             return;
         };
@@ -207,12 +241,7 @@ impl GeoBlock {
             self.prefix_counts.push(run);
         }
 
-        let n_coarser = usize::from(self.level);
-        let fold = |l: usize| records.fold_to(l as u8);
-        let mut layers = match pool {
-            Some(pool) => pool.run(n_coarser, fold),
-            None => (0..n_coarser).map(fold).collect(),
-        };
+        let mut layers = pool.run(usize::from(self.level), |l| records.fold_to(l as u8));
         layers.push(records);
         self.layers = layers;
     }
@@ -245,21 +274,8 @@ impl GeoBlock {
     /// in-order fold), and its own coarser layers are folded from them.
     pub fn coarsen(&self, level: u8) -> GeoBlock {
         assert!(level <= self.level, "coarsen can only reduce the level");
-        let records = self.layers[usize::from(level)].clone();
-        let mut out = GeoBlock {
-            grid: self.grid,
-            level,
-            schema: self.schema.clone(),
-            n_rows: self.n_rows,
-            min_cell: 0,
-            max_cell: 0,
-            layers: vec![records],
-            global_mins: self.global_mins.clone(),
-            global_maxs: self.global_maxs.clone(),
-            global_sums: self.global_sums.clone(),
-            prefix_counts: Vec::new(),
-        };
-        out.refresh_derived(None);
+        let mut out = self.with_records(level, self.layers[usize::from(level)].clone());
+        out.refresh_derived(&Pool::new(1));
         out
     }
 
@@ -310,8 +326,8 @@ impl GeoBlock {
             panic!("GeoBlock invariant violated: {e}");
         }
         assert_eq!(self.layers.len(), usize::from(self.level) + 1, "layers");
-        let mut fresh = self.clone();
-        fresh.refresh_derived(None);
+        let mut fresh = self.clone_stored();
+        fresh.refresh_derived(&Pool::new(1));
         assert_eq!(self.prefix_counts, fresh.prefix_counts, "stale prefix");
         for (l, (have, want)) in self.layers.iter().zip(&fresh.layers).enumerate() {
             if let Err(e) = have.validate() {

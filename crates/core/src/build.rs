@@ -165,7 +165,7 @@ fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBl
         sweep_range(base, level, filter, cuts[i]..cuts[i + 1])
     });
     let mut block = assemble(*base.grid(), level, base.schema().clone(), parts);
-    block.refresh_derived(Some(pool));
+    block.refresh_derived(pool);
     let stats = BuildStats {
         build_time: timer.elapsed(),
         rows_scanned: base.num_rows(),

@@ -558,8 +558,9 @@ impl GeoBlockEngine {
 
     /// Commit a batch of new tuples (§5) and advance the data epoch.
     ///
-    /// The next state is built entirely offline — clone the block, apply
-    /// the batch, then walk the trie from the root towards each new tuple
+    /// The next state is built entirely offline — copy the block's stored
+    /// state (the derived half is rebuilt, not copied), apply the batch,
+    /// then walk the trie from the root towards each new tuple
     /// (§5) and overwrite every cached aggregate on the way with the
     /// updated block's record of its cell, so the cache stays a bit-exact
     /// copy of what the block would answer — and swapped in with a single
@@ -614,7 +615,7 @@ impl GeoBlockEngine {
         // One kernel transaction: serialized with rebuilds and other
         // updates by the publisher mutex; queries proceed throughout.
         let (report, epoch) = self.state.publish(|cur| {
-            let mut block = (*cur.block).clone();
+            let mut block = cur.block.clone_stored();
             let report = block.apply_updates(batch);
             let mut trie = (*cur.trie).clone();
             for (loc, _) in &batch.rows {

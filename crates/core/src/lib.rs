@@ -81,7 +81,7 @@ pub use layer::Layer;
 pub use memo::{CoveringMemo, HotQueryTable, MemoStats};
 pub use qc::{CacheMetrics, RebuildPolicy};
 pub use query::QueryStats;
-pub use snapshot::{Snapshot, SnapshotError, SnapshotRef, SNAPSHOT_VERSION};
+pub use snapshot::{PersistStats, Snapshot, SnapshotError, SnapshotRef, SNAPSHOT_VERSION};
 pub use trie::AggregateTrie;
 pub use update::{UpdateBatch, UpdateReport};
 

@@ -14,7 +14,7 @@
 //! * optionally the §3.6 hit statistics, so post-restart rebuilds keep
 //!   adapting from everything learned before the restart.
 //!
-//! ## Sections (format version 4)
+//! ## Sections (format version 5)
 //!
 //! | tag    | content |
 //! |--------|---------|
@@ -31,6 +31,11 @@
 //! load rebuilds them through the same `GeoBlock::refresh_derived` every
 //! other producer of a block ends in (see `DESIGN.md` "Persistence" for
 //! the measurements behind this).
+//!
+//! Version 5 changed no section: it is version 4 under the container's
+//! word-wise section checksum (`gb_store::checksum_for`), which the
+//! container reader picks from the file's version before this module sees
+//! a byte.
 //!
 //! Older files still load, through the one legacy decode arm in this file
 //! (`decode_legacy_cells`) — the only code left that knows the columns versions
@@ -62,12 +67,13 @@ use crate::hits::HitCounts;
 use crate::layer::{hash_bits, Layer};
 use crate::trie::AggregateTrie;
 use gb_cell::{CellId, CurveKind, Grid};
-use gb_common::FxHasher;
+use gb_common::{FxHasher, Pool, Timer};
 use gb_data::{ColumnDef, ColumnType, Schema};
 use gb_geom::Rect;
-use gb_store::{ByteReader, ByteWriter, SectionTag, SnapshotReader, SnapshotWriter};
+use gb_store::{ByteReader, SectionTag, SnapshotReader, SnapshotWriter};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
+use std::time::Duration;
 
 pub use gb_store::SnapshotError;
 
@@ -76,9 +82,10 @@ pub use gb_store::SnapshotError;
 /// new optional sections an older reader could safely ignore does not
 /// require a bump. Version 2 stored the coarser layers in a `PYRA` section
 /// covered by the state hash; version 3 stores no derived state; version
-/// 4 drops the base-data linkage from `CELL` and its flag from `HDRS`.
+/// 4 drops the base-data linkage from `CELL` and its flag from `HDRS`;
+/// version 5 is version 4 under the word-wise section checksum.
 /// See `DESIGN.md` "Persistence".
-pub const SNAPSHOT_VERSION: u16 = 4;
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 const TAG_SCHEMA: SectionTag = SectionTag(*b"SCHM");
 const TAG_GRID: SectionTag = SectionTag(*b"GRID");
@@ -208,6 +215,42 @@ fn decode_legacy_cells(
     Ok((records, h))
 }
 
+/// Where one save or one load spent its time. A save fills `hash`,
+/// `encode`, `checksum` and `write`; a load `read`, `verify`, `decode`,
+/// `hash` and `derive`; an in-memory round trip leaves `write` / `read`
+/// zero.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PersistStats {
+    /// Size of the container.
+    pub bytes: usize,
+    /// Load: the file into memory.
+    pub read: Duration,
+    /// Load: container framing and every section checksum.
+    pub verify: Duration,
+    /// Load: sections into arrays, and the structural validation of what
+    /// they describe.
+    pub decode: Duration,
+    /// The content hash and the state hash — computed to be stored by a
+    /// save, re-derived and compared by a load.
+    pub hash: Duration,
+    /// Load: the count prefix and the coarser layers, folded again.
+    pub derive: Duration,
+    /// Save: sections framed and encoded into the output buffer.
+    pub encode: Duration,
+    /// Save: every section checksum.
+    pub checksum: Duration,
+    /// Save: the buffer to a temp file, renamed into place.
+    pub write: Duration,
+}
+
+impl PersistStats {
+    /// All phases of the one direction that filled this.
+    pub fn total(&self) -> Duration {
+        (self.read + self.verify + self.decode + self.hash + self.derive)
+            + (self.encode + self.checksum + self.write)
+    }
+}
+
 /// A persistable unit: the block plus the optional learned cache state.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -266,103 +309,141 @@ pub struct SnapshotRef<'a> {
 impl SnapshotRef<'_> {
     /// Serialize to the current container format.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.encode().0
+    }
+
+    /// The one writer: every section encoded straight into the container's
+    /// buffer, sized up front from what the arrays will take.
+    fn encode(&self) -> (Vec<u8>, PersistStats) {
         let b = self.block;
-        let mut out = SnapshotWriter::new();
-
-        let mut w = ByteWriter::new();
-        w.len_u32(b.schema.len());
-        for col in b.schema.columns() {
-            w.u8(match col.ty {
-                ColumnType::F64 => 0,
-                ColumnType::I64 => 1,
-            });
-            w.str(&col.name);
-        }
-        out.section(TAG_SCHEMA, w.into_inner());
-
-        let mut w = ByteWriter::new();
-        let d = b.grid.domain();
-        w.f64(d.min.x);
-        w.f64(d.min.y);
-        w.f64(d.max.x);
-        w.f64(d.max.y);
-        w.u8(match b.grid.curve() {
-            CurveKind::Hilbert => 0,
-            CurveKind::Morton => 1,
-        });
-        out.section(TAG_GRID, w.into_inner());
-
+        let mut stats = PersistStats::default();
+        let mut timer = Timer::start();
         let content = b.content_hash();
-        let mut w = ByteWriter::new();
-        w.u8(b.level);
-        w.u64(b.n_rows);
-        w.u64(b.min_cell);
-        w.u64(b.max_cell);
-        w.f64_slice(&b.global_mins);
-        w.f64_slice(&b.global_maxs);
-        w.f64_slice(&b.global_sums);
-        w.u64(content);
-        w.u64(state_hash(
-            content,
-            b,
-            self.trie,
-            self.hits,
-            self.hot_queries,
-            false,
-        ));
-        out.section(TAG_HEADER, w.into_inner());
+        let state = state_hash(content, b, self.trie, self.hits, self.hot_queries, false);
+        stats.hash = timer.lap();
 
-        let mut w = ByteWriter::with_capacity(b.num_cells() * b.record_bytes() + 40);
-        b.records().encode(&mut w);
-        out.section(TAG_CELLS, w.into_inner());
+        let hot_bytes = |hot: &[(u64, Vec<u8>)]| hot.iter().map(|(_, q)| 12 + q.len()).sum();
+        let mut out = SnapshotWriter::with_capacity(
+            SNAPSHOT_VERSION,
+            1024 + b.num_cells() * b.record_bytes()
+                + self.trie.map_or(0, AggregateTrie::size_bytes)
+                + self.hits.map_or(0, |hits| 16 * hits.len())
+                + self.hot_queries.map_or(0, hot_bytes),
+        );
+
+        out.section(TAG_SCHEMA, |w| {
+            w.len_u32(b.schema.len());
+            for col in b.schema.columns() {
+                w.u8(match col.ty {
+                    ColumnType::F64 => 0,
+                    ColumnType::I64 => 1,
+                });
+                w.str(&col.name);
+            }
+        });
+
+        out.section(TAG_GRID, |w| {
+            let d = b.grid.domain();
+            w.f64(d.min.x);
+            w.f64(d.min.y);
+            w.f64(d.max.x);
+            w.f64(d.max.y);
+            w.u8(match b.grid.curve() {
+                CurveKind::Hilbert => 0,
+                CurveKind::Morton => 1,
+            });
+        });
+
+        out.section(TAG_HEADER, |w| {
+            w.u8(b.level);
+            w.u64(b.n_rows);
+            w.u64(b.min_cell);
+            w.u64(b.max_cell);
+            w.f64_slice(&b.global_mins);
+            w.f64_slice(&b.global_maxs);
+            w.f64_slice(&b.global_sums);
+            w.u64(content);
+            w.u64(state);
+        });
+
+        out.section(TAG_CELLS, |w| b.records().encode(w));
 
         if let Some(trie) = self.trie {
             let parts = trie.to_raw_parts();
-            let mut w = ByteWriter::new();
-            w.u64(parts.root_cell.raw());
-            w.len_u32(parts.n_cols);
-            w.u32_slice(&parts.first_children);
-            w.u32_slice(&parts.aggs);
-            w.u64_slice(parts.agg_counts);
-            w.f64_slice(parts.agg_values);
-            out.section(TAG_TRIE, w.into_inner());
+            out.section(TAG_TRIE, |w| {
+                w.u64(parts.root_cell.raw());
+                w.len_u32(parts.n_cols);
+                w.u32_slice(&parts.first_children);
+                w.u32_slice(&parts.aggs);
+                w.u64_slice(parts.agg_counts);
+                w.f64_slice(parts.agg_values);
+            });
         }
 
         if let Some(hits) = self.hits {
             // The column is in cell order: the same state always
             // serializes identically.
-            let mut w = ByteWriter::with_capacity(16 * (hits.len() + 1));
-            w.u64_slice(hits.cells());
-            w.u64_slice(hits.values().as_slice());
-            out.section(TAG_HITS, w.into_inner());
+            out.section(TAG_HITS, |w| {
+                w.u64_slice(hits.cells());
+                w.u64_slice(hits.values().as_slice());
+            });
         }
 
         if let Some(hot) = self.hot_queries {
-            let mut w = ByteWriter::new();
-            w.len_u32(hot.len());
-            for (count, bytes) in hot {
-                w.u64(*count);
-                w.len_u32(bytes.len());
-                for &b in bytes {
-                    w.u8(b);
+            out.section(TAG_HOT_QUERIES, |w| {
+                w.len_u32(hot.len());
+                for (count, bytes) in hot {
+                    w.u64(*count);
+                    w.len_u32(bytes.len());
+                    w.bytes(bytes);
                 }
-            }
-            out.section(TAG_HOT_QUERIES, w.into_inner());
+            });
         }
+        stats.encode = timer.lap();
 
-        out.into_bytes(SNAPSHOT_VERSION)
+        let bytes = out.into_bytes();
+        stats.checksum = timer.lap();
+        stats.bytes = bytes.len();
+        (bytes, stats)
     }
 
     /// Serialize and write to `path` (atomic temp-file + rename).
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        gb_store::write_atomic(path, &self.to_bytes())
+        self.save_with_stats(path).map(|_| ())
+    }
+
+    /// [`SnapshotRef::save`], reporting where the time went.
+    pub fn save_with_stats(&self, path: &Path) -> Result<PersistStats, SnapshotError> {
+        let (bytes, mut stats) = self.encode();
+        let timer = Timer::start();
+        gb_store::write_atomic(path, &bytes)?;
+        stats.write = timer.elapsed();
+        Ok(stats)
     }
 }
 
 impl Snapshot {
     /// Decode and fully validate a snapshot.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+        Ok(Snapshot::decode(bytes, Pool::auto_for)?.0)
+    }
+
+    /// The one loader. `pool_for(folds)` sizes the pool the derived state
+    /// is folded on, from the record folds that takes (cells × coarser
+    /// layers — each about the work of a table row in a set-up pass, which
+    /// is what `Pool::auto_for` counts in). A load happens before anything
+    /// serves, so it may use the machine; tests pin the size.
+    fn decode(
+        bytes: &[u8],
+        pool_for: impl Fn(usize) -> Pool,
+    ) -> Result<(Snapshot, PersistStats), SnapshotError> {
+        let mut stats = PersistStats {
+            bytes: bytes.len(),
+            ..PersistStats::default()
+        };
+        let mut timer = Timer::start();
         let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION)?;
+        stats.verify = timer.lap();
 
         let mut r = ByteReader::new(reader.require(TAG_SCHEMA)?, "section `SCHM`");
         let n_cols = r.u32()? as usize;
@@ -451,6 +532,8 @@ impl Snapshot {
         block
             .validate()
             .map_err(|e| SnapshotError::corrupt(format!("block: {e}")))?;
+        stats.decode = timer.lap();
+
         let content = match legacy_digest {
             Some(mut h) => {
                 block.hash_header_into(&mut h);
@@ -463,10 +546,12 @@ impl Snapshot {
                 "content hash mismatch: stored {stored_hash:#x}, decoded {content:#x}"
             )));
         }
+        stats.hash = timer.lap();
 
         // The stored layer is now known to describe a possible block:
         // derive the count prefix and the coarser layers from it.
-        block.refresh_derived(None);
+        block.refresh_derived(&pool_for(block.num_cells() * usize::from(level)));
+        stats.derive = timer.lap();
 
         let trie = match reader.section(TAG_TRIE) {
             None => None,
@@ -534,7 +619,9 @@ impl Snapshot {
                         "HOTQ claims {n} entries (limit {MAX_HOT_QUERIES})"
                     )));
                 }
-                let mut hot = Vec::with_capacity(n);
+                // An entry is at least its count and its length: reserve
+                // for no more entries than the payload can hold.
+                let mut hot = Vec::with_capacity(n.min(r.remaining() / 12));
                 for _ in 0..n {
                     let count = r.u64()?;
                     let len = r.u32()? as usize;
@@ -544,6 +631,7 @@ impl Snapshot {
                 Some(hot)
             }
         };
+        stats.decode += timer.lap();
 
         // Per-section checksums cannot catch sections *swapped* between
         // two individually-valid snapshots, and the block content hash
@@ -565,12 +653,14 @@ impl Snapshot {
                  (grid/schema/trie/hits section does not belong to this snapshot)"
             )));
         }
-        Ok(Snapshot {
+        stats.hash += timer.lap();
+        let snapshot = Snapshot {
             block,
             trie,
             hits,
             hot_queries,
-        })
+        };
+        Ok((snapshot, stats))
     }
 
     /// Serialize and write to `path` (atomic temp-file + rename).
@@ -580,8 +670,17 @@ impl Snapshot {
 
     /// Read and decode a snapshot file.
     pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
+        Ok(Snapshot::load_with_stats(path)?.0)
+    }
+
+    /// [`Snapshot::load`], reporting where the time went.
+    pub fn load_with_stats(path: &Path) -> Result<(Snapshot, PersistStats), SnapshotError> {
+        let timer = Timer::start();
         let bytes = std::fs::read(path)?;
-        Snapshot::from_bytes(&bytes)
+        let read = timer.elapsed();
+        let (snapshot, mut stats) = Snapshot::decode(&bytes, Pool::auto_for)?;
+        stats.read = read;
+        Ok((snapshot, stats))
     }
 }
 
@@ -611,6 +710,29 @@ mod tests {
     use crate::build::build;
     use gb_data::{extract, CleaningRules, Filter, RawTable};
     use gb_geom::Point;
+    use gb_store::ByteWriter;
+
+    /// Re-frame `bytes` section by section under `version` — and so under
+    /// that version's checksum rule — with `edit` deciding each payload
+    /// (`None` drops the section) and `extra` appended last.
+    fn reframe(
+        bytes: &[u8],
+        version: u16,
+        edit: impl Fn(SectionTag, &[u8]) -> Option<Vec<u8>>,
+        extra: Option<(SectionTag, &[u8])>,
+    ) -> Vec<u8> {
+        let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).unwrap();
+        let mut w = SnapshotWriter::new(version);
+        for tag in reader.tags() {
+            if let Some(payload) = edit(tag, reader.require(tag).unwrap()) {
+                w.section(tag, |p| p.bytes(&payload));
+            }
+        }
+        if let Some((tag, payload)) = extra {
+            w.section(tag, |p| p.bytes(payload));
+        }
+        w.into_bytes()
+    }
 
     fn block(n: usize, level: u8) -> GeoBlock {
         let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
@@ -667,14 +789,11 @@ mod tests {
         // but the stored content hash catches the mismatch.
         let a = Snapshot::new(block(2000, 8)).to_bytes();
         let b = Snapshot::new(block(2100, 8)).to_bytes();
-        let ra = SnapshotReader::from_bytes(&a, SNAPSHOT_VERSION).unwrap();
         let rb = SnapshotReader::from_bytes(&b, SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        w.section(TAG_SCHEMA, ra.require(TAG_SCHEMA).unwrap().to_vec());
-        w.section(TAG_GRID, ra.require(TAG_GRID).unwrap().to_vec());
-        w.section(TAG_HEADER, ra.require(TAG_HEADER).unwrap().to_vec());
-        w.section(TAG_CELLS, rb.require(TAG_CELLS).unwrap().to_vec());
-        let franken = w.into_bytes(SNAPSHOT_VERSION);
+        let cells_of_b = rb.require(TAG_CELLS).unwrap();
+        let graft =
+            |tag, own: &[u8]| Some(if tag == TAG_CELLS { cells_of_b } else { own }.to_vec());
+        let franken = reframe(&a, SNAPSHOT_VERSION, graft, None);
         let err = Snapshot::from_bytes(&franken).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
     }
@@ -688,23 +807,17 @@ mod tests {
         // cover query polygons under the wrong curve/domain.
         let b = block(800, 7);
         let bytes = Snapshot::new(b).to_bytes();
-        let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in reader.tags() {
+        // Same domain, Morton instead of Hilbert: the curve tag is the
+        // section's last byte.
+        let morton = |tag, own: &[u8]| {
+            let mut payload = own.to_vec();
             if tag == TAG_GRID {
-                // Same domain, Morton instead of Hilbert.
-                let mut g = gb_store::ByteWriter::new();
-                g.f64(0.0);
-                g.f64(0.0);
-                g.f64(100.0);
-                g.f64(100.0);
-                g.u8(1);
-                w.section(TAG_GRID, g.into_inner());
-            } else {
-                w.section(tag, reader.require(tag).unwrap().to_vec());
+                *payload.last_mut().unwrap() = 1;
             }
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).unwrap_err();
+            Some(payload)
+        };
+        let grafted = reframe(&bytes, SNAPSHOT_VERSION, morton, None);
+        let err = Snapshot::from_bytes(&grafted).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("state hash"), "{err}");
     }
@@ -731,18 +844,12 @@ mod tests {
             hits: None,
             hot_queries: None,
         };
-        let ra = SnapshotReader::from_bytes(&snap_a.to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let rb = SnapshotReader::from_bytes(&snap_b.to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in ra.tags() {
-            let payload = if tag == TAG_TRIE {
-                rb.require(tag).unwrap()
-            } else {
-                ra.require(tag).unwrap()
-            };
-            w.section(tag, payload.to_vec());
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).unwrap_err();
+        let b_bytes = snap_b.to_bytes();
+        let rb = SnapshotReader::from_bytes(&b_bytes, SNAPSHOT_VERSION).unwrap();
+        let trie_of_b = rb.require(TAG_TRIE).unwrap();
+        let graft = |tag, own: &[u8]| Some(if tag == TAG_TRIE { trie_of_b } else { own }.to_vec());
+        let grafted = reframe(&snap_a.to_bytes(), SNAPSHOT_VERSION, graft, None);
+        let err = Snapshot::from_bytes(&grafted).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("state hash"), "{err}");
     }
@@ -782,10 +889,9 @@ mod tests {
             snap.hot_queries.as_deref(),
             pyra == Some(true),
         );
-        let reader = SnapshotReader::from_bytes(&snap.to_bytes(), SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in reader.tags() {
-            let mut payload = reader.require(tag).unwrap().to_vec();
+        // Framed under `version`, hence under that era's section checksum.
+        let legacy = |tag, own: &[u8]| {
+            let mut payload = own.to_vec();
             if tag == TAG_HEADER {
                 payload.insert(1, u8::from(b.n_rows % 2 == 1));
                 let at = payload.len() - 16;
@@ -794,12 +900,10 @@ mod tests {
             } else if tag == TAG_CELLS {
                 payload = cell_payload.clone();
             }
-            w.section(tag, payload);
-        }
-        if pyra.is_some() {
-            w.section(TAG_PYRAMID_V2, vec![1]);
-        }
-        w.into_bytes(version)
+            Some(payload)
+        };
+        let pyra = pyra.map(|_| (TAG_PYRAMID_V2, &[1u8][..]));
+        reframe(&snap.to_bytes(), version, legacy, pyra)
     }
 
     #[test]
@@ -816,31 +920,29 @@ mod tests {
             assert!(Snapshot::from_bytes(&stamped).is_err());
         }
         // A linkage array one entry short, under a valid section checksum.
-        let reader = SnapshotReader::from_bytes(&as_legacy(&snap, 3, None), 3).unwrap();
+        let v3 = as_legacy(&snap, 3, None);
         let n = snap.block.num_cells();
-        let mut w = SnapshotWriter::new();
-        for tag in reader.tags() {
-            let mut payload = reader.require(tag).unwrap().to_vec();
+        let short = |tag, own: &[u8]| {
+            let mut payload = own.to_vec();
             if tag == TAG_CELLS {
                 // keys: count + n values; then the offsets' count.
                 let at = 8 * (n + 1);
                 payload[at..at + 8].copy_from_slice(&(n as u64 - 1).to_le_bytes());
                 payload.drain(at + 8..at + 16);
             }
-            w.section(tag, payload);
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(3)).unwrap_err();
+            Some(payload)
+        };
+        let err = Snapshot::from_bytes(&reframe(&v3, 3, short, None)).unwrap_err();
         assert!(err.to_string().contains("linkage"), "{err}");
         // A flag byte that is neither 0 nor 1.
-        let mut w = SnapshotWriter::new();
-        for tag in reader.tags() {
-            let mut payload = reader.require(tag).unwrap().to_vec();
+        let bad_flag = |tag, own: &[u8]| {
+            let mut payload = own.to_vec();
             if tag == TAG_HEADER {
                 payload[1] = 2;
             }
-            w.section(tag, payload);
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(3)).unwrap_err();
+            Some(payload)
+        };
+        let err = Snapshot::from_bytes(&reframe(&v3, 3, bad_flag, None)).unwrap_err();
         assert!(err.to_string().contains("flag"), "{err}");
     }
 
@@ -908,8 +1010,17 @@ mod tests {
 
                 let snap = Snapshot::new(b);
                 let want = layer_hashes(&snap.block);
+                let v5 = snap.to_bytes();
+                for threads in [1, 2, 3] {
+                    let (back, _) = Snapshot::decode(&v5, |_| Pool::new(threads)).expect("v5");
+                    back.block.check_invariants();
+                    prop_assert_eq!(layer_hashes(&back.block), want.clone(), "{} threads", threads);
+                }
+                // Version 4 is version 5 under the byte-wise checksum.
+                let keep = |_, own: &[u8]| Some(own.to_vec());
                 for (what, bytes) in [
-                    ("v4 load", snap.to_bytes()),
+                    ("v5 load", v5.clone()),
+                    ("v4 load", reframe(&v5, 4, keep, None)),
                     ("v3 load", as_legacy(&snap, 3, None)),
                     ("v2 load", as_legacy(&snap, 2, Some(true))),
                     ("v1 load", as_legacy(&snap, 1, None)),
@@ -938,14 +1049,9 @@ mod tests {
 
         // Dropping the HOTQ section breaks the state hash: a snapshot's
         // warm-start statistics cannot be silently stripped or replaced.
-        let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in reader.tags() {
-            if tag != TAG_HOT_QUERIES {
-                w.section(tag, reader.require(tag).unwrap().to_vec());
-            }
-        }
-        let err = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).unwrap_err();
+        let drop_hot = |tag, own: &[u8]| (tag != TAG_HOT_QUERIES).then(|| own.to_vec());
+        let stripped = reframe(&bytes, SNAPSHOT_VERSION, drop_hot, None);
+        let err = Snapshot::from_bytes(&stripped).unwrap_err();
         assert!(err.to_string().contains("state hash"), "{err}");
     }
 
@@ -953,15 +1059,15 @@ mod tests {
     fn unknown_sections_are_ignored() {
         // Forward compatibility: a newer writer may add sections.
         let b = block(500, 6);
-        let reader =
-            SnapshotReader::from_bytes(&Snapshot::new(b.clone()).to_bytes(), SNAPSHOT_VERSION)
-                .unwrap();
-        let mut w = SnapshotWriter::new();
-        for tag in reader.tags() {
-            w.section(tag, reader.require(tag).unwrap().to_vec());
-        }
-        w.section(SectionTag(*b"XTRA"), vec![1, 2, 3]);
-        let back = Snapshot::from_bytes(&w.into_bytes(SNAPSHOT_VERSION)).expect("extra ignored");
+        let keep = |_, own: &[u8]| Some(own.to_vec());
+        let extra = Some((SectionTag(*b"XTRA"), &[1u8, 2, 3][..]));
+        let bytes = reframe(
+            &Snapshot::new(b.clone()).to_bytes(),
+            SNAPSHOT_VERSION,
+            keep,
+            extra,
+        );
+        let back = Snapshot::from_bytes(&bytes).expect("extra ignored");
         assert_eq!(back.block.content_hash(), b.content_hash());
     }
 
@@ -974,6 +1080,39 @@ mod tests {
         b.write_snapshot(&path).expect("save");
         let back = GeoBlock::read_snapshot(&path).expect("load");
         assert_eq!(back.content_hash(), b.content_hash());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stats_cover_both_directions() {
+        let dir = std::env::temp_dir().join("gb_snapshot_stats_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("block.gbsnap");
+        let snap = Snapshot::new(block(2000, 8));
+        let saved = snap.as_ref().save_with_stats(&path).expect("save");
+        let (back, loaded) = Snapshot::load_with_stats(&path).expect("load");
+        assert_eq!(back.block.content_hash(), snap.block.content_hash());
+        assert_eq!(saved.bytes, snap.to_bytes().len());
+        assert_eq!(loaded.bytes, saved.bytes);
+        // Each direction fills its own phases and leaves the other's zero.
+        let zero = Duration::ZERO;
+        assert_eq!(
+            (saved.read, saved.verify, saved.decode, saved.derive),
+            (zero, zero, zero, zero)
+        );
+        assert_eq!(
+            (loaded.encode, loaded.checksum, loaded.write),
+            (zero, zero, zero)
+        );
+        assert_eq!(
+            saved.total(),
+            saved.hash + saved.encode + saved.checksum + saved.write
+        );
+        assert_eq!(
+            loaded.total(),
+            loaded.read + loaded.verify + loaded.decode + loaded.hash + loaded.derive
+        );
+        assert!(saved.total() > zero && loaded.total() > zero);
         let _ = std::fs::remove_file(&path);
     }
 

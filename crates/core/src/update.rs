@@ -68,15 +68,15 @@ impl GeoBlock {
             return report;
         }
         let c = self.schema.len();
-        let level = usize::from(self.level);
         // New-region tuples by leaf, to be aggregated per new block cell.
         let mut pending: Vec<(CellId, &[f64])> = Vec::new();
 
         for (loc, values) in &batch.rows {
             assert_eq!(values.len(), c, "update row arity mismatch");
             let leaf = self.grid.leaf_for_point(*loc);
-            let records = &mut self.layers[level];
-            match records.find(leaf.parent_at(self.level).raw(), &mut 0) {
+            let cell = leaf.parent_at(self.level).raw();
+            let records = self.records_mut();
+            match records.find(cell, &mut 0) {
                 Some(idx) => {
                     report.in_place += 1;
                     records.add_tuple(idx, |col| values[col]);
@@ -112,7 +112,7 @@ impl GeoBlock {
                 fresh.add_tuple(fresh.num_cells() - 1, |col| values[col]);
             }
             // Rebuild the sorted layout with the new cells merged in.
-            self.layers[level] = self.layers[level].merge(&fresh);
+            *self.records_mut() = self.records().merge(&fresh);
         }
         // The batch invalidated the derived structures (key extent, count
         // prefix and every coarser layer): rebuild them from the updated
@@ -120,7 +120,7 @@ impl GeoBlock {
         // propagating deltas — is what keeps layer lookups bit-identical
         // to range scans after updates; see `DESIGN.md` "Aggregate
         // pyramid".
-        self.refresh_derived(None);
+        self.refresh_derived(&gb_common::Pool::new(1));
         report
     }
 }
@@ -280,6 +280,40 @@ mod tests {
             let (cov_cnt, _) = block.count_covering(&covering);
             assert_eq!(cov_cnt, want, "count_covering over {rect:?}");
         }
+    }
+
+    #[test]
+    fn a_copy_of_the_stored_state_updates_like_the_whole_block() {
+        // What the engine does: the batch goes into a copy that holds the
+        // records and the header only. Both §5 paths, on a block that has
+        // already been spliced once.
+        let base = base_data(2500);
+        let (mut block, _) = build(&base, 7, &Filter::all());
+        let mut first = UpdateBatch::new();
+        first.push(Point::new(80.0, 80.0), vec![20.0]);
+        block.apply_updates(&first);
+
+        use gb_data::Rows;
+        let mut batch = UpdateBatch::new();
+        batch.push(base.location(3), vec![1.5]); // in place
+        batch.push(Point::new(80.01, 80.01), vec![2.5]); // in place, spliced cell
+        batch.push(Point::new(60.0, 10.0), vec![3.5]); // new cell
+
+        let mut stored_only = block.clone_stored();
+        assert_eq!(stored_only.layers.len(), 1);
+        assert!(stored_only.prefix_counts.is_empty());
+        let mut whole = block.clone();
+        assert_eq!(
+            stored_only.apply_updates(&batch),
+            whole.apply_updates(&batch)
+        );
+        stored_only.check_invariants();
+        assert_eq!(stored_only.content_hash(), whole.content_hash());
+        assert_eq!(stored_only.layers, whole.layers);
+        assert_eq!(stored_only.prefix_counts, whole.prefix_counts);
+        // The block the copy was taken from is untouched.
+        block.check_invariants();
+        assert_eq!(block.num_rows() + 3, whole.num_rows());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!    wrong-version snapshots all come back as typed `SnapshotError`s.
 //! 4. **Old files keep loading**: a checked-in version-2 file (with its
 //!    `PYRA` section), a checked-in version-3 file (with the base-data
-//!    linkage versions 1–3 stored) and a version-1 file answer like a
-//!    fresh build.
+//!    linkage versions 1–3 stored), a version-1 file and a checked-in
+//!    version-4 file (the current layout under the byte-wise section
+//!    checksum) answer like a fresh build.
 
 use gb_cell::Grid;
 use gb_data::{
@@ -225,17 +226,24 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
 /// tree defines it (`persist_check` compares the two).
 const V2_FIXTURE: &[u8] = include_bytes!("fixtures/v2_pyra.gbsnap");
 
-/// Re-frame a snapshot section by section (checksums recomputed, version
-/// kept), letting `edit` change each payload on the way.
-fn reframe(bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<u8>)) -> Vec<u8> {
+/// Re-frame a snapshot section by section under `version` — the writer
+/// sums the sections under that version's checksum rule — letting `edit`
+/// change each payload on the way.
+fn reframe_under(version: u16, bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<u8>)) -> Vec<u8> {
     let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).expect("well-framed");
-    let mut w = SnapshotWriter::new();
+    let mut w = SnapshotWriter::new(version);
     for tag in reader.tags() {
         let mut payload = reader.require(tag).unwrap().to_vec();
         edit(tag, &mut payload);
-        w.section(tag, payload);
+        w.section(tag, |p| p.bytes(&payload));
     }
-    w.into_bytes(reader.version())
+    w.into_bytes()
+}
+
+/// [`reframe_under`] the file's own version.
+fn reframe(bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<u8>)) -> Vec<u8> {
+    let version = u16::from_le_bytes([bytes[8], bytes[9]]);
+    reframe_under(version, bytes, edit)
 }
 
 fn has_pyra(bytes: &[u8]) -> bool {
@@ -317,7 +325,7 @@ fn v2_fixture_with_pyra_loads_to_bit_identical_answers() {
 /// cannot regenerate it). The engine held `build(&base_data(40), 5,
 /// &Filter::all())` at threshold 0.5 after three `QueryRequest::Select`s of
 /// the rectangle (10,10)–(70,70) with `spec()`, a `rebuild_cache` and then
-/// the batch of [`v3_fixture_batch`], which bumps a cell in place *and*
+/// the batch of [`v3_fixture_block`], which bumps a cell in place *and*
 /// splices a new one: `CELL` carries the base-data linkage (tuple offsets
 /// — a `0` for the spliced cell — leaf-key bounds, `u32` counts), the
 /// `HDRS` flag that marked those offsets stale is set, and `TRIE`, `HITS`
@@ -388,4 +396,63 @@ fn v1_file_loads_to_bit_identical_answers() {
     bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
     let back = Snapshot::from_bytes(&bytes).expect("v1 file loads");
     assert_answers_bit_identical(&back.block, &v3_fixture_block());
+}
+
+/// A format-version-4 snapshot — the current section layouts under the
+/// byte-wise FNV-1a section checksum — written by
+/// `GeoBlockEngine::write_snapshot` at commit 26c9fdd (the last whose writer
+/// emitted version 4; this tree cannot regenerate it). Same recipe as the
+/// version-3 fixture: `build(&base_data(40), 5, &Filter::all())` at
+/// threshold 0.5, three `QueryRequest::Select`s of the rectangle
+/// (10,10)–(70,70) with `spec()`, a `rebuild_cache`, then the batch of
+/// [`v3_fixture_block`] through `GeoBlockEngine::apply_updates` (one tuple
+/// in place, one spliced); `TRIE`, `HITS` and `HOTQ` are all present.
+const V4_FIXTURE: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
+
+#[test]
+fn v4_fixture_loads_to_bit_identical_answers() {
+    assert!(V4_FIXTURE.len() <= 16 * 1024);
+    assert_eq!(V4_FIXTURE[8..10], 4u16.to_le_bytes());
+
+    let snap = Snapshot::from_bytes(V4_FIXTURE).expect("v4 file loads");
+    assert!(snap.trie.is_some() && snap.hits.is_some());
+    assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
+    let fresh = v3_fixture_block();
+    assert_answers_bit_identical(&snap.block, &fresh);
+
+    // Saving it again writes version 5: the same bytes but for the version
+    // field and the seven section checksums.
+    let rewritten = snap.to_bytes();
+    assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
+    assert_eq!(rewritten.len(), V4_FIXTURE.len());
+    let differing = rewritten.iter().zip(V4_FIXTURE).filter(|(a, b)| a != b);
+    assert!((1..=1 + 7 * 8).contains(&differing.count()));
+    let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
+    assert_answers_bit_identical(&again.block, &fresh);
+
+    // A flipped payload byte fails the byte-wise checksum …
+    let cell = V4_FIXTURE.len() / 2;
+    let mut flipped = V4_FIXTURE.to_vec();
+    flipped[cell] ^= 0x04;
+    assert!(matches!(
+        Snapshot::from_bytes(&flipped).unwrap_err(),
+        SnapshotError::ChecksumMismatch { .. }
+    ));
+    // … and the version selects the rule, not trial and error: the same
+    // sections summed under the other version's rule are rejected, both
+    // ways, although every payload byte is intact.
+    for (file, stamp) in [(V4_FIXTURE, 5u16), (&rewritten[..], 4)] {
+        let mut restamped = file.to_vec();
+        restamped[8..10].copy_from_slice(&stamp.to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(&restamped).unwrap_err(),
+            SnapshotError::ChecksumMismatch { .. }
+        ));
+        // Re-summed under the stamped version's rule, they load again:
+        // nothing but the checksum tells the two versions apart.
+        let resummed = reframe_under(stamp, file, |_, _| {});
+        assert_eq!(resummed[8..10], stamp.to_le_bytes());
+        let back = Snapshot::from_bytes(&resummed).expect("re-summed file loads");
+        assert_answers_bit_identical(&back.block, &fresh);
+    }
 }

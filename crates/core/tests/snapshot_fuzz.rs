@@ -1,0 +1,271 @@
+//! Structure-aware mutation test of the snapshot loader — the `gb_store`
+//! third of the robustness roadmap's "every decoder is fuzzed".
+//!
+//! Seeded and dependency-free: a fixed splitmix64 stream picks a corpus
+//! file (the checked-in version 2, 3 and 4 fixtures, a version-1 stamp of
+//! the version-3 one, and a fresh version-5 file), one mutation, and where
+//! to apply it. Mutated sections are framed again by the container writer
+//! — so their checksums are valid and the mutation reaches the decoders
+//! behind them — except for the raw mutations, which attack the framing
+//! itself. Every outcome must be a typed [`SnapshotError`] or a block that
+//! passes `check_invariants`: no panic, and no single allocation larger
+//! than a small multiple of the input (a length prefix must be checked
+//! against the bytes that follow it before anything is reserved for it).
+//!
+//! The case number in a failure message replays the case: the stream is
+//! fixed, so case `k` is always the same mutation.
+//!
+//! This file is a test binary of its own because it installs a global
+//! allocator (the only way to *observe* an allocation), and holds one
+//! test so nothing else allocates while it watches.
+
+use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
+use geoblocks::{Snapshot, SNAPSHOT_VERSION};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+/// The system allocator, remembering the largest single request.
+struct Watching;
+
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is an atomic `fetch_max` on a
+// plain counter, which neither allocates nor unwinds. `realloc` and
+// `alloc_zeroed` keep their default implementations, which go through
+// `alloc` and so are counted too.
+unsafe impl GlobalAlloc for Watching {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watching = Watching;
+
+const SEED: u64 = 0x6762_736e_6170_0005; // "gbsnap", format 5
+const CASES: usize = 6000;
+const BUDGET: Duration = Duration::from_secs(20);
+/// A load may not ask for more than this many times its input in one
+/// allocation (a valid load's largest is one array, smaller than the file).
+const ALLOC_FACTOR: usize = 2;
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A value in `0..n` (`n > 0`).
+fn below(state: &mut u64, n: usize) -> usize {
+    (splitmix(state) % n as u64) as usize
+}
+
+type Sections = Vec<(SectionTag, Vec<u8>)>;
+
+fn sections_of(file: &[u8]) -> (u16, Sections) {
+    let reader = SnapshotReader::from_bytes(file, SNAPSHOT_VERSION).expect("corpus file is valid");
+    let sections = reader
+        .tags()
+        .map(|tag| (tag, reader.require(tag).unwrap().to_vec()))
+        .collect();
+    (reader.version(), sections)
+}
+
+/// Frame `sections` under `version`: valid framing, valid checksums.
+fn frame(version: u16, sections: &Sections) -> Vec<u8> {
+    let mut w = SnapshotWriter::new(version);
+    for (tag, payload) in sections {
+        w.section(*tag, |p| p.bytes(payload));
+    }
+    w.into_bytes()
+}
+
+/// Offsets in `payload` where a u64 array-length prefix plausibly sits:
+/// the payload walked as a run of count-prefixed arrays of 8-byte values
+/// (exactly the `CELL` and `HITS` layouts, a prefix of the others).
+fn length_prefixes(payload: &[u8]) -> Vec<usize> {
+    let mut at = 0usize;
+    let mut found = Vec::new();
+    while let Some(word) = payload.get(at..at + 8) {
+        let n = u64::from_le_bytes(word.try_into().unwrap());
+        let Some(next) = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .and_then(|bytes| bytes.checked_add(at + 8))
+            .filter(|&next| next <= payload.len())
+        else {
+            break;
+        };
+        found.push(at);
+        at = next;
+    }
+    found
+}
+
+/// One mutated file from case stream `rng`, and what was done to it.
+fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String) {
+    let which = below(rng, corpus.len());
+    let file = &corpus[which];
+    let (version, mut sections) = sections_of(file);
+    let s = below(rng, sections.len());
+    let tag = sections[s].0;
+    match below(rng, 6) {
+        // A bit flipped under a valid checksum.
+        0 => {
+            let payload = &mut sections[s].1;
+            if payload.is_empty() {
+                return (file.clone(), format!("file {which}: untouched"));
+            }
+            let (at, bit) = (below(rng, payload.len()), below(rng, 8));
+            payload[at] ^= 1 << bit;
+            let what = format!("file {which}: flip bit {bit} of byte {at} in {tag}");
+            (frame(version, &sections), what)
+        }
+        // A section cut short under a valid checksum.
+        1 => {
+            let payload = &mut sections[s].1;
+            let keep = below(rng, payload.len() + 1);
+            payload.truncate(keep);
+            let what = format!("file {which}: {tag} cut to {keep} bytes");
+            (frame(version, &sections), what)
+        }
+        // A section of another file spliced in (or, for a tag this file
+        // lacks, added), both framed under this file's version.
+        2 => {
+            let donor = below(rng, corpus.len());
+            let (_, theirs) = sections_of(&corpus[donor]);
+            let (tag, payload) = theirs[below(rng, theirs.len())].clone();
+            match sections.iter_mut().find(|(t, _)| *t == tag) {
+                Some(own) => own.1 = payload,
+                None => sections.push((tag, payload)),
+            }
+            let what = format!("file {which}: {tag} of file {donor} spliced in");
+            (frame(version, &sections), what)
+        }
+        // A length prefix inflated: one value more than the bytes behind it
+        // hold, twice as many, or absurdly many — as a u64 array count or
+        // as a u32 count.
+        3 => {
+            let payload = &mut sections[s].1;
+            if payload.len() < 8 {
+                return (file.clone(), format!("file {which}: untouched"));
+            }
+            let known = length_prefixes(payload);
+            let at = if known.is_empty() || below(rng, 4) == 0 {
+                below(rng, payload.len() - 7)
+            } else {
+                known[below(rng, known.len())]
+            };
+            let old = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+            let remaining = (payload.len() - at) as u64;
+            let new = match below(rng, 5) {
+                0 => old.wrapping_add(1),
+                1 => old.wrapping_mul(2).wrapping_add(1),
+                2 => remaining / 8 + 1,
+                3 => 1 << 60,
+                _ => u64::MAX,
+            };
+            if below(rng, 4) == 0 {
+                payload[at..at + 4].copy_from_slice(&(new as u32 | 0x8000_0000).to_le_bytes());
+            } else {
+                payload[at..at + 8].copy_from_slice(&new.to_le_bytes());
+            }
+            let what = format!("file {which}: length at byte {at} of {tag}: {old} -> {new}");
+            (frame(version, &sections), what)
+        }
+        // Raw: the file cut at any offset, checksums as they were.
+        4 => {
+            let cut = below(rng, file.len());
+            (file[..cut].to_vec(), format!("file {which}: cut at {cut}"))
+        }
+        // Raw: a bit flipped anywhere — header, frame or payload.
+        _ => {
+            let mut bytes = file.clone();
+            let (at, bit) = (below(rng, bytes.len()), below(rng, 8));
+            bytes[at] ^= 1 << bit;
+            (
+                bytes,
+                format!("file {which}: raw flip bit {bit} of byte {at}"),
+            )
+        }
+    }
+}
+
+#[test]
+fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
+    let v2: &[u8] = include_bytes!("fixtures/v2_pyra.gbsnap");
+    let v3: &[u8] = include_bytes!("fixtures/v3_linkage.gbsnap");
+    let v4: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
+    let mut v1 = v3.to_vec();
+    v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+    let v5 = Snapshot::from_bytes(v4).expect("v4 fixture").to_bytes();
+    assert_eq!(v5[8..10], SNAPSHOT_VERSION.to_le_bytes());
+    let corpus = [v1, v2.to_vec(), v3.to_vec(), v4.to_vec(), v5];
+    for file in &corpus {
+        Snapshot::from_bytes(file)
+            .expect("corpus file loads")
+            .block
+            .check_invariants();
+    }
+
+    let started = Instant::now();
+    let mut rng = SEED;
+    let (mut errors, mut loads, mut worst) = (0usize, 0usize, 0.0f64);
+    let mut kinds = std::collections::BTreeMap::<String, usize>::new();
+    let mut case = 0usize;
+    while case < CASES && started.elapsed() < BUDGET {
+        let (bytes, what) = mutate(&corpus, &mut rng);
+        LARGEST.store(0, Ordering::Relaxed);
+        let outcome = std::panic::catch_unwind(|| Snapshot::from_bytes(&bytes));
+        let largest = LARGEST.load(Ordering::Relaxed);
+        let outcome = outcome.unwrap_or_else(|_| panic!("case {case} panicked ({what})"));
+        assert!(
+            largest <= ALLOC_FACTOR * bytes.len().max(256),
+            "case {case} ({what}): one allocation of {largest} bytes for a {}-byte input",
+            bytes.len()
+        );
+        worst = worst.max(largest as f64 / bytes.len().max(256) as f64);
+        match outcome {
+            Ok(snap) => {
+                loads += 1;
+                let checked = std::panic::catch_unwind(|| snap.block.check_invariants());
+                assert!(
+                    checked.is_ok(),
+                    "case {case} ({what}): invalid block loaded"
+                );
+            }
+            Err(e) => {
+                errors += 1;
+                // The variant's name: `Truncated { context: .. }` -> `Truncated`.
+                let debug = format!("{e:?}");
+                let kind = debug.split(|c: char| !c.is_alphanumeric()).next();
+                *kinds
+                    .entry(kind.unwrap_or_default().to_string())
+                    .or_default() += 1;
+            }
+        }
+        case += 1;
+    }
+    eprintln!(
+        "{case} cases in {:.1?}: {errors} typed errors {kinds:?}, {loads} valid loads, \
+         largest allocation {worst:.2}× its input",
+        started.elapsed()
+    );
+    // The budget is a ceiling for slow hosts, not the usual way out; and a
+    // run in which nothing reached a decoder would prove nothing.
+    assert!(case >= 1000, "only {case} cases inside the time budget");
+    assert!(kinds.get("Corrupt").copied().unwrap_or(0) > case / 10);
+    assert!(kinds.get("Truncated").copied().unwrap_or(0) > case / 20);
+    assert!(loads > 0, "no mutation was ever harmless");
+}

@@ -20,7 +20,8 @@
 //!           count   u32 LE (number of sections)
 //! section:  tag     [4]    (ASCII, e.g. "CELL")
 //!           len     u64 LE (payload bytes)
-//!           check   u64 LE (FNV-1a 64 of the payload)
+//!           check   u64 LE (checksum of the payload; the version picks
+//!                           the algorithm, see [`checksum_for`])
 //!           payload [len]
 //! ```
 //!
@@ -142,9 +143,11 @@ impl fmt::Debug for SectionTag {
     }
 }
 
-/// FNV-1a 64-bit — the section checksum. Deliberately simple and
-/// self-contained: the goal is corruption *detection* with a stable,
-/// documented algorithm, not cryptographic integrity.
+/// FNV-1a 64-bit, a byte at a time — the section checksum of container
+/// versions 1–4, and the stable key hash of the wire API and the serve
+/// layer. Deliberately simple and self-contained: the goal is corruption
+/// *detection* with a stable, documented algorithm, not cryptographic
+/// integrity.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -154,53 +157,131 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Builds a snapshot in memory: header + checksummed sections.
-#[derive(Debug, Default)]
+/// The section checksum from container version 5 on: FNV-1a's shape over
+/// 8-byte words instead of bytes, so a payload is checked at the speed it
+/// is read (one multiply per word; the byte-wise function's multiply per
+/// byte was half of a load).
+///
+/// ```text
+/// h = 0xcbf29ce484222325
+/// step(w):  h = rotate_left((h ^ w) * 0x9e3779b97f4a7c15, 31)
+/// step(each whole little-endian 8-byte word of the payload, in order)
+/// step(the 1–7 tail bytes, zero-padded to a word)   — if there are any
+/// step(the payload length in bytes)
+/// ```
+///
+/// For a fixed word each step is a bijection of the state (xor, multiply
+/// by an odd constant, rotate), so two payloads that differ in exactly one
+/// word never collide. The rotate is what carries high bits back into low
+/// ones: without it a flip of bit 63 moves the state by exactly 2⁶³ and
+/// stays there — multiplying by an odd number keeps 2⁶³ — until a second
+/// flip of bit 63 in any later word cancels it, which the byte-wise
+/// function never allowed. The length step tells a zero-padded tail from
+/// real zero bytes.
+fn wordsum64(bytes: &[u8]) -> u64 {
+    fn step(h: u64, word: u64) -> u64 {
+        (h ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(31)
+    }
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &word in words {
+        h = step(h, u64::from_le_bytes(word));
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
+    }
+    step(h, bytes.len() as u64)
+}
+
+/// The section checksum of container `version` — the one place a version
+/// selects an algorithm, called by writer and reader alike: [`fnv1a64`]
+/// for versions 1–4, the word-wise hash from version 5 on. A reader never
+/// tries the other rule: a file is checked by the rule its header names.
+pub fn checksum_for(version: u16) -> fn(&[u8]) -> u64 {
+    if version < 5 {
+        fnv1a64
+    } else {
+        wordsum64
+    }
+}
+
+/// Bytes before the first section: magic, version, flags, section count.
+const HEADER_BYTES: usize = MAGIC.len() + 8;
+/// Bytes of a section's frame before its payload: tag, length, checksum.
+const FRAME_BYTES: usize = 4 + 8 + 8;
+
+/// Builds a snapshot in one buffer: the header, then every section framed
+/// and encoded where it will stay — no per-section buffer, no second copy.
+#[derive(Debug)]
 pub struct SnapshotWriter {
-    sections: Vec<(SectionTag, Vec<u8>)>,
+    version: u16,
+    out: ByteWriter,
+    /// Where each section's frame starts in `out`.
+    frames: Vec<usize>,
 }
 
 impl SnapshotWriter {
-    pub fn new() -> Self {
-        SnapshotWriter::default()
+    /// A container of format `version`.
+    pub fn new(version: u16) -> Self {
+        SnapshotWriter::with_capacity(version, 0)
     }
 
-    /// Append a section. Tags must be unique; re-adding one is a caller
-    /// bug (it would trip the reader's duplicate check on load).
-    pub fn section(&mut self, tag: SectionTag, payload: Vec<u8>) {
+    /// [`SnapshotWriter::new`] with room for `bytes` of sections, so a
+    /// caller that knows its payload sizes never regrows the buffer.
+    pub fn with_capacity(version: u16, bytes: usize) -> Self {
+        let mut out = ByteWriter::with_capacity(HEADER_BYTES + bytes);
+        out.bytes(&MAGIC);
+        out.u16(version);
+        out.u16(0); // flags (reserved)
+        out.u32(0); // section count, patched by `into_bytes`
+        SnapshotWriter {
+            version,
+            out,
+            frames: Vec::new(),
+        }
+    }
+
+    /// Append a section whose payload is whatever `encode` writes. Tags
+    /// must be unique; re-adding one is a caller bug (it would trip the
+    /// reader's duplicate check on load).
+    pub fn section(&mut self, tag: SectionTag, encode: impl FnOnce(&mut ByteWriter)) {
+        let buf = &self.out.buf;
         debug_assert!(
-            self.sections.iter().all(|(t, _)| *t != tag),
+            self.frames.iter().all(|&at| buf[at..at + 4] != tag.0),
             "duplicate snapshot section {tag}"
         );
-        self.sections.push((tag, payload));
+        let frame = self.out.buf.len();
+        self.frames.push(frame);
+        self.out.bytes(&tag.0);
+        self.out.u64(0); // length, patched below
+        self.out.u64(0); // checksum, patched by `into_bytes`
+        encode(&mut self.out);
+        let len = (self.out.buf.len() - frame - FRAME_BYTES) as u64;
+        self.out.buf[frame + 4..frame + 12].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Serialize the container for `version`.
-    pub fn into_bytes(self, version: u16) -> Vec<u8> {
-        let total: usize = self
-            .sections
-            .iter()
-            .map(|(_, p)| 4 + 8 + 8 + p.len())
-            .sum::<usize>()
-            + MAGIC.len()
-            + 8;
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags (reserved)
-        out.extend_from_slice(&len_u32_value(self.sections.len()).to_le_bytes());
-        for (tag, payload) in &self.sections {
-            out.extend_from_slice(&tag.0);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-            out.extend_from_slice(payload);
+    /// Checksum every section under the version's rule, patch the header
+    /// and hand out the finished container.
+    pub fn into_bytes(self) -> Vec<u8> {
+        let checksum = checksum_for(self.version);
+        let mut buf = self.out.buf;
+        buf[MAGIC.len() + 4..HEADER_BYTES]
+            .copy_from_slice(&len_u32_value(self.frames.len()).to_le_bytes());
+        let ends = self.frames.iter().skip(1).copied().chain([buf.len()]);
+        for (&frame, end) in self.frames.iter().zip(ends) {
+            let check = checksum(&buf[frame + FRAME_BYTES..end]);
+            buf[frame + 12..frame + FRAME_BYTES].copy_from_slice(&check.to_le_bytes());
         }
-        out
+        buf
     }
 
     /// Serialize and write to `path` via [`write_atomic`].
-    pub fn write_to(self, path: &Path, version: u16) -> Result<(), SnapshotError> {
-        write_atomic(path, &self.into_bytes(version))
+    pub fn write_to(self, path: &Path) -> Result<(), SnapshotError> {
+        write_atomic(path, &self.into_bytes())
     }
 }
 
@@ -242,20 +323,21 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// A parsed snapshot container: validated header + checksummed sections.
+/// A parsed snapshot container: validated header + checksummed sections,
+/// each a slice of the file buffer it was parsed from.
 #[derive(Debug)]
-pub struct SnapshotReader {
+pub struct SnapshotReader<'a> {
     version: u16,
-    sections: Vec<(SectionTag, Vec<u8>)>,
+    sections: Vec<(SectionTag, &'a [u8])>,
 }
 
-impl SnapshotReader {
+impl<'a> SnapshotReader<'a> {
     /// Parse a container, validating magic, version, flags, section
     /// framing, and every section checksum.
     ///
     /// `max_version` is the newest format version the caller understands;
     /// anything newer is rejected up front rather than misdecoded.
-    pub fn from_bytes(bytes: &[u8], max_version: u16) -> Result<SnapshotReader, SnapshotError> {
+    pub fn from_bytes(bytes: &'a [u8], max_version: u16) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes, "snapshot header");
         let magic = r.bytes(MAGIC.len())?;
         if magic != MAGIC {
@@ -273,25 +355,24 @@ impl SnapshotReader {
             return Err(SnapshotError::BadFlags(flags));
         }
         let count = r.u32()? as usize;
+        let checksum = checksum_for(version);
 
-        let mut sections: Vec<(SectionTag, Vec<u8>)> = Vec::new();
+        let mut sections: Vec<(SectionTag, &'a [u8])> = Vec::new();
         for _ in 0..count {
-            let mut tag = [0u8; 4];
-            tag.copy_from_slice(r.bytes(4)?);
-            let tag = SectionTag(tag);
+            let tag = SectionTag(r.array()?);
             let len = r.u64()?;
             let check = r.u64()?;
             let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated {
                 context: "section length",
             })?;
             let payload = r.bytes(len)?;
-            if fnv1a64(payload) != check {
+            if checksum(payload) != check {
                 return Err(SnapshotError::ChecksumMismatch { section: tag });
             }
             if sections.iter().any(|(t, _)| *t == tag) {
                 return Err(SnapshotError::DuplicateSection { section: tag });
             }
-            sections.push((tag, payload.to_vec()));
+            sections.push((tag, payload));
         }
         if !r.is_empty() {
             return Err(SnapshotError::corrupt(format!(
@@ -302,27 +383,21 @@ impl SnapshotReader {
         Ok(SnapshotReader { version, sections })
     }
 
-    /// Read and parse a snapshot file.
-    pub fn read_from(path: &Path, max_version: u16) -> Result<SnapshotReader, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        SnapshotReader::from_bytes(&bytes, max_version)
-    }
-
     /// The container's format version.
     pub fn version(&self) -> u16 {
         self.version
     }
 
     /// A section's payload, if present.
-    pub fn section(&self, tag: SectionTag) -> Option<&[u8]> {
+    pub fn section(&self, tag: SectionTag) -> Option<&'a [u8]> {
         self.sections
             .iter()
             .find(|(t, _)| *t == tag)
-            .map(|(_, p)| p.as_slice())
+            .map(|&(_, p)| p)
     }
 
     /// A section's payload, or [`SnapshotError::MissingSection`].
-    pub fn require(&self, tag: SectionTag) -> Result<&[u8], SnapshotError> {
+    pub fn require(&self, tag: SectionTag) -> Result<&'a [u8], SnapshotError> {
         self.section(tag)
             .ok_or(SnapshotError::MissingSection { section: tag })
     }
@@ -392,36 +467,54 @@ impl ByteWriter {
         self.u32(len_u32_value(len));
     }
 
+    /// Raw bytes, no prefix.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Length-prefixed (u32) UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.len_u32(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
+    }
+
+    /// A u64 count, then every value as its `W` little-endian bytes. The
+    /// values are converted a stack chunk at a time and appended as one
+    /// slice: on a little-endian target the conversion is a plain copy the
+    /// compiler vectorises, on a big-endian one it still swaps.
+    fn le_slice<T: Copy, const W: usize>(&mut self, v: &[T], to_le: impl Fn(T) -> [u8; W]) {
+        self.u64(v.len() as u64);
+        self.buf.reserve(v.len() * W);
+        for part in v.chunks(SLICE_CHUNK) {
+            let mut chunk = [[0u8; W]; SLICE_CHUNK];
+            for (bytes, &x) in chunk.iter_mut().zip(part) {
+                *bytes = to_le(x);
+            }
+            self.buf
+                .extend_from_slice(chunk[..part.len()].as_flattened());
+        }
     }
 
     /// Length-prefixed (u64 count) slice of u64s.
     pub fn u64_slice(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
-        }
+        self.le_slice(v, u64::to_le_bytes);
     }
 
     /// Length-prefixed (u64 count) slice of u32s.
     pub fn u32_slice(&mut self, v: &[u32]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u32(x);
-        }
+        self.le_slice(v, u32::to_le_bytes);
     }
 
     /// Length-prefixed (u64 count) slice of f64 bit patterns.
     pub fn f64_slice(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
-        }
+        self.le_slice(v, |x| x.to_bits().to_le_bytes());
     }
 }
+
+/// Values converted per step of a slice write: 512 bytes of u64s on the
+/// stack — large enough that the append is a bulk copy, small enough that
+/// zeroing it is nothing next to a wire message's handful of values.
+const SLICE_CHUNK: usize = 64;
 
 /// Bounds-checked little-endian decoder: every read returns
 /// [`SnapshotError::Truncated`] past the end instead of panicking, and
@@ -523,19 +616,29 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| SnapshotError::corrupt(format!("invalid UTF-8 in {}", self.context)))
     }
 
+    /// A length-prefixed slice of `W`-byte little-endian values: the
+    /// count is checked against the remaining payload, then the bytes are
+    /// taken as one slice and converted in one pass into a vector
+    /// allocated once.
+    fn le_vec<T, const W: usize>(
+        &mut self,
+        from_le: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.len_prefix(W)?;
+        let (values, _) = self.bytes(n * W)?.as_chunks::<W>();
+        Ok(values.iter().map(|&bytes| from_le(bytes)).collect())
+    }
+
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.len_prefix(8)?;
-        (0..n).map(|_| self.u64()).collect()
+        self.le_vec(u64::from_le_bytes)
     }
 
     pub fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let n = self.len_prefix(4)?;
-        (0..n).map(|_| self.u32()).collect()
+        self.le_vec(u32::from_le_bytes)
     }
 
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let n = self.len_prefix(8)?;
-        (0..n).map(|_| self.f64()).collect()
+        self.le_vec(|bytes| f64::from_bits(u64::from_le_bytes(bytes)))
     }
 
     /// Error unless every payload byte was consumed — catches encoder /
@@ -557,41 +660,96 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
-    const V: u16 = 3;
+    /// One container version per checksum rule: the last byte-wise one
+    /// and the first word-wise one.
+    const RULES: [u16; 2] = [4, 5];
     const TAG_A: SectionTag = SectionTag(*b"AAAA");
     const TAG_B: SectionTag = SectionTag(*b"BBBB");
+    /// Where the first section's payload starts.
+    const FIRST_PAYLOAD: usize = HEADER_BYTES + FRAME_BYTES;
 
-    fn sample() -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.section(TAG_A, vec![1, 2, 3, 4, 5]);
-        w.section(TAG_B, Vec::new());
-        w.into_bytes(V)
+    fn sample(version: u16) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(version);
+        w.section(TAG_A, |p| p.bytes(&[1, 2, 3, 4, 5]));
+        w.section(TAG_B, |_| {});
+        w.into_bytes()
+    }
+
+    /// Deterministic test data: a splitmix64 stream.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
     }
 
     #[test]
     fn roundtrip_container() {
-        let bytes = sample();
-        let r = SnapshotReader::from_bytes(&bytes, V).expect("parses");
-        assert_eq!(r.version(), V);
-        assert_eq!(r.section(TAG_A), Some(&[1u8, 2, 3, 4, 5][..]));
-        assert_eq!(r.section(TAG_B), Some(&[][..]));
-        assert_eq!(r.section(SectionTag(*b"ZZZZ")), None);
-        assert!(matches!(
-            r.require(SectionTag(*b"ZZZZ")),
-            Err(SnapshotError::MissingSection { .. })
-        ));
-        assert_eq!(r.tags().count(), 2);
+        for v in RULES {
+            let bytes = sample(v);
+            let r = SnapshotReader::from_bytes(&bytes, v).expect("parses");
+            assert_eq!(r.version(), v);
+            assert_eq!(r.section(TAG_A), Some(&[1u8, 2, 3, 4, 5][..]));
+            assert_eq!(r.section(TAG_B), Some(&[][..]));
+            assert_eq!(r.section(SectionTag(*b"ZZZZ")), None);
+            assert!(matches!(
+                r.require(SectionTag(*b"ZZZZ")),
+                Err(SnapshotError::MissingSection { .. })
+            ));
+            assert_eq!(r.tags().count(), 2);
+        }
+    }
+
+    #[test]
+    fn sections_are_framed_in_place() {
+        // header 16; A: tag 4, len 8, check 8, payload 5; B: frame only.
+        let bytes = sample(5);
+        assert_eq!(bytes.len(), 16 + 20 + 5 + 20);
+        assert_eq!(bytes[12..16], 2u32.to_le_bytes());
+        assert_eq!(bytes[16..20], TAG_A.0);
+        assert_eq!(bytes[20..28], 5u64.to_le_bytes());
+        assert_eq!(bytes[28..36], wordsum64(&[1, 2, 3, 4, 5]).to_le_bytes());
+        assert_eq!(bytes[36..41], [1, 2, 3, 4, 5]);
+        assert_eq!(bytes[45..53], 0u64.to_le_bytes());
+        assert_eq!(bytes[53..61], wordsum64(&[]).to_le_bytes());
+        // The reader's sections are slices of that buffer, not copies.
+        let r = SnapshotReader::from_bytes(&bytes, 5).unwrap();
+        assert!(std::ptr::eq(r.require(TAG_A).unwrap(), &bytes[36..41]));
+    }
+
+    #[test]
+    fn the_version_selects_the_checksum_rule() {
+        for v in 1..=4 {
+            assert_eq!(checksum_for(v)(b"foobar"), fnv1a64(b"foobar"));
+        }
+        assert_eq!(checksum_for(5)(b"foobar"), wordsum64(b"foobar"));
+        // The version field is outside every checksum, so the same bytes
+        // under the other version are the same payloads under the other
+        // rule — and fail it: no reader tries both.
+        for (v, other) in [(4u16, 5u16), (5, 4)] {
+            let mut bytes = sample(v);
+            bytes[8..10].copy_from_slice(&other.to_le_bytes());
+            assert!(matches!(
+                SnapshotReader::from_bytes(&bytes, 5).unwrap_err(),
+                SnapshotError::ChecksumMismatch { section } if section == TAG_A
+            ));
+        }
     }
 
     #[test]
     fn older_versions_are_accepted() {
-        let r = SnapshotReader::from_bytes(&sample(), V + 5).expect("older version readable");
-        assert_eq!(r.version(), V);
+        let bytes = sample(3);
+        let r = SnapshotReader::from_bytes(&bytes, 8).expect("older version readable");
+        assert_eq!(r.version(), 3);
     }
 
     #[test]
     fn newer_version_is_rejected() {
-        let err = SnapshotReader::from_bytes(&sample(), V - 1).unwrap_err();
+        let err = SnapshotReader::from_bytes(&sample(3), 2).unwrap_err();
         assert!(matches!(
             err,
             SnapshotError::UnsupportedVersion {
@@ -603,103 +761,211 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = sample();
+        let mut bytes = sample(5);
         bytes[0] ^= 0xFF;
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, V).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, 5).unwrap_err(),
             SnapshotError::BadMagic
         ));
         // A totally unrelated file is also "bad magic", not a panic.
         assert!(matches!(
-            SnapshotReader::from_bytes(b"hello world, not a snapshot", V).unwrap_err(),
+            SnapshotReader::from_bytes(b"hello world, not a snapshot", 5).unwrap_err(),
             SnapshotError::BadMagic
         ));
     }
 
     #[test]
     fn reserved_flags_are_rejected() {
-        let mut bytes = sample();
+        let mut bytes = sample(5);
         bytes[10] = 0x01; // flags LSB
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, V).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, 5).unwrap_err(),
             SnapshotError::BadFlags(1)
         ));
     }
 
     #[test]
     fn every_payload_bitflip_is_detected() {
-        let bytes = sample();
-        // Flip each payload byte of section A (it starts after header 16
-        // + tag 4 + len 8 + check 8).
-        for i in 36..41 {
-            let mut b = bytes.clone();
-            b[i] ^= 0x20;
-            assert!(
-                matches!(
-                    SnapshotReader::from_bytes(&b, V).unwrap_err(),
-                    SnapshotError::ChecksumMismatch { section } if section == TAG_A
-                ),
-                "flip at byte {i} undetected"
-            );
+        for v in RULES {
+            let bytes = sample(v);
+            for i in FIRST_PAYLOAD..FIRST_PAYLOAD + 5 {
+                for bit in 0..8 {
+                    let mut b = bytes.clone();
+                    b[i] ^= 1 << bit;
+                    assert!(
+                        matches!(
+                            SnapshotReader::from_bytes(&b, v).unwrap_err(),
+                            SnapshotError::ChecksumMismatch { section } if section == TAG_A
+                        ),
+                        "v{v}: flip of bit {bit} at byte {i} undetected"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn every_truncation_point_errors_not_panics() {
-        let bytes = sample();
-        for cut in 0..bytes.len() {
-            let err = SnapshotReader::from_bytes(&bytes[..cut], V)
-                .expect_err("truncated snapshot must not parse");
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::BadMagic
-                        | SnapshotError::Truncated { .. }
-                        | SnapshotError::ChecksumMismatch { .. }
-                ),
-                "cut at {cut}: unexpected error {err:?}"
-            );
+        for v in RULES {
+            let bytes = sample(v);
+            for cut in 0..bytes.len() {
+                let err = SnapshotReader::from_bytes(&bytes[..cut], v)
+                    .expect_err("truncated snapshot must not parse");
+                assert!(
+                    matches!(
+                        err,
+                        SnapshotError::BadMagic
+                            | SnapshotError::Truncated { .. }
+                            | SnapshotError::ChecksumMismatch { .. }
+                    ),
+                    "v{v}, cut at {cut}: unexpected error {err:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = sample();
+        let mut bytes = sample(5);
         bytes.push(0xAB);
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, V).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, 5).unwrap_err(),
             SnapshotError::Corrupt { .. }
         ));
     }
 
     #[test]
     fn duplicate_sections_are_rejected() {
-        // Hand-build a container with the same tag twice.
-        let mut w = SnapshotWriter::new();
-        w.section(TAG_A, vec![1]);
-        let mut bytes = w.into_bytes(V);
-        // Bump the count and append a second copy of section A.
-        bytes[12] = 2;
-        let tail: Vec<u8> = bytes[16..].to_vec();
-        bytes.extend_from_slice(&tail);
-        assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, V).unwrap_err(),
-            SnapshotError::DuplicateSection { section } if section == TAG_A
-        ));
+        for v in RULES {
+            // Hand-build a container with the same tag twice.
+            let mut w = SnapshotWriter::new(v);
+            w.section(TAG_A, |p| p.u8(1));
+            let mut bytes = w.into_bytes();
+            // Bump the count and append a second copy of section A.
+            bytes[12] = 2;
+            let tail: Vec<u8> = bytes[HEADER_BYTES..].to_vec();
+            bytes.extend_from_slice(&tail);
+            assert!(matches!(
+                SnapshotReader::from_bytes(&bytes, v).unwrap_err(),
+                SnapshotError::DuplicateSection { section } if section == TAG_A
+            ));
+        }
     }
 
     #[test]
     fn huge_length_prefix_cannot_allocate() {
-        // A payload claiming 2^60 u64s must fail the bounds check before
-        // any allocation happens.
+        // A payload claiming 2^60 values — or one value more than the
+        // bytes that follow hold — must fail the bounds check before any
+        // allocation happens, at every width.
+        for claimed in [1u64 << 60, u64::MAX, 3] {
+            let mut w = ByteWriter::new();
+            w.u64(claimed);
+            w.bytes(&[0u8; 2 * 8 + 7]);
+            let payload = w.into_inner();
+            let truncated = |e: SnapshotError| matches!(e, SnapshotError::Truncated { .. });
+            let r = || ByteReader::new(&payload, "test");
+            assert!(truncated(r().u64_vec().unwrap_err()), "u64 × {claimed}");
+            assert!(truncated(r().f64_vec().unwrap_err()), "f64 × {claimed}");
+            if claimed > 5 {
+                assert!(truncated(r().u32_vec().unwrap_err()), "u32 × {claimed}");
+            }
+        }
         let mut w = ByteWriter::new();
-        w.u64(1u64 << 60);
+        w.u64(6);
+        w.bytes(&[0u8; 5 * 4 + 3]);
         let payload = w.into_inner();
-        let mut r = ByteReader::new(&payload, "test");
         assert!(matches!(
-            r.u64_vec().unwrap_err(),
+            ByteReader::new(&payload, "test").u32_vec().unwrap_err(),
             SnapshotError::Truncated { .. }
         ));
+    }
+
+    /// The slice codec this crate shipped through container version 4:
+    /// one `extend_from_slice` of 4 or 8 bytes per value out, one
+    /// bounds-checked read per value in. Kept as the oracle the bulk
+    /// codec must match byte for byte and value for value.
+    mod per_element {
+        use super::*;
+
+        pub fn write<T: Copy>(w: &mut ByteWriter, v: &[T], put: impl Fn(&mut ByteWriter, T)) {
+            w.u64(v.len() as u64);
+            for &x in v {
+                put(w, x);
+            }
+        }
+
+        pub fn read<'a, T>(
+            r: &mut ByteReader<'a>,
+            width: usize,
+            get: impl Fn(&mut ByteReader<'a>) -> Result<T, SnapshotError>,
+        ) -> Result<Vec<T>, SnapshotError> {
+            let n = r.len_prefix(width)?;
+            (0..n).map(|_| get(r)).collect()
+        }
+    }
+
+    #[test]
+    fn bulk_slice_codec_matches_the_per_element_oracle() {
+        // Every length up to past the sixteenth chunk boundary (under Miri:
+        // the three lengths around each boundary only).
+        let lengths = (0..=1030).filter(|n| !cfg!(miri) || (n + 1) % SLICE_CHUNK <= 2);
+        assert_eq!(1030 / SLICE_CHUNK, 16);
+        let mut next = stream(20);
+        // Values a lossy codec would change: extremes, both zeros, NaNs
+        // with payloads, and noise.
+        let special = [
+            0,
+            u64::MAX,
+            1 << 63,
+            (-0.0f64).to_bits(),
+            f64::NAN.to_bits(),
+            f64::NAN.to_bits() | 0xdead_beef,
+            f64::INFINITY.to_bits(),
+            0x7ff0_0000_0000_0001, // a signalling NaN
+        ];
+        for n in lengths {
+            let words: Vec<u64> = (0..n)
+                .map(|i| match next() % 4 {
+                    0 => special[i % special.len()],
+                    _ => next(),
+                })
+                .collect();
+            let halves: Vec<u32> = words.iter().map(|&w| (w >> 17) as u32).collect();
+            let floats: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+
+            let mut bulk = ByteWriter::new();
+            bulk.u64_slice(&words);
+            bulk.u32_slice(&halves);
+            bulk.f64_slice(&floats);
+            bulk.u8(0x5a);
+            let bulk = bulk.into_inner();
+            let mut oracle = ByteWriter::new();
+            per_element::write(&mut oracle, &words, ByteWriter::u64);
+            per_element::write(&mut oracle, &halves, ByteWriter::u32);
+            per_element::write(&mut oracle, &floats, ByteWriter::f64);
+            oracle.u8(0x5a);
+            assert_eq!(bulk, oracle.into_inner(), "bytes at length {n}");
+
+            let mut r = ByteReader::new(&bulk, "bulk");
+            let mut o = ByteReader::new(&bulk, "oracle");
+            assert_eq!(
+                r.u64_vec().unwrap(),
+                per_element::read(&mut o, 8, ByteReader::u64).unwrap()
+            );
+            assert_eq!(
+                r.u32_vec().unwrap(),
+                per_element::read(&mut o, 4, ByteReader::u32).unwrap()
+            );
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let got = bits(r.f64_vec().unwrap());
+            assert_eq!(
+                got,
+                bits(per_element::read(&mut o, 8, ByteReader::f64).unwrap())
+            );
+            assert_eq!(got, words, "f64 bit patterns at length {n}");
+            assert_eq!((r.u8().unwrap(), o.u8().unwrap()), (0x5a, 0x5a));
+            r.finish().unwrap();
+        }
     }
 
     #[test]
@@ -715,6 +981,7 @@ mod tests {
         w.u64_slice(&[1, 2, 3]);
         w.u32_slice(&[9, 8]);
         w.f64_slice(&[1.5, f64::INFINITY]);
+        w.bytes(&[0xAA, 0xBB]);
         let buf = w.into_inner();
         let mut r = ByteReader::new(&buf, "test");
         assert_eq!(r.u8().unwrap(), 7);
@@ -727,6 +994,7 @@ mod tests {
         assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.u32_vec().unwrap(), vec![9, 8]);
         assert_eq!(r.f64_vec().unwrap(), vec![1.5, f64::INFINITY]);
+        assert_eq!(r.bytes(2).unwrap(), [0xAA, 0xBB]);
         r.finish().expect("fully consumed");
     }
 
@@ -749,9 +1017,9 @@ mod tests {
         let dir = std::env::temp_dir().join("gb_store_file_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.gb");
-        let mut w = SnapshotWriter::new();
-        w.section(TAG_A, vec![42; 1000]);
-        w.write_to(&path, V).expect("write");
+        let mut w = SnapshotWriter::new(5);
+        w.section(TAG_A, |p| p.bytes(&[42; 1000]));
+        w.write_to(&path).expect("write");
         // No temp file left behind.
         let leftovers = std::fs::read_dir(&dir)
             .unwrap()
@@ -764,7 +1032,8 @@ mod tests {
             })
             .count();
         assert_eq!(leftovers, 0, "temp files left behind");
-        let r = SnapshotReader::read_from(&path, V).expect("read");
+        let bytes = std::fs::read(&path).expect("read");
+        let r = SnapshotReader::from_bytes(&bytes, 5).expect("parse");
         assert_eq!(r.section(TAG_A).unwrap().len(), 1000);
         // Concurrent saves to the same path must not corrupt it: each
         // writer uses its own temp file, the last rename wins.
@@ -772,13 +1041,14 @@ mod tests {
             for fill in 0u8..4 {
                 let path = &path;
                 s.spawn(move || {
-                    let mut w = SnapshotWriter::new();
-                    w.section(TAG_A, vec![fill; 4096]);
-                    w.write_to(path, V).expect("concurrent write");
+                    let mut w = SnapshotWriter::new(5);
+                    w.section(TAG_A, |p| p.bytes(&[fill; 4096]));
+                    w.write_to(path).expect("concurrent write");
                 });
             }
         });
-        let r = SnapshotReader::read_from(&path, V).expect("readable after racing saves");
+        let bytes = std::fs::read(&path).expect("read");
+        let r = SnapshotReader::from_bytes(&bytes, 5).expect("readable after racing saves");
         let payload = r.section(TAG_A).unwrap();
         assert_eq!(payload.len(), 4096);
         assert!(
@@ -789,9 +1059,11 @@ mod tests {
     }
 
     #[test]
-    fn missing_file_is_io_error() {
-        let err =
-            SnapshotReader::read_from(Path::new("/nonexistent/geoblocks.snap"), V).unwrap_err();
+    fn unwritable_path_is_io_error() {
+        let w = SnapshotWriter::new(5);
+        let err = w
+            .write_to(Path::new("/nonexistent/geoblocks.snap"))
+            .unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)));
         assert!(err.to_string().contains("i/o"));
     }
@@ -802,5 +1074,61 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn wordsum_vectors() {
+        // Computed independently (a dozen lines of Python from the doc
+        // comment's definition): the bytes 1, 2, …, n for n = 0..=9 — no
+        // word, a tail only, exactly one word, a word and a tail — and a
+        // 1 KiB pattern.
+        let want: [u64; 10] = [
+            0xf1c2_6704_fc5d_c964,
+            0x258b_b19e_ae8c_99e1,
+            0x5445_d3e9_6e71_0ef6,
+            0x003a_cb70_130f_44d7,
+            0x1262_518d_8737_bdac,
+            0xd834_3133_24eb_11ad,
+            0xb462_16a8_a4d1_4024,
+            0x7807_989e_164a_882b,
+            0x4938_6a3f_df6e_ac0d,
+            0xf813_9dd6_9f96_010c,
+        ];
+        let bytes: Vec<u8> = (1..=9).collect();
+        for (n, &sum) in want.iter().enumerate() {
+            assert_eq!(wordsum64(&bytes[..n]), sum, "{n} bytes");
+        }
+        let pattern: Vec<u8> = (0..1024u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(wordsum64(&pattern), 0x9965_4d6e_0686_94cf);
+        // A zero-padded tail is not the same payload as real zeros.
+        assert_ne!(wordsum64(&[7, 0, 0]), wordsum64(&[7, 0, 0, 0]));
+        assert_ne!(wordsum64(&[]), wordsum64(&[0; 8]));
+    }
+
+    #[test]
+    fn no_pair_of_bit63_flips_cancels() {
+        // Word-wise FNV-1a without the rotate passes every single-flip
+        // test and fails this one: a flip of a word's top bit moves its
+        // state by 2^63 for good, and a second one moves it back.
+        let unrotated = |bytes: &[u8]| {
+            let (words, _) = bytes.as_chunks::<8>();
+            words.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+                (h ^ u64::from_le_bytes(w)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut next = stream(63);
+        let payload: Vec<u8> = (0..24 * 8).map(|_| next() as u8).collect();
+        let sum = wordsum64(&payload);
+        let mut cancelled_without_rotate = 0usize;
+        for i in 0..24 {
+            for j in i + 1..24 {
+                let mut m = payload.clone();
+                m[8 * i + 7] ^= 0x80;
+                m[8 * j + 7] ^= 0x80;
+                assert_ne!(wordsum64(&m), sum, "flips in words {i} and {j} cancel");
+                cancelled_without_rotate += usize::from(unrotated(&m) == unrotated(&payload));
+            }
+        }
+        assert_eq!(cancelled_without_rotate, 24 * 23 / 2);
     }
 }
