@@ -9,9 +9,10 @@
 //! 2. `GeoBlockEngine::from_snapshot` answers bit-identically to the
 //!    engine it was saved from, warm from the first query,
 //! 3. corrupt / truncated / wrong-magic / wrong-version snapshots return
-//!    typed errors — never panics; the file written carries no derived
-//!    state, its section checksums are the ones its version prescribes,
-//!    and the checked-in version-2 fixture still loads,
+//!    typed errors — never panics; the file written is stamped with the
+//!    current version, its section checksums are the ones that version
+//!    prescribes, and a file stamped with a version older than the
+//!    previous one is refused by version, not as corrupt,
 //! 4. the hardened request path: an unknown filter column is a clean
 //!    `DataError`, not a process kill.
 //!
@@ -19,7 +20,6 @@
 
 use gb_data::{datasets, extract, AggSpec, CmpOp, Filter, Rows};
 use gb_geom::Polygon;
-use gb_store::{SectionTag, SnapshotReader};
 use geoblocks::{build, GeoBlock, GeoBlockEngine, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 
 struct Gate {
@@ -35,15 +35,6 @@ impl Gate {
             self.failed = true;
         }
     }
-}
-
-/// Whether the container `bytes` — verified under the checksum rule its
-/// own version names, which is what `SnapshotReader` does — has a `PYRA`
-/// section; `None` when it does not verify. Walking the framing, not
-/// scanning for the tag: float payload data could contain its bytes.
-fn has_pyra(bytes: &[u8]) -> Option<bool> {
-    let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).ok()?;
-    Some(reader.section(SectionTag(*b"PYRA")).is_some())
 }
 
 fn main() {
@@ -146,44 +137,36 @@ fn main() {
         "expected Io error",
     );
 
-    // 3b. Derived state is never stored: a freshly written file (the
-    // current version) has no `PYRA` section, and a version-2 file that
-    // has one — the checked-in fixture, written by the last v2 writer —
-    // still loads, answering from the pyramid rebuilt out of its `CELL`
-    // section. Each file is verified under the rule its own version
-    // names: word-wise for the fresh one, byte-wise for the fixture.
+    // 3b. The version field is outside every checksum: stamped as the
+    // previous version the same sections must fail that version's
+    // byte-wise rule, and stamped as the one before that they are not
+    // read at all.
+    let stamped = |version: u16| {
+        let mut m = bytes.clone();
+        m[8..10].copy_from_slice(&version.to_le_bytes());
+        Snapshot::from_bytes(&m)
+    };
     gate.check(
-        &format!("v{SNAPSHOT_VERSION} file contains no PYRA tag"),
-        bytes[8..10] == SNAPSHOT_VERSION.to_le_bytes() && has_pyra(&bytes) == Some(false),
-        "the writer stored the pyramid, or stamped another version",
+        &format!("the writer stamps version {SNAPSHOT_VERSION}"),
+        bytes[8..10] == SNAPSHOT_VERSION.to_le_bytes(),
+        "the writer stamped another version",
     );
-    // The version field is outside every checksum: stamped as the previous
-    // version the same sections must fail that version's byte-wise rule.
-    let mut stamped = bytes.clone();
-    stamped[8..10].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
     gate.check(
         "the file's version selects the checksum rule",
         matches!(
-            Snapshot::from_bytes(&stamped),
+            stamped(SNAPSHOT_VERSION - 1),
             Err(SnapshotError::ChecksumMismatch { .. })
         ),
         "a version-5 file verified under the version-4 rule",
     );
-    let v2: &[u8] = include_bytes!("../../../core/tests/fixtures/v2_pyra.gbsnap");
-    let v2_hash = include_str!("../../../core/tests/fixtures/v2_pyra.content_hash").trim();
-    match Snapshot::from_bytes(v2) {
-        Err(e) => gate.check("v2 fixture loads", false, &format!("{e}")),
-        Ok(old) => {
-            let everything = Polygon::rectangle(old.block.grid().domain());
-            gate.check(
-                "v2 fixture loads",
-                has_pyra(v2) == Some(true)
-                    && format!("{:#018x}", old.block.content_hash()) == v2_hash
-                    && old.block.count(&everything).0 == old.block.num_rows(),
-                "fixture lost its PYRA section, or content drifted after rebuild-on-load",
-            );
-        }
-    }
+    gate.check(
+        "a file stamped v3 is UnsupportedVersion",
+        matches!(
+            stamped(3),
+            Err(SnapshotError::UnsupportedVersion { found: 3, .. })
+        ),
+        "a version-3 file was decoded, or refused as corrupt",
+    );
 
     // 4. Hardened request path.
     gate.check(

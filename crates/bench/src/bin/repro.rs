@@ -7,26 +7,23 @@
 //! repro <experiment|all> [--scale F] [--seed N] [--write PATH]
 //!                        [--threads LIST] [--json PATH]
 //! repro serve [--addr HOST:PORT] [--scale F] [--seed N]
-//! repro serve-bench [--clients N] [--scale F] [--seed N] [--json PATH]
 //!
 //!   experiments: fig10 fig11a fig11b fig11c table2 fig12 fig13 fig14
 //!                fig15 fig16 fig17 fig18 fig19 scale-threads persist
-//!                serve-bench trace-report all
+//!                trace-report all
 //!   --scale F      multiply dataset sizes (default 1.0; 30 ≈ paper scale)
 //!   --seed N       master RNG seed (default 42)
 //!   --write PATH   also append the markdown reports to PATH
 //!   --threads LIST comma-separated thread counts for scale-threads
 //!                  (default "1,2,4,8")
-//!   --clients N    concurrent load-generator clients for serve-bench
-//!                  (default 4; also sets the server's worker count)
 //!   --addr A       bind address for `serve` (default 127.0.0.1:7171)
 //!   --json PATH    write machine-readable BenchRecords (JSON lines) —
-//!                  scale-threads, persist, and serve-bench produce them
+//!                  scale-threads, persist, and trace-report produce them
 //! ```
 //!
 //! `serve` builds the primary dataset, wraps it in a `gb_serve` server,
-//! and blocks in the foreground until killed — the manual smoke-test
-//! companion to `serve-bench`.
+//! and blocks in the foreground until killed — the manual smoke test of
+//! the serving path (gbmark is its load generator).
 //!
 //! Errors (unknown columns, unwritable output files) are printed as one
 //! clean line on stderr and exit with status 1 — the driver never
@@ -39,8 +36,8 @@ use gb_bench::Ctx;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <fig10|fig11a|fig11b|fig11c|table2|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|scale-threads|persist|serve|serve-bench|trace-report|all> \
-         [--scale F] [--seed N] [--write PATH] [--threads LIST] [--clients N] [--addr A] [--json PATH]"
+        "usage: repro <fig10|fig11a|fig11b|fig11c|table2|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|scale-threads|persist|serve|trace-report|all> \
+         [--scale F] [--seed N] [--write PATH] [--threads LIST] [--addr A] [--json PATH]"
     );
     std::process::exit(2);
 }
@@ -62,7 +59,6 @@ fn run() -> Result<(), String> {
     let mut write_path: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut threads: Vec<usize> = vec![1, 2, 4, 8];
-    let mut clients: usize = 4;
     let mut addr = "127.0.0.1:7171".to_string();
 
     let mut i = 1;
@@ -105,14 +101,6 @@ fn run() -> Result<(), String> {
                     usage();
                 }
             }
-            "--clients" => {
-                i += 1;
-                clients = args
-                    .get(i)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&c| c > 0)
-                    .unwrap_or_else(|| usage());
-            }
             "--addr" => {
                 i += 1;
                 addr = args.get(i).cloned().unwrap_or_else(|| usage());
@@ -149,11 +137,6 @@ fn run() -> Result<(), String> {
         }
         "persist" => {
             let (rep, recs) = experiments::persist(&ctx)?;
-            bench_records = recs;
-            vec![rep]
-        }
-        "serve-bench" => {
-            let (rep, recs) = experiments::serve_bench(&ctx, clients)?;
             bench_records = recs;
             vec![rep]
         }

@@ -1156,251 +1156,6 @@ pub fn scale_threads(ctx: &Ctx, thread_counts: &[usize]) -> (Report, Vec<BenchRe
     (rep, records)
 }
 
-/// `serve-bench`: sustained throughput of the `gb_serve` HTTP front-end —
-/// the load-generator half of the serving story. Spins an in-process
-/// server on a loopback port, first gates correctness (every HTTP reply
-/// bit-identical to a direct engine call), then drives `clients`
-/// concurrent connections with the production mix — repeated neighborhood
-/// SELECTs (cacheable), COUNTs, and periodic update batches that advance
-/// the data epoch mid-run.
-///
-/// Returns the human report plus [`BenchRecord`]s `serve/rps` (mean
-/// ns/request, lower is better) and `serve/p99` (p99 request latency in
-/// ns from the server's own histogram) for `BENCH_ci.json` / `bench_diff`.
-pub fn serve_bench(ctx: &Ctx, clients: usize) -> Result<(Report, Vec<BenchRecord>), String> {
-    use gb_common::Counter;
-    use gb_common::Pool;
-    use gb_serve::{client, metrics as serve_metrics, GbServer, RunningServer, ServeConfig};
-    use geoblocks::api::{QueryReply, QueryRequest};
-    use geoblocks::{GeoBlockEngine, UpdateBatch};
-    use std::sync::Arc;
-
-    let clients = clients.max(1);
-    let mut rep = Report::new(
-        "serve-bench",
-        "HTTP serving throughput: concurrent clients against gb_serve (cache + admission + wire codec)",
-        "Not in the paper: the serving front-end must preserve the engine's answers bit-for-bit while the result cache keeps repeated dashboard polygons off the query path.",
-    );
-    rep.headers(&[
-        "clients",
-        "requests",
-        "wall s",
-        "req/s",
-        "ns/req (mean)",
-        "p50 ns",
-        "p99 ns",
-        "cache hit rate",
-        "errors",
-    ]);
-
-    // A mid-size slice of the primary dataset: big enough that a SELECT
-    // does real work, small enough that the bench stays interactive.
-    let level = paper_level(17);
-    let ds = datasets::nyc_taxi(ctx.rows(200_000), ctx.seed);
-    let base = extract(&ds.raw, ds.grid, &datasets::nyc_cleaning_rules(), None).base;
-    let (block, _) = build(&base, level, &Filter::all());
-    let n_cols = base.schema().len();
-    let spec = AggSpec::k_aggregates(base.schema(), 7);
-    let polys = polygons::neighborhoods(60, ctx.seed);
-
-    let engine = Arc::new(GeoBlockEngine::new(block, 0.05));
-    let server = GbServer::new(
-        Arc::clone(&engine),
-        ServeConfig {
-            threads: clients,
-            quota_per_sec: 0.0, // the bench measures the engine, not the throttle
-            ..ServeConfig::default()
-        },
-    );
-    let running = RunningServer::start(server, "127.0.0.1:0")
-        .map_err(|e| format!("serve-bench: cannot start server: {e}"))?;
-    let addr = running.addr();
-
-    // Correctness gate before any timing: HTTP replies must decode to
-    // exactly what the engine returns, aggregate bits included.
-    for p in polys.iter().take(20) {
-        let want = engine.select(p, &spec);
-        match client::post_query(
-            addr,
-            "/v1/select",
-            None,
-            &QueryRequest::Select {
-                polygon: p.clone(),
-                spec: spec.clone(),
-            },
-        ) {
-            Ok(QueryReply::Select(got)) => {
-                let bits = |r: &geoblocks::AggResult| {
-                    r.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                };
-                if got.result.count != want.result.count
-                    || bits(&got.result) != bits(&want.result)
-                    || got.epoch != want.epoch
-                {
-                    return Err(format!(
-                        "serve-bench: HTTP reply diverged from the engine: {:?} vs {:?}",
-                        got.result, want.result
-                    ));
-                }
-            }
-            other => return Err(format!("serve-bench: correctness probe failed: {other:?}")),
-        }
-        let want = engine.count(p);
-        match client::post_query(
-            addr,
-            "/v1/count",
-            None,
-            &QueryRequest::Count { polygon: p.clone() },
-        ) {
-            Ok(QueryReply::Count(got)) if got.result == want.result && got.epoch == want.epoch => {}
-            other => {
-                return Err(format!(
-                    "serve-bench: count probe diverged (want {}): {other:?}",
-                    want.result
-                ))
-            }
-        }
-    }
-
-    // Timed phase: the dashboard mix. Every client walks the shared
-    // polygon pool (offset by client id, so shapes repeat across clients
-    // and the cache earns hits) over ONE keep-alive connection
-    // (reconnecting if the server's per-connection cap closes it);
-    // client 0 pushes a small update batch every 40 requests to keep
-    // epochs advancing under load, and every 9th request is a 4-item
-    // `/v1/batch` fan-in (the covering-shared path).
-    let reqs_per_client = ctx.rows(200_000).clamp(2_000, 200_000) / 1_000 + 80;
-    let failures = Counter::new();
-    let timer = gb_common::Timer::start();
-    Pool::new(clients).run(clients, |c| {
-        let mut conn = client::Connection::connect(addr).ok();
-        // One reconnect per request covers server-side closes (idle
-        // timeout, request cap); a second failure counts as an error.
-        let send = |conn: &mut Option<client::Connection>,
-                    path: &str,
-                    req: &QueryRequest|
-         -> Result<QueryReply, geoblocks::GbError> {
-            if let Some(live) = conn.as_mut() {
-                if let Ok(reply) = live.post_query(path, None, req) {
-                    return Ok(reply);
-                }
-            }
-            *conn = client::Connection::connect(addr).ok();
-            match conn.as_mut() {
-                Some(live) => live.post_query(path, None, req),
-                None => Err(geoblocks::GbError::Serve(geoblocks::ServeError::Internal(
-                    "reconnect failed".to_string(),
-                ))),
-            }
-        };
-        for r in 0..reqs_per_client {
-            let idx = (c * 7 + r) % polys.len();
-            let poly = &polys[idx];
-            let outcome = if c == 0 && r % 40 == 39 {
-                let mut batch = UpdateBatch::new();
-                for j in 0..8u64 {
-                    batch.push(
-                        gb_geom::Point::new(
-                            ((r as u64 * 13 + j * 7) % 600) as f64 / 10.0,
-                            ((r as u64 * 17 + j * 11) % 600) as f64 / 10.0,
-                        ),
-                        (0..n_cols).map(|k| (j + k as u64) as f64).collect(),
-                    );
-                }
-                send(&mut conn, "/v1/update", &QueryRequest::Update { batch })
-            } else if r % 9 == 8 {
-                let requests = (0..4)
-                    .map(|j| {
-                        let p = polys[(idx + j * 3) % polys.len()].clone();
-                        if j % 2 == 0 {
-                            QueryRequest::Select {
-                                polygon: p,
-                                spec: spec.clone(),
-                            }
-                        } else {
-                            QueryRequest::Count { polygon: p }
-                        }
-                    })
-                    .collect();
-                send(&mut conn, "/v1/batch", &QueryRequest::Batch { requests })
-            } else if r % 6 == 5 {
-                send(
-                    &mut conn,
-                    "/v1/count",
-                    &QueryRequest::Count {
-                        polygon: poly.clone(),
-                    },
-                )
-            } else {
-                send(
-                    &mut conn,
-                    "/v1/select",
-                    &QueryRequest::Select {
-                        polygon: poly.clone(),
-                        spec: spec.clone(),
-                    },
-                )
-            };
-            if outcome.is_err() {
-                failures.incr();
-            }
-        }
-    });
-    let wall = timer.elapsed().as_secs_f64();
-    let total = (clients * reqs_per_client) as f64;
-    let errors = failures.get();
-    if errors > 0 {
-        return Err(format!("serve-bench: {errors} of {total} requests failed"));
-    }
-
-    // The server's own histogram is the latency source of truth (it sees
-    // every request, including the correctness probes).
-    let exposition = client::get(addr, "/metrics")
-        .map_err(|e| format!("serve-bench: metrics scrape failed: {e}"))?;
-    let text = String::from_utf8(exposition.body)
-        .map_err(|_| "serve-bench: /metrics is not UTF-8".to_string())?;
-    let p50 = serve_metrics::scrape(&text, "gb_request_latency_ns{quantile=\"0.5\"}")
-        .ok_or_else(|| "serve-bench: missing p50 metric".to_string())?;
-    let p99 = serve_metrics::scrape(&text, "gb_request_latency_ns{quantile=\"0.99\"}")
-        .ok_or_else(|| "serve-bench: missing p99 metric".to_string())?;
-    let hit_rate = serve_metrics::scrape(&text, "gb_result_cache_hit_rate")
-        .ok_or_else(|| "serve-bench: missing hit-rate metric".to_string())?;
-    running.stop().map_err(|e| format!("serve-bench: {e}"))?;
-    if hit_rate <= 0.0 {
-        return Err(format!(
-            "serve-bench: repeated polygons produced no cache hits (hit rate {hit_rate})"
-        ));
-    }
-
-    let mean_ns = wall * 1e9 / total;
-    rep.row(vec![
-        clients.to_string(),
-        format!("{total:.0}"),
-        format!("{wall:.2}"),
-        format!("{:.0}", total / wall),
-        format!("{mean_ns:.0}"),
-        format!("{p50:.0}"),
-        format!("{p99:.0}"),
-        format!("{hit_rate:.3}"),
-        errors.to_string(),
-    ]);
-    rep.note(
-        "Mix per client: mostly SELECT (7 aggregates) over a shared 60-polygon pool, ~14% COUNT, \
-         a 4-item /v1/batch every 9 requests, plus an 8-row update batch every 40 requests from \
-         one client (epochs advance mid-run).",
-    );
-    rep.note(
-        "Each client reuses ONE keep-alive connection (reconnecting past the server's \
-         per-connection cap), so the timed path is HTTP parse, wire decode, admission, cache, \
-         engine, encode — not per-request TCP setup. p50/p99 are log2-bucket upper bounds from /metrics.",
-    );
-    let records = vec![
-        BenchRecord::new("serve/rps".to_string(), mean_ns, mean_ns, total as u64),
-        BenchRecord::new("serve/p99".to_string(), p99, p99, total as u64),
-    ];
-    Ok((rep, records))
-}
-
 /// `trace-report`: where does a request spend its time? Runs the
 /// standard dashboard mix (SELECT-heavy over a shared polygon pool,
 /// ~1/6 COUNT, a pooled 4-item batch every 9 requests) against an
@@ -1409,9 +1164,10 @@ pub fn serve_bench(ctx: &Ctx, clients: usize) -> Result<(Report, Vec<BenchRecord
 /// own overhead by interleaving timed passes over an untraced engine
 /// and one sampling at the production default (1/64).
 ///
-/// Returns the report plus the [`BenchRecord`] `trace/overhead` (mean
-/// ns/request of the sampled run; `bench_diff` gates it against the
-/// baseline the same way it gates `serve/rps`).
+/// Returns the report plus the [`BenchRecord`] `trace/overhead` (median
+/// ns/request of the sampled run). What gates the overhead is this
+/// experiment's own comparison of the two interleaved arms: more than 20 %
+/// is an error.
 pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
     use geoblocks::trace::{Stage, TraceConfig, Tracer};
     use geoblocks::{api::QueryRequest, GeoBlockEngine};
@@ -1526,7 +1282,7 @@ pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
     rep.note(format!(
         "Tracer overhead at the production sample rate (1/{}): untraced {:.0} ns/req vs sampled \
          {:.0} ns/req over {passes} interleaved passes → {overhead_pct:+.2}% (target < 2%; \
-         bench_diff gates the absolute number against baseline.json).",
+         more than 20% fails the experiment).",
         TraceConfig::default().sample_rate,
         off_med,
         on_med,
@@ -1536,8 +1292,8 @@ pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
          is the warm steady state). Shares are fractions of total attributed stage time; \
          pool_wait covers the batch fan-out-to-join interval.",
     );
-    // Generous in-experiment gate (CI machines are noisy); the precise
-    // regression gate is bench_diff's tolerance on the recorded medians.
+    // The gate: a ratio between two arms of this run, generous because CI
+    // machines are noisy.
     if overhead_pct > 20.0 {
         return Err(format!(
             "trace-report: sampled tracing costs {overhead_pct:.1}% (> 20% slack) — \

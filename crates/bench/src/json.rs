@@ -19,8 +19,8 @@
 //! keys.
 //!
 //! All values are "lower is better" (nanoseconds per unit of work);
-//! throughput-style experiments convert to ns/query before recording so
-//! `bench_diff` never needs per-metric direction flags.
+//! throughput-style experiments convert to ns/query before recording, so
+//! a ratio between two arms never needs per-metric direction flags.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -136,8 +136,8 @@ pub fn write_jsonl(path: &Path, records: &[BenchRecord], append: bool) -> std::i
 /// Read every parseable record from a JSON-lines file. Producers append
 /// (the criterion shim never truncates), so a reused file can hold
 /// several records per id — the **last** occurrence wins, keeping the
-/// freshest measurement and protecting the regression gate from judging
-/// stale numbers.
+/// freshest measurement and protecting the gate from judging stale
+/// numbers.
 pub fn read_jsonl(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
     let text = std::fs::read_to_string(path)?;
     let mut out: Vec<BenchRecord> = Vec::new();
@@ -150,125 +150,13 @@ pub fn read_jsonl(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
     Ok(out)
 }
 
-/// One row of a baseline-vs-current comparison.
-#[derive(Debug, Clone)]
-pub struct DiffRow {
-    pub id: String,
-    pub baseline_ns: f64,
-    pub current_ns: f64,
-    /// `current / baseline` — above 1.0 means slower than the baseline.
-    pub ratio: f64,
-    /// `ratio > tolerance`.
-    pub regressed: bool,
-}
-
-/// Result of diffing two bench files.
-#[derive(Debug, Clone, Default)]
-pub struct BenchDiff {
-    pub rows: Vec<DiffRow>,
-    /// Baseline ids absent from the current run (warning, not failure —
-    /// benches come and go).
-    pub missing: Vec<String>,
-    /// Current ids absent from the baseline (new benches; informational).
-    pub unmatched: Vec<String>,
-}
-
-impl BenchDiff {
-    pub fn regressions(&self) -> impl Iterator<Item = &DiffRow> {
-        self.rows.iter().filter(|r| r.regressed)
-    }
-
-    pub fn has_regressions(&self) -> bool {
-        self.rows.iter().any(|r| r.regressed)
-    }
-}
-
-/// Compare `current` against `baseline` by median ns. A row regresses when
-/// it is more than `tolerance` times slower than the baseline (e.g.
-/// `tolerance = 2.0` fails on >2× slowdowns; speedups never fail).
-pub fn diff_records(
-    baseline: &[BenchRecord],
-    current: &[BenchRecord],
-    tolerance: f64,
-) -> BenchDiff {
-    assert!(tolerance > 0.0, "tolerance must be positive");
-    let mut out = BenchDiff::default();
-    for b in baseline {
-        match current.iter().find(|c| c.id == b.id) {
-            None => out.missing.push(b.id.clone()),
-            Some(c) => {
-                // Guard against degenerate zero baselines (empty measurements).
-                let base = b.median_ns.max(f64::MIN_POSITIVE);
-                let ratio = c.median_ns / base;
-                out.rows.push(DiffRow {
-                    id: b.id.clone(),
-                    baseline_ns: b.median_ns,
-                    current_ns: c.median_ns,
-                    ratio,
-                    regressed: ratio > tolerance,
-                });
-            }
-        }
-    }
-    for c in current {
-        if !baseline.iter().any(|b| b.id == c.id) {
-            out.unmatched.push(c.id.clone());
-        }
-    }
-    out
-}
-
 /// `median(numerator) / median(denominator)` between two arms of one
-/// run, `None` if either id is absent. A ratio of arms measured side by
-/// side holds on any host, unlike absolute nanoseconds against a
-/// checked-in baseline.
+/// run, `None` if either id is absent — the only comparison `bench_diff`
+/// gates: a ratio of arms measured side by side holds on any host, which
+/// absolute nanoseconds do not.
 pub fn arm_ratio(records: &[BenchRecord], numerator: &str, denominator: &str) -> Option<f64> {
     let median = |id: &str| records.iter().find(|r| r.id == id).map(|r| r.median_ns);
     Some(median(numerator)? / median(denominator)?.max(f64::MIN_POSITIVE))
-}
-
-/// Render a diff as an aligned text table (used by `bench_diff` and handy
-/// in CI logs).
-pub fn render_diff(diff: &BenchDiff, tolerance: f64) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<50} {:>14} {:>14} {:>8}  status",
-        "benchmark", "baseline ns", "current ns", "ratio"
-    );
-    for r in &diff.rows {
-        let _ = writeln!(
-            s,
-            "{:<50} {:>14.1} {:>14.1} {:>7.2}x  {}",
-            r.id,
-            r.baseline_ns,
-            r.current_ns,
-            r.ratio,
-            if r.regressed {
-                "REGRESSED"
-            } else if r.ratio < 1.0 / tolerance {
-                "improved"
-            } else {
-                "ok"
-            }
-        );
-    }
-    for id in &diff.missing {
-        let _ = writeln!(
-            s,
-            "{id:<50} {:>14} {:>14} {:>8}  missing-in-current",
-            "-", "-", "-"
-        );
-    }
-    for id in &diff.unmatched {
-        let _ = writeln!(
-            s,
-            "{id:<50} {:>14} {:>14} {:>8}  new-in-current",
-            "-", "-", "-"
-        );
-    }
-    s
 }
 
 #[cfg(test)]
@@ -334,30 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_flags_only_real_regressions() {
-        let base = vec![
-            BenchRecord::new("a", 100.0, 100.0, 1),
-            BenchRecord::new("b", 100.0, 100.0, 1),
-            BenchRecord::new("gone", 10.0, 10.0, 1),
-        ];
-        let cur = vec![
-            BenchRecord::new("a", 150.0, 150.0, 1), // 1.5x: within 2x tolerance
-            BenchRecord::new("b", 250.0, 250.0, 1), // 2.5x: regression
-            BenchRecord::new("new", 5.0, 5.0, 1),
-        ];
-        let d = diff_records(&base, &cur, 2.0);
-        assert_eq!(d.rows.len(), 2);
-        assert!(!d.rows[0].regressed);
-        assert!(d.rows[1].regressed);
-        assert!(d.has_regressions());
-        assert_eq!(d.missing, vec!["gone".to_string()]);
-        assert_eq!(d.unmatched, vec!["new".to_string()]);
-        let table = render_diff(&d, 2.0);
-        assert!(table.contains("REGRESSED"));
-        assert!(table.contains("missing-in-current"));
-    }
-
-    #[test]
     fn arm_ratio_compares_medians_of_one_run() {
         let run = vec![
             BenchRecord::new("f/raw", 9.0, 5.0, 1),
@@ -365,13 +229,6 @@ mod tests {
         ];
         assert_eq!(arm_ratio(&run, "f/served", "f/raw"), Some(1.6));
         assert_eq!(arm_ratio(&run, "f/served", "f/absent"), None);
-    }
-
-    #[test]
-    fn speedups_never_regress() {
-        let base = vec![BenchRecord::new("a", 1000.0, 1000.0, 1)];
-        let cur = vec![BenchRecord::new("a", 10.0, 10.0, 1)];
-        assert!(!diff_records(&base, &cur, 2.0).has_regressions());
     }
 
     #[test]

@@ -179,8 +179,9 @@ impl AggResult {
         }
     }
 
-    /// [`AggResult::combine_tuple`] driven by a compiled [`AggPlan`] (the
-    /// on-the-fly baselines resolve their spec once per query too).
+    /// Fold a single raw tuple through a compiled [`AggPlan`] (used by the
+    /// on-the-fly baselines so that all approaches share one result type;
+    /// they resolve their spec once per query too).
     #[inline]
     pub fn combine_tuple_plan(&mut self, plan: &AggPlan, value_of: impl Fn(usize) -> f64) {
         debug_assert!(!self.finalized);
@@ -195,22 +196,6 @@ impl AggResult {
         for &(slot, col) in &plan.max_slots {
             let s = &mut self.values[slot as usize];
             *s = s.max(value_of(col as usize));
-        }
-    }
-
-    /// Fold a single raw tuple (used by the on-the-fly baselines so that
-    /// all approaches share one result type).
-    #[inline]
-    pub fn combine_tuple(&mut self, spec: &AggSpec, value_of: impl Fn(usize) -> f64) {
-        debug_assert!(!self.finalized);
-        self.count += 1;
-        for (slot, req) in self.values.iter_mut().zip(&spec.requests) {
-            match req.func {
-                AggFunc::Count => {}
-                AggFunc::Sum | AggFunc::Avg => *slot += value_of(req.column),
-                AggFunc::Min => *slot = slot.min(value_of(req.column)),
-                AggFunc::Max => *slot = slot.max(value_of(req.column)),
-            }
         }
     }
 
@@ -320,10 +305,11 @@ mod tests {
     #[test]
     fn tuple_accumulation() {
         let s = spec();
+        let plan = AggPlan::compile(&s);
         let mut r = AggResult::new(&s);
         // Two tuples: col0 = 10/20, col1 = -1/5.
-        r.combine_tuple(&s, |c| if c == 0 { 10.0 } else { -1.0 });
-        r.combine_tuple(&s, |c| if c == 0 { 20.0 } else { 5.0 });
+        r.combine_tuple_plan(&plan, |c| if c == 0 { 10.0 } else { -1.0 });
+        r.combine_tuple_plan(&plan, |c| if c == 0 { 20.0 } else { 5.0 });
         let r = r.finalize(&s);
         assert_eq!(r.count, 2);
         assert_eq!(r.value(0), Some(2.0)); // count
@@ -365,17 +351,18 @@ mod tests {
     #[test]
     fn merge_equals_combined_stream() {
         let s = spec();
+        let plan = AggPlan::compile(&s);
         let mut a = AggResult::new(&s);
         let mut b = AggResult::new(&s);
-        a.combine_tuple(&s, |c| (c + 1) as f64);
-        b.combine_tuple(&s, |c| (c * 10) as f64);
+        a.combine_tuple_plan(&plan, |c| (c + 1) as f64);
+        b.combine_tuple_plan(&plan, |c| (c * 10) as f64);
         let mut merged = AggResult::new(&s);
         merged.merge(&s, &a);
         merged.merge(&s, &b);
 
         let mut straight = AggResult::new(&s);
-        straight.combine_tuple(&s, |c| (c + 1) as f64);
-        straight.combine_tuple(&s, |c| (c * 10) as f64);
+        straight.combine_tuple_plan(&plan, |c| (c + 1) as f64);
+        straight.combine_tuple_plan(&plan, |c| (c * 10) as f64);
 
         assert!(merged.finalize(&s).approx_eq(&straight.finalize(&s), 1e-12));
     }
@@ -398,14 +385,17 @@ mod tests {
     }
 
     #[test]
-    fn plan_tuple_combine_matches_closure_combine() {
+    fn tuples_fold_like_the_record_of_those_tuples() {
+        // A tuple is a record of count 1 whose min, max and sum are its
+        // value: folding tuples one by one equals combining their records.
         let s = spec();
         let plan = AggPlan::compile(&s);
         let mut a = AggResult::new(&s);
         let mut b = AggResult::new(&s);
         for i in 0..5 {
-            a.combine_tuple_plan(&plan, |c| (i * 2 + c) as f64 - 4.5);
-            b.combine_tuple(&s, |c| (i * 2 + c) as f64 - 4.5);
+            let value = |c: usize| (i * 2 + c) as f64 - 4.5;
+            a.combine_tuple_plan(&plan, value);
+            b.combine_record(&s, 1, value, value, value);
         }
         assert!(a.finalize(&s).approx_eq(&b.finalize(&s), 0.0));
     }
@@ -449,10 +439,11 @@ mod tests {
     #[test]
     fn approx_eq_detects_differences() {
         let s = spec();
+        let plan = AggPlan::compile(&s);
         let mut a = AggResult::new(&s);
-        a.combine_tuple(&s, |_| 1.0);
+        a.combine_tuple_plan(&plan, |_| 1.0);
         let mut b = AggResult::new(&s);
-        b.combine_tuple(&s, |_| 2.0);
+        b.combine_tuple_plan(&plan, |_| 2.0);
         let (a, b) = (a.finalize(&s), b.finalize(&s));
         assert!(!a.approx_eq(&b, 1e-9));
         assert!(a.approx_eq(&a.clone(), 0.0));

@@ -466,10 +466,10 @@ fn read_batch(r: &mut ByteReader<'_>) -> Result<UpdateBatch, GbError> {
     Ok(batch)
 }
 
-/// The admission rule for one update row, shared by the wire decoder and
-/// the engine's in-process entry point: a NaN or ±inf location or value
-/// would permanently poison the cell's sums, every pyramid ancestor and
-/// the global header.
+/// The finiteness rule for one update row, shared by the wire decoder and
+/// `GeoBlock::check_batch` (both update entry points): a NaN or ±inf
+/// location or value would permanently poison the cell's sums, every
+/// pyramid ancestor and the global header.
 pub(crate) fn check_update_row(location: Point, values: &[f64]) -> Result<(), GbError> {
     if !location.x.is_finite() || !location.y.is_finite() {
         return Err(GbError::bad_request("update row location must be finite"));
@@ -856,9 +856,10 @@ mod tests {
     #[test]
     fn reply_roundtrip_is_bit_identical() {
         let s = spec();
+        let plan = crate::AggPlan::compile(&s);
         let mut acc = AggResult::new(&s);
-        acc.combine_tuple(&s, |c| if c == 0 { 0.1 + 0.2 } else { -7.25 });
-        acc.combine_tuple(&s, |c| (c as f64) * 1e-17 + 3.0);
+        acc.combine_tuple_plan(&plan, |c| if c == 0 { 0.1 + 0.2 } else { -7.25 });
+        acc.combine_tuple_plan(&plan, |c| (c as f64) * 1e-17 + 3.0);
         let result = acc.finalize(&s);
         let stats = QueryStats {
             query_cells: 3,

@@ -254,18 +254,13 @@ impl GeoBlock {
     pub fn content_hash(&self) -> u64 {
         let mut h = gb_common::FxHasher::default();
         self.records().hash_into(&mut h);
-        self.hash_header_into(&mut h);
+        self.n_rows.hash(&mut h);
+        self.min_cell.hash(&mut h);
+        self.max_cell.hash(&mut h);
+        hash_bits(&self.global_mins, &mut h);
+        hash_bits(&self.global_maxs, &mut h);
+        hash_bits(&self.global_sums, &mut h);
         h.finish()
-    }
-
-    /// The global header's share of [`GeoBlock::content_hash`].
-    pub(crate) fn hash_header_into(&self, h: &mut gb_common::FxHasher) {
-        self.n_rows.hash(h);
-        self.min_cell.hash(h);
-        self.max_cell.hash(h);
-        hash_bits(&self.global_mins, h);
-        hash_bits(&self.global_maxs, h);
-        hash_bits(&self.global_sums, h);
     }
 
     /// Build a coarser GeoBlock at `level` from this one **without**

@@ -175,14 +175,6 @@ fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBl
     (block, stats)
 }
 
-/// Build a GeoBlock and return the *filtered base rows* alongside, for
-/// baselines that need the same filtered view (parity in experiments).
-pub fn build_with_rows(base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, Vec<u32>) {
-    let rows = filter.matching_rows(base);
-    let (block, _) = build(base, level, filter);
-    (block, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

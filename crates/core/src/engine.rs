@@ -579,14 +579,13 @@ impl GeoBlockEngine {
         batch: &UpdateBatch,
     ) -> Result<QueryResponse<UpdateReport>, GbError> {
         let _req = self.tracer.begin_request("update");
-        let (n_cols, domain, epoch) = {
+        // Schema and grid never change between epochs: a batch admitted
+        // against this state is admitted against the one `publish` hands
+        // out.
+        let epoch = {
             let state = self.state_snapshot();
-            let block = &state.block;
-            (
-                block.schema().len(),
-                block.grid().domain(),
-                state.data_epoch,
-            )
+            state.block.check_batch(batch)?;
+            state.data_epoch
         };
         if batch.is_empty() {
             // Nothing to commit: no clone, no new epoch, and so no result
@@ -595,28 +594,11 @@ impl GeoBlockEngine {
             let report = UpdateReport::default();
             return Ok(QueryResponse::new(report, QueryStats::default(), epoch));
         }
-        for (i, (location, values)) in batch.rows.iter().enumerate() {
-            if values.len() != n_cols {
-                return Err(GbError::bad_request(format!(
-                    "update row {i} has {} values, schema has {n_cols} columns",
-                    values.len()
-                )));
-            }
-            crate::api::check_update_row(*location, values)?;
-            // The grid clamps: a tuple outside the domain would be folded
-            // into a border cell, beyond the §3.2 error bound (`extract`
-            // drops such rows at build time).
-            if !domain.contains_point(*location) {
-                return Err(GbError::bad_request(format!(
-                    "update row {i} location is outside the grid domain"
-                )));
-            }
-        }
         // One kernel transaction: serialized with rebuilds and other
         // updates by the publisher mutex; queries proceed throughout.
         let (report, epoch) = self.state.publish(|cur| {
             let mut block = cur.block.clone_stored();
-            let report = block.apply_updates(batch);
+            let report = block.apply_checked(batch);
             let mut trie = (*cur.trie).clone();
             for (loc, _) in &batch.rows {
                 let leaf = block.grid().leaf_for_point(*loc);

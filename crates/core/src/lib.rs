@@ -73,7 +73,7 @@ pub mod update;
 pub use aggregate::{AggPlan, AggResult};
 pub use api::{GbError, QueryReply, QueryRequest, QueryResponse, ServeError};
 pub use block::GeoBlock;
-pub use build::{build, build_parallel, build_with_rows, BuildStats};
+pub use build::{build, build_parallel, BuildStats};
 pub use engine::GeoBlockEngine;
 pub use hits::HitCounts;
 pub use kernel::PublishKernel;

@@ -219,11 +219,12 @@ mod tests {
         s: &AggSpec,
     ) -> AggResult {
         let covering = block.cover(poly);
+        let plan = AggPlan::compile(s);
         let mut acc = AggResult::new(s);
         for row in 0..base.num_rows() {
             let leaf = gb_cell::CellId::from_raw(base.keys()[row]);
             if covering.contains(leaf) {
-                acc.combine_tuple(s, |c| base.value_f64(row, c));
+                acc.combine_tuple_plan(&plan, |c| base.value_f64(row, c));
             }
         }
         acc.finalize(s)

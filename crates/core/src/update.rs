@@ -15,13 +15,16 @@
 //! at the end of every batch (`GeoBlock::refresh_derived`, the same funnel
 //! every other producer of a block ends in).
 //!
-//! A tuple's location must lie inside the grid's domain: the grid clamps,
-//! so a tuple outside it would be folded into a border cell and break the
-//! §3.2 error bound. [`crate::GeoBlockEngine::apply_updates`] rejects such
-//! rows; it additionally overwrites every cached ancestor in the
-//! AggregateTrie with the updated block's record of its cell — a single
-//! root-to-leaf walk per tuple.
+//! One admission rule guards both entry points, this one and
+//! [`crate::GeoBlockEngine::apply_updates`]: every row has one value per
+//! column, is finite, and lies inside the grid's closed domain — the grid
+//! clamps, so a tuple outside it would be folded into a border cell and
+//! break the §3.2 error bound. A batch with one bad row is rejected whole,
+//! before anything changes. The engine additionally overwrites every cached
+//! ancestor in the AggregateTrie with the updated block's record of its
+//! cell — a single root-to-leaf walk per tuple.
 
+use crate::api::{check_update_row, GbError};
 use crate::block::GeoBlock;
 use crate::layer::Layer;
 use gb_cell::CellId;
@@ -61,8 +64,41 @@ pub struct UpdateReport {
 }
 
 impl GeoBlock {
-    /// Apply a batch of new tuples.
-    pub fn apply_updates(&mut self, batch: &UpdateBatch) -> UpdateReport {
+    /// Apply a batch of new tuples. A batch with a row of the wrong arity,
+    /// a non-finite location or value, or a location outside the grid's
+    /// domain is rejected whole with a typed `BadRequest`, and the block is
+    /// left as it was.
+    pub fn apply_updates(&mut self, batch: &UpdateBatch) -> Result<UpdateReport, GbError> {
+        self.check_batch(batch)?;
+        Ok(self.apply_checked(batch))
+    }
+
+    /// The admission rule of an update batch, checked before anything
+    /// mutates — by [`GeoBlock::apply_updates`], and by the engine before
+    /// it takes the publisher mutex, so a bad batch clones nothing.
+    pub(crate) fn check_batch(&self, batch: &UpdateBatch) -> Result<(), GbError> {
+        let (n_cols, domain) = (self.schema.len(), self.grid.domain());
+        for (i, (location, values)) in batch.rows.iter().enumerate() {
+            if values.len() != n_cols {
+                return Err(GbError::bad_request(format!(
+                    "update row {i} has {} values, schema has {n_cols} columns",
+                    values.len()
+                )));
+            }
+            check_update_row(*location, values)?;
+            // Closed: a tuple on the domain's edge belongs to the border
+            // cell the grid maps it to (`extract` keeps such rows too).
+            if !domain.contains_point(*location) {
+                return Err(GbError::bad_request(format!(
+                    "update row {i} location is outside the grid domain"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply a batch that [`GeoBlock::check_batch`] admitted.
+    pub(crate) fn apply_checked(&mut self, batch: &UpdateBatch) -> UpdateReport {
         let mut report = UpdateReport::default();
         if batch.is_empty() {
             return report;
@@ -72,7 +108,6 @@ impl GeoBlock {
         let mut pending: Vec<(CellId, &[f64])> = Vec::new();
 
         for (loc, values) in &batch.rows {
-            assert_eq!(values.len(), c, "update row arity mismatch");
             let leaf = self.grid.leaf_for_point(*loc);
             let cell = leaf.parent_at(self.level).raw();
             let records = self.records_mut();
@@ -164,7 +199,7 @@ mod tests {
         use gb_data::Rows;
         let mut batch = UpdateBatch::new();
         batch.push(base.location(0), vec![123_456.0]);
-        let report = block.apply_updates(&batch);
+        let report = block.apply_updates(&batch).expect("valid batch");
         assert_eq!(report.in_place, 1);
         assert_eq!(report.new_cells, 0);
         assert_eq!(block.num_cells(), before);
@@ -185,7 +220,7 @@ mod tests {
         batch.push(Point::new(90.0, 90.0), vec![1.0]);
         batch.push(Point::new(90.1, 90.1), vec![2.0]);
         batch.push(Point::new(75.0, 20.0), vec![3.0]);
-        let report = block.apply_updates(&batch);
+        let report = block.apply_updates(&batch).expect("valid batch");
         assert_eq!(report.new_cells, 3);
         assert!(block.num_cells() > before);
         block.check_invariants();
@@ -201,7 +236,7 @@ mod tests {
         let (before, _) = block.count(&poly);
         let mut batch = UpdateBatch::new();
         batch.push(Point::new(25.0, 25.0), vec![0.0]);
-        block.apply_updates(&batch);
+        block.apply_updates(&batch).expect("valid batch");
         let (after, _) = block.count(&poly);
         assert_eq!(after, before + 1);
     }
@@ -216,7 +251,7 @@ mod tests {
             let y = (i / 10) as f64 * 19.0;
             batch.push(Point::new(x, y), vec![i as f64]);
         }
-        block.apply_updates(&batch);
+        block.apply_updates(&batch).expect("valid batch");
         block.check_invariants();
         let spec = AggSpec::count_only();
         let (sel, _) = block.select(&whole_domain(), &spec);
@@ -240,14 +275,14 @@ mod tests {
         b1.push(base.location(0), vec![10.0]); // in-place
         b1.push(Point::new(80.0, 80.0), vec![20.0]); // new cell
         b1.push(Point::new(60.0, 10.0), vec![30.0]); // new cell
-        let r1 = block.apply_updates(&b1);
+        let r1 = block.apply_updates(&b1).expect("valid batch");
         assert!(r1.in_place >= 1 && r1.new_cells >= 1, "{r1:?}");
 
         let mut b2 = UpdateBatch::new();
         b2.push(base.location(1), vec![40.0]); // in-place
         b2.push(Point::new(80.05, 80.05), vec![50.0]); // in-place (cell from b1)
         b2.push(Point::new(95.0, 55.0), vec![60.0]); // new cell
-        let r2 = block.apply_updates(&b2);
+        let r2 = block.apply_updates(&b2).expect("valid batch");
         assert!(r2.in_place >= 1 && r2.new_cells >= 1, "{r2:?}");
         block.check_invariants();
 
@@ -291,7 +326,7 @@ mod tests {
         let (mut block, _) = build(&base, 7, &Filter::all());
         let mut first = UpdateBatch::new();
         first.push(Point::new(80.0, 80.0), vec![20.0]);
-        block.apply_updates(&first);
+        block.apply_updates(&first).expect("valid batch");
 
         use gb_data::Rows;
         let mut batch = UpdateBatch::new();
@@ -304,8 +339,8 @@ mod tests {
         assert!(stored_only.prefix_counts.is_empty());
         let mut whole = block.clone();
         assert_eq!(
-            stored_only.apply_updates(&batch),
-            whole.apply_updates(&batch)
+            stored_only.apply_updates(&batch).expect("valid batch"),
+            whole.apply_updates(&batch).expect("valid batch")
         );
         stored_only.check_invariants();
         assert_eq!(stored_only.content_hash(), whole.content_hash());
@@ -317,10 +352,50 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_row_rejects_the_batch_whole() {
+        let base = base_data(1500);
+        let (mut block, _) = build(&base, 7, &Filter::all());
+        let (hash, cells) = (block.content_hash(), block.num_cells());
+        for (location, values) in [
+            (Point::new(20.0, 20.0), vec![]),
+            (Point::new(20.0, 20.0), vec![1.0, 2.0]),
+            (Point::new(20.0, 20.0), vec![f64::NAN]),
+            (Point::new(20.0, 20.0), vec![f64::NEG_INFINITY]),
+            (Point::new(f64::NAN, 20.0), vec![1.0]),
+            (Point::new(20.0, f64::INFINITY), vec![1.0]),
+            // The grid would clamp these into a border cell.
+            (Point::new(1e9, 1e9), vec![1.0]),
+            (Point::new(50.0, -0.001), vec![1.0]),
+        ] {
+            // A good row first: nothing of the batch may land.
+            let mut batch = UpdateBatch::new();
+            batch.push(Point::new(30.0, 30.0), vec![2.0]);
+            batch.push(location, values.clone());
+            let err = block.apply_updates(&batch).unwrap_err();
+            assert!(
+                matches!(err, GbError::Serve(crate::ServeError::BadRequest(_))),
+                "{location:?} {values:?}: {err}"
+            );
+            assert_eq!((block.content_hash(), block.num_cells()), (hash, cells));
+        }
+        block.check_invariants();
+        // The domain is closed: its corners are inside.
+        let mut batch = UpdateBatch::new();
+        batch.push(Point::new(100.0, 0.0), vec![2.0]);
+        batch.push(Point::new(0.0, 100.0), vec![3.0]);
+        let report = block.apply_updates(&batch).expect("on the edge is inside");
+        assert_eq!(report.in_place + report.new_cells, 2);
+        assert_eq!(block.num_rows(), 1502);
+        block.check_invariants();
+    }
+
+    #[test]
     fn empty_batch_is_noop() {
         let base = base_data(100);
         let (mut block, _) = build(&base, 6, &Filter::all());
-        let report = block.apply_updates(&UpdateBatch::new());
+        let report = block
+            .apply_updates(&UpdateBatch::new())
+            .expect("valid batch");
         assert_eq!(report, UpdateReport::default());
         assert_eq!(block.num_rows(), 100);
     }

@@ -8,11 +8,12 @@
 //!    restored trie hitting from the first query.
 //! 3. **No panics on bad input**: corrupt, truncated, wrong-magic, and
 //!    wrong-version snapshots all come back as typed `SnapshotError`s.
-//! 4. **Old files keep loading**: a checked-in version-2 file (with its
-//!    `PYRA` section), a checked-in version-3 file (with the base-data
-//!    linkage versions 1–3 stored), a version-1 file and a checked-in
-//!    version-4 file (the current layout under the byte-wise section
-//!    checksum) answer like a fresh build.
+//! 4. **The previous version keeps loading, older ones are refused by
+//!    name**: a checked-in version-4 file (the current layout under the
+//!    byte-wise section checksum) answers like a fresh build, and every
+//!    corruption probe is a typed error under both checksum rules; a file
+//!    stamped with an older version is `UnsupportedVersion`, never
+//!    `ChecksumMismatch` or `Corrupt`.
 
 use gb_cell::Grid;
 use gb_data::{
@@ -92,7 +93,7 @@ fn roundtrip_is_lossless_clean_and_dirty() {
             vec![i as f64, 1.0],
         );
     }
-    dirty.apply_updates(&batch);
+    dirty.apply_updates(&batch).expect("valid batch");
     let path = temp_path("dirty.gbsnap");
     dirty.write_snapshot(&path).expect("save dirty");
     let loaded = GeoBlock::read_snapshot(&path).expect("load dirty");
@@ -214,23 +215,14 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
     ));
 }
 
-/// A format-version-2 snapshot **with** a `PYRA` section, written by
-/// `GeoBlockEngine::write_snapshot` at commit 9e5fc01 (the last whose
-/// writer emitted version 2; this tree cannot regenerate it). The engine
-/// held `build(&base_data(40), 5, &Filter::all())` at threshold 0.5 after
-/// three `QueryRequest::Select`s of the rectangle (10,10)–(70,70) with
-/// `spec()` and a `rebuild_cache`, so the file carries `TRIE`, `HITS` and
-/// `HOTQ` too and its state hash spans the pyramid between them. Its
-/// `CELL` and `HDRS` sections have the version 1–3 layout.
-/// `v2_pyra.content_hash` is the loaded block's `content_hash` as this
-/// tree defines it (`persist_check` compares the two).
-const V2_FIXTURE: &[u8] = include_bytes!("fixtures/v2_pyra.gbsnap");
+/// The versions the loader reads: this one and the one before it.
+const READABLE: std::ops::RangeInclusive<u16> = SNAPSHOT_VERSION - 1..=SNAPSHOT_VERSION;
 
 /// Re-frame a snapshot section by section under `version` — the writer
 /// sums the sections under that version's checksum rule — letting `edit`
 /// change each payload on the way.
 fn reframe_under(version: u16, bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<u8>)) -> Vec<u8> {
-    let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).expect("well-framed");
+    let reader = SnapshotReader::from_bytes(bytes, READABLE).expect("well-framed");
     let mut w = SnapshotWriter::new(version);
     for tag in reader.tags() {
         let mut payload = reader.require(tag).unwrap().to_vec();
@@ -244,11 +236,6 @@ fn reframe_under(version: u16, bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<
 fn reframe(bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<u8>)) -> Vec<u8> {
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
     reframe_under(version, bytes, edit)
-}
-
-fn has_pyra(bytes: &[u8]) -> bool {
-    let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).expect("well-framed");
-    reader.section(SectionTag(*b"PYRA")).is_some()
 }
 
 fn assert_answers_bit_identical(loaded: &GeoBlock, fresh: &GeoBlock) {
@@ -270,144 +257,39 @@ fn assert_answers_bit_identical(loaded: &GeoBlock, fresh: &GeoBlock) {
     }
 }
 
-#[test]
-fn v2_fixture_with_pyra_loads_to_bit_identical_answers() {
-    assert!(V2_FIXTURE.len() <= 16 * 1024);
-    assert_eq!(V2_FIXTURE[8..10], 2u16.to_le_bytes());
-    assert!(has_pyra(V2_FIXTURE));
+/// A format-version-4 snapshot — the current section layouts under the
+/// byte-wise FNV-1a section checksum — written by
+/// `GeoBlockEngine::write_snapshot` at commit 26c9fdd (the last whose writer
+/// emitted version 4; this tree cannot regenerate it). The engine held
+/// `build(&base_data(40), 5, &Filter::all())` at threshold 0.5 after three
+/// `QueryRequest::Select`s of the rectangle (10,10)–(70,70) with `spec()`,
+/// a `rebuild_cache` and then the batch of [`v4_fixture_block`] through
+/// `GeoBlockEngine::apply_updates`, which bumps a cell in place *and*
+/// splices a new one; `TRIE`, `HITS` and `HOTQ` are all present.
+const V4_FIXTURE: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
 
-    let snap = Snapshot::from_bytes(V2_FIXTURE).expect("v2 file loads");
-    assert!(snap.trie.is_some() && snap.hits.is_some());
-    assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
-    let (fresh, _) = build(&base_data(40), 5, &Filter::all());
-    assert_answers_bit_identical(&snap.block, &fresh);
-    let recorded = include_str!("fixtures/v2_pyra.content_hash").trim();
-    assert_eq!(format!("{:#018x}", fresh.content_hash()), recorded);
-
-    // Saving it again writes the current format: no PYRA, same content.
-    let rewritten = snap.to_bytes();
-    assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
-    assert!(!has_pyra(&rewritten));
-    let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
-    assert_answers_bit_identical(&again.block, &fresh);
-
-    // A flipped CELL byte under a *valid* section checksum (an adversarial
-    // edit; a plain flip already fails the checksum) is still caught.
-    let flip = |which: &'static [u8; 4]| {
-        reframe(V2_FIXTURE, move |tag, payload| {
-            if tag == SectionTag(*which) {
-                payload[40] ^= 0x20;
-            }
-        })
-    };
-    let err = Snapshot::from_bytes(&flip(b"CELL")).unwrap_err();
-    assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-    // So is a structurally impossible CELL — `sums`, its last array, one
-    // value short — before any fold indexes it.
-    let n_sums = (fresh.num_cells() * fresh.schema().len()) as u64;
-    let short = reframe(V2_FIXTURE, |tag, payload| {
-        if tag == SectionTag(*b"CELL") {
-            let count_at = payload.len() - 8 * (n_sums as usize + 1);
-            payload[count_at..count_at + 8].copy_from_slice(&(n_sums - 1).to_le_bytes());
-            payload.truncate(payload.len() - 8);
-        }
-    });
-    let err = Snapshot::from_bytes(&short).unwrap_err();
-    assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-    // The PYRA payload, by contrast, is never decoded: the answers come
-    // from the pyramid rebuilt out of CELL.
-    let odd = Snapshot::from_bytes(&flip(b"PYRA")).expect("PYRA payload is not read");
-    assert_answers_bit_identical(&odd.block, &fresh);
-}
-
-/// A format-version-3 snapshot, written by `GeoBlockEngine::write_snapshot`
-/// at commit 8f86848 (the last whose writer emitted version 3; this tree
-/// cannot regenerate it). The engine held `build(&base_data(40), 5,
-/// &Filter::all())` at threshold 0.5 after three `QueryRequest::Select`s of
-/// the rectangle (10,10)–(70,70) with `spec()`, a `rebuild_cache` and then
-/// the batch of [`v3_fixture_block`], which bumps a cell in place *and*
-/// splices a new one: `CELL` carries the base-data linkage (tuple offsets
-/// — a `0` for the spliced cell — leaf-key bounds, `u32` counts), the
-/// `HDRS` flag that marked those offsets stale is set, and `TRIE`, `HITS`
-/// and `HOTQ` are all present.
-const V3_FIXTURE: &[u8] = include_bytes!("fixtures/v3_linkage.gbsnap");
-
-/// The fresh block the version-3 fixture must answer like: the same build
+/// The fresh block the version-4 fixture must answer like: the same build
 /// plus the same batch (one tuple in place, one in a new cell).
-fn v3_fixture_block() -> GeoBlock {
+fn v4_fixture_block() -> GeoBlock {
     let base = base_data(40);
     let (mut fresh, _) = build(&base, 5, &Filter::all());
     let mut batch = UpdateBatch::new();
     batch.push(base.location(0), vec![12.5, 3.0]);
     batch.push(Point::new(99.5, 0.5), vec![7.25, 2.0]);
-    let report = fresh.apply_updates(&batch);
+    let report = fresh.apply_updates(&batch).expect("valid batch");
     assert_eq!((report.in_place, report.new_cells), (1, 1));
     fresh
 }
 
-#[test]
-fn v3_fixture_with_linkage_loads_to_bit_identical_answers() {
-    assert!(V3_FIXTURE.len() <= 16 * 1024);
-    assert_eq!(V3_FIXTURE[8..10], 3u16.to_le_bytes());
-    let reader = SnapshotReader::from_bytes(V3_FIXTURE, SNAPSHOT_VERSION).expect("well-framed");
-    let header = reader.require(SectionTag(*b"HDRS")).unwrap();
-    assert_eq!(header[1], 1, "the stale-offsets flag");
-
-    let snap = Snapshot::from_bytes(V3_FIXTURE).expect("v3 file loads");
-    assert!(snap.trie.is_some() && snap.hits.is_some());
-    assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
-    let fresh = v3_fixture_block();
-    assert_answers_bit_identical(&snap.block, &fresh);
-
-    // Saving it again writes the current format: the linkage (20 bytes a
-    // cell, three array length prefixes and the flag) is gone, the content
-    // is the same.
-    let rewritten = snap.to_bytes();
-    assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
-    assert_eq!(
-        rewritten.len(),
-        V3_FIXTURE.len() - 20 * fresh.num_cells() - 3 * 8 - 1
-    );
-    let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
-    assert_answers_bit_identical(&again.block, &fresh);
-    assert_eq!(again.to_bytes(), rewritten);
-
-    // A flipped CELL byte under a *valid* section checksum — in the keys,
-    // in the linkage no query reads, in the aggregates — is still caught.
-    let n = fresh.num_cells();
-    for at in [40, 8 * (n + 2) + 3, V3_FIXTURE.len()] {
-        let flipped = reframe(V3_FIXTURE, |tag, payload| {
-            if tag == SectionTag(*b"CELL") {
-                let at = at.min(payload.len() - 1);
-                payload[at] ^= 0x20;
-            }
-        });
-        let err = Snapshot::from_bytes(&flipped).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{at}: {err}");
-    }
+/// The two files every probe below runs on: the version-4 fixture and the
+/// same state saved by this tree as version 5.
+fn both_versions() -> [Vec<u8>; 2] {
+    let v5 = Snapshot::from_bytes(V4_FIXTURE)
+        .expect("v4 fixture")
+        .to_bytes();
+    assert_eq!(v5[8..10], SNAPSHOT_VERSION.to_le_bytes());
+    [V4_FIXTURE.to_vec(), v5]
 }
-
-#[test]
-fn v1_file_loads_to_bit_identical_answers() {
-    // A version-1 file has exactly the version-3 layout (no derived
-    // state, same state hash), so stamping the version field — which no
-    // checksum covers — of the version-3 fixture yields one.
-    let mut bytes = V3_FIXTURE.to_vec();
-    bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
-    let back = Snapshot::from_bytes(&bytes).expect("v1 file loads");
-    assert_answers_bit_identical(&back.block, &v3_fixture_block());
-}
-
-/// A format-version-4 snapshot — the current section layouts under the
-/// byte-wise FNV-1a section checksum — written by
-/// `GeoBlockEngine::write_snapshot` at commit 26c9fdd (the last whose writer
-/// emitted version 4; this tree cannot regenerate it). Same recipe as the
-/// version-3 fixture: `build(&base_data(40), 5, &Filter::all())` at
-/// threshold 0.5, three `QueryRequest::Select`s of the rectangle
-/// (10,10)–(70,70) with `spec()`, a `rebuild_cache`, then the batch of
-/// [`v3_fixture_block`] through `GeoBlockEngine::apply_updates` (one tuple
-/// in place, one spliced); `TRIE`, `HITS` and `HOTQ` are all present.
-const V4_FIXTURE: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
 
 #[test]
 fn v4_fixture_loads_to_bit_identical_answers() {
@@ -417,7 +299,7 @@ fn v4_fixture_loads_to_bit_identical_answers() {
     let snap = Snapshot::from_bytes(V4_FIXTURE).expect("v4 file loads");
     assert!(snap.trie.is_some() && snap.hits.is_some());
     assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
-    let fresh = v3_fixture_block();
+    let fresh = v4_fixture_block();
     assert_answers_bit_identical(&snap.block, &fresh);
 
     // Saving it again writes version 5: the same bytes but for the version
@@ -429,6 +311,7 @@ fn v4_fixture_loads_to_bit_identical_answers() {
     assert!((1..=1 + 7 * 8).contains(&differing.count()));
     let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
     assert_answers_bit_identical(&again.block, &fresh);
+    assert_eq!(again.to_bytes(), rewritten);
 
     // A flipped payload byte fails the byte-wise checksum …
     let cell = V4_FIXTURE.len() / 2;
@@ -454,5 +337,73 @@ fn v4_fixture_loads_to_bit_identical_answers() {
         assert_eq!(resummed[8..10], stamp.to_le_bytes());
         let back = Snapshot::from_bytes(&resummed).expect("re-summed file loads");
         assert_answers_bit_identical(&back.block, &fresh);
+    }
+}
+
+#[test]
+fn crafted_cell_sections_are_typed_errors_under_both_rules() {
+    let fresh = v4_fixture_block();
+    let n = fresh.num_cells();
+    let n_sums = n * fresh.schema().len();
+    for file in both_versions() {
+        let version = file[8];
+        // A structurally impossible CELL — `sums`, its last array, one
+        // value short — under a valid checksum: rejected before any fold
+        // indexes it (this panicked once).
+        let short = reframe(&file, |tag, payload| {
+            if tag == SectionTag(*b"CELL") {
+                let count_at = payload.len() - 8 * (n_sums + 1);
+                payload[count_at..count_at + 8].copy_from_slice(&(n_sums as u64 - 1).to_le_bytes());
+                payload.truncate(payload.len() - 8);
+            }
+        });
+        let err = Snapshot::from_bytes(&short).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Corrupt { .. }),
+            "v{version}: {err}"
+        );
+        // A flipped CELL byte under a valid checksum — in the keys, the
+        // counts, the aggregates — is caught by validation or the digest.
+        // (Layout: keys, counts, mins, maxs, sums — each a u64 count and
+        // the values.)
+        for at in [12, 8 * (n + 2) + 1, 8 * (2 * n + 3) + 3, usize::MAX] {
+            let flipped = reframe(&file, |tag, payload| {
+                if tag == SectionTag(*b"CELL") {
+                    let at = at.min(payload.len() - 1);
+                    payload[at] ^= 0x20;
+                }
+            });
+            let err = Snapshot::from_bytes(&flipped).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt { .. }),
+                "v{version}, byte {at}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn older_versions_are_unsupported_not_corrupt() {
+    for file in both_versions() {
+        // Every older version, and the next one.
+        for old in (0..*READABLE.start()).chain([SNAPSHOT_VERSION + 1]) {
+            // Stamped only (the sections still summed under the file's own
+            // rule), and re-summed under the stamped version's rule.
+            let mut stamped = file.clone();
+            stamped[8..10].copy_from_slice(&old.to_le_bytes());
+            let resummed = reframe_under(old, &file, |_, _| {});
+            for bytes in [stamped, resummed] {
+                let err = Snapshot::from_bytes(&bytes).unwrap_err();
+                assert!(
+                    matches!(
+                        &err,
+                        SnapshotError::UnsupportedVersion { found, readable }
+                            if *found == old && *readable == READABLE
+                    ),
+                    "v{old}: {err:?}"
+                );
+                assert!(err.to_string().contains("reads versions 4–5"), "{err}");
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@ use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
-use geoblocks::{build, AggResult, GeoBlockEngine};
+use geoblocks::{build, AggPlan, AggResult, GeoBlockEngine};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -51,10 +51,11 @@ fn covering_truth(
     s: &AggSpec,
 ) -> AggResult {
     let covering = block.cover(poly);
+    let plan = AggPlan::compile(s);
     let mut acc = AggResult::new(s);
     for row in 0..base.num_rows() {
         if covering.contains(CellId::from_raw(base.keys()[row])) {
-            acc.combine_tuple(s, |c| base.value_f64(row, c));
+            acc.combine_tuple_plan(&plan, |c| base.value_f64(row, c));
         }
     }
     acc.finalize(s)
@@ -172,7 +173,7 @@ proptest! {
                 batch.push(p, vec![1.5, 2.0]);
                 update_leaves.push(grid.leaf_for_point(p));
             }
-            let report = block.apply_updates(&batch);
+            let report = block.apply_updates(&batch).expect("valid batch");
             saw_in_place |= report.in_place > 0;
             saw_new_cell |= report.new_cells > 0;
         }
@@ -215,7 +216,7 @@ proptest! {
         for &(x, y) in &updates {
             batch.push(Point::new(x, y), vec![1.0, 2.0]);
         }
-        block.apply_updates(&batch);
+        block.apply_updates(&batch).expect("valid batch");
         block.check_invariants();
 
         prop_assert_eq!(block.num_rows(), (points.len() + updates.len()) as u64);

@@ -132,7 +132,7 @@ proptest! {
             for &(x, y) in batch_pts {
                 batch.push(Point::new(x, y), vec![x - y, (x * 0.1).floor()]);
             }
-            let report = block.apply_updates(&batch);
+            let report = block.apply_updates(&batch).expect("valid batch");
             saw_in_place |= report.in_place > 0;
             saw_new_cell |= report.new_cells > 0;
             block.check_invariants();
@@ -247,7 +247,7 @@ fn prefix_count_matches_ground_truth_after_mixed_batches() {
         batch.push(p, vec![1.0, 2.0]);
         update_leaves.push(grid.leaf_for_point(p));
     }
-    let report = block.apply_updates(&batch);
+    let report = block.apply_updates(&batch).expect("valid batch");
     assert!(report.in_place > 0 && report.new_cells > 0, "{report:?}");
     block.check_invariants();
 

@@ -2,15 +2,16 @@
 //! third of the robustness roadmap's "every decoder is fuzzed".
 //!
 //! Seeded and dependency-free: a fixed splitmix64 stream picks a corpus
-//! file (the checked-in version 2, 3 and 4 fixtures, a version-1 stamp of
-//! the version-3 one, and a fresh version-5 file), one mutation, and where
-//! to apply it. Mutated sections are framed again by the container writer
-//! — so their checksums are valid and the mutation reaches the decoders
-//! behind them — except for the raw mutations, which attack the framing
-//! itself. Every outcome must be a typed [`SnapshotError`] or a block that
-//! passes `check_invariants`: no panic, and no single allocation larger
-//! than a small multiple of the input (a length prefix must be checked
-//! against the bytes that follow it before anything is reserved for it).
+//! file (the checked-in version-4 fixture, and a fresh version-5 file of a
+//! state one update past it), one mutation, and where to apply it. Mutated
+//! sections are framed again by the container writer — so their checksums
+//! are valid and the mutation reaches the decoders behind them — except for
+//! the raw mutations, which attack the framing itself. Every outcome must
+//! be a typed [`SnapshotError`] or a block that passes `check_invariants`:
+//! no panic, and no single allocation larger than a small multiple of the
+//! input (a length prefix must be checked against the bytes that follow it
+//! before anything is reserved for it). A file whose version field was
+//! changed must never load.
 //!
 //! The case number in a failure message replays the case: the stream is
 //! fixed, so case `k` is always the same mutation.
@@ -19,8 +20,9 @@
 //! allocator (the only way to *observe* an allocation), and holds one
 //! test so nothing else allocates while it watches.
 
+use gb_geom::Point;
 use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
-use geoblocks::{Snapshot, SNAPSHOT_VERSION};
+use geoblocks::{Snapshot, UpdateBatch, SNAPSHOT_VERSION};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -74,7 +76,8 @@ fn below(state: &mut u64, n: usize) -> usize {
 type Sections = Vec<(SectionTag, Vec<u8>)>;
 
 fn sections_of(file: &[u8]) -> (u16, Sections) {
-    let reader = SnapshotReader::from_bytes(file, SNAPSHOT_VERSION).expect("corpus file is valid");
+    let readable = SNAPSHOT_VERSION - 1..=SNAPSHOT_VERSION;
+    let reader = SnapshotReader::from_bytes(file, readable).expect("corpus file is valid");
     let sections = reader
         .tags()
         .map(|tag| (tag, reader.require(tag).unwrap().to_vec()))
@@ -113,19 +116,20 @@ fn length_prefixes(payload: &[u8]) -> Vec<usize> {
     found
 }
 
-/// One mutated file from case stream `rng`, and what was done to it.
-fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String) {
+/// One mutated file from case stream `rng`, what was done to it, and
+/// whether the mutation alone must make the load fail.
+fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
     let which = below(rng, corpus.len());
     let file = &corpus[which];
     let (version, mut sections) = sections_of(file);
     let s = below(rng, sections.len());
     let tag = sections[s].0;
-    match below(rng, 6) {
+    let (bytes, what) = match below(rng, 7) {
         // A bit flipped under a valid checksum.
         0 => {
             let payload = &mut sections[s].1;
             if payload.is_empty() {
-                return (file.clone(), format!("file {which}: untouched"));
+                return (file.clone(), format!("file {which}: untouched"), false);
             }
             let (at, bit) = (below(rng, payload.len()), below(rng, 8));
             payload[at] ^= 1 << bit;
@@ -159,7 +163,7 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String) {
         3 => {
             let payload = &mut sections[s].1;
             if payload.len() < 8 {
-                return (file.clone(), format!("file {which}: untouched"));
+                return (file.clone(), format!("file {which}: untouched"), false);
             }
             let known = length_prefixes(payload);
             let at = if known.is_empty() || below(rng, 4) == 0 {
@@ -190,7 +194,7 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String) {
             (file[..cut].to_vec(), format!("file {which}: cut at {cut}"))
         }
         // Raw: a bit flipped anywhere — header, frame or payload.
-        _ => {
+        5 => {
             let mut bytes = file.clone();
             let (at, bit) = (below(rng, bytes.len()), below(rng, 8));
             bytes[at] ^= 1 << bit;
@@ -199,19 +203,41 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String) {
                 format!("file {which}: raw flip bit {bit} of byte {at}"),
             )
         }
-    }
+        // Raw: the version field set to another value — half the time a
+        // nearby one (an older version, the other readable one, whose
+        // checksum rule the sections were not summed under, or the next),
+        // otherwise any.
+        _ => {
+            let mut other = if below(rng, 2) == 0 {
+                below(rng, 8) as u16
+            } else {
+                splitmix(rng) as u16
+            };
+            if other == version {
+                other ^= 1;
+            }
+            let mut bytes = file.clone();
+            bytes[8..10].copy_from_slice(&other.to_le_bytes());
+            let what = format!("file {which}: version {version} stamped {other}");
+            return (bytes, what, true);
+        }
+    };
+    (bytes, what, false)
 }
 
 #[test]
 fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
-    let v2: &[u8] = include_bytes!("fixtures/v2_pyra.gbsnap");
-    let v3: &[u8] = include_bytes!("fixtures/v3_linkage.gbsnap");
     let v4: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
-    let mut v1 = v3.to_vec();
-    v1[8..10].copy_from_slice(&1u16.to_le_bytes());
-    let v5 = Snapshot::from_bytes(v4).expect("v4 fixture").to_bytes();
+    // Not the fixture re-saved: a section spliced from one file into the
+    // other must be a graft, not a no-op. One more tuple, and no trie.
+    let mut state = Snapshot::from_bytes(v4).expect("v4 fixture");
+    let mut batch = UpdateBatch::new();
+    batch.push(Point::new(42.0, 17.0), vec![1.5, 4.0]);
+    state.block.apply_updates(&batch).expect("valid batch");
+    state.trie = None;
+    let v5 = state.to_bytes();
     assert_eq!(v5[8..10], SNAPSHOT_VERSION.to_le_bytes());
-    let corpus = [v1, v2.to_vec(), v3.to_vec(), v4.to_vec(), v5];
+    let corpus = [v4.to_vec(), v5];
     for file in &corpus {
         Snapshot::from_bytes(file)
             .expect("corpus file loads")
@@ -225,7 +251,7 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
     let mut kinds = std::collections::BTreeMap::<String, usize>::new();
     let mut case = 0usize;
     while case < CASES && started.elapsed() < BUDGET {
-        let (bytes, what) = mutate(&corpus, &mut rng);
+        let (bytes, what, must_fail) = mutate(&corpus, &mut rng);
         LARGEST.store(0, Ordering::Relaxed);
         let outcome = std::panic::catch_unwind(|| Snapshot::from_bytes(&bytes));
         let largest = LARGEST.load(Ordering::Relaxed);
@@ -238,6 +264,7 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
         worst = worst.max(largest as f64 / bytes.len().max(256) as f64);
         match outcome {
             Ok(snap) => {
+                assert!(!must_fail, "case {case} ({what}): loaded");
                 loads += 1;
                 let checked = std::panic::catch_unwind(|| snap.block.check_invariants());
                 assert!(

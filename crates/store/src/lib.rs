@@ -38,6 +38,7 @@
 //! (`content_hash` equality) exact.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::path::Path;
 
 /// The 8-byte magic prefix of every snapshot file. The `\r\n` tail makes
@@ -53,8 +54,11 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not a snapshot at all.
     BadMagic,
-    /// The snapshot's format version is newer than this build understands.
-    UnsupportedVersion { found: u16, supported: u16 },
+    /// The snapshot's format version is outside the range this build reads.
+    UnsupportedVersion {
+        found: u16,
+        readable: RangeInclusive<u16>,
+    },
     /// Reserved header flags were non-zero (written by an incompatible
     /// producer).
     BadFlags(u16),
@@ -76,9 +80,11 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a GeoBlocks snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion { found, supported } => write!(
+            SnapshotError::UnsupportedVersion { found, readable } => write!(
                 f,
-                "unsupported snapshot version {found} (this build reads up to {supported})"
+                "unsupported snapshot version {found} (this build reads versions {}–{})",
+                readable.start(),
+                readable.end()
             ),
             SnapshotError::BadFlags(flags) => {
                 write!(f, "reserved snapshot header flags set: {flags:#06x}")
@@ -144,7 +150,7 @@ impl fmt::Debug for SectionTag {
 }
 
 /// FNV-1a 64-bit, a byte at a time — the section checksum of container
-/// versions 1–4, and the stable key hash of the wire API and the serve
+/// versions up to 4, and the stable key hash of the wire API and the serve
 /// layer. Deliberately simple and self-contained: the goal is corruption
 /// *detection* with a stable, documented algorithm, not cryptographic
 /// integrity.
@@ -199,7 +205,7 @@ fn wordsum64(bytes: &[u8]) -> u64 {
 
 /// The section checksum of container `version` — the one place a version
 /// selects an algorithm, called by writer and reader alike: [`fnv1a64`]
-/// for versions 1–4, the word-wise hash from version 5 on. A reader never
+/// up to version 4, the word-wise hash from version 5 on. A reader never
 /// tries the other rule: a file is checked by the rule its header names.
 pub fn checksum_for(version: u16) -> fn(&[u8]) -> u64 {
     if version < 5 {
@@ -335,19 +341,24 @@ impl<'a> SnapshotReader<'a> {
     /// Parse a container, validating magic, version, flags, section
     /// framing, and every section checksum.
     ///
-    /// `max_version` is the newest format version the caller understands;
-    /// anything newer is rejected up front rather than misdecoded.
-    pub fn from_bytes(bytes: &'a [u8], max_version: u16) -> Result<Self, SnapshotError> {
+    /// `readable` is the range of format versions the caller decodes; a
+    /// file outside it is rejected as [`SnapshotError::UnsupportedVersion`]
+    /// before any checksum is verified, so an old or a future file is
+    /// refused by name, never reported as corrupt.
+    pub fn from_bytes(
+        bytes: &'a [u8],
+        readable: RangeInclusive<u16>,
+    ) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes, "snapshot header");
         let magic = r.bytes(MAGIC.len())?;
         if magic != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         let version = r.u16()?;
-        if version > max_version {
+        if !readable.contains(&version) {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
-                supported: max_version,
+                readable,
             });
         }
         let flags = r.u16()?;
@@ -663,6 +674,8 @@ mod tests {
     /// One container version per checksum rule: the last byte-wise one
     /// and the first word-wise one.
     const RULES: [u16; 2] = [4, 5];
+    /// What the tests read: both rules.
+    const READABLE: RangeInclusive<u16> = 4..=5;
     const TAG_A: SectionTag = SectionTag(*b"AAAA");
     const TAG_B: SectionTag = SectionTag(*b"BBBB");
     /// Where the first section's payload starts.
@@ -691,7 +704,7 @@ mod tests {
     fn roundtrip_container() {
         for v in RULES {
             let bytes = sample(v);
-            let r = SnapshotReader::from_bytes(&bytes, v).expect("parses");
+            let r = SnapshotReader::from_bytes(&bytes, v..=v).expect("parses");
             assert_eq!(r.version(), v);
             assert_eq!(r.section(TAG_A), Some(&[1u8, 2, 3, 4, 5][..]));
             assert_eq!(r.section(TAG_B), Some(&[][..]));
@@ -717,15 +730,13 @@ mod tests {
         assert_eq!(bytes[45..53], 0u64.to_le_bytes());
         assert_eq!(bytes[53..61], wordsum64(&[]).to_le_bytes());
         // The reader's sections are slices of that buffer, not copies.
-        let r = SnapshotReader::from_bytes(&bytes, 5).unwrap();
+        let r = SnapshotReader::from_bytes(&bytes, READABLE).unwrap();
         assert!(std::ptr::eq(r.require(TAG_A).unwrap(), &bytes[36..41]));
     }
 
     #[test]
     fn the_version_selects_the_checksum_rule() {
-        for v in 1..=4 {
-            assert_eq!(checksum_for(v)(b"foobar"), fnv1a64(b"foobar"));
-        }
+        assert_eq!(checksum_for(4)(b"foobar"), fnv1a64(b"foobar"));
         assert_eq!(checksum_for(5)(b"foobar"), wordsum64(b"foobar"));
         // The version field is outside every checksum, so the same bytes
         // under the other version are the same payloads under the other
@@ -734,29 +745,47 @@ mod tests {
             let mut bytes = sample(v);
             bytes[8..10].copy_from_slice(&other.to_le_bytes());
             assert!(matches!(
-                SnapshotReader::from_bytes(&bytes, 5).unwrap_err(),
+                SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
                 SnapshotError::ChecksumMismatch { section } if section == TAG_A
             ));
         }
     }
 
     #[test]
-    fn older_versions_are_accepted() {
-        let bytes = sample(3);
-        let r = SnapshotReader::from_bytes(&bytes, 8).expect("older version readable");
-        assert_eq!(r.version(), 3);
+    fn versions_outside_the_range_are_rejected() {
+        for v in [0, 1, 3, 6, u16::MAX] {
+            let err = SnapshotReader::from_bytes(&sample(v), READABLE).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    SnapshotError::UnsupportedVersion { found, readable }
+                        if *found == v && *readable == READABLE
+                ),
+                "v{v}: {err:?}"
+            );
+            assert!(err.to_string().contains("reads versions 4–5"), "{err}");
+        }
     }
 
     #[test]
-    fn newer_version_is_rejected() {
-        let err = SnapshotReader::from_bytes(&sample(3), 2).unwrap_err();
-        assert!(matches!(
-            err,
-            SnapshotError::UnsupportedVersion {
-                found: 3,
-                supported: 2
-            }
-        ));
+    fn the_version_is_checked_before_any_checksum() {
+        // A file of an unreadable version whose first section is also
+        // corrupt is refused for its version: the reader never reaches a
+        // checksum it has no business verifying.
+        for v in [3, 6] {
+            let mut bytes = sample(v);
+            bytes[FIRST_PAYLOAD] ^= 0x01;
+            assert!(matches!(
+                SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
+                SnapshotError::UnsupportedVersion { found, .. } if found == v
+            ));
+            // The same corruption in a readable version is a checksum error.
+            bytes[8..10].copy_from_slice(&5u16.to_le_bytes());
+            assert!(matches!(
+                SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
+                SnapshotError::ChecksumMismatch { .. }
+            ));
+        }
     }
 
     #[test]
@@ -764,12 +793,12 @@ mod tests {
         let mut bytes = sample(5);
         bytes[0] ^= 0xFF;
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, 5).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
             SnapshotError::BadMagic
         ));
         // A totally unrelated file is also "bad magic", not a panic.
         assert!(matches!(
-            SnapshotReader::from_bytes(b"hello world, not a snapshot", 5).unwrap_err(),
+            SnapshotReader::from_bytes(b"hello world, not a snapshot", READABLE).unwrap_err(),
             SnapshotError::BadMagic
         ));
     }
@@ -779,7 +808,7 @@ mod tests {
         let mut bytes = sample(5);
         bytes[10] = 0x01; // flags LSB
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, 5).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
             SnapshotError::BadFlags(1)
         ));
     }
@@ -794,7 +823,7 @@ mod tests {
                     b[i] ^= 1 << bit;
                     assert!(
                         matches!(
-                            SnapshotReader::from_bytes(&b, v).unwrap_err(),
+                            SnapshotReader::from_bytes(&b, READABLE).unwrap_err(),
                             SnapshotError::ChecksumMismatch { section } if section == TAG_A
                         ),
                         "v{v}: flip of bit {bit} at byte {i} undetected"
@@ -809,7 +838,7 @@ mod tests {
         for v in RULES {
             let bytes = sample(v);
             for cut in 0..bytes.len() {
-                let err = SnapshotReader::from_bytes(&bytes[..cut], v)
+                let err = SnapshotReader::from_bytes(&bytes[..cut], READABLE)
                     .expect_err("truncated snapshot must not parse");
                 assert!(
                     matches!(
@@ -829,7 +858,7 @@ mod tests {
         let mut bytes = sample(5);
         bytes.push(0xAB);
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, 5).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
             SnapshotError::Corrupt { .. }
         ));
     }
@@ -846,7 +875,7 @@ mod tests {
             let tail: Vec<u8> = bytes[HEADER_BYTES..].to_vec();
             bytes.extend_from_slice(&tail);
             assert!(matches!(
-                SnapshotReader::from_bytes(&bytes, v).unwrap_err(),
+                SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
                 SnapshotError::DuplicateSection { section } if section == TAG_A
             ));
         }
@@ -1033,7 +1062,7 @@ mod tests {
             .count();
         assert_eq!(leftovers, 0, "temp files left behind");
         let bytes = std::fs::read(&path).expect("read");
-        let r = SnapshotReader::from_bytes(&bytes, 5).expect("parse");
+        let r = SnapshotReader::from_bytes(&bytes, READABLE).expect("parse");
         assert_eq!(r.section(TAG_A).unwrap().len(), 1000);
         // Concurrent saves to the same path must not corrupt it: each
         // writer uses its own temp file, the last rename wins.
@@ -1048,7 +1077,7 @@ mod tests {
             }
         });
         let bytes = std::fs::read(&path).expect("read");
-        let r = SnapshotReader::from_bytes(&bytes, 5).expect("readable after racing saves");
+        let r = SnapshotReader::from_bytes(&bytes, READABLE).expect("readable after racing saves");
         let payload = r.section(TAG_A).unwrap();
         assert_eq!(payload.len(), 4096);
         assert!(

@@ -18,7 +18,7 @@ use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
-use geoblocks::{build, AggResult, GeoBlockEngine};
+use geoblocks::{build, AggPlan, AggResult, GeoBlockEngine};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -50,10 +50,11 @@ fn covering_truth(
     s: &AggSpec,
 ) -> AggResult {
     let covering = block.cover(poly);
+    let plan = AggPlan::compile(s);
     let mut acc = AggResult::new(s);
     for row in 0..base.num_rows() {
         if covering.contains(CellId::from_raw(base.keys()[row])) {
-            acc.combine_tuple(s, |c| base.value_f64(row, c));
+            acc.combine_tuple_plan(&plan, |c| base.value_f64(row, c));
         }
     }
     acc.finalize(s)
@@ -213,10 +214,11 @@ fn all_identical_vertices_do_not_panic() {
         assert!(cnt >= gt.exact_count(&poly));
         let want = {
             let covering = qc.block_snapshot().cover(&poly);
+            let plan = AggPlan::compile(&s);
             let mut acc = AggResult::new(&s);
             for row in 0..base.num_rows() {
                 if covering.contains(CellId::from_raw(base.keys()[row])) {
-                    acc.combine_tuple(&s, |c| base.value_f64(row, c));
+                    acc.combine_tuple_plan(&plan, |c| base.value_f64(row, c));
                 }
             }
             acc.finalize(&s)
