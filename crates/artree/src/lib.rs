@@ -116,7 +116,7 @@ impl<A: Aggregate> ARTree<A> {
     }
 
     /// Total node count (for size accounting and tests).
-    pub fn num_nodes(&self) -> usize {
+    pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -583,9 +583,9 @@ mod tests {
         let mut acc = CountAgg(0);
         let visited = t.query(&Rect::from_bounds(3.0, 3.0, 3.9, 3.9), &mut acc);
         assert!(
-            visited < t.num_nodes() / 2,
+            visited < t.node_count() / 2,
             "visited {visited} of {}",
-            t.num_nodes()
+            t.node_count()
         );
     }
 }

@@ -29,7 +29,7 @@ use crate::snapshot::SnapshotError;
 use crate::update::{UpdateBatch, UpdateReport};
 use gb_data::{AggFunc, AggRequest, AggSpec, DataError};
 use gb_geom::{Point, Polygon};
-use gb_store::{fnv1a64, ByteReader, ByteWriter};
+use gb_store::{ByteReader, ByteWriter};
 use std::fmt;
 
 /// Version byte leading every encoded request/reply. Bumped on breaking
@@ -537,7 +537,8 @@ pub fn encode_request(req: &QueryRequest) -> Vec<u8> {
 }
 
 /// `fnv1a64(&encode_request(req))` without encoding: the key the engine's
-/// hot-query table files a request under, one per query.
+/// hot-query table files a request under, and the base of every result
+/// cache probe's [`request_cache_key`].
 pub(crate) fn request_key(req: &QueryRequest) -> u64 {
     let mut w = FnvSink(0xcbf2_9ce4_8422_2325);
     w.u8(WIRE_VERSION);
@@ -742,31 +743,21 @@ pub fn decode_reply(bytes: &[u8]) -> Result<QueryReply, GbError> {
     Ok(reply)
 }
 
-/// The result-cache key for a request: an FNV-1a-64 hash of the encoded
-/// request (polygon + spec, bit-exact) mixed with the serving `filter_key`
+/// The result-cache key for a request: the FNV-1a-64 hash of the encoded
+/// request (polygon + spec, bit-exact; `request_key`, which hashes the
+/// wire bytes without encoding them) mixed with the serving `filter_key`
 /// (so one cache can front blocks built under different filters without
-/// cross-talk). Updates are never cacheable → `None`.
+/// cross-talk). Updates are never cacheable → `None`, and a batch is
+/// cacheable iff every item is read-only (its reply carries one epoch, so
+/// the usual epoch validation applies).
 pub fn request_cache_key(req: &QueryRequest, filter_key: u64) -> Option<u64> {
-    match req {
-        QueryRequest::Update { .. } => None,
-        QueryRequest::Select { .. } | QueryRequest::Count { .. } => {
-            let bytes = encode_request(req);
-            Some(fnv1a64(&bytes) ^ filter_key.rotate_left(17))
-        }
-        // A batch is cacheable iff every item is (read-only); its reply
-        // carries one epoch, so the usual epoch validation applies.
-        QueryRequest::Batch { requests } => {
-            if requests
-                .iter()
-                .all(|r| matches!(r, QueryRequest::Select { .. } | QueryRequest::Count { .. }))
-            {
-                let bytes = encode_request(req);
-                Some(fnv1a64(&bytes) ^ filter_key.rotate_left(17))
-            } else {
-                None
-            }
-        }
-    }
+    let read_only =
+        |r: &QueryRequest| matches!(r, QueryRequest::Select { .. } | QueryRequest::Count { .. });
+    let cacheable = match req {
+        QueryRequest::Batch { requests } => requests.iter().all(read_only),
+        _ => read_only(req),
+    };
+    cacheable.then(|| request_key(req) ^ filter_key.rotate_left(17))
 }
 
 #[cfg(test)]
@@ -836,12 +827,13 @@ mod tests {
             spec: spec(),
         };
         let count = QueryRequest::Count { polygon: poly() };
+        let update = QueryRequest::Update { batch };
         for req in [
             select.clone(),
             count.clone(),
-            QueryRequest::Update { batch },
+            update.clone(),
             QueryRequest::Batch {
-                requests: vec![count, select],
+                requests: vec![count.clone(), select.clone()],
             },
             QueryRequest::Batch { requests: vec![] },
         ] {
@@ -851,6 +843,23 @@ mod tests {
                 "{req:?}"
             );
         }
+        // The result-cache key is the same hash, mixed with the filter key,
+        // for every read-only request; an update has none.
+        let filter = 0x0123_4567_89ab_cdef;
+        for req in [
+            select.clone(),
+            count.clone(),
+            QueryRequest::Batch {
+                requests: vec![select, count],
+            },
+        ] {
+            assert_eq!(
+                request_cache_key(&req, filter),
+                Some(gb_store::fnv1a64(&encode_request(&req)) ^ filter.rotate_left(17)),
+                "{req:?}"
+            );
+        }
+        assert_eq!(request_cache_key(&update, filter), None);
     }
 
     #[test]

@@ -33,6 +33,12 @@
 //!   by rebuilds) only tracks performance adaptation — rebuilds never
 //!   change answers, so they leave the data epoch alone.
 //!
+//! The cache has one producer, [`AggregateTrie`]'s fill over a key set:
+//! a rebuild picks the keys from the hit statistics, an update keeps the
+//! current keys and fills them from the updated block, and a restart
+//! rebuilds from the restored statistics under the threshold it is loaded
+//! with (the snapshot stores no cache).
+//!
 //! The canonical entry point is [`GeoBlockEngine::query`] on the typed
 //! [`QueryRequest`]/[`QueryReply`] values from [`crate::api`]; the typed
 //! convenience methods ([`GeoBlockEngine::select`] /
@@ -46,7 +52,7 @@ use crate::hits::HitLog;
 use crate::kernel::PublishKernel;
 use crate::memo::{CoveringMemo, HotQueryTable, MemoStats};
 use crate::qc::{self, CacheMetrics, RebuildPolicy};
-use crate::query::{Cursors, QueryStats};
+use crate::query::QueryStats;
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::trie::AggregateTrie;
 use crate::update::{UpdateBatch, UpdateReport};
@@ -148,9 +154,7 @@ impl GeoBlockEngine {
     /// Like [`GeoBlockEngine::new`] for an already-shared block.
     pub fn from_arc(block: Arc<GeoBlock>, threshold: f64) -> Self {
         assert!(threshold >= 0.0);
-        let root_cell = qc::root_cell_of(&block);
-        let n_cols = block.schema().len();
-        let trie = Arc::new(AggregateTrie::new(root_cell, n_cols));
+        let trie = Arc::new(AggregateTrie::fill(&block, Vec::new()));
         GeoBlockEngine {
             state: PublishKernel::new(EngineState {
                 block,
@@ -233,7 +237,7 @@ impl GeoBlockEngine {
     }
 
     /// How many times the cache has been rebuilt. Performance adaptation
-    /// only: rebuilds never change answers (both tries cache exact
+    /// only: rebuilds never change answers (both caches hold exact
     /// aggregates), so this does **not** advance the data epoch.
     pub fn cache_epoch(&self) -> u64 {
         self.cache_epoch.load(Ordering::Acquire)
@@ -560,11 +564,9 @@ impl GeoBlockEngine {
     ///
     /// The next state is built entirely offline — copy the block's stored
     /// state (the derived half is rebuilt, not copied), apply the batch,
-    /// then walk the trie from the root towards each new tuple
-    /// (§5) and overwrite every cached aggregate on the way with the
-    /// updated block's record of its cell, so the cache stays a bit-exact
-    /// copy of what the block would answer — and swapped in with a single
-    /// pointer write.
+    /// then fill the cache's keys again from the updated block, so every
+    /// cached record is a bit-exact copy of what the block would answer —
+    /// and swapped in with a single pointer write.
     /// In-flight queries keep answering from their pinned epoch; queries
     /// starting after the swap see the whole batch. The swap also makes
     /// invalidation transactional for result caches keyed on the epoch:
@@ -599,12 +601,7 @@ impl GeoBlockEngine {
         let (report, epoch) = self.state.publish(|cur| {
             let mut block = cur.block.clone_stored();
             let report = block.apply_checked(batch);
-            let mut trie = (*cur.trie).clone();
-            for (loc, _) in &batch.rows {
-                let leaf = block.grid().leaf_for_point(*loc);
-                // Tuples arrive in no cell order: no cursor to resume from.
-                trie.refresh_path(leaf, |cell| block.record_of(cell, &mut Cursors::new()));
-            }
+            let trie = cur.trie.refill(&block);
             let epoch = cur.data_epoch + 1;
             (
                 EngineState {
@@ -619,29 +616,27 @@ impl GeoBlockEngine {
         Ok(QueryResponse::new(report, QueryStats::default(), epoch))
     }
 
-    /// Persist the block **and** the live cache state (current trie +
-    /// merged hit statistics), so a restarted engine resumes exactly
-    /// where this one is: same cached aggregates, same learned scores.
+    /// Persist the block and what the cache has learned (the merged hit
+    /// statistics and the hot query shapes). The cache itself is not
+    /// written: it is derived from the statistics, and a restart rebuilds
+    /// it.
     pub fn write_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        // One pinned state: block and trie are guaranteed consistent
-        // even while updates commit concurrently.
         let state = self.state_snapshot();
         let hits = self.hits.counts();
         let hot = self.hot_queries.lock().top(HOT_PERSIST_K);
         crate::snapshot::SnapshotRef {
             block: &state.block,
-            trie: Some(&state.trie),
             hits: Some(&hits),
             hot_queries: Some(&hot),
         }
         .save(path)
     }
 
-    /// Start a **pre-warmed** engine from a snapshot file: the restored
-    /// trie serves cache hits from the very first query (restart ≈ zero
-    /// cache misses), and restored hit statistics keep informing future
-    /// rebuilds. Snapshots without cache sections start cold, exactly
-    /// like [`GeoBlockEngine::new`].
+    /// Start a **pre-warmed** engine from a snapshot file: the cache is
+    /// rebuilt from the restored hit statistics under `threshold`, so it
+    /// serves hits from the very first query, and the statistics keep
+    /// informing future rebuilds. Snapshots without hit statistics start
+    /// cold, exactly like [`GeoBlockEngine::new`].
     pub fn from_snapshot(path: &Path, threshold: f64) -> Result<Self, SnapshotError> {
         Ok(GeoBlockEngine::from_snapshot_state(
             Snapshot::load(path)?,
@@ -653,20 +648,9 @@ impl GeoBlockEngine {
     /// half of [`GeoBlockEngine::from_snapshot`]).
     pub fn from_snapshot_state(snap: Snapshot, threshold: f64) -> Self {
         let engine = GeoBlockEngine::from_arc(Arc::new(snap.block), threshold);
-        if let Some(trie) = snap.trie {
-            engine.state.publish(|cur| {
-                (
-                    EngineState {
-                        block: cur.block.clone(),
-                        trie: Arc::new(trie),
-                        data_epoch: cur.data_epoch,
-                    },
-                    (),
-                )
-            });
-        }
         if let Some(hits) = snap.hits {
             engine.hits.absorb(&hits);
+            engine.rebuild_cache();
         }
         if let Some(hot) = snap.hot_queries {
             engine.warm_from_hot_queries(&hot);
@@ -716,11 +700,8 @@ impl GeoBlockEngine {
         // stale before the swap.
         self.state.publish(|cur| {
             let hits = self.hits.counts();
-            // Rooted at the block's extent as it is now: updates may have
-            // added cells outside the extent the previous trie was built for.
-            let root = qc::root_cell_of(&cur.block);
             // Expensive part: no slot lock held.
-            let fresh = qc::rebuild_trie(&cur.block, root, self.budget_for(&cur.block), &hits);
+            let fresh = qc::rebuild_trie(&cur.block, self.budget_for(&cur.block), &hits);
             // Same block, same data epoch: rebuilds never change answers.
             (
                 EngineState {
@@ -957,12 +938,7 @@ mod tests {
             engine.select(&p, &s);
         }
         engine.rebuild_cache();
-        let want = qc::rebuild_trie(
-            &block,
-            qc::root_cell_of(&block),
-            engine.budget_bytes(),
-            &HitCounts::from_map(&hits),
-        );
+        let want = qc::rebuild_trie(&block, engine.budget_bytes(), &HitCounts::from_map(&hits));
         let et = engine.trie_snapshot();
         assert!(et.num_cached() > 0);
         assert_eq!(et.content_hash(), want.content_hash());
@@ -1041,10 +1017,9 @@ mod tests {
     }
 
     #[test]
-    fn a_rebuilt_trie_is_rooted_at_the_blocks_current_extent() {
+    fn a_rebuild_caches_the_region_an_update_opened() {
         // Data in one level-2 quadrant only, then rows inserted elsewhere:
-        // the trie built for the first extent cannot hold the new region,
-        // the one rebuilt after the update must.
+        // the cache rebuilt after the update holds the new region.
         let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
         for i in 0..400 {
             let (x, y) = ((i % 20) as f64 * 1.2 + 0.3, (i / 20) as f64 * 1.2 + 0.3);
@@ -1054,8 +1029,6 @@ mod tests {
         let base = extract(&raw, grid, &CleaningRules::none(), None).base;
         let (block, _) = build(&base, 8, &Filter::all());
         let engine = GeoBlockEngine::new(block, 1.0);
-        let first_root = engine.trie_snapshot().root_cell();
-        assert!(first_root.level() >= 2, "root {first_root:?}");
 
         let mut batch = UpdateBatch::new();
         for i in 0..40 {
@@ -1070,9 +1043,10 @@ mod tests {
             engine.select(&elsewhere, &spec());
         }
         engine.rebuild_cache();
-        let trie = engine.trie_snapshot();
-        assert!(!first_root.contains(trie.root_cell()), "the root moved");
-        assert!(trie.num_cached() > 0, "the queried region is cacheable");
+        assert!(
+            engine.trie_snapshot().num_cached() > 0,
+            "the queried region is cacheable"
+        );
         engine.reset_metrics();
         let warm = engine.select(&elsewhere, &spec());
         let m = engine.metrics();
@@ -1312,7 +1286,8 @@ mod tests {
             .build()
             .expect("load");
         assert_eq!(warm.block_snapshot().content_hash(), block.content_hash());
-        // The restored trie is bit-identical to the saved one.
+        // The restored cache is the one the saved statistics rebuild.
+        engine.rebuild_cache();
         assert_eq!(
             warm.trie_snapshot().content_hash(),
             engine.trie_snapshot().content_hash()
@@ -1333,6 +1308,41 @@ mod tests {
         // Restored hit statistics carried over too.
         assert_eq!(warm.tracked_cells(), engine.tracked_cells());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_restored_cache_obeys_the_threshold_it_is_loaded_with() {
+        let path =
+            std::env::temp_dir().join(format!("gb_engine_threshold_{}.gbsnap", std::process::id()));
+        let base = base_data(4000);
+        let (block, _) = build(&base, 8, &Filter::all());
+        let engine = GeoBlockEngine::new(block, 0.5);
+        let polys: Vec<Polygon> = (0..8)
+            .map(|i| diamond(15.0 + 9.0 * i as f64, 25.0 + 7.0 * i as f64, 14.0))
+            .collect();
+        for p in &polys {
+            engine.select(p, &spec());
+        }
+        engine.rebuild_cache();
+        engine.write_snapshot(&path).expect("save");
+
+        let small = GeoBlockEngine::from_snapshot(&path, 0.05).expect("load");
+        let _ = std::fs::remove_file(&path);
+        let cache = small.trie_snapshot();
+        assert!(cache.num_cached() > 0, "warm after the load");
+        assert!(cache.size_bytes() <= small.budget_bytes());
+        assert!(cache.num_cached() < engine.trie_snapshot().num_cached());
+        let block = small.block_snapshot();
+        let all = AggSpec::k_aggregates(block.schema(), 4);
+        for p in &polys {
+            let covering = block.cover(p);
+            let want = crate::reference::select_covering(&block, &covering, &all);
+            assert!(small.select(p, &all).result.approx_eq(&want, 0.0));
+            assert_eq!(
+                small.count(p).result,
+                crate::reference::count_covering(&block, &covering)
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! **GeoBlocks** — a pre-aggregating data structure for error-bounded
-//! spatial aggregation over arbitrary polygons, with a trie-shaped query
-//! cache (EDBT 2021 reproduction; see the repository's `DESIGN.md`).
+//! spatial aggregation over arbitrary polygons, with a query-driven
+//! aggregate cache (EDBT 2021 reproduction; see the repository's
+//! `DESIGN.md`).
 //!
 //! A [`GeoBlock`] is a materialized view over geospatial point data: the
 //! domain is decomposed into a hierarchical grid (`gb-cell`), and each
@@ -44,12 +45,12 @@
 //! | [`build`](mod@build) — single- or multi-threaded builds from sorted base data | §3.3 |
 //! | [`query`] — SELECT (Listing 1) and COUNT (Listing 2): one record lookup per covering cell | §3.5 |
 //! | [`mod@reference`] — the naive SELECT/COUNT every accelerated path is tested against | §3.5 |
-//! | [`trie`] — the AggregateTrie cache | §3.6, Fig. 7 |
-//! | [`qc`] — the adapted SELECT + scoring/rebuild over a `(block, trie)` pair | §3.6, Fig. 8 |
+//! | [`trie`] — the aggregate cache: one key-sorted record column, its own index (Figure 7's node layout is not kept) | §3.6, Fig. 7 |
+//! | [`qc`] — the adapted SELECT + scoring/rebuild over a `(block, cache)` pair | §3.6, Fig. 8 |
 //! | [`hits`] — the log-structured hit statistics behind the rebuild | §3.6 |
 //! | [`engine`] — the query-cached front-end ("BlockQC"), `Send + Sync`: epoch-swapped block + cache, updates | §3.6, §5 |
 //! | [`memo`] — covering memo and hot-query table | — |
-//! | [`snapshot`] — versioned persistence of blocks + learned cache state | — |
+//! | [`snapshot`] — versioned persistence of blocks + what the cache has learned | — |
 //! | [`update`] — batch updates of a block | §5 |
 //! | [`aggregate`] — accumulator shared with the baselines | §2, §3.4 |
 

@@ -410,6 +410,36 @@ mod tests {
     }
 
     #[test]
+    fn racing_misses_both_compute_and_leave_one_entry() {
+        // Both threads look up the key before either inserts: the barrier
+        // sits inside the covering computation, which runs after the miss.
+        let memo = CoveringMemo::new(16);
+        let barrier = std::sync::Barrier::new(2);
+        let coverings: Vec<Arc<CellUnion>> = std::thread::scope(|s| {
+            let racer = || {
+                s.spawn(|| {
+                    memo.get_or_insert_with(7, &[1, 2, 3], || {
+                        barrier.wait();
+                        union(&[CellId::ROOT.child(2).raw()])
+                    })
+                })
+            };
+            let (a, b) = (racer(), racer());
+            [a, b].map(|h| h.join().expect("racer")).into()
+        });
+        assert_eq!(coverings[0], coverings[1], "bit-identical computations");
+        assert_eq!(memo.len(), 1, "the second insert overwrote the first");
+        assert_eq!(
+            memo.stats(),
+            MemoStats {
+                misses: 2,
+                ..MemoStats::default()
+            },
+            "an overwrite evicts nothing"
+        );
+    }
+
+    #[test]
     fn invalidate_all_clears_and_counts() {
         let memo = CoveringMemo::new(16);
         for k in 0..5u64 {

@@ -1,16 +1,16 @@
 //! The query cache of §3.6 (Figure 8), as free functions over an explicit
-//! `(block, trie)` pair — [`crate::GeoBlockEngine`] is the front-end that
+//! `(block, cache)` pair — [`crate::GeoBlockEngine`] is the front-end that
 //! owns the pair, the hit statistics and the rebuild policy.
 //!
-//! * `select_adapted` — the adapted SELECT: probe the trie per query
-//!   cell; use the cached aggregate when present; otherwise the block
+//! * `select_adapted` — the adapted SELECT: probe the cache per query
+//!   cell; use the cached record when present; otherwise the block
 //!   answers the cell.
 //! * `rebuild_trie` — "Determining Relevant Aggregates": score the hit
-//!   cells, insert by descending relevance until the cache budget (the
-//!   *aggregate threshold*, relative to the cell-aggregate storage) is
-//!   spent. A cached aggregate is a copy of the block's canonical record
-//!   of its cell (`GeoBlock::record_of`), so a trie hit and a block lookup
-//!   answer bit-identically.
+//!   cells and cache the most relevant ones that fit the budget (the
+//!   *aggregate threshold*, relative to the cell-aggregate storage). A
+//!   cached record is a copy of the block's canonical record of its cell
+//!   (`GeoBlock::record_of`, read by [`AggregateTrie`]'s one fill), so a
+//!   cache hit and a block lookup answer bit-identically.
 //!
 //! Figure 8 has a step in between: a query cell that is not cached itself
 //! is assembled from its cached direct children. It is not implemented.
@@ -25,7 +25,7 @@
 //! mostly independent of the cell level […] we do not expect noticeable
 //! speedups for them").
 
-use crate::aggregate::{AggPlan, AggResult, RecordRef};
+use crate::aggregate::{AggPlan, AggResult};
 use crate::api::GbError;
 use crate::block::GeoBlock;
 use crate::hits::HitCounts;
@@ -86,17 +86,7 @@ pub(crate) fn validate_spec(block: &GeoBlock, spec: &AggSpec) -> Result<(), GbEr
     Ok(())
 }
 
-/// The smallest cell enclosing every key of `block` — the natural trie
-/// root.
-pub(crate) fn root_cell_of(block: &GeoBlock) -> CellId {
-    if block.num_cells() == 0 {
-        CellId::ROOT
-    } else {
-        CellId::from_raw(block.min_cell).common_ancestor(CellId::from_raw(block.max_cell))
-    }
-}
-
-/// The Figure-8 adapted SELECT over an explicit `(block, trie)` pair.
+/// The Figure-8 adapted SELECT over an explicit `(block, cache)` pair.
 ///
 /// Takes the polygon's `covering` rather than the polygon itself: the
 /// covering fully determines the answer, which is what lets the engine
@@ -190,72 +180,29 @@ fn score_candidates(hits: &HitCounts) -> Vec<(u64, u8, u64)> {
         .collect()
 }
 
-/// Build a fresh AggregateTrie from hit statistics: take candidate cells
-/// in (score desc, level asc, key asc) order and insert until `budget`
-/// bytes are filled (§3.6 "Determining Relevant Aggregates").
-/// Deterministic for given hit counts: the same statistics rebuild the
-/// same cache, whichever thread runs the rebuild.
+/// Build a fresh cache from hit statistics: the first ⌊`budget` /
+/// record bytes⌋ candidates in (score desc, level asc, key asc) order (§3.6
+/// "Determining Relevant Aggregates" inserts by descending relevance until
+/// the space is exhausted, and every cached record costs the same), filled
+/// from the block in key order. Deterministic for given hit counts: the
+/// same statistics rebuild the same cache, whichever thread runs it.
 ///
-/// The budget admits a small prefix of that order (every insertion costs
-/// at least one record), so only that prefix is selected and sorted; the
-/// remainder is sorted only if the prefix runs out first.
-pub(crate) fn rebuild_trie(
-    block: &GeoBlock,
-    root_cell: CellId,
-    budget: usize,
-    hits: &HitCounts,
-) -> AggregateTrie {
-    let n_cols = block.schema().len();
-    let mut trie = AggregateTrie::new(root_cell, n_cols);
-
+/// A candidate finer than the block level has no record of its own; only
+/// a crafted `HITS` section can name one, and it is skipped.
+pub(crate) fn rebuild_trie(block: &GeoBlock, budget: usize, hits: &HitCounts) -> AggregateTrie {
     let mut candidates = score_candidates(hits);
-    // Score desc, then level asc (coarser first), then key asc — a total
-    // order (keys are unique), so a partial sort picks the same prefix.
-    let order = |a: &(u64, u8, u64), b: &(u64, u8, u64)| {
-        b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
-    };
-    // The loop below ends at the first candidate that does not fit, so it
-    // consumes at most `budget / record_bytes` insertions plus that one —
-    // more only when cells outside the root (skipped, costing nothing)
-    // sit among them.
-    let cut = (budget / trie.record_bytes() + 1).min(candidates.len());
-    if cut < candidates.len() {
-        candidates.select_nth_unstable_by(cut, order);
+    candidates.retain(|&(_, level, _)| level <= block.level());
+    let take = (budget / block.record_bytes()).min(candidates.len());
+    if take < candidates.len() {
+        // Score desc, then level asc (coarser first), then key asc — a
+        // total order (keys are unique), so the prefix is well defined.
+        candidates.select_nth_unstable_by(take, |a, b| {
+            b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+        });
     }
-    let (head, rest) = candidates.split_at_mut(cut);
-
-    // Empty cells are cached too: a count-0 record answers "no data here"
-    // without asking the block, and Figure 18's cache hit rate reaching
-    // 100 % requires every queried cell to become cacheable.
-    let (inf, neg_inf) = (vec![f64::INFINITY; n_cols], vec![f64::NEG_INFINITY; n_cols]);
-    let zero = vec![0.0f64; n_cols];
-    let empty = RecordRef {
-        count: 0,
-        mins: &inf,
-        maxs: &neg_inf,
-        sums: &zero,
-    };
-    'fill: for part in [head, rest] {
-        part.sort_unstable_by(order);
-        for &(_, _, raw) in part.iter() {
-            let cell = CellId::from_raw(raw);
-            let Some(cost) = trie.insertion_cost(cell) else {
-                continue;
-            };
-            if trie.size_bytes() + cost > budget {
-                // Reserved area full (the paper inserts by descending
-                // relevance until the space is exhausted).
-                break 'fill;
-            }
-            // Candidates arrive in score order, not cell order: no cursor
-            // to resume from.
-            let r = block.record_of(cell, &mut Cursors::new()).unwrap_or(empty);
-            trie.insert(cell, r.count, r.mins, r.maxs, r.sums);
-        }
-    }
-    // Rebuilds are publish points: hand readers the flat lookup path.
-    trie.build_flat_index();
-    trie
+    let mut keys: Vec<u64> = candidates[..take].iter().map(|&(_, _, raw)| raw).collect();
+    keys.sort_unstable();
+    AggregateTrie::fill(block, keys)
 }
 
 #[cfg(test)]
@@ -330,7 +277,7 @@ mod tests {
 
     /// The record of `cell` by a plain in-order fold of the block records
     /// under it — what `GeoBlock::record_of` reads from the cell's layer.
-    fn folded_record(block: &GeoBlock, cell: CellId) -> (u64, Vec<f64>, Vec<f64>, Vec<f64>) {
+    fn folded_record(block: &GeoBlock, cell: CellId) -> Folded {
         let c = block.schema().len();
         let (mut mins, mut maxs) = (vec![f64::INFINITY; c], vec![f64::NEG_INFINITY; c]);
         let (mut sums, mut count) = (vec![0.0; c], 0u64);
@@ -346,17 +293,17 @@ mod tests {
         (count, mins, maxs, sums)
     }
 
-    /// The rebuild as it was before the partial sort and the record
-    /// lookup: order every candidate, insert until the first that does
-    /// not fit, fold each inserted cell's records from the block.
-    /// Scores are looked up, not merged: own hits plus the parent's.
+    type Folded = (u64, Vec<f64>, Vec<f64>, Vec<f64>);
+
+    /// The rebuild without the partial sort or the fill: order every
+    /// candidate, keep the first `budget / record` at or above the block
+    /// level, fold each kept cell's records from the block. Scores are
+    /// looked up, not merged: own hits plus the parent's.
     fn rebuild_full_sort(
         block: &GeoBlock,
-        root_cell: CellId,
         budget: usize,
         hits: &FxHashMap<u64, u64>,
-    ) -> AggregateTrie {
-        let mut trie = AggregateTrie::new(root_cell, block.schema().len());
+    ) -> Vec<(u64, Folded)> {
         let of = |cell: CellId| hits.get(&cell.raw()).copied().unwrap_or(0);
         let mut candidates: Vec<(u64, u8, u64)> = hits
             .keys()
@@ -369,20 +316,16 @@ mod tests {
                 };
                 (of(cell) + parent, cell.level(), raw)
             })
+            .filter(|&(_, level, _)| level <= block.level())
             .collect();
         candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        for (_, _, raw) in candidates {
-            let cell = CellId::from_raw(raw);
-            let Some(cost) = trie.insertion_cost(cell) else {
-                continue;
-            };
-            if trie.size_bytes() + cost > budget {
-                break;
-            }
-            let (count, mins, maxs, sums) = folded_record(block, cell);
-            trie.insert(cell, count, &mins, &maxs, &sums);
-        }
-        trie
+        candidates.truncate(budget / block.record_bytes());
+        let mut cached: Vec<(u64, Folded)> = candidates
+            .into_iter()
+            .map(|(_, _, raw)| (raw, folded_record(block, CellId::from_raw(raw))))
+            .collect();
+        cached.sort_unstable_by_key(|&(raw, _)| raw);
+        cached
     }
 
     #[test]
@@ -390,43 +333,48 @@ mod tests {
         let base = base_data(3000);
         let (block, _) = build(&base, 8, &Filter::all());
         // Every block cell and its parent, with scattered hit counts and
-        // plenty of equal scores for the tie-breaks to decide — and a
-        // queried cell without data, cached as the empty record.
+        // plenty of equal scores for the tie-breaks to decide; a queried
+        // cell without data, cached as the empty record; an ancestor of the
+        // block's whole extent; and a cell finer than the block level, which
+        // has no record and is never cached — the last two hot enough to
+        // lead the order.
         let mut hits: FxHashMap<u64, u64> = FxHashMap::default();
         for (i, &raw) in block.records().keys.iter().enumerate() {
             hits.insert(raw, (i as u64).wrapping_mul(2_654_435_761) % 7);
             let parent = CellId::from_raw(raw).parent().raw();
             *hits.entry(parent).or_insert(0) += (i % 3) as u64;
         }
-        let whole = root_cell_of(&block);
         let no_data = (0..4u8)
             .map(|k| block.cell_at(0).parent().child(k))
             .find(|cell| block.records().find(cell.raw(), &mut 0).is_none());
         hits.extend(no_data.map(|cell| (cell.raw(), 5)));
-        // A trie rooted at one quadrant: the other three quadrants' cells
-        // are candidates outside the root. Raising their counts puts them
-        // all ahead of the cut, so the selected prefix inserts nothing and
-        // the remainder has to be sorted.
-        let quadrant = whole.child(0);
-        let mut skewed = hits.clone();
-        for (&raw, count) in skewed.iter_mut() {
-            if !quadrant.contains(CellId::from_raw(raw)) {
-                *count += 1_000;
+        let finer = block.cell_at(0).child(1);
+        hits.insert(CellId::ROOT.raw(), 1_000);
+        hits.insert(finer.raw(), 1_000);
+        let record = block.record_bytes();
+        for budget in [
+            0,
+            record - 1,
+            record,
+            10 * record,
+            200 * record,
+            usize::MAX / 2,
+        ] {
+            let fast = rebuild_trie(&block, budget, &HitCounts::from_map(&hits));
+            let want = rebuild_full_sort(&block, budget, &hits);
+            assert_eq!(fast.num_cached(), want.len(), "budget {budget}");
+            assert!(fast.size_bytes() <= budget);
+            let mut cursor = fast.flat_cursor();
+            for (raw, (count, mins, maxs, sums)) in &want {
+                let got = cursor.lookup(CellId::from_raw(*raw)).expect("cached");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(got.count, *count, "{raw:#x}");
+                assert_eq!(bits(got.mins), bits(mins), "{raw:#x}");
+                assert_eq!(bits(got.maxs), bits(maxs), "{raw:#x}");
+                assert_eq!(bits(got.sums), bits(sums), "{raw:#x}");
             }
-        }
-        let record = AggregateTrie::new(whole, 1).record_bytes();
-        for (root, hits) in [(whole, &hits), (quadrant, &hits), (quadrant, &skewed)] {
-            for budget in [0, 8 + record, 10 * record, 200 * record, usize::MAX / 2] {
-                let fast = rebuild_trie(&block, root, budget, &HitCounts::from_map(hits));
-                let full = rebuild_full_sort(&block, root, budget, hits);
-                assert_eq!(
-                    fast.content_hash(),
-                    full.content_hash(),
-                    "root level {} budget {budget}",
-                    root.level()
-                );
-                assert!(budget < 200 * record || fast.num_cached() > 0);
-            }
+            assert!(fast.flat_cursor().lookup(finer).is_none());
+            assert!(budget < record || fast.flat_cursor().lookup(CellId::ROOT).is_some());
         }
     }
 

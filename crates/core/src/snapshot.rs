@@ -8,11 +8,10 @@
 //!
 //! * the complete [`GeoBlock`] (schema, grid, global header, block-level
 //!   cell aggregates),
-//! * optionally the current [`AggregateTrie`] — restoring it means a
-//!   restarted engine starts *warm*: queries hit the cache immediately
-//!   instead of paying the cold-start misses again,
-//! * optionally the §3.6 hit statistics, so post-restart rebuilds keep
-//!   adapting from everything learned before the restart.
+//! * optionally the §3.6 hit statistics: a restarted engine rebuilds its
+//!   aggregate cache from them, so it starts *warm*, and later rebuilds
+//!   keep adapting from everything learned before the restart,
+//! * optionally the hottest query shapes, which warm the covering memo.
 //!
 //! ## Sections (format version 5)
 //!
@@ -22,15 +21,18 @@
 //! | `GRID` | domain rectangle (4 × f64 bits), curve tag |
 //! | `HDRS` | level, `n_rows`, min/max cell, global min/max/sum, **block content hash**, **state hash** |
 //! | `CELL` | the block-level [`Layer`]: keys, counts (u64), per-cell min/max/sum |
-//! | `TRIE` | (optional) root cell, node arrays, cached records |
+//! | `TRIE` | (no longer written) the aggregate cache as trie nodes; read only for the state hash |
 //! | `HITS` | (optional) hit-statistic key/count pairs |
 //! | `HOTQ` | (optional) hot-query shapes: count + encoded request bytes |
 //!
-//! Derived state — the count prefix and the coarser layers — is **never**
-//! serialized: both are deterministic folds of the `CELL` layer, so every
-//! load rebuilds them through the same `GeoBlock::refresh_derived` every
-//! other producer of a block ends in (see `DESIGN.md` "Persistence" for
-//! the measurements behind this).
+//! Derived state — the count prefix, the coarser layers and the aggregate
+//! cache — is **never** serialized: the first two are deterministic folds
+//! of the `CELL` layer, so every load rebuilds them through the same
+//! `GeoBlock::refresh_derived` every other producer of a block ends in
+//! (see `DESIGN.md` "Persistence" for the measurements behind this), and
+//! the cache is a function of `HITS` and the load-time threshold. Earlier
+//! writers stored the cache as a `TRIE` section; the loader parses one only
+//! to re-derive the digest its writer put into the state hash.
 //!
 //! The loader reads the current version and the one before it. Version 5
 //! changed no section: it is version 4 under the container's word-wise
@@ -43,8 +45,8 @@
 //! Every load re-derives two digests and compares them with the values
 //! stored at save time: [`GeoBlock::content_hash`] (cell aggregates +
 //! header) and a *state hash* spanning everything `content_hash`
-//! excludes — grid, schema, trie, hit statistics. Per-section checksums
-//! catch flipped bits; the state hash catches sections *grafted*
+//! excludes — grid, schema, a legacy `TRIE`, hit statistics. Per-section
+//! checksums catch flipped bits; the state hash catches sections *grafted*
 //! between two individually-valid snapshots. The round-trip gate
 //! ("loaded state ≡ saved state") is thus enforced by the loader
 //! itself, not just by tests. Decoding never panics: all failures
@@ -53,7 +55,6 @@
 use crate::block::GeoBlock;
 use crate::hits::HitCounts;
 use crate::layer::Layer;
-use crate::trie::AggregateTrie;
 use gb_cell::{CellId, CurveKind, Grid};
 use gb_common::{FxHasher, Pool, Timer};
 use gb_data::{ColumnDef, ColumnType, Schema};
@@ -90,14 +91,14 @@ const MAX_HOT_QUERIES: usize = 4096;
 
 /// Digest over the *whole* snapshot state — the block's `content` digest
 /// plus the pieces [`GeoBlock::content_hash`] deliberately excludes (grid
-/// domain and curve, schema, trie, hit statistics). Stored in `HDRS` and
-/// re-derived at load: it is what makes a graft of one valid snapshot's
-/// `GRID`/`SCHM`/`TRIE`/`HITS` section onto another a typed error
-/// instead of silently wrong answers.
+/// domain and curve, schema, a legacy `TRIE` section's digest, hit
+/// statistics). Stored in `HDRS` and re-derived at load: it is what makes
+/// a graft of one valid snapshot's `GRID`/`SCHM`/`TRIE`/`HITS` section
+/// onto another a typed error instead of silently wrong answers.
 fn state_hash(
     content: u64,
     block: &GeoBlock,
-    trie: Option<&AggregateTrie>,
+    trie: Option<u64>,
     hits: Option<&HitCounts>,
     hot_queries: Option<&[(u64, Vec<u8>)]>,
 ) -> u64 {
@@ -115,9 +116,9 @@ fn state_hash(
     }
     match trie {
         None => false.hash(&mut h),
-        Some(t) => {
+        Some(digest) => {
             true.hash(&mut h);
-            t.content_hash().hash(&mut h);
+            digest.hash(&mut h);
         }
     }
     match hits {
@@ -138,6 +139,32 @@ fn state_hash(
         hot.hash(&mut h);
     }
     h.finish()
+}
+
+/// The digest a writer that still stored the aggregate cache as a `TRIE`
+/// section put into the state hash for it: the section's six fields (root
+/// cell, column count, two node arrays, cached counts and values), hashed
+/// as that cache's `content_hash` hashed them. Nothing else reads the
+/// section — the cache is rebuilt from `HITS` — so this goes when version
+/// 5, the last version that may carry one, stops being readable.
+fn legacy_trie_digest(payload: &[u8]) -> Result<u64, SnapshotError> {
+    let mut r = ByteReader::new(payload, "section `TRIE`");
+    let (root, n_cols) = (r.u64()?, r.u32()? as usize);
+    let (first_children, aggs) = (r.u32_vec()?, r.u32_vec()?);
+    let (counts, values) = (r.u64_vec()?, r.f64_vec()?);
+    r.finish()?;
+    let mut h = FxHasher::default();
+    root.hash(&mut h);
+    n_cols.hash(&mut h);
+    for (first_child, agg) in first_children.iter().zip(&aggs) {
+        first_child.hash(&mut h);
+        agg.hash(&mut h);
+    }
+    counts.hash(&mut h);
+    for v in &values {
+        v.to_bits().hash(&mut h);
+    }
+    Ok(h.finish())
 }
 
 /// Where one save or one load spent its time. A save fills `hash`,
@@ -180,11 +207,8 @@ impl PersistStats {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub block: GeoBlock,
-    /// The aggregate cache at save time; restoring it warm-starts the
-    /// query path.
-    pub trie: Option<AggregateTrie>,
-    /// The §3.6 hit statistics at save time; restoring them preserves
-    /// everything the cache sizing has learned.
+    /// The §3.6 hit statistics at save time; restoring them rebuilds the
+    /// aggregate cache and preserves everything its sizing has learned.
     pub hits: Option<HitCounts>,
     /// The hottest query shapes at save time (`(count, encoded request)`,
     /// hottest first); restoring them lets the engine warm its covering
@@ -198,7 +222,6 @@ impl Snapshot {
     pub fn new(block: GeoBlock) -> Self {
         Snapshot {
             block,
-            trie: None,
             hits: None,
             hot_queries: None,
         }
@@ -208,7 +231,6 @@ impl Snapshot {
     pub fn as_ref(&self) -> SnapshotRef<'_> {
         SnapshotRef {
             block: &self.block,
-            trie: self.trie.as_ref(),
             hits: self.hits.as_ref(),
             hot_queries: self.hot_queries.as_deref(),
         }
@@ -226,7 +248,6 @@ impl Snapshot {
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotRef<'a> {
     pub block: &'a GeoBlock,
-    pub trie: Option<&'a AggregateTrie>,
     pub hits: Option<&'a HitCounts>,
     pub hot_queries: Option<&'a [(u64, Vec<u8>)]>,
 }
@@ -244,14 +265,13 @@ impl SnapshotRef<'_> {
         let mut stats = PersistStats::default();
         let mut timer = Timer::start();
         let content = b.content_hash();
-        let state = state_hash(content, b, self.trie, self.hits, self.hot_queries);
+        let state = state_hash(content, b, None, self.hits, self.hot_queries);
         stats.hash = timer.lap();
 
         let hot_bytes = |hot: &[(u64, Vec<u8>)]| hot.iter().map(|(_, q)| 12 + q.len()).sum();
         let mut out = SnapshotWriter::with_capacity(
             SNAPSHOT_VERSION,
             1024 + b.num_cells() * b.record_bytes()
-                + self.trie.map_or(0, AggregateTrie::size_bytes)
                 + self.hits.map_or(0, |hits| 16 * hits.len())
                 + self.hot_queries.map_or(0, hot_bytes),
         );
@@ -292,18 +312,6 @@ impl SnapshotRef<'_> {
         });
 
         out.section(TAG_CELLS, |w| b.records().encode(w));
-
-        if let Some(trie) = self.trie {
-            let parts = trie.to_raw_parts();
-            out.section(TAG_TRIE, |w| {
-                w.u64(parts.root_cell.raw());
-                w.len_u32(parts.n_cols);
-                w.u32_slice(&parts.first_children);
-                w.u32_slice(&parts.aggs);
-                w.u64_slice(parts.agg_counts);
-                w.f64_slice(parts.agg_values);
-            });
-        }
 
         if let Some(hits) = self.hits {
             // The column is in cell order: the same state always
@@ -455,38 +463,10 @@ impl Snapshot {
         block.refresh_derived(&pool_for(block.num_cells() * usize::from(level)));
         stats.derive = timer.lap();
 
-        let trie = match reader.section(TAG_TRIE) {
-            None => None,
-            Some(payload) => {
-                let mut r = ByteReader::new(payload, "section `TRIE`");
-                let root_raw = r.u64()?;
-                let trie_cols = r.u32()? as usize;
-                let first_children = r.u32_vec()?;
-                let aggs = r.u32_vec()?;
-                let agg_counts = r.u64_vec()?;
-                let agg_values = r.f64_vec()?;
-                r.finish()?;
-                let root_cell = CellId::try_from_raw(root_raw).ok_or_else(|| {
-                    SnapshotError::corrupt(format!("malformed trie root cell {root_raw:#x}"))
-                })?;
-                if trie_cols != block.schema.len() {
-                    return Err(SnapshotError::corrupt(format!(
-                        "trie has {trie_cols} columns, block has {}",
-                        block.schema.len()
-                    )));
-                }
-                let trie = AggregateTrie::from_raw_parts(
-                    root_cell,
-                    trie_cols,
-                    first_children,
-                    aggs,
-                    agg_counts,
-                    agg_values,
-                )
-                .map_err(|e| SnapshotError::corrupt(format!("trie: {e}")))?;
-                Some(trie)
-            }
-        };
+        let trie = reader
+            .section(TAG_TRIE)
+            .map(legacy_trie_digest)
+            .transpose()?;
 
         let hits = match reader.section(TAG_HITS) {
             None => None,
@@ -540,13 +520,7 @@ impl Snapshot {
         // only covers HDRS + CELL. The state hash spans grid, schema,
         // trie, and hit statistics too, so any cross-file graft fails
         // here with a typed error instead of serving wrong answers.
-        let actual_state = state_hash(
-            content,
-            &block,
-            trie.as_ref(),
-            hits.as_ref(),
-            hot_queries.as_deref(),
-        );
+        let actual_state = state_hash(content, &block, trie, hits.as_ref(), hot_queries.as_deref());
         if actual_state != stored_state_hash {
             return Err(SnapshotError::corrupt(format!(
                 "state hash mismatch: stored {stored_state_hash:#x}, decoded {actual_state:#x} \
@@ -556,7 +530,6 @@ impl Snapshot {
         stats.hash += timer.lap();
         let snapshot = Snapshot {
             block,
-            trie,
             hits,
             hot_queries,
         };
@@ -590,7 +563,6 @@ impl GeoBlock {
     pub fn write_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
         SnapshotRef {
             block: self,
-            trie: None,
             hits: None,
             hot_queries: None,
         }
@@ -664,7 +636,6 @@ mod tests {
         assert_eq!(back.block.num_rows(), b.num_rows());
         assert_eq!(back.block.schema(), b.schema());
         assert_eq!(back.block.grid(), b.grid());
-        assert!(back.trie.is_none());
         assert!(back.hits.is_none());
         // Encoding is deterministic.
         assert_eq!(bytes, Snapshot::new(back.block).to_bytes());
@@ -716,38 +687,6 @@ mod tests {
             Some(payload)
         };
         let grafted = reframe(&bytes, SNAPSHOT_VERSION, morton, None);
-        let err = Snapshot::from_bytes(&grafted).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("state hash"), "{err}");
-    }
-
-    #[test]
-    fn trie_graft_is_rejected_by_the_state_hash() {
-        // Two snapshots of the same block with different cache states;
-        // grafting one's TRIE (or HITS) into the other must fail even
-        // though every section is individually valid.
-        let b = block(800, 7);
-        let root = crate::qc::root_cell_of(&b);
-        let trie_a = AggregateTrie::new(root, b.schema().len());
-        let mut trie_b = AggregateTrie::new(root, b.schema().len());
-        trie_b.insert(root, 5, &[0.0, 0.0], &[1.0, 1.0], &[2.0, 2.0]);
-        let snap_a = Snapshot {
-            block: b.clone(),
-            trie: Some(trie_a),
-            hits: None,
-            hot_queries: None,
-        };
-        let snap_b = Snapshot {
-            block: b,
-            trie: Some(trie_b),
-            hits: None,
-            hot_queries: None,
-        };
-        let b_bytes = snap_b.to_bytes();
-        let rb = SnapshotReader::from_bytes(&b_bytes, READABLE).unwrap();
-        let trie_of_b = rb.require(TAG_TRIE).unwrap();
-        let graft = |tag, own: &[u8]| Some(if tag == TAG_TRIE { trie_of_b } else { own }.to_vec());
-        let grafted = reframe(&snap_a.to_bytes(), SNAPSHOT_VERSION, graft, None);
         let err = Snapshot::from_bytes(&grafted).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("state hash"), "{err}");
@@ -828,7 +767,6 @@ mod tests {
         let hot = vec![(9u64, vec![1u8, 2, 3]), (4, vec![0xFF, 0x00])];
         let snap = Snapshot {
             block: b.clone(),
-            trie: None,
             hits: None,
             hot_queries: Some(hot.clone()),
         };

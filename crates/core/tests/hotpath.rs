@@ -1,27 +1,27 @@
-//! Property tests for the query hot path (ISSUE 9): the three
-//! optimizations — covering memo, flat trie lookup, batched execution —
-//! must be invisible to results for *any* data, *any* polygon (including
-//! degenerate rings), and *any* trie shape.
+//! Property tests for the query hot path: the covering memo, the
+//! aggregate cache and batched execution must be invisible to results for
+//! *any* data and *any* polygon (including degenerate rings).
 //!
 //! 1. Memoized coverings answer bit-identically to fresh coverings, and
 //!    rotated rings (same geometry, different start vertex) hit the memo.
-//! 2. The flat binary-search lookup equals the pointer walk on random
-//!    tries, for hits and misses alike.
-//! 3. Batched execution is bit-identical to per-request execution — on
+//! 2. Batched execution is bit-identical to per-request execution — on
 //!    one thread and many — across an update epoch bump.
-//! 4. The engine's hit log, folded, counts what a plain hash map fed from
-//!    `block.cover` counts, across cache rebuilds, snapshots and restarts.
-//! 5. The differential property: engine ≡ `geoblocks::reference` at
-//!    tolerance `0.0` — trie cold, rebuilt, across update batches of
+//! 3. The engine's hit log, folded, counts what a plain hash map fed from
+//!    `block.cover` counts, across cache rebuilds, snapshots and restarts,
+//!    and a restored cache is the one the saved statistics rebuild.
+//! 4. The differential property: engine ≡ `geoblocks::reference` at
+//!    tolerance `0.0` — cache cold, rebuilt, across update batches of
 //!    fractional values, batched, and restored from a snapshot.
+//!
+//! That the cache's lookup is a binary search of its key column is a unit
+//! property of `geoblocks::trie`.
 
-use gb_cell::{CellId, Grid};
+use gb_cell::Grid;
 use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
 use geoblocks::api::{self, QueryReply, QueryRequest};
-use geoblocks::trie::AggregateTrie;
 use geoblocks::{build, reference, GeoBlockEngine, HitCounts, Snapshot, UpdateBatch};
 use proptest::prelude::*;
 
@@ -74,18 +74,6 @@ fn rotate_ring(poly: &Polygon, k: usize) -> Polygon {
     Polygon::new(rotated)
 }
 
-/// Walk `root` down `path` (child indices), clamped to `MAX_LEVEL`.
-fn descend(root: CellId, path: &[u8]) -> CellId {
-    let mut cell = root;
-    for &k in path {
-        if cell.level() >= gb_cell::MAX_LEVEL {
-            break;
-        }
-        cell = cell.child(k % 4);
-    }
-    cell
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -135,59 +123,6 @@ proptest! {
             engine.metrics().covering_memo_hits > hits_before,
             "rotated ring missed the memo"
         );
-    }
-
-    /// Flat-layout lookup ≡ pointer walk on random tries: every inserted
-    /// cell, its ancestors, structural siblings, cells below leaves, and
-    /// cells outside the root agree between the two paths.
-    #[test]
-    fn flat_lookup_equals_pointer_walk(
-        root_pos in 0u64..(1u64 << 30),
-        paths in prop::collection::vec(prop::collection::vec(0u8..4, 0..10), 1..40),
-        probes in prop::collection::vec(prop::collection::vec(0u8..4, 0..12), 0..60),
-    ) {
-        let root = CellId::from_leaf_pos(root_pos << 20).parent_at(4);
-        let mut trie = AggregateTrie::new(root, 1);
-        let mut inserted = Vec::new();
-        for path in &paths {
-            let cell = descend(root, path);
-            trie.insert(cell, 1 + path.len() as u64, &[0.0], &[1.0], &[2.0]);
-            inserted.push(cell);
-        }
-        trie.build_flat_index();
-
-        let mut all_probes: Vec<CellId> = inserted.clone();
-        // Ancestors and children of inserted cells, random paths (hits
-        // and misses), and cells outside the root.
-        for cell in &inserted {
-            if cell.level() > root.level() {
-                all_probes.push(cell.parent_at(cell.level() - 1));
-            }
-            if cell.level() < gb_cell::MAX_LEVEL {
-                all_probes.push(cell.child(0));
-            }
-        }
-        for path in &probes {
-            all_probes.push(descend(root, path));
-        }
-        all_probes.push(root);
-        all_probes.push(root.next());
-        if root.level() > 1 {
-            all_probes.push(root.parent_at(root.level() - 1));
-        }
-
-        // The cursor (fed the probes in this arbitrary — not sorted —
-        // order) must find exactly the records the walk + `agg_of` find.
-        let mut cursor = trie.flat_cursor();
-        for cell in &all_probes {
-            let want = trie.node_for_walk(*cell).and_then(|n| trie.agg_of(n));
-            prop_assert_eq!(
-                cursor.lookup(*cell).map(|a| a.count),
-                want.map(|a| a.count),
-                "cursor/walk diverged at {:?}",
-                cell
-            );
-        }
     }
 
     /// Batched execution ≡ sequential execution, across an epoch bump:
@@ -270,7 +205,8 @@ proptest! {
     /// Log + fold ≡ a hash-map counter: across queries, rebuilds,
     /// snapshots and restarts the engine's `HITS` section holds what a
     /// plain hash map fed from `block.cover` counts, answers stay the
-    /// block's, and the statistics rebuild the same trie wherever they are.
+    /// block's, and the statistics rebuild the same cache wherever they
+    /// are — a restored engine's included.
     #[test]
     fn hit_log_counts_what_a_hash_map_counts(
         points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..300),
@@ -292,15 +228,18 @@ proptest! {
         ));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let file = dir.join("engine.gbsnap");
-        // Save the engine and compare what the file holds to the counter.
+        // Save the engine and compare what the file holds to the counter,
+        // and the cache it restores to the one the engine rebuilds.
         let save = |engine: &GeoBlockEngine, counter: &std::collections::HashMap<u64, u64>| {
             engine.write_snapshot(&file).expect("engine save");
             let snap = Snapshot::load(&file).expect("engine load");
             let want: HitCounts = counter.iter().map(|(&cell, &hits)| (cell, hits)).collect();
             prop_assert_eq!(snap.hits.as_ref(), Some(&want), "HITS section differs");
+            let restored = GeoBlockEngine::from_snapshot_state(snap, 0.3);
+            engine.rebuild_cache();
             prop_assert_eq!(
-                snap.trie.map(|t| t.content_hash()),
-                Some(engine.trie_snapshot().content_hash())
+                restored.trie_snapshot().content_hash(),
+                engine.trie_snapshot().content_hash()
             );
             Ok(())
         };
@@ -333,13 +272,13 @@ proptest! {
         prop_assert_eq!(
             engine.trie_snapshot().content_hash(),
             restarted.trie_snapshot().content_hash(),
-            "rebuilt tries differ"
+            "rebuilt caches differ"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The differential property: whatever state the engine is in — trie
-    /// cold, rebuilt, patched by update batches of fractional values of
+    /// The differential property: whatever state the engine is in — cache
+    /// cold, rebuilt, refilled by update batches of fractional values of
     /// mixed magnitude (in place and into new cells), rebuilt again,
     /// restored from a snapshot — `select`, `count` and `query_batch`
     /// answer exactly (`0.0`) what the naive reference folds from the
@@ -359,7 +298,7 @@ proptest! {
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
         // Threshold 1: every queried cell becomes cacheable, so a rebuilt
-        // trie answers as much as a trie can.
+        // cache answers as much as a cache can.
         let engine = GeoBlockEngine::new(block, 1.0);
         let s = spec();
         let requests: Vec<QueryRequest> = polys
@@ -425,7 +364,7 @@ proptest! {
             }
         }
         prop_assert_eq!(in_place + new_cells, batches.iter().map(Vec::len).sum::<usize>());
-        prop_assert!(engine.metrics().direct_hits > 0, "the trie never answered");
+        prop_assert!(engine.metrics().direct_hits > 0, "the cache never answered");
 
         let file = std::env::temp_dir().join(format!(
             "gb_differential_{}_{:x}.gbsnap",
@@ -435,6 +374,8 @@ proptest! {
         engine.write_snapshot(&file).expect("save");
         let restored = GeoBlockEngine::from_snapshot(&file, 1.0).expect("load");
         let _ = std::fs::remove_file(&file);
+        // The restored cache is the one the saved statistics rebuild.
+        engine.rebuild_cache();
         prop_assert_eq!(
             restored.trie_snapshot().content_hash(),
             engine.trie_snapshot().content_hash()

@@ -4,8 +4,8 @@
 //! 1. **Lossless round-trip**: the loaded block's `content_hash` equals
 //!    the saved one, for clean and updated blocks.
 //! 2. **Warm start ≡ fresh build**: `GeoBlockEngine::from_snapshot`
-//!    answers bit-identically to a freshly built engine, with the
-//!    restored trie hitting from the first query.
+//!    answers bit-identically to a freshly built engine, with the cache
+//!    rebuilt from the restored statistics hitting from the first query.
 //! 3. **No panics on bad input**: corrupt, truncated, wrong-magic, and
 //!    wrong-version snapshots all come back as typed `SnapshotError`s.
 //! 4. **The previous version keeps loading, older ones are refused by
@@ -13,7 +13,8 @@
 //!    byte-wise section checksum) answers like a fresh build, and every
 //!    corruption probe is a typed error under both checksum rules; a file
 //!    stamped with an older version is `UnsupportedVersion`, never
-//!    `ChecksumMismatch` or `Corrupt`.
+//!    `ChecksumMismatch` or `Corrupt`. The fixture's `TRIE` section, which
+//!    this tree no longer writes, is still held to the state hash.
 
 use gb_cell::Grid;
 use gb_data::{
@@ -133,6 +134,12 @@ fn loaded_engine_matches_freshly_built_engine() {
         restarted.block_snapshot().content_hash(),
         block.content_hash()
     );
+    engine.rebuild_cache();
+    assert_eq!(
+        restarted.trie_snapshot().content_hash(),
+        engine.trie_snapshot().content_hash(),
+        "restored cache must be the one the saved statistics rebuild"
+    );
     assert_eq!(
         restarted.trie_snapshot().content_hash(),
         fresh.trie_snapshot().content_hash(),
@@ -232,6 +239,16 @@ fn reframe_under(version: u16, bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<
     w.into_bytes()
 }
 
+/// The file re-framed under its own version without the section `drop`.
+fn reframe_without(bytes: &[u8], drop: SectionTag) -> Vec<u8> {
+    let reader = SnapshotReader::from_bytes(bytes, READABLE).expect("well-framed");
+    let mut w = SnapshotWriter::new(reader.version());
+    for tag in reader.tags().filter(|&tag| tag != drop) {
+        w.section(tag, |p| p.bytes(reader.require(tag).unwrap()));
+    }
+    w.into_bytes()
+}
+
 /// [`reframe_under`] the file's own version.
 fn reframe(bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<u8>)) -> Vec<u8> {
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
@@ -265,7 +282,8 @@ fn assert_answers_bit_identical(loaded: &GeoBlock, fresh: &GeoBlock) {
 /// `QueryRequest::Select`s of the rectangle (10,10)–(70,70) with `spec()`,
 /// a `rebuild_cache` and then the batch of [`v4_fixture_block`] through
 /// `GeoBlockEngine::apply_updates`, which bumps a cell in place *and*
-/// splices a new one; `TRIE`, `HITS` and `HOTQ` are all present.
+/// splices a new one; `TRIE` (the cache as trie nodes, which writers no
+/// longer store), `HITS` and `HOTQ` are all present.
 const V4_FIXTURE: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
 
 /// The fresh block the version-4 fixture must answer like: the same build
@@ -297,21 +315,49 @@ fn v4_fixture_loads_to_bit_identical_answers() {
     assert_eq!(V4_FIXTURE[8..10], 4u16.to_le_bytes());
 
     let snap = Snapshot::from_bytes(V4_FIXTURE).expect("v4 file loads");
-    assert!(snap.trie.is_some() && snap.hits.is_some());
+    assert!(snap.hits.is_some());
     assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
     let fresh = v4_fixture_block();
     assert_answers_bit_identical(&snap.block, &fresh);
 
-    // Saving it again writes version 5: the same bytes but for the version
-    // field and the seven section checksums.
+    // Saving it again writes version 5 without the `TRIE` section: every
+    // other payload is the fixture's, but for the state hash (the last
+    // word of `HDRS`), which no longer spans a trie. The result is stable.
     let rewritten = snap.to_bytes();
     assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
-    assert_eq!(rewritten.len(), V4_FIXTURE.len());
-    let differing = rewritten.iter().zip(V4_FIXTURE).filter(|(a, b)| a != b);
-    assert!((1..=1 + 7 * 8).contains(&differing.count()));
+    let (old, new) = (
+        SnapshotReader::from_bytes(V4_FIXTURE, READABLE).expect("well-framed"),
+        SnapshotReader::from_bytes(&rewritten, READABLE).expect("well-framed"),
+    );
+    let trie = SectionTag(*b"TRIE");
+    let mut kept: Vec<SectionTag> = old.tags().collect();
+    assert!(kept.contains(&trie));
+    kept.retain(|&tag| tag != trie);
+    assert_eq!(new.tags().collect::<Vec<_>>(), kept);
+    for tag in kept {
+        let (a, b) = (old.require(tag).unwrap(), new.require(tag).unwrap());
+        let hashed = if tag == SectionTag(*b"HDRS") { 8 } else { 0 };
+        assert_eq!(a.len(), b.len(), "{tag}");
+        assert_eq!(a[..a.len() - hashed], b[..b.len() - hashed], "{tag}");
+    }
     let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
     assert_answers_bit_identical(&again.block, &fresh);
     assert_eq!(again.to_bytes(), rewritten);
+
+    // The fixture's `TRIE` is digest-only, but the digest is still checked:
+    // stripped, or with one byte of a cached value flipped under a
+    // recomputed checksum, the file is corrupt by the state hash.
+    let stripped = reframe_without(V4_FIXTURE, trie);
+    let flipped = reframe(V4_FIXTURE, |tag, payload| {
+        if tag == trie {
+            *payload.last_mut().expect("cached values") ^= 0x01;
+        }
+    });
+    for bad in [stripped, flipped] {
+        let err = Snapshot::from_bytes(&bad).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("state hash"), "{err}");
+    }
 
     // A flipped payload byte fails the byte-wise checksum …
     let cell = V4_FIXTURE.len() / 2;

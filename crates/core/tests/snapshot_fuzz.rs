@@ -229,12 +229,12 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
 fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
     let v4: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
     // Not the fixture re-saved: a section spliced from one file into the
-    // other must be a graft, not a no-op. One more tuple, and no trie.
+    // other must be a graft, not a no-op. One more tuple (and, as every
+    // save now, no `TRIE`).
     let mut state = Snapshot::from_bytes(v4).expect("v4 fixture");
     let mut batch = UpdateBatch::new();
     batch.push(Point::new(42.0, 17.0), vec![1.5, 4.0]);
     state.block.apply_updates(&batch).expect("valid batch");
-    state.trie = None;
     let v5 = state.to_bytes();
     assert_eq!(v5[8..10], SNAPSHOT_VERSION.to_le_bytes());
     let corpus = [v4.to_vec(), v5];
