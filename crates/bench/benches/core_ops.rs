@@ -315,7 +315,6 @@ fn bench_persist(c: &mut Criterion) {
     let snapshot = SnapshotRef {
         block: &block,
         hits: None,
-        hot_queries: None,
     };
     let bytes = snapshot.to_bytes();
     let mut g = c.benchmark_group("persist");

@@ -536,9 +536,8 @@ pub fn encode_request(req: &QueryRequest) -> Vec<u8> {
     w.into_inner()
 }
 
-/// `fnv1a64(&encode_request(req))` without encoding: the key the engine's
-/// hot-query table files a request under, and the base of every result
-/// cache probe's [`request_cache_key`].
+/// `fnv1a64(&encode_request(req))` without encoding: the base of every
+/// result-cache probe's [`request_cache_key`].
 pub(crate) fn request_key(req: &QueryRequest) -> u64 {
     let mut w = FnvSink(0xcbf2_9ce4_8422_2325);
     w.u8(WIRE_VERSION);

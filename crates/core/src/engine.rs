@@ -37,7 +37,9 @@
 //! a rebuild picks the keys from the hit statistics, an update keeps the
 //! current keys and fills them from the updated block, and a restart
 //! rebuilds from the restored statistics under the threshold it is loaded
-//! with (the snapshot stores no cache).
+//! with (the snapshot stores no cache). A restart replays no requests:
+//! the covering memo starts empty, and the statistics are exactly the
+//! saved ones until traffic adds to them.
 //!
 //! The canonical entry point is [`GeoBlockEngine::query`] on the typed
 //! [`QueryRequest`]/[`QueryReply`] values from [`crate::api`]; the typed
@@ -50,39 +52,24 @@ use crate::api::{GbError, QueryReply, QueryRequest, QueryResponse};
 use crate::block::GeoBlock;
 use crate::hits::HitLog;
 use crate::kernel::PublishKernel;
-use crate::memo::{CoveringMemo, HotQueryTable, MemoStats};
+use crate::memo::{CoveringMemo, MemoStats};
 use crate::qc::{self, CacheMetrics, RebuildPolicy};
 use crate::query::QueryStats;
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::trie::AggregateTrie;
 use crate::update::{UpdateBatch, UpdateReport};
 use gb_cell::CellUnion;
-use gb_common::sync::OrderedMutex;
 use gb_common::{Counter, FxHashMap, Pool};
 use gb_data::{AggSpec, Filter};
 use gb_geom::Polygon;
-use gb_store::fnv1a64;
 use gb_trace::{Stage, TraceStats, Tracer};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Rank of the hot-query table in the declared engine lock order (see
-/// `DESIGN.md` "Static analysis & invariants"): a leaf lock between the
-/// kernel's publisher mutex (0) and state slot (2), like the hit log and
-/// the memo shards.
-const RANK_HOT_QUERIES: u8 = 1;
-
 /// Default covering-memo capacity (total across shards). Coverings are a
 /// few KB each; dashboards cycle through at most a few hundred shapes.
 const DEFAULT_MEMO_CAPACITY: usize = 512;
-
-/// Distinct query shapes the hot-query table tracks.
-const HOT_TABLE_CAPACITY: usize = 256;
-
-/// Top-K query shapes persisted into the snapshot's `HOTQ` section and
-/// replayed by warm starts.
-pub const HOT_PERSIST_K: usize = 64;
 
 /// One immutable epoch of the engine: the block, the cache built for it,
 /// and the data epoch they are valid for. Queries pin one `Arc` of this
@@ -120,9 +107,6 @@ pub struct GeoBlockEngine {
     /// fixed block level), so entries survive every data epoch and cache
     /// rebuild — a covering depends on neither.
     memo: CoveringMemo,
-    /// Hottest encoded Select/Count requests, persisted into snapshots
-    /// (`HOTQ`) so restarts warm the memo and the serve result cache.
-    hot_queries: OrderedMutex<HotQueryTable>,
     /// Per-stage tracing hub, shared with the serve layer. Defaults to
     /// the env-configured sampler (`GB_TRACE_SAMPLE` / `GB_SLOW_US`).
     tracer: Arc<Tracer>,
@@ -169,11 +153,6 @@ impl GeoBlockEngine {
             probes: Counter::new(),
             direct_hits: Counter::new(),
             memo: CoveringMemo::new(DEFAULT_MEMO_CAPACITY),
-            hot_queries: OrderedMutex::new(
-                "hot_queries",
-                RANK_HOT_QUERIES,
-                HotQueryTable::new(HOT_TABLE_CAPACITY),
-            ),
             tracer: Arc::new(Tracer::from_env()),
         }
     }
@@ -269,22 +248,10 @@ impl GeoBlockEngine {
         self.memo.reset_stats();
     }
 
-    /// Number of coverings currently memoized.
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-
     /// Full covering-memo counter snapshot (hits, misses, evictions,
     /// invalidations) — what `/metrics` exports.
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.stats()
-    }
-
-    /// Drop every memoized covering (the grid/level-reconfiguration
-    /// hook; see [`CoveringMemo::invalidate_all`]). Returns how many
-    /// entries were invalidated.
-    pub fn invalidate_coverings(&self) -> usize {
-        self.memo.invalidate_all()
     }
 
     /// The canonical typed entry point: validate `req` against the
@@ -297,39 +264,12 @@ impl GeoBlockEngine {
                 // state the query then runs on.
                 let state = self.state_snapshot();
                 qc::validate_spec(&state.block, spec)?;
-                self.record_hot(req);
                 Ok(QueryReply::Select(self.select_at(&state, polygon, spec)))
             }
-            QueryRequest::Count { polygon } => {
-                self.record_hot(req);
-                Ok(QueryReply::Count(self.count(polygon)))
-            }
+            QueryRequest::Count { polygon } => Ok(QueryReply::Count(self.count(polygon))),
             QueryRequest::Update { batch } => Ok(QueryReply::Update(self.apply_updates(batch)?)),
             QueryRequest::Batch { requests } => self.query_batch(requests, 1),
         }
-    }
-
-    /// Track `req` in the hot-query table (the statistics behind
-    /// snapshot-warmed restarts). The table is keyed by the FNV-1a hash of
-    /// the request's wire bytes, which is computed without encoding them:
-    /// the bytes are only materialised when the table admits a new shape.
-    fn record_hot(&self, req: &QueryRequest) {
-        let key = crate::api::request_key(req);
-        self.hot_queries
-            .lock()
-            .record(key, 1, || crate::api::encode_request(req));
-    }
-
-    /// The hottest persisted-shape requests (encoded wire bytes, hottest
-    /// first) — what `gb_serve` replays at startup to warm its result
-    /// cache on top of the engine-side memo warming.
-    pub fn warm_requests(&self) -> Vec<Vec<u8>> {
-        self.hot_queries
-            .lock()
-            .top(HOT_PERSIST_K)
-            .into_iter()
-            .map(|(_, bytes)| bytes)
-            .collect()
     }
 
     /// The covering of `polygon` over `block`, served from the covering
@@ -478,7 +418,6 @@ impl GeoBlockEngine {
                     )))
                 }
             }
-            self.record_hot(req);
         }
 
         // One covering per distinct polygon content: group by canonical
@@ -617,17 +556,14 @@ impl GeoBlockEngine {
     }
 
     /// Persist the block and what the cache has learned (the merged hit
-    /// statistics and the hot query shapes). The cache itself is not
-    /// written: it is derived from the statistics, and a restart rebuilds
-    /// it.
+    /// statistics). The cache itself is not written: it is derived from
+    /// the statistics, and a restart rebuilds it.
     pub fn write_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
         let state = self.state_snapshot();
         let hits = self.hits.counts();
-        let hot = self.hot_queries.lock().top(HOT_PERSIST_K);
         crate::snapshot::SnapshotRef {
             block: &state.block,
             hits: Some(&hits),
-            hot_queries: Some(&hot),
         }
         .save(path)
     }
@@ -635,8 +571,9 @@ impl GeoBlockEngine {
     /// Start a **pre-warmed** engine from a snapshot file: the cache is
     /// rebuilt from the restored hit statistics under `threshold`, so it
     /// serves hits from the very first query, and the statistics keep
-    /// informing future rebuilds. Snapshots without hit statistics start
-    /// cold, exactly like [`GeoBlockEngine::new`].
+    /// informing future rebuilds. The covering memo starts empty.
+    /// Snapshots without hit statistics start cold, exactly like
+    /// [`GeoBlockEngine::new`].
     pub fn from_snapshot(path: &Path, threshold: f64) -> Result<Self, SnapshotError> {
         Ok(GeoBlockEngine::from_snapshot_state(
             Snapshot::load(path)?,
@@ -652,34 +589,7 @@ impl GeoBlockEngine {
             engine.hits.absorb(&hits);
             engine.rebuild_cache();
         }
-        if let Some(hot) = snap.hot_queries {
-            engine.warm_from_hot_queries(&hot);
-        }
         engine
-    }
-
-    /// Seed the hot-query table from persisted `(count, encoded request)`
-    /// statistics and pre-compute the covering of every decodable shape,
-    /// so the first real request after a restart hits a warm memo.
-    /// Undecodable entries (e.g. from a newer wire version) are skipped —
-    /// warming is best-effort, never a load failure.
-    fn warm_from_hot_queries(&self, hot: &[(u64, Vec<u8>)]) {
-        let state = self.state_snapshot();
-        for (count, bytes) in hot {
-            let Ok(req) = crate::api::decode_request(bytes) else {
-                continue;
-            };
-            {
-                let mut table = self.hot_queries.lock();
-                table.record(fnv1a64(bytes), (*count).max(1), || bytes.clone());
-            }
-            match &req {
-                QueryRequest::Select { polygon, .. } | QueryRequest::Count { polygon } => {
-                    let _ = self.covering_for(&state.block, polygon);
-                }
-                QueryRequest::Update { .. } | QueryRequest::Batch { .. } => {}
-            }
-        }
     }
 
     /// Total distinct query cells tracked in the hit statistics (folds the

@@ -49,7 +49,7 @@
 //! | [`qc`] — the adapted SELECT + scoring/rebuild over a `(block, cache)` pair | §3.6, Fig. 8 |
 //! | [`hits`] — the log-structured hit statistics behind the rebuild | §3.6 |
 //! | [`engine`] — the query-cached front-end ("BlockQC"), `Send + Sync`: epoch-swapped block + cache, updates | §3.6, §5 |
-//! | [`memo`] — covering memo and hot-query table | — |
+//! | [`memo`] — covering memo | — |
 //! | [`snapshot`] — versioned persistence of blocks + what the cache has learned | — |
 //! | [`update`] — batch updates of a block | §5 |
 //! | [`aggregate`] — accumulator shared with the baselines | §2, §3.4 |
@@ -79,7 +79,7 @@ pub use engine::GeoBlockEngine;
 pub use hits::HitCounts;
 pub use kernel::PublishKernel;
 pub use layer::Layer;
-pub use memo::{CoveringMemo, HotQueryTable, MemoStats};
+pub use memo::{CoveringMemo, MemoStats};
 pub use qc::{CacheMetrics, RebuildPolicy};
 pub use query::QueryStats;
 pub use snapshot::{PersistStats, Snapshot, SnapshotError, SnapshotRef, SNAPSHOT_VERSION};

@@ -1,6 +1,5 @@
-//! The covering memo and the hot-query table — the engine-side state
-//! behind the query hot path's warm start (see DESIGN.md "Query hot
-//! path").
+//! The covering memo — the engine-side state that lets a repeated polygon
+//! skip its covering (see DESIGN.md "Query hot path").
 //!
 //! [`CoveringMemo`] memoizes `polygon → Arc<CellUnion>` keyed by
 //! [`gb_cell::polygon_cover_key`]. Coverings are pure functions of
@@ -9,21 +8,17 @@
 //! not on trie rebuilds. The 64-bit key is only a lookup key: every
 //! entry stores the polygon's canonical vertex stream and a hit compares
 //! it exactly, so a hash collision degrades to a miss, never to a wrong
-//! covering.
-//!
-//! [`HotQueryTable`] counts encoded Select/Count requests so the engine
-//! can persist its top-K hottest query shapes into the snapshot (`HOTQ`
-//! section) and a restarted server can warm the covering memo and the
-//! serve-layer result cache before the first dashboard paint.
+//! covering. Only traffic fills the memo: it is not persisted, and a
+//! restarted engine starts with it empty.
 
 use gb_cell::CellUnion;
 use gb_common::sync::OrderedMutex;
-use gb_common::{Counter, FifoMap, FxHashMap};
+use gb_common::{Counter, FifoMap};
 use std::sync::Arc;
 
-/// Rank of the memo shards and the hot-query table in the declared lock
-/// order: leaf locks on the query path, same band as the hit-statistic
-/// shards, never held while computing a covering or taking another lock.
+/// Rank of the memo shards in the declared lock order: leaf locks on the
+/// query path, same band as the hit log, never held while computing a
+/// covering or taking another lock.
 const RANK_MEMO: u8 = 1;
 
 /// Shard count — a power of two so the shard index is a mask of the
@@ -185,113 +180,6 @@ impl CoveringMemo {
         self.misses.reset();
         self.evictions.reset();
         self.invalidations.reset();
-    }
-}
-
-/// One tracked query shape: its encoded request bytes and how often it
-/// has been asked.
-#[derive(Debug, Clone)]
-struct HotQuery {
-    bytes: Vec<u8>,
-    count: u64,
-}
-
-/// A bounded count-min-style table of the hottest encoded requests,
-/// keyed by FNV of the wire bytes. When full, a new shape evicts the
-/// coldest entry only if it has been seen more often — a cheap
-/// frequency filter that keeps dashboard staples resident.
-#[derive(Debug, Default)]
-pub struct HotQueryTable {
-    entries: FxHashMap<u64, HotQuery>,
-    capacity: usize,
-    /// A lower bound on every resident count (counts only grow, and the
-    /// bound is lowered with each insertion), exact after each scan for
-    /// the coldest. A newcomer must beat the coldest resident, so one
-    /// that does not beat this bound is dropped without that scan —
-    /// every never-seen shape of weight 1 on a full table.
-    floor: u64,
-    /// Scans for the coldest resident.
-    #[cfg(test)]
-    scans: usize,
-}
-
-impl HotQueryTable {
-    /// A table remembering at most `capacity` query shapes.
-    pub fn new(capacity: usize) -> HotQueryTable {
-        HotQueryTable {
-            capacity,
-            floor: u64::MAX,
-            ..HotQueryTable::default()
-        }
-    }
-
-    /// Record `weight` occurrences (more than one when merging a
-    /// snapshot's persisted statistics) of the request whose wire bytes
-    /// hash to `key`. `encode` produces those bytes and runs only if the
-    /// table admits the request as a new shape.
-    pub fn record(&mut self, key: u64, weight: u64, encode: impl FnOnce() -> Vec<u8>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.count = e.count.saturating_add(weight);
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            if weight <= self.floor {
-                return;
-            }
-            #[cfg(test)]
-            {
-                self.scans += 1;
-            }
-            let coldest = self
-                .entries
-                .iter()
-                .min_by_key(|(&k, e)| (e.count, k))
-                .map(|(&k, e)| (k, e.count));
-            let Some((coldest_key, coldest_count)) = coldest else {
-                return;
-            };
-            self.floor = coldest_count;
-            if weight <= coldest_count {
-                return;
-            }
-            self.entries.remove(&coldest_key);
-        }
-        self.floor = self.floor.min(weight);
-        self.entries.insert(
-            key,
-            HotQuery {
-                bytes: encode(),
-                count: weight,
-            },
-        );
-    }
-
-    /// The top `k` query shapes by count (descending, key ascending for
-    /// determinism): `(count, encoded request bytes)`.
-    pub fn top(&self, k: usize) -> Vec<(u64, Vec<u8>)> {
-        let mut all: Vec<(u64, u64, &HotQuery)> = self
-            .entries
-            .iter()
-            .map(|(&key, e)| (e.count, key, e))
-            .collect();
-        all.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        all.into_iter()
-            .take(k)
-            .map(|(count, _, e)| (count, e.bytes.clone()))
-            .collect()
-    }
-
-    /// Number of tracked shapes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -459,68 +347,5 @@ mod tests {
         // Counters survive entry invalidation and reset together.
         memo.reset_stats();
         assert_eq!(memo.stats(), MemoStats::default());
-    }
-
-    #[test]
-    fn hot_table_tracks_counts_and_orders_top() {
-        let mut t = HotQueryTable::new(4);
-        for _ in 0..5 {
-            t.record(1, 1, || b"a".to_vec());
-        }
-        t.record(2, 1, || b"b".to_vec());
-        t.record(3, 3, || b"c".to_vec());
-        let top = t.top(2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0], (5, b"a".to_vec()));
-        assert_eq!(top[1], (3, b"c".to_vec()));
-    }
-
-    #[test]
-    fn full_hot_table_drops_weight_one_strangers_without_scanning() {
-        let mut t = HotQueryTable::new(3);
-        t.record(1, 1, || b"a".to_vec());
-        t.record(2, 1, || b"b".to_vec());
-        t.record(3, 1, || b"c".to_vec());
-        t.record(1, 1, || panic!("a resident shape is not encoded again")); // counts 2, 1, 1
-        let before = t.top(3);
-        for stranger in 10..200u64 {
-            t.record(stranger, 1, || panic!("a dropped shape is never encoded"));
-        }
-        assert_eq!(t.top(3), before, "the table is untouched");
-        assert_eq!(t.scans, 0, "a weight-1 newcomer cannot win: no scan");
-        // A heavier merged shape (snapshot warm-up) still evicts the
-        // coldest, ties broken towards the lowest key.
-        t.record(7, 2, || b"w".to_vec());
-        assert_eq!(t.scans, 1);
-        let top = t.top(3);
-        assert_eq!(top[0], (2, b"a".to_vec()));
-        assert_eq!(top[1], (2, b"w".to_vec()));
-        assert_eq!(top[2], (1, b"c".to_vec()), "key 2 went, key 3 stayed");
-        // The bound follows the table up: with every count at 2 or more
-        // a weight-2 newcomer is now dropped early as well.
-        t.record(3, 1, || b"c".to_vec());
-        t.record(8, 2, || b"x".to_vec());
-        t.record(9, 2, || b"y".to_vec());
-        assert_eq!(
-            t.scans, 2,
-            "one scan refreshed the bound, the next was skipped"
-        );
-        let names: Vec<Vec<u8>> = t.top(3).into_iter().map(|(_, b)| b).collect();
-        assert_eq!(names, [b"a".to_vec(), b"c".to_vec(), b"w".to_vec()]);
-    }
-
-    #[test]
-    fn hot_table_eviction_needs_a_hotter_newcomer() {
-        let mut t = HotQueryTable::new(2);
-        t.record(1, 5, || b"a".to_vec());
-        t.record(2, 4, || b"b".to_vec());
-        t.record(3, 1, || b"c".to_vec()); // colder than both residents: dropped
-        assert_eq!(t.len(), 2);
-        assert!(t.top(4).iter().all(|(_, b)| b != b"c"));
-        t.record(4, 10, || b"d".to_vec()); // hotter than the coldest: evicts key 2
-        let top = t.top(4);
-        assert_eq!(top.len(), 2);
-        assert!(top.iter().any(|(_, b)| b == b"d"));
-        assert!(top.iter().all(|(_, b)| b != b"b"));
     }
 }

@@ -10,8 +10,7 @@
 //!   cell aggregates),
 //! * optionally the §3.6 hit statistics: a restarted engine rebuilds its
 //!   aggregate cache from them, so it starts *warm*, and later rebuilds
-//!   keep adapting from everything learned before the restart,
-//! * optionally the hottest query shapes, which warm the covering memo.
+//!   keep adapting from everything learned before the restart.
 //!
 //! ## Sections (format version 5)
 //!
@@ -23,7 +22,7 @@
 //! | `CELL` | the block-level [`Layer`]: keys, counts (u64), per-cell min/max/sum |
 //! | `TRIE` | (no longer written) the aggregate cache as trie nodes; read only for the state hash |
 //! | `HITS` | (optional) hit-statistic key/count pairs |
-//! | `HOTQ` | (optional) hot-query shapes: count + encoded request bytes |
+//! | `HOTQ` | (no longer written) hot-query shapes, count + encoded request; read only for the state hash |
 //!
 //! Derived state — the count prefix, the coarser layers and the aggregate
 //! cache — is **never** serialized: the first two are deterministic folds
@@ -31,8 +30,9 @@
 //! `GeoBlock::refresh_derived` every other producer of a block ends in
 //! (see `DESIGN.md` "Persistence" for the measurements behind this), and
 //! the cache is a function of `HITS` and the load-time threshold. Earlier
-//! writers stored the cache as a `TRIE` section; the loader parses one only
-//! to re-derive the digest its writer put into the state hash.
+//! writers stored the cache as a `TRIE` section and the hottest requests as
+//! a `HOTQ` section; the loader parses either only to re-derive what its
+//! writer put into the state hash.
 //!
 //! The loader reads the current version and the one before it. Version 5
 //! changed no section: it is version 4 under the container's word-wise
@@ -45,11 +45,11 @@
 //! Every load re-derives two digests and compares them with the values
 //! stored at save time: [`GeoBlock::content_hash`] (cell aggregates +
 //! header) and a *state hash* spanning everything `content_hash`
-//! excludes — grid, schema, a legacy `TRIE`, hit statistics. Per-section
-//! checksums catch flipped bits; the state hash catches sections *grafted*
-//! between two individually-valid snapshots. The round-trip gate
-//! ("loaded state ≡ saved state") is thus enforced by the loader
-//! itself, not just by tests. Decoding never panics: all failures
+//! excludes — grid, schema, hit statistics, a legacy `TRIE` or `HOTQ`.
+//! Per-section checksums catch flipped bits; the state hash catches
+//! sections *grafted* between two individually-valid snapshots. The
+//! round-trip gate ("loaded state ≡ saved state") is thus enforced by the
+//! loader itself, not just by tests. Decoding never panics: all failures
 //! surface as [`SnapshotError`].
 
 use crate::block::GeoBlock;
@@ -82,26 +82,22 @@ const TAG_HEADER: SectionTag = SectionTag(*b"HDRS");
 const TAG_CELLS: SectionTag = SectionTag(*b"CELL");
 const TAG_TRIE: SectionTag = SectionTag(*b"TRIE");
 const TAG_HITS: SectionTag = SectionTag(*b"HITS");
-const TAG_HOT_QUERIES: SectionTag = SectionTag(*b"HOTQ");
-
-/// Upper bound on persisted hot-query shapes: a corrupt count cannot make
-/// the loader allocate unboundedly, and no sane writer stores more (the
-/// engine persists its top-K with K ≪ this).
-const MAX_HOT_QUERIES: usize = 4096;
+const TAG_HOTQ: SectionTag = SectionTag(*b"HOTQ");
 
 /// Digest over the *whole* snapshot state — the block's `content` digest
 /// plus the pieces [`GeoBlock::content_hash`] deliberately excludes (grid
 /// domain and curve, schema, a legacy `TRIE` section's digest, hit
-/// statistics). Stored in `HDRS` and re-derived at load: it is what makes
-/// a graft of one valid snapshot's `GRID`/`SCHM`/`TRIE`/`HITS` section
-/// onto another a typed error instead of silently wrong answers.
-fn state_hash(
+/// statistics), left open for a legacy `HOTQ` section
+/// ([`hash_legacy_hotq`]). Stored in `HDRS` and re-derived at load:
+/// it is what makes a graft of one valid snapshot's
+/// `GRID`/`SCHM`/`TRIE`/`HITS`/`HOTQ` section onto another a typed error
+/// instead of silently wrong answers.
+fn state_hasher(
     content: u64,
     block: &GeoBlock,
     trie: Option<u64>,
     hits: Option<&HitCounts>,
-    hot_queries: Option<&[(u64, Vec<u8>)]>,
-) -> u64 {
+) -> FxHasher {
     let mut h = FxHasher::default();
     content.hash(&mut h);
     let d = block.grid().domain();
@@ -133,12 +129,26 @@ fn state_hash(
             }
         }
     }
-    // Same append-only pattern: files without a HOTQ section keep the
-    // digest older writers stored.
-    if let Some(hot) = hot_queries {
-        hot.hash(&mut h);
+    h
+}
+
+/// Feed a `HOTQ` section (the hottest encoded requests, which earlier
+/// writers stored) into the state hash as its writer did: the
+/// `(count, request bytes)` entries hashed as the `Vec` they were written
+/// from. Nothing else reads the section, so the entries stream into the
+/// hasher: nothing is sized from the stored count and no payload is kept.
+/// A file without the section hashes nothing here, so files written
+/// without it stay valid version 5. This goes with `legacy_trie_digest`.
+fn hash_legacy_hotq(payload: &[u8], h: &mut FxHasher) -> Result<(), SnapshotError> {
+    let mut r = ByteReader::new(payload, "section `HOTQ`");
+    let n = r.u32()? as usize;
+    n.hash(h);
+    for _ in 0..n {
+        r.u64()?.hash(h);
+        let len = r.u32()? as usize;
+        r.bytes(len)?.hash(h);
     }
-    h.finish()
+    r.finish()
 }
 
 /// The digest a writer that still stored the aggregate cache as a `TRIE`
@@ -210,21 +220,12 @@ pub struct Snapshot {
     /// The §3.6 hit statistics at save time; restoring them rebuilds the
     /// aggregate cache and preserves everything its sizing has learned.
     pub hits: Option<HitCounts>,
-    /// The hottest query shapes at save time (`(count, encoded request)`,
-    /// hottest first); restoring them lets the engine warm its covering
-    /// memo — and the serve layer its result cache — before the first
-    /// real request.
-    pub hot_queries: Option<Vec<(u64, Vec<u8>)>>,
 }
 
 impl Snapshot {
     /// A block-only snapshot (cold cache on load).
     pub fn new(block: GeoBlock) -> Self {
-        Snapshot {
-            block,
-            hits: None,
-            hot_queries: None,
-        }
+        Snapshot { block, hits: None }
     }
 
     /// Borrowing view for serialization (no clones).
@@ -232,7 +233,6 @@ impl Snapshot {
         SnapshotRef {
             block: &self.block,
             hits: self.hits.as_ref(),
-            hot_queries: self.hot_queries.as_deref(),
         }
     }
 
@@ -249,7 +249,6 @@ impl Snapshot {
 pub struct SnapshotRef<'a> {
     pub block: &'a GeoBlock,
     pub hits: Option<&'a HitCounts>,
-    pub hot_queries: Option<&'a [(u64, Vec<u8>)]>,
 }
 
 impl SnapshotRef<'_> {
@@ -265,15 +264,12 @@ impl SnapshotRef<'_> {
         let mut stats = PersistStats::default();
         let mut timer = Timer::start();
         let content = b.content_hash();
-        let state = state_hash(content, b, None, self.hits, self.hot_queries);
+        let state = state_hasher(content, b, None, self.hits).finish();
         stats.hash = timer.lap();
 
-        let hot_bytes = |hot: &[(u64, Vec<u8>)]| hot.iter().map(|(_, q)| 12 + q.len()).sum();
         let mut out = SnapshotWriter::with_capacity(
             SNAPSHOT_VERSION,
-            1024 + b.num_cells() * b.record_bytes()
-                + self.hits.map_or(0, |hits| 16 * hits.len())
-                + self.hot_queries.map_or(0, hot_bytes),
+            1024 + b.num_cells() * b.record_bytes() + self.hits.map_or(0, |hits| 16 * hits.len()),
         );
 
         out.section(TAG_SCHEMA, |w| {
@@ -319,17 +315,6 @@ impl SnapshotRef<'_> {
             out.section(TAG_HITS, |w| {
                 w.u64_slice(hits.cells());
                 w.u64_slice(hits.values().as_slice());
-            });
-        }
-
-        if let Some(hot) = self.hot_queries {
-            out.section(TAG_HOT_QUERIES, |w| {
-                w.len_u32(hot.len());
-                for (count, bytes) in hot {
-                    w.u64(*count);
-                    w.len_u32(bytes.len());
-                    w.bytes(bytes);
-                }
             });
         }
         stats.encode = timer.lap();
@@ -491,49 +476,27 @@ impl Snapshot {
             }
         };
 
-        let hot_queries = match reader.section(TAG_HOT_QUERIES) {
-            None => None,
-            Some(payload) => {
-                let mut r = ByteReader::new(payload, "section `HOTQ`");
-                let n = r.u32()? as usize;
-                if n > MAX_HOT_QUERIES {
-                    return Err(SnapshotError::corrupt(format!(
-                        "HOTQ claims {n} entries (limit {MAX_HOT_QUERIES})"
-                    )));
-                }
-                // An entry is at least its count and its length: reserve
-                // for no more entries than the payload can hold.
-                let mut hot = Vec::with_capacity(n.min(r.remaining() / 12));
-                for _ in 0..n {
-                    let count = r.u64()?;
-                    let len = r.u32()? as usize;
-                    hot.push((count, r.bytes(len)?.to_vec()));
-                }
-                r.finish()?;
-                Some(hot)
-            }
-        };
         stats.decode += timer.lap();
 
         // Per-section checksums cannot catch sections *swapped* between
         // two individually-valid snapshots, and the block content hash
         // only covers HDRS + CELL. The state hash spans grid, schema,
-        // trie, and hit statistics too, so any cross-file graft fails
-        // here with a typed error instead of serving wrong answers.
-        let actual_state = state_hash(content, &block, trie, hits.as_ref(), hot_queries.as_deref());
+        // hit statistics and the legacy sections too, so any cross-file
+        // graft fails here with a typed error instead of serving wrong
+        // answers.
+        let mut h = state_hasher(content, &block, trie, hits.as_ref());
+        if let Some(payload) = reader.section(TAG_HOTQ) {
+            hash_legacy_hotq(payload, &mut h)?;
+        }
+        let actual_state = h.finish();
         if actual_state != stored_state_hash {
             return Err(SnapshotError::corrupt(format!(
                 "state hash mismatch: stored {stored_state_hash:#x}, decoded {actual_state:#x} \
-                 (grid/schema/trie/hits section does not belong to this snapshot)"
+                 (grid/schema/trie/hits/hotq section does not belong to this snapshot)"
             )));
         }
         stats.hash += timer.lap();
-        let snapshot = Snapshot {
-            block,
-            hits,
-            hot_queries,
-        };
-        Ok((snapshot, stats))
+        Ok((Snapshot { block, hits }, stats))
     }
 
     /// Serialize and write to `path` (atomic temp-file + rename).
@@ -564,7 +527,6 @@ impl GeoBlock {
         SnapshotRef {
             block: self,
             hits: None,
-            hot_queries: None,
         }
         .save(path)
     }
@@ -759,27 +721,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hot_queries_roundtrip_and_grafts_are_rejected() {
-        let b = block(600, 7);
-        let hot = vec![(9u64, vec![1u8, 2, 3]), (4, vec![0xFF, 0x00])];
-        let snap = Snapshot {
-            block: b.clone(),
-            hits: None,
-            hot_queries: Some(hot.clone()),
-        };
-        let bytes = snap.to_bytes();
-        let back = Snapshot::from_bytes(&bytes).expect("decodes");
-        assert_eq!(back.hot_queries.as_deref(), Some(hot.as_slice()));
-
-        // Dropping the HOTQ section breaks the state hash: a snapshot's
-        // warm-start statistics cannot be silently stripped or replaced.
-        let drop_hot = |tag, own: &[u8]| (tag != TAG_HOT_QUERIES).then(|| own.to_vec());
-        let stripped = reframe(&bytes, SNAPSHOT_VERSION, drop_hot, None);
-        let err = Snapshot::from_bytes(&stripped).unwrap_err();
-        assert!(err.to_string().contains("state hash"), "{err}");
     }
 
     #[test]

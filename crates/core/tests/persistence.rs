@@ -13,8 +13,9 @@
 //!    byte-wise section checksum) answers like a fresh build, and every
 //!    corruption probe is a typed error under both checksum rules; a file
 //!    stamped with an older version is `UnsupportedVersion`, never
-//!    `ChecksumMismatch` or `Corrupt`. The fixture's `TRIE` section, which
-//!    this tree no longer writes, is still held to the state hash.
+//!    `ChecksumMismatch` or `Corrupt`. The fixture's `TRIE` and `HOTQ`
+//!    sections, which this tree no longer writes, are still held to the
+//!    state hash, in the fixture and in a version-5 file that carries them.
 
 use gb_cell::Grid;
 use gb_data::{
@@ -145,6 +146,15 @@ fn loaded_engine_matches_freshly_built_engine() {
         fresh.trie_snapshot().content_hash(),
         "restored cache must be bit-identical to a rebuilt one"
     );
+    // The engine writes what the cache learned and nothing else.
+    let written = std::fs::read(&path).expect("saved file");
+    let tags = SnapshotReader::from_bytes(&written, READABLE).expect("well-framed");
+    assert!(tags.tags().any(|tag| tag == SectionTag(*b"HITS")));
+    assert!(
+        tags.tags().all(|tag| !LEGACY.contains(&tag)),
+        "no legacy section"
+    );
+
     restarted.reset_metrics();
     for p in &workload {
         let a = restarted.select(p, &s).result;
@@ -225,6 +235,11 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
 /// The versions the loader reads: this one and the one before it.
 const READABLE: std::ops::RangeInclusive<u16> = SNAPSHOT_VERSION - 1..=SNAPSHOT_VERSION;
 
+/// Sections this tree no longer writes but a version-4 or -5 file may
+/// carry: the aggregate cache as trie nodes, and the hottest encoded
+/// requests. The loader reads each only for its share of the state hash.
+const LEGACY: [SectionTag; 2] = [SectionTag(*b"TRIE"), SectionTag(*b"HOTQ")];
+
 /// Re-frame a snapshot section by section under `version` — the writer
 /// sums the sections under that version's checksum rule — letting `edit`
 /// change each payload on the way.
@@ -282,8 +297,7 @@ fn assert_answers_bit_identical(loaded: &GeoBlock, fresh: &GeoBlock) {
 /// `QueryRequest::Select`s of the rectangle (10,10)–(70,70) with `spec()`,
 /// a `rebuild_cache` and then the batch of [`v4_fixture_block`] through
 /// `GeoBlockEngine::apply_updates`, which bumps a cell in place *and*
-/// splices a new one; `TRIE` (the cache as trie nodes, which writers no
-/// longer store), `HITS` and `HOTQ` are all present.
+/// splices a new one; `HITS` and both [`LEGACY`] sections are present.
 const V4_FIXTURE: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
 
 /// The fresh block the version-4 fixture must answer like: the same build
@@ -316,23 +330,21 @@ fn v4_fixture_loads_to_bit_identical_answers() {
 
     let snap = Snapshot::from_bytes(V4_FIXTURE).expect("v4 file loads");
     assert!(snap.hits.is_some());
-    assert_eq!(snap.hot_queries.as_ref().map(Vec::len), Some(1));
     let fresh = v4_fixture_block();
     assert_answers_bit_identical(&snap.block, &fresh);
 
-    // Saving it again writes version 5 without the `TRIE` section: every
+    // Saving it again writes version 5 without the legacy sections: every
     // other payload is the fixture's, but for the state hash (the last
-    // word of `HDRS`), which no longer spans a trie. The result is stable.
+    // word of `HDRS`), which no longer spans them. The result is stable.
     let rewritten = snap.to_bytes();
     assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
     let (old, new) = (
         SnapshotReader::from_bytes(V4_FIXTURE, READABLE).expect("well-framed"),
         SnapshotReader::from_bytes(&rewritten, READABLE).expect("well-framed"),
     );
-    let trie = SectionTag(*b"TRIE");
     let mut kept: Vec<SectionTag> = old.tags().collect();
-    assert!(kept.contains(&trie));
-    kept.retain(|&tag| tag != trie);
+    assert!(LEGACY.iter().all(|tag| kept.contains(tag)));
+    kept.retain(|tag| !LEGACY.contains(tag));
     assert_eq!(new.tags().collect::<Vec<_>>(), kept);
     for tag in kept {
         let (a, b) = (old.require(tag).unwrap(), new.require(tag).unwrap());
@@ -343,21 +355,6 @@ fn v4_fixture_loads_to_bit_identical_answers() {
     let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
     assert_answers_bit_identical(&again.block, &fresh);
     assert_eq!(again.to_bytes(), rewritten);
-
-    // The fixture's `TRIE` is digest-only, but the digest is still checked:
-    // stripped, or with one byte of a cached value flipped under a
-    // recomputed checksum, the file is corrupt by the state hash.
-    let stripped = reframe_without(V4_FIXTURE, trie);
-    let flipped = reframe(V4_FIXTURE, |tag, payload| {
-        if tag == trie {
-            *payload.last_mut().expect("cached values") ^= 0x01;
-        }
-    });
-    for bad in [stripped, flipped] {
-        let err = Snapshot::from_bytes(&bad).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("state hash"), "{err}");
-    }
 
     // A flipped payload byte fails the byte-wise checksum …
     let cell = V4_FIXTURE.len() / 2;
@@ -383,6 +380,42 @@ fn v4_fixture_loads_to_bit_identical_answers() {
         assert_eq!(resummed[8..10], stamp.to_le_bytes());
         let back = Snapshot::from_bytes(&resummed).expect("re-summed file loads");
         assert_answers_bit_identical(&back.block, &fresh);
+    }
+}
+
+#[test]
+fn legacy_sections_are_still_held_to_the_state_hash() {
+    let fresh = v4_fixture_block();
+    // The fixture, and its sections re-summed as version 5: the file a
+    // version-5 writer that still stored both sections would have written.
+    let v5 = reframe_under(SNAPSHOT_VERSION, V4_FIXTURE, |_, _| {});
+    for file in [V4_FIXTURE.to_vec(), v5] {
+        let version = file[8];
+        let back = Snapshot::from_bytes(&file).expect("a file with legacy sections loads");
+        assert_answers_bit_identical(&back.block, &fresh);
+        // Read for the digest only, but the digest is checked: stripped,
+        // or with its last byte (a cached value, a request byte) flipped
+        // under a recomputed checksum, the file is corrupt by the state
+        // hash.
+        for legacy in LEGACY {
+            let stripped = reframe_without(&file, legacy);
+            let flipped = reframe(&file, |tag, payload| {
+                if tag == legacy {
+                    *payload.last_mut().expect("non-empty section") ^= 0x01;
+                }
+            });
+            for bad in [stripped, flipped] {
+                let err = Snapshot::from_bytes(&bad).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Corrupt { .. }),
+                    "v{version} {legacy}: {err}"
+                );
+                assert!(
+                    err.to_string().contains("state hash"),
+                    "v{version} {legacy}: {err}"
+                );
+            }
+        }
     }
 }
 

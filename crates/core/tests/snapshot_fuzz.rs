@@ -230,7 +230,7 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
     let v4: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
     // Not the fixture re-saved: a section spliced from one file into the
     // other must be a graft, not a no-op. One more tuple (and, as every
-    // save now, no `TRIE`).
+    // save now, no `TRIE` and no `HOTQ`).
     let mut state = Snapshot::from_bytes(v4).expect("v4 fixture");
     let mut batch = UpdateBatch::new();
     batch.push(Point::new(42.0, 17.0), vec![1.5, 4.0]);
@@ -244,6 +244,12 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
             .block
             .check_invariants();
     }
+    // The fixture's `HOTQ`, which this tree no longer writes, keeps the
+    // loader's legacy parse of it in reach of every mutation.
+    let hotq = SectionTag(*b"HOTQ");
+    assert!(corpus
+        .iter()
+        .any(|file| sections_of(file).1.iter().any(|(tag, _)| *tag == hotq)));
 
     let started = Instant::now();
     let mut rng = SEED;

@@ -75,19 +75,17 @@ impl Config {
             ]),
             relaxed_blessed: s(&["crates/common/src/stats.rs"]),
             // The workspace lock order: publisher guards first, then the
-            // hit log and its rank-1 peers (the covering-memo shards and
-            // the hot-query table — leaf locks that never nest), then
-            // the state pointer (block + trie + data epoch), then the
-            // pool queue, then the serve-layer leaf locks (result-cache
-            // entries, quota buckets). The same table is enforced at
-            // runtime by `gb_common::sync` and at model time by
-            // `gb_check`.
+            // hit log and its rank-1 peers (the covering-memo shards —
+            // leaf locks that never nest), then the state pointer (block +
+            // trie + data epoch), then the pool queue, then the serve-layer
+            // leaf locks (result-cache entries, quota buckets). The same
+            // table is enforced at runtime by `gb_common::sync` and at
+            // model time by `gb_check`.
             lock_ranks: vec![
                 ("rebuild_guard".to_string(), 0),
                 ("publish_guard".to_string(), 0),
                 ("hit_log".to_string(), 1),
                 ("memo".to_string(), 1),
-                ("hot_queries".to_string(), 1),
                 ("state".to_string(), 2),
                 ("queue".to_string(), 3),
                 ("entries".to_string(), 4),
@@ -181,7 +179,6 @@ mod tests {
         assert_eq!(cfg.lock_rank("entries"), cfg.lock_rank("buckets"));
         assert_eq!(cfg.lock_rank("traces"), cfg.lock_rank("entries"));
         assert_eq!(cfg.lock_rank("memo"), cfg.lock_rank("hit_log"));
-        assert_eq!(cfg.lock_rank("hot_queries"), cfg.lock_rank("hit_log"));
         assert!(cfg.lock_rank("memo") < cfg.lock_rank("state"));
         assert_eq!(cfg.lock_rank("trie"), None);
     }

@@ -317,7 +317,7 @@ fn lock_order(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
                                 format!(
                                     "lock `{name}` (rank {rank}) acquired while holding \
                                      `{held_name}` (rank {held_rank}); declared order is \
-                                     rebuild_guard/publish_guard < hit_log/memo/hot_queries < state \
+                                     rebuild_guard/publish_guard < hit_log/memo < state \
                                      < queue < entries/buckets"
                                 ),
                             ));

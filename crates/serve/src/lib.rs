@@ -25,7 +25,9 @@
 //!   key), bounded by TTL and capacity, and validated against the
 //!   engine's *data epoch* on every lookup — an `apply_updates` commit
 //!   invalidates transactionally because the epoch and the new data
-//!   become visible in one atomic state swap (see [`cache`]).
+//!   become visible in one atomic state swap (see [`cache`]). Only
+//!   requests fill it: a server over a restored engine starts with it
+//!   empty, and replays nothing into the engine.
 //! * **Admission control** — per-tenant token buckets (`X-Gb-Tenant`
 //!   header) reject excess load with 429 + `Retry-After` before any
 //!   engine work happens (see [`quota`]).
@@ -113,42 +115,17 @@ pub struct GbServer {
 }
 
 impl GbServer {
-    /// Wrap `engine` with the serving state from `config`. If the engine
-    /// was restored from a snapshot carrying hot-query statistics, those
-    /// shapes are replayed here — the result cache answers the first real
-    /// dashboard paint from warm entries instead of recomputing.
+    /// Wrap `engine` with the serving state from `config`. The result
+    /// cache starts empty and sends nothing to the engine: only requests
+    /// fill it, so wrapping an engine leaves its statistics untouched.
     pub fn new(engine: Arc<GeoBlockEngine>, config: ServeConfig) -> GbServer {
-        let server = GbServer {
+        GbServer {
             cache: ResultCache::new(config.cache_capacity, config.cache_ttl),
             metrics: Metrics::default(),
             quotas: QuotaTable::new(config.quota_burst, config.quota_per_sec),
             filter_key: gb_store::fnv1a64(config.filter_label.as_bytes()),
             engine,
             config,
-        };
-        server.warm_result_cache();
-        server
-    }
-
-    /// Replay the engine's persisted hot-query shapes through the normal
-    /// query path, populating the result cache (and, transitively, the
-    /// engine's covering memo). Best-effort: undecodable or failing
-    /// shapes are skipped.
-    fn warm_result_cache(&self) {
-        if self.config.cache_capacity == 0 {
-            return;
-        }
-        for bytes in self.engine.warm_requests() {
-            let Ok(req) = api::decode_request(&bytes) else {
-                continue;
-            };
-            let Some(key) = api::request_cache_key(&req, self.filter_key) else {
-                continue;
-            };
-            if let Ok(reply) = self.engine.query(&req) {
-                let epoch = reply.epoch();
-                self.cache.insert(key, api::encode_reply(&Ok(reply)), epoch);
-            }
         }
     }
 
