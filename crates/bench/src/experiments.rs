@@ -1013,8 +1013,8 @@ pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
     rep.note(
         "Expected shape: load ÷ rebuild ≤ 0.5 from ~100k rows up and falling with scale — \
          load is O(cells) and the distinct-cell count saturates (Figure 13), while rebuild \
-         stays O(rows log rows). What is left of a load is mostly `derive` (the ten layer \
-         folds) and `hash`; `verify` and `decode` move the bytes at memory speed.",
+         stays O(rows log rows). `derive` is the layer cascade (each layer folded from the \
+         next finer one, on one thread); `verify` and `decode` move the bytes at memory speed.",
     );
     Ok((rep, records))
 }

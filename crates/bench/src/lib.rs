@@ -121,18 +121,6 @@ pub fn run_select_workload(index: &mut dyn SpatialAggIndex, workload: &Workload)
     RunSummary::from_latencies(lat)
 }
 
-/// Execute a COUNT workload on an index, timing each query.
-pub fn run_count_workload(index: &mut dyn SpatialAggIndex, workload: &Workload) -> RunSummary {
-    let mut lat = Vec::with_capacity(workload.len());
-    for q in &workload.queries {
-        let t = gb_common::Timer::start();
-        let res = index.count(&q.polygon);
-        std::hint::black_box(res);
-        lat.push(t.elapsed());
-    }
-    RunSummary::from_latencies(lat)
-}
-
 /// Milliseconds as a compact string.
 pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)

@@ -2,51 +2,42 @@
 //!
 //! A GeoBlock stores one **cell aggregate** per non-empty grid cell at the
 //! block level, in ascending spatial-key order (the same order as the base
-//! data), plus a **global header** combining everything block-wide.
+//! data) — and nothing else. The paper's **global header**, everything
+//! combined block-wide, is the root of the fold tree derived from them.
 //!
 //! Each cell aggregate holds the cell's spatial key, the tuple count and
 //! per-column min/max/sum — aggregates only: nothing links a record back
 //! to the tuples it came from (the paper's tuple offsets and leaf-key
 //! bounds answered no query here and are gone). The records are laid out
 //! struct-of-arrays in a [`Layer`], the one record layout of this crate:
-//! the block is the finest of its own layers, and the coarser ones are
-//! derived from it.
+//! the block is the finest of its own layers, and each coarser one is the
+//! fold of the next finer one, up to the root record.
 
-use crate::aggregate::AggResult;
-use crate::layer::{hash_bits, Layer};
+use crate::aggregate::{AggPlan, AggResult, RecordRef};
+use crate::layer::Layer;
+use crate::query::Cursors;
 use gb_cell::{CellId, Grid};
-use gb_common::Pool;
 use gb_data::{AggSpec, Schema};
-use std::hash::{Hash, Hasher};
 
 /// A pre-aggregating materialized view over geospatial point data.
 #[derive(Debug, Clone)]
 pub struct GeoBlock {
     pub(crate) grid: Grid,
-    pub(crate) level: u8,
     pub(crate) schema: Schema,
 
     /// `layers[l]` holds the record of every non-empty cell of level `l`,
-    /// for `l ∈ 0..=level`. The last one — the block-level cell aggregates
-    /// — is the stored state; a block under construction holds nothing
-    /// else. The coarser ones are derived: never serialized, and rebuilt
-    /// with the count prefix by every producer through `refresh_derived`,
-    /// the one place the canonical folds run.
+    /// from the root (`l = 0`) to the block level. The last one — the
+    /// block-level cell aggregates — is the stored state; a block under
+    /// construction holds nothing else. The coarser ones are derived:
+    /// never serialized, and rebuilt with the fields below by every
+    /// producer through `refresh_derived`, the one place the folds run.
     pub(crate) layers: Vec<Layer>,
 
-    // --- global header (§3.4) ---
-    /// Total tuples in the block.
-    pub(crate) n_rows: u64,
-    /// Smallest block-level cell id (raw) present (set, like `max_cell`,
-    /// by `refresh_derived`; 0 in an empty block).
+    /// Derived: the smallest block-level cell id (raw) present, 0 in an
+    /// empty block.
     pub(crate) min_cell: u64,
-    /// Largest block-level cell id (raw) present.
+    /// Derived: the largest block-level cell id (raw) present.
     pub(crate) max_cell: u64,
-    /// Block-wide per-column (min, max, sum), flattened like one record.
-    pub(crate) global_mins: Vec<f64>,
-    pub(crate) global_maxs: Vec<f64>,
-    pub(crate) global_sums: Vec<f64>,
-
     /// Derived: the exclusive prefix over the block-level counts (`n + 1`
     /// entries). The tuple count of any record run `[a, b)` is
     /// `prefix_counts[b] − prefix_counts[a]` — Listing 2's offset trick
@@ -55,16 +46,30 @@ pub struct GeoBlock {
 }
 
 impl GeoBlock {
+    /// A block over `records`, its block-level cell aggregates, with
+    /// nothing derived yet: every producer makes one of these and ends in
+    /// `refresh_derived`.
+    pub(crate) fn from_records(grid: Grid, schema: Schema, records: Layer) -> GeoBlock {
+        GeoBlock {
+            grid,
+            schema,
+            layers: vec![records],
+            min_cell: 0,
+            max_cell: 0,
+            prefix_counts: Vec::new(),
+        }
+    }
+
     /// The grid this block decomposes.
     #[inline]
     pub fn grid(&self) -> &Grid {
         &self.grid
     }
 
-    /// The block level (grid resolution, §3.2).
+    /// The block level (grid resolution, §3.2): the level of its records.
     #[inline]
     pub fn level(&self) -> u8 {
-        self.level
+        self.records().level
     }
 
     /// The attribute schema.
@@ -93,30 +98,12 @@ impl GeoBlock {
         self.layers.last_mut().expect("a block holds its records")
     }
 
-    /// A block of `records` under this block's grid, schema and global
-    /// header, with nothing derived yet: `refresh_derived` completes it.
-    fn with_records(&self, level: u8, records: Layer) -> GeoBlock {
-        GeoBlock {
-            grid: self.grid,
-            level,
-            schema: self.schema.clone(),
-            layers: vec![records],
-            n_rows: self.n_rows,
-            min_cell: self.min_cell,
-            max_cell: self.max_cell,
-            global_mins: self.global_mins.clone(),
-            global_maxs: self.global_maxs.clone(),
-            global_sums: self.global_sums.clone(),
-            prefix_counts: Vec::new(),
-        }
-    }
-
-    /// A copy of the stored state only — header and block-level records —
-    /// for an update to work on: the coarser layers and the count prefix
-    /// (about half the block's bytes) are what `refresh_derived` replaces
-    /// anyway, so copying them would be copying garbage.
+    /// A copy of the stored state only — the block-level records — for an
+    /// update to work on: the coarser layers and the count prefix (about
+    /// half the block's bytes) are what `refresh_derived` replaces anyway,
+    /// so copying them would be copying garbage.
     pub(crate) fn clone_stored(&self) -> GeoBlock {
-        self.with_records(self.level, self.records().clone())
+        GeoBlock::from_records(self.grid, self.schema.clone(), self.records().clone())
     }
 
     /// Number of non-empty grid cells (cell aggregates).
@@ -125,16 +112,17 @@ impl GeoBlock {
         self.records().num_cells()
     }
 
-    /// Total tuples aggregated into the block.
+    /// Total tuples aggregated into the block: the count prefix's last
+    /// entry.
     #[inline]
     pub fn num_rows(&self) -> u64 {
-        self.n_rows
+        self.prefix_counts.last().copied().unwrap_or(0)
     }
 
     /// The maximum spatial error of query answers: the cell diagonal at the
     /// block level (§3.2).
     pub fn error_bound(&self) -> f64 {
-        self.grid.cell_diagonal(self.level)
+        self.grid.cell_diagonal(self.level())
     }
 
     /// Number of attribute columns.
@@ -149,26 +137,28 @@ impl GeoBlock {
         CellId::from_raw(self.records().keys[idx])
     }
 
-    /// The block-wide aggregate from the global header (100 % selectivity
-    /// answers come from here in O(1)).
+    /// The root record — the fold of every record, and so the §3.4
+    /// global header. `None` in an empty block.
+    pub(crate) fn root(&self) -> Option<RecordRef<'_>> {
+        self.record_of(CellId::ROOT, &mut Cursors::new())
+    }
+
+    /// The block-wide aggregate, read from the root record (100 %
+    /// selectivity answers come from here in O(1)).
     pub fn global_aggregate(&self, spec: &AggSpec) -> AggResult {
         let mut r = AggResult::new(spec);
-        r.combine_record(
-            spec,
-            self.n_rows,
-            |col| self.global_mins[col],
-            |col| self.global_maxs[col],
-            |col| self.global_sums[col],
-        );
+        if let Some(root) = self.root() {
+            root.combine_into(&AggPlan::compile(spec), &mut r);
+        }
         r.finalize(spec)
     }
 
-    /// Constant-time pre-check from the header: can `cell` overlap any
+    /// Constant-time pre-check from the key extent: can `cell` overlap any
     /// aggregate in this block? (§3.5 "thanks to the prefix-based
     /// containment checks, this is possible in constant time".)
     #[inline]
     pub fn may_overlap(&self, cell: CellId) -> bool {
-        if self.n_rows == 0 {
+        if self.num_cells() == 0 {
             return false;
         }
         cell.range_max().raw() >= self.min_cell_leaf_min()
@@ -191,9 +181,10 @@ impl GeoBlock {
         self.records().record_bytes()
     }
 
-    /// Heap bytes of the block-level cell aggregates + global header —
-    /// the paper's original Figure-11b numerator, and the base the cache
-    /// budget (aggregate threshold) is computed against.
+    /// Heap bytes of the block-level cell aggregates plus the paper's
+    /// global header (per-column min/max/sum, row count and key extent) —
+    /// the original Figure-11b numerator, and the base the cache budget
+    /// (aggregate threshold) is computed against.
     pub fn aggregate_bytes(&self) -> usize {
         self.records().memory_bytes() + 3 * 8 * self.n_cols() + 32
     }
@@ -201,7 +192,7 @@ impl GeoBlock {
     /// Heap bytes of the derived acceleration structures: the count
     /// prefix plus every layer coarser than the block level.
     pub fn derived_bytes(&self) -> usize {
-        let coarser = &self.layers[..usize::from(self.level)];
+        let coarser = &self.layers[..usize::from(self.level())];
         self.prefix_counts.len() * 8 + coarser.iter().map(Layer::memory_bytes).sum::<usize>()
     }
 
@@ -212,18 +203,17 @@ impl GeoBlock {
         self.aggregate_bytes() + self.derived_bytes()
     }
 
-    /// Rebuild everything derived (the header's key extent, the count
-    /// prefix and the coarser layers) from the stored layer, the last in
-    /// `layers` whether stale coarser ones precede it or not — the single
-    /// funnel every producer (build, coarsen, updates, snapshot load) ends
-    /// in. The layers are fanned out over `pool`; they are independent
-    /// folds, so the result is bit-identical at any thread count. Build
-    /// and load, which have no readers to disturb, bring the machine's
-    /// pool; an update and `coarsen` the inline one-thread pool. Updates
-    /// call this instead of patching derived state in place: in-place
-    /// propagation of sums would drift from the canonical fold by ULPs and
-    /// break the layer-vs-scan bit-identity invariant.
-    pub(crate) fn refresh_derived(&mut self, pool: &Pool) {
+    /// Rebuild everything derived (the key extent, the count prefix and
+    /// the coarser layers) from the stored layer, the last in `layers`
+    /// whether stale coarser ones precede it or not — the single funnel
+    /// every producer (build, coarsen, updates, snapshot load) ends in.
+    /// The layers are one cascade: each is the fold of the next finer one
+    /// (`Layer::fold_to`), from the block level up to the root record.
+    /// Each step needs the one before, so it runs on the calling thread.
+    /// Updates call this instead of patching derived state in place:
+    /// in-place propagation of sums would drift from the canonical fold by
+    /// ULPs and break the layer-vs-oracle bit-identity invariant.
+    pub(crate) fn refresh_derived(&mut self) {
         let Some(records) = self.layers.pop() else {
             return;
         };
@@ -241,72 +231,59 @@ impl GeoBlock {
             self.prefix_counts.push(run);
         }
 
-        let mut layers = pool.run(usize::from(self.level), |l| records.fold_to(l as u8));
+        let mut layers = Vec::with_capacity(usize::from(records.level) + 1);
         layers.push(records);
+        while let Some(finer) = layers.last().filter(|l| l.level > 0) {
+            let coarser = finer.fold_to(finer.level - 1);
+            layers.push(coarser);
+        }
+        layers.reverse();
         self.layers = layers;
     }
 
     /// A digest over the stored state — the block-level records and the
-    /// global header (floats by bit pattern, so NaN payloads and signed
-    /// zeros count). Two blocks with equal hashes are byte-identical for
-    /// all practical purposes — the `scale-threads` experiment uses this
-    /// to prove parallel builds match serial ones.
+    /// global header the `HDRS` section stores beside them (floats by bit
+    /// pattern, so NaN payloads and signed zeros count). Two blocks with
+    /// equal hashes are byte-identical for all practical purposes — the
+    /// `scale-threads` experiment uses this to prove parallel builds match
+    /// serial ones.
     pub fn content_hash(&self) -> u64 {
-        let mut h = gb_common::FxHasher::default();
-        self.records().hash_into(&mut h);
-        self.n_rows.hash(&mut h);
-        self.min_cell.hash(&mut h);
-        self.max_cell.hash(&mut h);
-        hash_bits(&self.global_mins, &mut h);
-        hash_bits(&self.global_maxs, &mut h);
-        hash_bits(&self.global_sums, &mut h);
-        h.finish()
+        crate::snapshot::Header::of(self).digest(self.records())
     }
 
     /// Build a coarser GeoBlock at `level` from this one **without**
     /// rescanning the base data (§3.4 "aggregate granularity"): its
-    /// records *are* this block's layer for `level` (the canonical
-    /// in-order fold), and its own coarser layers are folded from them.
+    /// records *are* this block's layer for `level`, so the cascade folds
+    /// its coarser layers into this block's own, bit for bit.
     pub fn coarsen(&self, level: u8) -> GeoBlock {
-        assert!(level <= self.level, "coarsen can only reduce the level");
-        let mut out = self.with_records(level, self.layers[usize::from(level)].clone());
-        out.refresh_derived(&Pool::new(1));
+        assert!(level <= self.level(), "coarsen can only reduce the level");
+        let records = self.layers[usize::from(level)].clone();
+        let mut out = GeoBlock::from_records(self.grid, self.schema.clone(), records);
+        out.refresh_derived();
         out
     }
 
-    /// Check every invariant of the *stored* state — the last layer and
-    /// the global header — without panicking: the validation gate for
-    /// untrusted inputs (snapshot loads). A corrupt file that passes the
-    /// container checksums must still describe a structurally possible
-    /// block before any fold or query code touches it. Derived state is
-    /// never read from outside; [`GeoBlock::check_invariants`] covers it.
+    /// Check every invariant of the *stored* state — the block-level
+    /// records — without panicking: the validation gate for untrusted
+    /// inputs (snapshot loads). A corrupt file that passes the container
+    /// checksums must still describe a structurally possible block before
+    /// any fold or query code touches it. Derived state is never read from
+    /// outside; [`GeoBlock::check_invariants`] covers it.
     pub fn validate(&self) -> Result<(), String> {
-        let c = self.n_cols();
-        let records = self.layers.last().ok_or("block without records")?;
-        if (records.level, records.n_cols) != (self.level, c) {
+        let (records, c) = (self.records(), self.n_cols());
+        if records.n_cols != c {
             return Err(format!(
-                "records at level {} with {} columns, block at level {} with {c}",
-                records.level, records.n_cols, self.level
+                "records with {} columns, schema with {c}",
+                records.n_cols
             ));
         }
         records.validate()?;
-        if self.global_mins.len() != c || self.global_maxs.len() != c || self.global_sums.len() != c
-        {
-            return Err("global header arrays do not match the column count".into());
-        }
         let total = records
             .counts
             .iter()
             .try_fold(0u64, |sum, &n| sum.checked_add(n));
-        if total != Some(self.n_rows) {
-            return Err(format!(
-                "counts sum to {total:?}, header says {}",
-                self.n_rows
-            ));
-        }
-        let extent = (records.keys.first(), records.keys.last());
-        if records.num_cells() > 0 && extent != (Some(&self.min_cell), Some(&self.max_cell)) {
-            return Err("header min/max cells disagree with the key array".into());
+        if total.is_none() {
+            return Err("the counts overflow a u64".into());
         }
         Ok(())
     }
@@ -320,10 +297,15 @@ impl GeoBlock {
         if let Err(e) = self.validate() {
             panic!("GeoBlock invariant violated: {e}");
         }
-        assert_eq!(self.layers.len(), usize::from(self.level) + 1, "layers");
+        assert_eq!(self.layers.len(), usize::from(self.level()) + 1, "layers");
         let mut fresh = self.clone_stored();
-        fresh.refresh_derived(&Pool::new(1));
+        fresh.refresh_derived();
         assert_eq!(self.prefix_counts, fresh.prefix_counts, "stale prefix");
+        assert_eq!(
+            (self.min_cell, self.max_cell),
+            (fresh.min_cell, fresh.max_cell),
+            "stale key extent"
+        );
         for (l, (have, want)) in self.layers.iter().zip(&fresh.layers).enumerate() {
             if let Err(e) = have.validate() {
                 panic!("layer {l} invalid: {e}");

@@ -15,8 +15,9 @@
 //! block-level cell boundaries, so no cell is ever split across workers:
 //! every cell aggregate is accumulated by exactly one thread in base-row
 //! order, and the block is **bit-identical** at every thread count (see
-//! `parallel_build_is_bit_identical`). The global header is an in-order
-//! fold over the cell aggregates, which keeps even its floating-point sums
+//! `parallel_build_is_bit_identical`). Everything coarser — the layers up
+//! to the root record, which is the global header — is folded from the
+//! assembled records afterwards, so even its floating-point sums are
 //! byte-for-byte stable.
 
 use crate::block::GeoBlock;
@@ -66,45 +67,15 @@ fn sweep_range(base: &BaseTable, level: u8, filter: &Filter, rows: Range<usize>)
     out
 }
 
-/// Concatenate the sweeps' records (in range order) into a block and derive
-/// the global header by folding the cell aggregates in cell order. The fold
-/// is the *definition* of the header, so it does not depend on how the
-/// sweep was cut.
+/// Concatenate the sweeps' records (in range order) into a block with
+/// nothing derived yet.
 fn assemble(grid: gb_cell::Grid, level: u8, schema: Schema, parts: Vec<Layer>) -> GeoBlock {
-    let c = schema.len();
     let n_cells: usize = parts.iter().map(Layer::num_cells).sum();
-    let mut records = Layer::with_capacity(level, c, n_cells);
+    let mut records = Layer::with_capacity(level, schema.len(), n_cells);
     for part in &parts {
         records.extend_from(part, 0..part.num_cells());
     }
-
-    let mut block = GeoBlock {
-        grid,
-        level,
-        schema,
-        n_rows: records.counts.iter().sum(),
-        min_cell: 0,
-        max_cell: 0,
-        global_mins: vec![f64::INFINITY; c],
-        global_maxs: vec![f64::NEG_INFINITY; c],
-        global_sums: vec![0.0; c],
-        layers: Vec::new(),
-        prefix_counts: Vec::new(),
-    };
-    for cell in 0..records.num_cells() {
-        let record = records.record(cell);
-        for col in 0..c {
-            if record.min(col) < block.global_mins[col] {
-                block.global_mins[col] = record.min(col);
-            }
-            if record.max(col) > block.global_maxs[col] {
-                block.global_maxs[col] = record.max(col);
-            }
-            block.global_sums[col] += record.sum(col);
-        }
-    }
-    block.layers.push(records);
-    block
+    GeoBlock::from_records(grid, schema, records)
 }
 
 /// Build a GeoBlock at `level` over the rows of `base` matching `filter`.
@@ -154,9 +125,8 @@ pub fn build_parallel(
 /// The build on `pool`. The block does not depend on the pool's size:
 /// chunks are cell-aligned (`cell_aligned_boundaries`), so each cell
 /// aggregate is produced by one worker in base-row order, the sweeps'
-/// records are concatenated in ascending key order before the global
-/// header is folded from them, and the coarser layers are independent
-/// in-order folds over the assembled cells.
+/// records are concatenated in ascending key order, and the coarser
+/// layers are folded from the assembled cells on this thread.
 fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, BuildStats) {
     assert!(level <= MAX_LEVEL);
     let timer = gb_common::Timer::start();
@@ -165,11 +135,11 @@ fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBl
         sweep_range(base, level, filter, cuts[i]..cuts[i + 1])
     });
     let mut block = assemble(*base.grid(), level, base.schema().clone(), parts);
-    block.refresh_derived(pool);
+    block.refresh_derived();
     let stats = BuildStats {
         build_time: timer.elapsed(),
         rows_scanned: base.num_rows(),
-        rows_kept: block.n_rows as usize,
+        rows_kept: block.num_rows() as usize,
         threads: pool.threads(),
     };
     (block, stats)
@@ -179,7 +149,9 @@ fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBl
 mod tests {
     use super::*;
     use gb_cell::{CellId, Grid};
-    use gb_data::{extract, CleaningRules, CmpOp, ColumnDef, RawTable, Schema};
+    use gb_data::{
+        extract, AggFunc, AggRequest, AggSpec, CleaningRules, CmpOp, ColumnDef, RawTable, Schema,
+    };
     use gb_geom::{Point, Rect};
 
     fn base_data(n: usize) -> BaseTable {
@@ -201,17 +173,23 @@ mod tests {
         extract(&raw, grid, &CleaningRules::none(), None).base
     }
 
+    /// Min, max and sum of column `col`.
+    fn min_max_sum(col: usize) -> AggSpec {
+        AggSpec::new(vec![
+            AggRequest::new(AggFunc::Min, col),
+            AggRequest::new(AggFunc::Max, col),
+            AggRequest::new(AggFunc::Sum, col),
+        ])
+    }
+
     /// Byte-level equality: every array identical, floats compared by bits.
     fn assert_blocks_identical(a: &GeoBlock, b: &GeoBlock) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(a.n_rows, b.n_rows);
+        assert_eq!(a.num_rows(), b.num_rows());
         assert_eq!(a.min_cell, b.min_cell);
         assert_eq!(a.max_cell, b.max_cell);
-        assert_eq!(bits(&a.global_mins), bits(&b.global_mins));
-        assert_eq!(bits(&a.global_maxs), bits(&b.global_maxs));
-        assert_eq!(bits(&a.global_sums), bits(&b.global_sums));
         // The records and the derived structures: count prefix and every
-        // coarser layer.
+        // coarser layer, up to the root record (the global header).
         assert_eq!(a.prefix_counts, b.prefix_counts);
         assert_eq!(a.layers.len(), b.layers.len());
         for (la, lb) in a.layers.iter().zip(&b.layers) {
@@ -273,10 +251,8 @@ mod tests {
         assert_eq!(block.num_rows(), 200);
         assert_eq!(stats.rows_kept, 200);
         // Global sums reflect only matching rows: all k values are 3.
-        let kidx = 1;
-        assert_eq!(block.global_mins[kidx], 3.0);
-        assert_eq!(block.global_maxs[kidx], 3.0);
-        assert_eq!(block.global_sums[kidx], 600.0);
+        let global = block.global_aggregate(&min_max_sum(1));
+        assert_eq!(global.values(), [3.0, 3.0, 600.0]);
     }
 
     #[test]
@@ -398,10 +374,10 @@ mod tests {
     fn global_header_matches_scan() {
         let base = base_data(1500);
         let (block, _) = build(&base, 8, &Filter::all());
-        let vidx = 0;
         let expect_sum: f64 = (0..1500).map(|i| i as f64).sum();
-        assert!((block.global_sums[vidx] - expect_sum).abs() < 1e-6);
-        assert_eq!(block.global_mins[vidx], 0.0);
-        assert_eq!(block.global_maxs[vidx], 1499.0);
+        let global = block.global_aggregate(&min_max_sum(0));
+        assert_eq!(global.count, 1500);
+        assert_eq!(global.values()[..2], [0.0, 1499.0]);
+        assert!((global.values()[2] - expect_sum).abs() < 1e-6);
     }
 }

@@ -645,7 +645,6 @@ enum EngineSource {
     Block(Box<GeoBlock>),
     SharedBlock(Arc<GeoBlock>),
     SnapshotFile(PathBuf),
-    SnapshotState(Box<Snapshot>),
 }
 
 /// Fluent construction of a [`GeoBlockEngine`]: one source (block,
@@ -707,12 +706,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Source: an already-loaded snapshot (the in-memory variant).
-    pub fn snapshot_state(mut self, snap: Snapshot) -> Self {
-        self.source = EngineSource::SnapshotState(Box::new(snap));
-        self
-    }
-
     /// Source: build a fresh block from base data at `level` under
     /// `filter` ([`crate::build()`]).
     pub fn base(self, base: &gb_data::BaseTable, level: u8, filter: &Filter) -> Self {
@@ -742,9 +735,6 @@ impl EngineBuilder {
                 EngineSource::SharedBlock(block) => GeoBlockEngine::from_arc(block, self.threshold),
                 EngineSource::SnapshotFile(path) => {
                     GeoBlockEngine::from_snapshot_state(Snapshot::load(&path)?, self.threshold)
-                }
-                EngineSource::SnapshotState(snap) => {
-                    GeoBlockEngine::from_snapshot_state(*snap, self.threshold)
                 }
             };
         Ok(engine.with_policy(self.policy))

@@ -12,19 +12,19 @@
 //! record combine (`Layer::record`), where a range scan pays up to 4^Δ
 //! block-level records.
 //!
-//! A coarser layer is defined as the *in-order fold* of the finest records
-//! it covers (`Layer::fold_to`, the canonical fold —
-//! [`GeoBlock::coarsen`](crate::GeoBlock::coarsen) hands out the same layer
-//! as a block of its own), so a lookup is bit-identical to scanning the
-//! underlying records into a fresh accumulator, floating-point association
-//! included. That definition is what lets the query tests assert exact
-//! (`approx_eq` at `0.0`) agreement with [`crate::reference`].
+//! A coarser layer is defined as the *in-order fold* of the next finer one
+//! (`Layer::fold_to` one level up, the canonical fold): each record folds
+//! its at most four non-empty children in key order, so the layers form
+//! one fold tree whose root record is the block's global header.
+//! [`GeoBlock::coarsen`](crate::GeoBlock::coarsen) hands out a layer of
+//! that tree as a block of its own, and its layers are the tree's, bit for
+//! bit. A lookup is bit-identical to folding the same tree from the
+//! block-level records into fresh accumulators, floating-point association
+//! included — what [`crate::reference`] does — and that is what lets the
+//! query tests assert exact (`approx_eq` at `0.0`) agreement with it.
 //!
-//! Coarser layers are independent of one another (each folds directly from
-//! the finest, never from the next-finer one), which makes deriving them
-//! embarrassingly parallel: `GeoBlock::refresh_derived` fans one task per
-//! layer over [`gb_common::Pool`] and the result is bit-identical at any
-//! thread count.
+//! Each layer needs the next finer one, so `GeoBlock::refresh_derived`
+//! folds them one after another on the calling thread.
 
 use crate::aggregate::RecordRef;
 use crate::gallop;

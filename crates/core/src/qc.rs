@@ -140,7 +140,7 @@ pub(crate) fn select_adapted(
         // stage the cell's level selects: a cell coarser than the block
         // level reads a pyramid layer, a block-level cell the block's own
         // records.
-        let stage = if qcell.level() < block.level {
+        let stage = if qcell.level() < block.level() {
             Stage::PyramidCombine
         } else {
             Stage::ScanFallback

@@ -3,10 +3,11 @@
 //!
 //! Both queries start identically: the polygon is approximated by an
 //! error-bounded cell covering (boundary cells at the block level, interior
-//! cells possibly coarser) and the covering is pruned against the global
-//! header. Every covering cell is grid-aligned and every block holds the
-//! canonical record of every aligned cell — the in-order fold of the block
-//! records under it — in the [`Layer`](crate::Layer) of the cell's level.
+//! cells possibly coarser) and the covering is pruned against the block's
+//! key extent. Every covering cell is grid-aligned and every block holds
+//! the canonical record of every aligned cell — the in-order fold of its
+//! children's records, down to the block records under it — in the
+//! [`Layer`](crate::Layer) of the cell's level.
 //! So:
 //!
 //! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] answer each
@@ -21,9 +22,9 @@
 //!   because it is measurably cheaper than a record lookup per covering
 //!   cell (EXPERIMENTS.md "One record layout").
 //!
-//! The naive oracle both are tested against — one bisection and one
-//! in-order fold of the block records per covering cell, Listing 1 without
-//! any acceleration — is [`crate::reference`].
+//! The naive oracle both are tested against — the same fold tree walked
+//! from the block records by bisection per covering cell, with no layer,
+//! cursor or cache — is [`crate::reference`].
 
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::block::GeoBlock;
@@ -62,7 +63,7 @@ impl Cursors {
 impl GeoBlock {
     /// Compute the error-bounded covering for a query polygon (Figure 6 b/c).
     pub fn cover(&self, polygon: &Polygon) -> CellUnion {
-        cover_polygon(&self.grid, polygon, CovererOptions::at_level(self.level))
+        cover_polygon(&self.grid, polygon, CovererOptions::at_level(self.level()))
     }
 
     /// SELECT: extract `spec`'s aggregates over all points in `polygon`.
@@ -81,8 +82,8 @@ impl GeoBlock {
         let mut cursors = Cursors::new();
 
         for qcell in covering.iter() {
-            // Header pre-check (Listing 1 lines 5–6): skip cells outside
-            // the block's key range.
+            // Key-extent pre-check (Listing 1 lines 5–6): skip cells
+            // outside the block's key range.
             if !self.may_overlap(qcell) {
                 continue;
             }
@@ -111,8 +112,8 @@ impl GeoBlock {
     }
 
     /// The canonical record of the aligned `cell`, at or above the block
-    /// level: the in-order fold of the block records under it, read from
-    /// the layer of its level. `None` means no data under the cell — also
+    /// level: the in-order fold of its children's records, read from the
+    /// layer of its level. `None` means no data under the cell — also
     /// for a cell finer than the block level, which has no record of its
     /// own.
     ///

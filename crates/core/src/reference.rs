@@ -1,8 +1,13 @@
 //! The naive oracle: SELECT and COUNT over a covering as Listings 1 & 2
-//! state them, with nothing that makes them fast — per covering cell one
-//! bisection of the block's keys and one in-order fold of the records in
-//! the cell's key range. No cursors, no galloping, no coarser layers, no
-//! trie, no compiled plan.
+//! state them, with nothing that makes them fast. A covering cell's
+//! aggregate is the fold tree every layer is defined by, walked from the
+//! block records: at the block level the cell's own record, found by
+//! bisecting the block's keys; above it the in-order merge of its four
+//! children's aggregates, each into a fresh accumulator. A bisection
+//! prunes every subtree without a record before it is entered. No layers,
+//! no cursors, no galloping, no trie, no compiled plan. COUNT needs no
+//! tree: integer sums are exact in any order, so it adds up the counts of
+//! the records in each cell's key range.
 //!
 //! Every accelerated path ([`GeoBlock::select_covering`], the engine with
 //! a cold or a warm cache, batches, restored snapshots) is property-tested
@@ -25,24 +30,36 @@ fn records_under(block: &GeoBlock, cell: CellId) -> impl Iterator<Item = usize> 
     (first..keys.len()).take_while(move |&i| keys[i] <= hi)
 }
 
-/// SELECT over `covering`, finalized: each covering cell's records fold in
-/// key order into an accumulator of their own, which then merges into the
-/// result — the association every canonical record is defined by.
+/// `cell`'s aggregate, unfinalized: empty when no block record lies under
+/// it (which also holds for a cell finer than the block level), the
+/// stored record at the block level, and above it the merge of its
+/// non-empty children's aggregates in key order — `Layer::fold_to`'s
+/// association, one level at a time.
+fn fold_cell(block: &GeoBlock, cell: CellId, spec: &AggSpec) -> AggResult {
+    let mut acc = AggResult::new(spec);
+    let Some(first) = records_under(block, cell).next() else {
+        return acc;
+    };
+    if cell.level() < block.level() {
+        for child in cell.children() {
+            let below = fold_cell(block, child, spec);
+            if below.count > 0 {
+                acc.merge(spec, &below);
+            }
+        }
+    } else {
+        let r = block.records().record(first);
+        acc.combine_record(spec, r.count, |c| r.min(c), |c| r.max(c), |c| r.sum(c));
+    }
+    acc
+}
+
+/// SELECT over `covering`, finalized: each covering cell's aggregate,
+/// folded along the tree, merges into the result in covering order.
 pub fn select_covering(block: &GeoBlock, covering: &CellUnion, spec: &AggSpec) -> AggResult {
     let mut result = AggResult::new(spec);
     for qcell in covering.iter() {
-        let mut cell = AggResult::new(spec);
-        for i in records_under(block, qcell) {
-            let r = block.records().record(i);
-            cell.combine_record(
-                spec,
-                r.count,
-                |col| r.min(col),
-                |col| r.max(col),
-                |col| r.sum(col),
-            );
-        }
-        result.merge(spec, &cell);
+        result.merge(spec, &fold_cell(block, qcell, spec));
     }
     result.finalize(spec)
 }

@@ -6,8 +6,8 @@
 //! traffic (§3.6) — only survive a process restart if both artifacts can
 //! be saved and restored. A [`Snapshot`] captures:
 //!
-//! * the complete [`GeoBlock`] (schema, grid, global header, block-level
-//!   cell aggregates),
+//! * the complete [`GeoBlock`] (schema, grid, block-level cell
+//!   aggregates, and the global header derived from them),
 //! * optionally the §3.6 hit statistics: a restarted engine rebuilds its
 //!   aggregate cache from them, so it starts *warm*, and later rebuilds
 //!   keep adapting from everything learned before the restart.
@@ -29,10 +29,20 @@
 //! of the `CELL` layer, so every load rebuilds them through the same
 //! `GeoBlock::refresh_derived` every other producer of a block ends in
 //! (see `DESIGN.md` "Persistence" for the measurements behind this), and
-//! the cache is a function of `HITS` and the load-time threshold. Earlier
-//! writers stored the cache as a `TRIE` section and the hottest requests as
-//! a `HOTQ` section; the loader parses either only to re-derive what its
-//! writer put into the state hash.
+//! the cache is a function of `HITS` and the load-time threshold.
+//!
+//! `HDRS` still carries the §3.4 global header, because the format does:
+//! the writer fills it from the derived block (the root record is the
+//! fold of every record), and the loader checks the stored one — its row
+//! count and key extent against `CELL`, all of it against the stored
+//! content hash — then keeps only the level and serves the derived header.
+//! A writer that patched its header per tuple stored global sums that
+//! drift from the root record after updates; its digest still covers
+//! them, so its files load.
+//!
+//! Earlier writers stored the cache as a `TRIE` section and the hottest
+//! requests as a `HOTQ` section; the loader parses either only to
+//! re-derive what its writer put into the state hash.
 //!
 //! The loader reads the current version and the one before it. Version 5
 //! changed no section: it is version 4 under the container's word-wise
@@ -43,9 +53,10 @@
 //! before a checksum is verified.
 //!
 //! Every load re-derives two digests and compares them with the values
-//! stored at save time: [`GeoBlock::content_hash`] (cell aggregates +
-//! header) and a *state hash* spanning everything `content_hash`
-//! excludes — grid, schema, hit statistics, a legacy `TRIE` or `HOTQ`.
+//! stored at save time: the content hash (cell aggregates + header as
+//! stored, which for this writer is [`GeoBlock::content_hash`]) and a
+//! *state hash* spanning everything the content hash excludes — grid,
+//! schema, hit statistics, a legacy `TRIE` or `HOTQ`.
 //! Per-section checksums catch flipped bits; the state hash catches
 //! sections *grafted* between two individually-valid snapshots. The
 //! round-trip gate ("loaded state ≡ saved state") is thus enforced by the
@@ -54,12 +65,12 @@
 
 use crate::block::GeoBlock;
 use crate::hits::HitCounts;
-use crate::layer::Layer;
+use crate::layer::{hash_bits, Layer};
 use gb_cell::{CellId, CurveKind, Grid};
-use gb_common::{FxHasher, Pool, Timer};
+use gb_common::{FxHasher, Timer};
 use gb_data::{ColumnDef, ColumnType, Schema};
 use gb_geom::Rect;
-use gb_store::{ByteReader, SectionTag, SnapshotReader, SnapshotWriter};
+use gb_store::{ByteReader, ByteWriter, SectionTag, SnapshotReader, SnapshotWriter};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::time::Duration;
@@ -84,8 +95,95 @@ const TAG_TRIE: SectionTag = SectionTag(*b"TRIE");
 const TAG_HITS: SectionTag = SectionTag(*b"HITS");
 const TAG_HOTQ: SectionTag = SectionTag(*b"HOTQ");
 
+/// The `HDRS` section's block header: the level and the §3.4 global
+/// header. A writer stores [`Header::of`] the block; a loader checks the
+/// stored one against the stored content hash and against the block
+/// `CELL` derives to, and keeps nothing of it but the level.
+pub(crate) struct Header {
+    level: u8,
+    n_rows: u64,
+    min_cell: u64,
+    max_cell: u64,
+    /// Per column: the global minima, maxima and sums.
+    globals: [Vec<f64>; 3],
+}
+
+impl Header {
+    /// The header of a derived block: its global values are the root
+    /// record's, or in an empty block the empty fold's (min +∞, max −∞,
+    /// sum 0 per column), as writers have always stored them.
+    pub(crate) fn of(block: &GeoBlock) -> Header {
+        let c = block.schema().len();
+        let globals = match block.root() {
+            Some(root) => [root.mins, root.maxs, root.sums].map(<[f64]>::to_vec),
+            None => [f64::INFINITY, f64::NEG_INFINITY, 0.0].map(|v| vec![v; c]),
+        };
+        Header {
+            level: block.level(),
+            n_rows: block.num_rows(),
+            min_cell: block.min_cell,
+            max_cell: block.max_cell,
+            globals,
+        }
+    }
+
+    /// The content hash of `records` under this header (floats by bit
+    /// pattern): [`GeoBlock::content_hash`] for a derived header, and what
+    /// a loader checks a stored one against.
+    pub(crate) fn digest(&self, records: &Layer) -> u64 {
+        let mut h = FxHasher::default();
+        records.hash_into(&mut h);
+        (self.n_rows, self.min_cell, self.max_cell).hash(&mut h);
+        for values in &self.globals {
+            hash_bits(values, &mut h);
+        }
+        h.finish()
+    }
+
+    /// Whether this stored header describes `block`, derived from the
+    /// `CELL` it came with: the same level, row count and key extent, and
+    /// one global value per column. The values themselves may differ: an
+    /// older writer's drifted from the records.
+    fn describes(&self, block: &GeoBlock) -> bool {
+        let shape = |h: &Header| {
+            let lens = h.globals.each_ref().map(Vec::len);
+            (h.level, h.n_rows, h.min_cell, h.max_cell, lens)
+        };
+        shape(self) == shape(&Header::of(block))
+    }
+
+    /// The section payload: the header, then the two digests.
+    fn encode(&self, w: &mut ByteWriter, content: u64, state: u64) {
+        w.u8(self.level);
+        for v in [self.n_rows, self.min_cell, self.max_cell] {
+            w.u64(v);
+        }
+        for values in &self.globals {
+            w.f64_slice(values);
+        }
+        w.u64(content);
+        w.u64(state);
+    }
+
+    /// Decode what [`Header::encode`] wrote: the header and the content
+    /// and state digests, untrusted until checked.
+    fn decode(payload: &[u8]) -> Result<(Header, u64, u64), SnapshotError> {
+        let mut r = ByteReader::new(payload, "section `HDRS`");
+        let header = Header {
+            level: r.u8()?,
+            n_rows: r.u64()?,
+            min_cell: r.u64()?,
+            max_cell: r.u64()?,
+            globals: [r.f64_vec()?, r.f64_vec()?, r.f64_vec()?],
+        };
+        let (content, state) = (r.u64()?, r.u64()?);
+        r.finish()?;
+        Ok((header, content, state))
+    }
+}
+
 /// Digest over the *whole* snapshot state — the block's `content` digest
-/// plus the pieces [`GeoBlock::content_hash`] deliberately excludes (grid
+/// plus the pieces the content hash deliberately excludes (grid
 /// domain and curve, schema, a legacy `TRIE` section's digest, hit
 /// statistics), left open for a legacy `HOTQ` section
 /// ([`hash_legacy_hotq`]). Stored in `HDRS` and re-derived at load:
@@ -263,7 +361,8 @@ impl SnapshotRef<'_> {
         let b = self.block;
         let mut stats = PersistStats::default();
         let mut timer = Timer::start();
-        let content = b.content_hash();
+        let header = Header::of(b);
+        let content = header.digest(b.records());
         let state = state_hasher(content, b, None, self.hits).finish();
         stats.hash = timer.lap();
 
@@ -295,17 +394,7 @@ impl SnapshotRef<'_> {
             });
         });
 
-        out.section(TAG_HEADER, |w| {
-            w.u8(b.level);
-            w.u64(b.n_rows);
-            w.u64(b.min_cell);
-            w.u64(b.max_cell);
-            w.f64_slice(&b.global_mins);
-            w.f64_slice(&b.global_maxs);
-            w.f64_slice(&b.global_sums);
-            w.u64(content);
-            w.u64(state);
-        });
+        out.section(TAG_HEADER, |w| header.encode(w, content, state));
 
         out.section(TAG_CELLS, |w| b.records().encode(w));
 
@@ -343,18 +432,11 @@ impl SnapshotRef<'_> {
 impl Snapshot {
     /// Decode and fully validate a snapshot.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        Ok(Snapshot::decode(bytes, Pool::auto_for)?.0)
+        Ok(Snapshot::decode(bytes)?.0)
     }
 
-    /// The one loader. `pool_for(folds)` sizes the pool the derived state
-    /// is folded on, from the record folds that takes (cells × coarser
-    /// layers — each about the work of a table row in a set-up pass, which
-    /// is what `Pool::auto_for` counts in). A load happens before anything
-    /// serves, so it may use the machine; tests pin the size.
-    fn decode(
-        bytes: &[u8],
-        pool_for: impl Fn(usize) -> Pool,
-    ) -> Result<(Snapshot, PersistStats), SnapshotError> {
+    /// The one loader.
+    fn decode(bytes: &[u8]) -> Result<(Snapshot, PersistStats), SnapshotError> {
         let mut stats = PersistStats {
             bytes: bytes.len(),
             ..PersistStats::default()
@@ -401,41 +483,18 @@ impl Snapshot {
         }
         let grid = Grid::new(Rect::from_bounds(x0, y0, x1, y1), curve);
 
-        let mut r = ByteReader::new(reader.require(TAG_HEADER)?, "section `HDRS`");
-        let level = r.u8()?;
-        let n_rows = r.u64()?;
-        let min_cell = r.u64()?;
-        let max_cell = r.u64()?;
-        let global_mins = r.f64_vec()?;
-        let global_maxs = r.f64_vec()?;
-        let global_sums = r.f64_vec()?;
-        let stored_hash = r.u64()?;
-        let stored_state_hash = r.u64()?;
-        r.finish()?;
-
+        let (header, stored_hash, stored_state_hash) = Header::decode(reader.require(TAG_HEADER)?)?;
         let mut r = ByteReader::new(reader.require(TAG_CELLS)?, "section `CELL`");
-        let records = Layer::decode(&mut r, level, schema.len())?;
+        let records = Layer::decode(&mut r, header.level, schema.len())?;
         r.finish()?;
 
-        let mut block = GeoBlock {
-            grid,
-            level,
-            schema,
-            layers: vec![records],
-            n_rows,
-            min_cell,
-            max_cell,
-            global_mins,
-            global_maxs,
-            global_sums,
-            prefix_counts: Vec::new(),
-        };
+        let mut block = GeoBlock::from_records(grid, schema, records);
         block
             .validate()
             .map_err(|e| SnapshotError::corrupt(format!("block: {e}")))?;
         stats.decode = timer.lap();
 
-        let content = block.content_hash();
+        let content = header.digest(block.records());
         if content != stored_hash {
             return Err(SnapshotError::corrupt(format!(
                 "content hash mismatch: stored {stored_hash:#x}, decoded {content:#x}"
@@ -444,9 +503,15 @@ impl Snapshot {
         stats.hash = timer.lap();
 
         // The stored layer is now known to describe a possible block:
-        // derive the count prefix and the coarser layers from it.
-        block.refresh_derived(&pool_for(block.num_cells() * usize::from(level)));
+        // derive the count prefix and the coarser layers from it, and the
+        // header the block serves in place of the stored one.
+        block.refresh_derived();
         stats.derive = timer.lap();
+        if !header.describes(&block) {
+            return Err(SnapshotError::corrupt(
+                "`HDRS` row count, key extent or column count disagrees with `CELL`",
+            ));
+        }
 
         let trie = reader
             .section(TAG_TRIE)
@@ -479,8 +544,8 @@ impl Snapshot {
         stats.decode += timer.lap();
 
         // Per-section checksums cannot catch sections *swapped* between
-        // two individually-valid snapshots, and the block content hash
-        // only covers HDRS + CELL. The state hash spans grid, schema,
+        // two individually-valid snapshots, and the content hash only
+        // covers HDRS + CELL. The state hash spans grid, schema,
         // hit statistics and the legacy sections too, so any cross-file
         // graft fails here with a typed error instead of serving wrong
         // answers.
@@ -514,7 +579,7 @@ impl Snapshot {
         let timer = Timer::start();
         let bytes = std::fs::read(path)?;
         let read = timer.elapsed();
-        let (snapshot, mut stats) = Snapshot::decode(&bytes, Pool::auto_for)?;
+        let (snapshot, mut stats) = Snapshot::decode(&bytes)?;
         stats.read = read;
         Ok((snapshot, stats))
     }
@@ -542,7 +607,7 @@ impl GeoBlock {
 mod tests {
     use super::*;
     use crate::build::build;
-    use gb_data::{extract, CleaningRules, Filter, RawTable};
+    use gb_data::{extract, AggFunc, AggRequest, AggSpec, CleaningRules, Filter, RawTable};
     use gb_geom::Point;
 
     /// Re-frame `bytes` section by section under `version` — and so under
@@ -630,6 +695,65 @@ mod tests {
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
     }
 
+    /// `bytes` with its header edited by `edit`, then digested, hashed
+    /// and summed again as a writer of that header would have.
+    fn with_header(bytes: &[u8], block: &GeoBlock, edit: impl Fn(&mut Header)) -> Vec<u8> {
+        let reader = SnapshotReader::from_bytes(bytes, READABLE).unwrap();
+        let (mut header, _, _) = Header::decode(reader.require(TAG_HEADER).unwrap()).unwrap();
+        edit(&mut header);
+        let content = header.digest(block.records());
+        let state = state_hasher(content, block, None, None).finish();
+        let mut w = ByteWriter::new();
+        header.encode(&mut w, content, state);
+        let payload = w.into_inner();
+        let swap = |tag, own: &[u8]| Some(if tag == TAG_HEADER { &payload } else { own }.to_vec());
+        reframe(bytes, SNAPSHOT_VERSION, swap, None)
+    }
+
+    #[test]
+    fn the_stored_header_is_checked_and_the_derived_one_served() {
+        let b = block(500, 7);
+        let bytes = Snapshot::new(b.clone()).to_bytes();
+        assert_eq!(
+            Snapshot::from_bytes(&with_header(&bytes, &b, |_| {}))
+                .unwrap()
+                .block
+                .content_hash(),
+            b.content_hash()
+        );
+        // A row count or key extent that disagrees with `CELL` is corrupt,
+        // however well digested.
+        for edit in [
+            (|h: &mut Header| h.n_rows += 1) as fn(&mut Header),
+            |h| h.n_rows -= 1,
+            |h| h.max_cell = h.min_cell,
+        ] {
+            let err = Snapshot::from_bytes(&with_header(&bytes, &b, edit)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("disagrees with `CELL`"), "{err}");
+        }
+        // Global values that drifted from the records (as a writer that
+        // patched them per tuple left them) load under their digest, and
+        // the block serves the root record instead.
+        let drifted = with_header(&bytes, &b, |h| {
+            h.globals[2][0] += 0.5;
+            h.globals[1][1] = 1e9;
+        });
+        let back = Snapshot::from_bytes(&drifted).expect("digest covers the drift");
+        back.block.check_invariants();
+        assert_eq!(back.block.content_hash(), b.content_hash());
+        let spec = AggSpec::new(
+            [AggFunc::Sum, AggFunc::Max]
+                .into_iter()
+                .flat_map(|func| (0..2).map(move |col| AggRequest::new(func, col)))
+                .collect(),
+        );
+        assert_eq!(
+            back.block.global_aggregate(&spec),
+            b.global_aggregate(&spec)
+        );
+    }
+
     #[test]
     fn grid_graft_is_rejected_by_the_state_hash() {
         // GeoBlock::content_hash deliberately excludes the grid, so a
@@ -702,22 +826,21 @@ mod tests {
                     b.apply_updates(&batch).expect("valid batch");
                     b.check_invariants();
                 }
-                b.coarsen(level.saturating_sub(coarser_by)).check_invariants();
-
                 let want = layer_hashes(&b);
+                // A coarser block's layers are the source's own.
+                let coarse = b.coarsen(level.saturating_sub(coarser_by));
+                coarse.check_invariants();
+                let coarse_hashes = layer_hashes(&coarse);
+                prop_assert_eq!(&coarse_hashes[..], &want[..coarse_hashes.len()]);
+
                 let v5 = Snapshot::new(b).to_bytes();
                 // Version 4 is version 5 under the byte-wise checksum.
                 let keep = |_, own: &[u8]| Some(own.to_vec());
                 let v4 = reframe(&v5, 4, keep, None);
                 for (what, bytes) in [("v5 load", &v5), ("v4 load", &v4)] {
-                    for threads in [1, 2, 3] {
-                        let (back, _) =
-                            Snapshot::decode(bytes, |_| Pool::new(threads)).expect(what);
-                        back.block.check_invariants();
-                        prop_assert_eq!(
-                            layer_hashes(&back.block), want.clone(), "{} at {} threads", what, threads
-                        );
-                    }
+                    let back = Snapshot::from_bytes(bytes).expect(what);
+                    back.block.check_invariants();
+                    prop_assert_eq!(layer_hashes(&back.block), want.clone(), "{}", what);
                 }
             }
         }

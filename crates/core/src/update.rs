@@ -9,11 +9,12 @@
 //! [`GeoBlock::apply_updates`] implements both paths in one batch pass:
 //! tuples hitting existing cells update the block-level records in place;
 //! tuples in new regions are aggregated into a layer of fresh records that
-//! is then merged into the sorted layout (one splice). COUNT stays O(1)
-//! per covering cell regardless, because it runs over the count prefix,
-//! which — like every coarser layer — is rebuilt from the updated records
-//! at the end of every batch (`GeoBlock::refresh_derived`, the same funnel
-//! every other producer of a block ends in).
+//! is then merged into the sorted layout (one splice). The records are all
+//! a batch writes: the count prefix and every coarser layer — the root
+//! record, the global header, included — are folded again from them at
+//! the end of every batch (`GeoBlock::refresh_derived`, the same funnel
+//! every other producer of a block ends in), so COUNT stays O(1) per
+//! covering cell and the header never drifts from the records.
 //!
 //! One admission rule guards both entry points, this one and
 //! [`crate::GeoBlockEngine::apply_updates`]: every row has one value per
@@ -103,15 +104,14 @@ impl GeoBlock {
         if batch.is_empty() {
             return report;
         }
-        let c = self.schema.len();
+        let (level, c) = (self.level(), self.schema.len());
         // New-region tuples by leaf, to be aggregated per new block cell.
         let mut pending: Vec<(CellId, &[f64])> = Vec::new();
 
         for (loc, values) in &batch.rows {
             let leaf = self.grid.leaf_for_point(*loc);
-            let cell = leaf.parent_at(self.level).raw();
             let records = self.records_mut();
-            match records.find(cell, &mut 0) {
+            match records.find(leaf.parent_at(level).raw(), &mut 0) {
                 Some(idx) => {
                     report.in_place += 1;
                     records.add_tuple(idx, |col| values[col]);
@@ -121,26 +121,15 @@ impl GeoBlock {
                     pending.push((leaf, values.as_slice()));
                 }
             }
-            // Global header always updates.
-            self.n_rows += 1;
-            for (col, &v) in values.iter().enumerate() {
-                if v < self.global_mins[col] {
-                    self.global_mins[col] = v;
-                }
-                if v > self.global_maxs[col] {
-                    self.global_maxs[col] = v;
-                }
-                self.global_sums[col] += v;
-            }
         }
 
         if !pending.is_empty() {
             // Leaf order is cell order, and within a cell the order its
             // tuples fold in.
             pending.sort_by_key(|&(leaf, _)| leaf);
-            let mut fresh = Layer::with_capacity(self.level, c, pending.len());
+            let mut fresh = Layer::with_capacity(level, c, pending.len());
             for (leaf, values) in pending {
-                let cell = leaf.parent_at(self.level).raw();
+                let cell = leaf.parent_at(level).raw();
                 if fresh.keys.last() != Some(&cell) {
                     fresh.push_empty(cell);
                 }
@@ -150,12 +139,12 @@ impl GeoBlock {
             *self.records_mut() = self.records().merge(&fresh);
         }
         // The batch invalidated the derived structures (key extent, count
-        // prefix and every coarser layer): rebuild them from the updated
-        // records with the canonical folds. Rebuilding — rather than
-        // propagating deltas — is what keeps layer lookups bit-identical
-        // to range scans after updates; see `DESIGN.md` "Aggregate
-        // pyramid".
-        self.refresh_derived(&gb_common::Pool::new(1));
+        // prefix and every coarser layer up to the root record, the
+        // global header): rebuild them from the updated records with the
+        // canonical folds. Rebuilding — rather than propagating deltas —
+        // is what keeps layer lookups bit-identical to the oracle's fold
+        // after updates; see `DESIGN.md` "Aggregate pyramid".
+        self.refresh_derived();
         report
     }
 }
@@ -164,8 +153,11 @@ impl GeoBlock {
 mod tests {
     use super::*;
     use crate::build::build;
+    use crate::AggResult;
     use gb_cell::Grid;
-    use gb_data::{extract, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema};
+    use gb_data::{
+        extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema,
+    };
     use gb_geom::{Polygon, Rect};
 
     fn base_data(n: usize) -> gb_data::BaseTable {
@@ -320,7 +312,7 @@ mod tests {
     #[test]
     fn a_copy_of_the_stored_state_updates_like_the_whole_block() {
         // What the engine does: the batch goes into a copy that holds the
-        // records and the header only. Both §5 paths, on a block that has
+        // records only. Both §5 paths, on a block that has
         // already been spliced once.
         let base = base_data(2500);
         let (mut block, _) = build(&base, 7, &Filter::all());
@@ -349,6 +341,58 @@ mod tests {
         // The block the copy was taken from is untouched.
         block.check_invariants();
         assert_eq!(block.num_rows() + 3, whole.num_rows());
+    }
+
+    #[test]
+    fn the_global_header_is_the_root_record_after_every_batch() {
+        // Fractional values put every fold order into the low bits: a
+        // header kept apart from the records (patched per tuple) drifts
+        // from their fold within a few batches.
+        let base = base_data(3000);
+        let (mut block, _) = build(&base, 10, &Filter::all());
+        let spec = AggSpec::new(
+            [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Min,
+                AggFunc::Max,
+                AggFunc::Avg,
+            ]
+            .map(|func| AggRequest::new(func, 0))
+            .to_vec(),
+        );
+        let bits = |r: &AggResult| {
+            let values: Vec<u64> = r.values().iter().map(|v| v.to_bits()).collect();
+            (r.count, values)
+        };
+        let everything = whole_domain();
+        let mut state = 11u64;
+        let mut next = move |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 16) % modulus
+        };
+        for round in 0..20 {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..8 {
+                let at = Point::new(next(10_000) as f64 / 100.0, next(10_000) as f64 / 100.0);
+                batch.push(at, vec![next(1_000_000) as f64 / 7.0 - 1e4]);
+            }
+            block.apply_updates(&batch).expect("valid batch");
+
+            let global = block.global_aggregate(&spec);
+            let (select, _) = block.select(&everything, &spec);
+            assert_eq!(bits(&global), bits(&select), "batch {round}");
+            let naive = crate::reference::select_covering(&block, &block.cover(&everything), &spec);
+            assert!(select.approx_eq(&naive, 0.0), "batch {round}");
+            let level = block.level();
+            assert_eq!(
+                block.content_hash(),
+                block.coarsen(level).content_hash(),
+                "batch {round}"
+            );
+        }
     }
 
     #[test]

@@ -16,15 +16,20 @@
 //!    `ChecksumMismatch` or `Corrupt`. The fixture's `TRIE` and `HOTQ`
 //!    sections, which this tree no longer writes, are still held to the
 //!    state hash, in the fixture and in a version-5 file that carries them.
+//! 5. **A stored header is checked, the derived one served**: a
+//!    checked-in version-5 file whose global sums drifted from its records
+//!    loads under its digest and answers like `reference`, from the root
+//!    record.
 
 use gb_cell::Grid;
 use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{Point, Polygon, Rect};
-use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
+use gb_store::{ByteReader, SectionTag, SnapshotReader, SnapshotWriter};
 use geoblocks::{
-    build, GeoBlock, GeoBlockEngine, Layer, Snapshot, SnapshotError, UpdateBatch, SNAPSHOT_VERSION,
+    build, reference, GeoBlock, GeoBlockEngine, Layer, Snapshot, SnapshotError, UpdateBatch,
+    SNAPSHOT_VERSION,
 };
 use std::path::PathBuf;
 
@@ -380,6 +385,110 @@ fn v4_fixture_loads_to_bit_identical_answers() {
         assert_eq!(resummed[8..10], stamp.to_le_bytes());
         let back = Snapshot::from_bytes(&resummed).expect("re-summed file loads");
         assert_answers_bit_identical(&back.block, &fresh);
+    }
+}
+
+/// A format-version-5 snapshot whose `HDRS` global sums drifted from the
+/// records, written by `GeoBlockEngine::write_snapshot` at commit b9e88b2
+/// (the last whose block kept its global header apart from the records and
+/// patched it per tuple). The engine held
+/// `build(&base_data(300), 4, &Filter::all())` at threshold 0.5 after three
+/// `select`s of the rectangle (10,10)–(70,70) with `spec()`, a
+/// `rebuild_cache` and then [`drift_batch`] rounds 0 and 1 through
+/// `GeoBlockEngine::apply_updates`; `HITS` is present.
+const V5_DRIFT_FIXTURE: &[u8] = include_bytes!("fixtures/v5_header_drift.gbsnap");
+
+/// Round `round` of the fractional batches behind [`V5_DRIFT_FIXTURE`]:
+/// even rows at base-row locations (in place), odd ones near the right
+/// edge (new cells).
+fn drift_batch(base: &gb_data::BaseTable, round: usize) -> UpdateBatch {
+    let mut batch = UpdateBatch::new();
+    for k in 0..8 {
+        let at = if k % 2 == 0 {
+            base.location(10 * k + round)
+        } else {
+            Point::new(97.5 - 1.5 * k as f64, 0.5 + 1.25 * (k + 4 * round) as f64)
+        };
+        batch.push(at, vec![(k + 8 * round) as f64 / 7.0 + 0.1, (k % 3) as f64]);
+    }
+    batch
+}
+
+/// The fresh block the drift fixture must answer like.
+fn drift_fixture_block() -> GeoBlock {
+    let base = base_data(300);
+    let (mut fresh, _) = build(&base, 4, &Filter::all());
+    for round in 0..2 {
+        fresh
+            .apply_updates(&drift_batch(&base, round))
+            .expect("valid batch");
+    }
+    fresh
+}
+
+/// The global min, max and sum per column as `HDRS` stores them.
+fn stored_globals(file: &[u8]) -> [Vec<f64>; 3] {
+    let reader = SnapshotReader::from_bytes(file, READABLE).expect("well-framed");
+    let mut r = ByteReader::new(reader.require(SectionTag(*b"HDRS")).unwrap(), "HDRS");
+    let _level_rows_extent = (r.u8(), r.u64(), r.u64(), r.u64());
+    [(); 3].map(|()| r.f64_vec().expect("three value arrays"))
+}
+
+#[test]
+fn older_headers_are_checked_and_the_records_answer() {
+    // The drift fixture's stored sums are not the root record's: the
+    // loader accepts them under their digest and serves the root.
+    let fresh = drift_fixture_block();
+    let c = fresh.schema().len();
+    let root_spec = AggSpec::new(
+        [AggFunc::Min, AggFunc::Max, AggFunc::Sum]
+            .into_iter()
+            .flat_map(|func| (0..c).map(move |col| AggRequest::new(func, col)))
+            .collect(),
+    );
+    let root = fresh.global_aggregate(&root_spec);
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let [mins, maxs, sums] = stored_globals(V5_DRIFT_FIXTURE);
+    assert_eq!([mins, maxs].concat(), root.values()[..2 * c]);
+    assert_ne!(
+        bits(&sums),
+        bits(&root.values()[2 * c..]),
+        "the fixture drifted"
+    );
+
+    let whole = Polygon::rectangle(Rect::from_bounds(-1.0, -1.0, 101.0, 101.0));
+    for (file, fresh) in [
+        (V4_FIXTURE, v4_fixture_block()),
+        (V5_DRIFT_FIXTURE, drift_fixture_block()),
+    ] {
+        let snap = Snapshot::from_bytes(file).expect("an older writer's file loads");
+        assert_answers_bit_identical(&snap.block, &fresh);
+        let block = snap.block.clone();
+        let engine = GeoBlockEngine::from_snapshot_state(snap, 0.5);
+        for p in polys().iter().chain([&whole]) {
+            let covering = block.cover(p);
+            let naive = reference::select_covering(&block, &covering, &spec());
+            let (direct, _) = block.select(p, &spec());
+            assert!(direct.approx_eq(&naive, 0.0), "{direct:?} vs {naive:?}");
+            let served = engine.select(p, &spec()).result;
+            assert!(served.approx_eq(&naive, 0.0), "{served:?} vs {naive:?}");
+            assert_eq!(
+                block.count(p).0,
+                reference::count_covering(&block, &covering)
+            );
+        }
+        assert_eq!(
+            block.global_aggregate(&spec()),
+            block.select(&whole, &spec()).0
+        );
+
+        // Saved again, the header is the derived one, and stable.
+        let rewritten = Snapshot::from_bytes(file).unwrap().to_bytes();
+        let [_, _, resaved] = stored_globals(&rewritten);
+        let root = block.global_aggregate(&root_spec);
+        assert_eq!(bits(&resaved), bits(&root.values()[2 * c..]));
+        let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
+        assert_eq!(again.to_bytes(), rewritten);
     }
 }
 
