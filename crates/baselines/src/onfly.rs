@@ -8,7 +8,7 @@
 
 use crate::SpatialAggIndex;
 use gb_btree::BPlusTree;
-use gb_cell::{cover_polygon, CovererOptions};
+use gb_cell::cover_polygon;
 use gb_data::{AggSpec, BaseTable, Rows};
 use gb_geom::Polygon;
 use geoblocks::{AggPlan, AggResult};
@@ -28,11 +28,7 @@ impl<'a> BinarySearchIndex<'a> {
     }
 
     fn aggregate_rows(&self, polygon: &Polygon, spec: &AggSpec) -> AggResult {
-        let covering = cover_polygon(
-            self.base.grid(),
-            polygon,
-            CovererOptions::at_level(self.level),
-        );
+        let covering = cover_polygon(self.base.grid(), polygon, self.level);
         // Spec resolved once per query, like the GeoBlock paths.
         let plan = AggPlan::compile(spec);
         let mut acc = AggResult::new(spec);
@@ -62,11 +58,7 @@ impl SpatialAggIndex for BinarySearchIndex<'_> {
     fn count(&mut self, polygon: &Polygon) -> u64 {
         // Binary search per covering cell: the count is the row-range size,
         // no tuple access needed.
-        let covering = cover_polygon(
-            self.base.grid(),
-            polygon,
-            CovererOptions::at_level(self.level),
-        );
+        let covering = cover_polygon(self.base.grid(), polygon, self.level);
         let mut total = 0u64;
         for qcell in covering.iter() {
             let lo = self.base.lower_bound(qcell.range_min().raw());
@@ -116,11 +108,7 @@ impl SpatialAggIndex for BTreeIndex<'_> {
     }
 
     fn select(&mut self, polygon: &Polygon, spec: &AggSpec) -> AggResult {
-        let covering = cover_polygon(
-            self.base.grid(),
-            polygon,
-            CovererOptions::at_level(self.level),
-        );
+        let covering = cover_polygon(self.base.grid(), polygon, self.level);
         let plan = AggPlan::compile(spec);
         let mut acc = AggResult::new(spec);
         let keys = self.base.keys();
@@ -145,11 +133,7 @@ impl SpatialAggIndex for BTreeIndex<'_> {
     }
 
     fn count(&mut self, polygon: &Polygon) -> u64 {
-        let covering = cover_polygon(
-            self.base.grid(),
-            polygon,
-            CovererOptions::at_level(self.level),
-        );
+        let covering = cover_polygon(self.base.grid(), polygon, self.level);
         let keys = self.base.keys();
         let mut total = 0u64;
         for qcell in covering.iter() {

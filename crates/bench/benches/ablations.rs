@@ -1,7 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out.
 //!
-//! * **curve**: Hilbert vs Morton enumeration — same prefix machinery,
-//!   different locality; measures covering size effects end-to-end.
 //! * **select algorithm**: the production SELECT (one record lookup per
 //!   covering cell) vs the naive oracle `geoblocks::reference`, which
 //!   folds each covering cell's tree from the block records (the arm is
@@ -21,39 +19,20 @@
 //! (`bench_diff --ratio`), which hold on any host.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gb_cell::{CurveKind, Grid};
+use gb_cell::Grid;
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::Polygon;
 use geoblocks::{build, reference, GeoBlockEngine};
 use std::hint::black_box;
 
-fn taxi_base(curve: CurveKind) -> gb_data::BaseTable {
+fn taxi_base() -> gb_data::BaseTable {
     let ds = datasets::nyc_taxi(200_000, 7);
-    let grid = Grid::new(datasets::nyc_domain(), curve);
+    let grid = Grid::hilbert(datasets::nyc_domain());
     extract(&ds.raw, grid, &datasets::nyc_cleaning_rules(), None).base
 }
 
-fn ablate_curve(c: &mut Criterion) {
-    let mut g = c.benchmark_group("curve_ablation");
-    for curve in [CurveKind::Hilbert, CurveKind::Morton] {
-        let base = taxi_base(curve);
-        let (block, _) = build(&base, 10, &Filter::all());
-        let polys = polygons::neighborhoods(48, 7);
-        let spec = AggSpec::k_aggregates(base.schema(), 7);
-        g.bench_function(format!("{curve:?}_select"), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let poly = &polys[i % polys.len()];
-                i += 1;
-                black_box(block.select(poly, &spec).0.count)
-            })
-        });
-    }
-    g.finish();
-}
-
 fn ablate_select_algorithm(c: &mut Criterion) {
-    let base = taxi_base(CurveKind::Hilbert);
+    let base = taxi_base();
     let (block, _) = build(&base, 10, &Filter::all());
     let polys = polygons::neighborhoods(48, 7);
     let spec = AggSpec::k_aggregates(base.schema(), 7);
@@ -83,7 +62,7 @@ fn ablate_select_algorithm(c: &mut Criterion) {
 /// levels above the block level and the oracle folds thousands of records
 /// per query while the pyramid path combines one per cell.
 fn ablate_select_pyramid(c: &mut Criterion) {
-    let base = taxi_base(CurveKind::Hilbert);
+    let base = taxi_base();
     let (block, _) = build(&base, 12, &Filter::all());
     let spec = AggSpec::k_aggregates(base.schema(), 7);
     let domain = datasets::nyc_domain();
@@ -150,7 +129,7 @@ fn pan_zoom(polygon: &Polygon, first: usize, views: usize) -> Vec<Polygon> {
 /// the statistics of a skewed session, on (a) the session's hot polygons
 /// and (b) pan/zoom views of them the session never asked.
 fn ablate_cache(c: &mut Criterion) {
-    let base = taxi_base(CurveKind::Hilbert);
+    let base = taxi_base();
     let (block, _) = build(&base, 10, &Filter::all());
     let polys = polygons::neighborhoods(48, 7);
     let spec = AggSpec::k_aggregates(base.schema(), 7);
@@ -185,7 +164,7 @@ fn ablate_cache(c: &mut Criterion) {
 }
 
 fn ablate_count_vs_select(c: &mut Criterion) {
-    let base = taxi_base(CurveKind::Hilbert);
+    let base = taxi_base();
     let (block, _) = build(&base, 10, &Filter::all());
     let polys = polygons::neighborhoods(48, 7);
     let count_spec = AggSpec::count_only();
@@ -213,6 +192,6 @@ fn ablate_count_vs_select(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = ablate_curve, ablate_select_algorithm, ablate_select_pyramid, ablate_cache, ablate_count_vs_select
+    targets = ablate_select_algorithm, ablate_select_pyramid, ablate_cache, ablate_count_vs_select
 }
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 //! rebuild it stands in for.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use gb_cell::{cover_polygon, CovererOptions, CurveKind, Grid};
+use gb_cell::{cover_polygon, Grid};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::Point;
 use geoblocks::{build, GeoBlockEngine, Snapshot, SnapshotRef};
@@ -38,7 +38,6 @@ fn setup() -> Setup {
 
 fn bench_point_to_cell(c: &mut Criterion) {
     let grid = Grid::hilbert(datasets::nyc_domain());
-    let morton = Grid::new(datasets::nyc_domain(), CurveKind::Morton);
     let pts: Vec<Point> = (0..256)
         .map(|i| {
             Point::new(
@@ -58,11 +57,14 @@ fn bench_point_to_cell(c: &mut Criterion) {
             acc
         })
     });
-    g.bench_function("morton", |b| {
+    // The float → lattice step alone, which every key starts with: the
+    // reference arm `hilbert` is gated against.
+    g.bench_function("lattice", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for &p in &pts {
-                acc ^= morton.leaf_for_point(black_box(p)).raw();
+                let (i, j) = grid.leaf_ij(black_box(p));
+                acc ^= u64::from(i) << 32 | u64::from(j);
             }
             acc
         })
@@ -80,7 +82,7 @@ fn bench_covering(c: &mut Criterion) {
             b.iter(|| {
                 let poly = &s.polys[i % s.polys.len()];
                 i += 1;
-                black_box(cover_polygon(grid, poly, CovererOptions::at_level(level)).len())
+                black_box(cover_polygon(grid, poly, level).len())
             })
         });
     }

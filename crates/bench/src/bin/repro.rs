@@ -1,7 +1,7 @@
 //! The reproduction driver: regenerates every table and figure of the
 //! paper's evaluation section, plus the `scale-threads` hardware-scaling
-//! sweep that feeds the CI perf gate and the `persist` snapshot
-//! save/load-vs-rebuild experiment.
+//! sweep (its `--json` records are for reading; no gate consumes them)
+//! and the `persist` snapshot save/load-vs-rebuild experiment.
 //!
 //! ```text
 //! repro <experiment|all> [--scale F] [--seed N] [--write PATH]

@@ -2,17 +2,12 @@
 //! approximation", Figure 4).
 //!
 //! The covering maps an arbitrary query polygon to a set of cells, possibly
-//! at different levels. Two regimes matter:
-//!
-//! * **Error-bounded covering** (the default, used by GeoBlocks queries):
-//!   cells *fully inside* the polygon may stay coarse — they contribute no
-//!   boundary error and make COUNT queries cheaper (§3.5 "we benefit from
-//!   having larger query cells"). Cells that touch the outline are always
-//!   subdivided down to `max_level`, so every covering cell is within the
-//!   block-level cell diagonal of the polygon: the §3.2 bound.
-//! * **Budgeted covering** (`max_cells`): an S2-RegionCoverer-style
-//!   approximation that stops subdividing when the budget is reached. Used
-//!   by ablation benches; the error bound then no longer holds.
+//! at different levels, and its error is bounded: cells *fully inside* the
+//! polygon may stay coarse — they contribute no boundary error and make
+//! COUNT queries cheaper (§3.5 "we benefit from having larger query
+//! cells") — while cells that touch the outline are always subdivided down
+//! to `max_level`, the block level, so every covering cell is within the
+//! block-level cell diagonal of the polygon: the §3.2 bound.
 //!
 //! The covering is always a **superset** of the polygon (false positives
 //! only, §4.3), which the property tests assert.
@@ -22,8 +17,8 @@
 //! A `max_level` cell belongs to the covering iff an outline edge touches
 //! its closed rectangle or its centre is inside the polygon (even-odd);
 //! the result is the canonical union of those cells (complete sibling
-//! quartets merged, never above `min_level`). The descent spends exact
-//! geometry only where the outline is complicated:
+//! quartets merged). The descent spends exact geometry only where the
+//! outline is complicated:
 //!
 //! * a cell several edges touch — or one edge that ends inside it — keeps
 //!   a list of its local edges, filtered from its parent's, and classifies
@@ -50,37 +45,6 @@ use crate::id::{CellId, MAX_LEVEL};
 use crate::union::CellUnion;
 use gb_geom::{Point, Polygon, Rect};
 use std::ops::Range;
-
-/// Options controlling [`cover_polygon`].
-#[derive(Debug, Clone, Copy)]
-pub struct CovererOptions {
-    /// Deepest level used; boundary cells end up exactly here. This is the
-    /// GeoBlock's block level when covering for a query.
-    pub max_level: u8,
-    /// Coarsest level allowed in the output. Cells above this are
-    /// subdivided even when fully interior. Default 0 (no constraint).
-    pub min_level: u8,
-    /// Optional soft cap on the number of cells. `None` (default) keeps
-    /// the error-bounded behaviour.
-    pub max_cells: Option<usize>,
-}
-
-impl CovererOptions {
-    /// Error-bounded covering at `max_level`.
-    pub fn at_level(max_level: u8) -> Self {
-        CovererOptions {
-            max_level,
-            min_level: 0,
-            max_cells: None,
-        }
-    }
-}
-
-impl Default for CovererOptions {
-    fn default() -> Self {
-        CovererOptions::at_level(MAX_LEVEL)
-    }
-}
 
 /// A polygon edge with its bounding box, for hierarchical clipping.
 struct ClipEdge {
@@ -151,15 +115,15 @@ impl Axis {
     }
 }
 
-/// Compute a cell covering of `poly` on `grid`.
+/// Compute the cell covering of `poly` on `grid` whose boundary cells are
+/// at `max_level` (the block level, when covering for a query).
 ///
 /// Returns a normalized [`CellUnion`]; empty if the polygon lies outside
 /// the grid domain. The covering is computed on the fly for every query
 /// (§3.1), so it has to stay in the microsecond range: see the module
 /// documentation for how the descent gets there.
-pub fn cover_polygon(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellUnion {
-    assert!(opts.max_level <= MAX_LEVEL);
-    assert!(opts.min_level <= opts.max_level);
+pub fn cover_polygon(grid: &Grid, poly: &Polygon, max_level: u8) -> CellUnion {
+    assert!(max_level <= MAX_LEVEL);
 
     // Start from the (up to four) cells at the bbox-matched level that
     // contain the bounding-box corners. A single common ancestor can sit
@@ -171,7 +135,7 @@ pub fn cover_polygon(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellU
         return CellUnion::new();
     }
     let mut lvl = 0u8;
-    while lvl < opts.max_level {
+    while lvl < max_level {
         let (w, h) = grid.cell_size(lvl + 1);
         if w < bbox.width() || h < bbox.height() {
             break;
@@ -201,16 +165,12 @@ pub fn cover_polygon(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellU
     let mut cov = Coverer {
         poly,
         edges: &edges,
-        opts,
+        max_level,
         out: Vec::with_capacity(256),
-        budget_used: 0,
         stack: (0..edges.len() as u32).collect(),
     };
     for &start in starts.iter() {
-        let cursor = CurveCursor::at(
-            grid.curve(),
-            (1..=start.level()).map(|l| start.child_position(l)),
-        );
+        let cursor = CurveCursor::at((1..=start.level()).map(|l| start.child_position(l)));
         cov.visit(start, grid.cell_rect(start), cursor, 0..edges.len());
     }
     // The start cells are disjoint and in curve order, so the output is
@@ -225,11 +185,10 @@ pub fn cover_polygon(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellU
 struct Coverer<'a> {
     poly: &'a Polygon,
     edges: &'a [ClipEdge],
-    opts: CovererOptions,
+    /// The level the outline's cells are subdivided to.
+    max_level: u8,
     /// The covering so far: disjoint cells in curve order, quartets merged.
     out: Vec<CellId>,
-    /// Cells emitted or queued under the budgeted mode.
-    budget_used: usize,
     /// The local-edge lists of the cells on the descent path, end to end:
     /// a cell filters its parent's list onto the end and truncates its own
     /// away when it returns, so no cell allocates.
@@ -266,9 +225,9 @@ impl<'a> Coverer<'a> {
             // center cannot lie on the outline (that would require an edge
             // inside the rect), so the fast ray cast suffices.
             if self.poly.contains_point_fast(rect.center()) {
-                self.emit_interior(cell);
+                self.out.push(cell);
             }
-        } else if self.boundary_stops(cell) {
+        } else if cell.level() >= self.max_level {
             self.out.push(cell);
         } else {
             let edges = self.edges;
@@ -341,7 +300,7 @@ impl<'a> Coverer<'a> {
                     .interior_is_positive
                     .get_or_insert_with(|| poly.contains_point_fast(centre()) == positive);
                 if interior_is_positive == positive {
-                    self.emit_interior(child);
+                    self.out.push(child);
                 }
             } else if !line
                 .edge
@@ -351,9 +310,9 @@ impl<'a> Coverer<'a> {
                 // The line reaches the child but the segment does not — it
                 // cannot when the arithmetic is exact; ask the polygon.
                 if self.poly.contains_point_fast(centre()) {
-                    self.emit_interior(child);
+                    self.out.push(child);
                 }
-            } else if self.boundary_stops(child) {
+            } else if child.level() >= self.max_level {
                 self.out.push(child);
             } else {
                 self.split_by_line(child, x, y, child_cursor, line);
@@ -362,76 +321,15 @@ impl<'a> Coverer<'a> {
         self.merge_quartet(cell, mark);
     }
 
-    /// Whether the descent ends at `cell`, which the outline touches: at
-    /// `max_level`, or when the budget cannot pay for four children.
-    fn boundary_stops(&mut self, cell: CellId) -> bool {
-        if cell.level() >= self.opts.max_level {
-            return true;
-        }
-        if let Some(budget) = self.opts.max_cells {
-            if self.budget_used + 4 > budget {
-                return true;
-            }
-            self.budget_used += 3; // one cell replaced by up to four
-        }
-        false
-    }
-
-    /// Emit `cell`, which no edge touches and which lies inside the
-    /// polygon — as its `min_level` descendants if it is coarser than that.
-    fn emit_interior(&mut self, cell: CellId) {
-        if cell.level() >= self.opts.min_level {
-            self.out.push(cell);
-        } else {
-            self.out.extend(cell.children_at(self.opts.min_level));
-        }
-    }
-
     /// Replace the output since `mark` by `cell` if it is exactly `cell`'s
-    /// four children (and they are finer than `min_level`, below which
-    /// nothing merges).
+    /// four children.
     fn merge_quartet(&mut self, cell: CellId, mark: usize) {
         if self.out.len() == mark + 4
-            && cell.level() >= self.opts.min_level
             && (0..4u8).all(|k| self.out[mark + usize::from(k)] == cell.child(k))
         {
             self.out.truncate(mark);
             self.out.push(cell);
         }
-    }
-}
-
-/// Covering of an axis-aligned rectangle (rectangles are constrained
-/// polygons; the evaluation's Figure 15 queries rectangles this way).
-pub fn cover_rect(grid: &Grid, rect: &Rect, opts: CovererOptions) -> CellUnion {
-    cover_polygon(grid, &Polygon::rectangle(*rect), opts)
-}
-
-/// Statistics about a covering, used in reports and tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoveringStats {
-    /// Total cells in the covering.
-    pub cells: usize,
-    /// Cells at exactly `max_level` (boundary cells).
-    pub max_level_cells: usize,
-    /// Coarsest level present.
-    pub min_level: u8,
-}
-
-/// Summarize a covering.
-pub fn covering_stats(union: &CellUnion, max_level: u8) -> CoveringStats {
-    let mut min_level = MAX_LEVEL;
-    let mut max_level_cells = 0usize;
-    for c in union.iter() {
-        min_level = min_level.min(c.level());
-        if c.level() == max_level {
-            max_level_cells += 1;
-        }
-    }
-    CoveringStats {
-        cells: union.len(),
-        max_level_cells,
-        min_level,
     }
 }
 
@@ -457,7 +355,7 @@ mod tests {
     fn covering_is_superset_of_polygon() {
         let g = grid();
         let poly = diamond(500.0, 500.0, 180.0);
-        let cov = cover_polygon(&g, &poly, CovererOptions::at_level(8));
+        let cov = cover_polygon(&g, &poly, 8);
         assert!(!cov.is_empty());
         // Every sampled interior point is covered.
         for i in 0..40 {
@@ -479,7 +377,7 @@ mod tests {
         let g = grid();
         let poly = diamond(500.0, 500.0, 180.0);
         let level = 8;
-        let cov = cover_polygon(&g, &poly, CovererOptions::at_level(level));
+        let cov = cover_polygon(&g, &poly, level);
         let bound = g.cell_diagonal(level);
         for cell in cov.iter() {
             let r = g.cell_rect(cell);
@@ -511,81 +409,32 @@ mod tests {
     fn interior_cells_may_be_coarse() {
         let g = grid();
         let poly = diamond(500.0, 500.0, 300.0);
-        let cov = cover_polygon(&g, &poly, CovererOptions::at_level(10));
-        let stats = covering_stats(&cov, 10);
+        let cov = cover_polygon(&g, &poly, 10);
         assert!(
-            stats.min_level < 10,
-            "expected coarse interior cells, got {stats:?}"
+            cov.iter().any(|c| c.level() < 10),
+            "expected coarse interior cells"
         );
-        assert!(stats.max_level_cells > 0, "boundary must be at max level");
-    }
-
-    #[test]
-    fn min_level_is_respected() {
-        let g = grid();
-        let poly = diamond(500.0, 500.0, 300.0);
-        let opts = CovererOptions {
-            max_level: 10,
-            min_level: 7,
-            max_cells: None,
-        };
-        let cov = cover_polygon(&g, &poly, opts);
-        for c in cov.iter() {
-            assert!(c.level() >= 7, "cell {c:?} coarser than min_level allows");
-        }
-    }
-
-    #[test]
-    fn budgeted_covering_respects_cap() {
-        let g = grid();
-        let poly = diamond(500.0, 500.0, 300.0);
-        let opts = CovererOptions {
-            max_level: 14,
-            min_level: 0,
-            max_cells: Some(32),
-        };
-        let cov = cover_polygon(&g, &poly, opts);
-        assert!(cov.len() <= 32, "got {} cells", cov.len());
-        assert!(!cov.is_empty());
+        assert!(
+            cov.iter().any(|c| c.level() == 10),
+            "boundary must be at max level"
+        );
     }
 
     #[test]
     fn polygon_outside_domain_is_empty() {
         let g = grid();
         let poly = diamond(5000.0, 5000.0, 10.0);
-        let cov = cover_polygon(&g, &poly, CovererOptions::at_level(10));
+        let cov = cover_polygon(&g, &poly, 10);
         assert!(cov.is_empty());
-    }
-
-    #[test]
-    fn rect_covering_matches_polygon_covering() {
-        let g = grid();
-        let r = Rect::from_bounds(100.0, 100.0, 300.0, 250.0);
-        let a = cover_rect(&g, &r, CovererOptions::at_level(9));
-        let b = cover_polygon(&g, &Polygon::rectangle(r), CovererOptions::at_level(9));
-        assert_eq!(a, b);
     }
 
     #[test]
     fn finer_levels_reduce_covered_area() {
         let g = grid();
         let poly = diamond(500.0, 500.0, 200.0);
-        let coarse = cover_polygon(&g, &poly, CovererOptions::at_level(6));
-        let fine = cover_polygon(&g, &poly, CovererOptions::at_level(10));
+        let coarse = cover_polygon(&g, &poly, 6);
+        let fine = cover_polygon(&g, &poly, 10);
         // Finer covering hugs the polygon: strictly fewer covered leaves.
         assert!(fine.leaf_count() < coarse.leaf_count());
-    }
-
-    #[test]
-    fn covering_works_on_morton_grid() {
-        let g = Grid::new(
-            Rect::from_bounds(0.0, 0.0, 1024.0, 1024.0),
-            crate::curve::CurveKind::Morton,
-        );
-        let poly = diamond(500.0, 500.0, 120.0);
-        let cov = cover_polygon(&g, &poly, CovererOptions::at_level(8));
-        assert!(!cov.is_empty());
-        let center = g.leaf_for_point(Point::new(500.0, 500.0));
-        assert!(cov.contains(center));
     }
 }

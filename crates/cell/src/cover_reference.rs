@@ -4,27 +4,26 @@
 //! [`reference_cover`] is the descent as it was before the half-plane
 //! path: every cell filters the edges that touch its closed rectangle
 //! from its parent's list, a cell no edge touches is inside iff a ray cast
-//! from its centre says so, a touched cell is split down to `max_level`
-//! (or until the budget is spent, in visit order), and the cells are
-//! handed to [`CellUnion::from_cells_with_floor`] to sort and merge. So a
-//! `max_level` cell is in the covering iff an outline edge touches its
-//! closed rect or its centre is inside the polygon.
+//! from its centre says so, a touched cell is split down to `max_level`,
+//! and the cells are handed to [`CellUnion::from_cells`] to sort and
+//! merge. So a `max_level` cell is in the covering iff an outline edge
+//! touches its closed rect or its centre is inside the polygon.
 
-use crate::cover::{cover_polygon, CovererOptions};
-use crate::curve::{CurveCursor, CurveKind};
+use crate::cover::cover_polygon;
+use crate::curve::CurveCursor;
 use crate::grid::Grid;
 use crate::id::CellId;
 use crate::union::CellUnion;
 use gb_geom::{convex_hull, segment_intersects_rect, Point, Polygon, Rect};
 use proptest::prelude::*;
 
-fn reference_cover(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellUnion {
+fn reference_cover(grid: &Grid, poly: &Polygon, max_level: u8) -> CellUnion {
     let bbox = poly.bbox().intersection(&grid.domain());
     if bbox.is_empty() {
         return CellUnion::new();
     }
     let mut lvl = 0u8;
-    while lvl < opts.max_level {
+    while lvl < max_level {
         let (w, h) = grid.cell_size(lvl + 1);
         if w < bbox.width() || h < bbox.height() {
             break;
@@ -42,25 +41,20 @@ fn reference_cover(grid: &Grid, poly: &Polygon, opts: CovererOptions) -> CellUni
     let edges: Vec<(Point, Point)> = poly.edges().collect();
     let mut reference = Reference {
         poly,
-        opts,
+        max_level,
         out: Vec::new(),
-        budget_used: 0,
     };
     for start in starts {
-        let cursor = CurveCursor::at(
-            grid.curve(),
-            (1..=start.level()).map(|l| start.child_position(l)),
-        );
+        let cursor = CurveCursor::at((1..=start.level()).map(|l| start.child_position(l)));
         reference.visit(start, grid.cell_rect(start), cursor, &edges);
     }
-    CellUnion::from_cells_with_floor(reference.out, opts.min_level)
+    CellUnion::from_cells(reference.out)
 }
 
 struct Reference<'a> {
     poly: &'a Polygon,
-    opts: CovererOptions,
+    max_level: u8,
     out: Vec<CellId>,
-    budget_used: usize,
 }
 
 impl Reference<'_> {
@@ -80,35 +74,14 @@ impl Reference<'_> {
             .collect();
         if local.is_empty() {
             if self.poly.contains_point_fast(rect.center()) {
-                if cell.level() < self.opts.min_level {
-                    self.children(cell, rect, cursor, &local);
-                } else {
-                    self.out.push(cell);
-                }
+                self.out.push(cell);
             }
             return;
         }
-        if cell.level() >= self.opts.max_level {
+        if cell.level() >= self.max_level {
             self.out.push(cell);
             return;
         }
-        if let Some(budget) = self.opts.max_cells {
-            if self.budget_used + 4 > budget {
-                self.out.push(cell);
-                return;
-            }
-            self.budget_used += 3;
-        }
-        self.children(cell, rect, cursor, &local);
-    }
-
-    fn children(
-        &mut self,
-        cell: CellId,
-        rect: Rect,
-        cursor: CurveCursor,
-        local: &[(Point, Point)],
-    ) {
         let cx = (rect.min.x + rect.max.x) * 0.5;
         let cy = (rect.min.y + rect.max.y) * 0.5;
         for k in 0..4u8 {
@@ -119,7 +92,7 @@ impl Reference<'_> {
                 if dx == 0 { cx } else { rect.max.x },
                 if dy == 0 { cy } else { rect.max.y },
             );
-            self.visit(cell.child(k), child_rect, cursor.child(k), local);
+            self.visit(cell.child(k), child_rect, cursor.child(k), &local);
         }
     }
 }
@@ -127,11 +100,11 @@ impl Reference<'_> {
 /// The grids the property runs on: a power-of-two domain, where cell
 /// borders are exact binary fractions and snapped vertices land on them
 /// bit for bit, and an offset, non-square one, where they do not.
-fn grid_of(dyadic: bool, curve: CurveKind) -> Grid {
+fn grid_of(dyadic: bool) -> Grid {
     if dyadic {
-        Grid::new(Rect::from_bounds(0.0, 0.0, 1024.0, 1024.0), curve)
+        Grid::hilbert(Rect::from_bounds(0.0, 0.0, 1024.0, 1024.0))
     } else {
-        Grid::new(Rect::from_bounds(-10.0, 5.0, 30.0, 25.0), curve)
+        Grid::hilbert(Rect::from_bounds(-10.0, 5.0, 30.0, 25.0))
     }
 }
 
@@ -267,38 +240,25 @@ const CLASSES: usize = 13;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1536))]
 
-    /// `cover_polygon` ≡ the reference rule, over every polygon class,
-    /// both curves, levels 1–14 and the `min_level` / `max_cells` options.
+    /// `cover_polygon` ≡ the reference rule, over every polygon class and
+    /// levels 1–14.
     #[test]
     fn cover_polygon_matches_the_reference_rule(
         class in 0usize..CLASSES,
         dyadic in any::<bool>(),
-        morton in any::<bool>(),
         level in 1u8..=14,
         u in prop::collection::vec(0.0f64..1.0, 44),
         flip in (any::<bool>(), any::<bool>()),
-        floor in 0u8..=14,
-        budget in 0usize..200,
     ) {
-        let curve = if morton { CurveKind::Morton } else { CurveKind::Hilbert };
-        let grid = grid_of(dyadic, curve);
-        // A polygon over the whole domain comes back as the root's
-        // `min_level` descendants: keep those countable.
-        let level = if class == 8 { level.min(6) } else { level };
+        let grid = grid_of(dyadic);
         let Some(poly) = polygon_of(class, &grid, level, &u, flip) else {
             return Ok(());
         };
-        let opts = CovererOptions {
-            max_level: level,
-            // Half the cases run with the options at their defaults.
-            min_level: if floor % 2 == 0 { 0 } else { floor.min(level) },
-            max_cells: (budget % 2 == 1).then_some(4 + budget),
-        };
-        let got = cover_polygon(&grid, &poly, opts);
-        let want = reference_cover(&grid, &poly, opts);
+        let got = cover_polygon(&grid, &poly, level);
+        let want = reference_cover(&grid, &poly, level);
         prop_assert_eq!(
             got.cells(), want.cells(),
-            "class {} level {} {:?} {:?}", class, level, opts, poly
+            "class {} level {} {:?}", class, level, poly
         );
     }
 }
@@ -307,19 +267,10 @@ proptest! {
 fn start_cells_that_are_leaf_siblings_merge() {
     // The bbox-matched level is `max_level` itself, and the four start
     // cells around the centre of a level-4 cell are its four children.
-    let grid = grid_of(true, CurveKind::Hilbert);
+    let grid = grid_of(true);
     let centre = Point::new(96.0, 96.0);
     let poly = Polygon::new(star(centre, 1.0, &[1.0; 4], 0.0));
-    let opts = CovererOptions::at_level(5);
-    let got = cover_polygon(&grid, &poly, opts);
+    let got = cover_polygon(&grid, &poly, 5);
     assert_eq!(got.cells(), &[grid.cell_for_point(centre, 5).parent()]);
-    assert_eq!(got, reference_cover(&grid, &poly, opts));
-    // Below `min_level` nothing merges, start cells included.
-    let floored = CovererOptions {
-        min_level: 5,
-        ..opts
-    };
-    let got = cover_polygon(&grid, &poly, floored);
-    assert_eq!(got.len(), 4);
-    assert_eq!(got, reference_cover(&grid, &poly, floored));
+    assert_eq!(got, reference_cover(&grid, &poly, 5));
 }

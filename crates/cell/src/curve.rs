@@ -1,48 +1,14 @@
-//! Space-filling curve enumerations of the quadtree grid.
+//! The Hilbert curve that enumerates the quadtree grid.
 //!
 //! §3.1: "all cells at a given level can be enumerated using an
 //! order-preserving space-filling curve". The paper (via S2) uses the
-//! Hilbert curve; we implement Hilbert as the default and Morton (Z-order)
-//! as an ablation alternative — both are *hierarchical*: the first `2ℓ` bits
-//! of a leaf's index identify the enclosing level-`ℓ` cell, which is the
-//! property all the prefix bit-arithmetic in [`crate::id`] relies on.
+//! Hilbert curve, and so does every key here. The curve is
+//! *hierarchical*: the first `2ℓ` bits of a leaf's index identify the
+//! enclosing level-`ℓ` cell, which is the property all the prefix
+//! bit-arithmetic in [`crate::id`] relies on.
 
-/// Which space-filling curve enumerates the grid cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CurveKind {
-    /// Hilbert curve: best locality, matches the paper / S2.
-    #[default]
-    Hilbert,
-    /// Morton (Z-order) curve: cheaper conversion, worse locality.
-    Morton,
-}
-
-impl CurveKind {
-    /// Map grid coordinates `(x, y)` (each `< 2^order`) to the curve index.
-    #[inline]
-    pub fn xy_to_d(self, order: u8, x: u32, y: u32) -> u64 {
-        debug_assert!((1..=31).contains(&order));
-        debug_assert!(u64::from(x) < (1u64 << order) && u64::from(y) < (1u64 << order));
-        match self {
-            CurveKind::Hilbert => hilbert_xy_to_d(order, x, y),
-            CurveKind::Morton => morton_xy_to_d(x, y),
-        }
-    }
-
-    /// Inverse of [`CurveKind::xy_to_d`].
-    #[inline]
-    pub fn d_to_xy(self, order: u8, d: u64) -> (u32, u32) {
-        debug_assert!((1..=31).contains(&order));
-        debug_assert!(d < (1u64 << (2 * order as u64)));
-        match self {
-            CurveKind::Hilbert => hilbert_d_to_xy(order, d),
-            CurveKind::Morton => morton_d_to_xy(order, d),
-        }
-    }
-}
-
-/// Hilbert index of grid point `(x, y)` at the given order: a walk over
-/// [`KEYS`], four levels per lookup.
+/// Hilbert index of grid point `(x, y)` (each `< 2^order`) at the given
+/// order: a walk over a 4 KiB key table, four levels per lookup.
 ///
 /// The coordinates are read as whole nibbles, i.e. padded with leading
 /// zero bits up to a multiple of four levels. A padded level is quadrant
@@ -51,7 +17,9 @@ impl CurveKind {
 /// swap when the pad is odd (when the order is) and at the identity
 /// otherwise.
 #[inline]
-fn hilbert_xy_to_d(order: u8, x: u32, y: u32) -> u64 {
+pub fn xy_to_d(order: u8, x: u32, y: u32) -> u64 {
+    debug_assert!((1..=31).contains(&order));
+    debug_assert!(u64::from(x) < (1u64 << order) && u64::from(y) < (1u64 << order));
     let start = if order % 2 == 1 {
         SignedPerm::SWAP
     } else {
@@ -100,8 +68,11 @@ fn hilbert_xy_to_d_bitwise(order: u8, mut x: u32, mut y: u32) -> u64 {
     d
 }
 
-/// Grid point of Hilbert index `d` at the given order.
-fn hilbert_d_to_xy(order: u8, d: u64) -> (u32, u32) {
+/// Grid point of Hilbert index `d` at the given order: the inverse of
+/// [`xy_to_d`].
+pub fn d_to_xy(order: u8, d: u64) -> (u32, u32) {
+    debug_assert!((1..=31).contains(&order));
+    debug_assert!(d < (1u64 << (2 * order as u64)));
     let mut x: u32 = 0;
     let mut y: u32 = 0;
     let mut t = d;
@@ -124,15 +95,6 @@ fn hilbert_d_to_xy(order: u8, d: u64) -> (u32, u32) {
         s <<= 1;
     }
     (x, y)
-}
-
-/// Morton index: interleave the bits of x (even positions) and y (odd).
-fn morton_xy_to_d(x: u32, y: u32) -> u64 {
-    spread_bits(x) | (spread_bits(y) << 1)
-}
-
-fn morton_d_to_xy(_order: u8, d: u64) -> (u32, u32) {
-    (compact_bits(d), compact_bits(d >> 1))
 }
 
 /// The 2-bit quadrant pair `(x_bit, y_bit)` for curve index `q` in the
@@ -229,21 +191,16 @@ struct Step {
     next: u8,
 }
 
-/// The cursor state of a Morton traversal (the curve has one
-/// orientation); states below it are [`SignedPerm::index`] values.
-const MORTON: u8 = 8;
-
-/// `STEPS[state][k]`, tabulated from [`SignedPerm`] at compile time so a
-/// traversal pays two table reads per child (S2 uses the same
-/// lookup-table approach).
-const STEPS: [[Step; 4]; 9] = {
+/// `STEPS[state][k]`, with `state` a [`SignedPerm::index`], tabulated
+/// from [`SignedPerm`] at compile time so a traversal pays two table reads
+/// per child (S2 uses the same lookup-table approach).
+const STEPS: [[Step; 4]; 8] = {
     let mut steps = [[Step {
         quadrant: (0, 0),
-        next: MORTON,
-    }; 4]; 9];
+        next: 0,
+    }; 4]; 8];
     let mut k = 0;
     while k < 4 {
-        steps[MORTON as usize][k].quadrant = (k as u8 & 1, k as u8 >> 1);
         let (rx, ry) = HILBERT_INV[k];
         let rot = match (rx, ry) {
             (0, 0) => SignedPerm::SWAP,
@@ -251,7 +208,7 @@ const STEPS: [[Step; 4]; 9] = {
             _ => SignedPerm::IDENTITY,
         };
         let mut state = 0;
-        while state < MORTON {
+        while state < 8 {
             let perm = SignedPerm::from_index(state);
             steps[state as usize][k] = Step {
                 quadrant: perm.apply_inv(rx, ry),
@@ -297,7 +254,7 @@ static KEYS: [u16; 8 << 8] = {
 
 /// Incremental curve-orientation state for top-down traversals.
 ///
-/// Recursing a quadtree while calling [`CurveKind::d_to_xy`] per cell costs
+/// Recursing a quadtree while calling [`d_to_xy`] per cell costs
 /// O(level) each; carrying a `CurveCursor` instead makes each child's
 /// quadrant an O(1) table lookup — the trick behind the region coverer's
 /// speed.
@@ -308,12 +265,9 @@ pub struct CurveCursor {
 
 impl CurveCursor {
     /// Cursor at the root cell.
-    pub fn root(kind: CurveKind) -> CurveCursor {
+    pub fn root() -> CurveCursor {
         CurveCursor {
-            state: match kind {
-                CurveKind::Hilbert => SignedPerm::IDENTITY.index(),
-                CurveKind::Morton => MORTON,
-            },
+            state: SignedPerm::IDENTITY.index(),
         }
     }
 
@@ -339,37 +293,13 @@ impl CurveCursor {
 
     /// Cursor positioned at an arbitrary cell, by walking the child
     /// positions from the root (O(level), once per traversal entry point).
-    pub fn at(kind: CurveKind, child_positions: impl Iterator<Item = u8>) -> CurveCursor {
-        let mut cur = CurveCursor::root(kind);
+    pub fn at(child_positions: impl Iterator<Item = u8>) -> CurveCursor {
+        let mut cur = CurveCursor::root();
         for k in child_positions {
             cur = cur.child(k);
         }
         cur
     }
-}
-
-/// Spread the 32 bits of `v` to the even bit positions of a u64.
-#[inline]
-fn spread_bits(v: u32) -> u64 {
-    let mut v = u64::from(v);
-    v = (v | (v << 16)) & 0x0000_FFFF_0000_FFFF;
-    v = (v | (v << 8)) & 0x00FF_00FF_00FF_00FF;
-    v = (v | (v << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    v = (v | (v << 2)) & 0x3333_3333_3333_3333;
-    v = (v | (v << 1)) & 0x5555_5555_5555_5555;
-    v
-}
-
-/// Inverse of [`spread_bits`]: gather the even bit positions.
-#[inline]
-fn compact_bits(v: u64) -> u32 {
-    let mut v = v & 0x5555_5555_5555_5555;
-    v = (v | (v >> 1)) & 0x3333_3333_3333_3333;
-    v = (v | (v >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
-    v = (v | (v >> 4)) & 0x00FF_00FF_00FF_00FF;
-    v = (v | (v >> 8)) & 0x0000_FFFF_0000_FFFF;
-    v = (v | (v >> 16)) & 0x0000_0000_FFFF_FFFF;
-    v as u32
 }
 
 #[cfg(test)]
@@ -379,21 +309,17 @@ mod tests {
     #[test]
     fn hilbert_order1_square() {
         // The order-1 Hilbert curve visits (0,0) (0,1) (1,1) (1,0).
-        assert_eq!(hilbert_xy_to_d(1, 0, 0), 0);
-        assert_eq!(hilbert_xy_to_d(1, 0, 1), 1);
-        assert_eq!(hilbert_xy_to_d(1, 1, 1), 2);
-        assert_eq!(hilbert_xy_to_d(1, 1, 0), 3);
+        assert_eq!(xy_to_d(1, 0, 0), 0);
+        assert_eq!(xy_to_d(1, 0, 1), 1);
+        assert_eq!(xy_to_d(1, 1, 1), 2);
+        assert_eq!(xy_to_d(1, 1, 0), 3);
     }
 
     #[test]
     fn key_table_matches_the_bitwise_oracle() {
         let check = |order: u8, x: u32, y: u32| {
             let want = hilbert_xy_to_d_bitwise(order, x, y);
-            assert_eq!(
-                hilbert_xy_to_d(order, x, y),
-                want,
-                "order {order} ({x},{y})"
-            );
+            assert_eq!(xy_to_d(order, x, y), want, "order {order} ({x},{y})");
         };
         // Every point of the small orders (both pad parities, one nibble
         // and two), then seeded points and the four corners of every
@@ -426,8 +352,8 @@ mod tests {
     #[test]
     fn hilbert_roundtrip_exhaustive_order4() {
         for d in 0..(1u64 << 8) {
-            let (x, y) = hilbert_d_to_xy(4, d);
-            assert_eq!(hilbert_xy_to_d(4, x, y), d);
+            let (x, y) = d_to_xy(4, d);
+            assert_eq!(xy_to_d(4, x, y), d);
         }
     }
 
@@ -436,8 +362,8 @@ mod tests {
         // Consecutive Hilbert indices are 4-neighbours on the grid — the
         // locality property that makes range scans spatial scans.
         for d in 0..(1u64 << 10) - 1 {
-            let (x0, y0) = hilbert_d_to_xy(5, d);
-            let (x1, y1) = hilbert_d_to_xy(5, d + 1);
+            let (x0, y0) = d_to_xy(5, d);
+            let (x1, y1) = d_to_xy(5, d + 1);
             let manhattan = x0.abs_diff(x1) + y0.abs_diff(y1);
             assert_eq!(manhattan, 1, "d={d}: ({x0},{y0}) -> ({x1},{y1})");
         }
@@ -448,47 +374,19 @@ mod tests {
         // Parent cell index = child index >> 2, with coordinates halved.
         for order in 2..=8u8 {
             for d in (0..(1u64 << (2 * order))).step_by(97) {
-                let (x, y) = hilbert_d_to_xy(order, d);
-                let parent_d = hilbert_xy_to_d(order - 1, x >> 1, y >> 1);
+                let (x, y) = d_to_xy(order, d);
+                let parent_d = xy_to_d(order - 1, x >> 1, y >> 1);
                 assert_eq!(parent_d, d >> 2, "order={order} d={d}");
             }
         }
     }
 
     #[test]
-    fn morton_roundtrip_exhaustive_order4() {
-        for d in 0..(1u64 << 8) {
-            let (x, y) = morton_d_to_xy(4, d);
-            assert_eq!(morton_xy_to_d(x, y), d);
-        }
-    }
-
-    #[test]
-    fn morton_known_values() {
-        assert_eq!(morton_xy_to_d(0, 0), 0);
-        assert_eq!(morton_xy_to_d(1, 0), 1);
-        assert_eq!(morton_xy_to_d(0, 1), 2);
-        assert_eq!(morton_xy_to_d(1, 1), 3);
-        assert_eq!(morton_xy_to_d(u32::MAX, u32::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn morton_hierarchical_prefix() {
-        for d in (0..(1u64 << 16)).step_by(31) {
-            let (x, y) = morton_d_to_xy(8, d);
-            assert_eq!(morton_xy_to_d(x >> 1, y >> 1), d >> 2);
-        }
-    }
-
-    #[test]
-    fn curves_roundtrip_at_full_order() {
+    fn roundtrip_at_full_order() {
         // Order 30 (the grid's maximum) round-trips at the extremes.
         let max = (1u32 << 30) - 1;
-        for curve in [CurveKind::Hilbert, CurveKind::Morton] {
-            for (x, y) in [(0, 0), (max, 0), (0, max), (max, max), (12345, 999_999)] {
-                let d = curve.xy_to_d(30, x, y);
-                assert_eq!(curve.d_to_xy(30, d), (x, y), "{curve:?} ({x},{y})");
-            }
+        for (x, y) in [(0, 0), (max, 0), (0, max), (max, max), (12345, 999_999)] {
+            assert_eq!(d_to_xy(30, xy_to_d(30, x, y)), (x, y), "({x},{y})");
         }
     }
 
@@ -496,32 +394,30 @@ mod tests {
     fn cursor_descent_matches_bitwise_decode() {
         // Descend 8 levels along pseudo-random curve indices and check the
         // accumulated (i, j) equals the direct d_to_xy decode.
-        for kind in [CurveKind::Hilbert, CurveKind::Morton] {
-            for seed in 0..64u64 {
-                let mut cur = CurveCursor::root(kind);
-                let mut d: u64 = 0;
-                let (mut i, mut j) = (0u32, 0u32);
-                let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15);
-                for _ in 0..8 {
-                    s = s
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let k = ((s >> 33) & 3) as u8;
-                    let (dx, dy) = cur.child_quadrant(k);
-                    i = (i << 1) | u32::from(dx);
-                    j = (j << 1) | u32::from(dy);
-                    d = (d << 2) | u64::from(k);
-                    cur = cur.child(k);
-                }
-                assert_eq!(kind.d_to_xy(8, d), (i, j), "{kind:?} seed {seed}");
+        for seed in 0..64u64 {
+            let mut cur = CurveCursor::root();
+            let mut d: u64 = 0;
+            let (mut i, mut j) = (0u32, 0u32);
+            let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15);
+            for _ in 0..8 {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let k = ((s >> 33) & 3) as u8;
+                let (dx, dy) = cur.child_quadrant(k);
+                i = (i << 1) | u32::from(dx);
+                j = (j << 1) | u32::from(dy);
+                d = (d << 2) | u64::from(k);
+                cur = cur.child(k);
             }
+            assert_eq!(d_to_xy(8, d), (i, j), "seed {seed}");
         }
     }
 
     #[test]
     fn cursor_at_matches_root_walk() {
-        let cur1 = CurveCursor::at(CurveKind::Hilbert, [1u8, 3, 0, 2].into_iter());
-        let mut cur2 = CurveCursor::root(CurveKind::Hilbert);
+        let cur1 = CurveCursor::at([1u8, 3, 0, 2].into_iter());
+        let mut cur2 = CurveCursor::root();
         for k in [1u8, 3, 0, 2] {
             cur2 = cur2.child(k);
         }
@@ -548,16 +444,14 @@ mod tests {
     #[test]
     fn curve_indices_are_dense() {
         // Every index in [0, 4^order) is produced exactly once (order 3).
-        for curve in [CurveKind::Hilbert, CurveKind::Morton] {
-            let mut seen = [false; 64];
-            for x in 0..8u32 {
-                for y in 0..8u32 {
-                    let d = curve.xy_to_d(3, x, y) as usize;
-                    assert!(!seen[d], "{curve:?} duplicate index {d}");
-                    seen[d] = true;
-                }
+        let mut seen = [false; 64];
+        for x in 0..8u32 {
+            for y in 0..8u32 {
+                let d = xy_to_d(3, x, y) as usize;
+                assert!(!seen[d], "duplicate index {d}");
+                seen[d] = true;
             }
-            assert!(seen.iter().all(|&s| s));
         }
+        assert!(seen.iter().all(|&s| s));
     }
 }

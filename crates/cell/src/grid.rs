@@ -1,16 +1,16 @@
 //! The grid: a bounded rectangular world domain mapped onto the cell
-//! hierarchy by a space-filling curve.
+//! hierarchy by the Hilbert curve.
 //!
 //! This is the planar stand-in for S2's sphere decomposition (see the
 //! substitution table in `DESIGN.md`). A [`Grid`] owns the world rectangle
-//! and the curve choice and converts between world coordinates, grid
-//! coordinates, and [`CellId`]s. The paper's error bound is exposed as
+//! and converts between world coordinates, grid coordinates, and
+//! [`CellId`]s. The paper's error bound is exposed as
 //! [`Grid::cell_diagonal`] per level and [`Grid::level_for_error`]
 //! ("the user can specify the error bound by choosing an appropriate cell
 //! level so that the cell's diagonal is not greater than her desired
 //! error", §3.2).
 
-use crate::curve::CurveKind;
+use crate::curve;
 use crate::id::{CellId, MAX_LEVEL};
 use gb_geom::{Point, Rect};
 
@@ -21,38 +21,26 @@ const LEAF_SIDE: u64 = 1 << MAX_LEVEL as u64;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Grid {
     rect: Rect,
-    curve: CurveKind,
 }
 
 impl Grid {
-    /// A grid over `rect` enumerated by `curve`.
+    /// A Hilbert-enumerated grid over `rect` (the paper's configuration).
     ///
     /// Panics if the rectangle is empty or degenerate.
-    pub fn new(rect: Rect, curve: CurveKind) -> Self {
+    pub fn hilbert(rect: Rect) -> Self {
         assert!(!rect.is_empty(), "grid domain must be non-empty");
         assert!(
             rect.width() > 0.0 && rect.height() > 0.0,
             "grid domain must have positive extent"
         );
         assert!(rect.min.is_finite() && rect.max.is_finite());
-        Grid { rect, curve }
-    }
-
-    /// Hilbert-enumerated grid over `rect` (the paper's configuration).
-    pub fn hilbert(rect: Rect) -> Self {
-        Grid::new(rect, CurveKind::Hilbert)
+        Grid { rect }
     }
 
     /// The world-coordinate domain.
     #[inline]
     pub fn domain(&self) -> Rect {
         self.rect
-    }
-
-    /// The curve enumerating the cells.
-    #[inline]
-    pub fn curve(&self) -> CurveKind {
-        self.curve
     }
 
     /// Integer grid coordinates of a world point at leaf resolution.
@@ -74,7 +62,7 @@ impl Grid {
     #[inline]
     pub fn leaf_for_point(&self, p: Point) -> CellId {
         let (i, j) = self.leaf_ij(p);
-        CellId::from_leaf_pos(self.curve.xy_to_d(MAX_LEVEL, i, j))
+        CellId::from_leaf_pos(curve::xy_to_d(MAX_LEVEL, i, j))
     }
 
     /// Cell at `level` containing the world point.
@@ -91,7 +79,7 @@ impl Grid {
         let (i, j) = if level == 0 {
             (0, 0)
         } else {
-            self.curve.d_to_xy(level, pos)
+            curve::d_to_xy(level, pos)
         };
         let w = self.rect.width() / side as f64;
         let h = self.rect.height() / side as f64;
@@ -126,17 +114,6 @@ impl Grid {
         }
         MAX_LEVEL
     }
-
-    /// Smallest cell containing the whole (clamped) rectangle.
-    pub fn cell_covering_rect(&self, rect: &Rect) -> CellId {
-        let a = self.leaf_for_point(rect.min);
-        let b = self.leaf_for_point(rect.max);
-        // The two diagonal corners do not necessarily bound the curve
-        // positions of the other corners; take the ancestor over all four.
-        let c = self.leaf_for_point(Point::new(rect.min.x, rect.max.y));
-        let d = self.leaf_for_point(Point::new(rect.max.x, rect.min.y));
-        a.common_ancestor(b).common_ancestor(c.common_ancestor(d))
-    }
 }
 
 #[cfg(test)]
@@ -160,10 +137,7 @@ mod tests {
 
     #[test]
     fn cell_rect_nests() {
-        let g = Grid::new(
-            Rect::from_bounds(-10.0, 5.0, 30.0, 25.0),
-            CurveKind::Hilbert,
-        );
+        let g = Grid::hilbert(Rect::from_bounds(-10.0, 5.0, 30.0, 25.0));
         let p = Point::new(12.0, 17.5);
         let leaf = g.leaf_for_point(p);
         let mut prev = g.cell_rect(leaf.parent_at(0));
@@ -218,36 +192,6 @@ mod tests {
         assert!(g.cell_diagonal(lvl - 1) > 10.0);
         // Unreachably small error: clamps to MAX_LEVEL.
         assert_eq!(g.level_for_error(1e-12), MAX_LEVEL);
-    }
-
-    #[test]
-    fn covering_cell_contains_rect() {
-        let g = unit_grid();
-        let r = Rect::from_bounds(0.2, 0.2, 0.3, 0.35);
-        let cell = g.cell_covering_rect(&r);
-        let cr = g.cell_rect(cell);
-        assert!(
-            cr.contains_rect(&r),
-            "cell rect {cr:?} must contain query rect {r:?}"
-        );
-    }
-
-    #[test]
-    fn covering_cell_is_reasonably_tight() {
-        let g = unit_grid();
-        // A tiny rect away from major cell boundaries gets a deep cell.
-        let r = Rect::from_bounds(0.101, 0.201, 0.102, 0.202);
-        let cell = g.cell_covering_rect(&r);
-        assert!(cell.level() >= 5, "expected deep cell, got {cell:?}");
-    }
-
-    #[test]
-    fn morton_grid_works_too() {
-        let g = Grid::new(Rect::from_bounds(0.0, 0.0, 1.0, 1.0), CurveKind::Morton);
-        let p = Point::new(0.9, 0.1);
-        let leaf = g.leaf_for_point(p);
-        assert!(g.cell_rect(leaf).contains_point(p));
-        assert!(g.cell_rect(leaf.parent_at(5)).contains_point(p));
     }
 
     #[test]

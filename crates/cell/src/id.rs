@@ -174,23 +174,8 @@ impl CellId {
         ((self.0 >> (2 * (MAX_LEVEL - level) as u64 + 1)) & 3) as u8
     }
 
-    /// First descendant cell at `level` (for iteration with
-    /// [`CellId::child_end`] / [`CellId::next`]).
-    #[inline]
-    pub fn child_begin(self, level: u8) -> CellId {
-        debug_assert!(level >= self.level());
-        CellId(self.0 - self.lsb() + Self::lsb_for(level))
-    }
-
-    /// One-past-the-last descendant cell at `level`.
-    #[inline]
-    pub fn child_end(self, level: u8) -> CellId {
-        debug_assert!(level >= self.level());
-        CellId(self.0 + self.lsb() + Self::lsb_for(level))
-    }
-
     /// Next cell at the same level along the curve (may overflow past the
-    /// domain end; compare against a `child_end` bound).
+    /// domain end).
     #[inline]
     pub fn next(self) -> CellId {
         CellId(self.0.wrapping_add(self.lsb() << 1))
@@ -202,28 +187,6 @@ impl CellId {
         CellId(self.0.wrapping_sub(self.lsb() << 1))
     }
 
-    /// Iterate the descendants of `self` at `level` in curve order.
-    pub fn children_at(self, level: u8) -> impl Iterator<Item = CellId> {
-        let end = self.child_end(level);
-        let mut cur = self.child_begin(level);
-        std::iter::from_fn(move || {
-            if cur == end {
-                None
-            } else {
-                let out = cur;
-                cur = cur.next();
-                Some(out)
-            }
-        })
-    }
-
-    /// Number of descendants at `level` (4^(level − self.level())).
-    #[inline]
-    pub fn num_children_at(self, level: u8) -> u64 {
-        debug_assert!(level >= self.level());
-        1u64 << (2 * (level - self.level()) as u64)
-    }
-
     /// Raw id of the level-`level` ancestor of a raw key, as pure bit
     /// arithmetic — the hot-loop variant of [`CellId::parent_at`] for code
     /// that groups *sorted key arrays* by ancestor (the build sweep, the
@@ -233,19 +196,6 @@ impl CellId {
     pub fn raw_parent_at(raw: u64, level: u8) -> u64 {
         let lsb = Self::lsb_for(level);
         (raw & lsb.wrapping_neg()) | lsb
-    }
-
-    /// Deepest common ancestor of two cells.
-    pub fn common_ancestor(self, other: CellId) -> CellId {
-        let mut bits = self.lsb().max(other.lsb());
-        let x = self.0 ^ other.0;
-        // The ancestor with sentinel `bits` is shared iff the ids agree on
-        // every bit strictly above the sentinel position, i.e. x < 2·bits.
-        while (bits << 1) <= x {
-            bits <<= 2;
-        }
-        debug_assert!(bits <= CellId::ROOT.lsb());
-        CellId((self.0 & bits.wrapping_neg()) | bits)
     }
 }
 
@@ -354,53 +304,11 @@ mod tests {
     }
 
     #[test]
-    fn child_iteration_matches_count() {
-        let cell = CellId::from_leaf_pos(42).parent_at(26);
-        let at_28: Vec<_> = cell.children_at(28).collect();
-        assert_eq!(at_28.len(), 16);
-        assert_eq!(cell.num_children_at(28), 16);
-        for w in at_28.windows(2) {
-            assert!(w[0] < w[1], "curve order preserved");
-        }
-        assert!(at_28.iter().all(|c| cell.contains(*c) && c.level() == 28));
-        // Self-iteration at own level yields exactly self.
-        let own: Vec<_> = cell.children_at(26).collect();
-        assert_eq!(own, vec![cell]);
-    }
-
-    #[test]
     fn next_prev_roundtrip() {
         let cell = CellId::from_leaf_pos(999).parent_at(15);
         assert_eq!(cell.next().prev(), cell);
         assert_eq!(cell.next().level(), 15);
         assert!(cell.next() > cell);
-    }
-
-    #[test]
-    fn common_ancestor_cases() {
-        let leaf = CellId::from_leaf_pos(0x1234_5678_9ABC);
-        let a = leaf.parent_at(12);
-        // Ancestor of itself.
-        assert_eq!(a.common_ancestor(a), a);
-        // Ancestor/descendant pair → the ancestor.
-        assert_eq!(a.common_ancestor(leaf), a);
-        assert_eq!(leaf.common_ancestor(a), a);
-        // Two children of one parent → the parent.
-        let p = leaf.parent_at(9);
-        let c0 = p.child(0);
-        let c3 = p.child(3);
-        assert_eq!(c0.common_ancestor(c3), p);
-        // Far-apart cells → an ancestor that contains both.
-        let far = CellId::from_leaf_pos(0x00F0_0000_0000_0000);
-        let anc = leaf.common_ancestor(far);
-        assert!(anc.contains(leaf) && anc.contains(far));
-        // And it is the *deepest* such ancestor.
-        if anc.level() > 0 {
-            let too_deep_l = anc.level() + 1;
-            if too_deep_l <= leaf.level() && too_deep_l <= far.level() {
-                assert_ne!(leaf.parent_at(too_deep_l), far.parent_at(too_deep_l));
-            }
-        }
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //!
 //! * [`CellId`] — sentinel-encoded 64-bit cell identifiers with O(1)
 //!   `level` / `parent` / `children` / `range_min..range_max` / `contains`,
-//! * [`CurveKind`] — Hilbert (default, as the paper) and Morton (ablation)
-//!   enumerations, both hierarchical,
+//! * [`curve`] — the Hilbert enumeration (as the paper, via S2), which is
+//!   hierarchical, and the [`CurveCursor`] that descends it a table read
+//!   per child,
 //! * [`Grid`] — the world-rectangle ↔ cell mapping, per-level cell sizes,
 //!   and the error-bound helper [`Grid::level_for_error`],
 //! * [`CellUnion`] — normalized sorted cell sets,
 //! * [`cover_polygon`] — the region coverer producing **error-bounded**
 //!   polygon coverings (boundary cells at the block level, interior cells
-//!   possibly coarse), plus a budgeted approximate mode.
+//!   possibly coarse),
+//! * [`polyhash`] — the polygon content key of the engine's covering memo.
 
 pub mod cover;
 #[cfg(test)]
@@ -27,9 +29,9 @@ pub mod id;
 pub mod polyhash;
 pub mod union;
 
-pub use cover::{cover_polygon, cover_rect, covering_stats, CovererOptions, CoveringStats};
-pub use curve::{CurveCursor, CurveKind};
+pub use cover::cover_polygon;
+pub use curve::CurveCursor;
 pub use grid::Grid;
 pub use id::{CellId, MAX_LEVEL};
-pub use polyhash::{cover_key_from_bits, normalized_vertex_bits, polygon_cover_key};
+pub use polyhash::{cover_key_from_bits, normalized_vertex_bits};
 pub use union::CellUnion;

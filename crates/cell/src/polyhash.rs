@@ -110,17 +110,16 @@ pub fn cover_key_from_bits(bits: &[u64], max_level: u8) -> u64 {
     fnv1a64_words(std::iter::once(u64::from(max_level)).chain(bits.iter().copied()))
 }
 
-/// The covering-memo key for `polygon` covered at `max_level`.
-pub fn polygon_cover_key(polygon: &Polygon, max_level: u8) -> u64 {
-    cover_key_from_bits(&normalized_vertex_bits(polygon), max_level)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ring(pts: &[(f64, f64)]) -> Vec<Point> {
         pts.iter().map(|&(x, y)| Point::new(x, y)).collect()
+    }
+
+    fn key(polygon: &Polygon, max_level: u8) -> u64 {
+        cover_key_from_bits(&normalized_vertex_bits(polygon), max_level)
     }
 
     fn rotate<T: Clone>(v: &[T], by: usize) -> Vec<T> {
@@ -133,14 +132,14 @@ mod tests {
     fn rotation_invariant_key() {
         let pts = [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (1.0, 5.0)];
         let base = Polygon::new(ring(&pts));
-        let k0 = polygon_cover_key(&base, 12);
+        let k0 = key(&base, 12);
         for by in 1..pts.len() {
             let rotated = Polygon::new(rotate(&ring(&pts), by));
             assert_eq!(
                 normalized_vertex_bits(&base),
                 normalized_vertex_bits(&rotated)
             );
-            assert_eq!(k0, polygon_cover_key(&rotated, 12));
+            assert_eq!(k0, key(&rotated, 12));
         }
     }
 
@@ -170,8 +169,8 @@ mod tests {
     fn level_and_shape_change_the_key() {
         let a = Polygon::rectangle(gb_geom::Rect::from_bounds(0.0, 0.0, 1.0, 1.0));
         let b = Polygon::rectangle(gb_geom::Rect::from_bounds(0.0, 0.0, 1.0, 2.0));
-        assert_ne!(polygon_cover_key(&a, 10), polygon_cover_key(&a, 11));
-        assert_ne!(polygon_cover_key(&a, 10), polygon_cover_key(&b, 10));
+        assert_ne!(key(&a, 10), key(&a, 11));
+        assert_ne!(key(&a, 10), key(&b, 10));
     }
 
     #[test]
@@ -187,11 +186,10 @@ mod tests {
             (0.08, 0.51),
         ];
         let base = Polygon::new(ring(&pts));
-        let reference = crate::cover_polygon(&grid, &base, crate::CovererOptions::at_level(9));
+        let reference = crate::cover_polygon(&grid, &base, 9);
         for by in 1..pts.len() {
             let rotated = Polygon::new(rotate(&ring(&pts), by));
-            let covering =
-                crate::cover_polygon(&grid, &rotated, crate::CovererOptions::at_level(9));
+            let covering = crate::cover_polygon(&grid, &rotated, 9);
             assert_eq!(reference.cells(), covering.cells());
         }
     }

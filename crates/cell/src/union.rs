@@ -21,20 +21,14 @@ impl CellUnion {
 
     /// Build from arbitrary cells, normalizing.
     pub fn from_cells(cells: Vec<CellId>) -> Self {
-        CellUnion::from_cells_with_floor(cells, 0)
-    }
-
-    /// Build from arbitrary cells, normalizing with a sibling-merge floor
-    /// (see [`CellUnion::normalize_with_floor`]).
-    pub fn from_cells_with_floor(cells: Vec<CellId>, merge_floor: u8) -> Self {
         let mut u = CellUnion { cells };
-        u.normalize_with_floor(merge_floor);
+        u.normalize();
         u
     }
 
-    /// Wrap cells that are already what [`CellUnion::normalize_with_floor`]
-    /// leaves: disjoint, in curve order, complete quartets merged (the
-    /// coverer emits them that way).
+    /// Wrap cells that are already what [`CellUnion::normalize`] leaves:
+    /// disjoint, in curve order, complete quartets merged (the coverer
+    /// emits them that way).
     pub(crate) fn from_normalized(cells: Vec<CellId>) -> Self {
         debug_assert!(cells
             .windows(2)
@@ -68,13 +62,6 @@ impl CellUnion {
     /// Sort, deduplicate, drop contained cells, and merge complete sibling
     /// quartets into parents (repeatedly).
     pub fn normalize(&mut self) {
-        self.normalize_with_floor(0);
-    }
-
-    /// Like [`CellUnion::normalize`], but sibling quartets are only merged
-    /// into parents at level ≥ `merge_floor`. The coverer uses this to honor
-    /// a `min_level` constraint while still canonicalizing.
-    pub fn normalize_with_floor(&mut self, merge_floor: u8) {
         self.cells.sort_unstable();
         self.cells.dedup();
 
@@ -103,7 +90,7 @@ impl CellUnion {
             while out.len() >= 4 {
                 let n = out.len();
                 let d = out[n - 1];
-                if d.level() == 0 || d.level() <= merge_floor {
+                if d.level() == 0 {
                     break;
                 }
                 let parent = d.parent();
@@ -186,7 +173,7 @@ mod tests {
     fn normalize_merges_recursively() {
         let gp = leaf(100).parent_at(5);
         // All 16 grandchildren collapse to the grandparent.
-        let grandkids: Vec<CellId> = gp.children_at(7).collect();
+        let grandkids: Vec<CellId> = gp.children().iter().flat_map(|c| c.children()).collect();
         assert_eq!(grandkids.len(), 16);
         let u = CellUnion::from_cells(grandkids);
         assert_eq!(u.cells(), &[gp]);
@@ -207,7 +194,7 @@ mod tests {
         let u = CellUnion::from_cells(vec![a, b]);
         assert!(u.contains(a));
         assert!(u.contains(a.child(2)));
-        assert!(u.contains(b.child_begin(30)));
+        assert!(u.contains(b.range_min()));
         assert!(!u.contains(b.parent())); // coarser than member ⇒ not covered
         let elsewhere = leaf(1 << 59).parent_at(10);
         assert!(!u.contains(elsewhere));

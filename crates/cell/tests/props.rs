@@ -4,29 +4,26 @@
 //! exact curve inverses, hierarchical prefix structure, cell-id arithmetic,
 //! and the covering superset + error-bound guarantees of §3.1–§3.2.
 
-use gb_cell::{cover_polygon, CellId, CellUnion, CovererOptions, CurveKind, Grid, MAX_LEVEL};
+use gb_cell::curve::{d_to_xy, xy_to_d};
+use gb_cell::{cover_polygon, CellId, CellUnion, Grid, MAX_LEVEL};
 use gb_geom::{Point, Polygon, Rect};
 use proptest::prelude::*;
-
-fn arb_curve() -> impl Strategy<Value = CurveKind> {
-    prop_oneof![Just(CurveKind::Hilbert), Just(CurveKind::Morton)]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn curve_roundtrip(curve in arb_curve(), x in 0u32..(1 << 30), y in 0u32..(1 << 30)) {
-        let d = curve.xy_to_d(30, x, y);
-        prop_assert_eq!(curve.d_to_xy(30, d), (x, y));
+    fn curve_roundtrip(x in 0u32..(1 << 30), y in 0u32..(1 << 30)) {
+        let d = xy_to_d(30, x, y);
+        prop_assert_eq!(d_to_xy(30, d), (x, y));
     }
 
     #[test]
-    fn curve_hierarchical(curve in arb_curve(), x in 0u32..(1 << 30), y in 0u32..(1 << 30), lift in 1u8..10) {
+    fn curve_hierarchical(x in 0u32..(1 << 30), y in 0u32..(1 << 30), lift in 1u8..10) {
         // Parent-cell index is the child's index shifted by 2·lift, with
         // coordinates shifted by lift — the prefix property (§3.1).
-        let d = curve.xy_to_d(30, x, y);
-        let coarse = curve.xy_to_d(30 - lift, x >> lift, y >> lift);
+        let d = xy_to_d(30, x, y);
+        let coarse = xy_to_d(30 - lift, x >> lift, y >> lift);
         prop_assert_eq!(coarse, d >> (2 * lift));
     }
 
@@ -65,24 +62,9 @@ proptest! {
     }
 
     #[test]
-    fn common_ancestor_is_deepest(a in 0u64..(1u64 << 60), b in 0u64..(1u64 << 60), la in 0u8..=MAX_LEVEL, lb in 0u8..=MAX_LEVEL) {
-        let ca = CellId::from_pos_level(a, la);
-        let cb = CellId::from_pos_level(b, lb);
-        let anc = ca.common_ancestor(cb);
-        prop_assert!(anc.contains(ca));
-        prop_assert!(anc.contains(cb));
-        // One level deeper no longer contains both (when available).
-        let deeper = anc.level() + 1;
-        if deeper <= la.min(lb) {
-            prop_assert!(ca.parent_at(deeper) != cb.parent_at(deeper));
-        }
-    }
-
-    #[test]
-    fn grid_point_cell_consistency(curve in arb_curve(),
-                                   x in 0.0f64..1000.0, y in 0.0f64..500.0,
+    fn grid_point_cell_consistency(x in 0.0f64..1000.0, y in 0.0f64..500.0,
                                    level in 0u8..=16) {
-        let grid = Grid::new(Rect::from_bounds(0.0, 0.0, 1000.0, 500.0), curve);
+        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 1000.0, 500.0));
         let p = Point::new(x, y);
         let cell = grid.cell_for_point(p, level);
         prop_assert_eq!(cell.level(), level);
@@ -134,14 +116,13 @@ proptest! {
 
     #[test]
     fn covering_is_superset_and_bounded(
-        curve in arb_curve(),
         cx in 200.0f64..800.0, cy in 200.0f64..800.0,
         r in 30.0f64..180.0,
         n_vertices in 3usize..9,
         level in 5u8..=9,
         seed in 0u64..1000,
     ) {
-        let grid = Grid::new(Rect::from_bounds(0.0, 0.0, 1024.0, 1024.0), curve);
+        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 1024.0, 1024.0));
         // An irregular star-ish polygon around (cx, cy).
         let ring: Vec<Point> = (0..n_vertices).map(|i| {
             let jitter = 0.5 + 0.5 * (((seed.wrapping_mul(2654435761).wrapping_add(i as u64 * 97)) % 1000) as f64 / 1000.0);
@@ -149,7 +130,7 @@ proptest! {
             Point::new(cx + r * jitter * a.cos(), cy + r * jitter * a.sin())
         }).collect();
         let poly = Polygon::new(ring);
-        let cov = cover_polygon(&grid, &poly, CovererOptions::at_level(level));
+        let cov = cover_polygon(&grid, &poly, level);
 
         // Superset: sampled interior points are covered.
         let bbox = poly.bbox();

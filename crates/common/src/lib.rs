@@ -16,8 +16,8 @@
 //!   harness (Criterion is used for micro-benches; the harness needs plain
 //!   phase timing to reproduce the paper's build-time tables).
 //! * [`fmt`] — human-readable byte/duration formatting for reports.
-//! * [`pool`] — a std-only scoped thread pool (`par_map`/`par_chunks`)
-//!   used by the parallel build and the concurrent query benchmarks,
+//! * [`pool`] — a std-only scoped fork-join pool ([`Pool::run`]) used by
+//!   the parallel extract and build and the concurrent query benchmarks,
 //!   plus [`pool::spawn_join`] for panic-isolated one-off threads. Its
 //!   task queue is a backend-generic kernel ([`pool::TaskQueue`]) so the
 //!   shutdown/drain logic is model-checkable.

@@ -2,11 +2,12 @@
 //!
 //! The build environment has no crates.io access, so instead of `rayon`
 //! this module provides the small std-only subset the workspace needs:
-//! fork-join over an indexed task list with a shared work queue. There is
-//! deliberately **no work stealing** — tasks are handed out through one
-//! channel-backed queue, which keeps the implementation tiny and the task
-//! pickup order irrelevant to results (every helper returns results in
-//! task order, not completion order).
+//! fork-join over an indexed task list ([`Pool::run`]) with a shared work
+//! queue. There is deliberately **no work stealing** — tasks are handed
+//! out through one [`TaskQueue`], a mutex-guarded `VecDeque` of task
+//! indices that `gb_check` model-checks, which keeps the implementation
+//! tiny and the task pickup order irrelevant to results (`run` returns
+//! results in task order, not completion order).
 //!
 //! Threads are scoped (`std::thread::scope`), so closures may borrow from
 //! the caller's stack; nothing here requires `'static`.
@@ -298,34 +299,6 @@ impl Pool {
             .map(|r| r.expect("every task ran"))
             .collect()
     }
-
-    /// Apply `f` to every item, returning results in item order.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.run(items.len(), |i| f(&items[i]))
-    }
-
-    /// Apply `f` to consecutive chunks of at most `chunk` items; `f`
-    /// receives the chunk's starting offset and slice. Results come back in
-    /// chunk order.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        let n_chunks = items.len().div_ceil(chunk);
-        self.run(n_chunks, |i| {
-            let start = i * chunk;
-            let end = (start + chunk).min(items.len());
-            f(start, &items[start..end])
-        })
-    }
 }
 
 #[cfg(test)]
@@ -347,28 +320,6 @@ mod tests {
         let pool = Pool::new(4);
         assert_eq!(pool.run(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.run(1, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn par_map_matches_serial_map() {
-        let items: Vec<u64> = (0..1000).collect();
-        let want: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [1, 3, 8] {
-            let got = Pool::new(threads).par_map(&items, |x| x * 3 + 1);
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_covers_every_item_once() {
-        let items: Vec<usize> = (0..97).collect();
-        let pool = Pool::new(3);
-        let sums = pool.par_chunks(&items, 10, |start, chunk| {
-            assert_eq!(chunk[0], start);
-            chunk.iter().sum::<usize>()
-        });
-        assert_eq!(sums.len(), 10); // ceil(97 / 10)
-        assert_eq!(sums.iter().sum::<usize>(), 97 * 96 / 2);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! skip its covering (see DESIGN.md "Query hot path").
 //!
 //! [`CoveringMemo`] memoizes `polygon → Arc<CellUnion>` keyed by
-//! [`gb_cell::polygon_cover_key`]. Coverings are pure functions of
+//! [`gb_cell::cover_key_from_bits`] over the polygon's
+//! [`gb_cell::normalized_vertex_bits`]. Coverings are pure functions of
 //! (polygon, grid, level) and the engine's grid and level are fixed for
 //! its lifetime, so entries **never invalidate** — not on data epochs,
 //! not on trie rebuilds. The 64-bit key is only a lookup key: every
@@ -77,7 +78,7 @@ impl CoveringMemo {
 
     #[inline]
     fn shard_index(key: u64) -> usize {
-        // polygon_cover_key is already FNV-mixed; fold the high bits in
+        // The cover key is already FNV-mixed; fold the high bits in
         // so shard choice and map bucket choice stay decorrelated.
         ((key >> 32) ^ key) as usize & (MEMO_SHARDS - 1)
     }

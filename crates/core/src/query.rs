@@ -29,7 +29,7 @@
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::block::GeoBlock;
 use crate::gallop;
-use gb_cell::{cover_polygon, CellId, CellUnion, CovererOptions, MAX_LEVEL};
+use gb_cell::{cover_polygon, CellId, CellUnion, MAX_LEVEL};
 use gb_data::AggSpec;
 use gb_geom::Polygon;
 
@@ -63,7 +63,7 @@ impl Cursors {
 impl GeoBlock {
     /// Compute the error-bounded covering for a query polygon (Figure 6 b/c).
     pub fn cover(&self, polygon: &Polygon) -> CellUnion {
-        cover_polygon(&self.grid, polygon, CovererOptions::at_level(self.level()))
+        cover_polygon(&self.grid, polygon, self.level())
     }
 
     /// SELECT: extract `spec`'s aggregates over all points in `polygon`.

@@ -17,7 +17,7 @@
 //! | tag    | content |
 //! |--------|---------|
 //! | `SCHM` | column count, then per column: type tag, name |
-//! | `GRID` | domain rectangle (4 × f64 bits), curve tag |
+//! | `GRID` | domain rectangle (4 × f64 bits), curve tag (always 0: Hilbert; any other is refused) |
 //! | `HDRS` | level, `n_rows`, min/max cell, global min/max/sum, **block content hash**, **state hash** |
 //! | `CELL` | the block-level [`Layer`]: keys, counts (u64), per-cell min/max/sum |
 //! | `TRIE` | (no longer written) the aggregate cache as trie nodes; read only for the state hash |
@@ -66,7 +66,7 @@
 use crate::block::GeoBlock;
 use crate::hits::HitCounts;
 use crate::layer::{hash_bits, Layer};
-use gb_cell::{CellId, CurveKind, Grid};
+use gb_cell::{CellId, Grid};
 use gb_common::{FxHasher, Timer};
 use gb_data::{ColumnDef, ColumnType, Schema};
 use gb_geom::Rect;
@@ -94,6 +94,9 @@ const TAG_CELLS: SectionTag = SectionTag(*b"CELL");
 const TAG_TRIE: SectionTag = SectionTag(*b"TRIE");
 const TAG_HITS: SectionTag = SectionTag(*b"HITS");
 const TAG_HOTQ: SectionTag = SectionTag(*b"HOTQ");
+
+/// The `GRID` section's curve tag: the Hilbert curve, the only one.
+const HILBERT_TAG: u8 = 0;
 
 /// The `HDRS` section's block header: the level and the §3.4 global
 /// header. A writer stores [`Header::of`] the block; a loader checks the
@@ -184,7 +187,7 @@ impl Header {
 
 /// Digest over the *whole* snapshot state — the block's `content` digest
 /// plus the pieces the content hash deliberately excludes (grid
-/// domain and curve, schema, a legacy `TRIE` section's digest, hit
+/// domain, schema, a legacy `TRIE` section's digest, hit
 /// statistics), left open for a legacy `HOTQ` section
 /// ([`hash_legacy_hotq`]). Stored in `HDRS` and re-derived at load:
 /// it is what makes a graft of one valid snapshot's
@@ -203,7 +206,9 @@ fn state_hasher(
     d.min.y.to_bits().hash(&mut h);
     d.max.x.to_bits().hash(&mut h);
     d.max.y.to_bits().hash(&mut h);
-    (block.grid().curve() == CurveKind::Morton).hash(&mut h);
+    // Writers that could enumerate a grid by another curve hashed a flag
+    // for it here; every grid is Hilbert, so the flag is always false.
+    false.hash(&mut h);
     for col in block.schema().columns() {
         col.name.hash(&mut h);
         (col.ty == ColumnType::I64).hash(&mut h);
@@ -388,10 +393,7 @@ impl SnapshotRef<'_> {
             w.f64(d.min.y);
             w.f64(d.max.x);
             w.f64(d.max.y);
-            w.u8(match b.grid.curve() {
-                CurveKind::Hilbert => 0,
-                CurveKind::Morton => 1,
-            });
+            w.u8(HILBERT_TAG);
         });
 
         out.section(TAG_HEADER, |w| header.encode(w, content, state));
@@ -467,11 +469,10 @@ impl Snapshot {
 
         let mut r = ByteReader::new(reader.require(TAG_GRID)?, "section `GRID`");
         let (x0, y0, x1, y1) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-        let curve = match r.u8()? {
-            0 => CurveKind::Hilbert,
-            1 => CurveKind::Morton,
+        match r.u8()? {
+            HILBERT_TAG => {}
             t => return Err(SnapshotError::corrupt(format!("unknown curve tag {t}"))),
-        };
+        }
         r.finish()?;
         if !(x0.is_finite() && y0.is_finite() && x1.is_finite() && y1.is_finite())
             || x1 <= x0
@@ -481,7 +482,7 @@ impl Snapshot {
                 "grid domain [{x0}, {y0}] – [{x1}, {y1}] is not a positive rectangle"
             )));
         }
-        let grid = Grid::new(Rect::from_bounds(x0, y0, x1, y1), curve);
+        let grid = Grid::hilbert(Rect::from_bounds(x0, y0, x1, y1));
 
         let (header, stored_hash, stored_state_hash) = Header::decode(reader.require(TAG_HEADER)?)?;
         let mut r = ByteReader::new(reader.require(TAG_CELLS)?, "section `CELL`");
@@ -754,28 +755,47 @@ mod tests {
         );
     }
 
+    /// `bytes` with its `GRID` section replaced by the domain
+    /// `[0, 0] – [x1, 100]` under curve tag `tag`.
+    fn with_grid(bytes: &[u8], x1: f64, tag: u8) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for v in [0.0, 0.0, x1, 100.0] {
+            w.f64(v);
+        }
+        w.u8(tag);
+        let payload = w.into_inner();
+        let swap = |t, own: &[u8]| Some(if t == TAG_GRID { &payload } else { own }.to_vec());
+        reframe(bytes, SNAPSHOT_VERSION, swap, None)
+    }
+
     #[test]
     fn grid_graft_is_rejected_by_the_state_hash() {
         // GeoBlock::content_hash deliberately excludes the grid, so a
         // GRID section from another (individually valid) snapshot passes
         // every per-section checksum AND the block content hash. The
         // HDRS state hash must catch it — otherwise the engine would
-        // cover query polygons under the wrong curve/domain.
-        let b = block(800, 7);
-        let bytes = Snapshot::new(b).to_bytes();
-        // Same domain, Morton instead of Hilbert: the curve tag is the
-        // section's last byte.
-        let morton = |tag, own: &[u8]| {
-            let mut payload = own.to_vec();
-            if tag == TAG_GRID {
-                *payload.last_mut().unwrap() = 1;
-            }
-            Some(payload)
-        };
-        let grafted = reframe(&bytes, SNAPSHOT_VERSION, morton, None);
-        let err = Snapshot::from_bytes(&grafted).unwrap_err();
+        // cover query polygons under the wrong domain.
+        let bytes = Snapshot::new(block(800, 7)).to_bytes();
+        // The section as the writer wrote it.
+        assert_eq!(with_grid(&bytes, 100.0, 0), bytes);
+        // A wider domain, every checksum recomputed.
+        let err = Snapshot::from_bytes(&with_grid(&bytes, 200.0, 0)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("state hash"), "{err}");
+    }
+
+    #[test]
+    fn curve_tags_other_than_hilbert_are_corrupt() {
+        let bytes = Snapshot::new(block(300, 6)).to_bytes();
+        for tag in [1, 2, u8::MAX] {
+            let err = Snapshot::from_bytes(&with_grid(&bytes, 100.0, tag)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown curve tag {tag}")),
+                "{err}"
+            );
+        }
     }
 
     mod producers {

@@ -227,7 +227,7 @@ fn rogue_spawn(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
                 file,
                 idx,
                 "raw `thread::spawn`: all concurrency goes through `gb_common::pool` \
-                 (`Pool::run`/`par_map`/`par_chunks`, or `pool::spawn_join` for \
+                 (`Pool::run`, or `pool::spawn_join` for \
                  panic-isolated one-offs)",
             ));
         }
