@@ -10,14 +10,25 @@
 //! to the tuples it came from (the paper's tuple offsets and leaf-key
 //! bounds answered no query here and are gone). The records are laid out
 //! struct-of-arrays in a [`Layer`], the one record layout of this crate:
-//! the block is the finest of its own layers, and each coarser one is the
-//! fold of the next finer one, up to the root record.
+//! the block is the finest of its own layers, and each coarser level is
+//! the fold of the next finer one, up to the root record. Only the even
+//! levels above the block level are materialised; a record of an odd one
+//! is folded from its ≤ 4 children when a query asks for it.
 
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::layer::Layer;
-use crate::query::Cursors;
 use gb_cell::{CellId, Grid};
 use gb_data::{AggSpec, Schema};
+
+/// Does a block of `block_level` keep a layer for `level`? Its own level
+/// and every even level above it: one rule, no knob. Every odd level sits
+/// right above a kept one, so its record is a fold of ≤ 4 kept records.
+/// The parity is of absolute levels, so the root record — the global
+/// header — is always stored, and a coarsened block keeps its source's
+/// even layers.
+fn materialised(level: u8, block_level: u8) -> bool {
+    level == block_level || (level < block_level && level.is_multiple_of(2))
+}
 
 /// A pre-aggregating materialized view over geospatial point data.
 #[derive(Debug, Clone)]
@@ -25,8 +36,9 @@ pub struct GeoBlock {
     pub(crate) grid: Grid,
     pub(crate) schema: Schema,
 
-    /// `layers[l]` holds the record of every non-empty cell of level `l`,
-    /// from the root (`l = 0`) to the block level. The last one — the
+    /// The materialised levels, root first: `layers[i]` holds the record
+    /// of every non-empty cell of level `2i`, and the last one those of
+    /// the block level (see `materialised`). That last one — the
     /// block-level cell aggregates — is the stored state; a block under
     /// construction holds nothing else. The coarser ones are derived:
     /// never serialized, and rebuilt with the fields below by every
@@ -78,11 +90,24 @@ impl GeoBlock {
         &self.schema
     }
 
-    /// Every layer, root first; the last is the block-level cell
-    /// aggregates.
+    /// Every materialised layer, root first: the even levels above the
+    /// block level, then the block-level cell aggregates.
     #[inline]
     pub fn layers(&self) -> &[Layer] {
         &self.layers
+    }
+
+    /// The layer of `level`, if the block materialises it (`None` for an
+    /// odd level above the block level and for any level below it).
+    #[inline]
+    pub(crate) fn layer_at(&self, level: u8) -> Option<&Layer> {
+        if !materialised(level, self.level()) {
+            None
+        } else if level == self.level() {
+            Some(self.records())
+        } else {
+            self.layers.get(usize::from(level / 2))
+        }
     }
 
     /// The block-level cell aggregates: the last layer, in a finished
@@ -140,7 +165,8 @@ impl GeoBlock {
     /// The root record — the fold of every record, and so the §3.4
     /// global header. `None` in an empty block.
     pub(crate) fn root(&self) -> Option<RecordRef<'_>> {
-        self.record_of(CellId::ROOT, &mut Cursors::new())
+        let top = self.layer_at(0)?;
+        (top.num_cells() > 0).then(|| top.record(0))
     }
 
     /// The block-wide aggregate, read from the root record (100 %
@@ -181,24 +207,22 @@ impl GeoBlock {
         self.records().record_bytes()
     }
 
-    /// Heap bytes of the block-level cell aggregates plus the paper's
-    /// global header (per-column min/max/sum, row count and key extent) —
-    /// the original Figure-11b numerator, and the base the cache budget
-    /// (aggregate threshold) is computed against.
+    /// Heap bytes of the block-level cell aggregates — the original
+    /// Figure-11b numerator. The paper's global header is the root record,
+    /// counted in [`GeoBlock::derived_bytes`].
     pub fn aggregate_bytes(&self) -> usize {
-        self.records().memory_bytes() + 3 * 8 * self.n_cols() + 32
+        self.records().memory_bytes()
     }
 
     /// Heap bytes of the derived acceleration structures: the count
-    /// prefix plus every layer coarser than the block level.
+    /// prefix plus every materialised layer coarser than the block level.
     pub fn derived_bytes(&self) -> usize {
-        let coarser = &self.layers[..usize::from(self.level())];
+        let coarser = &self.layers[..self.layers.len() - 1];
         self.prefix_counts.len() * 8 + coarser.iter().map(Layer::memory_bytes).sum::<usize>()
     }
 
-    /// Total heap bytes — cell aggregates, header, count prefix, and
-    /// coarser layers (the honest Figure-11b numerator for this
-    /// implementation).
+    /// Total heap bytes — cell aggregates, count prefix, and coarser
+    /// layers (the honest Figure-11b numerator for this implementation).
     pub fn memory_bytes(&self) -> usize {
         self.aggregate_bytes() + self.derived_bytes()
     }
@@ -207,9 +231,11 @@ impl GeoBlock {
     /// the coarser layers) from the stored layer, the last in `layers`
     /// whether stale coarser ones precede it or not — the single funnel
     /// every producer (build, coarsen, updates, snapshot load) ends in.
-    /// The layers are one cascade: each is the fold of the next finer one
+    /// The levels are one cascade: each is the fold of the next finer one
     /// (`Layer::fold_to`), from the block level up to the root record.
     /// Each step needs the one before, so it runs on the calling thread.
+    /// Only the `materialised` levels stay: an odd layer is freed once
+    /// the even one above it has been folded from it.
     /// Updates call this instead of patching derived state in place:
     /// in-place propagation of sums would drift from the canonical fold by
     /// ULPs and break the layer-vs-oracle bit-identity invariant.
@@ -231,11 +257,17 @@ impl GeoBlock {
             self.prefix_counts.push(run);
         }
 
-        let mut layers = Vec::with_capacity(usize::from(records.level) + 1);
+        let mut layers = Vec::with_capacity(usize::from(records.level) / 2 + 2);
         layers.push(records);
-        while let Some(finer) = layers.last().filter(|l| l.level > 0) {
+        let mut odd: Option<Layer> = None;
+        while let Some(finer) = odd.as_ref().or(layers.last()).filter(|l| l.level > 0) {
             let coarser = finer.fold_to(finer.level - 1);
-            layers.push(coarser);
+            if coarser.level.is_multiple_of(2) {
+                layers.push(coarser);
+                odd = None;
+            } else {
+                odd = Some(coarser);
+            }
         }
         layers.reverse();
         self.layers = layers;
@@ -253,11 +285,15 @@ impl GeoBlock {
 
     /// Build a coarser GeoBlock at `level` from this one **without**
     /// rescanning the base data (§3.4 "aggregate granularity"): its
-    /// records *are* this block's layer for `level`, so the cascade folds
-    /// its coarser layers into this block's own, bit for bit.
+    /// records *are* this block's records of `level` — its layer, or at an
+    /// odd level the fold of the layer below — so the cascade folds its
+    /// coarser layers into this block's own, bit for bit.
     pub fn coarsen(&self, level: u8) -> GeoBlock {
         assert!(level <= self.level(), "coarsen can only reduce the level");
-        let records = self.layers[usize::from(level)].clone();
+        let records = match self.layer_at(level) {
+            Some(layer) => layer.clone(),
+            None => self.layer_at(level + 1).expect("kept").fold_to(level),
+        };
         let mut out = GeoBlock::from_records(self.grid, self.schema.clone(), records);
         out.refresh_derived();
         out
@@ -289,15 +325,19 @@ impl GeoBlock {
     }
 
     /// Sanity-check internal invariants (used by tests and debug builds):
-    /// [`GeoBlock::validate`], every layer is a valid [`Layer`] of its
-    /// level, and the derived structures are what `refresh_derived` makes
-    /// of the current records, bit for bit.
+    /// [`GeoBlock::validate`], the block keeps exactly the
+    /// `materialised` levels, each a valid [`Layer`], and the derived
+    /// structures are what `refresh_derived` makes of the current
+    /// records, bit for bit.
     #[track_caller]
     pub fn check_invariants(&self) {
         if let Err(e) = self.validate() {
             panic!("GeoBlock invariant violated: {e}");
         }
-        assert_eq!(self.layers.len(), usize::from(self.level()) + 1, "layers");
+        let block = self.level();
+        let levels: Vec<u8> = self.layers.iter().map(|l| l.level).collect();
+        let kept: Vec<u8> = (0..=block).filter(|&l| materialised(l, block)).collect();
+        assert_eq!(levels, kept, "materialised levels");
         let mut fresh = self.clone_stored();
         fresh.refresh_derived();
         assert_eq!(self.prefix_counts, fresh.prefix_counts, "stale prefix");
@@ -306,11 +346,12 @@ impl GeoBlock {
             (fresh.min_cell, fresh.max_cell),
             "stale key extent"
         );
-        for (l, (have, want)) in self.layers.iter().zip(&fresh.layers).enumerate() {
+        for (have, want) in self.layers.iter().zip(&fresh.layers) {
+            let l = have.level;
             if let Err(e) = have.validate() {
                 panic!("layer {l} invalid: {e}");
             }
-            assert_eq!((usize::from(have.level), have.n_cols), (l, self.n_cols()));
+            assert_eq!(have.n_cols, self.n_cols(), "layer {l} columns");
             assert_eq!(
                 have.content_hash(),
                 want.content_hash(),

@@ -214,18 +214,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "layer 3 invalid: empty cell")]
+    #[should_panic(expected = "layer 2 invalid: empty cell")]
     fn check_invariants_validates_derived_layers() {
         let (mut block, _) = build(&base_data(500), 6, &Filter::all());
-        block.layers[3].counts[0] = 0;
+        block.layers[1].counts[0] = 0;
         block.check_invariants();
     }
 
     #[test]
-    #[should_panic(expected = "layer 3 is not the canonical fold")]
+    #[should_panic(expected = "layer 4 is not the canonical fold")]
     fn check_invariants_refolds_derived_layers() {
         let (mut block, _) = build(&base_data(500), 6, &Filter::all());
-        block.layers[3].sums[0] += 1.0;
+        block.layers[2].sums[0] += 1.0;
         block.check_invariants();
     }
 
@@ -263,8 +263,9 @@ mod tests {
         assert_eq!(block.num_rows(), 0);
         assert_eq!(block.num_cells(), 0);
         assert!(!block.may_overlap(CellId::ROOT));
-        // The layers are still there, one (empty) per level.
-        assert_eq!(block.layers().len(), 9);
+        // The layers are still there, one (empty) per kept level: 0, 2,
+        // 4, 6 and the block level 8.
+        assert_eq!(block.layers().len(), 5);
         assert!(block.layers().iter().all(|l| l.num_cells() == 0));
         assert_eq!(block.derived_bytes(), 8);
     }

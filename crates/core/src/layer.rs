@@ -1,29 +1,34 @@
 //! One layer of cell-aggregate records — the only spelling of the record
 //! columns in this crate.
 //!
-//! A [`GeoBlock`](crate::GeoBlock) holds one [`Layer`] per cell level from
-//! the root down to its block level (§3.4 "aggregate granularity", turned
-//! from a build-time choice into a query-time structure). The finest layer
-//! is the block's stored state: the records every producer writes and the
-//! snapshot persists. Every coarser layer is derived from it and holds one
-//! precomputed record per non-empty cell of its level, so any grid-aligned
-//! covering cell — block-level boundary cell or coarse interior cell — is
-//! answered by **one** cursor-resumed search (`Layer::find`) and **one**
-//! record combine (`Layer::record`), where a range scan pays up to 4^Δ
-//! block-level records.
+//! A [`GeoBlock`](crate::GeoBlock) holds a [`Layer`] for its block level
+//! and for every even level above it, down from the root (§3.4 "aggregate
+//! granularity", turned from a build-time choice into a query-time
+//! structure). The finest layer is the block's stored state: the records
+//! every producer writes and the snapshot persists. Every coarser layer is
+//! derived from it and holds one precomputed record per non-empty cell of
+//! its level, so a grid-aligned covering cell — block-level boundary cell
+//! or coarse interior cell — is answered by **one** cursor-resumed search
+//! (`Layer::find`) and **one** record combine (`Layer::record`), where a
+//! range scan pays up to 4^Δ block-level records. A cell of an odd level
+//! above the block level has no layer: its search runs in the layer one
+//! level finer, always kept, and its ≤ 4 children fold into a scratch
+//! record (`Layer::push_fold`).
 //!
 //! A coarser layer is defined as the *in-order fold* of the next finer one
 //! (`Layer::fold_to` one level up, the canonical fold): each record folds
-//! its at most four non-empty children in key order, so the layers form
-//! one fold tree whose root record is the block's global header.
-//! [`GeoBlock::coarsen`](crate::GeoBlock::coarsen) hands out a layer of
-//! that tree as a block of its own, and its layers are the tree's, bit for
-//! bit. A lookup is bit-identical to folding the same tree from the
-//! block-level records into fresh accumulators, floating-point association
-//! included — what [`crate::reference`] does — and that is what lets the
-//! query tests assert exact (`approx_eq` at `0.0`) agreement with it.
+//! its at most four non-empty children in key order, so the levels form
+//! one fold tree whose root record is the block's global header. Every
+//! record of that tree is either stored or folded on demand by the same
+//! `push_fold` the cascade runs, so both are the tree's, bit for bit.
+//! [`GeoBlock::coarsen`](crate::GeoBlock::coarsen) hands out a level of
+//! that tree as a block of its own, and its layers are the tree's too. A
+//! lookup is bit-identical to folding the same tree from the block-level
+//! records into fresh accumulators, floating-point association included —
+//! what [`crate::reference`] does — and that is what lets the query tests
+//! assert exact (`approx_eq` at `0.0`) agreement with it.
 //!
-//! Each layer needs the next finer one, so `GeoBlock::refresh_derived`
+//! Each level needs the next finer one, so `GeoBlock::refresh_derived`
 //! folds them one after another on the calling thread.
 
 use crate::aggregate::RecordRef;
@@ -182,51 +187,81 @@ impl Layer {
         out
     }
 
+    /// Empty this layer and make it one of `level` with `n_cols` columns,
+    /// keeping its allocations: a query's scratch record.
+    pub(crate) fn reset(&mut self, level: u8, n_cols: usize) {
+        self.level = level;
+        self.n_cols = n_cols;
+        self.keys.clear();
+        self.counts.clear();
+        self.mins.clear();
+        self.maxs.clear();
+        self.sums.clear();
+    }
+
+    /// Append the canonical record of the cell at this layer's level that
+    /// holds `src`'s records `group`, which must all lie under it: the
+    /// first seeds the accumulator, the others fold in in key order. This
+    /// is [`Layer::fold_to`]'s step per group, and what a query folds for
+    /// a cell of a level the block does not keep. An empty group appends
+    /// nothing: a cell without data has no record.
+    pub(crate) fn push_fold(&mut self, src: &Layer, group: Range<usize>) {
+        if group.is_empty() {
+            return;
+        }
+        debug_assert!(src.n_cols == self.n_cols && self.level <= src.level);
+        let c = self.n_cols;
+        let cols = self.mins.len()..self.mins.len() + c;
+        self.keys
+            .push(CellId::raw_parent_at(src.keys[group.start], self.level));
+        let seed = group.start * c..(group.start + 1) * c;
+        self.mins.extend_from_slice(&src.mins[seed.clone()]);
+        self.maxs.extend_from_slice(&src.maxs[seed.clone()]);
+        self.sums.extend_from_slice(&src.sums[seed]);
+        let mut count = src.counts[group.start];
+        let (gmins, gmaxs, gsums) = (
+            &mut self.mins[cols.clone()],
+            &mut self.maxs[cols.clone()],
+            &mut self.sums[cols],
+        );
+        for i in group.start + 1..group.end {
+            count += src.counts[i];
+            let base = i * c;
+            for col in 0..c {
+                gmins[col] = gmins[col].min(src.mins[base + col]);
+                gmaxs[col] = gmaxs[col].max(src.maxs[base + col]);
+                gsums[col] += src.sums[base + col];
+            }
+        }
+        self.counts.push(count);
+    }
+
     /// The canonical fold: the records of this layer's cells folded in key
-    /// order into their ancestors at `level`. The first record of each
-    /// group seeds the accumulator, later records fold in ascending key
-    /// order.
+    /// order into their ancestors at `level`, one [`Layer::push_fold`] per
+    /// ancestor. One level up, this is the cascade's step.
     pub(crate) fn fold_to(&self, level: u8) -> Layer {
         debug_assert!(level <= self.level);
-        let (keys, c) = (&self.keys, self.n_cols);
+        let keys = &self.keys;
         // At most one cell per distinct level-`level` ancestor: the layer
         // can never exceed `4^level` cells nor the source's cell count.
         // Reserving the bound up front keeps the grouping loop
         // reallocation-free; `shrink_to_fit` afterwards returns the slack
         // so the resident layer stays honest.
         let cap = (1usize << (2 * u32::from(level)).min(62)).min(keys.len());
-        let mut out = Layer::with_capacity(level, c, cap);
+        let mut out = Layer::with_capacity(level, self.n_cols, cap);
         // Sentinel bit of `level`: `parent + (lsb − 1)` is the raw id of
         // the group's last descendant leaf (`CellId::range_max`, hoisted
         // to pure arithmetic for the hot loop).
         let lsb = 1u64 << (2 * u64::from(gb_cell::MAX_LEVEL - level));
         let mut i = 0usize;
         while i < keys.len() {
-            let parent = CellId::raw_parent_at(keys[i], level);
-            let hi = parent + (lsb - 1);
-            let cols = out.mins.len()..out.mins.len() + c;
-            out.keys.push(parent);
-            out.mins.extend_from_slice(&self.mins[i * c..(i + 1) * c]);
-            out.maxs.extend_from_slice(&self.maxs[i * c..(i + 1) * c]);
-            out.sums.extend_from_slice(&self.sums[i * c..(i + 1) * c]);
-            let mut count = self.counts[i];
-            i += 1;
-            let (gmins, gmaxs, gsums) = (
-                &mut out.mins[cols.clone()],
-                &mut out.maxs[cols.clone()],
-                &mut out.sums[cols],
-            );
-            while i < keys.len() && keys[i] <= hi {
-                count += self.counts[i];
-                let base = i * c;
-                for col in 0..c {
-                    gmins[col] = gmins[col].min(self.mins[base + col]);
-                    gmaxs[col] = gmaxs[col].max(self.maxs[base + col]);
-                    gsums[col] += self.sums[base + col];
-                }
-                i += 1;
+            let hi = CellId::raw_parent_at(keys[i], level) + (lsb - 1);
+            let mut end = i + 1;
+            while end < keys.len() && keys[end] <= hi {
+                end += 1;
             }
-            out.counts.push(count);
+            out.push_fold(self, i..end);
+            i = end;
         }
         out.keys.shrink_to_fit();
         out.counts.shrink_to_fit();
@@ -419,6 +454,30 @@ mod tests {
         );
         // Folding to the layer's own level is the identity.
         assert_eq!(l.fold_to(2), l);
+    }
+
+    #[test]
+    fn push_fold_is_the_fold_to_record_bit_for_bit() {
+        // Quadrant 0 holds a group of four, quadrant 2 a group of one;
+        // fractional sums put the fold's association into the low bits.
+        let mut l = layer(&[(0, 0), (0, 1), (0, 2), (0, 3), (2, 1)]);
+        for (i, s) in l.sums.iter_mut().enumerate() {
+            *s = *s * 0.1 + 0.3 / (i as f64 + 1.0);
+        }
+        let up = l.fold_to(1);
+        let mut scratch = Layer::with_capacity(0, 0, 0);
+        for (group, at) in [(0..4, 0), (4..5, 1)] {
+            scratch.reset(1, l.n_cols);
+            scratch.push_fold(&l, group);
+            let mut want = Layer::with_capacity(1, l.n_cols, 1);
+            want.extend_from(&up, at..at + 1);
+            assert_eq!(scratch.content_hash(), want.content_hash(), "record {at}");
+        }
+        // An empty group is a cell without data: no record.
+        scratch.reset(1, l.n_cols);
+        scratch.push_fold(&l, 2..2);
+        assert_eq!(scratch.num_cells(), 0);
+        assert_eq!(scratch.validate(), Ok(()));
     }
 
     #[test]

@@ -276,7 +276,8 @@ mod tests {
     }
 
     /// The record of `cell` by a plain in-order fold of the block records
-    /// under it — what `GeoBlock::record_of` reads from the cell's layer.
+    /// under it — what `GeoBlock::record_of` reads from the cell's layer
+    /// or folds from the layer below.
     fn folded_record(block: &GeoBlock, cell: CellId) -> Folded {
         let c = block.schema().len();
         let (mut mins, mut maxs) = (vec![f64::INFINITY; c], vec![f64::NEG_INFINITY; c]);

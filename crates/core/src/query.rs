@@ -4,17 +4,20 @@
 //! Both queries start identically: the polygon is approximated by an
 //! error-bounded cell covering (boundary cells at the block level, interior
 //! cells possibly coarser) and the covering is pruned against the block's
-//! key extent. Every covering cell is grid-aligned and every block holds
-//! the canonical record of every aligned cell — the in-order fold of its
-//! children's records, down to the block records under it — in the
-//! [`Layer`](crate::Layer) of the cell's level.
-//! So:
+//! key extent. Every covering cell is grid-aligned, and the canonical
+//! record of every aligned cell — the in-order fold of its children's
+//! records, down to the block records under it — is either stored in the
+//! [`Layer`] of the cell's level (the block level and every even level
+//! above it) or, at an odd level, the fold of ≤ 4 records of the layer
+//! one level finer. So:
 //!
 //! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] answer each
 //!   covering cell with **one** cursor-resumed galloping search and **one**
 //!   record combine (`GeoBlock::record_of`; `cells_combined` ≤ covering
-//!   size). The cache-adapted SELECT of [`crate::qc`], the trie rebuild and
-//!   the engine's update path read records through the same function.
+//!   size); at an odd level the search runs in the layer below and the
+//!   record is a fold of the ≤ 4 contiguous records it finds. The
+//!   cache-adapted SELECT of [`crate::qc`] and the trie's fill read
+//!   records through the same function.
 //! * [`GeoBlock::count`] — Listing 2 over the count prefix of the
 //!   block-level records: `prefix[last + 1] − prefix[first]` per covering
 //!   cell. The prefix is rebuilt by updates, so COUNT stays O(1) per cell
@@ -29,6 +32,7 @@
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::block::GeoBlock;
 use crate::gallop;
+use crate::layer::Layer;
 use gb_cell::{cover_polygon, CellId, CellUnion, MAX_LEVEL};
 use gb_data::AggSpec;
 use gb_geom::Polygon;
@@ -45,10 +49,13 @@ pub struct QueryStats {
 }
 
 /// Per-level resume positions for the cursor-resumed searches: covering
-/// cells ascend in curve order, so within each layer every search can
-/// start where the previous one of that level ended.
+/// cells ascend in curve order, so every search for a cell of one level
+/// can start where the previous one of that level ended — in the level's
+/// own layer, or for a level the block does not keep in the layer below.
+/// Beside them, the scratch record such a level's cells are folded into.
 pub(crate) struct Cursors {
     levels: [usize; MAX_LEVEL as usize + 1],
+    scratch: Layer,
 }
 
 impl Cursors {
@@ -56,6 +63,7 @@ impl Cursors {
     pub(crate) fn new() -> Cursors {
         Cursors {
             levels: [0; MAX_LEVEL as usize + 1],
+            scratch: Layer::with_capacity(0, 0, 0),
         }
     }
 }
@@ -113,19 +121,37 @@ impl GeoBlock {
 
     /// The canonical record of the aligned `cell`, at or above the block
     /// level: the in-order fold of its children's records, read from the
-    /// layer of its level. `None` means no data under the cell — also
-    /// for a cell finer than the block level, which has no record of its
-    /// own.
+    /// layer of its level — or, at an odd level the block does not keep,
+    /// folded from the ≤ 4 contiguous child records in the layer below
+    /// into `cursors`' scratch record, as `Layer::fold_to` folds them.
+    /// `None` means no data under the cell — also for a cell finer than
+    /// the block level, which has no record of its own.
     ///
     /// The search gallops forward from where `cursors` left the cell's
     /// level, so the cells of one level must be asked for in ascending
     /// order per `Cursors`; a caller without such an order passes a fresh
     /// one per lookup.
-    pub(crate) fn record_of(&self, cell: CellId, cursors: &mut Cursors) -> Option<RecordRef<'_>> {
-        let level = usize::from(cell.level());
-        let layer = self.layers.get(level)?;
-        let i = layer.find(cell.raw(), &mut cursors.levels[level])?;
-        Some(layer.record(i))
+    pub(crate) fn record_of<'a>(
+        &'a self,
+        cell: CellId,
+        cursors: &'a mut Cursors,
+    ) -> Option<RecordRef<'a>> {
+        let level = cell.level();
+        let cursor = &mut cursors.levels[usize::from(level)];
+        if let Some(layer) = self.layer_at(level) {
+            let i = layer.find(cell.raw(), cursor)?;
+            return Some(layer.record(i));
+        }
+        let finer = self.layer_at(level + 1)?;
+        let (lo, hi) = (cell.range_min().raw(), cell.range_max().raw());
+        let first = gallop::lower_bound_from(&finer.keys, lo, *cursor);
+        let children = finer.keys[first..].iter().take(4);
+        let end = first + children.take_while(|&&k| k <= hi).count();
+        *cursor = end;
+        let scratch = &mut cursors.scratch;
+        scratch.reset(level, finer.n_cols);
+        scratch.push_fold(finer, first..end);
+        (first < end).then(|| scratch.record(0))
     }
 
     /// COUNT: number of points inside `polygon` (Listing 2).
@@ -315,27 +341,31 @@ mod tests {
     fn record_of_answers_any_probe_order_with_a_fresh_cursor() {
         // Every aligned cell at or above the block level, coarsest level
         // last — the opposite of a covering's order — and the cells below
-        // the block level, which have no record.
+        // the block level, which have no record. An even and an odd block
+        // level: the odd levels above either are folded on demand.
         let base = base_data(2000);
-        let (block, _) = build(&base, 6, &Filter::all());
         let s = spec();
         let plan = AggPlan::compile(&s);
-        for i in (0..block.num_cells()).rev() {
-            let cell = block.cell_at(i);
-            for level in (0..=cell.level()).rev() {
-                let ancestor = cell.parent_at(level);
-                let record = block
-                    .record_of(ancestor, &mut Cursors::new())
-                    .expect("an ancestor of a stored cell has data");
-                let mut got = AggResult::new(&s);
-                record.combine_into(&plan, &mut got);
-                let covering = CellUnion::from_cells(vec![ancestor]);
-                let want = crate::reference::select_covering(&block, &covering, &s);
-                assert!(got.finalize(&s).approx_eq(&want, 0.0), "{ancestor:?}");
+        for block_level in [6u8, 7] {
+            let (block, _) = build(&base, block_level, &Filter::all());
+            for i in (0..block.num_cells()).rev() {
+                let cell = block.cell_at(i);
+                for level in (0..=cell.level()).rev() {
+                    let ancestor = cell.parent_at(level);
+                    let mut fresh = Cursors::new();
+                    let record = block
+                        .record_of(ancestor, &mut fresh)
+                        .expect("an ancestor of a stored cell has data");
+                    let mut got = AggResult::new(&s);
+                    record.combine_into(&plan, &mut got);
+                    let covering = CellUnion::from_cells(vec![ancestor]);
+                    let want = crate::reference::select_covering(&block, &covering, &s);
+                    assert!(got.finalize(&s).approx_eq(&want, 0.0), "{ancestor:?}");
+                }
+                assert!(block
+                    .record_of(cell.child(0), &mut Cursors::new())
+                    .is_none());
             }
-            assert!(block
-                .record_of(cell.child(0), &mut Cursors::new())
-                .is_none());
         }
     }
 

@@ -800,19 +800,55 @@ mod tests {
 
     mod producers {
         use super::*;
-        use crate::{build_parallel, UpdateBatch};
+        use crate::query::Cursors;
+        use crate::{build_parallel, AggPlan, AggResult, UpdateBatch};
+        use gb_cell::CellUnion;
         use proptest::prelude::*;
 
         fn layer_hashes(b: &GeoBlock) -> Vec<u64> {
             b.layers().iter().map(Layer::content_hash).collect()
         }
 
+        /// Every aligned ancestor of a sample of `b`'s stored cells, kept
+        /// level or folded on demand: `record_of` with a fresh cursor is
+        /// the reference's fold of that cell, bit for bit.
+        fn assert_records_are_the_reference_folds(b: &GeoBlock) {
+            let spec = AggSpec::new(vec![
+                AggRequest::new(AggFunc::Count, 0),
+                AggRequest::new(AggFunc::Sum, 0),
+                AggRequest::new(AggFunc::Min, 0),
+                AggRequest::new(AggFunc::Max, 1),
+                AggRequest::new(AggFunc::Sum, 1),
+            ]);
+            let plan = AggPlan::compile(&spec);
+            for i in (0..b.num_cells()).step_by(b.num_cells() / 16 + 1) {
+                let cell = b.cell_at(i);
+                for level in 0..=cell.level() {
+                    let ancestor = cell.parent_at(level);
+                    let mut got = AggResult::new(&spec);
+                    let mut fresh = Cursors::new();
+                    b.record_of(ancestor, &mut fresh)
+                        .expect("an ancestor of a stored cell has data")
+                        .combine_into(&plan, &mut got);
+                    let covering = CellUnion::from_cells(vec![ancestor]);
+                    let want = crate::reference::select_covering(b, &covering, &spec);
+                    let got = got.finalize(&spec);
+                    assert!(
+                        got.approx_eq(&want, 0.0),
+                        "{ancestor:?}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// The one derived-state property: whichever way a block came
-            /// to be, its layers are valid and bit-equal to the canonical
-            /// fold of its records (`check_invariants`).
+            /// to be, it keeps the block level and the even levels above
+            /// it, its layers are valid and bit-equal to the canonical
+            /// fold of its records (`check_invariants`), and the records
+            /// of the levels it does not keep fold to the same tree.
             #[test]
             fn every_producer_yields_the_canonical_pyramid(
                 points in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..250),
@@ -833,6 +869,9 @@ mod tests {
 
                 let (mut b, _) = build(&base, level, &Filter::all());
                 b.check_invariants();
+                let kept: Vec<u8> = (0..level).step_by(2).chain([level]).collect();
+                let levels: Vec<u8> = b.layers().iter().map(|l| l.level).collect();
+                prop_assert_eq!(levels, kept);
                 for threads in [1, 2, 3, 4, 8] {
                     let (par, _) = build_parallel(&base, level, &Filter::all(), threads);
                     par.check_invariants();
@@ -846,12 +885,18 @@ mod tests {
                     b.apply_updates(&batch).expect("valid batch");
                     b.check_invariants();
                 }
+                assert_records_are_the_reference_folds(&b);
                 let want = layer_hashes(&b);
-                // A coarser block's layers are the source's own.
+                // A coarser block's layers are the source's own, at every
+                // level both keep.
                 let coarse = b.coarsen(level.saturating_sub(coarser_by));
                 coarse.check_invariants();
-                let coarse_hashes = layer_hashes(&coarse);
-                prop_assert_eq!(&coarse_hashes[..], &want[..coarse_hashes.len()]);
+                assert_records_are_the_reference_folds(&coarse);
+                for layer in coarse.layers() {
+                    if let Some(source) = b.layer_at(layer.level) {
+                        prop_assert_eq!(layer.content_hash(), source.content_hash());
+                    }
+                }
 
                 let v5 = Snapshot::new(b).to_bytes();
                 // Version 4 is version 5 under the byte-wise checksum.

@@ -203,9 +203,10 @@ mod tests {
         assert_eq!(cache.size_bytes(), 3 * b.record_bytes());
         let mut cursor = cache.flat_cursor();
         for cell in [CellId::ROOT, first] {
+            let mut fresh = Cursors::new();
             let (got, want) = (
                 cursor.lookup(cell).unwrap(),
-                b.record_of(cell, &mut Cursors::new()).unwrap(),
+                b.record_of(cell, &mut fresh).unwrap(),
             );
             assert_eq!(
                 (got.count, got.sum(0).to_bits()),
