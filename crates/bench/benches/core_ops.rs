@@ -217,15 +217,14 @@ fn bench_serve_batch(c: &mut Criterion) {
     let server = GbServer::new(
         Arc::clone(&engine),
         ServeConfig {
-            threads: 4,
             quota_per_sec: 0.0,
             cache_capacity: 0, // measure execution, not replay
             ..ServeConfig::default()
         },
     );
-    // An 8-item dashboard fan-in with repeated polygons (the
-    // covering-shared path), through the full in-process HTTP handler:
-    // parse → decode → batch execute → encode.
+    // An 8-item dashboard fan-in with repeated polygons (their items
+    // share coverings through the memo), through the full in-process HTTP
+    // handler: parse → decode → batch execute → encode.
     let requests: Vec<QueryRequest> = (0..8)
         .map(|i| {
             let polygon = s.polys[(i * 5) % 4].clone();
@@ -239,6 +238,17 @@ fn bench_serve_batch(c: &mut Criterion) {
             }
         })
         .collect();
+    // The same eight requests sent one by one: what the batch has to beat.
+    let items: Vec<(&str, Vec<u8>)> = requests
+        .iter()
+        .map(|req| {
+            let path = match req {
+                QueryRequest::Count { .. } => "/v1/count",
+                _ => "/v1/select",
+            };
+            (path, api::encode_request(req))
+        })
+        .collect();
     let body = api::encode_request(&QueryRequest::Batch { requests });
 
     c.bench_function("serve_batch", |b| {
@@ -247,6 +257,18 @@ fn bench_serve_batch(c: &mut Criterion) {
             let resp = server.handle(black_box(&req));
             assert_eq!(resp.status, 200);
             resp.body.len()
+        })
+    });
+    c.bench_function("serve_batch_items", |b| {
+        b.iter(|| {
+            let mut len = 0;
+            for (path, body) in &items {
+                let req = HttpRequest::new("POST", path).with_body(body.clone());
+                let resp = server.handle(black_box(&req));
+                assert_eq!(resp.status, 200);
+                len += resp.body.len();
+            }
+            len
         })
     });
 }

@@ -1159,7 +1159,7 @@ pub fn scale_threads(ctx: &Ctx, thread_counts: &[usize]) -> (Report, Vec<BenchRe
 
 /// `trace-report`: where does a request spend its time? Runs the
 /// standard dashboard mix (SELECT-heavy over a shared polygon pool,
-/// ~1/6 COUNT, a pooled 4-item batch every 9 requests) against an
+/// ~1/6 COUNT, a 4-item batch every 9 requests) against an
 /// engine with a sample-everything tracer and prints the per-stage cost
 /// breakdown from the tracer's histograms — then measures the tracer's
 /// own overhead by interleaving timed passes over an untraced engine
@@ -1191,11 +1191,11 @@ pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
     let polys = polygons::neighborhoods(60, ctx.seed);
 
     // The mix a serve worker sees, minus HTTP: repeated SELECTs, COUNTs,
-    // and pooled batches, all through the public engine API.
+    // and batches, all through the public engine API.
     let run_mix = |engine: &GeoBlockEngine| -> Result<(), String> {
         for (r, poly) in polys.iter().enumerate() {
             if r % 9 == 8 {
-                let requests: Vec<QueryRequest> = (0..4)
+                let requests = (0..4)
                     .map(|j| {
                         let p = polys[(r + j * 3) % polys.len()].clone();
                         if j % 2 == 0 {
@@ -1209,7 +1209,7 @@ pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
                     })
                     .collect();
                 engine
-                    .query_batch(&requests, 2)
+                    .query(&QueryRequest::Batch { requests })
                     .map_err(|e| format!("trace-report: batch failed: {e}"))?;
             } else if r % 6 == 5 {
                 engine.count(poly);
@@ -1291,7 +1291,7 @@ pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
     rep.note(
         "Stage table: sample-everything tracer over two passes of the dashboard mix (second pass \
          is the warm steady state). Shares are fractions of total attributed stage time; \
-         pool_wait covers the batch fan-out-to-join interval.",
+         a batch's items run on the request's own thread, so their stages are attributed too.",
     );
     // The gate: a ratio between two arms of this run, generous because CI
     // machines are noisy.

@@ -26,8 +26,7 @@ use std::time::Instant;
 /// Process-wide pool observability counters. They are statics rather
 /// than `Pool` fields because `Pool` is a throwaway `Copy` handle — the
 /// interesting population is "all fork-join work in this process",
-/// which is what `/metrics` wants to export (`gb_pool_*`) and what the
-/// tracer's `PoolWait` spans need as a denominator.
+/// which is what `/metrics` exports (`gb_pool_*`).
 static POOL_QUEUED: Counter = Counter::new();
 static POOL_FINISHED: Counter = Counter::new();
 static POOL_TASKS: Counter = Counter::new();

@@ -59,7 +59,7 @@ use crate::snapshot::{Snapshot, SnapshotError};
 use crate::trie::AggregateTrie;
 use crate::update::{UpdateBatch, UpdateReport};
 use gb_cell::CellUnion;
-use gb_common::{Counter, FxHashMap, Pool};
+use gb_common::Counter;
 use gb_data::{AggSpec, Filter};
 use gb_geom::Polygon;
 use gb_trace::{Stage, TraceStats, Tracer};
@@ -122,9 +122,9 @@ fn trace_stats(stats: &QueryStats) -> TraceStats {
 }
 
 impl GeoBlockEngine {
-    /// A fluent builder over every construction knob (threshold, rebuild
-    /// policy, block / snapshot source, build thread count) — the one
-    /// front door the former constructor sprawl now delegates to.
+    /// A fluent builder over the construction knobs (threshold, rebuild
+    /// policy, and a block, snapshot or base-data source) that reports a
+    /// bad configuration as a [`GbError`] instead of panicking.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
     }
@@ -231,25 +231,23 @@ impl GeoBlockEngine {
 
     /// Accumulated cache metrics across all threads.
     pub fn metrics(&self) -> CacheMetrics {
-        let memo = self.memo.stats();
         CacheMetrics {
             probes: self.probes.get(),
             direct_hits: self.direct_hits.get(),
             child_hits: 0,
-            covering_memo_hits: memo.hits,
-            covering_memo_misses: memo.misses,
         }
     }
 
-    /// Zero the cache metrics (e.g. between workload phases).
+    /// Zero the cache and covering-memo metrics (e.g. between workload
+    /// phases).
     pub fn reset_metrics(&self) {
         self.probes.reset();
         self.direct_hits.reset();
         self.memo.reset_stats();
     }
 
-    /// Full covering-memo counter snapshot (hits, misses, evictions,
-    /// invalidations) — what `/metrics` exports.
+    /// Covering-memo counter snapshot (hits, misses, evictions) — what
+    /// `/metrics` exports.
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.stats()
     }
@@ -293,17 +291,7 @@ impl GeoBlockEngine {
     /// but the covering is memoized like SELECT's).
     pub fn count(&self, polygon: &Polygon) -> QueryResponse<u64> {
         let _req = self.tracer.begin_request("count");
-        let state = self.state_snapshot();
-        let covering = self.covering_for(&state.block, polygon);
-        // COUNT's aggregation is a prefix-count difference per covering
-        // cell — O(1) folds like the pyramid tier, so it shares the
-        // `PyramidCombine` stage.
-        let span = self.tracer.span(Stage::PyramidCombine);
-        let (count, stats) = state.block.count_covering(&covering);
-        drop(span);
-        self.tracer.note_stats(trace_stats(&stats));
-        self.tracer.note_epoch(state.data_epoch);
-        QueryResponse::new(count, stats, state.data_epoch)
+        self.count_item(&self.state_snapshot(), polygon)
     }
 
     /// SELECT with the Figure-8 adapted algorithm, safe to call from any
@@ -323,23 +311,20 @@ impl GeoBlockEngine {
         spec: &AggSpec,
     ) -> QueryResponse<AggResult> {
         let _req = self.tracer.begin_request("select");
-        let covering = self.covering_for(&state.block, polygon);
-        let response = self.select_on(state, &covering, spec);
-        self.tracer.note_stats(trace_stats(&response.stats));
-        self.tracer.note_epoch(state.data_epoch);
+        let response = self.select_item(state, polygon, spec);
         self.after_selects(1);
         response
     }
 
-    /// The adapted SELECT over an explicit pinned state and covering —
-    /// the shared kernel of [`GeoBlockEngine::select`] and
-    /// [`GeoBlockEngine::query_batch`].
-    fn select_on(
+    /// The adapted SELECT of one polygon on a pinned state: the step a
+    /// solo SELECT and every SELECT item of a batch share.
+    fn select_item(
         &self,
         state: &EngineState,
-        covering: &CellUnion,
+        polygon: &Polygon,
         spec: &AggSpec,
     ) -> QueryResponse<AggResult> {
+        let covering = self.covering_for(&state.block, polygon);
         let mut metrics = CacheMetrics::default();
         // The accumulator is a pure observer: when the thread is not
         // sampled it is disarmed and `select_adapted` runs untouched.
@@ -350,7 +335,7 @@ impl GeoBlockEngine {
         let (result, stats) = qc::select_adapted(
             &state.block,
             &state.trie,
-            covering,
+            &covering,
             spec,
             &mut |raw| hits.push(raw),
             &mut metrics,
@@ -360,7 +345,24 @@ impl GeoBlockEngine {
         self.tracer.absorb(acc);
         self.probes.add(metrics.probes);
         self.direct_hits.add(metrics.direct_hits);
+        self.tracer.note_stats(trace_stats(&stats));
+        self.tracer.note_epoch(state.data_epoch);
         QueryResponse::new(result, stats, state.data_epoch)
+    }
+
+    /// The COUNT of one polygon on a pinned state: the step a solo COUNT
+    /// and every COUNT item of a batch share.
+    fn count_item(&self, state: &EngineState, polygon: &Polygon) -> QueryResponse<u64> {
+        let covering = self.covering_for(&state.block, polygon);
+        // COUNT's aggregation is a prefix-count difference per covering
+        // cell — O(1) folds like the pyramid tier, so it shares the
+        // `PyramidCombine` stage.
+        let span = self.tracer.span(Stage::PyramidCombine);
+        let (count, stats) = state.block.count_covering(&covering);
+        drop(span);
+        self.tracer.note_stats(trace_stats(&stats));
+        self.tracer.note_epoch(state.data_epoch);
+        QueryResponse::new(count, stats, state.data_epoch)
     }
 
     /// Advance the query counter by `n_selects` and run the `EveryN`
@@ -383,100 +385,52 @@ impl GeoBlockEngine {
     }
 
     /// Execute several Select/Count requests against **one** pinned
-    /// engine state: group items by covering identity, compute each
-    /// distinct covering once (through the memo), then evaluate every
-    /// item — over a [`Pool`] of `threads` workers when `threads > 1`,
-    /// sequentially otherwise. Items are independent, so the two modes
-    /// are bit-identical; a proptest holds batched execution identical
-    /// to per-request execution across an epoch bump.
+    /// engine state, in order, on the calling thread. Each item takes the
+    /// step a solo request takes — its covering from the memo, which
+    /// hands every item of the same polygon the same `Arc` — so a batch
+    /// item answers bit-identically to the same request sent alone.
     ///
     /// The whole batch answers at a single data epoch (the pinned
     /// state's), which is what makes the reply cacheable under the
     /// serve layer's epoch-validated result cache.
+    ///
+    /// `_threads` is not read: the items are microseconds of work each,
+    /// less than a thread fork costs. The parameter stays because the
+    /// frozen serving benchmark passes it.
     pub fn query_batch(
         &self,
         requests: &[QueryRequest],
-        threads: usize,
+        _threads: usize,
     ) -> Result<QueryReply, GbError> {
         let _req = self.tracer.begin_request("batch");
         let state = self.state_snapshot();
         // Validate everything up front: a batch fails whole, with the
-        // offending item named, before any work happens.
-        for (i, req) in requests.iter().enumerate() {
-            match req {
-                QueryRequest::Select { spec, .. } => qc::validate_spec(&state.block, spec)
-                    .map_err(|e| GbError::bad_request(format!("batch item {i}: {e}")))?,
-                QueryRequest::Count { .. } => {}
-                QueryRequest::Update { .. } => {
-                    return Err(GbError::bad_request(format!(
-                        "batch item {i}: update requests are not allowed inside a batch"
-                    )))
-                }
-                QueryRequest::Batch { .. } => {
-                    return Err(GbError::bad_request(format!(
-                        "batch item {i}: batches do not nest"
-                    )))
-                }
-            }
-        }
-
-        // One covering per distinct polygon content: group by canonical
-        // vertex stream (not just the 64-bit key, so a key collision
-        // cannot alias two polygons), covering through the memo.
-        let cover_span = self.tracer.span(Stage::CoveringResolve);
-        let mut distinct: FxHashMap<Vec<u64>, Arc<CellUnion>> = FxHashMap::default();
-        let coverings: Vec<Arc<CellUnion>> = requests
+        // offending item named, before any work happens. An admitted item
+        // is its polygon, plus the spec for a SELECT.
+        let admitted = requests
             .iter()
-            .map(|req| {
-                let polygon = match req {
-                    QueryRequest::Select { polygon, .. } | QueryRequest::Count { polygon } => {
-                        polygon
-                    }
-                    // Rejected above; unreachable without panicking.
-                    QueryRequest::Update { .. } | QueryRequest::Batch { .. } => {
-                        return Arc::new(CellUnion::new())
-                    }
-                };
-                let verify = gb_cell::normalized_vertex_bits(polygon);
-                let key = gb_cell::cover_key_from_bits(&verify, state.block.level());
-                distinct
-                    .entry(verify)
-                    .or_insert_with_key(|v| {
-                        self.memo
-                            .get_or_insert_with(key, v, || state.block.cover(polygon))
-                    })
-                    .clone()
+            .enumerate()
+            .map(|(i, req)| match req {
+                QueryRequest::Select { polygon, spec } => qc::validate_spec(&state.block, spec)
+                    .map(|()| (polygon, Some(spec)))
+                    .map_err(|e| GbError::bad_request(format!("batch item {i}: {e}"))),
+                QueryRequest::Count { polygon } => Ok((polygon, None)),
+                QueryRequest::Update { .. } => Err(GbError::bad_request(format!(
+                    "batch item {i}: update requests are not allowed inside a batch"
+                ))),
+                QueryRequest::Batch { .. } => Err(GbError::bad_request(format!(
+                    "batch item {i}: batches do not nest"
+                ))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+
+        let items: Vec<QueryReply> = admitted
+            .into_iter()
+            .map(|(polygon, spec)| match spec {
+                Some(spec) => QueryReply::Select(self.select_item(&state, polygon, spec)),
+                None => QueryReply::Count(self.count_item(&state, polygon)),
             })
             .collect();
-        drop(cover_span);
-
-        let eval = |i: usize| -> QueryReply {
-            let covering = coverings
-                .get(i)
-                .cloned()
-                .unwrap_or_else(|| Arc::new(CellUnion::new()));
-            match requests.get(i) {
-                Some(QueryRequest::Select { spec, .. }) => {
-                    QueryReply::Select(self.select_on(&state, &covering, spec))
-                }
-                _ => {
-                    // Only Count remains after validation.
-                    let (count, stats) = state.block.count_covering(&covering);
-                    QueryReply::Count(QueryResponse::new(count, stats, state.data_epoch))
-                }
-            }
-        };
-        let items: Vec<QueryReply> = if threads > 1 && requests.len() > 1 {
-            // `PoolWait` covers the whole fan-out-to-join interval: the
-            // workers' per-stage time lands on their own (unsampled)
-            // threads, so the coordinating request sees it as pool time.
-            let span = self.tracer.span(Stage::PoolWait);
-            let items = Pool::new(threads).run(requests.len(), eval);
-            drop(span);
-            items
-        } else {
-            (0..requests.len()).map(eval).collect()
-        };
 
         let mut stats = QueryStats::default();
         for item in &items {
@@ -485,7 +439,6 @@ impl GeoBlockEngine {
             stats.cells_combined += s.cells_combined;
             stats.searches += s.searches;
         }
-        self.tracer.note_stats(trace_stats(&stats));
         self.tracer.note_epoch(state.data_epoch);
         let n_selects = requests
             .iter()
@@ -648,9 +601,11 @@ enum EngineSource {
 }
 
 /// Fluent construction of a [`GeoBlockEngine`]: one source (block,
-/// snapshot, or base data via [`EngineBuilder::base`]) plus the knobs the
-/// old constructor zoo spread over `new` / `from_arc` / `with_policy` /
-/// `from_snapshot`.
+/// snapshot, or base data via [`EngineBuilder::base`]) plus the threshold
+/// and the rebuild policy. It ends in the same constructors callers use
+/// directly ([`GeoBlockEngine::from_arc`],
+/// [`GeoBlockEngine::from_snapshot_state`], [`GeoBlockEngine::with_policy`]),
+/// adding typed errors where those assert or fail on I/O.
 ///
 /// ```no_run
 /// # use geoblocks::{GeoBlockEngine, RebuildPolicy};
@@ -747,6 +702,7 @@ mod tests {
     use crate::build::build;
     use crate::hits::HitCounts;
     use gb_cell::Grid;
+    use gb_common::FxHashMap;
     use gb_data::{extract, CleaningRules, ColumnDef, DataError, Filter, RawTable, Schema};
     use gb_geom::{Point, Rect};
 

@@ -34,16 +34,14 @@ struct MemoEntry {
     covering: Arc<CellUnion>,
 }
 
-/// Hit/miss/churn counts, surfaced through `CacheMetrics` and `/metrics`.
+/// Hit/miss/churn counts, surfaced through
+/// `GeoBlockEngine::memo_stats` and `/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     pub hits: u64,
     pub misses: u64,
     /// Entries dropped by capacity eviction (oldest-first within a shard).
     pub evictions: u64,
-    /// Entries dropped by [`CoveringMemo::invalidate_all`] — the explicit
-    /// grid/level-change hook; normal operation never invalidates.
-    pub invalidations: u64,
 }
 
 /// A sharded, capacity-bounded, never-invalidating covering memo.
@@ -55,7 +53,6 @@ pub struct CoveringMemo {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
-    invalidations: Counter,
 }
 
 impl CoveringMemo {
@@ -72,7 +69,6 @@ impl CoveringMemo {
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
-            invalidations: Counter::new(),
         }
     }
 
@@ -137,23 +133,6 @@ impl CoveringMemo {
         }
     }
 
-    /// Drop every memoized covering, counting the dropped entries as
-    /// invalidations. Coverings are pure functions of (polygon, grid,
-    /// level), so the engine never calls this during normal operation —
-    /// it is the explicit hook for grid/level reconfiguration paths and
-    /// ablation experiments, kept observable so `/metrics` can prove the
-    /// counter stays flat in production.
-    pub fn invalidate_all(&self) -> usize {
-        let mut dropped = 0usize;
-        for slot in &self.memo {
-            let mut shard = slot.lock();
-            dropped += shard.len();
-            shard.clear();
-        }
-        self.invalidations.add(dropped as u64);
-        dropped
-    }
-
     /// Number of memoized coverings.
     pub fn len(&self) -> usize {
         self.memo.iter().map(|s| s.lock().len()).sum()
@@ -170,7 +149,6 @@ impl CoveringMemo {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-            invalidations: self.invalidations.get(),
         }
     }
 
@@ -180,7 +158,6 @@ impl CoveringMemo {
         self.hits.reset();
         self.misses.reset();
         self.evictions.reset();
-        self.invalidations.reset();
     }
 }
 
@@ -329,24 +306,26 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_clears_and_counts() {
+    fn reset_stats_zeroes_the_counters_and_keeps_the_entries() {
         let memo = CoveringMemo::new(16);
         for k in 0..5u64 {
             memo.get_or_insert_with(k, &[k], || union(&[]));
         }
-        assert_eq!(memo.len(), 5);
-        assert_eq!(memo.invalidate_all(), 5);
-        assert!(memo.is_empty());
-        assert_eq!(memo.stats().invalidations, 5);
-        // Entries really are gone: the next lookup recomputes.
-        let mut computed = false;
-        memo.get_or_insert_with(0, &[0], || {
-            computed = true;
-            union(&[])
-        });
-        assert!(computed);
-        // Counters survive entry invalidation and reset together.
+        memo.get_or_insert_with(0, &[0], || union(&[]));
+        assert_eq!(
+            memo.stats(),
+            MemoStats {
+                hits: 1,
+                misses: 5,
+                ..MemoStats::default()
+            }
+        );
         memo.reset_stats();
         assert_eq!(memo.stats(), MemoStats::default());
+        // Entries never go stale, so a reset keeps them: the next lookup
+        // is a hit.
+        assert_eq!(memo.len(), 5);
+        let (_, hit) = memo.get_or_insert_with_hit(4, &[4], || union(&[]));
+        assert!(hit);
     }
 }

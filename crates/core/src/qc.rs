@@ -55,10 +55,6 @@ pub struct CacheMetrics {
     /// its cached direct children is not implemented (see [`crate::qc`]).
     /// The field stays because the frozen serving benchmark reads it.
     pub child_hits: u64,
-    /// Coverings served from the engine's covering memo.
-    pub covering_memo_hits: u64,
-    /// Coverings computed because the memo had no (verified) entry.
-    pub covering_memo_misses: u64,
 }
 
 impl CacheMetrics {

@@ -81,8 +81,8 @@ impl GeoBlock {
         (acc.finalize(spec), stats)
     }
 
-    /// SELECT over a precomputed covering, without finalization (the
-    /// query-cache layer composes partial results before finalizing).
+    /// SELECT over a precomputed covering, without finalization:
+    /// [`GeoBlock::select`] finalizes, and benches time the bare walk.
     pub fn select_covering(&self, covering: &CellUnion, spec: &AggSpec) -> (AggResult, QueryStats) {
         let plan = AggPlan::compile(spec);
         let mut result = AggResult::new(spec);

@@ -4,8 +4,9 @@
 //!
 //! 1. Memoized coverings answer bit-identically to fresh coverings, and
 //!    rotated rings (same geometry, different start vertex) hit the memo.
-//! 2. Batched execution is bit-identical to per-request execution — on
-//!    one thread and many — across an update epoch bump.
+//! 2. A batch item is bit-identical to the same request sent alone,
+//!    across an update epoch bump, and a batch covers each distinct
+//!    polygon once.
 //! 3. The engine's hit log, folded, counts what a plain hash map fed from
 //!    `block.cover` counts, across cache rebuilds, snapshots and restarts,
 //!    and a restored cache is the one the saved statistics rebuild.
@@ -102,33 +103,35 @@ proptest! {
         let (want_cnt, _) = block.count(&poly);
 
         let engine = GeoBlockEngine::new(block, 0.1);
-        prop_assert_eq!(engine.metrics().covering_memo_hits, 0);
+        prop_assert_eq!(engine.memo_stats().hits, 0);
 
         // First query misses the memo, second hits — both bit-identical
         // to the memo-free block answer.
         let first = engine.select(&poly, &s).result;
         prop_assert!(first.approx_eq(&want_sel, 0.0), "{:?} vs {:?}", first, want_sel);
-        prop_assert_eq!(engine.metrics().covering_memo_misses, 1);
+        prop_assert_eq!(engine.memo_stats().misses, 1);
         let second = engine.select(&poly, &s).result;
         prop_assert!(second.approx_eq(&want_sel, 0.0));
-        prop_assert!(engine.metrics().covering_memo_hits >= 1, "repeat query missed the memo");
+        prop_assert!(engine.memo_stats().hits >= 1, "repeat query missed the memo");
         prop_assert_eq!(engine.count(&poly).result, want_cnt);
 
         // A rotated ring is the same polygon content: memo hit, same answer.
-        let hits_before = engine.metrics().covering_memo_hits;
+        let hits_before = engine.memo_stats().hits;
         let rotated = rotate_ring(&poly, rot);
         let via_rot = engine.select(&rotated, &s).result;
         prop_assert!(via_rot.approx_eq(&want_sel, 0.0), "rotation changed the answer");
         prop_assert!(
-            engine.metrics().covering_memo_hits > hits_before,
+            engine.memo_stats().hits > hits_before,
             "rotated ring missed the memo"
         );
     }
 
-    /// Batched execution ≡ sequential execution, across an epoch bump:
-    /// the single-threaded and pooled batch replies are byte-identical,
-    /// every item matches its individual per-request answer, and after
-    /// an update the batch answers at the bumped epoch with the new data.
+    /// A batch is its items, across an epoch bump: every item's reply is
+    /// byte-for-byte the reply the same request gets alone through
+    /// `query` (value bits, `QueryStats`, epoch), every item answers at
+    /// the batch's pinned epoch, and the items share coverings through
+    /// the memo — a batch over d distinct polygons adds exactly d memo
+    /// misses on a cold engine and none on a repeat or after an update.
     #[test]
     fn batch_matches_sequential_across_epoch_bump(
         points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..250),
@@ -137,7 +140,6 @@ proptest! {
             1..6,
         ),
         updates in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 1..20),
-        threads in 2usize..5,
     ) {
         prop_assume!(polys.iter().all(|s| make_polygon(s).is_some()));
         let base = make_base(&points);
@@ -146,7 +148,7 @@ proptest! {
         let s = spec();
 
         // Alternate Select/Count items, repeating each polygon twice so
-        // the batch exercises the shared-covering grouping.
+        // the batch's items share coverings.
         let mut requests: Vec<QueryRequest> = Vec::new();
         for (i, seeds) in polys.iter().enumerate() {
             let polygon = make_polygon(seeds).unwrap();
@@ -158,22 +160,32 @@ proptest! {
                 requests.push(QueryRequest::Select { polygon, spec: s.clone() });
             }
         }
+        let distinct: std::collections::HashSet<Vec<u64>> = polys
+            .iter()
+            .map(|seeds| gb_cell::normalized_vertex_bits(&make_polygon(seeds).unwrap()))
+            .collect();
 
-        let check_epoch = |engine: &GeoBlockEngine, want_epoch: u64| -> Result<(), TestCaseError> {
-            let seq = engine.query_batch(&requests, 1).expect("sequential batch");
-            let par = engine.query_batch(&requests, threads).expect("pooled batch");
+        let check_epoch = |engine: &GeoBlockEngine, want_epoch: u64, want_misses: u64| -> Result<(), TestCaseError> {
+            let misses = engine.memo_stats().misses;
+            let reply = engine.query_batch(&requests, 1).expect("batch");
             prop_assert_eq!(
-                api::encode_reply(&Ok(seq.clone())),
-                api::encode_reply(&Ok(par)),
-                "pooled batch bytes diverged from sequential"
+                engine.memo_stats().misses - misses,
+                want_misses,
+                "memo misses the batch added"
             );
-            prop_assert_eq!(seq.epoch(), want_epoch);
-            let QueryReply::Batch(ref outer) = seq else {
+            prop_assert_eq!(reply.epoch(), want_epoch);
+            let QueryReply::Batch(ref outer) = reply else {
                 return Err(TestCaseError::fail("batch reply has wrong variant".to_string()));
             };
             prop_assert_eq!(outer.result.len(), requests.len());
             for (req, item) in requests.iter().zip(&outer.result) {
                 prop_assert_eq!(item.epoch(), want_epoch, "item answered off the pinned epoch");
+                let solo = engine.query(req).expect("solo request");
+                prop_assert_eq!(
+                    api::encode_reply(&Ok(item.clone())),
+                    api::encode_reply(&Ok(solo)),
+                    "batch item differs from the request sent alone"
+                );
                 match (req, item) {
                     (QueryRequest::Select { polygon, spec }, QueryReply::Select(r)) => {
                         let solo = engine.select(polygon, spec);
@@ -189,17 +201,18 @@ proptest! {
         };
 
         let epoch0 = engine.data_epoch();
-        check_epoch(&engine, epoch0)?;
+        check_epoch(&engine, epoch0, distinct.len() as u64)?;
+        check_epoch(&engine, epoch0, 0)?;
 
         // Bump the data epoch and re-check: the batch must see the new
-        // data, at the new epoch, still bit-identical across modes.
+        // data, at the new epoch, with the coverings the memo kept.
         let mut batch = UpdateBatch::new();
         for &(x, y) in &updates {
             batch.push(Point::new(x, y), vec![1.0, 2.0]);
         }
         engine.apply_updates(&batch).expect("update");
         prop_assert_eq!(engine.data_epoch(), epoch0 + 1);
-        check_epoch(&engine, epoch0 + 1)?;
+        check_epoch(&engine, epoch0 + 1, 0)?;
     }
 
     /// Log + fold ≡ a hash-map counter: across queries, rebuilds,

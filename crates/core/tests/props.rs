@@ -272,21 +272,18 @@ proptest! {
             prop_assert_eq!(ca.stats, cb.stats);
         }
 
-        // Batched execution too, sequential and pooled.
+        // Batched execution too.
         let requests: Vec<geoblocks::QueryRequest> = polys
             .iter()
             .map(|p| geoblocks::QueryRequest::Select { polygon: p.clone(), spec: s.clone() })
             .collect();
-        for threads in [1usize, 2] {
-            let ra = untraced.query_batch(&requests, threads).unwrap();
-            let rb = traced.query_batch(&requests, threads).unwrap();
-            prop_assert_eq!(
-                geoblocks::api::encode_reply(&Ok(ra)),
-                geoblocks::api::encode_reply(&Ok(rb)),
-                "batch wire bytes diverged under tracing (threads={})",
-                threads
-            );
-        }
+        let ra = untraced.query_batch(&requests, 1).unwrap();
+        let rb = traced.query_batch(&requests, 1).unwrap();
+        prop_assert_eq!(
+            geoblocks::api::encode_reply(&Ok(ra)),
+            geoblocks::api::encode_reply(&Ok(rb)),
+            "batch wire bytes diverged under tracing"
+        );
 
         // The slow lane (zero threshold) captured every request, and each
         // select trace's stats match a direct engine call for one of the

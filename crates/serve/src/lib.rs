@@ -8,9 +8,9 @@
 //!   `geoblocks::api` wire codec: the request body is `encode_request`
 //!   bytes, the response body is `encode_reply` bytes, and the HTTP
 //!   status is the total `GbError::http_status` mapping. `GET /metrics`
-//!   and `GET /healthz` are plain text. Batches execute covering-shared
-//!   over the engine's worker pool (see
-//!   [`geoblocks::GeoBlockEngine::query_batch`]).
+//!   and `GET /healthz` are plain text. Every request kind, batches
+//!   included, goes through [`geoblocks::GeoBlockEngine::query`] on the
+//!   connection's own thread.
 //! * **Tracing** — every query request runs under a `gb_trace` request
 //!   trace (sampled per `GB_TRACE_SAMPLE`): per-stage latency lands in
 //!   `/metrics` as `gb_stage_latency_ns`/`gb_stage_share`, and the last
@@ -272,14 +272,7 @@ impl GbServer {
             }
         }
 
-        // Batches fan out over the engine's worker pool; everything else
-        // executes inline on this connection's thread.
-        let outcome = match &parsed {
-            QueryRequest::Batch { requests } => {
-                self.engine.query_batch(requests, self.config.threads)
-            }
-            _ => self.engine.query(&parsed),
-        };
+        let outcome = self.engine.query(&parsed);
         let span = tracer.span(Stage::Serialize);
         let body = api::encode_reply(&outcome);
         drop(span);

@@ -182,10 +182,6 @@ impl Metrics {
             "gb_covering_memo_evictions_total {}\n",
             memo.evictions
         ));
-        out.push_str(&format!(
-            "gb_covering_memo_invalidations_total {}\n",
-            memo.invalidations
-        ));
         let pool = gb_common::pool::stats();
         out.push_str(&format!("gb_pool_queue_depth {}\n", pool.queue_depth));
         out.push_str(&format!("gb_pool_tasks_total {}\n", pool.tasks_total));
@@ -292,7 +288,6 @@ mod tests {
             hits: 4,
             misses: 2,
             evictions: 1,
-            invalidations: 6,
         };
         let tracer = Tracer::new(TraceConfig {
             sample_rate: 1,
@@ -317,10 +312,7 @@ mod tests {
         assert_eq!(scrape(&text, "gb_covering_memo_hits_total"), Some(4.0));
         assert_eq!(scrape(&text, "gb_covering_memo_misses_total"), Some(2.0));
         assert_eq!(scrape(&text, "gb_covering_memo_evictions_total"), Some(1.0));
-        assert_eq!(
-            scrape(&text, "gb_covering_memo_invalidations_total"),
-            Some(6.0)
-        );
+        assert_eq!(scrape(&text, "gb_covering_memo_invalidations_total"), None);
         assert_eq!(scrape(&text, "gb_quota_rejections_total"), Some(1.0));
         assert_eq!(scrape(&text, "gb_connections_total"), Some(3.0));
         assert_eq!(

@@ -513,7 +513,6 @@ fn debug_endpoints_and_stage_metrics_over_sockets() {
         "scan_fallback",
         "result_cache",
         "quota",
-        "pool_wait",
         "serialize",
     ] {
         for q in ["0.5", "0.99"] {
@@ -537,7 +536,6 @@ fn debug_endpoints_and_stage_metrics_over_sockets() {
     // Memo + pool families from the satellite metrics.
     for family in [
         "gb_covering_memo_evictions_total",
-        "gb_covering_memo_invalidations_total",
         "gb_pool_queue_depth",
         "gb_pool_tasks_total",
         "gb_pool_busy_ns_total",

@@ -31,10 +31,9 @@
 //! Nesting: the outermost `begin_request` on a thread owns the trace
 //! (the serve layer when a request arrives over HTTP, the engine when
 //! it is driven directly); inner `begin_request` calls are inert, and
-//! inner spans attribute to the owner's trace. Worker threads spawned
-//! by `gb_common::pool` have no active trace, so per-task stage time is
-//! not attributed — the coordinator's `PoolWait` span plus the pool's
-//! own busy-ns counters cover that gap.
+//! inner spans attribute to the owner's trace. A request never leaves
+//! the thread that opened its trace (a batch answers its items in order
+//! on that thread), so every span it opens lands on its own trace.
 //!
 //! This module is on the `gb_lint` `panic-path` list: all array access
 //! is via checked lookups or iterators, never indexing that can panic.
@@ -63,15 +62,13 @@ pub enum Stage {
     ResultCache,
     /// Admission control (tenant token bucket).
     Quota,
-    /// Coordinator wall time waiting on the fork-join pool.
-    PoolWait,
     /// Encoding the wire reply.
     Serialize,
 }
 
 impl Stage {
     /// Number of stages (the length of every per-stage array).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -81,7 +78,6 @@ impl Stage {
         Stage::ScanFallback,
         Stage::ResultCache,
         Stage::Quota,
-        Stage::PoolWait,
         Stage::Serialize,
     ];
 
@@ -100,7 +96,6 @@ impl Stage {
             Stage::ScanFallback => "scan_fallback",
             Stage::ResultCache => "result_cache",
             Stage::Quota => "quota",
-            Stage::PoolWait => "pool_wait",
             Stage::Serialize => "serialize",
         }
     }
