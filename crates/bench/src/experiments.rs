@@ -140,7 +140,7 @@ pub fn fig11a(ctx: &Ctx) -> Report {
     ));
     let piggy = &ex_piggy.stats;
     rep.note(format!(
-        "Block's \"sorting\" = clean + key {} ms, sort + cell-id collection {} ms, gather {} ms.",
+        "Block's \"sorting\" = clean + key + per-chunk sort {} ms, merge + cell-id collection {} ms, gather {} ms.",
         ms(piggy.clean_time),
         ms(piggy.sort_time),
         ms(piggy.gather_time)

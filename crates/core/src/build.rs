@@ -12,26 +12,33 @@
 //! There is one build path, fanned out over a [`Pool`]: [`build`] sizes
 //! the pool from the machine and the input, [`build_parallel`] takes the
 //! thread count from its caller. Chunk boundaries are aligned to
-//! block-level cell boundaries, so no cell is ever split across workers:
-//! every cell aggregate is accumulated by exactly one thread in base-row
-//! order, and the block is **bit-identical** at every thread count (see
-//! `parallel_build_is_bit_identical`). Everything coarser — the layers up
-//! to the root record, which is the global header — is folded from the
-//! assembled records afterwards, so even its floating-point sums are
-//! byte-for-byte stable.
+//! block-level cell boundaries, so no cell is ever split across workers.
+//! A first pass over each chunk counts its cells, the block-level layer is
+//! allocated once at its exact size, and each chunk then fills its own
+//! disjoint share of it: every cell aggregate is folded by exactly one
+//! thread, column by column in base-row order with the per-tuple steps of
+//! `Layer::add_tuple`, so the block is **bit-identical** at every thread
+//! count (see `parallel_build_is_bit_identical`) and to the per-tuple fold
+//! (`records_are_the_per_tuple_fold_bit_for_bit`). Everything coarser —
+//! the layers up to the root record, which is the global header — is
+//! folded from the finished block-level layer afterwards, so even its
+//! floating-point sums are byte-for-byte stable.
 
 use crate::block::GeoBlock;
-use crate::layer::Layer;
+use crate::gallop;
+use crate::layer::{fold_column, Layer};
 use gb_cell::MAX_LEVEL;
 use gb_common::Pool;
-use gb_data::{BaseTable, Filter, Rows, Schema};
+use gb_data::{BaseTable, Filter, Rows};
 use std::ops::Range;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Statistics of one build pass.
 #[derive(Debug, Clone, Default)]
 pub struct BuildStats {
-    /// Wall time of the aggregation sweep.
+    /// Wall time of the whole build: the aggregation sweep and the folds
+    /// of the coarser layers.
     pub build_time: Duration,
     /// Rows scanned (all base rows).
     pub rows_scanned: usize,
@@ -39,43 +46,6 @@ pub struct BuildStats {
     pub rows_kept: usize,
     /// Worker threads used (1 = serial sweep).
     pub threads: usize,
-}
-
-/// One O(len) filter + aggregate sweep over `rows` of the sorted base: the
-/// records of the block-level cells the kept rows fall in.
-fn sweep_range(base: &BaseTable, level: u8, filter: &Filter, rows: Range<usize>) -> Layer {
-    let shift = 2 * (MAX_LEVEL - level) as u64;
-    let mut out = Layer::with_capacity(level, base.schema().len(), 0);
-
-    let keys = base.keys();
-    let trivial = filter.is_trivial();
-    let mut cur_cell = u64::MAX;
-
-    for row in rows {
-        if !trivial && !filter.matches(base, row) {
-            continue;
-        }
-        // Block-level cell id of this leaf, by pure bit arithmetic: clear
-        // the low bits and set the sentinel.
-        let cell = (keys[row] & !((1u64 << (shift + 1)) - 1)) | (1u64 << shift);
-        if cell != cur_cell {
-            cur_cell = cell;
-            out.push_empty(cell);
-        }
-        out.add_tuple(out.num_cells() - 1, |col| base.value_f64(row, col));
-    }
-    out
-}
-
-/// Concatenate the sweeps' records (in range order) into a block with
-/// nothing derived yet.
-fn assemble(grid: gb_cell::Grid, level: u8, schema: Schema, parts: Vec<Layer>) -> GeoBlock {
-    let n_cells: usize = parts.iter().map(Layer::num_cells).sum();
-    let mut records = Layer::with_capacity(level, schema.len(), n_cells);
-    for part in &parts {
-        records.extend_from(part, 0..part.num_cells());
-    }
-    GeoBlock::from_records(grid, schema, records)
 }
 
 /// Build a GeoBlock at `level` over the rows of `base` matching `filter`.
@@ -93,23 +63,35 @@ pub fn build(base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, BuildSt
 fn cell_aligned_boundaries(base: &BaseTable, level: u8, parts: usize) -> Vec<usize> {
     let keys = base.keys();
     let n = keys.len();
-    let shift = 2 * (MAX_LEVEL - level) as u64;
     let mut cuts = vec![0usize];
     for i in 1..parts {
         let tentative = i * n / parts;
         if tentative <= *cuts.last().unwrap() || tentative >= n {
             continue;
         }
-        // Largest leaf key that still belongs to the tentative row's cell:
-        // same prefix, all level-local bits set.
-        let hi = keys[tentative] | ((1u64 << (shift + 1)) - 1);
-        let cut = tentative + keys[tentative..].partition_point(|&k| k <= hi);
+        let cut = cell_end(keys, level, tentative);
         if cut > *cuts.last().unwrap() && cut < n {
             cuts.push(cut);
         }
     }
     cuts.push(n);
     cuts
+}
+
+/// The row past the last one of the block-level cell that row `row` of
+/// the sorted `keys` lies in.
+fn cell_end(keys: &[u64], level: u8, row: usize) -> usize {
+    // Largest leaf key that still belongs to the row's cell: same prefix,
+    // all level-local bits set.
+    let shift = 2 * (MAX_LEVEL - level) as u64;
+    gallop::upper_bound_from(keys, keys[row] | ((1u64 << (shift + 1)) - 1), row)
+}
+
+/// The block-level cell id of leaf key `key`, by pure bit arithmetic:
+/// clear the low bits and set the sentinel.
+fn cell_of(key: u64, level: u8) -> u64 {
+    let shift = 2 * (MAX_LEVEL - level) as u64;
+    (key & !((1u64 << (shift + 1)) - 1)) | (1u64 << shift)
 }
 
 /// [`build`] on exactly `threads` workers, whatever the input size.
@@ -122,19 +104,128 @@ pub fn build_parallel(
     build_on(&Pool::new(threads), base, level, filter)
 }
 
+/// The records of one cell-aligned row range: its share of the block-level
+/// layer, which it alone writes.
+struct Share<'a> {
+    n_cols: usize,
+    keys: &'a mut [u64],
+    counts: &'a mut [u64],
+    mins: &'a mut [f64],
+    maxs: &'a mut [f64],
+    sums: &'a mut [f64],
+}
+
+impl<'a> Share<'a> {
+    /// Cut `records` into consecutive shares of `cells[i]` records each.
+    fn split(records: &'a mut Layer, cells: &[usize]) -> Vec<Share<'a>> {
+        let n_cols = records.n_cols;
+        let (mut keys, mut counts) = (&mut records.keys[..], &mut records.counts[..]);
+        let (mut mins, mut maxs) = (&mut records.mins[..], &mut records.maxs[..]);
+        let mut sums = &mut records.sums[..];
+        fn front<'a, T>(column: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+            column.split_off_mut(..n).expect("the shares fit the layer")
+        }
+        cells
+            .iter()
+            .map(|&n| Share {
+                n_cols,
+                keys: front(&mut keys, n),
+                counts: front(&mut counts, n),
+                mins: front(&mut mins, n * n_cols),
+                maxs: front(&mut maxs, n * n_cols),
+                sums: front(&mut sums, n * n_cols),
+            })
+            .collect()
+    }
+
+    /// Record `i`: cell `key`, folded from `base`'s `rows` in row order,
+    /// column by column.
+    fn put(
+        &mut self,
+        i: usize,
+        key: u64,
+        base: &BaseTable,
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
+    ) {
+        self.keys[i] = key;
+        self.counts[i] = rows.len() as u64;
+        for (col, column) in base.columns().iter().enumerate() {
+            let (min, max, sum) = fold_column(rows.clone().map(|r| column.value_f64(r)));
+            let at = i * self.n_cols + col;
+            (self.mins[at], self.maxs[at], self.sums[at]) = (min, max, sum);
+        }
+    }
+}
+
+/// The block-level cells that rows `rows` of the sorted `keys` fall in,
+/// in key order, each with its row range.
+fn cells(
+    keys: &[u64],
+    level: u8,
+    rows: Range<usize>,
+) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+    let keys = &keys[..rows.end];
+    let mut row = rows.start;
+    std::iter::from_fn(move || {
+        let (start, key) = (row, *keys.get(row)?);
+        row = cell_end(keys, level, start);
+        Some((cell_of(key, level), start..row))
+    })
+}
+
+/// One O(len) filter + aggregate sweep over `rows` of the sorted base,
+/// filling `out` with the records of the cells its kept rows fall in.
+fn sweep(base: &BaseTable, level: u8, filter: &Filter, rows: Range<usize>, out: &mut Share<'_>) {
+    // The kept rows of a cell, when a filter picks them.
+    let mut kept: Vec<usize> = Vec::new();
+    let mut i = 0usize;
+    for (cell, rows) in cells(base.keys(), level, rows) {
+        if filter.is_trivial() {
+            out.put(i, cell, base, rows);
+        } else {
+            kept.clear();
+            kept.extend(rows.filter(|&r| filter.matches(base, r)));
+            if kept.is_empty() {
+                continue;
+            }
+            out.put(i, cell, base, kept.iter().copied());
+        }
+        i += 1;
+    }
+    debug_assert_eq!(i, out.keys.len(), "the count pass and the sweep agree");
+}
+
 /// The build on `pool`. The block does not depend on the pool's size:
-/// chunks are cell-aligned (`cell_aligned_boundaries`), so each cell
-/// aggregate is produced by one worker in base-row order, the sweeps'
-/// records are concatenated in ascending key order, and the coarser
-/// layers are folded from the assembled cells on this thread.
+/// ranges are cell-aligned (`cell_aligned_boundaries`), so each record is
+/// folded by one worker in base-row order into its range's share of one
+/// exact-size layer, and the coarser layers are folded from it on this
+/// thread.
 fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBlock, BuildStats) {
     assert!(level <= MAX_LEVEL);
     let timer = gb_common::Timer::start();
     let cuts = cell_aligned_boundaries(base, level, pool.threads());
-    let parts = pool.run(cuts.len() - 1, |i| {
-        sweep_range(base, level, filter, cuts[i]..cuts[i + 1])
+    let range = |i: usize| cuts[i]..cuts[i + 1];
+    // The first pass: how many records each range writes.
+    let counts = pool.run(cuts.len() - 1, |i| {
+        cells(base.keys(), level, range(i))
+            .filter(|(_, rows)| {
+                filter.is_trivial() || rows.clone().any(|r| filter.matches(base, r))
+            })
+            .count()
     });
-    let mut block = assemble(*base.grid(), level, base.schema().clone(), parts);
+    let mut records = Layer::zeroed(level, base.schema().len(), counts.iter().sum());
+    // One uncontended lock per share: the pool hands task `i` an index,
+    // and only task `i` takes share `i`.
+    let shares: Vec<Mutex<Share<'_>>> = Share::split(&mut records, &counts)
+        .into_iter()
+        .map(Mutex::new)
+        .collect();
+    pool.run(shares.len(), |i| {
+        let mut share = shares[i].lock().expect("share lock");
+        sweep(base, level, filter, range(i), &mut share);
+    });
+    drop(shares);
+    let mut block = GeoBlock::from_records(*base.grid(), base.schema().clone(), records);
     block.refresh_derived();
     let stats = BuildStats {
         build_time: timer.elapsed(),
@@ -302,6 +393,73 @@ mod tests {
         let (par, pstats) = build_parallel(&base, 9, &f, 4);
         assert_eq!(sstats.rows_kept, pstats.rows_kept);
         assert_blocks_identical(&serial, &par);
+    }
+
+    /// The block-level records the per-tuple steps fold, the steps a §5
+    /// update takes for a fresh cell: `push_empty` at each new cell, then
+    /// one `add_tuple` per kept row, in base-row order.
+    fn per_tuple_records(base: &BaseTable, level: u8, filter: &Filter) -> Layer {
+        let mut out = Layer::with_capacity(level, base.schema().len(), 0);
+        for row in (0..base.num_rows()).filter(|&r| filter.matches(base, r)) {
+            let cell = CellId::from_raw(base.keys()[row]).parent_at(level).raw();
+            if out.keys.last() != Some(&cell) {
+                out.push_empty(cell);
+            }
+            out.add_tuple(out.num_cells() - 1, |col| base.value_f64(row, col));
+        }
+        out
+    }
+
+    #[test]
+    fn records_are_the_per_tuple_fold_bit_for_bit() {
+        // Scattered rows, then three stacks of rows on one point each, so
+        // their order is the raw order: `0.0` before `-0.0`, `-0.0`
+        // before `0.0` (which of two equal values a min or max keeps
+        // shows in the sign), and repeated values whose sum depends on
+        // the order of its terms. `k` is an `I64` column.
+        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+        for i in 0..3000u32 {
+            let (x, y) = (
+                f64::from(i * 37 % 1000) / 10.0,
+                f64::from(i * 91 % 997) / 10.0,
+            );
+            raw.push_row(
+                Point::new(x, y),
+                &[f64::from(i % 7) * 0.1, f64::from(i % 5) - 2.0],
+            );
+        }
+        let stacks: [(f64, &[f64]); 3] = [
+            (12.5, &[0.0, -0.0, 3.0]),
+            (50.5, &[-0.0, 0.0, -3.0]),
+            (80.5, &[0.1, 0.2, 0.1, 0.2, 0.1, 0.7, 0.1]),
+        ];
+        for (at, values) in stacks {
+            for (i, &v) in values.iter().enumerate() {
+                raw.push_row(
+                    Point::new(at, at),
+                    &[v, if i % 2 == 0 { -0.0 } else { 7.0 }],
+                );
+            }
+        }
+        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
+        let base = extract(&raw, grid, &CleaningRules::none(), None).base;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let some = Filter::on(&base, "k", CmpOp::Ge, 0.0).unwrap();
+        for filter in [Filter::all(), some] {
+            for level in [0u8, 5, 9, 30] {
+                let want = per_tuple_records(&base, level, &filter);
+                for threads in [1usize, 2, 3] {
+                    let (block, _) = build_parallel(&base, level, &filter, threads);
+                    let got = block.records();
+                    let case = format!("level {level}, {threads} threads, {filter:?}");
+                    assert_eq!(got.keys, want.keys, "{case}");
+                    assert_eq!(got.counts, want.counts, "{case}");
+                    assert_eq!(bits(&got.mins), bits(&want.mins), "{case}");
+                    assert_eq!(bits(&got.maxs), bits(&want.maxs), "{case}");
+                    assert_eq!(bits(&got.sums), bits(&want.sums), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,20 @@ impl Layer {
         }
     }
 
+    /// A layer of `cells` all-zero records, for a producer that writes
+    /// every one of them in place.
+    pub(crate) fn zeroed(level: u8, n_cols: usize, cells: usize) -> Layer {
+        Layer {
+            level,
+            n_cols,
+            keys: vec![0; cells],
+            counts: vec![0; cells],
+            mins: vec![0.0; cells * n_cols],
+            maxs: vec![0.0; cells * n_cols],
+            sums: vec![0.0; cells * n_cols],
+        }
+    }
+
     /// Number of non-empty cells in this layer.
     #[inline]
     pub fn num_cells(&self) -> usize {
@@ -140,14 +154,12 @@ impl Layer {
             &mut self.sums[cols],
         );
         for col in 0..sums.len() {
-            let v = value_of(col);
-            if v < mins[col] {
-                mins[col] = v;
-            }
-            if v > maxs[col] {
-                maxs[col] = v;
-            }
-            sums[col] += v;
+            fold_value(
+                &mut mins[col],
+                &mut maxs[col],
+                &mut sums[col],
+                value_of(col),
+            );
         }
     }
 
@@ -238,37 +250,35 @@ impl Layer {
 
     /// The canonical fold: the records of this layer's cells folded in key
     /// order into their ancestors at `level`, one [`Layer::push_fold`] per
-    /// ancestor. One level up, this is the cascade's step.
+    /// ancestor. One level up, this is the cascade's step. The groups are
+    /// counted first, so the layer is allocated once at its exact size.
     pub(crate) fn fold_to(&self, level: u8) -> Layer {
         debug_assert!(level <= self.level);
+        let mut out = Layer::with_capacity(level, self.n_cols, self.groups(level).count());
+        for group in self.groups(level) {
+            out.push_fold(self, group);
+        }
+        out
+    }
+
+    /// The runs of records that share an ancestor at `level`, in key order.
+    fn groups(&self, level: u8) -> impl Iterator<Item = Range<usize>> + '_ {
         let keys = &self.keys;
-        // At most one cell per distinct level-`level` ancestor: the layer
-        // can never exceed `4^level` cells nor the source's cell count.
-        // Reserving the bound up front keeps the grouping loop
-        // reallocation-free; `shrink_to_fit` afterwards returns the slack
-        // so the resident layer stays honest.
-        let cap = (1usize << (2 * u32::from(level)).min(62)).min(keys.len());
-        let mut out = Layer::with_capacity(level, self.n_cols, cap);
         // Sentinel bit of `level`: `parent + (lsb − 1)` is the raw id of
         // the group's last descendant leaf (`CellId::range_max`, hoisted
         // to pure arithmetic for the hot loop).
         let lsb = 1u64 << (2 * u64::from(gb_cell::MAX_LEVEL - level));
         let mut i = 0usize;
-        while i < keys.len() {
-            let hi = CellId::raw_parent_at(keys[i], level) + (lsb - 1);
-            let mut end = i + 1;
-            while end < keys.len() && keys[end] <= hi {
-                end += 1;
+        std::iter::from_fn(move || {
+            let first = *keys.get(i)?;
+            let hi = CellId::raw_parent_at(first, level) + (lsb - 1);
+            let start = i;
+            i += 1;
+            while keys.get(i).is_some_and(|&k| k <= hi) {
+                i += 1;
             }
-            out.push_fold(self, i..end);
-            i = end;
-        }
-        out.keys.shrink_to_fit();
-        out.counts.shrink_to_fit();
-        out.mins.shrink_to_fit();
-        out.maxs.shrink_to_fit();
-        out.sums.shrink_to_fit();
-        out
+            Some(start..i)
+        })
     }
 
     /// Feed every array to `h` (floats by bit pattern, so NaN payloads and
@@ -356,6 +366,33 @@ impl Layer {
             sums: r.f64_vec()?,
         })
     }
+}
+
+/// One value into a column's `(min, max, sum)`: the records' per-tuple
+/// fold, from `(+∞, −∞, 0.0)`. `v < min` and `v > max` keep the first of
+/// equal values (`0.0` and `-0.0` among them), where `f64::min` / `max`
+/// may pick either.
+#[inline]
+fn fold_value(min: &mut f64, max: &mut f64, sum: &mut f64, v: f64) {
+    if v < *min {
+        *min = v;
+    }
+    if v > *max {
+        *max = v;
+    }
+    *sum += v;
+}
+
+/// One column of a fresh record: `values`, one per tuple in tuple order,
+/// folded into `(min, max, sum)` by the steps [`Layer::push_empty`] and
+/// one [`Layer::add_tuple`] per value take, so bit for bit the same.
+#[inline]
+pub(crate) fn fold_column(values: impl Iterator<Item = f64>) -> (f64, f64, f64) {
+    let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+    for v in values {
+        fold_value(&mut min, &mut max, &mut sum, v);
+    }
+    (min, max, sum)
 }
 
 /// Feed `values` to `h` by bit pattern.

@@ -15,11 +15,12 @@
 //!   `O(n) + O(sn log sn)` per filter.
 //!
 //! Both optionally piggyback the collection of distinct block-level cell ids
-//! onto the sort pass (the paper notes this "gap in the sorting phase […]
-//! caused by the collection of grid cell ids", Figure 11a / Table 2).
+//! onto the merge that ends the sort (the paper notes this "gap in the
+//! sorting phase […] caused by the collection of grid cell ids", Figure 11a
+//! / Table 2).
 
 use crate::filter::Filter;
-use crate::table::{apply_permutation, sort_permutation, BaseTable, RawTable, Rows};
+use crate::table::{apply_permutation, merge_runs, BaseTable, RawTable, Rows};
 use gb_cell::Grid;
 use gb_common::Pool;
 use std::time::Duration;
@@ -69,9 +70,11 @@ pub struct ExtractStats {
     pub rows_in: usize,
     /// Rows dropped by cleaning (and, for the isolated path, filtering).
     pub rows_dropped: usize,
-    /// Wall time of the cleaning + keying pass.
+    /// Wall time of the cleaning + keying pass, with each chunk's sort of
+    /// its own `(key, row)` pairs.
     pub clean_time: Duration,
-    /// Wall time of the sort (including the piggybacked cell collection).
+    /// Wall time of the merge of the sorted chunks into the key column and
+    /// the permutation, plus the piggybacked cell collection.
     pub sort_time: Duration,
     /// Wall time of gathering coordinates and columns into key order.
     pub gather_time: Duration,
@@ -121,8 +124,9 @@ fn row_index(row: usize) -> u32 {
 }
 
 /// The extract pipeline on `pool`. The base table does not depend on the
-/// pool's size: cleaning runs over contiguous row ranges whose survivors
-/// are concatenated in range order, the sort's order is total, and the
+/// pool's size: each chunk is a contiguous raw row range, cleaned, keyed
+/// and sorted by `(key, row)` on its own; one merge of the sorted runs by
+/// the same total order yields every key once and every row once, and the
 /// gathers are independent per column.
 fn extract_on(
     pool: &Pool,
@@ -138,16 +142,16 @@ fn extract_on(
         ..Default::default()
     };
 
-    // Clean + generate spatial keys, one even share of the rows per
-    // thread. The last cut is the raw row count: converting it checks the
-    // width of every row index below, before any is stored — and against
-    // the rows that exist, not the rows that survive.
+    // Clean + generate spatial keys + sort, one even share of the rows
+    // per thread. The last cut is the raw row count: converting it checks
+    // the width of every row index below, before any is stored — and
+    // against the rows that exist, not the rows that survive.
     let t = gb_common::Timer::start();
     let chunks = pool.threads();
     let cuts: Vec<u32> = (0..=chunks)
         .map(|i| row_index(n / chunks * i + (n % chunks).min(i)))
         .collect();
-    let mut parts = pool.run(chunks, |i| {
+    let runs = pool.run(chunks, |i| {
         let rows = cuts[i]..cuts[i + 1];
         let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(rows.len());
         for row in rows {
@@ -156,19 +160,17 @@ fn extract_on(
                 pairs.push((grid.leaf_for_point(raw.location(at)).raw(), row));
             }
         }
+        pairs.sort_unstable();
         pairs
     });
-    let pairs = if parts.len() == 1 {
-        parts.swap_remove(0)
-    } else {
-        parts.concat()
-    };
-    stats.rows_dropped = n - pairs.len();
     stats.clean_time = t.elapsed();
 
-    // Sort by key; piggyback distinct block-cell collection if requested.
+    // Merge the runs into the key column and the permutation; piggyback
+    // distinct block-cell collection if requested.
     let t = gb_common::Timer::start();
-    let (sorted_keys, perm) = sort_permutation(pairs);
+    let (sorted_keys, perm) = merge_runs(&runs);
+    drop(runs);
+    stats.rows_dropped = n - sorted_keys.len();
     if let Some(level) = block_level {
         // Leaf ids are `(pos << 1) | 1`; the level-`level` cell is the top
         // `2·level` bits of `pos`, i.e. the id shifted by one extra bit for

@@ -324,16 +324,47 @@ impl Rows for BaseTable {
     }
 }
 
-/// Sort `(key, row)` pairs and split them into the sorted keys and the
-/// permutation. Rows are distinct, so the order is total: rows that share
-/// a key stay in table order, whatever the sort algorithm — and with them
-/// every float sum folded over the base data in row order.
-pub(crate) fn sort_permutation(mut pairs: Vec<(u64, u32)>) -> (Vec<u64>, Vec<u32>) {
-    pairs.sort_unstable();
-    pairs.into_iter().unzip()
+/// Merge sorted runs of `(key, row)` pairs into the sorted keys and the
+/// permutation, each written once. Rows are distinct, so the order is
+/// total: rows that share a key come out in row order, whichever runs
+/// they lie in — and with them every float sum folded over the base data
+/// in row order.
+pub(crate) fn merge_runs(runs: &[Vec<(u64, u32)>]) -> (Vec<u64>, Vec<u32>) {
+    let n = runs.iter().map(Vec::len).sum();
+    let (mut keys, mut perm) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    // The unmerged rest of each run, empty ones dropped; their order does
+    // not matter, as no two pairs are equal.
+    let mut rest: Vec<&[(u64, u32)]> = runs
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|run| !run.is_empty())
+        .collect();
+    while rest.len() > 1 {
+        // The run whose next pair is the smallest. There are as many runs
+        // as pool threads, so a scan beats a heap.
+        let mut at = 0;
+        for r in 1..rest.len() {
+            if rest[r][0] < rest[at][0] {
+                at = r;
+            }
+        }
+        let (key, row) = rest[at][0];
+        keys.push(key);
+        perm.push(row);
+        rest[at] = &rest[at][1..];
+        if rest[at].is_empty() {
+            rest.swap_remove(at);
+        }
+    }
+    // The last run left is already in order.
+    if let Some(run) = rest.first() {
+        keys.extend(run.iter().map(|&(key, _)| key));
+        perm.extend(run.iter().map(|&(_, row)| row));
+    }
+    (keys, perm)
 }
 
-/// Apply the permutation produced by [`sort_permutation`] to the rows of
+/// Apply the permutation produced by [`merge_runs`] to the rows of
 /// `raw`: one gather per coordinate and per attribute column, each a task
 /// of its own on `pool`.
 pub(crate) fn apply_permutation(
@@ -398,12 +429,22 @@ mod tests {
     }
 
     #[test]
-    fn sort_permutation_orders_keys_and_keeps_ties_in_row_order() {
-        let keys = [5u64, 1, 9, 1, 3, 1];
-        let pairs = keys.iter().copied().zip(0u32..).collect();
-        let (sorted, perm) = sort_permutation(pairs);
-        assert_eq!(sorted, vec![1, 1, 1, 3, 5, 9]);
-        assert_eq!(perm, vec![1, 3, 5, 4, 0, 2]);
+    fn merge_runs_orders_keys_and_keeps_ties_in_row_order() {
+        // Three sorted runs of contiguous row ranges, as extract's chunks
+        // hand them over; key 1 appears in all three and key 5 in two.
+        let runs = vec![
+            vec![(1u64, 1u32), (5, 0), (9, 2)],
+            vec![(1, 3), (1, 5), (3, 4), (5, 6)],
+            vec![(0, 8), (1, 7)],
+        ];
+        let (sorted, perm) = merge_runs(&runs);
+        assert_eq!(sorted, vec![0, 1, 1, 1, 1, 3, 5, 5, 9]);
+        assert_eq!(perm, vec![8, 1, 3, 5, 7, 4, 0, 6, 2]);
+        // Empty runs anywhere, one run, none.
+        let sparse = vec![vec![], runs[1].clone(), vec![]];
+        assert_eq!(merge_runs(&sparse), (vec![1, 1, 3, 5], vec![3, 5, 4, 6]));
+        assert_eq!(merge_runs(&runs[2..]), (vec![0, 1], vec![8, 7]));
+        assert_eq!(merge_runs(&[]), (vec![], vec![]));
     }
 
     #[test]

@@ -1,17 +1,66 @@
-//! The work ratchet: what a seeded block costs in bytes, and what 64
-//! seeded SELECTs cost in record searches and combines, asserted against
-//! recorded constants. Counts of work do not depend on the host, so this
-//! gate holds where timings cannot steer.
+//! The work ratchet: what a seeded block costs in bytes, what its set-up
+//! allocates, and what 64 seeded SELECTs cost in record searches and
+//! combines, asserted against recorded constants. Counts of work do not
+//! depend on the host, so this gate holds where timings cannot steer.
 //!
-//! The bytes are ceilings: a change that shrinks the block lowers them in
-//! the same diff, so the gate ratchets. The query counts are equalities: a
-//! change that alters how a covering cell is answered (which layer, which
-//! fold) must not change how many cells are searched or combined, and a
-//! change that does must say so by re-recording them.
+//! The bytes are ceilings: a change that shrinks the block or what its
+//! set-up allocates lowers them in the same diff, so the gate ratchets. The
+//! query counts are equalities: a change that alters how a covering cell
+//! is answered (which layer, which fold) must not change how many cells
+//! are searched or combined, and a change that does must say so by
+//! re-recording them.
+//!
+//! This file is a test binary of its own because it installs a global
+//! allocator (the only way to *observe* an allocation), and holds one
+//! test so nothing else allocates while it counts.
 
 use gb_data::{datasets, extract, polygons, AggSpec, Filter};
 use geoblocks::{build, QueryStats};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// The system allocator, summing the bytes of every allocation of at
+/// least [`COUNTED`] bytes.
+struct Counting;
+
+/// Smallest allocation counted. The data arrays of a set-up are far
+/// larger; below it lie only the fork-join's bookkeeping (thread handles,
+/// result slots, one entry per run or range), which grows with the pool's
+/// size — so the counts are the same on a 1-CPU and a many-CPU runner.
+const COUNTED: usize = 4096;
+
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is an atomic add on a plain
+// counter, which neither allocates nor unwinds. `realloc` and
+// `alloc_zeroed` keep their default implementations, which go through
+// `alloc` and so are counted too.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() >= COUNTED {
+            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the bytes it allocated (counted allocations only).
+fn allocated<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = BYTES.load(Ordering::Relaxed);
+    let out = f();
+    (out, BYTES.load(Ordering::Relaxed) - before)
+}
 
 const ROWS: usize = 100_000;
 const SEED: u64 = 1;
@@ -28,15 +77,31 @@ const MAX_BYTES_PER_ROW: usize = 107;
 const SEARCHES: usize = 10_293;
 /// `QueryStats::cells_combined` summed over the polygons.
 const CELLS_COMBINED: usize = 4_689;
+/// Ceiling on the bytes `extract` allocates: each chunk's pairs, the key
+/// column and the permutation, and the gathered columns.
+const MAX_EXTRACT_BYTES: usize = 9_956_320;
+/// Ceiling on the bytes `build` allocates: the records, the count prefix
+/// and each coarser layer, each once at its exact size.
+const MAX_BUILD_BYTES: usize = 16_324_128;
 
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
     let started = Instant::now();
     let ds = datasets::nyc_taxi(ROWS, SEED);
-    let base = extract(&ds.raw, ds.grid, &datasets::nyc_cleaning_rules(), None).base;
-    let (block, _) = build(&base, LEVEL, &Filter::all());
+    let rules = datasets::nyc_cleaning_rules();
+    let (extracted, extract_bytes) = allocated(|| extract(&ds.raw, ds.grid, &rules, None));
+    let base = extracted.base;
+    let ((block, _), build_bytes) = allocated(|| build(&base, LEVEL, &Filter::all()));
     let built = started.elapsed();
     assert!(built.as_secs_f64() < 2.0, "set-up took {built:?}");
+    assert!(
+        extract_bytes <= MAX_EXTRACT_BYTES,
+        "extract allocated {extract_bytes} B, over the recorded {MAX_EXTRACT_BYTES}"
+    );
+    assert!(
+        build_bytes <= MAX_BUILD_BYTES,
+        "build allocated {build_bytes} B, over the recorded {MAX_BUILD_BYTES}"
+    );
 
     let rows = usize::try_from(block.num_rows()).expect("rows fit a usize");
     let per_row = block.memory_bytes().div_ceil(rows);
