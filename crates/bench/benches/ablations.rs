@@ -12,8 +12,9 @@
 //!   vs rebuilt, on the hot subset of a skewed workload and on pan/zoom
 //!   views of it that overlap but never repeat — the measurement behind
 //!   the roadmap's "does the trie still pay?".
-//! * **count vs select**: Listing 2's range-sum against a count-only
-//!   SELECT — the reason COUNT skips the cache.
+//! * **count vs select**: COUNT, which sums the counts of the records
+//!   SELECT's search finds, against a count-only SELECT, which combines
+//!   those records — the reason COUNT skips the cache.
 //!
 //! The arms of one group run side by side, so CI gates their *ratios*
 //! (`bench_diff --ratio`), which hold on any host.
@@ -170,7 +171,7 @@ fn ablate_count_vs_select(c: &mut Criterion) {
     let count_spec = AggSpec::count_only();
 
     let mut g = c.benchmark_group("count_vs_select");
-    g.bench_function("count_listing2", |b| {
+    g.bench_function("count", |b| {
         let mut i = 0usize;
         b.iter(|| {
             let poly = &polys[i % polys.len()];

@@ -2,8 +2,8 @@
 //!
 //! These complement the `repro` harness (which regenerates the paper's
 //! figures): each bench isolates one primitive — point→cell mapping,
-//! polygon covering, aggregate-range scans, Listing-2 counts, trie lookups,
-//! the substrate index probes, and a snapshot save/load against the
+//! polygon covering, aggregate-range scans, COUNT, trie lookups, the
+//! substrate index probes, and a snapshot save/load against the
 //! rebuild it stands in for.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};

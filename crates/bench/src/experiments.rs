@@ -183,8 +183,7 @@ pub fn fig11b(ctx: &Ctx) -> Report {
 
     for (name, bytes) in [
         // The paper's "Block" is the cell-aggregate storage; the pyramid
-        // and count prefix are our query accelerators, reported as their
-        // own row so the Figure-11b comparison stays apples-to-apples.
+        // is our query accelerator, reported as its own row so the Figure-11b comparison stays apples-to-apples.
         ("Block (aggregates)", bl.block().aggregate_bytes()),
         ("Block (+pyramid)", bl.index_bytes()),
         ("BTree", bt.index_bytes()),

@@ -46,7 +46,7 @@ pub const WIRE_VERSION: u8 = 1;
 pub enum QueryRequest {
     /// SELECT: aggregate `spec` over `polygon` (Figure 8 adapted path).
     Select { polygon: Polygon, spec: AggSpec },
-    /// COUNT: tuple count over `polygon` (Listing 2; bypasses the cache).
+    /// COUNT: tuple count over `polygon` (bypasses the cache).
     Count { polygon: Polygon },
     /// Apply a batch of new tuples (§5). Never cached; bumps the epoch.
     Update { batch: UpdateBatch },

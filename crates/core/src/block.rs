@@ -50,11 +50,6 @@ pub struct GeoBlock {
     pub(crate) min_cell: u64,
     /// Derived: the largest block-level cell id (raw) present.
     pub(crate) max_cell: u64,
-    /// Derived: the exclusive prefix over the block-level counts (`n + 1`
-    /// entries). The tuple count of any record run `[a, b)` is
-    /// `prefix_counts[b] − prefix_counts[a]` — Listing 2's offset trick
-    /// over a column that updates keep valid.
-    pub(crate) prefix_counts: Vec<u64>,
 }
 
 impl GeoBlock {
@@ -68,7 +63,6 @@ impl GeoBlock {
             layers: vec![records],
             min_cell: 0,
             max_cell: 0,
-            prefix_counts: Vec::new(),
         }
     }
 
@@ -97,16 +91,17 @@ impl GeoBlock {
         &self.layers
     }
 
-    /// The layer of `level`, if the block materialises it (`None` for an
-    /// odd level above the block level and for any level below it).
+    /// The layer of `level`, if the block holds it: `None` for an odd
+    /// level above the block level, for any level below it, and for every
+    /// level above it in a block that holds its stored layer only (a
+    /// stored-only copy, or one under construction).
     #[inline]
     pub(crate) fn layer_at(&self, level: u8) -> Option<&Layer> {
-        if !materialised(level, self.level()) {
-            None
-        } else if level == self.level() {
+        if level == self.level() {
             Some(self.records())
         } else {
-            self.layers.get(usize::from(level / 2))
+            let layer = self.layers.get(usize::from(level / 2))?;
+            (layer.level == level).then_some(layer)
         }
     }
 
@@ -124,9 +119,9 @@ impl GeoBlock {
     }
 
     /// A copy of the stored state only — the block-level records — for an
-    /// update to work on: the coarser layers and the count prefix (about
-    /// half the block's bytes) are what `refresh_derived` replaces anyway,
-    /// so copying them would be copying garbage.
+    /// update to work on: the coarser layers (about a fifth of the block's
+    /// bytes) are what `refresh_derived` replaces anyway, so copying them
+    /// would be copying garbage.
     pub(crate) fn clone_stored(&self) -> GeoBlock {
         GeoBlock::from_records(self.grid, self.schema.clone(), self.records().clone())
     }
@@ -137,11 +132,10 @@ impl GeoBlock {
         self.records().num_cells()
     }
 
-    /// Total tuples aggregated into the block: the count prefix's last
-    /// entry.
+    /// Total tuples aggregated into the block: the root record's count.
     #[inline]
     pub fn num_rows(&self) -> u64 {
-        self.prefix_counts.last().copied().unwrap_or(0)
+        self.root().map_or(0, |root| root.count)
     }
 
     /// The maximum spatial error of query answers: the cell diagonal at the
@@ -214,23 +208,23 @@ impl GeoBlock {
         self.records().memory_bytes()
     }
 
-    /// Heap bytes of the derived acceleration structures: the count
-    /// prefix plus every materialised layer coarser than the block level.
+    /// Heap bytes of the derived acceleration structure: every
+    /// materialised layer coarser than the block level.
     pub fn derived_bytes(&self) -> usize {
         let coarser = &self.layers[..self.layers.len() - 1];
-        self.prefix_counts.len() * 8 + coarser.iter().map(Layer::memory_bytes).sum::<usize>()
+        coarser.iter().map(Layer::memory_bytes).sum()
     }
 
-    /// Total heap bytes — cell aggregates, count prefix, and coarser
-    /// layers (the honest Figure-11b numerator for this implementation).
+    /// Total heap bytes — cell aggregates and coarser layers (the honest
+    /// Figure-11b numerator for this implementation).
     pub fn memory_bytes(&self) -> usize {
         self.aggregate_bytes() + self.derived_bytes()
     }
 
-    /// Rebuild everything derived (the key extent, the count prefix and
-    /// the coarser layers) from the stored layer, the last in `layers`
-    /// whether stale coarser ones precede it or not — the single funnel
-    /// every producer (build, coarsen, updates, snapshot load) ends in.
+    /// Rebuild everything derived (the key extent and the coarser layers)
+    /// from the stored layer, the last in `layers` whether stale coarser
+    /// ones precede it or not — the single funnel every producer (build,
+    /// coarsen, updates, snapshot load) ends in.
     /// The levels are one cascade: each is the fold of the next finer one
     /// (`Layer::fold_to`), from the block level up to the root record.
     /// Each step needs the one before, so it runs on the calling thread.
@@ -248,14 +242,6 @@ impl GeoBlock {
 
         self.min_cell = records.keys.first().copied().unwrap_or(0);
         self.max_cell = records.keys.last().copied().unwrap_or(0);
-        self.prefix_counts.clear();
-        self.prefix_counts.reserve(records.num_cells() + 1);
-        self.prefix_counts.push(0);
-        let mut run = 0u64;
-        for &cnt in &records.counts {
-            run += cnt;
-            self.prefix_counts.push(run);
-        }
 
         let mut layers = Vec::with_capacity(usize::from(records.level) / 2 + 2);
         layers.push(records);
@@ -340,7 +326,6 @@ impl GeoBlock {
         assert_eq!(levels, kept, "materialised levels");
         let mut fresh = self.clone_stored();
         fresh.refresh_derived();
-        assert_eq!(self.prefix_counts, fresh.prefix_counts, "stale prefix");
         assert_eq!(
             (self.min_cell, self.max_cell),
             (fresh.min_cell, fresh.max_cell),
@@ -357,6 +342,41 @@ impl GeoBlock {
                 want.content_hash(),
                 "layer {l} is not the canonical fold of the records"
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::build::build;
+    use gb_cell::Grid;
+    use gb_data::{extract, CleaningRules, ColumnDef, Filter, RawTable, Schema};
+    use gb_geom::{Point, Rect};
+
+    #[test]
+    fn a_stored_only_copy_holds_no_coarser_level() {
+        // Its one layer is the block level's: no coarser level may read
+        // it, so there is no root record — and no rows — until the copy
+        // derives its layers.
+        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
+        for i in 0..500 {
+            let (x, y) = ((i * 37 % 100) as f64, (i * 61 % 100) as f64);
+            raw.push_row(Point::new(x + 0.5, y + 0.5), &[i as f64]);
+        }
+        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
+        let base = extract(&raw, grid, &CleaningRules::none(), None).base;
+        for level in [6u8, 7] {
+            let (block, _) = build(&base, level, &Filter::all());
+            let mut copy = block.clone_stored();
+            assert_eq!(copy.layer_at(level), Some(block.records()));
+            for coarser in 0..level {
+                assert!(copy.layer_at(coarser).is_none(), "level {coarser}");
+            }
+            assert!(copy.root().is_none());
+            assert_eq!(copy.num_rows(), 0);
+            copy.refresh_derived();
+            assert_eq!(copy.num_rows(), 500);
+            assert_eq!(copy.layer_at(0), block.layer_at(0));
         }
     }
 }

@@ -279,9 +279,8 @@ mod tests {
         assert_eq!(a.num_rows(), b.num_rows());
         assert_eq!(a.min_cell, b.min_cell);
         assert_eq!(a.max_cell, b.max_cell);
-        // The records and the derived structures: count prefix and every
-        // coarser layer, up to the root record (the global header).
-        assert_eq!(a.prefix_counts, b.prefix_counts);
+        // The records and every coarser layer, up to the root record (the
+        // global header).
         assert_eq!(a.layers.len(), b.layers.len());
         for (la, lb) in a.layers.iter().zip(&b.layers) {
             assert_eq!(la.level, lb.level);
@@ -358,7 +357,7 @@ mod tests {
         // 4, 6 and the block level 8.
         assert_eq!(block.layers().len(), 5);
         assert!(block.layers().iter().all(|l| l.num_cells() == 0));
-        assert_eq!(block.derived_bytes(), 8);
+        assert_eq!(block.derived_bytes(), 0);
     }
 
     #[test]

@@ -354,9 +354,8 @@ impl GeoBlockEngine {
     /// and every COUNT item of a batch share.
     fn count_item(&self, state: &EngineState, polygon: &Polygon) -> QueryResponse<u64> {
         let covering = self.covering_for(&state.block, polygon);
-        // COUNT's aggregation is a prefix-count difference per covering
-        // cell — O(1) folds like the pyramid tier, so it shares the
-        // `PyramidCombine` stage.
+        // COUNT reads the counts of the records SELECT's search finds, so
+        // it shares the `PyramidCombine` stage.
         let span = self.tracer.span(Stage::PyramidCombine);
         let (count, stats) = state.block.count_covering(&covering);
         drop(span);

@@ -43,7 +43,7 @@
 //! | [`block`] — storage layout, header, coarsening | §3.4 |
 //! | [`layer`] — the one record layout: the block's records and every coarser layer of the aggregate pyramid | §3.4 "granularity", §3.5 |
 //! | [`build`](mod@build) — single- or multi-threaded builds from sorted base data | §3.3 |
-//! | [`query`] — SELECT (Listing 1) and COUNT (Listing 2): one record lookup per covering cell | §3.5 |
+//! | [`query`] — SELECT (Listing 1) and COUNT: one record lookup per covering cell | §3.5 |
 //! | [`mod@reference`] — the naive SELECT/COUNT every accelerated path is tested against | §3.5 |
 //! | [`trie`] — the aggregate cache: one key-sorted record column, its own index (Figure 7's node layout is not kept) | §3.6, Fig. 7 |
 //! | [`qc`] — the adapted SELECT + scoring/rebuild over a `(block, cache)` pair | §3.6, Fig. 8 |

@@ -11,19 +11,19 @@
 //! above it) or, at an odd level, the fold of ≤ 4 records of the layer
 //! one level finer. So:
 //!
-//! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] answer each
-//!   covering cell with **one** cursor-resumed galloping search and **one**
-//!   record combine (`GeoBlock::record_of`; `cells_combined` ≤ covering
-//!   size); at an odd level the search runs in the layer below and the
-//!   record is a fold of the ≤ 4 contiguous records it finds. The
-//!   cache-adapted SELECT of [`crate::qc`] and the trie's fill read
-//!   records through the same function.
-//! * [`GeoBlock::count`] — Listing 2 over the count prefix of the
-//!   block-level records: `prefix[last + 1] − prefix[first]` per covering
-//!   cell. The prefix is rebuilt by updates, so COUNT stays O(1) per cell
-//!   even after batches (no scan fallback). It is kept beside the layers
-//!   because it is measurably cheaper than a record lookup per covering
-//!   cell (EXPERIMENTS.md "One record layout").
+//! Both answer each covering cell with **one** cursor-resumed galloping
+//! search (`GeoBlock::locate`): the record of a kept level, or at an odd
+//! level the ≤ 4 contiguous child records in the layer below. Then:
+//!
+//! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] combine **one**
+//!   record per covering cell (`GeoBlock::record_of`, which folds an odd
+//!   level's children into a scratch record; `cells_combined` ≤ covering
+//!   size). The cache-adapted SELECT of [`crate::qc`] and the trie's fill
+//!   read records through the same function.
+//! * [`GeoBlock::count`] / [`GeoBlock::count_covering`] add the counts of
+//!   the records the search found: integers, so no fold and no scratch
+//!   record. This replaces Listing 2's two searches over per-cell tuple
+//!   offsets: the layers already store every cell's count.
 //!
 //! The naive oracle both are tested against — the same fold tree walked
 //! from the block records by bisection per covering cell, with no layer,
@@ -36,25 +36,29 @@ use crate::layer::Layer;
 use gb_cell::{cover_polygon, CellId, CellUnion, MAX_LEVEL};
 use gb_data::AggSpec;
 use gb_geom::Polygon;
+use std::ops::Range;
 
 /// Counters describing one query execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Cells in the covering (after header pruning).
     pub query_cells: usize,
-    /// Cell aggregates folded into the result.
+    /// Records read into the result: one per covering cell with data
+    /// under it, for SELECT and COUNT alike.
     pub cells_combined: usize,
     /// Binary searches performed.
     pub searches: usize,
 }
 
-/// Per-level resume positions for the cursor-resumed searches: covering
-/// cells ascend in curve order, so every search for a cell of one level
-/// can start where the previous one of that level ended — in the level's
-/// own layer, or for a level the block does not keep in the layer below.
-/// Beside them, the scratch record such a level's cells are folded into.
+/// Per-layer resume positions for the cursor-resumed searches, indexed by
+/// the searched layer's level: covering cells are disjoint and ascend in
+/// curve order, so every search in a layer can start where the previous
+/// one in that layer ended — a search for a cell of the layer's level, or
+/// for one of the odd level above it that the block does not keep.
+/// Beside them, the scratch record such an odd level's cells are folded
+/// into.
 pub(crate) struct Cursors {
-    levels: [usize; MAX_LEVEL as usize + 1],
+    layers: [usize; MAX_LEVEL as usize + 1],
     scratch: Layer,
 }
 
@@ -62,7 +66,7 @@ impl Cursors {
     #[inline]
     pub(crate) fn new() -> Cursors {
         Cursors {
-            levels: [0; MAX_LEVEL as usize + 1],
+            layers: [0; MAX_LEVEL as usize + 1],
             scratch: Layer::with_capacity(0, 0, 0),
         }
     }
@@ -119,82 +123,77 @@ impl GeoBlock {
         }
     }
 
-    /// The canonical record of the aligned `cell`, at or above the block
-    /// level: the in-order fold of its children's records, read from the
-    /// layer of its level — or, at an odd level the block does not keep,
-    /// folded from the ≤ 4 contiguous child records in the layer below
-    /// into `cursors`' scratch record, as `Layer::fold_to` folds them.
-    /// `None` means no data under the cell — also for a cell finer than
-    /// the block level, which has no record of its own.
+    /// The records that make up the aligned `cell`, at or above the block
+    /// level: the layer searched and the matching range in it — the one
+    /// record of the cell's level, or at an odd level the block does not
+    /// keep, the ≤ 4 contiguous child records in the layer below. `None`
+    /// means no data under the cell — also for a cell finer than the block
+    /// level, which has no record of its own.
     ///
-    /// The search gallops forward from where `cursors` left the cell's
-    /// level, so the cells of one level must be asked for in ascending
-    /// order per `Cursors`; a caller without such an order passes a fresh
-    /// one per lookup.
-    pub(crate) fn record_of<'a>(
-        &'a self,
-        cell: CellId,
-        cursors: &'a mut Cursors,
-    ) -> Option<RecordRef<'a>> {
+    /// The search gallops forward from where `cursors` left the searched
+    /// layer, so the cells searched in one layer must be asked for in
+    /// ascending, disjoint order per `Cursors`; a caller without such an
+    /// order passes a fresh one per lookup.
+    fn locate(&self, cell: CellId, cursors: &mut Cursors) -> Option<(&Layer, Range<usize>)> {
         let level = cell.level();
-        let cursor = &mut cursors.levels[usize::from(level)];
         if let Some(layer) = self.layer_at(level) {
-            let i = layer.find(cell.raw(), cursor)?;
-            return Some(layer.record(i));
+            let i = layer.find(cell.raw(), &mut cursors.layers[usize::from(level)])?;
+            return Some((layer, i..i + 1));
         }
         let finer = self.layer_at(level + 1)?;
+        let cursor = &mut cursors.layers[usize::from(finer.level)];
         let (lo, hi) = (cell.range_min().raw(), cell.range_max().raw());
         let first = gallop::lower_bound_from(&finer.keys, lo, *cursor);
         let children = finer.keys[first..].iter().take(4);
         let end = first + children.take_while(|&&k| k <= hi).count();
         *cursor = end;
-        let scratch = &mut cursors.scratch;
-        scratch.reset(level, finer.n_cols);
-        scratch.push_fold(finer, first..end);
-        (first < end).then(|| scratch.record(0))
+        (first < end).then_some((finer, first..end))
     }
 
-    /// COUNT: number of points inside `polygon` (Listing 2).
+    /// The canonical record of the aligned `cell`: the in-order fold of
+    /// its children's records, read from the layer of its level — or, at
+    /// an odd level, folded from the child records `locate` finds into
+    /// `cursors`' scratch record, as `Layer::fold_to` folds them. `None`
+    /// and the order `cursors` needs are `locate`'s.
+    pub(crate) fn record_of<'a>(
+        &'a self,
+        cell: CellId,
+        cursors: &'a mut Cursors,
+    ) -> Option<RecordRef<'a>> {
+        let (layer, group) = self.locate(cell, cursors)?;
+        if layer.level == cell.level() {
+            return Some(layer.record(group.start));
+        }
+        let scratch = &mut cursors.scratch;
+        scratch.reset(cell.level(), layer.n_cols);
+        scratch.push_fold(layer, group);
+        Some(scratch.record(0))
+    }
+
+    /// COUNT: number of points inside `polygon`.
     pub fn count(&self, polygon: &Polygon) -> (u64, QueryStats) {
         let covering = self.cover(polygon);
         self.count_covering(&covering)
     }
 
-    /// COUNT over a precomputed covering: per cell, locate the first and
-    /// last contained aggregate (both searches resuming from the previous
-    /// cell's end — coverings and keys are sorted the same way) and take
-    /// the O(1) difference over the count prefix. The prefix is rebuilt by
-    /// updates, so there is no post-update scan fallback.
+    /// COUNT over a precomputed covering: per cell, SELECT's search
+    /// (`GeoBlock::locate`), then the sum of the counts it found — the
+    /// cell's record's count, or at an odd level its ≤ 4 children's.
     pub fn count_covering(&self, covering: &CellUnion) -> (u64, QueryStats) {
         let mut stats = QueryStats::default();
         let mut total = 0u64;
-        let mut cursor = 0usize;
-        let keys = self.records().keys.as_slice();
+        let mut cursors = Cursors::new();
 
         for qcell in covering.iter() {
             if !self.may_overlap(qcell) {
                 continue;
             }
             stats.query_cells += 1;
-            // First/last block-level child of the covering cell (lines 5–6
-            // of Listing 2) — as raw key bounds these are just the cell's
-            // leaf range restricted to block-level ids.
-            let lo_key = qcell.range_min().raw();
-            let hi_key = qcell.range_max().raw();
-
-            stats.searches += 2;
-            let first = gallop::lower_bound_from(keys, lo_key, cursor);
-            if keys.get(first).is_none_or(|&k| k > hi_key) {
-                cursor = first;
-                continue; // no aggregates inside this covering cell
+            stats.searches += 1;
+            if let Some((layer, group)) = self.locate(qcell, &mut cursors) {
+                total += layer.counts[group].iter().sum::<u64>();
+                stats.cells_combined += 1;
             }
-            let end = gallop::upper_bound_from(keys, hi_key, first);
-            cursor = end;
-
-            // Line 11, over the count prefix:
-            // prefix[last + 1] − prefix[first].
-            total += self.prefix_counts[end] - self.prefix_counts[first];
-            stats.cells_combined += 2;
         }
         (total, stats)
     }
@@ -342,7 +341,8 @@ mod tests {
         // Every aligned cell at or above the block level, coarsest level
         // last — the opposite of a covering's order — and the cells below
         // the block level, which have no record. An even and an odd block
-        // level: the odd levels above either are folded on demand.
+        // level: the odd levels above either are folded on demand, and
+        // COUNT sums their children's counts from the same search.
         let base = base_data(2000);
         let s = spec();
         let plan = AggPlan::compile(&s);
@@ -361,10 +361,16 @@ mod tests {
                     let covering = CellUnion::from_cells(vec![ancestor]);
                     let want = crate::reference::select_covering(&block, &covering, &s);
                     assert!(got.finalize(&s).approx_eq(&want, 0.0), "{ancestor:?}");
+                    assert_eq!(
+                        block.count_covering(&covering).0,
+                        crate::reference::count_covering(&block, &covering),
+                        "{ancestor:?}"
+                    );
                 }
-                assert!(block
-                    .record_of(cell.child(0), &mut Cursors::new())
-                    .is_none());
+                let finer = cell.child(0);
+                assert!(block.record_of(finer, &mut Cursors::new()).is_none());
+                let finer = CellUnion::from_cells(vec![finer]);
+                assert_eq!(block.count_covering(&finer).0, 0);
             }
         }
     }

@@ -24,9 +24,9 @@
 //! | `HITS` | (optional) hit-statistic key/count pairs |
 //! | `HOTQ` | (no longer written) hot-query shapes, count + encoded request; read only for the state hash |
 //!
-//! Derived state — the count prefix, the coarser layers and the aggregate
-//! cache — is **never** serialized: the first two are deterministic folds
-//! of the `CELL` layer, so every load rebuilds them through the same
+//! Derived state — the coarser layers and the aggregate cache — is
+//! **never** serialized: the layers are deterministic folds of the `CELL`
+//! layer, so every load rebuilds them through the same
 //! `GeoBlock::refresh_derived` every other producer of a block ends in
 //! (see `DESIGN.md` "Persistence" for the measurements behind this), and
 //! the cache is a function of `HITS` and the load-time threshold.
@@ -298,7 +298,7 @@ pub struct PersistStats {
     /// The content hash and the state hash — computed to be stored by a
     /// save, re-derived and compared by a load.
     pub hash: Duration,
-    /// Load: the count prefix and the coarser layers, folded again.
+    /// Load: the coarser layers, folded again.
     pub derive: Duration,
     /// Save: sections framed and encoded into the output buffer.
     pub encode: Duration,
@@ -504,8 +504,8 @@ impl Snapshot {
         stats.hash = timer.lap();
 
         // The stored layer is now known to describe a possible block:
-        // derive the count prefix and the coarser layers from it, and the
-        // header the block serves in place of the stored one.
+        // derive the coarser layers from it, and the header the block
+        // serves in place of the stored one.
         block.refresh_derived();
         stats.derive = timer.lap();
         if !header.describes(&block) {

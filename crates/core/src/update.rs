@@ -10,11 +10,11 @@
 //! tuples hitting existing cells update the block-level records in place;
 //! tuples in new regions are aggregated into a layer of fresh records that
 //! is then merged into the sorted layout (one splice). The records are all
-//! a batch writes: the count prefix and every coarser layer — the root
-//! record, the global header, included — are folded again from them at
-//! the end of every batch (`GeoBlock::refresh_derived`, the same funnel
-//! every other producer of a block ends in), so COUNT stays O(1) per
-//! covering cell and the header never drifts from the records.
+//! a batch writes: every coarser layer — the root record, the global
+//! header, included — is folded again from them at the end of every batch
+//! (`GeoBlock::refresh_derived`, the same funnel every other producer of a
+//! block ends in), so SELECT and COUNT read one record per covering cell
+//! and the header never drifts from the records.
 //!
 //! One admission rule guards both entry points, this one and
 //! [`crate::GeoBlockEngine::apply_updates`]: every row has one value per
@@ -258,7 +258,7 @@ mod tests {
         // existing locations (in-place) and in the empty right half (new
         // cells); the second does it again, on a layout that has already
         // been spliced. `count` and `count_covering` run over the rebuilt
-        // count prefix and must agree with hand-counted truth.
+        // layers and must agree with hand-counted truth.
         let base = base_data(2500);
         let (mut block, _) = build(&base, 7, &Filter::all());
         use gb_data::Rows;
@@ -328,7 +328,7 @@ mod tests {
 
         let mut stored_only = block.clone_stored();
         assert_eq!(stored_only.layers.len(), 1);
-        assert!(stored_only.prefix_counts.is_empty());
+        assert_eq!(stored_only.derived_bytes(), 0);
         let mut whole = block.clone();
         assert_eq!(
             stored_only.apply_updates(&batch).expect("valid batch"),
@@ -337,7 +337,7 @@ mod tests {
         stored_only.check_invariants();
         assert_eq!(stored_only.content_hash(), whole.content_hash());
         assert_eq!(stored_only.layers, whole.layers);
-        assert_eq!(stored_only.prefix_counts, whole.prefix_counts);
+        assert_eq!(stored_only.num_rows(), whole.num_rows());
         // The block the copy was taken from is untouched.
         block.check_invariants();
         assert_eq!(block.num_rows() + 3, whole.num_rows());

@@ -144,7 +144,7 @@ proptest! {
     }
 
     /// §5 COUNT after updates: mixed in-place/new-cell batches rebuild the
-    /// count prefix, so COUNT must still equal ground truth (base rows +
+    /// coarser layers, so COUNT must still equal ground truth (base rows +
     /// update rows inside the covering), via both `count` and
     /// `count_covering`.
     #[test]

@@ -262,6 +262,8 @@ fn prefix_count_matches_ground_truth_after_mixed_batches() {
             .count() as u64;
     let (cnt, stats) = block.count_covering(&covering);
     assert_eq!(cnt, want);
-    // O(1) per covering cell: two prefix probes, never a record sweep.
-    assert_eq!(stats.cells_combined, 2 * stats.query_cells);
+    // One search and at most one record read per covering cell, never a
+    // record sweep.
+    assert_eq!(stats.searches, stats.query_cells);
+    assert!(stats.cells_combined <= stats.query_cells, "{stats:?}");
 }

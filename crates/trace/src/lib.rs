@@ -52,7 +52,8 @@ pub enum Stage {
     /// Flat-index lookup of a covering cell in the trie.
     TrieLookup,
     /// A covering cell the trie does not hold, answered from a pyramid
-    /// layer (one lookup, one record) — and COUNT's prefix differences.
+    /// layer (one lookup, one record) — and COUNT's lookups, which read
+    /// the counts of the same records.
     PyramidCombine,
     /// A block-level covering cell the trie does not hold, answered from
     /// the block's own records: at most one record, nothing is scanned

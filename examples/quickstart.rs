@@ -62,10 +62,9 @@ fn main() {
         qstats.query_cells, qstats.cells_combined
     );
 
-    // 4. COUNT uses the Listing-2 range-sum: two probes of the count
-    // prefix per covering cell, independent of how many records the cell
-    // spans. SELECT is just as frugal: every block carries the aggregate
-    // pyramid, so it combines one record per covering cell.
+    // 4. COUNT runs SELECT's search and adds the counts of the records it
+    // finds: every block carries the aggregate pyramid, so both read one
+    // record per covering cell, however many block records the cell spans.
     let (count, cstats) = block.count(neighborhood);
     println!(
         "\nCOUNT = {count} touching {} aggregates ({} for SELECT)",

@@ -1,7 +1,8 @@
 //! The work ratchet: what a seeded block costs in bytes, what its set-up
-//! allocates, and what 64 seeded SELECTs cost in record searches and
-//! combines, asserted against recorded constants. Counts of work do not
-//! depend on the host, so this gate holds where timings cannot steer.
+//! allocates, and what 64 seeded SELECTs and COUNTs cost in record
+//! searches and reads, asserted against recorded constants. Counts of
+//! work do not depend on the host, so this gate holds where timings cannot
+//! steer.
 //!
 //! The bytes are ceilings: a change that shrinks the block or what its
 //! set-up allocates lowers them in the same diff, so the gate ratchets. The
@@ -68,21 +69,26 @@ const SEED: u64 = 1;
 const LEVEL: u8 = 10;
 const POLYGONS: usize = 64;
 
-/// Ceiling on `GeoBlock::derived_bytes`: the count prefix plus the
-/// materialised coarser layers.
-const MAX_DERIVED_BYTES: usize = 3_221_720;
+/// Ceiling on `GeoBlock::derived_bytes`: the materialised coarser layers.
+const MAX_DERIVED_BYTES: usize = 2_899_840;
 /// Ceiling on `GeoBlock::memory_bytes` per aggregated row, rounded up.
-const MAX_BYTES_PER_ROW: usize = 107;
-/// `QueryStats::searches` summed over the polygons.
+const MAX_BYTES_PER_ROW: usize = 104;
+/// SELECT's `QueryStats::searches` summed over the polygons.
 const SEARCHES: usize = 10_293;
-/// `QueryStats::cells_combined` summed over the polygons.
+/// SELECT's `QueryStats::cells_combined` summed over the polygons.
 const CELLS_COMBINED: usize = 4_689;
+/// COUNT's `QueryStats::searches` summed over the polygons: SELECT's
+/// search, one per covering cell.
+const COUNT_SEARCHES: usize = 10_293;
+/// COUNT's `QueryStats::cells_combined` summed over the polygons: one
+/// record read per covering cell with data, as for SELECT.
+const COUNT_CELLS_COMBINED: usize = 4_689;
 /// Ceiling on the bytes `extract` allocates: each chunk's pairs, the key
 /// column and the permutation, and the gathered columns.
 const MAX_EXTRACT_BYTES: usize = 9_956_320;
-/// Ceiling on the bytes `build` allocates: the records, the count prefix
-/// and each coarser layer, each once at its exact size.
-const MAX_BUILD_BYTES: usize = 16_324_128;
+/// Ceiling on the bytes `build` allocates: the records and each coarser
+/// layer, each once at its exact size.
+const MAX_BUILD_BYTES: usize = 16_002_248;
 
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
@@ -116,15 +122,24 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
     );
 
     let spec = AggSpec::k_aggregates(block.schema(), 4);
-    let mut work = QueryStats::default();
+    let (mut select, mut count) = (QueryStats::default(), QueryStats::default());
     for poly in polygons::neighborhoods(POLYGONS, SEED) {
-        let (_, stats) = block.select(&poly, &spec);
-        work.searches += stats.searches;
-        work.cells_combined += stats.cells_combined;
+        for (work, stats) in [
+            (&mut select, block.select(&poly, &spec).1),
+            (&mut count, block.count(&poly).1),
+        ] {
+            work.searches += stats.searches;
+            work.cells_combined += stats.cells_combined;
+        }
     }
     assert_eq!(
-        (work.searches, work.cells_combined),
+        (select.searches, select.cells_combined),
         (SEARCHES, CELLS_COMBINED),
-        "searches and cells combined over {POLYGONS} polygons"
+        "SELECT's searches and cells combined over {POLYGONS} polygons"
+    );
+    assert_eq!(
+        (count.searches, count.cells_combined),
+        (COUNT_SEARCHES, COUNT_CELLS_COMBINED),
+        "COUNT's searches and cells combined over {POLYGONS} polygons"
     );
 }
