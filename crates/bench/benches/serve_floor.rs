@@ -16,8 +16,16 @@
 //! gbmark does: with a single pair the peer's core idles between
 //! messages and the number measures the host's idle-CPU wake-up, not the
 //! code (EXPERIMENTS.md "The hit path at the loopback floor").
+//!
+//! Two paced arms measure that wake-up on purpose, as gbmark's lowest
+//! open-loop rate meets it: every pair pauses [`PACE`] before each round
+//! trip (in `iter_batched`'s untimed setup), so an idle peer must be woken.
+//! `raw_pingpong_paced` is the bare transport's wake-up; in
+//! `cached_select_paced` the server's worker is still polling (see
+//! `gb_serve::POLL_WINDOW`) when the request arrives. `perf-smoke` prints
+//! their ratio and does not gate it.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_serve::client::Connection;
 use gb_serve::http::{HttpRequest, HttpResponse};
@@ -28,28 +36,52 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Concurrent client/server pairs per arm: gbmark's two clients on two
 /// workers.
 const PAIRS: usize = 2;
 
+/// The paced arms' pause before each round trip: about the gap each of
+/// gbmark's two connections sees at its lowest open-loop rate (2 100/s).
+const PACE: Duration = Duration::from_millis(1);
+
 /// Measure one arm: `pair()` builds one pair's round trip (with its own
 /// connection); the calling thread times one while `PAIRS - 1` others
-/// keep running theirs beside it.
-fn arm<F: FnMut() + Send>(c: &mut Criterion, id: &str, mut pair: impl FnMut() -> F) {
+/// keep running theirs beside it. With `pace`, every pair pauses that
+/// long before each round trip, and only the round trip is timed.
+fn arm<F: FnMut() + Send>(
+    c: &mut Criterion,
+    id: &str,
+    pace: Option<Duration>,
+    mut pair: impl FnMut() -> F,
+) {
     let stop = AtomicBool::new(false);
+    let pause = || pace.map_or((), std::thread::sleep);
     std::thread::scope(|scope| {
         for _ in 1..PAIRS {
             let mut round_trip = pair();
             let stop = &stop;
             scope.spawn(move || {
                 while !stop.load(Ordering::Acquire) {
+                    pause();
                     round_trip();
                 }
             });
         }
         let mut round_trip = pair();
-        c.bench_function(format!("serve_floor/{id}"), |b| b.iter(&mut round_trip));
+        match pace {
+            // Only the round trip counts against the measurement time,
+            // but each iteration lasts over 1 ms: a 200 ms budget keeps
+            // the arm to a few seconds.
+            Some(_) => c
+                .clone()
+                .measurement_time(Duration::from_millis(200))
+                .bench_function(format!("serve_floor/{id}"), |b| {
+                    b.iter_batched(pause, |()| round_trip(), BatchSize::PerIteration)
+                }),
+            None => c.bench_function(format!("serve_floor/{id}"), |b| b.iter(&mut round_trip)),
+        };
         stop.store(true, Ordering::Release);
     });
 }
@@ -109,35 +141,41 @@ fn serve_floor(c: &mut Criterion) {
         .expect("frame");
     let echo = TcpListener::bind("127.0.0.1:0").expect("bind");
     let echo_addr = echo.local_addr().expect("addr");
-    std::thread::scope(|scope| {
-        arm(c, "raw_pingpong", || {
-            let mut near = TcpStream::connect(echo_addr).expect("connect");
-            let (mut far, _) = echo.accept().expect("accept");
-            near.set_nodelay(true).expect("nodelay");
-            far.set_nodelay(true).expect("nodelay");
-            let reply_wire = &reply_wire;
-            scope.spawn(move || {
-                let mut request = vec![0u8; request_len];
-                // Ends when the near side is dropped.
-                while far.read_exact(&mut request).is_ok() && far.write_all(reply_wire).is_ok() {}
+    for (id, pace) in [("raw_pingpong", None), ("raw_pingpong_paced", Some(PACE))] {
+        std::thread::scope(|scope| {
+            arm(c, id, pace, || {
+                let mut near = TcpStream::connect(echo_addr).expect("connect");
+                let (mut far, _) = echo.accept().expect("accept");
+                near.set_nodelay(true).expect("nodelay");
+                far.set_nodelay(true).expect("nodelay");
+                let reply_wire = &reply_wire;
+                scope.spawn(move || {
+                    let mut request = vec![0u8; request_len];
+                    // Ends when the near side is dropped.
+                    while far.read_exact(&mut request).is_ok() && far.write_all(reply_wire).is_ok()
+                    {
+                    }
+                });
+                let request = vec![7u8; request_len];
+                let mut reply = vec![0u8; reply_wire.len()];
+                move || {
+                    near.write_all(&request).expect("write");
+                    near.read_exact(&mut reply).expect("read");
+                }
             });
-            let request = vec![7u8; request_len];
-            let mut reply = vec![0u8; reply_wire.len()];
-            move || {
-                near.write_all(&request).expect("write");
-                near.read_exact(&mut reply).expect("read");
-            }
         });
-    });
+    }
 
     let running = RunningServer::start(server, "127.0.0.1:0").expect("start");
     let addr = running.addr();
-    arm(c, "healthz_keepalive", || {
+    arm(c, "healthz_keepalive", None, || {
         client(addr, "GET", "/healthz", Vec::new())
     });
-    arm(c, "cached_select", || {
-        client(addr, "POST", "/v1/select", select.clone())
-    });
+    for (id, pace) in [("cached_select", None), ("cached_select_paced", Some(PACE))] {
+        arm(c, id, pace, || {
+            client(addr, "POST", "/v1/select", select.clone())
+        });
+    }
     running.stop().expect("stop");
 }
 

@@ -31,7 +31,7 @@
 //! * [`stats`] — relaxed event counters ([`stats::Counter`]), the one
 //!   blessed home for `Ordering::Relaxed` (see the `gb_lint`
 //!   `atomic-ordering` rule).
-//! * [`hist`] — the lock-free log2 [`LatencyHistogram`] shared by the
+//! * [`hist`] — the lock-free log-linear [`LatencyHistogram`] shared by the
 //!   serve-layer request-latency metric and the per-stage tracer
 //!   (`gb_trace`).
 

@@ -33,9 +33,15 @@
 //!   engine work happens (see [`quota`]).
 //! * **Concurrency** — a fixed worker fleet on `gb_common::Pool`, each
 //!   worker parked in a blocking `accept` on the shared listener
-//!   (thread-per-connection, pre-forked; no async runtime, no polling).
-//!   A steady-state request costs one `read` and one `write` per side;
-//!   [`RunningServer::stop`] wakes the fleet by connecting to it.
+//!   (thread-per-connection, pre-forked; no async runtime). Between a
+//!   connection's requests its worker polls the socket for
+//!   [`POLL_WINDOW`] before it parks in a blocking `read`, so a request
+//!   that comes within the window skips the idle-vCPU wake-up. A request
+//!   costs one `read` and one `write` per side, plus the polls that found
+//!   nothing; `/metrics` counts how each request found its worker
+//!   (`gb_worker_waits_total`) and the time spent polling
+//!   (`gb_worker_poll_ns_total`). [`RunningServer::stop`] wakes the fleet
+//!   by connecting to it.
 //!
 //! The whole crate is on the `gb_lint` `panic-path` list: every failure
 //! is a typed [`GbError`]/[`http::HttpError`] value, never a panic.
@@ -55,7 +61,7 @@ use geoblocks::{GbError, GeoBlockEngine, ServeError};
 use http::{HttpError, HttpRequest, HttpResponse};
 use metrics::{CloseReason as Close, Metrics};
 use quota::{Admission, QuotaTable};
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -313,7 +319,7 @@ impl GbServer {
                 return;
             };
             while !shutdown.stopping() {
-                let Ok((mut stream, _)) = listener.accept() else {
+                let Ok((stream, _)) = listener.accept() else {
                     // Out of descriptors, or the peer reset while queued.
                     std::thread::sleep(Duration::from_millis(5));
                     continue;
@@ -328,7 +334,7 @@ impl GbServer {
                 };
                 *serving.lock() = Some(handle);
                 if !shutdown.stopping() {
-                    self.serve_connection(&mut stream, shutdown);
+                    self.serve_connection(&stream, shutdown);
                 }
                 *serving.lock() = None;
                 let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -341,11 +347,13 @@ impl GbServer {
     /// hits the per-connection request cap. Transport errors get a
     /// best-effort 400/413 and never propagate (a broken peer must not
     /// take a worker down).
-    fn serve_connection(&self, stream: &mut TcpStream, shutdown: &Shutdown) {
+    fn serve_connection(&self, stream: &TcpStream, shutdown: &Shutdown) {
         self.metrics.connection_opened();
         let idle = self.config.keep_alive_idle.max(Duration::from_millis(1));
-        let _ = stream.set_read_timeout(Some(idle));
         let _ = stream.set_nodelay(true);
+        let Ok(mut stream) = PolledStream::new(stream, idle, &self.metrics) else {
+            return self.metrics.connection_closed(Close::Error, 0);
+        };
         let max_requests = self.config.keep_alive_max_requests.max(1) as u64;
         // Requests are parsed out of `inbound` in place; each reply is
         // framed into `outbound` and sent with one `write`.
@@ -353,9 +361,10 @@ impl GbServer {
         let mut served = 0u64;
         let reason = loop {
             // `why` is the reason to record if this reply closes the connection.
-            let (response, why) = match HttpRequest::read_from_buffered(stream, &mut inbound) {
+            let (response, why) = match HttpRequest::read_from_buffered(&mut stream, &mut inbound) {
                 Ok(Some(req)) => {
                     served += 1;
+                    stream.arrived();
                     let (close, why) = if !req.wants_keep_alive() {
                         (true, Close::Peer)
                     } else if served >= max_requests {
@@ -385,7 +394,7 @@ impl GbServer {
                 let _ = stream.write_all(&outbound);
                 return;
             }
-            if stream.write_all(&outbound).is_err() {
+            if stream.write_all(&outbound).is_err() || stream.resume().is_err() {
                 break Close::Error;
             }
             // One large update must not pin its size for the connection's life.
@@ -393,6 +402,128 @@ impl GbServer {
             outbound.shrink_to(BUFFER_KEEP);
         };
         self.metrics.connection_closed(reason, served);
+    }
+}
+
+/// How long a worker polls its connection for the next request before it
+/// parks in a blocking `read`. Polling pays when the next request arrives
+/// inside the window: the worker is awake to take it, where a parked one
+/// first waits out the guest's idle-vCPU wake-up (~40 µs). Two keep-alive
+/// connections sharing 2 100 requests/s leave each ~0.95 ms between
+/// requests; an idle connection costs at most one window of CPU before its
+/// worker parks.
+pub const POLL_WINDOW: Duration = Duration::from_millis(2);
+
+/// A connection's socket as its worker waits on it. A `read` that finds
+/// nothing (`WouldBlock`) yields the CPU and reads again until the wait
+/// has lasted [`POLL_WINDOW`]; then the socket switches to blocking and the
+/// worker parks in the same `read` with what is left of the idle timeout.
+/// [`PolledStream::resume`] switches it back once the reply is written.
+/// A request caught by polling therefore costs one `read` and one `write`,
+/// plus the polls that found nothing, and no mode change; a parked one
+/// adds two mode switches and one `setsockopt`.
+struct PolledStream<'a> {
+    stream: &'a TcpStream,
+    metrics: &'a Metrics,
+    idle: Duration,
+    /// When the current wait's first `read` found nothing.
+    waiting_since: Option<Instant>,
+    /// The socket is in blocking mode: the wait parked, or a reply filled
+    /// the send buffer.
+    blocking: bool,
+}
+
+impl<'a> PolledStream<'a> {
+    fn new(
+        stream: &'a TcpStream,
+        idle: Duration,
+        metrics: &'a Metrics,
+    ) -> std::io::Result<PolledStream<'a>> {
+        stream.set_nonblocking(true)?;
+        Ok(PolledStream {
+            stream,
+            metrics,
+            idle,
+            waiting_since: None,
+            blocking: false,
+        })
+    }
+
+    /// A request was read whole: count how its worker waited for it and
+    /// start the next wait afresh.
+    fn arrived(&mut self) {
+        self.metrics.worker_waited(self.blocking);
+        self.waiting_since = None;
+    }
+
+    /// The reply is written: poll again for the next request.
+    fn resume(&mut self) -> std::io::Result<()> {
+        if self.blocking {
+            self.stream.set_nonblocking(true)?;
+            self.blocking = false;
+        }
+        Ok(())
+    }
+}
+
+impl Read for PolledStream<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut polling = None;
+        let result = loop {
+            let nothing = match (&*self.stream).read(buf) {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => e,
+                done => break done,
+            };
+            let now = Instant::now();
+            let waited = now.saturating_duration_since(*self.waiting_since.get_or_insert(now));
+            if !self.blocking {
+                let since = *polling.get_or_insert(now);
+                if waited < POLL_WINDOW.min(self.idle) {
+                    std::thread::yield_now();
+                    continue;
+                }
+                self.metrics
+                    .worker_polled(now.saturating_duration_since(since));
+                polling = None;
+            }
+            // Park, or park again if the timer fired before the idle
+            // timeout was up, with what is left of it.
+            let Some(left) = self.idle.checked_sub(waited).filter(|d| !d.is_zero()) else {
+                break Err(nothing); // the idle timeout is up
+            };
+            if let Err(e) = self.stream.set_read_timeout(Some(left)) {
+                break Err(e);
+            }
+            if !self.blocking {
+                if let Err(e) = self.stream.set_nonblocking(false) {
+                    break Err(e);
+                }
+                self.blocking = true;
+            }
+        };
+        if let Some(since) = polling {
+            self.metrics.worker_polled(since.elapsed());
+        }
+        result
+    }
+}
+
+impl Write for PolledStream<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        loop {
+            match (&*self.stream).write(buf) {
+                // The send buffer is full: block until the peer drains it.
+                Err(e) if e.kind() == ErrorKind::WouldBlock && !self.blocking => {
+                    self.stream.set_nonblocking(false)?;
+                    self.blocking = true;
+                }
+                done => return done,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -405,7 +536,7 @@ const RANK_SERVING: u8 = 4;
 
 /// What ends [`GbServer::run`]: the flag its workers read around `accept`
 /// and after every request, and per worker a handle on the stream it is
-/// serving, so [`Shutdown::stop`] can end a connection parked in `read`.
+/// serving, so [`Shutdown::stop`] can end a connection waiting in `read`.
 struct Shutdown {
     flag: AtomicBool,
     serving: Vec<OrderedMutex<Option<TcpStream>>>,
@@ -426,7 +557,7 @@ impl Shutdown {
 
     /// End `run` on the listener at `addr`: raise the flag, then per
     /// worker close the read half of the stream it serves — a worker
-    /// parked in `read` sees end-of-stream at once, while a request
+    /// polling or parked in `read` sees end-of-stream at once, while a request
     /// already received is still answered (with `connection: close`) —
     /// and connect once: each worker exits on its first `accept` after
     /// the flag, so one connection per worker wakes them all. A failing
@@ -577,6 +708,15 @@ pub(crate) mod tests {
     use geoblocks::{build, UpdateBatch};
 
     pub(crate) fn test_server(quota_per_sec: f64, cache_capacity: usize) -> GbServer {
+        test_server_with(ServeConfig {
+            quota_per_sec,
+            quota_burst: 3.0,
+            cache_capacity,
+            ..ServeConfig::default()
+        })
+    }
+
+    fn test_server_with(config: ServeConfig) -> GbServer {
         let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
         let mut state = 11u64;
         let mut next = move || {
@@ -591,16 +731,7 @@ pub(crate) mod tests {
         let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
         let base = extract(&raw, grid, &CleaningRules::none(), None).base;
         let (block, _) = build(&base, 8, &Filter::all());
-        let engine = Arc::new(GeoBlockEngine::new(block, 0.3));
-        GbServer::new(
-            engine,
-            ServeConfig {
-                quota_per_sec,
-                quota_burst: 3.0,
-                cache_capacity,
-                ..ServeConfig::default()
-            },
-        )
+        GbServer::new(Arc::new(GeoBlockEngine::new(block, 0.3)), config)
     }
 
     fn diamond(cx: f64, cy: f64, r: f64) -> Polygon {
@@ -737,8 +868,7 @@ pub(crate) mod tests {
         let server = test_server(0.0, 64);
         server.handle(&post("/v1/select", select_req(40.0)));
         server.handle(&post("/v1/select", select_req(40.0)));
-        let text = String::from_utf8(server.handle(&HttpRequest::new("GET", "/metrics")).body)
-            .expect("utf8");
+        let text = exposition(&server);
         assert_eq!(
             metrics::scrape(&text, "gb_result_cache_hits_total"),
             Some(1.0)
@@ -771,6 +901,26 @@ pub(crate) mod tests {
         running.stop().expect("stop");
     }
 
+    /// The server's `/metrics` exposition, scraped in-process.
+    fn exposition(server: &GbServer) -> String {
+        String::from_utf8(server.handle(&HttpRequest::new("GET", "/metrics")).body).expect("utf8")
+    }
+
+    /// The wire form of `server`'s keep-alive reply to `req`.
+    fn keep_alive_reply(server: &GbServer, req: &HttpRequest) -> Vec<u8> {
+        let mut wire = Vec::new();
+        server.handle(req).with_close(false).frame_into(&mut wire);
+        wire
+    }
+
+    /// `gb_worker_waits_total{outcome}` and `gb_worker_poll_ns_total`.
+    fn waits(text: &str) -> (Option<f64>, Option<f64>, Option<f64>) {
+        let outcome =
+            |o: &str| metrics::scrape(text, &format!("gb_worker_waits_total{{outcome=\"{o}\"}}"));
+        let poll_ns = metrics::scrape(text, "gb_worker_poll_ns_total");
+        (outcome("polled"), outcome("parked"), poll_ns)
+    }
+
     #[test]
     fn stop_does_not_wait_for_idle_connections_or_parked_workers() {
         let prompt = Duration::from_millis(250);
@@ -780,32 +930,181 @@ pub(crate) mod tests {
         running.stop().expect("stop");
         assert!(asked.elapsed() < prompt, "parked: {:?}", asked.elapsed());
 
-        // One worker parked in `read` on an idle keep-alive connection
-        // (idle timeout 5 s), the others in `accept`.
-        let running = RunningServer::start(test_server(0.0, 64), "127.0.0.1:0").expect("start");
-        let mut conn = client::Connection::connect(running.addr()).expect("connect");
-        assert_eq!(
-            conn.request("GET", "/healthz", &[], &[])
-                .expect("healthz")
-                .status,
-            200
+        // One worker waiting for a keep-alive connection's next request
+        // (idle timeout 5 s), the others in `accept`: stopped while it
+        // still polls, right after the reply, and once it has parked in
+        // `read`, well past the window.
+        for pause in [Duration::ZERO, POLL_WINDOW * 25] {
+            let running = RunningServer::start(test_server(0.0, 64), "127.0.0.1:0").expect("start");
+            let mut conn = client::Connection::connect(running.addr()).expect("connect");
+            assert_eq!(
+                conn.request("GET", "/healthz", &[], &[])
+                    .expect("healthz")
+                    .status,
+                200
+            );
+            std::thread::sleep(pause);
+            let server = Arc::clone(running.server());
+            let asked = Instant::now();
+            running.stop().expect("stop");
+            assert!(asked.elapsed() < prompt, "{pause:?}: {:?}", asked.elapsed());
+            assert!(conn.request("GET", "/healthz", &[], &[]).is_err());
+            let text = exposition(&server);
+            let closes = |reason: &str| {
+                metrics::scrape(
+                    &text,
+                    &format!("gb_connection_closes_total{{reason=\"{reason}\"}}"),
+                )
+            };
+            assert_eq!(closes("shutdown"), Some(1.0), "{pause:?}: {text}");
+            assert_eq!(closes("idle"), Some(0.0));
+            assert_eq!(metrics::scrape(&text, "gb_connections_total"), Some(1.0));
+        }
+    }
+
+    #[test]
+    fn an_idle_connection_closes_after_keep_alive_idle_not_before() {
+        let idle = Duration::from_millis(30);
+        let running = RunningServer::start(
+            test_server_with(ServeConfig {
+                keep_alive_idle: idle,
+                ..ServeConfig::default()
+            }),
+            "127.0.0.1:0",
+        )
+        .expect("start");
+        let mut conn = TcpStream::connect(running.addr()).expect("connect");
+        let sent = Instant::now();
+        conn.write_all(b"GET /healthz HTTP/1.1\r\nconnection: keep-alive\r\n\r\n")
+            .expect("request");
+        // The reply, then end-of-stream when the server gives up waiting.
+        let mut wire = Vec::new();
+        conn.read_to_end(&mut wire).expect("reply, then close");
+        let closed = sent.elapsed();
+        let wire = String::from_utf8(wire).expect("utf8");
+        assert!(wire.starts_with("HTTP/1.1 200 OK\r\n"), "{wire}");
+        assert!(wire.contains("connection: keep-alive\r\n"), "{wire}");
+        assert!(closed >= idle, "closed after {closed:?}");
+        let slack = Duration::from_millis(150);
+        assert!(
+            closed <= idle + POLL_WINDOW + slack,
+            "closed after {closed:?}"
         );
-        let server = Arc::clone(running.server());
-        let asked = Instant::now();
+        let text = exposition(running.server());
+        let idles = "gb_connection_closes_total{reason=\"idle\"}";
+        assert_eq!(metrics::scrape(&text, idles), Some(1.0), "{text}");
         running.stop().expect("stop");
-        assert!(asked.elapsed() < prompt, "idle: {:?}", asked.elapsed());
-        assert!(conn.request("GET", "/healthz", &[], &[]).is_err());
-        let text = String::from_utf8(server.handle(&HttpRequest::new("GET", "/metrics")).body)
-            .expect("utf8");
-        let closes = |reason: &str| {
-            metrics::scrape(
-                &text,
-                &format!("gb_connection_closes_total{{reason=\"{reason}\"}}"),
-            )
+    }
+
+    #[test]
+    fn a_parked_request_gets_the_reply_a_polled_one_gets() {
+        // One worker, so a connection can queue behind another with its
+        // request already sent: the worker finds it waiting, awake.
+        let config = ServeConfig {
+            threads: 1,
+            cache_capacity: 0, // both requests reach the engine
+            ..ServeConfig::default()
         };
-        assert_eq!(closes("shutdown"), Some(1.0), "{text}");
-        assert_eq!(closes("idle"), Some(0.0));
-        assert_eq!(metrics::scrape(&text, "gb_connections_total"), Some(1.0));
+        let running = RunningServer::start(test_server_with(config), "127.0.0.1:0").expect("start");
+        let body = select_req(40.0);
+        let mut wire = format!(
+            "POST /v1/select HTTP/1.1\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        wire.extend_from_slice(&body);
+        let expected = keep_alive_reply(running.server(), &post("/v1/select", body));
+
+        let busy = TcpStream::connect(running.addr()).expect("connect");
+        let mut conn = TcpStream::connect(running.addr()).expect("connect");
+        conn.write_all(&wire).expect("request");
+        drop(busy);
+        let mut polled = vec![0u8; expected.len()];
+        conn.read_exact(&mut polled).expect("reply");
+        // Well past the window: the worker has parked in `read`.
+        std::thread::sleep(POLL_WINDOW * 25);
+        conn.write_all(&wire).expect("request");
+        let mut parked = vec![0u8; expected.len()];
+        conn.read_exact(&mut parked).expect("reply");
+        assert_eq!(polled, expected);
+        assert_eq!(parked, polled, "a parked worker answered differently");
+
+        let (polled, parked, poll_ns) = waits(&exposition(running.server()));
+        assert_eq!((polled, parked), (Some(1.0), Some(1.0)));
+        let window_ns = POLL_WINDOW.as_nanos() as f64;
+        assert!(
+            poll_ns.is_some_and(|ns| ns >= window_ns / 2.0),
+            "{poll_ns:?}"
+        );
+        running.stop().expect("stop");
+    }
+
+    #[test]
+    fn a_write_that_fills_the_send_buffer_blocks_then_polling_resumes() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let metrics = Metrics::default();
+        let mut polled =
+            PolledStream::new(&stream, Duration::from_secs(5), &metrics).expect("non-blocking");
+        // More than loopback's send and receive buffers hold together,
+        // while the peer does not read.
+        let reply = vec![7u8; 16 << 20];
+        let received = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                std::thread::sleep(POLL_WINDOW * 25);
+                let mut got = Vec::new();
+                (&mut peer)
+                    .take(reply.len() as u64)
+                    .read_to_end(&mut got)
+                    .map(|_| got)
+            });
+            polled.write_all(&reply).expect("the whole reply");
+            reader.join().expect("reader")
+        });
+        assert!(
+            received.expect("read") == reply,
+            "the reply arrived altered"
+        );
+        assert!(polled.blocking, "the send buffer never filled");
+        polled.resume().expect("resume");
+        assert!(!polled.blocking);
+        // Polling again: an empty socket reads as `WouldBlock` inside the
+        // window, which the wrapper absorbs, and the peer's bytes arrive.
+        peer.write_all(b"next").expect("write");
+        let mut next = [0u8; 4];
+        polled.read_exact(&mut next).expect("read");
+        assert_eq!(&next, b"next");
+    }
+
+    #[test]
+    fn a_head_trickled_across_the_poll_window_parses() {
+        let running = RunningServer::start(test_server(0.0, 64), "127.0.0.1:0").expect("start");
+        let expected = keep_alive_reply(running.server(), &HttpRequest::new("GET", "/healthz"));
+        let mut reply = vec![0u8; expected.len()];
+        let mut conn = TcpStream::connect(running.addr()).expect("connect");
+        conn.write_all(b"GET /healthz HTTP/1.1\r\nconnection: keep-")
+            .expect("half a head");
+        // The worker polls out its window under the half head, then parks.
+        std::thread::sleep(POLL_WINDOW * 25);
+        conn.write_all(b"alive\r\n\r\n").expect("the rest");
+        conn.read_exact(&mut reply).expect("reply");
+        assert_eq!(reply, expected);
+        let (polled, parked, poll_ns) = waits(&exposition(running.server()));
+        assert_eq!((polled, parked), (Some(0.0), Some(1.0)));
+        let window_ns = POLL_WINDOW.as_nanos() as f64;
+        assert!(
+            poll_ns.is_some_and(|ns| ns >= window_ns / 2.0),
+            "{poll_ns:?}"
+        );
+        // Back to polling after the reply: the connection still serves.
+        conn.write_all(b"GET /healthz HTTP/1.1\r\nconnection: keep-alive\r\n\r\n")
+            .expect("next request");
+        conn.read_exact(&mut reply).expect("reply");
+        assert_eq!(reply, expected);
+        let (polled, parked, _) = waits(&exposition(running.server()));
+        assert_eq!(polled.zip(parked).map(|(a, b)| a + b), Some(2.0));
+        running.stop().expect("stop");
     }
 
     #[test]
@@ -821,8 +1120,7 @@ pub(crate) mod tests {
         let mut answer = Vec::new();
         let _ = std::io::Read::read_to_end(&mut half, &mut answer);
         assert!(answer.is_empty(), "{}", String::from_utf8_lossy(&answer));
-        let text = String::from_utf8(server.handle(&HttpRequest::new("GET", "/metrics")).body)
-            .expect("utf8");
+        let text = exposition(&server);
         let shutdowns = "gb_connection_closes_total{reason=\"shutdown\"}";
         assert_eq!(metrics::scrape(&text, shutdowns), Some(1.0), "{text}");
 

@@ -1,12 +1,12 @@
 //! Server metrics: request/status counters, cache hit/miss, quota
-//! rejections, and a log2-bucketed latency histogram — rendered as a
-//! Prometheus-style text exposition on `GET /metrics`.
+//! rejections, how workers waited for requests, and a log-linear latency
+//! histogram — rendered as a Prometheus-style text exposition on
+//! `GET /metrics`.
 //!
 //! Everything is lock-free [`Counter`]s so the hot path pays a handful
-//! of relaxed `fetch_add`s. The histogram (now shared from `gb_common`
-//! with the per-stage tracer) uses 64 power-of-two buckets covering
-//! 1 ns to ~584 years; quantiles are estimated by bucket upper bounds,
-//! which is exactly the fidelity a p99 gate needs (within 2× of truth).
+//! of relaxed `fetch_add`s. The histogram (shared from `gb_common` with
+//! the per-stage tracer) splits every octave into 16 sub-buckets;
+//! quantiles are sub-bucket upper bounds, at most 6.25 % above the truth.
 
 use gb_common::Counter;
 use gb_trace::{Stage, Tracer};
@@ -62,6 +62,11 @@ pub struct Metrics {
     closes: [Counter; 5],
     /// Requests served on connections that have closed.
     closed_requests: Counter,
+    /// Requests that found their worker polling, and that found it parked.
+    waits_polled: Counter,
+    waits_parked: Counter,
+    /// Nanoseconds workers spent polling for requests: the CPU polling costs.
+    poll_ns: Counter,
     pub latency: LatencyHistogram,
 }
 
@@ -101,6 +106,22 @@ impl Metrics {
             c.incr();
         }
         self.closed_requests.add(requests);
+    }
+
+    /// Record how a worker waited for one request: awake (`parked` false —
+    /// polling, or the request was already there) or parked in `read`.
+    pub fn worker_waited(&self, parked: bool) {
+        if parked {
+            self.waits_parked.incr();
+        } else {
+            self.waits_polled.incr();
+        }
+    }
+
+    /// Record time a worker spent polling its connection.
+    pub fn worker_polled(&self, polled: std::time::Duration) {
+        self.poll_ns
+            .add(u64::try_from(polled.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Total requests across every route.
@@ -165,6 +186,15 @@ impl Metrics {
         let requests = self.closed_requests.get();
         out.push_str(&format!("gb_connection_requests_sum {requests}\n"));
         out.push_str(&format!("gb_connection_requests_count {closed}\n"));
+        out.push_str(&format!(
+            "gb_worker_waits_total{{outcome=\"polled\"}} {}\n",
+            self.waits_polled.get()
+        ));
+        out.push_str(&format!(
+            "gb_worker_waits_total{{outcome=\"parked\"}} {}\n",
+            self.waits_parked.get()
+        ));
+        out.push_str(&format!("gb_worker_poll_ns_total {}\n", self.poll_ns.get()));
         out.push_str(&format!("gb_result_cache_hits_total {}\n", cache.hits));
         out.push_str(&format!("gb_result_cache_misses_total {}\n", cache.misses));
         out.push_str(&format!(
@@ -335,6 +365,38 @@ mod tests {
         assert!(scrape(&text, "gb_pool_busy_ns_total").is_some());
         assert_eq!(scrape(&text, "gb_nonexistent"), None);
         assert_eq!(m.total_requests(), 4);
+    }
+
+    #[test]
+    fn worker_waits_and_poll_time_are_exported() {
+        let m = Metrics::default();
+        m.worker_waited(false);
+        m.worker_waited(false);
+        m.worker_waited(true);
+        m.worker_polled(std::time::Duration::from_micros(1500));
+        m.worker_polled(std::time::Duration::from_nanos(250));
+        let cache = crate::cache::CacheStats::default();
+        let tracer = Tracer::disabled();
+        let text = m.render(&cache, 0, 0, 0, geoblocks::MemoStats::default(), &tracer);
+        let waits = |outcome: &str| {
+            scrape(
+                &text,
+                &format!("gb_worker_waits_total{{outcome=\"{outcome}\"}}"),
+            )
+        };
+        assert_eq!(waits("polled"), Some(2.0), "{text}");
+        assert_eq!(waits("parked"), Some(1.0));
+        assert_eq!(scrape(&text, "gb_worker_poll_ns_total"), Some(1_500_250.0));
+        // A fresh server exports all three at zero.
+        let text =
+            Metrics::default().render(&cache, 0, 0, 0, geoblocks::MemoStats::default(), &tracer);
+        for name in [
+            "gb_worker_waits_total{outcome=\"polled\"}",
+            "gb_worker_waits_total{outcome=\"parked\"}",
+            "gb_worker_poll_ns_total",
+        ] {
+            assert_eq!(scrape(&text, name), Some(0.0), "{name}");
+        }
     }
 
     #[test]
