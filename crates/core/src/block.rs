@@ -17,7 +17,7 @@
 
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::layer::Layer;
-use gb_cell::{CellId, Grid};
+use gb_cell::{CellId, CellUnion, Grid};
 use gb_data::{AggSpec, Schema};
 
 /// Does a block of `block_level` keep a layer for `level`? Its own level
@@ -178,21 +178,34 @@ impl GeoBlock {
     /// containment checks, this is possible in constant time".)
     #[inline]
     pub fn may_overlap(&self, cell: CellId) -> bool {
-        if self.num_cells() == 0 {
-            return false;
-        }
-        cell.range_max().raw() >= self.min_cell_leaf_min()
-            && cell.range_min().raw() <= self.max_cell_leaf_max()
+        self.leaf_extent()
+            .is_some_and(|(lo, hi)| cell.range_max().raw() >= lo && cell.range_min().raw() <= hi)
     }
 
-    #[inline]
-    fn min_cell_leaf_min(&self) -> u64 {
-        CellId::from_raw(self.min_cell).range_min().raw()
+    /// The run of `covering`'s cells that may overlap an aggregate in this
+    /// block: those [`GeoBlock::may_overlap`] keeps (Listing 1 lines 5–6),
+    /// as one slice. A covering's cells are disjoint and in curve order, so
+    /// their leaf ranges ascend and the cells that reach into the block's
+    /// key extent are contiguous.
+    pub fn overlapping<'c>(&self, covering: &'c CellUnion) -> &'c [CellId] {
+        let Some((lo, hi)) = self.leaf_extent() else {
+            return &[];
+        };
+        let cells = covering.cells();
+        let start = cells.partition_point(|c| c.range_max().raw() < lo);
+        let end = start + cells[start..].partition_point(|c| c.range_min().raw() <= hi);
+        &cells[start..end]
     }
 
+    /// The first and the last leaf under the block's records, `None` in an
+    /// empty block.
     #[inline]
-    fn max_cell_leaf_max(&self) -> u64 {
-        CellId::from_raw(self.max_cell).range_max().raw()
+    fn leaf_extent(&self) -> Option<(u64, u64)> {
+        (self.num_cells() > 0).then(|| {
+            let first = CellId::from_raw(self.min_cell).range_min();
+            let last = CellId::from_raw(self.max_cell).range_max();
+            (first.raw(), last.raw())
+        })
     }
 
     /// Bytes of one cell-aggregate record for this schema: key (8) +
@@ -349,9 +362,10 @@ impl GeoBlock {
 #[cfg(test)]
 mod tests {
     use crate::build::build;
-    use gb_cell::Grid;
-    use gb_data::{extract, CleaningRules, ColumnDef, Filter, RawTable, Schema};
-    use gb_geom::{Point, Rect};
+    use gb_cell::{CellId, Grid};
+    use gb_data::{extract, CleaningRules, CmpOp, ColumnDef, Filter, RawTable, Schema};
+    use gb_geom::{Point, Polygon, Rect};
+    use proptest::prelude::*;
 
     #[test]
     fn a_stored_only_copy_holds_no_coarser_level() {
@@ -377,6 +391,42 @@ mod tests {
             copy.refresh_derived();
             assert_eq!(copy.num_rows(), 500);
             assert_eq!(copy.layer_at(0), block.layer_at(0));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `overlapping` is the per-cell pre-check as one run: for
+        /// rectangles inside, straddling and outside a block whose data
+        /// fills only part of the domain, and for an empty block, it is
+        /// exactly the covering's cells `may_overlap` keeps.
+        #[test]
+        fn overlapping_is_the_run_may_overlap_keeps(
+            points in prop::collection::vec((20.0..70.0f64, 30.0..60.0f64), 1..80),
+            rects in prop::collection::vec(
+                (-30.0..120.0f64, -30.0..120.0f64, 0.5..60.0f64, 0.5..60.0f64),
+                1..12,
+            ),
+            level in 3u8..10,
+        ) {
+            let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
+            for (i, &(x, y)) in points.iter().enumerate() {
+                raw.push_row(Point::new(x, y), &[i as f64]);
+            }
+            let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
+            let base = extract(&raw, grid, &CleaningRules::none(), None).base;
+            let nothing = Filter::on(&base, "v", CmpOp::Lt, -1.0).unwrap();
+            let (block, _) = build(&base, level, &Filter::all());
+            let (empty, _) = build(&base, level, &nothing);
+            prop_assert_eq!(empty.num_cells(), 0);
+            for &(x, y, w, h) in &rects {
+                let rect = Rect::from_bounds(x, y, x + w, y + h);
+                let covering = block.cover(&Polygon::rectangle(rect));
+                let want: Vec<CellId> = covering.iter().filter(|&c| block.may_overlap(c)).collect();
+                prop_assert_eq!(block.overlapping(&covering), want.as_slice());
+                prop_assert!(empty.overlapping(&covering).is_empty());
+            }
         }
     }
 }

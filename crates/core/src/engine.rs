@@ -22,9 +22,10 @@
 //!   extracted into [`crate::kernel`] so `gb_check` model-checks these
 //!   exact interleavings over bounded schedules.
 //! * **Log-structured hit statistics** — a query appends its §3.6 hit
-//!   cells to a log with one lock acquisition and one copy; the log is
-//!   folded into per-cell counts only when a rebuild, a snapshot or a
-//!   gauge reads them (see [`crate::hits`]).
+//!   cells (the run of its covering it probes) to a log with one lock
+//!   acquisition and one copy; the log is folded into per-cell counts
+//!   only when a rebuild, a snapshot or a gauge reads them (see
+//!   [`crate::hits`]).
 //! * **Two epochs, two jobs** — the *data epoch* (in the state, bumped
 //!   by [`GeoBlockEngine::apply_updates`]) decides answer validity and
 //!   is what [`crate::api::QueryResponse::epoch`] reports: a cached
@@ -33,8 +34,9 @@
 //!   by rebuilds) only tracks performance adaptation — rebuilds never
 //!   change answers, so they leave the data epoch alone.
 //!
-//! The cache has one producer, [`AggregateTrie`]'s fill over a key set:
-//! a rebuild picks the keys from the hit statistics, an update keeps the
+//! The cache is a sparse sub-pyramid of the block's, one key-sorted layer
+//! per level, with one producer: [`AggregateTrie`]'s fill over a key set.
+//! A rebuild picks the keys from the hit statistics, an update keeps the
 //! current keys and fills them from the updated block, and a restart
 //! rebuilds from the restored statistics under the threshold it is loaded
 //! with (the snapshot stores no cache). A restart replays no requests:
@@ -60,7 +62,7 @@ use crate::trie::AggregateTrie;
 use crate::update::{UpdateBatch, UpdateReport};
 use gb_cell::CellUnion;
 use gb_common::Counter;
-use gb_data::{AggSpec, Filter};
+use gb_data::AggSpec;
 use gb_geom::Polygon;
 use gb_trace::{Stage, TraceStats, Tracer};
 use std::path::{Path, PathBuf};
@@ -123,7 +125,7 @@ fn trace_stats(stats: &QueryStats) -> TraceStats {
 
 impl GeoBlockEngine {
     /// A fluent builder over the construction knobs (threshold, rebuild
-    /// policy, and a block, snapshot or base-data source) that reports a
+    /// policy, and a shared-block or snapshot source) that reports a
     /// bad configuration as a [`GbError`] instead of panicking.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
@@ -329,19 +331,18 @@ impl GeoBlockEngine {
         // The accumulator is a pure observer: when the thread is not
         // sampled it is disarmed and `select_adapted` runs untouched.
         let mut acc = self.tracer.stage_acc();
-        // The query's hit cells are gathered lock-free and appended to
-        // the hit log once it has its answer.
-        let mut hits = Vec::with_capacity(covering.len());
+        // The cells the query probes are its hit cells, appended to the
+        // hit log once it has its answer.
+        let cells = state.block.overlapping(&covering);
         let (result, stats) = qc::select_adapted(
             &state.block,
             &state.trie,
-            &covering,
+            cells,
             spec,
-            &mut |raw| hits.push(raw),
             &mut metrics,
             &mut acc,
         );
-        self.hits.append(&hits);
+        self.hits.append(cells);
         self.tracer.absorb(acc);
         self.probes.add(metrics.probes);
         self.direct_hits.add(metrics.direct_hits);
@@ -594,17 +595,16 @@ impl std::fmt::Debug for GeoBlockEngine {
 /// Where an [`EngineBuilder`] gets its block from.
 enum EngineSource {
     None,
-    Block(Box<GeoBlock>),
     SharedBlock(Arc<GeoBlock>),
     SnapshotFile(PathBuf),
 }
 
-/// Fluent construction of a [`GeoBlockEngine`]: one source (block,
-/// snapshot, or base data via [`EngineBuilder::base`]) plus the threshold
-/// and the rebuild policy. It ends in the same constructors callers use
-/// directly ([`GeoBlockEngine::from_arc`],
-/// [`GeoBlockEngine::from_snapshot_state`], [`GeoBlockEngine::with_policy`]),
-/// adding typed errors where those assert or fail on I/O.
+/// Fluent construction of a [`GeoBlockEngine`]: one source (a shared
+/// block or a snapshot) plus the threshold and the rebuild policy. It ends
+/// in the same constructors callers use directly
+/// ([`GeoBlockEngine::from_arc`], [`GeoBlockEngine::from_snapshot_state`],
+/// [`GeoBlockEngine::with_policy`]), adding typed errors where those
+/// assert or fail on I/O.
 ///
 /// ```no_run
 /// # use geoblocks::{GeoBlockEngine, RebuildPolicy};
@@ -642,12 +642,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Source: wrap an existing block.
-    pub fn block(mut self, block: GeoBlock) -> Self {
-        self.source = EngineSource::Block(Box::new(block));
-        self
-    }
-
     /// Source: wrap an already-shared block.
     pub fn block_arc(mut self, block: Arc<GeoBlock>) -> Self {
         self.source = EngineSource::SharedBlock(block);
@@ -660,13 +654,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Source: build a fresh block from base data at `level` under
-    /// `filter` ([`crate::build()`]).
-    pub fn base(self, base: &gb_data::BaseTable, level: u8, filter: &Filter) -> Self {
-        let (block, _) = crate::build::build(base, level, filter);
-        self.block(block)
-    }
-
     /// Construct the engine. Fails with a typed [`GbError`] on a missing
     /// source, an invalid threshold, or a snapshot that will not load —
     /// no panicking constructor preconditions.
@@ -677,20 +664,17 @@ impl EngineBuilder {
                 self.threshold
             )));
         }
-        let engine =
-            match self.source {
-                EngineSource::None => return Err(GbError::bad_request(
-                    "engine builder needs a source: block(), block_arc(), snapshot(), or base()"
-                        .to_string(),
-                )),
-                EngineSource::Block(block) => {
-                    GeoBlockEngine::from_arc(Arc::new(*block), self.threshold)
-                }
-                EngineSource::SharedBlock(block) => GeoBlockEngine::from_arc(block, self.threshold),
-                EngineSource::SnapshotFile(path) => {
-                    GeoBlockEngine::from_snapshot_state(Snapshot::load(&path)?, self.threshold)
-                }
-            };
+        let engine = match self.source {
+            EngineSource::None => {
+                return Err(GbError::bad_request(
+                    "engine builder needs a source: block_arc() or snapshot()".to_string(),
+                ))
+            }
+            EngineSource::SharedBlock(block) => GeoBlockEngine::from_arc(block, self.threshold),
+            EngineSource::SnapshotFile(path) => {
+                GeoBlockEngine::from_snapshot_state(Snapshot::load(&path)?, self.threshold)
+            }
+        };
         Ok(engine.with_policy(self.policy))
     }
 }
@@ -1022,36 +1006,30 @@ mod tests {
     fn builder_consolidates_the_constructors() {
         let base = base_data(2000);
         let (block, _) = build(&base, 7, &Filter::all());
+        let block = Arc::new(block);
 
-        // From a block, with policy + threshold.
+        // From a shared block, with policy + threshold.
         let engine = GeoBlockEngine::builder()
             .threshold(0.3)
             .policy(RebuildPolicy::EveryN(4))
-            .block(block.clone())
+            .block_arc(Arc::clone(&block))
             .build()
             .expect("block source");
+        assert!(
+            Arc::ptr_eq(&engine.block_snapshot(), &block),
+            "shared, not copied"
+        );
         let hot = diamond(40.0, 40.0, 10.0);
         for _ in 0..9 {
             engine.select(&hot, &spec());
         }
         assert!(engine.cache_epoch() >= 2, "policy wired through");
 
-        // From base data: the same block at whatever thread count.
-        let from_base = GeoBlockEngine::builder()
-            .base(&base, 7, &Filter::all())
-            .build()
-            .expect("base source");
-        let (threaded, _) = crate::build::build_parallel(&base, 7, &Filter::all(), 3);
-        assert_eq!(
-            from_base.block_snapshot().content_hash(),
-            threaded.content_hash()
-        );
-
         // Misconfiguration is a typed error, not a panic.
         assert!(GeoBlockEngine::builder().build().is_err(), "no source");
         assert!(
             GeoBlockEngine::builder()
-                .block(block.clone())
+                .block_arc(block)
                 .threshold(f64::NAN)
                 .build()
                 .is_err(),
@@ -1064,6 +1042,46 @@ mod tests {
                 .is_err(),
             "missing snapshot file"
         );
+    }
+
+    #[test]
+    fn a_restored_hit_count_near_the_top_of_u64_saturates() {
+        // A crafted `HITS` section: a cell with almost `u64::MAX` hits and
+        // a hit parent, whose sum overflows, beside a cell of ordinary
+        // heat. The budget buys one record; the overflowing cell leads
+        // the ranking.
+        let path =
+            std::env::temp_dir().join(format!("gb_engine_saturate_{}.gbsnap", std::process::id()));
+        let base = base_data(2000);
+        let (block, _) = build(&base, 8, &Filter::all());
+        let (hot, warm) = (
+            block.cell_at(0).parent_at(4),
+            block.cell_at(block.num_cells() - 1),
+        );
+        let mut hits = FxHashMap::default();
+        hits.insert(hot.raw(), u64::MAX - 1);
+        hits.insert(hot.parent().raw(), 5);
+        hits.insert(warm.raw(), 1_000);
+        crate::snapshot::SnapshotRef {
+            block: &block,
+            hits: Some(&HitCounts::from_map(&hits)),
+        }
+        .save(&path)
+        .expect("save");
+
+        let threshold = 1.5 / block.num_cells() as f64;
+        let engine = GeoBlockEngine::from_snapshot(&path, threshold).expect("load");
+        let _ = std::fs::remove_file(&path);
+        let cache = engine.trie_snapshot();
+        assert_eq!(cache.num_cached(), 1);
+        assert!(
+            cache.flat_cursor().lookup(hot).is_some(),
+            "the hottest cell is cached"
+        );
+        // Traffic on top of the restored count saturates the fold too.
+        engine.hits.append(&[hot, hot]);
+        engine.rebuild_cache();
+        assert!(engine.trie_snapshot().flat_cursor().lookup(hot).is_some());
     }
 
     #[test]

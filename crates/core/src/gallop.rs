@@ -1,9 +1,9 @@
 //! Cursor-resumed galloping searches over sorted `u64` key columns.
 //!
-//! Covering cells and every key column they are looked up in (the block's
-//! cell aggregates, each pyramid layer, the trie's flat index) are sorted
-//! the same way, so a query's searches resume where the previous one of
-//! that column ended (§3.5) and the sought key is usually a few slots
+//! Covering cells and every key column they are looked up in (each of the
+//! block's layers and of the cache's) are sorted the same way, so a
+//! query's searches resume where the previous one of that column ended
+//! (§3.5) and the sought key is usually a few slots
 //! ahead of the cursor. A bisection of the whole remaining column costs
 //! O(log column) however near the answer is; galloping — check the
 //! successor, then probe at doubling distances, then bisect the one

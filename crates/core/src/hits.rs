@@ -1,11 +1,12 @@
 //! The §3.6 hit statistics, log-structured: queries append, readers fold.
 //!
 //! The paper counts a hit "for each query cell that intersects with the
-//! GeoBlock". A query knows its hit cells as a vector (its covering, in
-//! curve order); the statistics only have to be *counts* when someone
-//! reads them — a cache rebuild, a snapshot, a gauge. So recording is an
-//! append: `HitLog::append` takes one lock and copies the vector onto a
-//! log. Reading folds: sort the log, run-length it, and merge the runs
+//! GeoBlock". A query knows its hit cells as a slice (the run of its
+//! covering that may overlap the block, `GeoBlock::overlapping`, in curve
+//! order); the statistics only have to be *counts* when someone reads
+//! them — a cache rebuild, a snapshot, a gauge. So recording is an
+//! append: `HitLog::append` takes one lock and copies the run onto a log.
+//! Reading folds: sort the log, run-length it, and merge the runs
 //! into [`HitCounts`], a sorted `(cell, hits)` column — sequential passes
 //! over memory, where a hash-map counter pays a cache miss per hit cell
 //! once it holds more cells than the cache does. The log is also folded
@@ -106,7 +107,8 @@ impl HitCounts {
         map.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
-    /// The sum of two columns: one sequential merge.
+    /// The sum of two columns: one sequential merge. Sums saturate: a
+    /// restored column is untrusted input.
     pub(crate) fn merged(&self, other: &HitCounts) -> HitCounts {
         let mut out = HitCounts {
             cells: Vec::with_capacity(self.len() + other.len()),
@@ -118,7 +120,7 @@ impl HitCounts {
                 (Some(x), Some(y)) if x.0 == y.0 => {
                     a.next();
                     b.next();
-                    (x.0, x.1 + y.1)
+                    (x.0, x.1.saturating_add(y.1))
                 }
                 (Some(x), Some(y)) if x.0 < y.0 => {
                     a.next();
@@ -142,7 +144,7 @@ impl HitCounts {
 }
 
 /// Counts from `(cell, hits)` pairs in any order; a cell named more than
-/// once gets the sum.
+/// once gets the (saturating) sum.
 impl FromIterator<(u64, u64)> for HitCounts {
     fn from_iter<T: IntoIterator<Item = (u64, u64)>>(pairs: T) -> Self {
         let mut pairs: Vec<(u64, u64)> = pairs.into_iter().collect();
@@ -151,7 +153,8 @@ impl FromIterator<(u64, u64)> for HitCounts {
         for run in pairs.chunk_by(|a, b| a.0 == b.0) {
             if let Some(&(cell, _)) = run.first() {
                 counts.cells.push(cell);
-                counts.hits.push(run.iter().map(|p| p.1).sum());
+                let hits = run.iter().map(|p| p.1).fold(0, u64::saturating_add);
+                counts.hits.push(hits);
             }
         }
         counts
@@ -205,9 +208,9 @@ impl HitLog {
     }
 
     /// Record one query's hit cells: one lock acquisition, one copy.
-    pub(crate) fn append(&self, hits: &[u64]) {
+    pub(crate) fn append(&self, cells: &[gb_cell::CellId]) {
         let mut state = self.hit_log.lock();
-        state.log.extend_from_slice(hits);
+        state.log.extend(cells.iter().map(|cell| cell.raw()));
         if state.log.len() >= self.bound {
             state.fold();
         }
@@ -248,11 +251,17 @@ impl HitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_cell::CellId;
     use gb_common::FxHashMap;
     use proptest::prelude::*;
 
     fn column(pairs: &[(u64, u64)]) -> HitCounts {
         pairs.iter().copied().collect()
+    }
+
+    /// A distinct cell per `n < 64`.
+    fn cell(n: u64) -> CellId {
+        (0..3).fold(CellId::ROOT, |c, d| c.child(((n >> (2 * d)) & 3) as u8))
     }
 
     #[test]
@@ -274,6 +283,10 @@ mod tests {
         assert_eq!(b.merged(&a), want);
         assert_eq!(a.merged(&HitCounts::default()), a);
         assert_eq!(HitCounts::default().merged(&a), a);
+        // Sums saturate: restored counts are untrusted.
+        let top = HitCounts::from_columns(vec![4], vec![u64::MAX]).unwrap();
+        assert_eq!(column(&[(4, u64::MAX - 1), (4, 2)]), top);
+        assert_eq!(top.merged(&column(&[(4, 2)])), top);
     }
 
     #[test]
@@ -293,9 +306,9 @@ mod tests {
         let mut want: FxHashMap<u64, u64> = FxHashMap::default();
         // 10× the bound, in query-sized appends that never divide it.
         for i in 0..64u64 {
-            let cells: Vec<u64> = (0..10).map(|j| (i * 7 + j * 3) % 41).collect();
-            for &c in &cells {
-                *want.entry(c).or_insert(0) += 1;
+            let cells: Vec<CellId> = (0..10).map(|j| cell((i * 7 + j * 3) % 41)).collect();
+            for c in &cells {
+                *want.entry(c.raw()).or_insert(0) += 1;
             }
             log.append(&cells);
             assert!(log.log_len() < 64);
@@ -321,7 +334,7 @@ mod tests {
                     0 => prop_assert_eq!(&*log.counts(), &HitCounts::from_map(&model)),
                     // A restored column is added on top.
                     1 => {
-                        let mut restored = cells.clone();
+                        let mut restored: Vec<u64> = cells.iter().map(|&n| cell(n).raw()).collect();
                         let restored = HitCounts::from_log(&mut restored);
                         for (c, n) in restored.iter() {
                             *model.entry(c).or_insert(0) += n;
@@ -329,10 +342,11 @@ mod tests {
                         log.absorb(&restored);
                     }
                     _ => {
-                        for &c in cells {
-                            *model.entry(c).or_insert(0) += 1;
+                        let cells: Vec<CellId> = cells.iter().map(|&n| cell(n)).collect();
+                        for c in &cells {
+                            *model.entry(c.raw()).or_insert(0) += 1;
                         }
-                        log.append(cells);
+                        log.append(&cells);
                         prop_assert!(log.log_len() < bound);
                     }
                 }

@@ -2,15 +2,17 @@
 //! `(block, cache)` pair — [`crate::GeoBlockEngine`] is the front-end that
 //! owns the pair, the hit statistics and the rebuild policy.
 //!
-//! * `select_adapted` — the adapted SELECT: probe the cache per query
-//!   cell; use the cached record when present; otherwise the block
-//!   answers the cell.
+//! * `select_adapted` — the adapted SELECT over the run of covering
+//!   cells that may overlap the block (`GeoBlock::overlapping`): probe
+//!   the cache per cell; use the cached record when present; otherwise
+//!   the block answers the cell.
 //! * `rebuild_trie` — "Determining Relevant Aggregates": score the hit
 //!   cells and cache the most relevant ones that fit the budget (the
 //!   *aggregate threshold*, relative to the cell-aggregate storage). A
 //!   cached record is a copy of the block's canonical record of its cell
-//!   (`GeoBlock::record_of`, read by [`AggregateTrie`]'s one fill), so a
-//!   cache hit and a block lookup answer bit-identically.
+//!   (found by the block's search, `GeoBlock::locate`, in
+//!   [`AggregateTrie`]'s one fill), so a cache hit and a block lookup
+//!   answer bit-identically.
 //!
 //! Figure 8 has a step in between: a query cell that is not cached itself
 //! is assembled from its cached direct children. It is not implemented.
@@ -84,15 +86,12 @@ pub(crate) fn validate_spec(block: &GeoBlock, spec: &AggSpec) -> Result<(), GbEr
 
 /// The Figure-8 adapted SELECT over an explicit `(block, cache)` pair.
 ///
-/// Takes the polygon's `covering` rather than the polygon itself: the
+/// Takes the cells of the polygon's covering that may overlap the block
+/// ([`GeoBlock::overlapping`]) rather than the polygon itself: the
 /// covering fully determines the answer, which is what lets the engine
-/// memoize coverings by polygon content and lets a batch share one
-/// covering across requests — the caller obtains it from `block.cover` or
-/// the covering memo (bit-identical by construction).
-///
-/// `record_hit` is called once per query cell that may overlap the block
-/// (§3.6 hit statistics); the engine gathers them in a per-query vector it
-/// appends to its hit log afterwards.
+/// memoize coverings by polygon content, and the same run is what the
+/// engine appends to its hit log (§3.6 "for each query cell that
+/// intersects with the GeoBlock").
 ///
 /// `acc` attributes per-cell time to tracing stages (`TrieLookup` for
 /// cache probes, `PyramidCombine`/`ScanFallback` for what the block
@@ -102,9 +101,8 @@ pub(crate) fn validate_spec(block: &GeoBlock, spec: &AggSpec) -> Result<(), GbEr
 pub(crate) fn select_adapted(
     block: &GeoBlock,
     trie: &AggregateTrie,
-    covering: &gb_cell::CellUnion,
+    cells: &[CellId],
     spec: &AggSpec,
-    record_hit: &mut dyn FnMut(u64),
     metrics: &mut CacheMetrics,
     acc: &mut StageAcc,
 ) -> (AggResult, QueryStats) {
@@ -112,20 +110,13 @@ pub(crate) fn select_adapted(
     let mut result = AggResult::new(spec);
     let mut stats = QueryStats::default();
     let mut cursors = Cursors::new();
-    // Covering cells arrive sorted by raw id, so the flat-index cursor
+    // Covering cells arrive sorted by raw id, so the cache's cursor
     // resolves almost every probe from a forward scan.
     let mut probe = trie.flat_cursor();
+    stats.query_cells = cells.len();
+    metrics.probes += cells.len() as u64;
 
-    for qcell in covering.iter() {
-        if !block.may_overlap(qcell) {
-            continue;
-        }
-        stats.query_cells += 1;
-        // Track the hit for future cache decisions (§3.6 "for each query
-        // cell that intersects with the GeoBlock").
-        record_hit(qcell.raw());
-        metrics.probes += 1;
-
+    for &qcell in cells {
         if let Some(agg) = acc.time(Stage::TrieLookup, || probe.lookup(qcell)) {
             // Cached: answer from the trie.
             agg.combine_into(&plan, &mut result);
@@ -168,7 +159,8 @@ fn score_candidates(hits: &HitCounts) -> Vec<(u64, u8, u64)> {
                 let cursor = &mut parent_cursor[usize::from(level)];
                 *cursor = crate::gallop::lower_bound_from(cells, parent, *cursor);
                 if cells.get(*cursor) == Some(&parent) {
-                    score += hits.hits_at(*cursor);
+                    // Saturating: restored counts are untrusted input.
+                    score = score.saturating_add(hits.hits_at(*cursor));
                 }
             }
             (score, level, raw)
@@ -180,7 +172,7 @@ fn score_candidates(hits: &HitCounts) -> Vec<(u64, u8, u64)> {
 /// record bytes⌋ candidates in (score desc, level asc, key asc) order (§3.6
 /// "Determining Relevant Aggregates" inserts by descending relevance until
 /// the space is exhausted, and every cached record costs the same), filled
-/// from the block in key order. Deterministic for given hit counts: the
+/// from the block. Deterministic for given hit counts: the
 /// same statistics rebuild the same cache, whichever thread runs it.
 ///
 /// A candidate finer than the block level has no record of its own; only
@@ -196,8 +188,7 @@ pub(crate) fn rebuild_trie(block: &GeoBlock, budget: usize, hits: &HitCounts) ->
             b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
         });
     }
-    let mut keys: Vec<u64> = candidates[..take].iter().map(|&(_, _, raw)| raw).collect();
-    keys.sort_unstable();
+    let keys = candidates[..take].iter().map(|&(_, _, raw)| raw).collect();
     AggregateTrie::fill(block, keys)
 }
 

@@ -4,12 +4,13 @@
 //! Both queries start identically: the polygon is approximated by an
 //! error-bounded cell covering (boundary cells at the block level, interior
 //! cells possibly coarser) and the covering is pruned against the block's
-//! key extent. Every covering cell is grid-aligned, and the canonical
-//! record of every aligned cell — the in-order fold of its children's
-//! records, down to the block records under it — is either stored in the
-//! [`Layer`] of the cell's level (the block level and every even level
-//! above it) or, at an odd level, the fold of ≤ 4 records of the layer
-//! one level finer. So:
+//! key extent — one run of it, [`GeoBlock::overlapping`], which the
+//! cache-adapted SELECT and the hit statistics read too. Every covering
+//! cell is grid-aligned, and the canonical record of every aligned cell —
+//! the in-order fold of its children's records, down to the block records
+//! under it — is either stored in the [`Layer`] of the cell's level (the
+//! block level and every even level above it) or, at an odd level, the
+//! fold of ≤ 4 records of the layer one level finer. So:
 //!
 //! Both answer each covering cell with **one** cursor-resumed galloping
 //! search (`GeoBlock::locate`): the record of a kept level, or at an odd
@@ -18,8 +19,9 @@
 //! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] combine **one**
 //!   record per covering cell (`GeoBlock::record_of`, which folds an odd
 //!   level's children into a scratch record; `cells_combined` ≤ covering
-//!   size). The cache-adapted SELECT of [`crate::qc`] and the trie's fill
-//!   read records through the same function.
+//!   size). The cache-adapted SELECT of [`crate::qc`] reads records
+//!   through the same function, and the cache's fill through the same
+//!   search.
 //! * [`GeoBlock::count`] / [`GeoBlock::count_covering`] add the counts of
 //!   the records the search found: integers, so no fold and no scratch
 //!   record. This replaces Listing 2's two searches over per-cell tuple
@@ -92,14 +94,9 @@ impl GeoBlock {
         let mut result = AggResult::new(spec);
         let mut stats = QueryStats::default();
         let mut cursors = Cursors::new();
-
-        for qcell in covering.iter() {
-            // Key-extent pre-check (Listing 1 lines 5–6): skip cells
-            // outside the block's key range.
-            if !self.may_overlap(qcell) {
-                continue;
-            }
-            stats.query_cells += 1;
+        let cells = self.overlapping(covering);
+        stats.query_cells = cells.len();
+        for &qcell in cells {
             self.combine_covering_cell(qcell, &plan, &mut result, &mut stats, &mut cursors);
         }
         (result, stats)
@@ -134,7 +131,11 @@ impl GeoBlock {
     /// layer, so the cells searched in one layer must be asked for in
     /// ascending, disjoint order per `Cursors`; a caller without such an
     /// order passes a fresh one per lookup.
-    fn locate(&self, cell: CellId, cursors: &mut Cursors) -> Option<(&Layer, Range<usize>)> {
+    pub(crate) fn locate(
+        &self,
+        cell: CellId,
+        cursors: &mut Cursors,
+    ) -> Option<(&Layer, Range<usize>)> {
         let level = cell.level();
         if let Some(layer) = self.layer_at(level) {
             let i = layer.find(cell.raw(), &mut cursors.layers[usize::from(level)])?;
@@ -183,12 +184,9 @@ impl GeoBlock {
         let mut stats = QueryStats::default();
         let mut total = 0u64;
         let mut cursors = Cursors::new();
-
-        for qcell in covering.iter() {
-            if !self.may_overlap(qcell) {
-                continue;
-            }
-            stats.query_cells += 1;
+        let cells = self.overlapping(covering);
+        stats.query_cells = cells.len();
+        for &qcell in cells {
             stats.searches += 1;
             if let Some((layer, group)) = self.locate(qcell, &mut cursors) {
                 total += layer.counts[group].iter().sum::<u64>();

@@ -1,6 +1,7 @@
 //! The work ratchet: what a seeded block costs in bytes, what its set-up
-//! allocates, and what 64 seeded SELECTs and COUNTs cost in record
-//! searches and reads, asserted against recorded constants. Counts of
+//! allocates, what 64 seeded SELECTs and COUNTs cost in record searches
+//! and reads, and what the query cache learns from them and holds,
+//! asserted against recorded constants. Counts of
 //! work do not depend on the host, so this gate holds where timings cannot
 //! steer.
 //!
@@ -9,14 +10,15 @@
 //! query counts are equalities: a change that alters how a covering cell
 //! is answered (which layer, which fold) must not change how many cells
 //! are searched or combined, and a change that does must say so by
-//! re-recording them.
+//! re-recording them. So are the cache's counts: which cells it tracks
+//! and caches, what it costs, and how many probes it answers.
 //!
 //! This file is a test binary of its own because it installs a global
 //! allocator (the only way to *observe* an allocation), and holds one
 //! test so nothing else allocates while it counts.
 
 use gb_data::{datasets, extract, polygons, AggSpec, Filter};
-use geoblocks::{build, QueryStats};
+use geoblocks::{build, GeoBlockEngine, QueryStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -89,6 +91,20 @@ const MAX_EXTRACT_BYTES: usize = 9_956_320;
 /// Ceiling on the bytes `build` allocates: the records and each coarser
 /// layer, each once at its exact size.
 const MAX_BUILD_BYTES: usize = 16_002_248;
+/// The cache's aggregate threshold (the serving benchmark's).
+const THRESHOLD: f64 = 0.05;
+/// After two SELECT passes and a rebuild: cached cells, their bytes, and
+/// the distinct query cells the hit statistics track.
+const CACHED: usize = 2_011;
+const CACHE_BYTES: usize = 370_024;
+const TRACKED_CELLS: usize = 9_963;
+/// Cache probes and direct hits over the three passes (the third after
+/// the rebuild).
+const PROBES: u64 = 30_879;
+const DIRECT_HITS: u64 = 2_341;
+/// Ceiling on the bytes `rebuild_cache` allocates: the folded hit log,
+/// the scored candidates and the cached records.
+const MAX_REBUILD_BYTES: usize = 1_284_264;
 
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
@@ -122,11 +138,12 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
     );
 
     let spec = AggSpec::k_aggregates(block.schema(), 4);
+    let polys = polygons::neighborhoods(POLYGONS, SEED);
     let (mut select, mut count) = (QueryStats::default(), QueryStats::default());
-    for poly in polygons::neighborhoods(POLYGONS, SEED) {
+    for poly in &polys {
         for (work, stats) in [
-            (&mut select, block.select(&poly, &spec).1),
-            (&mut count, block.count(&poly).1),
+            (&mut select, block.select(poly, &spec).1),
+            (&mut count, block.count(poly).1),
         ] {
             work.searches += stats.searches;
             work.cells_combined += stats.cells_combined;
@@ -141,5 +158,36 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
         (count.searches, count.cells_combined),
         (COUNT_SEARCHES, COUNT_CELLS_COMBINED),
         "COUNT's searches and cells combined over {POLYGONS} polygons"
+    );
+
+    let engine = GeoBlockEngine::new(block, THRESHOLD);
+    for _ in 0..2 {
+        for poly in &polys {
+            engine.select(poly, &spec);
+        }
+    }
+    let ((), rebuild_bytes) = allocated(|| engine.rebuild_cache());
+    for poly in &polys {
+        engine.select(poly, &spec);
+    }
+    let cache = engine.trie_snapshot();
+    let metrics = engine.metrics();
+    assert_eq!(
+        (
+            cache.num_cached(),
+            cache.size_bytes(),
+            engine.tracked_cells()
+        ),
+        (CACHED, CACHE_BYTES, TRACKED_CELLS),
+        "cached cells, their bytes and the tracked cells"
+    );
+    assert_eq!(
+        (metrics.probes, metrics.direct_hits),
+        (PROBES, DIRECT_HITS),
+        "cache probes and direct hits over three passes"
+    );
+    assert!(
+        rebuild_bytes <= MAX_REBUILD_BYTES,
+        "rebuild_cache allocated {rebuild_bytes} B, over the recorded {MAX_REBUILD_BYTES}"
     );
 }
