@@ -53,19 +53,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t.elapsed())
 }
 
-/// Run `f` `reps` times and return the mean duration of a single run.
-///
-/// Used for query-latency rows where one execution is too short to measure
-/// reliably but a Criterion harness would be too heavy.
-pub fn time_mean(reps: usize, mut f: impl FnMut()) -> Duration {
-    assert!(reps > 0, "need at least one repetition");
-    let t = Timer::start();
-    for _ in 0..reps {
-        f();
-    }
-    t.elapsed() / reps as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,19 +81,5 @@ mod tests {
         let (v, d) = time(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(d >= Duration::ZERO);
-    }
-
-    #[test]
-    fn time_mean_divides() {
-        let d = time_mean(8, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(d >= Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn time_mean_rejects_zero_reps() {
-        time_mean(0, || {});
     }
 }

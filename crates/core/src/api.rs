@@ -267,8 +267,7 @@ const KIND_BATCH: u8 = 4;
 /// Reply tag for the error variant (reply tags reuse the request kinds).
 const KIND_ERROR: u8 = 0;
 
-/// Decoder-side bound on batch items — far above any dashboard fan-in,
-/// far below the generic [`MAX_WIRE_ITEMS`] (each item is a polygon).
+/// Decoder-side bound on batch items — far above any dashboard fan-in.
 const MAX_BATCH_ITEMS: usize = 4096;
 
 fn func_code(f: AggFunc) -> u8 {
@@ -386,16 +385,15 @@ fn write_stats(w: &mut ByteWriter, stats: &QueryStats) {
     w.u64(stats.searches as u64);
 }
 
-/// Decoder-side bound on ring/hole/request/row counts: rejects
-/// length-prefix bombs before allocating (the underlying `ByteReader`
-/// bounds payloads too; this keeps the error a polite 400).
-const MAX_WIRE_ITEMS: usize = 1 << 24;
-
-fn read_len(r: &mut ByteReader<'_>, what: &str) -> Result<usize, GbError> {
+/// A count of items whose smallest encoding is `item_bytes`, read off the
+/// wire and bounded by what the bytes left can hold: a length-prefix bomb
+/// is a polite 400 before anything is reserved for it.
+fn read_len(r: &mut ByteReader<'_>, what: &str, item_bytes: usize) -> Result<usize, GbError> {
     let n = map_trunc(r.u32())? as usize;
-    if n > MAX_WIRE_ITEMS {
+    let left = r.remaining();
+    if n > left / item_bytes {
         return Err(GbError::bad_request(format!(
-            "{what} length {n} exceeds the wire limit"
+            "{what} length {n} exceeds what the {left} bytes left can hold"
         )));
     }
     Ok(n)
@@ -408,7 +406,7 @@ fn map_trunc<T>(res: Result<T, SnapshotError>) -> Result<T, GbError> {
 }
 
 fn read_ring(r: &mut ByteReader<'_>, what: &str) -> Result<Vec<Point>, GbError> {
-    let n = read_len(r, what)?;
+    let n = read_len(r, what, 16)?; // a vertex: x and y
     if n < 3 {
         return Err(GbError::bad_request(format!(
             "{what} needs at least 3 vertices, got {n}"
@@ -430,7 +428,7 @@ fn read_ring(r: &mut ByteReader<'_>, what: &str) -> Result<Vec<Point>, GbError> 
 
 fn read_polygon(r: &mut ByteReader<'_>) -> Result<Polygon, GbError> {
     let exterior = read_ring(r, "polygon exterior")?;
-    let n_holes = read_len(r, "polygon holes")?;
+    let n_holes = read_len(r, "polygon holes", 52)?; // a count and 3 vertices
     let mut holes = Vec::with_capacity(n_holes);
     for _ in 0..n_holes {
         holes.push(read_ring(r, "polygon hole")?);
@@ -441,7 +439,7 @@ fn read_polygon(r: &mut ByteReader<'_>) -> Result<Polygon, GbError> {
 }
 
 fn read_spec(r: &mut ByteReader<'_>) -> Result<AggSpec, GbError> {
-    let n = read_len(r, "aggregate spec")?;
+    let n = read_len(r, "aggregate spec", 5)?; // a function and a column
     let mut requests = Vec::with_capacity(n);
     for _ in 0..n {
         let code = map_trunc(r.u8())?;
@@ -454,7 +452,7 @@ fn read_spec(r: &mut ByteReader<'_>) -> Result<AggSpec, GbError> {
 }
 
 fn read_batch(r: &mut ByteReader<'_>) -> Result<UpdateBatch, GbError> {
-    let n = read_len(r, "update batch")?;
+    let n = read_len(r, "update batch", 24)?; // x, y and no values
     let mut batch = UpdateBatch::new();
     batch.rows.reserve(n);
     for _ in 0..n {
@@ -571,7 +569,7 @@ fn read_request_kind(
             "update requests are not allowed inside a batch".to_string(),
         )),
         KIND_BATCH if top_level => {
-            let n = read_len(r, "query batch")?;
+            let n = read_len(r, "query batch", 57)?; // a kind and a triangle's COUNT
             if n > MAX_BATCH_ITEMS {
                 return Err(GbError::bad_request(format!(
                     "batch has {n} items, limit is {MAX_BATCH_ITEMS}"
@@ -697,7 +695,7 @@ fn read_reply_kind(
         KIND_BATCH if top_level => {
             let epoch = map_trunc(r.u64())?;
             let stats = read_stats(r)?;
-            let n = read_len(r, "batch reply")?;
+            let n = read_len(r, "batch reply", 41)?; // a COUNT reply
             if n > MAX_BATCH_ITEMS {
                 return Err(GbError::bad_request(format!(
                     "batch reply has {n} items, limit is {MAX_BATCH_ITEMS}"

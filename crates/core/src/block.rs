@@ -93,8 +93,8 @@ impl GeoBlock {
 
     /// The layer of `level`, if the block holds it: `None` for an odd
     /// level above the block level, for any level below it, and for every
-    /// level above it in a block that holds its stored layer only (a
-    /// stored-only copy, or one under construction).
+    /// level above it in a block that holds its stored layer only (one
+    /// under construction, before `refresh_derived`).
     #[inline]
     pub(crate) fn layer_at(&self, level: u8) -> Option<&Layer> {
         if level == self.level() {
@@ -110,20 +110,6 @@ impl GeoBlock {
     #[inline]
     pub(crate) fn records(&self) -> &Layer {
         self.layers.last().expect("a block holds its records")
-    }
-
-    /// The stored layer, for the producers that write it.
-    #[inline]
-    pub(crate) fn records_mut(&mut self) -> &mut Layer {
-        self.layers.last_mut().expect("a block holds its records")
-    }
-
-    /// A copy of the stored state only — the block-level records — for an
-    /// update to work on: the coarser layers (about a fifth of the block's
-    /// bytes) are what `refresh_derived` replaces anyway, so copying them
-    /// would be copying garbage.
-    pub(crate) fn clone_stored(&self) -> GeoBlock {
-        GeoBlock::from_records(self.grid, self.schema.clone(), self.records().clone())
     }
 
     /// Number of non-empty grid cells (cell aggregates).
@@ -337,8 +323,7 @@ impl GeoBlock {
         let levels: Vec<u8> = self.layers.iter().map(|l| l.level).collect();
         let kept: Vec<u8> = (0..=block).filter(|&l| materialised(l, block)).collect();
         assert_eq!(levels, kept, "materialised levels");
-        let mut fresh = self.clone_stored();
-        fresh.refresh_derived();
+        let fresh = self.coarsen(self.level());
         assert_eq!(
             (self.min_cell, self.max_cell),
             (fresh.min_cell, fresh.max_cell),
@@ -362,6 +347,7 @@ impl GeoBlock {
 #[cfg(test)]
 mod tests {
     use crate::build::build;
+    use crate::GeoBlock;
     use gb_cell::{CellId, Grid};
     use gb_data::{extract, CleaningRules, CmpOp, ColumnDef, Filter, RawTable, Schema};
     use gb_geom::{Point, Polygon, Rect};
@@ -381,7 +367,8 @@ mod tests {
         let base = extract(&raw, grid, &CleaningRules::none(), None).base;
         for level in [6u8, 7] {
             let (block, _) = build(&base, level, &Filter::all());
-            let mut copy = block.clone_stored();
+            let records = block.records().clone();
+            let mut copy = GeoBlock::from_records(*block.grid(), block.schema().clone(), records);
             assert_eq!(copy.layer_at(level), Some(block.records()));
             for coarser in 0..level {
                 assert!(copy.layer_at(coarser).is_none(), "level {coarser}");

@@ -454,11 +454,11 @@ impl GeoBlockEngine {
 
     /// Commit a batch of new tuples (§5) and advance the data epoch.
     ///
-    /// The next state is built entirely offline — copy the block's stored
-    /// state (the derived half is rebuilt, not copied), apply the batch,
-    /// then fill the cache's keys again from the updated block, so every
-    /// cached record is a bit-exact copy of what the block would answer —
-    /// and swapped in with a single pointer write.
+    /// The next state is built entirely offline — the next block, written
+    /// in one pass from the current one (`GeoBlock::applied`, as in
+    /// [`GeoBlock::apply_updates`]), then the cache's keys filled again
+    /// from it, so every cached record is a bit-exact copy of what the
+    /// block would answer — and swapped in with a single pointer write.
     /// In-flight queries keep answering from their pinned epoch; queries
     /// starting after the swap see the whole batch. The swap also makes
     /// invalidation transactional for result caches keyed on the epoch:
@@ -482,7 +482,7 @@ impl GeoBlockEngine {
             state.data_epoch
         };
         if batch.is_empty() {
-            // Nothing to commit: no clone, no new epoch, and so no result
+            // Nothing to commit: no new block, no new epoch, and so no result
             // cache emptied for it.
             self.tracer.note_epoch(epoch);
             let report = UpdateReport::default();
@@ -491,8 +491,7 @@ impl GeoBlockEngine {
         // One kernel transaction: serialized with rebuilds and other
         // updates by the publisher mutex; queries proceed throughout.
         let (report, epoch) = self.state.publish(|cur| {
-            let mut block = cur.block.clone_stored();
-            let report = block.apply_checked(batch);
+            let (block, report) = cur.block.applied(batch);
             let trie = cur.trie.refill(&block);
             let epoch = cur.data_epoch + 1;
             (

@@ -169,11 +169,7 @@ impl Layer {
     pub(crate) fn extend_from(&mut self, other: &Layer, range: Range<usize>) {
         debug_assert!((self.level, self.n_cols) == (other.level, other.n_cols));
         debug_assert!(
-            range.is_empty()
-                || self
-                    .keys
-                    .last()
-                    .is_none_or(|&k| k < other.keys[range.start]),
+            range.is_empty() || self.keys.last() < other.keys.get(range.start),
             "appended records must keep the keys ascending"
         );
         let cols = range.start * self.n_cols..range.end * self.n_cols;
@@ -182,22 +178,6 @@ impl Layer {
         self.mins.extend_from_slice(&other.mins[cols.clone()]);
         self.maxs.extend_from_slice(&other.maxs[cols.clone()]);
         self.sums.extend_from_slice(&other.sums[cols]);
-    }
-
-    /// This layer with the records of `fresh` spliced in at their sorted
-    /// positions; the two must share no key.
-    pub(crate) fn merge(&self, fresh: &Layer) -> Layer {
-        let cells = self.num_cells() + fresh.num_cells();
-        let mut out = Layer::with_capacity(self.level, self.n_cols, cells);
-        let mut from = 0usize;
-        for (j, &key) in fresh.keys.iter().enumerate() {
-            let at = gallop::lower_bound_from(&self.keys, key, from);
-            out.extend_from(self, from..at);
-            out.extend_from(fresh, j..j + 1);
-            from = at;
-        }
-        out.extend_from(self, from..self.num_cells());
-        out
     }
 
     /// Empty this layer and make it one of `level` with `n_cols` columns,
@@ -516,16 +496,6 @@ mod tests {
         scratch.push_fold(&l, 2..2);
         assert_eq!(scratch.num_cells(), 0);
         assert_eq!(scratch.validate(), Ok(()));
-    }
-
-    #[test]
-    fn merge_splices_at_sorted_positions() {
-        let old = layer(&[(0, 3), (2, 0)]);
-        let fresh = layer(&[(0, 1), (1, 2), (3, 3)]);
-        let want = layer(&[(0, 1), (0, 3), (1, 2), (2, 0), (3, 3)]);
-        assert_eq!(old.merge(&fresh), want);
-        assert_eq!(fresh.merge(&old), want);
-        assert_eq!(old.merge(&layer(&[])), old);
     }
 
     #[test]

@@ -6,29 +6,30 @@
 //! region, we have to rebuild the aggregate layout, as we rely on the cell
 //! aggregates to be sorted."
 //!
-//! [`GeoBlock::apply_updates`] implements both paths in one batch pass:
-//! tuples hitting existing cells update the block-level records in place;
-//! tuples in new regions are aggregated into a layer of fresh records that
-//! is then merged into the sorted layout (one splice). The records are all
-//! a batch writes: every coarser layer — the root record, the global
-//! header, included — is folded again from them at the end of every batch
-//! (`GeoBlock::refresh_derived`, the same funnel every other producer of a
-//! block ends in), so SELECT and COUNT read one record per covering cell
-//! and the header never drifts from the records.
+//! Both paths are one pass, `GeoBlock::applied`: one forward cursor walks
+//! the stored records once and writes the next stored layer, allocated
+//! once at its exact size. An untouched record is copied; a touched cell's
+//! record is its old one — or, for a new cell, the empty record, spliced
+//! in at its sorted position — with the batch's tuples added in batch
+//! order. The records are all a batch writes: every coarser layer — the
+//! root record, the global header, included — is folded again from them
+//! (`GeoBlock::refresh_derived`, the funnel every producer of a block ends
+//! in), so SELECT and COUNT read one record per covering cell and the
+//! header never drifts from the records.
 //!
-//! One admission rule guards both entry points, this one and
-//! [`crate::GeoBlockEngine::apply_updates`]: every row has one value per
-//! column, is finite, and lies inside the grid's closed domain — the grid
-//! clamps, so a tuple outside it would be folded into a border cell and
-//! break the §3.2 error bound. A batch with one bad row is rejected whole,
-//! before anything changes. The engine additionally fills its cache's keys
-//! again from the updated block, so every cached record stays a copy of
-//! the block's.
+//! Both entry points, [`GeoBlock::apply_updates`] and
+//! [`crate::GeoBlockEngine::apply_updates`], publish that block, and one
+//! admission rule guards both: every row has one value per column, is
+//! finite, and lies inside the grid's closed domain — the grid clamps, so
+//! a tuple outside it would be folded into a border cell and break the
+//! §3.2 error bound. A batch with one bad row is rejected whole, before
+//! anything changes. The engine additionally fills its cache's keys again
+//! from the updated block, so every cached record stays a copy of the
+//! block's.
 
 use crate::api::{check_update_row, GbError};
 use crate::block::GeoBlock;
 use crate::layer::Layer;
-use gb_cell::CellId;
 use gb_geom::Point;
 
 /// A batch of new tuples: location plus one value per schema column.
@@ -71,12 +72,17 @@ impl GeoBlock {
     /// left as it was.
     pub fn apply_updates(&mut self, batch: &UpdateBatch) -> Result<UpdateReport, GbError> {
         self.check_batch(batch)?;
-        Ok(self.apply_checked(batch))
+        if batch.is_empty() {
+            return Ok(UpdateReport::default());
+        }
+        let (next, report) = self.applied(batch);
+        *self = next;
+        Ok(report)
     }
 
     /// The admission rule of an update batch, checked before anything
     /// mutates — by [`GeoBlock::apply_updates`], and by the engine before
-    /// it takes the publisher mutex, so a bad batch clones nothing.
+    /// it takes the publisher mutex, so a bad batch writes nothing.
     pub(crate) fn check_batch(&self, batch: &UpdateBatch) -> Result<(), GbError> {
         let (n_cols, domain) = (self.schema.len(), self.grid.domain());
         for (i, (location, values)) in batch.rows.iter().enumerate() {
@@ -98,54 +104,56 @@ impl GeoBlock {
         Ok(())
     }
 
-    /// Apply a batch that [`GeoBlock::check_batch`] admitted.
-    pub(crate) fn apply_checked(&mut self, batch: &UpdateBatch) -> UpdateReport {
+    /// The block this one becomes with `batch`, which `check_batch`
+    /// admitted, folded in, and what the batch did; `self` is untouched.
+    /// Every touched cell follows one rule: its old record, or
+    /// `push_empty`'s, plus the batch's tuples in batch order.
+    pub(crate) fn applied(&self, batch: &UpdateBatch) -> (GeoBlock, UpdateReport) {
+        let (old, level) = (self.records(), self.level());
+        // Sorted (cell, row) pairs: each cell's rows are a run in batch order.
+        let mut touched: Vec<(u64, usize)> = batch
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(row, (at, _))| (self.grid.cell_for_point(*at, level).raw(), row))
+            .collect();
+        touched.sort_unstable();
+        // Per touched cell, by one forward cursor over `old`: its rows, the
+        // untouched records before it, and its old record if it has one.
+        let runs = || {
+            let mut cursor = 0;
+            touched.chunk_by(|a, b| a.0 == b.0).filter_map(move |run| {
+                let &(cell, _) = run.first()?;
+                let from = cursor;
+                let hit = old.find(cell, &mut cursor);
+                Some((cell, run, from..hit.unwrap_or(cursor), hit))
+            })
+        };
+        let fresh = runs().filter(|(.., hit)| hit.is_none()).count();
+        let mut next = Layer::with_capacity(level, old.n_cols, old.num_cells() + fresh);
         let mut report = UpdateReport::default();
-        if batch.is_empty() {
-            return report;
-        }
-        let (level, c) = (self.level(), self.schema.len());
-        // New-region tuples by leaf, to be aggregated per new block cell.
-        let mut pending: Vec<(CellId, &[f64])> = Vec::new();
-
-        for (loc, values) in &batch.rows {
-            let leaf = self.grid.leaf_for_point(*loc);
-            let records = self.records_mut();
-            match records.find(leaf.parent_at(level).raw(), &mut 0) {
-                Some(idx) => {
-                    report.in_place += 1;
-                    records.add_tuple(idx, |col| values[col]);
+        for (cell, run, untouched, hit) in runs() {
+            next.extend_from(old, untouched);
+            match hit {
+                Some(i) => {
+                    next.extend_from(old, i..i + 1);
+                    report.in_place += run.len();
                 }
                 None => {
-                    report.new_cells += 1;
-                    pending.push((leaf, values.as_slice()));
+                    next.push_empty(cell);
+                    report.new_cells += run.len();
                 }
             }
-        }
-
-        if !pending.is_empty() {
-            // Leaf order is cell order, and within a cell the order its
-            // tuples fold in.
-            pending.sort_by_key(|&(leaf, _)| leaf);
-            let mut fresh = Layer::with_capacity(level, c, pending.len());
-            for (leaf, values) in pending {
-                let cell = leaf.parent_at(level).raw();
-                if fresh.keys.last() != Some(&cell) {
-                    fresh.push_empty(cell);
-                }
-                fresh.add_tuple(fresh.num_cells() - 1, |col| values[col]);
+            let at = next.num_cells() - 1;
+            for &(_, row) in run {
+                next.add_tuple(at, |col| batch.rows[row].1[col]);
             }
-            // Rebuild the sorted layout with the new cells merged in.
-            *self.records_mut() = self.records().merge(&fresh);
         }
-        // The batch invalidated the derived structures (key extent, count
-        // prefix and every coarser layer up to the root record, the
-        // global header): rebuild them from the updated records with the
-        // canonical folds. Rebuilding — rather than propagating deltas —
-        // is what keeps layer lookups bit-identical to the oracle's fold
-        // after updates; see `DESIGN.md` "Aggregate pyramid".
-        self.refresh_derived();
-        report
+        next.extend_from(old, next.num_cells() - fresh..old.num_cells());
+        // Refolded, not patched: see "Invalidation" in `DESIGN.md`.
+        let mut block = GeoBlock::from_records(self.grid, self.schema.clone(), next);
+        block.refresh_derived();
+        (block, report)
     }
 }
 
@@ -310,10 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn a_copy_of_the_stored_state_updates_like_the_whole_block() {
-        // What the engine does: the batch goes into a copy that holds the
-        // records only. Both §5 paths, on a block that has
-        // already been spliced once.
+    fn the_producer_leaves_its_source_untouched_and_is_apply_updates() {
+        // What the engine does: the next block is produced from the
+        // published one, which must not change. Both §5 paths, on a block
+        // that has already been spliced once.
         let base = base_data(2500);
         let (mut block, _) = build(&base, 7, &Filter::all());
         let mut first = UpdateBatch::new();
@@ -326,21 +334,109 @@ mod tests {
         batch.push(Point::new(80.01, 80.01), vec![2.5]); // in place, spliced cell
         batch.push(Point::new(60.0, 10.0), vec![3.5]); // new cell
 
-        let mut stored_only = block.clone_stored();
-        assert_eq!(stored_only.layers.len(), 1);
-        assert_eq!(stored_only.derived_bytes(), 0);
-        let mut whole = block.clone();
+        let source = block.clone();
+        let (next, report) = block.applied(&batch);
         assert_eq!(
-            stored_only.apply_updates(&batch).expect("valid batch"),
-            whole.apply_updates(&batch).expect("valid batch")
+            report,
+            UpdateReport {
+                in_place: 2,
+                new_cells: 1
+            }
         );
-        stored_only.check_invariants();
-        assert_eq!(stored_only.content_hash(), whole.content_hash());
-        assert_eq!(stored_only.layers, whole.layers);
-        assert_eq!(stored_only.num_rows(), whole.num_rows());
-        // The block the copy was taken from is untouched.
         block.check_invariants();
-        assert_eq!(block.num_rows() + 3, whole.num_rows());
+        assert_eq!(block.layers, source.layers);
+        assert_eq!(block.content_hash(), source.content_hash());
+
+        let mut whole = block.clone();
+        assert_eq!(whole.apply_updates(&batch).expect("valid batch"), report);
+        next.check_invariants();
+        assert_eq!(next.content_hash(), whole.content_hash());
+        assert_eq!(next.layers, whole.layers);
+        assert_eq!(block.num_rows() + 3, next.num_rows());
+    }
+
+    #[test]
+    fn a_touched_cell_is_its_old_record_plus_the_batch_in_batch_order() {
+        // Each touched cell's rows are spread over the batch; each sum
+        // depends on the order its values are added in.
+        let base = base_data(2500);
+        let (block, _) = build(&base, 7, &Filter::all());
+        let (grid, level) = (*block.grid(), block.level());
+        use gb_data::Rows;
+        let old = base.location(0);
+        // One new cell's rows in ≥ 2 leaves, listed against leaf order.
+        let mut spread = [
+            Point::new(80.1, 80.1),
+            Point::new(80.3, 80.4),
+            Point::new(79.8, 80.2),
+        ];
+        spread.sort_by_key(|&p| std::cmp::Reverse(grid.leaf_for_point(p)));
+        let other = Point::new(60.0, 10.0);
+        let rows = [
+            (old, 0.1),
+            (spread[0], 0.1),
+            (other, 0.3),
+            (old, 0.2),
+            (spread[1], 0.2),
+            (other, 0.1),
+            (old, 0.3),
+            (spread[2], 0.3),
+        ];
+        let mut batch = UpdateBatch::new();
+        for &(at, v) in &rows {
+            batch.push(at, vec![v]);
+        }
+        let cell = |p: Point| grid.cell_for_point(p, level).raw();
+        assert!(spread.iter().all(|&p| cell(p) == cell(spread[0])));
+        assert!(grid.leaf_for_point(spread[0]) > grid.leaf_for_point(spread[2]));
+        let cells = [cell(old), cell(spread[0]), cell(other)];
+        let records = block.records();
+        assert!(records.find(cells[0], &mut 0).is_some());
+        assert!(cells[1..]
+            .iter()
+            .all(|&c| records.find(c, &mut 0).is_none()));
+
+        let (next, report) = block.applied(&batch);
+        assert_eq!(
+            report,
+            UpdateReport {
+                in_place: 3,
+                new_cells: 5
+            }
+        );
+        next.check_invariants();
+        let one = |layer: &Layer, key: u64| {
+            let i = layer.find(key, &mut 0).expect("a record");
+            let mut out = Layer::with_capacity(level, 1, 1);
+            out.extend_from(layer, i..i + 1);
+            out
+        };
+        for key in cells {
+            let mut want = Layer::with_capacity(level, 1, 1);
+            match records.find(key, &mut 0) {
+                Some(i) => want.extend_from(records, i..i + 1),
+                None => want.push_empty(key),
+            }
+            for (at, v) in rows {
+                if cell(at) == key {
+                    want.add_tuple(0, |_| v);
+                }
+            }
+            assert_eq!(
+                one(next.records(), key).content_hash(),
+                want.content_hash(),
+                "cell {key:#x}"
+            );
+        }
+        // Every other record is the old one, bit for bit.
+        assert_eq!(next.num_cells(), block.num_cells() + 2);
+        for (i, &key) in records.keys.iter().enumerate() {
+            if key != cells[0] {
+                let mut want = Layer::with_capacity(level, 1, 1);
+                want.extend_from(records, i..i + 1);
+                assert_eq!(one(next.records(), key).content_hash(), want.content_hash());
+            }
+        }
     }
 
     #[test]

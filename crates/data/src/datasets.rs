@@ -368,28 +368,27 @@ pub fn osm_americas(n: usize, seed: u64) -> Dataset {
     }
 }
 
-/// Distribution helper exposed for tests: empirical selectivity of a
-/// threshold on a generated column. [`crate::DataError::UnknownColumn`]
-/// for a column not in the dataset's schema (this used to `expect`).
-pub fn empirical_selectivity(
-    ds: &Dataset,
-    column: &str,
-    f: impl Fn(f64) -> bool,
-) -> Result<f64, crate::DataError> {
-    use crate::table::Rows;
-    let idx = ds.raw.schema().require(column)?;
-    let n = ds.raw.num_rows();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    let hits = (0..n).filter(|&r| f(ds.raw.value_f64(r, idx))).count();
-    Ok(hits as f64 / n as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::Rows;
+
+    /// Empirical selectivity of a threshold on a generated column;
+    /// [`crate::DataError::UnknownColumn`] for a column not in the
+    /// dataset's schema.
+    fn empirical_selectivity(
+        ds: &Dataset,
+        column: &str,
+        f: impl Fn(f64) -> bool,
+    ) -> Result<f64, crate::DataError> {
+        let idx = ds.raw.schema().require(column)?;
+        let n = ds.raw.num_rows();
+        if n == 0 {
+            return Ok(0.0);
+        }
+        let hits = (0..n).filter(|&r| f(ds.raw.value_f64(r, idx))).count();
+        Ok(hits as f64 / n as f64)
+    }
 
     #[test]
     fn taxi_is_deterministic() {

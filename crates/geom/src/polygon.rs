@@ -153,11 +153,6 @@ impl Polygon {
         inside
     }
 
-    /// Signed area of the exterior ring (positive for CCW).
-    pub fn signed_area(&self) -> f64 {
-        shoelace(&self.exterior)
-    }
-
     /// Absolute area of exterior minus holes.
     pub fn area(&self) -> f64 {
         let outer = shoelace(&self.exterior).abs();
@@ -273,7 +268,6 @@ mod tests {
     fn area_and_centroid() {
         let sq = unit_square();
         assert!((sq.area() - 1.0).abs() < 1e-12);
-        assert!((sq.signed_area() - 1.0).abs() < 1e-12); // CCW corners
         let c = sq.centroid();
         assert!((c.x - 0.5).abs() < 1e-12 && (c.y - 0.5).abs() < 1e-12);
     }

@@ -9,7 +9,6 @@
 //! answer [`RectRelation::Boundary`], which only ever makes the covering a
 //! (still correct) superset.
 
-use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::rect::Rect;
 
@@ -67,31 +66,10 @@ pub fn rect_inside_polygon(poly: &Polygon, rect: &Rect) -> bool {
     classify_rect(poly, rect) == RectRelation::Inside
 }
 
-/// True if the rectangle and polygon share at least one point.
-pub fn rect_intersects_polygon(poly: &Polygon, rect: &Rect) -> bool {
-    classify_rect(poly, rect) != RectRelation::Disjoint
-}
-
-/// Sample-based area fraction of `rect` covered by `poly` (an `n × n`
-/// midpoint grid). Used by tests and by the selectivity-polygon search.
-pub fn coverage_fraction(poly: &Polygon, rect: &Rect, n: usize) -> f64 {
-    assert!(n > 0);
-    let mut hit = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            let x = rect.min.x + rect.width() * (i as f64 + 0.5) / n as f64;
-            let y = rect.min.y + rect.height() * (j as f64 + 0.5) / n as f64;
-            if poly.contains_point(Point::new(x, y)) {
-                hit += 1;
-            }
-        }
-    }
-    hit as f64 / (n * n) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point;
 
     fn square(x0: f64, y0: f64, x1: f64, y1: f64) -> Rect {
         Rect::from_bounds(x0, y0, x1, y1)
@@ -179,17 +157,6 @@ mod tests {
     fn helpers_agree() {
         let d = diamond();
         assert!(rect_inside_polygon(&d, &square(-0.1, -0.1, 0.1, 0.1)));
-        assert!(rect_intersects_polygon(&d, &square(1.0, -0.5, 3.0, 0.5)));
-        assert!(!rect_intersects_polygon(&d, &square(5.0, 5.0, 6.0, 6.0)));
-    }
-
-    #[test]
-    fn coverage_fraction_sane() {
-        let d = diamond();
-        // The diamond covers exactly half of its bounding box.
-        let f = coverage_fraction(&d, &d.bbox(), 64);
-        assert!((f - 0.5).abs() < 0.02, "got {f}");
-        assert_eq!(coverage_fraction(&d, &square(5.0, 5.0, 6.0, 6.0), 8), 0.0);
-        assert_eq!(coverage_fraction(&d, &square(-0.1, -0.1, 0.1, 0.1), 8), 1.0);
+        assert!(!rect_inside_polygon(&d, &square(1.0, -0.5, 3.0, 0.5)));
     }
 }

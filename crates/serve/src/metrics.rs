@@ -124,11 +124,6 @@ impl Metrics {
             .add(u64::try_from(polled.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Total requests across every route.
-    pub fn total_requests(&self) -> u64 {
-        self.route_hits.iter().map(|c| c.get()).sum::<u64>() + self.route_other.get()
-    }
-
     /// Requests rejected by admission control.
     pub fn quota_rejections(&self) -> u64 {
         self.quota_rejections.get()
@@ -364,7 +359,6 @@ mod tests {
         assert!(scrape(&text, "gb_pool_tasks_total").is_some());
         assert!(scrape(&text, "gb_pool_busy_ns_total").is_some());
         assert_eq!(scrape(&text, "gb_nonexistent"), None);
-        assert_eq!(m.total_requests(), 4);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The work ratchet: what a seeded block costs in bytes, what its set-up
 //! allocates, what 64 seeded SELECTs and COUNTs cost in record searches
-//! and reads, and what the query cache learns from them and holds,
-//! asserted against recorded constants. Counts of
+//! and reads, what the query cache learns from them and holds, and what
+//! an 8-row update allocates, asserted against recorded constants. Counts of
 //! work do not depend on the host, so this gate holds where timings cannot
 //! steer.
 //!
 //! The bytes are ceilings: a change that shrinks the block or what its
-//! set-up allocates lowers them in the same diff, so the gate ratchets. The
+//! set-up or an update allocates lowers them in the same diff, so the gate ratchets. The
 //! query counts are equalities: a change that alters how a covering cell
 //! is answered (which layer, which fold) must not change how many cells
 //! are searched or combined, and a change that does must say so by
@@ -17,8 +17,9 @@
 //! allocator (the only way to *observe* an allocation), and holds one
 //! test so nothing else allocates while it counts.
 
-use gb_data::{datasets, extract, polygons, AggSpec, Filter};
-use geoblocks::{build, GeoBlockEngine, QueryStats};
+use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
+use gb_geom::Point;
+use geoblocks::{build, GeoBlockEngine, QueryStats, UpdateBatch, UpdateReport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -105,6 +106,15 @@ const DIRECT_HITS: u64 = 2_341;
 /// Ceiling on the bytes `rebuild_cache` allocates: the folded hit log,
 /// the scored candidates and the cached records.
 const MAX_REBUILD_BYTES: usize = 1_284_264;
+/// Ceiling on the bytes an 8-row `GeoBlockEngine::apply_updates`
+/// allocates when every row lands in a cell with data: the next block's
+/// records, each of its coarser layers (the odd ones freed as the cascade
+/// passes) and the refilled cache.
+const MAX_UPDATE_IN_PLACE_BYTES: usize = 16_381_920;
+/// The same ceiling for a batch of 4 rows in cells with data and 4 in
+/// cells without: the same one pass, 4 records larger (23 787 920 B while
+/// a splice copied the records a second time).
+const MAX_UPDATE_NEW_CELL_BYTES: usize = 16_384_864;
 
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
@@ -160,6 +170,29 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
         "COUNT's searches and cells combined over {POLYGONS} polygons"
     );
 
+    // Four points, each in a block-level cell without data, from a
+    // lattice over the domain.
+    let occupied: Vec<u64> = (0..block.num_cells())
+        .map(|i| block.cell_at(i).raw())
+        .collect();
+    let domain = ds.grid.domain();
+    let empty: Vec<Point> = (0..64 * 64)
+        .map(|i| {
+            let (u, v) = ((i % 64) as f64 + 0.5, (i / 64) as f64 + 0.5);
+            Point::new(
+                domain.min.x + domain.width() * u / 64.0,
+                domain.min.y + domain.height() * v / 64.0,
+            )
+        })
+        .filter(|&p| {
+            let cell = ds.grid.cell_for_point(p, LEVEL).raw();
+            occupied.binary_search(&cell).is_err()
+        })
+        .take(4)
+        .collect();
+    assert_eq!(empty.len(), 4, "cells without data on the lattice");
+    let n_cols = block.schema().len();
+
     let engine = GeoBlockEngine::new(block, THRESHOLD);
     for _ in 0..2 {
         for poly in &polys {
@@ -190,4 +223,44 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
         rebuild_bytes <= MAX_REBUILD_BYTES,
         "rebuild_cache allocated {rebuild_bytes} B, over the recorded {MAX_REBUILD_BYTES}"
     );
+
+    // Two 8-row batches: every row at a base row's location (in place),
+    // then 4 such rows and 4 in cells without data.
+    let row = |at: Point, i: usize| (at, vec![i as f64 * 0.25; n_cols]);
+    let in_place = UpdateBatch {
+        rows: (0..8).map(|i| row(base.location(i * 997), i)).collect(),
+    };
+    let new_cell = UpdateBatch {
+        rows: (0..8)
+            .map(|i| match i % 2 {
+                0 => row(base.location(i * 1_009 + 1), i),
+                _ => row(empty[i / 2], i),
+            })
+            .collect(),
+    };
+    for (batch, want, ceiling) in [
+        (
+            &in_place,
+            UpdateReport {
+                in_place: 8,
+                new_cells: 0,
+            },
+            MAX_UPDATE_IN_PLACE_BYTES,
+        ),
+        (
+            &new_cell,
+            UpdateReport {
+                in_place: 4,
+                new_cells: 4,
+            },
+            MAX_UPDATE_NEW_CELL_BYTES,
+        ),
+    ] {
+        let (reply, bytes) = allocated(|| engine.apply_updates(batch));
+        assert_eq!(reply.expect("valid batch").result, want);
+        assert!(
+            bytes <= ceiling,
+            "an 8-row update ({want:?}) allocated {bytes} B, over the recorded {ceiling}"
+        );
+    }
 }
