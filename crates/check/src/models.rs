@@ -23,9 +23,11 @@ struct ModelEntry {
 }
 
 /// Sequential shadow of `gb_serve::cache::ResultCache`, operation for
-/// operation: epoch-validated lookup with eager dead-entry removal,
-/// TTL inclusive at the boundary, zero-capacity no-op inserts, and
-/// oldest-`seq` eviction when a *new* key lands in a full cache.
+/// operation: epoch-validated lookup with eager removal of dead entries
+/// (expired, or from an older epoch — a newer epoch's entry stays), TTL
+/// inclusive at the boundary, zero-capacity no-op inserts, inserts that
+/// never replace a newer epoch's entry, and oldest-`seq` eviction when a
+/// *new* key lands in a full cache.
 ///
 /// Keys live in a `BTreeMap` so iteration order is deterministic; the
 /// eviction victim is chosen by minimum insertion `seq`, exactly as the
@@ -51,23 +53,20 @@ impl CacheModel {
 
     /// Shadow of `ResultCache::get_at`.
     pub fn get_at(&mut self, key: u64, current_epoch: u64, now_us: u64) -> Option<Vec<u8>> {
-        let valid = match self.entries.get(&key) {
-            Some(e) => {
-                e.epoch == current_epoch && now_us.saturating_sub(e.inserted_us) <= self.ttl_us
-            }
-            None => false,
-        };
-        if valid {
-            self.entries.get(&key).map(|e| e.reply.clone())
-        } else {
-            self.entries.remove(&key);
-            None
+        let e = self.entries.get(&key)?;
+        let age = now_us.saturating_sub(e.inserted_us);
+        if e.epoch == current_epoch && age <= self.ttl_us {
+            return Some(e.reply.clone());
         }
+        if e.epoch < current_epoch || age > self.ttl_us {
+            self.entries.remove(&key);
+        }
+        None
     }
 
     /// Shadow of `ResultCache::insert_at`.
     pub fn insert_at(&mut self, key: u64, reply: Vec<u8>, epoch: u64, now_us: u64) {
-        if self.capacity == 0 {
+        if self.capacity == 0 || self.entries.get(&key).is_some_and(|e| e.epoch > epoch) {
             return;
         }
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
@@ -97,7 +96,7 @@ impl CacheModel {
     pub fn purge_stale_at(&mut self, current_epoch: u64, now_us: u64) {
         let ttl_us = self.ttl_us;
         self.entries.retain(|_, e| {
-            e.epoch == current_epoch && now_us.saturating_sub(e.inserted_us) <= ttl_us
+            e.epoch >= current_epoch && now_us.saturating_sub(e.inserted_us) <= ttl_us
         });
     }
 
@@ -125,6 +124,16 @@ mod tests {
             m.is_empty(),
             "dead entry removed eagerly, like the real cache"
         );
+    }
+
+    #[test]
+    fn a_newer_epoch_entry_survives_an_older_reader_and_an_older_insert() {
+        let mut m = CacheModel::new(4, 1_000_000);
+        m.insert_at(1, vec![2], 2, 0);
+        assert_eq!(m.get_at(1, 1, 0), None);
+        m.insert_at(1, vec![1], 1, 0);
+        m.purge_stale_at(1, 0);
+        assert_eq!(m.get_at(1, 2, 0), Some(vec![2]));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! [`GeoBlockEngine`] wraps a [`GeoBlock`] with (i) hit statistics over
 //! previously seen query cells, (ii) the [`AggregateTrie`] cache sized by
-//! the *aggregate threshold*, and (iii) the adapted SELECT and the rebuild
-//! of [`crate::qc`]. It is `Send + Sync`: many threads answer SELECT/COUNT
+//! the *aggregate threshold*, and (iii) the adapted SELECT — the block's
+//! SELECT loop with a cache probe per cell — and the rebuild of
+//! [`crate::qc`]. It is `Send + Sync`: many threads answer SELECT/COUNT
 //! queries while the query cache adapts and update batches commit
 //! underneath them. The paper's single-threaded mutable state is made
 //! concurrent with three mechanisms, each chosen so *readers never block
@@ -327,28 +328,25 @@ impl GeoBlockEngine {
         spec: &AggSpec,
     ) -> QueryResponse<AggResult> {
         let covering = self.covering_for(&state.block, polygon);
-        let mut metrics = CacheMetrics::default();
-        // The accumulator is a pure observer: when the thread is not
-        // sampled it is disarmed and `select_adapted` runs untouched.
-        let mut acc = self.tracer.stage_acc();
         // The cells the query probes are its hit cells, appended to the
-        // hit log once it has its answer.
+        // hit log once it has its answer. Covering cells arrive sorted by
+        // raw id, so the cache's cursor resolves almost every probe from
+        // a forward scan.
         let cells = state.block.overlapping(&covering);
-        let (result, stats) = qc::select_adapted(
-            &state.block,
-            &state.trie,
-            cells,
-            spec,
-            &mut metrics,
-            &mut acc,
-        );
+        let mut probe = state.trie.flat_cursor();
+        // One span for the whole loop, cached cells included: the stage
+        // COUNT's loop is timed under too.
+        let span = self.tracer.span(Stage::PyramidCombine);
+        let (result, stats, hits) = state
+            .block
+            .select_cells(cells, spec, |cell| probe.lookup(cell));
+        drop(span);
         self.hits.append(cells);
-        self.tracer.absorb(acc);
-        self.probes.add(metrics.probes);
-        self.direct_hits.add(metrics.direct_hits);
+        self.probes.add(cells.len() as u64);
+        self.direct_hits.add(hits);
         self.tracer.note_stats(trace_stats(&stats));
         self.tracer.note_epoch(state.data_epoch);
-        QueryResponse::new(result, stats, state.data_epoch)
+        QueryResponse::new(result.finalize(spec), stats, state.data_epoch)
     }
 
     /// The COUNT of one polygon on a pinned state: the step a solo COUNT

@@ -46,7 +46,7 @@
 //! | [`query`] — SELECT (Listing 1) and COUNT: one record lookup per covering cell | §3.5 |
 //! | [`mod@reference`] — the naive SELECT/COUNT every accelerated path is tested against | §3.5 |
 //! | [`trie`] — the aggregate cache: a sparse sub-pyramid, one key-sorted layer per level (Figure 7's node layout is not kept) | §3.6, Fig. 7 |
-//! | [`qc`] — the adapted SELECT + scoring/rebuild over a `(block, cache)` pair | §3.6, Fig. 8 |
+//! | [`qc`] — the query cache's policy, metrics and scoring/rebuild (the adapted SELECT is the block's loop) | §3.6, Fig. 8 |
 //! | [`hits`] — the log-structured hit statistics behind the rebuild | §3.6 |
 //! | [`engine`] — the query-cached front-end ("BlockQC"), `Send + Sync`: epoch-swapped block + cache, updates | §3.6, §5 |
 //! | [`memo`] — covering memo | — |

@@ -1,18 +1,19 @@
-//! The query cache of §3.6 (Figure 8), as free functions over an explicit
-//! `(block, cache)` pair — [`crate::GeoBlockEngine`] is the front-end that
-//! owns the pair, the hit statistics and the rebuild policy.
+//! The query cache of §3.6 (Figure 8): its policy, its metrics and its
+//! rebuild — [`crate::GeoBlockEngine`] is the front-end that owns the
+//! block, the cache, the hit statistics and the rebuild policy.
 //!
-//! * `select_adapted` — the adapted SELECT over the run of covering
-//!   cells that may overlap the block (`GeoBlock::overlapping`): probe
-//!   the cache per cell; use the cached record when present; otherwise
-//!   the block answers the cell.
-//! * `rebuild_trie` — "Determining Relevant Aggregates": score the hit
-//!   cells and cache the most relevant ones that fit the budget (the
-//!   *aggregate threshold*, relative to the cell-aggregate storage). A
-//!   cached record is a copy of the block's canonical record of its cell
-//!   (found by the block's search, `GeoBlock::locate`, in
-//!   [`AggregateTrie`]'s one fill), so a cache hit and a block lookup
-//!   answer bit-identically.
+//! The adapted SELECT has no loop of its own: the engine runs the block's
+//! SELECT loop (`GeoBlock::select_cells`) over the run of covering cells
+//! that may overlap the block (`GeoBlock::overlapping`), trying the
+//! cache's cursor on each cell before the block answers it.
+//!
+//! `rebuild_trie` is "Determining Relevant Aggregates": score the hit
+//! cells and cache the most relevant ones that fit the budget (the
+//! *aggregate threshold*, relative to the cell-aggregate storage). A
+//! cached record is a copy of the block's canonical record of its cell
+//! (found by the block's search, `GeoBlock::locate`, in
+//! [`AggregateTrie`]'s one fill), so a cache hit and a block lookup answer
+//! bit-identically.
 //!
 //! Figure 8 has a step in between: a query cell that is not cached itself
 //! is assembled from its cached direct children. It is not implemented.
@@ -27,15 +28,12 @@
 //! mostly independent of the cell level […] we do not expect noticeable
 //! speedups for them").
 
-use crate::aggregate::{AggPlan, AggResult};
 use crate::api::GbError;
 use crate::block::GeoBlock;
 use crate::hits::HitCounts;
-use crate::query::{Cursors, QueryStats};
 use crate::trie::AggregateTrie;
 use gb_cell::CellId;
 use gb_data::{AggSpec, DataError};
-use gb_trace::{Stage, StageAcc};
 
 /// When the cache is (re)built from the hit statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,61 +80,6 @@ pub(crate) fn validate_spec(block: &GeoBlock, spec: &AggSpec) -> Result<(), GbEr
         }
     }
     Ok(())
-}
-
-/// The Figure-8 adapted SELECT over an explicit `(block, cache)` pair.
-///
-/// Takes the cells of the polygon's covering that may overlap the block
-/// ([`GeoBlock::overlapping`]) rather than the polygon itself: the
-/// covering fully determines the answer, which is what lets the engine
-/// memoize coverings by polygon content, and the same run is what the
-/// engine appends to its hit log (§3.6 "for each query cell that
-/// intersects with the GeoBlock").
-///
-/// `acc` attributes per-cell time to tracing stages (`TrieLookup` for
-/// cache probes, `PyramidCombine`/`ScanFallback` for what the block
-/// answers). It is a pure observer — a disarmed accumulator (an unsampled
-/// request) runs the identical code with zero timing overhead, so traced
-/// and untraced execution are bit-identical by construction.
-pub(crate) fn select_adapted(
-    block: &GeoBlock,
-    trie: &AggregateTrie,
-    cells: &[CellId],
-    spec: &AggSpec,
-    metrics: &mut CacheMetrics,
-    acc: &mut StageAcc,
-) -> (AggResult, QueryStats) {
-    let plan = AggPlan::compile(spec);
-    let mut result = AggResult::new(spec);
-    let mut stats = QueryStats::default();
-    let mut cursors = Cursors::new();
-    // Covering cells arrive sorted by raw id, so the cache's cursor
-    // resolves almost every probe from a forward scan.
-    let mut probe = trie.flat_cursor();
-    stats.query_cells = cells.len();
-    metrics.probes += cells.len() as u64;
-
-    for &qcell in cells {
-        if let Some(agg) = acc.time(Stage::TrieLookup, || probe.lookup(qcell)) {
-            // Cached: answer from the trie.
-            agg.combine_into(&plan, &mut result);
-            metrics.direct_hits += 1;
-            continue;
-        }
-        // What the trie does not hold, the block answers, timed under the
-        // stage the cell's level selects: a cell coarser than the block
-        // level reads a pyramid layer, a block-level cell the block's own
-        // records.
-        let stage = if qcell.level() < block.level() {
-            Stage::PyramidCombine
-        } else {
-            Stage::ScanFallback
-        };
-        acc.time(stage, || {
-            block.combine_covering_cell(qcell, &plan, &mut result, &mut stats, &mut cursors)
-        });
-    }
-    (result.finalize(spec), stats)
 }
 
 /// Candidate cells of a rebuild as `(score, level, raw id)`. The score of

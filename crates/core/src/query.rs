@@ -19,9 +19,9 @@
 //! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] combine **one**
 //!   record per covering cell (`GeoBlock::record_of`, which folds an odd
 //!   level's children into a scratch record; `cells_combined` ≤ covering
-//!   size). The cache-adapted SELECT of [`crate::qc`] reads records
-//!   through the same function, and the cache's fill through the same
-//!   search.
+//!   size). The engine's cache-adapted SELECT runs the same loop
+//!   (`GeoBlock::select_cells`), trying its cache on each cell first, and
+//!   the cache's fill reads through the same search.
 //! * [`GeoBlock::count`] / [`GeoBlock::count_covering`] add the counts of
 //!   the records the search found: integers, so no fold and no scratch
 //!   record. This replaces Listing 2's two searches over per-cell tuple
@@ -90,34 +90,41 @@ impl GeoBlock {
     /// SELECT over a precomputed covering, without finalization:
     /// [`GeoBlock::select`] finalizes, and benches time the bare walk.
     pub fn select_covering(&self, covering: &CellUnion, spec: &AggSpec) -> (AggResult, QueryStats) {
-        let plan = AggPlan::compile(spec);
-        let mut result = AggResult::new(spec);
-        let mut stats = QueryStats::default();
-        let mut cursors = Cursors::new();
-        let cells = self.overlapping(covering);
-        stats.query_cells = cells.len();
-        for &qcell in cells {
-            self.combine_covering_cell(qcell, &plan, &mut result, &mut stats, &mut cursors);
-        }
+        let (result, stats, _) = self.select_cells(self.overlapping(covering), spec, |_| None);
         (result, stats)
     }
 
-    /// Fold one covering cell's record into `result`. Shared by the plain
-    /// SELECT path and the cache-adapted path in [`crate::qc`].
-    #[inline]
-    pub(crate) fn combine_covering_cell(
+    /// The SELECT loop, without finalization: per cell, the record
+    /// `cached` returns (no search, not in `cells_combined`), else the
+    /// block's; and how many cells `cached` answered. The engine's adapted
+    /// SELECT (§3.6, Figure 8) passes its cache's cursor.
+    pub(crate) fn select_cells<'c>(
         &self,
-        qcell: CellId,
-        plan: &AggPlan,
-        result: &mut AggResult,
-        stats: &mut QueryStats,
-        cursors: &mut Cursors,
-    ) {
-        stats.searches += 1;
-        if let Some(record) = self.record_of(qcell, cursors) {
-            record.combine_into(plan, result);
-            stats.cells_combined += 1;
+        cells: &[CellId],
+        spec: &AggSpec,
+        mut cached: impl FnMut(CellId) -> Option<RecordRef<'c>>,
+    ) -> (AggResult, QueryStats, u64) {
+        let plan = AggPlan::compile(spec);
+        let mut result = AggResult::new(spec);
+        let mut stats = QueryStats {
+            query_cells: cells.len(),
+            ..QueryStats::default()
+        };
+        let mut cursors = Cursors::new();
+        let mut hits = 0;
+        for &qcell in cells {
+            if let Some(record) = cached(qcell) {
+                record.combine_into(&plan, &mut result);
+                hits += 1;
+                continue;
+            }
+            stats.searches += 1;
+            if let Some(record) = self.record_of(qcell, &mut cursors) {
+                record.combine_into(&plan, &mut result);
+                stats.cells_combined += 1;
+            }
         }
+        (result, stats, hits)
     }
 
     /// The records that make up the aligned `cell`, at or above the block

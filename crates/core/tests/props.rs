@@ -254,7 +254,7 @@ proptest! {
         let untraced = GeoBlockEngine::new(block.clone(), 0.3)
             .with_tracer(Arc::new(Tracer::disabled()));
         let traced = GeoBlockEngine::new(block, 0.3).with_tracer(Arc::new(Tracer::new(
-            TraceConfig { sample_rate, slow_us: 0, ..TraceConfig::default() },
+            TraceConfig { sample_rate, slow_us: 0 },
         )));
         let bits = |r: &AggResult| r.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 

@@ -108,30 +108,35 @@ impl<B: Backend> ResultCache<B> {
     }
 
     /// Look up the reply for `key`, valid at `current_epoch`, as of tick
-    /// `now_us`. Counts a hit or miss; expired/stale entries are removed
-    /// on the way.
+    /// `now_us`. Counts a hit or miss; a dead entry (expired, or from an
+    /// older epoch) is removed on the way.
     pub fn get_at(&self, key: u64, current_epoch: u64, now_us: u64) -> Option<Vec<u8>> {
         let mut entries = self.entries.lock();
-        let valid = match entries.get(key) {
-            Some(e) => {
-                e.epoch == current_epoch && now_us.saturating_sub(e.inserted_us) <= self.ttl_us
-            }
-            None => false,
-        };
-        if valid {
+        let ttl_us = self.ttl_us;
+        let (serves, dead) = entries.get(key).map_or((false, false), |e| {
+            let fresh = now_us.saturating_sub(e.inserted_us) <= ttl_us;
+            (
+                e.epoch == current_epoch && fresh,
+                e.epoch < current_epoch || !fresh,
+            )
+        });
+        if serves {
             self.hits.incr();
-            entries.get(key).map(|e| e.reply.clone())
-        } else {
-            // Drop the dead entry (wrong epoch or expired) eagerly.
-            entries.remove(key);
-            self.misses.incr();
-            None
+            return entries.get(key).map(|e| e.reply.clone());
         }
+        // An entry from a newer epoch stays: the reader read the epoch an
+        // instant before the update the entry's request saw.
+        if dead {
+            entries.remove(key);
+        }
+        self.misses.incr();
+        None
     }
 
     /// Insert a reply computed at `epoch`, as of tick `now_us`. A
     /// zero-capacity cache accepts nothing; at capacity, the
-    /// oldest-inserted entry is evicted.
+    /// oldest-inserted entry is evicted. A reply never replaces one from a
+    /// newer epoch: epochs only rise, so no reader could be served it.
     pub fn insert_at(&self, key: u64, reply: Vec<u8>, epoch: u64, now_us: u64) {
         if self.capacity == 0 {
             return;
@@ -141,14 +146,18 @@ impl<B: Backend> ResultCache<B> {
             epoch,
             inserted_us: now_us,
         };
-        if self.entries.lock().insert(key, entry).is_some() {
+        let mut entries = self.entries.lock();
+        if entries.get(key).is_some_and(|e| e.epoch > epoch) {
+            return;
+        }
+        if entries.insert(key, entry).is_some() {
             self.evictions.incr();
         }
         self.insertions.incr();
     }
 
-    /// Drop every entry that is expired at tick `now_us` or on an epoch
-    /// other than `current_epoch` — the space-reclamation half of
+    /// Drop every dead entry: expired at tick `now_us`, or from an epoch
+    /// older than `current_epoch` — the space-reclamation half of
     /// invalidation (correctness never depends on it;
     /// [`ResultCache::get_at`] checks the epoch on every lookup).
     pub fn purge_stale_at(&self, current_epoch: u64, now_us: u64) {
@@ -156,7 +165,7 @@ impl<B: Backend> ResultCache<B> {
         let before = entries.len();
         let ttl_us = self.ttl_us;
         entries.retain(|_, e| {
-            e.epoch == current_epoch && now_us.saturating_sub(e.inserted_us) <= ttl_us
+            e.epoch >= current_epoch && now_us.saturating_sub(e.inserted_us) <= ttl_us
         });
         let dropped = before.saturating_sub(entries.len());
         self.evictions.add(dropped as u64);
@@ -279,6 +288,25 @@ mod tests {
         c.purge_stale(1);
         assert_eq!(c.len(), 3);
         assert_eq!(c.get(6, 1), Some(vec![6]));
+    }
+
+    #[test]
+    fn a_reader_one_epoch_behind_keeps_the_newer_reply() {
+        let c = cache(8, 10_000);
+        c.insert(5, vec![2], 2);
+        assert_eq!(c.get(5, 1), None, "epoch 1 is never served epoch 2's reply");
+        assert_eq!(c.get(5, 2), Some(vec![2]), "the epoch-2 reply survived");
+        c.purge_stale(1);
+        assert_eq!(c.get(5, 2), Some(vec![2]), "purge at epoch 1 keeps it too");
+    }
+
+    #[test]
+    fn an_older_reply_never_replaces_a_newer_one() {
+        let c = cache(8, 10_000);
+        c.insert(5, vec![2], 2);
+        c.insert(5, vec![1], 1); // a slow request computed before the update
+        assert_eq!(c.get(5, 2), Some(vec![2]));
+        assert_eq!(c.stats().insertions, 1);
     }
 
     #[test]

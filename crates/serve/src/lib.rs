@@ -160,68 +160,62 @@ impl GbServer {
     /// no I/O, so tests can drive the exact HTTP surface in-process.
     pub fn handle(&self, req: &HttpRequest) -> HttpResponse {
         let start = Instant::now();
-        // The serve layer owns the request trace: the engine's own
-        // `begin_request` calls nest inside this one and stay inert, so
-        // quota/cache/serialize time lands on the same trace as the
-        // engine stages. Dropped (finalized) before metrics.record so
-        // the flight recorder sees the trace the moment the request is
-        // countable.
-        let trace =
-            trace_kind(&req.method, &req.path).map(|kind| self.engine.tracer().begin_request(kind));
-        let resp = self.route(req);
-        drop(trace);
-        self.metrics.record(
-            &req.path,
-            resp.status,
-            start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-        resp
-    }
-
-    fn route(&self, req: &HttpRequest) -> HttpResponse {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => HttpResponse::text(200, "ok\n"),
-            ("GET", "/metrics") => HttpResponse::text(
+        // The path is compared once: its index in `ROUTES` is the route
+        // `/metrics` counts, and its entry says which method it takes.
+        let route = ROUTES.iter().position(|&(_, path, _)| path == req.path);
+        let endpoint = route
+            .and_then(|i| ROUTES.get(i))
+            .filter(|&&(method, _, _)| method == req.method)
+            .map(|&(_, _, endpoint)| endpoint);
+        let resp = match endpoint {
+            Some(Endpoint::Health) => HttpResponse::text(200, "ok\n"),
+            Some(Endpoint::Metrics) => HttpResponse::text(
                 200,
                 self.metrics.render(
                     &self.cache.stats(),
                     self.cache.len(),
-                    self.engine.data_epoch(),
-                    self.engine.cache_epoch(),
-                    self.engine.memo_stats(),
+                    metrics::EngineNumbers {
+                        data_epoch: self.engine.data_epoch(),
+                        cache_epoch: self.engine.cache_epoch(),
+                        memo: self.engine.memo_stats(),
+                        trie: self.engine.metrics(),
+                    },
                     self.engine.tracer(),
                 ),
             ),
-            ("GET", "/v1/debug/traces") => {
+            Some(Endpoint::Traces) => {
                 HttpResponse::text(200, gb_trace::render_traces(&self.engine.tracer().recent()))
             }
-            ("GET", "/v1/debug/slow") => HttpResponse::text(
+            Some(Endpoint::SlowTraces) => HttpResponse::text(
                 200,
                 gb_trace::render_traces(&self.engine.tracer().slow_traces()),
             ),
-            ("POST", "/v1/query") => self.admitted(req, |r| self.query_endpoint(r, None)),
-            ("POST", "/v1/select") => {
-                self.admitted(req, |r| self.query_endpoint(r, Some(Kind::Select)))
+            Some(Endpoint::Query(kind)) => {
+                // The serve layer owns the request trace: the engine's own
+                // `begin_request` calls nest inside this one and stay
+                // inert, so quota/cache/serialize time lands on the same
+                // trace as the engine stages. Dropped (finalized) before
+                // metrics.record so the flight recorder sees the trace the
+                // moment the request is countable. Only query endpoints
+                // are traced: tracing the observability surface would
+                // pollute the recorder with scrape noise.
+                let _trace = self
+                    .engine
+                    .tracer()
+                    .begin_request(kind.map_or("query", Kind::name));
+                self.admitted(req, |r| self.query_endpoint(r, kind))
             }
-            ("POST", "/v1/count") => {
-                self.admitted(req, |r| self.query_endpoint(r, Some(Kind::Count)))
-            }
-            ("POST", "/v1/update") => {
-                self.admitted(req, |r| self.query_endpoint(r, Some(Kind::Update)))
-            }
-            ("POST", "/v1/batch") => {
-                self.admitted(req, |r| self.query_endpoint(r, Some(Kind::Batch)))
-            }
-            (
-                _,
-                "/healthz" | "/metrics" | "/v1/query" | "/v1/select" | "/v1/count" | "/v1/update"
-                | "/v1/batch" | "/v1/debug/traces" | "/v1/debug/slow",
-            ) => self.error_response(GbError::Serve(ServeError::MethodNotAllowed(format!(
-                "{} {}",
-                req.method, req.path
-            )))),
-            _ => self.error_response(GbError::Serve(ServeError::NotFound(req.path.clone()))),
-        }
+            None if route.is_some() => self.error_response(GbError::Serve(
+                ServeError::MethodNotAllowed(format!("{} {}", req.method, req.path)),
+            )),
+            None => self.error_response(GbError::Serve(ServeError::NotFound(req.path.clone()))),
+        };
+        self.metrics.record(
+            route,
+            resp.status,
+            start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+        );
+        resp
     }
 
     /// Run `f` if the tenant's token bucket admits the request.
@@ -618,19 +612,31 @@ fn serve_internal(msg: String) -> GbError {
     GbError::Serve(ServeError::Internal(msg))
 }
 
-/// The flight-recorder kind label for a request, `None` for routes that
-/// are not traced (health/metrics/debug — tracing the observability
-/// surface would pollute the recorder with scrape noise).
-fn trace_kind(method: &str, path: &str) -> Option<&'static str> {
-    match (method, path) {
-        ("POST", "/v1/query") => Some("query"),
-        ("POST", "/v1/select") => Some("select"),
-        ("POST", "/v1/count") => Some("count"),
-        ("POST", "/v1/update") => Some("update"),
-        ("POST", "/v1/batch") => Some("batch"),
-        _ => None,
-    }
+/// What a route serves.
+#[derive(Debug, Clone, Copy)]
+enum Endpoint {
+    Health,
+    Metrics,
+    Traces,
+    SlowTraces,
+    /// A wire-codec query endpoint; `Some` pins the request kind.
+    Query(Option<Kind>),
 }
+
+/// Every route, `(method, path, endpoint)`, in the order `/metrics` lists
+/// them. A known path asked with another method is a 405; an unknown
+/// path, a 404 (counted as route `other`).
+const ROUTES: [(&str, &str, Endpoint); 9] = [
+    ("POST", "/v1/query", Endpoint::Query(None)),
+    ("POST", "/v1/select", Endpoint::Query(Some(Kind::Select))),
+    ("POST", "/v1/count", Endpoint::Query(Some(Kind::Count))),
+    ("POST", "/v1/update", Endpoint::Query(Some(Kind::Update))),
+    ("POST", "/v1/batch", Endpoint::Query(Some(Kind::Batch))),
+    ("GET", "/v1/debug/traces", Endpoint::Traces),
+    ("GET", "/v1/debug/slow", Endpoint::SlowTraces),
+    ("GET", "/metrics", Endpoint::Metrics),
+    ("GET", "/healthz", Endpoint::Health),
+];
 
 /// A server running on a background thread, stopped explicitly or on
 /// drop. [`RunningServer::start`] binds, spawns, and returns once the

@@ -15,19 +15,6 @@ use gb_trace::{Stage, Tracer};
 /// and the server share one implementation.
 pub use gb_common::LatencyHistogram;
 
-/// Routes tracked individually (everything else lands in `other`).
-const ROUTES: &[&str] = &[
-    "/v1/query",
-    "/v1/select",
-    "/v1/count",
-    "/v1/update",
-    "/v1/batch",
-    "/v1/debug/traces",
-    "/v1/debug/slow",
-    "/metrics",
-    "/healthz",
-];
-
 /// Why the server closed a connection: the `reason` label of
 /// `gb_connection_closes_total`, which answers "why did the client have to
 /// reconnect?" from the running server.
@@ -48,10 +35,23 @@ pub enum CloseReason {
 /// The `reason` labels, in [`CloseReason`]'s declaration order.
 const CLOSE_REASONS: [&str; 5] = ["peer", "idle", "cap", "error", "shutdown"];
 
+/// What the engine reports to `/metrics`, read once per scrape.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineNumbers {
+    pub data_epoch: u64,
+    pub cache_epoch: u64,
+    pub memo: geoblocks::MemoStats,
+    /// The cache's probes and direct hits: exact counts, where the stage
+    /// times are sampled.
+    pub trie: geoblocks::CacheMetrics,
+}
+
 /// All server counters.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    route_hits: [Counter; 9],
+    /// Requests per route, indexed like the server's route table (an
+    /// unknown path lands in `route_other`).
+    route_hits: [Counter; crate::ROUTES.len()],
     route_other: Counter,
     status_2xx: Counter,
     status_4xx: Counter,
@@ -71,18 +71,13 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Record one finished request.
-    pub fn record(&self, path: &str, status: u16, elapsed_ns: u64) {
-        match ROUTES.iter().position(|r| *r == path) {
-            Some(i) => {
-                if let Some(c) = self.route_hits.get(i) {
-                    c.incr();
-                }
-            }
-            None => {
-                self.route_other.incr();
-            }
-        }
+    /// Record one finished request to the route at index `route` of the
+    /// server's route table (`None`: a path it does not serve).
+    pub(crate) fn record(&self, route: Option<usize>, status: u16, elapsed_ns: u64) {
+        route
+            .and_then(|i| self.route_hits.get(i))
+            .unwrap_or(&self.route_other)
+            .incr();
         let class = match status {
             200..=299 => &self.status_2xx,
             400..=499 => &self.status_4xx,
@@ -137,14 +132,18 @@ impl Metrics {
         &self,
         cache: &crate::cache::CacheStats,
         cache_len: usize,
-        data_epoch: u64,
-        cache_epoch: u64,
-        memo: geoblocks::MemoStats,
+        engine: EngineNumbers,
         tracer: &Tracer,
     ) -> String {
+        let EngineNumbers {
+            data_epoch,
+            cache_epoch,
+            memo,
+            trie,
+        } = engine;
         let mut out = String::with_capacity(4096);
-        for (i, route) in ROUTES.iter().enumerate() {
-            let n = self.route_hits.get(i).map_or(0, |c| c.get());
+        for ((_, route, _), counter) in crate::ROUTES.iter().zip(&self.route_hits) {
+            let n = counter.get();
             out.push_str(&format!("gb_requests_total{{route=\"{route}\"}} {n}\n"));
         }
         out.push_str(&format!(
@@ -213,6 +212,8 @@ impl Metrics {
         out.push_str(&format!("gb_pool_busy_ns_total {}\n", pool.busy_ns_total));
         out.push_str(&format!("gb_data_epoch {data_epoch}\n"));
         out.push_str(&format!("gb_trie_cache_epoch {cache_epoch}\n"));
+        out.push_str(&format!("gb_trie_probes_total {}\n", trie.probes));
+        out.push_str(&format!("gb_trie_direct_hits_total {}\n", trie.direct_hits));
         out.push_str(&format!(
             "gb_request_latency_ns{{quantile=\"0.5\"}} {}\n",
             self.latency.quantile_ns(0.5)
@@ -291,13 +292,18 @@ mod tests {
     use super::*;
     use gb_trace::TraceConfig;
 
+    /// The route-table index of `path`, as `GbServer::handle` finds it.
+    fn route(path: &str) -> Option<usize> {
+        crate::ROUTES.iter().position(|&(_, p, _)| p == path)
+    }
+
     #[test]
     fn render_and_scrape_roundtrip() {
         let m = Metrics::default();
-        m.record("/v1/select", 200, 5_000);
-        m.record("/v1/select", 200, 6_000);
-        m.record("/v1/update", 400, 7_000);
-        m.record("/nope", 429, 100);
+        m.record(route("/v1/select"), 200, 5_000);
+        m.record(route("/v1/select"), 200, 6_000);
+        m.record(route("/v1/update"), 400, 7_000);
+        m.record(route("/nope"), 429, 100);
         for (reason, requests) in [(CloseReason::Cap, 256), (CloseReason::Peer, 1)] {
             m.connection_opened();
             m.connection_closed(reason, requests);
@@ -320,9 +326,20 @@ mod tests {
         });
         {
             let _req = tracer.begin_request("select");
-            drop(tracer.span(Stage::TrieLookup));
+            drop(tracer.span(Stage::PyramidCombine));
         }
-        let text = m.render(&cache, 2, 5, 9, memo, &tracer);
+        let trie = geoblocks::CacheMetrics {
+            probes: 30,
+            direct_hits: 12,
+            child_hits: 0,
+        };
+        let engine = EngineNumbers {
+            data_epoch: 5,
+            cache_epoch: 9,
+            memo,
+            trie,
+        };
+        let text = m.render(&cache, 2, engine, &tracer);
         assert_eq!(
             scrape(&text, "gb_requests_total{route=\"/v1/select\"}"),
             Some(2.0)
@@ -351,10 +368,13 @@ mod tests {
         assert_eq!(scrape(&text, "gb_connection_requests_sum"), Some(257.0));
         assert_eq!(scrape(&text, "gb_connection_requests_count"), Some(2.0));
         assert_eq!(
-            scrape(&text, "gb_stage_latency_count{stage=\"trie_lookup\"}"),
+            scrape(&text, "gb_stage_latency_count{stage=\"pyramid_combine\"}"),
             Some(1.0)
         );
-        assert!(scrape(&text, "gb_stage_share{stage=\"trie_lookup\"}").is_some());
+        assert!(scrape(&text, "gb_stage_share{stage=\"pyramid_combine\"}").is_some());
+        assert_eq!(scrape(&text, "gb_stage_share{stage=\"trie_lookup\"}"), None);
+        assert_eq!(scrape(&text, "gb_trie_probes_total"), Some(30.0));
+        assert_eq!(scrape(&text, "gb_trie_direct_hits_total"), Some(12.0));
         assert!(scrape(&text, "gb_pool_queue_depth").is_some());
         assert!(scrape(&text, "gb_pool_tasks_total").is_some());
         assert!(scrape(&text, "gb_pool_busy_ns_total").is_some());
@@ -371,7 +391,7 @@ mod tests {
         m.worker_polled(std::time::Duration::from_nanos(250));
         let cache = crate::cache::CacheStats::default();
         let tracer = Tracer::disabled();
-        let text = m.render(&cache, 0, 0, 0, geoblocks::MemoStats::default(), &tracer);
+        let text = m.render(&cache, 0, EngineNumbers::default(), &tracer);
         let waits = |outcome: &str| {
             scrape(
                 &text,
@@ -382,8 +402,7 @@ mod tests {
         assert_eq!(waits("parked"), Some(1.0));
         assert_eq!(scrape(&text, "gb_worker_poll_ns_total"), Some(1_500_250.0));
         // A fresh server exports all three at zero.
-        let text =
-            Metrics::default().render(&cache, 0, 0, 0, geoblocks::MemoStats::default(), &tracer);
+        let text = Metrics::default().render(&cache, 0, EngineNumbers::default(), &tracer);
         for name in [
             "gb_worker_waits_total{outcome=\"polled\"}",
             "gb_worker_waits_total{outcome=\"parked\"}",
@@ -405,11 +424,11 @@ mod tests {
     #[test]
     fn debug_routes_are_tracked_individually() {
         let m = Metrics::default();
-        m.record("/v1/debug/traces", 200, 1_000);
-        m.record("/v1/debug/slow", 200, 1_000);
+        m.record(route("/v1/debug/traces"), 200, 1_000);
+        m.record(route("/v1/debug/slow"), 200, 1_000);
         let tracer = Tracer::disabled();
         let cache = crate::cache::CacheStats::default();
-        let text = m.render(&cache, 0, 0, 0, geoblocks::MemoStats::default(), &tracer);
+        let text = m.render(&cache, 0, EngineNumbers::default(), &tracer);
         assert_eq!(
             scrape(&text, "gb_requests_total{route=\"/v1/debug/traces\"}"),
             Some(1.0)

@@ -451,7 +451,6 @@ fn debug_endpoints_and_stage_metrics_over_sockets() {
     let tracer = Arc::new(Tracer::new(TraceConfig {
         sample_rate: 1,
         slow_us: 0,
-        ..TraceConfig::default()
     }));
     let engine = Arc::new(GeoBlockEngine::new(block, 0.3).with_tracer(tracer));
     let server = GbServer::new(
@@ -508,9 +507,7 @@ fn debug_endpoints_and_stage_metrics_over_sockets() {
         String::from_utf8(client::get(addr, "/metrics").expect("metrics").body).expect("utf8");
     for stage in [
         "covering_resolve",
-        "trie_lookup",
         "pyramid_combine",
-        "scan_fallback",
         "result_cache",
         "quota",
         "serialize",
@@ -526,13 +523,24 @@ fn debug_endpoints_and_stage_metrics_over_sockets() {
         assert!(metrics::scrape(&text, &share).is_some(), "missing {share}");
     }
     // Stages actually exercised by the traffic above carry observations.
-    for stage in ["trie_lookup", "result_cache", "quota", "serialize"] {
+    for stage in ["pyramid_combine", "result_cache", "quota", "serialize"] {
         let name = format!("gb_stage_latency_count{{stage=\"{stage}\"}}");
         assert!(
             metrics::scrape(&text, &name).is_some_and(|v| v >= 1.0),
             "stage {stage} must have observations:\n{text}"
         );
     }
+    // The per-cell cache lane is counted, not timed: the stages that
+    // timed it are gone, and the engine's probe and hit counts are exported.
+    for stage in ["trie_lookup", "scan_fallback"] {
+        let share = format!("gb_stage_share{{stage=\"{stage}\"}}");
+        assert_eq!(metrics::scrape(&text, &share), None, "{share} is gone");
+    }
+    assert!(
+        metrics::scrape(&text, "gb_trie_probes_total").is_some_and(|v| v >= 1.0),
+        "the selects probed the cache:\n{text}"
+    );
+    assert!(metrics::scrape(&text, "gb_trie_direct_hits_total").is_some());
     // Memo + pool families from the satellite metrics.
     for family in [
         "gb_covering_memo_evictions_total",

@@ -3,9 +3,10 @@
 //! slow-query flight recorder.
 //!
 //! The paper's cost model decomposes a query into distinct stages —
-//! covering construction, cached-cell lookup, residual aggregation —
-//! and this crate makes that decomposition observable at runtime
-//! without giving the hot path a new dependency or a heap allocation:
+//! covering construction, then one loop over the covering's cells that
+//! reads the cache or the block — and this crate makes that
+//! decomposition observable at runtime without giving the hot path a new
+//! dependency or a heap allocation:
 //!
 //! * [`Stage`] is the fixed taxonomy of pipeline stages. There is no
 //!   dynamic registration: a stage is a `u8`-sized enum variant, and
@@ -15,18 +16,17 @@
 //!   gate (`GB_TRACE_SAMPLE`, default 1 in 64; `0` disables tracing
 //!   entirely) decides whether the request's stage spans are timed; a
 //!   disabled tracer reduces every call to a branch on a field.
-//! * [`Tracer::span`] / [`StageAcc`] record stage time. Spans are RAII
-//!   guards for coarse stages (one per request); [`StageAcc`] is a
-//!   caller-owned accumulator for per-cell hot loops, absorbed into the
-//!   thread-local trace once per request so the loop body never touches
-//!   thread-local storage.
+//! * [`Tracer::span`] records stage time: an RAII guard around a whole
+//!   stage, never around one cell of a loop — a query's cell loop is one
+//!   span, so a sampled request reads the clock a handful of times and
+//!   its stage times add up to no more than its wall time.
 //! * Completed sampled traces land in per-stage [`LatencyHistogram`]s
 //!   (one observation per request per touched stage) and in a sharded
-//!   ring-buffer flight recorder holding the last N requests. Requests
-//!   whose *total* latency crosses `GB_SLOW_US` are retained in a
-//!   separate slow lane **whether or not they were sampled** — the
-//!   requests you most want to see are exactly the ones sampling would
-//!   usually drop.
+//!   ring-buffer flight recorder holding the last [`RECORDER_CAPACITY`]
+//!   requests. Requests whose *total* latency crosses `GB_SLOW_US` are
+//!   retained in a separate slow lane (the last [`SLOW_CAPACITY`])
+//!   **whether or not they were sampled** — the requests you most want
+//!   to see are exactly the ones sampling would usually drop.
 //!
 //! Nesting: the outermost `begin_request` on a thread owns the trace
 //! (the serve layer when a request arrives over HTTP, the engine when
@@ -49,16 +49,10 @@ use std::time::Instant;
 pub enum Stage {
     /// Polygon → covering: memo probe plus (on miss) cover computation.
     CoveringResolve,
-    /// Flat-index lookup of a covering cell in the trie.
-    TrieLookup,
-    /// A covering cell the trie does not hold, answered from a pyramid
-    /// layer (one lookup, one record) — and COUNT's lookups, which read
-    /// the counts of the same records.
+    /// The query's loop over its covering cells: SELECT's (a cache probe
+    /// per cell, then one record from the block for what the cache does
+    /// not hold) and COUNT's (the counts of the same records).
     PyramidCombine,
-    /// A block-level covering cell the trie does not hold, answered from
-    /// the block's own records: at most one record, nothing is scanned
-    /// (the name is a metric label and stays).
-    ScanFallback,
     /// Serve-layer result-cache probe.
     ResultCache,
     /// Admission control (tenant token bucket).
@@ -69,14 +63,12 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the length of every per-stage array).
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 5;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::CoveringResolve,
-        Stage::TrieLookup,
         Stage::PyramidCombine,
-        Stage::ScanFallback,
         Stage::ResultCache,
         Stage::Quota,
         Stage::Serialize,
@@ -92,9 +84,7 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::CoveringResolve => "covering_resolve",
-            Stage::TrieLookup => "trie_lookup",
             Stage::PyramidCombine => "pyramid_combine",
-            Stage::ScanFallback => "scan_fallback",
             Stage::ResultCache => "result_cache",
             Stage::Quota => "quota",
             Stage::Serialize => "serialize",
@@ -130,19 +120,19 @@ pub struct TraceConfig {
     /// retained in the slow lane even when unsampled. `0` retains every
     /// request — the e2e-test configuration.
     pub slow_us: u64,
-    /// Completed-request ring capacity (`/v1/debug/traces`).
-    pub recorder_capacity: usize,
-    /// Slow-lane ring capacity (`/v1/debug/slow`); `0` disables it.
-    pub slow_capacity: usize,
 }
+
+/// Completed sampled traces the flight recorder keeps (`/v1/debug/traces`).
+pub const RECORDER_CAPACITY: usize = 256;
+
+/// Slow traces the slow lane keeps (`/v1/debug/slow`).
+pub const SLOW_CAPACITY: usize = 64;
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
         TraceConfig {
             sample_rate: 64,
             slow_us: 10_000,
-            recorder_capacity: 256,
-            slow_capacity: 64,
         }
     }
 }
@@ -162,7 +152,6 @@ impl TraceConfig {
         TraceConfig {
             sample_rate: env_u64("GB_TRACE_SAMPLE", d.sample_rate),
             slow_us: env_u64("GB_SLOW_US", d.slow_us),
-            ..d
         }
     }
 }
@@ -192,7 +181,7 @@ pub struct RequestTrace {
     pub total_ns: u64,
     /// Accumulated nanoseconds per stage (indexed by [`Stage::index`]).
     pub stage_ns: [u64; Stage::COUNT],
-    /// Span/accumulator count per stage.
+    /// Span count per stage.
     pub stage_calls: [u32; Stage::COUNT],
     /// `FLAG_*` bitmask.
     pub flags: u32,
@@ -321,7 +310,7 @@ impl FlightRecorder {
     }
 
     fn push(&self, trace: RequestTrace) {
-        if self.per_shard == 0 || self.ring.is_empty() {
+        if self.ring.is_empty() {
             return;
         }
         let idx = self.rotor.next() as usize % self.ring.len();
@@ -374,8 +363,8 @@ impl Tracer {
     pub fn new(config: TraceConfig) -> Tracer {
         Tracer {
             id: TRACER_IDS.next().wrapping_add(1),
-            recorder: FlightRecorder::new(config.recorder_capacity),
-            slow: FlightRecorder::new(config.slow_capacity),
+            recorder: FlightRecorder::new(RECORDER_CAPACITY),
+            slow: FlightRecorder::new(SLOW_CAPACITY),
             config,
             ticket: Counter::new(),
             seq: Counter::new(),
@@ -393,11 +382,6 @@ impl Tracer {
     /// A tracer that records nothing (every call is a branch + return).
     pub fn disabled() -> Tracer {
         Tracer::new(TraceConfig::disabled())
-    }
-
-    /// The tracer's configuration.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
     }
 
     /// Whether tracing is on at all (`sample_rate != 0`).
@@ -441,55 +425,21 @@ impl Tracer {
         }
     }
 
-    /// Whether the current thread carries one of this tracer's sampled
-    /// traces — the arm/disarm decision for spans and accumulators.
-    fn thread_is_sampled(&self) -> bool {
-        if self.config.sample_rate == 0 {
-            return false;
-        }
-        ACTIVE.with(|slot| {
-            slot.borrow()
-                .as_ref()
-                .is_some_and(|a| a.tracer_id == self.id && a.sampled)
-        })
-    }
-
     /// Time one stage via RAII: elapsed time is added to the current
     /// thread's trace when the guard drops. Disarmed (no timestamp
     /// taken) when the thread's trace is absent, foreign, or unsampled.
     pub fn span(&self, stage: Stage) -> SpanGuard {
+        let sampled = self.config.sample_rate != 0
+            && ACTIVE.with(|slot| {
+                slot.borrow()
+                    .as_ref()
+                    .is_some_and(|a| a.tracer_id == self.id && a.sampled)
+            });
         SpanGuard {
             tracer_id: self.id,
             stage,
-            start: self.thread_is_sampled().then(Instant::now),
+            start: sampled.then(Instant::now),
         }
-    }
-
-    /// A stage-time accumulator for per-cell loops: armed iff the
-    /// current thread carries a sampled trace. Pass it down the hot
-    /// path by `&mut`, then hand it back via [`Tracer::absorb`].
-    pub fn stage_acc(&self) -> StageAcc {
-        StageAcc::new(self.thread_is_sampled())
-    }
-
-    /// Fold an accumulator into the current thread's trace.
-    pub fn absorb(&self, acc: StageAcc) {
-        if !acc.armed {
-            return;
-        }
-        ACTIVE.with(|slot| {
-            if let Some(active) = slot.borrow_mut().as_mut() {
-                if active.tracer_id != self.id {
-                    return;
-                }
-                for (dst, src) in active.stage_ns.iter_mut().zip(acc.ns.iter()) {
-                    *dst = dst.saturating_add(*src);
-                }
-                for (dst, src) in active.stage_calls.iter_mut().zip(acc.calls.iter()) {
-                    *dst = dst.saturating_add(*src);
-                }
-            }
-        });
     }
 
     /// Set a `FLAG_*` bit on the current thread's trace (recorded even
@@ -644,62 +594,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// A caller-owned stage-time accumulator for hot loops. When disarmed
-/// ([`StageAcc::inactive`], or the request is unsampled) `time` runs
-/// the closure with zero bookkeeping — no timestamps, two branches.
-#[derive(Debug)]
-pub struct StageAcc {
-    armed: bool,
-    ns: [u64; Stage::COUNT],
-    calls: [u32; Stage::COUNT],
-}
-
-impl StageAcc {
-    fn new(armed: bool) -> StageAcc {
-        StageAcc {
-            armed,
-            ns: [0; Stage::COUNT],
-            calls: [0; Stage::COUNT],
-        }
-    }
-
-    /// A permanently disarmed accumulator — the zero-cost argument for
-    /// callers outside any traced request (reference implementations,
-    /// tests).
-    pub fn inactive() -> StageAcc {
-        StageAcc::new(false)
-    }
-
-    /// Whether this accumulator is recording.
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Run `f`, attributing its elapsed time to `stage` when armed.
-    #[inline]
-    pub fn time<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        if !self.armed {
-            return f();
-        }
-        let start = Instant::now();
-        let out = f();
-        let ns = elapsed_ns(start);
-        let idx = stage.index();
-        if let Some(v) = self.ns.get_mut(idx) {
-            *v = v.saturating_add(ns);
-        }
-        if let Some(c) = self.calls.get_mut(idx) {
-            *c = c.saturating_add(1);
-        }
-        out
-    }
-
-    /// Nanoseconds accumulated for `stage` so far.
-    pub fn stage_ns(&self, stage: Stage) -> u64 {
-        self.ns.get(stage.index()).copied().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,8 +602,6 @@ mod tests {
         TraceConfig {
             sample_rate: 1,
             slow_us: u64::MAX / 2000, // slow lane effectively off
-            recorder_capacity: 16,
-            slow_capacity: 16,
         }
     }
 
@@ -718,7 +610,7 @@ mod tests {
         let t = Tracer::disabled();
         {
             let _req = t.begin_request("select");
-            let _s = t.span(Stage::TrieLookup);
+            let _s = t.span(Stage::PyramidCombine);
         }
         assert!(!t.enabled());
         assert!(t.recent().is_empty());
@@ -735,10 +627,10 @@ mod tests {
                 let _s = t.span(Stage::CoveringResolve);
             }
             {
-                let _s = t.span(Stage::TrieLookup);
+                let _s = t.span(Stage::PyramidCombine);
             }
             {
-                let _s = t.span(Stage::TrieLookup);
+                let _s = t.span(Stage::PyramidCombine);
             }
             t.flag(FLAG_MEMO_HIT);
             t.note_stats(TraceStats {
@@ -748,7 +640,7 @@ mod tests {
             });
             t.note_epoch(7);
         }
-        let hist = t.stage_histogram(Stage::TrieLookup).expect("stage");
+        let hist = t.stage_histogram(Stage::PyramidCombine).expect("stage");
         assert_eq!(hist.count(), 1, "one observation per request per stage");
         let traces = t.recent();
         assert_eq!(traces.len(), 1);
@@ -757,7 +649,7 @@ mod tests {
         assert!(trace.sampled);
         assert!(trace.memo_hit());
         assert!(!trace.cache_hit());
-        assert_eq!(trace.stage_calls(Stage::TrieLookup), 2);
+        assert_eq!(trace.stage_calls(Stage::PyramidCombine), 2);
         assert_eq!(trace.stage_calls(Stage::CoveringResolve), 1);
         assert_eq!(trace.stage_calls(Stage::Serialize), 0);
         assert_eq!(trace.stats.query_cells, 9);
@@ -772,12 +664,14 @@ mod tests {
         });
         for _ in 0..8 {
             let _req = t.begin_request("select");
-            let _s = t.span(Stage::TrieLookup);
+            let _s = t.span(Stage::PyramidCombine);
         }
         // Tickets 0 and 4 sample.
         assert_eq!(t.recent().len(), 2);
         assert_eq!(
-            t.stage_histogram(Stage::TrieLookup).expect("stage").count(),
+            t.stage_histogram(Stage::PyramidCombine)
+                .expect("stage")
+                .count(),
             2
         );
     }
@@ -805,8 +699,6 @@ mod tests {
         let t = Tracer::new(TraceConfig {
             sample_rate: 1_000_000,
             slow_us: 0, // every request is "slow"
-            recorder_capacity: 16,
-            slow_capacity: 16,
         });
         {
             let _req = t.begin_request("select"); // ticket 0: sampled
@@ -822,56 +714,19 @@ mod tests {
 
     #[test]
     fn recorder_is_bounded_and_ordered() {
-        let t = Tracer::new(TraceConfig {
-            recorder_capacity: 8,
-            ..sampled_config()
-        });
-        for _ in 0..100 {
-            let _req = t.begin_request("select");
-        }
-        let traces = t.recent();
-        assert!(traces.len() <= 8);
-        assert!(traces.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(traces.iter().all(|tr| tr.seq >= 92), "oldest evicted");
-    }
-
-    #[test]
-    fn zero_capacity_recorder_drops_everything() {
-        let t = Tracer::new(TraceConfig {
-            recorder_capacity: 0,
-            slow_capacity: 0,
-            slow_us: 0,
-            sample_rate: 1,
-        });
-        {
-            let _req = t.begin_request("select");
-        }
-        assert!(t.recent().is_empty());
-        assert!(t.slow_traces().is_empty());
-    }
-
-    #[test]
-    fn stage_acc_times_and_absorbs() {
         let t = Tracer::new(sampled_config());
-        {
+        let pushed = RECORDER_CAPACITY + 100;
+        for _ in 0..pushed {
             let _req = t.begin_request("select");
-            let mut acc = t.stage_acc();
-            assert!(acc.armed());
-            let out = acc.time(Stage::ScanFallback, || 41 + 1);
-            assert_eq!(out, 42);
-            acc.time(Stage::ScanFallback, || ());
-            t.absorb(acc);
         }
         let traces = t.recent();
-        assert_eq!(traces[0].stage_calls(Stage::ScanFallback), 2);
-    }
-
-    #[test]
-    fn inactive_acc_is_a_passthrough() {
-        let mut acc = StageAcc::inactive();
-        assert!(!acc.armed());
-        assert_eq!(acc.time(Stage::TrieLookup, || 7), 7);
-        assert_eq!(acc.stage_ns(Stage::TrieLookup), 0);
+        assert!(traces.len() <= RECORDER_CAPACITY);
+        assert!(traces.windows(2).all(|w| w[0].seq < w[1].seq));
+        let oldest_kept = (pushed - RECORDER_CAPACITY) as u64;
+        assert!(
+            traces.iter().all(|tr| tr.seq >= oldest_kept),
+            "oldest evicted"
+        );
     }
 
     #[test]
@@ -880,12 +735,12 @@ mod tests {
         let other = Tracer::new(sampled_config());
         {
             let _req = owner.begin_request("select");
-            let _foreign = other.span(Stage::TrieLookup);
+            let _foreign = other.span(Stage::PyramidCombine);
             let _ours = owner.span(Stage::Quota);
         }
         let traces = owner.recent();
         assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].stage_calls(Stage::TrieLookup), 0);
+        assert_eq!(traces[0].stage_calls(Stage::PyramidCombine), 0);
         assert_eq!(traces[0].stage_calls(Stage::Quota), 1);
     }
 
@@ -894,13 +749,13 @@ mod tests {
         let t = Tracer::new(sampled_config());
         {
             let _req = t.begin_request("select");
-            let _s = t.span(Stage::TrieLookup);
+            let _s = t.span(Stage::PyramidCombine);
             t.flag(FLAG_CACHE_HIT);
         }
         let text = render_traces(&t.recent());
         assert!(text.contains("\"kind\":\"select\""));
         assert!(text.contains("\"cache_hit\":true"));
-        assert!(text.contains("\"trie_lookup\""));
+        assert!(text.contains("\"pyramid_combine\""));
         assert!(!text.contains("\"serialize\""));
         assert!(text.ends_with('\n'));
     }
