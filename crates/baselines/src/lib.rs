@@ -20,7 +20,7 @@ pub mod onfly;
 pub mod rect_index;
 pub mod truth;
 
-pub use blocks::{BlockIndex, BlockQcIndex};
+pub use blocks::{BlockIndex, BlockQcIndex, CacheCounts, ScanBlockIndex};
 pub use onfly::{BTreeIndex, BinarySearchIndex};
 pub use rect_index::{ARTreeIndex, AggRecord, PhTreeIndex, Quantizer};
 pub use truth::GroundTruth;
@@ -32,7 +32,7 @@ use geoblocks::AggResult;
 /// A spatial aggregation approach under evaluation.
 ///
 /// `select`/`count` take `&mut self` because the query-caching GeoBlock
-/// adapts to the workload (statistics + cache rebuilds) while answering.
+/// records hit statistics while answering.
 pub trait SpatialAggIndex {
     /// Short display name used in report tables ("Block", "BTree", …).
     fn name(&self) -> &'static str;
@@ -46,6 +46,10 @@ pub trait SpatialAggIndex {
     /// Bytes of index structure *on top of* the base data (Figure 11b's
     /// relative-overhead numerator).
     fn index_bytes(&self) -> usize;
+
+    /// Adapt to the queries answered so far: BlockQC rebuilds its cache
+    /// from its hit statistics, every other approach has nothing to adapt.
+    fn rebuild(&mut self) {}
 }
 
 /// Relative error metric of §4.2: `|result − truth| / truth`.

@@ -2,7 +2,7 @@
 //!
 //! These complement the `repro` harness (which regenerates the paper's
 //! figures): each bench isolates one primitive — point→cell mapping,
-//! polygon covering, aggregate-range scans, COUNT, trie lookups, the
+//! polygon covering, aggregate-range scans, COUNT, the covering memo, the
 //! substrate index probes, and a snapshot save/load against the
 //! rebuild it stands in for.
 
@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gb_cell::{cover_polygon, Grid};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::Point;
-use geoblocks::{build, GeoBlockEngine, Snapshot, SnapshotRef};
+use geoblocks::{build, Snapshot, SnapshotRef};
 use std::hint::black_box;
 
 /// Small but realistic setup shared by the benches (kept modest so
@@ -111,49 +111,6 @@ fn bench_queries(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_trie_lookup(c: &mut Criterion) {
-    let s = setup();
-    // Warm a cache over the whole polygon set, then measure pure lookups.
-    let engine = GeoBlockEngine::new(s.block.clone(), 0.5);
-    for p in &s.polys {
-        engine.select(p, &s.spec);
-    }
-    engine.rebuild_cache();
-    let coverings: Vec<_> = s.polys.iter().map(|p| s.block.cover(p)).collect();
-    let cells: Vec<gb_cell::CellId> = coverings.iter().flat_map(|c| c.iter()).collect();
-
-    // `trie_lookup_flat` is the published read path (one cursor swept
-    // along each covering's sorted probe stream, exactly what the adapted
-    // SELECT does); `trie_lookup_fresh` starts a fresh cursor per probe,
-    // what an unordered caller pays (a binary search each). Same probes,
-    // same cache; CI gates flat ÷ fresh ≤ 1.
-    let trie = engine.trie_snapshot();
-    assert!(trie.num_cached() > 0, "the rebuild cached nothing");
-    c.bench_function("trie_lookup_fresh", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &cell in &cells {
-                if trie.flat_cursor().lookup(black_box(cell)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    c.bench_function("trie_lookup_flat", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            let mut probe = trie.flat_cursor();
-            for &cell in &cells {
-                if probe.lookup(black_box(cell)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-}
-
 fn bench_covering_memo(c: &mut Criterion) {
     use geoblocks::CoveringMemo;
     let s = setup();
@@ -213,7 +170,7 @@ fn bench_serve_batch(c: &mut Criterion) {
     use std::sync::Arc;
 
     let s = setup();
-    let engine = Arc::new(GeoBlockEngine::new(s.block.clone(), 0.05));
+    let engine = Arc::new(GeoBlockEngine::new(s.block.clone()));
     let server = GbServer::new(
         Arc::clone(&engine),
         ServeConfig {
@@ -336,10 +293,7 @@ fn bench_persist(c: &mut Criterion) {
         build(&base, 10, &Filter::all()).0
     };
     let block = rebuild();
-    let snapshot = SnapshotRef {
-        block: &block,
-        hits: None,
-    };
+    let snapshot = SnapshotRef { block: &block };
     let bytes = snapshot.to_bytes();
     let mut g = c.benchmark_group("persist");
     g.sample_size(10);
@@ -357,6 +311,6 @@ fn bench_persist(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_point_to_cell, bench_covering, bench_queries, bench_trie_lookup, bench_covering_memo, bench_serve_batch, bench_substrates, bench_build, bench_persist
+    targets = bench_point_to_cell, bench_covering, bench_queries, bench_covering_memo, bench_serve_batch, bench_substrates, bench_build, bench_persist
 }
 criterion_main!(benches);

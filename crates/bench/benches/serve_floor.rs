@@ -113,7 +113,7 @@ fn serve_floor(c: &mut Criterion) {
     let base = extract(&ds.raw, ds.grid, &datasets::nyc_cleaning_rules(), None).base;
     let (block, _) = build(&base, 10, &Filter::all());
     let server = GbServer::new(
-        Arc::new(GeoBlockEngine::new(block, 0.05)),
+        Arc::new(GeoBlockEngine::new(block)),
         ServeConfig {
             threads: PAIRS,
             ..ServeConfig::default()

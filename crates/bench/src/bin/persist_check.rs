@@ -6,9 +6,10 @@
 //! persistence subsystem end-to-end:
 //!
 //! 1. loaded `GeoBlock::content_hash()` == saved hash (lossless),
-//! 2. `GeoBlockEngine::from_snapshot` answers bit-identically to the
-//!    engine it was saved from, warm from the first query, with the cache
-//!    the saved statistics rebuild,
+//! 2. an engine over the loaded block answers bit-identically to the
+//!    engine it was saved from, and a version-5 file the last writer of
+//!    hit statistics wrote (a `HITS` section) loads and saves again
+//!    without the section,
 //! 3. corrupt / truncated / wrong-magic / wrong-version snapshots return
 //!    typed errors — never panics; the file written is stamped with the
 //!    current version, its section checksums are the ones that version
@@ -21,7 +22,12 @@
 
 use gb_data::{datasets, extract, AggSpec, CmpOp, Filter, Rows};
 use gb_geom::Polygon;
+use gb_store::{SectionTag, SnapshotReader};
 use geoblocks::{build, GeoBlock, GeoBlockEngine, Snapshot, SnapshotError, SNAPSHOT_VERSION};
+
+/// A version-5 snapshot with a `HITS` section, written by the last engine
+/// that kept hit statistics (see the test that pins it).
+const HITS_FIXTURE: &[u8] = include_bytes!("../../../core/tests/fixtures/v5_hits.gbsnap");
 
 struct Gate {
     failed: bool,
@@ -50,11 +56,10 @@ fn main() {
     let (block, _) = build(&base, 9, &Filter::all());
     let spec = AggSpec::k_aggregates(base.schema(), 7);
     let polys: Vec<Polygon> = gb_data::polygons::neighborhoods(30, 42);
-    let engine = GeoBlockEngine::new(block.clone(), 0.1);
+    let engine = GeoBlockEngine::new(block.clone());
     for p in &polys {
         engine.select(p, &spec);
     }
-    engine.rebuild_cache();
 
     // 1. Save → load → content-hash identity.
     engine.write_snapshot(&path).expect("snapshot save");
@@ -65,15 +70,8 @@ fn main() {
         "loaded hash differs from saved hash",
     );
 
-    // 2. Warm engine identity: same answers, cache hits from query one.
-    let warm = GeoBlockEngine::from_snapshot(&path, 0.1).expect("engine load");
-    engine.rebuild_cache();
-    gate.check(
-        "restored cache is the one the saved statistics rebuild",
-        warm.trie_snapshot().content_hash() == engine.trie_snapshot().content_hash(),
-        "cache content hash differs",
-    );
-    warm.reset_metrics();
+    // 2. Restart identity: same answers from the loaded block.
+    let warm = GeoBlockEngine::new(loaded_block);
     let mut identical = true;
     for p in &polys {
         let a = warm.select(p, &spec);
@@ -86,10 +84,16 @@ fn main() {
         identical,
         "SELECT/COUNT diverged between saved and loaded engines",
     );
+    let resaved = Snapshot::from_bytes(HITS_FIXTURE).map(|snap| snap.to_bytes());
+    let hits_dropped = resaved.as_ref().is_ok_and(|bytes| {
+        SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION..=SNAPSHOT_VERSION)
+            .is_ok_and(|r| r.tags().all(|tag| tag != SectionTag(*b"HITS")))
+            && Snapshot::from_bytes(bytes).is_ok()
+    });
     gate.check(
-        "warm start hits the cache immediately",
-        warm.metrics().direct_hits > 0,
-        "no direct hits — restored cache is cold",
+        "a HITS-carrying v5 file loads and saves without HITS",
+        hits_dropped,
+        &format!("{:?}", resaved.err()),
     );
 
     // 3. Rejection paths: typed errors, no panics.

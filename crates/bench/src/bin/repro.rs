@@ -195,7 +195,7 @@ fn serve_foreground(ctx: &Ctx, addr: &str) -> Result<(), String> {
     let ds = datasets::nyc_taxi(ctx.rows(200_000), ctx.seed);
     let base = extract(&ds.raw, ds.grid, &datasets::nyc_cleaning_rules(), None).base;
     let (block, _) = geoblocks::build(&base, 12, &Filter::all());
-    let engine = Arc::new(geoblocks::GeoBlockEngine::new(block, 0.1));
+    let engine = Arc::new(geoblocks::GeoBlockEngine::new(block));
     eprintln!(
         "# built {} rows in {:.1} s",
         base.num_rows(),

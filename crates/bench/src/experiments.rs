@@ -12,7 +12,7 @@ use crate::report::Report;
 use crate::{ms, paper_level, run_select_workload, us, Ctx, RunSummary};
 use gb_baselines::{
     relative_error, ARTreeIndex, BTreeIndex, BinarySearchIndex, BlockIndex, BlockQcIndex,
-    GroundTruth, SpatialAggIndex,
+    GroundTruth, ScanBlockIndex, SpatialAggIndex,
 };
 use gb_common::fmt;
 use gb_data::{
@@ -272,8 +272,9 @@ pub fn fig12(ctx: &Ctx) -> Report {
     let (mut ph, _) = gb_baselines::PhTreeIndex::build(&base);
     let (mut bt, _) = BTreeIndex::build(&base, level);
     let mut bs = BinarySearchIndex::new(&base, level);
-    let mut bl = BlockIndex::new(block.clone());
+    let mut scan = ScanBlockIndex::new(block.clone());
     let mut qc = BlockQcIndex::new(block.clone(), 0.02);
+    let mut pyramid = BlockIndex::new(block.clone());
 
     let spec = AggSpec::k_aggregates(base.schema(), 7);
     const REPS: usize = 3;
@@ -286,7 +287,7 @@ pub fn fig12(ctx: &Ctx) -> Report {
         for _ in 0..2 {
             qc.select(&poly, &spec);
         }
-        qc.engine().rebuild_cache();
+        qc.rebuild();
 
         let row_for = |idx: &mut dyn SpatialAggIndex| -> (String, u64) {
             let t = gb_common::Timer::start();
@@ -300,8 +301,9 @@ pub fn fig12(ctx: &Ctx) -> Report {
         let sel_label = format!("{:.1}% (target {:.1}%)", achieved * 100.0, target * 100.0);
         for (name, idx) in [
             ("BinarySearch", &mut bs as &mut dyn SpatialAggIndex),
-            ("Block", &mut bl),
+            ("Block (scan)", &mut scan),
             ("BlockQC", &mut qc),
+            ("Pyramid", &mut pyramid),
             ("BTree", &mut bt),
             ("PHTree", &mut ph),
             ("aRTree", &mut ar),
@@ -316,6 +318,7 @@ pub fn fig12(ctx: &Ctx) -> Report {
             ]);
         }
     }
+    rep.note("Block (scan) is the paper's Block (a range scan of block-level records per covering cell) and BlockQC its cache over that scan; Pyramid is this repository's block, one stored record per covering cell.");
     rep.note("PHTree/aRTree query the interior rectangle (fewer points, different counts), as in the paper.");
     if base.num_rows() > 500_000 {
         rep.note("aRTree built on a 500k-row subsample (its insert-based build is deliberately slow, mirroring the paper's exclusions).");
@@ -651,7 +654,7 @@ pub fn fig17(ctx: &Ctx) -> Report {
     let mut rep = Report::new(
         "fig17",
         "Runtime with increasing workload skew (base + N× skewed), level 17, cache 5%",
-        "After ~4 skewed runs the cached aggregates pay off; BlockQC beats Block as skew grows; base-workload time stays ~constant and slightly favors Block (trie probe overhead).",
+        "After ~4 skewed runs the cached aggregates pay off; BlockQC beats Block as skew grows; base-workload time stays ~constant and slightly favors Block (cache probe overhead). Pyramid (not in the paper) answers every cell from a stored record.",
     );
     rep.headers(&[
         "skewed runs",
@@ -670,38 +673,30 @@ pub fn fig17(ctx: &Ctx) -> Report {
     let skew_one = Workload::skewed(&polys, 0.1, 1, &spec, ctx.seed);
 
     for runs in [2usize, 4, 8, 16] {
-        // Block.
-        let mut bl = BlockIndex::new(block.clone());
-        let b_base = run_select_workload(&mut bl, &base_w);
-        let mut b_skew_total = std::time::Duration::ZERO;
-        for _ in 0..runs {
-            b_skew_total += run_select_workload(&mut bl, &skew_one).total;
-        }
-        rep.row(vec![
-            runs.to_string(),
-            "Block".into(),
-            ms(b_base.total),
-            ms(b_skew_total),
-            ms(b_base.total + b_skew_total),
-        ]);
-
-        // BlockQC: cache rebuilt after each workload phase (the statistics
+        // Each arm runs the base workload once, then `runs` skewed ones;
+        // BlockQC rebuilds its cache after each phase (the statistics
         // accumulate across the whole run).
-        let mut qc = BlockQcIndex::new(block.clone(), 0.05);
-        let q_base = run_select_workload(&mut qc, &base_w);
-        qc.engine().rebuild_cache();
-        let mut q_skew_total = std::time::Duration::ZERO;
-        for _ in 0..runs {
-            q_skew_total += run_select_workload(&mut qc, &skew_one).total;
-            qc.engine().rebuild_cache();
+        let arms: [(&str, Box<dyn SpatialAggIndex>); 3] = [
+            ("Block (scan)", Box::new(ScanBlockIndex::new(block.clone()))),
+            ("BlockQC", Box::new(BlockQcIndex::new(block.clone(), 0.05))),
+            ("Pyramid", Box::new(BlockIndex::new(block.clone()))),
+        ];
+        for (name, mut idx) in arms {
+            let base_part = run_select_workload(idx.as_mut(), &base_w).total;
+            idx.rebuild();
+            let mut skew_part = std::time::Duration::ZERO;
+            for _ in 0..runs {
+                skew_part += run_select_workload(idx.as_mut(), &skew_one).total;
+                idx.rebuild();
+            }
+            rep.row(vec![
+                runs.to_string(),
+                name.into(),
+                ms(base_part),
+                ms(skew_part),
+                ms(base_part + skew_part),
+            ]);
         }
-        rep.row(vec![
-            runs.to_string(),
-            "BlockQC".into(),
-            ms(q_base.total),
-            ms(q_skew_total),
-            ms(q_base.total + q_skew_total),
-        ]);
     }
     rep
 }
@@ -712,7 +707,7 @@ pub fn fig18(ctx: &Ctx) -> Report {
     let mut rep = Report::new(
         "fig18",
         "Aggregate threshold vs runtime and cache hit rate (4 skewed runs, level 17)",
-        "Skewed workload is cached almost immediately (hit rate ~100% by ~5%); base hit rate grows ~linearly with cache size, saturating around 50%; runtime drops accordingly; Block is flat.",
+        "Skewed workload is cached almost immediately (hit rate ~100% by ~5%); base hit rate grows ~linearly with cache size, saturating around 50%; runtime drops accordingly; Block is flat. Pyramid (not in the paper) is flat too: it stores every cell's record.",
     );
     rep.headers(&[
         "threshold",
@@ -730,32 +725,39 @@ pub fn fig18(ctx: &Ctx) -> Report {
     let base_w = Workload::base(&polys, &spec);
     let skew_w = Workload::skewed(&polys, 0.1, 4, &spec, ctx.seed);
 
-    // Block reference (threshold-independent).
-    let mut bl = BlockIndex::new(block.clone());
-    let b_total =
-        run_select_workload(&mut bl, &base_w).total + run_select_workload(&mut bl, &skew_w).total;
-    rep.row(vec![
-        "(any)".into(),
-        "Block".into(),
-        ms(b_total),
-        "-".into(),
-        "-".into(),
-    ]);
+    // The threshold-independent arms.
+    for (name, mut idx) in [
+        (
+            "Block (scan)",
+            Box::new(ScanBlockIndex::new(block.clone())) as Box<dyn SpatialAggIndex>,
+        ),
+        ("Pyramid", Box::new(BlockIndex::new(block.clone()))),
+    ] {
+        let total = run_select_workload(idx.as_mut(), &base_w).total
+            + run_select_workload(idx.as_mut(), &skew_w).total;
+        rep.row(vec![
+            "(any)".into(),
+            name.into(),
+            ms(total),
+            "-".into(),
+            "-".into(),
+        ]);
+    }
 
     for threshold in [0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0] {
         let mut qc = BlockQcIndex::new(block.clone(), threshold);
         // Warm-up pass to gather statistics, then rebuild the cache.
         run_select_workload(&mut qc, &base_w);
         run_select_workload(&mut qc, &skew_w);
-        qc.engine().rebuild_cache();
+        qc.rebuild();
 
         // Measured pass.
-        qc.engine().reset_metrics();
+        qc.reset_counts();
         let t_base = run_select_workload(&mut qc, &base_w);
-        let base_rate = qc.engine().metrics().hit_rate();
-        qc.engine().reset_metrics();
+        let base_rate = qc.counts().hit_rate();
+        qc.reset_counts();
         let t_skew = run_select_workload(&mut qc, &skew_w);
-        let skew_rate = qc.engine().metrics().hit_rate();
+        let skew_rate = qc.counts().hit_rate();
 
         rep.row(vec![
             fmt::percent(threshold),
@@ -858,12 +860,11 @@ pub fn fig19(ctx: &Ctx) -> Result<Report, gb_data::DataError> {
 
 /// `persist`: snapshot save/load time vs full rebuild, at several data
 /// scales — the economics behind the persistence subsystem. A restart
-/// that `load`s a snapshot skips the whole extract + build pipeline
-/// *and* starts with the learned cache; this experiment measures the
-/// ratio and byte sizes, says where each direction spent its time
-/// ([`geoblocks::PersistStats`]), and asserts the round-trip is lossless
-/// (`content_hash` equality + identical warm-engine answers) on every
-/// row it reports.
+/// that `load`s a snapshot skips the whole extract + build pipeline; this
+/// experiment measures the ratio and byte sizes, says where each
+/// direction spent its time ([`geoblocks::PersistStats`]), and asserts
+/// the round-trip is lossless (`content_hash` equality + identical
+/// engine answers) on every row it reports.
 ///
 /// Returns the human report plus machine-readable [`BenchRecord`]s
 /// (`persist/{save,load,build}/sN`, lower-is-better ns). Snapshot I/O
@@ -874,7 +875,7 @@ pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
 
     let mut rep = Report::new(
         "persist",
-        "Snapshot save/load vs rebuild (block + hit statistics; the load rebuilds the cache)",
+        "Snapshot save/load vs rebuild (the block; the load derives its pyramid)",
         "Not in the paper: materialized-aggregate systems treat durability as table stakes — a load must be much cheaper than the O(n log n) extract + O(n) build it replaces, and bit-identical to it.",
     );
     rep.headers(&[
@@ -912,13 +913,7 @@ pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
         let (block, _) = build(&base, level, &Filter::all());
         let build_s = t.elapsed().as_secs_f64();
 
-        // Serve a little traffic so the snapshot carries learned statistics.
-        let engine = GeoBlockEngine::new(block.clone(), 0.1);
-        for p in &polys {
-            engine.select(p, &spec);
-        }
-        engine.rebuild_cache();
-
+        let engine = GeoBlockEngine::new(block.clone());
         let path = dir.join(format!("persist_s{i}.gbsnap"));
         let t = gb_common::Timer::start();
         engine
@@ -936,14 +931,12 @@ pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
         let t = gb_common::Timer::start();
         let (snap, load) = Snapshot::load_with_stats(&path)
             .map_err(|e| format!("snapshot load from {path:?} failed: {e}"))?;
-        let loaded = GeoBlockEngine::from_snapshot_state(snap, 0.1);
+        let loaded = GeoBlockEngine::new(snap.block);
         let load_s = t.elapsed().as_secs_f64();
 
-        // Round-trip gate: lossless block, the cache the saved statistics
-        // rebuild, identical answers from the warm-started engine.
-        engine.rebuild_cache();
+        // Round-trip gate: lossless block, identical answers from the
+        // restarted engine.
         let mut ok = loaded.block_snapshot().content_hash() == block.content_hash()
-            && loaded.trie_snapshot().content_hash() == engine.trie_snapshot().content_hash()
             && save.bytes == load.bytes;
         for p in &polys {
             let a = loaded.select(p, &spec);
@@ -1059,13 +1052,12 @@ pub fn scale_threads(ctx: &Ctx, thread_counts: &[usize]) -> (Report, Vec<BenchRe
     let spec = AggSpec::k_aggregates(base.schema(), 7);
     let workload = Workload::base(&polys, &spec);
 
-    // Shared engine for the query sweep: warm the cache once so every
-    // thread count faces the same (realistic) cache state.
-    let engine = GeoBlockEngine::new(serial_block.clone(), 0.05);
+    // Shared engine for the query sweep: warm the covering memo once so
+    // every thread count faces the same state.
+    let engine = GeoBlockEngine::new(serial_block.clone());
     for q in &workload.queries {
         engine.select(&q.polygon, &q.spec);
     }
-    engine.rebuild_cache();
 
     let median_of = |mut xs: Vec<f64>| -> f64 {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -1217,12 +1209,12 @@ pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
 
     // Stage table from a sample-everything tracer.
     let traced =
-        GeoBlockEngine::new(block.clone(), 0.05).with_tracer(Arc::new(Tracer::new(TraceConfig {
+        GeoBlockEngine::new(block.clone()).with_tracer(Arc::new(Tracer::new(TraceConfig {
             sample_rate: 1,
             ..TraceConfig::default()
         })));
     run_mix(&traced)?;
-    run_mix(&traced)?; // second pass: memo + trie warm, the steady state
+    run_mix(&traced)?; // second pass: memo warm, the steady state
     let hists = traced.tracer().histograms();
     let total_ns: u64 = hists.iter().map(|h| h.sum_ns()).sum();
     for stage in Stage::ALL {
@@ -1253,9 +1245,8 @@ pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
     let rounds = 7usize;
     let passes = 6 * rounds;
     let reqs_per_round = (6 * mix.len()) as f64;
-    let off = GeoBlockEngine::new(block.clone(), 0.05).with_tracer(Arc::new(Tracer::disabled()));
-    let on =
-        GeoBlockEngine::new(block, 0.05).with_tracer(Arc::new(Tracer::new(TraceConfig::default())));
+    let off = GeoBlockEngine::new(block.clone()).with_tracer(Arc::new(Tracer::disabled()));
+    let on = GeoBlockEngine::new(block).with_tracer(Arc::new(Tracer::new(TraceConfig::default())));
     let arms = [&off, &on, &traced];
     for engine in arms {
         run_mix(engine)?; // warm every engine before timing

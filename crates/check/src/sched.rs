@@ -15,7 +15,7 @@
 //! (with every waiter's lock name), instead of hanging the test.
 //!
 //! The scheduler also enforces the workspace lock-rank order (the same
-//! `rebuild/publish(0) < hit_log(1) < state(2) < queue(3) < serve(4)`
+//! `rebuild/publish(0) < memo(1) < state(2) < queue(3) < serve(4)`
 //! table as `gb_common::sync`): acquiring a checked lock whose rank is
 //! not strictly above every rank the thread holds fails the schedule.
 //!

@@ -52,7 +52,7 @@ impl RankToken {
                 panic!(
                     "lock-order violation: acquiring `{name}` (rank {rank}) while holding \
                      `{held_name}` (rank {held_rank}); locks must be taken in strictly \
-                     increasing rank order (rebuild_guard=0 < hit_log=1 < state=2)"
+                     increasing rank order (publish_guard=0 < memo=1 < state=2)"
                 );
             }
             held.push((rank, name));

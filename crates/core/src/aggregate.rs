@@ -53,12 +53,10 @@ impl AggPlan {
 }
 
 /// A borrowed cell-aggregate record — tuple count plus per-column
-/// min/max/sum slices — as every [`crate::Layer`] of a block and the
-/// [`crate::AggregateTrie`] store it. [`crate::GeoBlock`] hands out the
-/// canonical record of any aligned cell in this form and the cache's
-/// copies read back as the same type, so a cache hit and a block lookup
-/// of one cell fold into a result through the same single combine,
-/// bit-identically.
+/// min/max/sum slices — as every [`crate::Layer`] of a block stores it.
+/// [`crate::GeoBlock`] hands out the canonical record of any aligned cell
+/// in this form, and each block-level record under a cell
+/// ([`crate::GeoBlock::records_under`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RecordRef<'a> {
     pub count: u64,

@@ -19,8 +19,7 @@
 //!   Updates are never cacheable and return `None`.
 //!
 //! The epoch in a [`QueryResponse`] is the engine's **data epoch**: it
-//! advances only when `apply_updates` commits a batch (cache rebuilds keep
-//! it — they change performance, never answers). A result cache entry is
+//! advances only when `apply_updates` commits a batch. A result cache entry is
 //! valid exactly as long as the engine still reports the entry's epoch.
 
 use crate::aggregate::AggResult;

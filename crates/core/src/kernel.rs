@@ -27,8 +27,7 @@ use gb_common::sync::backend::{Arc, Backend, MutexApi, RwLockApi, StdBackend};
 
 /// Rank of the publisher mutex in the declared engine lock order (see
 /// `DESIGN.md` "Static analysis & invariants"): first, so a publisher
-/// may snapshot hit-statistic shards (rank 1) and swap the state slot
-/// (rank 2) while holding it.
+/// may swap the state slot (rank 2) while holding it.
 const RANK_PUBLISH_GUARD: u8 = 0;
 /// Rank of the state slot: always last, held only for the clone/swap.
 const RANK_STATE: u8 = 2;

@@ -1,7 +1,6 @@
 //! **GeoBlocks** — a pre-aggregating data structure for error-bounded
-//! spatial aggregation over arbitrary polygons, with a query-driven
-//! aggregate cache (EDBT 2021 reproduction; see the repository's
-//! `DESIGN.md`).
+//! spatial aggregation over arbitrary polygons (EDBT 2021 reproduction;
+//! see the repository's `DESIGN.md`).
 //!
 //! A [`GeoBlock`] is a materialized view over geospatial point data: the
 //! domain is decomposed into a hierarchical grid (`gb-cell`), and each
@@ -9,7 +8,10 @@
 //! aggregates (count, per-column min/max/sum). Queries map a
 //! polygon to an error-bounded cell covering and combine the covered cell
 //! aggregates — the only error is the covering's spatial error, bounded by
-//! the block-level cell diagonal (§3.2).
+//! the block-level cell diagonal (§3.2). Above the block level the block
+//! keeps a pyramid of coarser records, so every covering cell is one
+//! lookup: the pyramid is the aggregate cache of the paper's BlockQC
+//! (§3.6), complete and static.
 //!
 //! ```
 //! use gb_data::{datasets, extract, AggSpec, Filter, Rows};
@@ -26,13 +28,13 @@
 //! let (result, _) = block.select(&polys[0], &spec);
 //! assert!(result.count <= 10_000);
 //!
-//! // The query-cached front-end (the paper's BlockQC). Typed responses
-//! // carry the result, the per-query stats, and the data epoch they're
-//! // valid for (see the [`api`] module).
-//! let engine = GeoBlockEngine::new(block, 0.05);
-//! let cached = engine.select(&polys[0], &spec);
-//! assert_eq!(cached.result.count, result.count);
-//! assert_eq!(cached.epoch, 0);
+//! // The concurrent front-end. Typed responses carry the result, the
+//! // per-query stats, and the data epoch they're valid for (see the
+//! // [`api`] module).
+//! let engine = GeoBlockEngine::new(block);
+//! let served = engine.select(&polys[0], &spec);
+//! assert_eq!(served.result.count, result.count);
+//! assert_eq!(served.epoch, 0);
 //! ```
 //!
 //! Module map (one per paper concern):
@@ -43,14 +45,11 @@
 //! | [`block`] — storage layout, header, coarsening | §3.4 |
 //! | [`layer`] — the one record layout: the block's records and every coarser layer of the aggregate pyramid | §3.4 "granularity", §3.5 |
 //! | [`build`](mod@build) — single- or multi-threaded builds from sorted base data | §3.3 |
-//! | [`query`] — SELECT (Listing 1) and COUNT: one record lookup per covering cell | §3.5 |
+//! | [`query`] — SELECT (Listing 1) and COUNT: one record lookup per covering cell, the pyramid standing in for the §3.6 cache | §3.5, §3.6 |
 //! | [`mod@reference`] — the naive SELECT/COUNT every accelerated path is tested against | §3.5 |
-//! | [`trie`] — the aggregate cache: a sparse sub-pyramid, one key-sorted layer per level (Figure 7's node layout is not kept) | §3.6, Fig. 7 |
-//! | [`qc`] — the query cache's policy, metrics and scoring/rebuild (the adapted SELECT is the block's loop) | §3.6, Fig. 8 |
-//! | [`hits`] — the log-structured hit statistics behind the rebuild | §3.6 |
-//! | [`engine`] — the query-cached front-end ("BlockQC"), `Send + Sync`: epoch-swapped block + cache, updates | §3.6, §5 |
+//! | [`engine`] — the front-end, `Send + Sync`: epoch-swapped block, covering memo, updates | §5 |
 //! | [`memo`] — covering memo | — |
-//! | [`snapshot`] — versioned persistence of blocks + what the cache has learned | — |
+//! | [`snapshot`] — versioned persistence of blocks | — |
 //! | [`update`] — batch updates of a block | §5 |
 //! | [`aggregate`] — accumulator shared with the baselines | §2, §3.4 |
 
@@ -60,30 +59,24 @@ pub mod block;
 pub mod build;
 pub mod engine;
 mod gallop;
-pub mod hits;
 pub mod kernel;
 pub mod layer;
 pub mod memo;
-pub mod qc;
 pub mod query;
 pub mod reference;
 pub mod snapshot;
-pub mod trie;
 pub mod update;
 
 pub use aggregate::{AggPlan, AggResult};
 pub use api::{GbError, QueryReply, QueryRequest, QueryResponse, ServeError};
 pub use block::GeoBlock;
 pub use build::{build, build_parallel, BuildStats};
-pub use engine::GeoBlockEngine;
-pub use hits::HitCounts;
+pub use engine::{GeoBlockEngine, RebuildPolicy};
 pub use kernel::PublishKernel;
 pub use layer::Layer;
 pub use memo::{CoveringMemo, MemoStats};
-pub use qc::{CacheMetrics, RebuildPolicy};
 pub use query::QueryStats;
 pub use snapshot::{PersistStats, Snapshot, SnapshotError, SnapshotRef, SNAPSHOT_VERSION};
-pub use trie::AggregateTrie;
 pub use update::{UpdateBatch, UpdateReport};
 
 /// Re-export of the tracing crate: the engine carries an

@@ -5,8 +5,8 @@
 //! [`gb_cell::cover_key_from_bits`] over the polygon's
 //! [`gb_cell::normalized_vertex_bits`]. Coverings are pure functions of
 //! (polygon, grid, level) and the engine's grid and level are fixed for
-//! its lifetime, so entries **never invalidate** — not on data epochs,
-//! not on trie rebuilds. The 64-bit key is only a lookup key: every
+//! its lifetime, so entries **never invalidate**, not even on data
+//! epochs. The 64-bit key is only a lookup key: every
 //! entry stores the polygon's canonical vertex stream and a hit compares
 //! it exactly, so a hash collision degrades to a miss, never to a wrong
 //! covering. Only traffic fills the memo: it is not persisted, and a
@@ -18,8 +18,8 @@ use gb_common::{Counter, FifoMap};
 use std::sync::Arc;
 
 /// Rank of the memo shards in the declared lock order: leaf locks on the
-/// query path, same band as the hit log, never held while computing a
-/// covering or taking another lock.
+/// query path, between the publisher mutex (0) and the state slot (2),
+/// never held while computing a covering or taking another lock.
 const RANK_MEMO: u8 = 1;
 
 /// Shard count — a power of two so the shard index is a mask of the

@@ -4,8 +4,7 @@
 //! Both queries start identically: the polygon is approximated by an
 //! error-bounded cell covering (boundary cells at the block level, interior
 //! cells possibly coarser) and the covering is pruned against the block's
-//! key extent — one run of it, [`GeoBlock::overlapping`], which the
-//! cache-adapted SELECT and the hit statistics read too. Every covering
+//! key extent — one run of it, [`GeoBlock::overlapping`]. Every covering
 //! cell is grid-aligned, and the canonical record of every aligned cell —
 //! the in-order fold of its children's records, down to the block records
 //! under it — is either stored in the [`Layer`] of the cell's level (the
@@ -19,17 +18,19 @@
 //! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] combine **one**
 //!   record per covering cell (`GeoBlock::record_of`, which folds an odd
 //!   level's children into a scratch record; `cells_combined` ≤ covering
-//!   size). The engine's cache-adapted SELECT runs the same loop
-//!   (`GeoBlock::select_cells`), trying its cache on each cell first, and
-//!   the cache's fill reads through the same search.
+//!   size). This is the paper's BlockQC (§3.6) with every aligned cell
+//!   cached: the pyramid holds the record a hot coarse cell would be
+//!   cached with, for every cell.
 //! * [`GeoBlock::count`] / [`GeoBlock::count_covering`] add the counts of
 //!   the records the search found: integers, so no fold and no scratch
 //!   record. This replaces Listing 2's two searches over per-cell tuple
 //!   offsets: the layers already store every cell's count.
 //!
 //! The naive oracle both are tested against — the same fold tree walked
-//! from the block records by bisection per covering cell, with no layer,
-//! cursor or cache — is [`crate::reference`].
+//! from the block records by bisection per covering cell, with no layer
+//! or cursor — is [`crate::reference`]. The paper's own Block, which
+//! folds every block-level record in a covering cell's range
+//! ([`GeoBlock::records_under`]), is `gb_baselines::ScanBlockIndex`.
 
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::block::GeoBlock;
@@ -89,21 +90,10 @@ impl GeoBlock {
 
     /// SELECT over a precomputed covering, without finalization:
     /// [`GeoBlock::select`] finalizes, and benches time the bare walk.
+    /// Per covering cell that may overlap the block, one search and the
+    /// one record it finds.
     pub fn select_covering(&self, covering: &CellUnion, spec: &AggSpec) -> (AggResult, QueryStats) {
-        let (result, stats, _) = self.select_cells(self.overlapping(covering), spec, |_| None);
-        (result, stats)
-    }
-
-    /// The SELECT loop, without finalization: per cell, the record
-    /// `cached` returns (no search, not in `cells_combined`), else the
-    /// block's; and how many cells `cached` answered. The engine's adapted
-    /// SELECT (§3.6, Figure 8) passes its cache's cursor.
-    pub(crate) fn select_cells<'c>(
-        &self,
-        cells: &[CellId],
-        spec: &AggSpec,
-        mut cached: impl FnMut(CellId) -> Option<RecordRef<'c>>,
-    ) -> (AggResult, QueryStats, u64) {
+        let cells = self.overlapping(covering);
         let plan = AggPlan::compile(spec);
         let mut result = AggResult::new(spec);
         let mut stats = QueryStats {
@@ -111,20 +101,26 @@ impl GeoBlock {
             ..QueryStats::default()
         };
         let mut cursors = Cursors::new();
-        let mut hits = 0;
         for &qcell in cells {
-            if let Some(record) = cached(qcell) {
-                record.combine_into(&plan, &mut result);
-                hits += 1;
-                continue;
-            }
             stats.searches += 1;
             if let Some(record) = self.record_of(qcell, &mut cursors) {
                 record.combine_into(&plan, &mut result);
                 stats.cells_combined += 1;
             }
         }
-        (result, stats, hits)
+        (result, stats)
+    }
+
+    /// The block-level records under the aligned `cell`, in key order —
+    /// Listing 1's range scan of one covering cell: bisect to the first,
+    /// walk to the last. Empty when no record lies under `cell`.
+    pub fn records_under(&self, cell: CellId) -> impl Iterator<Item = RecordRef<'_>> + '_ {
+        let records = self.records();
+        let (lo, hi) = (cell.range_min().raw(), cell.range_max().raw());
+        let first = records.keys.partition_point(|&k| k < lo);
+        (first..records.num_cells())
+            .take_while(move |&i| records.keys[i] <= hi)
+            .map(move |i| records.record(i))
     }
 
     /// The records that make up the aligned `cell`, at or above the block

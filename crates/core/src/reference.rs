@@ -5,13 +5,13 @@
 //! bisecting the block's keys; above it the in-order merge of its four
 //! children's aggregates, each into a fresh accumulator. A bisection
 //! prunes every subtree without a record before it is entered. No layers,
-//! no cursors, no galloping, no trie, no compiled plan. COUNT needs no
-//! tree: integer sums are exact in any order, so it adds up the counts of
-//! the records in each cell's key range.
+//! no cursors, no galloping, no compiled plan. COUNT needs no tree:
+//! integer sums are exact in any order, so it adds up the counts of the
+//! records in each cell's key range ([`GeoBlock::records_under`]).
 //!
-//! Every accelerated path ([`GeoBlock::select_covering`], the engine with
-//! a cold or a warm cache, batches, restored snapshots) is property-tested
-//! bit-identical (`approx_eq` at `0.0`) to this module, and the
+//! Every accelerated path ([`GeoBlock::select_covering`], the engine,
+//! batches, restored snapshots) is property-tested bit-identical
+//! (`approx_eq` at `0.0`) to this module, and the
 //! `select_pyramid` / `select_ablation` benches time it as their
 //! `range_scan` arm. It is compiled unconditionally because those tests
 //! and benches are crates of their own.
@@ -21,15 +21,6 @@ use crate::block::GeoBlock;
 use gb_cell::{CellId, CellUnion};
 use gb_data::AggSpec;
 
-/// The indices of the block records under `cell`, ascending: bisect to
-/// the first, walk to the last.
-fn records_under(block: &GeoBlock, cell: CellId) -> impl Iterator<Item = usize> + '_ {
-    let (lo, hi) = (cell.range_min().raw(), cell.range_max().raw());
-    let keys = &block.records().keys;
-    let first = keys.partition_point(|&k| k < lo);
-    (first..keys.len()).take_while(move |&i| keys[i] <= hi)
-}
-
 /// `cell`'s aggregate, unfinalized: empty when no block record lies under
 /// it (which also holds for a cell finer than the block level), the
 /// stored record at the block level, and above it the merge of its
@@ -37,7 +28,7 @@ fn records_under(block: &GeoBlock, cell: CellId) -> impl Iterator<Item = usize> 
 /// association, one level at a time.
 fn fold_cell(block: &GeoBlock, cell: CellId, spec: &AggSpec) -> AggResult {
     let mut acc = AggResult::new(spec);
-    let Some(first) = records_under(block, cell).next() else {
+    let Some(r) = block.records_under(cell).next() else {
         return acc;
     };
     if cell.level() < block.level() {
@@ -48,7 +39,6 @@ fn fold_cell(block: &GeoBlock, cell: CellId, spec: &AggSpec) -> AggResult {
             }
         }
     } else {
-        let r = block.records().record(first);
         acc.combine_record(spec, r.count, |c| r.min(c), |c| r.max(c), |c| r.sum(c));
     }
     acc
@@ -68,7 +58,7 @@ pub fn select_covering(block: &GeoBlock, covering: &CellUnion, spec: &AggSpec) -
 pub fn count_covering(block: &GeoBlock, covering: &CellUnion) -> u64 {
     covering
         .iter()
-        .flat_map(|qcell| records_under(block, qcell))
-        .map(|i| block.records().counts[i])
+        .flat_map(|qcell| block.records_under(qcell))
+        .map(|r| r.count)
         .sum()
 }

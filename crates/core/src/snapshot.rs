@@ -2,15 +2,10 @@
 //! container.
 //!
 //! The paper's economics — an expensive one-time build (§3.3) amortized
-//! over arbitrarily many cheap queries, with a query cache *learned* from
-//! traffic (§3.6) — only survive a process restart if both artifacts can
-//! be saved and restored. A [`Snapshot`] captures:
-//!
-//! * the complete [`GeoBlock`] (schema, grid, block-level cell
-//!   aggregates, and the global header derived from them),
-//! * optionally the §3.6 hit statistics: a restarted engine rebuilds its
-//!   aggregate cache from them, so it starts *warm*, and later rebuilds
-//!   keep adapting from everything learned before the restart.
+//! over arbitrarily many cheap queries — only survive a process restart
+//! if the block can be saved and restored. A [`Snapshot`] captures the
+//! complete [`GeoBlock`]: schema, grid, block-level cell aggregates, and
+//! the global header derived from them.
 //!
 //! ## Sections (format version 5)
 //!
@@ -21,15 +16,14 @@
 //! | `HDRS` | level, `n_rows`, min/max cell, global min/max/sum, **block content hash**, **state hash** |
 //! | `CELL` | the block-level [`Layer`]: keys, counts (u64), per-cell min/max/sum |
 //! | `TRIE` | (no longer written) the aggregate cache as trie nodes; read only for the state hash |
-//! | `HITS` | (optional) hit-statistic key/count pairs |
+//! | `HITS` | (no longer written) hit-statistic key/count pairs; read only for the state hash |
 //! | `HOTQ` | (no longer written) hot-query shapes, count + encoded request; read only for the state hash |
 //!
-//! Derived state — the coarser layers and the aggregate cache — is
-//! **never** serialized: the layers are deterministic folds of the `CELL`
-//! layer, so every load rebuilds them through the same
-//! `GeoBlock::refresh_derived` every other producer of a block ends in
-//! (see `DESIGN.md` "Persistence" for the measurements behind this), and
-//! the cache is a function of `HITS` and the load-time threshold.
+//! Derived state — the coarser layers — is **never** serialized: the
+//! layers are deterministic folds of the `CELL` layer, so every load
+//! rebuilds them through the same `GeoBlock::refresh_derived` every other
+//! producer of a block ends in (see `DESIGN.md` "Persistence" for the
+//! measurements behind this).
 //!
 //! `HDRS` still carries the §3.4 global header, because the format does:
 //! the writer fills it from the derived block (the root record is the
@@ -40,9 +34,10 @@
 //! drift from the root record after updates; its digest still covers
 //! them, so its files load.
 //!
-//! Earlier writers stored the cache as a `TRIE` section and the hottest
-//! requests as a `HOTQ` section; the loader parses either only to
-//! re-derive what its writer put into the state hash.
+//! Earlier writers stored an aggregate cache as a `TRIE` section, the
+//! hit statistics it was sized from as `HITS` and the hottest requests as
+//! `HOTQ`; the loader parses each only to re-derive what its writer put
+//! into the state hash.
 //!
 //! The loader reads the current version and the one before it. Version 5
 //! changed no section: it is version 4 under the container's word-wise
@@ -56,7 +51,7 @@
 //! stored at save time: the content hash (cell aggregates + header as
 //! stored, which for this writer is [`GeoBlock::content_hash`]) and a
 //! *state hash* spanning everything the content hash excludes — grid,
-//! schema, hit statistics, a legacy `TRIE` or `HOTQ`.
+//! schema, and a legacy `TRIE`, `HITS` or `HOTQ`.
 //! Per-section checksums catch flipped bits; the state hash catches
 //! sections *grafted* between two individually-valid snapshots. The
 //! round-trip gate ("loaded state ≡ saved state") is thus enforced by the
@@ -64,9 +59,8 @@
 //! surface as [`SnapshotError`].
 
 use crate::block::GeoBlock;
-use crate::hits::HitCounts;
 use crate::layer::{hash_bits, Layer};
-use gb_cell::{CellId, Grid};
+use gb_cell::Grid;
 use gb_common::{FxHasher, Timer};
 use gb_data::{ColumnDef, ColumnType, Schema};
 use gb_geom::Rect;
@@ -187,8 +181,8 @@ impl Header {
 
 /// Digest over the *whole* snapshot state — the block's `content` digest
 /// plus the pieces the content hash deliberately excludes (grid
-/// domain, schema, a legacy `TRIE` section's digest, hit
-/// statistics), left open for a legacy `HOTQ` section
+/// domain, schema, a legacy `TRIE` section's digest, a legacy `HITS`
+/// section's pairs), left open for a legacy `HOTQ` section
 /// ([`hash_legacy_hotq`]). Stored in `HDRS` and re-derived at load:
 /// it is what makes a graft of one valid snapshot's
 /// `GRID`/`SCHM`/`TRIE`/`HITS`/`HOTQ` section onto another a typed error
@@ -197,7 +191,7 @@ fn state_hasher(
     content: u64,
     block: &GeoBlock,
     trie: Option<u64>,
-    hits: Option<&HitCounts>,
+    hits: Option<&[(u64, u64)]>,
 ) -> FxHasher {
     let mut h = FxHasher::default();
     content.hash(&mut h);
@@ -224,10 +218,10 @@ fn state_hasher(
         None => false.hash(&mut h),
         Some(hits) => {
             true.hash(&mut h);
-            // What `Vec<(u64, u64)>` of the pairs in cell order hashes to:
-            // the digest version-4 files carry.
+            // What `Vec<(u64, u64)>` of the pairs hashes to: the digest
+            // version-4 files carry.
             hits.len().hash(&mut h);
-            for pair in hits.iter() {
+            for pair in hits {
                 pair.hash(&mut h);
             }
         }
@@ -258,8 +252,8 @@ fn hash_legacy_hotq(payload: &[u8], h: &mut FxHasher) -> Result<(), SnapshotErro
 /// section put into the state hash for it: the section's six fields (root
 /// cell, column count, two node arrays, cached counts and values), hashed
 /// as that cache's `content_hash` hashed them. Nothing else reads the
-/// section — the cache is rebuilt from `HITS` — so this goes when version
-/// 5, the last version that may carry one, stops being readable.
+/// section, so this goes when version 5, the last version that may carry
+/// one, stops being readable.
 fn legacy_trie_digest(payload: &[u8]) -> Result<u64, SnapshotError> {
     let mut r = ByteReader::new(payload, "section `TRIE`");
     let (root, n_cols) = (r.u64()?, r.u32()? as usize);
@@ -278,6 +272,21 @@ fn legacy_trie_digest(payload: &[u8]) -> Result<u64, SnapshotError> {
         v.to_bits().hash(&mut h);
     }
     Ok(h.finish())
+}
+
+/// The `(cell, hits)` pairs of a `HITS` section, in the order its writer
+/// stored them (ascending cell), which is the order it hashed them in.
+/// Nothing else reads them, so this goes with `legacy_trie_digest`.
+fn legacy_hits(payload: &[u8]) -> Result<Vec<(u64, u64)>, SnapshotError> {
+    let mut r = ByteReader::new(payload, "section `HITS`");
+    let (cells, hits) = (r.u64_vec()?, r.u64_vec()?);
+    r.finish()?;
+    if cells.len() != hits.len() {
+        return Err(SnapshotError::corrupt(
+            "hit-statistic key/count arrays disagree in length",
+        ));
+    }
+    Ok(cells.into_iter().zip(hits).collect())
 }
 
 /// Where one save or one load spent its time. A save fills `hash`,
@@ -316,27 +325,21 @@ impl PersistStats {
     }
 }
 
-/// A persistable unit: the block plus the optional learned cache state.
+/// A persistable unit: the block.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub block: GeoBlock,
-    /// The §3.6 hit statistics at save time; restoring them rebuilds the
-    /// aggregate cache and preserves everything its sizing has learned.
-    pub hits: Option<HitCounts>,
 }
 
 impl Snapshot {
-    /// A block-only snapshot (cold cache on load).
+    /// A snapshot of `block`.
     pub fn new(block: GeoBlock) -> Self {
-        Snapshot { block, hits: None }
+        Snapshot { block }
     }
 
     /// Borrowing view for serialization (no clones).
     pub fn as_ref(&self) -> SnapshotRef<'_> {
-        SnapshotRef {
-            block: &self.block,
-            hits: self.hits.as_ref(),
-        }
+        SnapshotRef { block: &self.block }
     }
 
     /// Serialize to the container format.
@@ -345,13 +348,12 @@ impl Snapshot {
     }
 }
 
-/// Borrowed counterpart of [`Snapshot`]: serializes a block (and
-/// optional cache state) **without cloning it** — the save path on a
-/// serving engine must not double peak memory just to write a file.
+/// Borrowed counterpart of [`Snapshot`]: serializes a block **without
+/// cloning it** — the save path on a serving engine must not double peak
+/// memory just to write a file.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotRef<'a> {
     pub block: &'a GeoBlock,
-    pub hits: Option<&'a HitCounts>,
 }
 
 impl SnapshotRef<'_> {
@@ -368,12 +370,12 @@ impl SnapshotRef<'_> {
         let mut timer = Timer::start();
         let header = Header::of(b);
         let content = header.digest(b.records());
-        let state = state_hasher(content, b, None, self.hits).finish();
+        let state = state_hasher(content, b, None, None).finish();
         stats.hash = timer.lap();
 
         let mut out = SnapshotWriter::with_capacity(
             SNAPSHOT_VERSION,
-            1024 + b.num_cells() * b.record_bytes() + self.hits.map_or(0, |hits| 16 * hits.len()),
+            1024 + b.num_cells() * b.record_bytes(),
         );
 
         out.section(TAG_SCHEMA, |w| {
@@ -399,15 +401,6 @@ impl SnapshotRef<'_> {
         out.section(TAG_HEADER, |w| header.encode(w, content, state));
 
         out.section(TAG_CELLS, |w| b.records().encode(w));
-
-        if let Some(hits) = self.hits {
-            // The column is in cell order: the same state always
-            // serializes identically.
-            out.section(TAG_HITS, |w| {
-                w.u64_slice(hits.cells());
-                w.u64_slice(hits.values().as_slice());
-            });
-        }
         stats.encode = timer.lap();
 
         let bytes = out.into_bytes();
@@ -519,38 +512,16 @@ impl Snapshot {
             .map(legacy_trie_digest)
             .transpose()?;
 
-        let hits = match reader.section(TAG_HITS) {
-            None => None,
-            Some(payload) => {
-                let mut r = ByteReader::new(payload, "section `HITS`");
-                let keys = r.u64_vec()?;
-                let counts = r.u64_vec()?;
-                r.finish()?;
-                if keys.len() != counts.len() {
-                    return Err(SnapshotError::corrupt(
-                        "hit-statistic key/count arrays disagree in length",
-                    ));
-                }
-                if let Some(k) = keys.iter().find(|&&k| CellId::try_from_raw(k).is_none()) {
-                    return Err(SnapshotError::corrupt(format!(
-                        "malformed hit-statistic cell id {k:#x}"
-                    )));
-                }
-                Some(HitCounts::from_columns(keys, counts).map_err(|k| {
-                    SnapshotError::corrupt(format!("duplicate hit-statistic cell id {k:#x}"))
-                })?)
-            }
-        };
+        let hits = reader.section(TAG_HITS).map(legacy_hits).transpose()?;
 
         stats.decode += timer.lap();
 
         // Per-section checksums cannot catch sections *swapped* between
         // two individually-valid snapshots, and the content hash only
-        // covers HDRS + CELL. The state hash spans grid, schema,
-        // hit statistics and the legacy sections too, so any cross-file
-        // graft fails here with a typed error instead of serving wrong
-        // answers.
-        let mut h = state_hasher(content, &block, trie, hits.as_ref());
+        // covers HDRS + CELL. The state hash spans grid, schema and the
+        // legacy sections too, so any cross-file graft fails here with a
+        // typed error instead of serving wrong answers.
+        let mut h = state_hasher(content, &block, trie, hits.as_deref());
         if let Some(payload) = reader.section(TAG_HOTQ) {
             hash_legacy_hotq(payload, &mut h)?;
         }
@@ -562,7 +533,7 @@ impl Snapshot {
             )));
         }
         stats.hash += timer.lap();
-        Ok((Snapshot { block, hits }, stats))
+        Ok((Snapshot { block }, stats))
     }
 
     /// Serialize and write to `path` (atomic temp-file + rename).
@@ -587,18 +558,13 @@ impl Snapshot {
 }
 
 impl GeoBlock {
-    /// Persist this block (without cache state) to `path` — borrows, no
-    /// clone.
+    /// Persist this block to `path` — borrows, no clone.
     pub fn write_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        SnapshotRef {
-            block: self,
-            hits: None,
-        }
-        .save(path)
+        SnapshotRef { block: self }.save(path)
     }
 
     /// Load a block from a snapshot written by [`GeoBlock::write_snapshot`]
-    /// (or either cache-carrying variant — extra sections are ignored).
+    /// or [`crate::GeoBlockEngine::write_snapshot`].
     pub fn read_snapshot(path: &Path) -> Result<GeoBlock, SnapshotError> {
         Ok(Snapshot::load(path)?.block)
     }
@@ -664,7 +630,6 @@ mod tests {
         assert_eq!(back.block.num_rows(), b.num_rows());
         assert_eq!(back.block.schema(), b.schema());
         assert_eq!(back.block.grid(), b.grid());
-        assert!(back.hits.is_none());
         // Encoding is deterministic.
         assert_eq!(bytes, Snapshot::new(back.block).to_bytes());
     }

@@ -6,20 +6,16 @@
 //! * `parallel_build_equals_serial_build_byte_for_byte` — the determinism
 //!   contract of `build_parallel`: identical bytes, floats compared by
 //!   bit pattern, across thread counts, levels, and filters.
-//! * `concurrent_queries_during_rebuilds_stay_exact` — N threads hammer
-//!   one `GeoBlockEngine` while another thread rebuilds the cache in a
-//!   loop; every answer must equal the plain block's ground truth for
-//!   that polygon, regardless of which cache epoch served it.
-//! * `concurrent_hit_flushes_lose_and_invent_nothing` — the engine
-//!   appends a query's hit cells to its log after the query; N threads ×
-//!   M selects must leave exactly the per-cell counts a serial run of the
-//!   same queries over `block.cover` counts in a plain map.
+//! * `concurrent_queries_during_updates_answer_their_epoch` — N threads
+//!   hammer one `GeoBlockEngine` while another thread commits update
+//!   batches; every answer must equal the plain block's ground truth for
+//!   that polygon at the data epoch the answer reports.
 
 use gb_cell::Grid;
 use gb_data::{extract, AggSpec, CleaningRules, CmpOp, ColumnDef, Filter, RawTable, Rows, Schema};
 use gb_geom::{Point, Polygon, Rect};
-use geoblocks::{build, build_parallel, GeoBlock, GeoBlockEngine, HitCounts, Snapshot};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use geoblocks::{build, build_parallel, GeoBlock, GeoBlockEngine, UpdateBatch};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn base_data(n: usize, seed: u64) -> gb_data::BaseTable {
     let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("w")]));
@@ -93,17 +89,18 @@ fn parallel_build_equals_serial_build_byte_for_byte() {
 }
 
 #[test]
-fn concurrent_queries_during_rebuilds_stay_exact() {
+fn concurrent_queries_during_updates_answer_their_epoch() {
     const N_THREADS: usize = 4;
     const QUERIES_PER_THREAD: usize = 60;
-    const REBUILDS: usize = 8;
+    const UPDATES: usize = 8;
 
     let base = base_data(6000, 42);
     let (block, _) = build(&base, 9, &Filter::all());
     let spec = AggSpec::paper_default(base.schema());
 
-    // A pool of seeded polygons with a hot region (so the cache actually
-    // fills) and precomputed single-threaded ground truth per polygon.
+    // A pool of seeded polygons with a hot region, the update batches the
+    // writer commits (fractional values, in place and into new cells),
+    // and single-threaded ground truth per polygon at every data epoch.
     let polys: Vec<Polygon> = (0..24)
         .map(|i| {
             if i % 3 == 0 {
@@ -113,40 +110,47 @@ fn concurrent_queries_during_rebuilds_stay_exact() {
             }
         })
         .collect();
-    let truth: Vec<_> = polys
-        .iter()
-        .map(|p| (block.select(p, &spec).0, block.count(p).0))
+    let batches: Vec<UpdateBatch> = (0..UPDATES)
+        .map(|u| {
+            let mut batch = UpdateBatch::new();
+            for k in 0..6 {
+                let (x, y) = (40.0 + 2.3 * (u + k) as f64, 44.0 + 1.7 * k as f64);
+                batch.push(Point::new(x, y), vec![0.1 * (u * 6 + k) as f64, 0.3]);
+            }
+            batch
+        })
         .collect();
+    let mut at_epoch = block.clone();
+    let mut truth = Vec::with_capacity(UPDATES + 1);
+    for epoch in 0..=UPDATES {
+        if epoch > 0 {
+            at_epoch
+                .apply_updates(&batches[epoch - 1])
+                .expect("valid batch");
+        }
+        let answers: Vec<_> = polys
+            .iter()
+            .map(|p| (at_epoch.select(p, &spec).0, at_epoch.count(p).0))
+            .collect();
+        truth.push(answers);
+    }
 
-    let engine = GeoBlockEngine::new(block, 0.4);
+    let engine = GeoBlockEngine::new(block);
     let mismatches = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
     let answered = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        // Rebuilder: churns cache epochs while queries are in flight.
+        // Writer: commits the batches while queries are in flight.
         scope.spawn(|| {
-            let mut rebuilds = 0;
-            while !done.load(Ordering::Acquire) && rebuilds < REBUILDS * 50 {
-                engine.rebuild_cache();
-                rebuilds += 1;
+            for batch in &batches {
+                engine.apply_updates(batch).expect("valid batch");
                 std::thread::yield_now();
-            }
-            // Guarantee a minimum amount of churn even if queries finish
-            // instantly on a loaded machine.
-            while rebuilds < REBUILDS {
-                engine.rebuild_cache();
-                rebuilds += 1;
             }
         });
 
         for t in 0..N_THREADS {
-            let engine = &engine;
-            let polys = &polys;
-            let truth = &truth;
-            let mismatches = &mismatches;
-            let answered = &answered;
-            let spec = &spec;
+            let (engine, polys, truth, spec) = (&engine, &polys, &truth, &spec);
+            let (mismatches, answered) = (&mismatches, &answered);
             scope.spawn(move || {
                 let mut rng = 0x9E3779B97F4A7C15u64.wrapping_mul(t as u64 + 1);
                 for _ in 0..QUERIES_PER_THREAD {
@@ -154,112 +158,33 @@ fn concurrent_queries_during_rebuilds_stay_exact() {
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     let i = (rng >> 33) as usize % polys.len();
-                    let (want_sel, want_cnt) = &truth[i];
-                    let got_sel = engine.select(&polys[i], spec).result;
-                    let got_cnt = engine.count(&polys[i]).result;
-                    if !got_sel.approx_eq(want_sel, 0.0) || got_cnt != *want_cnt {
+                    let sel = engine.select(&polys[i], spec);
+                    let cnt = engine.count(&polys[i]);
+                    let want_sel = &truth[sel.epoch as usize][i].0;
+                    let want_cnt = truth[cnt.epoch as usize][i].1;
+                    if !sel.result.approx_eq(want_sel, 0.0) || cnt.result != want_cnt {
                         mismatches.fetch_add(1, Ordering::Relaxed);
                     }
                     answered.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
-        // Threads joined by scope exit; signal the rebuilder afterwards via
-        // a second scope-spawned watcher is unnecessary — just flip when
-        // the scope's spawns (queries) are done. Scope join happens below.
-        scope.spawn(|| {
-            while answered.load(Ordering::Acquire) < N_THREADS * QUERIES_PER_THREAD {
-                std::thread::yield_now();
-            }
-            done.store(true, Ordering::Release);
-        });
     });
 
     assert_eq!(
         mismatches.load(Ordering::Relaxed),
         0,
-        "concurrent answers diverged from single-threaded ground truth"
+        "concurrent answers diverged from their epoch's ground truth"
     );
     assert_eq!(
         answered.load(Ordering::Relaxed),
         N_THREADS * QUERIES_PER_THREAD
     );
-    assert!(
-        engine.cache_epoch() >= 8,
-        "rebuild churn too low: {}",
-        engine.cache_epoch()
-    );
-    // The hot polygon repeated often enough that post-hoc caching works:
-    // one more rebuild then a final exactness pass through a warm cache.
-    engine.rebuild_cache();
-    for (p, (want_sel, want_cnt)) in polys.iter().zip(&truth) {
-        let got = engine.select(p, &spec).result;
-        assert!(got.approx_eq(want_sel, 0.0), "warm mismatch: {got:?}");
+    assert_eq!(engine.data_epoch(), UPDATES as u64);
+    for (p, (want_sel, want_cnt)) in polys.iter().zip(&truth[UPDATES]) {
+        assert!(engine.select(p, &spec).result.approx_eq(want_sel, 0.0));
         assert_eq!(engine.count(p).result, *want_cnt);
     }
-    assert!(engine.metrics().probes > 0);
-}
-
-#[test]
-fn concurrent_hit_flushes_lose_and_invent_nothing() {
-    const N_THREADS: usize = 4;
-    const SELECTS_PER_THREAD: usize = 40;
-
-    let base = base_data(5000, 11);
-    let (block, _) = build(&base, 9, &Filter::all());
-    let spec = AggSpec::paper_default(base.schema());
-    // Overlapping polygons, so threads keep bumping the same cells of
-    // the same shards.
-    let polys: Vec<Polygon> = (0..10)
-        .map(|i| diamond(40.0 + 2.5 * i as f64, 45.0 + 1.5 * i as f64, 9.0))
-        .collect();
-    let poly_of = |t: usize, q: usize| &polys[(3 * t + q) % polys.len()];
-
-    let engine = GeoBlockEngine::new(block.clone(), 0.2);
-    let start = std::sync::Barrier::new(N_THREADS);
-    let query_cells = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for t in 0..N_THREADS {
-            let (engine, spec, start, query_cells) = (&engine, &spec, &start, &query_cells);
-            scope.spawn(move || {
-                start.wait();
-                for q in 0..SELECTS_PER_THREAD {
-                    let stats = engine.select(poly_of(t, q), spec).stats;
-                    query_cells.fetch_add(stats.query_cells, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-
-    let mut serial = std::collections::BTreeMap::new();
-    for t in 0..N_THREADS {
-        for q in 0..SELECTS_PER_THREAD {
-            let covering = block.cover(poly_of(t, q));
-            for cell in covering.iter().filter(|&c| block.may_overlap(c)) {
-                *serial.entry(cell.raw()).or_insert(0u64) += 1;
-            }
-        }
-    }
-    let reference: HitCounts = serial.into_iter().collect();
-
-    // The engine persists its hit statistics; read them back.
-    let dir = std::env::temp_dir().join(format!("gb_hit_flush_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("engine.gbsnap");
-    engine.write_snapshot(&path).unwrap();
-    let concurrent = Snapshot::load(&path).unwrap().hits.unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    assert_eq!(
-        concurrent.values().sum::<u64>(),
-        query_cells.load(Ordering::Relaxed) as u64,
-        "one hit per query cell"
-    );
-    assert_eq!(engine.tracked_cells(), reference.len());
-    assert_eq!(
-        concurrent, reference,
-        "per-cell hits differ from the serial run"
-    );
 }
 
 #[test]
@@ -272,7 +197,7 @@ fn engine_shared_via_arc_across_spawned_threads() {
     let poly = diamond(50.0, 50.0, 20.0);
     let want = block.select(&poly, &spec).0;
 
-    let engine = std::sync::Arc::new(GeoBlockEngine::new(block, 0.2));
+    let engine = std::sync::Arc::new(GeoBlockEngine::new(block));
     let handles: Vec<_> = (0..3)
         .map(|_| {
             let engine = std::sync::Arc::clone(&engine);
@@ -288,7 +213,6 @@ fn engine_shared_via_arc_across_spawned_threads() {
             })
         })
         .collect();
-    engine.rebuild_cache();
     for h in handles {
         h.join().expect("no panics in query threads");
     }

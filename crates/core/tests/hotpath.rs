@@ -1,21 +1,15 @@
-//! Property tests for the query hot path: the covering memo, the
-//! aggregate cache and batched execution must be invisible to results for
-//! *any* data and *any* polygon (including degenerate rings).
+//! Property tests for the query hot path: the covering memo and batched
+//! execution must be invisible to results for *any* data and *any*
+//! polygon (including degenerate rings).
 //!
 //! 1. Memoized coverings answer bit-identically to fresh coverings, and
 //!    rotated rings (same geometry, different start vertex) hit the memo.
 //! 2. A batch item is bit-identical to the same request sent alone,
 //!    across an update epoch bump, and a batch covers each distinct
 //!    polygon once.
-//! 3. The engine's hit log, folded, counts what a plain hash map fed from
-//!    `block.cover` counts, across cache rebuilds, snapshots and restarts,
-//!    and a restored cache is the one the saved statistics rebuild.
-//! 4. The differential property: engine ≡ `geoblocks::reference` at
-//!    tolerance `0.0` — cache cold, rebuilt, across update batches of
-//!    fractional values, batched, and restored from a snapshot.
-//!
-//! That the cache's lookup is a binary search of its key column is a unit
-//! property of `geoblocks::trie`.
+//! 3. The differential property: engine ≡ `geoblocks::reference` at
+//!    tolerance `0.0` — fresh, across update batches of fractional
+//!    values, batched, and restored from a snapshot.
 
 use gb_cell::Grid;
 use gb_data::{
@@ -23,7 +17,7 @@ use gb_data::{
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
 use geoblocks::api::{self, QueryReply, QueryRequest};
-use geoblocks::{build, reference, GeoBlockEngine, HitCounts, Snapshot, UpdateBatch};
+use geoblocks::{build, reference, GeoBlockEngine, Snapshot, UpdateBatch};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -102,7 +96,7 @@ proptest! {
         let (want_sel, _) = block.select(&poly, &s);
         let (want_cnt, _) = block.count(&poly);
 
-        let engine = GeoBlockEngine::new(block, 0.1);
+        let engine = GeoBlockEngine::new(block);
         prop_assert_eq!(engine.memo_stats().hits, 0);
 
         // First query misses the memo, second hits — both bit-identical
@@ -144,7 +138,7 @@ proptest! {
         prop_assume!(polys.iter().all(|s| make_polygon(s).is_some()));
         let base = make_base(&points);
         let (block, _) = build(&base, 9, &Filter::all());
-        let engine = GeoBlockEngine::new(block, 0.1);
+        let engine = GeoBlockEngine::new(block);
         let s = spec();
 
         // Alternate Select/Count items, repeating each polygon twice so
@@ -215,87 +209,11 @@ proptest! {
         check_epoch(&engine, epoch0 + 1, 0)?;
     }
 
-    /// Log + fold ≡ a hash-map counter: across queries, rebuilds,
-    /// snapshots and restarts the engine's `HITS` section holds what a
-    /// plain hash map fed from `block.cover` counts, answers stay the
-    /// block's, and the statistics rebuild the same cache wherever they
-    /// are — a restored engine's included.
-    #[test]
-    fn hit_log_counts_what_a_hash_map_counts(
-        points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..300),
-        rings in prop::collection::vec(prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 3..8), 2..6),
-        ops in prop::collection::vec((0u8..10, 0usize..64), 5..60),
-        level in 4u8..10,
-    ) {
-        let polys: Vec<Polygon> = rings.iter().map(|r| make_raw_polygon(r)).collect();
-        let base = make_base(&points);
-        let (block, _) = build(&base, level, &Filter::all());
-        let mut engine = GeoBlockEngine::new(block.clone(), 0.3);
-        let mut counter: std::collections::HashMap<u64, u64> = Default::default();
-        let s = spec();
-
-        let dir = std::env::temp_dir().join(format!(
-            "gb_hit_log_{}_{:x}",
-            std::process::id(),
-            points.len() * 1_000_003 + ops.len() * 131 + rings.len()
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let file = dir.join("engine.gbsnap");
-        // Save the engine and compare what the file holds to the counter,
-        // and the cache it restores to the one the engine rebuilds.
-        let save = |engine: &GeoBlockEngine, counter: &std::collections::HashMap<u64, u64>| {
-            engine.write_snapshot(&file).expect("engine save");
-            let snap = Snapshot::load(&file).expect("engine load");
-            let want: HitCounts = counter.iter().map(|(&cell, &hits)| (cell, hits)).collect();
-            prop_assert_eq!(snap.hits.as_ref(), Some(&want), "HITS section differs");
-            let restored = GeoBlockEngine::from_snapshot_state(snap, 0.3);
-            engine.rebuild_cache();
-            prop_assert_eq!(
-                restored.trie_snapshot().content_hash(),
-                engine.trie_snapshot().content_hash()
-            );
-            Ok(())
-        };
-
-        for &(op, i) in &ops {
-            match op {
-                7 => engine.rebuild_cache(),
-                8 => save(&engine, &counter)?,
-                9 => {
-                    // Restart from the engine's own file.
-                    save(&engine, &counter)?;
-                    engine = GeoBlockEngine::from_snapshot(&file, 0.3).expect("restart");
-                }
-                _ => {
-                    let p = &polys[i % polys.len()];
-                    for cell in block.cover(p).iter().filter(|&c| block.may_overlap(c)) {
-                        *counter.entry(cell.raw()).or_insert(0) += 1;
-                    }
-                    let got = engine.select(p, &s).result;
-                    let (want, _) = block.select(p, &s);
-                    prop_assert!(got.approx_eq(&want, 0.0));
-                }
-            }
-        }
-        save(&engine, &counter)?;
-        prop_assert_eq!(engine.tracked_cells(), counter.len());
-        let restarted = GeoBlockEngine::from_snapshot(&file, 0.3).expect("restart");
-        engine.rebuild_cache();
-        restarted.rebuild_cache();
-        prop_assert_eq!(
-            engine.trie_snapshot().content_hash(),
-            restarted.trie_snapshot().content_hash(),
-            "rebuilt caches differ"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The differential property: whatever state the engine is in — cache
-    /// cold, rebuilt, refilled by update batches of fractional values of
-    /// mixed magnitude (in place and into new cells), rebuilt again,
-    /// restored from a snapshot — `select`, `count` and `query_batch`
-    /// answer exactly (`0.0`) what the naive reference folds from the
-    /// block records of the same epoch.
+    /// The differential property: whatever state the engine is in —
+    /// fresh, after update batches of fractional values of mixed
+    /// magnitude (in place and into new cells), restored from a snapshot —
+    /// `select`, `count` and `query_batch` answer exactly (`0.0`) what the
+    /// naive reference folds from the block records of the same epoch.
     #[test]
     fn engine_is_bit_identical_to_the_reference(
         points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..200),
@@ -310,9 +228,7 @@ proptest! {
         let polys: Vec<Polygon> = rings.iter().map(|r| make_raw_polygon(r)).collect();
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        // Threshold 1: every queried cell becomes cacheable, so a rebuilt
-        // cache answers as much as a cache can.
-        let engine = GeoBlockEngine::new(block, 1.0);
+        let engine = GeoBlockEngine::new(block);
         let s = spec();
         let requests: Vec<QueryRequest> = polys
             .iter()
@@ -355,12 +271,10 @@ proptest! {
             Ok(())
         };
 
-        check(&engine, "cold")?;
-        engine.rebuild_cache();
-        check(&engine, "rebuilt")?;
+        check(&engine, "fresh")?;
 
         let (mut in_place, mut new_cells) = (0, 0);
-        for (i, rows) in batches.iter().enumerate() {
+        for rows in &batches {
             let mut batch = UpdateBatch::new();
             for &(x, y, frac, magnitude) in rows {
                 let v = (frac - 0.3) * 10f64.powi(magnitude);
@@ -370,14 +284,8 @@ proptest! {
             in_place += report.in_place;
             new_cells += report.new_cells;
             check(&engine, "updated")?;
-            if i == batches.len() / 2 {
-                // The statistics now name cells the updates created.
-                engine.rebuild_cache();
-                check(&engine, "rebuilt between updates")?;
-            }
         }
         prop_assert_eq!(in_place + new_cells, batches.iter().map(Vec::len).sum::<usize>());
-        prop_assert!(engine.metrics().direct_hits > 0, "the cache never answered");
 
         let file = std::env::temp_dir().join(format!(
             "gb_differential_{}_{:x}.gbsnap",
@@ -385,14 +293,8 @@ proptest! {
             points.len() * 1_000_003 + batches.len() * 131 + rings.len()
         ));
         engine.write_snapshot(&file).expect("save");
-        let restored = GeoBlockEngine::from_snapshot(&file, 1.0).expect("load");
+        let restored = GeoBlockEngine::new(Snapshot::load(&file).expect("load").block);
         let _ = std::fs::remove_file(&file);
-        // The restored cache is the one the saved statistics rebuild.
-        engine.rebuild_cache();
-        prop_assert_eq!(
-            restored.trie_snapshot().content_hash(),
-            engine.trie_snapshot().content_hash()
-        );
         check(&restored, "restored")?;
     }
 }

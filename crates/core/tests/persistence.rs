@@ -3,9 +3,9 @@
 //!
 //! 1. **Lossless round-trip**: the loaded block's `content_hash` equals
 //!    the saved one, for clean and updated blocks.
-//! 2. **Warm start ≡ fresh build**: `GeoBlockEngine::from_snapshot`
-//!    answers bit-identically to a freshly built engine, with the cache
-//!    rebuilt from the restored statistics hitting from the first query.
+//! 2. **Restart ≡ fresh build**: an engine over a loaded snapshot answers
+//!    bit-identically to a freshly built engine, and the engine writes the
+//!    block only.
 //! 3. **No panics on bad input**: corrupt, truncated, wrong-magic, and
 //!    wrong-version snapshots all come back as typed `SnapshotError`s.
 //! 4. **The previous version keeps loading, older ones are refused by
@@ -13,9 +13,10 @@
 //!    byte-wise section checksum) answers like a fresh build, and every
 //!    corruption probe is a typed error under both checksum rules; a file
 //!    stamped with an older version is `UnsupportedVersion`, never
-//!    `ChecksumMismatch` or `Corrupt`. The fixture's `TRIE` and `HOTQ`
-//!    sections, which this tree no longer writes, are still held to the
-//!    state hash, in the fixture and in a version-5 file that carries them.
+//!    `ChecksumMismatch` or `Corrupt`. The fixture's `TRIE`, `HITS` and
+//!    `HOTQ` sections, which this tree no longer writes, are still held to
+//!    the state hash, in the fixture and in a version-5 file that carries
+//!    them — among them a version-5 file the last `HITS` writer wrote.
 //! 5. **A stored header is checked, the derived one served**: a
 //!    checked-in version-5 file whose global sums drifted from its records
 //!    loads under its digest and answers like `reference`, from the root
@@ -118,49 +119,30 @@ fn loaded_engine_matches_freshly_built_engine() {
     let s = spec();
     let workload = polys();
 
-    // "Production" engine: serve traffic, learn, rebuild the cache.
-    let engine = GeoBlockEngine::new(block.clone(), 0.25);
+    // "Production" engine: serve traffic, then save.
+    let engine = GeoBlockEngine::new(block.clone());
     for p in &workload {
         engine.select(p, &s);
     }
-    engine.rebuild_cache();
     let path = temp_path("engine.gbsnap");
     engine.write_snapshot(&path).expect("save");
 
-    // "Restarted" engine from the snapshot vs a freshly built engine fed
-    // the same history.
-    let restarted = GeoBlockEngine::from_snapshot(&path, 0.25).expect("load");
-    let fresh = GeoBlockEngine::new(block.clone(), 0.25);
-    for p in &workload {
-        fresh.select(p, &s);
-    }
-    fresh.rebuild_cache();
-
-    assert_eq!(
-        restarted.block_snapshot().content_hash(),
-        block.content_hash()
-    );
-    engine.rebuild_cache();
-    assert_eq!(
-        restarted.trie_snapshot().content_hash(),
-        engine.trie_snapshot().content_hash(),
-        "restored cache must be the one the saved statistics rebuild"
-    );
-    assert_eq!(
-        restarted.trie_snapshot().content_hash(),
-        fresh.trie_snapshot().content_hash(),
-        "restored cache must be bit-identical to a rebuilt one"
-    );
-    // The engine writes what the cache learned and nothing else.
+    // The engine writes the block and nothing else.
     let written = std::fs::read(&path).expect("saved file");
     let tags = SnapshotReader::from_bytes(&written, READABLE).expect("well-framed");
-    assert!(tags.tags().any(|tag| tag == SectionTag(*b"HITS")));
     assert!(
         tags.tags().all(|tag| !LEGACY.contains(&tag)),
         "no legacy section"
     );
+    assert_eq!(written, Snapshot::new(block.clone()).to_bytes());
 
-    restarted.reset_metrics();
+    // "Restarted" engine from the snapshot vs a freshly built one.
+    let restarted = GeoBlockEngine::new(Snapshot::load(&path).expect("load").block);
+    let fresh = GeoBlockEngine::new(block.clone());
+    assert_eq!(
+        restarted.block_snapshot().content_hash(),
+        block.content_hash()
+    );
     for p in &workload {
         let a = restarted.select(p, &s).result;
         let b = fresh.select(p, &s).result;
@@ -170,25 +152,11 @@ fn loaded_engine_matches_freshly_built_engine() {
             "loaded vs fresh engine: {a:?} vs {b:?}"
         );
         assert!(
-            a.approx_eq(&c, 1e-9),
+            a.approx_eq(&c, 0.0),
             "loaded engine vs block: {a:?} vs {c:?}"
         );
         assert_eq!(restarted.count(p).result, block.count(p).0);
     }
-    assert!(
-        restarted.metrics().direct_hits > 0,
-        "warm start must hit the restored cache immediately"
-    );
-
-    // The learned statistics survived: a post-restart rebuild reproduces
-    // the same cache the fresh engine rebuilds.
-    restarted.rebuild_cache();
-    fresh.rebuild_cache();
-    assert_eq!(
-        restarted.trie_snapshot().content_hash(),
-        fresh.trie_snapshot().content_hash(),
-        "post-restart rebuild must see the pre-restart statistics"
-    );
 }
 
 #[test]
@@ -230,7 +198,7 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
     // The same guarantees through the file-based engine API.
     let path = temp_path("corrupt.gbsnap");
     std::fs::write(&path, b"GBSNAP\r\nbut then garbage follows").unwrap();
-    assert!(GeoBlockEngine::from_snapshot(&path, 0.1).is_err());
+    assert!(GeoBlockEngine::builder().snapshot(&path).build().is_err());
     assert!(matches!(
         GeoBlock::read_snapshot(&temp_path("does-not-exist.gbsnap")).unwrap_err(),
         SnapshotError::Io(_)
@@ -241,9 +209,14 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
 const READABLE: std::ops::RangeInclusive<u16> = SNAPSHOT_VERSION - 1..=SNAPSHOT_VERSION;
 
 /// Sections this tree no longer writes but a version-4 or -5 file may
-/// carry: the aggregate cache as trie nodes, and the hottest encoded
-/// requests. The loader reads each only for its share of the state hash.
-const LEGACY: [SectionTag; 2] = [SectionTag(*b"TRIE"), SectionTag(*b"HOTQ")];
+/// carry: the aggregate cache as trie nodes, the hit statistics it was
+/// sized from, and the hottest encoded requests. The loader reads each
+/// only for its share of the state hash.
+const LEGACY: [SectionTag; 3] = [
+    SectionTag(*b"TRIE"),
+    SectionTag(*b"HITS"),
+    SectionTag(*b"HOTQ"),
+];
 
 /// Re-frame a snapshot section by section under `version` — the writer
 /// sums the sections under that version's checksum rule — letting `edit`
@@ -334,7 +307,6 @@ fn v4_fixture_loads_to_bit_identical_answers() {
     assert_eq!(V4_FIXTURE[8..10], 4u16.to_le_bytes());
 
     let snap = Snapshot::from_bytes(V4_FIXTURE).expect("v4 file loads");
-    assert!(snap.hits.is_some());
     let fresh = v4_fixture_block();
     assert_answers_bit_identical(&snap.block, &fresh);
 
@@ -464,7 +436,7 @@ fn older_headers_are_checked_and_the_records_answer() {
         let snap = Snapshot::from_bytes(file).expect("an older writer's file loads");
         assert_answers_bit_identical(&snap.block, &fresh);
         let block = snap.block.clone();
-        let engine = GeoBlockEngine::from_snapshot_state(snap, 0.5);
+        let engine = GeoBlockEngine::new(snap.block);
         for p in polys().iter().chain([&whole]) {
             let covering = block.cover(p);
             let naive = reference::select_covering(&block, &covering, &spec());
@@ -594,4 +566,76 @@ fn older_versions_are_unsupported_not_corrupt() {
             }
         }
     }
+}
+
+/// A format-version-5 snapshot written by `GeoBlockEngine::write_snapshot`
+/// at commit 48dadd7, the last whose engine kept hit statistics and wrote
+/// them as a `HITS` section. The engine held
+/// `build(&base_data(150), 5, &Filter::all())` at threshold 0.5 after one
+/// `select` with `spec()` of each of the first four [`polys`] and a
+/// `rebuild_cache`; `HITS` is its only section this tree does not write.
+const V5_HITS_FIXTURE: &[u8] = include_bytes!("fixtures/v5_hits.gbsnap");
+
+#[test]
+fn a_hits_section_loads_and_is_dropped_on_the_next_save() {
+    assert!(V5_HITS_FIXTURE.len() <= 16 * 1024);
+    assert_eq!(V5_HITS_FIXTURE[8..10], 5u16.to_le_bytes());
+    let hits = SectionTag(*b"HITS");
+    let old = SnapshotReader::from_bytes(V5_HITS_FIXTURE, READABLE).expect("well-framed");
+    assert_eq!(
+        old.tags()
+            .filter(|tag| LEGACY.contains(tag))
+            .collect::<Vec<_>>(),
+        [hits]
+    );
+
+    // It loads and answers bit-identically to a fresh build, through the
+    // engine too.
+    let snap = Snapshot::from_bytes(V5_HITS_FIXTURE).expect("a HITS file loads");
+    let (fresh, _) = build(&base_data(150), 5, &Filter::all());
+    assert_answers_bit_identical(&snap.block, &fresh);
+    let fresh_file = Snapshot::new(fresh.clone()).to_bytes();
+    let (restored, built) = (
+        GeoBlockEngine::new(snap.block.clone()),
+        GeoBlockEngine::new(fresh),
+    );
+    for p in &polys() {
+        let (a, b) = (restored.select(p, &spec()), built.select(p, &spec()));
+        assert!(a.result.approx_eq(&b.result, 0.0), "{a:?} vs {b:?}");
+        assert_eq!(restored.count(p).result, built.count(p).result);
+    }
+
+    // Saved again, it is the fresh block's file: no `HITS`, and every
+    // other payload the fixture's but for the state hash (the last word
+    // of `HDRS`), which no longer spans the section.
+    let rewritten = snap.to_bytes();
+    assert_eq!(rewritten, fresh_file);
+    let new = SnapshotReader::from_bytes(&rewritten, READABLE).expect("well-framed");
+    let kept: Vec<SectionTag> = old.tags().filter(|&tag| tag != hits).collect();
+    assert_eq!(new.tags().collect::<Vec<_>>(), kept);
+    for tag in kept {
+        let (a, b) = (old.require(tag).unwrap(), new.require(tag).unwrap());
+        let hashed = if tag == SectionTag(*b"HDRS") { 8 } else { 0 };
+        assert_eq!(a[..a.len() - hashed], b[..b.len() - hashed], "{tag}");
+    }
+
+    // Read for the state hash only, but held to it: a flipped `HITS` byte
+    // under a recomputed checksum — in a cell id, in a count — or the
+    // section stripped is corrupt.
+    let n_cells = u64::from_le_bytes(old.require(hits).unwrap()[..8].try_into().unwrap());
+    for at in [8, 8 + 8 * n_cells as usize + 8 + 3] {
+        let flipped = reframe(V5_HITS_FIXTURE, |tag, payload| {
+            if tag == hits {
+                payload[at] ^= 0x01;
+            }
+        });
+        let err = Snapshot::from_bytes(&flipped).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Corrupt { .. }),
+            "byte {at}: {err}"
+        );
+        assert!(err.to_string().contains("state hash"), "byte {at}: {err}");
+    }
+    let err = Snapshot::from_bytes(&reframe_without(V5_HITS_FIXTURE, hits)).unwrap_err();
+    assert!(err.to_string().contains("state hash"), "stripped: {err}");
 }

@@ -1,6 +1,6 @@
 //! Property tests for the GeoBlocks core: the data structure must agree
 //! with brute-force aggregation over its own covering for *any* data and
-//! *any* polygon, and the cache/coarsen/update layers must never change
+//! *any* polygon, and the coarsen/update layers must never change
 //! answers.
 
 use gb_cell::{CellId, Grid};
@@ -8,7 +8,7 @@ use gb_data::{
     extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
-use geoblocks::{build, AggPlan, AggResult, GeoBlockEngine};
+use geoblocks::{build, AggPlan, AggResult};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -87,31 +87,6 @@ proptest! {
         // And so does the naive reference, over the same covering.
         let naive = geoblocks::reference::select_covering(&block, &block.cover(&poly), &s);
         prop_assert!(naive.approx_eq(&want, 1e-9));
-    }
-
-    #[test]
-    fn qc_never_changes_results(
-        points in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 50..300),
-        seeds in prop::collection::vec((0.0..DOMAIN, 0.0..DOMAIN), 3..8),
-        threshold in 0.0f64..1.0,
-        repeats in 1usize..4,
-    ) {
-        prop_assume!(make_polygon(&seeds).is_some());
-        let poly = make_polygon(&seeds).unwrap();
-        let base = make_base(&points);
-        let (block, _) = build(&base, 8, &Filter::all());
-        let s = spec();
-        let (want, _) = block.select(&poly, &s);
-
-        let qc = GeoBlockEngine::new(block, threshold);
-        for _ in 0..repeats {
-            let got = qc.select(&poly, &s).result;
-            prop_assert!(got.approx_eq(&want, 1e-9));
-            qc.rebuild_cache();
-        }
-        let after = qc.select(&poly, &s).result;
-        prop_assert!(after.approx_eq(&want, 1e-9));
-        prop_assert!(qc.trie_snapshot().size_bytes() <= qc.budget_bytes().max(8));
     }
 
     #[test]
@@ -251,9 +226,9 @@ proptest! {
         let (block, _) = build(&base, 8, &Filter::all());
         let s = spec();
 
-        let untraced = GeoBlockEngine::new(block.clone(), 0.3)
+        let untraced = GeoBlockEngine::new(block.clone())
             .with_tracer(Arc::new(Tracer::disabled()));
-        let traced = GeoBlockEngine::new(block, 0.3).with_tracer(Arc::new(Tracer::new(
+        let traced = GeoBlockEngine::new(block).with_tracer(Arc::new(Tracer::new(
             TraceConfig { sample_rate, slow_us: 0 },
         )));
         let bits = |r: &AggResult| r.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

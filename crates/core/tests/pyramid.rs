@@ -183,7 +183,7 @@ fn coarse_interior_covering_is_answered_one_record_per_cell() {
 }
 
 /// The engine sits on the same record lookup: with a cold and with a warm
-/// cache it answers bit-identically to the plain pyramid block.
+/// covering memo it answers bit-identically to the plain pyramid block.
 #[test]
 fn engine_agrees_with_pyramid_block_exactly() {
     let points: Vec<(f64, f64)> = (0..3000)
@@ -208,19 +208,18 @@ fn engine_agrees_with_pyramid_block_exactly() {
             ])
         })
         .collect();
-    let engine = GeoBlockEngine::new(block.clone(), 0.3);
+    let engine = GeoBlockEngine::new(block.clone());
     for p in &polys {
         let a = engine.select(p, &s).result;
         let (b, _) = block.select(p, &s);
-        assert!(a.approx_eq(&b, 0.0), "cold cache: {a:?} vs {b:?}");
+        assert!(a.approx_eq(&b, 0.0), "cold memo: {a:?} vs {b:?}");
     }
-    engine.rebuild_cache();
     for p in &polys {
         let a = engine.select(p, &s).result;
         let (b, _) = block.select(p, &s);
-        assert!(a.approx_eq(&b, 0.0), "warm cache: {a:?} vs {b:?}");
+        assert!(a.approx_eq(&b, 0.0), "warm memo: {a:?} vs {b:?}");
     }
-    assert!(engine.metrics().direct_hits > 0);
+    assert_eq!(engine.memo_stats().hits, polys.len() as u64);
 }
 
 /// Post-update ground truth: the tiered COUNT (prefix differences, no

@@ -230,7 +230,7 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
     let v4: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
     // Not the fixture re-saved: a section spliced from one file into the
     // other must be a graft, not a no-op. One more tuple (and, as every
-    // save now, no `TRIE` and no `HOTQ`).
+    // save now, no `TRIE`, `HITS` or `HOTQ`).
     let mut state = Snapshot::from_bytes(v4).expect("v4 fixture");
     let mut batch = UpdateBatch::new();
     batch.push(Point::new(42.0, 17.0), vec![1.5, 4.0]);

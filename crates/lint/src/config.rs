@@ -45,7 +45,6 @@ impl Config {
                 "crates/core/src/api.rs",
                 "crates/core/src/snapshot.rs",
                 "crates/core/src/engine.rs",
-                "crates/core/src/trie.rs",
                 "crates/core/src/memo.rs",
                 // The record lookup, the batch commit and the record
                 // layout under both: every `/v1/select` and `/v1/update`
@@ -57,9 +56,8 @@ impl Config {
                 // the request path.
                 "crates/common/src/fifo_map.rs",
                 // Every query runs the coverer, on a polygon from the
-                // network, and appends to the hit log.
+                // network.
                 "crates/cell/src/cover.rs",
-                "crates/core/src/hits.rs",
             ]),
             float_blessed: s(&["crates/core/src/layer.rs", "crates/core/src/aggregate.rs"]),
             // `gb_check` wraps every model thread in a real OS thread it
@@ -75,16 +73,15 @@ impl Config {
             ]),
             relaxed_blessed: s(&["crates/common/src/stats.rs"]),
             // The workspace lock order: publisher guards first, then the
-            // hit log and its rank-1 peers (the covering-memo shards —
-            // leaf locks that never nest), then the state pointer (block +
-            // trie + data epoch), then the pool queue, then the serve-layer
+            // covering-memo shards (leaf locks that never nest), then the
+            // state pointer (block + data epoch), then the pool queue, then
+            // the serve-layer
             // leaf locks (result-cache entries, quota buckets). The same
             // table is enforced at runtime by `gb_common::sync` and at
             // model time by `gb_check`.
             lock_ranks: vec![
                 ("rebuild_guard".to_string(), 0),
                 ("publish_guard".to_string(), 0),
-                ("hit_log".to_string(), 1),
                 ("memo".to_string(), 1),
                 ("state".to_string(), 2),
                 ("queue".to_string(), 3),
@@ -151,7 +148,6 @@ mod tests {
         assert!(cfg.is_panic_free("crates/trace/src/lib.rs"));
         assert!(cfg.is_panic_free("crates/common/src/fifo_map.rs"));
         assert!(cfg.is_panic_free("crates/cell/src/cover.rs"));
-        assert!(cfg.is_panic_free("crates/core/src/hits.rs"));
         assert!(cfg.is_panic_free("crates/core/src/query.rs"));
         assert!(cfg.is_panic_free("crates/core/src/update.rs"));
         assert!(cfg.is_panic_free("crates/core/src/layer.rs"));
@@ -168,8 +164,8 @@ mod tests {
     #[test]
     fn lock_ranks_are_ordered() {
         let cfg = Config::workspace();
-        assert!(cfg.lock_rank("rebuild_guard") < cfg.lock_rank("hit_log"));
-        assert!(cfg.lock_rank("hit_log") < cfg.lock_rank("state"));
+        assert!(cfg.lock_rank("rebuild_guard") < cfg.lock_rank("memo"));
+        assert!(cfg.lock_rank("memo") < cfg.lock_rank("state"));
         assert!(cfg.lock_rank("state") < cfg.lock_rank("queue"));
         assert!(cfg.lock_rank("queue") < cfg.lock_rank("entries"));
         assert_eq!(
@@ -178,8 +174,7 @@ mod tests {
         );
         assert_eq!(cfg.lock_rank("entries"), cfg.lock_rank("buckets"));
         assert_eq!(cfg.lock_rank("traces"), cfg.lock_rank("entries"));
-        assert_eq!(cfg.lock_rank("memo"), cfg.lock_rank("hit_log"));
-        assert!(cfg.lock_rank("memo") < cfg.lock_rank("state"));
+        assert_eq!(cfg.lock_rank("hit_log"), None);
         assert_eq!(cfg.lock_rank("trie"), None);
     }
 

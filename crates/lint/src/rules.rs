@@ -53,7 +53,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "lock-order",
         description: "nested engine lock acquisitions must follow the declared order \
-                      (rebuild_guard < hit_log < state); test code exempt (covered by the \
+                      (publish_guard < memo < state); test code exempt (covered by the \
                       runtime checker)",
         check: lock_order,
     },
@@ -317,7 +317,7 @@ fn lock_order(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
                                 format!(
                                     "lock `{name}` (rank {rank}) acquired while holding \
                                      `{held_name}` (rank {held_rank}); declared order is \
-                                     rebuild_guard/publish_guard < hit_log/memo < state \
+                                     rebuild_guard/publish_guard < memo < state \
                                      < queue < entries/buckets"
                                 ),
                             ));

@@ -165,7 +165,7 @@ fn baseline_absorbs_known_findings_and_flags_new_ones() {
 
     // A brand-new violation is still fresh against that baseline.
     ws.file(
-        "crates/core/src/trie.rs",
+        "crates/core/src/memo.rs",
         "pub fn pick(xs: &[u8]) -> u8 {\n    xs[0]\n}\n",
     );
     let with_new = ws.run(Some(&baseline));
@@ -178,7 +178,7 @@ fn baseline_absorbs_known_findings_and_flags_new_ones() {
         "crates/core/src/block.rs",
         "pub fn total(xs: &[f64]) -> f64 {\n    2.0 * xs.iter().sum::<f64>()\n}\n",
     );
-    ws.file("crates/core/src/trie.rs", "pub fn pick() {}\n");
+    ws.file("crates/core/src/memo.rs", "pub fn pick() {}\n");
     let edited = ws.run(Some(&baseline));
     assert_eq!(edited.fresh.len(), 1, "{:#?}", edited.fresh);
     assert_eq!(edited.fresh[0].rule, "float-fold");

@@ -176,9 +176,7 @@ impl GbServer {
                     self.cache.len(),
                     metrics::EngineNumbers {
                         data_epoch: self.engine.data_epoch(),
-                        cache_epoch: self.engine.cache_epoch(),
                         memo: self.engine.memo_stats(),
-                        trie: self.engine.metrics(),
                     },
                     self.engine.tracer(),
                 ),
@@ -737,7 +735,7 @@ pub(crate) mod tests {
         let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
         let base = extract(&raw, grid, &CleaningRules::none(), None).base;
         let (block, _) = build(&base, 8, &Filter::all());
-        GbServer::new(Arc::new(GeoBlockEngine::new(block, 0.3)), config)
+        GbServer::new(Arc::new(GeoBlockEngine::new(block)), config)
     }
 
     fn diamond(cx: f64, cy: f64, r: f64) -> Polygon {

@@ -39,11 +39,7 @@ const CLOSE_REASONS: [&str; 5] = ["peer", "idle", "cap", "error", "shutdown"];
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineNumbers {
     pub data_epoch: u64,
-    pub cache_epoch: u64,
     pub memo: geoblocks::MemoStats,
-    /// The cache's probes and direct hits: exact counts, where the stage
-    /// times are sampled.
-    pub trie: geoblocks::CacheMetrics,
 }
 
 /// All server counters.
@@ -135,12 +131,7 @@ impl Metrics {
         engine: EngineNumbers,
         tracer: &Tracer,
     ) -> String {
-        let EngineNumbers {
-            data_epoch,
-            cache_epoch,
-            memo,
-            trie,
-        } = engine;
+        let EngineNumbers { data_epoch, memo } = engine;
         let mut out = String::with_capacity(4096);
         for ((_, route, _), counter) in crate::ROUTES.iter().zip(&self.route_hits) {
             let n = counter.get();
@@ -211,9 +202,6 @@ impl Metrics {
         out.push_str(&format!("gb_pool_tasks_total {}\n", pool.tasks_total));
         out.push_str(&format!("gb_pool_busy_ns_total {}\n", pool.busy_ns_total));
         out.push_str(&format!("gb_data_epoch {data_epoch}\n"));
-        out.push_str(&format!("gb_trie_cache_epoch {cache_epoch}\n"));
-        out.push_str(&format!("gb_trie_probes_total {}\n", trie.probes));
-        out.push_str(&format!("gb_trie_direct_hits_total {}\n", trie.direct_hits));
         out.push_str(&format!(
             "gb_request_latency_ns{{quantile=\"0.5\"}} {}\n",
             self.latency.quantile_ns(0.5)
@@ -328,16 +316,9 @@ mod tests {
             let _req = tracer.begin_request("select");
             drop(tracer.span(Stage::PyramidCombine));
         }
-        let trie = geoblocks::CacheMetrics {
-            probes: 30,
-            direct_hits: 12,
-            child_hits: 0,
-        };
         let engine = EngineNumbers {
             data_epoch: 5,
-            cache_epoch: 9,
             memo,
-            trie,
         };
         let text = m.render(&cache, 2, engine, &tracer);
         assert_eq!(
@@ -373,8 +354,13 @@ mod tests {
         );
         assert!(scrape(&text, "gb_stage_share{stage=\"pyramid_combine\"}").is_some());
         assert_eq!(scrape(&text, "gb_stage_share{stage=\"trie_lookup\"}"), None);
-        assert_eq!(scrape(&text, "gb_trie_probes_total"), Some(30.0));
-        assert_eq!(scrape(&text, "gb_trie_direct_hits_total"), Some(12.0));
+        for family in [
+            "gb_trie_cache_epoch",
+            "gb_trie_probes_total",
+            "gb_trie_direct_hits_total",
+        ] {
+            assert_eq!(scrape(&text, family), None, "{family}");
+        }
         assert!(scrape(&text, "gb_pool_queue_depth").is_some());
         assert!(scrape(&text, "gb_pool_tasks_total").is_some());
         assert!(scrape(&text, "gb_pool_busy_ns_total").is_some());

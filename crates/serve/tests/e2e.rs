@@ -39,7 +39,7 @@ fn fresh_engine() -> Arc<GeoBlockEngine> {
     let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
     let base = extract(&raw, grid, &CleaningRules::none(), None).base;
     let (block, _) = build(&base, 8, &Filter::all());
-    Arc::new(GeoBlockEngine::new(block, 0.3))
+    Arc::new(GeoBlockEngine::new(block))
 }
 
 fn diamond(cx: f64, cy: f64, r: f64) -> Polygon {
@@ -452,7 +452,7 @@ fn debug_endpoints_and_stage_metrics_over_sockets() {
         sample_rate: 1,
         slow_us: 0,
     }));
-    let engine = Arc::new(GeoBlockEngine::new(block, 0.3).with_tracer(tracer));
+    let engine = Arc::new(GeoBlockEngine::new(block).with_tracer(tracer));
     let server = GbServer::new(
         engine,
         ServeConfig {
@@ -530,17 +530,22 @@ fn debug_endpoints_and_stage_metrics_over_sockets() {
             "stage {stage} must have observations:\n{text}"
         );
     }
-    // The per-cell cache lane is counted, not timed: the stages that
-    // timed it are gone, and the engine's probe and hit counts are exported.
+    // The engine keeps no aggregate cache beside its pyramid: neither the
+    // stages that timed one nor its counters are exported.
     for stage in ["trie_lookup", "scan_fallback"] {
         let share = format!("gb_stage_share{{stage=\"{stage}\"}}");
         assert_eq!(metrics::scrape(&text, &share), None, "{share} is gone");
     }
-    assert!(
-        metrics::scrape(&text, "gb_trie_probes_total").is_some_and(|v| v >= 1.0),
-        "the selects probed the cache:\n{text}"
-    );
-    assert!(metrics::scrape(&text, "gb_trie_direct_hits_total").is_some());
+    for family in [
+        "gb_trie_probes_total",
+        "gb_trie_direct_hits_total",
+        "gb_trie_cache_epoch",
+    ] {
+        assert!(
+            !text.lines().any(|line| line.starts_with(family)),
+            "{family} is gone:\n{text}"
+        );
+    }
     // Memo + pool families from the satellite metrics.
     for family in [
         "gb_covering_memo_evictions_total",

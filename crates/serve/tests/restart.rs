@@ -1,7 +1,7 @@
-//! A restart restores what the cache learned and nothing else: saving an
-//! engine, restoring it under a server and saving it again must write the
-//! same hit statistics. Wrapping an engine sends it no traffic, so no
-//! restart counts as queries.
+//! A restart restores the block and nothing else: saving an engine after
+//! traffic, restoring it under a server and saving it again must write
+//! the same bytes. Traffic leaves nothing in a snapshot, and wrapping an
+//! engine sends it none.
 
 use gb_cell::Grid;
 use gb_data::{extract, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Schema};
@@ -25,7 +25,7 @@ fn engine() -> GeoBlockEngine {
     }
     let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
     let base = extract(&raw, grid, &CleaningRules::none(), None).base;
-    GeoBlockEngine::new(build(&base, 8, &Filter::all()).0, 0.3)
+    GeoBlockEngine::new(build(&base, 8, &Filter::all()).0)
 }
 
 fn diamond(i: usize) -> Polygon {
@@ -39,7 +39,7 @@ fn diamond(i: usize) -> Polygon {
 }
 
 #[test]
-fn a_restart_under_a_server_leaves_the_hit_statistics_as_saved() {
+fn a_restart_under_a_server_saves_the_same_file() {
     let dir = std::env::temp_dir().join(format!("gb_serve_restart_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let (first, second) = (dir.join("first.gbsnap"), dir.join("second.gbsnap"));
@@ -57,22 +57,25 @@ fn a_restart_under_a_server_leaves_the_hit_statistics_as_saved() {
     }
     engine.write_snapshot(&first).expect("first save");
 
-    let restored = GeoBlockEngine::from_snapshot(&first, 0.3).expect("load");
+    let restored = GeoBlockEngine::new(Snapshot::load(&first).expect("load").block);
     let server = GbServer::new(Arc::new(restored), ServeConfig::default());
     server
         .engine()
         .write_snapshot(&second)
         .expect("second save");
 
-    let hits = |path| Snapshot::load(path).expect("reload").hits.expect("HITS");
-    let (saved, resaved) = (hits(&first), hits(&second));
+    let bytes = |path| std::fs::read(path).expect("reload");
+    let (saved, resaved) = (bytes(&first), bytes(&second));
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(!saved.is_empty(), "the selects were recorded");
-    // Cell for cell; the message reports totals, not two whole columns.
     assert!(
         resaved == saved,
-        "total hits {} became {}",
-        saved.values().sum::<u64>(),
-        resaved.values().sum::<u64>()
+        "{} bytes became {}",
+        saved.len(),
+        resaved.len()
+    );
+    assert_eq!(
+        saved,
+        Snapshot::new(engine.block_snapshot().as_ref().clone()).to_bytes(),
+        "the selects left nothing in the file"
     );
 }

@@ -48,7 +48,7 @@ fn fresh_engine() -> GeoBlockEngine {
     let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, DOMAIN, DOMAIN));
     let base = extract(&raw, grid, &CleaningRules::none(), None).base;
     let (block, _) = build(&base, 8, &Filter::all());
-    GeoBlockEngine::new(block, 0.3)
+    GeoBlockEngine::new(block)
 }
 
 fn diamond(cx: f64, cy: f64, r: f64) -> Polygon {

@@ -2,12 +2,12 @@
 //!
 //! The paper positions GeoBlocks as "built once, queried forever" (§3
 //! build, §4 query cache) — which only holds across process restarts if
-//! the built block (and the learned AggregateTrie) can be persisted. This
+//! the built block can be persisted. This
 //! crate provides the *container*: a small section-based binary format
 //! with a magic number, a format version, and a checksum per section, so
 //! a load can always fail with a typed [`SnapshotError`] instead of a
 //! panic or a silently corrupt block. What goes *into* the sections
-//! (block arrays, trie layout, hit statistics) is defined by the
+//! (the block's arrays and header) is defined by the
 //! `geoblocks` crate on top of the [`ByteWriter`]/[`ByteReader`]
 //! primitives here.
 //!

@@ -1,21 +1,23 @@
 //! An exploratory-analysis session, as motivated in the paper's
 //! introduction: an analyst repeatedly queries the same city areas with
 //! varying aggregates, resizes regions, and compares neighborhoods — the
-//! exact skew the AggregateTrie exploits (§3.6).
+//! exact skew the paper's query cache exploits (§3.6).
 //!
-//! The example runs the same session against a plain Block and a BlockQC
-//! (a `GeoBlockEngine` without its covering memo, as in the paper)
-//! and reports the per-phase latency plus the cache behaviour, then streams
-//! a batch of fresh rides into the structure (§5 updates).
+//! The example runs the same session against the paper's scanning Block,
+//! its BlockQC (`gb_baselines`), and the `GeoBlockEngine`, whose pyramid
+//! stores every cell's record, and reports the per-burst latency plus the
+//! cache behaviour, then streams a batch of fresh rides into the engine
+//! (§5 updates).
 //!
 //! ```text
 //! cargo run --release --example city_dashboard
 //! ```
 
+use gb_baselines::{BlockIndex, BlockQcIndex, ScanBlockIndex, SpatialAggIndex};
 use gb_common::Timer;
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::{Point, Polygon};
-use geoblocks::{build, GeoBlock, GeoBlockEngine, UpdateBatch};
+use geoblocks::{build, GeoBlockEngine, UpdateBatch};
 
 /// The analyst's focus area queries: a few hot polygons queried over and
 /// over with changing aggregate sets, plus occasional one-off lookups.
@@ -66,45 +68,57 @@ fn main() {
 
     let session = Session::new(base.schema(), 1);
 
-    // Plain Block: every burst costs the same.
-    let plain: GeoBlock = block.clone();
-    let mut plain_totals = Vec::new();
-    for _ in 0..5 {
-        let t = Timer::start();
-        let checksum = session.run(|p, s| plain.select(p, s).0.count);
-        plain_totals.push((t.elapsed_ms(), checksum));
-    }
+    // Each variant runs five bursts and adapts after the first: BlockQC
+    // rebuilds its cache from the statistics, the others have nothing to
+    // adapt and cost the same every burst.
+    let mut scan = ScanBlockIndex::new(block.clone());
+    let mut qc = BlockQcIndex::new(block.clone(), 0.05);
+    let mut pyramid = BlockIndex::new(block.clone());
+    let bursts = |index: &mut dyn SpatialAggIndex| {
+        (0..5)
+            .map(|burst| {
+                let t = Timer::start();
+                let checksum = session.run(|p, s| index.select(p, s).count);
+                if burst == 0 {
+                    index.rebuild(); // BlockQC materializes the hot areas
+                }
+                (t.elapsed_ms(), checksum)
+            })
+            .collect::<Vec<_>>()
+    };
+    let scan_totals = bursts(&mut scan);
+    let qc_totals = bursts(&mut qc);
+    let pyramid_totals = bursts(&mut pyramid);
 
-    // BlockQC: statistics accumulate, the cache warms after burst 1.
-    let qc = GeoBlockEngine::new(block, 0.05).with_memo_capacity(0);
-    let mut qc_totals = Vec::new();
-    for burst in 0..5 {
-        let t = Timer::start();
-        let checksum = session.run(|p, s| qc.select(p, s).result.count);
-        qc_totals.push((t.elapsed_ms(), checksum));
-        if burst == 0 {
-            qc.rebuild_cache(); // materialize the hot areas
-        }
-    }
-
-    println!("\nburst | Block ms | BlockQC ms");
-    for (i, (p, q)) in plain_totals.iter().zip(&qc_totals).enumerate() {
-        assert_eq!(p.1, q.1, "both variants must return identical results");
+    println!("\nburst | Block (scan) ms | BlockQC ms | Pyramid ms");
+    for (i, ((b, q), p)) in scan_totals
+        .iter()
+        .zip(&qc_totals)
+        .zip(&pyramid_totals)
+        .enumerate()
+    {
+        assert!(
+            b.1 == q.1 && q.1 == p.1,
+            "every variant must return identical counts"
+        );
         println!(
-            "  {}   |  {:7.2} |  {:7.2}{}",
+            "  {}   |  {:14.2} | {:10.2} | {:10.2}{}",
             i + 1,
-            p.0,
+            b.0,
             q.0,
+            p.0,
             if i == 0 { "  (cold)" } else { "" }
         );
     }
     println!(
-        "\ncache: {} aggregates cached, {}",
-        qc.trie_snapshot().num_cached(),
-        gb_common::fmt::bytes(qc.trie_snapshot().size_bytes()),
+        "\nBlockQC cache: {} aggregates cached, {}; the pyramid stores {} above the block level",
+        qc.num_cached(),
+        gb_common::fmt::bytes(qc.cached_bytes()),
+        gb_common::fmt::bytes(block.derived_bytes()),
     );
 
     // Live updates: a batch of fresh rides lands in Manhattan (§5).
+    let engine = GeoBlockEngine::new(block);
     let schema_len = base.schema().len();
     let mut batch = UpdateBatch::new();
     for i in 0..500 {
@@ -112,9 +126,9 @@ fn main() {
         let y = 30.0 + (i / 25) as f64 * 0.6;
         batch.push(Point::new(x, y), vec![10.0; schema_len]);
     }
-    let before = qc.count(&session.hot[0]).result;
-    let report = qc.apply_updates(&batch).expect("finite rows").result;
-    let after = qc.count(&session.hot[0]).result;
+    let before = engine.count(&session.hot[0]).result;
+    let report = engine.apply_updates(&batch).expect("finite rows").result;
+    let after = engine.count(&session.hot[0]).result;
     println!(
         "\nupdates: {} in place, {} new cells; hot-area count {before} → {after}",
         report.in_place, report.new_cells

@@ -5,14 +5,15 @@
 //! surface. See `README.md`, `DESIGN.md`, and `EXPERIMENTS.md` at the
 //! repository root; library documentation lives in the individual crates:
 //!
-//! * [`geoblocks`] — the core data structure (blocks, trie cache, queries),
+//! * [`geoblocks`] — the core data structure (blocks, aggregate pyramid, queries),
 //! * [`gb_cell`] / [`gb_geom`] — spatial substrates,
 //! * [`gb_data`] — columnar tables, extract phase, synthetic datasets,
 //! * [`gb_store`] — versioned snapshot container (persistence),
 //! * [`gb_serve`] — std-only HTTP serving front-end (wire endpoints,
 //!   epoch-validated result cache, metrics, admission control),
 //! * [`gb_btree`] / [`gb_phtree`] / [`gb_artree`] — baseline substrates,
-//! * [`gb_baselines`] — the unified evaluation interface.
+//! * [`gb_baselines`] — the unified evaluation interface, with the
+//!   paper's Block and BlockQC.
 
 pub use gb_artree;
 pub use gb_baselines;

@@ -3,7 +3,7 @@
 
 use gb_baselines::{
     relative_error, ARTreeIndex, BTreeIndex, BinarySearchIndex, BlockIndex, BlockQcIndex,
-    GroundTruth, SpatialAggIndex,
+    GroundTruth, ScanBlockIndex, SpatialAggIndex,
 };
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use geoblocks::{build, GeoBlockEngine};
@@ -27,11 +27,17 @@ fn covering_based_approaches_agree_exactly() {
     let mut bs = BinarySearchIndex::new(&base, LEVEL);
     let (mut bt, _) = BTreeIndex::build(&base, LEVEL);
     let mut bl = BlockIndex::new(block.clone());
+    let mut scan = ScanBlockIndex::new(block.clone());
     let mut qc = BlockQcIndex::new(block, 0.1);
 
     for (i, poly) in polys.iter().enumerate() {
         let want = bs.select(poly, &spec);
-        for idx in [&mut bt as &mut dyn SpatialAggIndex, &mut bl, &mut qc] {
+        for idx in [
+            &mut bt as &mut dyn SpatialAggIndex,
+            &mut bl,
+            &mut scan,
+            &mut qc,
+        ] {
             let got = idx.select(poly, &spec);
             assert!(
                 got.approx_eq(&want, 1e-9),
@@ -55,16 +61,27 @@ fn blockqc_stays_exact_across_cache_lifecycles() {
     let polys = polygons::neighborhoods(30, 5);
     let spec = AggSpec::k_aggregates(base.schema(), 4);
 
-    let qc = GeoBlockEngine::new(block.clone(), 0.05);
+    let mut scan = ScanBlockIndex::new(block.clone());
+    let mut qc = BlockQcIndex::new(block.clone(), 0.05);
     for round in 0..4 {
         for poly in &polys {
-            let got = qc.select(poly, &spec).result;
-            let (want, _) = block.select(poly, &spec);
-            assert!(got.approx_eq(&want, 1e-9), "round {round} mismatch");
+            let got = qc.select(poly, &spec);
+            let want = scan.select(poly, &spec);
+            assert!(
+                got.approx_eq(&want, 0.0),
+                "round {round}: {got:?} vs {want:?}"
+            );
+            let (pyramid, _) = block.select(poly, &spec);
+            assert!(
+                got.approx_eq(&pyramid, 1e-9),
+                "round {round} vs the pyramid"
+            );
+            assert_eq!(qc.count(poly), block.count(poly).0);
         }
-        qc.rebuild_cache();
+        qc.rebuild();
     }
-    assert!(qc.trie_snapshot().num_cached() > 0);
+    assert!(qc.num_cached() > 0);
+    assert!(qc.counts().direct_hits > 0, "the rebuilt cache answered");
 }
 
 #[test]
@@ -222,15 +239,14 @@ fn coarsening_matches_query_results_of_direct_build() {
 fn updates_keep_all_query_paths_consistent() {
     let base = taxi();
     let (block, _) = build(&base, LEVEL, &Filter::all());
-    let qc = GeoBlockEngine::new(block, 0.2);
+    let engine = GeoBlockEngine::new(block);
     let polys = polygons::neighborhoods(10, 6);
     let spec = AggSpec::k_aggregates(base.schema(), 4);
 
-    // Warm + cache.
+    // Warm the covering memo.
     for poly in &polys {
-        qc.select(poly, &spec);
+        engine.select(poly, &spec);
     }
-    qc.rebuild_cache();
 
     // Apply a batch across the domain.
     let mut batch = geoblocks::UpdateBatch::new();
@@ -240,15 +256,15 @@ fn updates_keep_all_query_paths_consistent() {
         let y = 5.0 + (i / 20) as f64 * 5.0;
         batch.push(gb_geom::Point::new(x, y), vec![1.0; cols]);
     }
-    qc.apply_updates(&batch).expect("finite rows");
+    engine.apply_updates(&batch).expect("finite rows");
 
-    // SELECT (cached) == SELECT (uncached block) == COUNT, post-update.
-    let block_after = qc.block_snapshot();
+    // SELECT (engine) == SELECT (plain block) == COUNT, post-update.
+    let block_after = engine.block_snapshot();
     for poly in &polys {
-        let cached = qc.select(poly, &spec).result;
+        let served = engine.select(poly, &spec).result;
         let (plain, _) = block_after.select(poly, &spec);
-        assert!(cached.approx_eq(&plain, 1e-9), "{cached:?} vs {plain:?}");
-        assert_eq!(qc.count(poly).result, cached.count);
+        assert!(served.approx_eq(&plain, 0.0), "{served:?} vs {plain:?}");
+        assert_eq!(engine.count(poly).result, served.count);
     }
 }
 

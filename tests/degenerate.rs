@@ -113,14 +113,13 @@ proptest! {
         let poly = Polygon::new(ring);
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        let qc = GeoBlockEngine::new(block, 0.4);
+        let qc = GeoBlockEngine::new(block);
         let gt = GroundTruth::new(&base);
         let s = spec();
-        // Twice: cold, then with a rebuilt (warm) cache.
+        // Twice: cold, then with the covering memoized.
         let (cold, _) = assert_contract(&base, &qc, &gt, &poly, &s, "zero-area cold")?;
-        qc.rebuild_cache();
-        let (warm, _) = assert_contract(&base, &qc, &gt, &poly, &s, "zero-area warm")?;
-        prop_assert!(cold.approx_eq(&warm, 0.0), "cache changed a degenerate answer");
+        let (warm, _) = assert_contract(&base, &qc, &gt, &poly, &s, "zero-area memoized")?;
+        prop_assert!(cold.approx_eq(&warm, 0.0), "the memo changed a degenerate answer");
     }
 
     /// Duplicated vertices must not change any answer.
@@ -147,7 +146,7 @@ proptest! {
 
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        let qc = GeoBlockEngine::new(block, 0.4);
+        let qc = GeoBlockEngine::new(block);
         let gt = GroundTruth::new(&base);
         let s = spec();
         let (sel_clean, cnt_clean) =
@@ -179,7 +178,7 @@ proptest! {
 
         let base = make_base(&points);
         let (block, _) = build(&base, level, &Filter::all());
-        let qc = GeoBlockEngine::new(block, 0.4);
+        let qc = GeoBlockEngine::new(block);
         let gt = GroundTruth::new(&base);
         let s = spec();
         let (sel_fwd, cnt_fwd) =
@@ -202,7 +201,7 @@ fn all_identical_vertices_do_not_panic() {
         .collect();
     let base = make_base(&pts);
     let (block, _) = build(&base, 8, &Filter::all());
-    let qc = GeoBlockEngine::new(block, 0.3);
+    let qc = GeoBlockEngine::new(block);
     let gt = GroundTruth::new(&base);
     let s = spec();
     for (x, y) in [(37.3, 61.7), (0.0, 0.0), (99.99, 99.99)] {

@@ -1,8 +1,8 @@
 //! Workspace smoke test: drive the full pipeline — synthetic dataset and
-//! extraction (`gb_data`), GeoBlock build and query-cached queries
-//! (`geoblocks`), evaluation adapters and exact ground truth
-//! (`gb_baselines`) — on a small dataset, and check the query-cached
-//! GeoBlock against `GroundTruth`.
+//! extraction (`gb_data`), GeoBlock build (`geoblocks`), the paper's
+//! query-cached GeoBlock and exact ground truth (`gb_baselines`) — on a
+//! small dataset, and check the query-cached GeoBlock against
+//! `GroundTruth`.
 //!
 //! The covering makes GeoBlocks an over-approximation with a spatial error
 //! bounded by the cell diagonal (§3.2), so the checks are:
@@ -33,7 +33,7 @@ fn geoblockqc_matches_ground_truth_end_to_end() {
 
     let mut populated = 0usize;
     // Two rounds with a cache rebuild between them: round one runs cold,
-    // round two must return identical results from the warmed trie.
+    // round two must return identical results from the warmed cache.
     let mut first_round: Vec<u64> = Vec::new();
     for round in 0..2 {
         for (i, poly) in polys.iter().enumerate() {
@@ -73,7 +73,7 @@ fn geoblockqc_matches_ground_truth_end_to_end() {
                 }
             }
         }
-        qc.engine().rebuild_cache();
+        qc.rebuild();
     }
     assert!(
         populated >= 6,

@@ -1,6 +1,5 @@
 //! A traced SELECT is one span per stage: the covering (`covering_resolve`)
-//! and the cell loop (`pyramid_combine`, cache probes included), each timed
-//! once per request. Timing a loop per cell would read the clock twice per
+//! and the cell loop (`pyramid_combine`), each timed once per request. Timing a loop per cell would read the clock twice per
 //! covering cell and charge the clock to the stages, so the stage times
 //! would add up to more than the request's wall time.
 
@@ -18,22 +17,17 @@ fn a_traced_select_is_one_covering_span_and_one_loop_span() {
         sample_rate: 1,
         ..TraceConfig::default()
     }));
-    let engine = GeoBlockEngine::new(block, 0.1).with_tracer(tracer);
+    let engine = GeoBlockEngine::new(block).with_tracer(tracer);
     let spec = AggSpec::k_aggregates(base.schema(), 4);
     let polys = polygons::neighborhoods(16, 7);
 
-    // A cold pass, then the same polygons after a rebuild: the second
-    // pass answers some cells from the cache inside the same span.
+    // A cold pass, then the same polygons with their coverings memoized.
     for _ in 0..2 {
         for poly in &polys {
             engine.select(poly, &spec);
         }
-        engine.rebuild_cache();
     }
-    assert!(
-        engine.metrics().direct_hits > 0,
-        "the warm pass hit the cache"
-    );
+    assert_eq!(engine.memo_stats().hits, polys.len() as u64);
 
     let traces = engine.tracer().recent();
     assert_eq!(traces.len(), 2 * polys.len());
