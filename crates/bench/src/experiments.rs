@@ -999,8 +999,8 @@ pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
         ));
     }
     rep.note(
-        "Load replaces extract+build AND restores the learned cache: a restarted engine \
-         answers its first query warm (zero cold-start misses).",
+        "Load replaces extract+build; the file holds the block only, so the covering memo \
+         and the serve-side result cache start empty after a load.",
     );
     rep.note(
         "Expected shape: load ÷ rebuild ≤ 0.5 from ~100k rows up and falling with scale — \
@@ -1102,7 +1102,7 @@ pub fn scale_threads(ctx: &Ctx, thread_counts: &[usize]) -> (Report, Vec<BenchRe
         let mut per_query_ns = Vec::with_capacity(QUERY_REPS);
         for _ in 0..QUERY_REPS {
             let timer = gb_common::Timer::start();
-            pool.run(t, |_| {
+            pool.run(0..t, |_| {
                 for q in &workload.queries {
                     std::hint::black_box(engine.select(&q.polygon, &q.spec));
                 }

@@ -17,9 +17,7 @@
 //! TSan's job, see `DESIGN.md`).
 
 use crate::ctx;
-use gb_common::sync::backend::{
-    AtomicU64Api, AtomicUsizeApi, Backend, MutexApi, Ordering, RwLockApi,
-};
+use gb_common::sync::backend::{AtomicU64Api, Backend, MutexApi, Ordering, RwLockApi};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 
@@ -31,12 +29,6 @@ impl Backend for CheckedBackend {
     type Mutex<T: Send> = CheckedMutex<T>;
     type RwLock<T: Send + Sync> = CheckedRwLock<T>;
     type AtomicU64 = CheckedAtomicU64;
-    type AtomicUsize = CheckedAtomicUsize;
-
-    fn yield_now() {
-        let (sched, tid) = ctx::current();
-        sched.yield_now(tid);
-    }
 }
 
 /// A mutex whose blocking is modeled by the scheduler.
@@ -216,40 +208,6 @@ impl AtomicU64Api for CheckedAtomicU64 {
     }
 
     fn fetch_add(&self, value: u64, _order: Ordering) -> u64 {
-        atomic_step(|| unsafe {
-            let p = self.cell.get();
-            let old = *p;
-            *p = old.wrapping_add(value);
-            old
-        })
-    }
-}
-
-/// A `usize` atomic whose every operation is a switch point.
-#[derive(Debug)]
-pub struct CheckedAtomicUsize {
-    cell: UnsafeCell<usize>,
-}
-
-unsafe impl Send for CheckedAtomicUsize {}
-unsafe impl Sync for CheckedAtomicUsize {}
-
-impl AtomicUsizeApi for CheckedAtomicUsize {
-    fn new(value: usize) -> Self {
-        CheckedAtomicUsize {
-            cell: UnsafeCell::new(value),
-        }
-    }
-
-    fn load(&self, _order: Ordering) -> usize {
-        atomic_step(|| unsafe { *self.cell.get() })
-    }
-
-    fn store(&self, value: usize, _order: Ordering) {
-        atomic_step(|| unsafe { *self.cell.get() = value })
-    }
-
-    fn fetch_add(&self, value: usize, _order: Ordering) -> usize {
         atomic_step(|| unsafe {
             let p = self.cell.get();
             let old = *p;

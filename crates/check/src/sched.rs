@@ -3,7 +3,7 @@
 //!
 //! Model code runs on ordinary `std` threads, but every *visible*
 //! operation (lock acquire/release, rwlock read/write, atomic op, spawn,
-//! join, yield) first parks at a **switch point** and waits for the
+//! join) first parks at a **switch point** and waits for the
 //! controller to grant it the token. At most one model thread is ever
 //! runnable, so execution is a pure function of the grant sequence — the
 //! *schedule* — and a failing schedule replays exactly.
@@ -15,7 +15,7 @@
 //! (with every waiter's lock name), instead of hanging the test.
 //!
 //! The scheduler also enforces the workspace lock-rank order (the same
-//! `rebuild/publish(0) < memo(1) < state(2) < queue(3) < serve(4)`
+//! `publish_guard(0) < memo(1) < state(2) < serve(4)`
 //! table as `gb_common::sync`): acquiring a checked lock whose rank is
 //! not strictly above every rank the thread holds fails the schedule.
 //!
@@ -59,10 +59,6 @@ enum Status {
 #[derive(Debug)]
 struct ThreadSlot {
     status: Status,
-    /// Set by `yield_now`: deprioritized until some other thread runs,
-    /// so polite spin loops (`Pop::Empty` → yield) cannot starve the
-    /// producer they are waiting on, and the schedule tree stays finite.
-    yielded: bool,
     /// Ranks (and names) of checked locks this thread holds — the
     /// model-time counterpart of `gb_common::sync`'s HELD stack.
     held: Vec<(u8, &'static str)>,
@@ -139,7 +135,6 @@ impl Scheduler {
         let mut st = self.lock();
         st.threads.push(ThreadSlot {
             status: Status::Paused,
-            yielded: false,
             held: Vec::new(),
         });
         st.threads.len() - 1
@@ -195,30 +190,19 @@ impl Scheduler {
         let _st = self.wait_for_grant(st, tid);
     }
 
-    fn park(&self, tid: usize, yielded: bool) {
+    /// A switch point: hand the token back and wait to be rescheduled.
+    /// Every checked primitive calls this immediately before its visible
+    /// operation.
+    pub(crate) fn switch_point(&self, tid: usize) {
         let mut st = self.lock();
         if st.abort {
             drop(st);
             panic::resume_unwind(Box::new(AbortToken));
         }
         st.threads[tid].status = Status::Paused;
-        st.threads[tid].yielded = yielded;
         st.active = None;
         self.cv.notify_all();
         let _st = self.wait_for_grant(st, tid);
-    }
-
-    /// A switch point: hand the token back and wait to be rescheduled.
-    /// Every checked primitive calls this immediately before its visible
-    /// operation.
-    pub(crate) fn switch_point(&self, tid: usize) {
-        self.park(tid, false);
-    }
-
-    /// A polite switch point: also deprioritize this thread until
-    /// another one has run (see [`ThreadSlot::yielded`]).
-    pub(crate) fn yield_now(&self, tid: usize) {
-        self.park(tid, true);
     }
 
     /// Move to `Blocked(wait)` and park until granted again (the
@@ -453,20 +437,7 @@ impl Scheduler {
                 st = self.lock();
                 continue;
             }
-            let eager: Vec<usize> = paused
-                .iter()
-                .copied()
-                .filter(|&i| !st.threads[i].yielded)
-                .collect();
-            if eager.is_empty() {
-                // Only yielded threads remain eligible: their yield has
-                // served its purpose, clear the flags and offer them.
-                for &i in &paused {
-                    st.threads[i].yielded = false;
-                }
-                return Decision::Choose(paused);
-            }
-            return Decision::Choose(eager);
+            return Decision::Choose(paused);
         }
     }
 
@@ -482,11 +453,6 @@ impl Scheduler {
                 self.max_steps
             ));
             return false;
-        }
-        // Granting anyone resets yield deprioritization: each parked
-        // yielder had its chance ceded to someone.
-        for t in &mut st.threads {
-            t.yielded = false;
         }
         st.threads[tid].status = Status::Granted;
         st.active = Some(tid);

@@ -19,8 +19,8 @@
 //! * [`pool`] — a std-only scoped fork-join pool ([`Pool::run`]) used by
 //!   the parallel extract and build and the concurrent query benchmarks,
 //!   plus [`pool::spawn_join`] for panic-isolated one-off threads. Its
-//!   task queue is a backend-generic kernel ([`pool::TaskQueue`]) so the
-//!   shutdown/drain logic is model-checkable.
+//!   workers share nothing but relaxed statistics counters, so it has no
+//!   kernel to model-check.
 //! * [`sync`] — rank-ordered lock wrappers ([`sync::OrderedMutex`],
 //!   [`sync::OrderedRwLock`]) that enforce the declared engine lock
 //!   order at runtime under `debug_assertions` and absorb poisoning;

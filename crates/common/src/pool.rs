@@ -1,13 +1,15 @@
 //! A minimal scoped thread pool for data-parallel fan-out.
 //!
 //! The build environment has no crates.io access, so instead of `rayon`
-//! this module provides the small std-only subset the workspace needs:
-//! fork-join over an indexed task list ([`Pool::run`]) with a shared work
-//! queue. There is deliberately **no work stealing** — tasks are handed
-//! out through one [`TaskQueue`], a mutex-guarded `VecDeque` of task
-//! indices that `gb_check` model-checks, which keeps the implementation
-//! tiny and the task pickup order irrelevant to results (`run` returns
-//! results in task order, not completion order).
+//! this module provides the small std-only subset the workspace needs: a
+//! static fork-join ([`Pool::run`]). Item *i* runs on worker *i* mod *w*;
+//! each worker owns its items and its results, and the results are put
+//! back in item order after the join. Workers share nothing but the
+//! relaxed statistics counters below — no queue, no cursor, no lock — so
+//! there is no interleaving to model-check, and the assignment is fixed
+//! by the item order alone. Every caller's items cost about the same
+//! (one row range per thread, one column per gather task, one accept
+//! loop per worker), so a static split loses nothing to a dynamic one.
 //!
 //! Threads are scoped (`std::thread::scope`), so closures may borrow from
 //! the caller's stack; nothing here requires `'static`.
@@ -18,9 +20,6 @@
 //! tested against.
 
 use crate::stats::Counter;
-use crate::sync::backend::{Backend, MutexApi, StdBackend};
-use std::collections::VecDeque;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Process-wide pool observability counters. They are statics rather
@@ -35,11 +34,12 @@ static POOL_BUSY_NS: Counter = Counter::new();
 /// Snapshot of the process-wide pool counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks queued but not yet finished (a gauge; 0 when idle).
+    /// Items handed to a [`Pool::run`] but not yet finished (a gauge; 0
+    /// when idle).
     pub queue_depth: u64,
-    /// Tasks executed to completion since process start.
+    /// Items run to completion since process start.
     pub tasks_total: u64,
-    /// Cumulative wall-clock nanoseconds workers spent executing tasks
+    /// Cumulative wall-clock nanoseconds workers spent running items
     /// (inline runs count the caller's loop). Sums across workers, so it
     /// can exceed elapsed wall time.
     pub busy_ns_total: u64,
@@ -60,112 +60,6 @@ pub fn stats() -> PoolStats {
 fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
-
-/// Outcome of one [`TaskQueue::pop`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pop {
-    /// A task index to run.
-    Task(usize),
-    /// Nothing queued right now, but producers may still push: retry
-    /// (politely — see [`TaskQueue::drain`]).
-    Empty,
-    /// The queue is closed and fully drained: no task will ever appear.
-    Closed,
-}
-
-/// The pool's work-distribution kernel: a closeable FIFO of task
-/// indices, generic over the sync [`Backend`] so `gb_check` can explore
-/// its interleavings (the production [`Pool`] instantiates it with
-/// [`StdBackend`]).
-///
-/// Shutdown contract — the invariant the model checker proves:
-///
-/// * every task pushed before [`TaskQueue::close`] is handed out by
-///   [`TaskQueue::pop`] **exactly once**, regardless of how pushes,
-///   closes, and pops interleave;
-/// * a push after close is *rejected* (returns `false`), never silently
-///   dropped;
-/// * after close, every worker draining the queue terminates
-///   ([`Pop::Closed`] once the backlog is gone).
-pub struct TaskQueue<B: Backend = StdBackend> {
-    queue: B::Mutex<QueueState>,
-}
-
-#[derive(Debug)]
-struct QueueState {
-    tasks: VecDeque<usize>,
-    closed: bool,
-}
-
-impl<B: Backend> TaskQueue<B> {
-    /// An open, empty queue.
-    pub fn new() -> TaskQueue<B> {
-        TaskQueue {
-            queue: B::Mutex::new(
-                "queue",
-                RANK_QUEUE,
-                QueueState {
-                    tasks: VecDeque::new(),
-                    closed: false,
-                },
-            ),
-        }
-    }
-
-    /// Enqueue `task`. Returns `false` (and enqueues nothing) if the
-    /// queue is already closed.
-    pub fn push(&self, task: usize) -> bool {
-        let mut q = self.queue.lock();
-        if q.closed {
-            return false;
-        }
-        q.tasks.push_back(task);
-        true
-    }
-
-    /// Close the queue: no further pushes are accepted; already-queued
-    /// tasks remain poppable until drained.
-    pub fn close(&self) {
-        self.queue.lock().closed = true;
-    }
-
-    /// Take the next task, if any.
-    pub fn pop(&self) -> Pop {
-        let mut q = self.queue.lock();
-        match q.tasks.pop_front() {
-            Some(task) => Pop::Task(task),
-            None if q.closed => Pop::Closed,
-            None => Pop::Empty,
-        }
-    }
-
-    /// Worker loop: run `f` on every task handed out until the queue
-    /// closes and drains. [`Pop::Empty`] yields (a scheduling point
-    /// under the model checker) and retries, so a worker that outpaces
-    /// the producer spins politely instead of exiting early and dropping
-    /// the tasks queued after its last look.
-    pub fn drain(&self, mut f: impl FnMut(usize)) {
-        loop {
-            match self.pop() {
-                Pop::Task(i) => f(i),
-                Pop::Empty => B::yield_now(),
-                Pop::Closed => break,
-            }
-        }
-    }
-}
-
-impl<B: Backend> Default for TaskQueue<B> {
-    fn default() -> Self {
-        TaskQueue::new()
-    }
-}
-
-/// Rank of the pool task queue in the declared lock order: above every
-/// engine lock (`rebuild_guard`=0 < `shards`=1 < `state`=2), because a
-/// caller may submit work while holding engine locks but queue-holding
-/// code never re-enters the engine.
-const RANK_QUEUE: u8 = 3;
 
 /// Number of worker threads to use by default: the `GB_THREADS` environment
 /// variable if set (≥ 1), otherwise [`std::thread::available_parallelism`].
@@ -190,9 +84,10 @@ pub const MIN_ROWS_PER_THREAD: usize = 32_768;
 /// A fork-join executor with a fixed thread count.
 ///
 /// The pool itself holds no threads; each call spawns scoped workers that
-/// drain a shared queue of task indices and exit. For the chunk sizes this
-/// workspace uses (thousands of rows or queries per task) the spawn cost is
-/// noise; what matters is that results are deterministic and ordered.
+/// run their share of the items and exit. For the work this workspace
+/// hands it (a row range, a column, an accept loop per item) the spawn
+/// cost is noise; what matters is that results are deterministic and
+/// ordered.
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     threads: usize,
@@ -243,59 +138,62 @@ impl Pool {
         }
     }
 
-    /// Run `n_tasks` independent tasks, returning `f(i)` for each `i` in
-    /// task order. Tasks are claimed from a shared queue, so long tasks do
-    /// not stall short ones behind a static partition.
-    pub fn run<R, F>(&self, n_tasks: usize, f: F) -> Vec<R>
+    /// Run `f` on every item, returning the results in item order. Item
+    /// *i* runs on worker *i* mod *w* (*w* = threads, at most one per
+    /// item); each worker returns its results, and they are dealt back
+    /// into item order after the join. A worker's panic resumes on the
+    /// caller once every worker has stopped.
+    pub fn run<T, R>(&self, items: impl IntoIterator<Item = T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
     where
+        T: Send,
         R: Send,
-        F: Fn(usize) -> R + Sync,
     {
-        if n_tasks == 0 {
-            return Vec::new();
-        }
-        POOL_QUEUED.add(n_tasks as u64);
-        if self.threads == 1 || n_tasks == 1 {
+        let items: Vec<T> = items.into_iter().collect();
+        let n = items.len();
+        POOL_QUEUED.add(n as u64);
+        let run_lane = |lane: Vec<T>| -> Vec<R> {
             let start = Instant::now();
-            let out: Vec<R> = (0..n_tasks).map(&f).collect();
+            let out = lane
+                .into_iter()
+                .map(|item| {
+                    let r = f(item);
+                    POOL_TASKS.incr();
+                    POOL_FINISHED.incr();
+                    r
+                })
+                .collect();
             POOL_BUSY_NS.add(elapsed_ns(start));
-            POOL_TASKS.add(n_tasks as u64);
-            POOL_FINISHED.add(n_tasks as u64);
-            return out;
+            out
+        };
+        let workers = self.threads.min(n);
+        if workers <= 1 {
+            return run_lane(items);
         }
 
-        // The model-checked task-queue kernel, pre-filled with every
-        // index and closed before the workers start: pops never block
-        // and never spin, each worker exits on `Closed` once the backlog
-        // is drained.
-        let queue = TaskQueue::<StdBackend>::new();
-        for i in 0..n_tasks {
-            queue.push(i);
+        let mut lanes: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, item) in items.into_iter().enumerate() {
+            lanes[i % workers].push(item);
         }
-        queue.close();
-
-        let workers = self.threads.min(n_tasks);
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n_tasks);
-        out.resize_with(n_tasks, || None);
-        let slots = Mutex::new(&mut out);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let start = Instant::now();
-                    queue.drain(|i| {
-                        let r = f(i);
-                        slots.lock().expect("slot lock")[i] = Some(r);
-                        POOL_TASKS.incr();
-                        POOL_FINISHED.incr();
-                    });
-                    POOL_BUSY_NS.add(elapsed_ns(start));
-                });
-            }
+        let run_lane = &run_lane;
+        let mut results: Vec<std::vec::IntoIter<R>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = lanes
+                .into_iter()
+                .map(|lane| scope.spawn(move || run_lane(lane)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(out) => out.into_iter(),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                })
+                .collect()
         });
-
-        out.into_iter()
-            .map(|r| r.expect("every task ran"))
+        (0..n)
+            .map(|i| {
+                results[i % workers]
+                    .next()
+                    .expect("worker i mod w ran item i")
+            })
             .collect()
     }
 }
@@ -309,7 +207,7 @@ mod tests {
     fn run_returns_results_in_task_order() {
         for threads in [1, 2, 4, 7] {
             let pool = Pool::new(threads);
-            let out = pool.run(100, |i| i * i);
+            let out = pool.run(0..100, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -317,14 +215,14 @@ mod tests {
     #[test]
     fn run_handles_empty_and_single() {
         let pool = Pool::new(4);
-        assert_eq!(pool.run(0, |i| i), Vec::<usize>::new());
-        assert_eq!(pool.run(1, |i| i + 10), vec![10]);
+        assert_eq!(pool.run(0..0, |i| i), Vec::<usize>::new());
+        assert_eq!(pool.run(0..1, |i| i + 10), vec![10]);
     }
 
     #[test]
     fn more_threads_than_tasks_is_fine() {
         let pool = Pool::new(16);
-        let out = pool.run(3, |i| i);
+        let out = pool.run(0..3, |i| i);
         assert_eq!(out, vec![0, 1, 2]);
     }
 
@@ -333,7 +231,7 @@ mod tests {
         let data: Vec<u32> = (0..500).collect();
         let touched = AtomicUsize::new(0);
         let pool = Pool::new(4);
-        let out = pool.run(50, |i| {
+        let out = pool.run(0..50, |i| {
             touched.fetch_add(1, Ordering::Relaxed);
             data[i * 10]
         });
@@ -363,33 +261,44 @@ mod tests {
     }
 
     #[test]
-    fn task_queue_fifo_and_close_semantics() {
-        let q = TaskQueue::<StdBackend>::new();
-        assert_eq!(q.pop(), Pop::Empty, "open and empty: retryable");
-        assert!(q.push(1));
-        assert!(q.push(2));
-        q.close();
-        assert!(!q.push(3), "push after close is rejected");
-        assert_eq!(q.pop(), Pop::Task(1));
-        assert_eq!(q.pop(), Pop::Task(2));
-        assert_eq!(q.pop(), Pop::Closed);
-        assert_eq!(q.pop(), Pop::Closed, "closed stays closed");
+    fn item_i_runs_on_worker_i_mod_w() {
+        let pool = Pool::new(3);
+        let ids = pool.run(0..9, |_| std::thread::current().id());
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(*id, ids[i % 3], "item {i}");
+        }
+        assert!(ids[0] != ids[1] && ids[1] != ids[2] && ids[0] != ids[2]);
     }
 
     #[test]
-    fn task_queue_drain_runs_backlog_exactly_once() {
-        let q = TaskQueue::<StdBackend>::default();
-        for i in 0..50 {
-            q.push(i);
-        }
-        q.close();
-        let seen = Mutex::new(vec![0u32; 50]);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| q.drain(|i| seen.lock().expect("seen")[i] += 1));
-            }
+    fn owned_items_move_into_their_worker() {
+        let words: Vec<String> = ["a", "bb", "ccc", "dddd", "eeeee"]
+            .iter()
+            .map(|w| w.to_string())
+            .collect();
+        let out = Pool::new(2).run(words, |mut w| {
+            w.push('!');
+            w
         });
-        assert!(seen.lock().expect("seen").iter().all(|&n| n == 1));
+        assert_eq!(out, ["a!", "bb!", "ccc!", "dddd!", "eeeee!"]);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            Pool::new(2).run(0..4, |i| {
+                if i == 3 {
+                    panic!("item {i} failed");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the panic resumes on the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, "item 3 failed");
     }
 
     #[test]
@@ -402,8 +311,8 @@ mod tests {
         // The counters are process-wide and other tests run concurrently,
         // so assert on deltas only.
         let before = stats();
-        Pool::new(1).run(5, |i| i); // inline path
-        Pool::new(3).run(8, |i| i); // threaded path
+        Pool::new(1).run(0..5, |i| i); // inline path
+        Pool::new(3).run(0..8, |i| i); // threaded path
         let after = stats();
         assert!(after.tasks_total >= before.tasks_total + 13);
         assert!(after.busy_ns_total >= before.busy_ns_total);

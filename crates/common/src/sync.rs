@@ -270,22 +270,22 @@ mod tests {
 
     #[test]
     fn in_order_acquisition_is_fine() {
-        let guard = OrderedMutex::new("rebuild_guard", 0, ());
-        let shard = OrderedMutex::new("shard", 1, 7u64);
-        let trie = OrderedRwLock::new("trie", 2, vec![1, 2, 3]);
+        let guard = OrderedMutex::new("publish_guard", 0, ());
+        let memo = OrderedMutex::new("memo", 1, 7u64);
+        let state = OrderedRwLock::new("state", 2, vec![1, 2, 3]);
         let _g = guard.lock();
-        let s = shard.lock();
+        let s = memo.lock();
         assert_eq!(*s, 7);
         drop(s);
-        assert_eq!(trie.read().len(), 3);
-        *trie.write() = vec![9];
-        assert_eq!(trie.read()[0], 9);
+        assert_eq!(state.read().len(), 3);
+        *state.write() = vec![9];
+        assert_eq!(state.read()[0], 9);
     }
 
     #[test]
     fn sequential_same_rank_is_fine() {
-        let a = OrderedMutex::new("shard", 1, 0u32);
-        let b = OrderedMutex::new("shard", 1, 0u32);
+        let a = OrderedMutex::new("memo", 1, 0u32);
+        let b = OrderedMutex::new("memo", 1, 0u32);
         // Dropping between acquisitions keeps at most one rank-1 lock held.
         for m in [&a, &b] {
             *m.lock() += 1;
@@ -296,17 +296,17 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn out_of_order_acquisition_panics() {
-        let trie = Arc::new(OrderedRwLock::new("trie", 2, ()));
-        let guard = Arc::new(OrderedMutex::new("rebuild_guard", 0, ()));
+        let state = Arc::new(OrderedRwLock::new("state", 2, ()));
+        let guard = Arc::new(OrderedMutex::new("publish_guard", 0, ()));
         let result = spawn_join(move || {
-            let _t = trie.read();
+            let _t = state.read();
             let _g = guard.lock(); // rank 0 after rank 2: violation
         });
         let err = result.expect_err("must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("lock-order violation"), "{msg}");
         assert!(
-            msg.contains("rebuild_guard") && msg.contains("trie"),
+            msg.contains("publish_guard") && msg.contains("state"),
             "{msg}"
         );
     }
@@ -314,7 +314,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn reentrant_acquisition_panics() {
-        let m = Arc::new(OrderedMutex::new("rebuild_guard", 0, ()));
+        let m = Arc::new(OrderedMutex::new("publish_guard", 0, ()));
         let result = spawn_join(move || {
             let _a = m.lock();
             let _b = m.lock(); // same rank: re-entry, would self-deadlock
@@ -325,8 +325,8 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn violation_does_not_corrupt_the_held_stack() {
-        let lo = Arc::new(OrderedMutex::new("rebuild_guard", 0, ()));
-        let hi = Arc::new(OrderedRwLock::new("trie", 2, ()));
+        let lo = Arc::new(OrderedMutex::new("publish_guard", 0, ()));
+        let hi = Arc::new(OrderedRwLock::new("state", 2, ()));
         let (lo2, hi2) = (Arc::clone(&lo), Arc::clone(&hi));
         let result = spawn_join(move || {
             let _t = hi2.read();
@@ -341,8 +341,8 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover() {
-        let m = Arc::new(OrderedMutex::new("shard", 1, 41u64));
-        let rw = Arc::new(OrderedRwLock::new("trie", 2, String::from("ok")));
+        let m = Arc::new(OrderedMutex::new("memo", 1, 41u64));
+        let rw = Arc::new(OrderedRwLock::new("state", 2, String::from("ok")));
         let (m2, rw2) = (Arc::clone(&m), Arc::clone(&rw));
         let result = spawn_join(move || {
             let _a = m2.lock();

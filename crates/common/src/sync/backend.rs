@@ -2,14 +2,14 @@
 //! into.
 //!
 //! Every concurrency *kernel* in this workspace — the engine's
-//! epoch-swap publication, the serve-side result cache and quota table,
-//! the pool's task queue — is written once, generic over a [`Backend`].
+//! epoch-swap publication, the serve-side result cache and quota table —
+//! is written once, generic over a [`Backend`].
 //! In production the kernels are instantiated with [`StdBackend`], which
 //! compiles straight to the rank-ordered `std::sync` wrappers from
 //! [`crate::sync`] (zero new cost: the facade traits are monomorphized
 //! away). Under the model checker the same kernel code is instantiated
 //! with `gb_check::CheckedBackend`, whose primitives hand every
-//! acquisition, atomic access, and yield to a deterministic scheduler
+//! acquisition and atomic access to a deterministic scheduler
 //! that explores bounded interleavings exhaustively.
 //!
 //! Design notes:
@@ -25,10 +25,8 @@
 //! * [`Arc`] is re-exported as-is for both backends: reference counting
 //!   is handled by `std` and is not an exploration point — kernels share
 //!   state through `Arc` and synchronize through the facade types.
-//! * [`Backend::yield_now`] is the facade for spin-loop politeness
-//!   (`std::thread::yield_now` in production). The checked backend turns
-//!   it into a scheduling point that de-prioritizes the yielding thread,
-//!   which is what keeps bounded exploration of spin loops finite.
+//! * No kernel spins: each one blocks on a lock or finishes, so the
+//!   facade has no yield point.
 
 use std::ops::{Deref, DerefMut};
 
@@ -88,18 +86,6 @@ pub trait AtomicU64Api: Send + Sync {
     fn fetch_add(&self, value: u64, order: Ordering) -> u64;
 }
 
-/// Facade over a pointer-width atomic counter/cell.
-pub trait AtomicUsizeApi: Send + Sync {
-    /// A new atomic holding `value`.
-    fn new(value: usize) -> Self;
-    /// Atomic load.
-    fn load(&self, order: Ordering) -> usize;
-    /// Atomic store.
-    fn store(&self, value: usize, order: Ordering);
-    /// Atomic add, returning the previous value.
-    fn fetch_add(&self, value: usize, order: Ordering) -> usize;
-}
-
 /// A family of concurrency primitives a kernel can be instantiated with.
 ///
 /// Production code uses [`StdBackend`]; `gb_check` provides
@@ -134,13 +120,6 @@ pub trait Backend: Sized + 'static {
     type RwLock<T: Send + Sync>: RwLockApi<T>;
     /// 64-bit atomic family.
     type AtomicU64: AtomicU64Api;
-    /// Pointer-width atomic family.
-    type AtomicUsize: AtomicUsizeApi;
-
-    /// Politeness point in a spin/retry loop. Production: OS yield.
-    /// Checked: a scheduling point that lets every other runnable thread
-    /// take a step before this one retries.
-    fn yield_now();
 }
 
 /// The production backend: facades compile directly to the rank-ordered
@@ -153,11 +132,6 @@ impl Backend for StdBackend {
     type Mutex<T: Send> = super::OrderedMutex<T>;
     type RwLock<T: Send + Sync> = super::OrderedRwLock<T>;
     type AtomicU64 = std::sync::atomic::AtomicU64;
-    type AtomicUsize = std::sync::atomic::AtomicUsize;
-
-    fn yield_now() {
-        std::thread::yield_now();
-    }
 }
 
 impl<T: Send> MutexApi<T> for super::OrderedMutex<T> {
@@ -213,21 +187,6 @@ impl AtomicU64Api for std::sync::atomic::AtomicU64 {
     }
 }
 
-impl AtomicUsizeApi for std::sync::atomic::AtomicUsize {
-    fn new(value: usize) -> Self {
-        std::sync::atomic::AtomicUsize::new(value)
-    }
-    fn load(&self, order: Ordering) -> usize {
-        std::sync::atomic::AtomicUsize::load(self, order)
-    }
-    fn store(&self, value: usize, order: Ordering) {
-        std::sync::atomic::AtomicUsize::store(self, value, order)
-    }
-    fn fetch_add(&self, value: usize, order: Ordering) -> usize {
-        std::sync::atomic::AtomicUsize::fetch_add(self, value, order)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,14 +230,5 @@ mod tests {
         assert_eq!(**c.slot.read(), 7);
         *c.slot.write() = Arc::new(9);
         assert_eq!(**c.slot.read(), 9);
-    }
-
-    #[test]
-    fn atomic_usize_facade_matches_std() {
-        let a = <StdBackend as Backend>::AtomicUsize::new(5);
-        assert_eq!(a.fetch_add(2, Ordering::AcqRel), 5);
-        a.store(11, Ordering::Release);
-        assert_eq!(a.load(Ordering::Acquire), 11);
-        StdBackend::yield_now();
     }
 }

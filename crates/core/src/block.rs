@@ -41,15 +41,9 @@ pub struct GeoBlock {
     /// the block level (see `materialised`). That last one — the
     /// block-level cell aggregates — is the stored state; a block under
     /// construction holds nothing else. The coarser ones are derived:
-    /// never serialized, and rebuilt with the fields below by every
-    /// producer through `refresh_derived`, the one place the folds run.
+    /// never serialized, and rebuilt by every producer through
+    /// `refresh_derived`, the one place the folds run.
     pub(crate) layers: Vec<Layer>,
-
-    /// Derived: the smallest block-level cell id (raw) present, 0 in an
-    /// empty block.
-    pub(crate) min_cell: u64,
-    /// Derived: the largest block-level cell id (raw) present.
-    pub(crate) max_cell: u64,
 }
 
 impl GeoBlock {
@@ -61,8 +55,6 @@ impl GeoBlock {
             grid,
             schema,
             layers: vec![records],
-            min_cell: 0,
-            max_cell: 0,
         }
     }
 
@@ -187,11 +179,10 @@ impl GeoBlock {
     /// empty block.
     #[inline]
     fn leaf_extent(&self) -> Option<(u64, u64)> {
-        (self.num_cells() > 0).then(|| {
-            let first = CellId::from_raw(self.min_cell).range_min();
-            let last = CellId::from_raw(self.max_cell).range_max();
-            (first.raw(), last.raw())
-        })
+        let keys = &self.records().keys;
+        let first = CellId::from_raw(*keys.first()?).range_min();
+        let last = CellId::from_raw(*keys.last()?).range_max();
+        Some((first.raw(), last.raw()))
     }
 
     /// Bytes of one cell-aggregate record for this schema: key (8) +
@@ -220,10 +211,10 @@ impl GeoBlock {
         self.aggregate_bytes() + self.derived_bytes()
     }
 
-    /// Rebuild everything derived (the key extent and the coarser layers)
-    /// from the stored layer, the last in `layers` whether stale coarser
-    /// ones precede it or not — the single funnel every producer (build,
-    /// coarsen, updates, snapshot load) ends in.
+    /// Rebuild everything derived (the coarser layers) from the stored
+    /// layer, the last in `layers` whether stale coarser ones precede it
+    /// or not — the single funnel every producer (build, coarsen,
+    /// updates, snapshot load) ends in.
     /// The levels are one cascade: each is the fold of the next finer one
     /// (`Layer::fold_to`), from the block level up to the root record.
     /// Each step needs the one before, so it runs on the calling thread.
@@ -238,9 +229,6 @@ impl GeoBlock {
         };
         // Release the stale layers before folding their replacement.
         self.layers = Vec::new();
-
-        self.min_cell = records.keys.first().copied().unwrap_or(0);
-        self.max_cell = records.keys.last().copied().unwrap_or(0);
 
         let mut layers = Vec::with_capacity(usize::from(records.level) / 2 + 2);
         layers.push(records);
@@ -324,11 +312,6 @@ impl GeoBlock {
         let kept: Vec<u8> = (0..=block).filter(|&l| materialised(l, block)).collect();
         assert_eq!(levels, kept, "materialised levels");
         let fresh = self.coarsen(self.level());
-        assert_eq!(
-            (self.min_cell, self.max_cell),
-            (fresh.min_cell, fresh.max_cell),
-            "stale key extent"
-        );
         for (have, want) in self.layers.iter().zip(&fresh.layers) {
             let l = have.level;
             if let Err(e) = have.validate() {

@@ -130,9 +130,8 @@ impl Layer {
     }
 
     /// Append the record of a cell no tuple has reached yet; `key` must
-    /// exceed every key in the layer. A block's producer follows it with
-    /// [`Layer::add_tuple`] (a block never stores a zero count); the cache
-    /// keeps it as its record of a cell without data.
+    /// exceed every key in the layer. Every producer follows it with
+    /// [`Layer::add_tuple`]: a block never stores a zero count.
     #[inline]
     pub(crate) fn push_empty(&mut self, key: u64) {
         self.keys.push(key);

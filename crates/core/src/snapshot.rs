@@ -115,11 +115,14 @@ impl Header {
             Some(root) => [root.mins, root.maxs, root.sums].map(<[f64]>::to_vec),
             None => [f64::INFINITY, f64::NEG_INFINITY, 0.0].map(|v| vec![v; c]),
         };
+        // The key extent: the first and the last block-level key, 0 and 0
+        // in an empty block.
+        let keys = &block.records().keys;
         Header {
             level: block.level(),
             n_rows: block.num_rows(),
-            min_cell: block.min_cell,
-            max_cell: block.max_cell,
+            min_cell: keys.first().copied().unwrap_or(0),
+            max_cell: keys.last().copied().unwrap_or(0),
             globals,
         }
     }

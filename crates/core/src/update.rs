@@ -23,9 +23,8 @@
 //! finite, and lies inside the grid's closed domain — the grid clamps, so
 //! a tuple outside it would be folded into a border cell and break the
 //! §3.2 error bound. A batch with one bad row is rejected whole, before
-//! anything changes. The engine additionally fills its cache's keys again
-//! from the updated block, so every cached record stays a copy of the
-//! block's.
+//! anything changes. The engine keeps no record beside the block, so
+//! publishing the block is the whole update.
 
 use crate::api::{check_update_row, GbError};
 use crate::block::GeoBlock;

@@ -151,7 +151,7 @@ fn extract_on(
     let cuts: Vec<u32> = (0..=chunks)
         .map(|i| row_index(n / chunks * i + (n % chunks).min(i)))
         .collect();
-    let runs = pool.run(chunks, |i| {
+    let runs = pool.run(0..chunks, |i| {
         let rows = cuts[i]..cuts[i + 1];
         let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(rows.len());
         for row in rows {

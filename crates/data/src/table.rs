@@ -375,7 +375,7 @@ pub(crate) fn apply_permutation(
     perm: &[u32],
 ) -> BaseTable {
     let mut gathered = pool
-        .run(2 + raw.columns.len(), |task| match task {
+        .run(0..2 + raw.columns.len(), |task| match task {
             0 => Column::F64(permuted(&raw.xs, perm)),
             1 => Column::F64(permuted(&raw.ys, perm)),
             _ => raw.columns[task - 2].permuted(perm),

@@ -72,19 +72,16 @@ impl Config {
                 "crates/data/src/table.rs",
             ]),
             relaxed_blessed: s(&["crates/common/src/stats.rs"]),
-            // The workspace lock order: publisher guards first, then the
-            // covering-memo shards (leaf locks that never nest), then the
-            // state pointer (block + data epoch), then the pool queue, then
-            // the serve-layer
+            // The workspace lock order: the publisher guard first, then
+            // the covering-memo shards (leaf locks that never nest), then
+            // the state pointer (block + data epoch), then the serve-layer
             // leaf locks (result-cache entries, quota buckets). The same
             // table is enforced at runtime by `gb_common::sync` and at
             // model time by `gb_check`.
             lock_ranks: vec![
-                ("rebuild_guard".to_string(), 0),
                 ("publish_guard".to_string(), 0),
                 ("memo".to_string(), 1),
                 ("state".to_string(), 2),
-                ("queue".to_string(), 3),
                 ("entries".to_string(), 4),
                 ("buckets".to_string(), 4),
                 // gb_serve's per-worker handle on the stream being
@@ -164,18 +161,15 @@ mod tests {
     #[test]
     fn lock_ranks_are_ordered() {
         let cfg = Config::workspace();
-        assert!(cfg.lock_rank("rebuild_guard") < cfg.lock_rank("memo"));
+        assert!(cfg.lock_rank("publish_guard") < cfg.lock_rank("memo"));
         assert!(cfg.lock_rank("memo") < cfg.lock_rank("state"));
-        assert!(cfg.lock_rank("state") < cfg.lock_rank("queue"));
-        assert!(cfg.lock_rank("queue") < cfg.lock_rank("entries"));
-        assert_eq!(
-            cfg.lock_rank("publish_guard"),
-            cfg.lock_rank("rebuild_guard")
-        );
+        assert!(cfg.lock_rank("state") < cfg.lock_rank("entries"));
         assert_eq!(cfg.lock_rank("entries"), cfg.lock_rank("buckets"));
         assert_eq!(cfg.lock_rank("traces"), cfg.lock_rank("entries"));
         assert_eq!(cfg.lock_rank("hit_log"), None);
         assert_eq!(cfg.lock_rank("trie"), None);
+        assert_eq!(cfg.lock_rank("rebuild_guard"), None);
+        assert_eq!(cfg.lock_rank("queue"), None);
     }
 
     #[test]

@@ -317,8 +317,8 @@ fn lock_order(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
                                 format!(
                                     "lock `{name}` (rank {rank}) acquired while holding \
                                      `{held_name}` (rank {held_rank}); declared order is \
-                                     rebuild_guard/publish_guard < memo < state \
-                                     < queue < entries/buckets"
+                                     publish_guard < memo < state \
+                                     < entries/buckets/serving/traces"
                                 ),
                             ));
                         }
@@ -583,7 +583,7 @@ mod tests {
     #[test]
     fn lock_order_accepts_declared_order() {
         let src = "fn good(&self) {\n\
-                     let g = self.rebuild_guard.lock();\n\
+                     let g = self.publish_guard.lock();\n\
                      let s = self.memo[i].lock();\n\
                      let t = self.state.read();\n\
                    }";
@@ -637,21 +637,21 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_covers_pool_and_serve_ranks() {
-        // Engine-lock-then-queue is the declared direction...
+    fn lock_order_covers_serve_ranks() {
+        // Engine-lock-then-serve-leaf is the declared direction...
         let src = "fn ok(&self) {\n\
                      let s = self.state.read();\n\
-                     let q = self.queue.lock();\n\
+                     let e = self.entries.lock();\n\
                    }";
-        assert!(rules_on("crates/common/src/pool.rs", src).is_empty());
-        // ...queue-then-engine-lock is an inversion.
+        assert!(rules_on("crates/serve/src/lib.rs", src).is_empty());
+        // ...serve-leaf-then-engine-lock is an inversion.
         let src = "fn bad(&self) {\n\
-                     let q = self.queue.lock();\n\
+                     let e = self.entries.lock();\n\
                      let s = self.state.read();\n\
                    }";
-        let f = rules_on("crates/common/src/pool.rs", src);
+        let f = rules_on("crates/serve/src/lib.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("`queue`"));
+        assert!(f[0].message.contains("`entries`"));
         // Serve-layer leaves are terminal: nothing may follow them.
         let src = "fn bad(&self) {\n\
                      let e = self.entries.lock();\n\

@@ -74,7 +74,7 @@ fn seed_all(ws: &MiniWorkspace) {
             "impl Engine {\n",
             "    fn backwards(&self) {\n",
             "        let t = self.state.write();\n",
-            "        let g = self.rebuild_guard.lock();\n",
+            "        let g = self.publish_guard.lock();\n",
             "        drop((t, g));\n",
             "    }\n",
             "}\n",

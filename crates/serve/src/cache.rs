@@ -34,7 +34,7 @@ use gb_common::{Counter, FifoMap};
 use std::time::{Duration, Instant};
 
 /// Rank of the cache map in the declared lock order: a serve-layer leaf
-/// lock, never held while any engine or pool lock is taken.
+/// lock, never held while any engine lock is taken.
 const RANK_ENTRIES: u8 = 4;
 
 /// One cached reply: the encoded wire bytes, the data epoch they answer

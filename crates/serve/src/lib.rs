@@ -303,13 +303,9 @@ impl GbServer {
     /// Serve connections from `listener` until [`Shutdown::stop`]. Blocks
     /// the calling thread; workers run on a scoped [`Pool`].
     fn run(&self, listener: TcpListener, shutdown: &Shutdown) {
-        let workers = shutdown.serving.len();
         // One accept loop per worker on the shared listener: all park in a
         // blocking `accept`, and the kernel wakes one per connection.
-        Pool::new(workers).run(workers, |worker| {
-            let Some(serving) = shutdown.serving.get(worker) else {
-                return;
-            };
+        Pool::new(shutdown.serving.len()).run(&shutdown.serving, |serving| {
             while !shutdown.stopping() {
                 let Ok((stream, _)) = listener.accept() else {
                     // Out of descriptors, or the peer reset while queued.

@@ -20,7 +20,7 @@ use gb_common::FxHashMap;
 use std::time::Instant;
 
 /// Rank of the bucket table in the declared lock order: a serve-layer
-/// leaf lock, never held while any engine or pool lock is taken.
+/// leaf lock, never held while any engine lock is taken.
 const RANK_BUCKETS: u8 = 4;
 
 /// Admission decision for one request.

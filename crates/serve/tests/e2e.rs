@@ -82,7 +82,7 @@ fn concurrent_clients_get_engine_identical_replies() {
     // epoch they were served at, never mix.
     for phase in 0..2u64 {
         let errors = std::sync::Mutex::new(Vec::<String>::new());
-        gb_common::Pool::new(CLIENTS).run(CLIENTS, |c| {
+        gb_common::Pool::new(CLIENTS).run(0..CLIENTS, |c| {
             for r in 0..REQS_PER_CLIENT {
                 let poly = polygon(c * REQS_PER_CLIENT + r);
                 let outcome = if r % 3 == 0 {

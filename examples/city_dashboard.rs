@@ -117,20 +117,36 @@ fn main() {
         gb_common::fmt::bytes(block.derived_bytes()),
     );
 
-    // Live updates: a batch of fresh rides lands in Manhattan (§5).
+    // Live updates: a batch of fresh rides lands in the first hot area
+    // (§5), on a lattice over its bounding box clipped to the polygon.
     let engine = GeoBlockEngine::new(block);
     let schema_len = base.schema().len();
+    let hot = &session.hot[0];
+    let area = hot.bbox();
     let mut batch = UpdateBatch::new();
-    for i in 0..500 {
-        let x = 24.0 + (i % 25) as f64 * 0.2;
-        let y = 30.0 + (i / 25) as f64 * 0.6;
-        batch.push(Point::new(x, y), vec![10.0; schema_len]);
+    for i in 0..25 {
+        for j in 0..25 {
+            let x = area.min.x + (i as f64 + 0.5) * area.width() / 25.0;
+            let y = area.min.y + (j as f64 + 0.5) * area.height() / 25.0;
+            let ride = Point::new(x, y);
+            if hot.contains_point(ride) {
+                batch.push(ride, vec![10.0; schema_len]);
+            }
+        }
     }
-    let before = engine.count(&session.hot[0]).result;
+    let before = engine.count(hot).result;
     let report = engine.apply_updates(&batch).expect("finite rows").result;
-    let after = engine.count(&session.hot[0]).result;
+    let after = engine.count(hot).result;
     println!(
-        "\nupdates: {} in place, {} new cells; hot-area count {before} → {after}",
-        report.in_place, report.new_cells
+        "\nupdates: {} rows inside the hot area, {} in place, {} new cells; \
+         hot-area count {before} → {after}",
+        batch.len(),
+        report.in_place,
+        report.new_cells
+    );
+    assert_eq!(
+        after - before,
+        batch.len() as u64,
+        "every row inside the polygon lies in one of its covering cells"
     );
 }
