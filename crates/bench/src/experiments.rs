@@ -20,6 +20,7 @@ use gb_data::{
     Workload,
 };
 use geoblocks::build;
+use std::time::Duration;
 
 /// Number of neighborhood polygons in the primary workload (the NYC NTA
 /// file the paper uses has ~195).
@@ -649,12 +650,42 @@ pub fn fig16(ctx: &Ctx) -> Report {
     rep
 }
 
+/// Timed runs of every fig17 / fig18 arm, interleaved: one run lasts
+/// 7–30 ms, and single runs scatter by up to 2× on a 2-vCPU guest.
+const REPS: usize = 5;
+
+/// `median (min–max)` of `runs`, in milliseconds.
+fn ms_spread(runs: &[Duration]) -> String {
+    let mut sorted = runs.to_vec();
+    sorted.sort_unstable();
+    match (sorted.first(), sorted.last()) {
+        (Some(&lo), Some(&hi)) => {
+            format!("{} ({}–{})", ms(sorted[sorted.len() / 2]), ms(lo), ms(hi))
+        }
+        _ => "-".into(),
+    }
+}
+
+/// Run `measure(arm)` [`REPS`] times per arm of `n_arms`, interleaved: run
+/// r measures every arm once, starting from arm r mod `n_arms`. Returns
+/// each arm's results in run order.
+fn interleaved<T>(n_arms: usize, mut measure: impl FnMut(usize) -> T) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..n_arms).map(|_| Vec::with_capacity(REPS)).collect();
+    for r in 0..REPS {
+        for k in 0..n_arms {
+            let arm = (r + k) % n_arms;
+            out[arm].push(measure(arm));
+        }
+    }
+    out
+}
+
 /// Figure 17: impact of workload skew on Block vs BlockQC.
 pub fn fig17(ctx: &Ctx) -> Report {
     let mut rep = Report::new(
         "fig17",
-        "Runtime with increasing workload skew (base + N× skewed), level 17, cache 5%",
-        "After ~4 skewed runs the cached aggregates pay off; BlockQC beats Block as skew grows; base-workload time stays ~constant and slightly favors Block (cache probe overhead). Pyramid (not in the paper) answers every cell from a stored record.",
+        "Runtime with increasing workload skew (base + N× skewed), level 17, cache 5%; median (min–max) of 5 interleaved runs",
+        "After ~4 skewed runs the cached aggregates pay off; BlockQC beats Block as skew grows; base-workload time stays ~constant and slightly favors Block (cache probe overhead). Pyramid (not in the paper) answers every cell from stored records.",
     );
     rep.headers(&[
         "skewed runs",
@@ -671,30 +702,38 @@ pub fn fig17(ctx: &Ctx) -> Report {
     let spec = AggSpec::k_aggregates(base.schema(), 7);
     let base_w = Workload::base(&polys, &spec);
     let skew_one = Workload::skewed(&polys, 0.1, 1, &spec, ctx.seed);
+    let names = ["Block (scan)", "BlockQC", "Pyramid"];
 
     for runs in [2usize, 4, 8, 16] {
-        // Each arm runs the base workload once, then `runs` skewed ones;
-        // BlockQC rebuilds its cache after each phase (the statistics
-        // accumulate across the whole run).
-        let arms: [(&str, Box<dyn SpatialAggIndex>); 3] = [
-            ("Block (scan)", Box::new(ScanBlockIndex::new(block.clone()))),
-            ("BlockQC", Box::new(BlockQcIndex::new(block.clone(), 0.05))),
-            ("Pyramid", Box::new(BlockIndex::new(block.clone()))),
-        ];
-        for (name, mut idx) in arms {
+        // Each run of an arm starts from a fresh index, runs the base
+        // workload once, then `runs` skewed ones; BlockQC rebuilds its
+        // cache after each phase (the statistics accumulate across the
+        // whole run).
+        let parts = interleaved(names.len(), |arm| {
+            let mut idx: Box<dyn SpatialAggIndex> = match arm {
+                0 => Box::new(ScanBlockIndex::new(block.clone())),
+                1 => Box::new(BlockQcIndex::new(block.clone(), 0.05)),
+                _ => Box::new(BlockIndex::new(block.clone())),
+            };
             let base_part = run_select_workload(idx.as_mut(), &base_w).total;
             idx.rebuild();
-            let mut skew_part = std::time::Duration::ZERO;
+            let mut skew_part = Duration::ZERO;
             for _ in 0..runs {
                 skew_part += run_select_workload(idx.as_mut(), &skew_one).total;
                 idx.rebuild();
             }
+            (base_part, skew_part)
+        });
+        for (name, parts) in names.iter().zip(parts) {
+            let column = |f: fn(&(Duration, Duration)) -> Duration| {
+                ms_spread(&parts.iter().map(f).collect::<Vec<_>>())
+            };
             rep.row(vec![
                 runs.to_string(),
-                name.into(),
-                ms(base_part),
-                ms(skew_part),
-                ms(base_part + skew_part),
+                (*name).into(),
+                column(|p| p.0),
+                column(|p| p.1),
+                column(|p| p.0 + p.1),
             ]);
         }
     }
@@ -706,7 +745,7 @@ pub fn fig17(ctx: &Ctx) -> Report {
 pub fn fig18(ctx: &Ctx) -> Report {
     let mut rep = Report::new(
         "fig18",
-        "Aggregate threshold vs runtime and cache hit rate (4 skewed runs, level 17)",
+        "Aggregate threshold vs runtime and cache hit rate (4 skewed runs, level 17); median (min–max) of 5 interleaved runs",
         "Skewed workload is cached almost immediately (hit rate ~100% by ~5%); base hit rate grows ~linearly with cache size, saturating around 50%; runtime drops accordingly; Block is flat. Pyramid (not in the paper) is flat too: it stores every cell's record.",
     );
     rep.headers(&[
@@ -725,27 +764,19 @@ pub fn fig18(ctx: &Ctx) -> Report {
     let base_w = Workload::base(&polys, &spec);
     let skew_w = Workload::skewed(&polys, 0.1, 4, &spec, ctx.seed);
 
-    // The threshold-independent arms.
-    for (name, mut idx) in [
-        (
-            "Block (scan)",
-            Box::new(ScanBlockIndex::new(block.clone())) as Box<dyn SpatialAggIndex>,
-        ),
-        ("Pyramid", Box::new(BlockIndex::new(block.clone()))),
-    ] {
-        let total = run_select_workload(idx.as_mut(), &base_w).total
-            + run_select_workload(idx.as_mut(), &skew_w).total;
-        rep.row(vec![
-            "(any)".into(),
-            name.into(),
-            ms(total),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-
-    for threshold in [0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0] {
-        let mut qc = BlockQcIndex::new(block.clone(), threshold);
+    // Two threshold-independent arms, then BlockQC at each threshold.
+    let thresholds = [0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0];
+    let runs = interleaved(2 + thresholds.len(), |arm| {
+        if arm < 2 {
+            let mut idx: Box<dyn SpatialAggIndex> = match arm {
+                0 => Box::new(ScanBlockIndex::new(block.clone())),
+                _ => Box::new(BlockIndex::new(block.clone())),
+            };
+            let total = run_select_workload(idx.as_mut(), &base_w).total
+                + run_select_workload(idx.as_mut(), &skew_w).total;
+            return (total, None);
+        }
+        let mut qc = BlockQcIndex::new(block.clone(), thresholds[arm - 2]);
         // Warm-up pass to gather statistics, then rebuild the cache.
         run_select_workload(&mut qc, &base_w);
         run_select_workload(&mut qc, &skew_w);
@@ -753,18 +784,30 @@ pub fn fig18(ctx: &Ctx) -> Report {
 
         // Measured pass.
         qc.reset_counts();
-        let t_base = run_select_workload(&mut qc, &base_w);
+        let t_base = run_select_workload(&mut qc, &base_w).total;
         let base_rate = qc.counts().hit_rate();
         qc.reset_counts();
-        let t_skew = run_select_workload(&mut qc, &skew_w);
+        let t_skew = run_select_workload(&mut qc, &skew_w).total;
         let skew_rate = qc.counts().hit_rate();
-
+        (t_base + t_skew, Some((base_rate, skew_rate)))
+    });
+    for (arm, runs) in runs.iter().enumerate() {
+        let (threshold, name) = match arm {
+            0 => ("(any)".to_string(), "Block (scan)"),
+            1 => ("(any)".to_string(), "Pyramid"),
+            _ => (fmt::percent(thresholds[arm - 2]), "BlockQC"),
+        };
+        let totals: Vec<Duration> = runs.iter().map(|r| r.0).collect();
+        // The hit rates are the same in every run.
+        let (base_rate, skew_rate) = runs[0].1.map_or(("-".into(), "-".into()), |(b, s)| {
+            (fmt::percent(b), fmt::percent(s))
+        });
         rep.row(vec![
-            fmt::percent(threshold),
-            "BlockQC".into(),
-            ms(t_base.total + t_skew.total),
-            fmt::percent(base_rate),
-            fmt::percent(skew_rate),
+            threshold,
+            name.into(),
+            ms_spread(&totals),
+            base_rate,
+            skew_rate,
         ]);
     }
     rep

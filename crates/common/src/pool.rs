@@ -27,7 +27,6 @@ use std::time::Instant;
 /// interesting population is "all fork-join work in this process",
 /// which is what `/metrics` exports (`gb_pool_*`).
 static POOL_QUEUED: Counter = Counter::new();
-static POOL_FINISHED: Counter = Counter::new();
 static POOL_TASKS: Counter = Counter::new();
 static POOL_BUSY_NS: Counter = Counter::new();
 
@@ -46,11 +45,11 @@ pub struct PoolStats {
 }
 
 /// Current pool counters. `queue_depth` is computed as
-/// queued − finished, so a snapshot taken mid-`run` shows the in-flight
+/// queued − run, so a snapshot taken mid-`run` shows the in-flight
 /// backlog without any extra synchronization on the hot path.
 pub fn stats() -> PoolStats {
     PoolStats {
-        queue_depth: POOL_QUEUED.get().saturating_sub(POOL_FINISHED.get()),
+        queue_depth: POOL_QUEUED.get().saturating_sub(POOL_TASKS.get()),
         tasks_total: POOL_TASKS.get(),
         busy_ns_total: POOL_BUSY_NS.get(),
     }
@@ -158,7 +157,6 @@ impl Pool {
                 .map(|item| {
                     let r = f(item);
                     POOL_TASKS.incr();
-                    POOL_FINISHED.incr();
                     r
                 })
                 .collect();

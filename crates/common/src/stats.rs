@@ -46,12 +46,6 @@ impl Counter {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Reset to zero (e.g. between workload phases).
-    #[inline]
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-
     /// Count one event and return the tally *before* this increment — a
     /// relaxed ticket dispenser. Used by the tracer's sampling gate
     /// (`ticket % rate == 0`) and ring-shard rotation, where the only
@@ -68,14 +62,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_and_resets() {
+    fn counts() {
         let c = Counter::new();
         assert_eq!(c.get(), 0);
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! struct-of-arrays in a [`Layer`], the one record layout of this crate:
 //! the block is the finest of its own layers, and each coarser level is
 //! the fold of the next finer one, up to the root record. Only the even
-//! levels above the block level are materialised; a record of an odd one
-//! is folded from its ≤ 4 children when a query asks for it.
+//! levels above the block level are materialised; a query reads a cell of
+//! an odd one as its ≤ 4 children's records, and folds nothing.
 
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::layer::Layer;
@@ -22,7 +22,7 @@ use gb_data::{AggSpec, Schema};
 
 /// Does a block of `block_level` keep a layer for `level`? Its own level
 /// and every even level above it: one rule, no knob. Every odd level sits
-/// right above a kept one, so its record is a fold of ≤ 4 kept records.
+/// right above a kept one, so a query reads its cell as ≤ 4 kept records.
 /// The parity is of absolute levels, so the root record — the global
 /// header — is always stored, and a coarsened block keeps its source's
 /// even layers.
@@ -151,20 +151,12 @@ impl GeoBlock {
         r.finalize(spec)
     }
 
-    /// Constant-time pre-check from the key extent: can `cell` overlap any
-    /// aggregate in this block? (§3.5 "thanks to the prefix-based
-    /// containment checks, this is possible in constant time".)
-    #[inline]
-    pub fn may_overlap(&self, cell: CellId) -> bool {
-        self.leaf_extent()
-            .is_some_and(|(lo, hi)| cell.range_max().raw() >= lo && cell.range_min().raw() <= hi)
-    }
-
     /// The run of `covering`'s cells that may overlap an aggregate in this
-    /// block: those [`GeoBlock::may_overlap`] keeps (Listing 1 lines 5–6),
-    /// as one slice. A covering's cells are disjoint and in curve order, so
-    /// their leaf ranges ascend and the cells that reach into the block's
-    /// key extent are contiguous.
+    /// block: those whose leaf range meets the block's key extent (Listing
+    /// 1 lines 5–6, the paper's constant-time prefix check), as one slice.
+    /// A covering's cells are disjoint and in curve order, so their leaf
+    /// ranges ascend and the cells that reach into the extent are
+    /// contiguous.
     pub fn overlapping<'c>(&self, covering: &'c CellUnion) -> &'c [CellId] {
         let Some((lo, hi)) = self.leaf_extent() else {
             return &[];
@@ -370,9 +362,10 @@ mod tests {
         /// `overlapping` is the per-cell pre-check as one run: for
         /// rectangles inside, straddling and outside a block whose data
         /// fills only part of the domain, and for an empty block, it is
-        /// exactly the covering's cells `may_overlap` keeps.
+        /// exactly the covering's cells whose leaf range meets the block's
+        /// first and last leaf, and so holds every cell with data.
         #[test]
-        fn overlapping_is_the_run_may_overlap_keeps(
+        fn overlapping_is_the_run_the_key_extent_keeps(
             points in prop::collection::vec((20.0..70.0f64, 30.0..60.0f64), 1..80),
             rects in prop::collection::vec(
                 (-30.0..120.0f64, -30.0..120.0f64, 0.5..60.0f64, 0.5..60.0f64),
@@ -393,8 +386,15 @@ mod tests {
             for &(x, y, w, h) in &rects {
                 let rect = Rect::from_bounds(x, y, x + w, y + h);
                 let covering = block.cover(&Polygon::rectangle(rect));
-                let want: Vec<CellId> = covering.iter().filter(|&c| block.may_overlap(c)).collect();
+                let (first, last) = (block.cell_at(0), block.cell_at(block.num_cells() - 1));
+                let want: Vec<CellId> = covering
+                    .iter()
+                    .filter(|c| c.range_max() >= first.range_min() && c.range_min() <= last.range_max())
+                    .collect();
                 prop_assert_eq!(block.overlapping(&covering), want.as_slice());
+                for c in covering.iter().filter(|&c| block.records_under(c).next().is_some()) {
+                    prop_assert!(want.contains(&c));
+                }
                 prop_assert!(empty.overlapping(&covering).is_empty());
             }
         }

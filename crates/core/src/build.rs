@@ -232,7 +232,7 @@ fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gb_cell::{CellId, Grid};
+    use gb_cell::{CellId, CellUnion, Grid};
     use gb_data::{
         extract, AggFunc, AggRequest, AggSpec, CleaningRules, CmpOp, ColumnDef, RawTable, Schema,
     };
@@ -318,8 +318,9 @@ mod tests {
             let leaf = CellId::from_raw(base.keys()[row]);
             let cell = leaf.parent_at(6);
             let records = block.records();
-            let idx = records.find(cell.raw(), &mut 0).expect("cell present");
-            assert!(records.counts[idx] > 0);
+            let range = records.under(cell, &mut 0);
+            assert_eq!(range.len(), 1, "cell present");
+            assert!(records.counts[range.start] > 0);
         }
     }
 
@@ -343,7 +344,8 @@ mod tests {
         let (block, _) = build(&base, 8, &f);
         assert_eq!(block.num_rows(), 0);
         assert_eq!(block.num_cells(), 0);
-        assert!(!block.may_overlap(CellId::ROOT));
+        let everything = CellUnion::from_cells(vec![CellId::ROOT]);
+        assert!(block.overlapping(&everything).is_empty());
         // The layers are still there, one (empty) per kept level: 0, 2,
         // 4, 6 and the block level 8.
         assert_eq!(block.layers().len(), 5);

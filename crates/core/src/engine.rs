@@ -128,14 +128,6 @@ impl GeoBlockEngine {
         }
     }
 
-    /// Replace the covering memo with one of `capacity` entries (0
-    /// disables memoization: every query pays its covering, as in the
-    /// paper). Builder-time only: entries accumulated so far are dropped.
-    pub fn with_memo_capacity(mut self, capacity: usize) -> Self {
-        self.memo = CoveringMemo::new(capacity);
-        self
-    }
-
     /// Replace the tracer (builder-time only). Tests and the bench
     /// harness construct explicit [`gb_trace::TraceConfig`]s instead of
     /// relying on process-global env vars.

@@ -7,26 +7,26 @@
 //! structure). The finest layer is the block's stored state: the records
 //! every producer writes and the snapshot persists. Every coarser layer is
 //! derived from it and holds one precomputed record per non-empty cell of
-//! its level, so a grid-aligned covering cell — block-level boundary cell
-//! or coarse interior cell — is answered by **one** cursor-resumed search
-//! (`Layer::find`) and **one** record combine (`Layer::record`), where a
-//! range scan pays up to 4^Δ block-level records. A cell of an odd level
-//! above the block level has no layer: its search runs in the layer one
-//! level finer, always kept, and its ≤ 4 children fold into a scratch
-//! record (`Layer::push_fold`).
+//! its level. The one read of a layer is `Layer::under`: the run of
+//! records under an aligned cell, found by two cursor-resumed gallops. A
+//! grid-aligned covering cell — block-level boundary cell or coarse
+//! interior cell — is its own record in the layer of its level, where a
+//! range scan pays up to 4^Δ block-level records; a cell of an odd level
+//! above the block level has no layer, and is its ≤ 4 children's records
+//! in the layer one level finer, always kept. A query combines the records
+//! it reads as they are stored: it folds nothing.
 //!
 //! A coarser layer is defined as the *in-order fold* of the next finer one
 //! (`Layer::fold_to` one level up, the canonical fold): each record folds
 //! its at most four non-empty children in key order, so the levels form
-//! one fold tree whose root record is the block's global header. Every
-//! record of that tree is either stored or folded on demand by the same
-//! `push_fold` the cascade runs, so both are the tree's, bit for bit.
+//! one fold tree whose root record is the block's global header. That
+//! cascade is the only fold of records into records.
 //! [`GeoBlock::coarsen`](crate::GeoBlock::coarsen) hands out a level of
 //! that tree as a block of its own, and its layers are the tree's too. A
-//! lookup is bit-identical to folding the same tree from the block-level
-//! records into fresh accumulators, floating-point association included —
-//! what [`crate::reference`] does — and that is what lets the query tests
-//! assert exact (`approx_eq` at `0.0`) agreement with it.
+//! stored record is bit-identical to folding the same tree from the
+//! block-level records into fresh accumulators, floating-point association
+//! included — what [`crate::reference`] does — and that is what lets the
+//! query tests assert exact (`approx_eq` at `0.0`) agreement with it.
 //!
 //! Each level needs the next finer one, so `GeoBlock::refresh_derived`
 //! folds them one after another on the calling thread.
@@ -117,16 +117,20 @@ impl Layer {
         }
     }
 
-    /// The index of the record of `key`, galloping forward from `cursor`
-    /// (O(log gap), see [`crate::gallop`]) and leaving it past the answer:
-    /// keys must be asked for in ascending order per cursor, and a caller
-    /// without such an order passes a fresh `0` per lookup.
+    /// The records under the aligned `cell`, which must be at or above
+    /// this layer's level: gallop from `cursor` to its first leaf, then
+    /// to its last (O(log gap) each, see [`crate::gallop`]), leaving the
+    /// cursor at the end. A cell of the layer's level gets its own record
+    /// or nothing; a coarser one, the run of its descendants. The cursor
+    /// must not lie past the range's start, so the cells asked for per
+    /// cursor must ascend and be disjoint; a caller without such an order
+    /// passes a fresh `0` per lookup.
     #[inline]
-    pub(crate) fn find(&self, key: u64, cursor: &mut usize) -> Option<usize> {
-        let i = gallop::lower_bound_from(&self.keys, key, *cursor);
-        let found = self.keys.get(i) == Some(&key);
-        *cursor = i + usize::from(found);
-        found.then_some(i)
+    pub(crate) fn under(&self, cell: CellId, cursor: &mut usize) -> Range<usize> {
+        debug_assert!(cell.level() <= self.level);
+        let start = gallop::lower_bound_from(&self.keys, cell.range_min().raw(), *cursor);
+        *cursor = gallop::upper_bound_from(&self.keys, cell.range_max().raw(), start);
+        start..*cursor
     }
 
     /// Append the record of a cell no tuple has reached yet; `key` must
@@ -179,28 +183,11 @@ impl Layer {
         self.sums.extend_from_slice(&other.sums[cols]);
     }
 
-    /// Empty this layer and make it one of `level` with `n_cols` columns,
-    /// keeping its allocations: a query's scratch record.
-    pub(crate) fn reset(&mut self, level: u8, n_cols: usize) {
-        self.level = level;
-        self.n_cols = n_cols;
-        self.keys.clear();
-        self.counts.clear();
-        self.mins.clear();
-        self.maxs.clear();
-        self.sums.clear();
-    }
-
     /// Append the canonical record of the cell at this layer's level that
     /// holds `src`'s records `group`, which must all lie under it: the
-    /// first seeds the accumulator, the others fold in in key order. This
-    /// is [`Layer::fold_to`]'s step per group, and what a query folds for
-    /// a cell of a level the block does not keep. An empty group appends
-    /// nothing: a cell without data has no record.
-    pub(crate) fn push_fold(&mut self, src: &Layer, group: Range<usize>) {
-        if group.is_empty() {
-            return;
-        }
+    /// first seeds the accumulator, the others fold in in key order:
+    /// [`Layer::fold_to`]'s step per group, which is never empty.
+    fn push_fold(&mut self, src: &Layer, group: Range<usize>) {
         debug_assert!(src.n_cols == self.n_cols && self.level <= src.level);
         let c = self.n_cols;
         let cols = self.mins.len()..self.mins.len() + c;
@@ -385,6 +372,7 @@ pub(crate) fn hash_bits(values: &[f64], h: &mut FxHasher) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Level-2 cells `children` of the level-1 cell `quadrant`, one tuple
     /// of value `10·quadrant + child` each.
@@ -441,18 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn find_resumes_from_the_cursor() {
-        let l = layer(&[(0, 1), (0, 3), (2, 0)]);
-        let mut cursor = 0usize;
-        assert_eq!(l.find(l.keys[0], &mut cursor), Some(0));
-        let absent = CellId::ROOT.child(0).child(2).raw();
-        assert_eq!(l.find(absent, &mut cursor), None);
-        assert_eq!(l.find(l.keys[2], &mut cursor), Some(2));
-        assert_eq!(cursor, 3);
-        assert_eq!(l.find(l.keys[2], &mut 0), Some(2));
-    }
-
-    #[test]
     fn fold_groups_by_ancestor_in_key_order() {
         let l = layer(&[(0, 1), (0, 3), (2, 0)]);
         let up = l.fold_to(1);
@@ -474,30 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn push_fold_is_the_fold_to_record_bit_for_bit() {
-        // Quadrant 0 holds a group of four, quadrant 2 a group of one;
-        // fractional sums put the fold's association into the low bits.
-        let mut l = layer(&[(0, 0), (0, 1), (0, 2), (0, 3), (2, 1)]);
-        for (i, s) in l.sums.iter_mut().enumerate() {
-            *s = *s * 0.1 + 0.3 / (i as f64 + 1.0);
-        }
-        let up = l.fold_to(1);
-        let mut scratch = Layer::with_capacity(0, 0, 0);
-        for (group, at) in [(0..4, 0), (4..5, 1)] {
-            scratch.reset(1, l.n_cols);
-            scratch.push_fold(&l, group);
-            let mut want = Layer::with_capacity(1, l.n_cols, 1);
-            want.extend_from(&up, at..at + 1);
-            assert_eq!(scratch.content_hash(), want.content_hash(), "record {at}");
-        }
-        // An empty group is a cell without data: no record.
-        scratch.reset(1, l.n_cols);
-        scratch.push_fold(&l, 2..2);
-        assert_eq!(scratch.num_cells(), 0);
-        assert_eq!(scratch.validate(), Ok(()));
-    }
-
-    #[test]
     fn codec_roundtrips() {
         let l = layer(&[(0, 1), (0, 3), (2, 0)]);
         let mut w = ByteWriter::new();
@@ -507,5 +459,42 @@ mod tests {
         let mut r = ByteReader::new(&bytes, "test");
         assert_eq!(Layer::decode(&mut r, 2, 1).unwrap(), l);
         r.finish().unwrap();
+    }
+
+    proptest! {
+        /// `under` is two `partition_point`s over the keys: from the
+        /// first key at or after the cell's first leaf to the first after
+        /// its last, for random sorted keys of one level, aligned cells at
+        /// or above it (many of them ancestors of a key) and any cursor at
+        /// or before the answer, which it leaves at the range's end.
+        #[test]
+        fn under_is_partition_point_over_the_keys(
+            level in 0u8..7,
+            positions in prop::collection::vec(0u64..1 << 60, 0..60),
+            probes in prop::collection::vec(
+                (0usize..80, 0u64..1 << 60, 0u8..7, 0.0..=1.0f64),
+                1..20,
+            ),
+        ) {
+            let mut keys: Vec<u64> = positions
+                .iter()
+                .map(|&pos| CellId::from_pos_level(pos, level).raw())
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut l = Layer::with_capacity(level, 0, keys.len());
+            for &k in &keys {
+                l.push_empty(k);
+            }
+            for &(pick, pos, up, at) in &probes {
+                let pos = positions.get(pick).copied().unwrap_or(pos);
+                let cell = CellId::from_pos_level(pos, level.min(up));
+                let (lo, hi) = (cell.range_min().raw(), cell.range_max().raw());
+                let want = keys.partition_point(|&k| k < lo)..keys.partition_point(|&k| k <= hi);
+                let mut cursor = (want.start as f64 * at) as usize;
+                prop_assert_eq!(l.under(cell, &mut cursor), want.clone());
+                prop_assert_eq!(cursor, want.end);
+            }
+        }
     }
 }

@@ -151,14 +151,6 @@ impl CoveringMemo {
             evictions: self.evictions.get(),
         }
     }
-
-    /// Zero the hit/miss/churn counters (entries stay — they never go
-    /// stale).
-    pub fn reset_stats(&self) {
-        self.hits.reset();
-        self.misses.reset();
-        self.evictions.reset();
-    }
 }
 
 #[cfg(test)]
@@ -303,29 +295,5 @@ mod tests {
             },
             "an overwrite evicts nothing"
         );
-    }
-
-    #[test]
-    fn reset_stats_zeroes_the_counters_and_keeps_the_entries() {
-        let memo = CoveringMemo::new(16);
-        for k in 0..5u64 {
-            memo.get_or_insert_with(k, &[k], || union(&[]));
-        }
-        memo.get_or_insert_with(0, &[0], || union(&[]));
-        assert_eq!(
-            memo.stats(),
-            MemoStats {
-                hits: 1,
-                misses: 5,
-                ..MemoStats::default()
-            }
-        );
-        memo.reset_stats();
-        assert_eq!(memo.stats(), MemoStats::default());
-        // Entries never go stale, so a reset keeps them: the next lookup
-        // is a hit.
-        assert_eq!(memo.len(), 5);
-        let (_, hit) = memo.get_or_insert_with_hit(4, &[4], || union(&[]));
-        assert!(hit);
     }
 }

@@ -5,25 +5,22 @@
 //! error-bounded cell covering (boundary cells at the block level, interior
 //! cells possibly coarser) and the covering is pruned against the block's
 //! key extent — one run of it, [`GeoBlock::overlapping`]. Every covering
-//! cell is grid-aligned, and the canonical record of every aligned cell —
-//! the in-order fold of its children's records, down to the block records
-//! under it — is either stored in the [`Layer`] of the cell's level (the
-//! block level and every even level above it) or, at an odd level, the
-//! fold of ≤ 4 records of the layer one level finer. So:
+//! cell is grid-aligned, and so is a contiguous range of stored records
+//! (Listing 1's range, read from the coarsest layer that has it): its own
+//! record in the [`Layer`] of its level (the block level and every even
+//! level above it), or at an odd level the ≤ 4 records of its children in
+//! the layer one level finer. Both queries run one loop, which finds that
+//! range with one cursor-resumed search per covering cell
+//! (`GeoBlock::locate`, i.e. `Layer::under`), and then:
 //!
-//! Both answer each covering cell with **one** cursor-resumed galloping
-//! search (`GeoBlock::locate`): the record of a kept level, or at an odd
-//! level the ≤ 4 contiguous child records in the layer below. Then:
-//!
-//! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] combine **one**
-//!   record per covering cell (`GeoBlock::record_of`, which folds an odd
-//!   level's children into a scratch record; `cells_combined` ≤ covering
-//!   size). This is the paper's BlockQC (§3.6) with every aligned cell
-//!   cached: the pyramid holds the record a hot coarse cell would be
-//!   cached with, for every cell.
-//! * [`GeoBlock::count`] / [`GeoBlock::count_covering`] add the counts of
-//!   the records the search found: integers, so no fold and no scratch
-//!   record. This replaces Listing 2's two searches over per-cell tuple
+//! * [`GeoBlock::select`] / [`GeoBlock::select_covering`] combine every
+//!   record of the range straight into the result through the compiled
+//!   plan — stored records only, nothing folded at query time. This is the
+//!   paper's BlockQC (§3.6) with every aligned cell cached: the pyramid
+//!   holds the record a hot coarse cell would be cached with, for every
+//!   cell.
+//! * [`GeoBlock::count`] / [`GeoBlock::count_covering`] add the range's
+//!   counts. This replaces Listing 2's two searches over per-cell tuple
 //!   offsets: the layers already store every cell's count.
 //!
 //! The naive oracle both are tested against — the same fold tree walked
@@ -34,7 +31,6 @@
 
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::block::GeoBlock;
-use crate::gallop;
 use crate::layer::Layer;
 use gb_cell::{cover_polygon, CellId, CellUnion, MAX_LEVEL};
 use gb_data::AggSpec;
@@ -46,8 +42,8 @@ use std::ops::Range;
 pub struct QueryStats {
     /// Cells in the covering (after header pruning).
     pub query_cells: usize,
-    /// Records read into the result: one per covering cell with data
-    /// under it, for SELECT and COUNT alike.
+    /// Covering cells with data under them: one range of stored records
+    /// read into the result each, for SELECT and COUNT alike.
     pub cells_combined: usize,
     /// Binary searches performed.
     pub searches: usize,
@@ -58,22 +54,7 @@ pub struct QueryStats {
 /// curve order, so every search in a layer can start where the previous
 /// one in that layer ended — a search for a cell of the layer's level, or
 /// for one of the odd level above it that the block does not keep.
-/// Beside them, the scratch record such an odd level's cells are folded
-/// into.
-pub(crate) struct Cursors {
-    layers: [usize; MAX_LEVEL as usize + 1],
-    scratch: Layer,
-}
-
-impl Cursors {
-    #[inline]
-    pub(crate) fn new() -> Cursors {
-        Cursors {
-            layers: [0; MAX_LEVEL as usize + 1],
-            scratch: Layer::with_capacity(0, 0, 0),
-        }
-    }
-}
+type Cursors = [usize; MAX_LEVEL as usize + 1];
 
 impl GeoBlock {
     /// Compute the error-bounded covering for a query polygon (Figure 6 b/c).
@@ -90,25 +71,42 @@ impl GeoBlock {
 
     /// SELECT over a precomputed covering, without finalization:
     /// [`GeoBlock::select`] finalizes, and benches time the bare walk.
-    /// Per covering cell that may overlap the block, one search and the
-    /// one record it finds.
+    /// Every record `GeoBlock::ranges` reads combines into the result in
+    /// key order.
     pub fn select_covering(&self, covering: &CellUnion, spec: &AggSpec) -> (AggResult, QueryStats) {
-        let cells = self.overlapping(covering);
         let plan = AggPlan::compile(spec);
         let mut result = AggResult::new(spec);
+        let stats = self.ranges(covering, |layer, range| {
+            for i in range {
+                layer.record(i).combine_into(&plan, &mut result);
+            }
+        });
+        (result, stats)
+    }
+
+    /// The one loop of SELECT and COUNT: per covering cell that may
+    /// overlap the block, one search (`GeoBlock::locate`), and `visit` of
+    /// the records it found unless there are none.
+    fn ranges(
+        &self,
+        covering: &CellUnion,
+        mut visit: impl FnMut(&Layer, Range<usize>),
+    ) -> QueryStats {
+        let cells = self.overlapping(covering);
         let mut stats = QueryStats {
             query_cells: cells.len(),
             ..QueryStats::default()
         };
-        let mut cursors = Cursors::new();
+        let mut cursors = Cursors::default();
         for &qcell in cells {
             stats.searches += 1;
-            if let Some(record) = self.record_of(qcell, &mut cursors) {
-                record.combine_into(&plan, &mut result);
+            let found = self.locate(qcell, &mut cursors);
+            if let Some((layer, range)) = found.filter(|(_, range)| !range.is_empty()) {
+                visit(layer, range);
                 stats.cells_combined += 1;
             }
         }
-        (result, stats)
+        stats
     }
 
     /// The block-level records under the aligned `cell`, in key order —
@@ -123,55 +121,21 @@ impl GeoBlock {
             .map(move |i| records.record(i))
     }
 
-    /// The records that make up the aligned `cell`, at or above the block
-    /// level: the layer searched and the matching range in it — the one
-    /// record of the cell's level, or at an odd level the block does not
-    /// keep, the ≤ 4 contiguous child records in the layer below. `None`
-    /// means no data under the cell — also for a cell finer than the block
-    /// level, which has no record of its own.
-    ///
-    /// The search gallops forward from where `cursors` left the searched
-    /// layer, so the cells searched in one layer must be asked for in
-    /// ascending, disjoint order per `Cursors`; a caller without such an
-    /// order passes a fresh one per lookup.
-    pub(crate) fn locate(
-        &self,
-        cell: CellId,
-        cursors: &mut Cursors,
-    ) -> Option<(&Layer, Range<usize>)> {
-        let level = cell.level();
-        if let Some(layer) = self.layer_at(level) {
-            let i = layer.find(cell.raw(), &mut cursors.layers[usize::from(level)])?;
-            return Some((layer, i..i + 1));
-        }
-        let finer = self.layer_at(level + 1)?;
-        let cursor = &mut cursors.layers[usize::from(finer.level)];
-        let (lo, hi) = (cell.range_min().raw(), cell.range_max().raw());
-        let first = gallop::lower_bound_from(&finer.keys, lo, *cursor);
-        let children = finer.keys[first..].iter().take(4);
-        let end = first + children.take_while(|&&k| k <= hi).count();
-        *cursor = end;
-        (first < end).then_some((finer, first..end))
-    }
-
-    /// The canonical record of the aligned `cell`: the in-order fold of
-    /// its children's records, read from the layer of its level — or, at
-    /// an odd level, folded from the child records `locate` finds into
-    /// `cursors`' scratch record, as `Layer::fold_to` folds them. `None`
-    /// and the order `cursors` needs are `locate`'s.
-    pub(crate) fn record_of<'a>(
-        &'a self,
-        cell: CellId,
-        cursors: &'a mut Cursors,
-    ) -> Option<RecordRef<'a>> {
-        let (layer, group) = self.locate(cell, cursors)?;
-        if layer.level == cell.level() {
-            return Some(layer.record(group.start));
-        }
-        let scratch = &mut cursors.scratch;
-        scratch.reset(cell.level(), layer.n_cols);
-        scratch.push_fold(layer, group);
-        Some(scratch.record(0))
+    /// The stored records that make up the aligned `cell`: the layer
+    /// searched and the range of it under `cell` — the one record of the
+    /// cell's level, or at an odd level the block does not keep, the ≤ 4
+    /// child records in the layer below. `None` for a cell finer than the
+    /// block level, which has no record of its own. The search gallops
+    /// from where `cursors` left the searched layer, so the cells must be
+    /// asked for in ascending, disjoint order (`Layer::under`).
+    fn locate(&self, cell: CellId, cursors: &mut Cursors) -> Option<(&Layer, Range<usize>)> {
+        let layer = self
+            .layer_at(cell.level())
+            .or_else(|| self.layer_at(cell.level() + 1))?;
+        Some((
+            layer,
+            layer.under(cell, &mut cursors[usize::from(layer.level)]),
+        ))
     }
 
     /// COUNT: number of points inside `polygon`.
@@ -180,22 +144,13 @@ impl GeoBlock {
         self.count_covering(&covering)
     }
 
-    /// COUNT over a precomputed covering: per cell, SELECT's search
-    /// (`GeoBlock::locate`), then the sum of the counts it found — the
-    /// cell's record's count, or at an odd level its ≤ 4 children's.
+    /// COUNT over a precomputed covering: SELECT's loop, adding the
+    /// counts of the records it reads.
     pub fn count_covering(&self, covering: &CellUnion) -> (u64, QueryStats) {
-        let mut stats = QueryStats::default();
         let mut total = 0u64;
-        let mut cursors = Cursors::new();
-        let cells = self.overlapping(covering);
-        stats.query_cells = cells.len();
-        for &qcell in cells {
-            stats.searches += 1;
-            if let Some((layer, group)) = self.locate(qcell, &mut cursors) {
-                total += layer.counts[group].iter().sum::<u64>();
-                stats.cells_combined += 1;
-            }
-        }
+        let stats = self.ranges(covering, |layer, range| {
+            total += layer.counts[range].iter().sum::<u64>();
+        });
         (total, stats)
     }
 }
@@ -221,7 +176,10 @@ mod tests {
             ((state >> 16) % 10_000) as f64 / 100.0
         };
         for i in 0..n {
-            raw.push_row(Point::new(next(), next()), &[i as f64, (i % 7) as f64]);
+            raw.push_row(
+                Point::new(next(), next()),
+                &[i as f64 / 7.0, (i % 7) as f64],
+            );
         }
         let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
         extract(&raw, grid, &CleaningRules::none(), None).base
@@ -338,42 +296,90 @@ mod tests {
     }
 
     #[test]
-    fn record_of_answers_any_probe_order_with_a_fresh_cursor() {
+    fn one_cell_coverings_answer_in_any_probe_order() {
         // Every aligned cell at or above the block level, coarsest level
         // last — the opposite of a covering's order — and the cells below
         // the block level, which have no record. An even and an odd block
-        // level: the odd levels above either are folded on demand, and
-        // COUNT sums their children's counts from the same search.
+        // level: the odd levels above either are read as their children's
+        // records, which SELECT combines and COUNT sums from one search.
         let base = base_data(2000);
         let s = spec();
-        let plan = AggPlan::compile(&s);
         for block_level in [6u8, 7] {
             let (block, _) = build(&base, block_level, &Filter::all());
             for i in (0..block.num_cells()).rev() {
                 let cell = block.cell_at(i);
                 for level in (0..=cell.level()).rev() {
-                    let ancestor = cell.parent_at(level);
-                    let mut fresh = Cursors::new();
-                    let record = block
-                        .record_of(ancestor, &mut fresh)
-                        .expect("an ancestor of a stored cell has data");
-                    let mut got = AggResult::new(&s);
-                    record.combine_into(&plan, &mut got);
-                    let covering = CellUnion::from_cells(vec![ancestor]);
+                    let covering = CellUnion::from_cells(vec![cell.parent_at(level)]);
+                    let (got, stats) = block.select_covering(&covering, &s);
                     let want = crate::reference::select_covering(&block, &covering, &s);
-                    assert!(got.finalize(&s).approx_eq(&want, 0.0), "{ancestor:?}");
+                    assert!(got.finalize(&s).approx_eq(&want, 0.0), "{covering:?}");
+                    assert_eq!(stats.cells_combined, 1, "{covering:?}");
                     assert_eq!(
                         block.count_covering(&covering).0,
                         crate::reference::count_covering(&block, &covering),
-                        "{ancestor:?}"
+                        "{covering:?}"
                     );
                 }
-                let finer = cell.child(0);
-                assert!(block.record_of(finer, &mut Cursors::new()).is_none());
-                let finer = CellUnion::from_cells(vec![finer]);
+                let finer = CellUnion::from_cells(vec![cell.child(0)]);
+                assert_eq!(block.select_covering(&finer, &s).1.cells_combined, 0);
                 assert_eq!(block.count_covering(&finer).0, 0);
             }
         }
+    }
+
+    #[test]
+    fn an_odd_level_cell_combines_its_stored_children_in_key_order() {
+        // Block level 8 keeps level 6 and 8, not 7: a level-7 cell is its
+        // ≤ 4 children's records, each combined into the result as stored.
+        // Fractional values put the association into the low bits: folding
+        // the children first and combining the fold differs from this in
+        // some case here, which the last assertion checks.
+        let base = base_data(6000);
+        let (block, _) = build(&base, 8, &Filter::all());
+        let s = AggSpec::new(vec![
+            AggRequest::new(AggFunc::Sum, 0),
+            AggRequest::new(AggFunc::Avg, 0),
+            AggRequest::new(AggFunc::Min, 0),
+            AggRequest::new(AggFunc::Max, 0),
+        ]);
+        let plan = AggPlan::compile(&s);
+        let mut association_shows = false;
+        for i in 1..block.num_cells() {
+            let odd = block.cell_at(i).parent_at(7);
+            let before = block.cell_at(i - 1);
+            if odd.contains(before) || block.records_under(odd).count() < 2 {
+                continue;
+            }
+            for covering in [vec![odd], vec![before, odd]] {
+                let covering = CellUnion::from_cells(covering);
+                let mut want = AggResult::new(&s);
+                for qcell in covering.iter() {
+                    for record in block.records_under(qcell) {
+                        record.combine_into(&plan, &mut want);
+                    }
+                }
+                let (got, _) = block.select_covering(&covering, &s);
+                assert_eq!(got.values().len(), want.values().len());
+                for (g, w) in got.values().iter().zip(want.values()) {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{covering:?}: {got:?} vs {want:?}"
+                    );
+                }
+                assert_eq!(got.count, want.count);
+            }
+            // The sum a fold of the children before the combine would give.
+            let prev = block.records_under(before).map(|r| r.sum(0)).sum::<f64>();
+            let sums: Vec<f64> = block.records_under(odd).map(|r| r.sum(0)).collect();
+            let folded_first = prev + sums[1..].iter().fold(sums[0], |acc, x| acc + x);
+            let one_at_a_time = sums.iter().fold(prev, |acc, x| acc + x);
+            association_shows |= folded_first.to_bits() != one_at_a_time.to_bits();
+        }
+        assert!(
+            association_shows,
+            "no covering tells the two associations apart"
+        );
     }
 
     #[test]

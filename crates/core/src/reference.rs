@@ -4,8 +4,11 @@
 //! block records: at the block level the cell's own record, found by
 //! bisecting the block's keys; above it the in-order merge of its four
 //! children's aggregates, each into a fresh accumulator. A bisection
-//! prunes every subtree without a record before it is entered. No layers,
-//! no cursors, no galloping, no compiled plan. COUNT needs no tree:
+//! prunes every subtree without a record before it is entered. A covering
+//! cell of an odd level above the block level — a level the block keeps no
+//! record of — merges its children's aggregates into the result one by
+//! one, in key order, as the block reads them. No layers, no cursors, no
+//! galloping, no compiled plan. COUNT needs no tree:
 //! integer sums are exact in any order, so it adds up the counts of the
 //! records in each cell's key range ([`GeoBlock::records_under`]).
 //!
@@ -45,11 +48,19 @@ fn fold_cell(block: &GeoBlock, cell: CellId, spec: &AggSpec) -> AggResult {
 }
 
 /// SELECT over `covering`, finalized: each covering cell's aggregate,
-/// folded along the tree, merges into the result in covering order.
+/// folded along the tree, merges into the result in covering order — at
+/// an odd level above the block level, each of its children's in turn.
 pub fn select_covering(block: &GeoBlock, covering: &CellUnion, spec: &AggSpec) -> AggResult {
     let mut result = AggResult::new(spec);
     for qcell in covering.iter() {
-        result.merge(spec, &fold_cell(block, qcell, spec));
+        let level = qcell.level();
+        if level < block.level() && !level.is_multiple_of(2) {
+            for child in qcell.children() {
+                result.merge(spec, &fold_cell(block, child, spec));
+            }
+        } else {
+            result.merge(spec, &fold_cell(block, qcell, spec));
+        }
     }
     result.finalize(spec)
 }

@@ -768,8 +768,7 @@ mod tests {
 
     mod producers {
         use super::*;
-        use crate::query::Cursors;
-        use crate::{build_parallel, AggPlan, AggResult, UpdateBatch};
+        use crate::{build_parallel, UpdateBatch};
         use gb_cell::CellUnion;
         use proptest::prelude::*;
 
@@ -777,8 +776,8 @@ mod tests {
             b.layers().iter().map(Layer::content_hash).collect()
         }
 
-        /// Every aligned ancestor of a sample of `b`'s stored cells, kept
-        /// level or folded on demand: `record_of` with a fresh cursor is
+        /// Every aligned ancestor of a sample of `b`'s stored cells, of a
+        /// kept level or read as its children: SELECT over it alone is
         /// the reference's fold of that cell, bit for bit.
         fn assert_records_are_the_reference_folds(b: &GeoBlock) {
             let spec = AggSpec::new(vec![
@@ -788,22 +787,20 @@ mod tests {
                 AggRequest::new(AggFunc::Max, 1),
                 AggRequest::new(AggFunc::Sum, 1),
             ]);
-            let plan = AggPlan::compile(&spec);
             for i in (0..b.num_cells()).step_by(b.num_cells() / 16 + 1) {
                 let cell = b.cell_at(i);
                 for level in 0..=cell.level() {
-                    let ancestor = cell.parent_at(level);
-                    let mut got = AggResult::new(&spec);
-                    let mut fresh = Cursors::new();
-                    b.record_of(ancestor, &mut fresh)
-                        .expect("an ancestor of a stored cell has data")
-                        .combine_into(&plan, &mut got);
-                    let covering = CellUnion::from_cells(vec![ancestor]);
+                    let covering = CellUnion::from_cells(vec![cell.parent_at(level)]);
+                    let (got, stats) = b.select_covering(&covering, &spec);
+                    assert_eq!(
+                        stats.cells_combined, 1,
+                        "an ancestor of a stored cell has data"
+                    );
                     let want = crate::reference::select_covering(b, &covering, &spec);
                     let got = got.finalize(&spec);
                     assert!(
                         got.approx_eq(&want, 0.0),
-                        "{ancestor:?}: {got:?} vs {want:?}"
+                        "{covering:?}: {got:?} vs {want:?}"
                     );
                 }
             }
@@ -815,8 +812,9 @@ mod tests {
             /// The one derived-state property: whichever way a block came
             /// to be, it keeps the block level and the even levels above
             /// it, its layers are valid and bit-equal to the canonical
-            /// fold of its records (`check_invariants`), and the records
-            /// of the levels it does not keep fold to the same tree.
+            /// fold of its records (`check_invariants`), and SELECT over
+            /// any aligned ancestor alone, kept level or not, is the
+            /// reference's answer.
             #[test]
             fn every_producer_yields_the_canonical_pyramid(
                 points in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..250),

@@ -29,6 +29,7 @@
 use crate::api::{check_update_row, GbError};
 use crate::block::GeoBlock;
 use crate::layer::Layer;
+use gb_cell::CellId;
 use gb_geom::Point;
 
 /// A batch of new tuples: location plus one value per schema column.
@@ -110,11 +111,11 @@ impl GeoBlock {
     pub(crate) fn applied(&self, batch: &UpdateBatch) -> (GeoBlock, UpdateReport) {
         let (old, level) = (self.records(), self.level());
         // Sorted (cell, row) pairs: each cell's rows are a run in batch order.
-        let mut touched: Vec<(u64, usize)> = batch
+        let mut touched: Vec<(CellId, usize)> = batch
             .rows
             .iter()
             .enumerate()
-            .map(|(row, (at, _))| (self.grid.cell_for_point(*at, level).raw(), row))
+            .map(|(row, (at, _))| (self.grid.cell_for_point(*at, level), row))
             .collect();
         touched.sort_unstable();
         // Per touched cell, by one forward cursor over `old`: its rows, the
@@ -124,24 +125,21 @@ impl GeoBlock {
             touched.chunk_by(|a, b| a.0 == b.0).filter_map(move |run| {
                 let &(cell, _) = run.first()?;
                 let from = cursor;
-                let hit = old.find(cell, &mut cursor);
-                Some((cell, run, from..hit.unwrap_or(cursor), hit))
+                let hit = old.under(cell, &mut cursor);
+                Some((cell, run, from..hit.start, hit))
             })
         };
-        let fresh = runs().filter(|(.., hit)| hit.is_none()).count();
+        let fresh = runs().filter(|(.., hit)| hit.is_empty()).count();
         let mut next = Layer::with_capacity(level, old.n_cols, old.num_cells() + fresh);
         let mut report = UpdateReport::default();
         for (cell, run, untouched, hit) in runs() {
             next.extend_from(old, untouched);
-            match hit {
-                Some(i) => {
-                    next.extend_from(old, i..i + 1);
-                    report.in_place += run.len();
-                }
-                None => {
-                    next.push_empty(cell);
-                    report.new_cells += run.len();
-                }
+            if hit.is_empty() {
+                next.push_empty(cell.raw());
+                report.new_cells += run.len();
+            } else {
+                next.extend_from(old, hit);
+                report.in_place += run.len();
             }
             let at = next.num_cells() - 1;
             for &(_, row) in run {
@@ -385,15 +383,15 @@ mod tests {
         for &(at, v) in &rows {
             batch.push(at, vec![v]);
         }
-        let cell = |p: Point| grid.cell_for_point(p, level).raw();
+        let cell = |p: Point| grid.cell_for_point(p, level);
         assert!(spread.iter().all(|&p| cell(p) == cell(spread[0])));
         assert!(grid.leaf_for_point(spread[0]) > grid.leaf_for_point(spread[2]));
         let cells = [cell(old), cell(spread[0]), cell(other)];
         let records = block.records();
-        assert!(records.find(cells[0], &mut 0).is_some());
+        assert_eq!(records.under(cells[0], &mut 0).len(), 1);
         assert!(cells[1..]
             .iter()
-            .all(|&c| records.find(c, &mut 0).is_none()));
+            .all(|&c| records.under(c, &mut 0).is_empty()));
 
         let (next, report) = block.applied(&batch);
         assert_eq!(
@@ -404,36 +402,32 @@ mod tests {
             }
         );
         next.check_invariants();
-        let one = |layer: &Layer, key: u64| {
-            let i = layer.find(key, &mut 0).expect("a record");
+        let one = |layer: &Layer, key: CellId| {
             let mut out = Layer::with_capacity(level, 1, 1);
-            out.extend_from(layer, i..i + 1);
+            out.extend_from(layer, layer.under(key, &mut 0));
             out
         };
         for key in cells {
-            let mut want = Layer::with_capacity(level, 1, 1);
-            match records.find(key, &mut 0) {
-                Some(i) => want.extend_from(records, i..i + 1),
-                None => want.push_empty(key),
+            let mut want = one(records, key);
+            if want.num_cells() == 0 {
+                want.push_empty(key.raw());
             }
             for (at, v) in rows {
                 if cell(at) == key {
                     want.add_tuple(0, |_| v);
                 }
             }
-            assert_eq!(
-                one(next.records(), key).content_hash(),
-                want.content_hash(),
-                "cell {key:#x}"
-            );
+            let got = one(next.records(), key);
+            assert_eq!(got.num_cells(), 1, "cell {key:?}");
+            assert_eq!(got.content_hash(), want.content_hash(), "cell {key:?}");
         }
         // Every other record is the old one, bit for bit.
         assert_eq!(next.num_cells(), block.num_cells() + 2);
-        for (i, &key) in records.keys.iter().enumerate() {
+        for i in 0..records.num_cells() {
+            let key = CellId::from_raw(records.keys[i]);
             if key != cells[0] {
-                let mut want = Layer::with_capacity(level, 1, 1);
-                want.extend_from(records, i..i + 1);
-                assert_eq!(one(next.records(), key).content_hash(), want.content_hash());
+                let (got, want) = (one(next.records(), key), one(records, key));
+                assert_eq!(got.content_hash(), want.content_hash(), "cell {key:?}");
             }
         }
     }
