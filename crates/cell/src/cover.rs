@@ -39,6 +39,10 @@
 //! descent returns from its parent, so the output needs no sort and no
 //! normalisation pass. Cost: O(boundary cells + local edge tests).
 
+// Every query runs the coverer, on a polygon from the network.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::curve::CurveCursor;
 use crate::grid::Grid;
 use crate::id::{CellId, MAX_LEVEL};

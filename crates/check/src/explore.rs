@@ -133,6 +133,7 @@ struct RunResult {
 
 /// Execute one schedule: spawn model thread 0 running `f`, and resolve
 /// each decision through `choose(step, allowed) -> index`.
+#[expect(clippy::disallowed_methods, reason = "model threads are OS threads the scheduler runs")]
 fn run_once<F>(
     f: &Arc<F>,
     opts: &Options,

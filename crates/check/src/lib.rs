@@ -20,10 +20,10 @@
 //!   run is reproducible and pinnable as a regression test.
 //!
 //! Alongside interleaving exploration, the scheduler enforces the
-//! workspace's declared lock-rank order (the same table `gb_lint`
-//! checks lexically) at model time, detects deadlocks (reporting who
-//! waits on which named lock), and flags livelock via a per-schedule
-//! step budget.
+//! workspace's declared lock-rank order (`gb_common::sync::rank`, as
+//! the debug-build runtime check does) at model time, detects deadlocks
+//! (reporting who waits on which named lock), and flags livelock via a
+//! per-schedule step budget.
 //!
 //! What the model does **not** cover: weak-memory reorderings. The
 //! checked atomics are sequentially consistent regardless of the
@@ -66,6 +66,7 @@ pub use thread_api::{spawn, JoinHandle};
 mod tests {
     use super::*;
     use gb_common::sync::backend::{AtomicU64Api, Backend, MutexApi, Ordering};
+    use gb_common::sync::rank;
     use std::sync::Arc;
 
     type CAtomicU64 = <CheckedBackend as Backend>::AtomicU64;
@@ -135,7 +136,7 @@ mod tests {
     #[test]
     fn mutex_guarded_increment_passes_exhaustively() {
         let report = check(Options::exhaustive(), || {
-            let n = Arc::new(CMutex::new("counter", 4, 0u64));
+            let n = Arc::new(CMutex::new("counter", rank::LEAF, 0u64));
             let n2 = Arc::clone(&n);
             let t = spawn(move || {
                 let mut g = n2.lock();
@@ -155,8 +156,8 @@ mod tests {
     #[test]
     fn lock_order_violation_is_reported() {
         let report = check(Options::exhaustive(), || {
-            let hi = CMutex::new("entries", 4, ());
-            let lo = CMutex::new("shard", 1, ());
+            let hi = CMutex::new("entries", rank::LEAF, ());
+            let lo = CMutex::new("shard", rank::MEMO, ());
             let _g_hi = hi.lock();
             let _g_lo = lo.lock(); // rank 1 after rank 4: declared-order violation
         });
@@ -171,7 +172,7 @@ mod tests {
     #[test]
     fn join_while_holding_the_childs_lock_deadlocks() {
         let report = check(Options::exhaustive(), || {
-            let m = Arc::new(CMutex::new("shard", 1, ()));
+            let m = Arc::new(CMutex::new("shard", rank::MEMO, ()));
             let m2 = Arc::clone(&m);
             let guard = m.lock();
             let t = spawn(move || {

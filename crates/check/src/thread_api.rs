@@ -50,6 +50,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Spawn a model thread running `f`. Must be called from inside a model
 /// run. The spawn itself is a switch point: the explorer may run the
 /// child immediately, later, or interleaved with the parent.
+#[expect(clippy::disallowed_methods, reason = "model threads are OS threads the scheduler runs")]
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
 where
     T: Send + 'static,

@@ -17,6 +17,10 @@
 //! The map is plain, non-`Sync` data: its owners already serialise
 //! access behind their own (ranked, model-checked) mutex.
 
+// Runs under the result-cache and memo-shard locks on the request path.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::FxHashMap;
 use std::collections::VecDeque;
 

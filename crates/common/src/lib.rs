@@ -23,14 +23,12 @@
 //!   kernel to model-check.
 //! * [`sync`] — rank-ordered lock wrappers ([`sync::OrderedMutex`],
 //!   [`sync::OrderedRwLock`]) that enforce the declared engine lock
-//!   order at runtime under `debug_assertions` and absorb poisoning;
-//!   the runtime half of the `gb_lint` `lock-order` rule. The
-//!   [`sync::backend`] submodule defines the swappable-primitive facade
-//!   (`Backend`) that lets `gb_check` run the same kernel code under a
-//!   deterministic interleaving scheduler.
-//! * [`stats`] — relaxed event counters ([`stats::Counter`]), the one
-//!   blessed home for `Ordering::Relaxed` (see the `gb_lint`
-//!   `atomic-ordering` rule).
+//!   order ([`sync::rank`]) at runtime under `debug_assertions` and
+//!   absorb poisoning. The [`sync::backend`] submodule defines the
+//!   swappable-primitive facade (`Backend`) that lets `gb_check` run the
+//!   same kernel code under a deterministic interleaving scheduler.
+//! * [`stats`] — relaxed event counters ([`stats::Counter`]), the home
+//!   for `Ordering::Relaxed`.
 //! * [`hist`] — the lock-free log-linear [`LatencyHistogram`] shared by the
 //!   serve-layer request-latency metric and the per-stage tracer
 //!   (`gb_trace`).

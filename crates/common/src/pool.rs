@@ -94,10 +94,11 @@ pub struct Pool {
 
 /// Run `f` on a fresh thread and join it, returning its result — or the
 /// panic payload as `Err` if it panicked. This is the sanctioned shape
-/// for one-off threads outside the pool (the `rogue-spawn` lint points
-/// here): panic isolation is explicit in the signature, and the thread
-/// cannot outlive the call, so nothing leaks past a test or a phase
-/// boundary.
+/// for one-off threads outside the pool (`clippy.toml`'s spawn ban
+/// points here): panic isolation is explicit in the signature, and the
+/// thread cannot outlive the call, so nothing leaks past a test or a
+/// phase boundary.
+#[expect(clippy::disallowed_methods, reason = "the pool is the workspace's one thread source")]
 pub fn spawn_join<R, F>(f: F) -> std::thread::Result<R>
 where
     R: Send + 'static,

@@ -1,5 +1,5 @@
-//! Relaxed statistics counters — the one blessed home for
-//! `Ordering::Relaxed` in this workspace.
+//! Relaxed statistics counters — the home for `Ordering::Relaxed` in
+//! this workspace.
 //!
 //! A [`Counter`] is a monotonic (plus explicit reset) event tally:
 //! cache hits, probes, admission rejections, latency-bucket increments.
@@ -9,11 +9,9 @@
 //! `Ordering::Relaxed` is correct and anything stronger is noise on the
 //! hot path.
 //!
-//! The `gb_lint` `atomic-ordering` rule enforces the boundary: a bare
-//! `Ordering::Relaxed` anywhere outside this file needs a
-//! `gb-lint: allow(atomic-ordering) -- why` comment. Code that needs a
-//! relaxed counter routes here; code that needs ordering semantics
-//! spells out Acquire/Release/SeqCst where reviewers can see them.
+//! Code that needs a relaxed counter routes here; code that needs
+//! ordering semantics spells out Acquire/Release/SeqCst, and any other
+//! `Relaxed` says why in a comment beside it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,8 +1,7 @@
-//! Rank-ordered lock wrappers: the runtime counterpart of the
-//! `lock-order` rule in `gb_lint`.
+//! Rank-ordered lock wrappers: the workspace's lock-order check.
 //!
-//! Every lock carries a name and a rank from the declared order table
-//! (see `DESIGN.md` "Static analysis & invariants"). Under
+//! Every lock carries a name and a rank from the declared order table,
+//! [`rank`] (see `DESIGN.md` "Static analysis & invariants"). Under
 //! `debug_assertions` each thread keeps a stack of the ranks it holds;
 //! acquiring a lock whose rank is not *strictly greater* than every
 //! held rank panics immediately with both lock names — turning a
@@ -19,6 +18,25 @@
 //! exercise the poisoned paths.
 
 pub mod backend;
+
+/// The declared lock order: a thread may take a lock only while every
+/// lock it holds has a strictly lower rank. `gb_check` enforces the same
+/// ranks at model time.
+pub mod rank {
+    /// The engine's publisher mutex (`publish_guard`): first, so a
+    /// publisher may swap the state slot while holding it.
+    pub const PUBLISH_GUARD: u8 = 0;
+    /// The covering-memo shards (`memo`): never held while computing a
+    /// covering or taking another lock.
+    pub const MEMO: u8 = 1;
+    /// The engine's state slot (`state`: block and data epoch): held only
+    /// for the clone or the swap.
+    pub const STATE: u8 = 2;
+    /// Leaf locks, held across no other acquisition: the result cache's
+    /// `entries`, the quota `buckets`, a serve worker's `serving` slot and
+    /// the flight recorder's `traces`.
+    pub const LEAF: u8 = 4;
+}
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -52,7 +70,7 @@ impl RankToken {
                 panic!(
                     "lock-order violation: acquiring `{name}` (rank {rank}) while holding \
                      `{held_name}` (rank {held_rank}); locks must be taken in strictly \
-                     increasing rank order (publish_guard=0 < memo=1 < state=2)"
+                     increasing rank order (see `gb_common::sync::rank`)"
                 );
             }
             held.push((rank, name));
@@ -264,15 +282,27 @@ impl<T> DerefMut for OrderedWriteGuard<'_, T> {
 
 #[cfg(test)]
 mod tests {
+    use super::rank::{LEAF, MEMO, PUBLISH_GUARD, STATE};
     use super::*;
     use crate::pool::spawn_join;
     use std::sync::Arc;
 
     #[test]
+    fn lock_ranks_are_ordered() {
+        let ranks = [PUBLISH_GUARD, MEMO, STATE, LEAF];
+        assert!(ranks.is_sorted_by(|a, b| a < b), "{ranks:?}");
+        // A leaf lock may be taken under the state slot.
+        let state = OrderedRwLock::new("state", STATE, ());
+        let entries = OrderedMutex::new("entries", LEAF, ());
+        let _s = state.read();
+        drop(entries.lock());
+    }
+
+    #[test]
     fn in_order_acquisition_is_fine() {
-        let guard = OrderedMutex::new("publish_guard", 0, ());
-        let memo = OrderedMutex::new("memo", 1, 7u64);
-        let state = OrderedRwLock::new("state", 2, vec![1, 2, 3]);
+        let guard = OrderedMutex::new("publish_guard", PUBLISH_GUARD, ());
+        let memo = OrderedMutex::new("memo", MEMO, 7u64);
+        let state = OrderedRwLock::new("state", STATE, vec![1, 2, 3]);
         let _g = guard.lock();
         let s = memo.lock();
         assert_eq!(*s, 7);
@@ -284,8 +314,8 @@ mod tests {
 
     #[test]
     fn sequential_same_rank_is_fine() {
-        let a = OrderedMutex::new("memo", 1, 0u32);
-        let b = OrderedMutex::new("memo", 1, 0u32);
+        let a = OrderedMutex::new("memo", MEMO, 0u32);
+        let b = OrderedMutex::new("memo", MEMO, 0u32);
         // Dropping between acquisitions keeps at most one rank-1 lock held.
         for m in [&a, &b] {
             *m.lock() += 1;
@@ -296,8 +326,8 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn out_of_order_acquisition_panics() {
-        let state = Arc::new(OrderedRwLock::new("state", 2, ()));
-        let guard = Arc::new(OrderedMutex::new("publish_guard", 0, ()));
+        let state = Arc::new(OrderedRwLock::new("state", STATE, ()));
+        let guard = Arc::new(OrderedMutex::new("publish_guard", PUBLISH_GUARD, ()));
         let result = spawn_join(move || {
             let _t = state.read();
             let _g = guard.lock(); // rank 0 after rank 2: violation
@@ -314,7 +344,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn reentrant_acquisition_panics() {
-        let m = Arc::new(OrderedMutex::new("publish_guard", 0, ()));
+        let m = Arc::new(OrderedMutex::new("publish_guard", PUBLISH_GUARD, ()));
         let result = spawn_join(move || {
             let _a = m.lock();
             let _b = m.lock(); // same rank: re-entry, would self-deadlock
@@ -325,8 +355,8 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn violation_does_not_corrupt_the_held_stack() {
-        let lo = Arc::new(OrderedMutex::new("publish_guard", 0, ()));
-        let hi = Arc::new(OrderedRwLock::new("state", 2, ()));
+        let lo = Arc::new(OrderedMutex::new("publish_guard", PUBLISH_GUARD, ()));
+        let hi = Arc::new(OrderedRwLock::new("state", STATE, ()));
         let (lo2, hi2) = (Arc::clone(&lo), Arc::clone(&hi));
         let result = spawn_join(move || {
             let _t = hi2.read();
@@ -341,8 +371,8 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover() {
-        let m = Arc::new(OrderedMutex::new("memo", 1, 41u64));
-        let rw = Arc::new(OrderedRwLock::new("state", 2, String::from("ok")));
+        let m = Arc::new(OrderedMutex::new("memo", MEMO, 41u64));
+        let rw = Arc::new(OrderedRwLock::new("state", STATE, String::from("ok")));
         let (m2, rw2) = (Arc::clone(&m), Arc::clone(&rw));
         let result = spawn_join(move || {
             let _a = m2.lock();

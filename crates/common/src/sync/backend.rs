@@ -190,6 +190,7 @@ impl AtomicU64Api for std::sync::atomic::AtomicU64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::rank;
 
     /// A kernel written once against the facade, exercised here with the
     /// std backend (the checked backend gets the same treatment in
@@ -225,7 +226,7 @@ mod tests {
             slot: B::RwLock<Arc<u64>>,
         }
         let c = Cell::<StdBackend> {
-            slot: <StdBackend as Backend>::RwLock::new("state", 2, Arc::new(7)),
+            slot: <StdBackend as Backend>::RwLock::new("state", rank::STATE, Arc::new(7)),
         };
         assert_eq!(**c.slot.read(), 7);
         *c.slot.write() = Arc::new(9);

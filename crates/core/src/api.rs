@@ -22,6 +22,11 @@
 //! advances only when `apply_updates` commits a batch. A result cache entry is
 //! valid exactly as long as the engine still reports the entry's epoch.
 
+// Wire bytes come from the network: a malformed message is a typed error.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::aggregate::AggResult;
 use crate::query::QueryStats;
 use crate::snapshot::SnapshotError;

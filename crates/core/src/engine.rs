@@ -31,6 +31,10 @@
 //! [`GeoBlockEngine::count`]) return [`QueryResponse`] values carrying
 //! the same epoch.
 
+// Every served query and update runs through the engine.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::aggregate::{AggResult, RecordRef};
 use crate::api::{GbError, QueryReply, QueryRequest, QueryResponse};
 use crate::block::GeoBlock;

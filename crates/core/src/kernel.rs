@@ -24,13 +24,7 @@
 //! the checked backend and a small epoch-stamped state.
 
 use gb_common::sync::backend::{Arc, Backend, MutexApi, RwLockApi, StdBackend};
-
-/// Rank of the publisher mutex in the declared engine lock order (see
-/// `DESIGN.md` "Static analysis & invariants"): first, so a publisher
-/// may swap the state slot (rank 2) while holding it.
-const RANK_PUBLISH_GUARD: u8 = 0;
-/// Rank of the state slot: always last, held only for the clone/swap.
-const RANK_STATE: u8 = 2;
+use gb_common::sync::rank;
 
 /// Epoch-swapped publication of an immutable state value.
 ///
@@ -59,8 +53,8 @@ where
     /// A kernel whose first publication is `initial`.
     pub fn new(initial: S) -> PublishKernel<S, B> {
         PublishKernel {
-            publish_guard: B::Mutex::new("publish_guard", RANK_PUBLISH_GUARD, ()),
-            state: B::RwLock::new("state", RANK_STATE, Arc::new(initial)),
+            publish_guard: B::Mutex::new("publish_guard", rank::PUBLISH_GUARD, ()),
+            state: B::RwLock::new("state", rank::STATE, Arc::new(initial)),
         }
     }
 

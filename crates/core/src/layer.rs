@@ -31,6 +31,10 @@
 //! Each level needs the next finer one, so `GeoBlock::refresh_derived`
 //! folds them one after another on the calling thread.
 
+// The record layout under every query and update.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::aggregate::RecordRef;
 use crate::gallop;
 use gb_cell::CellId;

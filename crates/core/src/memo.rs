@@ -12,15 +12,14 @@
 //! covering. Only traffic fills the memo: it is not persisted, and a
 //! restarted engine starts with it empty.
 
+// Runs under the memo-shard locks on the request path.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use gb_cell::CellUnion;
-use gb_common::sync::OrderedMutex;
+use gb_common::sync::{rank, OrderedMutex};
 use gb_common::{Counter, FifoMap};
 use std::sync::Arc;
-
-/// Rank of the memo shards in the declared lock order: leaf locks on the
-/// query path, between the publisher mutex (0) and the state slot (2),
-/// never held while computing a covering or taking another lock.
-const RANK_MEMO: u8 = 1;
 
 /// Shard count — a power of two so the shard index is a mask of the
 /// already-mixed key.
@@ -63,7 +62,7 @@ impl CoveringMemo {
         let shard_capacity = capacity.div_ceil(MEMO_SHARDS);
         CoveringMemo {
             memo: (0..MEMO_SHARDS)
-                .map(|_| OrderedMutex::new("memo", RANK_MEMO, FifoMap::new(shard_capacity)))
+                .map(|_| OrderedMutex::new("memo", rank::MEMO, FifoMap::new(shard_capacity)))
                 .collect(),
             shard_capacity,
             hits: Counter::new(),

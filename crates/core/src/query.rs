@@ -29,6 +29,10 @@
 //! folds every block-level record in a covering cell's range
 //! ([`GeoBlock::records_under`]), is `gb_baselines::ScanBlockIndex`.
 
+// The record lookup every `/v1/select` runs through.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::aggregate::{AggPlan, AggResult, RecordRef};
 use crate::block::GeoBlock;
 use crate::layer::Layer;

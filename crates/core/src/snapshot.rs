@@ -58,6 +58,11 @@
 //! loader itself, not just by tests. Decoding never panics: all failures
 //! surface as [`SnapshotError`].
 
+// Snapshot bytes come from disk: a corrupt file is a typed error.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::cast_possible_truncation))]
+
 use crate::block::GeoBlock;
 use crate::layer::{hash_bits, Layer};
 use gb_cell::Grid;

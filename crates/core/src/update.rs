@@ -26,6 +26,10 @@
 //! anything changes. The engine keeps no record beside the block, so
 //! publishing the block is the whole update.
 
+// The batch commit every `/v1/update` runs through.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::api::{check_update_row, GbError};
 use crate::block::GeoBlock;
 use crate::layer::Layer;

@@ -204,7 +204,10 @@ fn engine_shared_via_arc_across_spawned_threads() {
             let spec = spec.clone();
             let poly = poly.clone();
             let want = want.clone();
-            // gb-lint: allow(rogue-spawn) -- the point of this test is N detached-then-joined owners of the Arc, not pool fan-out
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the point of this test is N detached-then-joined owners of the Arc, not pool fan-out"
+            )]
             std::thread::spawn(move || {
                 for _ in 0..20 {
                     let got = engine.select(&poly, &spec).result;

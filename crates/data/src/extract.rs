@@ -19,6 +19,9 @@
 //! sorting phase […] caused by the collection of grid cell ids", Figure 11a
 //! / Table 2).
 
+// Row indices are stored as `u32`: the narrowing is checked where a table enters.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::filter::Filter;
 use crate::table::{apply_permutation, merge_runs, BaseTable, RawTable, Rows};
 use gb_cell::Grid;

@@ -168,8 +168,8 @@ pub fn selectivity_polygon(base: &BaseTable, target: f64) -> (Polygon, f64) {
     // Median-ish center: mean is fine for our unimodal-cluster mixes.
     // These run single-threaded over a fixed row order during dataset
     // generation, so the fold is deterministic without the kernels.
-    let cx = base.xs().iter().sum::<f64>() / n as f64; // gb-lint: allow(float-fold) -- serial dataset generation
-    let cy = base.ys().iter().sum::<f64>() / n as f64; // gb-lint: allow(float-fold) -- serial dataset generation
+    let cx = base.xs().iter().sum::<f64>() / n as f64;
+    let cy = base.ys().iter().sum::<f64>() / n as f64;
 
     let domain = base.grid().domain();
     let max_half = domain.width().max(domain.height());

@@ -6,6 +6,9 @@
 //! is the cleaned, key-sorted columnar base data every index builds from.
 //! "We keep all data in a columnar layout" (§4.1).
 
+// Row indices are stored as `u32`: every narrowing is checked.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::schema::{ColumnType, Schema};
 use gb_cell::Grid;
 use gb_common::Pool;
@@ -55,8 +58,13 @@ impl Column {
         }
     }
 
-    /// Append a value given as `f64` (truncates toward zero for I64).
+    /// Append a value given as `f64`. An I64 column stores it truncated
+    /// toward zero and saturated at `i64::MIN` / `i64::MAX`; NaN is 0.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the documented conversion: `as` truncates toward zero, saturates, and maps NaN to 0"
+    )]
     pub fn push_f64(&mut self, value: f64) {
         match self {
             Column::F64(v) => v.push(value),
@@ -400,6 +408,18 @@ mod tests {
 
     fn schema() -> Schema {
         Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("n")])
+    }
+
+    #[test]
+    fn push_f64_truncates_and_saturates_into_i64() {
+        let mut c = Column::new(ColumnType::I64);
+        for v in [2.9, -2.9, f64::NAN, 1e300] {
+            c.push_f64(v);
+        }
+        let Column::I64(v) = c else {
+            unreachable!("an I64 column")
+        };
+        assert_eq!(v, [2, -2, 0, i64::MAX]);
     }
 
     #[test]

@@ -30,12 +30,9 @@
 //! friends), which derive the tick from a monotonic anchor.
 
 use gb_common::sync::backend::{Backend, MutexApi, StdBackend};
+use gb_common::sync::rank;
 use gb_common::{Counter, FifoMap};
 use std::time::{Duration, Instant};
-
-/// Rank of the cache map in the declared lock order: a serve-layer leaf
-/// lock, never held while any engine lock is taken.
-const RANK_ENTRIES: u8 = 4;
 
 /// One cached reply: the encoded wire bytes, the data epoch they answer
 /// for, and the tick they were inserted at (for the TTL bound). Eviction
@@ -90,7 +87,7 @@ impl<B: Backend> ResultCache<B> {
     /// (and only while the engine stays on the entry's data epoch).
     pub fn new(capacity: usize, ttl: Duration) -> ResultCache<B> {
         ResultCache {
-            entries: B::Mutex::new("entries", RANK_ENTRIES, FifoMap::new(capacity)),
+            entries: B::Mutex::new("entries", rank::LEAF, FifoMap::new(capacity)),
             capacity,
             ttl_us: ttl.as_micros().min(u64::MAX as u128) as u64,
             anchor: Instant::now(),

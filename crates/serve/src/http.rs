@@ -11,9 +11,9 @@
 //! connection open (`connection: keep-alive` vs `close`). A message is
 //! framed — head, then body — into one buffer and sent with one `write`;
 //! one that arrives in one segment is taken with one `read`.
-//!
-//! This module is on the `gb_lint` `panic-path` list: parse failures are
-//! values ([`HttpError`]), never panics.
+
+// Request bytes come from the network: every read is bounds-checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::io::{ErrorKind, Read, Write};
 

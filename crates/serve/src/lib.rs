@@ -42,9 +42,10 @@
 //!   (`gb_worker_waits_total`) and the time spent polling
 //!   (`gb_worker_poll_ns_total`). [`RunningServer::stop`] wakes the fleet
 //!   by connecting to it.
-//!
-//! The whole crate is on the `gb_lint` `panic-path` list: every failure
-//! is a typed [`GbError`]/[`http::HttpError`] value, never a panic.
+
+// Every request runs through this crate: a failure is a typed reply.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod cache;
 pub mod client;
@@ -53,7 +54,7 @@ pub mod metrics;
 pub mod quota;
 
 use cache::ResultCache;
-use gb_common::sync::OrderedMutex;
+use gb_common::sync::{rank, OrderedMutex};
 use gb_common::Pool;
 use gb_trace::Stage;
 use geoblocks::api::{self, QueryRequest};
@@ -518,10 +519,6 @@ impl Write for PolledStream<'_> {
 /// Capacity a connection's buffers keep between requests.
 const BUFFER_KEEP: usize = 64 * 1024;
 
-/// Leaf lock (see DESIGN.md "Static analysis & invariants"): held for one
-/// store or one `shutdown(2)`, never across another acquisition.
-const RANK_SERVING: u8 = 4;
-
 /// What ends [`GbServer::run`]: the flag its workers read around `accept`
 /// and after every request, and per worker a handle on the stream it is
 /// serving, so [`Shutdown::stop`] can end a connection waiting in `read`.
@@ -532,7 +529,7 @@ struct Shutdown {
 
 impl Shutdown {
     fn new(workers: usize) -> Shutdown {
-        let slot = |_| OrderedMutex::new("serving", RANK_SERVING, None);
+        let slot = |_| OrderedMutex::new("serving", rank::LEAF, None);
         Shutdown {
             flag: AtomicBool::new(false),
             serving: (0..workers).map(slot).collect(),
@@ -655,7 +652,10 @@ impl RunningServer {
         let shutdown = Arc::new(Shutdown::new(server.config.threads.max(1)));
         let run_server = Arc::clone(&server);
         let run_shutdown = Arc::clone(&shutdown);
-        // gb-lint: allow(rogue-spawn) -- the serve loop must outlive this call (stopped via Shutdown::stop + join in stop()); Pool is fork-join and spawn_join would block here
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the serve loop must outlive this call (stopped via Shutdown::stop + join in stop()); Pool is fork-join and spawn_join would block here"
+        )]
         let thread = std::thread::spawn(move || run_server.run(listener, &run_shutdown));
         Ok(RunningServer {
             server,

@@ -16,12 +16,9 @@
 //! the tick from a monotonic anchor.
 
 use gb_common::sync::backend::{Backend, MutexApi, StdBackend};
+use gb_common::sync::rank;
 use gb_common::FxHashMap;
 use std::time::Instant;
-
-/// Rank of the bucket table in the declared lock order: a serve-layer
-/// leaf lock, never held while any engine lock is taken.
-const RANK_BUCKETS: u8 = 4;
 
 /// Admission decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +52,7 @@ impl<B: Backend> QuotaTable<B> {
     /// A non-positive `per_sec` disables admission control entirely.
     pub fn new(burst: f64, per_sec: f64) -> QuotaTable<B> {
         QuotaTable {
-            buckets: B::Mutex::new("buckets", RANK_BUCKETS, FxHashMap::default()),
+            buckets: B::Mutex::new("buckets", rank::LEAF, FxHashMap::default()),
             burst: burst.max(1.0),
             per_sec,
             anchor: Instant::now(),

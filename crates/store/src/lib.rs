@@ -37,6 +37,11 @@
 //! and signed zeros survive), which is what makes the round-trip gate
 //! (`content_hash` equality) exact.
 
+// Snapshot bytes come from disk: a corrupt file is a typed error.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::cast_possible_truncation))]
+
 use std::fmt;
 use std::ops::RangeInclusive;
 use std::path::Path;
@@ -197,7 +202,7 @@ fn wordsum64(bytes: &[u8]) -> u64 {
     }
     if !tail.is_empty() {
         let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
+        last.iter_mut().zip(tail).for_each(|(l, &t)| *l = t);
         h = step(h, u64::from_le_bytes(last));
     }
     step(h, bytes.len() as u64)
@@ -254,6 +259,10 @@ impl SnapshotWriter {
     /// Append a section whose payload is whatever `encode` writes. Tags
     /// must be unique; re-adding one is a caller bug (it would trip the
     /// reader's duplicate check on load).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the length field lies inside the frame this call has just written"
+    )]
     pub fn section(&mut self, tag: SectionTag, encode: impl FnOnce(&mut ByteWriter)) {
         let buf = &self.out.buf;
         debug_assert!(
@@ -272,6 +281,10 @@ impl SnapshotWriter {
 
     /// Checksum every section under the version's rule, patch the header
     /// and hand out the finished container.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the header and every frame were written before: frame + FRAME_BYTES <= next frame <= buf.len()"
+    )]
     pub fn into_bytes(self) -> Vec<u8> {
         let checksum = checksum_for(self.version);
         let mut buf = self.out.buf;
@@ -317,8 +330,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     tmp_name.push(format!(
         ".{}-{}.tmp-gbsnap",
         std::process::id(),
-        // No thread observes another's ticket, only uniqueness matters.
-        // gb-lint: allow(atomic-ordering) -- temp-name uniqueness ticket
+        // Relaxed: a temp-name uniqueness ticket. No thread observes
+        // another's ticket, only uniqueness matters.
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = path.with_file_name(tmp_name);
@@ -425,8 +438,11 @@ impl<'a> SnapshotReader<'a> {
 /// construction; a longer input means a corrupted producer, and a
 /// silently truncated prefix would desynchronize the whole stream — so
 /// this is the one place the encoder is allowed to panic.
+#[expect(
+    clippy::expect_used,
+    reason = "encoder precondition: u32-prefixed lengths are < 4 GiB by construction"
+)]
 fn len_u32_value(len: usize) -> u32 {
-    // gb-lint: allow(panic-path) -- encoder precondition: u32-prefixed lengths are < 4 GiB by construction
     u32::try_from(len).expect("length overflows the u32 snapshot prefix")
 }
 
@@ -493,6 +509,10 @@ impl ByteWriter {
     /// values are converted a stack chunk at a time and appended as one
     /// slice: on a little-endian target the conversion is a plain copy the
     /// compiler vectorises, on a big-endian one it still swaps.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chunks(SLICE_CHUNK) yields at most SLICE_CHUNK = chunk.len() values"
+    )]
     fn le_slice<T: Copy, const W: usize>(&mut self, v: &[T], to_le: impl Fn(T) -> [u8; W]) {
         self.u64(v.len() as u64);
         self.buf.reserve(v.len() * W);
@@ -557,17 +577,14 @@ impl<'a> ByteReader<'a> {
     }
 
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(SnapshotError::Truncated {
+        let end = self.pos.checked_add(n);
+        let Some(s) = end.and_then(|end| self.buf.get(self.pos..end)) else {
+            return Err(SnapshotError::Truncated {
                 context: self.context,
-            }),
-        }
+            });
+        };
+        self.pos += n;
+        Ok(s)
     }
 
     /// Read exactly `N` bytes as an array. `bytes(N)` already guarantees

@@ -34,11 +34,12 @@
 //! inner spans attribute to the owner's trace. A request never leaves
 //! the thread that opened its trace (a batch answers its items in order
 //! on that thread), so every span it opens lands on its own trace.
-//!
-//! This module is on the `gb_lint` `panic-path` list: all array access
-//! is via checked lookups or iterators, never indexing that can panic.
 
-use gb_common::sync::OrderedMutex;
+// The recorder runs inside sampled requests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
+use gb_common::sync::{rank, OrderedMutex};
 use gb_common::{Counter, LatencyHistogram};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -279,12 +280,6 @@ thread_local! {
     static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
 }
 
-/// Rank of the flight-recorder ring shards in the declared lock order:
-/// above every engine lock — traces are pushed after a request fully
-/// completes (guard drop) and snapshotted by debug endpoints, never
-/// while query-path locks are held.
-const RANK_TRACES: u8 = 4;
-
 /// Ring shard count — requests rotate across shards so concurrent
 /// completions contend on different locks.
 const RECORDER_SHARDS: usize = 4;
@@ -302,7 +297,7 @@ impl FlightRecorder {
     fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
             ring: (0..RECORDER_SHARDS)
-                .map(|_| OrderedMutex::new("traces", RANK_TRACES, VecDeque::new()))
+                .map(|_| OrderedMutex::new("traces", rank::LEAF, VecDeque::new()))
                 .collect(),
             per_shard: capacity.div_ceil(RECORDER_SHARDS),
             rotor: Counter::new(),
