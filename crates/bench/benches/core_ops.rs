@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gb_cell::{cover_polygon, Grid};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::Point;
-use geoblocks::{build, Snapshot, SnapshotRef};
+use geoblocks::{build, GeoBlock};
 use std::hint::black_box;
 
 /// Small but realistic setup shared by the benches (kept modest so
@@ -293,16 +293,17 @@ fn bench_persist(c: &mut Criterion) {
         build(&base, 10, &Filter::all()).0
     };
     let block = rebuild();
-    let snapshot = SnapshotRef { block: &block };
-    let bytes = snapshot.to_bytes();
+    let bytes = block.to_snapshot_bytes();
     let mut g = c.benchmark_group("persist");
     g.sample_size(10);
     g.bench_function("rebuild", |b| b.iter(|| black_box(rebuild().num_cells())));
-    g.bench_function("save", |b| b.iter(|| black_box(snapshot.to_bytes().len())));
+    g.bench_function("save", |b| {
+        b.iter(|| black_box(block.to_snapshot_bytes().len()))
+    });
     g.bench_function("load", |b| {
         b.iter(|| {
-            let loaded = Snapshot::from_bytes(black_box(&bytes)).expect("own bytes load");
-            black_box(loaded.block.num_cells())
+            let loaded = GeoBlock::from_snapshot_bytes(black_box(&bytes)).expect("own bytes load");
+            black_box(loaded.num_cells())
         })
     });
     g.finish();

@@ -914,7 +914,7 @@ pub fn fig19(ctx: &Ctx) -> Result<Report, gb_data::DataError> {
 /// failures (unwritable temp dir, full disk) come back as `Err` — the
 /// `repro` driver prints them and exits 1 instead of panicking.
 pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
-    use geoblocks::{GeoBlockEngine, Snapshot};
+    use geoblocks::{GeoBlock, GeoBlockEngine};
 
     let mut rep = Report::new(
         "persist",
@@ -958,23 +958,19 @@ pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
 
         let engine = GeoBlockEngine::new(block.clone());
         let path = dir.join(format!("persist_s{i}.gbsnap"));
+        // `GeoBlockEngine::write_snapshot`, keeping the writer's split.
         let t = gb_common::Timer::start();
-        engine
+        let save = engine
+            .block_snapshot()
             .write_snapshot(&path)
             .map_err(|e| format!("snapshot save to {path:?} failed: {e}"))?;
         let save_s = t.elapsed().as_secs_f64();
 
-        // Where a save spends its time, taken on a second save — of the
-        // state just written, so the same sections and the same bytes.
-        let save = Snapshot::load(&path)
-            .and_then(|snap| snap.as_ref().save_with_stats(&path))
-            .map_err(|e| format!("snapshot re-save to {path:?} failed: {e}"))?;
-
         // `GeoBlockEngine::from_snapshot`, keeping the loader's split.
         let t = gb_common::Timer::start();
-        let (snap, load) = Snapshot::load_with_stats(&path)
+        let (loaded, load) = GeoBlock::read_snapshot(&path)
             .map_err(|e| format!("snapshot load from {path:?} failed: {e}"))?;
-        let loaded = GeoBlockEngine::new(snap.block);
+        let loaded = GeoBlockEngine::new(loaded);
         let load_s = t.elapsed().as_secs_f64();
 
         // Round-trip gate: lossless block, identical answers from the
@@ -992,8 +988,7 @@ pub fn persist(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
 
         let _ = std::fs::remove_file(&path);
         // Also verify the block-only in-memory path stays cheap & exact.
-        let snap = Snapshot::new(block.clone());
-        Snapshot::from_bytes(&snap.to_bytes())
+        GeoBlock::from_snapshot_bytes(&block.to_snapshot_bytes())
             .map_err(|e| format!("in-memory round-trip failed at {rows} rows: {e}"))?;
 
         rep.row(vec![

@@ -14,9 +14,9 @@
 //!   `gb_store` [`ByteWriter`]/[`ByteReader`] primitives (length-prefixed,
 //!   bounds-checked, no external deps). Decoding never panics: malformed
 //!   bytes come back as [`ServeError::BadRequest`] / corrupt-reply errors.
-//! * **Cache identity** — [`request_cache_key`]: the per-query-shape key
-//!   (polygon + spec + filter key) the serving result cache hashes on.
-//!   Updates are never cacheable and return `None`.
+//! * **Cache identity** — [`body_cache_key`] / [`request_cache_key`]: the
+//!   per-query-shape key (request bytes + filter key) the serving result
+//!   cache hashes on. Updates are never cacheable and return `None`.
 //!
 //! The epoch in a [`QueryResponse`] is the engine's **data epoch**: it
 //! advances only when `apply_updates` commits a batch. A result cache entry is
@@ -50,7 +50,7 @@ pub const WIRE_VERSION: u8 = 1;
 pub enum QueryRequest {
     /// SELECT: aggregate `spec` over `polygon` (Figure 8 adapted path).
     Select { polygon: Polygon, spec: AggSpec },
-    /// COUNT: tuple count over `polygon` (bypasses the cache).
+    /// COUNT: tuple count over `polygon`.
     Count { polygon: Polygon },
     /// Apply a batch of new tuples (§5). Never cached; bumps the epoch.
     Update { batch: UpdateBatch },
@@ -295,62 +295,7 @@ fn func_from_code(c: u8) -> Option<AggFunc> {
     }
 }
 
-/// Where a request's wire bytes go: into a buffer ([`encode_request`]) or
-/// straight into their FNV-1a hash ([`request_key`]).
-trait RequestSink {
-    fn u8(&mut self, v: u8);
-    fn len_u32(&mut self, len: usize);
-    fn f64(&mut self, v: f64);
-    fn f64_slice(&mut self, v: &[f64]);
-}
-
-impl RequestSink for ByteWriter {
-    fn u8(&mut self, v: u8) {
-        ByteWriter::u8(self, v);
-    }
-    fn len_u32(&mut self, len: usize) {
-        ByteWriter::len_u32(self, len);
-    }
-    fn f64(&mut self, v: f64) {
-        ByteWriter::f64(self, v);
-    }
-    fn f64_slice(&mut self, v: &[f64]) {
-        ByteWriter::f64_slice(self, v);
-    }
-}
-
-/// [`gb_store::fnv1a64`] of the bytes [`ByteWriter`] would have buffered.
-struct FnvSink(u64);
-
-impl FnvSink {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl RequestSink for FnvSink {
-    fn u8(&mut self, v: u8) {
-        self.bytes(&[v]);
-    }
-    fn len_u32(&mut self, len: usize) {
-        // A length beyond u32 is one the buffering encoder refuses to
-        // write: no request it produces hashes to this key.
-        self.bytes(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.bytes(&v.to_bits().to_le_bytes());
-    }
-    fn f64_slice(&mut self, v: &[f64]) {
-        self.bytes(&(v.len() as u64).to_le_bytes());
-        for &x in v {
-            self.f64(x);
-        }
-    }
-}
-
-fn write_ring(w: &mut impl RequestSink, ring: &[Point]) {
+fn write_ring(w: &mut ByteWriter, ring: &[Point]) {
     w.len_u32(ring.len());
     for p in ring {
         w.f64(p.x);
@@ -358,7 +303,7 @@ fn write_ring(w: &mut impl RequestSink, ring: &[Point]) {
     }
 }
 
-fn write_polygon(w: &mut impl RequestSink, polygon: &Polygon) {
+fn write_polygon(w: &mut ByteWriter, polygon: &Polygon) {
     write_ring(w, polygon.exterior());
     w.len_u32(polygon.holes().len());
     for hole in polygon.holes() {
@@ -366,7 +311,7 @@ fn write_polygon(w: &mut impl RequestSink, polygon: &Polygon) {
     }
 }
 
-fn write_spec(w: &mut impl RequestSink, spec: &AggSpec) {
+fn write_spec(w: &mut ByteWriter, spec: &AggSpec) {
     w.len_u32(spec.requests.len());
     for req in &spec.requests {
         w.u8(func_code(req.func));
@@ -374,7 +319,7 @@ fn write_spec(w: &mut impl RequestSink, spec: &AggSpec) {
     }
 }
 
-fn write_batch(w: &mut impl RequestSink, batch: &UpdateBatch) {
+fn write_batch(w: &mut ByteWriter, batch: &UpdateBatch) {
     w.len_u32(batch.rows.len());
     for (loc, values) in &batch.rows {
         w.f64(loc.x);
@@ -504,7 +449,7 @@ fn check_version(r: &mut ByteReader<'_>) -> Result<(), GbError> {
 }
 
 /// Write one request's kind byte + body (recursing for batches).
-fn write_request_body(w: &mut impl RequestSink, req: &QueryRequest) {
+fn write_request_body(w: &mut ByteWriter, req: &QueryRequest) {
     match req {
         QueryRequest::Select { polygon, spec } => {
             w.u8(KIND_SELECT);
@@ -536,15 +481,6 @@ pub fn encode_request(req: &QueryRequest) -> Vec<u8> {
     w.u8(WIRE_VERSION);
     write_request_body(&mut w, req);
     w.into_inner()
-}
-
-/// `fnv1a64(&encode_request(req))` without encoding: the base of every
-/// result-cache probe's [`request_cache_key`].
-pub(crate) fn request_key(req: &QueryRequest) -> u64 {
-    let mut w = FnvSink(0xcbf2_9ce4_8422_2325);
-    w.u8(WIRE_VERSION);
-    write_request_body(&mut w, req);
-    w.0
 }
 
 /// Read one request given its already-consumed kind byte. `top_level`
@@ -744,21 +680,28 @@ pub fn decode_reply(bytes: &[u8]) -> Result<QueryReply, GbError> {
     Ok(reply)
 }
 
-/// The result-cache key for a request: the FNV-1a-64 hash of the encoded
-/// request (polygon + spec, bit-exact; `request_key`, which hashes the
-/// wire bytes without encoding them) mixed with the serving `filter_key`
-/// (so one cache can front blocks built under different filters without
-/// cross-talk). Updates are never cacheable → `None`, and a batch is
-/// cacheable iff every item is read-only (its reply carries one epoch, so
-/// the usual epoch validation applies).
+/// The result-cache key for a typed request:
+/// [`body_cache_key`] over its encoding.
 pub fn request_cache_key(req: &QueryRequest, filter_key: u64) -> Option<u64> {
+    body_cache_key(req, &encode_request(req), filter_key)
+}
+
+/// The result-cache key for `req` as it arrived: `body`, the wire bytes
+/// it decoded from, hashed with FNV-1a-64 (polygon + spec, bit-exact) and
+/// mixed with the serving `filter_key` (so one cache can front blocks
+/// built under different filters without cross-talk). Updates are never
+/// cacheable → `None`, and a batch is cacheable iff every item is
+/// read-only (its reply carries one epoch, so the usual epoch validation
+/// applies). The hash is not collision-resistant: a cache that serves by
+/// it must hold the body beside the reply and compare it.
+pub fn body_cache_key(req: &QueryRequest, body: &[u8], filter_key: u64) -> Option<u64> {
     let read_only =
         |r: &QueryRequest| matches!(r, QueryRequest::Select { .. } | QueryRequest::Count { .. });
     let cacheable = match req {
         QueryRequest::Batch { requests } => requests.iter().all(read_only),
         _ => read_only(req),
     };
-    cacheable.then(|| request_key(req) ^ filter_key.rotate_left(17))
+    cacheable.then(|| gb_store::fnv1a64(body) ^ filter_key.rotate_left(17))
 }
 
 #[cfg(test)]
@@ -820,47 +763,38 @@ mod tests {
     }
 
     #[test]
-    fn request_key_is_the_hash_of_the_encoded_request() {
+    fn the_servers_body_key_equals_request_cache_key() {
         let mut batch = UpdateBatch::new();
-        batch.push(Point::new(1.5, -2.5), vec![3.0, f64::NAN, -0.0]);
+        batch.push(Point::new(1.5, -2.5), vec![3.0, -0.0]);
         let select = QueryRequest::Select {
             polygon: poly(),
             spec: spec(),
         };
         let count = QueryRequest::Count { polygon: poly() };
         let update = QueryRequest::Update { batch };
+        let filter = 0x0123_4567_89ab_cdef;
+        // The server keys the bytes as they arrived; a typed caller keys
+        // the encoding. Every body that decodes re-encodes to itself, so
+        // the two agree: the hash mixed with the filter key for every
+        // read-only request, none for an update.
         for req in [
             select.clone(),
             count.clone(),
-            update.clone(),
+            update,
             QueryRequest::Batch {
-                requests: vec![count.clone(), select.clone()],
+                requests: vec![count, select],
             },
             QueryRequest::Batch { requests: vec![] },
         ] {
-            assert_eq!(
-                request_key(&req),
-                gb_store::fnv1a64(&encode_request(&req)),
-                "{req:?}"
-            );
+            let body = encode_request(&req);
+            let parsed = decode_request(&body).unwrap();
+            let key = body_cache_key(&parsed, &body, filter);
+            assert_eq!(key, request_cache_key(&parsed, filter), "{req:?}");
+            assert_eq!(key, request_cache_key(&req, filter), "{req:?}");
+            let read_only = !matches!(req, QueryRequest::Update { .. });
+            let want = gb_store::fnv1a64(&body) ^ filter.rotate_left(17);
+            assert_eq!(key, read_only.then_some(want), "{req:?}");
         }
-        // The result-cache key is the same hash, mixed with the filter key,
-        // for every read-only request; an update has none.
-        let filter = 0x0123_4567_89ab_cdef;
-        for req in [
-            select.clone(),
-            count.clone(),
-            QueryRequest::Batch {
-                requests: vec![select, count],
-            },
-        ] {
-            assert_eq!(
-                request_cache_key(&req, filter),
-                Some(gb_store::fnv1a64(&encode_request(&req)) ^ filter.rotate_left(17)),
-                "{req:?}"
-            );
-        }
-        assert_eq!(request_cache_key(&update, filter), None);
     }
 
     #[test]

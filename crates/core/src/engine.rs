@@ -41,7 +41,7 @@ use crate::block::GeoBlock;
 use crate::kernel::PublishKernel;
 use crate::memo::{CoveringMemo, MemoStats};
 use crate::query::QueryStats;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotRef};
+use crate::snapshot::SnapshotError;
 use crate::update::{UpdateBatch, UpdateReport};
 use gb_cell::{CellId, CellUnion};
 use gb_data::{AggSpec, DataError};
@@ -371,10 +371,7 @@ impl GeoBlockEngine {
     /// restart serves from the restored block, and the covering memo
     /// starts empty.
     pub fn write_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        SnapshotRef {
-            block: &self.state_snapshot().block,
-        }
-        .save(path)
+        self.state_snapshot().block.write_snapshot(path).map(drop)
     }
 }
 
@@ -430,7 +427,7 @@ impl EngineBuilder {
             )),
             EngineSource::SharedBlock(block) => Ok(GeoBlockEngine::over(block)),
             EngineSource::SnapshotFile(path) => {
-                Ok(GeoBlockEngine::new(Snapshot::load(&path)?.block))
+                Ok(GeoBlockEngine::new(GeoBlock::read_snapshot(&path)?.0))
             }
         }
     }
@@ -521,7 +518,7 @@ impl GeoBlockEngine {
 
     /// Serve the block of the snapshot at `path`; `_threshold` is unread.
     pub fn from_snapshot(path: &Path, _threshold: f64) -> Result<Self, SnapshotError> {
-        Ok(GeoBlockEngine::new(Snapshot::load(path)?.block))
+        Ok(GeoBlockEngine::new(GeoBlock::read_snapshot(path)?.0))
     }
 
     /// The empty cache.

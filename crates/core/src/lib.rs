@@ -76,7 +76,7 @@ pub use kernel::PublishKernel;
 pub use layer::Layer;
 pub use memo::{CoveringMemo, MemoStats};
 pub use query::QueryStats;
-pub use snapshot::{PersistStats, Snapshot, SnapshotError, SnapshotRef, SNAPSHOT_VERSION};
+pub use snapshot::{PersistStats, SnapshotError, SNAPSHOT_VERSION};
 pub use update::{UpdateBatch, UpdateReport};
 
 /// Re-export of the tracing crate: the engine carries an

@@ -3,9 +3,12 @@
 //!
 //! The paper's economics — an expensive one-time build (§3.3) amortized
 //! over arbitrarily many cheap queries — only survive a process restart
-//! if the block can be saved and restored. A [`Snapshot`] captures the
-//! complete [`GeoBlock`]: schema, grid, block-level cell aggregates, and
-//! the global header derived from them.
+//! if the block can be saved and restored. A snapshot is the complete
+//! [`GeoBlock`]: schema, grid, block-level cell aggregates, and the global
+//! header derived from them. One encoder and one decoder, reached in
+//! memory through [`GeoBlock::to_snapshot_bytes`] /
+//! [`GeoBlock::from_snapshot_bytes`] and on disk through
+//! [`GeoBlock::write_snapshot`] / [`GeoBlock::read_snapshot`].
 //!
 //! ## Sections (format version 5)
 //!
@@ -333,47 +336,45 @@ impl PersistStats {
     }
 }
 
-/// A persistable unit: the block.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    pub block: GeoBlock,
-}
-
-impl Snapshot {
-    /// A snapshot of `block`.
-    pub fn new(block: GeoBlock) -> Self {
-        Snapshot { block }
+impl GeoBlock {
+    /// This block in the current snapshot format.
+    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+        self.encode_snapshot().0
     }
 
-    /// Borrowing view for serialization (no clones).
-    pub fn as_ref(&self) -> SnapshotRef<'_> {
-        SnapshotRef { block: &self.block }
+    /// Decode and fully validate a snapshot.
+    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<GeoBlock, SnapshotError> {
+        Ok(GeoBlock::decode_snapshot(bytes)?.0)
     }
 
-    /// Serialize to the container format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.as_ref().to_bytes()
+    /// Write this block's snapshot to `path` (atomic temp-file + rename),
+    /// reporting where the time went. Borrows: a save on a serving engine
+    /// copies no block.
+    pub fn write_snapshot(&self, path: &Path) -> Result<PersistStats, SnapshotError> {
+        let (bytes, mut stats) = self.encode_snapshot();
+        let timer = Timer::start();
+        gb_store::write_atomic(path, &bytes)?;
+        stats.write = timer.elapsed();
+        Ok(stats)
     }
-}
 
-/// Borrowed counterpart of [`Snapshot`]: serializes a block **without
-/// cloning it** — the save path on a serving engine must not double peak
-/// memory just to write a file.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotRef<'a> {
-    pub block: &'a GeoBlock,
-}
-
-impl SnapshotRef<'_> {
-    /// Serialize to the current container format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode().0
+    /// Read and decode the snapshot at `path`, written by
+    /// [`GeoBlock::write_snapshot`] or
+    /// [`crate::GeoBlockEngine::write_snapshot`], reporting where the time
+    /// went.
+    pub fn read_snapshot(path: &Path) -> Result<(GeoBlock, PersistStats), SnapshotError> {
+        let timer = Timer::start();
+        let bytes = std::fs::read(path)?;
+        let read = timer.elapsed();
+        let (block, mut stats) = GeoBlock::decode_snapshot(&bytes)?;
+        stats.read = read;
+        Ok((block, stats))
     }
 
     /// The one writer: every section encoded straight into the container's
     /// buffer, sized up front from what the arrays will take.
-    fn encode(&self) -> (Vec<u8>, PersistStats) {
-        let b = self.block;
+    fn encode_snapshot(&self) -> (Vec<u8>, PersistStats) {
+        let b = self;
         let mut stats = PersistStats::default();
         let mut timer = Timer::start();
         let header = Header::of(b);
@@ -417,29 +418,8 @@ impl SnapshotRef<'_> {
         (bytes, stats)
     }
 
-    /// Serialize and write to `path` (atomic temp-file + rename).
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.save_with_stats(path).map(|_| ())
-    }
-
-    /// [`SnapshotRef::save`], reporting where the time went.
-    pub fn save_with_stats(&self, path: &Path) -> Result<PersistStats, SnapshotError> {
-        let (bytes, mut stats) = self.encode();
-        let timer = Timer::start();
-        gb_store::write_atomic(path, &bytes)?;
-        stats.write = timer.elapsed();
-        Ok(stats)
-    }
-}
-
-impl Snapshot {
-    /// Decode and fully validate a snapshot.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        Ok(Snapshot::decode(bytes)?.0)
-    }
-
     /// The one loader.
-    fn decode(bytes: &[u8]) -> Result<(Snapshot, PersistStats), SnapshotError> {
+    fn decode_snapshot(bytes: &[u8]) -> Result<(GeoBlock, PersistStats), SnapshotError> {
         let mut stats = PersistStats {
             bytes: bytes.len(),
             ..PersistStats::default()
@@ -541,40 +521,7 @@ impl Snapshot {
             )));
         }
         stats.hash += timer.lap();
-        Ok((Snapshot { block }, stats))
-    }
-
-    /// Serialize and write to `path` (atomic temp-file + rename).
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.as_ref().save(path)
-    }
-
-    /// Read and decode a snapshot file.
-    pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
-        Ok(Snapshot::load_with_stats(path)?.0)
-    }
-
-    /// [`Snapshot::load`], reporting where the time went.
-    pub fn load_with_stats(path: &Path) -> Result<(Snapshot, PersistStats), SnapshotError> {
-        let timer = Timer::start();
-        let bytes = std::fs::read(path)?;
-        let read = timer.elapsed();
-        let (snapshot, mut stats) = Snapshot::decode(&bytes)?;
-        stats.read = read;
-        Ok((snapshot, stats))
-    }
-}
-
-impl GeoBlock {
-    /// Persist this block to `path` — borrows, no clone.
-    pub fn write_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        SnapshotRef { block: self }.save(path)
-    }
-
-    /// Load a block from a snapshot written by [`GeoBlock::write_snapshot`]
-    /// or [`crate::GeoBlockEngine::write_snapshot`].
-    pub fn read_snapshot(path: &Path) -> Result<GeoBlock, SnapshotError> {
-        Ok(Snapshot::load(path)?.block)
+        Ok((block, stats))
     }
 }
 
@@ -630,16 +577,15 @@ mod tests {
     #[test]
     fn block_roundtrips_bit_identically() {
         let b = block(3000, 8);
-        let snap = Snapshot::new(b.clone());
-        let bytes = snap.to_bytes();
-        let back = Snapshot::from_bytes(&bytes).expect("decodes");
-        assert_eq!(back.block.content_hash(), b.content_hash());
-        assert_eq!(back.block.num_cells(), b.num_cells());
-        assert_eq!(back.block.num_rows(), b.num_rows());
-        assert_eq!(back.block.schema(), b.schema());
-        assert_eq!(back.block.grid(), b.grid());
+        let bytes = b.to_snapshot_bytes();
+        let back = GeoBlock::from_snapshot_bytes(&bytes).expect("decodes");
+        assert_eq!(back.content_hash(), b.content_hash());
+        assert_eq!(back.num_cells(), b.num_cells());
+        assert_eq!(back.num_rows(), b.num_rows());
+        assert_eq!(back.schema(), b.schema());
+        assert_eq!(back.grid(), b.grid());
         // Encoding is deterministic.
-        assert_eq!(bytes, Snapshot::new(back.block).to_bytes());
+        assert_eq!(bytes, back.to_snapshot_bytes());
     }
 
     #[test]
@@ -649,8 +595,8 @@ mod tests {
         batch.push(Point::new(50.0, 50.0), vec![1.0, 2.0]);
         batch.push(Point::new(99.0, 99.0), vec![3.0, 4.0]);
         b.apply_updates(&batch).expect("valid batch");
-        let back = Snapshot::from_bytes(&Snapshot::new(b.clone()).to_bytes()).unwrap();
-        assert_eq!(back.block.content_hash(), b.content_hash());
+        let back = GeoBlock::from_snapshot_bytes(&b.clone().to_snapshot_bytes()).unwrap();
+        assert_eq!(back.content_hash(), b.content_hash());
     }
 
     #[test]
@@ -658,14 +604,14 @@ mod tests {
         // Build two different blocks, then graft block A's CELL section
         // onto block B's header: every per-section checksum still passes,
         // but the stored content hash catches the mismatch.
-        let a = Snapshot::new(block(2000, 8)).to_bytes();
-        let b = Snapshot::new(block(2100, 8)).to_bytes();
+        let a = block(2000, 8).to_snapshot_bytes();
+        let b = block(2100, 8).to_snapshot_bytes();
         let rb = SnapshotReader::from_bytes(&b, READABLE).unwrap();
         let cells_of_b = rb.require(TAG_CELLS).unwrap();
         let graft =
             |tag, own: &[u8]| Some(if tag == TAG_CELLS { cells_of_b } else { own }.to_vec());
         let franken = reframe(&a, SNAPSHOT_VERSION, graft, None);
-        let err = Snapshot::from_bytes(&franken).unwrap_err();
+        let err = GeoBlock::from_snapshot_bytes(&franken).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
     }
 
@@ -687,11 +633,10 @@ mod tests {
     #[test]
     fn the_stored_header_is_checked_and_the_derived_one_served() {
         let b = block(500, 7);
-        let bytes = Snapshot::new(b.clone()).to_bytes();
+        let bytes = b.clone().to_snapshot_bytes();
         assert_eq!(
-            Snapshot::from_bytes(&with_header(&bytes, &b, |_| {}))
+            GeoBlock::from_snapshot_bytes(&with_header(&bytes, &b, |_| {}))
                 .unwrap()
-                .block
                 .content_hash(),
             b.content_hash()
         );
@@ -702,7 +647,7 @@ mod tests {
             |h| h.n_rows -= 1,
             |h| h.max_cell = h.min_cell,
         ] {
-            let err = Snapshot::from_bytes(&with_header(&bytes, &b, edit)).unwrap_err();
+            let err = GeoBlock::from_snapshot_bytes(&with_header(&bytes, &b, edit)).unwrap_err();
             assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
             assert!(err.to_string().contains("disagrees with `CELL`"), "{err}");
         }
@@ -713,19 +658,16 @@ mod tests {
             h.globals[2][0] += 0.5;
             h.globals[1][1] = 1e9;
         });
-        let back = Snapshot::from_bytes(&drifted).expect("digest covers the drift");
-        back.block.check_invariants();
-        assert_eq!(back.block.content_hash(), b.content_hash());
+        let back = GeoBlock::from_snapshot_bytes(&drifted).expect("digest covers the drift");
+        back.check_invariants();
+        assert_eq!(back.content_hash(), b.content_hash());
         let spec = AggSpec::new(
             [AggFunc::Sum, AggFunc::Max]
                 .into_iter()
                 .flat_map(|func| (0..2).map(move |col| AggRequest::new(func, col)))
                 .collect(),
         );
-        assert_eq!(
-            back.block.global_aggregate(&spec),
-            b.global_aggregate(&spec)
-        );
+        assert_eq!(back.global_aggregate(&spec), b.global_aggregate(&spec));
     }
 
     /// `bytes` with its `GRID` section replaced by the domain
@@ -748,20 +690,20 @@ mod tests {
         // every per-section checksum AND the block content hash. The
         // HDRS state hash must catch it — otherwise the engine would
         // cover query polygons under the wrong domain.
-        let bytes = Snapshot::new(block(800, 7)).to_bytes();
+        let bytes = block(800, 7).to_snapshot_bytes();
         // The section as the writer wrote it.
         assert_eq!(with_grid(&bytes, 100.0, 0), bytes);
         // A wider domain, every checksum recomputed.
-        let err = Snapshot::from_bytes(&with_grid(&bytes, 200.0, 0)).unwrap_err();
+        let err = GeoBlock::from_snapshot_bytes(&with_grid(&bytes, 200.0, 0)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("state hash"), "{err}");
     }
 
     #[test]
     fn curve_tags_other_than_hilbert_are_corrupt() {
-        let bytes = Snapshot::new(block(300, 6)).to_bytes();
+        let bytes = block(300, 6).to_snapshot_bytes();
         for tag in [1, 2, u8::MAX] {
-            let err = Snapshot::from_bytes(&with_grid(&bytes, 100.0, tag)).unwrap_err();
+            let err = GeoBlock::from_snapshot_bytes(&with_grid(&bytes, 100.0, tag)).unwrap_err();
             assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
             assert!(
                 err.to_string()
@@ -869,14 +811,14 @@ mod tests {
                     }
                 }
 
-                let v5 = Snapshot::new(b).to_bytes();
+                let v5 = b.to_snapshot_bytes();
                 // Version 4 is version 5 under the byte-wise checksum.
                 let keep = |_, own: &[u8]| Some(own.to_vec());
                 let v4 = reframe(&v5, 4, keep, None);
                 for (what, bytes) in [("v5 load", &v5), ("v4 load", &v4)] {
-                    let back = Snapshot::from_bytes(bytes).expect(what);
-                    back.block.check_invariants();
-                    prop_assert_eq!(layer_hashes(&back.block), want.clone(), "{}", what);
+                    let back = GeoBlock::from_snapshot_bytes(bytes).expect(what);
+                    back.check_invariants();
+                    prop_assert_eq!(layer_hashes(&back), want.clone(), "{}", what);
                 }
             }
         }
@@ -889,25 +831,13 @@ mod tests {
         let keep = |_, own: &[u8]| Some(own.to_vec());
         let extra = Some((SectionTag(*b"XTRA"), &[1u8, 2, 3][..]));
         let bytes = reframe(
-            &Snapshot::new(b.clone()).to_bytes(),
+            &b.clone().to_snapshot_bytes(),
             SNAPSHOT_VERSION,
             keep,
             extra,
         );
-        let back = Snapshot::from_bytes(&bytes).expect("extra ignored");
-        assert_eq!(back.block.content_hash(), b.content_hash());
-    }
-
-    #[test]
-    fn file_roundtrip_via_geoblock_api() {
-        let dir = std::env::temp_dir().join("gb_snapshot_api_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("block.gbsnap");
-        let b = block(2000, 8);
-        b.write_snapshot(&path).expect("save");
-        let back = GeoBlock::read_snapshot(&path).expect("load");
+        let back = GeoBlock::from_snapshot_bytes(&bytes).expect("extra ignored");
         assert_eq!(back.content_hash(), b.content_hash());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -915,11 +845,11 @@ mod tests {
         let dir = std::env::temp_dir().join("gb_snapshot_stats_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("block.gbsnap");
-        let snap = Snapshot::new(block(2000, 8));
-        let saved = snap.as_ref().save_with_stats(&path).expect("save");
-        let (back, loaded) = Snapshot::load_with_stats(&path).expect("load");
-        assert_eq!(back.block.content_hash(), snap.block.content_hash());
-        assert_eq!(saved.bytes, snap.to_bytes().len());
+        let b = block(2000, 8);
+        let saved = b.write_snapshot(&path).expect("save");
+        let (back, loaded) = GeoBlock::read_snapshot(&path).expect("load");
+        assert_eq!(back.content_hash(), b.content_hash());
+        assert_eq!(saved.bytes, b.to_snapshot_bytes().len());
         assert_eq!(loaded.bytes, saved.bytes);
         // Each direction fills its own phases and leaves the other's zero.
         let zero = Duration::ZERO;
@@ -946,18 +876,17 @@ mod tests {
     #[test]
     fn wrong_version_and_magic_are_typed_errors() {
         let b = block(300, 6);
-        let snap = Snapshot::new(b);
-        let mut bytes = snap.to_bytes();
+        let mut bytes = b.to_snapshot_bytes();
         // Future version.
         bytes[8] = 0xFF;
         assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
+            GeoBlock::from_snapshot_bytes(&bytes).unwrap_err(),
             SnapshotError::UnsupportedVersion { .. }
         ));
         bytes[8] = SNAPSHOT_VERSION as u8;
         bytes[0] = b'X';
         assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
+            GeoBlock::from_snapshot_bytes(&bytes).unwrap_err(),
             SnapshotError::BadMagic
         ));
     }
@@ -971,19 +900,15 @@ mod tests {
         // happen here since every byte is load-bearing).
         let b = block(120, 5);
         let hash = b.content_hash();
-        let bytes = Snapshot::new(b).to_bytes();
+        let bytes = b.to_snapshot_bytes();
         for i in 0..bytes.len() {
             let mut m = bytes.clone();
             m[i] ^= 0x01;
-            match Snapshot::from_bytes(&m) {
+            match GeoBlock::from_snapshot_bytes(&m) {
                 Err(_) => {}
                 Ok(s) => {
                     // Only reachable if the flip cancelled out — it can't.
-                    assert_eq!(
-                        s.block.content_hash(),
-                        hash,
-                        "silent corruption at byte {i}"
-                    );
+                    assert_eq!(s.content_hash(), hash, "silent corruption at byte {i}");
                 }
             }
         }
@@ -992,10 +917,10 @@ mod tests {
     #[test]
     fn truncations_error_not_panic() {
         let b = block(200, 6);
-        let bytes = Snapshot::new(b).to_bytes();
+        let bytes = b.to_snapshot_bytes();
         for cut in (0..bytes.len()).step_by(7) {
             assert!(
-                Snapshot::from_bytes(&bytes[..cut]).is_err(),
+                GeoBlock::from_snapshot_bytes(&bytes[..cut]).is_err(),
                 "cut at {cut} parsed"
             );
         }

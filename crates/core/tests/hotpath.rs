@@ -17,7 +17,7 @@ use gb_data::{
 };
 use gb_geom::{convex_hull, Point, Polygon, Rect};
 use geoblocks::api::{self, QueryReply, QueryRequest};
-use geoblocks::{build, reference, GeoBlockEngine, Snapshot, UpdateBatch};
+use geoblocks::{build, reference, GeoBlock, GeoBlockEngine, UpdateBatch};
 use proptest::prelude::*;
 
 const DOMAIN: f64 = 100.0;
@@ -293,7 +293,7 @@ proptest! {
             points.len() * 1_000_003 + batches.len() * 131 + rings.len()
         ));
         engine.write_snapshot(&file).expect("save");
-        let restored = GeoBlockEngine::new(Snapshot::load(&file).expect("load").block);
+        let restored = GeoBlockEngine::new(GeoBlock::read_snapshot(&file).expect("load").0);
         let _ = std::fs::remove_file(&file);
         check(&restored, "restored")?;
     }

@@ -7,7 +7,10 @@
 //!    bit-identically to a freshly built engine, and the engine writes the
 //!    block only.
 //! 3. **No panics on bad input**: corrupt, truncated, wrong-magic, and
-//!    wrong-version snapshots all come back as typed `SnapshotError`s.
+//!    wrong-version snapshots all come back as typed `SnapshotError`s, a
+//!    missing file as `SnapshotError::Io`; on a 60 k-row taxi block saved
+//!    by a serving engine, every probed single-byte flip and truncation is
+//!    refused.
 //! 4. **The previous version keeps loading, older ones are refused by
 //!    name**: a checked-in version-4 file (the current layout under the
 //!    byte-wise section checksum) answers like a fresh build, and every
@@ -24,13 +27,13 @@
 
 use gb_cell::Grid;
 use gb_data::{
-    extract, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Rows, Schema,
+    datasets, extract, polygons, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter,
+    RawTable, Rows, Schema,
 };
 use gb_geom::{Point, Polygon, Rect};
 use gb_store::{ByteReader, SectionTag, SnapshotReader, SnapshotWriter};
 use geoblocks::{
-    build, reference, GeoBlock, GeoBlockEngine, Layer, Snapshot, SnapshotError, UpdateBatch,
-    SNAPSHOT_VERSION,
+    build, reference, GeoBlock, GeoBlockEngine, Layer, SnapshotError, UpdateBatch, SNAPSHOT_VERSION,
 };
 use std::path::PathBuf;
 
@@ -89,7 +92,7 @@ fn roundtrip_is_lossless_clean_and_dirty() {
     let (block, _) = build(&base, 9, &Filter::all());
     let path = temp_path("clean.gbsnap");
     block.write_snapshot(&path).expect("save clean");
-    let loaded = GeoBlock::read_snapshot(&path).expect("load clean");
+    let (loaded, _) = GeoBlock::read_snapshot(&path).expect("load clean");
     assert_eq!(loaded.content_hash(), block.content_hash());
 
     // Mixed updates (in place and spliced) → still lossless.
@@ -104,7 +107,7 @@ fn roundtrip_is_lossless_clean_and_dirty() {
     dirty.apply_updates(&batch).expect("valid batch");
     let path = temp_path("dirty.gbsnap");
     dirty.write_snapshot(&path).expect("save dirty");
-    let loaded = GeoBlock::read_snapshot(&path).expect("load dirty");
+    let (loaded, _) = GeoBlock::read_snapshot(&path).expect("load dirty");
     assert_eq!(loaded.content_hash(), dirty.content_hash());
     // And the loaded block still answers like the original.
     for p in &polys() {
@@ -134,10 +137,10 @@ fn loaded_engine_matches_freshly_built_engine() {
         tags.tags().all(|tag| !LEGACY.contains(&tag)),
         "no legacy section"
     );
-    assert_eq!(written, Snapshot::new(block.clone()).to_bytes());
+    assert_eq!(written, block.clone().to_snapshot_bytes());
 
     // "Restarted" engine from the snapshot vs a freshly built one.
-    let restarted = GeoBlockEngine::new(Snapshot::load(&path).expect("load").block);
+    let restarted = GeoBlockEngine::new(GeoBlock::read_snapshot(&path).expect("load").0);
     let fresh = GeoBlockEngine::new(block.clone());
     assert_eq!(
         restarted.block_snapshot().content_hash(),
@@ -163,13 +166,13 @@ fn loaded_engine_matches_freshly_built_engine() {
 fn bad_snapshots_yield_typed_errors_never_panics() {
     let base = base_data(1500);
     let (block, _) = build(&base, 8, &Filter::all());
-    let bytes = Snapshot::new(block).to_bytes();
+    let bytes = block.to_snapshot_bytes();
 
     // Wrong magic.
     let mut m = bytes.clone();
     m[..4].copy_from_slice(b"NOPE");
     assert!(matches!(
-        Snapshot::from_bytes(&m).unwrap_err(),
+        GeoBlock::from_snapshot_bytes(&m).unwrap_err(),
         SnapshotError::BadMagic
     ));
 
@@ -178,13 +181,13 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
     m[8] = 0x7F;
     m[9] = 0x7F;
     assert!(matches!(
-        Snapshot::from_bytes(&m).unwrap_err(),
+        GeoBlock::from_snapshot_bytes(&m).unwrap_err(),
         SnapshotError::UnsupportedVersion { .. }
     ));
 
     // Truncations at a spread of byte positions.
     for cut in (0..bytes.len()).step_by(101) {
-        assert!(Snapshot::from_bytes(&bytes[..cut]).is_err());
+        assert!(GeoBlock::from_snapshot_bytes(&bytes[..cut]).is_err());
     }
 
     // Bit flips across the whole file: typed error or (impossible here)
@@ -192,7 +195,7 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
     for i in (0..bytes.len()).step_by(13) {
         let mut m = bytes.clone();
         m[i] ^= 0x40;
-        let _ = Snapshot::from_bytes(&m);
+        let _ = GeoBlock::from_snapshot_bytes(&m);
     }
 
     // The same guarantees through the file-based engine API.
@@ -203,6 +206,69 @@ fn bad_snapshots_yield_typed_errors_never_panics() {
         GeoBlock::read_snapshot(&temp_path("does-not-exist.gbsnap")).unwrap_err(),
         SnapshotError::Io(_)
     ));
+}
+
+/// A real block on disk: 60 k taxi rows, seven columns, saved by a serving
+/// engine. It round-trips losslessly, an engine over the loaded block
+/// answers bit-identically, the file carries the current version, and
+/// every one of ~48 single-byte flips and 16 truncations spread across the
+/// file is refused. The version field lies outside every checksum:
+/// stamped as the previous version the same sections fail that version's
+/// byte-wise rule, and stamped as version 3 they are not read at all.
+#[test]
+fn a_taxi_block_round_trips_and_every_corruption_is_refused() {
+    let ds = datasets::nyc_taxi(60_000, 42);
+    let base = extract(&ds.raw, ds.grid, &datasets::nyc_cleaning_rules(), None).base;
+    let (block, _) = build(&base, 9, &Filter::all());
+    let spec = AggSpec::k_aggregates(base.schema(), 7);
+    let polys = polygons::neighborhoods(30, 42);
+    let engine = GeoBlockEngine::new(block.clone());
+    for p in &polys {
+        engine.select(p, &spec);
+    }
+    let path = temp_path("taxi.gbsnap");
+    engine.write_snapshot(&path).expect("save");
+    let (loaded, _) = GeoBlock::read_snapshot(&path).expect("load");
+    assert_eq!(loaded.content_hash(), block.content_hash());
+    let warm = GeoBlockEngine::new(loaded);
+    for p in &polys {
+        let (a, b) = (warm.select(p, &spec).result, engine.select(p, &spec).result);
+        assert!(a.approx_eq(&b, 0.0), "{a:?} vs {b:?}");
+        assert_eq!(warm.count(p).result, engine.count(p).result);
+    }
+
+    let bytes = std::fs::read(&path).expect("saved file");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(bytes[8..10], SNAPSHOT_VERSION.to_le_bytes());
+    for i in (0..bytes.len()).step_by(bytes.len() / 48) {
+        let mut m = bytes.clone();
+        m[i] ^= 0x10;
+        assert!(
+            GeoBlock::from_snapshot_bytes(&m).is_err(),
+            "a flip at byte {i} loaded"
+        );
+    }
+    for cut in (0..bytes.len()).step_by(bytes.len() / 16) {
+        assert!(
+            GeoBlock::from_snapshot_bytes(&bytes[..cut]).is_err(),
+            "a cut at byte {cut} loaded"
+        );
+    }
+    let stamped = |version: u16| {
+        let mut m = bytes.clone();
+        m[8..10].copy_from_slice(&version.to_le_bytes());
+        GeoBlock::from_snapshot_bytes(&m).unwrap_err()
+    };
+    let err = stamped(SNAPSHOT_VERSION - 1);
+    assert!(
+        matches!(err, SnapshotError::ChecksumMismatch { .. }),
+        "{err:?}"
+    );
+    let err = stamped(3);
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion { found: 3, .. }),
+        "{err:?}"
+    );
 }
 
 /// The versions the loader reads: this one and the one before it.
@@ -294,9 +360,9 @@ fn v4_fixture_block() -> GeoBlock {
 /// The two files every probe below runs on: the version-4 fixture and the
 /// same state saved by this tree as version 5.
 fn both_versions() -> [Vec<u8>; 2] {
-    let v5 = Snapshot::from_bytes(V4_FIXTURE)
+    let v5 = GeoBlock::from_snapshot_bytes(V4_FIXTURE)
         .expect("v4 fixture")
-        .to_bytes();
+        .to_snapshot_bytes();
     assert_eq!(v5[8..10], SNAPSHOT_VERSION.to_le_bytes());
     [V4_FIXTURE.to_vec(), v5]
 }
@@ -306,14 +372,14 @@ fn v4_fixture_loads_to_bit_identical_answers() {
     assert!(V4_FIXTURE.len() <= 16 * 1024);
     assert_eq!(V4_FIXTURE[8..10], 4u16.to_le_bytes());
 
-    let snap = Snapshot::from_bytes(V4_FIXTURE).expect("v4 file loads");
+    let snap = GeoBlock::from_snapshot_bytes(V4_FIXTURE).expect("v4 file loads");
     let fresh = v4_fixture_block();
-    assert_answers_bit_identical(&snap.block, &fresh);
+    assert_answers_bit_identical(&snap, &fresh);
 
     // Saving it again writes version 5 without the legacy sections: every
     // other payload is the fixture's, but for the state hash (the last
     // word of `HDRS`), which no longer spans them. The result is stable.
-    let rewritten = snap.to_bytes();
+    let rewritten = snap.to_snapshot_bytes();
     assert_eq!(rewritten[8..10], SNAPSHOT_VERSION.to_le_bytes());
     let (old, new) = (
         SnapshotReader::from_bytes(V4_FIXTURE, READABLE).expect("well-framed"),
@@ -329,16 +395,16 @@ fn v4_fixture_loads_to_bit_identical_answers() {
         assert_eq!(a.len(), b.len(), "{tag}");
         assert_eq!(a[..a.len() - hashed], b[..b.len() - hashed], "{tag}");
     }
-    let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
-    assert_answers_bit_identical(&again.block, &fresh);
-    assert_eq!(again.to_bytes(), rewritten);
+    let again = GeoBlock::from_snapshot_bytes(&rewritten).expect("rewritten file loads");
+    assert_answers_bit_identical(&again, &fresh);
+    assert_eq!(again.to_snapshot_bytes(), rewritten);
 
     // A flipped payload byte fails the byte-wise checksum …
     let cell = V4_FIXTURE.len() / 2;
     let mut flipped = V4_FIXTURE.to_vec();
     flipped[cell] ^= 0x04;
     assert!(matches!(
-        Snapshot::from_bytes(&flipped).unwrap_err(),
+        GeoBlock::from_snapshot_bytes(&flipped).unwrap_err(),
         SnapshotError::ChecksumMismatch { .. }
     ));
     // … and the version selects the rule, not trial and error: the same
@@ -348,15 +414,15 @@ fn v4_fixture_loads_to_bit_identical_answers() {
         let mut restamped = file.to_vec();
         restamped[8..10].copy_from_slice(&stamp.to_le_bytes());
         assert!(matches!(
-            Snapshot::from_bytes(&restamped).unwrap_err(),
+            GeoBlock::from_snapshot_bytes(&restamped).unwrap_err(),
             SnapshotError::ChecksumMismatch { .. }
         ));
         // Re-summed under the stamped version's rule, they load again:
         // nothing but the checksum tells the two versions apart.
         let resummed = reframe_under(stamp, file, |_, _| {});
         assert_eq!(resummed[8..10], stamp.to_le_bytes());
-        let back = Snapshot::from_bytes(&resummed).expect("re-summed file loads");
-        assert_answers_bit_identical(&back.block, &fresh);
+        let back = GeoBlock::from_snapshot_bytes(&resummed).expect("re-summed file loads");
+        assert_answers_bit_identical(&back, &fresh);
     }
 }
 
@@ -433,10 +499,10 @@ fn older_headers_are_checked_and_the_records_answer() {
         (V4_FIXTURE, v4_fixture_block()),
         (V5_DRIFT_FIXTURE, drift_fixture_block()),
     ] {
-        let snap = Snapshot::from_bytes(file).expect("an older writer's file loads");
-        assert_answers_bit_identical(&snap.block, &fresh);
-        let block = snap.block.clone();
-        let engine = GeoBlockEngine::new(snap.block);
+        let snap = GeoBlock::from_snapshot_bytes(file).expect("an older writer's file loads");
+        assert_answers_bit_identical(&snap, &fresh);
+        let block = snap.clone();
+        let engine = GeoBlockEngine::new(snap);
         for p in polys().iter().chain([&whole]) {
             let covering = block.cover(p);
             let naive = reference::select_covering(&block, &covering, &spec());
@@ -455,12 +521,14 @@ fn older_headers_are_checked_and_the_records_answer() {
         );
 
         // Saved again, the header is the derived one, and stable.
-        let rewritten = Snapshot::from_bytes(file).unwrap().to_bytes();
+        let rewritten = GeoBlock::from_snapshot_bytes(file)
+            .unwrap()
+            .to_snapshot_bytes();
         let [_, _, resaved] = stored_globals(&rewritten);
         let root = block.global_aggregate(&root_spec);
         assert_eq!(bits(&resaved), bits(&root.values()[2 * c..]));
-        let again = Snapshot::from_bytes(&rewritten).expect("rewritten file loads");
-        assert_eq!(again.to_bytes(), rewritten);
+        let again = GeoBlock::from_snapshot_bytes(&rewritten).expect("rewritten file loads");
+        assert_eq!(again.to_snapshot_bytes(), rewritten);
     }
 }
 
@@ -472,8 +540,8 @@ fn legacy_sections_are_still_held_to_the_state_hash() {
     let v5 = reframe_under(SNAPSHOT_VERSION, V4_FIXTURE, |_, _| {});
     for file in [V4_FIXTURE.to_vec(), v5] {
         let version = file[8];
-        let back = Snapshot::from_bytes(&file).expect("a file with legacy sections loads");
-        assert_answers_bit_identical(&back.block, &fresh);
+        let back = GeoBlock::from_snapshot_bytes(&file).expect("a file with legacy sections loads");
+        assert_answers_bit_identical(&back, &fresh);
         // Read for the digest only, but the digest is checked: stripped,
         // or with its last byte (a cached value, a request byte) flipped
         // under a recomputed checksum, the file is corrupt by the state
@@ -486,7 +554,7 @@ fn legacy_sections_are_still_held_to_the_state_hash() {
                 }
             });
             for bad in [stripped, flipped] {
-                let err = Snapshot::from_bytes(&bad).unwrap_err();
+                let err = GeoBlock::from_snapshot_bytes(&bad).unwrap_err();
                 assert!(
                     matches!(err, SnapshotError::Corrupt { .. }),
                     "v{version} {legacy}: {err}"
@@ -517,7 +585,7 @@ fn crafted_cell_sections_are_typed_errors_under_both_rules() {
                 payload.truncate(payload.len() - 8);
             }
         });
-        let err = Snapshot::from_bytes(&short).unwrap_err();
+        let err = GeoBlock::from_snapshot_bytes(&short).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Corrupt { .. }),
             "v{version}: {err}"
@@ -533,7 +601,7 @@ fn crafted_cell_sections_are_typed_errors_under_both_rules() {
                     payload[at] ^= 0x20;
                 }
             });
-            let err = Snapshot::from_bytes(&flipped).unwrap_err();
+            let err = GeoBlock::from_snapshot_bytes(&flipped).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Corrupt { .. }),
                 "v{version}, byte {at}: {err}"
@@ -553,7 +621,7 @@ fn older_versions_are_unsupported_not_corrupt() {
             stamped[8..10].copy_from_slice(&old.to_le_bytes());
             let resummed = reframe_under(old, &file, |_, _| {});
             for bytes in [stamped, resummed] {
-                let err = Snapshot::from_bytes(&bytes).unwrap_err();
+                let err = GeoBlock::from_snapshot_bytes(&bytes).unwrap_err();
                 assert!(
                     matches!(
                         &err,
@@ -591,12 +659,12 @@ fn a_hits_section_loads_and_is_dropped_on_the_next_save() {
 
     // It loads and answers bit-identically to a fresh build, through the
     // engine too.
-    let snap = Snapshot::from_bytes(V5_HITS_FIXTURE).expect("a HITS file loads");
+    let snap = GeoBlock::from_snapshot_bytes(V5_HITS_FIXTURE).expect("a HITS file loads");
     let (fresh, _) = build(&base_data(150), 5, &Filter::all());
-    assert_answers_bit_identical(&snap.block, &fresh);
-    let fresh_file = Snapshot::new(fresh.clone()).to_bytes();
+    assert_answers_bit_identical(&snap, &fresh);
+    let fresh_file = fresh.clone().to_snapshot_bytes();
     let (restored, built) = (
-        GeoBlockEngine::new(snap.block.clone()),
+        GeoBlockEngine::new(snap.clone()),
         GeoBlockEngine::new(fresh),
     );
     for p in &polys() {
@@ -608,7 +676,7 @@ fn a_hits_section_loads_and_is_dropped_on_the_next_save() {
     // Saved again, it is the fresh block's file: no `HITS`, and every
     // other payload the fixture's but for the state hash (the last word
     // of `HDRS`), which no longer spans the section.
-    let rewritten = snap.to_bytes();
+    let rewritten = snap.to_snapshot_bytes();
     assert_eq!(rewritten, fresh_file);
     let new = SnapshotReader::from_bytes(&rewritten, READABLE).expect("well-framed");
     let kept: Vec<SectionTag> = old.tags().filter(|&tag| tag != hits).collect();
@@ -629,13 +697,13 @@ fn a_hits_section_loads_and_is_dropped_on_the_next_save() {
                 payload[at] ^= 0x01;
             }
         });
-        let err = Snapshot::from_bytes(&flipped).unwrap_err();
+        let err = GeoBlock::from_snapshot_bytes(&flipped).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Corrupt { .. }),
             "byte {at}: {err}"
         );
         assert!(err.to_string().contains("state hash"), "byte {at}: {err}");
     }
-    let err = Snapshot::from_bytes(&reframe_without(V5_HITS_FIXTURE, hits)).unwrap_err();
+    let err = GeoBlock::from_snapshot_bytes(&reframe_without(V5_HITS_FIXTURE, hits)).unwrap_err();
     assert!(err.to_string().contains("state hash"), "stripped: {err}");
 }

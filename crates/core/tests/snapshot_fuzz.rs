@@ -22,7 +22,7 @@
 
 use gb_geom::Point;
 use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
-use geoblocks::{Snapshot, UpdateBatch, SNAPSHOT_VERSION};
+use geoblocks::{GeoBlock, UpdateBatch, SNAPSHOT_VERSION};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -231,17 +231,16 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
     // Not the fixture re-saved: a section spliced from one file into the
     // other must be a graft, not a no-op. One more tuple (and, as every
     // save now, no `TRIE`, `HITS` or `HOTQ`).
-    let mut state = Snapshot::from_bytes(v4).expect("v4 fixture");
+    let mut state = GeoBlock::from_snapshot_bytes(v4).expect("v4 fixture");
     let mut batch = UpdateBatch::new();
     batch.push(Point::new(42.0, 17.0), vec![1.5, 4.0]);
-    state.block.apply_updates(&batch).expect("valid batch");
-    let v5 = state.to_bytes();
+    state.apply_updates(&batch).expect("valid batch");
+    let v5 = state.to_snapshot_bytes();
     assert_eq!(v5[8..10], SNAPSHOT_VERSION.to_le_bytes());
     let corpus = [v4.to_vec(), v5];
     for file in &corpus {
-        Snapshot::from_bytes(file)
+        GeoBlock::from_snapshot_bytes(file)
             .expect("corpus file loads")
-            .block
             .check_invariants();
     }
     // The fixture's `HOTQ`, which this tree no longer writes, keeps the
@@ -259,7 +258,7 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
     while case < CASES && started.elapsed() < BUDGET {
         let (bytes, what, must_fail) = mutate(&corpus, &mut rng);
         LARGEST.store(0, Ordering::Relaxed);
-        let outcome = std::panic::catch_unwind(|| Snapshot::from_bytes(&bytes));
+        let outcome = std::panic::catch_unwind(|| GeoBlock::from_snapshot_bytes(&bytes));
         let largest = LARGEST.load(Ordering::Relaxed);
         let outcome = outcome.unwrap_or_else(|_| panic!("case {case} panicked ({what})"));
         assert!(
@@ -269,10 +268,10 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
         );
         worst = worst.max(largest as f64 / bytes.len().max(256) as f64);
         match outcome {
-            Ok(snap) => {
+            Ok(block) => {
                 assert!(!must_fail, "case {case} ({what}): loaded");
                 loads += 1;
-                let checked = std::panic::catch_unwind(|| snap.block.check_invariants());
+                let checked = std::panic::catch_unwind(|| block.check_invariants());
                 assert!(
                     checked.is_ok(),
                     "case {case} ({what}): invalid block loaded"

@@ -13,10 +13,11 @@
 //!   queries onto the rectangle-only PH-tree and aR-tree baselines (§4.1),
 //! * a convex-hull routine used by the synthetic polygon generators.
 //!
-//! Ambiguous floating-point cases in the rect-vs-polygon classification are
-//! resolved **conservatively towards "intersects"**: the coverer then keeps
-//! subdividing, which preserves the covering-is-a-superset invariant that the
-//! error bound of §3.2 rests on.
+//! Ambiguous floating-point cases in the rect-vs-polygon classification
+//! ([`classify_rect`], which the interior-rectangle search uses) are
+//! resolved **conservatively towards "intersects"**, so a rectangle it
+//! calls inside is inside. The coverer in `gb-cell` classifies its cells
+//! with its own edge lists and ray casts, not with this predicate.
 
 pub mod hull;
 pub mod interior;

@@ -1,13 +1,14 @@
-//! Rectangle-vs-polygon classification — the predicate driving the coverer.
+//! Rectangle-vs-polygon classification: whether a rectangle is entirely
+//! outside a polygon, entirely inside it, or crosses the outline.
 //!
-//! Given a candidate grid cell (a rectangle) and the query polygon, the
-//! region coverer in `gb-cell` needs to know whether the cell is entirely
-//! outside the polygon, entirely inside it, or crosses the outline (§3.1,
-//! Figure 4). Boundary-crossing cells are what the error bound of §3.2
-//! charges for, so the classification must be *conservative*: whenever the
-//! floating-point predicates cannot prove containment or disjointness, we
-//! answer [`RectRelation::Boundary`], which only ever makes the covering a
-//! (still correct) superset.
+//! Its one production use is the interior-rectangle search
+//! ([`crate::interior_rect`]), which maps polygon queries onto the
+//! rectangle-only baselines (§4.1). The coverer in `gb-cell` does not call
+//! it: `cover_polygon` classifies cells with its own per-cell edge lists
+//! and ray casts, and only its tests check it against this predicate. The
+//! classification is *conservative*: whenever the floating-point
+//! predicates cannot prove containment or disjointness, it answers
+//! [`RectRelation::Boundary`], so a rectangle called `Inside` is inside.
 
 use crate::polygon::Polygon;
 use crate::rect::Rect;

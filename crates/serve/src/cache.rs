@@ -1,11 +1,13 @@
 //! Per-query-shape result cache with epoch validation and TTL.
 //!
-//! The key is computed by `geoblocks::api::request_cache_key`: a 64-bit
+//! The key is computed by `geoblocks::api::body_cache_key`: a 64-bit
 //! FNV-1a hash of the *encoded request* (polygon vertices by bit
-//! pattern plus the aggregate spec) mixed with the server's filter key
-//! — two requests share an entry iff they are wire-identical under the
-//! same filter, and update requests are never cached (the key function
-//! returns `None`).
+//! pattern plus the aggregate spec) mixed with the server's filter key;
+//! update requests are never cached (the key function returns `None`).
+//! FNV-1a is not collision-resistant, and a request carries free f64
+//! bits, so two requests can share a key: the server stores the request
+//! body beside its reply (`V` is an `Arc` of both) and serves a hit only
+//! when the stored body equals the one in hand — a collision is a miss.
 //!
 //! Invalidation is **transactional by construction** rather than by
 //! hook: every entry records the engine *data epoch* its reply was
@@ -34,13 +36,13 @@ use gb_common::sync::rank;
 use gb_common::{Counter, FifoMap};
 use std::time::{Duration, Instant};
 
-/// One cached reply: the encoded wire bytes, the data epoch they answer
-/// for, and the tick they were inserted at (for the TTL bound). Eviction
-/// order is the map's own insertion sequence — deterministic even when
-/// two inserts share a tick.
+/// One cached reply: the value (the encoded wire bytes by default), the
+/// data epoch it answers for, and the tick it was inserted at (for the TTL
+/// bound). Eviction order is the map's own insertion sequence —
+/// deterministic even when two inserts share a tick.
 #[derive(Debug, Clone)]
-struct Entry {
-    reply: Vec<u8>,
+struct Entry<V> {
+    reply: V,
     epoch: u64,
     inserted_us: u64,
 }
@@ -66,12 +68,13 @@ impl CacheStats {
     }
 }
 
-/// The server-side result cache. All methods take `&self`; the map is
-/// behind one mutex (lookups copy small reply buffers out, so the
-/// critical section is tiny), the counters are relaxed [`Counter`]s.
+/// The server-side result cache, holding values of type `V` (the reply's
+/// wire bytes by default). All methods take `&self`; the map is behind one
+/// mutex (a lookup clones the value out, so the critical section is
+/// tiny), the counters are relaxed [`Counter`]s.
 #[derive(Debug)]
-pub struct ResultCache<B: Backend = StdBackend> {
-    entries: B::Mutex<FifoMap<Entry>>,
+pub struct ResultCache<B: Backend = StdBackend, V: Send = Vec<u8>> {
+    entries: B::Mutex<FifoMap<Entry<V>>>,
     capacity: usize,
     ttl_us: u64,
     /// Monotonic anchor for the tick-free production wrappers.
@@ -82,10 +85,10 @@ pub struct ResultCache<B: Backend = StdBackend> {
     evictions: Counter,
 }
 
-impl<B: Backend> ResultCache<B> {
+impl<B: Backend, V: Clone + Send> ResultCache<B, V> {
     /// A cache holding at most `capacity` replies, each valid for `ttl`
     /// (and only while the engine stays on the entry's data epoch).
-    pub fn new(capacity: usize, ttl: Duration) -> ResultCache<B> {
+    pub fn new(capacity: usize, ttl: Duration) -> ResultCache<B, V> {
         ResultCache {
             entries: B::Mutex::new("entries", rank::LEAF, FifoMap::new(capacity)),
             capacity,
@@ -107,7 +110,7 @@ impl<B: Backend> ResultCache<B> {
     /// Look up the reply for `key`, valid at `current_epoch`, as of tick
     /// `now_us`. Counts a hit or miss; a dead entry (expired, or from an
     /// older epoch) is removed on the way.
-    pub fn get_at(&self, key: u64, current_epoch: u64, now_us: u64) -> Option<Vec<u8>> {
+    pub fn get_at(&self, key: u64, current_epoch: u64, now_us: u64) -> Option<V> {
         let mut entries = self.entries.lock();
         let ttl_us = self.ttl_us;
         let (serves, dead) = entries.get(key).map_or((false, false), |e| {
@@ -134,7 +137,7 @@ impl<B: Backend> ResultCache<B> {
     /// zero-capacity cache accepts nothing; at capacity, the
     /// oldest-inserted entry is evicted. A reply never replaces one from a
     /// newer epoch: epochs only rise, so no reader could be served it.
-    pub fn insert_at(&self, key: u64, reply: Vec<u8>, epoch: u64, now_us: u64) {
+    pub fn insert_at(&self, key: u64, reply: V, epoch: u64, now_us: u64) {
         if self.capacity == 0 {
             return;
         }
@@ -169,12 +172,12 @@ impl<B: Backend> ResultCache<B> {
     }
 
     /// [`ResultCache::get_at`] at the current wall-clock tick.
-    pub fn get(&self, key: u64, current_epoch: u64) -> Option<Vec<u8>> {
+    pub fn get(&self, key: u64, current_epoch: u64) -> Option<V> {
         self.get_at(key, current_epoch, self.tick_us())
     }
 
     /// [`ResultCache::insert_at`] at the current wall-clock tick.
-    pub fn insert(&self, key: u64, reply: Vec<u8>, epoch: u64) {
+    pub fn insert(&self, key: u64, reply: V, epoch: u64) {
         self.insert_at(key, reply, epoch, self.tick_us());
     }
 

@@ -22,8 +22,9 @@
 //!   everyone else gets the one-shot close behavior unchanged.
 //! * **Result cache** — replies for SELECT/COUNT are cached by query
 //!   shape (wire-hash of polygon + spec, mixed with the server's filter
-//!   key), bounded by TTL and capacity, and validated against the
-//!   engine's *data epoch* on every lookup — an `apply_updates` commit
+//!   key) beside the request body they answer, served only to a request
+//!   with that very body, bounded by TTL and capacity, and validated
+//!   against the engine's *data epoch* on every lookup — an `apply_updates` commit
 //!   invalidates transactionally because the epoch and the new data
 //!   become visible in one atomic state swap (see [`cache`]). Only
 //!   requests fill it: a server over a restored engine starts with it
@@ -54,6 +55,7 @@ pub mod metrics;
 pub mod quota;
 
 use cache::ResultCache;
+use gb_common::sync::backend::StdBackend;
 use gb_common::sync::{rank, OrderedMutex};
 use gb_common::Pool;
 use gb_trace::Stage;
@@ -108,13 +110,17 @@ impl Default for ServeConfig {
     }
 }
 
+/// The server's result cache: each entry is the request body and the
+/// encoded reply that answers it.
+pub type ReplyCache = ResultCache<StdBackend, Arc<(Vec<u8>, Vec<u8>)>>;
+
 /// The server: an engine plus the serving state (cache, metrics,
 /// quotas). [`GbServer::handle`] is a pure request → response function,
 /// so the full HTTP surface is testable without sockets;
 /// [`RunningServer::start`] puts it behind a real listener.
 pub struct GbServer {
     engine: Arc<GeoBlockEngine>,
-    cache: ResultCache,
+    cache: ReplyCache,
     metrics: Metrics,
     quotas: QuotaTable,
     filter_key: u64,
@@ -148,7 +154,7 @@ impl GbServer {
     }
 
     /// The result cache.
-    pub fn cache(&self) -> &ResultCache {
+    pub fn cache(&self) -> &ReplyCache {
         &self.cache
     }
 
@@ -258,14 +264,19 @@ impl GbServer {
 
         // Cache probe (SELECT/COUNT only — updates have no key). The
         // epoch read here also validates the entry: a reply computed at
-        // an older data epoch never leaves the cache.
+        // an older data epoch never leaves the cache. The key is a 64-bit
+        // hash of the body, so an entry answers only the body it holds: a
+        // collision is a miss (though the cache counts it as a hit).
         let tracer = self.engine.tracer();
-        let key = api::request_cache_key(&parsed, self.filter_key);
+        let key = api::body_cache_key(&parsed, &req.body, self.filter_key);
         if let Some(key) = key {
             let span = tracer.span(Stage::ResultCache);
             let cached = self.cache.get(key, self.engine.data_epoch());
+            let reply = cached
+                .filter(|entry| entry.0 == req.body)
+                .map(|entry| entry.1.clone());
             drop(span);
-            if let Some(reply) = cached {
+            if let Some(reply) = reply {
                 tracer.flag(gb_trace::FLAG_CACHE_HIT);
                 return HttpResponse::binary(200, reply);
             }
@@ -282,7 +293,8 @@ impl GbServer {
                     // at; if an update commits between compute and
                     // insert, the entry is stale-on-arrival and will
                     // never be served.
-                    self.cache.insert(key, body.clone(), reply.epoch());
+                    let entry = Arc::new((req.body.clone(), body.clone()));
+                    self.cache.insert(key, entry, reply.epoch());
                 }
                 if matches!(parsed, QueryRequest::Update { .. }) {
                     // Space reclamation only — correctness comes from the
@@ -774,6 +786,28 @@ pub(crate) mod tests {
         let r2 = server.handle(&post("/v1/select", select_req(40.0)));
         assert_eq!(r2.body, r1.body, "cached reply must be byte-identical");
         assert_eq!(server.cache().stats().hits, 1);
+    }
+
+    #[test]
+    fn a_cached_reply_answers_only_its_own_request() {
+        // B's entry under A's key, as if the two bodies collided.
+        let server = test_server(0.0, 64);
+        let (a, b) = (select_req(40.0), select_req(60.0));
+        let reply_b = server.handle(&post("/v1/select", b.clone())).body;
+        let parsed_a = api::decode_request(&a).expect("decode");
+        let key_a = api::request_cache_key(&parsed_a, server.filter_key).expect("cacheable");
+        let epoch = server.engine().data_epoch();
+        server
+            .cache()
+            .insert(key_a, Arc::new((b, reply_b.clone())), epoch);
+
+        let want_a = api::encode_reply(&server.engine().query(&parsed_a));
+        assert_ne!(want_a, reply_b, "the two requests answer differently");
+        let got = server.handle(&post("/v1/select", a.clone())).body;
+        assert_eq!(got, want_a, "A was answered with B's reply");
+        // A's own reply replaced B's entry, and answers A from now on.
+        assert_eq!(server.handle(&post("/v1/select", a)).body, want_a);
+        assert_eq!(server.cache().len(), 2);
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! (`/metrics`, `/healthz`) bypass admission so operators can always see
 //! a saturated server.
 //!
+//! The table holds at most [`MAX_TENANTS`] buckets: the tenant name is
+//! client-chosen, so an unbounded table would grow with every new header
+//! value. A bucket that has refilled to `burst` admits exactly what a
+//! missing one would, so dropping it changes no decision. When a new
+//! tenant arrives at the bound, the table first drops every bucket that
+//! has refilled to `burst`; if none has, the new tenant is rejected
+//! (429, retry once the first bucket refills), never admitted on a fresh
+//! bucket, which could over-admit a tenant whose bucket was dropped.
+//!
 //! The table is generic over the sync [`Backend`] and takes time as an
 //! explicit microsecond tick ([`QuotaTable::admit_at`]), so `gb_check`
 //! can drive refill/acquire races deterministically and prove the
@@ -29,10 +38,22 @@ pub enum Admission {
     Reject { retry_after_ms: u64 },
 }
 
+/// The most tenants the table holds a bucket for.
+pub const MAX_TENANTS: usize = 4096;
+
 #[derive(Debug)]
 struct Bucket {
     tokens: f64,
     refilled_us: u64,
+}
+
+impl Bucket {
+    /// The tokens held as of tick `now_us`, refilled at `per_sec` up to
+    /// `burst`.
+    fn refilled(&self, now_us: u64, per_sec: f64, burst: f64) -> f64 {
+        let elapsed = now_us.saturating_sub(self.refilled_us) as f64 / 1e6;
+        (self.tokens + elapsed * per_sec).min(burst)
+    }
 }
 
 /// Token buckets keyed by tenant name. One mutex over the whole table:
@@ -60,30 +81,39 @@ impl<B: Backend> QuotaTable<B> {
     }
 
     /// Take one token for `tenant` as of tick `now_us` (creating a full
-    /// bucket on first use). Ticks may arrive out of order across
-    /// threads; a stale tick simply contributes no refill
+    /// bucket on first use, within [`MAX_TENANTS`]). Ticks may arrive out
+    /// of order across threads; a stale tick simply contributes no refill
     /// (`saturating_sub`), it never mints tokens.
     pub fn admit_at(&self, tenant: &str, now_us: u64) -> Admission {
         if self.per_sec <= 0.0 {
             return Admission::Admit;
         }
+        let (burst, per_sec) = (self.burst, self.per_sec);
         let mut buckets = self.buckets.lock();
+        if buckets.len() >= MAX_TENANTS && !buckets.contains_key(tenant) {
+            // Full buckets answer as missing ones do: drop them, and
+            // note how long the fullest of the rest takes to get there.
+            let mut missing = f64::INFINITY;
+            buckets.retain(|_, b| {
+                let short = burst - b.refilled(now_us, per_sec, burst);
+                missing = missing.min(short);
+                short > 0.0
+            });
+            if buckets.len() >= MAX_TENANTS {
+                return reject(missing, per_sec);
+            }
+        }
         let bucket = buckets.entry(tenant.to_string()).or_insert(Bucket {
-            tokens: self.burst,
+            tokens: burst,
             refilled_us: now_us,
         });
-        let elapsed = now_us.saturating_sub(bucket.refilled_us) as f64 / 1e6;
-        bucket.tokens = (bucket.tokens + elapsed * self.per_sec).min(self.burst);
+        bucket.tokens = bucket.refilled(now_us, per_sec, burst);
         bucket.refilled_us = bucket.refilled_us.max(now_us);
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
             Admission::Admit
         } else {
-            let deficit = 1.0 - bucket.tokens;
-            let retry_after_ms = ((deficit / self.per_sec) * 1000.0).ceil() as u64;
-            Admission::Reject {
-                retry_after_ms: retry_after_ms.max(1),
-            }
+            reject(1.0 - bucket.tokens, per_sec)
         }
     }
 
@@ -96,6 +126,14 @@ impl<B: Backend> QuotaTable<B> {
     /// Number of tenants with live buckets.
     pub fn tenants(&self) -> usize {
         self.buckets.lock().len()
+    }
+}
+
+/// The rejection for a request that waits until `deficit` tokens refill.
+fn reject(deficit: f64, per_sec: f64) -> Admission {
+    let retry_after_ms = ((deficit / per_sec) * 1000.0).ceil() as u64;
+    Admission::Reject {
+        retry_after_ms: retry_after_ms.max(1),
     }
 }
 
@@ -167,6 +205,38 @@ mod tests {
             }
             Admission::Admit => panic!("bucket should be empty"),
         }
+    }
+
+    #[test]
+    fn the_table_is_bounded_and_drops_only_refilled_buckets() {
+        // Burst 2 at 1 token/s: a tenant that took one token is full
+        // again a second later.
+        let q: QuotaTable = QuotaTable::new(2.0, 1.0);
+        for t in 0..MAX_TENANTS {
+            assert_eq!(q.admit_at(&format!("t{t}"), 0), Admission::Admit);
+        }
+        assert_eq!(q.tenants(), MAX_TENANTS);
+        // No bucket has refilled: a new tenant is refused, with the time
+        // the first one takes to refill, and gets no bucket.
+        assert_eq!(
+            q.admit_at("new", 500_000),
+            Admission::Reject {
+                retry_after_ms: 500
+            }
+        );
+        assert_eq!(q.tenants(), MAX_TENANTS);
+        // A known tenant is still served from its own bucket.
+        assert_eq!(q.admit_at("t0", 500_000), Admission::Admit);
+        // A second on, every bucket but t0's is full again: they go, and
+        // the new tenant gets a bucket of its own.
+        assert_eq!(q.admit_at("new", 1_000_000), Admission::Admit);
+        assert_eq!(q.tenants(), 2);
+        // t0 kept its own bucket (1 token by now), not a fresh one (2).
+        assert_eq!(q.admit_at("t0", 1_000_000), Admission::Admit);
+        assert!(matches!(
+            q.admit_at("t0", 1_000_000),
+            Admission::Reject { .. }
+        ));
     }
 
     #[test]

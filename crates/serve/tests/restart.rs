@@ -8,7 +8,7 @@ use gb_data::{extract, AggSpec, CleaningRules, ColumnDef, Filter, RawTable, Sche
 use gb_geom::{Point, Polygon, Rect};
 use gb_serve::{GbServer, ServeConfig};
 use geoblocks::api::QueryRequest;
-use geoblocks::{build, GeoBlockEngine, Snapshot};
+use geoblocks::{build, GeoBlock, GeoBlockEngine};
 use std::sync::Arc;
 
 fn engine() -> GeoBlockEngine {
@@ -57,7 +57,7 @@ fn a_restart_under_a_server_saves_the_same_file() {
     }
     engine.write_snapshot(&first).expect("first save");
 
-    let restored = GeoBlockEngine::new(Snapshot::load(&first).expect("load").block);
+    let restored = GeoBlockEngine::new(GeoBlock::read_snapshot(&first).expect("load").0);
     let server = GbServer::new(Arc::new(restored), ServeConfig::default());
     server
         .engine()
@@ -75,7 +75,7 @@ fn a_restart_under_a_server_saves_the_same_file() {
     );
     assert_eq!(
         saved,
-        Snapshot::new(engine.block_snapshot().as_ref().clone()).to_bytes(),
+        engine.block_snapshot().to_snapshot_bytes(),
         "the selects left nothing in the file"
     );
 }

@@ -297,17 +297,11 @@ impl SnapshotWriter {
         }
         buf
     }
-
-    /// Serialize and write to `path` via [`write_atomic`].
-    pub fn write_to(self, path: &Path) -> Result<(), SnapshotError> {
-        write_atomic(path, &self.into_bytes())
-    }
 }
 
 /// Write `bytes` to `path` through a sibling temp file + rename, so a
 /// crash mid-write never leaves a half-written snapshot behind the final
-/// name. Shared by [`SnapshotWriter::write_to`] and the higher-level
-/// snapshot `save` paths.
+/// name. The snapshot writer's one way to disk.
 ///
 /// The temp name appends to the full file name (never replaces an
 /// extension) and carries the pid plus a process-wide counter, so
@@ -1065,7 +1059,7 @@ mod tests {
         let path = dir.join("snap.gb");
         let mut w = SnapshotWriter::new(5);
         w.section(TAG_A, |p| p.bytes(&[42; 1000]));
-        w.write_to(&path).expect("write");
+        write_atomic(&path, &w.into_bytes()).expect("write");
         // No temp file left behind.
         let leftovers = std::fs::read_dir(&dir)
             .unwrap()
@@ -1089,7 +1083,7 @@ mod tests {
                 s.spawn(move || {
                     let mut w = SnapshotWriter::new(5);
                     w.section(TAG_A, |p| p.bytes(&[fill; 4096]));
-                    w.write_to(path).expect("concurrent write");
+                    write_atomic(path, &w.into_bytes()).expect("concurrent write");
                 });
             }
         });
@@ -1107,9 +1101,8 @@ mod tests {
     #[test]
     fn unwritable_path_is_io_error() {
         let w = SnapshotWriter::new(5);
-        let err = w
-            .write_to(Path::new("/nonexistent/geoblocks.snap"))
-            .unwrap_err();
+        let err =
+            write_atomic(Path::new("/nonexistent/geoblocks.snap"), &w.into_bytes()).unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)));
         assert!(err.to_string().contains("i/o"));
     }

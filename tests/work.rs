@@ -1,8 +1,9 @@
 //! The work ratchet: what a seeded block costs in bytes, what its set-up
 //! allocates, what 64 seeded SELECTs and COUNTs cost in record searches
 //! and reads, what the paper's query cache (`gb_baselines::BlockQcIndex`)
-//! learns from them and holds, and what an 8-row update allocates,
-//! asserted against recorded constants. Counts of
+//! learns from them and holds, what an 8-row update allocates, and what
+//! one snapshot save and one load allocate, asserted against recorded
+//! constants. Counts of
 //! work do not depend on the host, so this gate holds where timings cannot
 //! steer.
 //!
@@ -21,7 +22,7 @@
 use gb_baselines::{BlockQcIndex, SpatialAggIndex};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::Point;
-use geoblocks::{build, GeoBlockEngine, QueryStats, UpdateBatch, UpdateReport};
+use geoblocks::{build, GeoBlock, GeoBlockEngine, QueryStats, UpdateBatch, UpdateReport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -116,6 +117,13 @@ const MAX_UPDATE_IN_PLACE_BYTES: usize = 16_002_248;
 /// engine refilled an aggregate cache after each update, 16 381 920 B in
 /// place).
 const MAX_UPDATE_NEW_CELL_BYTES: usize = 16_005_192;
+/// Ceiling on the bytes a serving engine's `write_snapshot` allocates:
+/// the container buffer, sized once (7 403 575 B of file). A save that
+/// copied the block would add its 10.3 MB.
+const MAX_SAVE_BYTES: usize = 7_404_096;
+/// Ceiling on the bytes `GeoBlock::read_snapshot` allocates: the file, the
+/// decoded records and the coarser layers the load derives.
+const MAX_LOAD_BYTES: usize = 23_405_823;
 
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
@@ -218,6 +226,27 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
     drop(qc);
 
     let engine = GeoBlockEngine::new(block);
+
+    // One save from the serving engine and one load of what it wrote.
+    let path = std::env::temp_dir().join(format!("gb_work_{}.gbsnap", std::process::id()));
+    let (saved, save_bytes) = allocated(|| engine.write_snapshot(&path));
+    saved.expect("save");
+    let (loaded, load_bytes) = allocated(|| GeoBlock::read_snapshot(&path));
+    let _ = std::fs::remove_file(&path);
+    let (loaded, _) = loaded.expect("load");
+    assert_eq!(
+        loaded.content_hash(),
+        engine.block_snapshot().content_hash()
+    );
+    drop(loaded);
+    assert!(
+        save_bytes <= MAX_SAVE_BYTES,
+        "a save allocated {save_bytes} B, over the recorded {MAX_SAVE_BYTES}"
+    );
+    assert!(
+        load_bytes <= MAX_LOAD_BYTES,
+        "a load allocated {load_bytes} B, over the recorded {MAX_LOAD_BYTES}"
+    );
 
     // Two 8-row batches: every row at a base row's location (in place),
     // then 4 such rows and 4 in cells without data.
