@@ -1,6 +1,5 @@
 //! Schedule exploration: exhaustive bounded DFS over scheduling
-//! choices, with a seeded pseudo-random fallback for spaces too large
-//! to exhaust, and exact replay of a recorded schedule.
+//! choices, and exact replay of a recorded schedule.
 //!
 //! A *schedule* is the sequence of thread ids granted the token, one
 //! per step. At each decision the controller computes the **allowed**
@@ -31,13 +30,9 @@ use std::sync::{Arc, Once};
 pub struct Options {
     /// Maximum preemptions per schedule (`None` = unbounded DFS).
     pub preemption_bound: Option<usize>,
-    /// DFS budget: stop after this many schedules even if unexhausted.
+    /// DFS budget: stop after this many schedules even if unexhausted
+    /// (the report says so: `exhausted` is false).
     pub max_schedules: usize,
-    /// Seeded random schedules to run when DFS hits `max_schedules`
-    /// without exhausting the space.
-    pub random_schedules: usize,
-    /// Seed for the random fallback (schedule `k` uses `seed ^ k`).
-    pub seed: u64,
     /// Per-schedule grant budget: exceeding it is reported as livelock.
     pub max_steps: u64,
 }
@@ -47,8 +42,6 @@ impl Default for Options {
         Options {
             preemption_bound: Some(2),
             max_schedules: 100_000,
-            random_schedules: 2_000,
-            seed: 0x9E37_79B9,
             max_steps: 20_000,
         }
     }
@@ -211,23 +204,6 @@ struct Node {
     n_allowed: usize,
 }
 
-/// Minimal xorshift-multiply PRNG for the random fallback — the same
-/// family `gb_common::rng` uses; self-contained so the checker stays
-/// dependency-light.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 % n.max(1) as u64) as usize
-    }
-}
-
 /// Explore interleavings of `f` under `opts`. The closure runs once per
 /// schedule as model thread 0; it may [`crate::spawn`] further model
 /// threads and must construct every `CheckedBackend` primitive inside
@@ -245,8 +221,8 @@ where
     let mut schedules = 0usize;
     let mut exhausted = false;
 
-    // Phase 1: iterative-deepening-free DFS — replay the stack prefix,
-    // extend with first choices, then backtrack the deepest node.
+    // Iterative-deepening-free DFS — replay the stack prefix, extend with
+    // first choices, then backtrack the deepest node.
     loop {
         if schedules >= opts.max_schedules {
             break;
@@ -297,25 +273,6 @@ where
         }
         if exhausted {
             break;
-        }
-    }
-
-    // Phase 2: seeded random fallback when DFS could not exhaust.
-    if !exhausted {
-        for k in 0..opts.random_schedules {
-            let mut rng = Lcg::new(opts.seed ^ k as u64);
-            let result = run_once(&f, &opts, |_, allowed| rng.below(allowed.len()));
-            schedules += 1;
-            if let Some(message) = result.failure {
-                return Report {
-                    schedules,
-                    exhausted: false,
-                    failure: Some(Failure {
-                        message,
-                        trace: result.trace,
-                    }),
-                };
-            }
         }
     }
 

@@ -13,8 +13,6 @@
 //! * **exhaustive bounded DFS** over scheduling choices, with a
 //!   configurable preemption bound (default 2 — the CHESS observation:
 //!   most real concurrency bugs need very few preemptions);
-//! * a **seeded pseudo-random fallback** when the space exceeds the DFS
-//!   budget;
 //! * **deterministic replay**: a failure report carries the exact grant
 //!   trace, and [`replay`] re-executes it step for step, so every red
 //!   run is reproducible and pinnable as a regression test.
@@ -221,7 +219,11 @@ mod tests {
     fn model_cache_shadow_basics() {
         let mut m = models::CacheModel::new(2, 1_000);
         m.insert_at(1, vec![1], 0, 0);
-        assert_eq!(m.get_at(1, 0, 500), Some(vec![1]));
-        assert_eq!(m.get_at(1, 1, 500), None, "epoch bump invalidates");
+        assert_eq!(m.get_at(1, 0, 500, |_| true), Some(vec![1]));
+        assert_eq!(
+            m.get_at(1, 1, 500, |_| true),
+            None,
+            "epoch bump invalidates"
+        );
     }
 }

@@ -24,7 +24,8 @@ struct ModelEntry {
 
 /// Sequential shadow of `gb_serve::cache::ResultCache`, operation for
 /// operation: epoch-validated lookup with eager removal of dead entries
-/// (expired, or from an older epoch — a newer epoch's entry stays), TTL
+/// (expired, or from an older epoch — a newer epoch's entry stays, and so
+/// does a live one the lookup's `accept` refuses), TTL
 /// inclusive at the boundary, zero-capacity no-op inserts, inserts that
 /// never replace a newer epoch's entry, and oldest-`seq` eviction when a
 /// *new* key lands in a full cache.
@@ -52,10 +53,16 @@ impl CacheModel {
     }
 
     /// Shadow of `ResultCache::get_at`.
-    pub fn get_at(&mut self, key: u64, current_epoch: u64, now_us: u64) -> Option<Vec<u8>> {
+    pub fn get_at(
+        &mut self,
+        key: u64,
+        current_epoch: u64,
+        now_us: u64,
+        accept: impl FnOnce(&[u8]) -> bool,
+    ) -> Option<Vec<u8>> {
         let e = self.entries.get(&key)?;
         let age = now_us.saturating_sub(e.inserted_us);
-        if e.epoch == current_epoch && age <= self.ttl_us {
+        if e.epoch == current_epoch && age <= self.ttl_us && accept(&e.reply) {
             return Some(e.reply.clone());
         }
         if e.epoch < current_epoch || age > self.ttl_us {
@@ -119,7 +126,7 @@ mod tests {
     fn epoch_mismatch_misses_and_drops() {
         let mut m = CacheModel::new(4, 1_000_000);
         m.insert_at(1, vec![9], 0, 0);
-        assert_eq!(m.get_at(1, 1, 0), None);
+        assert_eq!(m.get_at(1, 1, 0, |_| true), None);
         assert!(
             m.is_empty(),
             "dead entry removed eagerly, like the real cache"
@@ -130,18 +137,18 @@ mod tests {
     fn a_newer_epoch_entry_survives_an_older_reader_and_an_older_insert() {
         let mut m = CacheModel::new(4, 1_000_000);
         m.insert_at(1, vec![2], 2, 0);
-        assert_eq!(m.get_at(1, 1, 0), None);
+        assert_eq!(m.get_at(1, 1, 0, |_| true), None);
         m.insert_at(1, vec![1], 1, 0);
         m.purge_stale_at(1, 0);
-        assert_eq!(m.get_at(1, 2, 0), Some(vec![2]));
+        assert_eq!(m.get_at(1, 2, 0, |_| true), Some(vec![2]));
     }
 
     #[test]
     fn ttl_is_inclusive_at_the_boundary() {
         let mut m = CacheModel::new(4, 1_000);
         m.insert_at(1, vec![9], 0, 0);
-        assert_eq!(m.get_at(1, 0, 1_000), Some(vec![9]));
-        assert_eq!(m.get_at(1, 0, 1_001), None);
+        assert_eq!(m.get_at(1, 0, 1_000, |_| true), Some(vec![9]));
+        assert_eq!(m.get_at(1, 0, 1_001, |_| true), None);
     }
 
     #[test]
@@ -150,11 +157,11 @@ mod tests {
         m.insert_at(1, vec![1], 0, 0);
         m.insert_at(2, vec![2], 0, 0);
         m.insert_at(2, vec![22], 0, 0); // overwrite: no eviction
-        assert_eq!(m.get_at(1, 0, 0), Some(vec![1]));
+        assert_eq!(m.get_at(1, 0, 0, |_| true), Some(vec![1]));
         m.insert_at(3, vec![3], 0, 0); // new key: evicts key 1 (seq 0)
-        assert_eq!(m.get_at(1, 0, 0), None);
-        assert_eq!(m.get_at(2, 0, 0), Some(vec![22]));
-        assert_eq!(m.get_at(3, 0, 0), Some(vec![3]));
+        assert_eq!(m.get_at(1, 0, 0, |_| true), None);
+        assert_eq!(m.get_at(2, 0, 0, |_| true), Some(vec![22]));
+        assert_eq!(m.get_at(3, 0, 0, |_| true), Some(vec![3]));
     }
 
     #[test]

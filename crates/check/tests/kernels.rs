@@ -152,7 +152,7 @@ fn cache_never_serves_a_reply_across_an_epoch_bump() {
                     let e = epoch.load(Ordering::SeqCst);
                     cache.insert_at(7, reply_at(e), e, 0);
                     let e2 = epoch.load(Ordering::SeqCst);
-                    if let Some(served) = cache.get_at(7, e2, 0) {
+                    if let Some(served) = cache.get_at(7, e2, 0, |_| true) {
                         assert_eq!(
                             served,
                             reply_at(e2),
@@ -171,7 +171,7 @@ fn cache_never_serves_a_reply_across_an_epoch_bump() {
         // After the dust settles: a lookup at the final epoch still
         // never yields anything the shadow would not produce.
         let e = epoch.load(Ordering::SeqCst);
-        if let Some(served) = cache.get_at(7, e, 0) {
+        if let Some(served) = cache.get_at(7, e, 0, |_| true) {
             assert_eq!(served, reply_at(e));
         }
     });

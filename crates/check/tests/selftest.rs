@@ -52,7 +52,7 @@ fn stale_epoch_tag_model() {
     updater.join();
 
     let now = epoch.load(Ordering::SeqCst);
-    if let Some(served) = cache.get_at(7, now, 0) {
+    if let Some(served) = cache.get_at(7, now, 0, |_| true) {
         assert_eq!(
             served,
             reply_at(now),

@@ -238,14 +238,14 @@ impl GeoBlock {
         self.layers = layers;
     }
 
-    /// A digest over the stored state — the block-level records and the
-    /// global header the `HDRS` section stores beside them (floats by bit
-    /// pattern, so NaN payloads and signed zeros count). Two blocks with
-    /// equal hashes are byte-identical for all practical purposes — the
-    /// `scale-threads` experiment uses this to prove parallel builds match
-    /// serial ones.
+    /// A digest over the stored state — the block-level records, level
+    /// included (floats by bit pattern, so NaN payloads and signed zeros
+    /// count); everything else a block holds is derived from them. Two
+    /// blocks with equal hashes are byte-identical for all practical
+    /// purposes — the `scale-threads` experiment uses this to prove
+    /// parallel builds match serial ones.
     pub fn content_hash(&self) -> u64 {
-        crate::snapshot::Header::of(self).digest(self.records())
+        self.records().content_hash()
     }
 
     /// Build a coarser GeoBlock at `level` from this one **without**

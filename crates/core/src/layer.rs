@@ -252,23 +252,19 @@ impl Layer {
         })
     }
 
-    /// Feed every array to `h` (floats by bit pattern, so NaN payloads and
-    /// signed zeros count): layers that hash equal are byte-identical for
-    /// all practical purposes.
-    pub(crate) fn hash_into(&self, h: &mut FxHasher) {
-        self.level.hash(h);
-        self.keys.hash(h);
-        self.counts.hash(h);
-        hash_bits(&self.mins, h);
-        hash_bits(&self.maxs, h);
-        hash_bits(&self.sums, h);
-    }
-
-    /// A digest over every array (floats by bit pattern): equal digests
-    /// mean bit-identical layers.
+    /// A digest over the level and every array (floats by bit pattern, so
+    /// NaN payloads and signed zeros count): equal digests mean
+    /// bit-identical layers.
     pub fn content_hash(&self) -> u64 {
         let mut h = FxHasher::default();
-        self.hash_into(&mut h);
+        self.level.hash(&mut h);
+        self.keys.hash(&mut h);
+        self.counts.hash(&mut h);
+        for values in [&self.mins, &self.maxs, &self.sums] {
+            for v in values {
+                v.to_bits().hash(&mut h);
+            }
+        }
         h.finish()
     }
 
@@ -364,13 +360,6 @@ pub(crate) fn fold_column(values: impl Iterator<Item = f64>) -> (f64, f64, f64) 
         fold_value(&mut min, &mut max, &mut sum, v);
     }
     (min, max, sum)
-}
-
-/// Feed `values` to `h` by bit pattern.
-pub(crate) fn hash_bits(values: &[f64], h: &mut FxHasher) {
-    for v in values {
-        v.to_bits().hash(h);
-    }
 }
 
 #[cfg(test)]

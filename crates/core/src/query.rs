@@ -49,7 +49,8 @@ pub struct QueryStats {
     /// Covering cells with data under them: one range of stored records
     /// read into the result each, for SELECT and COUNT alike.
     pub cells_combined: usize,
-    /// Binary searches performed.
+    /// Range reads of stored records: one `Layer::under` per covering
+    /// cell that may overlap the block.
     pub searches: usize,
 }
 

@@ -3,63 +3,43 @@
 //!
 //! The paper's economics — an expensive one-time build (§3.3) amortized
 //! over arbitrarily many cheap queries — only survive a process restart
-//! if the block can be saved and restored. A snapshot is the complete
-//! [`GeoBlock`]: schema, grid, block-level cell aggregates, and the global
-//! header derived from them. One encoder and one decoder, reached in
-//! memory through [`GeoBlock::to_snapshot_bytes`] /
+//! if the block can be saved and restored. A snapshot stores what a
+//! [`GeoBlock`] cannot derive: its schema, its grid and its block-level
+//! cell aggregates. One encoder and one decoder, reached in memory
+//! through [`GeoBlock::to_snapshot_bytes`] /
 //! [`GeoBlock::from_snapshot_bytes`] and on disk through
 //! [`GeoBlock::write_snapshot`] / [`GeoBlock::read_snapshot`].
 //!
-//! ## Sections (format version 5)
+//! ## Sections (format version 6)
 //!
 //! | tag    | content |
 //! |--------|---------|
 //! | `SCHM` | column count, then per column: type tag, name |
 //! | `GRID` | domain rectangle (4 × f64 bits), curve tag (always 0: Hilbert; any other is refused) |
-//! | `HDRS` | level, `n_rows`, min/max cell, global min/max/sum, **block content hash**, **state hash** |
+//! | `HDRS` | level, **content hash**, **state hash** |
 //! | `CELL` | the block-level [`Layer`]: keys, counts (u64), per-cell min/max/sum |
-//! | `TRIE` | (no longer written) the aggregate cache as trie nodes; read only for the state hash |
-//! | `HITS` | (no longer written) hit-statistic key/count pairs; read only for the state hash |
-//! | `HOTQ` | (no longer written) hot-query shapes, count + encoded request; read only for the state hash |
 //!
-//! Derived state — the coarser layers — is **never** serialized: the
-//! layers are deterministic folds of the `CELL` layer, so every load
-//! rebuilds them through the same `GeoBlock::refresh_derived` every other
-//! producer of a block ends in (see `DESIGN.md` "Persistence" for the
-//! measurements behind this).
+//! Everything coarser than a cell — the coarser layers and the §3.4
+//! global header, which is their root record — is a fold of the `CELL`
+//! layer, so it is **never** serialized: every load rebuilds it through
+//! the same `GeoBlock::refresh_derived` every other producer of a block
+//! ends in (see `DESIGN.md` "Persistence" for the measurements behind
+//! this).
 //!
-//! `HDRS` still carries the §3.4 global header, because the format does:
-//! the writer fills it from the derived block (the root record is the
-//! fold of every record), and the loader checks the stored one — its row
-//! count and key extent against `CELL`, all of it against the stored
-//! content hash — then keeps only the level and serves the derived header.
-//! A writer that patched its header per tuple stored global sums that
-//! drift from the root record after updates; its digest still covers
-//! them, so its files load.
-//!
-//! Earlier writers stored an aggregate cache as a `TRIE` section, the
-//! hit statistics it was sized from as `HITS` and the hottest requests as
-//! `HOTQ`; the loader parses each only to re-derive what its writer put
-//! into the state hash.
-//!
-//! The loader reads the current version and the one before it. Version 5
-//! changed no section: it is version 4 under the container's word-wise
-//! section checksum (`gb_store::checksum_for`), which the container reader
-//! picks from the file's version before this module sees a byte — so the
-//! decoder below has no version branch at all. A file of any other version
-//! is refused by the container as `SnapshotError::UnsupportedVersion`
-//! before a checksum is verified.
+//! The loader reads exactly [`SNAPSHOT_VERSION`]: nothing in the
+//! repository loads a snapshot written by another build, so a file of any
+//! other version is refused by the container as
+//! `SnapshotError::UnsupportedVersion` before a checksum is verified.
 //!
 //! Every load re-derives two digests and compares them with the values
-//! stored at save time: the content hash (cell aggregates + header as
-//! stored, which for this writer is [`GeoBlock::content_hash`]) and a
-//! *state hash* spanning everything the content hash excludes — grid,
-//! schema, and a legacy `TRIE`, `HITS` or `HOTQ`.
-//! Per-section checksums catch flipped bits; the state hash catches
-//! sections *grafted* between two individually-valid snapshots. The
-//! round-trip gate ("loaded state ≡ saved state") is thus enforced by the
-//! loader itself, not just by tests. Decoding never panics: all failures
-//! surface as [`SnapshotError`].
+//! stored at save time: the content hash (the stored layer,
+//! [`GeoBlock::content_hash`]) and a *state hash* over the content hash,
+//! the grid domain and the schema. Per-section checksums catch flipped
+//! bits; the two digests catch sections *grafted* between two
+//! individually-valid snapshots. The round-trip gate ("loaded state ≡
+//! saved state") is thus enforced by the loader itself, not just by
+//! tests. Decoding never panics: all failures surface as
+//! [`SnapshotError`].
 
 // Snapshot bytes come from disk: a corrupt file is a typed error.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -67,237 +47,49 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::cast_possible_truncation))]
 
 use crate::block::GeoBlock;
-use crate::layer::{hash_bits, Layer};
+use crate::layer::Layer;
 use gb_cell::Grid;
 use gb_common::{FxHasher, Timer};
 use gb_data::{ColumnDef, ColumnType, Schema};
 use gb_geom::Rect;
-use gb_store::{ByteReader, ByteWriter, SectionTag, SnapshotReader, SnapshotWriter};
+use gb_store::{ByteReader, SectionTag, SnapshotReader, SnapshotWriter};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::time::Duration;
 
 pub use gb_store::SnapshotError;
 
-/// Current snapshot format version. Bump on any change to an existing
-/// section's encoding **or** to what the stored state hash spans; adding
-/// new optional sections an older reader could safely ignore does not
-/// require a bump. Version 5 is version 4 under the word-wise section
-/// checksum. See `DESIGN.md` "Persistence".
-pub const SNAPSHOT_VERSION: u16 = 5;
-
-/// The versions the loader reads: the current one and the one before it.
-const READABLE: std::ops::RangeInclusive<u16> = SNAPSHOT_VERSION - 1..=SNAPSHOT_VERSION;
+/// The snapshot format version: the one the writer stamps and the only one
+/// the loader reads. Bump on any change to a section's encoding or to what
+/// a stored digest spans; adding a new optional section a reader could
+/// safely ignore does not require a bump. See `DESIGN.md` "Persistence".
+pub const SNAPSHOT_VERSION: u16 = 6;
 
 const TAG_SCHEMA: SectionTag = SectionTag(*b"SCHM");
 const TAG_GRID: SectionTag = SectionTag(*b"GRID");
 const TAG_HEADER: SectionTag = SectionTag(*b"HDRS");
 const TAG_CELLS: SectionTag = SectionTag(*b"CELL");
-const TAG_TRIE: SectionTag = SectionTag(*b"TRIE");
-const TAG_HITS: SectionTag = SectionTag(*b"HITS");
-const TAG_HOTQ: SectionTag = SectionTag(*b"HOTQ");
 
 /// The `GRID` section's curve tag: the Hilbert curve, the only one.
 const HILBERT_TAG: u8 = 0;
 
-/// The `HDRS` section's block header: the level and the §3.4 global
-/// header. A writer stores [`Header::of`] the block; a loader checks the
-/// stored one against the stored content hash and against the block
-/// `CELL` derives to, and keeps nothing of it but the level.
-pub(crate) struct Header {
-    level: u8,
-    n_rows: u64,
-    min_cell: u64,
-    max_cell: u64,
-    /// Per column: the global minima, maxima and sums.
-    globals: [Vec<f64>; 3],
-}
-
-impl Header {
-    /// The header of a derived block: its global values are the root
-    /// record's, or in an empty block the empty fold's (min +∞, max −∞,
-    /// sum 0 per column), as writers have always stored them.
-    pub(crate) fn of(block: &GeoBlock) -> Header {
-        let c = block.schema().len();
-        let globals = match block.root() {
-            Some(root) => [root.mins, root.maxs, root.sums].map(<[f64]>::to_vec),
-            None => [f64::INFINITY, f64::NEG_INFINITY, 0.0].map(|v| vec![v; c]),
-        };
-        // The key extent: the first and the last block-level key, 0 and 0
-        // in an empty block.
-        let keys = &block.records().keys;
-        Header {
-            level: block.level(),
-            n_rows: block.num_rows(),
-            min_cell: keys.first().copied().unwrap_or(0),
-            max_cell: keys.last().copied().unwrap_or(0),
-            globals,
-        }
-    }
-
-    /// The content hash of `records` under this header (floats by bit
-    /// pattern): [`GeoBlock::content_hash`] for a derived header, and what
-    /// a loader checks a stored one against.
-    pub(crate) fn digest(&self, records: &Layer) -> u64 {
-        let mut h = FxHasher::default();
-        records.hash_into(&mut h);
-        (self.n_rows, self.min_cell, self.max_cell).hash(&mut h);
-        for values in &self.globals {
-            hash_bits(values, &mut h);
-        }
-        h.finish()
-    }
-
-    /// Whether this stored header describes `block`, derived from the
-    /// `CELL` it came with: the same level, row count and key extent, and
-    /// one global value per column. The values themselves may differ: an
-    /// older writer's drifted from the records.
-    fn describes(&self, block: &GeoBlock) -> bool {
-        let shape = |h: &Header| {
-            let lens = h.globals.each_ref().map(Vec::len);
-            (h.level, h.n_rows, h.min_cell, h.max_cell, lens)
-        };
-        shape(self) == shape(&Header::of(block))
-    }
-
-    /// The section payload: the header, then the two digests.
-    fn encode(&self, w: &mut ByteWriter, content: u64, state: u64) {
-        w.u8(self.level);
-        for v in [self.n_rows, self.min_cell, self.max_cell] {
-            w.u64(v);
-        }
-        for values in &self.globals {
-            w.f64_slice(values);
-        }
-        w.u64(content);
-        w.u64(state);
-    }
-
-    /// Decode what [`Header::encode`] wrote: the header and the content
-    /// and state digests, untrusted until checked.
-    fn decode(payload: &[u8]) -> Result<(Header, u64, u64), SnapshotError> {
-        let mut r = ByteReader::new(payload, "section `HDRS`");
-        let header = Header {
-            level: r.u8()?,
-            n_rows: r.u64()?,
-            min_cell: r.u64()?,
-            max_cell: r.u64()?,
-            globals: [r.f64_vec()?, r.f64_vec()?, r.f64_vec()?],
-        };
-        let (content, state) = (r.u64()?, r.u64()?);
-        r.finish()?;
-        Ok((header, content, state))
-    }
-}
-
-/// Digest over the *whole* snapshot state — the block's `content` digest
-/// plus the pieces the content hash deliberately excludes (grid
-/// domain, schema, a legacy `TRIE` section's digest, a legacy `HITS`
-/// section's pairs), left open for a legacy `HOTQ` section
-/// ([`hash_legacy_hotq`]). Stored in `HDRS` and re-derived at load:
-/// it is what makes a graft of one valid snapshot's
-/// `GRID`/`SCHM`/`TRIE`/`HITS`/`HOTQ` section onto another a typed error
-/// instead of silently wrong answers.
-fn state_hasher(
-    content: u64,
-    block: &GeoBlock,
-    trie: Option<u64>,
-    hits: Option<&[(u64, u64)]>,
-) -> FxHasher {
+/// The state hash: the block's `content` digest plus what the content
+/// hash excludes — the grid domain and the schema. Stored in `HDRS` and
+/// re-derived at load: it is what makes a graft of one valid snapshot's
+/// `GRID` or `SCHM` onto another a typed error instead of silently wrong
+/// answers.
+fn state_hash(content: u64, grid: &Grid, schema: &Schema) -> u64 {
     let mut h = FxHasher::default();
     content.hash(&mut h);
-    let d = block.grid().domain();
-    d.min.x.to_bits().hash(&mut h);
-    d.min.y.to_bits().hash(&mut h);
-    d.max.x.to_bits().hash(&mut h);
-    d.max.y.to_bits().hash(&mut h);
-    // Writers that could enumerate a grid by another curve hashed a flag
-    // for it here; every grid is Hilbert, so the flag is always false.
-    false.hash(&mut h);
-    for col in block.schema().columns() {
+    let d = grid.domain();
+    for v in [d.min.x, d.min.y, d.max.x, d.max.y] {
+        v.to_bits().hash(&mut h);
+    }
+    for col in schema.columns() {
         col.name.hash(&mut h);
         (col.ty == ColumnType::I64).hash(&mut h);
     }
-    match trie {
-        None => false.hash(&mut h),
-        Some(digest) => {
-            true.hash(&mut h);
-            digest.hash(&mut h);
-        }
-    }
-    match hits {
-        None => false.hash(&mut h),
-        Some(hits) => {
-            true.hash(&mut h);
-            // What `Vec<(u64, u64)>` of the pairs hashes to: the digest
-            // version-4 files carry.
-            hits.len().hash(&mut h);
-            for pair in hits {
-                pair.hash(&mut h);
-            }
-        }
-    }
-    h
-}
-
-/// Feed a `HOTQ` section (the hottest encoded requests, which earlier
-/// writers stored) into the state hash as its writer did: the
-/// `(count, request bytes)` entries hashed as the `Vec` they were written
-/// from. Nothing else reads the section, so the entries stream into the
-/// hasher: nothing is sized from the stored count and no payload is kept.
-/// A file without the section hashes nothing here, so files written
-/// without it stay valid version 5. This goes with `legacy_trie_digest`.
-fn hash_legacy_hotq(payload: &[u8], h: &mut FxHasher) -> Result<(), SnapshotError> {
-    let mut r = ByteReader::new(payload, "section `HOTQ`");
-    let n = r.u32()? as usize;
-    n.hash(h);
-    for _ in 0..n {
-        r.u64()?.hash(h);
-        let len = r.u32()? as usize;
-        r.bytes(len)?.hash(h);
-    }
-    r.finish()
-}
-
-/// The digest a writer that still stored the aggregate cache as a `TRIE`
-/// section put into the state hash for it: the section's six fields (root
-/// cell, column count, two node arrays, cached counts and values), hashed
-/// as that cache's `content_hash` hashed them. Nothing else reads the
-/// section, so this goes when version 5, the last version that may carry
-/// one, stops being readable.
-fn legacy_trie_digest(payload: &[u8]) -> Result<u64, SnapshotError> {
-    let mut r = ByteReader::new(payload, "section `TRIE`");
-    let (root, n_cols) = (r.u64()?, r.u32()? as usize);
-    let (first_children, aggs) = (r.u32_vec()?, r.u32_vec()?);
-    let (counts, values) = (r.u64_vec()?, r.f64_vec()?);
-    r.finish()?;
-    let mut h = FxHasher::default();
-    root.hash(&mut h);
-    n_cols.hash(&mut h);
-    for (first_child, agg) in first_children.iter().zip(&aggs) {
-        first_child.hash(&mut h);
-        agg.hash(&mut h);
-    }
-    counts.hash(&mut h);
-    for v in &values {
-        v.to_bits().hash(&mut h);
-    }
-    Ok(h.finish())
-}
-
-/// The `(cell, hits)` pairs of a `HITS` section, in the order its writer
-/// stored them (ascending cell), which is the order it hashed them in.
-/// Nothing else reads them, so this goes with `legacy_trie_digest`.
-fn legacy_hits(payload: &[u8]) -> Result<Vec<(u64, u64)>, SnapshotError> {
-    let mut r = ByteReader::new(payload, "section `HITS`");
-    let (cells, hits) = (r.u64_vec()?, r.u64_vec()?);
-    r.finish()?;
-    if cells.len() != hits.len() {
-        return Err(SnapshotError::corrupt(
-            "hit-statistic key/count arrays disagree in length",
-        ));
-    }
-    Ok(cells.into_iter().zip(hits).collect())
+    h.finish()
 }
 
 /// Where one save or one load spent its time. A save fills `hash`,
@@ -377,9 +169,8 @@ impl GeoBlock {
         let b = self;
         let mut stats = PersistStats::default();
         let mut timer = Timer::start();
-        let header = Header::of(b);
-        let content = header.digest(b.records());
-        let state = state_hasher(content, b, None, None).finish();
+        let content = b.content_hash();
+        let state = state_hash(content, &b.grid, &b.schema);
         stats.hash = timer.lap();
 
         let mut out = SnapshotWriter::with_capacity(
@@ -407,7 +198,11 @@ impl GeoBlock {
             w.u8(HILBERT_TAG);
         });
 
-        out.section(TAG_HEADER, |w| header.encode(w, content, state));
+        out.section(TAG_HEADER, |w| {
+            w.u8(b.level());
+            w.u64(content);
+            w.u64(state);
+        });
 
         out.section(TAG_CELLS, |w| b.records().encode(w));
         stats.encode = timer.lap();
@@ -425,7 +220,7 @@ impl GeoBlock {
             ..PersistStats::default()
         };
         let mut timer = Timer::start();
-        let reader = SnapshotReader::from_bytes(bytes, READABLE)?;
+        let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION)?;
         stats.verify = timer.lap();
 
         let mut r = ByteReader::new(reader.require(TAG_SCHEMA)?, "section `SCHM`");
@@ -465,9 +260,11 @@ impl GeoBlock {
         }
         let grid = Grid::hilbert(Rect::from_bounds(x0, y0, x1, y1));
 
-        let (header, stored_hash, stored_state_hash) = Header::decode(reader.require(TAG_HEADER)?)?;
+        let mut r = ByteReader::new(reader.require(TAG_HEADER)?, "section `HDRS`");
+        let (level, stored_content, stored_state) = (r.u8()?, r.u64()?, r.u64()?);
+        r.finish()?;
         let mut r = ByteReader::new(reader.require(TAG_CELLS)?, "section `CELL`");
-        let records = Layer::decode(&mut r, header.level, schema.len())?;
+        let records = Layer::decode(&mut r, level, schema.len())?;
         r.finish()?;
 
         let mut block = GeoBlock::from_records(grid, schema, records);
@@ -476,51 +273,29 @@ impl GeoBlock {
             .map_err(|e| SnapshotError::corrupt(format!("block: {e}")))?;
         stats.decode = timer.lap();
 
-        let content = header.digest(block.records());
-        if content != stored_hash {
+        // Per-section checksums cannot catch sections *swapped* between
+        // two individually-valid snapshots: the content hash catches a
+        // `CELL` or `HDRS` graft, the state hash a `GRID` or `SCHM` one —
+        // a typed error instead of wrong answers.
+        let content = block.content_hash();
+        if content != stored_content {
             return Err(SnapshotError::corrupt(format!(
-                "content hash mismatch: stored {stored_hash:#x}, decoded {content:#x}"
+                "content hash mismatch: stored {stored_content:#x}, decoded {content:#x}"
+            )));
+        }
+        let state = state_hash(content, &block.grid, &block.schema);
+        if state != stored_state {
+            return Err(SnapshotError::corrupt(format!(
+                "state hash mismatch: stored {stored_state:#x}, decoded {state:#x} \
+                 (grid or schema section does not belong to this snapshot)"
             )));
         }
         stats.hash = timer.lap();
 
-        // The stored layer is now known to describe a possible block:
-        // derive the coarser layers from it, and the header the block
-        // serves in place of the stored one.
+        // The stored layer is now known to be the saved one: derive
+        // everything coarser from it.
         block.refresh_derived();
         stats.derive = timer.lap();
-        if !header.describes(&block) {
-            return Err(SnapshotError::corrupt(
-                "`HDRS` row count, key extent or column count disagrees with `CELL`",
-            ));
-        }
-
-        let trie = reader
-            .section(TAG_TRIE)
-            .map(legacy_trie_digest)
-            .transpose()?;
-
-        let hits = reader.section(TAG_HITS).map(legacy_hits).transpose()?;
-
-        stats.decode += timer.lap();
-
-        // Per-section checksums cannot catch sections *swapped* between
-        // two individually-valid snapshots, and the content hash only
-        // covers HDRS + CELL. The state hash spans grid, schema and the
-        // legacy sections too, so any cross-file graft fails here with a
-        // typed error instead of serving wrong answers.
-        let mut h = state_hasher(content, &block, trie, hits.as_deref());
-        if let Some(payload) = reader.section(TAG_HOTQ) {
-            hash_legacy_hotq(payload, &mut h)?;
-        }
-        let actual_state = h.finish();
-        if actual_state != stored_state_hash {
-            return Err(SnapshotError::corrupt(format!(
-                "state hash mismatch: stored {stored_state_hash:#x}, decoded {actual_state:#x} \
-                 (grid/schema/trie/hits/hotq section does not belong to this snapshot)"
-            )));
-        }
-        stats.hash += timer.lap();
         Ok((block, stats))
     }
 }
@@ -531,18 +306,18 @@ mod tests {
     use crate::build::build;
     use gb_data::{extract, AggFunc, AggRequest, AggSpec, CleaningRules, Filter, RawTable};
     use gb_geom::Point;
+    use gb_store::ByteWriter;
 
-    /// Re-frame `bytes` section by section under `version` — and so under
-    /// that version's checksum rule — with `edit` deciding each payload
-    /// (`None` drops the section) and `extra` appended last.
+    /// Re-frame `bytes` section by section, every checksum recomputed,
+    /// with `edit` deciding each payload (`None` drops the section) and
+    /// `extra` appended last.
     fn reframe(
         bytes: &[u8],
-        version: u16,
         edit: impl Fn(SectionTag, &[u8]) -> Option<Vec<u8>>,
         extra: Option<(SectionTag, &[u8])>,
     ) -> Vec<u8> {
-        let reader = SnapshotReader::from_bytes(bytes, READABLE).unwrap();
-        let mut w = SnapshotWriter::new(version);
+        let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).unwrap();
+        let mut w = SnapshotWriter::new(SNAPSHOT_VERSION);
         for tag in reader.tags() {
             if let Some(payload) = edit(tag, reader.require(tag).unwrap()) {
                 w.section(tag, |p| p.bytes(&payload));
@@ -586,6 +361,12 @@ mod tests {
         assert_eq!(back.grid(), b.grid());
         // Encoding is deterministic.
         assert_eq!(bytes, back.to_snapshot_bytes());
+        // `HDRS` is the level and the two digests, nothing else.
+        let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
+        let header = reader.require(TAG_HEADER).unwrap();
+        assert_eq!(header.len(), 1 + 8 + 8);
+        assert_eq!(header[0], 8);
+        assert_eq!(header[1..9], b.content_hash().to_le_bytes());
     }
 
     #[test]
@@ -606,68 +387,14 @@ mod tests {
         // but the stored content hash catches the mismatch.
         let a = block(2000, 8).to_snapshot_bytes();
         let b = block(2100, 8).to_snapshot_bytes();
-        let rb = SnapshotReader::from_bytes(&b, READABLE).unwrap();
+        let rb = SnapshotReader::from_bytes(&b, SNAPSHOT_VERSION).unwrap();
         let cells_of_b = rb.require(TAG_CELLS).unwrap();
         let graft =
             |tag, own: &[u8]| Some(if tag == TAG_CELLS { cells_of_b } else { own }.to_vec());
-        let franken = reframe(&a, SNAPSHOT_VERSION, graft, None);
+        let franken = reframe(&a, graft, None);
         let err = GeoBlock::from_snapshot_bytes(&franken).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-    }
-
-    /// `bytes` with its header edited by `edit`, then digested, hashed
-    /// and summed again as a writer of that header would have.
-    fn with_header(bytes: &[u8], block: &GeoBlock, edit: impl Fn(&mut Header)) -> Vec<u8> {
-        let reader = SnapshotReader::from_bytes(bytes, READABLE).unwrap();
-        let (mut header, _, _) = Header::decode(reader.require(TAG_HEADER).unwrap()).unwrap();
-        edit(&mut header);
-        let content = header.digest(block.records());
-        let state = state_hasher(content, block, None, None).finish();
-        let mut w = ByteWriter::new();
-        header.encode(&mut w, content, state);
-        let payload = w.into_inner();
-        let swap = |tag, own: &[u8]| Some(if tag == TAG_HEADER { &payload } else { own }.to_vec());
-        reframe(bytes, SNAPSHOT_VERSION, swap, None)
-    }
-
-    #[test]
-    fn the_stored_header_is_checked_and_the_derived_one_served() {
-        let b = block(500, 7);
-        let bytes = b.clone().to_snapshot_bytes();
-        assert_eq!(
-            GeoBlock::from_snapshot_bytes(&with_header(&bytes, &b, |_| {}))
-                .unwrap()
-                .content_hash(),
-            b.content_hash()
-        );
-        // A row count or key extent that disagrees with `CELL` is corrupt,
-        // however well digested.
-        for edit in [
-            (|h: &mut Header| h.n_rows += 1) as fn(&mut Header),
-            |h| h.n_rows -= 1,
-            |h| h.max_cell = h.min_cell,
-        ] {
-            let err = GeoBlock::from_snapshot_bytes(&with_header(&bytes, &b, edit)).unwrap_err();
-            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-            assert!(err.to_string().contains("disagrees with `CELL`"), "{err}");
-        }
-        // Global values that drifted from the records (as a writer that
-        // patched them per tuple left them) load under their digest, and
-        // the block serves the root record instead.
-        let drifted = with_header(&bytes, &b, |h| {
-            h.globals[2][0] += 0.5;
-            h.globals[1][1] = 1e9;
-        });
-        let back = GeoBlock::from_snapshot_bytes(&drifted).expect("digest covers the drift");
-        back.check_invariants();
-        assert_eq!(back.content_hash(), b.content_hash());
-        let spec = AggSpec::new(
-            [AggFunc::Sum, AggFunc::Max]
-                .into_iter()
-                .flat_map(|func| (0..2).map(move |col| AggRequest::new(func, col)))
-                .collect(),
-        );
-        assert_eq!(back.global_aggregate(&spec), b.global_aggregate(&spec));
+        assert!(err.to_string().contains("content hash"), "{err}");
     }
 
     /// `bytes` with its `GRID` section replaced by the domain
@@ -680,23 +407,42 @@ mod tests {
         w.u8(tag);
         let payload = w.into_inner();
         let swap = |t, own: &[u8]| Some(if t == TAG_GRID { &payload } else { own }.to_vec());
-        reframe(bytes, SNAPSHOT_VERSION, swap, None)
+        reframe(bytes, swap, None)
+    }
+
+    /// `bytes` with its `SCHM` section replaced by columns `v` (f64) and
+    /// `second` (i64).
+    fn with_schema(bytes: &[u8], second: &str) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.len_u32(2);
+        for (ty, name) in [(0, "v"), (1, second)] {
+            w.u8(ty);
+            w.str(name);
+        }
+        let payload = w.into_inner();
+        let swap = |t, own: &[u8]| Some(if t == TAG_SCHEMA { &payload } else { own }.to_vec());
+        reframe(bytes, swap, None)
     }
 
     #[test]
-    fn grid_graft_is_rejected_by_the_state_hash() {
-        // GeoBlock::content_hash deliberately excludes the grid, so a
-        // GRID section from another (individually valid) snapshot passes
-        // every per-section checksum AND the block content hash. The
-        // HDRS state hash must catch it — otherwise the engine would
-        // cover query polygons under the wrong domain.
+    fn grid_and_schema_grafts_are_rejected_by_the_state_hash() {
+        // GeoBlock::content_hash covers the records only, so a GRID or
+        // SCHM section from another (individually valid) snapshot of the
+        // same records passes every per-section checksum AND the content
+        // hash. The HDRS state hash must catch it — otherwise the engine
+        // would cover query polygons under the wrong domain, or name the
+        // columns wrongly.
         let bytes = block(800, 7).to_snapshot_bytes();
-        // The section as the writer wrote it.
+        // The sections as the writer wrote them.
         assert_eq!(with_grid(&bytes, 100.0, 0), bytes);
-        // A wider domain, every checksum recomputed.
-        let err = GeoBlock::from_snapshot_bytes(&with_grid(&bytes, 200.0, 0)).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("state hash"), "{err}");
+        assert_eq!(with_schema(&bytes, "k"), bytes);
+        // A wider domain, or another column name, every checksum
+        // recomputed.
+        for graft in [with_grid(&bytes, 200.0, 0), with_schema(&bytes, "kk")] {
+            let err = GeoBlock::from_snapshot_bytes(&graft).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("state hash"), "{err}");
+        }
     }
 
     #[test]
@@ -811,15 +557,9 @@ mod tests {
                     }
                 }
 
-                let v5 = b.to_snapshot_bytes();
-                // Version 4 is version 5 under the byte-wise checksum.
-                let keep = |_, own: &[u8]| Some(own.to_vec());
-                let v4 = reframe(&v5, 4, keep, None);
-                for (what, bytes) in [("v5 load", &v5), ("v4 load", &v4)] {
-                    let back = GeoBlock::from_snapshot_bytes(bytes).expect(what);
-                    back.check_invariants();
-                    prop_assert_eq!(layer_hashes(&back), want.clone(), "{}", what);
-                }
+                let back = GeoBlock::from_snapshot_bytes(&b.to_snapshot_bytes()).expect("load");
+                back.check_invariants();
+                prop_assert_eq!(layer_hashes(&back), want);
             }
         }
     }
@@ -830,12 +570,7 @@ mod tests {
         let b = block(500, 6);
         let keep = |_, own: &[u8]| Some(own.to_vec());
         let extra = Some((SectionTag(*b"XTRA"), &[1u8, 2, 3][..]));
-        let bytes = reframe(
-            &b.clone().to_snapshot_bytes(),
-            SNAPSHOT_VERSION,
-            keep,
-            extra,
-        );
+        let bytes = reframe(&b.clone().to_snapshot_bytes(), keep, extra);
         let back = GeoBlock::from_snapshot_bytes(&bytes).expect("extra ignored");
         assert_eq!(back.content_hash(), b.content_hash());
     }

@@ -2,16 +2,17 @@
 //! third of the robustness roadmap's "every decoder is fuzzed".
 //!
 //! Seeded and dependency-free: a fixed splitmix64 stream picks a corpus
-//! file (the checked-in version-4 fixture, and a fresh version-5 file of a
-//! state one update past it), one mutation, and where to apply it. Mutated
-//! sections are framed again by the container writer — so their checksums
-//! are valid and the mutation reaches the decoders behind them — except for
-//! the raw mutations, which attack the framing itself. Every outcome must
-//! be a typed [`SnapshotError`] or a block that passes `check_invariants`:
-//! no panic, and no single allocation larger than a small multiple of the
-//! input (a length prefix must be checked against the bytes that follow it
-//! before anything is reserved for it). A file whose version field was
-//! changed must never load.
+//! file (the current writer's files of a small taxi block, of the same
+//! block after an update and of an empty block), one mutation, and where
+//! to apply it. Mutated sections are framed again by the container writer
+//! — so their checksums are valid and the mutation reaches the decoders
+//! behind them — except for the raw mutations, which attack the framing
+//! itself. Every outcome must be a typed `SnapshotError` or a block that
+//! passes `check_invariants`: no panic, and no single allocation larger
+//! than a small multiple of the input or the fixed-size layer list (a
+//! length prefix must be checked against the bytes that follow it before
+//! anything is reserved for it). A file whose version field was changed
+//! must never load.
 //!
 //! The case number in a failure message replays the case: the stream is
 //! fixed, so case `k` is always the same mutation.
@@ -20,9 +21,11 @@
 //! allocator (the only way to *observe* an allocation), and holds one
 //! test so nothing else allocates while it watches.
 
+use gb_cell::MAX_LEVEL;
+use gb_data::{datasets, extract, CmpOp, Filter, Predicate, Rows};
 use gb_geom::Point;
 use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
-use geoblocks::{GeoBlock, UpdateBatch, SNAPSHOT_VERSION};
+use geoblocks::{build, GeoBlock, Layer, UpdateBatch, SNAPSHOT_VERSION};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -53,12 +56,21 @@ unsafe impl GlobalAlloc for Watching {
 #[global_allocator]
 static ALLOCATOR: Watching = Watching;
 
-const SEED: u64 = 0x6762_736e_6170_0005; // "gbsnap", format 5
+const SEED: u64 = 0x6762_736e_6170_0005; // "gbsnap", then 5
 const CASES: usize = 6000;
 const BUDGET: Duration = Duration::from_secs(20);
 /// A load may not ask for more than this many times its input in one
 /// allocation (a valid load's largest is one array, smaller than the file).
 const ALLOC_FACTOR: usize = 2;
+/// … or than the one allocation a load makes whatever its input: the list
+/// of layers the derive fills, sized from the stored level (at most
+/// `MAX_LEVEL / 2 + 2` layers). An empty block's file is smaller.
+const LAYER_LIST: usize = (MAX_LEVEL as usize / 2 + 2) * std::mem::size_of::<Layer>();
+
+/// The largest single allocation a load of `input` bytes may make.
+fn alloc_bound(input: usize) -> usize {
+    (ALLOC_FACTOR * input.max(256)).max(LAYER_LIST)
+}
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -75,19 +87,17 @@ fn below(state: &mut u64, n: usize) -> usize {
 
 type Sections = Vec<(SectionTag, Vec<u8>)>;
 
-fn sections_of(file: &[u8]) -> (u16, Sections) {
-    let readable = SNAPSHOT_VERSION - 1..=SNAPSHOT_VERSION;
-    let reader = SnapshotReader::from_bytes(file, readable).expect("corpus file is valid");
-    let sections = reader
+fn sections_of(file: &[u8]) -> Sections {
+    let reader = SnapshotReader::from_bytes(file, SNAPSHOT_VERSION).expect("corpus file is valid");
+    reader
         .tags()
         .map(|tag| (tag, reader.require(tag).unwrap().to_vec()))
-        .collect();
-    (reader.version(), sections)
+        .collect()
 }
 
-/// Frame `sections` under `version`: valid framing, valid checksums.
-fn frame(version: u16, sections: &Sections) -> Vec<u8> {
-    let mut w = SnapshotWriter::new(version);
+/// Frame `sections`: valid framing, valid checksums.
+fn frame(sections: &Sections) -> Vec<u8> {
+    let mut w = SnapshotWriter::new(SNAPSHOT_VERSION);
     for (tag, payload) in sections {
         w.section(*tag, |p| p.bytes(payload));
     }
@@ -96,7 +106,7 @@ fn frame(version: u16, sections: &Sections) -> Vec<u8> {
 
 /// Offsets in `payload` where a u64 array-length prefix plausibly sits:
 /// the payload walked as a run of count-prefixed arrays of 8-byte values
-/// (exactly the `CELL` and `HITS` layouts, a prefix of the others).
+/// (exactly the `CELL` layout, a prefix of the others).
 fn length_prefixes(payload: &[u8]) -> Vec<usize> {
     let mut at = 0usize;
     let mut found = Vec::new();
@@ -121,7 +131,7 @@ fn length_prefixes(payload: &[u8]) -> Vec<usize> {
 fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
     let which = below(rng, corpus.len());
     let file = &corpus[which];
-    let (version, mut sections) = sections_of(file);
+    let mut sections = sections_of(file);
     let s = below(rng, sections.len());
     let tag = sections[s].0;
     let (bytes, what) = match below(rng, 7) {
@@ -134,7 +144,7 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
             let (at, bit) = (below(rng, payload.len()), below(rng, 8));
             payload[at] ^= 1 << bit;
             let what = format!("file {which}: flip bit {bit} of byte {at} in {tag}");
-            (frame(version, &sections), what)
+            (frame(&sections), what)
         }
         // A section cut short under a valid checksum.
         1 => {
@@ -142,20 +152,20 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
             let keep = below(rng, payload.len() + 1);
             payload.truncate(keep);
             let what = format!("file {which}: {tag} cut to {keep} bytes");
-            (frame(version, &sections), what)
+            (frame(&sections), what)
         }
         // A section of another file spliced in (or, for a tag this file
-        // lacks, added), both framed under this file's version.
+        // lacks, added).
         2 => {
             let donor = below(rng, corpus.len());
-            let (_, theirs) = sections_of(&corpus[donor]);
+            let theirs = sections_of(&corpus[donor]);
             let (tag, payload) = theirs[below(rng, theirs.len())].clone();
             match sections.iter_mut().find(|(t, _)| *t == tag) {
                 Some(own) => own.1 = payload,
                 None => sections.push((tag, payload)),
             }
             let what = format!("file {which}: {tag} of file {donor} spliced in");
-            (frame(version, &sections), what)
+            (frame(&sections), what)
         }
         // A length prefix inflated: one value more than the bytes behind it
         // hold, twice as many, or absurdly many — as a u64 array count or
@@ -186,7 +196,7 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
                 payload[at..at + 8].copy_from_slice(&new.to_le_bytes());
             }
             let what = format!("file {which}: length at byte {at} of {tag}: {old} -> {new}");
-            (frame(version, &sections), what)
+            (frame(&sections), what)
         }
         // Raw: the file cut at any offset, checksums as they were.
         4 => {
@@ -204,21 +214,19 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
             )
         }
         // Raw: the version field set to another value — half the time a
-        // nearby one (an older version, the other readable one, whose
-        // checksum rule the sections were not summed under, or the next),
-        // otherwise any.
+        // nearby one (an older version or the next), otherwise any.
         _ => {
             let mut other = if below(rng, 2) == 0 {
                 below(rng, 8) as u16
             } else {
                 splitmix(rng) as u16
             };
-            if other == version {
+            if other == SNAPSHOT_VERSION {
                 other ^= 1;
             }
             let mut bytes = file.clone();
             bytes[8..10].copy_from_slice(&other.to_le_bytes());
-            let what = format!("file {which}: version {version} stamped {other}");
+            let what = format!("file {which}: stamped version {other}");
             return (bytes, what, true);
         }
     };
@@ -227,28 +235,34 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
 
 #[test]
 fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
-    let v4: &[u8] = include_bytes!("fixtures/v4_fnv.gbsnap");
-    // Not the fixture re-saved: a section spliced from one file into the
-    // other must be a graft, not a no-op. One more tuple (and, as every
-    // save now, no `TRIE`, `HITS` or `HOTQ`).
-    let mut state = GeoBlock::from_snapshot_bytes(v4).expect("v4 fixture");
+    // Three files of one schema and grid, so a section spliced from one
+    // into another is a graft, not a no-op: a small taxi block, the same
+    // block after a batch that bumps a cell in place and splices a new
+    // one, and a block no row passes the filter of.
+    let ds = datasets::nyc_taxi(300, 7);
+    let base = extract(&ds.raw, ds.grid, &datasets::nyc_cleaning_rules(), None).base;
+    let (taxi, _) = build(&base, 8, &Filter::all());
+    let mut updated = taxi.clone();
+    let n_cols = base.schema().len();
     let mut batch = UpdateBatch::new();
-    batch.push(Point::new(42.0, 17.0), vec![1.5, 4.0]);
-    state.apply_updates(&batch).expect("valid batch");
-    let v5 = state.to_snapshot_bytes();
-    assert_eq!(v5[8..10], SNAPSHOT_VERSION.to_le_bytes());
-    let corpus = [v4.to_vec(), v5];
+    batch.push(base.location(0), vec![1.5; n_cols]);
+    batch.push(
+        Point::new(ds.grid.domain().max.x, ds.grid.domain().min.y),
+        vec![4.0; n_cols],
+    );
+    let report = updated.apply_updates(&batch).expect("valid batch");
+    assert_eq!((report.in_place, report.new_cells), (1, 1));
+    let none = Filter::new(vec![Predicate::new(0, CmpOp::Lt, f64::NEG_INFINITY)]);
+    let (empty, _) = build(&base, 8, &none);
+    assert_eq!(empty.num_cells(), 0);
+    let corpus = [taxi, updated, empty].map(|block| block.to_snapshot_bytes());
     for file in &corpus {
+        assert_eq!(file[8..10], SNAPSHOT_VERSION.to_le_bytes());
         GeoBlock::from_snapshot_bytes(file)
             .expect("corpus file loads")
             .check_invariants();
     }
-    // The fixture's `HOTQ`, which this tree no longer writes, keeps the
-    // loader's legacy parse of it in reach of every mutation.
-    let hotq = SectionTag(*b"HOTQ");
-    assert!(corpus
-        .iter()
-        .any(|file| sections_of(file).1.iter().any(|(tag, _)| *tag == hotq)));
+    eprintln!("corpus: {:?} bytes", corpus.each_ref().map(Vec::len));
 
     let started = Instant::now();
     let mut rng = SEED;
@@ -262,7 +276,7 @@ fn mutated_snapshots_yield_typed_errors_or_valid_blocks() {
         let largest = LARGEST.load(Ordering::Relaxed);
         let outcome = outcome.unwrap_or_else(|_| panic!("case {case} panicked ({what})"));
         assert!(
-            largest <= ALLOC_FACTOR * bytes.len().max(256),
+            largest <= alloc_bound(bytes.len()),
             "case {case} ({what}): one allocation of {largest} bytes for a {}-byte input",
             bytes.len()
         );

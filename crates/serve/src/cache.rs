@@ -6,8 +6,9 @@
 //! update requests are never cached (the key function returns `None`).
 //! FNV-1a is not collision-resistant, and a request carries free f64
 //! bits, so two requests can share a key: the server stores the request
-//! body beside its reply (`V` is an `Arc` of both) and serves a hit only
-//! when the stored body equals the one in hand — a collision is a miss.
+//! body beside its reply (`V` is an `Arc` of both), and a lookup takes an
+//! `accept` predicate that serves an entry only when the stored body
+//! equals the one in hand — a collision is counted as a miss.
 //!
 //! Invalidation is **transactional by construction** rather than by
 //! hook: every entry records the engine *data epoch* its reply was
@@ -108,21 +109,28 @@ impl<B: Backend, V: Clone + Send> ResultCache<B, V> {
     }
 
     /// Look up the reply for `key`, valid at `current_epoch`, as of tick
-    /// `now_us`. Counts a hit or miss; a dead entry (expired, or from an
-    /// older epoch) is removed on the way.
-    pub fn get_at(&self, key: u64, current_epoch: u64, now_us: u64) -> Option<V> {
+    /// `now_us`, that `accept` takes for the request in hand. Counts a hit
+    /// or miss: a live entry `accept` refuses (another request under the
+    /// same key) is a miss and stays, for the insert that replaces it; a
+    /// dead entry (expired, or from an older epoch) is removed on the way.
+    pub fn get_at(
+        &self,
+        key: u64,
+        current_epoch: u64,
+        now_us: u64,
+        accept: impl FnOnce(&V) -> bool,
+    ) -> Option<V> {
         let mut entries = self.entries.lock();
         let ttl_us = self.ttl_us;
-        let (serves, dead) = entries.get(key).map_or((false, false), |e| {
+        let mut dead = false;
+        let served = entries.get(key).and_then(|e| {
             let fresh = now_us.saturating_sub(e.inserted_us) <= ttl_us;
-            (
-                e.epoch == current_epoch && fresh,
-                e.epoch < current_epoch || !fresh,
-            )
+            dead = e.epoch < current_epoch || !fresh;
+            (e.epoch == current_epoch && fresh && accept(&e.reply)).then(|| e.reply.clone())
         });
-        if serves {
+        if served.is_some() {
             self.hits.incr();
-            return entries.get(key).map(|e| e.reply.clone());
+            return served;
         }
         // An entry from a newer epoch stays: the reader read the epoch an
         // instant before the update the entry's request saw.
@@ -171,9 +179,19 @@ impl<B: Backend, V: Clone + Send> ResultCache<B, V> {
         self.evictions.add(dropped as u64);
     }
 
-    /// [`ResultCache::get_at`] at the current wall-clock tick.
+    /// [`ResultCache::get_if`] accepting whatever entry `key` holds.
     pub fn get(&self, key: u64, current_epoch: u64) -> Option<V> {
-        self.get_at(key, current_epoch, self.tick_us())
+        self.get_if(key, current_epoch, |_| true)
+    }
+
+    /// [`ResultCache::get_at`] at the current wall-clock tick.
+    pub fn get_if(
+        &self,
+        key: u64,
+        current_epoch: u64,
+        accept: impl FnOnce(&V) -> bool,
+    ) -> Option<V> {
+        self.get_at(key, current_epoch, self.tick_us(), accept)
     }
 
     /// [`ResultCache::insert_at`] at the current wall-clock tick.
@@ -239,8 +257,16 @@ mod tests {
         // Deterministic clock: insert at tick 0, look up one past the TTL.
         let c = cache(8, 1);
         c.insert_at(9, vec![5], 3, 0);
-        assert_eq!(c.get_at(9, 3, 1_000), Some(vec![5]), "at the TTL edge");
-        assert_eq!(c.get_at(9, 3, 1_001), None, "one tick past the TTL");
+        assert_eq!(
+            c.get_at(9, 3, 1_000, |_| true),
+            Some(vec![5]),
+            "at the TTL edge"
+        );
+        assert_eq!(
+            c.get_at(9, 3, 1_001, |_| true),
+            None,
+            "one tick past the TTL"
+        );
     }
 
     #[test]
@@ -316,6 +342,6 @@ mod tests {
         c.insert_at(2, vec![2], 0, 5_000);
         c.purge_stale_at(0, 5_500); // key 1 is 5.5ms old, TTL is 1ms
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get_at(2, 0, 5_600), Some(vec![2]));
+        assert_eq!(c.get_at(2, 0, 5_600, |_| true), Some(vec![2]));
     }
 }

@@ -266,15 +266,14 @@ impl GbServer {
         // epoch read here also validates the entry: a reply computed at
         // an older data epoch never leaves the cache. The key is a 64-bit
         // hash of the body, so an entry answers only the body it holds: a
-        // collision is a miss (though the cache counts it as a hit).
+        // collision is a miss.
         let tracer = self.engine.tracer();
         let key = api::body_cache_key(&parsed, &req.body, self.filter_key);
         if let Some(key) = key {
             let span = tracer.span(Stage::ResultCache);
-            let cached = self.cache.get(key, self.engine.data_epoch());
-            let reply = cached
-                .filter(|entry| entry.0 == req.body)
-                .map(|entry| entry.1.clone());
+            let epoch = self.engine.data_epoch();
+            let cached = self.cache.get_if(key, epoch, |entry| entry.0 == req.body);
+            let reply = cached.map(|entry| entry.1.clone());
             drop(span);
             if let Some(reply) = reply {
                 tracer.flag(gb_trace::FLAG_CACHE_HIT);
@@ -793,7 +792,8 @@ pub(crate) mod tests {
         // B's entry under A's key, as if the two bodies collided.
         let server = test_server(0.0, 64);
         let (a, b) = (select_req(40.0), select_req(60.0));
-        let reply_b = server.handle(&post("/v1/select", b.clone())).body;
+        let parsed_b = api::decode_request(&b).expect("decode");
+        let reply_b = api::encode_reply(&server.engine().query(&parsed_b));
         let parsed_a = api::decode_request(&a).expect("decode");
         let key_a = api::request_cache_key(&parsed_a, server.filter_key).expect("cacheable");
         let epoch = server.engine().data_epoch();
@@ -805,9 +805,13 @@ pub(crate) mod tests {
         assert_ne!(want_a, reply_b, "the two requests answer differently");
         let got = server.handle(&post("/v1/select", a.clone())).body;
         assert_eq!(got, want_a, "A was answered with B's reply");
+        // The probe found B's entry and refused it: a miss, not a hit.
+        let stats = server.cache().stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
         // A's own reply replaced B's entry, and answers A from now on.
         assert_eq!(server.handle(&post("/v1/select", a)).body, want_a);
-        assert_eq!(server.cache().len(), 2);
+        assert_eq!(server.cache().len(), 1);
+        assert_eq!(server.cache().stats().hits, 1);
     }
 
     #[test]

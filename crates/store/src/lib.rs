@@ -20,8 +20,8 @@
 //!           count   u32 LE (number of sections)
 //! section:  tag     [4]    (ASCII, e.g. "CELL")
 //!           len     u64 LE (payload bytes)
-//!           check   u64 LE (checksum of the payload; the version picks
-//!                           the algorithm, see [`checksum_for`])
+//!           check   u64 LE (the payload's word-wise checksum,
+//!                           `wordsum64`)
 //!           payload [len]
 //! ```
 //!
@@ -43,7 +43,6 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::cast_possible_truncation))]
 
 use std::fmt;
-use std::ops::RangeInclusive;
 use std::path::Path;
 
 /// The 8-byte magic prefix of every snapshot file. The `\r\n` tail makes
@@ -59,11 +58,8 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not a snapshot at all.
     BadMagic,
-    /// The snapshot's format version is outside the range this build reads.
-    UnsupportedVersion {
-        found: u16,
-        readable: RangeInclusive<u16>,
-    },
+    /// The snapshot's format version is not the one this build reads.
+    UnsupportedVersion { found: u16, expected: u16 },
     /// Reserved header flags were non-zero (written by an incompatible
     /// producer).
     BadFlags(u16),
@@ -85,11 +81,9 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a GeoBlocks snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion { found, readable } => write!(
+            SnapshotError::UnsupportedVersion { found, expected } => write!(
                 f,
-                "unsupported snapshot version {found} (this build reads versions {}–{})",
-                readable.start(),
-                readable.end()
+                "unsupported snapshot version {found} (this build reads version {expected})"
             ),
             SnapshotError::BadFlags(flags) => {
                 write!(f, "reserved snapshot header flags set: {flags:#06x}")
@@ -154,11 +148,9 @@ impl fmt::Debug for SectionTag {
     }
 }
 
-/// FNV-1a 64-bit, a byte at a time — the section checksum of container
-/// versions up to 4, and the stable key hash of the wire API and the serve
-/// layer. Deliberately simple and self-contained: the goal is corruption
-/// *detection* with a stable, documented algorithm, not cryptographic
-/// integrity.
+/// FNV-1a 64-bit, a byte at a time — the stable key hash of the wire API
+/// and the serve layer. Deliberately simple and self-contained: a stable,
+/// documented algorithm, not a cryptographic one.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -168,10 +160,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The section checksum from container version 5 on: FNV-1a's shape over
-/// 8-byte words instead of bytes, so a payload is checked at the speed it
-/// is read (one multiply per word; the byte-wise function's multiply per
-/// byte was half of a load).
+/// The section checksum: FNV-1a's shape over 8-byte words instead of
+/// bytes, so a payload is checked at the speed it is read (one multiply
+/// per word; a multiply per byte was half of a load).
 ///
 /// ```text
 /// h = 0xcbf29ce484222325
@@ -186,9 +177,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// word never collide. The rotate is what carries high bits back into low
 /// ones: without it a flip of bit 63 moves the state by exactly 2⁶³ and
 /// stays there — multiplying by an odd number keeps 2⁶³ — until a second
-/// flip of bit 63 in any later word cancels it, which the byte-wise
-/// function never allowed. The length step tells a zero-padded tail from
-/// real zero bytes.
+/// flip of bit 63 in any later word cancels it, which byte-wise FNV-1a
+/// never allows. The length step tells a zero-padded tail from real zero
+/// bytes. Deliberately simple: the goal is corruption *detection*, not
+/// cryptographic integrity.
 fn wordsum64(bytes: &[u8]) -> u64 {
     fn step(h: u64, word: u64) -> u64 {
         (h ^ word)
@@ -208,18 +200,6 @@ fn wordsum64(bytes: &[u8]) -> u64 {
     step(h, bytes.len() as u64)
 }
 
-/// The section checksum of container `version` — the one place a version
-/// selects an algorithm, called by writer and reader alike: [`fnv1a64`]
-/// up to version 4, the word-wise hash from version 5 on. A reader never
-/// tries the other rule: a file is checked by the rule its header names.
-pub fn checksum_for(version: u16) -> fn(&[u8]) -> u64 {
-    if version < 5 {
-        fnv1a64
-    } else {
-        wordsum64
-    }
-}
-
 /// Bytes before the first section: magic, version, flags, section count.
 const HEADER_BYTES: usize = MAGIC.len() + 8;
 /// Bytes of a section's frame before its payload: tag, length, checksum.
@@ -229,7 +209,6 @@ const FRAME_BYTES: usize = 4 + 8 + 8;
 /// and encoded where it will stay — no per-section buffer, no second copy.
 #[derive(Debug)]
 pub struct SnapshotWriter {
-    version: u16,
     out: ByteWriter,
     /// Where each section's frame starts in `out`.
     frames: Vec<usize>,
@@ -250,7 +229,6 @@ impl SnapshotWriter {
         out.u16(0); // flags (reserved)
         out.u32(0); // section count, patched by `into_bytes`
         SnapshotWriter {
-            version,
             out,
             frames: Vec::new(),
         }
@@ -279,20 +257,19 @@ impl SnapshotWriter {
         self.out.buf[frame + 4..frame + 12].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Checksum every section under the version's rule, patch the header
-    /// and hand out the finished container.
+    /// Checksum every section, patch the header and hand out the finished
+    /// container.
     #[expect(
         clippy::indexing_slicing,
         reason = "the header and every frame were written before: frame + FRAME_BYTES <= next frame <= buf.len()"
     )]
     pub fn into_bytes(self) -> Vec<u8> {
-        let checksum = checksum_for(self.version);
         let mut buf = self.out.buf;
         buf[MAGIC.len() + 4..HEADER_BYTES]
             .copy_from_slice(&len_u32_value(self.frames.len()).to_le_bytes());
         let ends = self.frames.iter().skip(1).copied().chain([buf.len()]);
         for (&frame, end) in self.frames.iter().zip(ends) {
-            let check = checksum(&buf[frame + FRAME_BYTES..end]);
+            let check = wordsum64(&buf[frame + FRAME_BYTES..end]);
             buf[frame + 12..frame + FRAME_BYTES].copy_from_slice(&check.to_le_bytes());
         }
         buf
@@ -340,7 +317,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
 /// each a slice of the file buffer it was parsed from.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
-    version: u16,
     sections: Vec<(SectionTag, &'a [u8])>,
 }
 
@@ -348,32 +324,25 @@ impl<'a> SnapshotReader<'a> {
     /// Parse a container, validating magic, version, flags, section
     /// framing, and every section checksum.
     ///
-    /// `readable` is the range of format versions the caller decodes; a
-    /// file outside it is rejected as [`SnapshotError::UnsupportedVersion`]
+    /// `expected` is the one format version the caller decodes; a file of
+    /// any other is rejected as [`SnapshotError::UnsupportedVersion`]
     /// before any checksum is verified, so an old or a future file is
     /// refused by name, never reported as corrupt.
-    pub fn from_bytes(
-        bytes: &'a [u8],
-        readable: RangeInclusive<u16>,
-    ) -> Result<Self, SnapshotError> {
+    pub fn from_bytes(bytes: &'a [u8], expected: u16) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes, "snapshot header");
         let magic = r.bytes(MAGIC.len())?;
         if magic != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = r.u16()?;
-        if !readable.contains(&version) {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                readable,
-            });
+        let found = r.u16()?;
+        if found != expected {
+            return Err(SnapshotError::UnsupportedVersion { found, expected });
         }
         let flags = r.u16()?;
         if flags != 0 {
             return Err(SnapshotError::BadFlags(flags));
         }
         let count = r.u32()? as usize;
-        let checksum = checksum_for(version);
 
         let mut sections: Vec<(SectionTag, &'a [u8])> = Vec::new();
         for _ in 0..count {
@@ -384,7 +353,7 @@ impl<'a> SnapshotReader<'a> {
                 context: "section length",
             })?;
             let payload = r.bytes(len)?;
-            if checksum(payload) != check {
+            if wordsum64(payload) != check {
                 return Err(SnapshotError::ChecksumMismatch { section: tag });
             }
             if sections.iter().any(|(t, _)| *t == tag) {
@@ -398,12 +367,7 @@ impl<'a> SnapshotReader<'a> {
                 r.remaining()
             )));
         }
-        Ok(SnapshotReader { version, sections })
-    }
-
-    /// The container's format version.
-    pub fn version(&self) -> u16 {
-        self.version
+        Ok(SnapshotReader { sections })
     }
 
     /// A section's payload, if present.
@@ -682,11 +646,8 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
-    /// One container version per checksum rule: the last byte-wise one
-    /// and the first word-wise one.
-    const RULES: [u16; 2] = [4, 5];
-    /// What the tests read: both rules.
-    const READABLE: RangeInclusive<u16> = 4..=5;
+    /// The version the tests write and read.
+    const VERSION: u16 = 6;
     const TAG_A: SectionTag = SectionTag(*b"AAAA");
     const TAG_B: SectionTag = SectionTag(*b"BBBB");
     /// Where the first section's payload starts.
@@ -713,26 +674,24 @@ mod tests {
 
     #[test]
     fn roundtrip_container() {
-        for v in RULES {
-            let bytes = sample(v);
-            let r = SnapshotReader::from_bytes(&bytes, v..=v).expect("parses");
-            assert_eq!(r.version(), v);
-            assert_eq!(r.section(TAG_A), Some(&[1u8, 2, 3, 4, 5][..]));
-            assert_eq!(r.section(TAG_B), Some(&[][..]));
-            assert_eq!(r.section(SectionTag(*b"ZZZZ")), None);
-            assert!(matches!(
-                r.require(SectionTag(*b"ZZZZ")),
-                Err(SnapshotError::MissingSection { .. })
-            ));
-            assert_eq!(r.tags().count(), 2);
-        }
+        let bytes = sample(VERSION);
+        let r = SnapshotReader::from_bytes(&bytes, VERSION).expect("parses");
+        assert_eq!(r.section(TAG_A), Some(&[1u8, 2, 3, 4, 5][..]));
+        assert_eq!(r.section(TAG_B), Some(&[][..]));
+        assert_eq!(r.section(SectionTag(*b"ZZZZ")), None);
+        assert!(matches!(
+            r.require(SectionTag(*b"ZZZZ")),
+            Err(SnapshotError::MissingSection { .. })
+        ));
+        assert_eq!(r.tags().count(), 2);
     }
 
     #[test]
     fn sections_are_framed_in_place() {
         // header 16; A: tag 4, len 8, check 8, payload 5; B: frame only.
-        let bytes = sample(5);
+        let bytes = sample(VERSION);
         assert_eq!(bytes.len(), 16 + 20 + 5 + 20);
+        assert_eq!(bytes[8..10], VERSION.to_le_bytes());
         assert_eq!(bytes[12..16], 2u32.to_le_bytes());
         assert_eq!(bytes[16..20], TAG_A.0);
         assert_eq!(bytes[20..28], 5u64.to_le_bytes());
@@ -741,59 +700,42 @@ mod tests {
         assert_eq!(bytes[45..53], 0u64.to_le_bytes());
         assert_eq!(bytes[53..61], wordsum64(&[]).to_le_bytes());
         // The reader's sections are slices of that buffer, not copies.
-        let r = SnapshotReader::from_bytes(&bytes, READABLE).unwrap();
+        let r = SnapshotReader::from_bytes(&bytes, VERSION).unwrap();
         assert!(std::ptr::eq(r.require(TAG_A).unwrap(), &bytes[36..41]));
     }
 
     #[test]
-    fn the_version_selects_the_checksum_rule() {
-        assert_eq!(checksum_for(4)(b"foobar"), fnv1a64(b"foobar"));
-        assert_eq!(checksum_for(5)(b"foobar"), wordsum64(b"foobar"));
-        // The version field is outside every checksum, so the same bytes
-        // under the other version are the same payloads under the other
-        // rule — and fail it: no reader tries both.
-        for (v, other) in [(4u16, 5u16), (5, 4)] {
-            let mut bytes = sample(v);
-            bytes[8..10].copy_from_slice(&other.to_le_bytes());
-            assert!(matches!(
-                SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
-                SnapshotError::ChecksumMismatch { section } if section == TAG_A
-            ));
-        }
-    }
-
-    #[test]
-    fn versions_outside_the_range_are_rejected() {
-        for v in [0, 1, 3, 6, u16::MAX] {
-            let err = SnapshotReader::from_bytes(&sample(v), READABLE).unwrap_err();
+    fn other_versions_are_rejected() {
+        for v in [0, 1, VERSION - 1, VERSION + 1, u16::MAX] {
+            let err = SnapshotReader::from_bytes(&sample(v), VERSION).unwrap_err();
             assert!(
                 matches!(
                     &err,
-                    SnapshotError::UnsupportedVersion { found, readable }
-                        if *found == v && *readable == READABLE
+                    SnapshotError::UnsupportedVersion { found, expected }
+                        if *found == v && *expected == VERSION
                 ),
                 "v{v}: {err:?}"
             );
-            assert!(err.to_string().contains("reads versions 4–5"), "{err}");
+            assert!(err.to_string().contains("reads version 6"), "{err}");
         }
     }
 
     #[test]
     fn the_version_is_checked_before_any_checksum() {
-        // A file of an unreadable version whose first section is also
-        // corrupt is refused for its version: the reader never reaches a
-        // checksum it has no business verifying.
-        for v in [3, 6] {
+        // A file of another version whose first section is also corrupt
+        // is refused for its version: the reader never reaches a checksum
+        // it has no business verifying.
+        for v in [VERSION - 1, VERSION + 1] {
             let mut bytes = sample(v);
             bytes[FIRST_PAYLOAD] ^= 0x01;
             assert!(matches!(
-                SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
+                SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
                 SnapshotError::UnsupportedVersion { found, .. } if found == v
             ));
-            // The same corruption in a readable version is a checksum error.
-            bytes[8..10].copy_from_slice(&5u16.to_le_bytes());
+            // The same corruption in the read version is a checksum error.
+            bytes[8..10].copy_from_slice(&VERSION.to_le_bytes());
             assert!(matches!(
-                SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
+                SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
                 SnapshotError::ChecksumMismatch { .. }
             ));
         }
@@ -801,95 +743,89 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = sample(5);
+        let mut bytes = sample(VERSION);
         bytes[0] ^= 0xFF;
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
             SnapshotError::BadMagic
         ));
         // A totally unrelated file is also "bad magic", not a panic.
         assert!(matches!(
-            SnapshotReader::from_bytes(b"hello world, not a snapshot", READABLE).unwrap_err(),
+            SnapshotReader::from_bytes(b"hello world, not a snapshot", VERSION).unwrap_err(),
             SnapshotError::BadMagic
         ));
     }
 
     #[test]
     fn reserved_flags_are_rejected() {
-        let mut bytes = sample(5);
+        let mut bytes = sample(VERSION);
         bytes[10] = 0x01; // flags LSB
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
             SnapshotError::BadFlags(1)
         ));
     }
 
     #[test]
     fn every_payload_bitflip_is_detected() {
-        for v in RULES {
-            let bytes = sample(v);
-            for i in FIRST_PAYLOAD..FIRST_PAYLOAD + 5 {
-                for bit in 0..8 {
-                    let mut b = bytes.clone();
-                    b[i] ^= 1 << bit;
-                    assert!(
-                        matches!(
-                            SnapshotReader::from_bytes(&b, READABLE).unwrap_err(),
-                            SnapshotError::ChecksumMismatch { section } if section == TAG_A
-                        ),
-                        "v{v}: flip of bit {bit} at byte {i} undetected"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_truncation_point_errors_not_panics() {
-        for v in RULES {
-            let bytes = sample(v);
-            for cut in 0..bytes.len() {
-                let err = SnapshotReader::from_bytes(&bytes[..cut], READABLE)
-                    .expect_err("truncated snapshot must not parse");
+        let bytes = sample(VERSION);
+        for i in FIRST_PAYLOAD..FIRST_PAYLOAD + 5 {
+            for bit in 0..8 {
+                let mut b = bytes.clone();
+                b[i] ^= 1 << bit;
                 assert!(
                     matches!(
-                        err,
-                        SnapshotError::BadMagic
-                            | SnapshotError::Truncated { .. }
-                            | SnapshotError::ChecksumMismatch { .. }
+                        SnapshotReader::from_bytes(&b, VERSION).unwrap_err(),
+                        SnapshotError::ChecksumMismatch { section } if section == TAG_A
                     ),
-                    "v{v}, cut at {cut}: unexpected error {err:?}"
+                    "flip of bit {bit} at byte {i} undetected"
                 );
             }
         }
     }
 
     #[test]
+    fn every_truncation_point_errors_not_panics() {
+        let bytes = sample(VERSION);
+        for cut in 0..bytes.len() {
+            let err = SnapshotReader::from_bytes(&bytes[..cut], VERSION)
+                .expect_err("truncated snapshot must not parse");
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::BadMagic
+                        | SnapshotError::Truncated { .. }
+                        | SnapshotError::ChecksumMismatch { .. }
+                ),
+                "cut at {cut}: unexpected error {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = sample(5);
+        let mut bytes = sample(VERSION);
         bytes.push(0xAB);
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
+            SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
             SnapshotError::Corrupt { .. }
         ));
     }
 
     #[test]
     fn duplicate_sections_are_rejected() {
-        for v in RULES {
-            // Hand-build a container with the same tag twice.
-            let mut w = SnapshotWriter::new(v);
-            w.section(TAG_A, |p| p.u8(1));
-            let mut bytes = w.into_bytes();
-            // Bump the count and append a second copy of section A.
-            bytes[12] = 2;
-            let tail: Vec<u8> = bytes[HEADER_BYTES..].to_vec();
-            bytes.extend_from_slice(&tail);
-            assert!(matches!(
-                SnapshotReader::from_bytes(&bytes, READABLE).unwrap_err(),
-                SnapshotError::DuplicateSection { section } if section == TAG_A
-            ));
-        }
+        // Hand-build a container with the same tag twice.
+        let mut w = SnapshotWriter::new(VERSION);
+        w.section(TAG_A, |p| p.u8(1));
+        let mut bytes = w.into_bytes();
+        // Bump the count and append a second copy of section A.
+        bytes[12] = 2;
+        let tail: Vec<u8> = bytes[HEADER_BYTES..].to_vec();
+        bytes.extend_from_slice(&tail);
+        assert!(matches!(
+            SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
+            SnapshotError::DuplicateSection { section } if section == TAG_A
+        ));
     }
 
     #[test]
@@ -920,10 +856,9 @@ mod tests {
         ));
     }
 
-    /// The slice codec this crate shipped through container version 4:
-    /// one `extend_from_slice` of 4 or 8 bytes per value out, one
-    /// bounds-checked read per value in. Kept as the oracle the bulk
-    /// codec must match byte for byte and value for value.
+    /// The per-element slice codec: one `extend_from_slice` of 4 or 8
+    /// bytes per value out, one bounds-checked read per value in — the
+    /// oracle the bulk codec must match byte for byte and value for value.
     mod per_element {
         use super::*;
 
@@ -1057,7 +992,7 @@ mod tests {
         let dir = std::env::temp_dir().join("gb_store_file_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.gb");
-        let mut w = SnapshotWriter::new(5);
+        let mut w = SnapshotWriter::new(VERSION);
         w.section(TAG_A, |p| p.bytes(&[42; 1000]));
         write_atomic(&path, &w.into_bytes()).expect("write");
         // No temp file left behind.
@@ -1073,7 +1008,7 @@ mod tests {
             .count();
         assert_eq!(leftovers, 0, "temp files left behind");
         let bytes = std::fs::read(&path).expect("read");
-        let r = SnapshotReader::from_bytes(&bytes, READABLE).expect("parse");
+        let r = SnapshotReader::from_bytes(&bytes, VERSION).expect("parse");
         assert_eq!(r.section(TAG_A).unwrap().len(), 1000);
         // Concurrent saves to the same path must not corrupt it: each
         // writer uses its own temp file, the last rename wins.
@@ -1081,14 +1016,14 @@ mod tests {
             for fill in 0u8..4 {
                 let path = &path;
                 s.spawn(move || {
-                    let mut w = SnapshotWriter::new(5);
+                    let mut w = SnapshotWriter::new(VERSION);
                     w.section(TAG_A, |p| p.bytes(&[fill; 4096]));
                     write_atomic(path, &w.into_bytes()).expect("concurrent write");
                 });
             }
         });
         let bytes = std::fs::read(&path).expect("read");
-        let r = SnapshotReader::from_bytes(&bytes, READABLE).expect("readable after racing saves");
+        let r = SnapshotReader::from_bytes(&bytes, VERSION).expect("readable after racing saves");
         let payload = r.section(TAG_A).unwrap();
         assert_eq!(payload.len(), 4096);
         assert!(
@@ -1100,7 +1035,7 @@ mod tests {
 
     #[test]
     fn unwritable_path_is_io_error() {
-        let w = SnapshotWriter::new(5);
+        let w = SnapshotWriter::new(VERSION);
         let err =
             write_atomic(Path::new("/nonexistent/geoblocks.snap"), &w.into_bytes()).unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)));

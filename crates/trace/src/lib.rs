@@ -4,7 +4,7 @@
 //!
 //! The paper's cost model decomposes a query into distinct stages —
 //! covering construction, then one loop over the covering's cells that
-//! reads the cache or the block — and this crate makes that
+//! reads one range of stored records per cell — and this crate makes that
 //! decomposition observable at runtime without giving the hot path a new
 //! dependency or a heap allocation:
 //!
@@ -50,9 +50,9 @@ use std::time::Instant;
 pub enum Stage {
     /// Polygon → covering: memo probe plus (on miss) cover computation.
     CoveringResolve,
-    /// The query's loop over its covering cells: SELECT's (a cache probe
-    /// per cell, then one record from the block for what the cache does
-    /// not hold) and COUNT's (the counts of the same records).
+    /// The query's loop over its covering cells: one `Layer::under` range
+    /// read of stored records per covering cell, whose records SELECT
+    /// combines and whose counts COUNT adds.
     PyramidCombine,
     /// Serve-layer result-cache probe.
     ResultCache,
@@ -106,7 +106,8 @@ pub struct TraceStats {
     pub query_cells: u64,
     /// Cells whose aggregates were combined into the result.
     pub cells_combined: u64,
-    /// Base-table searches (scan fallbacks).
+    /// Range reads of stored records: one `Layer::under` per covering
+    /// cell that reaches the block's key extent.
     pub searches: u64,
 }
 
