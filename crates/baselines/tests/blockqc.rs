@@ -27,7 +27,7 @@ fn spec() -> AggSpec {
 }
 
 fn make_base(points: &[(f64, f64, f64)]) -> gb_data::BaseTable {
-    let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+    let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
     for (i, &(x, y, v)) in points.iter().enumerate() {
         raw.push_row(Point::new(x, y), &[v, (i % 11) as f64]);
     }

@@ -15,7 +15,8 @@
 //!   their `trie_*` names, as the CI gate reads them).
 //! * **count vs select**: COUNT, which sums the counts of the records
 //!   SELECT's search finds, against a count-only SELECT, which combines
-//!   those records — the reason COUNT skips the cache.
+//!   those records — what summing a count column saves over combining
+//!   whole records on the same search.
 //!
 //! The arms of one group run side by side, so CI gates their *ratios*
 //! (`bench_diff --ratio`), which hold on any host.

@@ -206,7 +206,7 @@ fn serve_foreground(ctx: &Ctx, addr: &str) -> Result<(), String> {
     let running = RunningServer::start(server, addr)
         .map_err(|e| format!("cannot start server on {addr}: {e}"))?;
     eprintln!("# serving on http://{}", running.addr());
-    eprintln!("#   POST /v1/select /v1/count /v1/update /v1/query (wire bodies)");
+    eprintln!("#   POST /v1/select /v1/count /v1/update /v1/query /v1/batch (wire bodies)");
     eprintln!("#   GET  /metrics /healthz /v1/debug/traces /v1/debug/slow");
     eprintln!("# ctrl-c to stop");
     loop {

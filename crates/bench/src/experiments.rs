@@ -1278,8 +1278,8 @@ pub fn trace_report(ctx: &Ctx) -> Result<(Report, Vec<BenchRecord>), String> {
     // everything) answer each request in turn. A round is six passes in
     // which every request starts once at each arm in either direction, so
     // each arm follows each other equally often: the first arm to answer a
-    // request runs ~25 % slower. The medians of the per-round means gate
-    // (a hit-log fold lands on one arm of one round).
+    // request runs ~25 % slower. The medians of the per-round means gate,
+    // so one slow round on one arm does not.
     let rounds = 7usize;
     let passes = 6 * rounds;
     let reqs_per_round = (6 * mix.len()) as f64;

@@ -6,11 +6,11 @@
 //!
 //! The broken variants are deliberate *near-misses* of the real code:
 //! each is the one-line mistake a refactor could plausibly introduce
-//! (re-reading the epoch after computing the reply; a load/branch/store
-//! token bucket). The real kernels passed the model checker
-//! (`tests/kernels.rs` found no interleaving bug), so per the issue's
-//! fallback these near-misses pin the checker's detection behavior
-//! instead of a fixed production bug.
+//! (re-reading the epoch after computing the reply; a lookup that serves
+//! any entry under a colliding key; a load/branch/store token bucket).
+//! The real kernels passed the model checker (`tests/kernels.rs` found
+//! no interleaving bug), so these near-misses pin the checker's
+//! detection behavior instead of a fixed production bug.
 
 use gb_check::{check, replay, spawn, CheckedBackend, Options};
 use gb_common::sync::backend::{AtomicU64Api, Backend, Ordering};
@@ -88,6 +88,81 @@ fn seeded_stale_epoch_tag_is_caught_and_replays() {
     let failure2 = second.assert_fails();
     assert_eq!(failure2.trace, failure.trace);
     assert_eq!(second.schedules, report.schedules);
+}
+
+/// A cache entry as `GbServer` stores it: the request body and its reply.
+type Entry = (Vec<u8>, Vec<u8>);
+
+/// Request `body`'s reply.
+fn reply_for(body: &[u8]) -> Vec<u8> {
+    [&[0xC1], body].concat()
+}
+
+/// Request A's lookup and, on a miss, its insert, while request B (whose
+/// body hashes to the same key) inserts its reply; then A's answer is
+/// checked. `accept` is the lookup's predicate over the stored entry.
+fn colliding_requests_model(accept: fn(&Entry) -> bool) {
+    const KEY: u64 = 7;
+    let cache: Arc<ResultCache<CheckedBackend, Entry>> =
+        Arc::new(ResultCache::new(4, Duration::from_secs(10)));
+
+    let other = {
+        let cache = Arc::clone(&cache);
+        spawn(move || cache.insert_at(KEY, (b"B".to_vec(), reply_for(b"B")), 0, 0))
+    };
+
+    let served = match cache.get_at(KEY, 0, 0, accept) {
+        Some((_, reply)) => reply,
+        None => {
+            let reply = reply_for(b"A");
+            cache.insert_at(KEY, (b"A".to_vec(), reply.clone()), 0, 0);
+            reply
+        }
+    };
+    other.join();
+
+    assert_eq!(
+        served,
+        reply_for(b"A"),
+        "request A answered with another request's reply"
+    );
+}
+
+/// BROKEN near-miss of the serve lookup: it accepts whatever entry the
+/// key holds instead of comparing the stored body with the one in hand,
+/// so once B's reply is in, A is answered with it. `GbServer` passes
+/// `|entry| entry.0 == body` (`fixed_colliding_lookup_is_safe_on_every_schedule`).
+fn accept_any_lookup_model() {
+    colliding_requests_model(|_| true);
+}
+
+#[test]
+fn seeded_accept_any_lookup_is_caught_and_replays() {
+    let report = check(Options::default(), accept_any_lookup_model);
+    let failure = report.assert_fails().clone();
+    assert!(
+        failure.message.contains("another request's reply"),
+        "wrong failure: {}",
+        failure.message
+    );
+    assert!(
+        !failure.trace.is_empty(),
+        "failure must carry a replayable schedule"
+    );
+
+    let replayed = replay(&failure.trace, accept_any_lookup_model);
+    let again = replayed.failure.expect("pinned trace must fail again");
+    assert_eq!(again.message, failure.message);
+    assert_eq!(again.trace, failure.trace);
+}
+
+#[test]
+fn fixed_colliding_lookup_is_safe_on_every_schedule() {
+    let report = check(Options::default(), || {
+        colliding_requests_model(|entry| entry.0 == b"A");
+    });
+    report.assert_pass();
+    assert!(report.exhausted);
 }
 
 /// BROKEN near-miss of the quota bucket: check-then-act on an atomic

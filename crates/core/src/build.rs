@@ -149,7 +149,7 @@ impl<'a> Share<'a> {
         self.keys[i] = key;
         self.counts[i] = rows.len() as u64;
         for (col, column) in base.columns().iter().enumerate() {
-            let (min, max, sum) = fold_column(rows.clone().map(|r| column.value_f64(r)));
+            let (min, max, sum) = fold_column(rows.clone().map(|r| column[r]));
             let at = i * self.n_cols + col;
             (self.mins[at], self.maxs[at], self.sums[at]) = (min, max, sum);
         }
@@ -239,7 +239,7 @@ mod tests {
     use gb_geom::{Point, Rect};
 
     fn base_data(n: usize) -> BaseTable {
-        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
         // Deterministic scatter over a 100×100 domain.
         let mut state = 7u64;
         for i in 0..n {
@@ -408,8 +408,8 @@ mod tests {
         // their order is the raw order: `0.0` before `-0.0`, `-0.0`
         // before `0.0` (which of two equal values a min or max keeps
         // shows in the sign), and repeated values whose sum depends on
-        // the order of its terms. `k` is an `I64` column.
-        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+        // the order of its terms. `k` holds whole numbers and `-0.0`.
+        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
         for i in 0..3000u32 {
             let (x, y) = (
                 f64::from(i * 37 % 1000) / 10.0,

@@ -10,11 +10,11 @@
 //! [`GeoBlock::from_snapshot_bytes`] and on disk through
 //! [`GeoBlock::write_snapshot`] / [`GeoBlock::read_snapshot`].
 //!
-//! ## Sections (format version 6)
+//! ## Sections (format version 7)
 //!
 //! | tag    | content |
 //! |--------|---------|
-//! | `SCHM` | column count, then per column: type tag, name |
+//! | `SCHM` | column count, then per column: name |
 //! | `GRID` | domain rectangle (4 × f64 bits), curve tag (always 0: Hilbert; any other is refused) |
 //! | `HDRS` | level, **content hash**, **state hash** |
 //! | `CELL` | the block-level [`Layer`]: keys, counts (u64), per-cell min/max/sum |
@@ -50,7 +50,7 @@ use crate::block::GeoBlock;
 use crate::layer::Layer;
 use gb_cell::Grid;
 use gb_common::{FxHasher, Timer};
-use gb_data::{ColumnDef, ColumnType, Schema};
+use gb_data::{ColumnDef, Schema};
 use gb_geom::Rect;
 use gb_store::{ByteReader, SectionTag, SnapshotReader, SnapshotWriter};
 use std::hash::{Hash, Hasher};
@@ -63,7 +63,7 @@ pub use gb_store::SnapshotError;
 /// the loader reads. Bump on any change to a section's encoding or to what
 /// a stored digest spans; adding a new optional section a reader could
 /// safely ignore does not require a bump. See `DESIGN.md` "Persistence".
-pub const SNAPSHOT_VERSION: u16 = 6;
+pub const SNAPSHOT_VERSION: u16 = 7;
 
 const TAG_SCHEMA: SectionTag = SectionTag(*b"SCHM");
 const TAG_GRID: SectionTag = SectionTag(*b"GRID");
@@ -87,7 +87,6 @@ fn state_hash(content: u64, grid: &Grid, schema: &Schema) -> u64 {
     }
     for col in schema.columns() {
         col.name.hash(&mut h);
-        (col.ty == ColumnType::I64).hash(&mut h);
     }
     h.finish()
 }
@@ -181,10 +180,6 @@ impl GeoBlock {
         out.section(TAG_SCHEMA, |w| {
             w.len_u32(b.schema.len());
             for col in b.schema.columns() {
-                w.u8(match col.ty {
-                    ColumnType::F64 => 0,
-                    ColumnType::I64 => 1,
-                });
                 w.str(&col.name);
             }
         });
@@ -227,17 +222,7 @@ impl GeoBlock {
         let n_cols = r.u32()? as usize;
         let mut cols = Vec::new();
         for _ in 0..n_cols {
-            let ty = match r.u8()? {
-                0 => ColumnType::F64,
-                1 => ColumnType::I64,
-                t => {
-                    return Err(SnapshotError::corrupt(format!(
-                        "unknown column type tag {t}"
-                    )))
-                }
-            };
-            let name = r.str()?;
-            cols.push(ColumnDef { name, ty });
+            cols.push(ColumnDef { name: r.str()? });
         }
         r.finish()?;
         let schema =
@@ -330,7 +315,7 @@ mod tests {
     }
 
     fn block(n: usize, level: u8) -> GeoBlock {
-        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
         let mut state = 9u64;
         let mut next = move || {
             state = state
@@ -410,13 +395,12 @@ mod tests {
         reframe(bytes, swap, None)
     }
 
-    /// `bytes` with its `SCHM` section replaced by columns `v` (f64) and
-    /// `second` (i64).
+    /// `bytes` with its `SCHM` section replaced by columns `v` and
+    /// `second`.
     fn with_schema(bytes: &[u8], second: &str) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.len_u32(2);
-        for (ty, name) in [(0, "v"), (1, second)] {
-            w.u8(ty);
+        for name in ["v", second] {
             w.str(name);
         }
         let payload = w.into_inner();
@@ -519,7 +503,7 @@ mod tests {
                 coarser_by in 0u8..11,
             ) {
                 let mut raw =
-                    RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+                    RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
                 for (i, &(x, y)) in points.iter().enumerate() {
                     raw.push_row(Point::new(x, y), &[x * 0.37 - y, (i % 9) as f64]);
                 }

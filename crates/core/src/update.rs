@@ -212,6 +212,39 @@ mod tests {
     }
 
     #[test]
+    fn an_update_folds_the_value_a_build_folds() {
+        // R is a taxi sample, t a trip with 2.5 passengers in a block cell
+        // no row of R reaches: the build of R ∪ {t} and the update of
+        // build(R) by t must store the same records.
+        let ds = gb_data::datasets::nyc_taxi(2_000, 3);
+        let (grid, rules, level) = (ds.grid, gb_data::datasets::nyc_cleaning_rules(), 10);
+        let block_of = |raw: &RawTable| {
+            let base = extract(raw, grid, &rules, None).base;
+            build(&base, level, &Filter::all()).0
+        };
+        let mut updated = block_of(&ds.raw);
+        let occupied: std::collections::HashSet<CellId> = (0..updated.num_cells())
+            .map(|i| updated.cell_at(i))
+            .collect();
+        let d = grid.domain();
+        let at = (1..64)
+            .flat_map(|i| (1..64).map(move |j| (f64::from(i) / 64.0, f64::from(j) / 64.0)))
+            .map(|(fx, fy)| Point::new(d.min.x + fx * d.width(), d.min.y + fy * d.height()))
+            .find(|&p| !occupied.contains(&grid.cell_for_point(p, level)))
+            .expect("the sample leaves a block cell empty");
+        let t = vec![12.0, 3.0, 1.5, 0.125, 2.5, 1_420_070_400.0, 1_420_071_000.0];
+
+        let mut raw = ds.raw.clone();
+        raw.push_row(at, &t);
+        let built = block_of(&raw);
+        let mut batch = UpdateBatch::new();
+        batch.push(at, t);
+        let report = updated.apply_updates(&batch).expect("valid batch");
+        assert_eq!(report.new_cells, 1);
+        assert_eq!(updated.content_hash(), built.content_hash());
+    }
+
+    #[test]
     fn new_region_update_creates_cells() {
         let base = base_data(2000);
         let (mut block, _) = build(&base, 6, &Filter::all());

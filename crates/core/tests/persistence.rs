@@ -31,7 +31,7 @@ use std::path::PathBuf;
 fn base_data(n: usize) -> gb_data::BaseTable {
     let mut raw = RawTable::new(Schema::new(vec![
         ColumnDef::f64("fare"),
-        ColumnDef::i64("pax"),
+        ColumnDef::f64("pax"),
     ]));
     let mut state = 2024u64;
     let mut next = move || {
@@ -357,7 +357,7 @@ fn older_versions_are_unsupported_not_corrupt() {
                     ),
                     "v{other}: {err:?}"
                 );
-                assert!(err.to_string().contains("reads version 6"), "{err}");
+                assert!(err.to_string().contains("reads version 7"), "{err}");
             }
         }
     }

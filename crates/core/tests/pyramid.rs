@@ -17,7 +17,7 @@ use proptest::prelude::*;
 const DOMAIN: f64 = 100.0;
 
 fn schema() -> Schema {
-    Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")])
+    Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")])
 }
 
 fn spec() -> AggSpec {

@@ -198,9 +198,9 @@ pub fn nyc_taxi(n: usize, seed: u64) -> Dataset {
         ColumnDef::f64("trip_distance"),
         ColumnDef::f64("tip_amount"),
         ColumnDef::f64("tip_rate"),
-        ColumnDef::i64("passenger_cnt"),
-        ColumnDef::i64("pickup_time"),
-        ColumnDef::i64("dropoff_time"),
+        ColumnDef::f64("passenger_cnt"),
+        ColumnDef::f64("pickup_time"),
+        ColumnDef::f64("dropoff_time"),
     ]);
     let mut raw = RawTable::new(schema);
     raw.reserve(n);
@@ -304,7 +304,7 @@ pub fn us_tweets(n: usize, seed: u64) -> Dataset {
         .collect();
     hotspots.push(Hotspot::blob(domain.center(), 1400.0, 0.55)); // rural noise
 
-    let schema = Schema::new(vec![ColumnDef::i64("val_a"), ColumnDef::i64("val_b")]);
+    let schema = Schema::new(vec![ColumnDef::f64("val_a"), ColumnDef::f64("val_b")]);
     let mut raw = RawTable::new(schema);
     raw.reserve(n);
     for _ in 0..n {
@@ -349,7 +349,7 @@ pub fn osm_americas(n: usize, seed: u64) -> Dataset {
         .collect();
     hotspots.push(Hotspot::blob(domain.center(), 5000.0, 2.0));
 
-    let schema = Schema::new(vec![ColumnDef::i64("val_a"), ColumnDef::i64("val_b")]);
+    let schema = Schema::new(vec![ColumnDef::f64("val_a"), ColumnDef::f64("val_b")]);
     let mut raw = RawTable::new(schema);
     raw.reserve(n);
     for _ in 0..n {

@@ -259,6 +259,27 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_passenger_count_is_dropped() {
+        // The taxi schema's `passenger_cnt` holds whole numbers, but a
+        // NaN or an infinity pushed into it must still meet the rule
+        // that every attribute value is finite.
+        let ds = crate::datasets::nyc_taxi(0, 1);
+        let schema = ds.raw.schema().clone();
+        let pax = schema.require("passenger_cnt").unwrap();
+        let at = ds.grid.domain().center();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut raw = RawTable::new(schema.clone());
+            let mut row = vec![1.0; schema.len()];
+            raw.push_row(at, &row);
+            row[pax] = bad;
+            raw.push_row(at, &row);
+            let ex = extract(&raw, ds.grid, &crate::datasets::nyc_cleaning_rules(), None);
+            assert_eq!((ex.stats.rows_in, ex.stats.rows_dropped), (2, 1), "{bad}");
+            assert_eq!(ex.base.value_f64(0, pax), 1.0);
+        }
+    }
+
+    #[test]
     fn block_cell_collection_counts_distinct() {
         let ex = extract(&raw(), grid(), &CleaningRules::none(), Some(4));
         let distinct = ex.stats.distinct_block_cells.unwrap();
@@ -301,7 +322,7 @@ mod tests {
                 at_least in 0.0f64..10.0,
             ) {
                 let mut raw =
-                    RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("row")]));
+                    RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("row")]));
                 for (i, &(x, y, v)) in rows.iter().enumerate() {
                     let v = if v < 0 { f64::NAN } else { f64::from(v) };
                     raw.push_row(Point::new(f64::from(x) * 3.0, f64::from(y) * 3.0), &[v, i as f64]);

@@ -155,7 +155,7 @@ mod tests {
     fn table() -> RawTable {
         let mut t = RawTable::new(Schema::new(vec![
             ColumnDef::f64("dist"),
-            ColumnDef::i64("pax"),
+            ColumnDef::f64("pax"),
         ]));
         for (d, p) in [(1.0, 1.0), (4.0, 2.0), (5.5, 1.0), (0.5, 3.0), (9.0, 1.0)] {
             t.push_row(Point::new(0.0, 0.0), &[d, p]);

@@ -15,6 +15,6 @@ pub mod workload;
 pub use error::DataError;
 pub use extract::{extract, extract_filtered, CleaningRules, Extract, ExtractStats};
 pub use filter::{CmpOp, Filter, Predicate};
-pub use schema::{ColumnDef, ColumnType, Schema};
-pub use table::{BaseTable, Column, RawTable, Rows};
+pub use schema::{ColumnDef, Schema};
+pub use table::{BaseTable, RawTable, Rows};
 pub use workload::{AggFunc, AggRequest, AggSpec, Query, Workload};

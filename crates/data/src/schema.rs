@@ -1,38 +1,21 @@
 //! Column schemas for point tables.
 //!
 //! §2: points are `P(l, v₀, v₁, …, vₙ)` — a location plus numerical or
-//! temporal attributes. We model attributes as typed columns; aggregates are
-//! computed in `f64` (temporal columns are epoch seconds, whose magnitudes
-//! stay well within `f64`'s 53-bit exact-integer range).
+//! temporal attributes. Every attribute is stored as the `f64` it is
+//! aggregated as: temporal columns are epoch seconds and counts are small
+//! integers, both exact in `f64`'s 53-bit integer range.
 
-/// The physical type of an attribute column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColumnType {
-    /// 64-bit floating point (monetary amounts, distances, rates).
-    F64,
-    /// 64-bit signed integer (counts, epoch timestamps).
-    I64,
-}
-
-/// One attribute column's definition.
+/// One attribute column's definition: its name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     pub name: String,
-    pub ty: ColumnType,
 }
 
 impl ColumnDef {
+    /// An `f64` attribute column named `name`.
     pub fn f64(name: &str) -> Self {
         ColumnDef {
             name: name.to_string(),
-            ty: ColumnType::F64,
-        }
-    }
-
-    pub fn i64(name: &str) -> Self {
-        ColumnDef {
-            name: name.to_string(),
-            ty: ColumnType::I64,
         }
     }
 }
@@ -111,12 +94,12 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        let s = Schema::new(vec![ColumnDef::f64("fare"), ColumnDef::i64("passengers")]);
+        let s = Schema::new(vec![ColumnDef::f64("fare"), ColumnDef::f64("passengers")]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.index_of("fare"), Some(0));
         assert_eq!(s.index_of("passengers"), Some(1));
         assert_eq!(s.index_of("nope"), None);
-        assert_eq!(s.column(1).ty, ColumnType::I64);
+        assert_eq!(s.column(1).name, "passengers");
         assert_eq!(s.require("fare"), Ok(0));
         assert_eq!(
             s.require("nope"),
@@ -128,18 +111,18 @@ mod tests {
 
     #[test]
     fn try_new_reports_duplicates() {
-        let err = Schema::try_new(vec![ColumnDef::f64("a"), ColumnDef::i64("a")]).unwrap_err();
+        let err = Schema::try_new(vec![ColumnDef::f64("a"), ColumnDef::f64("a")]).unwrap_err();
         assert_eq!(
             err,
             crate::DataError::DuplicateColumn { column: "a".into() }
         );
-        assert!(Schema::try_new(vec![ColumnDef::f64("a"), ColumnDef::i64("b")]).is_ok());
+        assert!(Schema::try_new(vec![ColumnDef::f64("a"), ColumnDef::f64("b")]).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "duplicate column names")]
     fn rejects_duplicates() {
-        Schema::new(vec![ColumnDef::f64("a"), ColumnDef::i64("a")]);
+        Schema::new(vec![ColumnDef::f64("a"), ColumnDef::f64("a")]);
     }
 
     #[test]

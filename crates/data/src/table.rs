@@ -4,91 +4,25 @@
 //! 1-D spatial keys, sort once per dataset) then *build* (filter +
 //! aggregate per GeoBlock). [`RawTable`] is the dirty input; [`BaseTable`]
 //! is the cleaned, key-sorted columnar base data every index builds from.
-//! "We keep all data in a columnar layout" (§4.1).
+//! "We keep all data in a columnar layout" (§4.1): every attribute column
+//! is a `Vec<f64>`, holding each value exactly as it was pushed.
 
 // Row indices are stored as `u32`: every narrowing is checked.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::schema::{ColumnType, Schema};
+use crate::schema::Schema;
 use gb_cell::Grid;
 use gb_common::Pool;
 use gb_geom::Point;
 
 /// `out[i] = values[perm[i]]`.
-fn permuted<T: Copy>(values: &[T], perm: &[u32]) -> Vec<T> {
+fn permuted(values: &[f64], perm: &[u32]) -> Vec<f64> {
     perm.iter().map(|&i| values[i as usize]).collect()
 }
 
-/// A typed attribute column.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Column {
-    F64(Vec<f64>),
-    I64(Vec<i64>),
-}
-
-impl Column {
-    /// An empty column of the given type.
-    pub fn new(ty: ColumnType) -> Self {
-        match ty {
-            ColumnType::F64 => Column::F64(Vec::new()),
-            ColumnType::I64 => Column::I64(Vec::new()),
-        }
-    }
-
-    /// Number of values.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Column::F64(v) => v.len(),
-            Column::I64(v) => v.len(),
-        }
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Value at `row` widened to `f64` (exact for i64 up to 2^53).
-    #[inline]
-    pub fn value_f64(&self, row: usize) -> f64 {
-        match self {
-            Column::F64(v) => v[row],
-            Column::I64(v) => v[row] as f64,
-        }
-    }
-
-    /// Append a value given as `f64`. An I64 column stores it truncated
-    /// toward zero and saturated at `i64::MIN` / `i64::MAX`; NaN is 0.
-    #[inline]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the documented conversion: `as` truncates toward zero, saturates, and maps NaN to 0"
-    )]
-    pub fn push_f64(&mut self, value: f64) {
-        match self {
-            Column::F64(v) => v.push(value),
-            Column::I64(v) => v.push(value as i64),
-        }
-    }
-
-    /// Apply a permutation: `out[i] = self[perm[i]]`.
-    fn permuted(&self, perm: &[u32]) -> Column {
-        match self {
-            Column::F64(v) => Column::F64(permuted(v, perm)),
-            Column::I64(v) => Column::I64(permuted(v, perm)),
-        }
-    }
-
-    /// Gather the rows in `rows` (used by the filtered-build paths).
-    fn gathered(&self, rows: &[u32]) -> Column {
-        self.permuted(rows)
-    }
-
-    /// Heap bytes used.
-    pub fn memory_bytes(&self) -> usize {
-        8 * self.len()
-    }
+/// Heap bytes of attribute columns.
+fn columns_bytes(columns: &[Vec<f64>]) -> usize {
+    columns.iter().map(|c| 8 * c.len()).sum()
 }
 
 /// Read access to rows of a columnar table — shared by filters and
@@ -96,7 +30,7 @@ impl Column {
 pub trait Rows {
     /// Number of rows.
     fn num_rows(&self) -> usize;
-    /// Attribute value (widened to f64) of `row` in column `col`.
+    /// Attribute value of `row` in column `col`.
     fn value_f64(&self, row: usize, col: usize) -> f64;
     /// The schema.
     fn schema(&self) -> &Schema;
@@ -110,13 +44,13 @@ pub struct RawTable {
     schema: Schema,
     xs: Vec<f64>,
     ys: Vec<f64>,
-    columns: Vec<Column>,
+    columns: Vec<Vec<f64>>,
 }
 
 impl RawTable {
     /// An empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
-        let columns = schema.columns().iter().map(|c| Column::new(c.ty)).collect();
+        let columns = vec![Vec::new(); schema.len()];
         RawTable {
             schema,
             xs: Vec::new(),
@@ -131,7 +65,7 @@ impl RawTable {
         self.xs.push(location.x);
         self.ys.push(location.y);
         for (col, &v) in self.columns.iter_mut().zip(values) {
-            col.push_f64(v);
+            col.push(v);
         }
     }
 
@@ -142,7 +76,7 @@ impl RawTable {
     }
 
     /// The attribute columns.
-    pub fn columns(&self) -> &[Column] {
+    pub fn columns(&self) -> &[Vec<f64>] {
         &self.columns
     }
 
@@ -158,7 +92,7 @@ impl RawTable {
 
     /// Heap bytes of the table payload.
     pub fn memory_bytes(&self) -> usize {
-        16 * self.xs.len() + self.columns.iter().map(Column::memory_bytes).sum::<usize>()
+        16 * self.xs.len() + columns_bytes(&self.columns)
     }
 }
 
@@ -170,7 +104,7 @@ impl Rows for RawTable {
 
     #[inline]
     fn value_f64(&self, row: usize, col: usize) -> f64 {
-        self.columns[col].value_f64(row)
+        self.columns[col][row]
     }
 
     fn schema(&self) -> &Schema {
@@ -196,7 +130,7 @@ pub struct BaseTable {
     keys: Vec<u64>,
     xs: Vec<f64>,
     ys: Vec<f64>,
-    columns: Vec<Column>,
+    columns: Vec<Vec<f64>>,
 }
 
 impl BaseTable {
@@ -207,7 +141,7 @@ impl BaseTable {
         keys: Vec<u64>,
         xs: Vec<f64>,
         ys: Vec<f64>,
-        columns: Vec<Column>,
+        columns: Vec<Vec<f64>>,
     ) -> Self {
         debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
         assert_eq!(keys.len(), xs.len());
@@ -252,7 +186,7 @@ impl BaseTable {
 
     /// The attribute columns.
     #[inline]
-    pub fn columns(&self) -> &[Column] {
+    pub fn columns(&self) -> &[Vec<f64>] {
         &self.columns
     }
 
@@ -271,23 +205,7 @@ impl BaseTable {
     /// Heap bytes of the base data (keys + coordinates + columns) — the
     /// denominator of the paper's "relative overhead" (Figure 11b).
     pub fn memory_bytes(&self) -> usize {
-        8 * self.keys.len()
-            + 16 * self.xs.len()
-            + self.columns.iter().map(Column::memory_bytes).sum::<usize>()
-    }
-
-    /// A new `BaseTable` with only the rows in `rows` (already key-sorted
-    /// because `rows` is ascending). Used by incremental filtered builds.
-    pub fn gather(&self, rows: &[u32]) -> BaseTable {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
-        BaseTable {
-            grid: self.grid,
-            schema: self.schema.clone(),
-            keys: rows.iter().map(|&i| self.keys[i as usize]).collect(),
-            xs: rows.iter().map(|&i| self.xs[i as usize]).collect(),
-            ys: rows.iter().map(|&i| self.ys[i as usize]).collect(),
-            columns: self.columns.iter().map(|c| c.gathered(rows)).collect(),
-        }
+        8 * self.keys.len() + 16 * self.xs.len() + columns_bytes(&self.columns)
     }
 
     /// A prefix subset of `n` rows (scaling experiments, Figure 13).
@@ -299,14 +217,7 @@ impl BaseTable {
             keys: self.keys[..n].to_vec(),
             xs: self.xs[..n].to_vec(),
             ys: self.ys[..n].to_vec(),
-            columns: self
-                .columns
-                .iter()
-                .map(|c| match c {
-                    Column::F64(v) => Column::F64(v[..n].to_vec()),
-                    Column::I64(v) => Column::I64(v[..n].to_vec()),
-                })
-                .collect(),
+            columns: self.columns.iter().map(|c| c[..n].to_vec()).collect(),
         }
     }
 }
@@ -319,7 +230,7 @@ impl Rows for BaseTable {
 
     #[inline]
     fn value_f64(&self, row: usize, col: usize) -> f64 {
-        self.columns[col].value_f64(row)
+        self.columns[col][row]
     }
 
     fn schema(&self) -> &Schema {
@@ -382,17 +293,10 @@ pub(crate) fn apply_permutation(
     sorted_keys: Vec<u64>,
     perm: &[u32],
 ) -> BaseTable {
-    let mut gathered = pool
-        .run(0..2 + raw.columns.len(), |task| match task {
-            0 => Column::F64(permuted(&raw.xs, perm)),
-            1 => Column::F64(permuted(&raw.ys, perm)),
-            _ => raw.columns[task - 2].permuted(perm),
-        })
-        .into_iter();
-    let (Some(Column::F64(xs)), Some(Column::F64(ys))) = (gathered.next(), gathered.next()) else {
-        unreachable!("tasks 0 and 1 gather the coordinates");
-    };
-    let columns = gathered.collect();
+    let sources = [&raw.xs, &raw.ys].into_iter().chain(&raw.columns);
+    let mut gathered = pool.run(sources, |values| permuted(values, perm));
+    let columns = gathered.split_off(2);
+    let (ys, xs) = (gathered.remove(1), gathered.remove(0));
     BaseTable::from_parts(grid, raw.schema.clone(), sorted_keys, xs, ys, columns)
 }
 
@@ -407,19 +311,22 @@ mod tests {
     }
 
     fn schema() -> Schema {
-        Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("n")])
+        Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("n")])
     }
 
     #[test]
-    fn push_f64_truncates_and_saturates_into_i64() {
-        let mut c = Column::new(ColumnType::I64);
-        for v in [2.9, -2.9, f64::NAN, 1e300] {
-            c.push_f64(v);
+    fn a_pushed_value_is_stored_as_given() {
+        // No conversion: a fraction, a non-finite value and a huge one
+        // read back bit for bit, so cleaning sees what was pushed.
+        let mut t = RawTable::new(schema());
+        let values = [2.5, -2.9, f64::NAN, f64::INFINITY, 1e300, f64::NEG_INFINITY];
+        for pair in values.chunks(2) {
+            t.push_row(Point::new(0.0, 0.0), pair);
         }
-        let Column::I64(v) = c else {
-            unreachable!("an I64 column")
-        };
-        assert_eq!(v, [2, -2, 0, i64::MAX]);
+        let read: Vec<u64> = (0..3)
+            .flat_map(|row| [0, 1].map(|col| t.value_f64(row, col).to_bits()))
+            .collect();
+        assert_eq!(read, values.map(f64::to_bits));
     }
 
     #[test]
@@ -439,13 +346,6 @@ mod tests {
     fn raw_table_rejects_bad_arity() {
         let mut t = RawTable::new(schema());
         t.push_row(Point::new(0.0, 0.0), &[1.0]);
-    }
-
-    #[test]
-    fn i64_column_truncates() {
-        let mut c = Column::new(ColumnType::I64);
-        c.push_f64(3.9);
-        assert_eq!(c.value_f64(0), 3.0);
     }
 
     #[test]
@@ -485,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn base_table_gather_and_truncate() {
+    fn base_table_truncates() {
         let g = grid();
         let t = BaseTable::from_parts(
             g,
@@ -493,18 +393,13 @@ mod tests {
             vec![1, 3, 5, 7],
             vec![0.1, 0.2, 0.3, 0.4],
             vec![1.0, 2.0, 3.0, 4.0],
-            vec![
-                Column::F64(vec![10.0, 20.0, 30.0, 40.0]),
-                Column::I64(vec![1, 2, 3, 4]),
-            ],
+            vec![vec![10.0, 20.0, 30.0, 40.0], vec![1.0, 2.0, 3.0, 4.0]],
         );
-        let sub = t.gather(&[1, 3]);
-        assert_eq!(sub.keys(), &[3, 7]);
-        assert_eq!(sub.value_f64(1, 0), 40.0);
-        assert_eq!(sub.location(0), Point::new(0.2, 2.0));
         let pre = t.truncated(2);
         assert_eq!(pre.keys(), &[1, 3]);
         assert_eq!(pre.num_rows(), 2);
+        assert_eq!(pre.value_f64(1, 1), 2.0);
+        assert_eq!(pre.location(1), Point::new(0.2, 2.0));
         // Truncation beyond the length is clamped.
         assert_eq!(t.truncated(99).num_rows(), 4);
     }

@@ -16,7 +16,7 @@ const DOMAIN: f64 = 50.0;
 fn make_raw(rows: &[(f64, f64, f64)]) -> RawTable {
     let mut raw = RawTable::new(Schema::new(vec![
         ColumnDef::f64("v"),
-        ColumnDef::i64("tag"),
+        ColumnDef::f64("tag"),
     ]));
     for (i, &(x, y, v)) in rows.iter().enumerate() {
         raw.push_row(Point::new(x, y), &[v, i as f64]);
@@ -89,17 +89,17 @@ proptest! {
 
         // Path A: filter before sort (isolated).
         let a = extract_filtered(&raw, grid(), &CleaningRules::none(), &filter, None).base;
-        // Path B: sort everything, then gather matching rows.
-        let all = extract(&raw, grid(), &CleaningRules::none(), None).base;
-        let matching = filter.matching_rows(&all);
-        let b = all.gather(&matching);
+        // Path B: sort everything, then read the matching rows.
+        let b = extract(&raw, grid(), &CleaningRules::none(), None).base;
+        let matching = filter.matching_rows(&b);
 
-        prop_assert_eq!(a.num_rows(), b.num_rows());
-        prop_assert_eq!(a.keys(), b.keys());
-        for row in 0..a.num_rows() {
-            prop_assert_eq!(a.value_f64(row, 0), b.value_f64(row, 0));
-            prop_assert_eq!(a.value_f64(row, 1), b.value_f64(row, 1));
-            prop_assert_eq!(a.location(row), b.location(row));
+        prop_assert_eq!(a.num_rows(), matching.len());
+        for (row, &at) in matching.iter().enumerate() {
+            let at = at as usize;
+            prop_assert_eq!(a.keys()[row], b.keys()[at]);
+            prop_assert_eq!(a.value_f64(row, 0), b.value_f64(at, 0));
+            prop_assert_eq!(a.value_f64(row, 1), b.value_f64(at, 1));
+            prop_assert_eq!(a.location(row), b.location(at));
         }
     }
 

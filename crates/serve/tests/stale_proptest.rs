@@ -31,7 +31,7 @@ fn spec() -> AggSpec {
 }
 
 fn fresh_engine() -> GeoBlockEngine {
-    let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+    let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
     let mut state = 0x9e3779b97f4a7c15u64;
     let mut next = move || {
         state = state

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 const DOMAIN: f64 = 100.0;
 
 fn make_base(points: &[(f64, f64)]) -> gb_data::BaseTable {
-    let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::i64("k")]));
+    let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
     for (i, &(x, y)) in points.iter().enumerate() {
         raw.push_row(Point::new(x, y), &[i as f64 * 0.25 - 2.0, (i % 9) as f64]);
     }
