@@ -441,4 +441,27 @@ mod tests {
         // Finer covering hugs the polygon: strictly fewer covered leaves.
         assert!(fine.leaf_count() < coarse.leaf_count());
     }
+
+    #[test]
+    fn rotation_preserves_the_covering_bit_for_bit() {
+        // The coverer folds per-edge predicates with order-independent
+        // boolean operations, and rotating a ring permutes the same
+        // ordered edge set, so every rotation covers to the same cells.
+        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 1.0, 1.0));
+        let pts = [
+            (0.11, 0.07),
+            (0.83, 0.12),
+            (0.91, 0.64),
+            (0.42, 0.88),
+            (0.08, 0.51),
+        ];
+        let ring: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        let reference = cover_polygon(&grid, &Polygon::new(ring.clone()), 9);
+        for by in 1..pts.len() {
+            let mut rotated = ring.clone();
+            rotated.rotate_left(by);
+            let covering = cover_polygon(&grid, &Polygon::new(rotated), 9);
+            assert_eq!(reference.cells(), covering.cells());
+        }
+    }
 }

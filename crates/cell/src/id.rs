@@ -181,12 +181,6 @@ impl CellId {
         CellId(self.0.wrapping_add(self.lsb() << 1))
     }
 
-    /// Previous cell at the same level along the curve.
-    #[inline]
-    pub fn prev(self) -> CellId {
-        CellId(self.0.wrapping_sub(self.lsb() << 1))
-    }
-
     /// Raw id of the level-`level` ancestor of a raw key, as pure bit
     /// arithmetic — the hot-loop variant of [`CellId::parent_at`] for code
     /// that groups *sorted key arrays* by ancestor (the build sweep, the
@@ -304,9 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn next_prev_roundtrip() {
+    fn next_stays_on_its_level() {
         let cell = CellId::from_leaf_pos(999).parent_at(15);
-        assert_eq!(cell.next().prev(), cell);
         assert_eq!(cell.next().level(), 15);
         assert!(cell.next() > cell);
     }

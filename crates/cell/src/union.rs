@@ -4,10 +4,9 @@ use crate::id::CellId;
 
 /// A set of cells, kept sorted by raw id.
 ///
-/// After [`CellUnion::normalize`], cells are pairwise disjoint (no cell
-/// contains another) and runs of four complete siblings are merged into
-/// their parent, so the union is the canonical minimal representation of
-/// the covered region.
+/// Cells are pairwise disjoint (no cell contains another) and runs of
+/// four complete siblings are merged into their parent, so the union is
+/// the canonical minimal representation of the covered region.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CellUnion {
     cells: Vec<CellId>,
@@ -26,7 +25,7 @@ impl CellUnion {
         u
     }
 
-    /// Wrap cells that are already what [`CellUnion::normalize`] leaves:
+    /// Wrap cells that are already what `normalize` leaves:
     /// disjoint, in curve order, complete quartets merged (the coverer
     /// emits them that way).
     pub(crate) fn from_normalized(cells: Vec<CellId>) -> Self {
@@ -61,7 +60,7 @@ impl CellUnion {
 
     /// Sort, deduplicate, drop contained cells, and merge complete sibling
     /// quartets into parents (repeatedly).
-    pub fn normalize(&mut self) {
+    fn normalize(&mut self) {
         self.cells.sort_unstable();
         self.cells.dedup();
 

@@ -155,9 +155,9 @@ mod tests {
     fn lock_order_violation_is_reported() {
         let report = check(Options::exhaustive(), || {
             let hi = CMutex::new("entries", rank::LEAF, ());
-            let lo = CMutex::new("shard", rank::MEMO, ());
+            let lo = CMutex::new("state", rank::STATE, ());
             let _g_hi = hi.lock();
-            let _g_lo = lo.lock(); // rank 1 after rank 4: declared-order violation
+            let _g_lo = lo.lock(); // rank 2 after rank 4: declared-order violation
         });
         let failure = report.assert_fails();
         assert!(
@@ -170,13 +170,13 @@ mod tests {
     #[test]
     fn join_while_holding_the_childs_lock_deadlocks() {
         let report = check(Options::exhaustive(), || {
-            let m = Arc::new(CMutex::new("shard", rank::MEMO, ()));
+            let m = Arc::new(CMutex::new("memo", rank::LEAF, ()));
             let m2 = Arc::clone(&m);
             let guard = m.lock();
             let t = spawn(move || {
                 let _g = m2.lock();
             });
-            t.join(); // child needs "shard"; we hold it: deadlock
+            t.join(); // child needs "memo"; we hold it: deadlock
             drop(guard);
         });
         let failure = report.assert_fails();
@@ -186,7 +186,7 @@ mod tests {
             failure.message
         );
         assert!(
-            failure.message.contains("shard"),
+            failure.message.contains("memo"),
             "report should name the contended lock: {}",
             failure.message
         );

@@ -15,8 +15,8 @@
 //! (with every waiter's lock name), instead of hanging the test.
 //!
 //! The scheduler also enforces the workspace lock-rank order (the same
-//! `publish_guard(0) < memo(1) < state(2) < serve(4)`
-//! table as `gb_common::sync`): acquiring a checked lock whose rank is
+//! `publish_guard(0) < state(2) < leaf(4)` table as
+//! `gb_common::sync`): acquiring a checked lock whose rank is
 //! not strictly above every rank the thread holds fails the schedule.
 //!
 //! Teardown: the first real panic in any model thread (an invariant

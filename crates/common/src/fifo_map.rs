@@ -1,7 +1,7 @@
 //! [`FifoMap`] — a capacity-bounded hash map that evicts in insertion
 //! order, in amortised O(1).
 //!
-//! The result cache (`gb_serve::cache`) and every covering-memo shard
+//! The result cache (`gb_serve::cache`) and the covering memo
 //! (`geoblocks::memo`) bound their size by dropping the entry with the
 //! lowest live insertion sequence number. Finding that entry by scanning
 //! the map costs O(capacity) on every insert at capacity — under the
@@ -17,7 +17,7 @@
 //! The map is plain, non-`Sync` data: its owners already serialise
 //! access behind their own (ranked, model-checked) mutex.
 
-// Runs under the result-cache and memo-shard locks on the request path.
+// Runs under the result-cache and memo locks on the request path.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 

@@ -5,7 +5,7 @@
 //!
 //! * [`fifo_map`] — [`FifoMap`], the capacity-bounded map with amortised
 //!   O(1) oldest-insertion eviction behind the serve-layer result cache
-//!   and the covering-memo shards.
+//!   and the covering memo.
 //! * [`fxhash`] — a fast, non-cryptographic hasher (the FxHash algorithm used
 //!   by rustc), hand-written here so the workspace does not need an extra
 //!   dependency. Hashing of small integer keys (cell ids) is hot in the

@@ -115,18 +115,13 @@ impl Pool {
         }
     }
 
-    /// A pool sized by [`default_threads`].
-    pub fn auto() -> Self {
-        Pool::new(default_threads())
-    }
-
     /// The configured thread count.
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The pool for a pass over `rows` rows: [`Pool::auto`], shrunk until
+    /// The pool for a pass over `rows` rows: [`default_threads`], shrunk until
     /// each thread has at least [`MIN_ROWS_PER_THREAD`] rows to itself.
     /// Below twice that it is the one-thread pool, which runs inline —
     /// and the machine is not even asked (~15 µs, more than a small

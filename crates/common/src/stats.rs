@@ -46,9 +46,9 @@ impl Counter {
 
     /// Count one event and return the tally *before* this increment — a
     /// relaxed ticket dispenser. Used by the tracer's sampling gate
-    /// (`ticket % rate == 0`) and ring-shard rotation, where the only
-    /// requirement is that concurrent callers get distinct tickets, not
-    /// that tickets observe any cross-thread order.
+    /// (`ticket % rate == 0`) and completion sequence numbers, where the
+    /// only requirement is that concurrent callers get distinct tickets,
+    /// not that tickets observe any cross-thread order.
     #[inline]
     pub fn next(&self) -> u64 {
         self.0.fetch_add(1, Ordering::Relaxed)

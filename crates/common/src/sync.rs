@@ -26,13 +26,11 @@ pub mod rank {
     /// The engine's publisher mutex (`publish_guard`): first, so a
     /// publisher may swap the state slot while holding it.
     pub const PUBLISH_GUARD: u8 = 0;
-    /// The covering-memo shards (`memo`): never held while computing a
-    /// covering or taking another lock.
-    pub const MEMO: u8 = 1;
     /// The engine's state slot (`state`: block and data epoch): held only
     /// for the clone or the swap.
     pub const STATE: u8 = 2;
-    /// Leaf locks, held across no other acquisition: the result cache's
+    /// Leaf locks, held across no other acquisition: the covering memo's
+    /// `memo` (never held while computing a covering), the result cache's
     /// `entries`, the quota `buckets`, a serve worker's `serving` slot and
     /// the flight recorder's `traces`.
     pub const LEAF: u8 = 4;
@@ -282,14 +280,14 @@ impl<T> DerefMut for OrderedWriteGuard<'_, T> {
 
 #[cfg(test)]
 mod tests {
-    use super::rank::{LEAF, MEMO, PUBLISH_GUARD, STATE};
+    use super::rank::{LEAF, PUBLISH_GUARD, STATE};
     use super::*;
     use crate::pool::spawn_join;
     use std::sync::Arc;
 
     #[test]
     fn lock_ranks_are_ordered() {
-        let ranks = [PUBLISH_GUARD, MEMO, STATE, LEAF];
+        let ranks = [PUBLISH_GUARD, STATE, LEAF];
         assert!(ranks.is_sorted_by(|a, b| a < b), "{ranks:?}");
         // A leaf lock may be taken under the state slot.
         let state = OrderedRwLock::new("state", STATE, ());
@@ -301,22 +299,22 @@ mod tests {
     #[test]
     fn in_order_acquisition_is_fine() {
         let guard = OrderedMutex::new("publish_guard", PUBLISH_GUARD, ());
-        let memo = OrderedMutex::new("memo", MEMO, 7u64);
         let state = OrderedRwLock::new("state", STATE, vec![1, 2, 3]);
+        let memo = OrderedMutex::new("memo", LEAF, 7u64);
         let _g = guard.lock();
-        let s = memo.lock();
-        assert_eq!(*s, 7);
+        let s = state.read();
+        assert_eq!(*memo.lock(), 7);
+        assert_eq!(s.len(), 3);
         drop(s);
-        assert_eq!(state.read().len(), 3);
         *state.write() = vec![9];
         assert_eq!(state.read()[0], 9);
     }
 
     #[test]
     fn sequential_same_rank_is_fine() {
-        let a = OrderedMutex::new("memo", MEMO, 0u32);
-        let b = OrderedMutex::new("memo", MEMO, 0u32);
-        // Dropping between acquisitions keeps at most one rank-1 lock held.
+        let a = OrderedMutex::new("memo", LEAF, 0u32);
+        let b = OrderedMutex::new("entries", LEAF, 0u32);
+        // Dropping between acquisitions keeps at most one leaf lock held.
         for m in [&a, &b] {
             *m.lock() += 1;
         }
@@ -371,7 +369,7 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover() {
-        let m = Arc::new(OrderedMutex::new("memo", MEMO, 41u64));
+        let m = Arc::new(OrderedMutex::new("memo", LEAF, 41u64));
         let rw = Arc::new(OrderedRwLock::new("state", STATE, String::from("ok")));
         let (m2, rw2) = (Arc::clone(&m), Arc::clone(&rw));
         let result = spawn_join(move || {

@@ -46,13 +46,6 @@ impl Timer {
     }
 }
 
-/// Time a closure, returning its result and the wall-clock duration.
-pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t = Timer::start();
-    let out = f();
-    (out, t.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,12 +67,5 @@ mod tests {
         // After the lap the stopwatch restarted, so `second` is close to 0
         // relative to `first`; we only assert monotonic sanity here.
         assert!(second < first + Duration::from_secs(1));
-    }
-
-    #[test]
-    fn time_returns_value() {
-        let (v, d) = time(|| 21 * 2);
-        assert_eq!(v, 42);
-        assert!(d >= Duration::ZERO);
     }
 }

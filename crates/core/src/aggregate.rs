@@ -23,16 +23,12 @@ pub struct AggPlan {
     min_slots: Vec<(u32, u32)>,
     /// Slots tracking column maxima.
     max_slots: Vec<(u32, u32)>,
-    n_slots: usize,
 }
 
 impl AggPlan {
     /// Resolve `spec` into slot lists.
     pub fn compile(spec: &AggSpec) -> AggPlan {
-        let mut plan = AggPlan {
-            n_slots: spec.requests.len(),
-            ..AggPlan::default()
-        };
+        let mut plan = AggPlan::default();
         for (slot, req) in spec.requests.iter().enumerate() {
             let entry = (slot as u32, req.column as u32);
             match req.func {
@@ -43,12 +39,6 @@ impl AggPlan {
             }
         }
         plan
-    }
-
-    /// Number of result slots (== `spec.requests.len()`).
-    #[inline]
-    pub fn n_slots(&self) -> usize {
-        self.n_slots
     }
 }
 
@@ -369,7 +359,6 @@ mod tests {
     fn plan_record_combine_matches_closure_combine() {
         let s = spec();
         let plan = AggPlan::compile(&s);
-        assert_eq!(plan.n_slots(), 5);
         let mins = [1.0, -2.0];
         let maxs = [7.0, 9.5];
         let sums = [12.0, 3.25];

@@ -16,7 +16,8 @@
 //!   bytes come back as [`ServeError::BadRequest`] / corrupt-reply errors.
 //! * **Cache identity** — [`body_cache_key`] / [`request_cache_key`]: the
 //!   per-query-shape key (request bytes + filter key) the serving result
-//!   cache hashes on. Updates are never cacheable and return `None`.
+//!   cache hashes on. Updates and bodies over [`crate::MAX_ENTRY_BYTES`]
+//!   are never cacheable and return `None`.
 //!
 //! The epoch in a [`QueryResponse`] is the engine's **data epoch**: it
 //! advances only when `apply_updates` commits a batch. A result cache entry is
@@ -692,15 +693,18 @@ pub fn request_cache_key(req: &QueryRequest, filter_key: u64) -> Option<u64> {
 /// built under different filters without cross-talk). Updates are never
 /// cacheable → `None`, and a batch is cacheable iff every item is
 /// read-only (its reply carries one epoch, so the usual epoch validation
-/// applies). The hash is not collision-resistant: a cache that serves by
-/// it must hold the body beside the reply and compare it.
+/// applies). A body over [`crate::MAX_ENTRY_BYTES`] is not cacheable
+/// either: an entry holds its body. The hash is not collision-resistant:
+/// a cache that serves by it must hold the body beside the reply and
+/// compare it.
 pub fn body_cache_key(req: &QueryRequest, body: &[u8], filter_key: u64) -> Option<u64> {
     let read_only =
         |r: &QueryRequest| matches!(r, QueryRequest::Select { .. } | QueryRequest::Count { .. });
-    let cacheable = match req {
-        QueryRequest::Batch { requests } => requests.iter().all(read_only),
-        _ => read_only(req),
-    };
+    let cacheable = body.len() <= crate::MAX_ENTRY_BYTES
+        && match req {
+            QueryRequest::Batch { requests } => requests.iter().all(read_only),
+            _ => read_only(req),
+        };
     cacheable.then(|| gb_store::fnv1a64(body) ^ filter_key.rotate_left(17))
 }
 

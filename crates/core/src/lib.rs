@@ -74,7 +74,7 @@ pub use build::{build, build_parallel, BuildStats};
 pub use engine::{GeoBlockEngine, RebuildPolicy};
 pub use kernel::PublishKernel;
 pub use layer::Layer;
-pub use memo::{CoveringMemo, MemoStats};
+pub use memo::{CoveringMemo, MemoStats, MAX_ENTRY_BYTES};
 pub use query::QueryStats;
 pub use snapshot::{PersistStats, SnapshotError, SNAPSHOT_VERSION};
 pub use update::{UpdateBatch, UpdateReport};

@@ -2,17 +2,21 @@
 //! skip its covering (see DESIGN.md "Query hot path").
 //!
 //! [`CoveringMemo`] memoizes `polygon → Arc<CellUnion>` keyed by
-//! [`gb_cell::cover_key_from_bits`] over the polygon's
-//! [`gb_cell::normalized_vertex_bits`]. Coverings are pure functions of
-//! (polygon, grid, level) and the engine's grid and level are fixed for
-//! its lifetime, so entries **never invalidate**, not even on data
-//! epochs. The 64-bit key is only a lookup key: every
-//! entry stores the polygon's canonical vertex stream and a hit compares
-//! it exactly, so a hash collision degrades to a miss, never to a wrong
-//! covering. Only traffic fills the memo: it is not persisted, and a
-//! restarted engine starts with it empty.
+//! [`gb_cell::cover_key_from_bits`] over the polygon's vertex stream as
+//! sent ([`gb_cell::normalized_vertex_bits`]). Coverings are pure
+//! functions of (polygon, grid, level) and the engine's grid and level
+//! are fixed for its lifetime, so entries **never invalidate**, not even
+//! on data epochs. The 64-bit key is only a lookup key: every entry
+//! stores the polygon's vertex stream and a hit compares it exactly, so a
+//! hash collision degrades to a miss, never to a wrong covering. A stream
+//! over [`MAX_ENTRY_BYTES`] is covered and not memoised. Only traffic
+//! fills the memo: it is not persisted, and a restarted engine starts
+//! with it empty.
+//!
+//! The memo is one map behind one leaf lock: a lookup or an insert holds
+//! it for a hash probe, and a miss covers with the lock released.
 
-// Runs under the memo-shard locks on the request path.
+// Runs under the memo lock on the request path.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
@@ -21,14 +25,17 @@ use gb_common::sync::{rank, OrderedMutex};
 use gb_common::{Counter, FifoMap};
 use std::sync::Arc;
 
-/// Shard count — a power of two so the shard index is a mask of the
-/// already-mixed key.
-const MEMO_SHARDS: usize = 8;
+/// The most key material one cache entry may pin: a polygon whose vertex
+/// stream is longer is covered and not memoised, and a request body that
+/// is longer is answered and not cached by the serve layer (see
+/// `api::body_cache_key`). Every dashboard polygon is a few hundred
+/// bytes; a 16 MiB body cached 4 096 times would pin 64 GiB.
+pub const MAX_ENTRY_BYTES: usize = 64 * 1024;
 
 #[derive(Debug)]
 struct MemoEntry {
-    /// Canonical vertex stream (`gb_cell::normalized_vertex_bits`) for
-    /// exact verification on hit.
+    /// The polygon's vertex stream (`gb_cell::normalized_vertex_bits`)
+    /// for exact verification on hit.
     verify: Vec<u64>,
     covering: Arc<CellUnion>,
 }
@@ -39,50 +46,37 @@ struct MemoEntry {
 pub struct MemoStats {
     pub hits: u64,
     pub misses: u64,
-    /// Entries dropped by capacity eviction (oldest-first within a shard).
+    /// Entries dropped by capacity eviction (the oldest first).
     pub evictions: u64,
 }
 
-/// A sharded, capacity-bounded, never-invalidating covering memo.
+/// A capacity-bounded, never-invalidating covering memo.
 #[derive(Debug)]
 pub struct CoveringMemo {
-    /// Each shard evicts its own oldest insertion (amortised O(1)).
-    memo: Vec<OrderedMutex<FifoMap<MemoEntry>>>,
-    shard_capacity: usize,
+    /// Evicts its oldest insertion (amortised O(1)).
+    memo: OrderedMutex<FifoMap<MemoEntry>>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
 }
 
 impl CoveringMemo {
-    /// A memo holding at most (roughly) `capacity` coverings across all
-    /// shards. Capacity 0 disables memoization (every lookup computes —
-    /// the ablation configuration).
+    /// A memo holding at most `capacity` coverings. Capacity 0 disables
+    /// memoization (every lookup computes — the ablation configuration).
     pub fn new(capacity: usize) -> CoveringMemo {
-        let shard_capacity = capacity.div_ceil(MEMO_SHARDS);
         CoveringMemo {
-            memo: (0..MEMO_SHARDS)
-                .map(|_| OrderedMutex::new("memo", rank::MEMO, FifoMap::new(shard_capacity)))
-                .collect(),
-            shard_capacity,
+            memo: OrderedMutex::new("memo", rank::LEAF, FifoMap::new(capacity)),
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
         }
     }
 
-    #[inline]
-    fn shard_index(key: u64) -> usize {
-        // The cover key is already FNV-mixed; fold the high bits in
-        // so shard choice and map bucket choice stay decorrelated.
-        ((key >> 32) ^ key) as usize & (MEMO_SHARDS - 1)
-    }
-
     /// The covering for the polygon whose cover key is `key` and whose
-    /// canonical vertex stream is `verify`, computing it with `cover` on
-    /// a miss. The covering is computed *outside* the shard lock; two
-    /// racing misses on the same key both compute and the second insert
-    /// wins (both results are bit-identical, so either Arc is correct).
+    /// vertex stream is `verify`, computing it with `cover` on a miss.
+    /// The covering is computed *outside* the lock; two racing misses on
+    /// the same key both compute and the second insert wins (both results
+    /// are bit-identical, so either Arc is correct).
     pub fn get_or_insert_with<F>(&self, key: u64, verify: &[u64], cover: F) -> Arc<CellUnion>
     where
         F: FnOnce() -> CellUnion,
@@ -102,39 +96,32 @@ impl CoveringMemo {
     where
         F: FnOnce() -> CellUnion,
     {
-        if let Some(slot) = self.memo.get(Self::shard_index(key)) {
-            {
-                let shard = slot.lock();
-                if let Some(entry) = shard.get(key) {
-                    if entry.verify == verify {
-                        self.hits.incr();
-                        return (Arc::clone(&entry.covering), true);
-                    }
+        let memoisable = std::mem::size_of_val(verify) <= MAX_ENTRY_BYTES;
+        if memoisable {
+            if let Some(entry) = self.memo.lock().get(key) {
+                if entry.verify == verify {
+                    self.hits.incr();
+                    return (Arc::clone(&entry.covering), true);
                 }
             }
-            self.misses.incr();
-            let covering = Arc::new(cover());
-            if self.shard_capacity > 0 {
-                let entry = MemoEntry {
-                    verify: verify.to_vec(),
-                    covering: Arc::clone(&covering),
-                };
-                if slot.lock().insert(key, entry).is_some() {
-                    self.evictions.incr();
-                }
-            }
-            (covering, false)
-        } else {
-            // Unreachable (MEMO_SHARDS > 0); compute without caching to
-            // stay panic-free.
-            self.misses.incr();
-            (Arc::new(cover()), false)
         }
+        self.misses.incr();
+        let covering = Arc::new(cover());
+        if memoisable {
+            let entry = MemoEntry {
+                verify: verify.to_vec(),
+                covering: Arc::clone(&covering),
+            };
+            if self.memo.lock().insert(key, entry).is_some() {
+                self.evictions.incr();
+            }
+        }
+        (covering, false)
     }
 
     /// Number of memoized coverings.
     pub fn len(&self) -> usize {
-        self.memo.iter().map(|s| s.lock().len()).sum()
+        self.memo.lock().len()
     }
 
     /// Whether the memo is empty.
@@ -223,47 +210,35 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_oldest_within_a_shard() {
-        let memo = CoveringMemo::new(MEMO_SHARDS); // one entry per shard
-        let shard0: Vec<u64> = (0..1000u64)
-            .filter(|&k| CoveringMemo::shard_index(k) == 0)
-            .take(2)
-            .collect();
-        memo.get_or_insert_with(shard0[0], &[1], || union(&[]));
-        memo.get_or_insert_with(shard0[1], &[2], || union(&[]));
-        // The first key was evicted; probing it recomputes.
-        let mut computed = false;
-        memo.get_or_insert_with(shard0[0], &[1], || {
-            computed = true;
-            union(&[])
-        });
-        assert!(computed);
-        assert!(
-            memo.stats().evictions >= 1,
-            "capacity eviction must be counted: {:?}",
-            memo.stats()
-        );
-    }
-
-    #[test]
-    fn full_shard_evicts_exactly_its_oldest_entry() {
-        let memo = CoveringMemo::new(2 * MEMO_SHARDS); // two entries per shard
-        let keys: Vec<u64> = (0..1000u64)
-            .filter(|&k| CoveringMemo::shard_index(k) == 3)
-            .take(3)
-            .collect();
-        for &k in &keys {
+    fn a_full_memo_evicts_exactly_its_oldest_entry() {
+        let memo = CoveringMemo::new(2);
+        for k in 0..3u64 {
             memo.get_or_insert_with(k, &[k], || union(&[]));
         }
         assert_eq!(memo.stats().evictions, 1, "one insert past capacity");
         assert_eq!(memo.len(), 2);
         // The two younger entries are resident, the oldest is gone (probed
         // last: its miss re-inserts it and evicts the next-oldest).
-        for (i, resident) in [(1, true), (2, true), (0, false)] {
-            let (_, hit) = memo.get_or_insert_with_hit(keys[i], &[keys[i]], || union(&[]));
-            assert_eq!(hit, resident, "key #{i}");
+        for (k, resident) in [(1, true), (2, true), (0, false)] {
+            let (_, hit) = memo.get_or_insert_with_hit(k, &[k], || union(&[]));
+            assert_eq!(hit, resident, "key {k}");
         }
         assert_eq!(memo.stats().evictions, 2);
+    }
+
+    #[test]
+    fn a_stream_over_the_entry_bound_is_covered_and_not_memoised() {
+        let memo = CoveringMemo::new(16);
+        let long = vec![7u64; MAX_ENTRY_BYTES / 8 + 1];
+        for _ in 0..2 {
+            let (_, hit) = memo.get_or_insert_with_hit(1, &long, || union(&[]));
+            assert!(!hit);
+        }
+        assert!(memo.is_empty());
+        assert_eq!(memo.stats().misses, 2);
+        let fits = vec![7u64; MAX_ENTRY_BYTES / 8];
+        memo.get_or_insert_with(2, &fits, || union(&[]));
+        assert_eq!(memo.len(), 1, "a stream of exactly the bound is memoised");
     }
 
     #[test]

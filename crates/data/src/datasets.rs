@@ -145,22 +145,19 @@ struct SiteSet {
 
 impl SiteSet {
     fn generate(hotspots: &[Hotspot], sites_per_weight: f64, rng: &mut StdRng) -> SiteSet {
-        let mut sites = Vec::new();
-        let mut weights = Vec::new();
+        let per_hotspot = |h: &Hotspot| ((h.weight * sites_per_weight) as usize).max(8);
+        let n: usize = hotspots.iter().map(per_hotspot).sum();
+        let mut sites = Vec::with_capacity(n);
+        let mut cumulative = Vec::with_capacity(n);
+        let mut acc = 0.0;
         for h in hotspots {
-            let k = ((h.weight * sites_per_weight) as usize).max(8);
-            for rank in 0..k {
+            for rank in 0..per_hotspot(h) {
                 sites.push(h.sample(rng));
                 // Zipf-ish popularity within the hotspot, scaled by the
                 // hotspot's own weight.
-                weights.push(h.weight / (rank as f64 + 1.0).powf(0.8));
+                acc += h.weight / (rank as f64 + 1.0).powf(0.8);
+                cumulative.push(acc);
             }
-        }
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for w in weights {
-            acc += w;
-            cumulative.push(acc);
         }
         SiteSet { sites, cumulative }
     }

@@ -73,6 +73,9 @@ impl RawTable {
     pub fn reserve(&mut self, n: usize) {
         self.xs.reserve(n);
         self.ys.reserve(n);
+        for col in &mut self.columns {
+            col.reserve(n);
+        }
     }
 
     /// The attribute columns.

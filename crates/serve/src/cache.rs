@@ -3,7 +3,8 @@
 //! The key is computed by `geoblocks::api::body_cache_key`: a 64-bit
 //! FNV-1a hash of the *encoded request* (polygon vertices by bit
 //! pattern plus the aggregate spec) mixed with the server's filter key;
-//! update requests are never cached (the key function returns `None`).
+//! update requests, and bodies over `geoblocks::MAX_ENTRY_BYTES`, are
+//! never cached (the key function returns `None`).
 //! FNV-1a is not collision-resistant, and a request carries free f64
 //! bits, so two requests can share a key: the server stores the request
 //! body beside its reply (`V` is an `Arc` of both), and a lookup takes an

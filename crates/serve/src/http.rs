@@ -341,7 +341,7 @@ impl HttpResponse {
 }
 
 /// Reason phrase for the status codes this server emits.
-pub fn status_text(status: u16) -> &'static str {
+fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

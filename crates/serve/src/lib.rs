@@ -23,7 +23,8 @@
 //! * **Result cache** — replies for SELECT/COUNT are cached by query
 //!   shape (wire-hash of polygon + spec, mixed with the server's filter
 //!   key) beside the request body they answer, served only to a request
-//!   with that very body, bounded by TTL and capacity, and validated
+//!   with that very body, bounded by TTL, capacity and the size of the
+//!   body (`geoblocks::MAX_ENTRY_BYTES`), and validated
 //!   against the engine's *data epoch* on every lookup — an `apply_updates` commit
 //!   invalidates transactionally because the epoch and the new data
 //!   become visible in one atomic state swap (see [`cache`]). Only
@@ -812,6 +813,33 @@ pub(crate) mod tests {
         assert_eq!(server.handle(&post("/v1/select", a)).body, want_a);
         assert_eq!(server.cache().len(), 1);
         assert_eq!(server.cache().stats().hits, 1);
+    }
+
+    #[test]
+    fn a_request_over_the_entry_bound_is_answered_and_not_cached() {
+        let server = test_server(0.0, 64);
+        // 65 536 copies of one point: a 1 MiB body and a 1 MiB vertex stream.
+        let request = QueryRequest::Select {
+            polygon: Polygon::new(vec![Point::new(41.5, 37.25); 1 << 16]),
+            spec: AggSpec::new(vec![gb_data::AggRequest::new(gb_data::AggFunc::Count, 0)]),
+        };
+        let body = api::encode_request(&request);
+        assert!(body.len() > 1 << 20, "{} B", body.len());
+        for round in 1..=2 {
+            let got = server.handle(&post("/v1/select", body.clone()));
+            assert_eq!(got.status, 200);
+            assert_eq!(
+                got.body,
+                api::encode_reply(&server.engine().query(&request))
+            );
+            assert_eq!(server.cache().len(), 0, "the reply was cached");
+            let memo = server.engine().memo_stats();
+            assert_eq!(
+                (memo.hits, memo.misses),
+                (0, 2 * round),
+                "the covering was memoised"
+            );
+        }
     }
 
     #[test]

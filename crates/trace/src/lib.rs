@@ -21,7 +21,7 @@
 //!   span, so a sampled request reads the clock a handful of times and
 //!   its stage times add up to no more than its wall time.
 //! * Completed sampled traces land in per-stage [`LatencyHistogram`]s
-//!   (one observation per request per touched stage) and in a sharded
+//!   (one observation per request per touched stage) and in a
 //!   ring-buffer flight recorder holding the last [`RECORDER_CAPACITY`]
 //!   requests. Requests whose *total* latency crosses `GB_SLOW_US` are
 //!   retained in a separate slow lane (the last [`SLOW_CAPACITY`])
@@ -281,49 +281,35 @@ thread_local! {
     static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
 }
 
-/// Ring shard count — requests rotate across shards so concurrent
-/// completions contend on different locks.
-const RECORDER_SHARDS: usize = 4;
-
-/// A sharded bounded ring of completed traces. Push rotates across
-/// shards via a relaxed ticket; snapshot re-sorts by completion seq.
+/// A bounded ring of completed traces: one lane of the recorder. The
+/// lock is a leaf held for one push or one copy, and only sampled (1 in
+/// 64 by default) or slow requests push, so one ring per lane is enough.
 #[derive(Debug)]
 struct FlightRecorder {
-    ring: Vec<OrderedMutex<VecDeque<RequestTrace>>>,
-    per_shard: usize,
-    rotor: Counter,
+    ring: OrderedMutex<VecDeque<RequestTrace>>,
+    capacity: usize,
 }
 
 impl FlightRecorder {
     fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            ring: (0..RECORDER_SHARDS)
-                .map(|_| OrderedMutex::new("traces", rank::LEAF, VecDeque::new()))
-                .collect(),
-            per_shard: capacity.div_ceil(RECORDER_SHARDS),
-            rotor: Counter::new(),
+            ring: OrderedMutex::new("traces", rank::LEAF, VecDeque::new()),
+            capacity,
         }
     }
 
     fn push(&self, trace: RequestTrace) {
-        if self.ring.is_empty() {
-            return;
+        let mut ring = self.ring.lock();
+        if ring.len() >= self.capacity {
+            ring.pop_front();
         }
-        let idx = self.rotor.next() as usize % self.ring.len();
-        if let Some(traces) = self.ring.get(idx) {
-            let mut shard = traces.lock();
-            while shard.len() >= self.per_shard {
-                shard.pop_front();
-            }
-            shard.push_back(trace);
-        }
+        ring.push_back(trace);
     }
 
+    /// The ring oldest-first by `seq`: a request takes its `seq` before
+    /// it pushes, so two racing requests may push out of `seq` order.
     fn snapshot(&self) -> Vec<RequestTrace> {
-        let mut all: Vec<RequestTrace> = Vec::new();
-        for traces in &self.ring {
-            all.extend(traces.lock().iter().cloned());
-        }
+        let mut all: Vec<RequestTrace> = self.ring.lock().iter().cloned().collect();
         all.sort_by_key(|t| t.seq);
         all
     }
@@ -716,7 +702,7 @@ mod tests {
             let _req = t.begin_request("select");
         }
         let traces = t.recent();
-        assert!(traces.len() <= RECORDER_CAPACITY);
+        assert_eq!(traces.len(), RECORDER_CAPACITY);
         assert!(traces.windows(2).all(|w| w[0].seq < w[1].seq));
         let oldest_kept = (pushed - RECORDER_CAPACITY) as u64;
         assert!(

@@ -1,5 +1,5 @@
-//! The work ratchet: what a seeded block costs in bytes, what its set-up
-//! allocates, what 64 seeded SELECTs and COUNTs cost in record searches
+//! The work ratchet: what a seeded block costs in bytes, what generating
+//! its rows and its set-up allocate, what 64 seeded SELECTs and COUNTs cost in record searches
 //! and reads, what the paper's query cache (`gb_baselines::BlockQcIndex`)
 //! learns from them and holds, what an 8-row update allocates, and what
 //! one snapshot save and one load allocate, asserted against recorded
@@ -89,6 +89,12 @@ const COUNT_SEARCHES: usize = 10_293;
 /// COUNT's `QueryStats::cells_combined` summed over the polygons: one
 /// record read per covering cell with data, as for SELECT.
 const COUNT_CELLS_COMBINED: usize = 4_689;
+/// Ceiling on the bytes `datasets::nyc_taxi` allocates: the pickup sites
+/// and their cumulative weights, the two coordinate columns and the seven
+/// attribute columns, each allocated once at its final length (43 809 024
+/// B while the sites, their weights and every attribute column grew by
+/// doubling).
+const MAX_GENERATE_BYTES: usize = 14_400_000;
 /// Ceiling on the bytes `extract` allocates: each chunk's pairs, the key
 /// column and the permutation, and the gathered columns.
 const MAX_EXTRACT_BYTES: usize = 9_956_320;
@@ -128,13 +134,17 @@ const MAX_LOAD_BYTES: usize = 23_405_600;
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
     let started = Instant::now();
-    let ds = datasets::nyc_taxi(ROWS, SEED);
+    let (ds, generate_bytes) = allocated(|| datasets::nyc_taxi(ROWS, SEED));
     let rules = datasets::nyc_cleaning_rules();
     let (extracted, extract_bytes) = allocated(|| extract(&ds.raw, ds.grid, &rules, None));
     let base = extracted.base;
     let ((block, _), build_bytes) = allocated(|| build(&base, LEVEL, &Filter::all()));
     let built = started.elapsed();
     assert!(built.as_secs_f64() < 2.0, "set-up took {built:?}");
+    assert!(
+        generate_bytes <= MAX_GENERATE_BYTES,
+        "generating the rows allocated {generate_bytes} B, over the recorded {MAX_GENERATE_BYTES}"
+    );
     assert!(
         extract_bytes <= MAX_EXTRACT_BYTES,
         "extract allocated {extract_bytes} B, over the recorded {MAX_EXTRACT_BYTES}"
