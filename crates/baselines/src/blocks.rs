@@ -206,7 +206,8 @@ pub struct BlockQcIndex {
 
 impl BlockQcIndex {
     /// The scan over `block`, with a cache budget of `threshold` × its
-    /// cell-aggregate bytes (Figure 18's aggregate threshold). The cache
+    /// cell-aggregate bytes (Figure 18's aggregate threshold), counted as
+    /// the paper's Block stores them: one full record per cell. The cache
     /// starts empty.
     pub fn new(block: GeoBlock, threshold: f64) -> Self {
         BlockQcIndex {

@@ -77,8 +77,11 @@ proptest! {
             if threshold == 0.0 {
                 prop_assert_eq!(qc.num_cached(), 0);
             }
-            // The budget is spent on the best-ranked queried cells.
-            let budget = (threshold * block.aggregate_bytes() as f64) as usize;
+            // The budget is spent on the best-ranked queried cells. It is
+            // charged in full records, as the paper's Block stores every
+            // cell, whatever the block's own layout stores.
+            let full = block.num_cells() * block.record_bytes();
+            let budget = (threshold * full as f64) as usize;
             let fits = budget / block.record_bytes();
             prop_assert_eq!(qc.num_cached(), fits.min(qc.tracked_cells()));
             if qc.num_cached() == qc.tracked_cells() {

@@ -19,7 +19,7 @@ use gb_data::{
     datasets, extract, extract_filtered, polygons, AggSpec, BaseTable, CmpOp, Filter, Rows,
     Workload,
 };
-use geoblocks::build;
+use geoblocks::{build, GeoBlock};
 use std::time::Duration;
 
 /// Number of neighborhood polygons in the primary workload (the NYC NTA
@@ -197,6 +197,11 @@ pub fn fig11b(ctx: &Ctx) -> Report {
             fmt::percent(bytes as f64 / base_bytes as f64),
         ]);
     }
+    rep.note(format!(
+        "Block's bytes are as stored: {} of its {} cells hold one row, stored as one value per column.",
+        fmt::percent(single_share(bl.block())),
+        bl.block().num_cells()
+    ));
     rep.row(vec![
         "aRTree".into(),
         fmt::bytes(ar.index_bytes()),
@@ -219,6 +224,7 @@ pub fn fig11c_table2(ctx: &Ctx) -> Report {
         "sorting ms",
         "building ms",
         "cells",
+        "single-row cells",
         "aggregate overhead",
         "with pyramid",
     ]);
@@ -236,11 +242,23 @@ pub fn fig11c_table2(ctx: &Ctx) -> Report {
             ms(sort_ms),
             ms(bstats.build_time),
             block.num_cells().to_string(),
+            fmt::percent(single_share(&block)),
             fmt::percent(block.aggregate_bytes() as f64 / ex.base.memory_bytes() as f64),
             fmt::percent(block.memory_bytes() as f64 / ex.base.memory_bytes() as f64),
         ]);
     }
+    rep.note(
+        "A single-row cell stores its one value per column instead of min, max and sum; \
+         both overheads count the bytes as stored.",
+    );
     rep
+}
+
+/// The share of `block`'s cells that hold one row and are stored as one
+/// value per column.
+fn single_share(block: &GeoBlock) -> f64 {
+    let records = block.layers().last().expect("a block holds its records");
+    records.num_singles() as f64 / records.num_cells().max(1) as f64
 }
 
 /// Figure 12: query runtime vs selectivity for all six approaches.

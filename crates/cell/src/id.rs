@@ -100,7 +100,7 @@ impl CellId {
 
     /// The 60-bit curve position of this cell's first leaf.
     #[inline]
-    pub fn leaf_pos(self) -> u64 {
+    fn leaf_pos(self) -> u64 {
         self.range_min().0 >> 1
     }
 

@@ -14,8 +14,8 @@
 //! and every call site in this workspace had settled on
 //! `unwrap_or_else(PoisonError::into_inner)` — so `.lock()`, `.read()`
 //! and `.write()` do that recovery internally and hand back the guard
-//! directly. `is_poisoned` still reports the flag for tests that
-//! exercise the poisoned paths.
+//! directly. The lock's own tests read the flag to show the poisoned
+//! paths stay serviceable.
 
 pub mod backend;
 
@@ -133,12 +133,6 @@ impl<T> OrderedMutex<T> {
         }
     }
 
-    /// Whether a previous holder panicked. Recovery is automatic; this
-    /// exists for tests that assert the poisoned paths stay serviceable.
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
-
     /// The lock's name in the declared order table.
     pub fn name(&self) -> &'static str {
         self.name
@@ -220,8 +214,11 @@ impl<T> OrderedRwLock<T> {
         }
     }
 
-    /// Whether a previous writer panicked (see [`OrderedMutex::is_poisoned`]).
-    pub fn is_poisoned(&self) -> bool {
+    /// Whether a previous writer panicked. Recovery is automatic; this
+    /// exists for the test that asserts the poisoned paths stay
+    /// serviceable.
+    #[cfg(test)]
+    fn is_poisoned(&self) -> bool {
         self.inner.is_poisoned()
     }
 

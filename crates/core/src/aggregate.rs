@@ -43,7 +43,8 @@ impl AggPlan {
 }
 
 /// A borrowed cell-aggregate record — tuple count plus per-column
-/// min/max/sum slices — as every [`crate::Layer`] of a block stores it.
+/// min/max/sum slices — as every [`crate::Layer`] of a block hands it
+/// out; a single's three slices are its one value per column.
 /// [`crate::GeoBlock`] hands out the canonical record of any aligned cell
 /// in this form, and each block-level record under a cell
 /// ([`crate::GeoBlock::records_under`]).

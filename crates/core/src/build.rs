@@ -13,11 +13,12 @@
 //! the pool from the machine and the input, [`build_parallel`] takes the
 //! thread count from its caller. Chunk boundaries are aligned to
 //! block-level cell boundaries, so no cell is ever split across workers.
-//! A first pass over each chunk counts its cells, the block-level layer is
+//! A first pass over each chunk counts its cells and marks which of them
+//! are singles (`Layer`'s record of one tuple), the block-level layer is
 //! allocated once at its exact size, and each chunk then fills its own
 //! disjoint share of it: every cell aggregate is folded by exactly one
 //! thread, column by column in base-row order with the per-tuple steps of
-//! `Layer::add_tuple`, so the block is **bit-identical** at every thread
+//! `Record::add_tuple`, so the block is **bit-identical** at every thread
 //! count (see `parallel_build_is_bit_identical`) and to the per-tuple fold
 //! (`records_are_the_per_tuple_fold_bit_for_bit`). Everything coarser —
 //! the layers up to the root record, which is the global header — is
@@ -26,7 +27,7 @@
 
 use crate::block::GeoBlock;
 use crate::gallop;
-use crate::layer::{fold_column, Layer};
+use crate::layer::{append_bits, bit, fold_column, tuple_is_single, Layer};
 use gb_cell::MAX_LEVEL;
 use gb_common::Pool;
 use gb_data::{BaseTable, Filter, Rows};
@@ -103,42 +104,64 @@ pub fn build_parallel(
     build_on(&Pool::new(threads), base, level, filter)
 }
 
+/// What the count pass finds in one cell-aligned row range: how many
+/// records it writes, and which of them are singles, one bit each as
+/// [`Layer`]'s marks flag them.
+#[derive(Default)]
+struct Pass {
+    cells: usize,
+    marks: Vec<u64>,
+}
+
 /// The records of one cell-aligned row range: its share of the block-level
 /// layer, which it alone writes.
 struct Share<'a> {
     n_cols: usize,
+    /// The range's [`Pass`] marks: record `i` of the share is a single iff
+    /// its bit is set.
+    marks: &'a [u64],
     keys: &'a mut [u64],
     counts: &'a mut [u64],
+    singles: &'a mut [f64],
     mins: &'a mut [f64],
     maxs: &'a mut [f64],
     sums: &'a mut [f64],
+    /// Singles written so far.
+    written: usize,
 }
 
 impl<'a> Share<'a> {
-    /// Cut `records` into consecutive shares of `cells[i]` records each.
-    fn split(records: &'a mut Layer, cells: &[usize]) -> Vec<Share<'a>> {
+    /// Cut `records` into consecutive shares, one per count pass, each of
+    /// its pass's records, singles apart.
+    fn split(records: &'a mut Layer, passes: &'a [Pass]) -> Vec<Share<'a>> {
         let n_cols = records.n_cols;
         let (mut keys, mut counts) = (&mut records.keys[..], &mut records.counts[..]);
-        let (mut mins, mut maxs) = (&mut records.mins[..], &mut records.maxs[..]);
-        let mut sums = &mut records.sums[..];
+        let (mut singles, mut mins) = (&mut records.singles[..], &mut records.mins[..]);
+        let (mut maxs, mut sums) = (&mut records.maxs[..], &mut records.sums[..]);
         fn front<'a, T>(column: &mut &'a mut [T], n: usize) -> &'a mut [T] {
             column.split_off_mut(..n).expect("the shares fit the layer")
         }
-        cells
+        passes
             .iter()
-            .map(|&n| Share {
-                n_cols,
-                keys: front(&mut keys, n),
-                counts: front(&mut counts, n),
-                mins: front(&mut mins, n * n_cols),
-                maxs: front(&mut maxs, n * n_cols),
-                sums: front(&mut sums, n * n_cols),
+            .map(|pass| {
+                let (n, one) = (pass.cells, pass.singles());
+                Share {
+                    n_cols,
+                    marks: &pass.marks,
+                    keys: front(&mut keys, n),
+                    counts: front(&mut counts, n),
+                    singles: front(&mut singles, one * n_cols),
+                    mins: front(&mut mins, (n - one) * n_cols),
+                    maxs: front(&mut maxs, (n - one) * n_cols),
+                    sums: front(&mut sums, (n - one) * n_cols),
+                    written: 0,
+                }
             })
             .collect()
     }
 
     /// Record `i`: cell `key`, folded from `base`'s `rows` in row order,
-    /// column by column.
+    /// column by column, into the kind its mark says.
     fn put(
         &mut self,
         i: usize,
@@ -148,11 +171,26 @@ impl<'a> Share<'a> {
     ) {
         self.keys[i] = key;
         self.counts[i] = rows.len() as u64;
+        let single = bit(self.marks, i);
+        let c = self.n_cols;
         for (col, column) in base.columns().iter().enumerate() {
             let (min, max, sum) = fold_column(rows.clone().map(|r| column[r]));
-            let at = i * self.n_cols + col;
-            (self.mins[at], self.maxs[at], self.sums[at]) = (min, max, sum);
+            if single {
+                debug_assert!(min.to_bits() == sum.to_bits() && max.to_bits() == sum.to_bits());
+                self.singles[self.written * c + col] = sum;
+            } else {
+                let at = (i - self.written) * c + col;
+                (self.mins[at], self.maxs[at], self.sums[at]) = (min, max, sum);
+            }
         }
+        self.written += usize::from(single);
+    }
+}
+
+impl Pass {
+    /// Singles among the pass's records.
+    fn singles(&self) -> usize {
+        self.marks.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -192,6 +230,7 @@ fn sweep(base: &BaseTable, level: u8, filter: &Filter, rows: Range<usize>, out: 
         i += 1;
     }
     debug_assert_eq!(i, out.keys.len(), "the count pass and the sweep agree");
+    debug_assert_eq!(out.written * out.n_cols, out.singles.len());
 }
 
 /// The build on `pool`. The block does not depend on the pool's size:
@@ -204,17 +243,26 @@ fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBl
     let timer = gb_common::Timer::start();
     let cuts = cell_aligned_boundaries(base, level, pool.threads());
     let ranges = || cuts.windows(2).map(|cut| cut[0]..cut[1]);
-    // The first pass: how many records each range writes.
-    let counts = pool.run(ranges(), |range| {
-        cells(base.keys(), level, range)
-            .filter(|(_, rows)| {
-                filter.is_trivial() || rows.clone().any(|r| filter.matches(base, r))
-            })
-            .count()
+    // The first pass: which records each range writes — a cell with a
+    // kept row — and which of them are singles (one kept row, `is_single`).
+    let passes = pool.run(ranges(), |range| {
+        let mut pass = Pass::default();
+        for (_, rows) in cells(base.keys(), level, range) {
+            let mut kept = rows.filter(|&r| filter.is_trivial() || filter.matches(base, r));
+            let Some(row) = kept.next() else {
+                continue;
+            };
+            let values = base.columns().iter().map(|column| column[row]);
+            let single = kept.next().is_none() && tuple_is_single(values);
+            append_bits(&mut pass.marks, pass.cells, &[u64::from(single)], 0..1);
+            pass.cells += 1;
+        }
+        pass
     });
-    let mut records = Layer::zeroed(level, base.schema().len(), counts.iter().sum());
+    let parts: Vec<(&[u64], usize)> = passes.iter().map(|p| (&p.marks[..], p.cells)).collect();
+    let mut records = Layer::zeroed(level, base.schema().len(), &parts);
     // Each task owns its share of the layer and its range of rows.
-    let shares = Share::split(&mut records, &counts);
+    let shares = Share::split(&mut records, &passes);
     pool.run(shares.into_iter().zip(ranges()), |(mut share, range)| {
         sweep(base, level, filter, range, &mut share);
     });
@@ -232,6 +280,7 @@ fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Record;
     use gb_cell::{CellId, CellUnion, Grid};
     use gb_data::{
         extract, AggFunc, AggRequest, AggSpec, CleaningRules, CmpOp, ColumnDef, RawTable, Schema,
@@ -277,6 +326,8 @@ mod tests {
             assert_eq!(la.level, lb.level);
             assert_eq!(la.keys, lb.keys);
             assert_eq!(la.counts, lb.counts);
+            assert_eq!(la.marks, lb.marks);
+            assert_eq!(bits(&la.singles), bits(&lb.singles));
             assert_eq!(bits(&la.mins), bits(&lb.mins));
             assert_eq!(bits(&la.maxs), bits(&lb.maxs));
             assert_eq!(bits(&la.sums), bits(&lb.sums), "level {}", la.level);
@@ -388,16 +439,25 @@ mod tests {
     }
 
     /// The block-level records the per-tuple steps fold, the steps a §5
-    /// update takes for a fresh cell: `push_empty` at each new cell, then
-    /// one `add_tuple` per kept row, in base-row order.
+    /// update takes for a fresh cell: `Record::empty` at each new cell,
+    /// one `add_tuple` per kept row, in base-row order, then `push`.
     fn per_tuple_records(base: &BaseTable, level: u8, filter: &Filter) -> Layer {
-        let mut out = Layer::with_capacity(level, base.schema().len(), 0);
+        let n_cols = base.schema().len();
+        let mut out = Layer::with_capacity(level, n_cols, 0, 0);
+        let mut open: Option<(u64, Record)> = None;
         for row in (0..base.num_rows()).filter(|&r| filter.matches(base, r)) {
             let cell = CellId::from_raw(base.keys()[row]).parent_at(level).raw();
-            if out.keys.last() != Some(&cell) {
-                out.push_empty(cell);
+            if open.as_ref().is_none_or(|(key, _)| *key != cell) {
+                if let Some((key, record)) = open.take() {
+                    out.push(key, record.as_ref());
+                }
+                open = Some((cell, Record::empty(n_cols)));
             }
-            out.add_tuple(out.num_cells() - 1, |col| base.value_f64(row, col));
+            let (_, record) = open.as_mut().unwrap();
+            record.add_tuple(|col| base.value_f64(row, col));
+        }
+        if let Some((key, record)) = open {
+            out.push(key, record.as_ref());
         }
         out
     }
@@ -446,6 +506,8 @@ mod tests {
                     let case = format!("level {level}, {threads} threads, {filter:?}");
                     assert_eq!(got.keys, want.keys, "{case}");
                     assert_eq!(got.counts, want.counts, "{case}");
+                    assert_eq!(got.marks, want.marks, "{case}");
+                    assert_eq!(bits(&got.singles), bits(&want.singles), "{case}");
                     assert_eq!(bits(&got.mins), bits(&want.mins), "{case}");
                     assert_eq!(bits(&got.maxs), bits(&want.maxs), "{case}");
                     assert_eq!(bits(&got.sums), bits(&want.sums), "{case}");

@@ -43,9 +43,21 @@ use gb_store::{ByteReader, ByteWriter, SnapshotError};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
+/// Records per word of [`Layer`]'s marks, and per entry of its rank.
+const WORD: usize = 64;
+
 /// Cell aggregates at a single level, struct-of-arrays, sorted by key: per
 /// non-empty cell its id, its tuple count and per-column min/max/sum (§3.4)
 /// — aggregates only, no link back to the tuples they came from.
+///
+/// A record comes in one of two kinds, by one rule (`is_single`): a
+/// *single* holds one tuple whose min, max and sum are the same bits in
+/// every column, and keeps that one value per column in `singles`; every
+/// other record is *full* and keeps its minima, maxima and sums in `mins`,
+/// `maxs` and `sums`. `marks` flags the singles and `rank` counts them per
+/// 64 records, so a record's slot in either kind's arrays is one lookup
+/// and one popcount away. Keys and counts stay one entry per record, so
+/// no read of those sees the split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// The cell level of this layer.
@@ -56,40 +68,69 @@ pub struct Layer {
     pub(crate) keys: Vec<u64>,
     /// Tuples per cell.
     pub(crate) counts: Vec<u64>,
-    /// Per-column minima, flattened `cell × column`.
+    /// Bit `i % 64` of word `i / 64` is set iff record `i` is a single;
+    /// the bits past the last record are clear.
+    pub(crate) marks: Vec<u64>,
+    /// Per word `w` of `marks`: the singles among records `0..64·w`.
+    /// Derived from `marks`, never stored.
+    rank: Vec<u32>,
+    /// The singles' values, flattened `single × column`.
+    pub(crate) singles: Vec<f64>,
+    /// Per-column minima of the full records, flattened `full × column`.
     pub(crate) mins: Vec<f64>,
-    /// Per-column maxima, flattened `cell × column`.
+    /// Per-column maxima of the full records, flattened `full × column`.
     pub(crate) maxs: Vec<f64>,
-    /// Per-column sums, flattened `cell × column`.
+    /// Per-column sums of the full records, flattened `full × column`.
     pub(crate) sums: Vec<f64>,
 }
 
 impl Layer {
-    /// An empty layer with room for `cells` records.
-    pub(crate) fn with_capacity(level: u8, n_cols: usize, cells: usize) -> Layer {
+    /// An empty layer with room for `cells` records, `singles` of them
+    /// singles.
+    pub(crate) fn with_capacity(level: u8, n_cols: usize, cells: usize, singles: usize) -> Layer {
+        let (words, full) = (cells.div_ceil(WORD), cells.saturating_sub(singles) * n_cols);
         Layer {
             level,
             n_cols,
             keys: Vec::with_capacity(cells),
             counts: Vec::with_capacity(cells),
-            mins: Vec::with_capacity(cells * n_cols),
-            maxs: Vec::with_capacity(cells * n_cols),
-            sums: Vec::with_capacity(cells * n_cols),
+            marks: Vec::with_capacity(words),
+            rank: Vec::with_capacity(words),
+            singles: Vec::with_capacity(singles * n_cols),
+            mins: Vec::with_capacity(full),
+            maxs: Vec::with_capacity(full),
+            sums: Vec::with_capacity(full),
         }
     }
 
-    /// A layer of `cells` all-zero records, for a producer that writes
-    /// every one of them in place.
-    pub(crate) fn zeroed(level: u8, n_cols: usize, cells: usize) -> Layer {
-        Layer {
+    /// A layer of all-zero records, for a producer that writes every one
+    /// of them in place: `parts` in order, each `(marks, cells)` a run of
+    /// `cells` records whose singles `marks` flags as a layer's own marks
+    /// do.
+    pub(crate) fn zeroed(level: u8, n_cols: usize, parts: &[(&[u64], usize)]) -> Layer {
+        let cells = parts.iter().map(|&(_, n)| n).sum::<usize>();
+        let mut marks = Vec::with_capacity(cells.div_ceil(WORD));
+        let mut len = 0;
+        for &(part, n) in parts {
+            append_bits(&mut marks, len, part, 0..n);
+            len += n;
+        }
+        let singles = marks.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let full = (cells - singles) * n_cols;
+        let mut out = Layer {
             level,
             n_cols,
             keys: vec![0; cells],
             counts: vec![0; cells],
-            mins: vec![0.0; cells * n_cols],
-            maxs: vec![0.0; cells * n_cols],
-            sums: vec![0.0; cells * n_cols],
-        }
+            rank: Vec::with_capacity(marks.len()),
+            marks,
+            singles: vec![0.0; singles * n_cols],
+            mins: vec![0.0; full],
+            maxs: vec![0.0; full],
+            sums: vec![0.0; full],
+        };
+        out.sync_rank();
+        out
     }
 
     /// Number of non-empty cells in this layer.
@@ -98,27 +139,108 @@ impl Layer {
         self.keys.len()
     }
 
-    /// Bytes of one record: key (8) + count (8) + 3 × 8 per column.
+    /// Number of singles: records of one tuple, stored as one value per
+    /// column.
+    pub fn num_singles(&self) -> usize {
+        self.singles_before(self.keys.len())
+    }
+
+    /// Bytes of one full record: key (8) + count (8) + 3 × 8 per column.
     #[inline]
     pub(crate) fn record_bytes(&self) -> usize {
         16 + 24 * self.n_cols
     }
 
-    /// Heap bytes of the records.
+    /// Heap bytes of the records: keys, counts, both kinds' values, the
+    /// marks and their rank.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.keys.len() * self.record_bytes()
+        8 * self.stored_words() + 4 * self.rank.len()
     }
 
-    /// Record `i`.
+    /// The 8-byte words of every stored array: all but the rank.
+    fn stored_words(&self) -> usize {
+        let values = self.singles.len() + self.mins.len() + self.maxs.len() + self.sums.len();
+        self.keys.len() + self.counts.len() + self.marks.len() + values
+    }
+
+    /// Is record `i` a single?
+    #[inline]
+    fn is_marked(&self, i: usize) -> bool {
+        bit(&self.marks, i)
+    }
+
+    /// The singles among records `0..i`: the rank of `i`.
+    #[inline]
+    fn singles_before(&self, i: usize) -> usize {
+        let (w, bit) = (i / WORD, i % WORD);
+        match (self.rank.get(w), self.marks.get(w)) {
+            (Some(&before), Some(&word)) => {
+                before as usize + (word & ((1u64 << bit) - 1)).count_ones() as usize
+            }
+            // `i` starts a word no record reaches yet: every word before
+            // it is whole.
+            _ => w.checked_sub(1).map_or(0, |last| {
+                self.rank[last] as usize + self.marks[last].count_ones() as usize
+            }),
+        }
+    }
+
+    /// Fill `rank` up to one entry per word of `marks`, each word before
+    /// the last being whole. Wrapping, so untrusted marks cannot panic
+    /// here; [`Layer::validate`] refuses marks the rank would miscount.
+    fn sync_rank(&mut self) {
+        while self.rank.len() < self.marks.len() {
+            let next = match self.rank.len().checked_sub(1) {
+                Some(last) => self.rank[last].wrapping_add(self.marks[last].count_ones()),
+                None => 0,
+            };
+            self.rank.push(next);
+        }
+    }
+
+    /// Record `i`, of which `before` singles precede it, a single iff
+    /// `single`.
+    #[inline]
+    fn record_at(&self, i: usize, before: usize, single: bool) -> RecordRef<'_> {
+        let c = self.n_cols;
+        if single {
+            let one = &self.singles[before * c..(before + 1) * c];
+            RecordRef {
+                count: self.counts[i],
+                mins: one,
+                maxs: one,
+                sums: one,
+            }
+        } else {
+            let slot = i - before;
+            let cols = slot * c..(slot + 1) * c;
+            RecordRef {
+                count: self.counts[i],
+                mins: &self.mins[cols.clone()],
+                maxs: &self.maxs[cols.clone()],
+                sums: &self.sums[cols],
+            }
+        }
+    }
+
+    /// Record `i`. A single reads as its one value per column, which is
+    /// its min, its max and its sum.
     #[inline]
     pub(crate) fn record(&self, i: usize) -> RecordRef<'_> {
-        let cols = i * self.n_cols..(i + 1) * self.n_cols;
-        RecordRef {
-            count: self.counts[i],
-            mins: &self.mins[cols.clone()],
-            maxs: &self.maxs[cols.clone()],
-            sums: &self.sums[cols],
-        }
+        self.record_at(i, self.singles_before(i), self.is_marked(i))
+    }
+
+    /// Records `range`, in key order: one rank for the range's first
+    /// record, then one step per record.
+    #[inline]
+    pub(crate) fn records(&self, range: Range<usize>) -> impl Iterator<Item = RecordRef<'_>> + '_ {
+        let mut before = self.singles_before(range.start);
+        range.map(move |i| {
+            let single = self.is_marked(i);
+            let record = self.record_at(i, before, single);
+            before += usize::from(single);
+            record
+        })
     }
 
     /// The records under the aligned `cell`, which must be at or above
@@ -137,98 +259,111 @@ impl Layer {
         start..*cursor
     }
 
-    /// Append the record of a cell no tuple has reached yet; `key` must
-    /// exceed every key in the layer. Every producer follows it with
-    /// [`Layer::add_tuple`]: a block never stores a zero count.
+    /// Append record `key` with `record`'s aggregates, as a single when
+    /// [`is_single`] says it is one: the one place a producer's record
+    /// enters a layer. `key` must exceed every key in the layer.
     #[inline]
-    pub(crate) fn push_empty(&mut self, key: u64) {
+    pub(crate) fn push(&mut self, key: u64, record: RecordRef<'_>) {
+        debug_assert!(self.keys.last() < Some(&key), "keys must ascend");
+        let i = self.keys.len();
+        if i.is_multiple_of(WORD) {
+            self.marks.push(0);
+            self.sync_rank();
+        }
         self.keys.push(key);
-        self.counts.push(0);
-        self.mins
-            .extend(std::iter::repeat_n(f64::INFINITY, self.n_cols));
-        self.maxs
-            .extend(std::iter::repeat_n(f64::NEG_INFINITY, self.n_cols));
-        self.sums.extend(std::iter::repeat_n(0.0, self.n_cols));
-    }
-
-    /// Fold one tuple, `value_of(col)` per column, into record `i`.
-    #[inline]
-    pub(crate) fn add_tuple(&mut self, i: usize, value_of: impl Fn(usize) -> f64) {
-        self.counts[i] += 1;
-        let cols = i * self.n_cols..(i + 1) * self.n_cols;
-        let (mins, maxs, sums) = (
-            &mut self.mins[cols.clone()],
-            &mut self.maxs[cols.clone()],
-            &mut self.sums[cols],
-        );
-        for col in 0..sums.len() {
-            fold_value(
-                &mut mins[col],
-                &mut maxs[col],
-                &mut sums[col],
-                value_of(col),
-            );
+        self.counts.push(record.count);
+        if is_single(&record) {
+            self.marks[i / WORD] |= 1 << (i % WORD);
+            self.singles.extend_from_slice(record.sums);
+        } else {
+            self.mins.extend_from_slice(record.mins);
+            self.maxs.extend_from_slice(record.maxs);
+            self.sums.extend_from_slice(record.sums);
         }
     }
 
     /// Append records `range` of `other`, whose keys must all exceed every
-    /// key in this layer.
+    /// key in this layer: each kind's values as one slice, the marks a
+    /// word at a time.
     pub(crate) fn extend_from(&mut self, other: &Layer, range: Range<usize>) {
         debug_assert!((self.level, self.n_cols) == (other.level, other.n_cols));
         debug_assert!(
             range.is_empty() || self.keys.last() < other.keys.get(range.start),
             "appended records must keep the keys ascending"
         );
-        let cols = range.start * self.n_cols..range.end * self.n_cols;
+        let c = self.n_cols;
+        let (first, last) = (
+            other.singles_before(range.start),
+            other.singles_before(range.end),
+        );
+        let full = (range.start - first) * c..(range.end - last) * c;
+        append_bits(
+            &mut self.marks,
+            self.keys.len(),
+            &other.marks,
+            range.clone(),
+        );
+        self.sync_rank();
         self.keys.extend_from_slice(&other.keys[range.clone()]);
         self.counts.extend_from_slice(&other.counts[range]);
-        self.mins.extend_from_slice(&other.mins[cols.clone()]);
-        self.maxs.extend_from_slice(&other.maxs[cols.clone()]);
-        self.sums.extend_from_slice(&other.sums[cols]);
+        self.singles
+            .extend_from_slice(&other.singles[first * c..last * c]);
+        self.mins.extend_from_slice(&other.mins[full.clone()]);
+        self.maxs.extend_from_slice(&other.maxs[full.clone()]);
+        self.sums.extend_from_slice(&other.sums[full]);
     }
 
     /// Append the canonical record of the cell at this layer's level that
-    /// holds `src`'s records `group`, which must all lie under it: the
-    /// first seeds the accumulator, the others fold in in key order:
-    /// [`Layer::fold_to`]'s step per group, which is never empty.
-    fn push_fold(&mut self, src: &Layer, group: Range<usize>) {
-        debug_assert!(src.n_cols == self.n_cols && self.level <= src.level);
-        let c = self.n_cols;
-        let cols = self.mins.len()..self.mins.len() + c;
-        self.keys
-            .push(CellId::raw_parent_at(src.keys[group.start], self.level));
-        let seed = group.start * c..(group.start + 1) * c;
-        self.mins.extend_from_slice(&src.mins[seed.clone()]);
-        self.maxs.extend_from_slice(&src.maxs[seed.clone()]);
-        self.sums.extend_from_slice(&src.sums[seed]);
-        let mut count = src.counts[group.start];
-        let (gmins, gmaxs, gsums) = (
-            &mut self.mins[cols.clone()],
-            &mut self.maxs[cols.clone()],
-            &mut self.sums[cols],
-        );
-        for i in group.start + 1..group.end {
-            count += src.counts[i];
-            let base = i * c;
-            for col in 0..c {
-                gmins[col] = gmins[col].min(src.mins[base + col]);
-                gmaxs[col] = gmaxs[col].max(src.maxs[base + col]);
-                gsums[col] += src.sums[base + col];
-            }
+    /// holds the `n` records `records` yields next, which must all lie
+    /// under it: one record is itself, otherwise the first seeds `acc` and
+    /// the others fold in in key order — [`Layer::fold_to`]'s step per
+    /// group, which is never empty.
+    fn push_fold<'a>(
+        &mut self,
+        key: u64,
+        records: &mut impl Iterator<Item = RecordRef<'a>>,
+        n: usize,
+        acc: &mut Record,
+    ) {
+        let Some(first) = records.next() else {
+            return;
+        };
+        if n == 1 {
+            self.push(key, first);
+            return;
         }
-        self.counts.push(count);
+        acc.set(first);
+        for record in records.take(n - 1) {
+            acc.merge(record);
+        }
+        self.push(key, acc.as_ref());
     }
 
     /// The canonical fold: the records of this layer's cells folded in key
     /// order into their ancestors at `level`, one [`Layer::push_fold`] per
     /// ancestor. One level up, this is the cascade's step. The groups are
-    /// counted first, so the layer is allocated once at its exact size.
+    /// counted first, singles apart — a group is a single iff it is one
+    /// single — so the layer is allocated once at its exact size.
     pub(crate) fn fold_to(&self, level: u8) -> Layer {
         debug_assert!(level <= self.level);
-        let mut out = Layer::with_capacity(level, self.n_cols, self.groups(level).count());
+        let (mut cells, mut singles) = (0, 0);
         for group in self.groups(level) {
-            out.push_fold(self, group);
+            cells += 1;
+            singles += usize::from(group.len() == 1 && self.is_marked(group.start));
         }
+        let mut out = Layer::with_capacity(level, self.n_cols, cells, singles);
+        let mut acc = Record::empty(self.n_cols);
+        // One walk over the records: the groups are consecutive.
+        let mut records = self.records(0..self.num_cells());
+        for group in self.groups(level) {
+            let key = CellId::raw_parent_at(self.keys[group.start], level);
+            out.push_fold(key, &mut records, group.len(), &mut acc);
+        }
+        debug_assert_eq!(
+            out.num_singles(),
+            singles,
+            "the count pass and the fold agree"
+        );
         out
     }
 
@@ -252,36 +387,66 @@ impl Layer {
         })
     }
 
-    /// A digest over the level and every array (floats by bit pattern, so
-    /// NaN payloads and signed zeros count): equal digests mean
-    /// bit-identical layers.
+    /// A digest over the level and every logical record (floats by bit
+    /// pattern, so NaN payloads and signed zeros count): the keys, the
+    /// counts, then every record's minima, maxima and sums in record
+    /// order, a single's one value standing for all three. Equal digests
+    /// mean bit-identical records, however they are stored.
     pub fn content_hash(&self) -> u64 {
         let mut h = FxHasher::default();
         self.level.hash(&mut h);
         self.keys.hash(&mut h);
         self.counts.hash(&mut h);
-        for values in [&self.mins, &self.maxs, &self.sums] {
-            for v in values {
-                v.to_bits().hash(&mut h);
+        for part in 0..3 {
+            for record in self.records(0..self.num_cells()) {
+                for v in [record.mins, record.maxs, record.sums][part] {
+                    v.to_bits().hash(&mut h);
+                }
             }
         }
         h.finish()
     }
 
-    /// Check every invariant of the arrays without panicking: lengths are
-    /// cells × columns, keys are well-formed cell ids of this layer's level
-    /// in strictly ascending order, and no record is empty. The gate for
-    /// untrusted input (snapshot loads) before any fold or query touches
-    /// the layer.
+    /// Check every invariant of the arrays without panicking: one mark per
+    /// record, each kind's values cells of that kind × columns, every
+    /// marked record a single and every unmarked one not (the one rule),
+    /// keys well-formed cell ids of this layer's level in strictly
+    /// ascending order, and no record empty. The gate for untrusted input
+    /// (snapshot loads) before any fold or query touches the layer.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let (n, c) = (self.keys.len(), self.n_cols);
         if self.counts.len() != n {
             return Err(format!("{n} keys but {} counts", self.counts.len()));
         }
-        if self.mins.len() != n * c || self.maxs.len() != n * c || self.sums.len() != n * c {
+        if u32::try_from(n).is_err() {
+            return Err(format!("{n} records exceed the rank's u32"));
+        }
+        if self.marks.len() != n.div_ceil(WORD) {
             return Err(format!(
-                "aggregate arrays must hold cells × columns = {} values",
-                n * c
+                "{n} records need {} mark words, found {}",
+                n.div_ceil(WORD),
+                self.marks.len()
+            ));
+        }
+        if self
+            .marks
+            .last()
+            .is_some_and(|&w| n % WORD != 0 && w >> (n % WORD) != 0)
+        {
+            return Err("a mark past the last record".into());
+        }
+        let singles = self.num_singles();
+        if self.singles.len() != singles * c {
+            return Err(format!(
+                "singles must hold marked cells × columns = {} values, found {}",
+                singles * c,
+                self.singles.len()
+            ));
+        }
+        let full = (n - singles) * c;
+        if self.mins.len() != full || self.maxs.len() != full || self.sums.len() != full {
+            return Err(format!(
+                "aggregate arrays must hold unmarked cells × columns = {full} values"
             ));
         }
         if self.level > gb_cell::MAX_LEVEL {
@@ -303,17 +468,33 @@ impl Layer {
             if count == 0 {
                 return Err(format!("empty cell stored at index {i}"));
             }
+            if self.is_marked(i) && count != 1 {
+                return Err(format!("marked record {i} holds {count} tuples, not 1"));
+            }
+        }
+        let single_stored_full =
+            |i: usize| self.counts[i] == 1 && !self.is_marked(i) && is_single(&self.record(i));
+        if let Some(i) = (0..n).find(|&i| single_stored_full(i)) {
+            return Err(format!("record {i} is a single stored full"));
         }
         Ok(())
     }
 
-    /// Serialize the arrays (the snapshot's `CELL` payload).
+    /// Serialize the arrays (the snapshot's `CELL` payload): keys, counts,
+    /// marks, singles, then the full records' minima, maxima and sums.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.u64_slice(&self.keys);
         w.u64_slice(&self.counts);
+        w.u64_slice(&self.marks);
+        w.f64_slice(&self.singles);
         w.f64_slice(&self.mins);
         w.f64_slice(&self.maxs);
         w.f64_slice(&self.sums);
+    }
+
+    /// Bytes [`Layer::encode`] writes: seven length-prefixed arrays.
+    pub(crate) fn encoded_bytes(&self) -> usize {
+        8 * (7 + self.stored_words())
     }
 
     /// Decode what [`Layer::encode`] wrote. The result is untrusted until
@@ -323,15 +504,166 @@ impl Layer {
         level: u8,
         n_cols: usize,
     ) -> Result<Layer, SnapshotError> {
-        Ok(Layer {
+        let mut out = Layer {
             level,
             n_cols,
             keys: r.u64_vec()?,
             counts: r.u64_vec()?,
+            marks: r.u64_vec()?,
+            rank: Vec::new(),
+            singles: r.f64_vec()?,
             mins: r.f64_vec()?,
             maxs: r.f64_vec()?,
             sums: r.f64_vec()?,
-        })
+        };
+        out.rank.reserve_exact(out.marks.len());
+        out.sync_rank();
+        Ok(out)
+    }
+}
+
+/// The one rule of the two kinds: a record is a single iff it holds one
+/// tuple and, column by column, its min, max and sum are the same bits.
+/// One tuple's fold differs only where its value is `-0.0`, whose sum
+/// `0.0 + -0.0` is `+0.0` (or NaN, whose min and max stay ±∞), so such a
+/// record stays full.
+#[inline]
+pub(crate) fn is_single(record: &RecordRef<'_>) -> bool {
+    record.count == 1
+        && (record.mins.iter().zip(record.maxs).zip(record.sums))
+            .all(|((&min, &max), &sum)| same_bits(min, max, sum))
+}
+
+/// Is the record of one tuple of `values`, one per column, a single? The
+/// rule on its [`fold_column`], for a producer that counts its singles
+/// before it folds them.
+pub(crate) fn tuple_is_single(mut values: impl Iterator<Item = f64>) -> bool {
+    values.all(|v| {
+        let (min, max, sum) = fold_column(std::iter::once(v));
+        same_bits(min, max, sum)
+    })
+}
+
+/// One column of [`is_single`]'s rule.
+#[inline]
+fn same_bits(min: f64, max: f64, sum: f64) -> bool {
+    min.to_bits() == sum.to_bits() && max.to_bits() == sum.to_bits()
+}
+
+/// Bit `i` of the bit set `words`, as [`Layer`]'s marks lay it out.
+#[inline]
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
+    words[i / WORD] >> (i % WORD) & 1 == 1
+}
+
+/// Append bits `range` of `src` to the `len`-bit set `dst`, a word at a
+/// time; the bits past the end stay clear.
+pub(crate) fn append_bits(dst: &mut Vec<u64>, mut len: usize, src: &[u64], range: Range<usize>) {
+    let mut from = range.start;
+    while from < range.end {
+        let at = len % WORD;
+        if at == 0 {
+            dst.push(0);
+        }
+        let take = (WORD - at).min(range.end - from);
+        let (w, bit) = (from / WORD, from % WORD);
+        let mut bits = src[w] >> bit;
+        if bit + take > WORD {
+            bits |= src[w + 1] << (WORD - bit);
+        }
+        if take < WORD {
+            bits &= (1u64 << take) - 1;
+        }
+        if let Some(last) = dst.last_mut() {
+            *last |= bits << at;
+        }
+        (len, from) = (len + take, from + take);
+    }
+}
+
+/// One record outside a layer — count, then minima, maxima and sums, one
+/// per column — folded in place before [`Layer::push`] stores it as the
+/// kind it turns out to be.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Record {
+    count: u64,
+    /// Minima, maxima, sums, `n_cols` each.
+    values: Vec<f64>,
+}
+
+impl Record {
+    /// The record of a cell no tuple has reached yet: count 0 and every
+    /// column at `(+∞, −∞, 0.0)`, the start of [`Record::add_tuple`]'s
+    /// fold. A block never stores it.
+    pub(crate) fn empty(n_cols: usize) -> Record {
+        let mut values = vec![f64::INFINITY; n_cols];
+        values.resize(2 * n_cols, f64::NEG_INFINITY);
+        values.resize(3 * n_cols, 0.0);
+        Record { count: 0, values }
+    }
+
+    /// A copy of `record`.
+    pub(crate) fn of(record: RecordRef<'_>) -> Record {
+        let mut out = Record {
+            count: 0,
+            values: Vec::with_capacity(3 * record.sums.len()),
+        };
+        out.set(record);
+        out
+    }
+
+    /// Become a copy of `record`, which has as many columns.
+    fn set(&mut self, record: RecordRef<'_>) {
+        self.count = record.count;
+        self.values.clear();
+        for part in [record.mins, record.maxs, record.sums] {
+            self.values.extend_from_slice(part);
+        }
+    }
+
+    /// Fold `record` in after what this record holds: [`Layer::fold_to`]'s
+    /// step.
+    fn merge(&mut self, record: RecordRef<'_>) {
+        self.count += record.count;
+        let c = record.sums.len();
+        let (mins, rest) = self.values.split_at_mut(c);
+        let (maxs, sums) = rest.split_at_mut(c);
+        for col in 0..c {
+            mins[col] = mins[col].min(record.mins[col]);
+            maxs[col] = maxs[col].max(record.maxs[col]);
+            sums[col] += record.sums[col];
+        }
+    }
+
+    /// Fold one tuple, `value_of(col)` per column, in after what this
+    /// record holds: the per-tuple step of every producer.
+    #[inline]
+    pub(crate) fn add_tuple(&mut self, value_of: impl Fn(usize) -> f64) {
+        self.count += 1;
+        let c = self.values.len() / 3;
+        let (mins, rest) = self.values.split_at_mut(c);
+        let (maxs, sums) = rest.split_at_mut(c);
+        for col in 0..c {
+            fold_value(
+                &mut mins[col],
+                &mut maxs[col],
+                &mut sums[col],
+                value_of(col),
+            );
+        }
+    }
+
+    /// This record, borrowed.
+    pub(crate) fn as_ref(&self) -> RecordRef<'_> {
+        let c = self.values.len() / 3;
+        let (mins, rest) = self.values.split_at(c);
+        let (maxs, sums) = rest.split_at(c);
+        RecordRef {
+            count: self.count,
+            mins,
+            maxs,
+            sums,
+        }
     }
 }
 
@@ -351,8 +683,8 @@ fn fold_value(min: &mut f64, max: &mut f64, sum: &mut f64, v: f64) {
 }
 
 /// One column of a fresh record: `values`, one per tuple in tuple order,
-/// folded into `(min, max, sum)` by the steps [`Layer::push_empty`] and
-/// one [`Layer::add_tuple`] per value take, so bit for bit the same.
+/// folded into `(min, max, sum)` by the steps [`Record::empty`] and one
+/// [`Record::add_tuple`] per value take, so bit for bit the same.
 #[inline]
 pub(crate) fn fold_column(values: impl Iterator<Item = f64>) -> (f64, f64, f64) {
     let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
@@ -362,18 +694,51 @@ pub(crate) fn fold_column(values: impl Iterator<Item = f64>) -> (f64, f64, f64) 
     (min, max, sum)
 }
 
+/// The digest [`Layer::content_hash`] had while every record was stored
+/// full, computed from that layout: the level, the keys, the counts, then
+/// the flattened minima, maxima and sums of every record in turn.
+#[cfg(test)]
+pub(crate) fn full_layout_hash(layer: &Layer) -> u64 {
+    let records: Vec<RecordRef<'_>> = (0..layer.num_cells()).map(|i| layer.record(i)).collect();
+    let flat = |part: fn(&RecordRef<'_>) -> Vec<f64>| -> Vec<f64> {
+        records.iter().flat_map(part).collect()
+    };
+    let (mins, maxs, sums) = (
+        flat(|r| r.mins.to_vec()),
+        flat(|r| r.maxs.to_vec()),
+        flat(|r| r.sums.to_vec()),
+    );
+    let mut h = FxHasher::default();
+    layer.level.hash(&mut h);
+    layer.keys.hash(&mut h);
+    layer.counts.hash(&mut h);
+    for values in [&mins, &maxs, &sums] {
+        for v in values {
+            v.to_bits().hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The record of one tuple of `values`.
+    fn tuple(values: &[f64]) -> Record {
+        let mut r = Record::empty(values.len());
+        r.add_tuple(|col| values[col]);
+        r
+    }
+
     /// Level-2 cells `children` of the level-1 cell `quadrant`, one tuple
-    /// of value `10·quadrant + child` each.
+    /// of value `10·quadrant + child` each: all singles.
     fn layer(cells: &[(u8, u8)]) -> Layer {
-        let mut out = Layer::with_capacity(2, 1, cells.len());
+        let mut out = Layer::with_capacity(2, 1, cells.len(), cells.len());
         for &(quadrant, child) in cells {
-            out.push_empty(CellId::ROOT.child(quadrant).child(child).raw());
-            out.add_tuple(out.num_cells() - 1, |_| f64::from(10 * quadrant + child));
+            let key = CellId::ROOT.child(quadrant).child(child).raw();
+            out.push(key, tuple(&[f64::from(10 * quadrant + child)]).as_ref());
         }
         out
     }
@@ -382,17 +747,84 @@ mod tests {
     fn valid_layer_passes() {
         let l = layer(&[(0, 1), (0, 3), (2, 0)]);
         assert_eq!(l.validate(), Ok(()));
-        assert_eq!(l.memory_bytes(), 3 * 40);
+        assert_eq!(l.num_singles(), 3);
+        // Keys, counts and one value per single; one mark word and its rank.
+        assert_eq!(l.memory_bytes(), 3 * (8 + 8 + 8) + 8 + 4);
     }
 
     #[test]
-    fn validate_rejects_array_lengths_that_are_not_cells_times_columns() {
+    fn a_record_is_a_single_by_the_one_rule() {
+        let bits = |r: RecordRef<'_>| {
+            let all = [r.mins, r.maxs, r.sums].concat();
+            (r.count, all.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let one_tuple = [
+            ([1.5, -2.0], true),
+            ([0.0, 7.0], true),
+            // `0.0 + -0.0` is `+0.0`: min and max keep the sign, the sum
+            // does not.
+            ([1.5, -0.0], false),
+            // A NaN never replaces the fold's ±∞.
+            ([f64::NAN, 1.0], false),
+        ];
+        for (values, single) in one_tuple {
+            assert_eq!(tuple_is_single(values.into_iter()), single, "{values:?}");
+        }
+        assert!(is_single(&tuple(&[]).as_ref()));
+        let mut two = tuple(&[1.5, 2.0]);
+        two.add_tuple(|_| 3.0);
+        let records = one_tuple
+            .iter()
+            .map(|(values, single)| (tuple(values), *single))
+            .chain([(two, false)]);
+        let mut l = Layer::with_capacity(2, 2, 0, 0);
+        for (i, (record, single)) in records.enumerate() {
+            assert_eq!(is_single(&record.as_ref()), single, "case {i}");
+            let key = CellId::ROOT.child(i as u8 / 4).child(i as u8 % 4).raw();
+            l.push(key, record.as_ref());
+            assert_eq!(l.is_marked(i), single, "case {i}");
+            assert_eq!(bits(l.record(i)), bits(record.as_ref()), "case {i}");
+        }
+        assert_eq!((l.num_singles(), l.validate()), (2, Ok(())));
+    }
+
+    #[test]
+    fn validate_rejects_array_lengths_that_disagree_with_the_marks() {
         let mut l = layer(&[(0, 1), (0, 3)]);
         l.counts.pop();
         assert!(l.validate().unwrap_err().contains("counts"));
         let mut l = layer(&[(0, 1), (0, 3)]);
-        l.sums.pop();
-        assert!(l.validate().unwrap_err().contains("cells × columns"));
+        l.singles.pop();
+        assert!(l.validate().unwrap_err().contains("marked cells × columns"));
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.sums.push(1.0);
+        assert!(l
+            .validate()
+            .unwrap_err()
+            .contains("unmarked cells × columns"));
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.marks.clear();
+        assert!(l.validate().unwrap_err().contains("mark words"));
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.marks[0] |= 1 << 5;
+        assert!(l.validate().unwrap_err().contains("past the last record"));
+    }
+
+    #[test]
+    fn validate_rejects_a_mark_that_breaks_the_rule() {
+        // A marked record of two tuples.
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.counts[1] = 2;
+        assert!(l
+            .validate()
+            .unwrap_err()
+            .contains("marked record 1 holds 2"));
+        // A single stored full: its mark cleared, its value moved over.
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        l.marks[0] &= !1;
+        let v = l.singles.remove(0);
+        (l.mins, l.maxs, l.sums) = (vec![v], vec![v], vec![v]);
+        assert!(l.validate().unwrap_err().contains("single stored full"));
     }
 
     #[test]
@@ -431,7 +863,9 @@ mod tests {
             [CellId::ROOT.child(0).raw(), CellId::ROOT.child(2).raw()]
         );
         assert_eq!(up.counts, [2, 1]);
+        // Two tuples make a full record; one single stays a single.
         assert_eq!((up.mins[0], up.maxs[0], up.sums[0]), (1.0, 3.0, 4.0));
+        assert_eq!((up.num_singles(), up.singles.as_slice()), (1, &[20.0][..]));
         assert_eq!(up.record(1).sum(0), 20.0);
         let root = l.fold_to(0);
         assert_eq!(
@@ -444,14 +878,45 @@ mod tests {
 
     #[test]
     fn codec_roundtrips() {
-        let l = layer(&[(0, 1), (0, 3), (2, 0)]);
+        let mut l = layer(&[(0, 1), (0, 3)]);
+        let mut two = tuple(&[5.0]);
+        two.add_tuple(|_| 6.0);
+        l.push(CellId::ROOT.child(2).child(0).raw(), two.as_ref());
         let mut w = ByteWriter::new();
         l.encode(&mut w);
         let bytes = w.into_inner();
-        assert_eq!(bytes.len(), 5 * 8 + l.memory_bytes());
+        assert_eq!(bytes.len(), l.encoded_bytes());
+        assert_eq!(bytes.len(), 7 * 8 + l.memory_bytes() - 4);
         let mut r = ByteReader::new(&bytes, "test");
         assert_eq!(Layer::decode(&mut r, 2, 1).unwrap(), l);
         r.finish().unwrap();
+    }
+
+    /// The level-`level` cells at the distinct `positions`, ascending, one
+    /// record each: a single of `value` where `kind` is 0, a full record
+    /// of one `-0.0` where it is 1, and of two tuples otherwise.
+    fn mixed(level: u8, positions: &[u64], kinds: &[u8]) -> Layer {
+        let mut keys: Vec<u64> = positions
+            .iter()
+            .map(|&pos| CellId::from_pos_level(pos, level).raw())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut out = Layer::with_capacity(level, 2, keys.len(), 0);
+        for (i, &key) in keys.iter().enumerate() {
+            let value = i as f64 * 0.5 - 3.0;
+            let record = match kinds.get(i).copied().unwrap_or(0) % 3 {
+                0 => tuple(&[value, 1.0]),
+                1 => tuple(&[value, -0.0]),
+                _ => {
+                    let mut r = tuple(&[value, 1.0]);
+                    r.add_tuple(|col| value + col as f64);
+                    r
+                }
+            };
+            out.push(key, record.as_ref());
+        }
+        out
     }
 
     proptest! {
@@ -475,9 +940,9 @@ mod tests {
                 .collect();
             keys.sort_unstable();
             keys.dedup();
-            let mut l = Layer::with_capacity(level, 0, keys.len());
+            let mut l = Layer::with_capacity(level, 0, keys.len(), keys.len());
             for &k in &keys {
-                l.push_empty(k);
+                l.push(k, tuple(&[]).as_ref());
             }
             for &(pick, pos, up, at) in &probes {
                 let pos = positions.get(pick).copied().unwrap_or(pos);
@@ -487,6 +952,70 @@ mod tests {
                 let mut cursor = (want.start as f64 * at) as usize;
                 prop_assert_eq!(l.under(cell, &mut cursor), want.clone());
                 prop_assert_eq!(cursor, want.end);
+            }
+        }
+
+        /// Over layers that mix both kinds across several mark words: a
+        /// range read walks the same records `record(i)` reads one by one,
+        /// `extend_from` of consecutive ranges rebuilds the layer array
+        /// for array, the rank counts the marks, and the digest is the
+        /// one over the records as full ones.
+        #[test]
+        fn both_kinds_read_and_copy_as_the_records_they_are(
+            positions in prop::collection::vec(0u64..1 << 60, 0..300),
+            kinds in prop::collection::vec(0u8..3, 0..300),
+            cuts in prop::collection::vec(0usize..300, 0..6),
+        ) {
+            let l = mixed(9, &positions, &kinds);
+            prop_assert_eq!(l.validate(), Ok(()));
+            let n = l.num_cells();
+            let marked = (0..n).filter(|&i| l.is_marked(i)).count();
+            prop_assert_eq!(l.num_singles(), marked);
+            for i in 0..=n {
+                prop_assert_eq!(l.singles_before(i), (0..i).filter(|&j| l.is_marked(j)).count());
+            }
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(n)).chain([0, n]).collect();
+            cuts.sort_unstable();
+            let mut copy = Layer::with_capacity(9, 2, 0, 0);
+            for range in cuts.windows(2).map(|w| w[0]..w[1]) {
+                for (i, record) in range.clone().zip(l.records(range.clone())) {
+                    let one = l.record(i);
+                    prop_assert_eq!(record.count, one.count);
+                    prop_assert_eq!(
+                        [record.mins, record.maxs, record.sums].concat(),
+                        [one.mins, one.maxs, one.sums].concat()
+                    );
+                }
+                copy.extend_from(&l, range);
+            }
+            prop_assert_eq!(&copy, &l);
+
+            prop_assert_eq!(l.content_hash(), full_layout_hash(&l));
+        }
+
+        /// `append_bits` is the bit-by-bit append.
+        #[test]
+        fn append_bits_appends_bit_by_bit(
+            src in prop::collection::vec(any::<u64>(), 1..5),
+            head in 0usize..130,
+            range in (0usize..256, 0usize..256),
+        ) {
+            let mut dst: Vec<u64> = vec![u64::MAX; head.div_ceil(WORD)];
+            if head % WORD != 0 {
+                *dst.last_mut().unwrap() &= (1 << (head % WORD)) - 1;
+            }
+            let bits = src.len() * WORD;
+            let (a, b) = (range.0.min(bits), range.1.min(bits));
+            let range = a.min(b)..a.max(b);
+            append_bits(&mut dst, head, &src, range.clone());
+            let len = head + range.len();
+            prop_assert_eq!(dst.len(), len.div_ceil(WORD));
+            for i in 0..len {
+                let want = if i < head { true } else { bit(&src, range.start + i - head) };
+                prop_assert_eq!(bit(&dst, i), want, "bit {}", i);
+            }
+            if len % WORD != 0 {
+                prop_assert_eq!(dst.last().unwrap() >> (len % WORD), 0);
             }
         }
     }

@@ -82,8 +82,8 @@ impl GeoBlock {
         let plan = AggPlan::compile(spec);
         let mut result = AggResult::new(spec);
         let stats = self.ranges(covering, |layer, range| {
-            for i in range {
-                layer.record(i).combine_into(&plan, &mut result);
+            for record in layer.records(range) {
+                record.combine_into(&plan, &mut result);
             }
         });
         (result, stats)
@@ -115,15 +115,14 @@ impl GeoBlock {
     }
 
     /// The block-level records under the aligned `cell`, in key order —
-    /// Listing 1's range scan of one covering cell: bisect to the first,
-    /// walk to the last. Empty when no record lies under `cell`.
+    /// Listing 1's range scan of one covering cell: bisect to the first
+    /// and past the last, then walk. Empty when no record lies under `cell`.
     pub fn records_under(&self, cell: CellId) -> impl Iterator<Item = RecordRef<'_>> + '_ {
         let records = self.records();
         let (lo, hi) = (cell.range_min().raw(), cell.range_max().raw());
         let first = records.keys.partition_point(|&k| k < lo);
-        (first..records.num_cells())
-            .take_while(move |&i| records.keys[i] <= hi)
-            .map(move |i| records.record(i))
+        let last = first + records.keys[first..].partition_point(|&k| k <= hi);
+        records.records(first..last)
     }
 
     /// The stored records that make up the aligned `cell`: the layer

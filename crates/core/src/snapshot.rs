@@ -10,14 +10,14 @@
 //! [`GeoBlock::from_snapshot_bytes`] and on disk through
 //! [`GeoBlock::write_snapshot`] / [`GeoBlock::read_snapshot`].
 //!
-//! ## Sections (format version 7)
+//! ## Sections (format version 8)
 //!
 //! | tag    | content |
 //! |--------|---------|
 //! | `SCHM` | column count, then per column: name |
 //! | `GRID` | domain rectangle (4 × f64 bits), curve tag (always 0: Hilbert; any other is refused) |
 //! | `HDRS` | level, **content hash**, **state hash** |
-//! | `CELL` | the block-level [`Layer`]: keys, counts (u64), per-cell min/max/sum |
+//! | `CELL` | the block-level [`Layer`]: keys, counts (u64), the singles' marks (one bit per record), the singles' values (one per column), the full records' min/max/sum |
 //!
 //! Everything coarser than a cell — the coarser layers and the §3.4
 //! global header, which is their root record — is a fold of the `CELL`
@@ -32,9 +32,10 @@
 //! `SnapshotError::UnsupportedVersion` before a checksum is verified.
 //!
 //! Every load re-derives two digests and compares them with the values
-//! stored at save time: the content hash (the stored layer,
-//! [`GeoBlock::content_hash`]) and a *state hash* over the content hash,
-//! the grid domain and the schema. Per-section checksums catch flipped
+//! stored at save time: the content hash (the stored layer's logical
+//! records, whichever kind stores them — [`GeoBlock::content_hash`]) and
+//! a *state hash* over the content hash, the grid domain and the schema.
+//! Per-section checksums catch flipped
 //! bits; the two digests catch sections *grafted* between two
 //! individually-valid snapshots. The round-trip gate ("loaded state ≡
 //! saved state") is thus enforced by the loader itself, not just by
@@ -63,7 +64,7 @@ pub use gb_store::SnapshotError;
 /// the loader reads. Bump on any change to a section's encoding or to what
 /// a stored digest spans; adding a new optional section a reader could
 /// safely ignore does not require a bump. See `DESIGN.md` "Persistence".
-pub const SNAPSHOT_VERSION: u16 = 7;
+pub const SNAPSHOT_VERSION: u16 = 8;
 
 const TAG_SCHEMA: SectionTag = SectionTag(*b"SCHM");
 const TAG_GRID: SectionTag = SectionTag(*b"GRID");
@@ -172,10 +173,8 @@ impl GeoBlock {
         let state = state_hash(content, &b.grid, &b.schema);
         stats.hash = timer.lap();
 
-        let mut out = SnapshotWriter::with_capacity(
-            SNAPSHOT_VERSION,
-            1024 + b.num_cells() * b.record_bytes(),
-        );
+        let mut out =
+            SnapshotWriter::with_capacity(SNAPSHOT_VERSION, 1024 + b.records().encoded_bytes());
 
         out.section(TAG_SCHEMA, |w| {
             w.len_u32(b.schema.len());
@@ -489,8 +488,10 @@ mod tests {
             /// The one derived-state property: whichever way a block came
             /// to be, it keeps the block level and the even levels above
             /// it, its layers are valid and bit-equal to the canonical
-            /// fold of its records (`check_invariants`), and SELECT over
-            /// any aligned ancestor alone, kept level or not, is the
+            /// fold of its records (`check_invariants`), each layer's
+            /// digest is the one of its records all stored full — also
+            /// after a batch turns a single full — and SELECT over any
+            /// aligned ancestor alone, kept level or not, is the
             /// reference's answer.
             #[test]
             fn every_producer_yields_the_canonical_pyramid(
@@ -504,8 +505,10 @@ mod tests {
             ) {
                 let mut raw =
                     RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
+                // Every ninth `k` is `-0.0`: a row whose record stays full.
                 for (i, &(x, y)) in points.iter().enumerate() {
-                    raw.push_row(Point::new(x, y), &[x * 0.37 - y, (i % 9) as f64]);
+                    let k = if i % 9 == 4 { -0.0 } else { (i % 9) as f64 };
+                    raw.push_row(Point::new(x, y), &[x * 0.37 - y, k]);
                 }
                 let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
                 let base = extract(&raw, grid, &CleaningRules::none(), None).base;
@@ -528,6 +531,19 @@ mod tests {
                     b.apply_updates(&batch).expect("valid batch");
                     b.check_invariants();
                 }
+                // A tuple on a single's cell: the update turns it full.
+                let single = (0..b.num_cells())
+                    .find(|&i| crate::layer::is_single(&b.records().record(i)));
+                if let Some(i) = single {
+                    let mut batch = UpdateBatch::new();
+                    batch.push(b.grid().cell_rect(b.cell_at(i)).center(), vec![1.0, 2.0]);
+                    prop_assert_eq!(b.apply_updates(&batch).expect("valid batch").in_place, 1);
+                    prop_assert!(!crate::layer::is_single(&b.records().record(i)));
+                    b.check_invariants();
+                }
+                for layer in b.layers() {
+                    prop_assert_eq!(layer.content_hash(), crate::layer::full_layout_hash(layer));
+                }
                 assert_records_are_the_reference_folds(&b);
                 let want = layer_hashes(&b);
                 // A coarser block's layers are the source's own, at every
@@ -544,6 +560,144 @@ mod tests {
                 let back = GeoBlock::from_snapshot_bytes(&b.to_snapshot_bytes()).expect("load");
                 back.check_invariants();
                 prop_assert_eq!(layer_hashes(&back), want);
+            }
+        }
+    }
+
+    mod kinds {
+        use super::*;
+        use crate::layer::{fold_column, full_layout_hash, is_single};
+        use crate::{build_parallel, UpdateBatch};
+        use gb_data::Rows;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Per block-level cell, the value rows folded into its record in
+        /// fold order: base-row order, then each batch in batch order.
+        type Folded = BTreeMap<u64, Vec<Vec<f64>>>;
+
+        /// A value of the generated tables: a quarter step, or `-0.0`.
+        fn value(k: i8, negative_zero: bool) -> f64 {
+            if negative_zero {
+                -0.0
+            } else {
+                f64::from(k) * 0.25
+            }
+        }
+
+        /// Every block-level record of `b` is, bit for bit, `fold_column`
+        /// of its rows in fold order, stored as the kind the rule makes
+        /// it, and every layer's digest is the all-full layout's.
+        fn assert_records_are_their_rows(
+            b: &GeoBlock,
+            folded: &Folded,
+        ) -> Result<(), TestCaseError> {
+            let records = b.records();
+            prop_assert_eq!(
+                records.keys.clone(),
+                folded.keys().copied().collect::<Vec<_>>()
+            );
+            for (i, rows) in folded.values().enumerate() {
+                let got = records.record(i);
+                prop_assert_eq!(got.count, rows.len() as u64);
+                for col in 0..b.n_cols() {
+                    let (min, max, sum) = fold_column(rows.iter().map(|r| r[col]));
+                    let want = [min, max, sum].map(f64::to_bits);
+                    prop_assert_eq!(
+                        [got.min(col), got.max(col), got.sum(col)].map(f64::to_bits),
+                        want
+                    );
+                }
+            }
+            for layer in b.layers() {
+                prop_assert_eq!(layer.validate(), Ok(()));
+                prop_assert_eq!(layer.content_hash(), full_layout_hash(layer));
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Over tables with repeated locations, cells of one row and
+            /// `-0.0` values, every producer stores each record as the
+            /// fold of its rows, singles apart by the one rule: the build
+            /// at 1, 2 and 4 threads, `fold_to` (`coarsen`), a batch that
+            /// turns a single into a full record, one that makes new
+            /// singles, and a snapshot round trip.
+            #[test]
+            fn every_producer_stores_each_record_as_the_fold_of_its_rows(
+                sites in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..40),
+                rows in prop::collection::vec((0usize..40, -3i8..4, any::<bool>()), 1..120),
+                fresh in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64, -3i8..4, any::<bool>()), 1..6),
+                level in 1u8..13,
+                coarser_by in 1u8..6,
+            ) {
+                let mut raw =
+                    RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
+                for &(site, k, zero) in &rows {
+                    let (x, y) = sites[site % sites.len()];
+                    raw.push_row(Point::new(x, y), &[value(k, zero), f64::from(k)]);
+                }
+                let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
+                let base = extract(&raw, grid, &CleaningRules::none(), None).base;
+                let mut folded = Folded::new();
+                for row in 0..base.num_rows() {
+                    let cell = grid.cell_for_point(base.location(row), level).raw();
+                    let values = (0..2).map(|col| base.value_f64(row, col)).collect();
+                    folded.entry(cell).or_default().push(values);
+                }
+
+                let (mut b, _) = build(&base, level, &Filter::all());
+                assert_records_are_their_rows(&b, &folded)?;
+                for threads in [1, 2, 4] {
+                    let (par, _) = build_parallel(&base, level, &Filter::all(), threads);
+                    prop_assert_eq!(&par.layers, &b.layers);
+                }
+                let coarse = b.coarsen(level.saturating_sub(coarser_by));
+                for layer in coarse.layers() {
+                    prop_assert_eq!(layer.content_hash(), full_layout_hash(layer));
+                    if let Some(source) = b.layer_at(layer.level) {
+                        prop_assert_eq!(layer, source);
+                    }
+                }
+
+                // A tuple on a single's row turns it full.
+                let single = (0..b.num_cells()).find(|&i| is_single(&b.records().record(i)));
+                if let Some(i) = single {
+                    let cell = b.cell_at(i);
+                    let row = (0..base.num_rows())
+                        .find(|&r| grid.cell_for_point(base.location(r), level) == cell)
+                        .expect("a single has its row");
+                    let values = vec![0.5, -1.0];
+                    folded.get_mut(&cell.raw()).expect("stored").push(values.clone());
+                    let mut batch = UpdateBatch::new();
+                    batch.push(base.location(row), values);
+                    prop_assert_eq!(b.apply_updates(&batch).expect("valid batch").in_place, 1);
+                    prop_assert!(!is_single(&b.records().record(i)));
+                    assert_records_are_their_rows(&b, &folded)?;
+                }
+
+                // Tuples in cells without data make new records, singles
+                // unless a value is `-0.0` or two land in one cell.
+                let mut batch = UpdateBatch::new();
+                for &(x, y, k, zero) in &fresh {
+                    let cell = grid.cell_for_point(Point::new(x, y), level).raw();
+                    let values = vec![f64::from(k), value(k, zero)];
+                    folded.entry(cell).or_default().push(values.clone());
+                    batch.push(Point::new(x, y), values);
+                }
+                b.apply_updates(&batch).expect("valid batch");
+                b.check_invariants();
+                assert_records_are_their_rows(&b, &folded)?;
+                for (i, rows) in folded.values().enumerate() {
+                    let one_tuple = rows.len() == 1 && rows[0].iter().all(|v| v.to_bits() != (-0.0f64).to_bits());
+                    prop_assert_eq!(is_single(&b.records().record(i)), one_tuple);
+                }
+
+                let back = GeoBlock::from_snapshot_bytes(&b.to_snapshot_bytes()).expect("load");
+                prop_assert_eq!(&back.layers, &b.layers);
+                assert_records_are_their_rows(&back, &folded)?;
             }
         }
     }

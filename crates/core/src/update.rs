@@ -32,7 +32,7 @@
 
 use crate::api::{check_update_row, GbError};
 use crate::block::GeoBlock;
-use crate::layer::Layer;
+use crate::layer::{is_single, Layer, Record};
 use gb_cell::CellId;
 use gb_geom::Point;
 
@@ -111,7 +111,9 @@ impl GeoBlock {
     /// The block this one becomes with `batch`, which `check_batch`
     /// admitted, folded in, and what the batch did; `self` is untouched.
     /// Every touched cell follows one rule: its old record, or
-    /// `push_empty`'s, plus the batch's tuples in batch order.
+    /// `Record::empty`, plus the batch's tuples in batch order, stored as
+    /// the kind it turns out to be — a single that gains a tuple is full,
+    /// a new cell of one tuple is, as a rule, a single.
     pub(crate) fn applied(&self, batch: &UpdateBatch) -> (GeoBlock, UpdateReport) {
         let (old, level) = (self.records(), self.level());
         // Sorted (cell, row) pairs: each cell's rows are a run in batch order.
@@ -133,21 +135,35 @@ impl GeoBlock {
                 Some((cell, run, from..hit.start, hit))
             })
         };
-        let fresh = runs().filter(|(.., hit)| hit.is_empty()).count();
-        let mut next = Layer::with_capacity(level, old.n_cols, old.num_cells() + fresh);
+        // Each touched cell's next record, folded once, so the next layer
+        // is allocated at its exact size, singles apart.
+        let (mut fresh, mut singles) = (0, old.num_singles());
+        let touched_records: Vec<Record> = runs()
+            .map(|(_, run, _, hit)| {
+                let mut record = if hit.is_empty() {
+                    fresh += 1;
+                    Record::empty(old.n_cols)
+                } else {
+                    let was = old.record(hit.start);
+                    singles -= usize::from(is_single(&was));
+                    Record::of(was)
+                };
+                for &(_, row) in run {
+                    record.add_tuple(|col| batch.rows[row].1[col]);
+                }
+                singles += usize::from(is_single(&record.as_ref()));
+                record
+            })
+            .collect();
+        let mut next = Layer::with_capacity(level, old.n_cols, old.num_cells() + fresh, singles);
         let mut report = UpdateReport::default();
-        for (cell, run, untouched, hit) in runs() {
+        for ((cell, run, untouched, hit), record) in runs().zip(&touched_records) {
             next.extend_from(old, untouched);
+            next.push(cell.raw(), record.as_ref());
             if hit.is_empty() {
-                next.push_empty(cell.raw());
                 report.new_cells += run.len();
             } else {
-                next.extend_from(old, hit);
                 report.in_place += run.len();
-            }
-            let at = next.num_cells() - 1;
-            for &(_, row) in run {
-                next.add_tuple(at, |col| batch.rows[row].1[col]);
             }
         }
         next.extend_from(old, next.num_cells() - fresh..old.num_cells());
@@ -440,23 +456,27 @@ mod tests {
         );
         next.check_invariants();
         let one = |layer: &Layer, key: CellId| {
-            let mut out = Layer::with_capacity(level, 1, 1);
+            let mut out = Layer::with_capacity(level, 1, 1, 1);
             out.extend_from(layer, layer.under(key, &mut 0));
             out
         };
         for key in cells {
-            let mut want = one(records, key);
-            if want.num_cells() == 0 {
-                want.push_empty(key.raw());
-            }
+            let was = one(records, key);
+            let mut record = match was.num_cells() {
+                0 => Record::empty(1),
+                _ => Record::of(was.record(0)),
+            };
             for (at, v) in rows {
                 if cell(at) == key {
-                    want.add_tuple(0, |_| v);
+                    record.add_tuple(|_| v);
                 }
             }
+            let mut want = Layer::with_capacity(level, 1, 1, 1);
+            want.push(key.raw(), record.as_ref());
             let got = one(next.records(), key);
             assert_eq!(got.num_cells(), 1, "cell {key:?}");
             assert_eq!(got.content_hash(), want.content_hash(), "cell {key:?}");
+            assert_eq!(got, want, "cell {key:?}");
         }
         // Every other record is the old one, bit for bit.
         assert_eq!(next.num_cells(), block.num_cells() + 2);

@@ -16,7 +16,7 @@
 //! 5. **One version**: a current file stamped with any other version is
 //!    `UnsupportedVersion`, never `ChecksumMismatch` or `Corrupt`.
 
-use gb_cell::Grid;
+use gb_cell::{CellId, Grid};
 use gb_data::{
     datasets, extract, polygons, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter,
     RawTable, Rows, Schema,
@@ -297,42 +297,154 @@ fn current_files() -> [Vec<u8>; 2] {
     [block.to_snapshot_bytes(), updated.to_snapshot_bytes()]
 }
 
+/// The `CELL` payload's seven arrays — keys, counts, marks, singles, then
+/// the full records' minima, maxima and sums — as the byte ranges of their
+/// values, each behind its u64 count.
+fn cell_arrays(payload: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut at = 0;
+    let arrays: Vec<_> = (0..7)
+        .map(|_| {
+            let count = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+            let values = at + 8..at + 8 + 8 * count as usize;
+            at = values.end;
+            values
+        })
+        .collect();
+    assert_eq!(at, payload.len(), "seven arrays fill the section");
+    arrays
+}
+
+/// `payload`'s array `which` with its last value dropped, its count one
+/// lower.
+fn drop_last_value(payload: &mut Vec<u8>, which: usize) {
+    let values = cell_arrays(payload)[which].clone();
+    let count = (values.len() / 8 - 1) as u64;
+    payload[values.start - 8..values.start].copy_from_slice(&count.to_le_bytes());
+    payload.drain(values.end - 8..values.end);
+}
+
+const CELL: SectionTag = SectionTag(*b"CELL");
+const MARKS: usize = 2;
+const SINGLES: usize = 3;
+const SUMS: usize = 6;
+
 #[test]
 fn crafted_cell_sections_are_typed_errors() {
     for file in current_files() {
         let block = GeoBlock::from_snapshot_bytes(&file).expect("loads");
         let n = block.num_cells();
-        let n_sums = n * block.schema().len();
+        // Both kinds are on file, so every crafted case below bites.
+        let singles = block.layers().last().unwrap().num_singles();
+        assert!(0 < singles && singles < n, "{singles} singles of {n}");
+        let refused = |edit: &dyn Fn(&mut Vec<u8>), what: &str| {
+            let crafted = reframe(&file, |tag, payload| {
+                if tag == CELL {
+                    edit(payload);
+                }
+            });
+            let err = GeoBlock::from_snapshot_bytes(&crafted).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt { .. }),
+                "{what}: {err}"
+            );
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        };
         // A structurally impossible CELL — `sums`, its last array, one
         // value short — under a valid checksum: rejected before any fold
         // indexes it (this panicked once).
-        let short = reframe(&file, |tag, payload| {
-            if tag == SectionTag(*b"CELL") {
-                let count_at = payload.len() - 8 * (n_sums + 1);
-                payload[count_at..count_at + 8].copy_from_slice(&(n_sums as u64 - 1).to_le_bytes());
-                payload.truncate(payload.len() - 8);
-            }
-        });
-        let err = GeoBlock::from_snapshot_bytes(&short).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+        refused(&|p| drop_last_value(p, SUMS), "unmarked cells × columns");
+        // `singles` one value short of what the marks flag.
+        refused(&|p| drop_last_value(p, SINGLES), "marked cells × columns");
+        // The marks cut by a word: fewer than one bit per record.
+        refused(&|p| drop_last_value(p, MARKS), "mark words");
+        // A marked record whose count is not 1.
+        refused(
+            &|p| {
+                let arrays = cell_arrays(p);
+                let word = u64::from_le_bytes(p[arrays[MARKS].start..][..8].try_into().unwrap());
+                let i = word.trailing_zeros() as usize;
+                let count_at = arrays[1].start + 8 * i;
+                p[count_at..count_at + 8].copy_from_slice(&2u64.to_le_bytes());
+            },
+            "not 1",
+        );
         // A flipped CELL byte under a valid checksum — in the keys, the
-        // counts, the aggregates — is caught by validation or the digest.
-        // (Layout: keys, counts, mins, maxs, sums — each a u64 count and
-        // the values.)
-        for at in [12, 8 * (n + 2) + 1, 8 * (2 * n + 3) + 3, usize::MAX] {
-            let flipped = reframe(&file, |tag, payload| {
-                if tag == SectionTag(*b"CELL") {
-                    let at = at.min(payload.len() - 1);
-                    payload[at] ^= 0x20;
-                }
-            });
-            let err = GeoBlock::from_snapshot_bytes(&flipped).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Corrupt { .. }),
-                "byte {at}: {err}"
-            );
+        // counts, the marks, the singles, the full records — is caught by
+        // validation or the digest.
+        let payload = SnapshotReader::from_bytes(&file, SNAPSHOT_VERSION)
+            .unwrap()
+            .require(CELL)
+            .unwrap()
+            .to_vec();
+        for values in cell_arrays(&payload) {
+            for at in [values.start + 4, values.end - 1]
+                .into_iter()
+                .filter(|_| !values.is_empty())
+            {
+                let flipped = reframe(&file, |tag, payload| {
+                    if tag == CELL {
+                        payload[at] ^= 0x20;
+                    }
+                });
+                let err = GeoBlock::from_snapshot_bytes(&flipped).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Corrupt { .. }),
+                    "byte {at}: {err}"
+                );
+            }
         }
     }
+}
+
+/// A file in the version-7 layout, whose `CELL` stored every record full
+/// (keys, counts, then every record's minima, maxima and sums), is
+/// refused by its version before anything is decoded.
+#[test]
+fn a_version_7_file_is_unsupported() {
+    let file = &current_files()[1];
+    let block = GeoBlock::from_snapshot_bytes(file).expect("loads");
+    let keys: Vec<u64> = (0..block.num_cells())
+        .map(|i| block.cell_at(i).raw())
+        .collect();
+    let (mut counts, mut full) = (Vec::new(), [Vec::new(), Vec::new(), Vec::new()]);
+    for r in keys
+        .iter()
+        .flat_map(|&k| block.records_under(CellId::from_raw(k)))
+    {
+        counts.push(r.count);
+        for c in 0..block.schema().len() {
+            full[0].push(r.min(c));
+            full[1].push(r.max(c));
+            full[2].push(r.sum(c));
+        }
+    }
+    let reader = SnapshotReader::from_bytes(file, SNAPSHOT_VERSION).unwrap();
+    let mut w = SnapshotWriter::new(7);
+    for tag in reader.tags() {
+        let payload = reader.require(tag).unwrap();
+        w.section(tag, |p| {
+            if tag == CELL {
+                p.u64_slice(&keys);
+                p.u64_slice(&counts);
+                for values in &full {
+                    p.f64_slice(values);
+                }
+            } else {
+                p.bytes(payload);
+            }
+        });
+    }
+    let err = GeoBlock::from_snapshot_bytes(&w.into_bytes()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SnapshotError::UnsupportedVersion {
+                found: 7,
+                expected: 8
+            }
+        ),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -357,7 +469,8 @@ fn older_versions_are_unsupported_not_corrupt() {
                     ),
                     "v{other}: {err:?}"
                 );
-                assert!(err.to_string().contains("reads version 7"), "{err}");
+                let reads = format!("reads version {SNAPSHOT_VERSION}");
+                assert!(err.to_string().contains(&reads), "{err}");
             }
         }
     }

@@ -104,6 +104,14 @@ fn frame(sections: &Sections) -> Vec<u8> {
     w.into_bytes()
 }
 
+const CELL: SectionTag = SectionTag(*b"CELL");
+/// The `CELL` arrays, in order: keys, counts, marks, singles, then the full
+/// records' minima, maxima and sums.
+const COUNTS: usize = 1;
+const MARKS: usize = 2;
+const SINGLES: usize = 3;
+const FULL: usize = 4;
+
 /// Offsets in `payload` where a u64 array-length prefix plausibly sits:
 /// the payload walked as a run of count-prefixed arrays of 8-byte values
 /// (exactly the `CELL` layout, a prefix of the others).
@@ -134,7 +142,7 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
     let mut sections = sections_of(file);
     let s = below(rng, sections.len());
     let tag = sections[s].0;
-    let (bytes, what) = match below(rng, 7) {
+    let (bytes, what) = match below(rng, 8) {
         // A bit flipped under a valid checksum.
         0 => {
             let payload = &mut sections[s].1;
@@ -212,6 +220,45 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
                 bytes,
                 format!("file {which}: raw flip bit {bit} of byte {at}"),
             )
+        }
+        // A `CELL` whose arrays disagree with its marks, under a valid
+        // checksum: a marked record's count set to 2, the `singles` or a
+        // full array one value short, or the marks a word short. Each is
+        // refused.
+        6 => {
+            let Some(cell) = sections.iter_mut().find(|(t, _)| *t == CELL) else {
+                return (file.clone(), format!("file {which}: untouched"), false);
+            };
+            let arrays = length_prefixes(&cell.1);
+            let count_of =
+                |p: &[u8], at: usize| u64::from_le_bytes(p[at..at + 8].try_into().unwrap());
+            let (attack, array) = (
+                below(rng, 3),
+                [SINGLES, FULL + below(rng, 3), MARKS][below(rng, 3)],
+            );
+            let payload = &mut cell.1;
+            let what = match attack {
+                0 if count_of(payload, arrays[MARKS]) > 0 => {
+                    let word = count_of(payload, arrays[MARKS] + 8);
+                    if word == 0 {
+                        return (file.clone(), format!("file {which}: untouched"), false);
+                    }
+                    let i = word.trailing_zeros() as usize;
+                    let at = arrays[COUNTS] + 8 + 8 * i;
+                    payload[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
+                    format!("file {which}: marked record {i} given 2 tuples")
+                }
+                _ if count_of(payload, arrays[array]) > 0 => {
+                    let at = arrays[array];
+                    let n = count_of(payload, at);
+                    payload[at..at + 8].copy_from_slice(&(n - 1).to_le_bytes());
+                    let end = at + 8 + 8 * n as usize;
+                    payload.drain(end - 8..end);
+                    format!("file {which}: CELL array {array} one value short")
+                }
+                _ => return (file.clone(), format!("file {which}: untouched"), false),
+            };
+            return (frame(&sections), what, true);
         }
         // Raw: the version field set to another value — half the time a
         // nearby one (an older version or the next), otherwise any.

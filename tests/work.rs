@@ -13,7 +13,8 @@
 //! is answered (which layer, which fold) must not change how many cells
 //! are searched or combined, and a change that does must say so by
 //! re-recording them. So are the cache's counts: which cells it tracks
-//! and caches, what it costs, and how many probes it answers.
+//! and caches, what it costs, and how many probes it answers, and so is
+//! the block's content hash, which proves its records bit for bit.
 //!
 //! This file is a test binary of its own because it installs a global
 //! allocator (the only way to *observe* an allocation), and holds one
@@ -75,10 +76,15 @@ const SEED: u64 = 1;
 const LEVEL: u8 = 10;
 const POLYGONS: usize = 64;
 
-/// Ceiling on `GeoBlock::derived_bytes`: the materialised coarser layers.
-const MAX_DERIVED_BYTES: usize = 2_899_840;
-/// Ceiling on `GeoBlock::memory_bytes` per aggregated row, rounded up.
-const MAX_BYTES_PER_ROW: usize = 104;
+/// The block's `GeoBlock::content_hash`, the digest of its logical
+/// records: how a record is stored does not move it.
+const CONTENT_HASH: u64 = 0x291a_c4f1_844c_467e;
+/// Ceiling on `GeoBlock::derived_bytes`: the materialised coarser layers
+/// (2 899 840 B while a record of one tuple stored its value three times).
+const MAX_DERIVED_BYTES: usize = 2_255_244;
+/// Ceiling on `GeoBlock::memory_bytes` per aggregated row, rounded up (104
+/// while a record of one tuple stored its value three times).
+const MAX_BYTES_PER_ROW: usize = 72;
 /// SELECT's `QueryStats::searches` summed over the polygons.
 const SEARCHES: usize = 10_293;
 /// SELECT's `QueryStats::cells_combined` summed over the polygons.
@@ -99,8 +105,11 @@ const MAX_GENERATE_BYTES: usize = 14_400_000;
 /// column and the permutation, and the gathered columns.
 const MAX_EXTRACT_BYTES: usize = 9_956_320;
 /// Ceiling on the bytes `build` allocates: the records and each coarser
-/// layer, each once at its exact size.
-const MAX_BUILD_BYTES: usize = 16_002_248;
+/// layer, each once at its exact size, and the count pass's marks of the
+/// singles — counted on one thread, where they are one 4 560-byte array
+/// (16 002 248 B while a record of one tuple stored its value three
+/// times).
+const MAX_BUILD_BYTES: usize = 11_275_024;
 /// BlockQC's aggregate threshold (the serving benchmark's).
 const THRESHOLD: f64 = 0.05;
 /// After two SELECT passes and a rebuild: cached cells, their bytes, and
@@ -115,21 +124,25 @@ const DIRECT_HITS: u64 = 2_341;
 /// Ceiling on the bytes an 8-row `GeoBlockEngine::apply_updates`
 /// allocates when every row lands in a cell with data: the next block's
 /// records and each of its coarser layers (the odd ones freed as the
-/// cascade passes).
-const MAX_UPDATE_IN_PLACE_BYTES: usize = 16_002_248;
+/// cascade passes) (16 002 248 B while a record of one tuple stored its
+/// value three times).
+const MAX_UPDATE_IN_PLACE_BYTES: usize = 11_263_408;
 /// The same ceiling for a batch of 4 rows in cells with data and 4 in
 /// cells without: the same one pass, 4 records larger (23 787 920 B while
 /// a splice copied the records a second time, 16 384 864 B while the
 /// engine refilled an aggregate cache after each update, 16 381 920 B in
-/// place).
-const MAX_UPDATE_NEW_CELL_BYTES: usize = 16_005_192;
+/// place, 16 005 192 B while a record of one tuple stored its value three
+/// times).
+const MAX_UPDATE_NEW_CELL_BYTES: usize = 11_265_456;
 /// Ceiling on the bytes a serving engine's `write_snapshot` allocates:
-/// the container buffer, sized once (7 403 352 B of file). A save that
-/// copied the block would add its 10.3 MB.
-const MAX_SAVE_BYTES: usize = 7_404_096;
+/// the container buffer, sized once from the stored arrays (7 404 096 B
+/// while a record of one tuple stored its value three times). A save that
+/// copied the block would add its 7.1 MB.
+const MAX_SAVE_BYTES: usize = 4_832_288;
 /// Ceiling on the bytes `GeoBlock::read_snapshot` allocates: the file, the
-/// decoded records and the coarser layers the load derives.
-const MAX_LOAD_BYTES: usize = 23_405_600;
+/// decoded records and the coarser layers the load derives (23 405 600 B
+/// while a record of one tuple stored its value three times).
+const MAX_LOAD_BYTES: usize = 16_094_240;
 
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
@@ -154,6 +167,11 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
         "build allocated {build_bytes} B, over the recorded {MAX_BUILD_BYTES}"
     );
 
+    assert_eq!(
+        block.content_hash(),
+        CONTENT_HASH,
+        "the block's records are not the recorded ones, bit for bit"
+    );
     let rows = usize::try_from(block.num_rows()).expect("rows fit a usize");
     let per_row = block.memory_bytes().div_ceil(rows);
     assert!(
