@@ -13,10 +13,10 @@
 //! the pool from the machine and the input, [`build_parallel`] takes the
 //! thread count from its caller. Chunk boundaries are aligned to
 //! block-level cell boundaries, so no cell is ever split across workers.
-//! A first pass over each chunk counts its cells and marks which of them
-//! are singles (`Layer`'s record of one tuple), the block-level layer is
-//! allocated once at its exact size, and each chunk then fills its own
-//! disjoint share of it: every cell aggregate is folded by exactly one
+//! A first pass over each chunk counts its cells and which of them hold
+//! one kept row (`Layer`'s singles), the block-level layer is allocated
+//! once at its exact size, and each chunk then fills its own disjoint
+//! share of it: every cell aggregate is folded by exactly one
 //! thread, column by column in base-row order with the per-tuple steps of
 //! `Record::add_tuple`, so the block is **bit-identical** at every thread
 //! count (see `parallel_build_is_bit_identical`) and to the per-tuple fold
@@ -27,7 +27,7 @@
 
 use crate::block::GeoBlock;
 use crate::gallop;
-use crate::layer::{append_bits, bit, fold_column, tuple_is_single, Layer};
+use crate::layer::{fold_column, Layer};
 use gb_cell::MAX_LEVEL;
 use gb_common::Pool;
 use gb_data::{BaseTable, Filter, Rows};
@@ -105,21 +105,17 @@ pub fn build_parallel(
 }
 
 /// What the count pass finds in one cell-aligned row range: how many
-/// records it writes, and which of them are singles, one bit each as
-/// [`Layer`]'s marks flag them.
+/// records it writes, and how many of them hold one kept row.
 #[derive(Default)]
 struct Pass {
     cells: usize,
-    marks: Vec<u64>,
+    singles: usize,
 }
 
 /// The records of one cell-aligned row range: its share of the block-level
 /// layer, which it alone writes.
 struct Share<'a> {
     n_cols: usize,
-    /// The range's [`Pass`] marks: record `i` of the share is a single iff
-    /// its bit is set.
-    marks: &'a [u64],
     keys: &'a mut [u64],
     counts: &'a mut [u64],
     singles: &'a mut [f64],
@@ -133,7 +129,7 @@ struct Share<'a> {
 impl<'a> Share<'a> {
     /// Cut `records` into consecutive shares, one per count pass, each of
     /// its pass's records, singles apart.
-    fn split(records: &'a mut Layer, passes: &'a [Pass]) -> Vec<Share<'a>> {
+    fn split(records: &'a mut Layer, passes: &[Pass]) -> Vec<Share<'a>> {
         let n_cols = records.n_cols;
         let (mut keys, mut counts) = (&mut records.keys[..], &mut records.counts[..]);
         let (mut singles, mut mins) = (&mut records.singles[..], &mut records.mins[..]);
@@ -144,10 +140,9 @@ impl<'a> Share<'a> {
         passes
             .iter()
             .map(|pass| {
-                let (n, one) = (pass.cells, pass.singles());
+                let (n, one) = (pass.cells, pass.singles);
                 Share {
                     n_cols,
-                    marks: &pass.marks,
                     keys: front(&mut keys, n),
                     counts: front(&mut counts, n),
                     singles: front(&mut singles, one * n_cols),
@@ -161,7 +156,8 @@ impl<'a> Share<'a> {
     }
 
     /// Record `i`: cell `key`, folded from `base`'s `rows` in row order,
-    /// column by column, into the kind its mark says.
+    /// column by column. A single stores its one row's values, which are
+    /// that fold.
     fn put(
         &mut self,
         i: usize,
@@ -171,26 +167,20 @@ impl<'a> Share<'a> {
     ) {
         self.keys[i] = key;
         self.counts[i] = rows.len() as u64;
-        let single = bit(self.marks, i);
         let c = self.n_cols;
+        if let (1, Some(row)) = (rows.len(), rows.clone().next()) {
+            let one = &mut self.singles[self.written * c..(self.written + 1) * c];
+            for (value, column) in one.iter_mut().zip(base.columns()) {
+                *value = column[row];
+            }
+            self.written += 1;
+            return;
+        }
         for (col, column) in base.columns().iter().enumerate() {
             let (min, max, sum) = fold_column(rows.clone().map(|r| column[r]));
-            if single {
-                debug_assert!(min.to_bits() == sum.to_bits() && max.to_bits() == sum.to_bits());
-                self.singles[self.written * c + col] = sum;
-            } else {
-                let at = (i - self.written) * c + col;
-                (self.mins[at], self.maxs[at], self.sums[at]) = (min, max, sum);
-            }
+            let at = (i - self.written) * c + col;
+            (self.mins[at], self.maxs[at], self.sums[at]) = (min, max, sum);
         }
-        self.written += usize::from(single);
-    }
-}
-
-impl Pass {
-    /// Singles among the pass's records.
-    fn singles(&self) -> usize {
-        self.marks.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -243,29 +233,29 @@ fn build_on(pool: &Pool, base: &BaseTable, level: u8, filter: &Filter) -> (GeoBl
     let timer = gb_common::Timer::start();
     let cuts = cell_aligned_boundaries(base, level, pool.threads());
     let ranges = || cuts.windows(2).map(|cut| cut[0]..cut[1]);
-    // The first pass: which records each range writes — a cell with a
-    // kept row — and which of them are singles (one kept row, `is_single`).
+    // The first pass: how many records each range writes — a cell with a
+    // kept row — and how many of them hold one kept row (the singles).
     let passes = pool.run(ranges(), |range| {
         let mut pass = Pass::default();
         for (_, rows) in cells(base.keys(), level, range) {
-            let mut kept = rows.filter(|&r| filter.is_trivial() || filter.matches(base, r));
-            let Some(row) = kept.next() else {
-                continue;
-            };
-            let values = base.columns().iter().map(|column| column[row]);
-            let single = kept.next().is_none() && tuple_is_single(values);
-            append_bits(&mut pass.marks, pass.cells, &[u64::from(single)], 0..1);
-            pass.cells += 1;
+            let kept = rows
+                .filter(|&r| filter.is_trivial() || filter.matches(base, r))
+                .take(2)
+                .count();
+            pass.cells += usize::from(kept > 0);
+            pass.singles += usize::from(kept == 1);
         }
         pass
     });
-    let parts: Vec<(&[u64], usize)> = passes.iter().map(|p| (&p.marks[..], p.cells)).collect();
-    let mut records = Layer::zeroed(level, base.schema().len(), &parts);
+    let (cells, singles) =
+        (passes.iter()).fold((0, 0), |(c, s), pass| (c + pass.cells, s + pass.singles));
+    let mut records = Layer::zeroed(level, base.schema().len(), cells, singles);
     // Each task owns its share of the layer and its range of rows.
     let shares = Share::split(&mut records, &passes);
     pool.run(shares.into_iter().zip(ranges()), |(mut share, range)| {
         sweep(base, level, filter, range, &mut share);
     });
+    records.index(0);
     let mut block = GeoBlock::from_records(*base.grid(), base.schema().clone(), records);
     block.refresh_derived();
     let stats = BuildStats {
@@ -326,7 +316,6 @@ mod tests {
             assert_eq!(la.level, lb.level);
             assert_eq!(la.keys, lb.keys);
             assert_eq!(la.counts, lb.counts);
-            assert_eq!(la.marks, lb.marks);
             assert_eq!(bits(&la.singles), bits(&lb.singles));
             assert_eq!(bits(&la.mins), bits(&lb.mins));
             assert_eq!(bits(&la.maxs), bits(&lb.maxs));
@@ -506,7 +495,6 @@ mod tests {
                     let case = format!("level {level}, {threads} threads, {filter:?}");
                     assert_eq!(got.keys, want.keys, "{case}");
                     assert_eq!(got.counts, want.counts, "{case}");
-                    assert_eq!(got.marks, want.marks, "{case}");
                     assert_eq!(bits(&got.singles), bits(&want.singles), "{case}");
                     assert_eq!(bits(&got.mins), bits(&want.mins), "{case}");
                     assert_eq!(bits(&got.maxs), bits(&want.maxs), "{case}");

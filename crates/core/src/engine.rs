@@ -50,7 +50,7 @@ use gb_trace::{Stage, TraceStats, Tracer};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Default covering-memo capacity (total across shards). Coverings are a
+/// Default covering-memo capacity, in entries. Coverings are a
 /// few KB each; dashboards cycle through at most a few hundred shapes.
 const DEFAULT_MEMO_CAPACITY: usize = 512;
 
@@ -606,6 +606,42 @@ mod tests {
             }
         }
         assert_eq!(engine.memo_stats().hits, polys.len() as u64);
+    }
+
+    #[test]
+    fn a_sum_over_only_negative_zero_rows_is_positive_zero() {
+        // A cell of three `-0.0` rows and one of a single `-0.0` row store
+        // `-0.0` sums; the answer's sum starts at `+0.0`, so it reads
+        // `+0.0`, as an empty region's does. A row of 5.0 lies outside.
+        let mut raw = RawTable::new(Schema::new(vec![ColumnDef::f64("v")]));
+        for (x, y, v) in [
+            (20.0, 20.0, -0.0),
+            (20.01, 20.02, -0.0),
+            (20.03, 20.01, -0.0),
+            (30.0, 30.0, -0.0),
+            (80.0, 80.0, 5.0),
+        ] {
+            raw.push_row(Point::new(x, y), &[v]);
+        }
+        let grid = Grid::hilbert(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
+        let base = extract(&raw, grid, &CleaningRules::none(), None).base;
+        let (block, _) = build(&base, 8, &Filter::all());
+        assert_eq!((block.num_cells(), block.records().num_singles()), (3, 2));
+        let engine = GeoBlockEngine::new(block.clone());
+        let s = AggSpec::new(vec![
+            gb_data::AggRequest::new(gb_data::AggFunc::Sum, 0),
+            gb_data::AggRequest::new(gb_data::AggFunc::Count, 0),
+        ]);
+        for (poly, count) in [
+            (diamond(25.0, 25.0, 12.0), 4.0),
+            (diamond(60.0, 60.0, 5.0), 0.0),
+        ] {
+            let got = engine.select(&poly, &s).result;
+            assert_eq!(got.value(0).map(f64::to_bits), Some(0.0f64.to_bits()));
+            assert_eq!(got.value(1), Some(count));
+            let want = crate::reference::select_covering(&block, &block.cover(&poly), &s);
+            assert!(got.approx_eq(&want, 0.0), "{got:?} vs {want:?}");
+        }
     }
 
     #[test]

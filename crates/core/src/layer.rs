@@ -30,6 +30,14 @@
 //!
 //! Each level needs the next finer one, so `GeoBlock::refresh_derived`
 //! folds them one after another on the calling thread.
+//!
+//! A record is stored as one of two kinds, by its count alone: a record of
+//! one tuple is a *single* and keeps that tuple's one value per column,
+//! every other record keeps its minima, maxima and sums. A sum starts at
+//! `-0.0`, IEEE's additive identity, so one finite tuple's min, max and sum
+//! are its value bit for bit and the count is the whole rule. The marks
+//! and rank that find a record's slot are derived from the counts
+//! (`Layer::index`) and never stored, so they cannot disagree with them.
 
 // The record layout under every query and update.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -50,14 +58,16 @@ const WORD: usize = 64;
 /// non-empty cell its id, its tuple count and per-column min/max/sum (§3.4)
 /// — aggregates only, no link back to the tuples they came from.
 ///
-/// A record comes in one of two kinds, by one rule (`is_single`): a
-/// *single* holds one tuple whose min, max and sum are the same bits in
-/// every column, and keeps that one value per column in `singles`; every
-/// other record is *full* and keeps its minima, maxima and sums in `mins`,
-/// `maxs` and `sums`. `marks` flags the singles and `rank` counts them per
-/// 64 records, so a record's slot in either kind's arrays is one lookup
-/// and one popcount away. Keys and counts stay one entry per record, so
-/// no read of those sees the split.
+/// A record comes in one of two kinds, by its count alone: a *single*
+/// holds one tuple and keeps that tuple's one value per column in
+/// `singles`; every other record is *full* and keeps its minima, maxima
+/// and sums in `mins`, `maxs` and `sums`. One tuple's fold is its value in
+/// min, max and sum alike, because a sum starts at `-0.0` (see
+/// [`Record::empty`]). `marks` flags the singles and `rank` counts them
+/// per 64 records, both derived from `counts` by [`Layer::index`] and never
+/// stored, so a record's slot in either kind's arrays is one lookup and
+/// one popcount away. Keys and counts stay one entry per record, so no
+/// read of those sees the split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// The cell level of this layer.
@@ -68,11 +78,11 @@ pub struct Layer {
     pub(crate) keys: Vec<u64>,
     /// Tuples per cell.
     pub(crate) counts: Vec<u64>,
-    /// Bit `i % 64` of word `i / 64` is set iff record `i` is a single;
-    /// the bits past the last record are clear.
-    pub(crate) marks: Vec<u64>,
+    /// Bit `i % 64` of word `i / 64` is set iff `counts[i]` is 1; the bits
+    /// past the last record are clear. Derived from `counts`.
+    marks: Vec<u64>,
     /// Per word `w` of `marks`: the singles among records `0..64·w`.
-    /// Derived from `marks`, never stored.
+    /// Derived from `marks`.
     rank: Vec<u32>,
     /// The singles' values, flattened `single × column`.
     pub(crate) singles: Vec<f64>,
@@ -103,34 +113,47 @@ impl Layer {
         }
     }
 
-    /// A layer of all-zero records, for a producer that writes every one
-    /// of them in place: `parts` in order, each `(marks, cells)` a run of
-    /// `cells` records whose singles `marks` flags as a layer's own marks
-    /// do.
-    pub(crate) fn zeroed(level: u8, n_cols: usize, parts: &[(&[u64], usize)]) -> Layer {
-        let cells = parts.iter().map(|&(_, n)| n).sum::<usize>();
-        let mut marks = Vec::with_capacity(cells.div_ceil(WORD));
-        let mut len = 0;
-        for &(part, n) in parts {
-            append_bits(&mut marks, len, part, 0..n);
-            len += n;
-        }
-        let singles = marks.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        let full = (cells - singles) * n_cols;
-        let mut out = Layer {
+    /// A layer of `cells` all-zero records, `singles` of them singles, for
+    /// a producer that writes every one of them in place and then calls
+    /// [`Layer::index`] from 0.
+    pub(crate) fn zeroed(level: u8, n_cols: usize, cells: usize, singles: usize) -> Layer {
+        let (words, full) = (cells.div_ceil(WORD), (cells - singles) * n_cols);
+        Layer {
             level,
             n_cols,
             keys: vec![0; cells],
             counts: vec![0; cells],
-            rank: Vec::with_capacity(marks.len()),
-            marks,
+            marks: Vec::with_capacity(words),
+            rank: Vec::with_capacity(words),
             singles: vec![0.0; singles * n_cols],
             mins: vec![0.0; full],
             maxs: vec![0.0; full],
             sums: vec![0.0; full],
-        };
-        out.sync_rank();
-        out
+        }
+    }
+
+    /// Derive the marks and the rank of records `from..`, whose counts are
+    /// in and which no mark covers yet: the one place either is written.
+    /// Wrapping, so untrusted counts cannot panic here.
+    pub(crate) fn index(&mut self, from: usize) {
+        debug_assert_eq!(self.marks.len(), from.div_ceil(WORD));
+        let mut i = from;
+        while i < self.counts.len() {
+            let (w, bit) = (i / WORD, i % WORD);
+            if bit == 0 {
+                let before = match w.checked_sub(1) {
+                    Some(last) => self.rank[last].wrapping_add(self.marks[last].count_ones()),
+                    None => 0,
+                };
+                self.rank.push(before);
+                self.marks.push(0);
+            }
+            let end = self.counts.len().min((w + 1) * WORD);
+            let ones = (self.counts[i..end].iter().enumerate())
+                .fold(0, |word, (j, &count)| word | u64::from(count == 1) << j);
+            self.marks[w] |= ones << bit;
+            i = end;
+        }
     }
 
     /// Number of non-empty cells in this layer.
@@ -154,19 +177,19 @@ impl Layer {
     /// Heap bytes of the records: keys, counts, both kinds' values, the
     /// marks and their rank.
     pub(crate) fn memory_bytes(&self) -> usize {
-        8 * self.stored_words() + 4 * self.rank.len()
+        8 * (self.stored_words() + self.marks.len()) + 4 * self.rank.len()
     }
 
-    /// The 8-byte words of every stored array: all but the rank.
+    /// The 8-byte words of every stored array: keys, counts and values.
     fn stored_words(&self) -> usize {
         let values = self.singles.len() + self.mins.len() + self.maxs.len() + self.sums.len();
-        self.keys.len() + self.counts.len() + self.marks.len() + values
+        self.keys.len() + self.counts.len() + values
     }
 
     /// Is record `i` a single?
     #[inline]
     fn is_marked(&self, i: usize) -> bool {
-        bit(&self.marks, i)
+        self.marks[i / WORD] >> (i % WORD) & 1 == 1
     }
 
     /// The singles among records `0..i`: the rank of `i`.
@@ -182,19 +205,6 @@ impl Layer {
             _ => w.checked_sub(1).map_or(0, |last| {
                 self.rank[last] as usize + self.marks[last].count_ones() as usize
             }),
-        }
-    }
-
-    /// Fill `rank` up to one entry per word of `marks`, each word before
-    /// the last being whole. Wrapping, so untrusted marks cannot panic
-    /// here; [`Layer::validate`] refuses marks the rank would miscount.
-    fn sync_rank(&mut self) {
-        while self.rank.len() < self.marks.len() {
-            let next = match self.rank.len().checked_sub(1) {
-                Some(last) => self.rank[last].wrapping_add(self.marks[last].count_ones()),
-                None => 0,
-            };
-            self.rank.push(next);
         }
     }
 
@@ -259,32 +269,33 @@ impl Layer {
         start..*cursor
     }
 
-    /// Append record `key` with `record`'s aggregates, as a single when
-    /// [`is_single`] says it is one: the one place a producer's record
-    /// enters a layer. `key` must exceed every key in the layer.
+    /// Append record `key` with `record`'s aggregates, as a single when it
+    /// holds one tuple: the one place a producer's record enters a layer.
+    /// `key` must exceed every key in the layer.
     #[inline]
     pub(crate) fn push(&mut self, key: u64, record: RecordRef<'_>) {
         debug_assert!(self.keys.last() < Some(&key), "keys must ascend");
         let i = self.keys.len();
-        if i.is_multiple_of(WORD) {
-            self.marks.push(0);
-            self.sync_rank();
-        }
         self.keys.push(key);
         self.counts.push(record.count);
-        if is_single(&record) {
-            self.marks[i / WORD] |= 1 << (i % WORD);
+        if record.count == 1 {
+            debug_assert!(
+                [record.mins, record.maxs].iter().all(|part| {
+                    (part.iter().zip(record.sums)).all(|(v, sum)| v.to_bits() == sum.to_bits())
+                }),
+                "one tuple's fold is its value"
+            );
             self.singles.extend_from_slice(record.sums);
         } else {
             self.mins.extend_from_slice(record.mins);
             self.maxs.extend_from_slice(record.maxs);
             self.sums.extend_from_slice(record.sums);
         }
+        self.index(i);
     }
 
     /// Append records `range` of `other`, whose keys must all exceed every
-    /// key in this layer: each kind's values as one slice, the marks a
-    /// word at a time.
+    /// key in this layer: each kind's values as one slice.
     pub(crate) fn extend_from(&mut self, other: &Layer, range: Range<usize>) {
         debug_assert!((self.level, self.n_cols) == (other.level, other.n_cols));
         debug_assert!(
@@ -297,13 +308,7 @@ impl Layer {
             other.singles_before(range.end),
         );
         let full = (range.start - first) * c..(range.end - last) * c;
-        append_bits(
-            &mut self.marks,
-            self.keys.len(),
-            &other.marks,
-            range.clone(),
-        );
-        self.sync_rank();
+        let from = self.keys.len();
         self.keys.extend_from_slice(&other.keys[range.clone()]);
         self.counts.extend_from_slice(&other.counts[range]);
         self.singles
@@ -311,6 +316,7 @@ impl Layer {
         self.mins.extend_from_slice(&other.mins[full.clone()]);
         self.maxs.extend_from_slice(&other.maxs[full.clone()]);
         self.sums.extend_from_slice(&other.sums[full]);
+        self.index(from);
     }
 
     /// Append the canonical record of the cell at this layer's level that
@@ -343,13 +349,14 @@ impl Layer {
     /// order into their ancestors at `level`, one [`Layer::push_fold`] per
     /// ancestor. One level up, this is the cascade's step. The groups are
     /// counted first, singles apart — a group is a single iff it is one
-    /// single — so the layer is allocated once at its exact size.
+    /// record of one tuple — so the layer is allocated once at its exact
+    /// size.
     pub(crate) fn fold_to(&self, level: u8) -> Layer {
         debug_assert!(level <= self.level);
         let (mut cells, mut singles) = (0, 0);
         for group in self.groups(level) {
             cells += 1;
-            singles += usize::from(group.len() == 1 && self.is_marked(group.start));
+            singles += usize::from(group.len() == 1 && self.counts[group.start] == 1);
         }
         let mut out = Layer::with_capacity(level, self.n_cols, cells, singles);
         let mut acc = Record::empty(self.n_cols);
@@ -407,12 +414,12 @@ impl Layer {
         h.finish()
     }
 
-    /// Check every invariant of the arrays without panicking: one mark per
-    /// record, each kind's values cells of that kind × columns, every
-    /// marked record a single and every unmarked one not (the one rule),
-    /// keys well-formed cell ids of this layer's level in strictly
-    /// ascending order, and no record empty. The gate for untrusted input
-    /// (snapshot loads) before any fold or query touches the layer.
+    /// Check every invariant of the arrays without panicking: one count
+    /// per key, the singles' values the count-1 records × columns and the
+    /// full arrays the other records × columns, keys well-formed cell ids
+    /// of this layer's level in strictly ascending order, and no record
+    /// empty. The gate for untrusted input (snapshot loads) before any
+    /// fold or query touches the layer.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let (n, c) = (self.keys.len(), self.n_cols);
         if self.counts.len() != n {
@@ -421,24 +428,10 @@ impl Layer {
         if u32::try_from(n).is_err() {
             return Err(format!("{n} records exceed the rank's u32"));
         }
-        if self.marks.len() != n.div_ceil(WORD) {
-            return Err(format!(
-                "{n} records need {} mark words, found {}",
-                n.div_ceil(WORD),
-                self.marks.len()
-            ));
-        }
-        if self
-            .marks
-            .last()
-            .is_some_and(|&w| n % WORD != 0 && w >> (n % WORD) != 0)
-        {
-            return Err("a mark past the last record".into());
-        }
         let singles = self.num_singles();
         if self.singles.len() != singles * c {
             return Err(format!(
-                "singles must hold marked cells × columns = {} values, found {}",
+                "singles must hold count-1 cells × columns = {} values, found {}",
                 singles * c,
                 self.singles.len()
             ));
@@ -446,7 +439,7 @@ impl Layer {
         let full = (n - singles) * c;
         if self.mins.len() != full || self.maxs.len() != full || self.sums.len() != full {
             return Err(format!(
-                "aggregate arrays must hold unmarked cells × columns = {full} values"
+                "aggregate arrays must hold the other cells × columns = {full} values"
             ));
         }
         if self.level > gb_cell::MAX_LEVEL {
@@ -468,116 +461,50 @@ impl Layer {
             if count == 0 {
                 return Err(format!("empty cell stored at index {i}"));
             }
-            if self.is_marked(i) && count != 1 {
-                return Err(format!("marked record {i} holds {count} tuples, not 1"));
-            }
-        }
-        let single_stored_full =
-            |i: usize| self.counts[i] == 1 && !self.is_marked(i) && is_single(&self.record(i));
-        if let Some(i) = (0..n).find(|&i| single_stored_full(i)) {
-            return Err(format!("record {i} is a single stored full"));
         }
         Ok(())
     }
 
     /// Serialize the arrays (the snapshot's `CELL` payload): keys, counts,
-    /// marks, singles, then the full records' minima, maxima and sums.
+    /// singles, then the full records' minima, maxima and sums.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.u64_slice(&self.keys);
         w.u64_slice(&self.counts);
-        w.u64_slice(&self.marks);
         w.f64_slice(&self.singles);
         w.f64_slice(&self.mins);
         w.f64_slice(&self.maxs);
         w.f64_slice(&self.sums);
     }
 
-    /// Bytes [`Layer::encode`] writes: seven length-prefixed arrays.
+    /// Bytes [`Layer::encode`] writes: six length-prefixed arrays.
     pub(crate) fn encoded_bytes(&self) -> usize {
-        8 * (7 + self.stored_words())
+        8 * (6 + self.stored_words())
     }
 
-    /// Decode what [`Layer::encode`] wrote. The result is untrusted until
-    /// [`Layer::validate`] has passed.
+    /// Decode what [`Layer::encode`] wrote, its marks and rank derived from
+    /// the counts. The result is untrusted until [`Layer::validate`] has
+    /// passed.
     pub(crate) fn decode(
         r: &mut ByteReader<'_>,
         level: u8,
         n_cols: usize,
     ) -> Result<Layer, SnapshotError> {
+        let (keys, counts) = (r.u64_vec()?, r.u64_vec()?);
+        let words = counts.len().div_ceil(WORD);
         let mut out = Layer {
             level,
             n_cols,
-            keys: r.u64_vec()?,
-            counts: r.u64_vec()?,
-            marks: r.u64_vec()?,
-            rank: Vec::new(),
+            keys,
+            counts,
+            marks: Vec::with_capacity(words),
+            rank: Vec::with_capacity(words),
             singles: r.f64_vec()?,
             mins: r.f64_vec()?,
             maxs: r.f64_vec()?,
             sums: r.f64_vec()?,
         };
-        out.rank.reserve_exact(out.marks.len());
-        out.sync_rank();
+        out.index(0);
         Ok(out)
-    }
-}
-
-/// The one rule of the two kinds: a record is a single iff it holds one
-/// tuple and, column by column, its min, max and sum are the same bits.
-/// One tuple's fold differs only where its value is `-0.0`, whose sum
-/// `0.0 + -0.0` is `+0.0` (or NaN, whose min and max stay ±∞), so such a
-/// record stays full.
-#[inline]
-pub(crate) fn is_single(record: &RecordRef<'_>) -> bool {
-    record.count == 1
-        && (record.mins.iter().zip(record.maxs).zip(record.sums))
-            .all(|((&min, &max), &sum)| same_bits(min, max, sum))
-}
-
-/// Is the record of one tuple of `values`, one per column, a single? The
-/// rule on its [`fold_column`], for a producer that counts its singles
-/// before it folds them.
-pub(crate) fn tuple_is_single(mut values: impl Iterator<Item = f64>) -> bool {
-    values.all(|v| {
-        let (min, max, sum) = fold_column(std::iter::once(v));
-        same_bits(min, max, sum)
-    })
-}
-
-/// One column of [`is_single`]'s rule.
-#[inline]
-fn same_bits(min: f64, max: f64, sum: f64) -> bool {
-    min.to_bits() == sum.to_bits() && max.to_bits() == sum.to_bits()
-}
-
-/// Bit `i` of the bit set `words`, as [`Layer`]'s marks lay it out.
-#[inline]
-pub(crate) fn bit(words: &[u64], i: usize) -> bool {
-    words[i / WORD] >> (i % WORD) & 1 == 1
-}
-
-/// Append bits `range` of `src` to the `len`-bit set `dst`, a word at a
-/// time; the bits past the end stay clear.
-pub(crate) fn append_bits(dst: &mut Vec<u64>, mut len: usize, src: &[u64], range: Range<usize>) {
-    let mut from = range.start;
-    while from < range.end {
-        let at = len % WORD;
-        if at == 0 {
-            dst.push(0);
-        }
-        let take = (WORD - at).min(range.end - from);
-        let (w, bit) = (from / WORD, from % WORD);
-        let mut bits = src[w] >> bit;
-        if bit + take > WORD {
-            bits |= src[w + 1] << (WORD - bit);
-        }
-        if take < WORD {
-            bits &= (1u64 << take) - 1;
-        }
-        if let Some(last) = dst.last_mut() {
-            *last |= bits << at;
-        }
-        (len, from) = (len + take, from + take);
     }
 }
 
@@ -593,12 +520,15 @@ pub(crate) struct Record {
 
 impl Record {
     /// The record of a cell no tuple has reached yet: count 0 and every
-    /// column at `(+∞, −∞, 0.0)`, the start of [`Record::add_tuple`]'s
-    /// fold. A block never stores it.
+    /// column at `(+∞, −∞, −0.0)`, the start of [`Record::add_tuple`]'s
+    /// fold. A block never stores it. The sum starts at `-0.0`, the
+    /// additive identity (`x + -0.0` is `x` bit for bit, `±0.0` included),
+    /// so one finite tuple's fold holds its value in min, max and sum
+    /// alike: a record of one tuple is a single by its count alone.
     pub(crate) fn empty(n_cols: usize) -> Record {
         let mut values = vec![f64::INFINITY; n_cols];
         values.resize(2 * n_cols, f64::NEG_INFINITY);
-        values.resize(3 * n_cols, 0.0);
+        values.resize(3 * n_cols, -0.0);
         Record { count: 0, values }
     }
 
@@ -668,7 +598,7 @@ impl Record {
 }
 
 /// One value into a column's `(min, max, sum)`: the records' per-tuple
-/// fold, from `(+∞, −∞, 0.0)`. `v < min` and `v > max` keep the first of
+/// fold, from `(+∞, −∞, −0.0)`. `v < min` and `v > max` keep the first of
 /// equal values (`0.0` and `-0.0` among them), where `f64::min` / `max`
 /// may pick either.
 #[inline]
@@ -687,7 +617,7 @@ fn fold_value(min: &mut f64, max: &mut f64, sum: &mut f64, v: f64) {
 /// [`Record::add_tuple`] per value take, so bit for bit the same.
 #[inline]
 pub(crate) fn fold_column(values: impl Iterator<Item = f64>) -> (f64, f64, f64) {
-    let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+    let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, -0.0);
     for v in values {
         fold_value(&mut min, &mut max, &mut sum, v);
     }
@@ -752,79 +682,93 @@ mod tests {
         assert_eq!(l.memory_bytes(), 3 * (8 + 8 + 8) + 8 + 4);
     }
 
+    /// `l` with its marks and rank derived again, as a load derives them
+    /// from the counts it reads.
+    fn reindexed(mut l: Layer) -> Layer {
+        (l.marks, l.rank) = (Vec::new(), Vec::new());
+        l.index(0);
+        l
+    }
+
     #[test]
-    fn a_record_is_a_single_by_the_one_rule() {
+    fn a_record_is_a_single_by_its_count() {
         let bits = |r: RecordRef<'_>| {
             let all = [r.mins, r.maxs, r.sums].concat();
             (r.count, all.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
+        // One tuple's fold is its value in min, max and sum alike, signed
+        // zeros and infinities included.
         let one_tuple = [
-            ([1.5, -2.0], true),
-            ([0.0, 7.0], true),
-            // `0.0 + -0.0` is `+0.0`: min and max keep the sign, the sum
-            // does not.
-            ([1.5, -0.0], false),
-            // A NaN never replaces the fold's ±∞.
-            ([f64::NAN, 1.0], false),
+            [1.5, -2.0],
+            [0.0, 7.0],
+            [1.5, -0.0],
+            [-0.0, 0.0],
+            [f64::INFINITY, f64::NEG_INFINITY],
         ];
-        for (values, single) in one_tuple {
-            assert_eq!(tuple_is_single(values.into_iter()), single, "{values:?}");
+        let mut l = Layer::with_capacity(2, 2, 0, 0);
+        for (i, values) in one_tuple.iter().enumerate() {
+            let record = tuple(values);
+            let r = record.as_ref();
+            for (col, want) in values.iter().enumerate() {
+                let got = [r.min(col), r.max(col), r.sum(col)].map(f64::to_bits);
+                assert_eq!(got, [want.to_bits(); 3], "{values:?}");
+            }
+            let key = CellId::ROOT.child(i as u8 / 4).child(i as u8 % 4).raw();
+            l.push(key, r);
+            assert!(l.is_marked(i), "case {i}");
+            assert_eq!(bits(l.record(i)), bits(r), "case {i}");
         }
-        assert!(is_single(&tuple(&[]).as_ref()));
         let mut two = tuple(&[1.5, 2.0]);
         two.add_tuple(|_| 3.0);
-        let records = one_tuple
-            .iter()
-            .map(|(values, single)| (tuple(values), *single))
-            .chain([(two, false)]);
-        let mut l = Layer::with_capacity(2, 2, 0, 0);
-        for (i, (record, single)) in records.enumerate() {
-            assert_eq!(is_single(&record.as_ref()), single, "case {i}");
-            let key = CellId::ROOT.child(i as u8 / 4).child(i as u8 % 4).raw();
-            l.push(key, record.as_ref());
-            assert_eq!(l.is_marked(i), single, "case {i}");
-            assert_eq!(bits(l.record(i)), bits(record.as_ref()), "case {i}");
-        }
-        assert_eq!((l.num_singles(), l.validate()), (2, Ok(())));
+        l.push(CellId::ROOT.child(3).child(0).raw(), two.as_ref());
+        assert!(!l.is_marked(one_tuple.len()));
+        assert_eq!(bits(l.record(one_tuple.len())), bits(two.as_ref()));
+        assert_eq!((l.num_singles(), l.validate()), (one_tuple.len(), Ok(())));
+        assert_eq!(reindexed(l.clone()), l);
     }
 
     #[test]
-    fn validate_rejects_array_lengths_that_disagree_with_the_marks() {
+    fn a_negative_zero_tuple_is_a_single_that_reads_negative_zero() {
+        let mut l = Layer::with_capacity(2, 1, 1, 1);
+        l.push(
+            CellId::ROOT.child(0).child(1).raw(),
+            tuple(&[-0.0]).as_ref(),
+        );
+        assert_eq!((l.num_singles(), l.singles.len(), l.sums.len()), (1, 1, 0));
+        let r = l.record(0);
+        assert_eq!(
+            [r.min(0), r.max(0), r.sum(0)].map(f64::to_bits),
+            [(-0.0f64).to_bits(); 3]
+        );
+    }
+
+    #[test]
+    fn validate_rejects_array_lengths_that_disagree_with_the_counts() {
         let mut l = layer(&[(0, 1), (0, 3)]);
         l.counts.pop();
         assert!(l.validate().unwrap_err().contains("counts"));
         let mut l = layer(&[(0, 1), (0, 3)]);
         l.singles.pop();
-        assert!(l.validate().unwrap_err().contains("marked cells × columns"));
+        assert!(l
+            .validate()
+            .unwrap_err()
+            .contains("count-1 cells × columns"));
         let mut l = layer(&[(0, 1), (0, 3)]);
         l.sums.push(1.0);
-        assert!(l
-            .validate()
-            .unwrap_err()
-            .contains("unmarked cells × columns"));
-        let mut l = layer(&[(0, 1), (0, 3)]);
-        l.marks.clear();
-        assert!(l.validate().unwrap_err().contains("mark words"));
-        let mut l = layer(&[(0, 1), (0, 3)]);
-        l.marks[0] |= 1 << 5;
-        assert!(l.validate().unwrap_err().contains("past the last record"));
-    }
-
-    #[test]
-    fn validate_rejects_a_mark_that_breaks_the_rule() {
-        // A marked record of two tuples.
+        assert!(l.validate().unwrap_err().contains("other cells × columns"));
+        // A count flipped from 1 to 2, the arrays unchanged.
         let mut l = layer(&[(0, 1), (0, 3)]);
         l.counts[1] = 2;
-        assert!(l
-            .validate()
-            .unwrap_err()
-            .contains("marked record 1 holds 2"));
-        // A single stored full: its mark cleared, its value moved over.
-        let mut l = layer(&[(0, 1), (0, 3)]);
-        l.marks[0] &= !1;
-        let v = l.singles.remove(0);
-        (l.mins, l.maxs, l.sums) = (vec![v], vec![v], vec![v]);
-        assert!(l.validate().unwrap_err().contains("single stored full"));
+        let err = reindexed(l).validate().unwrap_err();
+        assert!(err.contains("count-1 cells × columns"), "{err}");
+        // And from 2 to 1.
+        let mut l = layer(&[(0, 1)]);
+        let mut two = tuple(&[5.0]);
+        two.add_tuple(|_| 6.0);
+        l.push(CellId::ROOT.child(2).child(0).raw(), two.as_ref());
+        l.counts[1] = 1;
+        let err = reindexed(l).validate().unwrap_err();
+        assert!(err.contains("count-1 cells × columns"), "{err}");
     }
 
     #[test]
@@ -886,15 +830,16 @@ mod tests {
         l.encode(&mut w);
         let bytes = w.into_inner();
         assert_eq!(bytes.len(), l.encoded_bytes());
-        assert_eq!(bytes.len(), 7 * 8 + l.memory_bytes() - 4);
+        // Six arrays: the memory's, less the mark word and its rank.
+        assert_eq!(bytes.len(), 6 * 8 + l.memory_bytes() - 8 - 4);
         let mut r = ByteReader::new(&bytes, "test");
         assert_eq!(Layer::decode(&mut r, 2, 1).unwrap(), l);
         r.finish().unwrap();
     }
 
     /// The level-`level` cells at the distinct `positions`, ascending, one
-    /// record each: a single of `value` where `kind` is 0, a full record
-    /// of one `-0.0` where it is 1, and of two tuples otherwise.
+    /// record each: a single of `value` where `kind` is 0, a single with a
+    /// `-0.0` where it is 1, and a full record of two tuples otherwise.
     fn mixed(level: u8, positions: &[u64], kinds: &[u8]) -> Layer {
         let mut keys: Vec<u64> = positions
             .iter()
@@ -955,11 +900,12 @@ mod tests {
             }
         }
 
-        /// Over layers that mix both kinds across several mark words: a
-        /// range read walks the same records `record(i)` reads one by one,
-        /// `extend_from` of consecutive ranges rebuilds the layer array
-        /// for array, the rank counts the marks, and the digest is the
-        /// one over the records as full ones.
+        /// Over layers that mix both kinds across several mark words: the
+        /// marks are the count-1 records, a range read walks the same
+        /// records `record(i)` reads one by one, `extend_from` of
+        /// consecutive ranges rebuilds the layer array for array, the rank
+        /// counts the marks, and the digest is the one over the records as
+        /// full ones.
         #[test]
         fn both_kinds_read_and_copy_as_the_records_they_are(
             positions in prop::collection::vec(0u64..1 << 60, 0..300),
@@ -969,6 +915,9 @@ mod tests {
             let l = mixed(9, &positions, &kinds);
             prop_assert_eq!(l.validate(), Ok(()));
             let n = l.num_cells();
+            for i in 0..n {
+                prop_assert_eq!(l.is_marked(i), l.counts[i] == 1);
+            }
             let marked = (0..n).filter(|&i| l.is_marked(i)).count();
             prop_assert_eq!(l.num_singles(), marked);
             for i in 0..=n {
@@ -991,32 +940,6 @@ mod tests {
             prop_assert_eq!(&copy, &l);
 
             prop_assert_eq!(l.content_hash(), full_layout_hash(&l));
-        }
-
-        /// `append_bits` is the bit-by-bit append.
-        #[test]
-        fn append_bits_appends_bit_by_bit(
-            src in prop::collection::vec(any::<u64>(), 1..5),
-            head in 0usize..130,
-            range in (0usize..256, 0usize..256),
-        ) {
-            let mut dst: Vec<u64> = vec![u64::MAX; head.div_ceil(WORD)];
-            if head % WORD != 0 {
-                *dst.last_mut().unwrap() &= (1 << (head % WORD)) - 1;
-            }
-            let bits = src.len() * WORD;
-            let (a, b) = (range.0.min(bits), range.1.min(bits));
-            let range = a.min(b)..a.max(b);
-            append_bits(&mut dst, head, &src, range.clone());
-            let len = head + range.len();
-            prop_assert_eq!(dst.len(), len.div_ceil(WORD));
-            for i in 0..len {
-                let want = if i < head { true } else { bit(&src, range.start + i - head) };
-                prop_assert_eq!(bit(&dst, i), want, "bit {}", i);
-            }
-            if len % WORD != 0 {
-                prop_assert_eq!(dst.last().unwrap() >> (len % WORD), 0);
-            }
         }
     }
 }

@@ -10,18 +10,20 @@
 //! [`GeoBlock::from_snapshot_bytes`] and on disk through
 //! [`GeoBlock::write_snapshot`] / [`GeoBlock::read_snapshot`].
 //!
-//! ## Sections (format version 8)
+//! ## Sections (format version 9)
 //!
 //! | tag    | content |
 //! |--------|---------|
 //! | `SCHM` | column count, then per column: name |
 //! | `GRID` | domain rectangle (4 × f64 bits), curve tag (always 0: Hilbert; any other is refused) |
 //! | `HDRS` | level, **content hash**, **state hash** |
-//! | `CELL` | the block-level [`Layer`]: keys, counts (u64), the singles' marks (one bit per record), the singles' values (one per column), the full records' min/max/sum |
+//! | `CELL` | the block-level [`Layer`]: keys, counts (u64), the singles' values (one per column of each count-1 record), the full records' min/max/sum |
 //!
-//! Everything coarser than a cell — the coarser layers and the §3.4
-//! global header, which is their root record — is a fold of the `CELL`
-//! layer, so it is **never** serialized: every load rebuilds it through
+//! Which record is a single is its count alone, so the marks and rank
+//! that find a record's values are derived from the counts on load, never
+//! stored. Everything coarser than a cell — the coarser layers and the
+//! §3.4 global header, which is their root record — is a fold of the
+//! `CELL` layer, so it is **never** serialized: every load rebuilds it through
 //! the same `GeoBlock::refresh_derived` every other producer of a block
 //! ends in (see `DESIGN.md` "Persistence" for the measurements behind
 //! this).
@@ -64,7 +66,7 @@ pub use gb_store::SnapshotError;
 /// the loader reads. Bump on any change to a section's encoding or to what
 /// a stored digest spans; adding a new optional section a reader could
 /// safely ignore does not require a bump. See `DESIGN.md` "Persistence".
-pub const SNAPSHOT_VERSION: u16 = 8;
+pub const SNAPSHOT_VERSION: u16 = 9;
 
 const TAG_SCHEMA: SectionTag = SectionTag(*b"SCHM");
 const TAG_GRID: SectionTag = SectionTag(*b"GRID");
@@ -505,7 +507,8 @@ mod tests {
             ) {
                 let mut raw =
                     RawTable::new(Schema::new(vec![ColumnDef::f64("v"), ColumnDef::f64("k")]));
-                // Every ninth `k` is `-0.0`: a row whose record stays full.
+                // Every ninth `k` is `-0.0`: a row whose record of one tuple
+                // is a single all the same.
                 for (i, &(x, y)) in points.iter().enumerate() {
                     let k = if i % 9 == 4 { -0.0 } else { (i % 9) as f64 };
                     raw.push_row(Point::new(x, y), &[x * 0.37 - y, k]);
@@ -532,13 +535,12 @@ mod tests {
                     b.check_invariants();
                 }
                 // A tuple on a single's cell: the update turns it full.
-                let single = (0..b.num_cells())
-                    .find(|&i| crate::layer::is_single(&b.records().record(i)));
+                let single = (0..b.num_cells()).find(|&i| b.records().record(i).count == 1);
                 if let Some(i) = single {
                     let mut batch = UpdateBatch::new();
                     batch.push(b.grid().cell_rect(b.cell_at(i)).center(), vec![1.0, 2.0]);
                     prop_assert_eq!(b.apply_updates(&batch).expect("valid batch").in_place, 1);
-                    prop_assert!(!crate::layer::is_single(&b.records().record(i)));
+                    prop_assert!(b.records().record(i).count != 1);
                     b.check_invariants();
                 }
                 for layer in b.layers() {
@@ -566,7 +568,7 @@ mod tests {
 
     mod kinds {
         use super::*;
-        use crate::layer::{fold_column, full_layout_hash, is_single};
+        use crate::layer::{fold_column, full_layout_hash};
         use crate::{build_parallel, UpdateBatch};
         use gb_data::Rows;
         use proptest::prelude::*;
@@ -586,7 +588,7 @@ mod tests {
         }
 
         /// Every block-level record of `b` is, bit for bit, `fold_column`
-        /// of its rows in fold order, stored as the kind the rule makes
+        /// of its rows in fold order, stored as the kind its count makes
         /// it, and every layer's digest is the all-full layout's.
         fn assert_records_are_their_rows(
             b: &GeoBlock,
@@ -621,7 +623,7 @@ mod tests {
 
             /// Over tables with repeated locations, cells of one row and
             /// `-0.0` values, every producer stores each record as the
-            /// fold of its rows, singles apart by the one rule: the build
+            /// fold of its rows, singles apart by their count: the build
             /// at 1, 2 and 4 threads, `fold_to` (`coarsen`), a batch that
             /// turns a single into a full record, one that makes new
             /// singles, and a snapshot round trip.
@@ -663,7 +665,7 @@ mod tests {
                 }
 
                 // A tuple on a single's row turns it full.
-                let single = (0..b.num_cells()).find(|&i| is_single(&b.records().record(i)));
+                let single = (0..b.num_cells()).find(|&i| b.records().record(i).count == 1);
                 if let Some(i) = single {
                     let cell = b.cell_at(i);
                     let row = (0..base.num_rows())
@@ -674,12 +676,12 @@ mod tests {
                     let mut batch = UpdateBatch::new();
                     batch.push(base.location(row), values);
                     prop_assert_eq!(b.apply_updates(&batch).expect("valid batch").in_place, 1);
-                    prop_assert!(!is_single(&b.records().record(i)));
+                    prop_assert_eq!(b.records().record(i).count, 2);
                     assert_records_are_their_rows(&b, &folded)?;
                 }
 
                 // Tuples in cells without data make new records, singles
-                // unless a value is `-0.0` or two land in one cell.
+                // unless two land in one cell, `-0.0` values included.
                 let mut batch = UpdateBatch::new();
                 for &(x, y, k, zero) in &fresh {
                     let cell = grid.cell_for_point(Point::new(x, y), level).raw();
@@ -690,10 +692,8 @@ mod tests {
                 b.apply_updates(&batch).expect("valid batch");
                 b.check_invariants();
                 assert_records_are_their_rows(&b, &folded)?;
-                for (i, rows) in folded.values().enumerate() {
-                    let one_tuple = rows.len() == 1 && rows[0].iter().all(|v| v.to_bits() != (-0.0f64).to_bits());
-                    prop_assert_eq!(is_single(&b.records().record(i)), one_tuple);
-                }
+                let singles = folded.values().filter(|rows| rows.len() == 1).count();
+                prop_assert_eq!(b.records().num_singles(), singles);
 
                 let back = GeoBlock::from_snapshot_bytes(&b.to_snapshot_bytes()).expect("load");
                 prop_assert_eq!(&back.layers, &b.layers);

@@ -32,7 +32,7 @@
 
 use crate::api::{check_update_row, GbError};
 use crate::block::GeoBlock;
-use crate::layer::{is_single, Layer, Record};
+use crate::layer::{Layer, Record};
 use gb_cell::CellId;
 use gb_geom::Point;
 
@@ -112,8 +112,8 @@ impl GeoBlock {
     /// admitted, folded in, and what the batch did; `self` is untouched.
     /// Every touched cell follows one rule: its old record, or
     /// `Record::empty`, plus the batch's tuples in batch order, stored as
-    /// the kind it turns out to be — a single that gains a tuple is full,
-    /// a new cell of one tuple is, as a rule, a single.
+    /// the kind its count makes it — a single that gains a tuple is full,
+    /// a new cell of one tuple is a single.
     pub(crate) fn applied(&self, batch: &UpdateBatch) -> (GeoBlock, UpdateReport) {
         let (old, level) = (self.records(), self.level());
         // Sorted (cell, row) pairs: each cell's rows are a run in batch order.
@@ -144,14 +144,13 @@ impl GeoBlock {
                     fresh += 1;
                     Record::empty(old.n_cols)
                 } else {
-                    let was = old.record(hit.start);
-                    singles -= usize::from(is_single(&was));
-                    Record::of(was)
+                    singles -= usize::from(old.counts[hit.start] == 1);
+                    Record::of(old.record(hit.start))
                 };
                 for &(_, row) in run {
                     record.add_tuple(|col| batch.rows[row].1[col]);
                 }
-                singles += usize::from(is_single(&record.as_ref()));
+                singles += usize::from(record.as_ref().count == 1);
                 record
             })
             .collect();

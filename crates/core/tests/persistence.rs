@@ -297,12 +297,12 @@ fn current_files() -> [Vec<u8>; 2] {
     [block.to_snapshot_bytes(), updated.to_snapshot_bytes()]
 }
 
-/// The `CELL` payload's seven arrays — keys, counts, marks, singles, then
-/// the full records' minima, maxima and sums — as the byte ranges of their
-/// values, each behind its u64 count.
+/// The `CELL` payload's six arrays — keys, counts, singles, then the full
+/// records' minima, maxima and sums — as the byte ranges of their values,
+/// each behind its u64 count.
 fn cell_arrays(payload: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut at = 0;
-    let arrays: Vec<_> = (0..7)
+    let arrays: Vec<_> = (0..6)
         .map(|_| {
             let count = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
             let values = at + 8..at + 8 + 8 * count as usize;
@@ -310,7 +310,7 @@ fn cell_arrays(payload: &[u8]) -> Vec<std::ops::Range<usize>> {
             values
         })
         .collect();
-    assert_eq!(at, payload.len(), "seven arrays fill the section");
+    assert_eq!(at, payload.len(), "six arrays fill the section");
     arrays
 }
 
@@ -324,9 +324,9 @@ fn drop_last_value(payload: &mut Vec<u8>, which: usize) {
 }
 
 const CELL: SectionTag = SectionTag(*b"CELL");
-const MARKS: usize = 2;
-const SINGLES: usize = 3;
-const SUMS: usize = 6;
+const COUNTS: usize = 1;
+const SINGLES: usize = 2;
+const SUMS: usize = 5;
 
 #[test]
 fn crafted_cell_sections_are_typed_errors() {
@@ -352,30 +352,36 @@ fn crafted_cell_sections_are_typed_errors() {
         // A structurally impossible CELL — `sums`, its last array, one
         // value short — under a valid checksum: rejected before any fold
         // indexes it (this panicked once).
-        refused(&|p| drop_last_value(p, SUMS), "unmarked cells × columns");
-        // `singles` one value short of what the marks flag.
-        refused(&|p| drop_last_value(p, SINGLES), "marked cells × columns");
-        // The marks cut by a word: fewer than one bit per record.
-        refused(&|p| drop_last_value(p, MARKS), "mark words");
-        // A marked record whose count is not 1.
-        refused(
-            &|p| {
-                let arrays = cell_arrays(p);
-                let word = u64::from_le_bytes(p[arrays[MARKS].start..][..8].try_into().unwrap());
-                let i = word.trailing_zeros() as usize;
-                let count_at = arrays[1].start + 8 * i;
-                p[count_at..count_at + 8].copy_from_slice(&2u64.to_le_bytes());
-            },
-            "not 1",
-        );
-        // A flipped CELL byte under a valid checksum — in the keys, the
-        // counts, the marks, the singles, the full records — is caught by
-        // validation or the digest.
+        refused(&|p| drop_last_value(p, SUMS), "other cells × columns");
+        // `singles` one value short of what the count-1 records hold.
+        refused(&|p| drop_last_value(p, SINGLES), "count-1 cells × columns");
+        // A count flipped from 1 to 2, or from 2 to 1, the arrays
+        // unchanged: the records no longer fit the arrays.
         let payload = SnapshotReader::from_bytes(&file, SNAPSHOT_VERSION)
             .unwrap()
             .require(CELL)
             .unwrap()
             .to_vec();
+        let counts: Vec<u64> = payload[cell_arrays(&payload)[COUNTS].clone()]
+            .chunks_exact(8)
+            .map(|n| u64::from_le_bytes(n.try_into().unwrap()))
+            .collect();
+        for (from, to) in [(1u64, 2u64), (2, 1)] {
+            let i = counts
+                .iter()
+                .position(|&n| n == from)
+                .expect("a record of that count");
+            refused(
+                &|p| {
+                    let at = cell_arrays(p)[COUNTS].start + 8 * i;
+                    p[at..at + 8].copy_from_slice(&to.to_le_bytes());
+                },
+                "count-1 cells × columns",
+            );
+        }
+        // A flipped CELL byte under a valid checksum — in the keys, the
+        // counts, the singles, the full records — is caught by
+        // validation or the digest.
         for values in cell_arrays(&payload) {
             for at in [values.start + 4, values.end - 1]
                 .into_iter()
@@ -396,36 +402,46 @@ fn crafted_cell_sections_are_typed_errors() {
     }
 }
 
-/// A file in the version-7 layout, whose `CELL` stored every record full
-/// (keys, counts, then every record's minima, maxima and sums), is
-/// refused by its version before anything is decoded.
+/// A file in the version-8 layout, whose `CELL` stored the singles' marks
+/// beside the counts (keys, counts, one bit per record, the singles'
+/// values, then the full records' minima, maxima and sums), is refused by
+/// its version before anything is decoded.
 #[test]
-fn a_version_7_file_is_unsupported() {
+fn a_version_8_file_is_unsupported() {
     let file = &current_files()[1];
     let block = GeoBlock::from_snapshot_bytes(file).expect("loads");
     let keys: Vec<u64> = (0..block.num_cells())
         .map(|i| block.cell_at(i).raw())
         .collect();
-    let (mut counts, mut full) = (Vec::new(), [Vec::new(), Vec::new(), Vec::new()]);
-    for r in keys
+    let (mut counts, mut marks) = (Vec::new(), vec![0u64; keys.len().div_ceil(64)]);
+    let (mut singles, mut full) = (Vec::new(), [Vec::new(), Vec::new(), Vec::new()]);
+    for (i, r) in keys
         .iter()
         .flat_map(|&k| block.records_under(CellId::from_raw(k)))
+        .enumerate()
     {
         counts.push(r.count);
         for c in 0..block.schema().len() {
-            full[0].push(r.min(c));
-            full[1].push(r.max(c));
-            full[2].push(r.sum(c));
+            if r.count == 1 {
+                marks[i / 64] |= 1 << (i % 64);
+                singles.push(r.sum(c));
+            } else {
+                full[0].push(r.min(c));
+                full[1].push(r.max(c));
+                full[2].push(r.sum(c));
+            }
         }
     }
     let reader = SnapshotReader::from_bytes(file, SNAPSHOT_VERSION).unwrap();
-    let mut w = SnapshotWriter::new(7);
+    let mut w = SnapshotWriter::new(8);
     for tag in reader.tags() {
         let payload = reader.require(tag).unwrap();
         w.section(tag, |p| {
             if tag == CELL {
                 p.u64_slice(&keys);
                 p.u64_slice(&counts);
+                p.u64_slice(&marks);
+                p.f64_slice(&singles);
                 for values in &full {
                     p.f64_slice(values);
                 }
@@ -439,8 +455,8 @@ fn a_version_7_file_is_unsupported() {
         matches!(
             err,
             SnapshotError::UnsupportedVersion {
-                found: 7,
-                expected: 8
+                found: 8,
+                expected: 9
             }
         ),
         "{err:?}"

@@ -105,12 +105,11 @@ fn frame(sections: &Sections) -> Vec<u8> {
 }
 
 const CELL: SectionTag = SectionTag(*b"CELL");
-/// The `CELL` arrays, in order: keys, counts, marks, singles, then the full
+/// The `CELL` arrays, in order: keys, counts, singles, then the full
 /// records' minima, maxima and sums.
 const COUNTS: usize = 1;
-const MARKS: usize = 2;
-const SINGLES: usize = 3;
-const FULL: usize = 4;
+const SINGLES: usize = 2;
+const FULL: usize = 3;
 
 /// Offsets in `payload` where a u64 array-length prefix plausibly sits:
 /// the payload walked as a run of count-prefixed arrays of 8-byte values
@@ -221,10 +220,10 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
                 format!("file {which}: raw flip bit {bit} of byte {at}"),
             )
         }
-        // A `CELL` whose arrays disagree with its marks, under a valid
-        // checksum: a marked record's count set to 2, the `singles` or a
-        // full array one value short, or the marks a word short. Each is
-        // refused.
+        // A `CELL` whose arrays disagree with its counts, under a valid
+        // checksum: a count flipped from 1 to 2 or from 2 to 1, the arrays
+        // unchanged, or the `singles` or a full array one value short.
+        // Each is refused.
         6 => {
             let Some(cell) = sections.iter_mut().find(|(t, _)| *t == CELL) else {
                 return (file.clone(), format!("file {which}: untouched"), false);
@@ -232,31 +231,37 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
             let arrays = length_prefixes(&cell.1);
             let count_of =
                 |p: &[u8], at: usize| u64::from_le_bytes(p[at..at + 8].try_into().unwrap());
-            let (attack, array) = (
-                below(rng, 3),
-                [SINGLES, FULL + below(rng, 3), MARKS][below(rng, 3)],
-            );
             let payload = &mut cell.1;
-            let what = match attack {
-                0 if count_of(payload, arrays[MARKS]) > 0 => {
-                    let word = count_of(payload, arrays[MARKS] + 8);
-                    if word == 0 {
+            let what = match below(rng, 3) {
+                0 => {
+                    let (from, to) = [(1u64, 2u64), (2, 1)][below(rng, 2)];
+                    let first = arrays[COUNTS] + 8;
+                    let n = count_of(payload, arrays[COUNTS]) as usize;
+                    let flippable: Vec<usize> = (0..n)
+                        .filter(|&i| count_of(payload, first + 8 * i) == from)
+                        .collect();
+                    if flippable.is_empty() {
                         return (file.clone(), format!("file {which}: untouched"), false);
                     }
-                    let i = word.trailing_zeros() as usize;
-                    let at = arrays[COUNTS] + 8 + 8 * i;
-                    payload[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
-                    format!("file {which}: marked record {i} given 2 tuples")
+                    let i = flippable[below(rng, flippable.len())];
+                    payload[first + 8 * i..][..8].copy_from_slice(&to.to_le_bytes());
+                    format!("file {which}: count {i} flipped from {from} to {to}")
                 }
-                _ if count_of(payload, arrays[array]) > 0 => {
+                attack => {
+                    let array = match attack {
+                        1 => SINGLES,
+                        _ => FULL + below(rng, 3),
+                    };
                     let at = arrays[array];
                     let n = count_of(payload, at);
+                    if n == 0 {
+                        return (file.clone(), format!("file {which}: untouched"), false);
+                    }
                     payload[at..at + 8].copy_from_slice(&(n - 1).to_le_bytes());
                     let end = at + 8 + 8 * n as usize;
                     payload.drain(end - 8..end);
                     format!("file {which}: CELL array {array} one value short")
                 }
-                _ => return (file.clone(), format!("file {which}: untouched"), false),
             };
             return (frame(&sections), what, true);
         }
@@ -264,7 +269,7 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
         // nearby one (an older version or the next), otherwise any.
         _ => {
             let mut other = if below(rng, 2) == 0 {
-                below(rng, 8) as u16
+                below(rng, usize::from(SNAPSHOT_VERSION) + 2) as u16
             } else {
                 splitmix(rng) as u16
             };

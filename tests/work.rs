@@ -23,7 +23,7 @@
 use gb_baselines::{BlockQcIndex, SpatialAggIndex};
 use gb_data::{datasets, extract, polygons, AggSpec, Filter, Rows};
 use gb_geom::Point;
-use geoblocks::{build, GeoBlock, GeoBlockEngine, QueryStats, UpdateBatch, UpdateReport};
+use geoblocks::{build_parallel, GeoBlock, GeoBlockEngine, QueryStats, UpdateBatch, UpdateReport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -104,12 +104,12 @@ const MAX_GENERATE_BYTES: usize = 14_400_000;
 /// Ceiling on the bytes `extract` allocates: each chunk's pairs, the key
 /// column and the permutation, and the gathered columns.
 const MAX_EXTRACT_BYTES: usize = 9_956_320;
-/// Ceiling on the bytes `build` allocates: the records and each coarser
-/// layer, each once at its exact size, and the count pass's marks of the
-/// singles — counted on one thread, where they are one 4 560-byte array
-/// (16 002 248 B while a record of one tuple stored its value three
-/// times).
-const MAX_BUILD_BYTES: usize = 11_275_024;
+/// Ceiling on the bytes `build_parallel` allocates, the same on 1, 2 and 4
+/// threads: the records and each coarser layer, each once at its exact
+/// size (16 002 248 B while a record of one tuple stored its value three
+/// times, 11 275 024 B on one thread while the count pass grew a bitset of
+/// the singles per range).
+const MAX_BUILD_BYTES: usize = 11_262_736;
 /// BlockQC's aggregate threshold (the serving benchmark's).
 const THRESHOLD: f64 = 0.05;
 /// After two SELECT passes and a rebuild: cached cells, their bytes, and
@@ -136,13 +136,15 @@ const MAX_UPDATE_IN_PLACE_BYTES: usize = 11_263_408;
 const MAX_UPDATE_NEW_CELL_BYTES: usize = 11_265_456;
 /// Ceiling on the bytes a serving engine's `write_snapshot` allocates:
 /// the container buffer, sized once from the stored arrays (7 404 096 B
-/// while a record of one tuple stored its value three times). A save that
-/// copied the block would add its 7.1 MB.
-const MAX_SAVE_BYTES: usize = 4_832_288;
+/// while a record of one tuple stored its value three times, 4 832 288 B
+/// while the file stored the singles' marks). A save that copied the
+/// block would add its 7.1 MB.
+const MAX_SAVE_BYTES: usize = 4_827_248;
 /// Ceiling on the bytes `GeoBlock::read_snapshot` allocates: the file, the
-/// decoded records and the coarser layers the load derives (23 405 600 B
-/// while a record of one tuple stored its value three times).
-const MAX_LOAD_BYTES: usize = 16_094_240;
+/// decoded records, their marks derived from the counts, and the coarser
+/// layers the load derives (23 405 600 B while a record of one tuple stored
+/// its value three times, 16 094 240 B while the file stored the marks).
+const MAX_LOAD_BYTES: usize = 16_089_200;
 
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
@@ -151,9 +153,16 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
     let rules = datasets::nyc_cleaning_rules();
     let (extracted, extract_bytes) = allocated(|| extract(&ds.raw, ds.grid, &rules, None));
     let base = extracted.base;
-    let ((block, _), build_bytes) = allocated(|| build(&base, LEVEL, &Filter::all()));
+    let ((block, _), build_bytes) = allocated(|| build_parallel(&base, LEVEL, &Filter::all(), 1));
     let built = started.elapsed();
     assert!(built.as_secs_f64() < 2.0, "set-up took {built:?}");
+    for threads in [2, 4] {
+        let (_, bytes) = allocated(|| build_parallel(&base, LEVEL, &Filter::all(), threads));
+        assert_eq!(
+            bytes, build_bytes,
+            "build allocated {bytes} B on {threads} threads, {build_bytes} B on 1"
+        );
+    }
     assert!(
         generate_bytes <= MAX_GENERATE_BYTES,
         "generating the rows allocated {generate_bytes} B, over the recorded {MAX_GENERATE_BYTES}"
