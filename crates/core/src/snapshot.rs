@@ -10,14 +10,17 @@
 //! [`GeoBlock::from_snapshot_bytes`] and on disk through
 //! [`GeoBlock::write_snapshot`] / [`GeoBlock::read_snapshot`].
 //!
-//! ## Sections (format version 9)
+//! ## Sections (format version 10)
 //!
-//! | tag    | content |
-//! |--------|---------|
-//! | `SCHM` | column count, then per column: name |
-//! | `GRID` | domain rectangle (4 × f64 bits), curve tag (always 0: Hilbert; any other is refused) |
-//! | `HDRS` | level, **content hash**, **state hash** |
-//! | `CELL` | the block-level [`Layer`]: keys, counts (u64), the singles' values (one per column of each count-1 record), the full records' min/max/sum |
+//! Four sections, in this order, each behind its length, under the
+//! container's one checksum:
+//!
+//! | section | content |
+//! |---------|---------|
+//! | `SCHM`  | column count, then per column: name |
+//! | `GRID`  | domain rectangle (4 × f64 bits); the curve is Hilbert |
+//! | `HDRS`  | level, **content hash**, **state hash** |
+//! | `CELL`  | the block-level [`Layer`]: keys, counts (u64), the singles' values (one per column of each count-1 record), the full records' min/max/sum |
 //!
 //! Which record is a single is its count alone, so the marks and rank
 //! that find a record's values are derived from the counts on load, never
@@ -31,18 +34,17 @@
 //! The loader reads exactly [`SNAPSHOT_VERSION`]: nothing in the
 //! repository loads a snapshot written by another build, so a file of any
 //! other version is refused by the container as
-//! `SnapshotError::UnsupportedVersion` before a checksum is verified.
+//! `SnapshotError::UnsupportedVersion` before the checksum is verified.
 //!
 //! Every load re-derives two digests and compares them with the values
 //! stored at save time: the content hash (the stored layer's logical
 //! records, whichever kind stores them — [`GeoBlock::content_hash`]) and
 //! a *state hash* over the content hash, the grid domain and the schema.
-//! Per-section checksums catch flipped
-//! bits; the two digests catch sections *grafted* between two
-//! individually-valid snapshots. The round-trip gate ("loaded state ≡
-//! saved state") is thus enforced by the loader itself, not just by
-//! tests. Decoding never panics: all failures surface as
-//! [`SnapshotError`].
+//! The checksum catches flipped bits; the two digests catch sections
+//! *grafted* between two individually-valid snapshots and sealed again.
+//! The round-trip gate ("loaded state ≡ saved state") is thus enforced by
+//! the loader itself, not just by tests. Decoding never panics: all
+//! failures surface as [`SnapshotError`].
 
 // Snapshot bytes come from disk: a corrupt file is a typed error.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -55,7 +57,7 @@ use gb_cell::Grid;
 use gb_common::{FxHasher, Timer};
 use gb_data::{ColumnDef, Schema};
 use gb_geom::Rect;
-use gb_store::{ByteReader, SectionTag, SnapshotReader, SnapshotWriter};
+use gb_store::{SnapshotReader, SnapshotWriter};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::time::Duration;
@@ -63,18 +65,9 @@ use std::time::Duration;
 pub use gb_store::SnapshotError;
 
 /// The snapshot format version: the one the writer stamps and the only one
-/// the loader reads. Bump on any change to a section's encoding or to what
-/// a stored digest spans; adding a new optional section a reader could
-/// safely ignore does not require a bump. See `DESIGN.md` "Persistence".
-pub const SNAPSHOT_VERSION: u16 = 9;
-
-const TAG_SCHEMA: SectionTag = SectionTag(*b"SCHM");
-const TAG_GRID: SectionTag = SectionTag(*b"GRID");
-const TAG_HEADER: SectionTag = SectionTag(*b"HDRS");
-const TAG_CELLS: SectionTag = SectionTag(*b"CELL");
-
-/// The `GRID` section's curve tag: the Hilbert curve, the only one.
-const HILBERT_TAG: u8 = 0;
+/// the loader reads. Bump on any change to what is stored or to what a
+/// stored digest spans. See `DESIGN.md` "Persistence".
+pub const SNAPSHOT_VERSION: u16 = 10;
 
 /// The state hash: the block's `content` digest plus what the content
 /// hash excludes — the grid domain and the schema. Stored in `HDRS` and
@@ -104,7 +97,7 @@ pub struct PersistStats {
     pub bytes: usize,
     /// Load: the file into memory.
     pub read: Duration,
-    /// Load: container framing and every section checksum.
+    /// Load: the container's header and its checksum.
     pub verify: Duration,
     /// Load: sections into arrays, and the structural validation of what
     /// they describe.
@@ -114,9 +107,9 @@ pub struct PersistStats {
     pub hash: Duration,
     /// Load: the coarser layers, folded again.
     pub derive: Duration,
-    /// Save: sections framed and encoded into the output buffer.
+    /// Save: the sections encoded into the output buffer.
     pub encode: Duration,
-    /// Save: every section checksum.
+    /// Save: the checksum.
     pub checksum: Duration,
     /// Save: the buffer to a temp file, renamed into place.
     pub write: Duration,
@@ -166,7 +159,8 @@ impl GeoBlock {
     }
 
     /// The one writer: every section encoded straight into the container's
-    /// buffer, sized up front from what the arrays will take.
+    /// buffer, sized up front from what the arrays will take (the 1 KiB
+    /// holds the header and the three small sections).
     fn encode_snapshot(&self) -> (Vec<u8>, PersistStats) {
         let b = self;
         let mut stats = PersistStats::default();
@@ -178,29 +172,29 @@ impl GeoBlock {
         let mut out =
             SnapshotWriter::with_capacity(SNAPSHOT_VERSION, 1024 + b.records().encoded_bytes());
 
-        out.section(TAG_SCHEMA, |w| {
+        // `SCHM`, `GRID`, `HDRS`, `CELL`: the order is the layout.
+        out.section(|w| {
             w.len_u32(b.schema.len());
             for col in b.schema.columns() {
                 w.str(&col.name);
             }
         });
 
-        out.section(TAG_GRID, |w| {
+        out.section(|w| {
             let d = b.grid.domain();
             w.f64(d.min.x);
             w.f64(d.min.y);
             w.f64(d.max.x);
             w.f64(d.max.y);
-            w.u8(HILBERT_TAG);
         });
 
-        out.section(TAG_HEADER, |w| {
+        out.section(|w| {
             w.u8(b.level());
             w.u64(content);
             w.u64(state);
         });
 
-        out.section(TAG_CELLS, |w| b.records().encode(w));
+        out.section(|w| b.records().encode(w));
         stats.encode = timer.lap();
 
         let bytes = out.into_bytes();
@@ -216,10 +210,10 @@ impl GeoBlock {
             ..PersistStats::default()
         };
         let mut timer = Timer::start();
-        let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION)?;
+        let mut sections = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION)?;
         stats.verify = timer.lap();
 
-        let mut r = ByteReader::new(reader.require(TAG_SCHEMA)?, "section `SCHM`");
+        let mut r = sections.next_section("section `SCHM`")?;
         let n_cols = r.u32()? as usize;
         let mut cols = Vec::new();
         for _ in 0..n_cols {
@@ -229,12 +223,8 @@ impl GeoBlock {
         let schema =
             Schema::try_new(cols).map_err(|e| SnapshotError::corrupt(format!("schema: {e}")))?;
 
-        let mut r = ByteReader::new(reader.require(TAG_GRID)?, "section `GRID`");
+        let mut r = sections.next_section("section `GRID`")?;
         let (x0, y0, x1, y1) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-        match r.u8()? {
-            HILBERT_TAG => {}
-            t => return Err(SnapshotError::corrupt(format!("unknown curve tag {t}"))),
-        }
         r.finish()?;
         if !(x0.is_finite() && y0.is_finite() && x1.is_finite() && y1.is_finite())
             || x1 <= x0
@@ -246,12 +236,13 @@ impl GeoBlock {
         }
         let grid = Grid::hilbert(Rect::from_bounds(x0, y0, x1, y1));
 
-        let mut r = ByteReader::new(reader.require(TAG_HEADER)?, "section `HDRS`");
+        let mut r = sections.next_section("section `HDRS`")?;
         let (level, stored_content, stored_state) = (r.u8()?, r.u64()?, r.u64()?);
         r.finish()?;
-        let mut r = ByteReader::new(reader.require(TAG_CELLS)?, "section `CELL`");
+        let mut r = sections.next_section("section `CELL`")?;
         let records = Layer::decode(&mut r, level, schema.len())?;
         r.finish()?;
+        sections.finish()?;
 
         let mut block = GeoBlock::from_records(grid, schema, records);
         block
@@ -259,10 +250,10 @@ impl GeoBlock {
             .map_err(|e| SnapshotError::corrupt(format!("block: {e}")))?;
         stats.decode = timer.lap();
 
-        // Per-section checksums cannot catch sections *swapped* between
-        // two individually-valid snapshots: the content hash catches a
-        // `CELL` or `HDRS` graft, the state hash a `GRID` or `SCHM` one —
-        // a typed error instead of wrong answers.
+        // The checksum cannot catch sections *swapped* between two
+        // individually-valid snapshots and sealed again: the content hash
+        // catches a `CELL` or `HDRS` graft, the state hash a `GRID` or
+        // `SCHM` one — a typed error instead of wrong answers.
         let content = block.content_hash();
         if content != stored_content {
             return Err(SnapshotError::corrupt(format!(
@@ -294,25 +285,39 @@ mod tests {
     use gb_geom::Point;
     use gb_store::ByteWriter;
 
-    /// Re-frame `bytes` section by section, every checksum recomputed,
-    /// with `edit` deciding each payload (`None` drops the section) and
-    /// `extra` appended last.
-    fn reframe(
-        bytes: &[u8],
-        edit: impl Fn(SectionTag, &[u8]) -> Option<Vec<u8>>,
-        extra: Option<(SectionTag, &[u8])>,
-    ) -> Vec<u8> {
-        let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).unwrap();
+    /// Where each section lies in [`sections`]' list.
+    const SCHM: usize = 0;
+    const GRID: usize = 1;
+    const HDRS: usize = 2;
+    const CELL: usize = 3;
+
+    /// The four sections of a current file, in order.
+    fn sections(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).unwrap();
+        let all = (0..4)
+            .map(|_| {
+                let mut r = reader.next_section("test").unwrap();
+                r.bytes(r.remaining()).unwrap().to_vec()
+            })
+            .collect();
+        reader.finish().unwrap();
+        all
+    }
+
+    /// `sections` in order, sealed under a fresh checksum.
+    fn seal(sections: &[Vec<u8>]) -> Vec<u8> {
         let mut w = SnapshotWriter::new(SNAPSHOT_VERSION);
-        for tag in reader.tags() {
-            if let Some(payload) = edit(tag, reader.require(tag).unwrap()) {
-                w.section(tag, |p| p.bytes(&payload));
-            }
-        }
-        if let Some((tag, payload)) = extra {
-            w.section(tag, |p| p.bytes(payload));
+        for payload in sections {
+            w.section(|p| p.bytes(payload));
         }
         w.into_bytes()
+    }
+
+    /// `bytes` with section `which` replaced by `payload`, sealed again.
+    fn with_section(bytes: &[u8], which: usize, payload: Vec<u8>) -> Vec<u8> {
+        let mut all = sections(bytes);
+        all[which] = payload;
+        seal(&all)
     }
 
     fn block(n: usize, level: u8) -> GeoBlock {
@@ -348,8 +353,7 @@ mod tests {
         // Encoding is deterministic.
         assert_eq!(bytes, back.to_snapshot_bytes());
         // `HDRS` is the level and the two digests, nothing else.
-        let reader = SnapshotReader::from_bytes(&bytes, SNAPSHOT_VERSION).unwrap();
-        let header = reader.require(TAG_HEADER).unwrap();
+        let header = &sections(&bytes)[HDRS];
         assert_eq!(header.len(), 1 + 8 + 8);
         assert_eq!(header[0], 8);
         assert_eq!(header[1..9], b.content_hash().to_le_bytes());
@@ -368,32 +372,37 @@ mod tests {
 
     #[test]
     fn header_hash_guards_against_cross_section_swaps() {
-        // Build two different blocks, then graft block A's CELL section
-        // onto block B's header: every per-section checksum still passes,
-        // but the stored content hash catches the mismatch.
+        // Build two different blocks, then graft block B's CELL section
+        // onto block A's header and seal the file again: the checksum
+        // passes, but the stored content hash catches the mismatch.
         let a = block(2000, 8).to_snapshot_bytes();
         let b = block(2100, 8).to_snapshot_bytes();
-        let rb = SnapshotReader::from_bytes(&b, SNAPSHOT_VERSION).unwrap();
-        let cells_of_b = rb.require(TAG_CELLS).unwrap();
-        let graft =
-            |tag, own: &[u8]| Some(if tag == TAG_CELLS { cells_of_b } else { own }.to_vec());
-        let franken = reframe(&a, graft, None);
+        let franken = with_section(&a, CELL, sections(&b)[CELL].clone());
         let err = GeoBlock::from_snapshot_bytes(&franken).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("content hash"), "{err}");
     }
 
+    #[test]
+    fn a_section_moved_without_resealing_fails_the_checksum() {
+        // The same graft, with A's checksum left as it was: the one
+        // checksum over every section refuses it before anything decodes.
+        let a = block(2000, 8).to_snapshot_bytes();
+        let b = block(2100, 8).to_snapshot_bytes();
+        let mut moved = with_section(&a, CELL, sections(&b)[CELL].clone());
+        moved[10..18].copy_from_slice(&a[10..18]);
+        let err = GeoBlock::from_snapshot_bytes(&moved).unwrap_err();
+        assert!(matches!(err, SnapshotError::ChecksumMismatch), "{err:?}");
+    }
+
     /// `bytes` with its `GRID` section replaced by the domain
-    /// `[0, 0] – [x1, 100]` under curve tag `tag`.
-    fn with_grid(bytes: &[u8], x1: f64, tag: u8) -> Vec<u8> {
+    /// `[0, 0] – [x1, 100]`.
+    fn with_grid(bytes: &[u8], x1: f64) -> Vec<u8> {
         let mut w = ByteWriter::new();
         for v in [0.0, 0.0, x1, 100.0] {
             w.f64(v);
         }
-        w.u8(tag);
-        let payload = w.into_inner();
-        let swap = |t, own: &[u8]| Some(if t == TAG_GRID { &payload } else { own }.to_vec());
-        reframe(bytes, swap, None)
+        with_section(bytes, GRID, w.into_inner())
     }
 
     /// `bytes` with its `SCHM` section replaced by columns `v` and
@@ -404,43 +413,26 @@ mod tests {
         for name in ["v", second] {
             w.str(name);
         }
-        let payload = w.into_inner();
-        let swap = |t, own: &[u8]| Some(if t == TAG_SCHEMA { &payload } else { own }.to_vec());
-        reframe(bytes, swap, None)
+        with_section(bytes, SCHM, w.into_inner())
     }
 
     #[test]
     fn grid_and_schema_grafts_are_rejected_by_the_state_hash() {
         // GeoBlock::content_hash covers the records only, so a GRID or
         // SCHM section from another (individually valid) snapshot of the
-        // same records passes every per-section checksum AND the content
+        // same records, sealed again, passes the checksum AND the content
         // hash. The HDRS state hash must catch it — otherwise the engine
         // would cover query polygons under the wrong domain, or name the
         // columns wrongly.
         let bytes = block(800, 7).to_snapshot_bytes();
         // The sections as the writer wrote them.
-        assert_eq!(with_grid(&bytes, 100.0, 0), bytes);
+        assert_eq!(with_grid(&bytes, 100.0), bytes);
         assert_eq!(with_schema(&bytes, "k"), bytes);
-        // A wider domain, or another column name, every checksum
-        // recomputed.
-        for graft in [with_grid(&bytes, 200.0, 0), with_schema(&bytes, "kk")] {
+        // A wider domain, or another column name, sealed again.
+        for graft in [with_grid(&bytes, 200.0), with_schema(&bytes, "kk")] {
             let err = GeoBlock::from_snapshot_bytes(&graft).unwrap_err();
             assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
             assert!(err.to_string().contains("state hash"), "{err}");
-        }
-    }
-
-    #[test]
-    fn curve_tags_other_than_hilbert_are_corrupt() {
-        let bytes = block(300, 6).to_snapshot_bytes();
-        for tag in [1, 2, u8::MAX] {
-            let err = GeoBlock::from_snapshot_bytes(&with_grid(&bytes, 100.0, tag)).unwrap_err();
-            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-            assert!(
-                err.to_string()
-                    .contains(&format!("unknown curve tag {tag}")),
-                "{err}"
-            );
         }
     }
 
@@ -703,14 +695,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_sections_are_ignored() {
-        // Forward compatibility: a newer writer may add sections.
-        let b = block(500, 6);
-        let keep = |_, own: &[u8]| Some(own.to_vec());
-        let extra = Some((SectionTag(*b"XTRA"), &[1u8, 2, 3][..]));
-        let bytes = reframe(&b.clone().to_snapshot_bytes(), keep, extra);
-        let back = GeoBlock::from_snapshot_bytes(&bytes).expect("extra ignored");
-        assert_eq!(back.content_hash(), b.content_hash());
+    fn a_fifth_section_is_refused() {
+        // The layout is the four sections and nothing after them, even
+        // under a valid checksum.
+        let bytes = block(500, 6).to_snapshot_bytes();
+        let mut five = sections(&bytes);
+        five.push(vec![1, 2, 3]);
+        let err = GeoBlock::from_snapshot_bytes(&seal(&five)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err:?}");
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
     }
 
     #[test]
@@ -765,25 +758,21 @@ mod tests {
     }
 
     #[test]
-    fn no_byte_flip_panics_and_most_are_detected() {
-        // Exhaustive over a small snapshot: flipping any single byte must
-        // never panic, and must never yield a block with a different
-        // content hash (either it errors, or the flip was in an optional
-        // byte that doesn't change the decoded block — which cannot
-        // happen here since every byte is load-bearing).
-        let b = block(120, 5);
-        let hash = b.content_hash();
-        let bytes = b.to_snapshot_bytes();
+    fn no_byte_flip_panics_and_every_one_is_refused() {
+        // Exhaustive over a small snapshot: a flipped byte in the magic or
+        // the version is refused by name, and one anywhere after them by
+        // the checksum, which two inputs differing in one word never pass.
+        let bytes = block(120, 5).to_snapshot_bytes();
         for i in 0..bytes.len() {
             let mut m = bytes.clone();
             m[i] ^= 0x01;
-            match GeoBlock::from_snapshot_bytes(&m) {
-                Err(_) => {}
-                Ok(s) => {
-                    // Only reachable if the flip cancelled out — it can't.
-                    assert_eq!(s.content_hash(), hash, "silent corruption at byte {i}");
-                }
-            }
+            let err = GeoBlock::from_snapshot_bytes(&m).expect_err("a flipped byte loaded");
+            let want = match i {
+                0..8 => matches!(err, SnapshotError::BadMagic),
+                8..10 => matches!(err, SnapshotError::UnsupportedVersion { .. }),
+                _ => matches!(err, SnapshotError::ChecksumMismatch),
+            };
+            assert!(want, "a flip at byte {i}: {err:?}");
         }
     }
 

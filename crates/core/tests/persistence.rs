@@ -16,13 +16,13 @@
 //! 5. **One version**: a current file stamped with any other version is
 //!    `UnsupportedVersion`, never `ChecksumMismatch` or `Corrupt`.
 
-use gb_cell::{CellId, Grid};
+use gb_cell::Grid;
 use gb_data::{
     datasets, extract, polygons, AggFunc, AggRequest, AggSpec, CleaningRules, ColumnDef, Filter,
     RawTable, Rows, Schema,
 };
 use gb_geom::{Point, Polygon, Rect};
-use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
+use gb_store::{ByteWriter, SnapshotReader, SnapshotWriter, MAGIC};
 use geoblocks::{
     build, reference, GeoBlock, GeoBlockEngine, SnapshotError, UpdateBatch, SNAPSHOT_VERSION,
 };
@@ -121,14 +121,9 @@ fn loaded_engine_matches_freshly_built_engine() {
     let path = temp_path("engine.gbsnap");
     engine.write_snapshot(&path).expect("save");
 
-    // The engine writes the block and nothing else.
+    // The engine writes the block's four sections and nothing else.
     let written = std::fs::read(&path).expect("saved file");
-    let reader = SnapshotReader::from_bytes(&written, SNAPSHOT_VERSION).expect("well-framed");
-    let tags: Vec<SectionTag> = reader.tags().collect();
-    assert_eq!(
-        tags,
-        [*b"SCHM", *b"GRID", *b"HDRS", *b"CELL"].map(SectionTag)
-    );
+    assert_eq!(sections(&written).len(), 4);
     assert_eq!(written, block.clone().to_snapshot_bytes());
 
     // "Restarted" engine from the snapshot vs a freshly built one.
@@ -270,15 +265,25 @@ fn a_taxi_block_round_trips_and_every_corruption_is_refused() {
     }
 }
 
-/// Re-frame a snapshot section by section, every checksum recomputed,
-/// letting `edit` change each payload on the way.
-fn reframe(bytes: &[u8], edit: impl Fn(SectionTag, &mut Vec<u8>)) -> Vec<u8> {
-    let reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).expect("well-framed");
+/// Every section of a current file, in order: `SCHM`, `GRID`, `HDRS`,
+/// `CELL`.
+fn sections(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut reader = SnapshotReader::from_bytes(bytes, SNAPSHOT_VERSION).expect("opens");
+    let mut all = Vec::new();
+    while let Ok(mut r) = reader.next_section("section") {
+        all.push(r.bytes(r.remaining()).unwrap().to_vec());
+    }
+    reader.finish().expect("every section read");
+    all
+}
+
+/// `bytes` with its `CELL` section changed by `edit`, sealed again.
+fn with_cell(bytes: &[u8], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let mut all = sections(bytes);
+    edit(&mut all[CELL]);
     let mut w = SnapshotWriter::new(SNAPSHOT_VERSION);
-    for tag in reader.tags() {
-        let mut payload = reader.require(tag).unwrap().to_vec();
-        edit(tag, &mut payload);
-        w.section(tag, |p| p.bytes(&payload));
+    for payload in &all {
+        w.section(|p| p.bytes(payload));
     }
     w.into_bytes()
 }
@@ -323,7 +328,8 @@ fn drop_last_value(payload: &mut Vec<u8>, which: usize) {
     payload.drain(values.end - 8..values.end);
 }
 
-const CELL: SectionTag = SectionTag(*b"CELL");
+/// Where `CELL` lies in [`sections`]' list.
+const CELL: usize = 3;
 const COUNTS: usize = 1;
 const SINGLES: usize = 2;
 const SUMS: usize = 5;
@@ -337,11 +343,7 @@ fn crafted_cell_sections_are_typed_errors() {
         let singles = block.layers().last().unwrap().num_singles();
         assert!(0 < singles && singles < n, "{singles} singles of {n}");
         let refused = |edit: &dyn Fn(&mut Vec<u8>), what: &str| {
-            let crafted = reframe(&file, |tag, payload| {
-                if tag == CELL {
-                    edit(payload);
-                }
-            });
+            let crafted = with_cell(&file, edit);
             let err = GeoBlock::from_snapshot_bytes(&crafted).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Corrupt { .. }),
@@ -357,11 +359,7 @@ fn crafted_cell_sections_are_typed_errors() {
         refused(&|p| drop_last_value(p, SINGLES), "count-1 cells × columns");
         // A count flipped from 1 to 2, or from 2 to 1, the arrays
         // unchanged: the records no longer fit the arrays.
-        let payload = SnapshotReader::from_bytes(&file, SNAPSHOT_VERSION)
-            .unwrap()
-            .require(CELL)
-            .unwrap()
-            .to_vec();
+        let payload = sections(&file).swap_remove(CELL);
         let counts: Vec<u64> = payload[cell_arrays(&payload)[COUNTS].clone()]
             .chunks_exact(8)
             .map(|n| u64::from_le_bytes(n.try_into().unwrap()))
@@ -387,11 +385,7 @@ fn crafted_cell_sections_are_typed_errors() {
                 .into_iter()
                 .filter(|_| !values.is_empty())
             {
-                let flipped = reframe(&file, |tag, payload| {
-                    if tag == CELL {
-                        payload[at] ^= 0x20;
-                    }
-                });
+                let flipped = with_cell(&file, |payload| payload[at] ^= 0x20);
                 let err = GeoBlock::from_snapshot_bytes(&flipped).unwrap_err();
                 assert!(
                     matches!(err, SnapshotError::Corrupt { .. }),
@@ -402,61 +396,39 @@ fn crafted_cell_sections_are_typed_errors() {
     }
 }
 
-/// A file in the version-8 layout, whose `CELL` stored the singles' marks
-/// beside the counts (keys, counts, one bit per record, the singles'
-/// values, then the full records' minima, maxima and sums), is refused by
-/// its version before anything is decoded.
+/// A file in the version-9 layout — a flags word and a section count in
+/// the header, then the same four sections each framed by its tag, its
+/// length and its own checksum, and `GRID` ending in a curve tag — is
+/// refused by its version before anything is decoded. Its frames'
+/// checksums are left zero: were one verified, the load would fail as
+/// `ChecksumMismatch` instead.
 #[test]
-fn a_version_8_file_is_unsupported() {
+fn a_version_9_file_is_unsupported() {
     let file = &current_files()[1];
-    let block = GeoBlock::from_snapshot_bytes(file).expect("loads");
-    let keys: Vec<u64> = (0..block.num_cells())
-        .map(|i| block.cell_at(i).raw())
-        .collect();
-    let (mut counts, mut marks) = (Vec::new(), vec![0u64; keys.len().div_ceil(64)]);
-    let (mut singles, mut full) = (Vec::new(), [Vec::new(), Vec::new(), Vec::new()]);
-    for (i, r) in keys
-        .iter()
-        .flat_map(|&k| block.records_under(CellId::from_raw(k)))
-        .enumerate()
+    let mut w = ByteWriter::new();
+    w.bytes(&MAGIC);
+    w.u16(9);
+    w.u16(0); // flags
+    w.u32(4); // section count
+    for (tag, mut payload) in [*b"SCHM", *b"GRID", *b"HDRS", *b"CELL"]
+        .into_iter()
+        .zip(sections(file))
     {
-        counts.push(r.count);
-        for c in 0..block.schema().len() {
-            if r.count == 1 {
-                marks[i / 64] |= 1 << (i % 64);
-                singles.push(r.sum(c));
-            } else {
-                full[0].push(r.min(c));
-                full[1].push(r.max(c));
-                full[2].push(r.sum(c));
-            }
+        if &tag == b"GRID" {
+            payload.push(0); // curve tag: Hilbert
         }
+        w.bytes(&tag);
+        w.u64(payload.len() as u64);
+        w.u64(0); // the section's checksum
+        w.bytes(&payload);
     }
-    let reader = SnapshotReader::from_bytes(file, SNAPSHOT_VERSION).unwrap();
-    let mut w = SnapshotWriter::new(8);
-    for tag in reader.tags() {
-        let payload = reader.require(tag).unwrap();
-        w.section(tag, |p| {
-            if tag == CELL {
-                p.u64_slice(&keys);
-                p.u64_slice(&counts);
-                p.u64_slice(&marks);
-                p.f64_slice(&singles);
-                for values in &full {
-                    p.f64_slice(values);
-                }
-            } else {
-                p.bytes(payload);
-            }
-        });
-    }
-    let err = GeoBlock::from_snapshot_bytes(&w.into_bytes()).unwrap_err();
+    let err = GeoBlock::from_snapshot_bytes(&w.into_inner()).unwrap_err();
     assert!(
         matches!(
             err,
             SnapshotError::UnsupportedVersion {
-                found: 8,
-                expected: 9
+                found: 9,
+                expected: 10
             }
         ),
         "{err:?}"

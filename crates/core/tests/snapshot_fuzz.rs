@@ -4,9 +4,9 @@
 //! Seeded and dependency-free: a fixed splitmix64 stream picks a corpus
 //! file (the current writer's files of a small taxi block, of the same
 //! block after an update and of an empty block), one mutation, and where
-//! to apply it. Mutated sections are framed again by the container writer
-//! — so their checksums are valid and the mutation reaches the decoders
-//! behind them — except for the raw mutations, which attack the framing
+//! to apply it. Mutated sections are sealed again by the container writer
+//! — so the checksum is valid and the mutation reaches the decoders
+//! behind it — except for the raw mutations, which attack the container
 //! itself. Every outcome must be a typed `SnapshotError` or a block that
 //! passes `check_invariants`: no panic, and no single allocation larger
 //! than a small multiple of the input or the fixed-size layer list (a
@@ -24,7 +24,7 @@
 use gb_cell::MAX_LEVEL;
 use gb_data::{datasets, extract, CmpOp, Filter, Predicate, Rows};
 use gb_geom::Point;
-use gb_store::{SectionTag, SnapshotReader, SnapshotWriter};
+use gb_store::{SnapshotReader, SnapshotWriter};
 use geoblocks::{build, GeoBlock, Layer, UpdateBatch, SNAPSHOT_VERSION};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,26 +85,35 @@ fn below(state: &mut u64, n: usize) -> usize {
     (splitmix(state) % n as u64) as usize
 }
 
-type Sections = Vec<(SectionTag, Vec<u8>)>;
+/// The sections of a current file, in order.
+const NAMES: [&str; 4] = ["SCHM", "GRID", "HDRS", "CELL"];
+/// Where `CELL` lies in [`NAMES`].
+const CELL: usize = 3;
+
+type Sections = Vec<Vec<u8>>;
 
 fn sections_of(file: &[u8]) -> Sections {
-    let reader = SnapshotReader::from_bytes(file, SNAPSHOT_VERSION).expect("corpus file is valid");
-    reader
-        .tags()
-        .map(|tag| (tag, reader.require(tag).unwrap().to_vec()))
-        .collect()
+    let mut reader =
+        SnapshotReader::from_bytes(file, SNAPSHOT_VERSION).expect("corpus file is valid");
+    let all = NAMES
+        .map(|name| {
+            let mut r = reader.next_section(name).expect("corpus file is valid");
+            r.bytes(r.remaining()).unwrap().to_vec()
+        })
+        .into();
+    reader.finish().expect("corpus file is valid");
+    all
 }
 
-/// Frame `sections`: valid framing, valid checksums.
-fn frame(sections: &Sections) -> Vec<u8> {
+/// Seal `sections` in order: valid lengths, a valid checksum.
+fn seal(sections: &Sections) -> Vec<u8> {
     let mut w = SnapshotWriter::new(SNAPSHOT_VERSION);
-    for (tag, payload) in sections {
-        w.section(*tag, |p| p.bytes(payload));
+    for payload in sections {
+        w.section(|p| p.bytes(payload));
     }
     w.into_bytes()
 }
 
-const CELL: SectionTag = SectionTag(*b"CELL");
 /// The `CELL` arrays, in order: keys, counts, singles, then the full
 /// records' minima, maxima and sums.
 const COUNTS: usize = 1;
@@ -140,45 +149,54 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
     let file = &corpus[which];
     let mut sections = sections_of(file);
     let s = below(rng, sections.len());
-    let tag = sections[s].0;
+    let tag = NAMES[s];
     let (bytes, what) = match below(rng, 8) {
         // A bit flipped under a valid checksum.
         0 => {
-            let payload = &mut sections[s].1;
+            let payload = &mut sections[s];
             if payload.is_empty() {
                 return (file.clone(), format!("file {which}: untouched"), false);
             }
             let (at, bit) = (below(rng, payload.len()), below(rng, 8));
             payload[at] ^= 1 << bit;
             let what = format!("file {which}: flip bit {bit} of byte {at} in {tag}");
-            (frame(&sections), what)
+            (seal(&sections), what)
         }
         // A section cut short under a valid checksum.
         1 => {
-            let payload = &mut sections[s].1;
+            let payload = &mut sections[s];
             let keep = below(rng, payload.len() + 1);
             payload.truncate(keep);
             let what = format!("file {which}: {tag} cut to {keep} bytes");
-            (frame(&sections), what)
+            (seal(&sections), what)
         }
-        // A section of another file spliced in (or, for a tag this file
-        // lacks, added).
+        // A section of another file spliced in at its place, or (must
+        // fail) a section dropped or repeated: the layout is the four
+        // sections in order.
         2 => {
             let donor = below(rng, corpus.len());
-            let theirs = sections_of(&corpus[donor]);
-            let (tag, payload) = theirs[below(rng, theirs.len())].clone();
-            match sections.iter_mut().find(|(t, _)| *t == tag) {
-                Some(own) => own.1 = payload,
-                None => sections.push((tag, payload)),
-            }
-            let what = format!("file {which}: {tag} of file {donor} spliced in");
-            (frame(&sections), what)
+            let what = match below(rng, 4) {
+                0 => {
+                    sections.remove(s);
+                    format!("file {which}: {tag} dropped")
+                }
+                1 => {
+                    sections.insert(s, sections[s].clone());
+                    format!("file {which}: {tag} repeated")
+                }
+                _ => {
+                    sections[s] = sections_of(&corpus[donor]).swap_remove(s);
+                    format!("file {which}: {tag} of file {donor} spliced in")
+                }
+            };
+            let must_fail = sections.len() != NAMES.len();
+            return (seal(&sections), what, must_fail);
         }
         // A length prefix inflated: one value more than the bytes behind it
         // hold, twice as many, or absurdly many — as a u64 array count or
         // as a u32 count.
         3 => {
-            let payload = &mut sections[s].1;
+            let payload = &mut sections[s];
             if payload.len() < 8 {
                 return (file.clone(), format!("file {which}: untouched"), false);
             }
@@ -203,7 +221,7 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
                 payload[at..at + 8].copy_from_slice(&new.to_le_bytes());
             }
             let what = format!("file {which}: length at byte {at} of {tag}: {old} -> {new}");
-            (frame(&sections), what)
+            (seal(&sections), what)
         }
         // Raw: the file cut at any offset, checksums as they were.
         4 => {
@@ -225,13 +243,10 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
         // unchanged, or the `singles` or a full array one value short.
         // Each is refused.
         6 => {
-            let Some(cell) = sections.iter_mut().find(|(t, _)| *t == CELL) else {
-                return (file.clone(), format!("file {which}: untouched"), false);
-            };
-            let arrays = length_prefixes(&cell.1);
+            let payload = &mut sections[CELL];
+            let arrays = length_prefixes(payload);
             let count_of =
                 |p: &[u8], at: usize| u64::from_le_bytes(p[at..at + 8].try_into().unwrap());
-            let payload = &mut cell.1;
             let what = match below(rng, 3) {
                 0 => {
                     let (from, to) = [(1u64, 2u64), (2, 1)][below(rng, 2)];
@@ -263,7 +278,7 @@ fn mutate(corpus: &[Vec<u8>], rng: &mut u64) -> (Vec<u8>, String, bool) {
                     format!("file {which}: CELL array {array} one value short")
                 }
             };
-            return (frame(&sections), what, true);
+            return (seal(&sections), what, true);
         }
         // Raw: the version field set to another value — half the time a
         // nearby one (an older version or the next), otherwise any.

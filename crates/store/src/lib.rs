@@ -3,12 +3,12 @@
 //! The paper positions GeoBlocks as "built once, queried forever" (§3
 //! build, §4 query cache) — which only holds across process restarts if
 //! the built block can be persisted. This
-//! crate provides the *container*: a small section-based binary format
-//! with a magic number, a format version, and a checksum per section, so
-//! a load can always fail with a typed [`SnapshotError`] instead of a
-//! panic or a silently corrupt block. What goes *into* the sections
-//! (the block's arrays and header) is defined by the
-//! `geoblocks` crate on top of the [`ByteWriter`]/[`ByteReader`]
+//! crate provides the *container*: a magic number, a format version, one
+//! checksum over everything after them, and the sections in the order
+//! they were written, so a load can always fail with a typed
+//! [`SnapshotError`] instead of a panic or a silently corrupt block. What
+//! goes *into* the sections (the block's arrays and header) is defined by
+//! the `geoblocks` crate on top of the [`ByteWriter`]/[`ByteReader`]
 //! primitives here.
 //!
 //! ## Layout
@@ -16,20 +16,15 @@
 //! ```text
 //! header:   magic [8]  = "GBSNAP\r\n"
 //!           version u16 LE
-//!           flags   u16 LE (reserved, must be 0)
-//!           count   u32 LE (number of sections)
-//! section:  tag     [4]    (ASCII, e.g. "CELL")
-//!           len     u64 LE (payload bytes)
-//!           check   u64 LE (the payload's word-wise checksum,
-//!                           `wordsum64`)
+//!           check   u64 LE (`wordsum64` of every byte after it)
+//! section:  len     u64 LE (payload bytes)
 //!           payload [len]
 //! ```
 //!
-//! Sections are self-describing and order-independent; readers skip
-//! unknown tags, which is the forward-compatibility escape hatch: a newer
-//! writer may append new sections without bumping the version, while any
-//! change to an *existing* section's encoding must bump
-//! the version (see `DESIGN.md` "Persistence" for the policy).
+//! Sections carry no tags: the version names the layout, so a reader
+//! takes them in the order the writer wrote them, and a byte after the
+//! last one is refused. Any change to what is stored bumps the version
+//! (see `DESIGN.md` "Persistence" for the policy).
 //!
 //! All integers are little-endian; all multi-byte values go through
 //! explicit `to_le_bytes`/`from_le_bytes`, so snapshots are portable
@@ -60,17 +55,10 @@ pub enum SnapshotError {
     BadMagic,
     /// The snapshot's format version is not the one this build reads.
     UnsupportedVersion { found: u16, expected: u16 },
-    /// Reserved header flags were non-zero (written by an incompatible
-    /// producer).
-    BadFlags(u16),
-    /// A section's payload does not match its stored checksum.
-    ChecksumMismatch { section: SectionTag },
+    /// The bytes after the header do not match its checksum.
+    ChecksumMismatch,
     /// The file ended before the advertised content did.
     Truncated { context: &'static str },
-    /// A section required by the decoder is absent.
-    MissingSection { section: SectionTag },
-    /// The same section tag appears twice.
-    DuplicateSection { section: SectionTag },
     /// The bytes parsed but describe an impossible structure (unsorted
     /// keys, out-of-range indices, mismatched lengths, …).
     Corrupt { context: String },
@@ -85,20 +73,9 @@ impl fmt::Display for SnapshotError {
                 f,
                 "unsupported snapshot version {found} (this build reads version {expected})"
             ),
-            SnapshotError::BadFlags(flags) => {
-                write!(f, "reserved snapshot header flags set: {flags:#06x}")
-            }
-            SnapshotError::ChecksumMismatch { section } => {
-                write!(f, "checksum mismatch in section {section}")
-            }
+            SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             SnapshotError::Truncated { context } => {
                 write!(f, "snapshot truncated while reading {context}")
-            }
-            SnapshotError::MissingSection { section } => {
-                write!(f, "snapshot is missing required section {section}")
-            }
-            SnapshotError::DuplicateSection { section } => {
-                write!(f, "snapshot contains duplicate section {section}")
             }
             SnapshotError::Corrupt { context } => write!(f, "snapshot corrupt: {context}"),
         }
@@ -129,25 +106,6 @@ impl SnapshotError {
     }
 }
 
-/// A four-byte ASCII section identifier (e.g. `b"CELL"`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SectionTag(pub [u8; 4]);
-
-impl fmt::Display for SectionTag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match std::str::from_utf8(&self.0) {
-            Ok(s) => write!(f, "`{s}`"),
-            Err(_) => write!(f, "{:02x?}", self.0),
-        }
-    }
-}
-
-impl fmt::Debug for SectionTag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self, f)
-    }
-}
-
 /// FNV-1a 64-bit, a byte at a time — the stable key hash of the wire API
 /// and the serve layer. Deliberately simple and self-contained: a stable,
 /// documented algorithm, not a cryptographic one.
@@ -160,20 +118,20 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The section checksum: FNV-1a's shape over 8-byte words instead of
+/// The snapshot checksum: FNV-1a's shape over 8-byte words instead of
 /// bytes, so a payload is checked at the speed it is read (one multiply
 /// per word; a multiply per byte was half of a load).
 ///
 /// ```text
 /// h = 0xcbf29ce484222325
 /// step(w):  h = rotate_left((h ^ w) * 0x9e3779b97f4a7c15, 31)
-/// step(each whole little-endian 8-byte word of the payload, in order)
+/// step(each whole little-endian 8-byte word, in order)
 /// step(the 1–7 tail bytes, zero-padded to a word)   — if there are any
-/// step(the payload length in bytes)
+/// step(the length in bytes)
 /// ```
 ///
 /// For a fixed word each step is a bijection of the state (xor, multiply
-/// by an odd constant, rotate), so two payloads that differ in exactly one
+/// by an odd constant, rotate), so two inputs that differ in exactly one
 /// word never collide. The rotate is what carries high bits back into low
 /// ones: without it a flip of bit 63 moves the state by exactly 2⁶³ and
 /// stays there — multiplying by an odd number keeps 2⁶³ — until a second
@@ -200,18 +158,17 @@ fn wordsum64(bytes: &[u8]) -> u64 {
     step(h, bytes.len() as u64)
 }
 
-/// Bytes before the first section: magic, version, flags, section count.
-const HEADER_BYTES: usize = MAGIC.len() + 8;
-/// Bytes of a section's frame before its payload: tag, length, checksum.
-const FRAME_BYTES: usize = 4 + 8 + 8;
+/// Bytes before the first section: magic, version, checksum.
+const HEADER_BYTES: usize = MAGIC.len() + 2 + 8;
+/// Where the checksum lies in the header.
+const CHECK_AT: usize = MAGIC.len() + 2;
 
-/// Builds a snapshot in one buffer: the header, then every section framed
-/// and encoded where it will stay — no per-section buffer, no second copy.
+/// Builds a snapshot in one buffer: the header, then every section
+/// encoded where it will stay behind its length, then the checksum
+/// sealed over all of them — no per-section buffer, no second copy.
 #[derive(Debug)]
 pub struct SnapshotWriter {
     out: ByteWriter,
-    /// Where each section's frame starts in `out`.
-    frames: Vec<usize>,
 }
 
 impl SnapshotWriter {
@@ -220,65 +177,52 @@ impl SnapshotWriter {
         SnapshotWriter::with_capacity(version, 0)
     }
 
-    /// [`SnapshotWriter::new`] with room for `bytes` of sections, so a
-    /// caller that knows its payload sizes never regrows the buffer.
+    /// [`SnapshotWriter::new`] with room for `bytes` of file, header
+    /// included, so a caller that knows its payload sizes never regrows
+    /// the buffer.
     pub fn with_capacity(version: u16, bytes: usize) -> Self {
-        let mut out = ByteWriter::with_capacity(HEADER_BYTES + bytes);
+        let mut out = ByteWriter::with_capacity(bytes);
         out.bytes(&MAGIC);
         out.u16(version);
-        out.u16(0); // flags (reserved)
-        out.u32(0); // section count, patched by `into_bytes`
-        SnapshotWriter {
-            out,
-            frames: Vec::new(),
-        }
+        out.u64(0); // checksum, sealed by `into_bytes`
+        SnapshotWriter { out }
     }
 
-    /// Append a section whose payload is whatever `encode` writes. Tags
-    /// must be unique; re-adding one is a caller bug (it would trip the
-    /// reader's duplicate check on load).
+    /// Append a section: its length, then whatever `encode` writes.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the length field lies inside the frame this call has just written"
+        reason = "the length field lies inside the section this call has just written"
     )]
-    pub fn section(&mut self, tag: SectionTag, encode: impl FnOnce(&mut ByteWriter)) {
-        let buf = &self.out.buf;
-        debug_assert!(
-            self.frames.iter().all(|&at| buf[at..at + 4] != tag.0),
-            "duplicate snapshot section {tag}"
-        );
-        let frame = self.out.buf.len();
-        self.frames.push(frame);
-        self.out.bytes(&tag.0);
+    pub fn section(&mut self, encode: impl FnOnce(&mut ByteWriter)) {
+        let at = self.out.buf.len();
         self.out.u64(0); // length, patched below
-        self.out.u64(0); // checksum, patched by `into_bytes`
         encode(&mut self.out);
-        let len = (self.out.buf.len() - frame - FRAME_BYTES) as u64;
-        self.out.buf[frame + 4..frame + 12].copy_from_slice(&len.to_le_bytes());
+        let len = (self.out.buf.len() - at - 8) as u64;
+        self.out.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Checksum every section, patch the header and hand out the finished
+    /// Seal the checksum over every section and hand out the finished
     /// container.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the header and every frame were written before: frame + FRAME_BYTES <= next frame <= buf.len()"
+        reason = "the header was written first: HEADER_BYTES <= buf.len()"
     )]
     pub fn into_bytes(self) -> Vec<u8> {
         let mut buf = self.out.buf;
-        buf[MAGIC.len() + 4..HEADER_BYTES]
-            .copy_from_slice(&len_u32_value(self.frames.len()).to_le_bytes());
-        let ends = self.frames.iter().skip(1).copied().chain([buf.len()]);
-        for (&frame, end) in self.frames.iter().zip(ends) {
-            let check = wordsum64(&buf[frame + FRAME_BYTES..end]);
-            buf[frame + 12..frame + FRAME_BYTES].copy_from_slice(&check.to_le_bytes());
-        }
+        let check = wordsum64(&buf[HEADER_BYTES..]);
+        buf[CHECK_AT..HEADER_BYTES].copy_from_slice(&check.to_le_bytes());
         buf
     }
 }
 
 /// Write `bytes` to `path` through a sibling temp file + rename, so a
-/// crash mid-write never leaves a half-written snapshot behind the final
-/// name. The snapshot writer's one way to disk.
+/// process that dies mid-write never leaves a half-written snapshot behind
+/// the final name. The snapshot writer's one way to disk.
+///
+/// Nothing is fsynced, so that holds for a crash of the process, not for a
+/// power loss: after one, the final name may hold a file whose bytes never
+/// all reached the disk, which the loader refuses as truncated or by its
+/// checksum.
 ///
 /// The temp name appends to the full file name (never replaces an
 /// extension) and carries the pid plus a process-wide counter, so
@@ -313,89 +257,64 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// A parsed snapshot container: validated header + checksummed sections,
-/// each a slice of the file buffer it was parsed from.
+/// An opened snapshot container: magic, version and checksum verified,
+/// its sections handed out in order as slices of the file buffer.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
-    sections: Vec<(SectionTag, &'a [u8])>,
+    sections: ByteReader<'a>,
 }
 
 impl<'a> SnapshotReader<'a> {
-    /// Parse a container, validating magic, version, flags, section
-    /// framing, and every section checksum.
+    /// Open a container, validating magic, version and the checksum.
     ///
     /// `expected` is the one format version the caller decodes; a file of
     /// any other is rejected as [`SnapshotError::UnsupportedVersion`]
-    /// before any checksum is verified, so an old or a future file is
+    /// before the checksum is verified, so an old or a future file is
     /// refused by name, never reported as corrupt.
     pub fn from_bytes(bytes: &'a [u8], expected: u16) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes, "snapshot header");
-        let magic = r.bytes(MAGIC.len())?;
-        if magic != MAGIC {
+        if r.bytes(MAGIC.len())? != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         let found = r.u16()?;
         if found != expected {
             return Err(SnapshotError::UnsupportedVersion { found, expected });
         }
-        let flags = r.u16()?;
-        if flags != 0 {
-            return Err(SnapshotError::BadFlags(flags));
+        let check = r.u64()?;
+        let sections = r.bytes(r.remaining())?;
+        if wordsum64(sections) != check {
+            return Err(SnapshotError::ChecksumMismatch);
         }
-        let count = r.u32()? as usize;
-
-        let mut sections: Vec<(SectionTag, &'a [u8])> = Vec::new();
-        for _ in 0..count {
-            let tag = SectionTag(r.array()?);
-            let len = r.u64()?;
-            let check = r.u64()?;
-            let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated {
-                context: "section length",
-            })?;
-            let payload = r.bytes(len)?;
-            if wordsum64(payload) != check {
-                return Err(SnapshotError::ChecksumMismatch { section: tag });
-            }
-            if sections.iter().any(|(t, _)| *t == tag) {
-                return Err(SnapshotError::DuplicateSection { section: tag });
-            }
-            sections.push((tag, payload));
-        }
-        if !r.is_empty() {
-            return Err(SnapshotError::corrupt(format!(
-                "{} trailing bytes after the last section",
-                r.remaining()
-            )));
-        }
-        Ok(SnapshotReader { sections })
+        Ok(SnapshotReader {
+            sections: ByteReader::new(sections, "section length"),
+        })
     }
 
-    /// A section's payload, if present.
-    pub fn section(&self, tag: SectionTag) -> Option<&'a [u8]> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|&(_, p)| p)
+    /// The next section, as a reader of its payload alone; `context`
+    /// names it in that reader's errors.
+    pub fn next_section(&mut self, context: &'static str) -> Result<ByteReader<'a>, SnapshotError> {
+        let len = self.sections.len_prefix(1)?;
+        Ok(ByteReader::new(self.sections.bytes(len)?, context))
     }
 
-    /// A section's payload, or [`SnapshotError::MissingSection`].
-    pub fn require(&self, tag: SectionTag) -> Result<&'a [u8], SnapshotError> {
-        self.section(tag)
-            .ok_or(SnapshotError::MissingSection { section: tag })
-    }
-
-    /// All section tags, in file order (unknown tags included).
-    pub fn tags(&self) -> impl Iterator<Item = SectionTag> + '_ {
-        self.sections.iter().map(|(t, _)| *t)
+    /// Error unless every section was read: a byte after the last one is
+    /// refused.
+    pub fn finish(self) -> Result<(), SnapshotError> {
+        match self.sections.remaining() {
+            0 => Ok(()),
+            n => Err(SnapshotError::corrupt(format!(
+                "{n} trailing bytes after the last section"
+            ))),
+        }
     }
 }
 
 /// Checked `usize → u32` narrowing for length prefixes. Every in-memory
-/// collection written with a u32 prefix (schema columns, pyramid levels,
-/// section counts, string bytes) is bounded far below `u32::MAX` by
-/// construction; a longer input means a corrupted producer, and a
-/// silently truncated prefix would desynchronize the whole stream — so
-/// this is the one place the encoder is allowed to panic.
+/// collection written with a u32 prefix (schema columns, string bytes)
+/// is bounded far below `u32::MAX` by construction; a longer input means
+/// a corrupted producer, and a silently truncated prefix would
+/// desynchronize the whole stream — so this is the one place the encoder
+/// is allowed to panic.
 #[expect(
     clippy::expect_used,
     reason = "encoder precondition: u32-prefixed lengths are < 4 GiB by construction"
@@ -487,11 +406,6 @@ impl ByteWriter {
     /// Length-prefixed (u64 count) slice of u64s.
     pub fn u64_slice(&mut self, v: &[u64]) {
         self.le_slice(v, u64::to_le_bytes);
-    }
-
-    /// Length-prefixed (u64 count) slice of u32s.
-    pub fn u32_slice(&mut self, v: &[u32]) {
-        self.le_slice(v, u32::to_le_bytes);
     }
 
     /// Length-prefixed (u64 count) slice of f64 bit patterns.
@@ -593,11 +507,6 @@ impl<'a> ByteReader<'a> {
 
     pub fn str(&mut self) -> Result<String, SnapshotError> {
         let n = self.u32()? as usize;
-        if n > self.remaining() {
-            return Err(SnapshotError::Truncated {
-                context: self.context,
-            });
-        }
         String::from_utf8(self.bytes(n)?.to_vec())
             .map_err(|_| SnapshotError::corrupt(format!("invalid UTF-8 in {}", self.context)))
     }
@@ -617,10 +526,6 @@ impl<'a> ByteReader<'a> {
 
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
         self.le_vec(u64::from_le_bytes)
-    }
-
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        self.le_vec(u32::from_le_bytes)
     }
 
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, SnapshotError> {
@@ -648,16 +553,26 @@ mod tests {
 
     /// The version the tests write and read.
     const VERSION: u16 = 6;
-    const TAG_A: SectionTag = SectionTag(*b"AAAA");
-    const TAG_B: SectionTag = SectionTag(*b"BBBB");
     /// Where the first section's payload starts.
-    const FIRST_PAYLOAD: usize = HEADER_BYTES + FRAME_BYTES;
+    const FIRST_PAYLOAD: usize = HEADER_BYTES + 8;
 
     fn sample(version: u16) -> Vec<u8> {
         let mut w = SnapshotWriter::new(version);
-        w.section(TAG_A, |p| p.bytes(&[1, 2, 3, 4, 5]));
-        w.section(TAG_B, |_| {});
+        w.section(|p| p.bytes(&[1, 2, 3, 4, 5]));
+        w.section(|_| {});
         w.into_bytes()
+    }
+
+    /// Every section of `bytes`, in order.
+    fn sections(bytes: &[u8]) -> Vec<&[u8]> {
+        let mut r = SnapshotReader::from_bytes(bytes, VERSION).expect("opens");
+        let mut all = Vec::new();
+        while !r.sections.is_empty() {
+            let mut s = r.next_section("test").expect("framed");
+            all.push(s.bytes(s.remaining()).unwrap());
+        }
+        r.finish().expect("every section read");
+        all
     }
 
     /// Deterministic test data: a splitmix64 stream.
@@ -675,33 +590,29 @@ mod tests {
     #[test]
     fn roundtrip_container() {
         let bytes = sample(VERSION);
-        let r = SnapshotReader::from_bytes(&bytes, VERSION).expect("parses");
-        assert_eq!(r.section(TAG_A), Some(&[1u8, 2, 3, 4, 5][..]));
-        assert_eq!(r.section(TAG_B), Some(&[][..]));
-        assert_eq!(r.section(SectionTag(*b"ZZZZ")), None);
+        assert_eq!(sections(&bytes), [&[1u8, 2, 3, 4, 5][..], &[][..]]);
+        // A third section is not there.
+        let mut r = SnapshotReader::from_bytes(&bytes, VERSION).unwrap();
+        r.next_section("a").unwrap();
+        r.next_section("b").unwrap();
         assert!(matches!(
-            r.require(SectionTag(*b"ZZZZ")),
-            Err(SnapshotError::MissingSection { .. })
+            r.next_section("c").unwrap_err(),
+            SnapshotError::Truncated { .. }
         ));
-        assert_eq!(r.tags().count(), 2);
     }
 
     #[test]
     fn sections_are_framed_in_place() {
-        // header 16; A: tag 4, len 8, check 8, payload 5; B: frame only.
+        // header 18; A: len 8, payload 5; B: len only.
         let bytes = sample(VERSION);
-        assert_eq!(bytes.len(), 16 + 20 + 5 + 20);
+        assert_eq!(bytes.len(), 18 + 8 + 5 + 8);
         assert_eq!(bytes[8..10], VERSION.to_le_bytes());
-        assert_eq!(bytes[12..16], 2u32.to_le_bytes());
-        assert_eq!(bytes[16..20], TAG_A.0);
-        assert_eq!(bytes[20..28], 5u64.to_le_bytes());
-        assert_eq!(bytes[28..36], wordsum64(&[1, 2, 3, 4, 5]).to_le_bytes());
-        assert_eq!(bytes[36..41], [1, 2, 3, 4, 5]);
-        assert_eq!(bytes[45..53], 0u64.to_le_bytes());
-        assert_eq!(bytes[53..61], wordsum64(&[]).to_le_bytes());
+        assert_eq!(bytes[10..18], wordsum64(&bytes[18..]).to_le_bytes());
+        assert_eq!(bytes[18..26], 5u64.to_le_bytes());
+        assert_eq!(bytes[26..31], [1, 2, 3, 4, 5]);
+        assert_eq!(bytes[31..39], 0u64.to_le_bytes());
         // The reader's sections are slices of that buffer, not copies.
-        let r = SnapshotReader::from_bytes(&bytes, VERSION).unwrap();
-        assert!(std::ptr::eq(r.require(TAG_A).unwrap(), &bytes[36..41]));
+        assert!(std::ptr::eq(sections(&bytes)[0], &bytes[26..31]));
     }
 
     #[test]
@@ -736,7 +647,7 @@ mod tests {
             bytes[8..10].copy_from_slice(&VERSION.to_le_bytes());
             assert!(matches!(
                 SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
-                SnapshotError::ChecksumMismatch { .. }
+                SnapshotError::ChecksumMismatch
             ));
         }
     }
@@ -757,26 +668,17 @@ mod tests {
     }
 
     #[test]
-    fn reserved_flags_are_rejected() {
-        let mut bytes = sample(VERSION);
-        bytes[10] = 0x01; // flags LSB
-        assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
-            SnapshotError::BadFlags(1)
-        ));
-    }
-
-    #[test]
-    fn every_payload_bitflip_is_detected() {
+    fn every_bitflip_after_the_version_is_detected() {
+        // The checksum itself, the section lengths and the payload bytes.
         let bytes = sample(VERSION);
-        for i in FIRST_PAYLOAD..FIRST_PAYLOAD + 5 {
+        for i in CHECK_AT..bytes.len() {
             for bit in 0..8 {
                 let mut b = bytes.clone();
                 b[i] ^= 1 << bit;
                 assert!(
                     matches!(
                         SnapshotReader::from_bytes(&b, VERSION).unwrap_err(),
-                        SnapshotError::ChecksumMismatch { section } if section == TAG_A
+                        SnapshotError::ChecksumMismatch
                     ),
                     "flip of bit {bit} at byte {i} undetected"
                 );
@@ -795,7 +697,7 @@ mod tests {
                     err,
                     SnapshotError::BadMagic
                         | SnapshotError::Truncated { .. }
-                        | SnapshotError::ChecksumMismatch { .. }
+                        | SnapshotError::ChecksumMismatch
                 ),
                 "cut at {cut}: unexpected error {err:?}"
             );
@@ -804,60 +706,69 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
+        // Appended to a sealed file: the checksum no longer holds.
         let mut bytes = sample(VERSION);
         bytes.push(0xAB);
         assert!(matches!(
             SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
-            SnapshotError::Corrupt { .. }
+            SnapshotError::ChecksumMismatch
         ));
-    }
-
-    #[test]
-    fn duplicate_sections_are_rejected() {
-        // Hand-build a container with the same tag twice.
+        // Sealed with the file: they are too few for a section's length,
+        // and the reader refuses them after the last section.
         let mut w = SnapshotWriter::new(VERSION);
-        w.section(TAG_A, |p| p.u8(1));
-        let mut bytes = w.into_bytes();
-        // Bump the count and append a second copy of section A.
-        bytes[12] = 2;
-        let tail: Vec<u8> = bytes[HEADER_BYTES..].to_vec();
-        bytes.extend_from_slice(&tail);
+        w.section(|p| p.u8(1));
+        w.out.bytes(&[0xAB, 0xCD, 0xEF]);
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::from_bytes(&bytes, VERSION).unwrap();
+        assert_eq!(r.next_section("a").unwrap().u8().unwrap(), 1);
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes, VERSION).unwrap_err(),
-            SnapshotError::DuplicateSection { section } if section == TAG_A
+            r.next_section("b").unwrap_err(),
+            SnapshotError::Truncated { .. }
         ));
+        let mut r = SnapshotReader::from_bytes(&bytes, VERSION).unwrap();
+        r.next_section("a").unwrap();
+        let err = r.finish().unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err:?}");
+        assert!(err.to_string().contains("3 trailing bytes"), "{err}");
     }
 
     #[test]
     fn huge_length_prefix_cannot_allocate() {
         // A payload claiming 2^60 values — or one value more than the
         // bytes that follow hold — must fail the bounds check before any
-        // allocation happens, at every width.
+        // allocation happens: an array, a string, or a section under a
+        // valid checksum.
+        let truncated = |e: SnapshotError| matches!(e, SnapshotError::Truncated { .. });
         for claimed in [1u64 << 60, u64::MAX, 3] {
             let mut w = ByteWriter::new();
             w.u64(claimed);
             w.bytes(&[0u8; 2 * 8 + 7]);
             let payload = w.into_inner();
-            let truncated = |e: SnapshotError| matches!(e, SnapshotError::Truncated { .. });
             let r = || ByteReader::new(&payload, "test");
             assert!(truncated(r().u64_vec().unwrap_err()), "u64 × {claimed}");
             assert!(truncated(r().f64_vec().unwrap_err()), "f64 × {claimed}");
-            if claimed > 5 {
-                assert!(truncated(r().u32_vec().unwrap_err()), "u32 × {claimed}");
-            }
         }
-        let mut w = ByteWriter::new();
-        w.u64(6);
-        w.bytes(&[0u8; 5 * 4 + 3]);
-        let payload = w.into_inner();
-        assert!(matches!(
-            ByteReader::new(&payload, "test").u32_vec().unwrap_err(),
-            SnapshotError::Truncated { .. }
-        ));
+        for claimed in [u64::MAX, 1 << 60, 24] {
+            let mut sealed = SnapshotWriter::new(VERSION);
+            sealed.out.u64(claimed);
+            sealed.out.bytes(&[0u8; 23]);
+            let file = sealed.into_bytes();
+            let mut r = SnapshotReader::from_bytes(&file, VERSION).unwrap();
+            let err = r.next_section("test").unwrap_err();
+            assert!(truncated(err), "section of {claimed}");
+        }
+        for claimed in [u32::MAX, 4] {
+            let mut w = ByteWriter::new();
+            w.u32(claimed);
+            w.bytes(b"abc");
+            let payload = w.into_inner();
+            let err = ByteReader::new(&payload, "test").str().unwrap_err();
+            assert!(truncated(err), "string of {claimed}");
+        }
     }
 
-    /// The per-element slice codec: one `extend_from_slice` of 4 or 8
-    /// bytes per value out, one bounds-checked read per value in — the
+    /// The per-element slice codec: one `extend_from_slice` of 8 bytes
+    /// per value out, one bounds-checked read per value in — the
     /// oracle the bulk codec must match byte for byte and value for value.
     mod per_element {
         use super::*;
@@ -871,10 +782,9 @@ mod tests {
 
         pub fn read<'a, T>(
             r: &mut ByteReader<'a>,
-            width: usize,
             get: impl Fn(&mut ByteReader<'a>) -> Result<T, SnapshotError>,
         ) -> Result<Vec<T>, SnapshotError> {
-            let n = r.len_prefix(width)?;
+            let n = r.len_prefix(8)?;
             (0..n).map(|_| get(r)).collect()
         }
     }
@@ -905,18 +815,15 @@ mod tests {
                     _ => next(),
                 })
                 .collect();
-            let halves: Vec<u32> = words.iter().map(|&w| (w >> 17) as u32).collect();
             let floats: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
 
             let mut bulk = ByteWriter::new();
             bulk.u64_slice(&words);
-            bulk.u32_slice(&halves);
             bulk.f64_slice(&floats);
             bulk.u8(0x5a);
             let bulk = bulk.into_inner();
             let mut oracle = ByteWriter::new();
             per_element::write(&mut oracle, &words, ByteWriter::u64);
-            per_element::write(&mut oracle, &halves, ByteWriter::u32);
             per_element::write(&mut oracle, &floats, ByteWriter::f64);
             oracle.u8(0x5a);
             assert_eq!(bulk, oracle.into_inner(), "bytes at length {n}");
@@ -925,17 +832,13 @@ mod tests {
             let mut o = ByteReader::new(&bulk, "oracle");
             assert_eq!(
                 r.u64_vec().unwrap(),
-                per_element::read(&mut o, 8, ByteReader::u64).unwrap()
-            );
-            assert_eq!(
-                r.u32_vec().unwrap(),
-                per_element::read(&mut o, 4, ByteReader::u32).unwrap()
+                per_element::read(&mut o, ByteReader::u64).unwrap()
             );
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             let got = bits(r.f64_vec().unwrap());
             assert_eq!(
                 got,
-                bits(per_element::read(&mut o, 8, ByteReader::f64).unwrap())
+                bits(per_element::read(&mut o, ByteReader::f64).unwrap())
             );
             assert_eq!(got, words, "f64 bit patterns at length {n}");
             assert_eq!((r.u8().unwrap(), o.u8().unwrap()), (0x5a, 0x5a));
@@ -954,7 +857,6 @@ mod tests {
         w.f64(f64::NAN);
         w.str("héllo");
         w.u64_slice(&[1, 2, 3]);
-        w.u32_slice(&[9, 8]);
         w.f64_slice(&[1.5, f64::INFINITY]);
         w.bytes(&[0xAA, 0xBB]);
         let buf = w.into_inner();
@@ -967,7 +869,6 @@ mod tests {
         assert!(r.f64().unwrap().is_nan());
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.u32_vec().unwrap(), vec![9, 8]);
         assert_eq!(r.f64_vec().unwrap(), vec![1.5, f64::INFINITY]);
         assert_eq!(r.bytes(2).unwrap(), [0xAA, 0xBB]);
         r.finish().expect("fully consumed");
@@ -993,7 +894,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.gb");
         let mut w = SnapshotWriter::new(VERSION);
-        w.section(TAG_A, |p| p.bytes(&[42; 1000]));
+        w.section(|p| p.bytes(&[42; 1000]));
         write_atomic(&path, &w.into_bytes()).expect("write");
         // No temp file left behind.
         let leftovers = std::fs::read_dir(&dir)
@@ -1008,8 +909,7 @@ mod tests {
             .count();
         assert_eq!(leftovers, 0, "temp files left behind");
         let bytes = std::fs::read(&path).expect("read");
-        let r = SnapshotReader::from_bytes(&bytes, VERSION).expect("parse");
-        assert_eq!(r.section(TAG_A).unwrap().len(), 1000);
+        assert_eq!(sections(&bytes), [&[42; 1000][..]]);
         // Concurrent saves to the same path must not corrupt it: each
         // writer uses its own temp file, the last rename wins.
         std::thread::scope(|s| {
@@ -1017,14 +917,15 @@ mod tests {
                 let path = &path;
                 s.spawn(move || {
                     let mut w = SnapshotWriter::new(VERSION);
-                    w.section(TAG_A, |p| p.bytes(&[fill; 4096]));
+                    w.section(|p| p.bytes(&[fill; 4096]));
                     write_atomic(path, &w.into_bytes()).expect("concurrent write");
                 });
             }
         });
         let bytes = std::fs::read(&path).expect("read");
-        let r = SnapshotReader::from_bytes(&bytes, VERSION).expect("readable after racing saves");
-        let payload = r.section(TAG_A).unwrap();
+        let [payload] = sections(&bytes)[..] else {
+            panic!("one section after racing saves");
+        };
         assert_eq!(payload.len(), 4096);
         assert!(
             payload.windows(2).all(|w| w[0] == w[1]),

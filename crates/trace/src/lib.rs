@@ -173,7 +173,8 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// One completed request trace, as retained by the flight recorder.
 #[derive(Debug, Clone)]
 pub struct RequestTrace {
-    /// Completion sequence number (per tracer).
+    /// Completion sequence number among the traces the tracer kept
+    /// (sampled or slow).
     pub seq: u64,
     /// Request kind ("select", "count", "batch", "update", ...).
     pub kind: &'static str,
@@ -517,6 +518,11 @@ impl Drop for RequestGuard<'_> {
             ACTIVE.with(|slot| *slot.borrow_mut() = Some(active));
             return;
         }
+        let slow = total_ns >= self.tracer.config.slow_us.saturating_mul(1000);
+        if !(active.sampled || slow) {
+            // Kept nowhere: it takes no sequence number.
+            return;
+        }
         let trace = RequestTrace {
             seq: self.tracer.seq.next(),
             kind: active.kind,
@@ -537,7 +543,7 @@ impl Drop for RequestGuard<'_> {
             }
             self.tracer.recorder.push(trace.clone());
         }
-        if total_ns >= self.tracer.config.slow_us.saturating_mul(1000) {
+        if slow {
             self.tracer.slow.push(trace);
         }
     }
@@ -709,6 +715,21 @@ mod tests {
             traces.iter().all(|tr| tr.seq >= oldest_kept),
             "oldest evicted"
         );
+    }
+
+    #[test]
+    fn only_a_kept_trace_takes_a_sequence_number() {
+        // One request in three sampled, the slow lane off: the two kept
+        // traces are numbered 0 and 1, not by the tickets 0 and 3.
+        let t = Tracer::new(TraceConfig {
+            sample_rate: 3,
+            ..sampled_config()
+        });
+        for _ in 0..4 {
+            let _req = t.begin_request("select");
+        }
+        let seqs: Vec<u64> = t.recent().iter().map(|tr| tr.seq).collect();
+        assert_eq!(seqs, [0, 1]);
     }
 
     #[test]

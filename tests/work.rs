@@ -1,9 +1,9 @@
 //! The work ratchet: what a seeded block costs in bytes, what generating
 //! its rows and its set-up allocate, what 64 seeded SELECTs and COUNTs cost in record searches
 //! and reads, what the paper's query cache (`gb_baselines::BlockQcIndex`)
-//! learns from them and holds, what an 8-row update allocates, and what
-//! one snapshot save and one load allocate, asserted against recorded
-//! constants. Counts of
+//! learns from them and holds, what an 8-row update allocates, what
+//! one snapshot save and one load allocate and how long the file is,
+//! asserted against recorded constants. Counts of
 //! work do not depend on the host, so this gate holds where timings cannot
 //! steer.
 //!
@@ -13,8 +13,10 @@
 //! is answered (which layer, which fold) must not change how many cells
 //! are searched or combined, and a change that does must say so by
 //! re-recording them. So are the cache's counts: which cells it tracks
-//! and caches, what it costs, and how many probes it answers, and so is
-//! the block's content hash, which proves its records bit for bit.
+//! and caches, what it costs, and how many probes it answers, and so are
+//! the block's content hash, which proves its records bit for bit, and
+//! the length of its snapshot file, which for these records moves only
+//! with the format.
 //!
 //! This file is a test binary of its own because it installs a global
 //! allocator (the only way to *observe* an allocation), and holds one
@@ -137,14 +139,19 @@ const MAX_UPDATE_NEW_CELL_BYTES: usize = 11_265_456;
 /// Ceiling on the bytes a serving engine's `write_snapshot` allocates:
 /// the container buffer, sized once from the stored arrays (7 404 096 B
 /// while a record of one tuple stored its value three times, 4 832 288 B
-/// while the file stored the singles' marks). A save that copied the
-/// block would add its 7.1 MB.
-const MAX_SAVE_BYTES: usize = 4_827_248;
+/// while the file stored the singles' marks, 4 827 248 B while the buffer
+/// held its header beside the 1 KiB for the small sections). A save that
+/// copied the block would add its 7.1 MB.
+const MAX_SAVE_BYTES: usize = 4_827_232;
+/// The length of the block's snapshot file (4 826 464 B while each section
+/// carried a tag and a checksum of its own).
+const SNAPSHOT_BYTES: usize = 4_826_417;
 /// Ceiling on the bytes `GeoBlock::read_snapshot` allocates: the file, the
 /// decoded records, their marks derived from the counts, and the coarser
 /// layers the load derives (23 405 600 B while a record of one tuple stored
-/// its value three times, 16 094 240 B while the file stored the marks).
-const MAX_LOAD_BYTES: usize = 16_089_200;
+/// its value three times, 16 094 240 B while the file stored the marks,
+/// 16 089 200 B while each section carried a tag and a checksum).
+const MAX_LOAD_BYTES: usize = 16_089_153;
 
 #[test]
 fn block_bytes_and_select_work_stay_at_their_recorded_values() {
@@ -270,12 +277,16 @@ fn block_bytes_and_select_work_stay_at_their_recorded_values() {
     saved.expect("save");
     let (loaded, load_bytes) = allocated(|| GeoBlock::read_snapshot(&path));
     let _ = std::fs::remove_file(&path);
-    let (loaded, _) = loaded.expect("load");
+    let (loaded, load_stats) = loaded.expect("load");
     assert_eq!(
         loaded.content_hash(),
         engine.block_snapshot().content_hash()
     );
     drop(loaded);
+    assert_eq!(
+        load_stats.bytes, SNAPSHOT_BYTES,
+        "the snapshot file is not the recorded length"
+    );
     assert!(
         save_bytes <= MAX_SAVE_BYTES,
         "a save allocated {save_bytes} B, over the recorded {MAX_SAVE_BYTES}"
